@@ -189,8 +189,8 @@ fn main() {
             verify_replay: false,
             ..ExplorerConfig::default()
         };
-        // Fixed first: it must see the pristine prepared context, before
-        // the adaptive run appends promoted observables to it.
+        // Both searches share the one prepared context: promotions live
+        // in the search that made them.
         let fixed = run_one(&ctx, &oracle, &cfg);
         cfg.adaptive.enabled = true;
         let adaptive = run_one(&ctx, &oracle, &cfg);

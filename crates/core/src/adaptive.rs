@@ -35,24 +35,27 @@
 //!
 //! Either way a promotion is a handful of incremental appends (see
 //! DESIGN.md §15): one BFS for the new distance table, one intern-table
-//! append for the witness `(level, body)` key
-//! ([`SearchContext::promote_observable`]), an optional fault-unit append
-//! (coverage only), and one neutral extension of the strategy's `I_k`
-//! vector ([`Strategy::observables_appended`]). No phase of
-//! [`SearchContext::prepare`] reruns.
+//! append for the witness `(level, body)` key, an optional fault-unit
+//! append (coverage only) — all into the search's own [`PromotedSet`] —
+//! and one neutral extension of the strategy's `I_k` vector
+//! ([`Strategy::observables_appended`]). No phase of
+//! [`SearchContext::prepare`] reruns, and the context is never written:
+//! the set lives in [`AdaptiveState`], which the explorer owns by value,
+//! so it starts empty with every search and ends with it.
 //!
-//! Determinism: promotion runs only on the trusted strategy at the
-//! explorer's shared note-drain point — the same program point in the
-//! sequential loop and the batch engine's merge loop — and every input
-//! (unit list, ranking, graphs, normal-run template set) is itself
+//! Determinism: promotion runs only on the trusted strategy at the round
+//! loop's note-drain point — one loop, sequential or batched — and every
+//! input (unit list, ranking, graphs, normal-run template set) is itself
 //! deterministic. Speculative clones never promote; their plans simply
 //! miss validation after a promotion and re-run inline, so sequential and
 //! batched streams stay byte-identical with adaptation on.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use anduril_causal::{build_graph, Observable};
 use anduril_ir::{BlockId, FuncId, Level, SiteId, Stmt, TemplateId};
+use anduril_logdiff::{DiffRecord, InternTable};
 
 use crate::context::{FaultUnit, SearchContext};
 use crate::strategy::Strategy;
@@ -89,68 +92,198 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// Per-exploration promotion bookkeeping, owned by the explorer state.
+/// A synthetic observable promoted into the live search.
+///
+/// Unlike a prepared [`ObservableInfo`](crate::ObservableInfo), a
+/// promotion has no failure-log positions (it is not a failure-only
+/// message), so its temporal distance is infinite; it contributes purely
+/// through its spatial distance table and its presence feedback. Its
+/// witness template is hole-free by construction, so presence in a round
+/// log is a single interned `(level, body)` key probe.
+#[derive(Debug, Clone)]
+pub struct PromotedObservable {
+    /// The witness log template.
+    pub template: TemplateId,
+    /// Severity the witness logs at (the level half of its intern key).
+    pub level: Level,
+    /// The witness's rendered body (a hole-free template renders to its
+    /// own text).
+    pub text: String,
+    /// `distances[site]` = spatial distance `L` from the site to the
+    /// promoted sink node, computed by one incremental BFS
+    /// ([`anduril_causal::CausalGraph::distances_from_nodes_into`]) at
+    /// promotion time.
+    pub distances: HashMap<SiteId, u32>,
+    /// The witness token in the promoted set's own intern table.
+    token: u32,
+}
+
+/// The observables (and fault units) one search has promoted so far —
+/// the appendable half of its observable set.
+///
+/// Observable indices `k < ctx.observables.len()` are the prepared set;
+/// `ctx.observables.len() + j` is promotion `j`. The set owns a *fresh*
+/// [`InternTable`] for witness keys — the context's frozen failure table
+/// is never touched.
+#[derive(Debug, Clone, Default)]
+pub struct PromotedSet {
+    table: InternTable,
+    obs: Vec<PromotedObservable>,
+    /// Fault units a promotion's scoped causal build discovered — sites
+    /// the *prepared* graph never reached (its observable set was too
+    /// sparse to connect them), so they are absent from
+    /// [`SearchContext::units`] and prioritized planning could never arm
+    /// them.
+    units: Vec<FaultUnit>,
+}
+
+impl PromotedSet {
+    /// Promoted observables in promotion order.
+    pub fn observables(&self) -> &[PromotedObservable] {
+        &self.obs
+    }
+
+    /// Fault units appended by promotions, in promotion order. Strategies
+    /// plan over [`SearchContext::units`] chained with these.
+    pub fn units(&self) -> &[FaultUnit] {
+        &self.units
+    }
+
+    /// Number of promoted observables.
+    pub fn len(&self) -> usize {
+        self.obs.len()
+    }
+
+    /// `true` when nothing has been promoted.
+    pub fn is_empty(&self) -> bool {
+        self.obs.is_empty()
+    }
+
+    /// Appends to `present` the index (`base + j`, `base` being the
+    /// prepared observable count) of every promoted observable whose
+    /// witness key occurs in `records`.
+    pub fn extend_present<R: DiffRecord>(
+        &self,
+        base: usize,
+        present: &mut Vec<usize>,
+        records: &[R],
+    ) {
+        for (j, o) in self.obs.iter().enumerate() {
+            if records
+                .iter()
+                .any(|r| self.table.lookup(r.level(), r.body()) == o.token)
+            {
+                present.push(base + j);
+            }
+        }
+    }
+}
+
+/// Per-exploration promotion state, owned by the explorer state: what
+/// this search has promoted. The strategy is handed an `Arc` of the set
+/// after every append ([`Strategy::observables_appended`]).
 #[derive(Debug, Default)]
 pub struct AdaptiveState {
-    promotions: usize,
+    promoted: Arc<PromotedSet>,
 }
 
 impl AdaptiveState {
+    /// What this search has promoted so far.
+    pub fn promoted(&self) -> &PromotedSet {
+        &self.promoted
+    }
+
     /// Reacts to a stall surfaced at `round` (the retry that starts pass
-    /// `pass`): promotes up to [`AdaptiveConfig::per_stall`] synthetic
-    /// observables — coverage promotions for candidate sites no fault
-    /// unit spans, then refinement promotions near the worst-ranked
-    /// covered sites — into the context and the strategy, and returns one
-    /// [`TraceEvent::ObservablePromoted`] per promotion for the caller to
-    /// record.
+    /// `pass`): promotes synthetic observables — coverage promotions for
+    /// candidate sites no fault unit spans, then up to
+    /// [`AdaptiveConfig::per_stall`] refinement promotions near the
+    /// worst-ranked covered sites — into this search's set and the
+    /// strategy, and returns one [`TraceEvent::ObservablePromoted`] per
+    /// promotion for the caller to record.
     ///
     /// A candidate is only promoted when its focus site actually appears
     /// in the new distance table with a smaller `L` than the site's best
     /// existing one (an uncovered site counts as `L = ∞`) — a promotion
     /// that cannot move any `F_i` is skipped, so adaptation never spends
     /// its budget on no-ops.
-    pub fn on_stall(
+    pub fn on_stall<S: Strategy + ?Sized>(
         &mut self,
         cfg: &AdaptiveConfig,
         ctx: &SearchContext,
-        strategy: &mut dyn Strategy,
+        strategy: &mut S,
         round: usize,
         pass: usize,
     ) -> Vec<TraceEvent> {
-        if !cfg.enabled || self.promotions >= cfg.max_promotions {
+        if !cfg.enabled || self.promoted.len() >= cfg.max_promotions {
             return Vec::new();
         }
 
         // Existing observable templates (prepared and already promoted)
         // are never promoted again.
         let mut exclude: HashSet<TemplateId> = ctx.observables.iter().map(|o| o.template).collect();
-        exclude.extend(ctx.promoted().observables().iter().map(|o| o.template));
+        exclude.extend(self.promoted.obs.iter().map(|o| o.template));
         // Templates the fault-free run already emits make weak witnesses
         // (they fire every round); they are last-resort fallbacks only.
         let common: HashSet<TemplateId> = ctx.normal.log.iter().map(|e| e.template).collect();
 
         let mut events = Vec::new();
-        self.promote_coverage(
+        let mut stall = Stall {
             cfg,
             ctx,
             strategy,
             round,
             pass,
-            &mut exclude,
-            &common,
-            &mut events,
-        );
-        self.promote_refinement(
-            cfg,
-            ctx,
-            strategy,
-            round,
-            pass,
-            &exclude,
-            &common,
-            &mut events,
-        );
+            common: &common,
+            events: &mut events,
+        };
+        self.promote_coverage(&mut stall, &mut exclude);
+        self.promote_refinement(&mut stall, &exclude);
         events
+    }
+
+    /// The focus site's best spatial distance over every existing
+    /// observable, prepared or promoted (`u32::MAX` when none reaches it).
+    fn nearest_existing(&self, ctx: &SearchContext, site: SiteId) -> u32 {
+        let promoted = self.promoted.obs.iter().map(|o| &o.distances);
+        ctx.distances
+            .iter()
+            .chain(promoted)
+            .filter_map(|d| d.get(&site).copied())
+            .min()
+            .unwrap_or(u32::MAX)
+    }
+
+    /// Appends one promotion to the set and hands the grown set to the
+    /// strategy; returns the new observable's index. This is the whole
+    /// incremental re-preparation path: the distance table arrives from
+    /// one BFS, the witness key is interned into the set's own table, and
+    /// any `new_units` a scoped build connected join the unit list.
+    fn append<S: Strategy + ?Sized>(
+        &mut self,
+        stall: &mut Stall<'_, S>,
+        template: TemplateId,
+        level: Level,
+        text: String,
+        distances: HashMap<SiteId, u32>,
+        new_units: Vec<FaultUnit>,
+    ) -> usize {
+        // The strategy holds the previous `Arc`, so from the second
+        // promotion on this copies the (at most `max_promotions`-entry)
+        // set once per promotion.
+        let set = Arc::make_mut(&mut self.promoted);
+        let token = set.table.append(level, &text);
+        set.obs.push(PromotedObservable {
+            template,
+            level,
+            text,
+            distances,
+            token,
+        });
+        set.units.extend(new_units);
+        stall
+            .strategy
+            .observables_appended(stall.ctx, Arc::clone(&self.promoted));
+        stall.ctx.observables.len() + self.promoted.len() - 1
     }
 
     /// Tier 1: coverage expansion. A reachable candidate site without a
@@ -159,21 +292,15 @@ impl AdaptiveState {
     /// scoped causal build over a witness in the site's own function both
     /// yields the new distance table and discovers the fault units the
     /// sparse preparation missed.
-    #[allow(clippy::too_many_arguments)]
-    fn promote_coverage(
+    fn promote_coverage<S: Strategy + ?Sized>(
         &mut self,
-        cfg: &AdaptiveConfig,
-        ctx: &SearchContext,
-        strategy: &mut dyn Strategy,
-        round: usize,
-        pass: usize,
+        stall: &mut Stall<'_, S>,
         exclude: &mut HashSet<TemplateId>,
-        common: &HashSet<TemplateId>,
-        events: &mut Vec<TraceEvent>,
     ) {
+        let (cfg, ctx) = (stall.cfg, stall.ctx);
         let program = &ctx.scenario.program;
         let mut unit_sites: HashSet<SiteId> = ctx.units.iter().map(|u| u.site).collect();
-        unit_sites.extend(ctx.promoted().units().iter().map(|u| u.site));
+        unit_sites.extend(self.promoted.units.iter().map(|u| u.site));
 
         let uncovered: Vec<SiteId> = ctx
             .candidate_sites
@@ -184,7 +311,7 @@ impl AdaptiveState {
 
         let mut scratch = Vec::new();
         for site in uncovered {
-            if self.promotions >= cfg.max_promotions {
+            if self.promoted.len() >= cfg.max_promotions {
                 return;
             }
             // A later coverage promotion in this same loop may have
@@ -194,7 +321,7 @@ impl AdaptiveState {
             }
             let func = program.sites[site.index()].func;
             let Some((template, level, witness_desc)) =
-                coverage_witness(program, func, exclude, common)
+                coverage_witness(program, func, exclude, stall.common)
             else {
                 continue;
             };
@@ -204,12 +331,7 @@ impl AdaptiveState {
             let Some(&l_new) = distances.get(&site) else {
                 continue;
             };
-            let mut l_old = u32::MAX;
-            ctx.for_each_distance(|_, d| {
-                if let Some(&l) = d.get(&site) {
-                    l_old = l_old.min(l);
-                }
-            });
+            let l_old = self.nearest_existing(ctx, site);
             if l_new >= l_old {
                 continue;
             }
@@ -225,23 +347,19 @@ impl AdaptiveState {
                 }
             }
             let units_added = new_units.len();
-            for u in &new_units {
-                unit_sites.insert(u.site);
-            }
+            unit_sites.extend(new_units.iter().map(|u| u.site));
             let node = g.sinks[0].first().copied().unwrap_or(0);
             let text = program.templates[template.index()].text.clone();
             exclude.insert(template);
-            let k = ctx.promote_observable(template, level, text.clone(), distances, new_units);
-            strategy.observables_appended(ctx, ctx.observable_count());
-            self.promotions += 1;
-            events.push(TraceEvent::ObservablePromoted {
-                round,
+            let k = self.append(stall, template, level, text.clone(), distances, new_units);
+            stall.events.push(TraceEvent::ObservablePromoted {
+                round: stall.round,
                 k,
                 template: text,
                 site,
                 node,
                 node_desc: witness_desc,
-                pass,
+                pass: stall.pass,
                 l_new,
                 l_old,
                 units_added,
@@ -253,25 +371,19 @@ impl AdaptiveState {
     /// the prepared graph nearest the strategy's worst-ranked sites and
     /// promotes those whose directed distance table reaches the focus
     /// site strictly closer than any existing observable.
-    #[allow(clippy::too_many_arguments)]
-    fn promote_refinement(
+    fn promote_refinement<S: Strategy + ?Sized>(
         &mut self,
-        cfg: &AdaptiveConfig,
-        ctx: &SearchContext,
-        strategy: &mut dyn Strategy,
-        round: usize,
-        pass: usize,
+        stall: &mut Stall<'_, S>,
         exclude: &HashSet<TemplateId>,
-        common: &HashSet<TemplateId>,
-        events: &mut Vec<TraceEvent>,
     ) {
-        if events.len() >= cfg.per_stall || self.promotions >= cfg.max_promotions {
+        let (cfg, ctx) = (stall.cfg, stall.ctx);
+        if stall.events.len() >= cfg.per_stall || self.promoted.len() >= cfg.max_promotions {
             return;
         }
         // Worst coverage first: the tail of the strategy's own ranking is
         // the highest finite `F_i` — the sites the current observables
         // guide least.
-        let ranked = strategy.ranked_sites();
+        let ranked = stall.strategy.ranked_sites();
         let sites: Vec<SiteId> = ranked.iter().rev().copied().take(cfg.focus_sites).collect();
         if sites.is_empty() {
             return;
@@ -280,11 +392,11 @@ impl AdaptiveState {
         let program = &ctx.scenario.program;
         let candidates = ctx
             .graph
-            .promotion_candidates(program, &sites, exclude, common);
+            .promotion_candidates(program, &sites, exclude, stall.common);
 
         let mut scratch = Vec::new();
         for cand in candidates {
-            if events.len() >= cfg.per_stall || self.promotions >= cfg.max_promotions {
+            if stall.events.len() >= cfg.per_stall || self.promoted.len() >= cfg.max_promotions {
                 break;
             }
             let distances = ctx
@@ -296,39 +408,45 @@ impl AdaptiveState {
             let Some(&l_new) = distances.get(&cand.site) else {
                 continue;
             };
-            let mut l_old = u32::MAX;
-            ctx.for_each_distance(|_, d| {
-                if let Some(&l) = d.get(&cand.site) {
-                    l_old = l_old.min(l);
-                }
-            });
+            let l_old = self.nearest_existing(ctx, cand.site);
             if l_new >= l_old {
                 continue;
             }
             let text = program.templates[cand.template.index()].text.clone();
-            let k = ctx.promote_observable(
+            let k = self.append(
+                stall,
                 cand.template,
                 cand.level,
                 text.clone(),
                 distances,
                 Vec::new(),
             );
-            strategy.observables_appended(ctx, ctx.observable_count());
-            self.promotions += 1;
-            events.push(TraceEvent::ObservablePromoted {
-                round,
+            stall.events.push(TraceEvent::ObservablePromoted {
+                round: stall.round,
                 k,
                 template: text,
                 site: cand.site,
                 node: cand.node,
                 node_desc: node_desc(program, cand.node_key),
-                pass,
+                pass: stall.pass,
                 l_new,
                 l_old,
                 units_added: 0,
             });
         }
     }
+}
+
+/// What both promotion tiers read of the stall they react to.
+struct Stall<'a, S: ?Sized> {
+    cfg: &'a AdaptiveConfig,
+    ctx: &'a SearchContext,
+    strategy: &'a mut S,
+    round: usize,
+    pass: usize,
+    /// Templates the fault-free run emits (weak witnesses).
+    common: &'a HashSet<TemplateId>,
+    events: &'a mut Vec<TraceEvent>,
 }
 
 /// A hole-free witness log statement in `func` for a coverage promotion:

@@ -17,9 +17,10 @@
 //!    when it equals the speculative plan, reuse the precomputed result,
 //!    otherwise discard it and run inline.
 //!
-//! Because the merge step is literally the sequential loop with a result
-//! cache, the emitted [`Reproduction`] — script, round count, per-round
-//! records (up to host-time fields) — is **byte-identical** to
+//! Step 3 is the one round loop in [`crate::explorer`], which takes steps
+//! 1–2 as its speculation parameter — the sequential explorer is the same
+//! loop with none. So the emitted [`Reproduction`] — script, round count,
+//! per-round records (up to host-time fields) — is **byte-identical** to
 //! [`explore`]'s for any `batch_size`/`threads`, for any predictor
 //! quality. Prediction accuracy only decides how much parallel work is
 //! reusable, i.e. the speedup.
@@ -28,18 +29,15 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use anduril_ir::SiteId;
 use anduril_sim::{Candidate, InjectionPlan, RunResult, SimError};
 
 use crate::context::SearchContext;
-use crate::explorer::{round_seed, ExploreState, ExplorerConfig, Reproduction};
-use crate::feedback::{FeedbackConfig, FeedbackStrategy};
+use crate::explorer::{round_seed, search, ExplorerConfig, Reproduction};
 use crate::oracle::Oracle;
-use crate::scenario::Scenario;
 use crate::strategy::Strategy;
-use crate::trace::{NoopTracer, TraceEvent, Tracer};
+use crate::trace::{NoopTracer, Tracer};
 
 /// Configuration of the batched explorer.
 #[derive(Debug, Clone)]
@@ -99,11 +97,11 @@ impl Predictor {
     }
 }
 
-/// Executes a batch of speculative `(round, plan)` jobs, returning one
-/// result slot per job (in job order).
+/// Executes the speculative plans of rounds `first_round..`, returning one
+/// result per plan (in plan order).
 ///
 /// Jobs run with snapshot capture: each stores its clean prefix in the
-/// context's seed-keyed cache, so when the merge loop below discards a
+/// context's seed-keyed cache, so when the round loop discards a
 /// mispredicted result and reruns the round — same seed, different plan —
 /// the rerun resumes from the latest pre-divergence snapshot instead of
 /// replaying from step zero. Replay verification of a successful script
@@ -111,32 +109,28 @@ impl Predictor {
 fn run_batch(
     ctx: &SearchContext,
     cfg: &ExplorerConfig,
-    jobs: &[(usize, InjectionPlan)],
+    first_round: usize,
+    plans: &[InjectionPlan],
     threads: usize,
-) -> Vec<Option<Result<RunResult, SimError>>> {
-    let mut results: Vec<Option<Result<RunResult, SimError>>> = Vec::with_capacity(jobs.len());
-    results.resize_with(jobs.len(), || None);
-    let workers = threads.min(jobs.len());
+) -> Vec<Result<RunResult, SimError>> {
+    let run =
+        |i: usize| ctx.run_round_capturing(round_seed(cfg, first_round + i), plans[i].clone());
+    let workers = threads.min(plans.len());
     if workers <= 1 {
-        for (slot, (r, plan)) in results.iter_mut().zip(jobs) {
-            *slot = Some(ctx.run_round_capturing(round_seed(cfg, *r), plan.clone()));
-        }
-        return results;
+        return (0..plans.len()).map(run).collect();
     }
     let next = AtomicUsize::new(0);
-    let collected: Vec<(usize, Result<RunResult, SimError>)> = std::thread::scope(|scope| {
+    let mut collected: Vec<(usize, Result<RunResult, SimError>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
+                scope.spawn(|| {
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((r, plan)) = jobs.get(i) else { break };
-                        out.push((
-                            i,
-                            ctx.run_round_capturing(round_seed(cfg, *r), plan.clone()),
-                        ));
+                        if i >= plans.len() {
+                            break;
+                        }
+                        out.push((i, run(i)));
                     }
                     out
                 })
@@ -147,10 +141,8 @@ fn run_batch(
             .flat_map(|h| h.join().expect("worker thread panicked"))
             .collect()
     });
-    for (i, res) in collected {
-        results[i] = Some(res);
-    }
-    results
+    collected.sort_unstable_by_key(|&(i, _)| i);
+    collected.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Runs the exploration loop in speculative parallel batches.
@@ -178,11 +170,9 @@ pub fn explore_batched<S: Strategy + Clone>(
 /// [`explore_batched`] with a trace sink.
 ///
 /// Emits the same deterministic event stream as
-/// [`crate::explorer::explore_traced`] — the merge loop *is* the
-/// sequential loop — plus batch-only `epoch` and `spec` (speculation
-/// hit/miss) events tagged with epoch and slot, which
-/// [`TraceEvent::is_batch_only`] identifies.
-#[allow(clippy::too_many_arguments)]
+/// [`crate::explorer::explore_traced`] — it is the same loop — plus
+/// batch-only `epoch` and `spec` (speculation hit/miss) events tagged with
+/// epoch and slot, which [`crate::TraceEvent::is_batch_only`] identifies.
 pub fn explore_batched_traced<S: Strategy + Clone>(
     ctx: &SearchContext,
     oracle: &Oracle,
@@ -192,119 +182,33 @@ pub fn explore_batched_traced<S: Strategy + Clone>(
     ground_truth: Option<SiteId>,
     tracer: &dyn Tracer,
 ) -> Result<Reproduction, SimError> {
-    let mut state = ExploreState::new(ctx, oracle, cfg, tracer);
-    strategy.init(ctx);
-    if tracer.enabled() {
-        tracer.record(TraceEvent::ExploreStart {
-            strategy: strategy.name().to_string(),
-            max_rounds: cfg.max_rounds,
-            base_seed: cfg.base_seed,
-        });
-    }
     let predictor = Predictor::new(ctx);
     let batch_size = batch.batch_size.max(1);
-
-    let mut round = 0usize;
-    let mut epoch = 0usize;
-    while round < cfg.max_rounds {
-        // 1. Speculative planning on a throwaway clone. (The clone also
-        //    inherits and accumulates lifecycle notes; they vanish with
-        //    it, so only the trusted strategy's notes reach the tracer.)
+    // Speculative planning on a throwaway clone, then concurrent execution
+    // of the predicted `(seed, plan)` pairs. (The clone also inherits and
+    // accumulates lifecycle notes; they vanish with it, so only the
+    // trusted strategy's notes reach the tracer.)
+    let mut speculate = |trusted: &S, round: usize| {
         let horizon = batch_size.min(cfg.max_rounds - round);
-        let mut spec = strategy.clone();
-        let mut jobs: Vec<(usize, InjectionPlan)> = Vec::with_capacity(horizon);
+        let mut spec = trusted.clone();
+        let mut plans = Vec::with_capacity(horizon);
         for i in 0..horizon {
             let Some(plan) = spec.plan_injection(ctx, round + i) else {
                 break;
             };
             spec.speculate(ctx, predictor.fired(&plan));
-            jobs.push((round + i, plan));
+            plans.push(plan);
         }
-        if tracer.enabled() {
-            tracer.record(TraceEvent::EpochStart {
-                epoch,
-                round,
-                jobs: jobs.len(),
-            });
-        }
-
-        // 2. Concurrent execution of the speculative (seed, plan) pairs.
-        let mut results = run_batch(ctx, cfg, &jobs, batch.threads);
-
-        // 3. Sequential validation and merge. Always processes at least
-        //    one round so an over-pessimistic speculation (empty `jobs`)
-        //    still makes progress exactly as the sequential loop would.
-        let mut merged = 0usize;
-        for i in 0..jobs.len().max(1) {
-            let r = round + i;
-            let init_start = Instant::now();
-            let plan = strategy.plan_injection(ctx, r);
-            let init_ns = init_start.elapsed().as_nanos() as u64;
-            let gt_rank = ground_truth.and_then(|s| strategy.site_rank(s));
-            let Some(plan) = plan else {
-                state.drain_notes(strategy, r);
-                return Ok(state.give_up(strategy.name()));
-            };
-            let armed = plan.candidates.len() + usize::from(plan.crash_at.is_some());
-            if tracer.enabled() {
-                tracer.record(TraceEvent::RoundStart {
-                    round: r,
-                    seed: round_seed(cfg, r),
-                });
-                tracer.record(TraceEvent::Decision {
-                    round: r,
-                    window: armed,
-                    armed,
-                    provenance: strategy.provenance(),
-                    init_ns,
-                });
-            }
-            state.drain_notes(strategy, r);
-            let hit = matches!(
-                jobs.get(i), Some((jr, spec_plan)) if *jr == r && plan == *spec_plan
-            );
-            // No spec event for the forced progress round of an empty
-            // speculation (nothing was predicted, so nothing hit or
-            // missed).
-            if tracer.enabled() && i < jobs.len() {
-                tracer.record(TraceEvent::Speculation {
-                    round: r,
-                    epoch,
-                    slot: i,
-                    hit,
-                });
-            }
-            let result = if hit {
-                results
-                    .get_mut(i)
-                    .and_then(Option::take)
-                    .expect("each speculative job ran once")?
-            } else {
-                ctx.run_round(round_seed(cfg, r), plan)?
-            };
-            merged += 1;
-            if let Some(done) = state.absorb(strategy, r, gt_rank, init_ns, armed, result)? {
-                return Ok(done);
-            }
-        }
-        round += merged;
-        epoch += 1;
-    }
-    Ok(state.give_up(strategy.name()))
-}
-
-/// One-call batched ANDURIL: prepare the context and reproduce with the
-/// full feedback strategy, executing rounds in speculative parallel
-/// batches. The batched counterpart of [`crate::explorer::reproduce`].
-pub fn reproduce_batched(
-    scenario: Scenario,
-    failure_log_text: &str,
-    oracle: &Oracle,
-    cfg: &ExplorerConfig,
-    batch: &BatchExplorerConfig,
-) -> Result<(Reproduction, SearchContext), SimError> {
-    let ctx = SearchContext::prepare(scenario, failure_log_text, cfg.base_seed)?;
-    let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-    let repro = explore_batched(&ctx, oracle, &mut strategy, cfg, batch, None)?;
-    Ok((repro, ctx))
+        let results = run_batch(ctx, cfg, round, &plans, batch.threads);
+        plans.into_iter().zip(results).collect()
+    };
+    search(
+        ctx,
+        oracle,
+        strategy,
+        cfg,
+        ground_truth,
+        tracer,
+        Some(&mut speculate),
+    )
 }

@@ -8,17 +8,14 @@
 //! timeline (§5.2.3).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use anduril_causal::{
     build_graph, BuildTimings, CausalGraph, Interval, Observable, OccurrenceBounds, Reachability,
 };
-use anduril_ir::{CompiledProgram, ExceptionType, Level, LogEntry, SiteId, TemplateId};
-use anduril_logdiff::{
-    compare_with, parse_log, Alignment, DiffRecord, GroupedLog, InternTable, InternedLog,
-    ParsedEntry,
-};
+use anduril_ir::{CompiledProgram, ExceptionType, SiteId, TemplateId};
+use anduril_logdiff::{compare_global, parse_log, Alignment, DiffRecord, InternedLog, ParsedEntry};
 use anduril_sim::InjectionPlan;
 use anduril_sim::{RunResult, SeedPrefix, SimError, SnapshotPolicy};
 
@@ -35,93 +32,6 @@ pub struct ObservableInfo {
     /// they are collected from the diff's `missing` list, which is sorted.
     /// [`SearchContext::temporal_distance`] binary-searches them.
     pub positions: Vec<usize>,
-}
-
-/// A synthetic observable promoted into the live search by the adaptive
-/// layer (see [`crate::adaptive`]).
-///
-/// Unlike a prepared [`ObservableInfo`], a promotion has no failure-log
-/// positions (it is not a failure-only message), so its temporal distance
-/// is infinite; it contributes purely through its spatial distance table
-/// and its presence feedback. Its witness template is hole-free by
-/// construction, so presence in a round log is a single interned
-/// `(level, body)` key probe against either diff record shape.
-#[derive(Debug, Clone)]
-pub struct PromotedObservable {
-    /// The witness log template.
-    pub template: TemplateId,
-    /// Severity the witness logs at (the level half of its intern key).
-    pub level: Level,
-    /// The witness's rendered body (a hole-free template renders to its
-    /// own text).
-    pub text: String,
-    /// `distances[site]` = spatial distance `L` from the site to the
-    /// promoted sink node, computed by one incremental BFS
-    /// ([`CausalGraph::distances_from_nodes_into`]) at promotion time.
-    pub distances: HashMap<SiteId, u32>,
-    /// The witness token in the promoted set's own intern table.
-    pub token: u32,
-}
-
-/// The appendable half of the observable set.
-///
-/// The context's prepared tables are frozen at preparation time and shared
-/// immutably with the batch engine's workers; promotions land here, behind
-/// a copy-on-swap `Arc`, so appending never invalidates a reader's
-/// snapshot. The set owns a *fresh* [`InternTable`] for witness keys — the
-/// frozen failure table is never touched, and appended tokens can never
-/// collide with failure-group tokens because the tables are disjoint.
-#[derive(Debug, Clone, Default)]
-pub struct PromotedSet {
-    table: InternTable,
-    obs: Vec<PromotedObservable>,
-    /// Fault units a promotion's scoped causal build discovered — sites
-    /// the *prepared* graph never reached (its observable set was too
-    /// sparse to connect them), so they are absent from
-    /// [`SearchContext::units`] and prioritized planning could never arm
-    /// them. Appended here, they enter planning through
-    /// [`SearchContext::all_units`] on the very next pass.
-    units: Vec<FaultUnit>,
-}
-
-impl PromotedSet {
-    /// Promoted observables in promotion order.
-    pub fn observables(&self) -> &[PromotedObservable] {
-        &self.obs
-    }
-
-    /// Fault units appended by promotions, in promotion order.
-    pub fn units(&self) -> &[FaultUnit] {
-        &self.units
-    }
-
-    /// Number of promoted observables.
-    pub fn len(&self) -> usize {
-        self.obs.len()
-    }
-
-    /// `true` when nothing has been promoted.
-    pub fn is_empty(&self) -> bool {
-        self.obs.is_empty()
-    }
-
-    /// Indices (relative to the promoted range's base) of promoted
-    /// observables whose witness key occurs in `records`.
-    fn present<R: DiffRecord>(&self, records: &[R]) -> Vec<usize> {
-        let mut out = Vec::new();
-        if self.obs.is_empty() {
-            return out;
-        }
-        for (j, o) in self.obs.iter().enumerate() {
-            if records
-                .iter()
-                .any(|r| self.table.lookup(r.level(), r.body()) == o.token)
-            {
-                out.push(j);
-            }
-        }
-        out
-    }
 }
 
 /// A `(site, exception)` static fault candidate — the unit the paper calls
@@ -218,27 +128,23 @@ impl SnapshotCache {
 }
 
 /// Everything a strategy can read when planning rounds.
+///
+/// Immutable after [`SearchContext::prepare`]: a search reads it and owns
+/// what it mutates, so one context can host any number of searches, in
+/// any order and from several threads. The only interior mutability is the
+/// snapshot cache with its counters, which changes how long a round takes
+/// and never what it returns.
 #[derive(Debug)]
 pub struct SearchContext {
     /// The scenario under reproduction.
     pub scenario: Scenario,
     /// Parsed failure log (from the uninstrumented production system).
     pub failure: Vec<ParsedEntry>,
-    /// `failure` pre-grouped by `(node, thread)`, so the per-round diff
-    /// skips regrouping the (constant) failure side every round. Used by
-    /// the text entry points ([`SearchContext::present_observables`]).
-    pub failure_grouped: GroupedLog,
-    /// `failure` interned and grouped once at preparation time: the
-    /// per-round fast path diffs `u32` tokens against this instead of
-    /// re-parsing and re-comparing strings. The intern table is frozen
-    /// here, which keeps the context shareable across the batch engine's
-    /// worker threads.
+    /// `failure` interned and grouped once at preparation time: every
+    /// round diffs `u32` tokens against this instead of re-parsing and
+    /// re-comparing strings. The intern table is frozen here, which keeps
+    /// the context shareable across the batch engine's worker threads.
     pub failure_interned: InternedLog,
-    /// Forces every round diff through the render-to-text → `parse_log` →
-    /// string-compare baseline instead of the interned structured path.
-    /// Exists so equivalence tests (and the bench) can run both pipelines
-    /// from one binary; production callers leave it `false`.
-    pub text_diff_baseline: bool,
     /// The fault-free run.
     pub normal: RunResult,
     /// Relevant observables (failure-only messages).
@@ -276,13 +182,6 @@ pub struct SearchContext {
     /// Captured run prefixes keyed by seed, for snapshot-resume
     /// ([`SearchContext::run_round_capturing`]).
     snapshots: Mutex<SnapshotCache>,
-    /// Observables promoted mid-search by the adaptive layer, behind a
-    /// copy-on-swap `Arc` so explorers holding `&SearchContext` can append
-    /// between rounds while readers keep a coherent snapshot. Mutation
-    /// only ever happens on the (single) merge/sequential thread, with no
-    /// batch workers in flight — the lock satisfies the type system, not a
-    /// real race.
-    promoted: RwLock<Arc<PromotedSet>>,
 }
 
 impl SearchContext {
@@ -333,7 +232,6 @@ impl SearchContext {
         // `u32` tokens.
         let t = Instant::now();
         let failure = parse_log(failure_log_text);
-        let failure_grouped = GroupedLog::new(&failure);
         let failure_interned = InternedLog::new(&failure);
         phase("parse_logs", (failure.len() + normal.log.len()) as u64, t);
 
@@ -448,9 +346,7 @@ impl SearchContext {
         Ok(SearchContext {
             scenario,
             failure,
-            failure_grouped,
             failure_interned,
-            text_diff_baseline: false,
             normal,
             observables,
             graph,
@@ -463,116 +359,7 @@ impl SearchContext {
             base_seed,
             compiled,
             snapshots: Mutex::new(SnapshotCache::new(DEFAULT_SNAPSHOT_CAPACITY)),
-            promoted: RwLock::new(Arc::new(PromotedSet::default())),
         })
-    }
-
-    /// A coherent snapshot of the promoted-observable set (cheap `Arc`
-    /// clone; promotions after this call are not visible through it).
-    pub fn promoted(&self) -> Arc<PromotedSet> {
-        Arc::clone(&self.promoted.read().expect("promoted set poisoned"))
-    }
-
-    /// Total observable count: prepared plus promoted. Observable indices
-    /// `k < observables.len()` are the prepared set; higher indices are
-    /// promotions in promotion order.
-    pub fn observable_count(&self) -> usize {
-        self.observables.len() + self.promoted().len()
-    }
-
-    /// The log template of observable `k`, prepared or promoted.
-    pub fn observable_template(&self, k: usize) -> Option<TemplateId> {
-        if let Some(o) = self.observables.get(k) {
-            return Some(o.template);
-        }
-        self.promoted()
-            .obs
-            .get(k - self.observables.len())
-            .map(|o| o.template)
-    }
-
-    /// Spatial distance `L_{site,k}` of observable `k` (prepared or
-    /// promoted) from `site`, if the site is causally connected to it.
-    pub fn distance(&self, k: usize, site: SiteId) -> Option<u32> {
-        if let Some(d) = self.distances.get(k) {
-            return d.get(&site).copied();
-        }
-        self.promoted()
-            .obs
-            .get(k - self.distances.len())
-            .and_then(|o| o.distances.get(&site).copied())
-    }
-
-    /// Calls `f(k, distances_k)` for every observable's spatial-distance
-    /// table — the prepared ones followed by any promoted mid-search —
-    /// without exposing the interior lock. This is the read path
-    /// strategies use for `F_i = min_k (L_{i,k} + I_k)`, so a promotion
-    /// takes effect on the very next planning pass.
-    pub fn for_each_distance(&self, mut f: impl FnMut(usize, &HashMap<SiteId, u32>)) {
-        for (k, d) in self.distances.iter().enumerate() {
-            f(k, d);
-        }
-        let set = self.promoted();
-        for (j, o) in set.obs.iter().enumerate() {
-            f(self.distances.len() + j, &o.distances);
-        }
-    }
-
-    /// Appends a promoted observable and returns its index in the grown
-    /// set.
-    ///
-    /// This is the incremental re-preparation path: the distance table
-    /// arrives from one BFS (over the prepared graph for refinement
-    /// promotions, or over a single-template scoped build for coverage
-    /// promotions — see DESIGN.md §15), the witness key is interned by
-    /// appending to the promoted set's table, any `new_units` the scoped
-    /// build connected are appended to the promoted unit list, and the
-    /// prepared tables are untouched — no phase of
-    /// [`SearchContext::prepare`] reruns.
-    pub fn promote_observable(
-        &self,
-        template: TemplateId,
-        level: Level,
-        text: String,
-        distances: HashMap<SiteId, u32>,
-        new_units: Vec<FaultUnit>,
-    ) -> usize {
-        let mut guard = self.promoted.write().expect("promoted set poisoned");
-        let mut set = (**guard).clone();
-        let token = set.table.append(level, &text);
-        set.obs.push(PromotedObservable {
-            template,
-            level,
-            text,
-            distances,
-            token,
-        });
-        set.units.extend(new_units);
-        *guard = Arc::new(set);
-        self.observables.len() + guard.len() - 1
-    }
-
-    /// The full planning unit list: the prepared units followed by any
-    /// units appended by promotions, in promotion order. Strategies plan
-    /// over this instead of [`SearchContext::units`] so a coverage
-    /// promotion's newly connected sites become armable without
-    /// re-preparing the context. With nothing promoted this is exactly
-    /// the prepared list, so baselines are unaffected.
-    pub fn all_units(&self) -> Vec<FaultUnit> {
-        let set = self.promoted();
-        if set.units.is_empty() {
-            return self.units.clone();
-        }
-        let mut all = self.units.clone();
-        all.extend(set.units.iter().copied());
-        all
-    }
-
-    /// Drops every promotion, returning the context to its prepared state
-    /// (used when one prepared context hosts several searches, e.g. the
-    /// adaptive-vs-fixed bench).
-    pub fn clear_promoted(&self) {
-        *self.promoted.write().expect("promoted set poisoned") = Arc::new(PromotedSet::default());
     }
 
     /// Sets the snapshot-prefix cache capacity (number of distinct seeds
@@ -753,66 +540,26 @@ impl SearchContext {
     pub fn temporal_distance(&self, pos: f64, k: usize) -> f64 {
         match self.observables.get(k) {
             Some(o) => nearest_distance(&o.positions, pos),
-            // Promoted observables have no failure-log positions (they are
-            // synthetic, not failure-only messages), so their temporal
-            // term is neutral-infinite — exactly what an empty position
-            // list yields.
+            // Observables promoted mid-search (indices past the prepared
+            // set, see `crate::adaptive`) have no failure-log positions,
+            // so their temporal term is neutral-infinite — exactly what
+            // an empty position list yields.
             None => f64::INFINITY,
         }
     }
 
-    /// Observables present in a round's log: those whose failure entries
-    /// are matched by the per-thread diff. Text entry point — round
-    /// results from the simulator should go through
-    /// [`SearchContext::round_present`] instead, which skips the parse.
-    pub fn present_observables(&self, round_log_text: &str) -> Vec<usize> {
-        self.present_observables_with(round_log_text, false)
+    /// Observables present in a run's log: those with a failure-log entry
+    /// the per-thread diff (§5.1.1, the paper's method) matches. The run
+    /// side is any [`DiffRecord`] — a round's structured log goes in
+    /// directly, diffed over interned `u32` tokens.
+    pub fn present_observables<R: DiffRecord>(&self, run: &[R]) -> Vec<usize> {
+        self.present_from_missing(&self.failure_interned.compare(run).missing)
     }
 
-    /// Presence computation with a choice of diff: per-thread (the paper's
-    /// method) or global (the naive ablation of §5.1.1).
-    pub fn present_observables_with(&self, round_log_text: &str, global: bool) -> Vec<usize> {
-        let parsed = parse_log(round_log_text);
-        let diff = if global {
-            anduril_logdiff::compare_global(&parsed, &self.failure)
-        } else {
-            compare_with(&parsed, &self.failure, &self.failure_grouped)
-        };
-        let mut present = self.present_from_missing(&diff.missing);
-        self.extend_with_promoted(&mut present, &parsed);
-        present
-    }
-
-    /// Presence computation over the simulator's structured log entries —
-    /// the fast path: no render-to-text, no `parse_log`, and the diff runs
-    /// over interned `u32` tokens.
-    pub fn present_observables_structured(&self, entries: &[LogEntry]) -> Vec<usize> {
-        let mut present =
-            self.present_from_missing(&self.failure_interned.compare(entries).missing);
-        self.extend_with_promoted(&mut present, entries);
-        present
-    }
-
-    /// Appends the present promoted observables (as indices past the
-    /// prepared range) to a base presence list. Both record shapes go
-    /// through the same [`DiffRecord`] probe, so the text baseline and the
-    /// structured fast path agree on promoted presence by construction.
-    fn extend_with_promoted<R: DiffRecord>(&self, present: &mut Vec<usize>, records: &[R]) {
-        let set = self.promoted();
-        let base = self.observables.len();
-        present.extend(set.present(records).into_iter().map(|j| base + j));
-    }
-
-    /// Observable presence for one round result: the structured interned
-    /// path, unless [`SearchContext::text_diff_baseline`] forces the text
-    /// round trip (both produce identical presence sets; the flag exists
-    /// for equivalence tests and the bench).
-    pub fn round_present(&self, result: &RunResult) -> Vec<usize> {
-        if self.text_diff_baseline {
-            self.present_observables(&result.log_text())
-        } else {
-            self.present_observables_structured(&result.log)
-        }
+    /// [`SearchContext::present_observables`] under the naive whole-log
+    /// diff — the §5.1.1 ablation (`FeedbackConfig::global_diff`).
+    pub fn present_observables_global<R: DiffRecord>(&self, run: &[R]) -> Vec<usize> {
+        self.present_from_missing(&compare_global(run, &self.failure).missing)
     }
 
     fn present_from_missing(&self, still_missing: &[usize]) -> Vec<usize> {
@@ -874,10 +621,11 @@ pub struct RoundOutcome {
 }
 
 impl RoundOutcome {
-    /// Builds the outcome, computing observable presence via the log diff
-    /// (structured fast path unless the context's text baseline is forced).
+    /// Builds the outcome, computing the prepared observables' presence
+    /// via the per-thread log diff. (The explorer appends the presence of
+    /// observables promoted during its search; see `crate::adaptive`.)
     pub fn new(ctx: &SearchContext, result: RunResult) -> Self {
-        let present = ctx.round_present(&result);
+        let present = ctx.present_observables(&result.log);
         RoundOutcome { result, present }
     }
 }

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use anduril_ir::{ExceptionType, SiteId};
-use anduril_sim::{InjectionPlan, SimError};
+use anduril_sim::{InjectionPlan, RunResult, SimError};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState};
 use crate::context::{FaultUnit, RoundOutcome, SearchContext};
@@ -205,14 +205,12 @@ fn extra_run_seed(base_seed: u64, round: usize, extra: usize) -> u64 {
     (z ^ (z >> 31)) | (1 << 63)
 }
 
-/// Shared round-absorption engine behind [`explore`] and
-/// [`crate::batch::explore_batched`].
-///
-/// Both explorers feed executed rounds through [`ExploreState::absorb`] in
-/// round order, so every piece of search state (oracle check, records,
-/// strategy feedback, §6 extra runs) evolves identically whether rounds
-/// were executed inline or speculatively on worker threads.
-pub(crate) struct ExploreState<'a> {
+/// Everything one search mutates besides its strategy: records, totals,
+/// and the adaptive layer's promoted observables. Executed rounds go
+/// through [`ExploreState::absorb`] in round order, so this state evolves
+/// identically whether a round was executed inline or speculatively on a
+/// worker thread.
+struct ExploreState<'a> {
     ctx: &'a SearchContext,
     oracle: &'a Oracle,
     cfg: &'a ExplorerConfig,
@@ -226,7 +224,7 @@ pub(crate) struct ExploreState<'a> {
 }
 
 impl<'a> ExploreState<'a> {
-    pub(crate) fn new(
+    fn new(
         ctx: &'a SearchContext,
         oracle: &'a Oracle,
         cfg: &'a ExplorerConfig,
@@ -251,10 +249,9 @@ impl<'a> ExploreState<'a> {
     ///
     /// This is also the adaptive layer's hook point: a `retry_pass` note
     /// signals a stall, and promotion runs here — on the trusted strategy,
-    /// at the same program point in the sequential loop and the batch
-    /// engine's merge loop — whether or not tracing is on, so traced and
-    /// untraced explorations take identical search paths.
-    pub(crate) fn drain_notes(&mut self, strategy: &mut dyn Strategy, round: usize) {
+    /// whether or not tracing is on, so traced and untraced explorations
+    /// take identical search paths.
+    fn drain_notes<S: Strategy + ?Sized>(&mut self, strategy: &mut S, round: usize) {
         let notes = strategy.drain_notes();
         for note in notes {
             let stalled_pass = match &note {
@@ -282,14 +279,14 @@ impl<'a> ExploreState<'a> {
     ///
     /// Returns the finished [`Reproduction`] if this round satisfied the
     /// oracle.
-    pub(crate) fn absorb(
+    fn absorb<S: Strategy + ?Sized>(
         &mut self,
-        strategy: &mut dyn Strategy,
+        strategy: &mut S,
         round: usize,
         gt_rank: Option<usize>,
         init_ns: u64,
         armed: usize,
-        result: anduril_sim::RunResult,
+        result: RunResult,
     ) -> Result<Option<Reproduction>, SimError> {
         let ctx = self.ctx;
         let seed = round_seed(self.cfg, round);
@@ -377,10 +374,7 @@ impl<'a> ExploreState<'a> {
                         desc: ctx.scenario.program.sites[site.index()].desc.clone(),
                         occurrence,
                         exc,
-                        observable: ctx
-                            .observable_template(e.k_star)
-                            .map(|t| ctx.scenario.program.templates[t.index()].text.clone())
-                            .unwrap_or_default(),
+                        observable: self.observable_text(e.k_star),
                         k_star: e.k_star,
                         l: e.l,
                         i_k: e.i_k,
@@ -398,6 +392,9 @@ impl<'a> ExploreState<'a> {
         }
 
         let mut outcome = RoundOutcome::new(ctx, result);
+        let promoted = self.adaptive.promoted();
+        let prepared = ctx.observables.len();
+        promoted.extend_present(prepared, &mut outcome.present, &outcome.result.log);
         // §6: optionally combine the observables of extra runs so that
         // messages dropped by unlucky interleavings still count as present.
         if self.cfg.extra_feedback_runs > 0 {
@@ -406,7 +403,9 @@ impl<'a> ExploreState<'a> {
                 let extra_seed = extra_run_seed(self.cfg.base_seed, round, extra);
                 let extra_run = ctx.run_round(extra_seed, InjectionPlan::none())?;
                 self.sim_time_total += extra_run.end_time;
-                for k in ctx.round_present(&extra_run) {
+                let mut present = ctx.present_observables(&extra_run.log);
+                promoted.extend_present(prepared, &mut present, &extra_run.log);
+                for k in present {
                     if seen.insert(k) {
                         outcome.present.push(k);
                     }
@@ -428,9 +427,26 @@ impl<'a> ExploreState<'a> {
         Ok(None)
     }
 
+    /// The log-template text of observable `k`, prepared or promoted.
+    fn observable_text(&self, k: usize) -> String {
+        let prepared = &self.ctx.observables;
+        match prepared.get(k) {
+            Some(o) => self.ctx.scenario.program.templates[o.template.index()]
+                .text
+                .clone(),
+            None => self
+                .adaptive
+                .promoted()
+                .observables()
+                .get(k - prepared.len())
+                .map(|o| o.text.clone())
+                .unwrap_or_default(),
+        }
+    }
+
     /// Finishes the exploration without a reproduction (space exhausted or
     /// round budget spent).
-    pub(crate) fn give_up(mut self, strategy_name: &str) -> Reproduction {
+    fn give_up(mut self, strategy_name: &str) -> Reproduction {
         self.finish(strategy_name, false, None, false)
     }
 
@@ -472,6 +488,114 @@ impl<'a> ExploreState<'a> {
     }
 }
 
+/// One speculative round the batch engine planned and already executed.
+pub(crate) type Speculated = (InjectionPlan, Result<RunResult, SimError>);
+
+/// The batch engine's speculation step (see [`crate::batch`]): given the
+/// trusted strategy and the next round number, the plans it predicts for
+/// that round onwards, each already executed.
+pub(crate) type Speculate<'a, S> = &'a mut dyn FnMut(&S, usize) -> Vec<Speculated>;
+
+/// The Explorer's round loop (Algorithm 2) — the only one.
+///
+/// `speculate` is called at the start of every epoch. The loop re-derives
+/// every round's plan from the trusted strategy and reuses a speculative
+/// result only when the plans are equal, so what it returns does not
+/// depend on what `speculate` predicts. The sequential explorer passes
+/// `None`: every epoch is then one round, run inline.
+pub(crate) fn search<S: Strategy + ?Sized>(
+    ctx: &SearchContext,
+    oracle: &Oracle,
+    strategy: &mut S,
+    cfg: &ExplorerConfig,
+    ground_truth: Option<SiteId>,
+    tracer: &dyn Tracer,
+    mut speculate: Option<Speculate<'_, S>>,
+) -> Result<Reproduction, SimError> {
+    let mut state = ExploreState::new(ctx, oracle, cfg, tracer);
+    strategy.init(ctx);
+    if tracer.enabled() {
+        tracer.record(TraceEvent::ExploreStart {
+            strategy: strategy.name().to_string(),
+            max_rounds: cfg.max_rounds,
+            base_seed: cfg.base_seed,
+        });
+    }
+
+    let mut round = 0usize;
+    let mut epoch = 0usize;
+    while round < cfg.max_rounds {
+        let speculated = match speculate.as_mut() {
+            None => Vec::new(),
+            Some(speculate) => {
+                let speculated = speculate(strategy, round);
+                if tracer.enabled() {
+                    tracer.record(TraceEvent::EpochStart {
+                        epoch,
+                        round,
+                        jobs: speculated.len(),
+                    });
+                }
+                speculated
+            }
+        };
+        // Always at least one round per epoch, so an empty speculation
+        // still makes progress.
+        let slots = speculated.len().max(1);
+        let mut speculated = speculated.into_iter();
+        for slot in 0..slots {
+            let init_start = Instant::now();
+            let plan = strategy.plan_injection(ctx, round);
+            let init_ns = init_start.elapsed().as_nanos() as u64;
+            let gt_rank = ground_truth.and_then(|s| strategy.site_rank(s));
+            let Some(plan) = plan else {
+                state.drain_notes(strategy, round);
+                return Ok(state.give_up(strategy.name()));
+            };
+            let seed = round_seed(cfg, round);
+            let armed = plan.candidates.len() + usize::from(plan.crash_at.is_some());
+            if tracer.enabled() {
+                tracer.record(TraceEvent::RoundStart { round, seed });
+                tracer.record(TraceEvent::Decision {
+                    round,
+                    window: armed,
+                    armed,
+                    provenance: strategy.provenance(),
+                    init_ns,
+                });
+            }
+            state.drain_notes(strategy, round);
+            let result = match speculated.next() {
+                // Nothing was predicted for this round, so nothing hit or
+                // missed: no `spec` event.
+                None => ctx.run_round(seed, plan)?,
+                Some((predicted, result)) => {
+                    let hit = predicted == plan;
+                    if tracer.enabled() {
+                        tracer.record(TraceEvent::Speculation {
+                            round,
+                            epoch,
+                            slot,
+                            hit,
+                        });
+                    }
+                    if hit {
+                        result?
+                    } else {
+                        ctx.run_round(seed, plan)?
+                    }
+                }
+            };
+            if let Some(done) = state.absorb(strategy, round, gt_rank, init_ns, armed, result)? {
+                return Ok(done);
+            }
+            round += 1;
+        }
+        epoch += 1;
+    }
+    Ok(state.give_up(strategy.name()))
+}
+
 /// Runs the exploration loop with an arbitrary strategy.
 ///
 /// `ground_truth` (when known, as in our evaluation harness) enables the
@@ -497,46 +621,7 @@ pub fn explore_traced(
     ground_truth: Option<SiteId>,
     tracer: &dyn Tracer,
 ) -> Result<Reproduction, SimError> {
-    let mut state = ExploreState::new(ctx, oracle, cfg, tracer);
-    strategy.init(ctx);
-    if tracer.enabled() {
-        tracer.record(TraceEvent::ExploreStart {
-            strategy: strategy.name().to_string(),
-            max_rounds: cfg.max_rounds,
-            base_seed: cfg.base_seed,
-        });
-    }
-
-    for round in 0..cfg.max_rounds {
-        let init_start = Instant::now();
-        let plan = strategy.plan_injection(ctx, round);
-        let init_ns = init_start.elapsed().as_nanos() as u64;
-        let gt_rank = ground_truth.and_then(|s| strategy.site_rank(s));
-        let Some(plan) = plan else {
-            state.drain_notes(strategy, round);
-            break;
-        };
-        let armed = plan.candidates.len() + usize::from(plan.crash_at.is_some());
-        if tracer.enabled() {
-            tracer.record(TraceEvent::RoundStart {
-                round,
-                seed: round_seed(cfg, round),
-            });
-            tracer.record(TraceEvent::Decision {
-                round,
-                window: armed,
-                armed,
-                provenance: strategy.provenance(),
-                init_ns,
-            });
-        }
-        state.drain_notes(strategy, round);
-        let result = ctx.run_round(round_seed(cfg, round), plan)?;
-        if let Some(done) = state.absorb(strategy, round, gt_rank, init_ns, armed, result)? {
-            return Ok(done);
-        }
-    }
-    Ok(state.give_up(strategy.name()))
+    search(ctx, oracle, strategy, cfg, ground_truth, tracer, None)
 }
 
 /// One-call ANDURIL: prepare the context and reproduce with the full
@@ -547,20 +632,8 @@ pub fn reproduce(
     oracle: &Oracle,
     cfg: &ExplorerConfig,
 ) -> Result<(Reproduction, SearchContext), SimError> {
-    reproduce_traced(scenario, failure_log_text, oracle, cfg, &NoopTracer)
-}
-
-/// [`reproduce`] with a trace sink covering both context preparation and
-/// the exploration loop — the one-call way to produce a full search trace.
-pub fn reproduce_traced(
-    scenario: Scenario,
-    failure_log_text: &str,
-    oracle: &Oracle,
-    cfg: &ExplorerConfig,
-    tracer: &dyn Tracer,
-) -> Result<(Reproduction, SearchContext), SimError> {
-    let ctx = SearchContext::prepare_traced(scenario, failure_log_text, cfg.base_seed, tracer)?;
+    let ctx = SearchContext::prepare(scenario, failure_log_text, cfg.base_seed)?;
     let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-    let repro = explore_traced(&ctx, oracle, &mut strategy, cfg, None, tracer)?;
+    let repro = explore(&ctx, oracle, &mut strategy, cfg, None)?;
     Ok((repro, ctx))
 }

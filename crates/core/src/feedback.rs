@@ -15,10 +15,12 @@
 //!   `F_i × (T+1)` instead of the two-level scheme.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use anduril_ir::{ExceptionType, SiteId};
 use anduril_sim::Candidate;
 
+use crate::adaptive::PromotedSet;
 use crate::context::{FaultUnit, RoundOutcome, SearchContext};
 use crate::strategy::Strategy;
 use crate::trace::{PlanProvenance, StrategyNote};
@@ -221,6 +223,10 @@ pub struct FeedbackStrategy {
     /// Lifecycle notes queued for the tracer (drained by the explorer).
     /// Notes queued on speculative clones vanish with the clone.
     pending_notes: Vec<StrategyNote>,
+    /// What the search has promoted so far (empty unless the adaptive
+    /// layer is on): observables past the prepared set, and units past
+    /// [`SearchContext::units`].
+    promoted: Arc<PromotedSet>,
 }
 
 impl FeedbackStrategy {
@@ -237,6 +243,7 @@ impl FeedbackStrategy {
             passes: 0,
             last_provenance: None,
             pending_notes: Vec::new(),
+            promoted: Arc::default(),
         }
     }
 
@@ -253,6 +260,25 @@ impl FeedbackStrategy {
     /// fresh pass instead of giving up while the round budget remains.
     pub fn passes(&self) -> usize {
         self.passes
+    }
+
+    /// The planning unit list: the prepared units followed by any a
+    /// promotion appended. With nothing promoted this is exactly
+    /// [`SearchContext::units`].
+    fn units<'c>(&'c self, ctx: &'c SearchContext) -> impl Iterator<Item = FaultUnit> + 'c {
+        ctx.units.iter().chain(self.promoted.units()).copied()
+    }
+
+    /// Spatial distance `L_{site,k}` of observable `k` (prepared or
+    /// promoted) from `site`, if the site is causally connected to it.
+    fn distance(&self, ctx: &SearchContext, k: usize, site: SiteId) -> Option<u32> {
+        match ctx.distances.get(k) {
+            Some(d) => d.get(&site).copied(),
+            None => {
+                let o = self.promoted.observables().get(k - ctx.distances.len())?;
+                o.distances.get(&site).copied()
+            }
+        }
     }
 
     /// The instances of a unit's site eligible under the instance limit,
@@ -272,9 +298,10 @@ impl FeedbackStrategy {
     fn site_priority(&self, ctx: &SearchContext, unit: FaultUnit) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
         let mut sum = 0.0;
-        // Merged iteration over prepared and promoted observables, so an
-        // adaptive promotion reshapes `F_i` from the next planning pass on.
-        ctx.for_each_distance(|k, dists| {
+        // Prepared observables, then promoted ones: an adaptive promotion
+        // reshapes `F_i` from the next planning pass on.
+        let promoted = self.promoted.observables().iter().map(|o| &o.distances);
+        for (k, dists) in ctx.distances.iter().chain(promoted).enumerate() {
             if let Some(&l) = dists.get(&unit.site) {
                 let i_k = if self.cfg.feedback {
                     self.i_priority.get(k).copied().unwrap_or(0.0)
@@ -287,7 +314,7 @@ impl FeedbackStrategy {
                     best = Some((p, k));
                 }
             }
-        });
+        }
         match self.cfg.aggregate {
             Aggregate::Min => best,
             Aggregate::Sum => best.map(|(_, k)| (sum, k)),
@@ -333,7 +360,7 @@ impl FeedbackStrategy {
         self.last_provenance = None;
         let mut out = Vec::new();
         let mut bound_pruned = 0usize;
-        'outer: for unit in ctx.all_units() {
+        'outer: for unit in self.units(ctx) {
             let insts = self.instances(ctx, unit);
             for &(occ, _) in insts {
                 if self.tried.contains(&(unit.site, unit.exc, occ)) {
@@ -419,13 +446,12 @@ impl FeedbackStrategy {
     }
 
     fn plan_prioritized_pass(&mut self, ctx: &SearchContext) -> Vec<Candidate> {
-        // Score every unit that still has untried instances. Planning is
-        // over `all_units` (prepared plus promotion-appended), so a
-        // coverage promotion's newly connected sites are armable on the
-        // very next pass.
+        // Score every unit that still has untried instances — prepared
+        // plus promotion-appended, so a coverage promotion's newly
+        // connected sites are armable on the very next pass.
         let mut scored: Vec<(f64, f64, FaultUnit, Option<u32>)> = Vec::new();
         let mut bound_pruned = 0usize;
-        for unit in ctx.all_units() {
+        for unit in self.units(ctx) {
             let Some((f_i, k_star)) = self.site_priority(ctx, unit) else {
                 continue;
             };
@@ -480,7 +506,7 @@ impl FeedbackStrategy {
                 occurrence: occ,
                 f_i,
                 k_star,
-                l: ctx.distance(k_star, unit.site).unwrap_or(u32::MAX),
+                l: self.distance(ctx, k_star, unit.site).unwrap_or(u32::MAX),
                 i_k: if self.cfg.feedback {
                     self.i_priority.get(k_star).copied().unwrap_or(0.0)
                 } else {
@@ -510,7 +536,7 @@ impl FeedbackStrategy {
     /// rank.
     pub fn explain(&self, ctx: &SearchContext, unit: FaultUnit) -> Option<Explanation> {
         let (f_i, k_star) = self.site_priority(ctx, unit)?;
-        let l = ctx.distance(k_star, unit.site)?;
+        let l = self.distance(ctx, k_star, unit.site)?;
         let i_k = self.i_priority.get(k_star).copied().unwrap_or(0.0);
         Some(Explanation {
             unit,
@@ -538,7 +564,8 @@ impl Strategy for FeedbackStrategy {
 
     fn init(&mut self, ctx: &SearchContext) {
         self.window = self.cfg.initial_window;
-        self.i_priority = vec![0.0; ctx.observable_count()];
+        self.i_priority = vec![0.0; ctx.observables.len()];
+        self.promoted = Arc::default();
         self.tried.clear();
         self.last_ranking.clear();
         self.last_armed.clear();
@@ -559,10 +586,14 @@ impl Strategy for FeedbackStrategy {
 
     fn feedback(&mut self, ctx: &SearchContext, outcome: &RoundOutcome) {
         // The global-diff ablation recomputes observable presence with the
-        // naive whole-log diff.
-        let recomputed;
+        // naive whole-log diff (promoted witnesses are key probes either
+        // way).
+        let mut recomputed;
         let present: &[usize] = if self.cfg.global_diff {
-            recomputed = ctx.present_observables_with(&outcome.result.log_text(), true);
+            let log = &outcome.result.log;
+            recomputed = ctx.present_observables_global(log);
+            self.promoted
+                .extend_present(ctx.observables.len(), &mut recomputed, log);
             &recomputed
         } else {
             &outcome.present
@@ -631,12 +662,12 @@ impl Strategy for FeedbackStrategy {
         self.last_ranking.clone()
     }
 
-    fn observables_appended(&mut self, _ctx: &SearchContext, total: usize) {
+    fn observables_appended(&mut self, ctx: &SearchContext, promoted: Arc<PromotedSet>) {
         // Promoted observables start with neutral feedback; without the
         // resize, `feedback`'s `get_mut(k)` would silently drop their
         // presence adjustments forever.
-        if total > self.i_priority.len() {
-            self.i_priority.resize(total, 0.0);
-        }
+        self.i_priority
+            .resize(ctx.observables.len() + promoted.len(), 0.0);
+        self.promoted = promoted;
     }
 }

@@ -33,16 +33,12 @@ pub mod scenario;
 pub mod strategy;
 pub mod trace;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveState};
+pub use adaptive::{AdaptiveConfig, AdaptiveState, PromotedObservable, PromotedSet};
 pub use anduril_causal::{Interval, OccurrenceBounds, PromotionCandidate, RootCall};
-pub use batch::{explore_batched, explore_batched_traced, reproduce_batched, BatchExplorerConfig};
-pub use context::{
-    FaultUnit, ObservableInfo, PromotedObservable, PromotedSet, RoundOutcome, SearchContext,
-    SnapshotStats,
-};
+pub use batch::{explore_batched, explore_batched_traced, BatchExplorerConfig};
+pub use context::{FaultUnit, ObservableInfo, RoundOutcome, SearchContext, SnapshotStats};
 pub use explorer::{
-    explore, explore_traced, reproduce, reproduce_traced, ExplorerConfig, ReproScript,
-    Reproduction, RoundRecord,
+    explore, explore_traced, reproduce, ExplorerConfig, ReproScript, Reproduction, RoundRecord,
 };
 pub use feedback::{Aggregate, Combine, Explanation, FeedbackConfig, FeedbackStrategy};
 pub use oracle::Oracle;

@@ -8,9 +8,12 @@
 //! CrashTuner, stacktrace-injector) implement this trait in
 //! `anduril-baselines`.
 
+use std::sync::Arc;
+
 use anduril_ir::SiteId;
 use anduril_sim::{Candidate, InjectionPlan};
 
+use crate::adaptive::PromotedSet;
 use crate::context::{FaultUnit, RoundOutcome, SearchContext};
 use crate::feedback::Explanation;
 use crate::trace::{PlanProvenance, StrategyNote};
@@ -101,12 +104,14 @@ pub trait Strategy {
         Vec::new()
     }
 
-    /// Notifies the strategy that the context's observable set grew to
-    /// `total` (prepared plus promoted) observables.
+    /// Notifies the strategy that the search promoted an observable, and
+    /// hands it everything promoted so far (see [`crate::adaptive`]):
+    /// observable `ctx.observables.len() + j` is `promoted.observables()[j]`.
     ///
     /// Strategies holding per-observable state — the `I_k` priority vector
     /// — extend it with neutral entries here, so feedback for promoted
-    /// indices lands instead of being silently dropped. Only ever called
-    /// on the trusted strategy, between rounds.
-    fn observables_appended(&mut self, _ctx: &SearchContext, _total: usize) {}
+    /// indices lands instead of being silently dropped, and keep the set
+    /// to plan over its distance tables and appended units. Only ever
+    /// called on the trusted strategy, between rounds.
+    fn observables_appended(&mut self, _ctx: &SearchContext, _promoted: Arc<PromotedSet>) {}
 }

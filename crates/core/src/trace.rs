@@ -281,9 +281,10 @@ pub enum TraceEvent {
         hits: u64,
         /// Prefix-cache misses (volatile).
         misses: u64,
-        /// Simulation steps skipped by resuming from snapshots (volatile).
+        /// Rounds that restored a snapshot instead of replaying from step
+        /// zero (volatile).
         resumed: u64,
-        /// Snapshots resident at the end (volatile).
+        /// Seed prefixes resident at the end (volatile).
         stored: usize,
     },
     /// The final provenance chain on success (`ev: "provenance"`): from

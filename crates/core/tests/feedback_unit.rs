@@ -301,7 +301,7 @@ fn observable_presence_tracks_round_logs() {
     // A fault-free run reproduces the normal log: the failure-only
     // observables must be missing.
     let clean = ctx.scenario.run(2_000, InjectionPlan::none()).unwrap();
-    let present = ctx.present_observables(&clean.log_text());
+    let present = ctx.present_observables(&clean.log);
     let wedged_obs: Vec<usize> = ctx
         .observables
         .iter()
@@ -328,7 +328,7 @@ fn observable_presence_tracks_round_logs() {
             InjectionPlan::exact(root, 4, anduril_ir::ExceptionType::Io),
         )
         .unwrap();
-    let present_gt = ctx.present_observables(&gt.log_text());
+    let present_gt = ctx.present_observables(&gt.log);
     for k in &wedged_obs {
         assert!(present_gt.contains(k), "symptom absent in the failure run");
     }

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 
 use anduril_ir::Level;
 
+use crate::intern::DiffRecord;
 use crate::myers::myers_matches;
 use crate::parse::ParsedEntry;
 
@@ -38,60 +39,20 @@ fn group_by_thread(entries: &[ParsedEntry]) -> BTreeMap<(&str, &str), Vec<usize>
     groups
 }
 
-/// A log pre-grouped by `(node, thread)`.
-///
-/// The Explorer diffs every round's log against the *same* failure log;
-/// grouping the failure side once and reusing it drops the per-round
-/// regrouping (a `BTreeMap` of string-keyed lookups over the whole log)
-/// from the hot path. Groups are stored by index so the structure stays
-/// independent of the entry storage it was built from — callers pass the
-/// matching entry slice back in at comparison time.
-#[derive(Debug, Clone)]
-pub struct GroupedLog {
-    /// `(node, thread)` keys, sorted, with the entry indices of each group
-    /// in log order.
-    groups: Vec<((String, String), Vec<usize>)>,
-}
-
-impl GroupedLog {
-    /// Groups a parsed log by `(node, thread)` once.
-    pub fn new(entries: &[ParsedEntry]) -> GroupedLog {
-        GroupedLog {
-            groups: group_by_thread(entries)
-                .into_iter()
-                .map(|((n, t), idx)| ((n.to_string(), t.to_string()), idx))
-                .collect(),
-        }
-    }
-
-    /// Iterates `((node, thread), indices)` in sorted key order.
-    pub fn iter(&self) -> impl Iterator<Item = ((&str, &str), &[usize])> {
-        self.groups
-            .iter()
-            .map(|((n, t), idx)| ((n.as_str(), t.as_str()), idx.as_slice()))
-    }
-}
-
 /// Compares a (normal or round) run log against the failure log.
 ///
 /// Returns the failure-only entries and the matched anchor pairs. Both logs
 /// are taken as parsed records; sanitization (timestamp removal) is implied
 /// by comparing [`ParsedEntry::sanitized`] keys, which exclude time.
+///
+/// This is the string-keyed **reference** formulation of the per-thread
+/// diff: the Explorer's rounds go through
+/// [`InternedLog::compare`](crate::InternedLog::compare), and the property
+/// and search-level tests pin the two to identical output.
 pub fn compare(run: &[ParsedEntry], failure: &[ParsedEntry]) -> DiffResult {
-    compare_with(run, failure, &GroupedLog::new(failure))
-}
-
-/// [`compare`] against a failure log whose grouping was precomputed with
-/// [`GroupedLog::new`]. `failure` must be the same slice the grouping was
-/// built from.
-pub fn compare_with(
-    run: &[ParsedEntry],
-    failure: &[ParsedEntry],
-    failure_groups: &GroupedLog,
-) -> DiffResult {
     let run_groups = group_by_thread(run);
     let mut result = DiffResult::default();
-    for (key, f_indices) in failure_groups.iter() {
+    for (key, f_indices) in group_by_thread(failure) {
         match run_groups.get(&key) {
             None => {
                 // Thread only exists in the failure log: every entry is a
@@ -131,11 +92,13 @@ pub fn compare_with(
 }
 
 /// A *global* (non-per-thread) comparison — the naive baseline §5.1.1
-/// argues against. Entries are matched by body over the whole interleaved
-/// sequence, so cross-run reordering between threads produces spurious
-/// missing entries. Kept for the ablation study.
-pub fn compare_global(run: &[ParsedEntry], failure: &[ParsedEntry]) -> DiffResult {
-    let r_keys: Vec<(Level, &str)> = run.iter().map(|e| (e.level, e.body.as_str())).collect();
+/// argues against. Entries are matched by `(level, body)` over the whole
+/// interleaved sequence, so cross-run reordering between threads produces
+/// spurious missing entries. Kept for the ablation study; the run side is
+/// any [`DiffRecord`], so a round's structured log diffs without a text
+/// round trip.
+pub fn compare_global<R: DiffRecord>(run: &[R], failure: &[ParsedEntry]) -> DiffResult {
+    let r_keys: Vec<(Level, &str)> = run.iter().map(|e| (e.level(), e.body())).collect();
     let f_keys: Vec<(Level, &str)> = failure.iter().map(|e| (e.level, e.body.as_str())).collect();
     let matches = myers_matches(&r_keys, &f_keys);
     let matched: std::collections::HashSet<usize> = matches.iter().map(|&(_, j)| j).collect();

@@ -150,9 +150,8 @@ impl InternTable {
 /// Construction does all the string work once: grouping, interning, and
 /// per-group token vectors. [`InternedLog::compare`] then only groups the
 /// run side, tokenizes it by lookup, and runs the `u32` Myers diff —
-/// producing output identical to
-/// [`compare_with`](crate::compare::compare_with) on the equivalent
-/// parsed records (token equality coincides with `(level, body)` key
+/// producing output identical to [`compare`](crate::compare::compare) on
+/// the equivalent parsed records (token equality coincides with `(level, body)` key
 /// equality by construction).
 #[derive(Debug, Clone)]
 pub struct InternedLog {
@@ -193,9 +192,8 @@ impl InternedLog {
     }
 
     /// Compares a run log — parsed or structured — against the interned
-    /// failure log. Same output as
-    /// [`compare_with`](crate::compare::compare_with) on the equivalent
-    /// parsed records.
+    /// failure log. Same output as [`compare`](crate::compare::compare) on
+    /// the equivalent parsed records.
     pub fn compare<R: DiffRecord>(&self, run: &[R]) -> DiffResult {
         let mut run_groups: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
         for (i, e) in run.iter().enumerate() {
@@ -240,7 +238,7 @@ impl InternedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::{compare_with, GroupedLog};
+    use crate::compare::compare;
     use anduril_ir::{BlockId, LogEntry, StmtRef, TemplateId};
 
     fn entry(node: &str, thread: &str, time: u64, level: Level, body: &str) -> ParsedEntry {
@@ -258,7 +256,7 @@ mod tests {
     fn assert_equivalent(run: &[ParsedEntry], failure: &[ParsedEntry]) {
         let interned = InternedLog::new(failure);
         let fast = interned.compare(run);
-        let slow = compare_with(run, failure, &GroupedLog::new(failure));
+        let slow = compare(run, failure);
         assert_eq!(fast.missing, slow.missing);
         assert_eq!(fast.matches, slow.matches);
     }

@@ -10,7 +10,9 @@
 //!
 //! - [`parse::parse_log`] — text → structured records (the failure log
 //!   arrives as text from the uninstrumented production system);
-//! - [`compare::compare`] — per-thread Myers diff over sanitized records;
+//! - [`intern::InternedLog::compare`] — per-thread Myers diff over
+//!   sanitized records, interned to `u32` tokens ([`compare::compare`] is
+//!   its string-keyed test reference);
 //! - [`align::Alignment`] — piecewise-linear position mapping anchored on
 //!   the diff's matched pairs.
 
@@ -23,10 +25,7 @@ pub mod myers;
 pub mod parse;
 
 pub use align::Alignment;
-pub use compare::{compare, compare_global, compare_with, DiffResult, GroupedLog};
+pub use compare::{compare, compare_global, DiffResult};
 pub use intern::{DiffRecord, InternTable, InternedLog, NO_MATCH_TOKEN};
 pub use myers::{myers_matches, unmatched_b};
 pub use parse::{parse_log, ParsedEntry};
-
-#[cfg(feature = "quadratic-oracle")]
-pub use myers::myers_matches_quadratic;

@@ -19,9 +19,8 @@
 //! `O(N+M)` — two furthest-reaching arrays reused across the recursion.
 //!
 //! The superseded trace-saving implementation is retained as
-//! [`myers_matches_quadratic`] (compiled for tests and behind the
-//! `quadratic-oracle` feature) so differential tests and the `logdiff`
-//! bench can pit the two against each other.
+//! `myers_matches_quadratic`, compiled for this crate's tests only, where
+//! the `differential_` tests pit the two against each other.
 
 /// Reusable furthest-reaching arrays for the middle-snake search.
 ///
@@ -227,7 +226,7 @@ pub fn unmatched_b<T: PartialEq>(a: &[T], b: &[T]) -> Vec<usize> {
 }
 
 /// The superseded trace-saving formulation, kept as the differential-test
-/// oracle and the bench's "before" baseline.
+/// oracle.
 ///
 /// Runs the classic greedy forward algorithm, cloning the full `V` array at
 /// every edit step, then backtracks through the saved trace. The trace is
@@ -236,8 +235,8 @@ pub fn unmatched_b<T: PartialEq>(a: &[T], b: &[T]) -> Vec<usize> {
 /// space, which undercounted the `2(N+M)+1` factor per clone). Do not use
 /// it on large disjoint inputs; that blow-up is why [`myers_matches`]
 /// replaced it.
-#[cfg(any(test, feature = "quadratic-oracle"))]
-pub fn myers_matches_quadratic<T: PartialEq>(a: &[T], b: &[T]) -> Vec<(usize, usize)> {
+#[cfg(test)]
+fn myers_matches_quadratic<T: PartialEq>(a: &[T], b: &[T]) -> Vec<(usize, usize)> {
     let n = a.len() as isize;
     let m = b.len() as isize;
     if n == 0 || m == 0 {

@@ -5,9 +5,7 @@
 //! its own tiny generator instead of an external dependency.
 
 use anduril_ir::Level;
-use anduril_logdiff::{
-    compare_with, myers_matches, unmatched_b, Alignment, GroupedLog, InternedLog, ParsedEntry,
-};
+use anduril_logdiff::{compare, myers_matches, unmatched_b, Alignment, InternedLog, ParsedEntry};
 
 /// Deterministic generator for randomized cases.
 struct Rng(u64);
@@ -175,7 +173,7 @@ fn interned_compare_equals_string_compare() {
         let run = random_log(&mut rng, 60, 18);
         let interned = InternedLog::new(&failure);
         let fast = interned.compare(&run);
-        let slow = compare_with(&run, &failure, &GroupedLog::new(&failure));
+        let slow = compare(&run, &failure);
         assert_eq!(fast.missing, slow.missing);
         assert_eq!(fast.matches, slow.matches);
     }

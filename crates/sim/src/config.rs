@@ -10,20 +10,10 @@ pub enum Engine {
     #[default]
     Vm,
     /// The original tree-walking interpreter over the `Stmt`/`Expr` AST.
-    /// Kept as a differential oracle; only available when the sim crate is
-    /// built with the `tree-walk-oracle` feature (or under `cfg(test)`).
+    /// Kept as a differential oracle for tests: only available when the sim
+    /// crate is built with the `tree-walk-oracle` feature (a dev-dependency
+    /// feature of the crates whose tests drive it) or under `cfg(test)`.
     TreeWalk,
-}
-
-impl Engine {
-    /// Parses a CLI engine name (`"vm"` or `"ast"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "vm" => Some(Engine::Vm),
-            "ast" => Some(Engine::TreeWalk),
-            _ => None,
-        }
-    }
 }
 
 /// Configuration for one simulation run.

@@ -21,8 +21,8 @@ fn usage() -> ! {
         "usage:\n  anduril list\n  anduril show <case>\n  anduril log <case>\n  \
          anduril analyze [<case>|<system>|all] [--json FILE]\n  \
          anduril reproduce <case> [--strategy NAME] [--max-rounds N] [--emit-script FILE]\n  \
-         {0:21}[--threads N] [--batch N] [--trace FILE] [--engine vm|ast]\n  \
-         {0:21}[--snapshots N] [--adaptive on|off]\n  \
+         {0:21}[--threads N] [--batch N] [--trace FILE] [--snapshots N]\n  \
+         {0:21}[--adaptive on|off]\n  \
          anduril trace <file> [--summary | --round N | --promotions | --json]\n  \
          anduril replay <case> <script-file>\n  \
          anduril explain <case>\n  \
@@ -36,8 +36,6 @@ fn usage() -> ! {
          --trace FILE records the structured search-trace stream (context\n\
          phases, per-round decisions with priority provenance, feedback,\n\
          speculation) as JSONL; `anduril trace FILE` renders it\n\n\
-         --engine selects the simulator executor: vm (default, bytecode\n\
-         register VM) or ast (tree-walking oracle); both are byte-identical\n\n\
          --snapshots N caps the snapshot-prefix cache at N seeds (default\n\
          16; 0 disables). Batched rounds capture world-state snapshots so\n\
          same-seed reruns (speculation misses, replay verification) resume\n\
@@ -661,9 +659,12 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
         }
     }
 
-    if let Some(s) = find_last("snapshot_stats") {
+    // Only the batch engine captures snapshots (its `epoch` events mark a
+    // batched stream); a sequential search could only ever report 0 hits.
+    if let Some(s) = find_last("snapshot_stats").filter(|_| epochs > 0) {
         println!(
-            "\nSnapshot cache: {} hits, {} misses, {} ticks resumed, {} snapshots stored",
+            "\nSnapshot cache: {} hits, {} misses, {} rounds resumed from a snapshot, \
+             {} seed prefixes stored",
             junum(s, "hits"),
             junum(s, "misses"),
             junum(s, "resumed"),
@@ -1152,7 +1153,6 @@ fn main() {
             let mut threads = 1usize;
             let mut batch_size: Option<usize> = None;
             let mut trace_path: Option<String> = None;
-            let mut engine: Option<anduril::sim::Engine> = None;
             let mut snapshot_capacity: Option<usize> = None;
             let mut adaptive = false;
             let mut i = 2;
@@ -1192,14 +1192,6 @@ fn main() {
                         trace_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
                         i += 2;
                     }
-                    "--engine" => {
-                        engine = Some(
-                            args.get(i + 1)
-                                .and_then(|s| anduril::sim::Engine::parse(s))
-                                .unwrap_or_else(|| usage()),
-                        );
-                        i += 2;
-                    }
                     "--snapshots" => {
                         snapshot_capacity = Some(
                             args.get(i + 1)
@@ -1233,12 +1225,9 @@ fn main() {
             let failure_log = case
                 .failure_log()
                 .unwrap_or_else(|e| fail(format!("{}: failure log: {e}", case.id)));
-            let mut scenario = case.scenario.clone();
-            if let Some(e) = engine {
-                scenario.config.engine = e;
-            }
-            let mut ctx = SearchContext::prepare_traced(scenario, &failure_log, 1_000, tracer)
-                .unwrap_or_else(|e| fail(format!("{}: context preparation: {e}", case.id)));
+            let mut ctx =
+                SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, tracer)
+                    .unwrap_or_else(|e| fail(format!("{}: context preparation: {e}", case.id)));
             if let Some(cap) = snapshot_capacity {
                 ctx.set_snapshot_capacity(cap);
             }

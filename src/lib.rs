@@ -41,12 +41,12 @@
 //! ```
 
 pub use anduril_core::{
-    explore, explore_batched, explore_batched_traced, explore_traced, reproduce, reproduce_batched,
-    reproduce_traced, AdaptiveConfig, AdaptiveState, BatchExplorerConfig, Combine, Explanation,
-    ExplorerConfig, FaultUnit, FeedbackConfig, FeedbackStrategy, FileTracer, Json, NoopTracer,
-    ObservableInfo, Oracle, PlanProvenance, PromotedObservable, PromotedSet, ReproScript,
-    Reproduction, RoundOutcome, RoundRecord, Scenario, SearchContext, SnapshotStats, Strategy,
-    StrategyNote, TraceEvent, Tracer, VecTracer,
+    explore, explore_batched, explore_batched_traced, explore_traced, reproduce, AdaptiveConfig,
+    AdaptiveState, BatchExplorerConfig, Combine, Explanation, ExplorerConfig, FaultUnit,
+    FeedbackConfig, FeedbackStrategy, FileTracer, Json, NoopTracer, ObservableInfo, Oracle,
+    PlanProvenance, PromotedObservable, PromotedSet, ReproScript, Reproduction, RoundOutcome,
+    RoundRecord, Scenario, SearchContext, SnapshotStats, Strategy, StrategyNote, TraceEvent,
+    Tracer, VecTracer,
 };
 
 /// The structured search-trace layer (re-export of `anduril-core::trace`).

@@ -9,80 +9,39 @@
 //! guidance) observable's entries from the failure log before
 //! preparation, simulating log rotation/rate limiting around the failure.
 
-use anduril::failures::case_by_id;
+mod common;
+
 use anduril::trace::{TraceEvent, VecTracer};
 use anduril::{
     explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, Oracle, Scenario, SearchContext,
+    FeedbackStrategy, Oracle, SearchContext,
 };
+use common::{degraded_context, stable_lines};
 
-/// The degraded failure log of a case: every entry (line plus
-/// continuation lines) of the prepared context's nearest observable
-/// stripped.
-fn degraded_inputs(id: &str) -> (Scenario, Oracle, String) {
-    let case = case_by_id(id).expect("case");
-    let failure_log = case.failure_log().expect("failure log");
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
-    let nearest = (0..ctx.observables.len())
-        .filter_map(|k| ctx.distances[k].values().min().map(|&d| (d, k)))
-        .min()
-        .map(|(_, k)| k)
-        .expect("at least one observable");
-    let template = &ctx.scenario.program.templates[ctx.observables[nearest].template.index()];
-    let mut degraded = String::new();
-    let mut drop = false;
-    for line in failure_log.lines() {
-        let is_entry = line.len() > 9
-            && line.as_bytes()[..8].iter().all(u8::is_ascii_digit)
-            && line.as_bytes()[8] == b' ';
-        if is_entry {
-            drop = line
-                .split_once(" - ")
-                .map(|(_, body)| template.matches(body))
-                .unwrap_or(false);
-        }
-        if !drop {
-            degraded.push_str(line);
-            degraded.push('\n');
-        }
-    }
-    (case.scenario.clone(), case.oracle.clone(), degraded)
-}
-
-/// One traced exploration over a freshly prepared context (promotions
-/// mutate the context, so sharing one across runs would leak state).
+/// One traced exploration. Every run of a test shares the test's one
+/// prepared context: a search leaves nothing behind in it.
 fn traced_run(
-    scenario: &Scenario,
+    ctx: &SearchContext,
     oracle: &Oracle,
-    log: &str,
     cfg: &ExplorerConfig,
     threads: Option<usize>,
 ) -> Vec<TraceEvent> {
-    let ctx = SearchContext::prepare(scenario.clone(), log, 1_000).expect("context");
     let tracer = VecTracer::new();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     match threads {
         None => {
-            explore_traced(&ctx, oracle, &mut s, cfg, None, &tracer).expect("explore");
+            explore_traced(ctx, oracle, &mut s, cfg, None, &tracer).expect("explore");
         }
         Some(threads) => {
             let batch = BatchExplorerConfig {
                 batch_size: 8,
                 threads,
             };
-            explore_batched_traced(&ctx, oracle, &mut s, cfg, &batch, None, &tracer)
+            explore_batched_traced(ctx, oracle, &mut s, cfg, &batch, None, &tracer)
                 .expect("explore_batched");
         }
     }
     tracer.take()
-}
-
-fn stable_lines(events: &[TraceEvent]) -> Vec<String> {
-    events
-        .iter()
-        .filter(|e| !e.is_batch_only())
-        .map(TraceEvent::stable_json)
-        .collect()
 }
 
 fn promotion_count(lines: &[String]) -> usize {
@@ -97,7 +56,7 @@ fn promotion_count(lines: &[String]) -> usize {
 /// promotion events and all post-promotion planning included.
 #[test]
 fn adaptive_streams_sequential_equals_batched() {
-    let (scenario, oracle, degraded) = degraded_inputs("f18");
+    let (ctx, oracle) = degraded_context("f18");
     let mut cfg = ExplorerConfig {
         max_rounds: 300,
         verify_replay: false,
@@ -105,12 +64,12 @@ fn adaptive_streams_sequential_equals_batched() {
     };
     cfg.adaptive.enabled = true;
 
-    let seq = stable_lines(&traced_run(&scenario, &oracle, &degraded, &cfg, None));
+    let seq = stable_lines(&traced_run(&ctx, &oracle, &cfg, None));
     assert!(
         promotion_count(&seq) > 0,
         "f18-degraded: the adaptive run must actually promote"
     );
-    let bat = stable_lines(&traced_run(&scenario, &oracle, &degraded, &cfg, Some(4)));
+    let bat = stable_lines(&traced_run(&ctx, &oracle, &cfg, Some(4)));
     assert_eq!(
         seq.len(),
         bat.len(),
@@ -128,14 +87,14 @@ fn adaptive_streams_sequential_equals_batched() {
 /// reproduce within the same round budget.
 #[test]
 fn adaptive_rescues_degraded_case() {
-    let (scenario, oracle, degraded) = degraded_inputs("f18");
+    let (ctx, oracle) = degraded_context("f18");
     let cfg = ExplorerConfig {
         max_rounds: 300,
         verify_replay: false,
         ..ExplorerConfig::default()
     };
 
-    let fixed = traced_run(&scenario, &oracle, &degraded, &cfg, None);
+    let fixed = traced_run(&ctx, &oracle, &cfg, None);
     let fixed_success = fixed
         .iter()
         .any(|e| matches!(e, TraceEvent::RoundEnd { oracle: true, .. }));
@@ -146,7 +105,7 @@ fn adaptive_rescues_degraded_case() {
 
     let mut adaptive_cfg = cfg;
     adaptive_cfg.adaptive.enabled = true;
-    let adaptive = traced_run(&scenario, &oracle, &degraded, &adaptive_cfg, None);
+    let adaptive = traced_run(&ctx, &oracle, &adaptive_cfg, None);
     assert!(
         adaptive
             .iter()
@@ -182,7 +141,7 @@ fn adaptive_rescues_degraded_case() {
 /// (disabled) adaptive settings.
 #[test]
 fn adaptive_off_is_byte_identical() {
-    let (scenario, oracle, degraded) = degraded_inputs("f18");
+    let (ctx, oracle) = degraded_context("f18");
     let base = ExplorerConfig {
         max_rounds: 100,
         verify_replay: false,
@@ -193,8 +152,8 @@ fn adaptive_off_is_byte_identical() {
     tweaked.adaptive.per_stall = 7;
     tweaked.adaptive.focus_sites = 99;
 
-    let a = stable_lines(&traced_run(&scenario, &oracle, &degraded, &base, None));
-    let b = stable_lines(&traced_run(&scenario, &oracle, &degraded, &tweaked, None));
+    let a = stable_lines(&traced_run(&ctx, &oracle, &base, None));
+    let b = stable_lines(&traced_run(&ctx, &oracle, &tweaked, None));
     assert_eq!(
         a, b,
         "disabled adaptive knobs must not influence the stream"

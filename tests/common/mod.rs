@@ -1,0 +1,49 @@
+//! Shared by the adaptive-layer suites: the stall-prone degraded inputs
+//! and the stable rendering of a trace stream.
+
+use anduril::failures::case_by_id;
+use anduril::trace::TraceEvent;
+use anduril::{Oracle, SearchContext};
+
+/// A case prepared from its degraded failure log: every entry (line plus
+/// continuation lines) of the fully prepared context's nearest observable
+/// stripped before preparation.
+pub fn degraded_context(id: &str) -> (SearchContext, Oracle) {
+    let case = case_by_id(id).expect("case");
+    let failure_log = case.failure_log().expect("failure log");
+    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
+    let nearest = (0..ctx.observables.len())
+        .filter_map(|k| ctx.distances[k].values().min().map(|&d| (d, k)))
+        .min()
+        .map(|(_, k)| k)
+        .expect("at least one observable");
+    let template = &ctx.scenario.program.templates[ctx.observables[nearest].template.index()];
+    let mut degraded = String::new();
+    let mut drop = false;
+    for line in failure_log.lines() {
+        let is_entry = line.len() > 9
+            && line.as_bytes()[..8].iter().all(u8::is_ascii_digit)
+            && line.as_bytes()[8] == b' ';
+        if is_entry {
+            drop = line
+                .split_once(" - ")
+                .map(|(_, body)| template.matches(body))
+                .unwrap_or(false);
+        }
+        if !drop {
+            degraded.push_str(line);
+            degraded.push('\n');
+        }
+    }
+    let ctx = SearchContext::prepare(case.scenario.clone(), &degraded, 1_000).expect("context");
+    (ctx, case.oracle.clone())
+}
+
+/// The deterministic rendering of a stream, batch-only events dropped.
+pub fn stable_lines(events: &[TraceEvent]) -> Vec<String> {
+    events
+        .iter()
+        .filter(|e| !e.is_batch_only())
+        .map(TraceEvent::stable_json)
+        .collect()
+}

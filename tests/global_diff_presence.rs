@@ -7,6 +7,7 @@
 //! matching exists to avoid.
 
 use anduril::failures::case_by_id;
+use anduril::logdiff::parse_log;
 use anduril::SearchContext;
 
 /// Builds a round log containing one observable's body — verbatim at
@@ -24,24 +25,24 @@ fn global_and_per_thread_presence_differ_across_threads() {
     let pos = ctx.observables[k].positions[0];
     let entry = &ctx.failure[pos];
 
-    let same_thread = format!(
+    let same_thread = parse_log(&format!(
         "00000001 [{}:{}] {} - {}\n",
         entry.node,
         entry.thread,
         entry.level.name(),
         entry.body
-    );
-    let other_thread = format!(
+    ));
+    let other_thread = parse_log(&format!(
         "00000001 [{}:thread-from-nowhere] {} - {}\n",
         entry.node,
         entry.level.name(),
         entry.body
-    );
+    ));
 
     // Sanity: on the recorded thread, both diffs agree the observable is
     // present.
-    let per_thread = ctx.present_observables_with(&same_thread, false);
-    let global = ctx.present_observables_with(&same_thread, true);
+    let per_thread = ctx.present_observables(&same_thread);
+    let global = ctx.present_observables_global(&same_thread);
     assert!(
         per_thread.contains(&k),
         "same thread: per-thread diff sees observable {k}"
@@ -54,8 +55,8 @@ fn global_and_per_thread_presence_differ_across_threads() {
     // Re-homed: the global diff still matches the body; the per-thread
     // diff must not — the `(node, thread)` group of the failure entry
     // never emitted it.
-    let per_thread = ctx.present_observables_with(&other_thread, false);
-    let global = ctx.present_observables_with(&other_thread, true);
+    let per_thread = ctx.present_observables(&other_thread);
+    let global = ctx.present_observables_global(&other_thread);
     assert!(
         global.contains(&k),
         "other thread: global diff matches the body anywhere"
