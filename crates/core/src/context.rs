@@ -245,7 +245,7 @@ impl SearchContext {
         let program = &scenario.program;
         let mut by_template: HashMap<TemplateId, Vec<usize>> = HashMap::new();
         for &idx in &diff.missing {
-            if let Some(t) = best_template(program, &failure[idx].body) {
+            if let Some(t) = compiled.best_template(&failure[idx].body) {
                 by_template.entry(t).or_default().push(idx);
             }
         }
@@ -595,21 +595,6 @@ const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SearchContext>();
 };
-
-/// Picks the most specific template whose rendered form matches `body`
-/// (longest literal text wins; ties broken by id for determinism).
-fn best_template(program: &anduril_ir::Program, body: &str) -> Option<TemplateId> {
-    program
-        .templates_matching(body)
-        .into_iter()
-        .max_by_key(|t| {
-            let text = &program.templates[t.index()].text;
-            (
-                text.len() - 2 * text.matches("{}").count(),
-                std::cmp::Reverse(t.0),
-            )
-        })
-}
 
 /// Outcome of one injection round, as seen by strategies.
 #[derive(Debug)]

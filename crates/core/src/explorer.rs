@@ -223,6 +223,14 @@ struct ExploreState<'a> {
     adaptive: AdaptiveState,
 }
 
+/// Host time a round took before the search absorbs its result.
+struct RoundNs {
+    /// Planning the injection (`Strategy::plan_injection`).
+    init_ns: u64,
+    /// Getting the round's result; `0` unless a tracer records it.
+    sim_ns: u64,
+}
+
 impl<'a> ExploreState<'a> {
     fn new(
         ctx: &'a SearchContext,
@@ -284,10 +292,14 @@ impl<'a> ExploreState<'a> {
         strategy: &mut S,
         round: usize,
         gt_rank: Option<usize>,
-        init_ns: u64,
         armed: usize,
+        spent: RoundNs,
         result: RunResult,
     ) -> Result<Option<Reproduction>, SimError> {
+        let RoundNs {
+            init_ns,
+            mut sim_ns,
+        } = spent;
         let ctx = self.ctx;
         let seed = round_seed(self.cfg, round);
         self.injection_requests += result.injection_requests;
@@ -318,20 +330,32 @@ impl<'a> ExploreState<'a> {
             oracle_satisfied: satisfied,
         });
 
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::RoundEnd {
-                round,
-                injected,
-                oracle: satisfied,
-                ticks: result.end_time,
-                steps: result.steps,
-                log_entries: result.log.len(),
-                injection_requests: result.injection_requests,
-                workload_ns: result.wall.as_nanos() as u64,
-            });
-        }
+        // Where the round went, for a sink that records it: the host clock
+        // is read only then. The event leaves once feedback has run (right
+        // away for the round that ends the search), always ahead of the
+        // round's `Feedback` event.
+        let clock = self.tracer.enabled();
+        let lap = |since: Option<Instant>| since.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let (ticks, steps, log_entries) = (result.end_time, result.steps, result.log.len());
+        let (requests, workload_ns) = (result.injection_requests, result.wall.as_nanos() as u64);
+        let round_end = |sim_ns, diff_ns, feedback_ns| TraceEvent::RoundEnd {
+            round,
+            injected,
+            oracle: satisfied,
+            ticks,
+            steps,
+            log_entries,
+            injection_requests: requests,
+            workload_ns,
+            sim_ns,
+            diff_ns,
+            feedback_ns,
+        };
 
         if satisfied {
+            if clock {
+                self.tracer.record(round_end(sim_ns, 0, 0));
+            }
             let (script, replay_verified) = match injected {
                 // A crash injection satisfied the oracle (CrashTuner): no
                 // exception script exists for it.
@@ -391,18 +415,23 @@ impl<'a> ExploreState<'a> {
             )));
         }
 
+        let since = clock.then(Instant::now);
         let mut outcome = RoundOutcome::new(ctx, result);
         let promoted = self.adaptive.promoted();
         let prepared = ctx.observables.len();
         promoted.extend_present(prepared, &mut outcome.present, &outcome.result.log);
+        let mut diff_ns = lap(since);
         // §6: optionally combine the observables of extra runs so that
         // messages dropped by unlucky interleavings still count as present.
         if self.cfg.extra_feedback_runs > 0 {
             let mut seen: HashSet<usize> = outcome.present.iter().copied().collect();
             for extra in 0..self.cfg.extra_feedback_runs {
                 let extra_seed = extra_run_seed(self.cfg.base_seed, round, extra);
+                let since = clock.then(Instant::now);
                 let extra_run = ctx.run_round(extra_seed, InjectionPlan::none())?;
+                sim_ns += lap(since);
                 self.sim_time_total += extra_run.end_time;
+                let since = clock.then(Instant::now);
                 let mut present = ctx.present_observables(&extra_run.log);
                 promoted.extend_present(prepared, &mut present, &extra_run.log);
                 for k in present {
@@ -410,10 +439,13 @@ impl<'a> ExploreState<'a> {
                         outcome.present.push(k);
                     }
                 }
+                diff_ns += lap(since);
             }
         }
+        let since = clock.then(Instant::now);
         strategy.feedback(ctx, &outcome);
-        if self.tracer.enabled() {
+        if clock {
+            self.tracer.record(round_end(sim_ns, diff_ns, lap(since)));
             if let Some((adjust, i_k)) = strategy.feedback_view() {
                 self.tracer.record(TraceEvent::Feedback {
                     round,
@@ -565,6 +597,8 @@ pub(crate) fn search<S: Strategy + ?Sized>(
                 });
             }
             state.drain_notes(strategy, round);
+            let since = tracer.enabled().then(Instant::now);
+            let mut reused = false;
             let result = match speculated.next() {
                 // Nothing was predicted for this round, so nothing hit or
                 // missed: no `spec` event.
@@ -579,6 +613,7 @@ pub(crate) fn search<S: Strategy + ?Sized>(
                             hit,
                         });
                     }
+                    reused = hit;
                     if hit {
                         result?
                     } else {
@@ -586,7 +621,15 @@ pub(crate) fn search<S: Strategy + ?Sized>(
                     }
                 }
             };
-            if let Some(done) = state.absorb(strategy, round, gt_rank, init_ns, armed, result)? {
+            // A reused speculative result was simulated on a worker: what
+            // it cost is its own workload time, not the wait for it here.
+            let sim_ns = match since {
+                Some(_) if reused => result.wall.as_nanos() as u64,
+                Some(t) => t.elapsed().as_nanos() as u64,
+                None => 0,
+            };
+            let spent = RoundNs { init_ns, sim_ns };
+            if let Some(done) = state.absorb(strategy, round, gt_rank, armed, spent, result)? {
                 return Ok(done);
             }
             round += 1;

@@ -104,7 +104,7 @@ impl Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anduril_sim::{NodeSnapshot, ThreadEndState, ThreadSnapshot};
+    use anduril_sim::{BlockReason, NodeSnapshot, ThreadEndState, ThreadSnapshot};
     use std::time::Duration;
 
     fn result() -> RunResult {
@@ -128,7 +128,7 @@ mod tests {
             threads: vec![ThreadSnapshot {
                 node: "n1".into(),
                 thread: "roller".into(),
-                state: ThreadEndState::Blocked("wait(cond#0)".into()),
+                state: ThreadEndState::Blocked(BlockReason::Cond(anduril_ir::CondId(0))),
                 stack: vec!["main".into(), "waitForSafePoint".into()],
             }],
             nodes: vec![NodeSnapshot {

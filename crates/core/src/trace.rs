@@ -226,6 +226,17 @@ pub enum TraceEvent {
         injection_requests: u64,
         /// Host nanoseconds executing the workload (volatile).
         workload_ns: u64,
+        /// Host nanoseconds the search spent getting the round's result:
+        /// the `run_round` call (cache lookup, resume, and the workload), or
+        /// the speculative job's workload on a speculation hit; plus §6
+        /// extra runs (volatile).
+        sim_ns: u64,
+        /// Host nanoseconds finding the observables present in the round's
+        /// log — the per-round diff; `0` for the round that satisfied the
+        /// oracle, which needs none (volatile).
+        diff_ns: u64,
+        /// Host nanoseconds in `Strategy::feedback` (volatile).
+        feedback_ns: u64,
     },
     /// Observable feedback applied after an unsuccessful round
     /// (`ev: "feedback"`): each present observable's `I_k` moved by
@@ -545,6 +556,9 @@ impl TraceEvent {
                 log_entries,
                 injection_requests,
                 workload_ns,
+                sim_ns,
+                diff_ns,
+                feedback_ns,
             } => {
                 let inj = injected
                     .as_ref()
@@ -562,7 +576,11 @@ impl TraceEvent {
                      \"log_entries\":{log_entries},\"injection_requests\":{injection_requests}"
                 );
                 if volatile {
-                    let _ = write!(s, ",\"workload_ns\":{workload_ns}");
+                    let _ = write!(
+                        s,
+                        ",\"workload_ns\":{workload_ns},\"sim_ns\":{sim_ns},\
+                         \"diff_ns\":{diff_ns},\"feedback_ns\":{feedback_ns}"
+                    );
                 }
                 s.push('}');
                 s
@@ -1055,6 +1073,9 @@ mod tests {
                 log_entries: 55,
                 injection_requests: 12,
                 workload_ns: 1,
+                sim_ns: 2,
+                diff_ns: 3,
+                feedback_ns: 4,
             },
             TraceEvent::Feedback {
                 round: 0,

@@ -120,6 +120,80 @@ fn snapshot_all_cases_byte_identical() {
     );
 }
 
+/// Capture points on the slice boundaries of a lone runner.
+///
+/// While `sleeper` sleeps, `worker` is the only thread with anything due:
+/// every one of its slice boundaries is one where the scheduler keeps
+/// running it without queueing its wake. A snapshot is taken at the event
+/// loop's top with the next event still queued, so a boundary where one is
+/// due must go through the queue after all — and the capture run, which
+/// takes that detour every 64 steps, must still be the plain run, and
+/// resuming from such a point the full replay.
+#[test]
+fn snapshot_capture_on_a_lone_runner_boundary() {
+    use anduril_ir::builder::ProgramBuilder;
+    use anduril_ir::{expr as e, ExceptionType, Level, SiteId};
+    use anduril_sim::{NodeSpec, SimConfig, Topology};
+
+    let mut pb = ProgramBuilder::new("lone-runner");
+    let worker = pb.declare("worker", 0);
+    let sleeper = pb.declare("sleeper", 0);
+    pb.body(worker, |b| {
+        let i = b.local();
+        b.assign(i, e::int(0));
+        b.while_(e::lt(e::var(i), e::int(600)), |b| {
+            b.try_catch(
+                |b| {
+                    b.external("disk.read", &[ExceptionType::Io]);
+                },
+                ExceptionType::Io,
+                |b| {
+                    b.log(Level::Warn, "read failed at {}", vec![e::var(i)]);
+                },
+            );
+            b.assign(i, e::add(e::var(i), e::int(1)));
+        });
+        b.log(Level::Info, "worker done", vec![]);
+    });
+    pb.body(sleeper, |b| {
+        // Far enough out to sit in the overflow heap, not the wheel.
+        b.sleep(e::int(2_000));
+        b.log(Level::Info, "sleeper woke", vec![]);
+        b.sleep(e::int(100_000));
+    });
+    let program = pb.finish().expect("program");
+    let topo = Topology::new(vec![
+        NodeSpec::new("w", worker, vec![]),
+        NodeSpec::new("s", sleeper, vec![]),
+    ]);
+    let compiled = compile(&program);
+    let cfg = SimConfig::default();
+
+    let plain =
+        run_compiled(&program, &compiled, &topo, &cfg, InjectionPlan::none()).expect("plain run");
+    assert!(plain.has_log("worker done") && plain.has_log("sleeper woke"));
+    let (captured, prefix) = run_compiled_capture(
+        &program,
+        &compiled,
+        &topo,
+        &cfg,
+        InjectionPlan::none(),
+        &dense(),
+    )
+    .expect("capture run");
+    assert_identical("lone runner capture vs plain", &plain, &captured);
+    assert!(prefix.snapshot_count() >= 8, "captured along the way");
+
+    for occurrence in [0u32, 150, 300, 599] {
+        let plan = InjectionPlan::exact(SiteId(0), occurrence, ExceptionType::Io);
+        let full = run_compiled(&program, &compiled, &topo, &cfg, plan.clone()).expect("full run");
+        let (resumed, info) = run_compiled_resume(&program, &compiled, &topo, &cfg, plan, &prefix)
+            .expect("resume run");
+        assert_identical(&format!("lone runner occ {occurrence}"), &full, &resumed);
+        assert_eq!(info.resumed, occurrence > 0, "occurrence {occurrence}");
+    }
+}
+
 /// Asserts the deterministic parts of two explorations agree (wall-clock
 /// and decision-time metrics excluded).
 fn assert_repro_agrees(tag: &str, a: &Reproduction, b: &Reproduction) {

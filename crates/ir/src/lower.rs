@@ -233,8 +233,9 @@ pub enum Instr {
         args: Box<[CExpr]>,
         /// Whether to attach the pending handler exception's stack.
         attach_stack: bool,
-        /// Pre-rendered body for zero-argument templates.
-        pre: Option<Box<str>>,
+        /// Pre-rendered body for zero-argument templates, shared by every
+        /// entry the statement emits.
+        pre: Option<Arc<str>>,
     },
     /// `locals[var] = e`.
     Assign {
@@ -414,9 +415,56 @@ pub enum Seg {
 pub struct CompiledTemplate {
     /// The segments in order.
     pub segs: Box<[Seg]>,
-    /// Length of the literal text (render capacity hint).
+    /// Length of the literal text: the render capacity hint, and the
+    /// template's specificity when several match one body.
     pub text_len: usize,
 }
+
+impl CompiledTemplate {
+    /// Returns `true` if `body` could have been rendered from this
+    /// template — [`LogTemplate::matches`](crate::log::LogTemplate::matches)
+    /// over the pre-split literals instead of re-splitting the text.
+    ///
+    /// Matching is anchored: the literals must appear in order, the first
+    /// at the beginning of `body` and the last at its end.
+    pub fn matches(&self, body: &str) -> bool {
+        let (mut segs, mut rest) = (&self.segs[..], body);
+        if let Some((Seg::Text(t), after)) = segs.split_first() {
+            let Some(r) = rest.strip_prefix(&**t) else {
+                return false;
+            };
+            (segs, rest) = (after, r);
+            if segs.is_empty() {
+                // No hole at all: the body is the literal.
+                return rest.is_empty();
+            }
+        } else if segs.is_empty() {
+            return rest.is_empty();
+        }
+        // `segs` now starts with a hole; a trailing literal is anchored at
+        // the end, everything before it matches leftmost.
+        let last = match segs.split_last() {
+            Some((Seg::Text(t), before)) => {
+                segs = before;
+                Some(t)
+            }
+            _ => None,
+        };
+        for seg in segs {
+            if let Seg::Text(t) = seg {
+                match rest.find(&**t) {
+                    Some(pos) => rest = &rest[pos + t.len()..],
+                    None => return false,
+                }
+            }
+        }
+        last.is_none_or(|t| rest.ends_with(&**t))
+    }
+}
+
+/// Bucket of [`CompiledProgram::template_buckets`] for templates with no
+/// leading literal.
+const OPEN_BUCKET: usize = 256;
 
 /// A [`Program`] lowered to the flat register-VM form. Compile once per
 /// search (the `SearchContext` caches it), run many times.
@@ -443,9 +491,16 @@ pub struct CompiledProgram {
     /// Interned global-variable names, parallel to `Program::globals`, so
     /// per-run result snapshots share one allocation per name.
     pub global_names: Vec<Arc<str>>,
+    /// Interned function names, parallel to `Program::funcs`, so the call
+    /// stacks of per-run result snapshots clone no strings.
+    pub func_names: Vec<Arc<str>>,
     /// Statements that touch a meta-info global, sorted (CrashTuner's
     /// candidate crash points).
     pub meta_points: Vec<StmtRef>,
+    /// Template ids bucketed by the first byte of their leading literal
+    /// ([`OPEN_BUCKET`]: templates that open with a hole, or are empty),
+    /// each bucket most specific first, ties by id.
+    template_buckets: Vec<Vec<TemplateId>>,
     tries: Vec<TryInfo>,
     /// Per-instruction index into `tries` (`u32::MAX` for non-`try`).
     try_of: Vec<u32>,
@@ -478,6 +533,28 @@ impl CompiledProgram {
     #[inline]
     pub fn try_finally(&self, r: StmtRef) -> Option<BlockId> {
         self.try_info(r).and_then(|t| t.finally)
+    }
+
+    /// Picks the most specific template whose rendered form matches `body`
+    /// (longest literal text wins; ties broken by id for determinism).
+    ///
+    /// A body can only match a template whose leading literal it starts
+    /// with, so only the bucket of the body's first byte and the bucket of
+    /// hole-first templates are searched, and each search stops at its
+    /// first — most specific — match.
+    pub fn best_template(&self, body: &str) -> Option<TemplateId> {
+        let first_match = |bucket: usize| {
+            self.template_buckets[bucket]
+                .iter()
+                .copied()
+                .find(|t| self.templates[t.index()].matches(body))
+        };
+        let rank = |t: &TemplateId| (self.templates[t.index()].text_len, std::cmp::Reverse(t.0));
+        let literal = body.bytes().next().and_then(|b| first_match(b as usize));
+        literal
+            .into_iter()
+            .chain(first_match(OPEN_BUCKET))
+            .max_by_key(rank)
     }
 
     /// Returns `true` if the flat instruction index is a meta access point.
@@ -765,11 +842,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
                 } => {
                     let cargs = c.cexprs(args);
                     let pre = if cargs.is_empty() {
-                        Some(
-                            c.program.templates[template.index()]
-                                .render(&[])
-                                .into_boxed_str(),
-                        )
+                        Some(Arc::from(c.program.templates[template.index()].render(&[])))
                     } else {
                         None
                     };
@@ -892,7 +965,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
         }
     }
 
-    let templates = program
+    let templates: Vec<CompiledTemplate> = program
         .templates
         .iter()
         .map(|t| {
@@ -920,6 +993,18 @@ pub fn compile(program: &Program) -> CompiledProgram {
         })
         .collect();
 
+    let mut template_buckets = vec![Vec::new(); OPEN_BUCKET + 1];
+    for (i, t) in templates.iter().enumerate() {
+        let bucket = match t.segs.first() {
+            Some(Seg::Text(lit)) => lit.as_bytes()[0] as usize,
+            _ => OPEN_BUCKET,
+        };
+        template_buckets[bucket].push(TemplateId(i as u32));
+    }
+    for bucket in &mut template_buckets {
+        bucket.sort_by_key(|t| (std::cmp::Reverse(templates[t.index()].text_len), t.0));
+    }
+
     let worker_names = program
         .execs
         .iter()
@@ -930,6 +1015,12 @@ pub fn compile(program: &Program) -> CompiledProgram {
         .globals
         .iter()
         .map(|g| Arc::from(g.name.as_str()))
+        .collect();
+
+    let func_names = program
+        .funcs
+        .iter()
+        .map(|f| Arc::from(f.name.as_str()))
         .collect();
 
     let meta_points = meta_access_points(program);
@@ -949,7 +1040,9 @@ pub fn compile(program: &Program) -> CompiledProgram {
         templates,
         worker_names,
         global_names,
+        func_names,
         meta_points,
+        template_buckets,
         tries,
         try_of,
         meta_bits,

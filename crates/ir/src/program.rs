@@ -453,16 +453,6 @@ impl Program {
         self.blocks.iter().map(Vec::len).sum()
     }
 
-    /// Finds the template ids whose rendered form could equal `body`.
-    pub fn templates_matching(&self, body: &str) -> Vec<TemplateId> {
-        self.templates
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.matches(body))
-            .map(|(i, _)| TemplateId(i as u32))
-            .collect()
-    }
-
     /// Returns all log statements that use the given template.
     pub fn log_stmts_of_template(&self, template: TemplateId) -> Vec<StmtRef> {
         self.all_stmts()

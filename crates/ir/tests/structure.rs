@@ -87,10 +87,11 @@ fn every_statement_maps_to_its_function() {
 fn template_lookup_by_text_and_matching() {
     let p = nested_program();
     let t = p.template_named("handled").unwrap();
-    assert_eq!(p.templates_matching("handled"), vec![t]);
+    let compiled = anduril_ir::lower::compile(&p);
+    assert_eq!(compiled.best_template("handled"), Some(t));
     assert_eq!(p.log_stmts_of_template(t).len(), 1);
     assert!(p.template_named("no such template").is_none());
-    assert!(p.templates_matching("completely unknown body").is_empty());
+    assert!(compiled.best_template("completely unknown body").is_none());
 }
 
 #[test]

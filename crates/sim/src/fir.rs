@@ -190,17 +190,12 @@ impl Fir {
         }
     }
 
-    /// Traces one execution of `site` and decides whether to inject.
-    ///
-    /// Returns the exception type to throw, or `None` to let the call
-    /// proceed. `stack` is the current call stack, innermost first.
-    pub fn on_site(
-        &mut self,
-        site: SiteId,
-        time: u64,
-        log_pos: u32,
-        stack: &[FuncId],
-    ) -> Option<ExceptionType> {
+    /// `FIR.traceSite()`: traces one execution of `site`. Returns `true`
+    /// when the plan has a candidate armed at this site that could still
+    /// fire — only then must the caller build the call stack and ask
+    /// [`Fir::throw_if_enabled`]. For most requests it has none, and the
+    /// stack is never built.
+    pub fn trace_site(&mut self, site: SiteId, time: u64, log_pos: u32) -> bool {
         let occurrence = self.occ[site.index()];
         self.occ[site.index()] += 1;
         self.trace.push(TraceEntry {
@@ -210,16 +205,25 @@ impl Fir {
             log_pos,
         });
         self.requests += 1;
-        // A request with no armed candidates for this site (or after the
-        // one-shot injection has fired) decides nothing; reading the clock
-        // around that no-op would just measure the clock. `decision_ns`
-        // times only requests that actually consult a plan.
-        if (!self.multi_shot && self.injected.is_some())
-            || self.plan_by_site[site.index()].is_empty()
-        {
-            return None;
-        }
+        (self.multi_shot || self.injected.is_none()) && !self.plan_by_site[site.index()].is_empty()
+    }
+
+    /// `FIR.throwIfEnabled()`: decides whether the execution of `site`
+    /// just traced by [`Fir::trace_site`] throws. Returns the exception
+    /// type to throw, or `None` to let the call proceed. `stack` is the
+    /// current call stack, innermost first.
+    ///
+    /// `decision_ns` times only these calls: a request with no armed
+    /// candidate decides nothing, and reading the clock around that no-op
+    /// would just measure the clock.
+    pub fn throw_if_enabled(
+        &mut self,
+        site: SiteId,
+        time: u64,
+        stack: &[FuncId],
+    ) -> Option<ExceptionType> {
         let start = Instant::now();
+        let occurrence = self.occ[site.index()].checked_sub(1)?;
         let decision = self.decide(site, occurrence, time, stack);
         self.decision_ns += start.elapsed().as_nanos() as u64;
         decision
@@ -347,6 +351,41 @@ impl Fir {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Fir {
+        /// The instrumented pair as the simulator calls it.
+        fn on_site(
+            &mut self,
+            site: SiteId,
+            time: u64,
+            log_pos: u32,
+            stack: &[FuncId],
+        ) -> Option<ExceptionType> {
+            if self.trace_site(site, time, log_pos) {
+                self.throw_if_enabled(site, time, stack)
+            } else {
+                None
+            }
+        }
+    }
+
+    /// The stack is only worth building when `trace_site` says a candidate
+    /// could answer: never for an unarmed site, never after the one shot.
+    #[test]
+    fn trace_site_reports_whether_a_candidate_could_fire() {
+        let mut fir = Fir::new(2, InjectionPlan::exact(SiteId(1), 1, ExceptionType::Io));
+        assert!(!fir.trace_site(SiteId(0), 0, 0));
+        assert!(fir.trace_site(SiteId(1), 1, 0));
+        assert_eq!(fir.throw_if_enabled(SiteId(1), 1, &[]), None);
+        assert!(fir.trace_site(SiteId(1), 2, 0));
+        assert_eq!(
+            fir.throw_if_enabled(SiteId(1), 2, &[]),
+            Some(ExceptionType::Io)
+        );
+        assert!(!fir.trace_site(SiteId(1), 3, 0));
+        assert_eq!(fir.requests, 4);
+        assert_eq!(fir.trace.len(), 4);
+    }
 
     #[test]
     fn injects_at_exact_occurrence_once() {

@@ -54,12 +54,12 @@ pub mod config;
 pub mod fir;
 pub mod result;
 pub mod rng;
-pub mod thread;
+mod thread;
 pub mod world;
 
 pub use config::{Engine, NodeSpec, SimConfig, Topology};
 pub use fir::{Candidate, CrashPoint, Fir, InjectedRecord, InjectionPlan, TraceEntry};
-pub use result::{NodeSnapshot, RunResult, ThreadEndState, ThreadSnapshot};
+pub use result::{BlockReason, NodeSnapshot, RunResult, ThreadEndState, ThreadSnapshot};
 pub use world::snapshot::{
     run_compiled_capture, run_compiled_resume, ExecIndex, ResumeInfo, SeedPrefix, SnapshotPolicy,
     WorldSnapshot,

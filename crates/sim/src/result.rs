@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use anduril_ir::{log::render_log, LogEntry, Value};
+use anduril_ir::{log::render_log, ChanId, CondId, LogEntry, Value};
 
 use crate::fir::{InjectedRecord, TraceEntry};
 
@@ -16,8 +16,36 @@ pub struct ThreadSnapshot {
     pub thread: Arc<str>,
     /// Final lifecycle state.
     pub state: ThreadEndState,
-    /// Function names on the call stack at the end, innermost first.
-    pub stack: Vec<String>,
+    /// Function names on the call stack at the end, innermost first
+    /// (interned once per compiled program).
+    pub stack: Vec<Arc<str>>,
+}
+
+/// Why a thread is blocked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockReason {
+    /// Waiting for a message on a channel.
+    Chan(ChanId),
+    /// Waiting on a condition variable.
+    Cond(CondId),
+    /// Waiting for a future to complete.
+    Future(u64),
+    /// Sleeping until a deadline.
+    Sleep,
+    /// An executor worker with an empty task queue.
+    IdleWorker,
+}
+
+impl std::fmt::Display for BlockReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BlockReason::Chan(c) => write!(f, "recv(chan#{})", c.0),
+            BlockReason::Cond(c) => write!(f, "wait(cond#{})", c.0),
+            BlockReason::Future(id) => write!(f, "await(future#{id})"),
+            BlockReason::Sleep => f.write_str("sleep"),
+            BlockReason::IdleWorker => f.write_str("idle-worker"),
+        }
+    }
 }
 
 /// Thread lifecycle state at the end of a run.
@@ -29,7 +57,7 @@ pub enum ThreadEndState {
     Died(String),
     /// Still parked on a blocking statement (the run went quiescent or hit
     /// its horizon) — the "stuck" symptom shape.
-    Blocked(String),
+    Blocked(BlockReason),
     /// Was still runnable when the run's horizon was reached.
     Running,
     /// Its node aborted or crashed.
@@ -116,7 +144,7 @@ impl RunResult {
         self.threads.iter().any(|t| {
             t.thread.contains(thread)
                 && matches!(t.state, ThreadEndState::Blocked(_))
-                && t.stack.iter().any(|f| f == func)
+                && t.stack.iter().any(|f| f.as_ref() == func)
         })
     }
 

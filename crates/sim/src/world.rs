@@ -15,21 +15,21 @@
 //! unwinding, fault-injection bookkeeping, log emission, RNG draws — is
 //! shared by both engines, which is what makes their runs byte-identical.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::{Engine, SimConfig, Topology};
 use crate::fir::{Fir, InjectionPlan};
-use crate::result::{NodeSnapshot, RunResult, ThreadEndState, ThreadSnapshot};
+use crate::result::{BlockReason, NodeSnapshot, RunResult, ThreadEndState, ThreadSnapshot};
 use crate::rng::SmallRng;
 use crate::thread::{
-    BlockReason, Cursor, CursorKind, Frame, Pending, Role, Thread, ThreadId, ThreadStatus, WakeNote,
+    Cursor, CursorTag, Pending, Role, Thread, ThreadId, ThreadStatus, Unwinding, WakeNote,
 };
 use anduril_ir::builder::{STMT_RUNTIME, TMPL_NODE_CRASH, TMPL_UNCAUGHT};
 use anduril_ir::lower::CompiledProgram;
 use anduril_ir::{
-    ChanId, ExcValue, FuncId, Level, LogEntry, Program, StmtRef, TemplateId, Value, VarId,
+    BlockId, ChanId, ExcValue, FuncId, Level, LogEntry, Program, StmtRef, TemplateId, Value, VarId,
 };
 
 mod events;
@@ -39,7 +39,7 @@ pub mod snapshot;
 #[cfg(any(test, feature = "tree-walk-oracle"))]
 mod exec_ast;
 
-use events::EventQueue;
+use events::{Event, EventQueue};
 use snapshot::CaptureState;
 
 /// Errors surfaced by the interpreter.
@@ -76,6 +76,21 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// How results travel inside the crate: the error is one word, so a
+/// hot-path `Sim<Value>` is no wider than the `Value`, and building the
+/// error stays out of line. The public entry points unbox it.
+pub(crate) type Sim<T> = Result<T, Box<SimError>>;
+
+#[cold]
+fn type_error(stmt: Option<StmtRef>, msg: String) -> Box<SimError> {
+    Box::new(SimError::Type { stmt, msg })
+}
+
+#[cold]
+pub(crate) fn internal(msg: impl Into<String>) -> Box<SimError> {
+    Box::new(SimError::Internal(msg.into()))
+}
+
 /// Runs one simulation to completion (quiescence, horizon, or step limit),
 /// compiling the program first. Hot callers that replay the same program
 /// many times should compile once and use [`run_compiled`].
@@ -101,46 +116,6 @@ pub fn run_compiled(
     let mut world = World::new(program, compiled, topo, cfg, plan)?;
     world.drive()?;
     Ok(world.finish())
-}
-
-#[derive(Debug, Clone)]
-struct EventEntry {
-    time: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-#[derive(Debug, Clone)]
-enum EventKind {
-    /// Run (or unblock, when `expired`) a thread.
-    Wake {
-        tid: ThreadId,
-        token: u64,
-        expired: bool,
-    },
-    /// Deliver a message to `(node, chan)`.
-    Deliver {
-        node: usize,
-        chan: ChanId,
-        payload: Value,
-    },
-}
-
-impl PartialEq for EventEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for EventEntry {}
-impl PartialOrd for EventEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EventEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -175,14 +150,10 @@ struct Node {
     spawn_counts: HashMap<Arc<str>, u32>,
 }
 
-/// Control-flow outcome of executing one statement.
+/// A control transfer that leaves the statement's block. Everything else
+/// a statement can do to the cursor — advance, stay, enter a block — it
+/// does where it runs.
 enum Flow {
-    /// Advance to the next statement.
-    Next,
-    /// The statement blocked; re-execute it on wake-up.
-    Stay,
-    /// Cursor/frame stack already adjusted (branch taken, call pushed).
-    Jump,
     /// An exception was raised.
     Throw(Arc<ExcValue>),
     /// `return expr`.
@@ -191,8 +162,6 @@ enum Flow {
     Break,
     /// `continue`.
     Continue,
-    /// The thread ended (halt, node abort).
-    Stop,
 }
 
 struct World<'p> {
@@ -206,22 +175,15 @@ struct World<'p> {
     events: EventQueue,
     threads: Vec<Thread>,
     nodes: Vec<Node>,
-    node_by_name: HashMap<Arc<str>, usize>,
     futures: Vec<FutureState>,
     log: Vec<LogEntry>,
     fir: Fir,
     steps: u64,
-    /// Meta access points as a hash set — only built for the tree-walk
-    /// engine; the VM tests the compiled bitset instead.
-    meta_set: HashSet<StmtRef>,
     /// The VM's scratch register frame, reused across every statement of
     /// the whole run (sized to the widest statement at compile time).
     regs: Vec<Value>,
-    /// Recycled locals/argument buffers: returned frames feed this pool so
-    /// steady-state calls reuse allocations instead of hitting the heap.
-    spare_vals: Vec<Vec<Value>>,
-    /// Recycled cursor stacks, same lifecycle as `spare_vals`.
-    spare_cursors: Vec<Vec<Cursor>>,
+    /// The VM's scratch buffer for rendering log bodies.
+    body_buf: String,
     /// Snapshot-capture bookkeeping; `None` (the common case) outside
     /// [`snapshot::run_compiled_capture`] runs.
     capture: Option<Box<CaptureState>>,
@@ -236,29 +198,16 @@ impl<'p> World<'p> {
         cfg: &SimConfig,
         plan: InjectionPlan,
     ) -> Result<Self, SimError> {
-        #[cfg(not(any(test, feature = "tree-walk-oracle")))]
-        if cfg.engine == Engine::TreeWalk {
-            return Err(SimError::Internal(
-                "tree-walk engine requires the `tree-walk-oracle` feature".into(),
-            ));
-        }
-        let meta_set = if cfg.engine == Engine::TreeWalk {
-            compiled.meta_points.iter().copied().collect()
-        } else {
-            HashSet::new()
-        };
-        let mut world = World::empty(program, compiled, cfg, plan, meta_set);
-        for (i, spec) in topo.nodes.iter().enumerate() {
-            if world.node_by_name.contains_key(spec.name.as_str()) {
+        let mut world = World::empty(program, compiled, cfg, plan)?;
+        for spec in &topo.nodes {
+            if world.node_named(&spec.name).is_some() {
                 return Err(SimError::Internal(format!(
                     "duplicate node name {}",
                     spec.name
                 )));
             }
-            let name: Arc<str> = Arc::from(spec.name.as_str());
-            world.node_by_name.insert(name.clone(), i);
             world.nodes.push(Node {
-                name,
+                name: Arc::from(spec.name.as_str()),
                 alive: true,
                 aborted: false,
                 globals: program.globals.iter().map(|g| g.init.clone()).collect(),
@@ -274,21 +223,32 @@ impl<'p> World<'p> {
         let main_name: Arc<str> = Arc::from("main");
         for (i, spec) in topo.nodes.iter().enumerate() {
             let tid = world.create_thread(i, &main_name, Role::Normal);
-            world.push_entry_frame(tid, spec.main, spec.args.clone(), None)?;
+            world
+                .push_entry_frame(tid, spec.main, spec.args.clone())
+                .map_err(|e| *e)?;
             world.schedule_wake(tid, i as u64, false);
         }
         Ok(world)
     }
 
-    /// The bare struct with no nodes, threads, or scheduled events.
+    /// The bare struct with no nodes, threads, or scheduled events: what
+    /// [`World::new`] fills in from the topology, and what `restore`
+    /// overwrites wholesale from a snapshot (so the resume path pays for
+    /// no per-node globals clones, entry frames or initial wake events).
+    /// Must not be driven without one or the other.
     fn empty(
         program: &'p Program,
         compiled: &'p CompiledProgram,
         cfg: &SimConfig,
         plan: InjectionPlan,
-        meta_set: HashSet<StmtRef>,
-    ) -> Self {
-        World {
+    ) -> Result<Self, SimError> {
+        #[cfg(not(any(test, feature = "tree-walk-oracle")))]
+        if cfg.engine == Engine::TreeWalk {
+            return Err(SimError::Internal(
+                "tree-walk engine requires the `tree-walk-oracle` feature".into(),
+            ));
+        }
+        Ok(World {
             program,
             compiled,
             engine: cfg.engine,
@@ -299,49 +259,15 @@ impl<'p> World<'p> {
             events: EventQueue::new(),
             threads: Vec::new(),
             nodes: Vec::new(),
-            node_by_name: HashMap::new(),
             futures: Vec::new(),
             log: Vec::with_capacity(64),
             fir: Fir::new(program.sites.len(), plan),
             steps: 0,
-            meta_set,
             regs: vec![Value::Unit; compiled.max_regs],
-            spare_vals: Vec::new(),
-            spare_cursors: Vec::new(),
+            body_buf: String::new(),
             capture: None,
             started: Instant::now(),
-        }
-    }
-
-    /// A world shell for `restore`: only the name→index map survives from
-    /// topology setup (a snapshot overwrites nodes, threads, futures, the
-    /// event wheel, RNG, log, and FIR wholesale), so the per-node globals
-    /// clones, entry frames, and initial wake events `new` performs would
-    /// be pure waste on the resume path. Must not be driven without a
-    /// `restore` first.
-    fn new_shell(
-        program: &'p Program,
-        compiled: &'p CompiledProgram,
-        topo: &Topology,
-        cfg: &SimConfig,
-        plan: InjectionPlan,
-    ) -> Result<Self, SimError> {
-        #[cfg(not(any(test, feature = "tree-walk-oracle")))]
-        if cfg.engine == Engine::TreeWalk {
-            return Err(SimError::Internal(
-                "tree-walk engine requires the `tree-walk-oracle` feature".into(),
-            ));
-        }
-        let meta_set = if cfg.engine == Engine::TreeWalk {
-            compiled.meta_points.iter().copied().collect()
-        } else {
-            HashSet::new()
-        };
-        let mut world = World::empty(program, compiled, cfg, plan, meta_set);
-        for (i, spec) in topo.nodes.iter().enumerate() {
-            world.node_by_name.insert(Arc::from(spec.name.as_str()), i);
-        }
-        Ok(world)
+        })
     }
 
     // ---- infrastructure -------------------------------------------------
@@ -359,10 +285,12 @@ impl<'p> World<'p> {
         *count += 1;
         let tid = self.threads.len();
         self.threads.push(Thread {
-            id: tid,
             node,
             name: unique,
             frames: Vec::new(),
+            locals: Vec::new(),
+            cursors: Vec::new(),
+            unwinding: Vec::new(),
             status: ThreadStatus::Runnable,
             role,
             current_future: None,
@@ -372,85 +300,38 @@ impl<'p> World<'p> {
         tid
     }
 
-    fn push_entry_frame(
-        &mut self,
-        tid: ThreadId,
-        func: FuncId,
-        args: Vec<Value>,
-        ret_to: Option<VarId>,
-    ) -> Result<(), SimError> {
-        let f = &self.program.funcs[func.index()];
-        if args.len() != f.params as usize {
-            return Err(SimError::Internal(format!(
-                "function `{}` expects {} args, got {}",
-                f.name,
-                f.params,
-                args.len()
-            )));
-        }
-        let mut locals = args;
-        locals.resize(f.locals as usize, Value::Unit);
-        let mut cursors = self.spare_cursors.pop().unwrap_or_default();
-        cursors.push(Cursor::new(f.entry, CursorKind::Plain));
-        self.threads[tid].frames.push(Frame {
-            func,
-            locals,
-            ret_to,
-            cursors,
-        });
+    /// Starts a thread's (or an executor task's) outermost activation.
+    fn push_entry_frame(&mut self, tid: ThreadId, func: FuncId, args: Vec<Value>) -> Sim<()> {
+        let t = &mut self.threads[tid];
+        let args_at = t.locals.len();
+        t.locals.extend(args);
+        t.enter(&self.program.funcs[func.index()], func, args_at, None)?;
         Ok(())
     }
 
-    /// Hands out an empty values buffer for call arguments, reusing a
-    /// returned frame's locals allocation when one is available.
-    fn take_vals(&mut self, cap: usize) -> Vec<Value> {
-        match self.spare_vals.pop() {
-            Some(mut v) => {
-                v.reserve(cap);
-                v
-            }
-            None => Vec::with_capacity(cap),
-        }
+    /// Index of the node called `name`. Clusters are a handful of nodes,
+    /// and comparing a few short names beats hashing one.
+    fn node_named(&self, name: &str) -> Option<usize> {
+        self.nodes.iter().position(|n| &*n.name == name)
     }
 
-    /// Returns a popped frame's buffers to the recycling pools.
-    fn recycle_frame(&mut self, frame: Frame) {
-        let Frame {
-            mut locals,
-            mut cursors,
-            ..
-        } = frame;
-        // Bound the pools so a deep recursive burst cannot pin memory.
-        if self.spare_vals.len() < 32 {
-            locals.clear();
-            self.spare_vals.push(locals);
-        }
-        if self.spare_cursors.len() < 32 {
-            cursors.clear();
-            self.spare_cursors.push(cursors);
-        }
-    }
-
-    fn schedule(&mut self, delay: u64, kind: EventKind) {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.events.push(EventEntry {
-            time: self.clock + delay,
-            seq,
-            kind,
-        });
+        seq
     }
 
     fn schedule_wake(&mut self, tid: ThreadId, delay: u64, expired: bool) {
         let token = self.threads[tid].wait_token;
-        self.schedule(
-            delay,
-            EventKind::Wake {
-                tid,
-                token,
-                expired,
-            },
-        );
+        let seq = self.next_seq();
+        self.events
+            .push_wake(self.clock + delay, seq, tid, token, expired);
+    }
+
+    fn schedule_deliver(&mut self, delay: u64, node: usize, chan: ChanId, payload: Value) {
+        let seq = self.next_seq();
+        self.events
+            .push_deliver(self.clock + delay, seq, node, chan, payload);
     }
 
     /// Unblocks a thread immediately (signal / delivery / future path).
@@ -536,12 +417,21 @@ impl<'p> World<'p> {
         offset: u64,
     ) {
         let body = self.program.templates[template.index()].render(args);
-        self.emit_raw(node, thread, level, template, stmt, body, exc, offset);
+        self.emit_raw(
+            node,
+            thread,
+            level,
+            template,
+            stmt,
+            body.into(),
+            exc,
+            offset,
+        );
     }
 
     /// Emits a log entry with an already-rendered body (the VM's fast path;
     /// node and thread names are interned, so this allocates nothing beyond
-    /// the body and the entry itself).
+    /// the entry itself).
     #[allow(clippy::too_many_arguments)] // Log emission legitimately carries the full record.
     fn emit_raw(
         &mut self,
@@ -550,7 +440,7 @@ impl<'p> World<'p> {
         level: Level,
         template: TemplateId,
         stmt: StmtRef,
-        body: String,
+        body: Arc<str>,
         exc: Option<&ExcValue>,
         offset: u64,
     ) {
@@ -571,7 +461,7 @@ impl<'p> World<'p> {
             level,
             template,
             stmt,
-            body: body.into(),
+            body,
             exc: exc_name,
             stack,
         });
@@ -610,19 +500,23 @@ impl<'p> World<'p> {
     // ---- main loop -------------------------------------------------------
 
     fn drive(&mut self) -> Result<(), SimError> {
+        self.drive_events().map_err(|e| *e)
+    }
+
+    fn drive_events(&mut self) -> Sim<()> {
         loop {
             // Snapshot at the loop top, where the state is a complete
             // resumable quiescent point (the next event still queued).
             if self.capture.is_some() {
                 self.maybe_snapshot();
             }
-            let Some(ev) = self.events.pop() else { break };
-            if ev.time > self.cfg.max_time {
+            let Some(due) = self.events.pop() else { break };
+            if due.time > self.cfg.max_time {
                 break;
             }
-            self.clock = ev.time;
-            match ev.kind {
-                EventKind::Wake {
+            self.clock = due.time;
+            match due.event {
+                Event::Wake {
                     tid,
                     token,
                     expired,
@@ -631,19 +525,19 @@ impl<'p> World<'p> {
                         continue;
                     }
                     match self.threads[tid].status {
-                        ThreadStatus::Runnable => self.run_slice(tid)?,
+                        ThreadStatus::Runnable => self.run_thread(tid)?,
                         ThreadStatus::Blocked(reason) if expired => {
                             self.deregister(tid, reason);
                             let t = &mut self.threads[tid];
                             t.status = ThreadStatus::Runnable;
                             t.note = WakeNote::Expired;
                             t.wait_token += 1;
-                            self.run_slice(tid)?;
+                            self.run_thread(tid)?;
                         }
                         _ => {}
                     }
                 }
-                EventKind::Deliver {
+                Event::Deliver {
                     node,
                     chan,
                     payload,
@@ -662,112 +556,81 @@ impl<'p> World<'p> {
         Ok(())
     }
 
-    fn run_slice(&mut self, tid: ThreadId) -> Result<(), SimError> {
-        // Dispatch on the engine once per slice, not once per step: each
-        // arm is a monomorphic loop whose executor call the compiler can
-        // see through.
-        match self.engine {
-            Engine::Vm => self.run_slice_in::<true>(tid),
-            Engine::TreeWalk => self.run_slice_in::<false>(tid),
+    /// Runs a runnable thread slice after slice for as long as it is the
+    /// lone runner: when a slice ends runnable and nothing queued is due at
+    /// or before the thread's own wake time, its wake would be the very next
+    /// event popped, so `seq`, `clock` and the wheel move as push-then-pop
+    /// would have moved them and the next slice starts right away — same
+    /// `(time, seq)` order, same RNG draws. The wake goes through the queue
+    /// whenever the loop top has work to do in between: a snapshot is due,
+    /// or the wake lies past the horizon and ends the run.
+    fn run_thread(&mut self, tid: ThreadId) -> Sim<()> {
+        loop {
+            let Some(delay) = self.run_slice(tid)? else {
+                return Ok(());
+            };
+            let wake = self.clock + delay;
+            if wake > self.cfg.max_time || self.snapshot_due() || !self.events.none_due_by(wake) {
+                self.schedule_wake(tid, delay, false);
+                return Ok(());
+            }
+            self.seq += 1;
+            self.events.skip_to(wake);
+            self.clock = wake;
         }
     }
 
-    fn run_slice_in<const VM: bool>(&mut self, tid: ThreadId) -> Result<(), SimError> {
-        let quantum = self.cfg.quantum as u64 + self.rng.random_range(0..3);
-        let mut elapsed: u64 = 0;
-        for _ in 0..quantum {
-            if !matches!(self.threads[tid].status, ThreadStatus::Runnable) {
-                return Ok(());
-            }
-            self.step::<VM>(tid, &mut elapsed)?;
-            self.steps += 1;
-            if self.steps > self.cfg.max_steps {
-                return Err(SimError::StepLimit);
-            }
+    /// Runs one scheduling slice of a runnable thread. Returns the delay
+    /// after which it wants to run again, or `None` if it no longer can.
+    fn run_slice(&mut self, tid: ThreadId) -> Sim<Option<u64>> {
+        match self.engine {
+            Engine::Vm => self.run_slice_vm(tid),
+            #[cfg(any(test, feature = "tree-walk-oracle"))]
+            Engine::TreeWalk => self.run_slice_ast(tid),
+            #[cfg(not(any(test, feature = "tree-walk-oracle")))]
+            Engine::TreeWalk => Err(internal(
+                "tree-walk engine requires the `tree-walk-oracle` feature",
+            )),
         }
-        if matches!(self.threads[tid].status, ThreadStatus::Runnable) {
-            self.schedule_wake(tid, elapsed.max(1), false);
+    }
+
+    /// Counts the step just taken against [`SimConfig::max_steps`].
+    #[inline]
+    fn count_step(&mut self) -> Sim<()> {
+        self.steps += 1;
+        if self.steps > self.cfg.max_steps {
+            return Err(Box::new(SimError::StepLimit));
         }
         Ok(())
     }
 
     // ---- engine-agnostic stepping ---------------------------------------
+    //
+    // A step that executes nothing — a block end, an implicit return, an
+    // idle worker polling its queue — still counts and still costs a tick:
+    // slice boundaries, and with them every timestamp of a run, depend on
+    // it.
 
-    fn step<const VM: bool>(&mut self, tid: ThreadId, elapsed: &mut u64) -> Result<(), SimError> {
-        *elapsed += 1;
-        if self.threads[tid].frames.is_empty() {
-            return self.thread_idle(tid);
-        }
-        let (block, idx) = {
-            let frame = self.threads[tid].frames.last_mut().unwrap();
-            match frame.cursors.last() {
-                Some(c) => (c.block, c.idx),
-                None => {
-                    // The function body is exhausted: implicit `return`.
-                    return self.do_return(tid, Value::Unit);
-                }
-            }
-        };
-        if idx >= self.compiled.block_len[block.index()] as usize {
-            return self.block_end(tid);
-        }
-        let sref = StmtRef::new(block, idx as u32);
-        let flat = if VM { self.compiled.flat(sref) } else { 0 };
-        let is_meta = if VM {
-            self.compiled.is_meta(flat)
-        } else {
-            self.meta_set.contains(&sref)
-        };
-        if is_meta && self.fir.on_meta_access(sref) {
-            let node = self.threads[tid].node;
-            let name = self.nodes[node].name.to_string();
-            let thread = self.threads[tid].name.clone();
-            self.emit(
-                node,
-                thread,
-                Level::Error,
-                TMPL_NODE_CRASH,
-                STMT_RUNTIME,
-                &[name],
-                None,
-                *elapsed,
-            );
-            self.kill_node(node);
-            return Ok(());
-        }
-        let flow = if VM {
-            self.exec_instr(tid, sref, flat, elapsed)?
-        } else {
-            #[cfg(any(test, feature = "tree-walk-oracle"))]
-            {
-                self.exec_stmt(tid, sref, elapsed)?
-            }
-            #[cfg(not(any(test, feature = "tree-walk-oracle")))]
-            {
-                return Err(SimError::Internal(
-                    "tree-walk engine requires the `tree-walk-oracle` feature".into(),
-                ));
-            }
-        };
-        // The overwhelmingly common flows are handled right here in the
-        // stepping loop; everything that unwinds or searches handler
-        // tables goes through `apply_flow`.
-        match flow {
-            Flow::Next => {
-                if let Some(frame) = self.threads[tid].frames.last_mut() {
-                    if let Some(c) = frame.cursors.last_mut() {
-                        c.idx += 1;
-                    }
-                }
-                Ok(())
-            }
-            Flow::Stay | Flow::Jump | Flow::Stop => Ok(()),
-            flow => self.apply_flow(tid, flow),
-        }
+    /// A CrashTuner crash point fired: the node goes down mid-step.
+    fn crash_node(&mut self, tid: ThreadId, elapsed: u64) {
+        let node = self.threads[tid].node;
+        let name = self.nodes[node].name.to_string();
+        let thread = self.threads[tid].name.clone();
+        self.emit(
+            node,
+            thread,
+            Level::Error,
+            TMPL_NODE_CRASH,
+            STMT_RUNTIME,
+            &[name],
+            None,
+            elapsed,
+        );
+        self.kill_node(node);
     }
 
     /// Handles a thread with an empty frame stack.
-    fn thread_idle(&mut self, tid: ThreadId) -> Result<(), SimError> {
+    fn thread_idle(&mut self, tid: ThreadId) -> Sim<()> {
         match self.threads[tid].role {
             Role::Normal => {
                 self.threads[tid].status = ThreadStatus::Done;
@@ -778,7 +641,7 @@ impl<'p> World<'p> {
                 match self.nodes[node].execs[exec.index()].queue.pop_front() {
                     Some(task) => {
                         self.threads[tid].current_future = Some(task.future);
-                        self.push_entry_frame(tid, task.func, task.args, None)
+                        self.push_entry_frame(tid, task.func, task.args)
                     }
                     None => {
                         self.park(tid, BlockReason::IdleWorker, None);
@@ -789,17 +652,8 @@ impl<'p> World<'p> {
         }
     }
 
-    fn apply_flow(&mut self, tid: ThreadId, flow: Flow) -> Result<(), SimError> {
+    fn apply_flow(&mut self, tid: ThreadId, flow: Flow) -> Sim<()> {
         match flow {
-            Flow::Next => {
-                if let Some(frame) = self.threads[tid].frames.last_mut() {
-                    if let Some(c) = frame.cursors.last_mut() {
-                        c.idx += 1;
-                    }
-                }
-                Ok(())
-            }
-            Flow::Stay | Flow::Jump | Flow::Stop => Ok(()),
             Flow::Throw(exc) => self.do_throw(tid, exc),
             Flow::Return(v) => self.do_return_walk(tid, v),
             Flow::Break => self.do_loop_ctl(tid, false),
@@ -807,181 +661,176 @@ impl<'p> World<'p> {
         }
     }
 
-    /// Finds the exception of the nearest enclosing handler, searching the
-    /// cursor stacks from the innermost frame outward.
+    /// The exception of the nearest enclosing handler, this frame's or a
+    /// caller's.
     fn current_handler_exc(&self, tid: ThreadId) -> Option<Arc<ExcValue>> {
-        for frame in self.threads[tid].frames.iter().rev() {
-            for cursor in frame.cursors.iter().rev() {
-                if let CursorKind::Handler { exc, .. } = &cursor.kind {
-                    return Some(exc.clone());
-                }
-            }
-        }
-        None
+        self.threads[tid]
+            .unwinding
+            .iter()
+            .rev()
+            .find_map(|u| match u {
+                Unwinding::Caught(exc) => Some(exc.clone()),
+                Unwinding::Resume(_) => None,
+            })
     }
 
-    fn do_return(&mut self, tid: ThreadId, value: Value) -> Result<(), SimError> {
-        let popped = self.threads[tid]
-            .frames
-            .pop()
-            .ok_or_else(|| SimError::Internal("return with no frame".into()))?;
-        let ret_to = popped.ret_to;
-        self.recycle_frame(popped);
-        if self.threads[tid].frames.is_empty() {
-            match self.threads[tid].role {
-                Role::Normal => self.threads[tid].status = ThreadStatus::Done,
+    /// The `TimeoutException` a blocking statement raises when it wakes
+    /// expired.
+    fn timeout_exc(&self, tid: ThreadId) -> Flow {
+        Flow::Throw(Arc::new(ExcValue {
+            ty: anduril_ir::ExceptionType::Timeout,
+            inner: None,
+            origin_site: None,
+            injected: false,
+            stack: self.threads[tid].stack_funcs(),
+        }))
+    }
+
+    /// Returns from the innermost frame, whose cursors are exhausted,
+    /// handing `value` to the caller — or, from the outermost frame, ending
+    /// the thread or completing the task's future with it.
+    fn do_return(&mut self, tid: ThreadId, value: Value) -> Sim<()> {
+        let t = &mut self.threads[tid];
+        if t.frames.is_empty() {
+            return Err(internal("return with no frame"));
+        }
+        if let Some(result) = t.leave_frame(value) {
+            match t.role {
+                Role::Normal => t.status = ThreadStatus::Done,
                 Role::Worker(_) => {
-                    if let Some(fid) = self.threads[tid].current_future.take() {
-                        self.complete_future(fid, Ok(value));
+                    if let Some(fid) = t.current_future.take() {
+                        self.complete_future(fid, Ok(result));
                     }
                 }
             }
-            return Ok(());
-        }
-        if let Some(var) = ret_to {
-            self.write_local(tid, var, value);
         }
         Ok(())
+    }
+
+    /// The `finally` block of the `try` owning a body or handler cursor
+    /// that was just popped.
+    fn finally_of(&self, tid: ThreadId, popped: &Cursor) -> Option<BlockId> {
+        let owner = self.threads[tid].owner_of(popped)?;
+        self.compiled.try_finally(owner)
     }
 
     /// Implements `return`, unwinding through `finally` blocks.
     ///
     /// Handler/finally metadata comes from the compiled try table, so the
     /// walk is shared verbatim by both engines.
-    fn do_return_walk(&mut self, tid: ThreadId, value: Value) -> Result<(), SimError> {
-        let compiled = self.compiled;
+    fn do_return_walk(&mut self, tid: ThreadId, value: Value) -> Sim<()> {
+        if self.threads[tid].frames.is_empty() {
+            return Err(internal("return with no frame"));
+        }
         loop {
-            let frame = self.threads[tid]
-                .frames
-                .last_mut()
-                .ok_or_else(|| SimError::Internal("return with no frame".into()))?;
-            match frame.cursors.pop() {
-                None => return self.do_return(tid, value),
-                Some(cursor) => match cursor.kind {
-                    CursorKind::TryBody { stmt } | CursorKind::Handler { stmt, .. } => {
-                        if let Some(f) = compiled.try_finally(stmt) {
-                            frame.cursors.push(Cursor::new(
-                                f,
-                                CursorKind::Finally {
-                                    pending: Pending::Return(value),
-                                },
-                            ));
-                            return Ok(());
-                        }
-                    }
-                    _ => {}
-                },
+            let Some((cursor, _)) = self.threads[tid].pop_cursor() else {
+                return self.do_return(tid, value);
+            };
+            if matches!(cursor.tag, CursorTag::TryBody | CursorTag::Handler) {
+                if let Some(f) = self.finally_of(tid, &cursor) {
+                    self.threads[tid].push_unwinding(
+                        f,
+                        CursorTag::Finally,
+                        0,
+                        Unwinding::Resume(Pending::Return(value)),
+                    );
+                    return Ok(());
+                }
             }
         }
     }
 
     /// Implements `break` (`continue` when `is_continue`), honouring
     /// `finally` blocks between the statement and the loop.
-    fn do_loop_ctl(&mut self, tid: ThreadId, is_continue: bool) -> Result<(), SimError> {
-        let compiled = self.compiled;
+    fn do_loop_ctl(&mut self, tid: ThreadId, is_continue: bool) -> Sim<()> {
+        if self.threads[tid].frames.is_empty() {
+            return Err(internal("loop control with no frame"));
+        }
         loop {
-            let frame = self.threads[tid]
-                .frames
-                .last_mut()
-                .ok_or_else(|| SimError::Internal("loop control with no frame".into()))?;
-            match frame.cursors.pop() {
-                None => {
-                    return Err(SimError::Internal(
-                        "break/continue outside a loop".to_string(),
-                    ))
+            let Some((cursor, _)) = self.threads[tid].pop_cursor() else {
+                return Err(internal("break/continue outside a loop"));
+            };
+            match cursor.tag {
+                CursorTag::Loop => {
+                    // The parent cursor still points at the `while`
+                    // statement: `continue` leaves it there so the
+                    // condition is re-evaluated; `break` advances past
+                    // the loop.
+                    if let Some(c) = self.threads[tid].top_cursor_mut() {
+                        c.idx = cursor.owner + if is_continue { 0 } else { 1 };
+                    }
+                    return Ok(());
                 }
-                Some(cursor) => match cursor.kind {
-                    CursorKind::Loop { stmt } => {
-                        // The parent cursor still points at the `while`
-                        // statement: `continue` leaves it there so the
-                        // condition is re-evaluated; `break` advances past
-                        // the loop.
-                        if let Some(c) = frame.cursors.last_mut() {
-                            c.idx = stmt.idx as usize + if is_continue { 0 } else { 1 };
-                        }
+                CursorTag::TryBody | CursorTag::Handler => {
+                    if let Some(f) = self.finally_of(tid, &cursor) {
+                        let pending = if is_continue {
+                            Pending::Continue
+                        } else {
+                            Pending::Break
+                        };
+                        self.threads[tid].push_unwinding(
+                            f,
+                            CursorTag::Finally,
+                            0,
+                            Unwinding::Resume(pending),
+                        );
                         return Ok(());
                     }
-                    CursorKind::TryBody { stmt } | CursorKind::Handler { stmt, .. } => {
-                        if let Some(f) = compiled.try_finally(stmt) {
-                            let pending = if is_continue {
-                                Pending::Continue
-                            } else {
-                                Pending::Break
-                            };
-                            frame
-                                .cursors
-                                .push(Cursor::new(f, CursorKind::Finally { pending }));
-                            return Ok(());
-                        }
-                    }
-                    _ => {}
-                },
+                }
+                CursorTag::Plain | CursorTag::Finally => {}
             }
         }
     }
 
-    fn do_throw(&mut self, tid: ThreadId, exc: Arc<ExcValue>) -> Result<(), SimError> {
+    fn do_throw(&mut self, tid: ThreadId, exc: Arc<ExcValue>) -> Sim<()> {
         let compiled = self.compiled;
         loop {
-            if self.threads[tid].frames.is_empty() {
+            let t = &mut self.threads[tid];
+            if t.frames.is_empty() {
                 return self.uncaught(tid, exc);
             }
-            let fidx = self.threads[tid].frames.len() - 1;
-            loop {
-                let frame = &mut self.threads[tid].frames[fidx];
-                let Some(cursor) = frame.cursors.pop() else {
-                    break;
-                };
-                match cursor.kind {
-                    CursorKind::TryBody { stmt } => {
-                        let Some(info) = compiled.try_info(stmt) else {
-                            return Err(SimError::Internal("TryBody without Try".into()));
-                        };
+            while let Some((cursor, _)) = t.pop_cursor() {
+                let finally = match cursor.tag {
+                    CursorTag::TryBody => {
+                        let info = t
+                            .owner_of(&cursor)
+                            .and_then(|owner| compiled.try_info(owner))
+                            .ok_or_else(|| internal("TryBody without Try"))?;
                         if let Some(h) = info.handlers.iter().find(|h| h.pattern.matches(exc.ty)) {
                             if let Some(bind) = h.bind {
-                                frame.locals[bind.index()] = Value::Exc(exc.clone());
+                                t.frame_locals_mut()[bind.index()] = Value::Exc(exc.clone());
                             }
-                            frame.cursors.push(Cursor::new(
+                            t.push_unwinding(
                                 h.block,
-                                CursorKind::Handler {
-                                    stmt,
-                                    exc: exc.clone(),
-                                },
-                            ));
+                                CursorTag::Handler,
+                                cursor.owner,
+                                Unwinding::Caught(exc),
+                            );
                             return Ok(());
                         }
-                        if let Some(f) = info.finally {
-                            frame.cursors.push(Cursor::new(
-                                f,
-                                CursorKind::Finally {
-                                    pending: Pending::Exc(exc.clone()),
-                                },
-                            ));
-                            return Ok(());
-                        }
+                        info.finally
                     }
-                    CursorKind::Handler { stmt, .. } => {
-                        if let Some(f) = compiled.try_finally(stmt) {
-                            frame.cursors.push(Cursor::new(
-                                f,
-                                CursorKind::Finally {
-                                    pending: Pending::Exc(exc.clone()),
-                                },
-                            ));
-                            return Ok(());
-                        }
-                    }
-                    _ => {}
+                    CursorTag::Handler => t
+                        .owner_of(&cursor)
+                        .and_then(|owner| compiled.try_finally(owner)),
+                    CursorTag::Plain | CursorTag::Loop | CursorTag::Finally => None,
+                };
+                if let Some(f) = finally {
+                    t.push_unwinding(
+                        f,
+                        CursorTag::Finally,
+                        0,
+                        Unwinding::Resume(Pending::Exc(exc)),
+                    );
+                    return Ok(());
                 }
             }
             // No handler in this frame.
-            if let Some(f) = self.threads[tid].frames.pop() {
-                self.recycle_frame(f);
-            }
+            t.pop_frame();
         }
     }
 
-    fn uncaught(&mut self, tid: ThreadId, exc: Arc<ExcValue>) -> Result<(), SimError> {
+    fn uncaught(&mut self, tid: ThreadId, exc: Arc<ExcValue>) -> Sim<()> {
         match self.threads[tid].role {
             Role::Normal => {
                 let node = self.threads[tid].node;
@@ -1010,79 +859,71 @@ impl<'p> World<'p> {
         }
     }
 
-    fn block_end(&mut self, tid: ThreadId) -> Result<(), SimError> {
-        let compiled = self.compiled;
-        let frame = self.threads[tid]
-            .frames
-            .last_mut()
-            .ok_or_else(|| SimError::Internal("block end with no frame".into()))?;
-        let cursor = frame
-            .cursors
-            .pop()
-            .ok_or_else(|| SimError::Internal("block end with no cursor".into()))?;
-        match cursor.kind {
-            CursorKind::Plain => Ok(()),
-            CursorKind::Loop { stmt } => {
+    /// Control ran off the end of the innermost block.
+    fn block_end(&mut self, tid: ThreadId) -> Sim<()> {
+        let t = &mut self.threads[tid];
+        if t.frames.is_empty() {
+            return Err(internal("block end with no frame"));
+        }
+        let (cursor, unwinding) = t
+            .pop_cursor()
+            .ok_or_else(|| internal("block end with no cursor"))?;
+        match cursor.tag {
+            CursorTag::Plain => Ok(()),
+            CursorTag::Loop => {
                 // Point the parent cursor back at the `while` statement so
                 // the condition is re-evaluated on the next step.
-                if let Some(c) = frame.cursors.last_mut() {
-                    c.idx = stmt.idx as usize;
+                if let Some(c) = t.top_cursor_mut() {
+                    c.idx = cursor.owner;
                 }
                 Ok(())
             }
-            CursorKind::TryBody { stmt } | CursorKind::Handler { stmt, .. } => {
-                if let Some(f) = compiled.try_finally(stmt) {
-                    frame.cursors.push(Cursor::new(
+            CursorTag::TryBody | CursorTag::Handler => {
+                if let Some(f) = self.finally_of(tid, &cursor) {
+                    self.threads[tid].push_unwinding(
                         f,
-                        CursorKind::Finally {
-                            pending: Pending::None,
-                        },
-                    ));
+                        CursorTag::Finally,
+                        0,
+                        Unwinding::Resume(Pending::None),
+                    );
                 }
                 Ok(())
             }
-            CursorKind::Finally { pending } => match pending {
-                Pending::None => Ok(()),
-                Pending::Exc(exc) => self.do_throw(tid, exc),
-                Pending::Return(v) => self.do_return_walk(tid, v),
-                Pending::Break => self.do_loop_ctl(tid, false),
-                Pending::Continue => self.do_loop_ctl(tid, true),
+            CursorTag::Finally => match unwinding {
+                Some(Unwinding::Resume(pending)) => match pending {
+                    Pending::None => Ok(()),
+                    Pending::Exc(exc) => self.do_throw(tid, exc),
+                    Pending::Return(v) => self.do_return_walk(tid, v),
+                    Pending::Break => self.do_loop_ctl(tid, false),
+                    Pending::Continue => self.do_loop_ctl(tid, true),
+                },
+                _ => Err(internal("finally block without its pending transfer")),
             },
         }
     }
 
     // ---- locals ----------------------------------------------------------
 
-    /// Clones a local (the tree-walk's variable read; the VM reads locals
-    /// by borrow inside `eval_c`).
-    #[cfg(any(test, feature = "tree-walk-oracle"))]
-    fn read_local(&self, tid: ThreadId, var: VarId) -> Value {
-        self.threads[tid]
-            .frames
-            .last()
-            .map(|f| f.locals[var.index()].clone())
-            .unwrap_or(Value::Unit)
-    }
-
     fn write_local(&mut self, tid: ThreadId, var: VarId, value: Value) {
-        if let Some(f) = self.threads[tid].frames.last_mut() {
-            f.locals[var.index()] = value;
+        let t = &mut self.threads[tid];
+        if !t.frames.is_empty() {
+            t.frame_locals_mut()[var.index()] = value;
         }
     }
 
     // ---- finalization ------------------------------------------------------
 
     fn finish(self) -> RunResult {
-        let program = self.program;
         let site_occurrences = self.fir.occ_vec();
         let crashed = self.fir.crashed;
+        let func_names = &self.compiled.func_names;
         let threads = self
             .threads
             .iter()
             .map(|t| {
                 let state = match &t.status {
                     ThreadStatus::Runnable => ThreadEndState::Running,
-                    ThreadStatus::Blocked(r) => ThreadEndState::Blocked(r.label()),
+                    ThreadStatus::Blocked(r) => ThreadEndState::Blocked(*r),
                     ThreadStatus::Done => ThreadEndState::Done,
                     ThreadStatus::Died(e) => ThreadEndState::Died(e.render()),
                     ThreadStatus::Killed => ThreadEndState::Killed,
@@ -1095,7 +936,7 @@ impl<'p> World<'p> {
                         .frames
                         .iter()
                         .rev()
-                        .map(|f| program.funcs[f.func.index()].name.clone())
+                        .map(|f| func_names[f.func.index()].clone())
                         .collect(),
                 }
             })

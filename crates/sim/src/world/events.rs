@@ -3,28 +3,45 @@
 //! The scheduler's event traffic is dominated by short delays — quantum
 //! re-wakes, message latencies, brief sleeps — so a ring of FIFO buckets
 //! indexed by `time % WHEEL` turns almost every push and pop into O(1)
-//! slot operations instead of `BinaryHeap` sifts over ~50-byte entries.
-//! Delays beyond the wheel horizon overflow into a heap.
+//! slot operations instead of `BinaryHeap` sifts. Delays beyond the wheel
+//! horizon overflow into a heap.
 //!
 //! Buckets are intrusive lists threaded through one shared node pool, so
 //! the queue performs no per-slot allocation: a whole run touches the
 //! allocator only when the pool itself grows, which settles after the
 //! first few slices (the pool's high-water mark is the maximum number of
-//! simultaneously queued events, not the event count).
+//! simultaneously queued events, not the event count). A node is 32 bytes:
+//! `(time, seq)`, one word of wake token and a packed `(kind, index)`.
+//! Message payloads wait in a side slab and are addressed by that index, so
+//! the wheel never moves a `Value`.
 //!
-//! Ordering is byte-identical to the `BinaryHeap<Reverse<EventEntry>>` it
-//! replaces: events pop in `(time, seq)` order. Within a slot, FIFO order
-//! *is* `seq` order (pushes happen with monotonically increasing `seq`),
-//! and a slot never mixes two wheel epochs because only times within
-//! `[cursor, cursor + WHEEL)` are admitted and `cursor` never moves
-//! backwards. On a time tie between wheel and overflow, the overflow event
-//! pops first: it was necessarily scheduled earlier (while the time was
-//! still beyond the horizon), so it carries the smaller `seq`.
+//! Ordering is byte-identical to a `BinaryHeap<Reverse<_>>` keyed by
+//! `(time, seq)`. Within a slot, FIFO order *is* `seq` order (pushes happen
+//! with monotonically increasing `seq`), and a slot never mixes two wheel
+//! epochs because only times within `[cursor, cursor + WHEEL)` are admitted
+//! and `cursor` never moves backwards. On a time tie between wheel and
+//! overflow, the overflow event pops first: it was necessarily scheduled
+//! earlier (while the time was still beyond the horizon), so it carries the
+//! smaller `seq`.
+//!
+//! # The lone runner
+//!
+//! A thread that ends its slice still runnable asks to be woken `d` ticks
+//! later. If nothing queued is due at or before that time
+//! ([`EventQueue::none_due_by`]), pushing the wake and popping it again
+//! would return exactly that wake: it is the only event at or before its
+//! time (an event *at* its time would have been pushed earlier, carry the
+//! smaller `seq` and pop first — which is why the test is "at or before",
+//! not "before"). [`EventQueue::skip_to`] then leaves the queue in the state
+//! push-then-pop would have left it in, and the scheduler keeps running the
+//! thread.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use super::{EventEntry, EventKind};
+use anduril_ir::{ChanId, Value};
+
+use crate::thread::ThreadId;
 
 /// Number of wheel slots. Delays shorter than this are the overwhelmingly
 /// common case; longer ones take the overflow heap.
@@ -33,11 +50,68 @@ const WHEEL: usize = 256;
 /// Null link / empty slot marker in the node pool.
 const NIL: u32 = u32::MAX;
 
-/// One pooled event plus its intra-slot FIFO link.
-#[derive(Clone)]
+/// What a popped event asks the scheduler to do.
+#[derive(Debug)]
+pub(super) enum Event {
+    /// Run (or unblock, when `expired`) a thread.
+    Wake {
+        tid: ThreadId,
+        token: u64,
+        expired: bool,
+    },
+    /// Deliver a message to `(node, chan)`.
+    Deliver {
+        node: usize,
+        chan: ChanId,
+        payload: Value,
+    },
+}
+
+/// A popped event with its place in the schedule.
+#[derive(Debug)]
+pub(super) struct Due {
+    pub time: u64,
+    /// Only the ordering tests read it: the scheduler needs no more than
+    /// the order itself.
+    #[cfg(test)]
+    pub seq: u64,
+    pub event: Event,
+}
+
+const KIND_WAKE: u32 = 0;
+const KIND_EXPIRE: u32 = 1;
+const KIND_DELIVER: u32 = 2;
+
+/// One pooled event: `what` is `index << 2 | kind`, where the index is the
+/// thread of a wake or the payload slot of a delivery; `token` is the wake's
+/// wait epoch (unused by deliveries); `next` is the intra-slot FIFO link
+/// (unused in the overflow heap).
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct Node {
-    entry: EventEntry,
+    time: u64,
+    seq: u64,
+    token: u64,
+    what: u32,
     next: u32,
+}
+
+impl PartialOrd for Node {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Node {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.time, self.seq).cmp(&(other.time, other.seq))
+    }
+}
+
+/// A message in flight.
+#[derive(Clone)]
+struct Parcel {
+    node: usize,
+    chan: ChanId,
+    payload: Value,
 }
 
 #[derive(Clone)]
@@ -52,9 +126,13 @@ pub(super) struct EventQueue {
     /// Scan start: no queued event is earlier than this time.
     cursor: u64,
     /// Events scheduled past the wheel horizon.
-    overflow: BinaryHeap<Reverse<EventEntry>>,
+    overflow: BinaryHeap<Reverse<Node>>,
     /// Total queued events across wheel and overflow.
     len: usize,
+    /// Payloads of queued deliveries; `None` slots are listed in
+    /// `free_parcels`.
+    parcels: Vec<Option<Parcel>>,
+    free_parcels: Vec<u32>,
 }
 
 impl EventQueue {
@@ -67,27 +145,83 @@ impl EventQueue {
             cursor: 0,
             overflow: BinaryHeap::new(),
             len: 0,
+            parcels: Vec::new(),
+            free_parcels: Vec::new(),
         }
     }
 
-    /// Queues an event. `entry.time` must be `>=` the time of the last
-    /// popped event (the simulation clock never schedules into the past).
-    pub(super) fn push(&mut self, entry: EventEntry) {
-        debug_assert!(entry.time >= self.cursor, "event scheduled in the past");
+    /// Queues a wake. `time` must be `>=` the time of the last popped event
+    /// (the simulation clock never schedules into the past).
+    pub(super) fn push_wake(
+        &mut self,
+        time: u64,
+        seq: u64,
+        tid: ThreadId,
+        token: u64,
+        expired: bool,
+    ) {
+        debug_assert!(tid < 1 << 30, "thread index exceeds the packed range");
+        let kind = if expired { KIND_EXPIRE } else { KIND_WAKE };
+        self.push(Node {
+            time,
+            seq,
+            token,
+            what: (tid as u32) << 2 | kind,
+            next: NIL,
+        });
+    }
+
+    /// Queues a message delivery; same contract on `time` as
+    /// [`EventQueue::push_wake`].
+    pub(super) fn push_deliver(
+        &mut self,
+        time: u64,
+        seq: u64,
+        node: usize,
+        chan: ChanId,
+        payload: Value,
+    ) {
+        let parcel = Some(Parcel {
+            node,
+            chan,
+            payload,
+        });
+        let slot = match self.free_parcels.pop() {
+            Some(slot) => {
+                self.parcels[slot as usize] = parcel;
+                slot
+            }
+            None => {
+                self.parcels.push(parcel);
+                (self.parcels.len() - 1) as u32
+            }
+        };
+        debug_assert!(slot < 1 << 30, "parcel slot exceeds the packed range");
+        self.push(Node {
+            time,
+            seq,
+            token: 0,
+            what: slot << 2 | KIND_DELIVER,
+            next: NIL,
+        });
+    }
+
+    fn push(&mut self, node: Node) {
+        debug_assert!(node.time >= self.cursor, "event scheduled in the past");
         self.len += 1;
-        if entry.time - self.cursor >= WHEEL as u64 {
-            self.overflow.push(Reverse(entry));
+        if node.time - self.cursor >= WHEEL as u64 {
+            self.overflow.push(Reverse(node));
             return;
         }
-        let slot = (entry.time % WHEEL as u64) as usize;
+        let slot = (node.time % WHEEL as u64) as usize;
         let idx = match self.free {
             NIL => {
-                self.pool.push(Node { entry, next: NIL });
+                self.pool.push(node);
                 (self.pool.len() - 1) as u32
             }
             i => {
                 self.free = self.pool[i as usize].next;
-                self.pool[i as usize] = Node { entry, next: NIL };
+                self.pool[i as usize] = node;
                 i
             }
         };
@@ -98,114 +232,252 @@ impl EventQueue {
         self.tail[slot] = idx;
     }
 
+    /// The first occupied wheel slot's time, scanning `[cursor, end)`.
+    #[inline]
+    fn first_wheel_time(&self, end: u64) -> Option<u64> {
+        (self.cursor..end).find(|t| self.head[(t % WHEEL as u64) as usize] != NIL)
+    }
+
+    /// `true` when no queued event is due at or before `time`.
+    pub(super) fn none_due_by(&self, time: u64) -> bool {
+        if self.len == 0 {
+            return true;
+        }
+        if let Some(Reverse(e)) = self.overflow.peek() {
+            if e.time <= time {
+                return false;
+            }
+        }
+        let end = time.saturating_add(1).min(self.cursor + WHEEL as u64);
+        self.first_wheel_time(end).is_none()
+    }
+
+    /// Moves the scan start to `time`, as pushing an event at `time` and
+    /// popping it again would. Only valid when [`EventQueue::none_due_by`]
+    /// holds for `time`.
+    pub(super) fn skip_to(&mut self, time: u64) {
+        debug_assert!(time >= self.cursor && self.none_due_by(time));
+        self.cursor = time;
+    }
+
     /// Pops the earliest event in `(time, seq)` order.
-    pub(super) fn pop(&mut self) -> Option<EventEntry> {
+    pub(super) fn pop(&mut self) -> Option<Due> {
         if self.len == 0 {
             return None;
         }
         self.len -= 1;
         // The earliest overflow time bounds the wheel scan: a wheel event
         // at the same time was scheduled later and must pop after it.
-        let limit = self.overflow.peek().map(|Reverse(e)| e.time);
-        let end = self.cursor + WHEEL as u64;
-        let mut t = self.cursor;
-        while t < end && limit.is_none_or(|lim| t < lim) {
-            let slot = (t % WHEEL as u64) as usize;
-            let idx = self.head[slot];
-            if idx != NIL {
+        let mut end = self.cursor + WHEEL as u64;
+        if let Some(Reverse(e)) = self.overflow.peek() {
+            end = end.min(e.time);
+        }
+        let entry = match self.first_wheel_time(end) {
+            Some(t) => {
+                let slot = (t % WHEEL as u64) as usize;
+                let idx = self.head[slot];
                 let node = &mut self.pool[idx as usize];
-                debug_assert_eq!(node.entry.time, t, "stale wheel epoch");
-                // Move the entry out; the freed node keeps a cheap dummy.
-                let entry = std::mem::replace(
-                    &mut node.entry,
-                    EventEntry {
-                        time: 0,
-                        seq: 0,
-                        kind: EventKind::Wake {
-                            tid: 0,
-                            token: 0,
-                            expired: false,
-                        },
-                    },
-                );
+                debug_assert_eq!(node.time, t, "stale wheel epoch");
+                let entry = *node;
                 self.head[slot] = node.next;
                 if self.head[slot] == NIL {
                     self.tail[slot] = NIL;
                 }
                 node.next = self.free;
                 self.free = idx;
-                self.cursor = t;
-                return Some(entry);
+                entry
             }
-            t += 1;
-        }
-        let Reverse(e) = self
-            .overflow
-            .pop()
-            .expect("len counted an event the scan could not find");
-        self.cursor = e.time;
-        Some(e)
+            None => {
+                self.overflow
+                    .pop()
+                    .expect("len counted an event the scan could not find")
+                    .0
+            }
+        };
+        self.cursor = entry.time;
+        let index = entry.what >> 2;
+        let event = match entry.what & 3 {
+            KIND_DELIVER => {
+                let parcel = self.parcels[index as usize]
+                    .take()
+                    .expect("a queued delivery owns its parcel");
+                self.free_parcels.push(index);
+                Event::Deliver {
+                    node: parcel.node,
+                    chan: parcel.chan,
+                    payload: parcel.payload,
+                }
+            }
+            kind => Event::Wake {
+                tid: index as ThreadId,
+                token: entry.token,
+                expired: kind == KIND_EXPIRE,
+            },
+        };
+        Some(Due {
+            time: entry.time,
+            #[cfg(test)]
+            seq: entry.seq,
+            event,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::EventKind;
     use super::*;
 
-    fn entry(time: u64, seq: u64) -> EventEntry {
-        EventEntry {
-            time,
-            seq,
-            kind: EventKind::Wake {
-                tid: 0,
-                token: 0,
-                expired: false,
-            },
-        }
+    #[test]
+    fn a_wheel_node_is_half_a_cache_line() {
+        assert!(std::mem::size_of::<Node>() <= 32);
     }
 
-    /// The wheel must pop in exactly the `(time, seq)` order the old
-    /// `BinaryHeap<Reverse<_>>` produced, across slot reuse and overflow.
+    /// What the reference heap orders: `(time, seq)`, with the payload a
+    /// delivery must come back with.
+    type Key = (u64, u64, Option<i64>);
+
+    fn key(due: &Due) -> Key {
+        let payload = match &due.event {
+            Event::Deliver {
+                payload: Value::Int(i),
+                ..
+            } => Some(*i),
+            Event::Deliver { .. } => panic!("payload changed in flight"),
+            Event::Wake { .. } => None,
+        };
+        (due.time, due.seq, payload)
+    }
+
+    /// The wheel must pop in exactly the `(time, seq)` order a
+    /// `BinaryHeap<Reverse<_>>` produces — across slot reuse, wheel wrap,
+    /// overflow ties and deliveries — while the "thread" that just popped
+    /// takes the lone-runner bypass whenever it is legal.
     #[test]
     fn pops_in_heap_order() {
         let mut q = EventQueue::new();
-        let mut heap: BinaryHeap<Reverse<EventEntry>> = BinaryHeap::new();
-        // A deterministic scramble of near and far delays, interleaved with
-        // pops so the cursor advances and slots get reused across epochs.
-        let mut clock = 0u64;
+        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
         let mut popped = Vec::new();
         let mut expected = Vec::new();
+        let mut bypassed = 0usize;
+        let mut bypassed_past_horizon = 0usize;
+        let mut denied_by_tie = 0usize;
+        let mut clock = 0u64;
+        let mut seq = 0u64;
         let mut x = 0x2545_F491_4F6C_DD1Du64;
-        // One push per round, so the round number doubles as the `seq`.
-        for round in 0..2_000u64 {
+        let mut rand = move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let delay = match x % 10 {
-                0..=5 => x % 16,        // short: stays in the wheel
-                6..=8 => x % 200,       // mid: still wheel
-                _ => 250 + (x % 2_000), // far: overflow
-            };
-            q.push(entry(clock + delay, round));
-            heap.push(Reverse(entry(clock + delay, round)));
-            if round % 3 == 0 {
-                if let Some(e) = q.pop() {
-                    clock = e.time;
-                    popped.push((e.time, e.seq));
+            x
+        };
+        for round in 0..6_000u64 {
+            // A deterministic scramble of near and far delays, wakes and
+            // deliveries; quiet stretches let the queue drain so the bypass
+            // gets its chance.
+            let pushes = if (round / 50) % 2 == 0 { rand() % 3 } else { 0 };
+            for _ in 0..pushes {
+                let r = rand();
+                let delay = match r % 10 {
+                    0..=5 => r % 16,        // short: stays in the wheel
+                    6..=8 => r % 200,       // mid: still wheel
+                    _ => 250 + (r % 2_000), // far: overflow
+                };
+                let payload = (r % 3 == 0).then_some(r as i64);
+                match payload {
+                    Some(p) => q.push_deliver(clock + delay, seq, 0, ChanId(0), Value::Int(p)),
+                    None => q.push_wake(clock + delay, seq, 0, 0, false),
                 }
-                if let Some(Reverse(e)) = heap.pop() {
-                    expected.push((e.time, e.seq));
-                }
+                heap.push(Reverse((clock + delay, seq, payload)));
+                seq += 1;
             }
+            // Pop one event, then half of the time behave like a thread
+            // ending its slice runnable: re-wake after `d` ticks, through
+            // the queue or — when nothing is due by then — around it.
+            let Some(due) = q.pop() else { continue };
+            clock = due.time;
+            popped.push(key(&due));
+            expected.push(heap.pop().expect("reference has the event too").0);
+            if rand() % 2 == 0 {
+                continue;
+            }
+            let d = match rand() % 8 {
+                0 => 300 + rand() % 500, // a wake past the wheel horizon
+                r => 1 + r,
+            };
+            let wake = clock + d;
+            let legal = heap.peek().is_none_or(|Reverse(k)| k.0 > wake);
+            assert_eq!(q.none_due_by(wake), legal, "bypass legality at {wake}");
+            if !legal && heap.peek().is_some_and(|Reverse(k)| k.0 == wake) {
+                denied_by_tie += 1;
+            }
+            // The reference always goes through its heap.
+            heap.push(Reverse((wake, seq, None)));
+            if legal {
+                // Push-then-pop would return this very wake.
+                expected.push(heap.pop().expect("just pushed").0);
+                popped.push((wake, seq, None));
+                q.skip_to(wake);
+                clock = wake;
+                bypassed += 1;
+                bypassed_past_horizon += (d >= WHEEL as u64) as usize;
+            } else {
+                q.push_wake(wake, seq, 0, 0, false);
+            }
+            seq += 1;
         }
-        while let Some(e) = q.pop() {
-            popped.push((e.time, e.seq));
+        while let Some(due) = q.pop() {
+            popped.push(key(&due));
         }
-        while let Some(Reverse(e)) = heap.pop() {
-            expected.push((e.time, e.seq));
+        while let Some(Reverse(k)) = heap.pop() {
+            expected.push(k);
         }
         assert_eq!(popped, expected);
         assert!(q.pop().is_none());
+        assert!(bypassed > 100, "the bypass was exercised ({bypassed})");
+        assert!(bypassed_past_horizon > 0, "including across the horizon");
+        assert!(denied_by_tie > 0, "and denied by an event at the wake time");
+    }
+
+    /// An event due exactly at the runner's wake time was pushed earlier,
+    /// carries the smaller `seq`, and must pop first: no bypass.
+    #[test]
+    fn a_delivery_at_the_wake_time_pops_first() {
+        let mut q = EventQueue::new();
+        q.push_deliver(9, 0, 1, ChanId(2), Value::Int(7));
+        assert!(q.none_due_by(8));
+        assert!(!q.none_due_by(9));
+        q.push_wake(9, 1, 3, 5, false);
+        let first = q.pop().expect("delivery");
+        assert!(matches!(
+            first,
+            Due {
+                time: 9,
+                seq: 0,
+                event: Event::Deliver {
+                    node: 1,
+                    chan: ChanId(2),
+                    payload: Value::Int(7),
+                },
+            }
+        ));
+        let second = q.pop().expect("wake");
+        assert!(matches!(
+            second,
+            Due {
+                time: 9,
+                seq: 1,
+                event: Event::Wake {
+                    tid: 3,
+                    token: 5,
+                    expired: false,
+                },
+            }
+        ));
+        // The parcel slot is reused, and an overflow event blocks a bypass
+        // past its time like a wheel event does.
+        q.push_deliver(9 + 2 * WHEEL as u64, 2, 0, ChanId(0), Value::Unit);
+        assert_eq!(q.parcels.len(), 1);
+        assert!(q.none_due_by(9 + 2 * WHEEL as u64 - 1));
+        assert!(!q.none_due_by(9 + 2 * WHEEL as u64));
     }
 }

@@ -13,15 +13,62 @@ use anduril_ir::builder::TMPL_ABORT;
 use anduril_ir::{BinOp, ExceptionType, Expr, Stmt};
 
 impl World<'_> {
-    // Matches `exec_instr`: the statement dispatch stays a call so the
-    // stepping loop itself stays small and hot.
-    #[inline(never)]
-    pub(super) fn exec_stmt(
-        &mut self,
-        tid: ThreadId,
-        sref: StmtRef,
-        elapsed: &mut u64,
-    ) -> Result<Flow, SimError> {
+    /// One scheduling slice of the tree-walk: the VM's slice
+    /// (`run_slice_vm`) with every step taken out of line.
+    pub(super) fn run_slice_ast(&mut self, tid: ThreadId) -> Sim<Option<u64>> {
+        let quantum = self.cfg.quantum as u64 + self.rng.random_range(0..3);
+        let mut elapsed: u64 = 0;
+        for _ in 0..quantum {
+            elapsed += 1;
+            self.step_ast(tid, &mut elapsed)?;
+            self.count_step()?;
+            if !matches!(self.threads[tid].status, ThreadStatus::Runnable) {
+                return Ok(None);
+            }
+        }
+        Ok(Some(elapsed.max(1)))
+    }
+
+    fn step_ast(&mut self, tid: ThreadId, elapsed: &mut u64) -> Sim<()> {
+        let t = &mut self.threads[tid];
+        if t.frames.is_empty() {
+            return self.thread_idle(tid);
+        }
+        let Some(&mut cur) = t.top_cursor_mut() else {
+            // The function body is exhausted: implicit `return`.
+            return self.do_return(tid, Value::Unit);
+        };
+        if cur.idx >= self.compiled.block_len[cur.block.index()] {
+            return self.block_end(tid);
+        }
+        let sref = StmtRef::new(cur.block, cur.idx);
+        if self.compiled.is_meta(self.compiled.flat(sref)) && self.fir.on_meta_access(sref) {
+            self.crash_node(tid, *elapsed);
+            return Ok(());
+        }
+        match self.exec_stmt(tid, sref, elapsed)? {
+            Some(flow) => self.apply_flow(tid, flow),
+            None => Ok(()),
+        }
+    }
+
+    /// The statement completed: move past it.
+    fn advanced(&mut self, tid: ThreadId) -> Option<Flow> {
+        self.threads[tid].advance();
+        None
+    }
+
+    /// Clones a local (the tree-walk's variable read; the VM reads locals
+    /// by borrow).
+    fn read_local(&self, tid: ThreadId, var: VarId) -> Value {
+        self.threads[tid].frame_locals()[var.index()].clone()
+    }
+
+    fn eval_vals(&mut self, tid: ThreadId, args: &[Expr], at: StmtRef) -> Sim<Vec<Value>> {
+        args.iter().map(|a| self.eval(tid, a, Some(at))).collect()
+    }
+
+    fn exec_stmt(&mut self, tid: ThreadId, sref: StmtRef, elapsed: &mut u64) -> Sim<Option<Flow>> {
         let program = self.program;
         let stmt = program.stmt(sref);
         let node = self.threads[tid].node;
@@ -52,29 +99,29 @@ impl World<'_> {
                     exc.as_deref(),
                     *elapsed,
                 );
-                Ok(Flow::Next)
+                Ok(self.advanced(tid))
             }
             Stmt::Assign { var, expr } => {
                 let v = self.eval(tid, expr, Some(sref))?;
                 self.write_local(tid, *var, v);
-                Ok(Flow::Next)
+                Ok(self.advanced(tid))
             }
             Stmt::SetGlobal { global, expr } => {
                 let v = self.eval(tid, expr, Some(sref))?;
                 self.nodes[node].globals[global.index()] = v;
-                Ok(Flow::Next)
+                Ok(self.advanced(tid))
             }
             Stmt::PushBack { global, expr } => {
                 let v = self.eval(tid, expr, Some(sref))?;
                 match &mut self.nodes[node].globals[global.index()] {
                     Value::List(items) => {
                         items.push(v);
-                        Ok(Flow::Next)
+                        Ok(self.advanced(tid))
                     }
-                    other => Err(SimError::Type {
-                        stmt: Some(sref),
-                        msg: format!("PushBack on non-list {other:?}"),
-                    }),
+                    other => Err(type_error(
+                        Some(sref),
+                        format!("PushBack on non-list {other:?}"),
+                    )),
                 }
             }
             Stmt::PopFront { global, var } => {
@@ -87,30 +134,24 @@ impl World<'_> {
                         }
                     }
                     other => {
-                        return Err(SimError::Type {
-                            stmt: Some(sref),
-                            msg: format!("PopFront on non-list {other:?}"),
-                        })
+                        return Err(type_error(
+                            Some(sref),
+                            format!("PopFront on non-list {other:?}"),
+                        ))
                     }
                 };
                 self.write_local(tid, *var, popped);
-                Ok(Flow::Next)
+                Ok(self.advanced(tid))
             }
             Stmt::Call { func, args, ret } => {
-                let mut vals = self.take_vals(args.len());
-                for a in args {
-                    vals.push(self.eval(tid, a, Some(sref))?);
-                }
+                let vals = self.eval_vals(tid, args, sref)?;
                 // Advance past the call before pushing the callee frame.
-                if let Some(c) = self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .and_then(|f| f.cursors.last_mut())
-                {
-                    c.idx += 1;
-                }
-                self.push_entry_frame(tid, *func, vals, *ret)?;
-                Ok(Flow::Jump)
+                let t = &mut self.threads[tid];
+                t.advance();
+                let args_at = t.locals.len();
+                t.locals.extend(vals);
+                t.enter(&program.funcs[func.index()], *func, args_at, *ret)?;
+                Ok(None)
             }
             Stmt::External { site } => {
                 let info = &program.sites[site.index()];
@@ -118,15 +159,19 @@ impl World<'_> {
                 let stack = self.threads[tid].stack_funcs();
                 let time = self.clock + *elapsed;
                 let log_pos = self.log.len() as u32;
-                match self.fir.on_site(*site, time, log_pos, &stack) {
-                    Some(ty) => Ok(Flow::Throw(Arc::new(ExcValue {
+                let armed = self.fir.trace_site(*site, time, log_pos);
+                match armed
+                    .then(|| self.fir.throw_if_enabled(*site, time, &stack))
+                    .flatten()
+                {
+                    Some(ty) => Ok(Some(Flow::Throw(Arc::new(ExcValue {
                         ty,
                         inner: None,
                         origin_site: Some(*site),
                         injected: true,
                         stack,
-                    }))),
-                    None => Ok(Flow::Next),
+                    })))),
+                    None => Ok(self.advanced(tid)),
                 }
             }
             Stmt::ThrowNew { site } => {
@@ -137,20 +182,19 @@ impl World<'_> {
                 // `throw new` always throws when reached; the FIR call
                 // traces the occurrence and records a matching plan
                 // candidate as this round's injection.
-                let matched = self.fir.on_site(*site, time, log_pos, &stack);
-                Ok(Flow::Throw(Arc::new(ExcValue {
+                let injected = self.fir.trace_site(*site, time, log_pos)
+                    && self.fir.throw_if_enabled(*site, time, &stack).is_some();
+                Ok(Some(Flow::Throw(Arc::new(ExcValue {
                     ty: info.exceptions[0],
                     inner: None,
                     origin_site: Some(*site),
-                    injected: matched.is_some(),
+                    injected,
                     stack,
-                })))
+                }))))
             }
             Stmt::Rethrow => match self.current_handler_exc(tid) {
-                Some(exc) => Ok(Flow::Throw(exc)),
-                None => Err(SimError::Internal(format!(
-                    "Rethrow outside a handler at {sref}"
-                ))),
+                Some(exc) => Ok(Some(Flow::Throw(exc))),
+                None => Err(internal(format!("Rethrow outside a handler at {sref}"))),
             },
             Stmt::If {
                 cond,
@@ -158,73 +202,43 @@ impl World<'_> {
                 else_blk,
             } => {
                 let taken = self.eval_bool(tid, cond, sref)?;
-                if let Some(c) = self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .and_then(|f| f.cursors.last_mut())
-                {
-                    c.idx += 1;
+                let t = &mut self.threads[tid];
+                t.advance();
+                if let Some(b) = if taken { Some(*then_blk) } else { *else_blk } {
+                    t.push_cursor(b, CursorTag::Plain, 0);
                 }
-                let target = if taken { Some(*then_blk) } else { *else_blk };
-                if let Some(b) = target {
-                    self.threads[tid]
-                        .frames
-                        .last_mut()
-                        .unwrap()
-                        .cursors
-                        .push(Cursor::new(b, CursorKind::Plain));
-                }
-                Ok(Flow::Jump)
+                Ok(None)
             }
             Stmt::While { cond, body } => {
-                let taken = self.eval_bool(tid, cond, sref)?;
-                if taken {
-                    self.threads[tid]
-                        .frames
-                        .last_mut()
-                        .unwrap()
-                        .cursors
-                        .push(Cursor::new(*body, CursorKind::Loop { stmt: sref }));
-                    Ok(Flow::Jump)
+                if self.eval_bool(tid, cond, sref)? {
+                    self.threads[tid].push_cursor(*body, CursorTag::Loop, sref.idx);
+                    Ok(None)
                 } else {
-                    Ok(Flow::Next)
+                    Ok(self.advanced(tid))
                 }
             }
             Stmt::Try { body, .. } => {
-                if let Some(c) = self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .and_then(|f| f.cursors.last_mut())
-                {
-                    c.idx += 1;
-                }
-                self.threads[tid]
-                    .frames
-                    .last_mut()
-                    .unwrap()
-                    .cursors
-                    .push(Cursor::new(*body, CursorKind::TryBody { stmt: sref }));
-                Ok(Flow::Jump)
+                let t = &mut self.threads[tid];
+                t.advance();
+                t.push_cursor(*body, CursorTag::TryBody, sref.idx);
+                Ok(None)
             }
             Stmt::Return { expr } => {
                 let v = match expr {
                     Some(e) => self.eval(tid, e, Some(sref))?,
                     None => Value::Unit,
                 };
-                Ok(Flow::Return(v))
+                Ok(Some(Flow::Return(v)))
             }
-            Stmt::Break => Ok(Flow::Break),
-            Stmt::Continue => Ok(Flow::Continue),
+            Stmt::Break => Ok(Some(Flow::Break)),
+            Stmt::Continue => Ok(Some(Flow::Continue)),
             Stmt::Spawn { name, func, args } => {
-                let mut vals = self.take_vals(args.len());
-                for a in args {
-                    vals.push(self.eval(tid, a, Some(sref))?);
-                }
+                let vals = self.eval_vals(tid, args, sref)?;
                 let name: Arc<str> = Arc::from(name.as_str());
                 let child = self.create_thread(node, &name, Role::Normal);
-                self.push_entry_frame(child, *func, vals, None)?;
+                self.push_entry_frame(child, *func, vals)?;
                 self.schedule_wake(child, 1, false);
-                Ok(Flow::Next)
+                Ok(self.advanced(tid))
             }
             Stmt::Submit {
                 exec,
@@ -232,10 +246,7 @@ impl World<'_> {
                 args,
                 future,
             } => {
-                let mut vals = self.take_vals(args.len());
-                for a in args {
-                    vals.push(self.eval(tid, a, Some(sref))?);
-                }
+                let vals = self.eval_vals(tid, args, sref)?;
                 let fid = self.futures.len() as u64;
                 self.futures.push(FutureState {
                     done: None,
@@ -266,7 +277,7 @@ impl World<'_> {
                 if let Some(var) = future {
                     self.write_local(tid, *var, Value::Future(fid));
                 }
-                Ok(Flow::Next)
+                Ok(self.advanced(tid))
             }
             Stmt::Await {
                 future,
@@ -277,10 +288,10 @@ impl World<'_> {
                 let fid = match self.read_local(tid, *future) {
                     Value::Future(f) => f,
                     other => {
-                        return Err(SimError::Type {
-                            stmt: Some(sref),
-                            msg: format!("Await on non-future {other:?}"),
-                        })
+                        return Err(type_error(
+                            Some(sref),
+                            format!("Await on non-future {other:?}"),
+                        ))
                     }
                 };
                 match self.futures[fid as usize].done.clone() {
@@ -288,35 +299,28 @@ impl World<'_> {
                         if let Some(var) = ret {
                             self.write_local(tid, *var, v);
                         }
-                        Ok(Flow::Next)
+                        Ok(self.advanced(tid))
                     }
                     Some(Err(task_exc)) => {
                         let stack = self.threads[tid].stack_funcs();
-                        Ok(Flow::Throw(Arc::new(ExcValue {
+                        Ok(Some(Flow::Throw(Arc::new(ExcValue {
                             ty: ExceptionType::Execution,
                             inner: Some(Box::new((*task_exc).clone())),
                             origin_site: task_exc.origin_site,
                             injected: task_exc.injected,
                             stack,
-                        })))
+                        }))))
                     }
                     None => {
                         if note == WakeNote::Expired {
-                            let stack = self.threads[tid].stack_funcs();
-                            return Ok(Flow::Throw(Arc::new(ExcValue {
-                                ty: ExceptionType::Timeout,
-                                inner: None,
-                                origin_site: None,
-                                injected: false,
-                                stack,
-                            })));
+                            return Ok(Some(self.timeout_exc(tid)));
                         }
                         let t = match timeout {
                             Some(e) => Some(self.eval_int(tid, e, sref)? as u64),
                             None => None,
                         };
                         self.park(tid, BlockReason::Future(fid), t);
-                        Ok(Flow::Stay)
+                        Ok(None)
                     }
                 }
             }
@@ -328,16 +332,15 @@ impl World<'_> {
                 let dest_name = match self.eval(tid, dest, Some(sref))? {
                     Value::Str(s) => s,
                     other => {
-                        return Err(SimError::Type {
-                            stmt: Some(sref),
-                            msg: format!("Send destination must be a node name, got {other:?}"),
-                        })
+                        return Err(type_error(
+                            Some(sref),
+                            format!("Send destination must be a node name, got {other:?}"),
+                        ))
                     }
                 };
-                let dest_idx = *self
-                    .node_by_name
-                    .get(dest_name.as_ref())
-                    .ok_or_else(|| SimError::NoSuchNode(dest_name.to_string()))?;
+                let dest_idx = self
+                    .node_named(&dest_name)
+                    .ok_or_else(|| Box::new(SimError::NoSuchNode(dest_name.to_string())))?;
                 let value = self.eval(tid, payload, Some(sref))?;
                 let (lo, hi) = self.cfg.net_latency;
                 let latency = if hi > lo {
@@ -345,38 +348,24 @@ impl World<'_> {
                 } else {
                     lo
                 };
-                self.schedule(
-                    latency,
-                    EventKind::Deliver {
-                        node: dest_idx,
-                        chan: *chan,
-                        payload: value,
-                    },
-                );
-                Ok(Flow::Next)
+                self.schedule_deliver(latency, dest_idx, *chan, value);
+                Ok(self.advanced(tid))
             }
             Stmt::Recv { chan, var, timeout } => {
                 let note = std::mem::replace(&mut self.threads[tid].note, WakeNote::None);
                 if let Some(v) = self.nodes[node].chans[chan.index()].pop_front() {
                     self.write_local(tid, *var, v);
-                    return Ok(Flow::Next);
+                    return Ok(self.advanced(tid));
                 }
                 if note == WakeNote::Expired {
-                    let stack = self.threads[tid].stack_funcs();
-                    return Ok(Flow::Throw(Arc::new(ExcValue {
-                        ty: ExceptionType::Timeout,
-                        inner: None,
-                        origin_site: None,
-                        injected: false,
-                        stack,
-                    })));
+                    return Ok(Some(self.timeout_exc(tid)));
                 }
                 let t = match timeout {
                     Some(e) => Some(self.eval_int(tid, e, sref)? as u64),
                     None => None,
                 };
                 self.park(tid, BlockReason::Chan(*chan), t);
-                Ok(Flow::Stay)
+                Ok(None)
             }
             Stmt::WaitCond { cond, timeout, ok } => {
                 let note = std::mem::replace(&mut self.threads[tid].note, WakeNote::None);
@@ -385,13 +374,13 @@ impl World<'_> {
                         if let Some(var) = ok {
                             self.write_local(tid, *var, Value::Bool(true));
                         }
-                        Ok(Flow::Next)
+                        Ok(self.advanced(tid))
                     }
                     WakeNote::Expired => {
                         if let Some(var) = ok {
                             self.write_local(tid, *var, Value::Bool(false));
                         }
-                        Ok(Flow::Next)
+                        Ok(self.advanced(tid))
                     }
                     WakeNote::None => {
                         let t = match timeout {
@@ -399,7 +388,7 @@ impl World<'_> {
                             None => None,
                         };
                         self.park(tid, BlockReason::Cond(*cond), t);
-                        Ok(Flow::Stay)
+                        Ok(None)
                     }
                 }
             }
@@ -408,16 +397,16 @@ impl World<'_> {
                 for w in waiters {
                     self.wake_thread(w, WakeNote::Signaled);
                 }
-                Ok(Flow::Next)
+                Ok(self.advanced(tid))
             }
             Stmt::Sleep { ticks } => {
                 let note = std::mem::replace(&mut self.threads[tid].note, WakeNote::None);
                 if note == WakeNote::Expired {
-                    Ok(Flow::Next)
+                    Ok(self.advanced(tid))
                 } else {
                     let t = self.eval_int(tid, ticks, sref)? as u64;
                     self.park(tid, BlockReason::Sleep, Some(t));
-                    Ok(Flow::Stay)
+                    Ok(None)
                 }
             }
             Stmt::Abort { reason } => {
@@ -435,17 +424,15 @@ impl World<'_> {
                 );
                 self.nodes[node].aborted = true;
                 self.kill_node(node);
-                Ok(Flow::Stop)
+                Ok(None)
             }
             Stmt::Halt => {
-                self.threads[tid].frames.clear();
-                match self.threads[tid].role {
-                    Role::Normal => {
-                        self.threads[tid].status = ThreadStatus::Done;
-                        Ok(Flow::Stop)
-                    }
-                    Role::Worker(_) => Ok(Flow::Jump),
+                let t = &mut self.threads[tid];
+                t.clear_frames();
+                if t.role == Role::Normal {
+                    t.status = ThreadStatus::Done;
                 }
+                Ok(None)
             }
         }
     }
@@ -458,10 +445,7 @@ impl World<'_> {
     fn eval_ref<'a>(&'a self, tid: ThreadId, e: &'a Expr) -> Option<&'a Value> {
         match e {
             Expr::Const(v) => Some(v),
-            Expr::Var(v) => self.threads[tid]
-                .frames
-                .last()
-                .map(|f| &f.locals[v.index()]),
+            Expr::Var(v) => self.threads[tid].frame_locals().get(v.index()),
             Expr::Global(g) => {
                 let node = self.threads[tid].node;
                 Some(&self.nodes[node].globals[g.index()])
@@ -474,14 +458,25 @@ impl World<'_> {
         }
     }
 
-    fn eval(&mut self, tid: ThreadId, e: &Expr, at: Option<StmtRef>) -> Result<Value, SimError> {
+    /// Expression evaluation keeps the plain error inside the tree (it
+    /// recurses per node); statements see it boxed like the VM's.
+    fn eval(&mut self, tid: ThreadId, e: &Expr, at: Option<StmtRef>) -> Sim<Value> {
+        self.eval_tree(tid, e, at).map_err(Box::new)
+    }
+
+    fn eval_tree(
+        &mut self,
+        tid: ThreadId,
+        e: &Expr,
+        at: Option<StmtRef>,
+    ) -> Result<Value, SimError> {
         let node = self.threads[tid].node;
         match e {
             Expr::Const(v) => Ok(v.clone()),
             Expr::Var(v) => Ok(self.read_local(tid, *v)),
             Expr::Global(g) => Ok(self.nodes[node].globals[g.index()].clone()),
             Expr::Not(a) => {
-                let v = self.eval(tid, a, at)?;
+                let v = self.eval_tree(tid, a, at)?;
                 match v.as_bool() {
                     Some(b) => Ok(Value::Bool(!b)),
                     None => Err(SimError::Type {
@@ -491,7 +486,7 @@ impl World<'_> {
                 }
             }
             Expr::Len(a) => {
-                let v = self.eval(tid, a, at)?;
+                let v = self.eval_tree(tid, a, at)?;
                 v.len().map(Value::Int).ok_or(SimError::Type {
                     stmt: at,
                     msg: format!("len on {v:?}"),
@@ -500,7 +495,7 @@ impl World<'_> {
             Expr::List(items) => {
                 let mut vs = Vec::with_capacity(items.len());
                 for i in items {
-                    vs.push(self.eval(tid, i, at)?);
+                    vs.push(self.eval_tree(tid, i, at)?);
                 }
                 Ok(Value::List(vs))
             }
@@ -521,7 +516,7 @@ impl World<'_> {
                         }),
                     };
                 }
-                let v = self.eval(tid, a, at)?;
+                let v = self.eval_tree(tid, a, at)?;
                 match v {
                     Value::List(items) => items.get(*i as usize).cloned().ok_or(SimError::Type {
                         stmt: at,
@@ -560,8 +555,8 @@ impl World<'_> {
                         return Ok(Value::Bool(if matches!(op, BinOp::Eq) { eq } else { !eq }));
                     }
                 }
-                let av = self.eval(tid, a, at)?;
-                let bv = self.eval(tid, b, at)?;
+                let av = self.eval_tree(tid, a, at)?;
+                let bv = self.eval_tree(tid, b, at)?;
                 match op {
                     BinOp::Eq => Ok(Value::Bool(av == bv)),
                     BinOp::Ne => Ok(Value::Bool(av != bv)),
@@ -613,22 +608,20 @@ impl World<'_> {
                 msg: format!("expected bool, got {v:?}"),
             });
         }
-        let v = self.eval(tid, e, at)?;
+        let v = self.eval_tree(tid, e, at)?;
         v.as_bool().ok_or(SimError::Type {
             stmt: at,
             msg: format!("expected bool, got {v:?}"),
         })
     }
 
-    fn eval_bool(&mut self, tid: ThreadId, e: &Expr, at: StmtRef) -> Result<bool, SimError> {
-        self.eval_bool_v(tid, e, Some(at))
+    fn eval_bool(&mut self, tid: ThreadId, e: &Expr, at: StmtRef) -> Sim<bool> {
+        self.eval_bool_v(tid, e, Some(at)).map_err(Box::new)
     }
 
-    fn eval_int(&mut self, tid: ThreadId, e: &Expr, at: StmtRef) -> Result<i64, SimError> {
+    fn eval_int(&mut self, tid: ThreadId, e: &Expr, at: StmtRef) -> Sim<i64> {
         let v = self.eval(tid, e, Some(at))?;
-        v.as_int().ok_or(SimError::Type {
-            stmt: Some(at),
-            msg: format!("expected int, got {v:?}"),
-        })
+        v.as_int()
+            .ok_or_else(|| type_error(Some(at), format!("expected int, got {v:?}")))
     }
 }

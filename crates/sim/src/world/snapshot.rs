@@ -260,14 +260,19 @@ fn trace_hash(trace: &[TraceEntry]) -> u64 {
 }
 
 impl<'p> World<'p> {
+    /// `true` when the next event-loop boundary must take (or give up on)
+    /// a snapshot, so the scheduler has to come back to the loop top.
+    pub(super) fn snapshot_due(&self) -> bool {
+        self.capture
+            .as_ref()
+            .is_some_and(|cap| !cap.done && self.steps >= cap.next_at)
+    }
+
     /// Takes a snapshot if the capture policy is due one. Called at the
     /// top of the event loop, where the popped-event state is complete and
     /// re-entering [`World::drive`] reproduces the run exactly.
     pub(super) fn maybe_snapshot(&mut self) {
-        let Some(cap) = self.capture.as_ref() else {
-            return;
-        };
-        if cap.done || self.steps < cap.next_at {
+        if !self.snapshot_due() {
             return;
         }
         if self.fir.injected.is_some() || self.fir.crashed {
@@ -401,7 +406,7 @@ pub fn run_compiled_resume(
         snapshot_steps: snap.index.steps,
         snapshot_trace_len: snap.index.trace_len,
     };
-    let mut world = World::new_shell(program, compiled, topo, cfg, plan)?;
+    let mut world = World::empty(program, compiled, cfg, plan)?;
     world.restore(prefix, snap);
     world.drive()?;
     Ok((world.finish(), info))

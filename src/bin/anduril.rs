@@ -317,6 +317,9 @@ struct TraceRoundRow {
     log_entries: Option<u64>,
     init_ns: u64,
     workload_ns: u64,
+    sim_ns: u64,
+    diff_ns: u64,
+    feedback_ns: u64,
 }
 
 fn collect_rounds(events: &[(String, Json)]) -> std::collections::BTreeMap<u64, TraceRoundRow> {
@@ -348,6 +351,9 @@ fn collect_rounds(events: &[(String, Json)]) -> std::collections::BTreeMap<u64, 
                 row.oracle = jbool(v, "oracle");
                 row.log_entries = v.get("log_entries").and_then(Json::as_u64);
                 row.workload_ns = junum(v, "workload_ns");
+                row.sim_ns = junum(v, "sim_ns");
+                row.diff_ns = junum(v, "diff_ns");
+                row.feedback_ns = junum(v, "feedback_ns");
                 row.injected = Some(match v.get("injected") {
                     Some(i @ Json::Obj(_)) => {
                         format!(
@@ -570,6 +576,27 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
         fmt_ns(workload_ns),
         fmt_ns(workload_ns / n)
     );
+    // Where the rounds went: what `round_end` attributes, as shares of
+    // their sum (a stream recorded before these fields existed has none).
+    let total = |field: fn(&TraceRoundRow) -> u64| rounds.values().map(field).sum::<u64>();
+    let (sim_ns, diff_ns, feedback_ns) = (
+        total(|r| r.sim_ns),
+        total(|r| r.diff_ns),
+        total(|r| r.feedback_ns),
+    );
+    let attributed = sim_ns + diff_ns + feedback_ns;
+    if attributed > 0 {
+        let share = |ns: u64| 100.0 * ns as f64 / attributed as f64;
+        println!(
+            "  round shares : simulate {:.1}% ({}), diff {:.1}% ({}), feedback {:.1}% ({})",
+            share(sim_ns),
+            fmt_ns(sim_ns),
+            share(diff_ns),
+            fmt_ns(diff_ns),
+            share(feedback_ns),
+            fmt_ns(feedback_ns)
+        );
+    }
 
     let epochs = events.iter().filter(|(_, v)| ev_kind(v) == "epoch").count();
     let specs: Vec<&Json> = events
