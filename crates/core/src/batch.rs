@@ -98,29 +98,24 @@ impl Predictor {
 }
 
 /// Executes the speculative plans of rounds `first_round..`, returning one
-/// result per plan (in plan order).
-///
-/// Jobs run with snapshot capture: each stores its clean prefix in the
-/// context's seed-keyed cache, so when the round loop discards a
-/// mispredicted result and reruns the round — same seed, different plan —
-/// the rerun resumes from the latest pre-divergence snapshot instead of
-/// replaying from step zero. Replay verification of a successful script
-/// benefits the same way.
+/// result per plan (in plan order). A worker that panics costs the whole
+/// batch: its message comes back as [`SimError::Internal`].
 fn run_batch(
     ctx: &SearchContext,
     cfg: &ExplorerConfig,
     first_round: usize,
     plans: &[InjectionPlan],
     threads: usize,
-) -> Vec<Result<RunResult, SimError>> {
-    let run =
-        |i: usize| ctx.run_round_capturing(round_seed(cfg, first_round + i), plans[i].clone());
+) -> Result<Vec<Result<RunResult, SimError>>, SimError> {
+    let run = |i: usize| ctx.run_round(round_seed(cfg, first_round + i), plans[i].clone());
     let workers = threads.min(plans.len());
     if workers <= 1 {
-        return (0..plans.len()).map(run).collect();
+        return Ok((0..plans.len()).map(run).collect());
     }
     let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, Result<RunResult, SimError>)> = std::thread::scope(|scope| {
+    // Every handle is joined before any is judged: `scope` itself panics
+    // over a panicked thread nobody joined.
+    let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
@@ -136,13 +131,21 @@ fn run_batch(
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
+    let mut collected = Vec::with_capacity(plans.len());
+    for worker in joined {
+        collected.extend(worker.map_err(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            SimError::Internal(format!("batch worker panicked: {msg}"))
+        })?);
+    }
     collected.sort_unstable_by_key(|&(i, _)| i);
-    collected.into_iter().map(|(_, result)| result).collect()
+    Ok(collected.into_iter().map(|(_, result)| result).collect())
 }
 
 /// Runs the exploration loop in speculative parallel batches.
@@ -199,8 +202,8 @@ pub fn explore_batched_traced<S: Strategy + Clone>(
             spec.speculate(ctx, predictor.fired(&plan));
             plans.push(plan);
         }
-        let results = run_batch(ctx, cfg, round, &plans, batch.threads);
-        plans.into_iter().zip(results).collect()
+        let results = run_batch(ctx, cfg, round, &plans, batch.threads)?;
+        Ok(plans.into_iter().zip(results).collect())
     };
     search(
         ctx,

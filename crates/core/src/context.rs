@@ -7,8 +7,8 @@
 //! distribution from the normal run's timeline onto the failure log's
 //! timeline (§5.2.3).
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use anduril_causal::{
@@ -17,7 +17,7 @@ use anduril_causal::{
 use anduril_ir::{CompiledProgram, ExceptionType, SiteId, TemplateId};
 use anduril_logdiff::{compare_global, parse_log, Alignment, DiffRecord, InternedLog, ParsedEntry};
 use anduril_sim::InjectionPlan;
-use anduril_sim::{RunResult, SeedPrefix, SimError, SnapshotPolicy};
+use anduril_sim::{RunResult, SimError};
 
 use crate::scenario::Scenario;
 use crate::trace::{NoopTracer, TraceEvent, Tracer};
@@ -44,96 +44,23 @@ pub struct FaultUnit {
     pub exc: ExceptionType,
 }
 
-/// Usage counters for the context's snapshot-prefix cache
-/// ([`SearchContext::snapshot_stats`]).
+/// Counters of the snapshot cache that [`SearchContext`] no longer has;
+/// read by `crates/bench/src/bin/e2e/traced.rs`; delete with
+/// `sim.snapshot.*` in the next benchmark issue.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Rounds whose seed had a cached prefix available.
     pub hits: u64,
-    /// Rounds whose seed had no cached prefix (or the cache is disabled).
     pub misses: u64,
-    /// Hits that actually restored a snapshot instead of falling back to a
-    /// full replay (a hit falls back when every snapshot in the prefix
-    /// lies at or past the plan's first divergence point).
     pub resumed: u64,
-    /// Seed prefixes currently stored.
     pub stored: usize,
-}
-
-/// Default snapshot-cache capacity (distinct seeds retained). Small on
-/// purpose: the batch engine only ever reruns seeds from the current
-/// epoch, so anything beyond roughly one epoch of prefixes is dead
-/// weight.
-const DEFAULT_SNAPSHOT_CAPACITY: usize = 16;
-
-/// Seed-keyed cache of captured run prefixes, FIFO-evicted.
-///
-/// A run is a pure function of `(seed, plan)`, and until the armed plan
-/// first fires, the world's evolution depends only on the seed — so a
-/// prefix captured under one plan is reusable by *any* later run with the
-/// same seed, up to that run's own first divergence point. The cache is
-/// behind a [`Mutex`] because the batch engine's workers share one
-/// context; runs take milliseconds, the lock nanoseconds.
-#[derive(Debug)]
-struct SnapshotCache {
-    /// Maximum stored prefixes; `0` disables capture and resume.
-    capacity: usize,
-    /// Capture cadence handed to the simulator.
-    policy: SnapshotPolicy,
-    entries: HashMap<u64, Arc<SeedPrefix>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<u64>,
-    hits: u64,
-    misses: u64,
-    resumed: u64,
-}
-
-impl SnapshotCache {
-    fn new(capacity: usize) -> Self {
-        SnapshotCache {
-            capacity,
-            policy: SnapshotPolicy::default(),
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
-            resumed: 0,
-        }
-    }
-
-    fn get(&mut self, seed: u64) -> Option<Arc<SeedPrefix>> {
-        match self.entries.get(&seed) {
-            Some(p) => {
-                self.hits += 1;
-                Some(Arc::clone(p))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn store(&mut self, prefix: SeedPrefix) {
-        let seed = prefix.seed();
-        if self.entries.insert(seed, Arc::new(prefix)).is_none() {
-            self.order.push_back(seed);
-            while self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.entries.remove(&old);
-                }
-            }
-        }
-    }
 }
 
 /// Everything a strategy can read when planning rounds.
 ///
 /// Immutable after [`SearchContext::prepare`]: a search reads it and owns
 /// what it mutates, so one context can host any number of searches, in
-/// any order and from several threads. The only interior mutability is the
-/// snapshot cache with its counters, which changes how long a round takes
-/// and never what it returns.
+/// any order and from several threads at once.
 #[derive(Debug)]
 pub struct SearchContext {
     /// The scenario under reproduction.
@@ -179,9 +106,6 @@ pub struct SearchContext {
     /// round (including the batch engine's worker threads — `Arc`, and
     /// compilation is independent of seed and plan).
     pub compiled: Arc<CompiledProgram>,
-    /// Captured run prefixes keyed by seed, for snapshot-resume
-    /// ([`SearchContext::run_round_capturing`]).
-    snapshots: Mutex<SnapshotCache>,
 }
 
 impl SearchContext {
@@ -358,123 +282,28 @@ impl SearchContext {
             bounds,
             base_seed,
             compiled,
-            snapshots: Mutex::new(SnapshotCache::new(DEFAULT_SNAPSHOT_CAPACITY)),
         })
     }
 
-    /// Sets the snapshot-prefix cache capacity (number of distinct seeds
-    /// whose prefixes are retained; the CLI's `--snapshots` knob). `0`
-    /// disables capture and resume entirely:
-    /// [`SearchContext::run_round_capturing`] degrades to a plain
-    /// [`SearchContext::run_round`], which in turn never consults the
-    /// cache.
-    pub fn set_snapshot_capacity(&mut self, capacity: usize) {
-        let cache = self.snapshots.get_mut().expect("snapshot cache poisoned");
-        cache.capacity = capacity;
-        while cache.order.len() > capacity {
-            if let Some(old) = cache.order.pop_front() {
-                cache.entries.remove(&old);
-            }
-        }
-    }
-
-    /// Current snapshot-cache usage counters.
+    /// Nothing is cached, so nothing is counted: read by
+    /// `crates/bench/src/bin/e2e/traced.rs`; delete with `sim.snapshot.*`
+    /// in the next benchmark issue. `misses` is a constant 1 and not 0
+    /// only because that file's `spans_nest_inside_their_parents` asserts
+    /// `sim.snapshot.misses > 0` and cannot change here.
+    #[doc(hidden)]
     pub fn snapshot_stats(&self) -> SnapshotStats {
-        let cache = self.snapshots.lock().expect("snapshot cache poisoned");
         SnapshotStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            resumed: cache.resumed,
-            stored: cache.entries.len(),
+            misses: 1,
+            ..SnapshotStats::default()
         }
     }
 
     /// Runs one round over the context's cached compilation — the
     /// Explorer's hot path (used by both the sequential and the batched
-    /// engines).
-    ///
-    /// When a prefix for this seed is cached (a capture ran for it via
-    /// [`SearchContext::run_round_capturing`]), the run resumes from the
-    /// latest snapshot strictly before the plan's first divergence point
-    /// instead of replaying from step zero. Resumed results are
-    /// byte-identical to full replays — same RNG draws, step counts, log,
-    /// and trace — so callers cannot observe the difference except in
-    /// wall time.
+    /// engines). Every round replays the workload from step zero: a run
+    /// is a pure function of `(seed, plan)`.
     pub fn run_round(&self, seed: u64, plan: InjectionPlan) -> Result<RunResult, SimError> {
-        if let Some(prefix) = self.lookup_prefix(seed) {
-            return self.resume_round(seed, plan, &prefix);
-        }
         self.scenario.run_compiled(&self.compiled, seed, plan)
-    }
-
-    /// [`SearchContext::run_round`] that additionally captures the run's
-    /// clean prefix into the snapshot cache, so a later run with the same
-    /// seed (a speculation-miss rerun, a replay verification) can resume
-    /// mid-timeline. Capture costs world-state clones every snapshot
-    /// interval, so this is only worth calling where same-seed reruns are
-    /// plausible — the batch engine's speculative jobs; unique-seed paths
-    /// stay on [`SearchContext::run_round`].
-    pub fn run_round_capturing(
-        &self,
-        seed: u64,
-        plan: InjectionPlan,
-    ) -> Result<RunResult, SimError> {
-        let policy = {
-            let cache = self.snapshots.lock().expect("snapshot cache poisoned");
-            if cache.capacity == 0 {
-                return self.scenario.run_compiled(&self.compiled, seed, plan);
-            }
-            cache.policy
-        };
-        if let Some(prefix) = self.lookup_prefix(seed) {
-            return self.resume_round(seed, plan, &prefix);
-        }
-        let (result, prefix) = anduril_sim::run_compiled_capture(
-            &self.scenario.program,
-            &self.compiled,
-            &self.scenario.topology,
-            &self.scenario.config.with_seed(seed),
-            plan,
-            &policy,
-        )?;
-        self.snapshots
-            .lock()
-            .expect("snapshot cache poisoned")
-            .store(prefix);
-        Ok(result)
-    }
-
-    /// Cache lookup that respects the disabled state (capacity 0 neither
-    /// stores nor counts).
-    fn lookup_prefix(&self, seed: u64) -> Option<Arc<SeedPrefix>> {
-        let mut cache = self.snapshots.lock().expect("snapshot cache poisoned");
-        if cache.capacity == 0 {
-            return None;
-        }
-        cache.get(seed)
-    }
-
-    fn resume_round(
-        &self,
-        seed: u64,
-        plan: InjectionPlan,
-        prefix: &SeedPrefix,
-    ) -> Result<RunResult, SimError> {
-        let (result, info) = anduril_sim::run_compiled_resume(
-            &self.scenario.program,
-            &self.compiled,
-            &self.scenario.topology,
-            &self.scenario.config.with_seed(seed),
-            plan,
-            prefix,
-        )?;
-        if info.resumed {
-            self.snapshots
-                .lock()
-                .expect("snapshot cache poisoned")
-                .resumed += 1;
-        }
-        Ok(result)
     }
 
     /// Whether an injection candidate is statically feasible under the
@@ -590,7 +419,7 @@ fn nearest_distance(positions: &[usize], pos: f64) -> f64 {
 
 // The batched explorer shares one context across worker threads; every
 // field is plain owned data, so this holds structurally — the assertion
-// turns an accidental `Rc`/`RefCell` regression into a compile error.
+// turns an accidental `Rc` or interior-mutable cell into a compile error.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SearchContext>();

@@ -490,13 +490,6 @@ impl<'a> ExploreState<'a> {
         replay_verified: bool,
     ) -> Reproduction {
         if self.tracer.enabled() {
-            let stats = self.ctx.snapshot_stats();
-            self.tracer.record(TraceEvent::SnapshotStats {
-                hits: stats.hits,
-                misses: stats.misses,
-                resumed: stats.resumed,
-                stored: stats.stored,
-            });
             self.tracer.record(TraceEvent::ExploreEnd {
                 success,
                 rounds: self.per_round.len(),
@@ -525,8 +518,10 @@ pub(crate) type Speculated = (InjectionPlan, Result<RunResult, SimError>);
 
 /// The batch engine's speculation step (see [`crate::batch`]): given the
 /// trusted strategy and the next round number, the plans it predicts for
-/// that round onwards, each already executed.
-pub(crate) type Speculate<'a, S> = &'a mut dyn FnMut(&S, usize) -> Vec<Speculated>;
+/// that round onwards, each already executed. An error here is the
+/// engine's own (a worker died), not a round's, and ends the search.
+pub(crate) type Speculate<'a, S> =
+    &'a mut dyn FnMut(&S, usize) -> Result<Vec<Speculated>, SimError>;
 
 /// The Explorer's round loop (Algorithm 2) — the only one.
 ///
@@ -560,7 +555,7 @@ pub(crate) fn search<S: Strategy + ?Sized>(
         let speculated = match speculate.as_mut() {
             None => Vec::new(),
             Some(speculate) => {
-                let speculated = speculate(strategy, round);
+                let speculated = speculate(strategy, round)?;
                 if tracer.enabled() {
                     tracer.record(TraceEvent::EpochStart {
                         epoch,

@@ -36,7 +36,7 @@ pub mod trace;
 pub use adaptive::{AdaptiveConfig, AdaptiveState, PromotedObservable, PromotedSet};
 pub use anduril_causal::{Interval, OccurrenceBounds, PromotionCandidate, RootCall};
 pub use batch::{explore_batched, explore_batched_traced, BatchExplorerConfig};
-pub use context::{FaultUnit, ObservableInfo, RoundOutcome, SearchContext, SnapshotStats};
+pub use context::{FaultUnit, ObservableInfo, RoundOutcome, SearchContext};
 pub use explorer::{
     explore, explore_traced, reproduce, ExplorerConfig, ReproScript, Reproduction, RoundRecord,
 };

@@ -282,22 +282,6 @@ pub enum TraceEvent {
         /// (zero for refinement promotions over the prepared graph).
         units_added: usize,
     },
-    /// Snapshot-cache counters at the end of exploration
-    /// (`ev: "snapshot_stats"`). Every field is volatile: sequential and
-    /// batched runs probe the cache in different orders (workers race, and
-    /// only the sequential loop replays merges through it), so the counts
-    /// are reporting-only and excluded from the deterministic stream.
-    SnapshotStats {
-        /// Prefix-cache hits (volatile).
-        hits: u64,
-        /// Prefix-cache misses (volatile).
-        misses: u64,
-        /// Rounds that restored a snapshot instead of replaying from step
-        /// zero (volatile).
-        resumed: u64,
-        /// Seed prefixes resident at the end (volatile).
-        stored: usize,
-    },
     /// The final provenance chain on success (`ev: "provenance"`): from
     /// the reproducing injection back through the observable and graph
     /// distance that prioritized it.
@@ -518,23 +502,6 @@ impl TraceEvent {
                 json_escape(node_desc),
                 *l_old as i64 - *l_new as i64
             ),
-            TraceEvent::SnapshotStats {
-                hits,
-                misses,
-                resumed,
-                stored,
-            } => {
-                let mut s = String::from("{\"ev\":\"snapshot_stats\"");
-                if volatile {
-                    let _ = write!(
-                        s,
-                        ",\"hits\":{hits},\"misses\":{misses},\"resumed\":{resumed},\
-                         \"stored\":{stored}"
-                    );
-                }
-                s.push('}');
-                s
-            }
             TraceEvent::EpochStart { epoch, round, jobs } => {
                 format!("{{\"ev\":\"epoch\",\"epoch\":{epoch},\"round\":{round},\"jobs\":{jobs}}}")
             }
@@ -1047,12 +1014,6 @@ mod tests {
                 l_old: 4,
                 units_added: 2,
             },
-            TraceEvent::SnapshotStats {
-                hits: 10,
-                misses: 2,
-                resumed: 90000,
-                stored: 8,
-            },
             TraceEvent::EpochStart {
                 epoch: 0,
                 round: 0,
@@ -1115,14 +1076,6 @@ mod tests {
         let end = events.last().unwrap().to_json();
         assert!(end.contains("wall_ns"));
         assert!(!events.last().unwrap().stable_json().contains("wall_ns"));
-        // Snapshot-cache counters are volatile in their entirety: the
-        // stable form degenerates to the bare event marker.
-        let stats = events
-            .iter()
-            .find(|e| matches!(e, TraceEvent::SnapshotStats { .. }))
-            .unwrap();
-        assert!(stats.to_json().contains("\"misses\":2"));
-        assert_eq!(stats.stable_json(), "{\"ev\":\"snapshot_stats\"}");
     }
 
     #[test]

@@ -140,8 +140,8 @@ pub struct LogEntry {
     /// The statement that emitted it.
     pub stmt: StmtRef,
     /// The rendered message body (template with arguments substituted).
-    /// Interned so cloning an entry (snapshot capture/restore, result
-    /// copies) bumps a refcount instead of reallocating the text.
+    /// Interned so cloning an entry (result copies) bumps a refcount
+    /// instead of reallocating the text.
     pub body: Arc<str>,
     /// Rendered class name of an attached throwable (e.g. `IOException`),
     /// when the logging call attached one.

@@ -297,51 +297,6 @@ impl Fir {
         &self.occ
     }
 
-    /// Clones the per-site occurrence counters (snapshot capture).
-    pub(crate) fn occ_clone(&self) -> Vec<u32> {
-        self.occ.clone()
-    }
-
-    /// Clones the meta-access occurrence counters (snapshot capture).
-    pub(crate) fn meta_occ_clone(&self) -> Vec<(StmtRef, u32)> {
-        self.meta_occ.clone()
-    }
-
-    /// Meta-access count for one statement at this point of the run (`0`
-    /// if the statement has not executed yet). Snapshot validity checks use
-    /// this to decide whether a crash point already passed. The slice is
-    /// sorted by statement ([`Fir::on_meta_access`] maintains the order).
-    pub(crate) fn meta_count(meta_occ: &[(StmtRef, u32)], stmt: StmtRef) -> u32 {
-        meta_occ
-            .binary_search_by_key(&stmt, |&(s, _)| s)
-            .map(|i| meta_occ[i].1)
-            .unwrap_or(0)
-    }
-
-    /// Restores the runtime's prefix state from a snapshot: occurrence
-    /// counters, the trace prefix, and the request count. The armed plan
-    /// (set by [`Fir::new`]) is untouched — a resumed run re-decides
-    /// injections from the restored counters onward, and the snapshot
-    /// layer guarantees the plan could not have fired inside the prefix.
-    pub(crate) fn restore_prefix(
-        &mut self,
-        occ: Vec<u32>,
-        meta_occ: Vec<(StmtRef, u32)>,
-        trace: Vec<TraceEntry>,
-        requests: u64,
-    ) {
-        debug_assert!(
-            self.injected.is_none()
-                && self.injected_all.is_empty()
-                && !self.crashed
-                && self.trace.is_empty()
-        );
-        self.occ = occ;
-        self.meta_occ = meta_occ;
-        self.trace = trace;
-        self.requests = requests;
-    }
-
     /// Final occurrence counts per site, as an owned vector.
     pub fn occ_vec(&self) -> Vec<u32> {
         self.occ.clone()
@@ -490,15 +445,8 @@ mod tests {
         fir.on_meta_access(b);
         fir.on_meta_access(a);
         fir.on_meta_access(a);
-        let counts = fir.meta_occ_clone();
-        assert_eq!(Fir::meta_count(&counts, a), 3);
-        assert_eq!(Fir::meta_count(&counts, b), 1);
-        assert_eq!(
-            Fir::meta_count(&counts, StmtRef::new(anduril_ir::BlockId(5), 5)),
-            0
-        );
-        // The snapshot clone is sorted, as `meta_count` requires.
-        assert!(counts.windows(2).all(|w| w[0].0 < w[1].0));
+        // Sorted by statement, as the binary search requires.
+        assert_eq!(fir.meta_occ, vec![(b, 1), (a, 3)]);
     }
 
     #[test]

@@ -60,8 +60,4 @@ pub mod world;
 pub use config::{Engine, NodeSpec, SimConfig, Topology};
 pub use fir::{Candidate, CrashPoint, Fir, InjectedRecord, InjectionPlan, TraceEntry};
 pub use result::{BlockReason, NodeSnapshot, RunResult, ThreadEndState, ThreadSnapshot};
-pub use world::snapshot::{
-    run_compiled_capture, run_compiled_resume, ExecIndex, ResumeInfo, SeedPrefix, SnapshotPolicy,
-    WorldSnapshot,
-};
 pub use world::{meta_access_points, run, run_compiled, SimError};

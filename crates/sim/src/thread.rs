@@ -6,7 +6,7 @@
 //! block [`Cursor`]s, shared by all of its call [`Frame`]s, each of which
 //! records only where its part of the two stacks begins. Calling a function
 //! pushes slots and a cursor; returning truncates. Nothing is allocated per
-//! call, and a snapshot copies two vectors per thread.
+//! call.
 //!
 //! Cursors track the position inside nested `if`/`while`/`try` structures
 //! and are `Copy`. What a `catch` handler caught and what a `finally` block
@@ -28,7 +28,7 @@ use crate::world::{internal, Sim};
 pub(crate) type ThreadId = usize;
 
 /// What a `finally` block will do when control leaves it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Pending {
     /// Normal completion.
     None,
@@ -44,7 +44,7 @@ pub(crate) enum Pending {
 
 /// The payload of a [`CursorTag::Handler`] or [`CursorTag::Finally`]
 /// cursor, kept off the cursor so that cursors stay `Copy`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Unwinding {
     /// The exception a handler caught (read by `Rethrow` and
     /// stack-attaching logs).
@@ -113,7 +113,7 @@ pub(crate) struct Frame {
 }
 
 /// A thread's lifecycle state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum ThreadStatus {
     /// Eligible to run.
     Runnable,
@@ -148,7 +148,7 @@ pub(crate) enum Role {
 }
 
 /// A simulated thread.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Thread {
     /// Index of the node the thread runs on.
     pub node: usize,

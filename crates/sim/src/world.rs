@@ -34,13 +34,11 @@ use anduril_ir::{
 
 mod events;
 mod exec_vm;
-pub mod snapshot;
 
 #[cfg(any(test, feature = "tree-walk-oracle"))]
 mod exec_ast;
 
 use events::{Event, EventQueue};
-use snapshot::CaptureState;
 
 /// Errors surfaced by the interpreter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,26 +116,26 @@ pub fn run_compiled(
     Ok(world.finish())
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FutureState {
     done: Option<Result<Value, Arc<ExcValue>>>,
     waiters: Vec<ThreadId>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Task {
     func: FuncId,
     args: Vec<Value>,
     future: u64,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct ExecState {
     queue: VecDeque<Task>,
     worker: Option<ThreadId>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     name: Arc<str>,
     alive: bool,
@@ -184,9 +182,6 @@ struct World<'p> {
     regs: Vec<Value>,
     /// The VM's scratch buffer for rendering log bodies.
     body_buf: String,
-    /// Snapshot-capture bookkeeping; `None` (the common case) outside
-    /// [`snapshot::run_compiled_capture`] runs.
-    capture: Option<Box<CaptureState>>,
     started: Instant,
 }
 
@@ -198,7 +193,31 @@ impl<'p> World<'p> {
         cfg: &SimConfig,
         plan: InjectionPlan,
     ) -> Result<Self, SimError> {
-        let mut world = World::empty(program, compiled, cfg, plan)?;
+        #[cfg(not(any(test, feature = "tree-walk-oracle")))]
+        if cfg.engine == Engine::TreeWalk {
+            return Err(SimError::Internal(
+                "tree-walk engine requires the `tree-walk-oracle` feature".into(),
+            ));
+        }
+        let mut world = World {
+            program,
+            compiled,
+            engine: cfg.engine,
+            cfg: cfg.clone(),
+            rng: SmallRng::seed_from_u64(cfg.seed),
+            clock: 0,
+            seq: 0,
+            events: EventQueue::new(),
+            threads: Vec::new(),
+            nodes: Vec::new(),
+            futures: Vec::new(),
+            log: Vec::with_capacity(64),
+            fir: Fir::new(program.sites.len(), plan),
+            steps: 0,
+            regs: vec![Value::Unit; compiled.max_regs],
+            body_buf: String::new(),
+            started: Instant::now(),
+        };
         for spec in &topo.nodes {
             if world.node_named(&spec.name).is_some() {
                 return Err(SimError::Internal(format!(
@@ -229,45 +248,6 @@ impl<'p> World<'p> {
             world.schedule_wake(tid, i as u64, false);
         }
         Ok(world)
-    }
-
-    /// The bare struct with no nodes, threads, or scheduled events: what
-    /// [`World::new`] fills in from the topology, and what `restore`
-    /// overwrites wholesale from a snapshot (so the resume path pays for
-    /// no per-node globals clones, entry frames or initial wake events).
-    /// Must not be driven without one or the other.
-    fn empty(
-        program: &'p Program,
-        compiled: &'p CompiledProgram,
-        cfg: &SimConfig,
-        plan: InjectionPlan,
-    ) -> Result<Self, SimError> {
-        #[cfg(not(any(test, feature = "tree-walk-oracle")))]
-        if cfg.engine == Engine::TreeWalk {
-            return Err(SimError::Internal(
-                "tree-walk engine requires the `tree-walk-oracle` feature".into(),
-            ));
-        }
-        Ok(World {
-            program,
-            compiled,
-            engine: cfg.engine,
-            cfg: cfg.clone(),
-            rng: SmallRng::seed_from_u64(cfg.seed),
-            clock: 0,
-            seq: 0,
-            events: EventQueue::new(),
-            threads: Vec::new(),
-            nodes: Vec::new(),
-            futures: Vec::new(),
-            log: Vec::with_capacity(64),
-            fir: Fir::new(program.sites.len(), plan),
-            steps: 0,
-            regs: vec![Value::Unit; compiled.max_regs],
-            body_buf: String::new(),
-            capture: None,
-            started: Instant::now(),
-        })
     }
 
     // ---- infrastructure -------------------------------------------------
@@ -504,13 +484,7 @@ impl<'p> World<'p> {
     }
 
     fn drive_events(&mut self) -> Sim<()> {
-        loop {
-            // Snapshot at the loop top, where the state is a complete
-            // resumable quiescent point (the next event still queued).
-            if self.capture.is_some() {
-                self.maybe_snapshot();
-            }
-            let Some(due) = self.events.pop() else { break };
+        while let Some(due) = self.events.pop() {
             if due.time > self.cfg.max_time {
                 break;
             }
@@ -561,16 +535,15 @@ impl<'p> World<'p> {
     /// or before the thread's own wake time, its wake would be the very next
     /// event popped, so `seq`, `clock` and the wheel move as push-then-pop
     /// would have moved them and the next slice starts right away — same
-    /// `(time, seq)` order, same RNG draws. The wake goes through the queue
-    /// whenever the loop top has work to do in between: a snapshot is due,
-    /// or the wake lies past the horizon and ends the run.
+    /// `(time, seq)` order, same RNG draws. A wake past the horizon goes
+    /// through the queue: popping it is what ends the run.
     fn run_thread(&mut self, tid: ThreadId) -> Sim<()> {
         loop {
             let Some(delay) = self.run_slice(tid)? else {
                 return Ok(());
             };
             let wake = self.clock + delay;
-            if wake > self.cfg.max_time || self.snapshot_due() || !self.events.none_due_by(wake) {
+            if wake > self.cfg.max_time || !self.events.none_due_by(wake) {
                 self.schedule_wake(tid, delay, false);
                 return Ok(());
             }

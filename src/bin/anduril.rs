@@ -21,7 +21,7 @@ fn usage() -> ! {
         "usage:\n  anduril list\n  anduril show <case>\n  anduril log <case>\n  \
          anduril analyze [<case>|<system>|all] [--json FILE]\n  \
          anduril reproduce <case> [--strategy NAME] [--max-rounds N] [--emit-script FILE]\n  \
-         {0:21}[--threads N] [--batch N] [--trace FILE] [--snapshots N]\n  \
+         {0:21}[--threads N] [--batch N] [--trace FILE]\n  \
          {0:21}[--adaptive on|off]\n  \
          anduril trace <file> [--summary | --round N | --promotions | --json]\n  \
          anduril replay <case> <script-file>\n  \
@@ -36,10 +36,6 @@ fn usage() -> ! {
          --trace FILE records the structured search-trace stream (context\n\
          phases, per-round decisions with priority provenance, feedback,\n\
          speculation) as JSONL; `anduril trace FILE` renders it\n\n\
-         --snapshots N caps the snapshot-prefix cache at N seeds (default\n\
-         16; 0 disables). Batched rounds capture world-state snapshots so\n\
-         same-seed reruns (speculation misses, replay verification) resume\n\
-         mid-timeline; results are byte-identical either way\n\n\
          --adaptive on promotes synthetic observables from causal-graph\n\
          interior nodes when the search stalls (a retry pass begins),\n\
          re-shaping priorities around the top-ranked sites; off (default)\n\
@@ -686,19 +682,6 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
         }
     }
 
-    // Only the batch engine captures snapshots (its `epoch` events mark a
-    // batched stream); a sequential search could only ever report 0 hits.
-    if let Some(s) = find_last("snapshot_stats").filter(|_| epochs > 0) {
-        println!(
-            "\nSnapshot cache: {} hits, {} misses, {} rounds resumed from a snapshot, \
-             {} seed prefixes stored",
-            junum(s, "hits"),
-            junum(s, "misses"),
-            junum(s, "resumed"),
-            junum(s, "stored"),
-        );
-    }
-
     if let Some(p) = find_last("provenance") {
         println!("\nProvenance chain");
         println!(
@@ -981,7 +964,6 @@ fn trace_report_json(events: &[(String, Json)]) -> String {
         .map(|(raw, _)| raw.trim().to_string())
         .collect();
     let _ = writeln!(out, "  \"promotions\": [{}],", promotions.join(", "));
-    let _ = writeln!(out, "  \"snapshot_stats\": {},", find_raw("snapshot_stats"));
     let _ = writeln!(out, "  \"provenance\": {},", find_raw("provenance"));
     let _ = writeln!(out, "  \"explore_end\": {}", find_raw("explore_end"));
     out.push_str("}\n");
@@ -1180,7 +1162,6 @@ fn main() {
             let mut threads = 1usize;
             let mut batch_size: Option<usize> = None;
             let mut trace_path: Option<String> = None;
-            let mut snapshot_capacity: Option<usize> = None;
             let mut adaptive = false;
             let mut i = 2;
             while i < args.len() {
@@ -1219,14 +1200,6 @@ fn main() {
                         trace_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
                         i += 2;
                     }
-                    "--snapshots" => {
-                        snapshot_capacity = Some(
-                            args.get(i + 1)
-                                .and_then(|s| s.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        );
-                        i += 2;
-                    }
                     "--adaptive" => {
                         adaptive = match args.get(i + 1).map(String::as_str) {
                             Some("on") => true,
@@ -1252,12 +1225,9 @@ fn main() {
             let failure_log = case
                 .failure_log()
                 .unwrap_or_else(|e| fail(format!("{}: failure log: {e}", case.id)));
-            let mut ctx =
+            let ctx =
                 SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, tracer)
                     .unwrap_or_else(|e| fail(format!("{}: context preparation: {e}", case.id)));
-            if let Some(cap) = snapshot_capacity {
-                ctx.set_snapshot_capacity(cap);
-            }
             eprintln!(
                 "{}: {} observables, {} candidate units, causal graph {}v/{}e",
                 case.id,

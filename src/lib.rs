@@ -45,8 +45,7 @@ pub use anduril_core::{
     AdaptiveState, BatchExplorerConfig, Combine, Explanation, ExplorerConfig, FaultUnit,
     FeedbackConfig, FeedbackStrategy, FileTracer, Json, NoopTracer, ObservableInfo, Oracle,
     PlanProvenance, PromotedObservable, PromotedSet, ReproScript, Reproduction, RoundOutcome,
-    RoundRecord, Scenario, SearchContext, SnapshotStats, Strategy, StrategyNote, TraceEvent,
-    Tracer, VecTracer,
+    RoundRecord, Scenario, SearchContext, Strategy, StrategyNote, TraceEvent, Tracer, VecTracer,
 };
 
 /// The structured search-trace layer (re-export of `anduril-core::trace`).

@@ -4,14 +4,15 @@
 //!
 //! The degraded f5 and f18 contexts make this observable: their adaptive
 //! searches promote (f5 takes 82 rounds, f18 12), and a promotion that
-//! outlived its search would hand the next one a head start.
+//! outlived its search would hand the next one a head start. Nor do two
+//! searches running at once on the one context disturb each other.
 
 mod common;
 
 use anduril::trace::{TraceEvent, VecTracer};
 use anduril::{
-    explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle, Reproduction,
-    SearchContext,
+    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
+    FeedbackStrategy, Oracle, Reproduction, SearchContext,
 };
 use common::{degraded_context, stable_lines};
 
@@ -19,6 +20,7 @@ fn search(
     ctx: &SearchContext,
     oracle: &Oracle,
     adaptive: bool,
+    batch: Option<&BatchExplorerConfig>,
 ) -> (Reproduction, Vec<String>, usize) {
     let mut cfg = ExplorerConfig {
         max_rounds: 300,
@@ -28,7 +30,11 @@ fn search(
     cfg.adaptive.enabled = adaptive;
     let tracer = VecTracer::new();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-    let r = explore_traced(ctx, oracle, &mut s, &cfg, None, &tracer).expect("explore");
+    let r = match batch {
+        None => explore_traced(ctx, oracle, &mut s, &cfg, None, &tracer),
+        Some(batch) => explore_batched_traced(ctx, oracle, &mut s, &cfg, batch, None, &tracer),
+    }
+    .expect("explore");
     let events = tracer.take();
     let promotions = events
         .iter()
@@ -54,10 +60,10 @@ fn searches_on_one_context_do_not_see_each_other() {
     for id in ["f5", "f18"] {
         let (ctx, oracle) = degraded_context(id);
 
-        let first = search(&ctx, &oracle, true);
+        let first = search(&ctx, &oracle, true, None);
         assert!(first.0.success, "{id}: the adaptive search reproduces");
         assert!(first.2 > 0, "{id}: and promotes on the way");
-        let second = search(&ctx, &oracle, true);
+        let second = search(&ctx, &oracle, true, None);
         assert_same(
             id,
             "second adaptive search on the same context",
@@ -65,14 +71,38 @@ fn searches_on_one_context_do_not_see_each_other() {
             &second,
         );
 
-        // After two promoting searches, a search with the frozen set still
+        // A sequential and a batched search at the same time (the barrier
+        // starts them together; the batch workers share the context too):
+        // each emits the solo search's stream, which carries every round's
+        // decision, injection and verdict.
+        let batch = BatchExplorerConfig {
+            batch_size: 8,
+            threads: 2,
+        };
+        let start = std::sync::Barrier::new(2);
+        let together = |batch| {
+            start.wait();
+            search(&ctx, &oracle, true, batch)
+        };
+        let (seq, bat) = std::thread::scope(|scope| {
+            let seq = scope.spawn(|| together(None));
+            let bat = scope.spawn(|| together(Some(&batch)));
+            (
+                seq.join().expect("sequential"),
+                bat.join().expect("batched"),
+            )
+        });
+        assert_same(id, "sequential search beside a batched one", &first, &seq);
+        assert_same(id, "batched search beside a sequential one", &first, &bat);
+
+        // After the promoting searches, a search with the frozen set still
         // sees the context as `prepare` left it.
         let (fresh, _) = degraded_context(id);
-        let after = search(&ctx, &oracle, false);
+        let after = search(&ctx, &oracle, false, None);
         assert_same(
             id,
             "adaptive-off search after them",
-            &search(&fresh, &oracle, false),
+            &search(&fresh, &oracle, false, None),
             &after,
         );
         assert_eq!(after.2, 0, "{id}: adaptive off never promotes");

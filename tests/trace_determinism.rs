@@ -60,10 +60,16 @@ fn stable_lines(events: &[TraceEvent]) -> Vec<String> {
 /// the sequential stream byte for byte, modulo epoch/slot tags.
 #[test]
 fn batched_stream_equals_sequential_stream() {
+    let mut misses = 0;
     for id in ["f1", "f3", "f17"] {
         let seq = stable_lines(&traced_run(id, None));
         assert!(!seq.is_empty(), "{id}: sequential stream is non-empty");
-        let bat = stable_lines(&traced_run(id, Some(4)));
+        let bat = traced_run(id, Some(4));
+        misses += bat
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Speculation { hit: false, .. }))
+            .count();
+        let bat = stable_lines(&bat);
         assert_eq!(
             seq.len(),
             bat.len(),
@@ -73,6 +79,9 @@ fn batched_stream_equals_sequential_stream() {
             assert_eq!(a, b, "{id}: stream diverges at event {i} (threads=4)");
         }
     }
+    // A mispredicted round is discarded and re-run inline: the cases above
+    // must cover that path, not only reused results.
+    assert!(misses > 0, "no speculation miss in any covered case");
 }
 
 /// Re-running the same sequential search twice gives the same stream —
