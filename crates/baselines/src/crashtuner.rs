@@ -16,8 +16,10 @@
 use std::collections::HashSet;
 
 use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
-use anduril_ir::{ExceptionType, SiteId, StmtRef};
+use anduril_ir::StmtRef;
 use anduril_sim::{world::meta_access_points, Candidate, CrashPoint, InjectionPlan};
+
+use crate::queue::OccurrenceQueue;
 
 /// Injection mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,11 +37,8 @@ pub struct CrashTuner {
     /// Crash mode: `(stmt, occurrence)` queue.
     crash_queue: Vec<(StmtRef, u32)>,
     crash_next: usize,
-    /// Exception mode: `(site, occurrence, exc)` queue.
-    exc_order: Vec<(SiteId, u32, ExceptionType)>,
-    tried: HashSet<(SiteId, u32, ExceptionType)>,
-    window: usize,
-    pending_notes: Vec<StrategyNote>,
+    /// Exception mode: plans at the sites of meta-touching functions.
+    exc_queue: OccurrenceQueue,
 }
 
 impl CrashTuner {
@@ -49,10 +48,7 @@ impl CrashTuner {
             mode: Mode::Crashes,
             crash_queue: Vec::new(),
             crash_next: 0,
-            exc_order: Vec::new(),
-            tried: HashSet::new(),
-            window: 10,
-            pending_notes: Vec::new(),
+            exc_queue: OccurrenceQueue::new(),
         }
     }
 
@@ -80,9 +76,6 @@ impl Strategy for CrashTuner {
         let program = &ctx.scenario.program;
         self.crash_queue.clear();
         self.crash_next = 0;
-        self.exc_order.clear();
-        self.tried.clear();
-        self.pending_notes.clear();
         let points = meta_access_points(program);
         match self.mode {
             Mode::Crashes => {
@@ -110,51 +103,17 @@ impl Strategy for CrashTuner {
                     }
                 }
                 meta_funcs = extended;
-                let max_occ = ctx.site_instances.iter().map(Vec::len).max().unwrap_or(1) as u32;
-                let mut bound_pruned = 0usize;
-                for occ in 0..max_occ.max(1) {
-                    for &sid in &ctx.candidate_sites {
-                        let site = &program.sites[sid.index()];
-                        if meta_funcs.contains(&site.func)
-                            && (occ as usize) < ctx.site_instances[sid.index()].len().max(1)
-                        {
-                            if !ctx.occurrence_feasible(sid, Some(occ)) {
-                                bound_pruned += site.exceptions.len();
-                            }
-                            for &exc in &site.exceptions {
-                                self.exc_order.push((sid, occ, exc));
-                            }
-                        }
-                    }
-                }
-                if bound_pruned > 0 {
-                    self.pending_notes.push(StrategyNote::BoundPruned {
-                        count: bound_pruned,
-                    });
-                }
+                self.exc_queue
+                    .fill(ctx, |site| meta_funcs.contains(&site.func));
             }
         }
     }
 
     fn plan_round(&mut self, ctx: &SearchContext, _round: usize) -> Vec<Candidate> {
-        // As in [`Fate`], statically infeasible `(site, occurrence)` plans
-        // keep their queue slot (the window pacing is the baseline under
-        // comparison) but are never armed.
-        self.exc_order
-            .iter()
-            .filter(|c| !self.tried.contains(c))
-            .take(self.window)
-            .filter(|&&(site, occ, _)| ctx.occurrence_feasible(site, Some(occ)))
-            .map(|&(site, occ, exc)| Candidate {
-                site,
-                occurrence: Some(occ),
-                exc,
-                stack: None,
-            })
-            .collect()
+        self.exc_queue.plan_round(ctx)
     }
 
-    fn plan_injection(&mut self, ctx: &SearchContext, round: usize) -> Option<InjectionPlan> {
+    fn plan_injection(&mut self, ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {
         match self.mode {
             Mode::Crashes => {
                 let &(stmt, occurrence) = self.crash_queue.get(self.crash_next)?;
@@ -165,31 +124,17 @@ impl Strategy for CrashTuner {
                     multi_shot: false,
                 })
             }
-            Mode::MetaExceptions => {
-                // Exhaustion is a property of the queue, not of the armed
-                // set: placeholder-only windows are (wasted) rounds, spent
-                // exactly as the tool would have spent them.
-                if self.exc_order.iter().all(|c| self.tried.contains(c)) {
-                    None
-                } else {
-                    Some(InjectionPlan::window(self.plan_round(ctx, round)))
-                }
-            }
+            Mode::MetaExceptions => self.exc_queue.plan_injection(ctx),
         }
     }
 
     fn feedback(&mut self, _ctx: &SearchContext, outcome: &RoundOutcome) {
         if self.mode == Mode::MetaExceptions {
-            if let Some(rec) = &outcome.result.injected {
-                self.tried
-                    .insert((rec.candidate.site, rec.occurrence, rec.candidate.exc));
-            } else {
-                self.window = (self.window * 2).min(4_096);
-            }
+            self.exc_queue.feedback(outcome);
         }
     }
 
     fn drain_notes(&mut self) -> Vec<StrategyNote> {
-        std::mem::take(&mut self.pending_notes)
+        self.exc_queue.drain_notes()
     }
 }

@@ -9,31 +9,23 @@
 //! "cover new scenarios first" policy — and exactly wrong for failures
 //! that need a *late* occurrence of an already-seen fault.
 
-use std::collections::HashSet;
-
 use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
-use anduril_ir::{ExceptionType, SiteId};
-use anduril_sim::Candidate;
+use anduril_sim::{Candidate, InjectionPlan};
 
-/// The FATE-style strategy.
+use crate::queue::OccurrenceQueue;
+
+/// The FATE-style strategy: breadth-first (occurrence-major) over every
+/// candidate site of the program.
 #[derive(Debug)]
 pub struct Fate {
-    /// Candidates in breadth-first (occurrence-major) order.
-    order: Vec<(SiteId, u32, ExceptionType)>,
-    tried: HashSet<(SiteId, u32, ExceptionType)>,
-    /// Candidates armed per round.
-    pub window: usize,
-    pending_notes: Vec<StrategyNote>,
+    queue: OccurrenceQueue,
 }
 
 impl Fate {
     /// Creates a FATE explorer with the default window.
     pub fn new() -> Self {
         Fate {
-            order: Vec::new(),
-            tried: HashSet::new(),
-            window: 10,
-            pending_notes: Vec::new(),
+            queue: OccurrenceQueue::new(),
         }
     }
 }
@@ -50,79 +42,24 @@ impl Strategy for Fate {
     }
 
     fn init(&mut self, ctx: &SearchContext) {
-        self.order.clear();
-        self.tried.clear();
-        self.pending_notes.clear();
-        let program = &ctx.scenario.program;
-        let max_occ = ctx.site_instances.iter().map(Vec::len).max().unwrap_or(1) as u32;
         // Breadth-first over occurrences: every distinct failure ID (site ×
         // exception) at occurrence o before any ID at occurrence o+1.
-        let mut bound_pruned = 0usize;
-        for occ in 0..max_occ.max(1) {
-            for &sid in &ctx.candidate_sites {
-                let site = &program.sites[sid.index()];
-                if (occ as usize) < ctx.site_instances[sid.index()].len().max(1) {
-                    if !ctx.occurrence_feasible(sid, Some(occ)) {
-                        bound_pruned += site.exceptions.len();
-                    }
-                    for &exc in &site.exceptions {
-                        self.order.push((sid, occ, exc));
-                    }
-                }
-            }
-        }
-        if bound_pruned > 0 {
-            self.pending_notes.push(StrategyNote::BoundPruned {
-                count: bound_pruned,
-            });
-        }
+        self.queue.fill(ctx, |_| true);
     }
 
     fn plan_round(&mut self, ctx: &SearchContext, _round: usize) -> Vec<Candidate> {
-        // Infeasible IDs stay in the queue as window placeholders — the
-        // tool's pacing is part of what we compare against — but are never
-        // actually armed: a plan past the static occurrence bound cannot
-        // fire, so arming it would only pretend to spend the slot.
-        self.order
-            .iter()
-            .filter(|c| !self.tried.contains(c))
-            .take(self.window)
-            .filter(|&&(site, occ, _)| ctx.occurrence_feasible(site, Some(occ)))
-            .map(|&(site, occ, exc)| Candidate {
-                site,
-                occurrence: Some(occ),
-                exc,
-                stack: None,
-            })
-            .collect()
+        self.queue.plan_round(ctx)
     }
 
-    fn plan_injection(
-        &mut self,
-        ctx: &SearchContext,
-        round: usize,
-    ) -> Option<anduril_sim::InjectionPlan> {
-        // Exhaustion is a property of the queue, not of the armed set: a
-        // window of placeholder-only entries is a (wasted) round, exactly
-        // as the tool would have spent it.
-        if self.order.iter().all(|c| self.tried.contains(c)) {
-            return None;
-        }
-        Some(anduril_sim::InjectionPlan::window(
-            self.plan_round(ctx, round),
-        ))
+    fn plan_injection(&mut self, ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {
+        self.queue.plan_injection(ctx)
     }
 
     fn feedback(&mut self, _ctx: &SearchContext, outcome: &RoundOutcome) {
-        if let Some(rec) = &outcome.result.injected {
-            self.tried
-                .insert((rec.candidate.site, rec.occurrence, rec.candidate.exc));
-        } else {
-            self.window = (self.window * 2).min(4_096);
-        }
+        self.queue.feedback(outcome);
     }
 
     fn drain_notes(&mut self) -> Vec<StrategyNote> {
-        std::mem::take(&mut self.pending_notes)
+        self.queue.drain_notes()
     }
 }

@@ -16,6 +16,7 @@
 
 pub mod crashtuner;
 pub mod fate;
+mod queue;
 pub mod stacktrace;
 
 pub use crashtuner::{CrashTuner, Mode};

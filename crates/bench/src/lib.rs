@@ -8,8 +8,7 @@
 //! reproduces what, in how many rounds, and where the orderings cross — is
 //! the reproduction target.
 
-use std::fmt::Write as _;
-
+pub use anduril_core::trace::report::TextTable;
 use anduril_core::trace::{TraceEvent, VecTracer};
 use anduril_core::{explore, ExplorerConfig, Reproduction, SearchContext, Strategy};
 use anduril_failures::{FailureCase, GroundTruth};
@@ -125,67 +124,6 @@ pub fn cell(r: &Reproduction) -> String {
     }
 }
 
-/// A minimal fixed-width text table writer.
-#[derive(Debug, Default)]
-pub struct TextTable {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl TextTable {
-    /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        TextTable {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row.
-    pub fn row(&mut self, cells: Vec<String>) {
-        self.rows.push(cells);
-    }
-
-    /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
-        let cols = self.header.len();
-        let mut widths = vec![0usize; cols];
-        for (i, h) in self.header.iter().enumerate() {
-            widths[i] = h.len();
-        }
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                if i < cols {
-                    widths[i] = widths[i].max(c.len());
-                }
-            }
-        }
-        let mut out = String::new();
-        let write_row = |out: &mut String, cells: &[String]| {
-            for (i, c) in cells.iter().enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                let _ = write!(
-                    out,
-                    "{:width$}",
-                    c,
-                    width = widths.get(i).copied().unwrap_or(0)
-                );
-            }
-            out.push('\n');
-        };
-        write_row(&mut out, &self.header);
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols.saturating_sub(1));
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            write_row(&mut out, row);
-        }
-        out
-    }
-}
-
 /// Median of a slice (0 if empty); the slice is sorted in place.
 pub fn median(values: &mut [u64]) -> u64 {
     if values.is_empty() {
@@ -198,18 +136,6 @@ pub fn median(values: &mut [u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn text_table_aligns_columns() {
-        let mut t = TextTable::new(&["id", "value"]);
-        t.row(vec!["a".into(), "1".into()]);
-        t.row(vec!["long-id".into(), "22".into()]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("id"));
-        assert!(lines[2].starts_with("a      "));
-    }
 
     #[test]
     fn median_of_odd_and_even() {

@@ -131,7 +131,7 @@ impl SearchContext {
         let phase = |name: &'static str, items: u64, since: Instant| {
             if tracer.enabled() {
                 tracer.record(TraceEvent::ContextPhase {
-                    phase: name,
+                    phase: name.into(),
                     items,
                     ns: since.elapsed().as_nanos() as u64,
                 });
@@ -201,7 +201,7 @@ impl SearchContext {
                 ("graph.chaining", timings.chaining_ns),
             ] {
                 tracer.record(TraceEvent::ContextPhase {
-                    phase: name,
+                    phase: name.into(),
                     items: graph.node_count() as u64,
                     ns,
                 });

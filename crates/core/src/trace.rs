@@ -41,15 +41,35 @@
 //! # Format
 //!
 //! [`FileTracer`] writes one hand-rolled JSON object per line (the style
-//! of `anduril analyze`), parseable by the minimal reader in [`Json`] and
-//! rendered by the `anduril trace` subcommand.
+//! of `anduril analyze`). This file is the only one that knows the wire
+//! keys: [`TraceEvent::to_json`] writes a line, [`TraceEvent::parse_line`]
+//! reads it back into the same typed event (through the minimal [`Json`]
+//! reader), and [`read_stream`] does that for a whole file. The reader's
+//! compatibility rule, so that old and cut streams stay readable while a
+//! schema slip is loud:
+//!
+//! - an `ev` or `note` kind this build does not know is skipped;
+//! - a key it does not know is ignored;
+//! - a missing volatile `*_ns` field reads `0` (which is what a
+//!   `stable_json` line and a stream older than the field look like);
+//! - any other missing or mistyped key is an error naming line and key;
+//! - a final line cut before its newline (the search died mid-write) is
+//!   dropped and reported; a malformed line anywhere else is an error.
+//!
+//! [`report`] renders a `&[TraceEvent]` as the four `anduril trace`
+//! reports.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write as _};
-use std::path::Path;
-use std::sync::Mutex;
+mod json;
+pub mod report;
+mod sink;
+
+use std::borrow::Cow;
+use std::fmt;
 
 use anduril_ir::{ExceptionType, SiteId};
+
+pub use json::Json;
+pub use sink::{FileTracer, NoopTracer, Tracer, VecTracer};
 
 /// Priority provenance of the top-ranked candidate of a planning pass —
 /// *why* the strategy put this unit first, in the paper's §5.2 terms.
@@ -122,10 +142,11 @@ pub enum StrategyNote {
 pub enum TraceEvent {
     /// One timed context-preparation phase (`ev: "phase"`).
     ContextPhase {
-        /// Phase name (`normal_run`, `parse_failure_log`, `diff`,
+        /// Phase name (`sim.compile`, `normal_run`, `parse_logs`, `diff`,
         /// `observables`, `graph`, `graph.exception`, `graph.slicing`,
-        /// `graph.chaining`, `distances`, `alignment`, `pruning`).
-        phase: &'static str,
+        /// `graph.chaining`, `distances`, `alignment`, `pruning`): static
+        /// where it is emitted, owned when read back from a file.
+        phase: Cow<'static, str>,
         /// Phase-specific size (entries, nodes, sites, …).
         items: u64,
         /// Host nanoseconds spent (volatile).
@@ -352,14 +373,10 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-fn usize_list(xs: &[usize]) -> String {
-    let body: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn f64_list(xs: &[f64]) -> String {
-    let body: Vec<String> = xs.iter().map(|&x| jf(x)).collect();
-    format!("[{}]", body.join(","))
+/// `item` of each element, `sep` between them (the writer's lists and the
+/// reports' share it).
+fn join<T>(xs: &[T], sep: &str, item: impl Fn(&T) -> String) -> String {
+    xs.iter().map(item).collect::<Vec<_>>().join(sep)
 }
 
 fn provenance_json(p: &PlanProvenance) -> String {
@@ -558,11 +575,11 @@ impl TraceEvent {
                 adjust,
                 i_k,
             } => format!(
-                "{{\"ev\":\"feedback\",\"round\":{round},\"present\":{},\"adjust\":{},\
-                 \"ik\":{}}}",
-                usize_list(present),
+                "{{\"ev\":\"feedback\",\"round\":{round},\"present\":[{}],\"adjust\":{},\
+                 \"ik\":[{}]}}",
+                join(present, ",", usize::to_string),
                 jf(*adjust),
-                f64_list(i_k)
+                join(i_k, ",", |&x| jf(x))
             ),
             TraceEvent::ProvenanceChain {
                 round,
@@ -607,338 +624,318 @@ impl TraceEvent {
             }
         }
     }
-}
 
-/// A sink for [`TraceEvent`]s.
-///
-/// Implementations take `&self` (interior mutability) so one tracer can be
-/// shared by the context, the explorer, and the batch engine without
-/// threading `&mut` through every layer.
-pub trait Tracer: Send + Sync {
-    /// Whether events will be recorded. Emission sites guard on this, so a
-    /// disabled tracer never pays for event construction.
-    fn enabled(&self) -> bool {
-        true
+    /// The inverse of [`TraceEvent::to_json`] and
+    /// [`TraceEvent::stable_json`]: reads one line back into the event that
+    /// wrote it. `Ok(None)` is a well-formed line of a kind this build does
+    /// not know (the module docs give the whole compatibility rule).
+    pub fn parse_line(line: &str) -> Result<Option<TraceEvent>, LineError> {
+        let json = Json::parse(line).ok_or(LineError::Malformed)?;
+        let o = Obj(&json);
+        Ok(Some(match o.str("ev")? {
+            "phase" => TraceEvent::ContextPhase {
+                phase: o.str("phase")?.to_string().into(),
+                items: o.int("items")?,
+                ns: o.ns("ns")?,
+            },
+            "context" => TraceEvent::ContextReady {
+                observables: o.int("observables")?,
+                units: o.int("units")?,
+                sites_total: o.int("sites_total")?,
+                sites_reachable: o.int("sites_reachable")?,
+                sites_bounded: o.int("sites_bounded")?,
+                graph_nodes: o.int("graph_nodes")?,
+                graph_edges: o.int("graph_edges")?,
+            },
+            "explore_start" => TraceEvent::ExploreStart {
+                strategy: o.str("strategy")?.to_string(),
+                max_rounds: o.int("max_rounds")?,
+                base_seed: o.int("base_seed")?,
+            },
+            "round_start" => TraceEvent::RoundStart {
+                round: o.int("round")?,
+                seed: o.int("seed")?,
+            },
+            "decision" => TraceEvent::Decision {
+                round: o.int("round")?,
+                window: o.int("window")?,
+                armed: o.int("armed")?,
+                provenance: match o.nested("provenance")? {
+                    None => None,
+                    Some(p) => Some(PlanProvenance {
+                        site: SiteId(p.int("site")?),
+                        exc: p.exc("exc")?,
+                        occurrence: p.nullable("occ", |v| v.as_u64()?.try_into().ok())?,
+                        f_i: p.float("f")?,
+                        k_star: p.int("k")?,
+                        l: p.int("l")?,
+                        i_k: p.float("ik")?,
+                        temporal: p.float("t")?,
+                    }),
+                },
+                init_ns: o.ns("init_ns")?,
+            },
+            "note" => TraceEvent::Note {
+                round: o.int("round")?,
+                note: match o.str("note")? {
+                    "retry_pass" => StrategyNote::RetryPass {
+                        pass: o.int("pass")?,
+                    },
+                    "window_grew" => StrategyNote::WindowGrew {
+                        window: o.int("window")?,
+                    },
+                    "retired" => StrategyNote::Retired {
+                        site: SiteId(o.int("site")?),
+                        exc: o.exc("exc")?,
+                    },
+                    "bound_pruned" => StrategyNote::BoundPruned {
+                        count: o.int("count")?,
+                    },
+                    "window_exhausted" => StrategyNote::WindowExhausted {
+                        window: o.int("window")?,
+                        pass: o.int("pass")?,
+                    },
+                    _ => return Ok(None),
+                },
+            },
+            // `delta` is derived from the two distances on the way out and
+            // not read on the way in.
+            "promoted" => TraceEvent::ObservablePromoted {
+                round: o.int("round")?,
+                k: o.int("k")?,
+                template: o.str("template")?.to_string(),
+                site: SiteId(o.int("site")?),
+                node: o.int("node")?,
+                node_desc: o.str("node_desc")?.to_string(),
+                pass: o.int("pass")?,
+                l_new: o.int("l_new")?,
+                l_old: o.int("l_old")?,
+                units_added: o.int("units_added")?,
+            },
+            "epoch" => TraceEvent::EpochStart {
+                epoch: o.int("epoch")?,
+                round: o.int("round")?,
+                jobs: o.int("jobs")?,
+            },
+            "spec" => TraceEvent::Speculation {
+                round: o.int("round")?,
+                epoch: o.int("epoch")?,
+                slot: o.int("slot")?,
+                hit: o.bool("hit")?,
+            },
+            "round_end" => TraceEvent::RoundEnd {
+                round: o.int("round")?,
+                injected: match o.nested("injected")? {
+                    None => None,
+                    Some(i) => Some((SiteId(i.int("site")?), i.int("occ")?, i.exc("exc")?)),
+                },
+                oracle: o.bool("oracle")?,
+                ticks: o.int("ticks")?,
+                steps: o.int("steps")?,
+                log_entries: o.int("log_entries")?,
+                injection_requests: o.int("injection_requests")?,
+                workload_ns: o.ns("workload_ns")?,
+                sim_ns: o.ns("sim_ns")?,
+                diff_ns: o.ns("diff_ns")?,
+                feedback_ns: o.ns("feedback_ns")?,
+            },
+            "feedback" => TraceEvent::Feedback {
+                round: o.int("round")?,
+                present: o.list("present", |v| v.as_u64().and_then(|n| n.try_into().ok()))?,
+                adjust: o.float("adjust")?,
+                i_k: o.list("ik", float_of)?,
+            },
+            "provenance" => TraceEvent::ProvenanceChain {
+                round: o.int("round")?,
+                seed: o.int("seed")?,
+                site: SiteId(o.int("site")?),
+                desc: o.str("desc")?.to_string(),
+                occurrence: o.int("occ")?,
+                exc: o.exc("exc")?,
+                observable: o.str("observable")?.to_string(),
+                k_star: o.int("k")?,
+                l: o.int("l")?,
+                i_k: o.float("ik")?,
+                f_i: o.float("f")?,
+                temporal: o.nullable("t", Json::as_f64)?,
+            },
+            "explore_end" => TraceEvent::ExploreEnd {
+                success: o.bool("success")?,
+                rounds: o.int("rounds")?,
+                replay_verified: o.bool("replay_verified")?,
+                wall_ns: o.ns("wall_ns")?,
+            },
+            _ => return Ok(None),
+        }))
     }
 
-    /// Records one event.
-    fn record(&self, ev: TraceEvent);
-
-    /// Flushes buffered output (no-op for unbuffered tracers).
-    fn flush(&self) {}
-}
-
-/// The disabled tracer: `enabled()` is `false` and `record` does nothing.
-/// The untraced entry points (`explore`, `reproduce`, …) use this.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn record(&self, _ev: TraceEvent) {}
-}
-
-/// An in-memory tracer collecting events into a vector; the test and
-/// bench harnesses read it back with [`VecTracer::events`].
-#[derive(Debug, Default)]
-pub struct VecTracer {
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl VecTracer {
-    /// Creates an empty tracer.
-    pub fn new() -> Self {
-        VecTracer::default()
-    }
-
-    /// A snapshot of the events recorded so far.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().expect("tracer poisoned").clone()
-    }
-
-    /// Takes the recorded events, leaving the tracer empty.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().expect("tracer poisoned"))
+    /// The round the event belongs to (`None` for preparation and the
+    /// search's two brackets).
+    pub fn round(&self) -> Option<usize> {
+        match self {
+            TraceEvent::ContextPhase { .. }
+            | TraceEvent::ContextReady { .. }
+            | TraceEvent::ExploreStart { .. }
+            | TraceEvent::ExploreEnd { .. } => None,
+            TraceEvent::RoundStart { round, .. }
+            | TraceEvent::Decision { round, .. }
+            | TraceEvent::Note { round, .. }
+            | TraceEvent::EpochStart { round, .. }
+            | TraceEvent::Speculation { round, .. }
+            | TraceEvent::RoundEnd { round, .. }
+            | TraceEvent::Feedback { round, .. }
+            | TraceEvent::ObservablePromoted { round, .. }
+            | TraceEvent::ProvenanceChain { round, .. } => Some(*round),
+        }
     }
 }
 
-impl Tracer for VecTracer {
-    fn record(&self, ev: TraceEvent) {
-        self.events.lock().expect("tracer poisoned").push(ev);
+/// Why a line is not a trace event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineError {
+    /// Not one JSON document.
+    Malformed,
+    /// A key the line's kind requires is missing or holds the wrong type.
+    Key(&'static str),
+}
+
+impl fmt::Display for LineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LineError::Malformed => f.write_str("malformed JSON"),
+            LineError::Key(key) => write!(f, "missing or mistyped key `{key}`"),
+        }
     }
 }
 
-/// A buffered JSONL file tracer: one [`TraceEvent::to_json`] line per
-/// event, flushed on [`Tracer::flush`] and on drop.
-#[derive(Debug)]
-pub struct FileTracer {
-    out: Mutex<BufWriter<File>>,
-}
+/// One object of a parsed line, read by key; a failed read names the key.
+struct Obj<'a>(&'a Json);
 
-impl FileTracer {
-    /// Creates (truncating) the trace file.
-    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<FileTracer> {
-        Ok(FileTracer {
-            out: Mutex::new(BufWriter::new(File::create(path)?)),
+impl<'a> Obj<'a> {
+    fn read<T>(
+        &self,
+        key: &'static str,
+        f: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, LineError> {
+        self.0.get(key).and_then(f).ok_or(LineError::Key(key))
+    }
+
+    /// An integer that fits the field's type.
+    fn int<T: TryFrom<u64>>(&self, key: &'static str) -> Result<T, LineError> {
+        self.read(key, |v| T::try_from(v.as_u64()?).ok())
+    }
+
+    /// A volatile host-time field: `0` where the line carries none.
+    fn ns(&self, key: &'static str) -> Result<u64, LineError> {
+        match self.0.get(key) {
+            None => Ok(0),
+            Some(v) => v.as_u64().ok_or(LineError::Key(key)),
+        }
+    }
+
+    fn float(&self, key: &'static str) -> Result<f64, LineError> {
+        self.read(key, float_of)
+    }
+
+    fn bool(&self, key: &'static str) -> Result<bool, LineError> {
+        self.read(key, Json::as_bool)
+    }
+
+    fn str(&self, key: &'static str) -> Result<&'a str, LineError> {
+        self.read(key, Json::as_str)
+    }
+
+    fn exc(&self, key: &'static str) -> Result<ExceptionType, LineError> {
+        self.read(key, |v| v.as_str().and_then(ExceptionType::parse))
+    }
+
+    /// A value the writer prints as `null` when there is none.
+    fn nullable<T>(
+        &self,
+        key: &'static str,
+        f: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, LineError> {
+        self.read(key, |v| match v {
+            Json::Null => Some(None),
+            v => f(v).map(Some),
         })
     }
-}
 
-impl Tracer for FileTracer {
-    fn record(&self, ev: TraceEvent) {
-        let mut out = self.out.lock().expect("tracer poisoned");
-        let _ = writeln!(out, "{}", ev.to_json());
+    /// A nested object, or `null`.
+    fn nested(&self, key: &'static str) -> Result<Option<Obj<'a>>, LineError> {
+        self.nullable(key, |v| matches!(v, Json::Obj(_)).then_some(Obj(v)))
     }
 
-    fn flush(&self) {
-        let _ = self.out.lock().expect("tracer poisoned").flush();
-    }
-}
-
-impl Drop for FileTracer {
-    fn drop(&mut self) {
-        self.flush();
+    fn list<T>(
+        &self,
+        key: &'static str,
+        item: fn(&Json) -> Option<T>,
+    ) -> Result<Vec<T>, LineError> {
+        self.read(key, |v| v.as_arr()?.iter().map(item).collect())
     }
 }
 
-/// A minimal JSON value, just rich enough to read the trace stream back
-/// (`anduril trace` uses it; no external dependency).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (trace numbers all fit `f64` exactly).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document order.
-    Obj(Vec<(String, Json)>),
+/// A float as [`jf`] wrote it: `null` stands for every non-finite value,
+/// and reads back as the one the search produces, infinity (no reachable
+/// instance).
+fn float_of(v: &Json) -> Option<f64> {
+    match v {
+        Json::Null => Some(f64::INFINITY),
+        v => v.as_f64(),
+    }
 }
 
-impl Json {
-    /// Parses one JSON document; `None` on any syntax error or trailing
-    /// garbage.
-    pub fn parse(text: &str) -> Option<Json> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos == bytes.len() {
-            Some(v)
-        } else {
-            None
+/// A line of a trace file that is not an event, by 1-based line number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadError {
+    /// The offending line.
+    pub line: usize,
+    /// What is wrong with it.
+    pub error: LineError,
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.line, self.error)
+    }
+}
+
+/// Reads a whole trace file: its events in order (blank lines and kinds
+/// this build does not know skipped), and the number of the final line if
+/// that line was dropped — malformed, missing its newline and preceded by
+/// at least one event, which is how the trace of a search that died
+/// mid-write ends.
+pub fn read_stream(text: &str) -> Result<(Vec<TraceEvent>, Option<usize>), ReadError> {
+    let mut events = Vec::new();
+    let mut lines = text.lines().enumerate().peekable();
+    while let Some((i, line)) = lines.next() {
+        if line.trim().is_empty() {
+            continue;
         }
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a float, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as an unsigned integer, if numeric and exact.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(xs) => Some(xs),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
-    skip_ws(b, pos);
-    match b.get(*pos)? {
-        b'{' => parse_obj(b, pos),
-        b'[' => parse_arr(b, pos),
-        b'"' => parse_str(b, pos).map(Json::Str),
-        b't' => parse_lit(b, pos, "true", Json::Bool(true)),
-        b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
-        b'n' => parse_lit(b, pos, "null", Json::Null),
-        _ => parse_num(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Option<Json> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Some(v)
-    } else {
-        None
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Option<Json> {
-    let start = *pos;
-    if matches!(b.get(*pos), Some(b'-')) {
-        *pos += 1;
-    }
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()?
-        .parse::<f64>()
-        .ok()
-        .map(Json::Num)
-}
-
-fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
-    debug_assert_eq!(b.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos)? {
-            b'"' => {
-                *pos += 1;
-                return Some(out);
+        match TraceEvent::parse_line(line) {
+            Ok(ev) => events.extend(ev),
+            Err(LineError::Malformed)
+                if lines.peek().is_none() && !text.ends_with('\n') && !events.is_empty() =>
+            {
+                return Ok((events, Some(i + 1)));
             }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b.get(*pos + 1..*pos + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        *pos += 4;
-                    }
-                    _ => return None,
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Err(error) => return Err(ReadError { line: i + 1, error }),
         }
     }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Option<Json> {
-    *pos += 1; // '{'
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Some(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return None;
-        }
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return None;
-        }
-        *pos += 1;
-        let value = parse_value(b, pos)?;
-        fields.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos)? {
-            b',' => *pos += 1,
-            b'}' => {
-                *pos += 1;
-                return Some(Json::Obj(fields));
-            }
-            _ => return None,
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Json> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Some(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos)? {
-            b',' => *pos += 1,
-            b']' => {
-                *pos += 1;
-                return Some(Json::Arr(items));
-            }
-            _ => return None,
-        }
-    }
+    Ok((events, None))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn every_event_round_trips_through_the_parser() {
-        let events = vec![
+    /// One sample per event variant and note kind. The `match` has no
+    /// wildcard, so a variant added to either enum does not compile until
+    /// it is given a slot, and the slot stays unseen until it has a sample.
+    fn samples() -> Vec<TraceEvent> {
+        let samples = vec![
             TraceEvent::ContextPhase {
-                phase: "graph.slicing",
+                phase: "graph.slicing".into(),
                 items: 42,
                 ns: 1234,
             },
@@ -1065,11 +1062,46 @@ mod tests {
                 wall_ns: 123,
             },
         ];
+        let mut seen = [false; 17];
+        for ev in &samples {
+            let slot = match ev {
+                TraceEvent::ContextPhase { .. } => 0,
+                TraceEvent::ContextReady { .. } => 1,
+                TraceEvent::ExploreStart { .. } => 2,
+                TraceEvent::RoundStart { .. } => 3,
+                TraceEvent::Decision { .. } => 4,
+                TraceEvent::Note { note, .. } => match note {
+                    StrategyNote::RetryPass { .. } => 5,
+                    StrategyNote::WindowGrew { .. } => 6,
+                    StrategyNote::Retired { .. } => 7,
+                    StrategyNote::BoundPruned { .. } => 8,
+                    StrategyNote::WindowExhausted { .. } => 9,
+                },
+                TraceEvent::EpochStart { .. } => 10,
+                TraceEvent::Speculation { .. } => 11,
+                TraceEvent::RoundEnd { .. } => 12,
+                TraceEvent::Feedback { .. } => 13,
+                TraceEvent::ObservablePromoted { .. } => 14,
+                TraceEvent::ProvenanceChain { .. } => 15,
+                TraceEvent::ExploreEnd { .. } => 16,
+            };
+            seen[slot] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "a variant has no sample: {seen:?}");
+        samples
+    }
+
+    #[test]
+    fn every_event_round_trips_through_the_parser() {
+        let events = samples();
         for ev in &events {
-            for line in [ev.to_json(), ev.stable_json()] {
-                let v = Json::parse(&line).unwrap_or_else(|| panic!("unparseable line: {line}"));
-                assert!(v.get("ev").and_then(Json::as_str).is_some(), "{line}");
-            }
+            let line = ev.to_json();
+            let back = TraceEvent::parse_line(&line).expect(&line).expect(&line);
+            assert_eq!(back.to_json(), line);
+            // A stable line carries no `*_ns`; they read back as zero.
+            let line = ev.stable_json();
+            let back = TraceEvent::parse_line(&line).expect(&line).expect(&line);
+            assert_eq!(back.stable_json(), line);
         }
         // Volatile fields are present with `to_json` and absent from
         // `stable_json`.
@@ -1079,18 +1111,83 @@ mod tests {
     }
 
     #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v =
-            Json::parse("{\"a\": [1, -2.5, \"x\\ny\", null, true], \"b\": {\"c\": \"\\u0041\"}}")
-                .expect("parse");
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 5);
+    fn the_reader_skips_what_it_does_not_know_and_names_what_it_misses() {
+        let parse = TraceEvent::parse_line;
+        // Unknown kinds and unknown keys are not errors.
+        assert_eq!(parse(r#"{"ev":"snapshot_stats","hits":5}"#), Ok(None));
         assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_str(),
-            Some("x\ny")
+            parse(r#"{"ev":"note","round":1,"note":"new_kind"}"#),
+            Ok(None)
         );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("A"));
-        assert_eq!(Json::parse("{"), None);
-        assert_eq!(Json::parse("12 trailing"), None);
+        assert_eq!(
+            parse(r#"{"ev":"round_start","round":1,"seed":7,"extra":[1]}"#),
+            Ok(Some(TraceEvent::RoundStart { round: 1, seed: 7 }))
+        );
+        // Anything else missing or mistyped is, by key.
+        assert_eq!(
+            parse(r#"{"ev":"round_start","round":1}"#),
+            Err(LineError::Key("seed"))
+        );
+        assert_eq!(
+            parse(r#"{"ev":"round_start","round":"1","seed":7}"#),
+            Err(LineError::Key("round"))
+        );
+        assert_eq!(
+            parse(r#"{"ev":"round_start","round":1.5,"seed":7}"#),
+            Err(LineError::Key("round"))
+        );
+        assert_eq!(parse(r#"{"round":1,"seed":7}"#), Err(LineError::Key("ev")));
+        assert_eq!(parse("42"), Err(LineError::Key("ev")));
+        assert_eq!(parse(r#"{"ev":"round_start""#), Err(LineError::Malformed));
+        // A volatile field may be absent, not mistyped; an integer must fit.
+        assert_eq!(
+            parse(r#"{"ev":"phase","phase":"diff","items":2,"ns":"fast"}"#),
+            Err(LineError::Key("ns"))
+        );
+        assert_eq!(
+            parse(
+                r#"{"ev":"note","round":0,"note":"retired","site":4294967296,"exc":"IOException"}"#
+            ),
+            Err(LineError::Key("site"))
+        );
+        assert_eq!(
+            parse(r#"{"ev":"note","round":0,"note":"retired","site":4,"exc":"Oops"}"#),
+            Err(LineError::Key("exc"))
+        );
+    }
+
+    #[test]
+    fn a_cut_final_line_is_dropped_and_any_other_bad_line_is_an_error() {
+        let good = "{\"ev\":\"round_start\",\"round\":0,\"seed\":1}\n";
+        let cut = "{\"ev\":\"round_start\",\"round\":1,\"se";
+        let (events, dropped) = read_stream(&format!("{good}\n{good}{cut}")).expect("reads");
+        assert_eq!((events.len(), dropped), (2, Some(4)));
+        // The same bytes with their newline are a finished, malformed line.
+        assert_eq!(
+            read_stream(&format!("{good}{cut}\n"))
+                .unwrap_err()
+                .to_string(),
+            "2: malformed JSON"
+        );
+        assert_eq!(
+            read_stream(&format!("{good}{cut}\n{good}"))
+                .unwrap_err()
+                .line,
+            2
+        );
+        // So is a cut line with no event before it: there is no rest to keep.
+        assert_eq!(
+            read_stream(cut).unwrap_err().to_string(),
+            "1: malformed JSON"
+        );
+        // A whole final line that only lacks a key was not cut.
+        let short = "{\"ev\":\"round_start\",\"round\":1}";
+        assert_eq!(
+            read_stream(&format!("{good}{short}"))
+                .unwrap_err()
+                .to_string(),
+            "2: missing or mistyped key `seed`"
+        );
     }
 
     #[test]

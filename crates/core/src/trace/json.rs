@@ -1,0 +1,270 @@
+//! A minimal JSON reader: just rich enough to read a trace line, a bench
+//! document or `BENCHMARK.json` back, with no external dependency.
+
+/// Containers deeper than this are refused: the reader recurses once per
+/// level, and a trace line nests two deep, a bench document six.
+const MAX_DEPTH: usize = 64;
+
+/// `u64::MAX + 1`: the first float `as u64` would saturate on.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+
+/// A minimal JSON value ([`super::TraceEvent::parse_line`] reads trace
+/// lines through it).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any number (trace numbers all fit `f64` exactly).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, in document order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parses one JSON document; `None` on any syntax error, trailing
+    /// garbage, a number that is not finite, or nesting past 64 levels.
+    pub fn parse(text: &str) -> Option<Json> {
+        let bytes = text.as_bytes();
+        let mut pos = 0usize;
+        let v = parse_value(bytes, &mut pos, 0)?;
+        skip_ws(bytes, &mut pos);
+        if pos == bytes.len() {
+            Some(v)
+        } else {
+            None
+        }
+    }
+
+    /// Object field lookup.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a float, if numeric.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an unsigned integer, if numeric and exact.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(n) if n.fract() == 0.0 && (0.0..TWO_POW_64).contains(n) => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a bool.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(xs) => Some(xs),
+            _ => None,
+        }
+    }
+}
+
+fn skip_ws(b: &[u8], pos: &mut usize) {
+    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
+    skip_ws(b, pos);
+    match b.get(*pos)? {
+        b'{' | b'[' if depth == MAX_DEPTH => None,
+        b'{' => parse_obj(b, pos, depth + 1),
+        b'[' => parse_arr(b, pos, depth + 1),
+        b'"' => parse_str(b, pos).map(Json::Str),
+        b't' => parse_lit(b, pos, "true", Json::Bool(true)),
+        b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
+        b'n' => parse_lit(b, pos, "null", Json::Null),
+        _ => parse_num(b, pos),
+    }
+}
+
+fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Option<Json> {
+    if b[*pos..].starts_with(lit.as_bytes()) {
+        *pos += lit.len();
+        Some(v)
+    } else {
+        None
+    }
+}
+
+fn parse_num(b: &[u8], pos: &mut usize) -> Option<Json> {
+    let start = *pos;
+    if matches!(b.get(*pos), Some(b'-')) {
+        *pos += 1;
+    }
+    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
+    {
+        *pos += 1;
+    }
+    std::str::from_utf8(&b[start..*pos])
+        .ok()?
+        .parse::<f64>()
+        .ok()
+        .filter(|n| n.is_finite())
+        .map(Json::Num)
+}
+
+fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
+    debug_assert_eq!(b.get(*pos), Some(&b'"'));
+    *pos += 1;
+    let mut out = String::new();
+    loop {
+        match b.get(*pos)? {
+            b'"' => {
+                *pos += 1;
+                return Some(out);
+            }
+            b'\\' => {
+                *pos += 1;
+                match b.get(*pos)? {
+                    b'"' => out.push('"'),
+                    b'\\' => out.push('\\'),
+                    b'/' => out.push('/'),
+                    b'n' => out.push('\n'),
+                    b't' => out.push('\t'),
+                    b'r' => out.push('\r'),
+                    b'b' => out.push('\u{8}'),
+                    b'f' => out.push('\u{c}'),
+                    b'u' => {
+                        let hex = b.get(*pos + 1..*pos + 5)?;
+                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                        out.push(char::from_u32(code)?);
+                        *pos += 4;
+                    }
+                    _ => return None,
+                }
+                *pos += 1;
+            }
+            _ => {
+                // Consume one UTF-8 scalar (multi-byte sequences pass
+                // through unchanged).
+                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
+                let c = rest.chars().next()?;
+                out.push(c);
+                *pos += c.len_utf8();
+            }
+        }
+    }
+}
+
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
+    *pos += 1; // '{'
+    let mut fields = Vec::new();
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Some(Json::Obj(fields));
+    }
+    loop {
+        skip_ws(b, pos);
+        if b.get(*pos) != Some(&b'"') {
+            return None;
+        }
+        let key = parse_str(b, pos)?;
+        skip_ws(b, pos);
+        if b.get(*pos) != Some(&b':') {
+            return None;
+        }
+        *pos += 1;
+        let value = parse_value(b, pos, depth)?;
+        fields.push((key, value));
+        skip_ws(b, pos);
+        match b.get(*pos)? {
+            b',' => *pos += 1,
+            b'}' => {
+                *pos += 1;
+                return Some(Json::Obj(fields));
+            }
+            _ => return None,
+        }
+    }
+}
+
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
+    *pos += 1; // '['
+    let mut items = Vec::new();
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Some(Json::Arr(items));
+    }
+    loop {
+        items.push(parse_value(b, pos, depth)?);
+        skip_ws(b, pos);
+        match b.get(*pos)? {
+            b',' => *pos += 1,
+            b']' => {
+                *pos += 1;
+                return Some(Json::Arr(items));
+            }
+            _ => return None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_parser_handles_escapes_and_nesting() {
+        let v =
+            Json::parse("{\"a\": [1, -2.5, \"x\\ny\", null, true], \"b\": {\"c\": \"\\u0041\"}}")
+                .expect("parse");
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 5);
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[2].as_str(),
+            Some("x\ny")
+        );
+        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("A"));
+        assert_eq!(Json::parse("{"), None);
+        assert_eq!(Json::parse("12 trailing"), None);
+
+        // Hostile input is refused, not crashed on: nesting past the cap
+        // (100 000 levels overflowed the stack), an escape cut by the end
+        // of input, a number `f64` holds only as infinity.
+        assert_eq!(Json::parse(&"[".repeat(100_000)), None);
+        assert_eq!(Json::parse(&"{\"a\":".repeat(100_000)), None);
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_some());
+        assert_eq!(Json::parse(&nested(MAX_DEPTH + 1)), None);
+        assert_eq!(Json::parse("\"\\u12"), None);
+        assert_eq!(Json::parse("\"\\"), None);
+        assert_eq!(Json::parse("1e400"), None);
+        assert_eq!(Json::parse("-1e400"), None);
+        assert_eq!(Json::parse("1e300").and_then(|v| v.as_u64()), None);
+        assert_eq!(Json::parse("1000").and_then(|v| v.as_u64()), Some(1000));
+    }
+}

@@ -10,7 +10,8 @@
 
 use anduril::baselines::{CrashTuner, Fate, StacktraceInjector};
 use anduril::failures::{all_cases, case_by_id, FailureCase};
-use anduril::trace::{FileTracer, Json, NoopTracer, Tracer};
+use anduril::trace::report::{self, TextTable};
+use anduril::trace::{json_escape, read_stream, FileTracer, NoopTracer, Tracer};
 use anduril::{
     explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
     FeedbackStrategy, SearchContext, Strategy,
@@ -61,6 +62,22 @@ fn usage() -> ! {
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("anduril: {msg}");
     std::process::exit(1);
+}
+
+/// Writes a whole document to stdout in one call. A reader that has seen
+/// enough (`anduril trace f.jsonl | head`) closes the pipe: that ends the
+/// command cleanly, with nothing on stderr.
+fn emit(text: &str) {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => fail(format!("cannot write to stdout: {e}")),
+    }
 }
 
 /// Sorts `explain` rows by ascending priority `F_i`.
@@ -165,21 +182,6 @@ fn analyze_case(case: &anduril::failures::FailureCase) -> AnalyzeRow {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn analyze_json(rows: &[AnalyzeRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\n  \"cases\": [\n");
@@ -245,731 +247,6 @@ fn analyze_json(rows: &[AnalyzeRow]) -> String {
     out
 }
 
-/// The `ev` kind of a parsed trace line (`"?"` when absent).
-fn ev_kind(v: &Json) -> &str {
-    v.get("ev").and_then(Json::as_str).unwrap_or("?")
-}
-
-fn junum(v: &Json, key: &str) -> u64 {
-    v.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
-fn jstr<'a>(v: &'a Json, key: &str) -> &'a str {
-    v.get(key).and_then(Json::as_str).unwrap_or("-")
-}
-
-fn jbool(v: &Json, key: &str) -> Option<bool> {
-    v.get(key).and_then(Json::as_bool)
-}
-
-fn fmt_opt_f(v: Option<f64>) -> String {
-    match v {
-        None => "-".into(),
-        Some(x) if x.fract() == 0.0 && x.abs() < 1e15 => format!("{}", x as i64),
-        Some(x) => format!("{x:.2}"),
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1} us", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
-/// Renders the priority provenance object of a `decision` line as a
-/// compact `site#N Exc[@occ]` label.
-fn fmt_candidate(p: &Json) -> String {
-    format!(
-        "site#{} {}{}",
-        junum(p, "site"),
-        jstr(p, "exc"),
-        p.get("occ")
-            .and_then(Json::as_u64)
-            .map(|o| format!("@{o}"))
-            .unwrap_or_default()
-    )
-}
-
-/// Per-round aggregate built from `round_start`/`decision`/`round_end`
-/// lines for the `--summary` narrative table.
-#[derive(Default)]
-struct TraceRoundRow {
-    seed: Option<u64>,
-    window: Option<u64>,
-    armed: Option<u64>,
-    top: Option<String>,
-    f_i: Option<f64>,
-    k_star: Option<u64>,
-    l: Option<u64>,
-    i_k: Option<f64>,
-    injected: Option<String>,
-    oracle: Option<bool>,
-    log_entries: Option<u64>,
-    init_ns: u64,
-    workload_ns: u64,
-    sim_ns: u64,
-    diff_ns: u64,
-    feedback_ns: u64,
-}
-
-fn collect_rounds(events: &[(String, Json)]) -> std::collections::BTreeMap<u64, TraceRoundRow> {
-    let mut rounds: std::collections::BTreeMap<u64, TraceRoundRow> =
-        std::collections::BTreeMap::new();
-    for (_, v) in events {
-        let Some(r) = v.get("round").and_then(Json::as_u64) else {
-            continue;
-        };
-        match ev_kind(v) {
-            "round_start" => {
-                rounds.entry(r).or_default().seed = v.get("seed").and_then(Json::as_u64);
-            }
-            "decision" => {
-                let row = rounds.entry(r).or_default();
-                row.window = v.get("window").and_then(Json::as_u64);
-                row.armed = v.get("armed").and_then(Json::as_u64);
-                row.init_ns = junum(v, "init_ns");
-                if let Some(p @ Json::Obj(_)) = v.get("provenance") {
-                    row.top = Some(fmt_candidate(p));
-                    row.f_i = p.get("f").and_then(Json::as_f64);
-                    row.k_star = p.get("k").and_then(Json::as_u64);
-                    row.l = p.get("l").and_then(Json::as_u64);
-                    row.i_k = p.get("ik").and_then(Json::as_f64);
-                }
-            }
-            "round_end" => {
-                let row = rounds.entry(r).or_default();
-                row.oracle = jbool(v, "oracle");
-                row.log_entries = v.get("log_entries").and_then(Json::as_u64);
-                row.workload_ns = junum(v, "workload_ns");
-                row.sim_ns = junum(v, "sim_ns");
-                row.diff_ns = junum(v, "diff_ns");
-                row.feedback_ns = junum(v, "feedback_ns");
-                row.injected = Some(match v.get("injected") {
-                    Some(i @ Json::Obj(_)) => {
-                        format!(
-                            "site#{}@{} {}",
-                            junum(i, "site"),
-                            junum(i, "occ"),
-                            jstr(i, "exc")
-                        )
-                    }
-                    _ => "-".to_string(),
-                });
-            }
-            _ => {}
-        }
-    }
-    rounds
-}
-
-/// Picks at most `head + tail` keys, marking an elision in the middle.
-fn sample_keys(keys: &[u64], head: usize, tail: usize) -> (Vec<u64>, bool) {
-    if keys.len() <= head + tail {
-        (keys.to_vec(), false)
-    } else {
-        let mut out = keys[..head].to_vec();
-        out.extend_from_slice(&keys[keys.len() - tail..]);
-        (out, true)
-    }
-}
-
-/// `anduril trace <file> --summary`: the human-readable search narrative.
-fn render_trace_summary(path: &str, events: &[(String, Json)]) {
-    let find = |kind: &str| events.iter().map(|(_, v)| v).find(|v| ev_kind(v) == kind);
-    let find_last = |kind: &str| {
-        events
-            .iter()
-            .map(|(_, v)| v)
-            .rev()
-            .find(|v| ev_kind(v) == kind)
-    };
-
-    println!("Search trace {path} ({} events)", events.len());
-    if let Some(s) = find("explore_start") {
-        println!(
-            "strategy: {} (max {} rounds, base seed {})",
-            jstr(s, "strategy"),
-            junum(s, "max_rounds"),
-            junum(s, "base_seed")
-        );
-    }
-    if let Some(c) = find("context") {
-        println!(
-            "context: {} observables, {} candidate units; {}/{} sites reachable; \
-             causal graph {}v/{}e",
-            junum(c, "observables"),
-            junum(c, "units"),
-            junum(c, "sites_reachable"),
-            junum(c, "sites_total"),
-            junum(c, "graph_nodes"),
-            junum(c, "graph_edges"),
-        );
-    }
-    match find_last("explore_end") {
-        Some(e) if jbool(e, "success") == Some(true) => println!(
-            "outcome: reproduced in {} rounds (replay verified: {}, wall {})",
-            junum(e, "rounds"),
-            jbool(e, "replay_verified").unwrap_or(false),
-            fmt_ns(junum(e, "wall_ns")),
-        ),
-        Some(e) => println!(
-            "outcome: NOT reproduced within {} rounds (wall {})",
-            junum(e, "rounds"),
-            fmt_ns(junum(e, "wall_ns")),
-        ),
-        None => println!("outcome: trace ends mid-search (no explore_end event)"),
-    }
-
-    let phases: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "phase")
-        .collect();
-    let context_ns: u64 = phases
-        .iter()
-        .filter(|p| !jstr(p, "phase").starts_with("graph."))
-        .map(|p| junum(p, "ns"))
-        .sum();
-    if !phases.is_empty() {
-        println!("\nContext preparation");
-        let mut t = anduril_bench::TextTable::new(&["Phase", "Items", "Time"]);
-        for p in &phases {
-            t.row(vec![
-                jstr(p, "phase").to_string(),
-                junum(p, "items").to_string(),
-                fmt_ns(junum(p, "ns")),
-            ]);
-        }
-        print!("{}", t.render());
-    }
-
-    let rounds = collect_rounds(events);
-    let planning_ns: u64 = rounds.values().map(|r| r.init_ns).sum();
-    let workload_ns: u64 = rounds.values().map(|r| r.workload_ns).sum();
-    if !rounds.is_empty() {
-        println!("\nSearch narrative (per-round decision, injection, verdict)");
-        let mut t = anduril_bench::TextTable::new(&[
-            "Round",
-            "Seed",
-            "Win",
-            "Armed",
-            "Top candidate",
-            "F_i",
-            "k*",
-            "L",
-            "I_k",
-            "Injected",
-            "Repro",
-            "Log",
-        ]);
-        let keys: Vec<u64> = rounds.keys().copied().collect();
-        let (shown, elided) = sample_keys(&keys, 12, 12);
-        let mut prev: Option<u64> = None;
-        for r in shown {
-            if let Some(p) = prev {
-                if r != p + 1 {
-                    let mut gap = vec![String::new(); 12];
-                    gap[0] = "...".into();
-                    t.row(gap);
-                }
-            }
-            prev = Some(r);
-            let row = &rounds[&r];
-            let opt_u = |x: Option<u64>| x.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
-            t.row(vec![
-                r.to_string(),
-                opt_u(row.seed),
-                opt_u(row.window),
-                opt_u(row.armed),
-                row.top.clone().unwrap_or_else(|| "-".into()),
-                fmt_opt_f(row.f_i),
-                opt_u(row.k_star),
-                opt_u(row.l),
-                fmt_opt_f(row.i_k),
-                row.injected.clone().unwrap_or_else(|| "-".into()),
-                row.oracle
-                    .map(|b| if b { "YES" } else { "no" }.to_string())
-                    .unwrap_or_else(|| "-".into()),
-                opt_u(row.log_entries),
-            ]);
-        }
-        print!("{}", t.render());
-        if elided {
-            println!("(middle rounds elided; {} rounds total)", keys.len());
-        }
-    }
-
-    let feedback: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "feedback")
-        .collect();
-    if !feedback.is_empty() {
-        println!("\nObservable feedback (I_k evolution, Algorithm 2)");
-        let mut t = anduril_bench::TextTable::new(&["Round", "Adjust", "Present", "I_k"]);
-        let keys: Vec<u64> = (0..feedback.len() as u64).collect();
-        let (shown, elided) = sample_keys(&keys, 6, 6);
-        let mut prev: Option<u64> = None;
-        for i in shown {
-            if let Some(p) = prev {
-                if i != p + 1 {
-                    let mut gap = vec![String::new(); 4];
-                    gap[0] = "...".into();
-                    t.row(gap);
-                }
-            }
-            prev = Some(i);
-            let v = feedback[i as usize];
-            let present = v
-                .get("present")
-                .and_then(Json::as_arr)
-                .map(|xs| {
-                    let body: Vec<String> = xs
-                        .iter()
-                        .filter_map(Json::as_u64)
-                        .map(|x| x.to_string())
-                        .collect();
-                    format!("[{}]", body.join(","))
-                })
-                .unwrap_or_else(|| "-".into());
-            let ik = v
-                .get("ik")
-                .and_then(Json::as_arr)
-                .map(|xs| {
-                    let body: Vec<String> = xs.iter().map(|x| fmt_opt_f(x.as_f64())).collect();
-                    format!("[{}]", body.join(", "))
-                })
-                .unwrap_or_else(|| "-".into());
-            t.row(vec![
-                junum(v, "round").to_string(),
-                fmt_opt_f(v.get("adjust").and_then(Json::as_f64)),
-                present,
-                ik,
-            ]);
-        }
-        print!("{}", t.render());
-        if elided {
-            println!("(middle adjustments elided; {} total)", feedback.len());
-        }
-    }
-
-    println!("\nTiming");
-    let n = rounds.len().max(1) as u64;
-    println!("  context prep : {}", fmt_ns(context_ns));
-    println!(
-        "  planning     : {} total, {} / round",
-        fmt_ns(planning_ns),
-        fmt_ns(planning_ns / n)
-    );
-    println!(
-        "  workload     : {} total, {} / round",
-        fmt_ns(workload_ns),
-        fmt_ns(workload_ns / n)
-    );
-    // Where the rounds went: what `round_end` attributes, as shares of
-    // their sum (a stream recorded before these fields existed has none).
-    let total = |field: fn(&TraceRoundRow) -> u64| rounds.values().map(field).sum::<u64>();
-    let (sim_ns, diff_ns, feedback_ns) = (
-        total(|r| r.sim_ns),
-        total(|r| r.diff_ns),
-        total(|r| r.feedback_ns),
-    );
-    let attributed = sim_ns + diff_ns + feedback_ns;
-    if attributed > 0 {
-        let share = |ns: u64| 100.0 * ns as f64 / attributed as f64;
-        println!(
-            "  round shares : simulate {:.1}% ({}), diff {:.1}% ({}), feedback {:.1}% ({})",
-            share(sim_ns),
-            fmt_ns(sim_ns),
-            share(diff_ns),
-            fmt_ns(diff_ns),
-            share(feedback_ns),
-            fmt_ns(feedback_ns)
-        );
-    }
-
-    let epochs = events.iter().filter(|(_, v)| ev_kind(v) == "epoch").count();
-    let specs: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "spec")
-        .collect();
-    if epochs > 0 || !specs.is_empty() {
-        let hits = specs
-            .iter()
-            .filter(|v| jbool(v, "hit") == Some(true))
-            .count();
-        println!(
-            "\nSpeculation: {} epochs, {} validated slots, {} hits ({:.0}% of parallel work reused)",
-            epochs,
-            specs.len(),
-            hits,
-            100.0 * hits as f64 / specs.len().max(1) as f64
-        );
-    }
-
-    let notes: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "note")
-        .collect();
-    if !notes.is_empty() {
-        let retry = notes
-            .iter()
-            .filter(|v| jstr(v, "note") == "retry_pass")
-            .count();
-        let exhausted = notes
-            .iter()
-            .filter(|v| jstr(v, "note") == "window_exhausted")
-            .count();
-        let grew: Vec<u64> = notes
-            .iter()
-            .filter(|v| jstr(v, "note") == "window_grew")
-            .map(|v| junum(v, "window"))
-            .collect();
-        let retired = notes
-            .iter()
-            .filter(|v| jstr(v, "note") == "retired")
-            .count();
-        let bound_pruned: u64 = notes
-            .iter()
-            .filter(|v| jstr(v, "note") == "bound_pruned")
-            .map(|v| junum(v, "count"))
-            .sum();
-        println!(
-            "\nLifecycle: {} windows exhausted, {} retry passes, {} window growths{}, \
-             {} candidates retired, {} plans bound-pruned",
-            exhausted,
-            retry,
-            grew.len(),
-            grew.iter()
-                .max()
-                .map(|w| format!(" (max window {w})"))
-                .unwrap_or_default(),
-            retired,
-            bound_pruned
-        );
-    }
-
-    let promos: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "promoted")
-        .collect();
-    if !promos.is_empty() {
-        println!(
-            "\nAdaptive promotions ({}; `--promotions` for detail)",
-            promos.len()
-        );
-        for p in &promos {
-            println!(
-                "  round {} pass {}: k = {} \"{}\" from {} (L {} -> {} at site#{})",
-                junum(p, "round"),
-                junum(p, "pass"),
-                junum(p, "k"),
-                jstr(p, "template"),
-                jstr(p, "node_desc"),
-                junum(p, "l_old"),
-                junum(p, "l_new"),
-                junum(p, "site"),
-            );
-        }
-    }
-
-    if let Some(p) = find_last("provenance") {
-        println!("\nProvenance chain");
-        println!(
-            "  round {} (seed {}): injected {} at `{}` occurrence {}",
-            junum(p, "round"),
-            junum(p, "seed"),
-            jstr(p, "exc"),
-            jstr(p, "desc"),
-            junum(p, "occ")
-        );
-        println!(
-            "  prioritized by observable k* = {} \"{}\"",
-            junum(p, "k"),
-            jstr(p, "observable")
-        );
-        println!(
-            "  L = {}, I_k = {}, F_i = {}, T = {}",
-            junum(p, "l"),
-            fmt_opt_f(p.get("ik").and_then(Json::as_f64)),
-            fmt_opt_f(p.get("f").and_then(Json::as_f64)),
-            fmt_opt_f(p.get("t").and_then(Json::as_f64)),
-        );
-    }
-}
-
-/// `anduril trace <file> --round N`: every event of one round, rendered.
-fn render_trace_round(events: &[(String, Json)], n: u64) {
-    let mut found = false;
-    for (_, v) in events {
-        if v.get("round").and_then(Json::as_u64) != Some(n) {
-            continue;
-        }
-        found = true;
-        match ev_kind(v) {
-            "round_start" => println!("round {n} starts (seed {})", junum(v, "seed")),
-            "decision" => {
-                let prov = match v.get("provenance") {
-                    Some(p @ Json::Obj(_)) => format!(
-                        "; top {} — F_i = {} via k* = {} (L = {}, I_k = {}), T = {}",
-                        fmt_candidate(p),
-                        fmt_opt_f(p.get("f").and_then(Json::as_f64)),
-                        junum(p, "k"),
-                        junum(p, "l"),
-                        fmt_opt_f(p.get("ik").and_then(Json::as_f64)),
-                        fmt_opt_f(p.get("t").and_then(Json::as_f64)),
-                    ),
-                    _ => String::new(),
-                };
-                println!(
-                    "  decision: window {}, {} armed{prov} [planned in {}]",
-                    junum(v, "window"),
-                    junum(v, "armed"),
-                    fmt_ns(junum(v, "init_ns"))
-                );
-            }
-            "note" => match jstr(v, "note") {
-                "retry_pass" => println!("  note: retry pass {} begins", junum(v, "pass")),
-                "window_exhausted" => println!(
-                    "  note: window of {} exhausted in pass {}",
-                    junum(v, "window"),
-                    junum(v, "pass")
-                ),
-                "window_grew" => println!("  note: window grew to {}", junum(v, "window")),
-                "retired" => println!(
-                    "  note: retired site#{} {}",
-                    junum(v, "site"),
-                    jstr(v, "exc")
-                ),
-                "bound_pruned" => println!(
-                    "  note: {} plans pruned by static occurrence bounds",
-                    junum(v, "count")
-                ),
-                other => println!("  note: {other}"),
-            },
-            "promoted" => println!(
-                "  promoted: k = {} \"{}\" from node #{} ({}) — L {} -> {} at site#{} \
-                 [stall in pass {}]",
-                junum(v, "k"),
-                jstr(v, "template"),
-                junum(v, "node"),
-                jstr(v, "node_desc"),
-                junum(v, "l_old"),
-                junum(v, "l_new"),
-                junum(v, "site"),
-                junum(v, "pass")
-            ),
-            "spec" => println!(
-                "  speculation: epoch {} slot {} — {}",
-                junum(v, "epoch"),
-                junum(v, "slot"),
-                if jbool(v, "hit") == Some(true) {
-                    "HIT (precomputed run reused)"
-                } else {
-                    "miss (re-run inline)"
-                }
-            ),
-            "round_end" => {
-                let inj = match v.get("injected") {
-                    Some(i @ Json::Obj(_)) => format!(
-                        "injected site#{} occ {} {}",
-                        junum(i, "site"),
-                        junum(i, "occ"),
-                        jstr(i, "exc")
-                    ),
-                    _ => "no injection".to_string(),
-                };
-                println!(
-                    "  end: {inj}; failure reproduced = {}; {} ticks, {} steps, {} log \
-                     entries, {} injection requests [workload {}]",
-                    jbool(v, "oracle").unwrap_or(false),
-                    junum(v, "ticks"),
-                    junum(v, "steps"),
-                    junum(v, "log_entries"),
-                    junum(v, "injection_requests"),
-                    fmt_ns(junum(v, "workload_ns"))
-                );
-            }
-            "feedback" => {
-                let present = v
-                    .get("present")
-                    .and_then(Json::as_arr)
-                    .map(|xs| {
-                        let body: Vec<String> = xs
-                            .iter()
-                            .filter_map(Json::as_u64)
-                            .map(|x| x.to_string())
-                            .collect();
-                        body.join(", ")
-                    })
-                    .unwrap_or_default();
-                let ik = v
-                    .get("ik")
-                    .and_then(Json::as_arr)
-                    .map(|xs| {
-                        let body: Vec<String> = xs.iter().map(|x| fmt_opt_f(x.as_f64())).collect();
-                        body.join(", ")
-                    })
-                    .unwrap_or_default();
-                println!(
-                    "  feedback: adjust {} on present observables [{present}]; I_k now [{ik}]",
-                    fmt_opt_f(v.get("adjust").and_then(Json::as_f64))
-                );
-            }
-            "provenance" => println!(
-                "  provenance: {} at `{}` occurrence {} — observable k* = {} \"{}\", \
-                 L = {}, I_k = {}, F_i = {}",
-                jstr(v, "exc"),
-                jstr(v, "desc"),
-                junum(v, "occ"),
-                junum(v, "k"),
-                jstr(v, "observable"),
-                junum(v, "l"),
-                fmt_opt_f(v.get("ik").and_then(Json::as_f64)),
-                fmt_opt_f(v.get("f").and_then(Json::as_f64))
-            ),
-            _ => {}
-        }
-    }
-    if !found {
-        fail(format!("no events for round {n} in the trace"));
-    }
-}
-
-/// `anduril trace <file> --promotions`: every adaptive observable
-/// promotion with its full provenance.
-fn render_trace_promotions(events: &[(String, Json)]) {
-    let promos: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "promoted")
-        .collect();
-    if promos.is_empty() {
-        println!("no observable promotions in the trace (run with --adaptive on)");
-        return;
-    }
-    println!("Adaptive observable promotions ({})", promos.len());
-    let mut t = anduril_bench::TextTable::new(&[
-        "Round",
-        "Pass",
-        "k",
-        "Template",
-        "Source node",
-        "Site",
-        "L_new",
-        "L_old",
-        "Delta",
-        "Units",
-    ]);
-    for p in &promos {
-        t.row(vec![
-            junum(p, "round").to_string(),
-            junum(p, "pass").to_string(),
-            junum(p, "k").to_string(),
-            format!("\"{}\"", jstr(p, "template")),
-            format!("#{} {}", junum(p, "node"), jstr(p, "node_desc")),
-            format!("site#{}", junum(p, "site")),
-            junum(p, "l_new").to_string(),
-            junum(p, "l_old").to_string(),
-            p.get("delta")
-                .and_then(Json::as_f64)
-                .map(|d| format!("{}", d as i64))
-                .unwrap_or_else(|| "-".into()),
-            format!("+{}", junum(p, "units_added")),
-        ]);
-    }
-    print!("{}", t.render());
-    println!(
-        "(promotion at round R reshapes priorities from round R+1 on; \
-         Delta = L_old - L_new at the focus site; Units = fault units the \
-         promotion's scoped causal build newly connected)"
-    );
-}
-
-/// `anduril trace <file> --json`: the aggregate summary as one JSON
-/// document (raw event objects embedded verbatim where useful).
-fn trace_report_json(events: &[(String, Json)]) -> String {
-    use std::fmt::Write as _;
-    let find_raw = |kind: &str| {
-        events
-            .iter()
-            .find(|(_, v)| ev_kind(v) == kind)
-            .map(|(raw, _)| raw.trim().to_string())
-            .unwrap_or_else(|| "null".into())
-    };
-    let rounds = collect_rounds(events);
-    let planning_ns: u64 = rounds.values().map(|r| r.init_ns).sum();
-    let workload_ns: u64 = rounds.values().map(|r| r.workload_ns).sum();
-    let epochs = events.iter().filter(|(_, v)| ev_kind(v) == "epoch").count();
-    let specs: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "spec")
-        .collect();
-    let hits = specs
-        .iter()
-        .filter(|v| jbool(v, "hit") == Some(true))
-        .count();
-    let note_count = |name: &str| {
-        events
-            .iter()
-            .filter(|(_, v)| ev_kind(v) == "note" && jstr(v, "note") == name)
-            .count()
-    };
-    let phases: Vec<String> = events
-        .iter()
-        .filter(|(_, v)| ev_kind(v) == "phase")
-        .map(|(raw, _)| raw.trim().to_string())
-        .collect();
-
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"events\": {},", events.len());
-    let _ = writeln!(out, "  \"explore_start\": {},", find_raw("explore_start"));
-    let _ = writeln!(out, "  \"context\": {},", find_raw("context"));
-    let _ = writeln!(out, "  \"phases\": [{}],", phases.join(", "));
-    let _ = writeln!(out, "  \"rounds\": {},", rounds.len());
-    let _ = writeln!(out, "  \"planning_ns_total\": {planning_ns},");
-    let _ = writeln!(out, "  \"workload_ns_total\": {workload_ns},");
-    let _ = writeln!(
-        out,
-        "  \"speculation\": {{\"epochs\": {epochs}, \"slots\": {}, \"hits\": {hits}}},",
-        specs.len()
-    );
-    let bound_pruned: u64 = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "note" && jstr(v, "note") == "bound_pruned")
-        .map(|v| junum(v, "count"))
-        .sum();
-    let _ = writeln!(
-        out,
-        "  \"notes\": {{\"retry_passes\": {}, \"windows_exhausted\": {}, \"window_growths\": {}, \"retired\": {}, \"bound_pruned_plans\": {bound_pruned}}},",
-        note_count("retry_pass"),
-        note_count("window_exhausted"),
-        note_count("window_grew"),
-        note_count("retired")
-    );
-    let promotions: Vec<String> = events
-        .iter()
-        .filter(|(_, v)| ev_kind(v) == "promoted")
-        .map(|(raw, _)| raw.trim().to_string())
-        .collect();
-    let _ = writeln!(out, "  \"promotions\": [{}],", promotions.join(", "));
-    let _ = writeln!(out, "  \"provenance\": {},", find_raw("provenance"));
-    let _ = writeln!(out, "  \"explore_end\": {}", find_raw("explore_end"));
-    out.push_str("}\n");
-    out
-}
-
 fn feedback_config_by_name(name: &str) -> Option<FeedbackConfig> {
     Some(match name {
         "full" => FeedbackConfig::full(),
@@ -1029,7 +306,7 @@ fn main() {
         Some("log") => {
             let case = resolve_case(args.get(1));
             match case.failure_log() {
-                Ok(log) => print!("{log}"),
+                Ok(log) => emit(&log),
                 Err(e) => fail(format!("{}: failure log: {e}", case.id)),
             }
         }
@@ -1064,9 +341,6 @@ fn main() {
             }
             let rows: Vec<AnalyzeRow> = cases.iter().map(analyze_case).collect();
 
-            // With `--json -` the machine-readable document owns stdout, so
-            // the human-readable report moves to stderr and stays pipeable.
-            let json_stdout = json_path.as_deref() == Some("-");
             let mut report = String::new();
             use std::fmt::Write as _;
 
@@ -1075,7 +349,7 @@ fn main() {
                 "Static analysis report (fault-site reduction and causal-graph shape)\n"
             )
             .unwrap_or_else(|e| fail(format!("analyze: cannot format report: {e}")));
-            let mut t = anduril_bench::TextTable::new(&[
+            let mut t = TextTable::new(&[
                 "Case", "Ticket", "System", "Sites", "Reach", "Bound", "Inferred", "Units",
                 "Nodes", "Edges", "Pruned%", "Obs", "MinDist", "Exc us", "Slice us", "Chain us",
                 "Total us",
@@ -1131,26 +405,25 @@ fn main() {
                         .unwrap_or_else(|e| fail(format!("analyze: cannot format report: {e}")));
                 }
             }
-            if json_stdout {
-                eprint!("{report}");
-            } else {
-                print!("{report}");
-            }
-
             let json = analyze_json(&rows);
             match json_path.as_deref() {
-                Some("-") => print!("{json}"),
+                // The machine-readable document owns stdout, so the
+                // human-readable report moves to stderr and stays pipeable.
+                Some("-") => {
+                    eprint!("{report}");
+                    emit(&json);
+                }
                 Some(path) => {
                     std::fs::write(path, &json)
                         .unwrap_or_else(|e| fail(format!("cannot write `{path}`: {e}")));
-                    println!("\nJSON written to {path}");
+                    emit(&format!("{report}\nJSON written to {path}\n"));
                 }
                 None => {
                     std::fs::create_dir_all("results")
                         .unwrap_or_else(|e| fail(format!("cannot create results dir: {e}")));
                     std::fs::write("results/analyze.json", &json)
                         .unwrap_or_else(|e| fail(format!("cannot write analyze.json: {e}")));
-                    println!("\nJSON written to results/analyze.json");
+                    emit(&format!("{report}\nJSON written to results/analyze.json\n"));
                 }
             }
         }
@@ -1219,6 +492,25 @@ fn main() {
                 Some(t) => t,
                 None => &NoopTracer,
             };
+            // `fail` leaves through `process::exit`, which runs no
+            // destructor: every way out of a traced search closes the
+            // trace first, so the file of a search that died ends on a
+            // whole line. `false` when the file is short of an event.
+            let close_trace = || {
+                let Some((t, path)) = file_tracer.as_ref().zip(trace_path.as_ref()) else {
+                    return true;
+                };
+                let written = t.finish();
+                match &written {
+                    Ok(()) => eprintln!("trace written to {path}"),
+                    Err(e) => eprintln!("anduril: trace file `{path}` is incomplete: {e}"),
+                }
+                written.is_ok()
+            };
+            let die = |msg: String| -> ! {
+                close_trace();
+                fail(msg)
+            };
             let gt = case
                 .ground_truth()
                 .unwrap_or_else(|e| fail(format!("{}: ground truth: {e}", case.id)));
@@ -1227,7 +519,7 @@ fn main() {
                 .unwrap_or_else(|e| fail(format!("{}: failure log: {e}", case.id)));
             let ctx =
                 SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, tracer)
-                    .unwrap_or_else(|e| fail(format!("{}: context preparation: {e}", case.id)));
+                    .unwrap_or_else(|e| die(format!("{}: context preparation: {e}", case.id)));
             eprintln!(
                 "{}: {} observables, {} candidate units, causal graph {}v/{}e",
                 case.id,
@@ -1263,7 +555,7 @@ fn main() {
                     Some(gt.site),
                     tracer,
                 )
-                .unwrap_or_else(|e| fail(format!("{}: exploration: {e}", case.id)))
+                .unwrap_or_else(|e| die(format!("{}: exploration: {e}", case.id)))
             } else {
                 let mut strategy = strategy_by_name(&strategy_name).unwrap_or_else(|| usage());
                 explore_traced(
@@ -1274,11 +566,10 @@ fn main() {
                     Some(gt.site),
                     tracer,
                 )
-                .unwrap_or_else(|e| fail(format!("{}: exploration: {e}", case.id)))
+                .unwrap_or_else(|e| die(format!("{}: exploration: {e}", case.id)))
             };
-            if let Some(path) = &trace_path {
-                tracer.flush();
-                eprintln!("trace written to {path}");
+            if !close_trace() {
+                std::process::exit(1);
             }
             if r.success {
                 println!(
@@ -1306,65 +597,36 @@ fn main() {
         }
         Some("trace") => {
             let Some(path) = args.get(1) else { usage() };
-            enum Mode {
-                Summary,
-                Round(u64),
-                Promotions,
-                Json,
-            }
-            let mut mode = Mode::Summary;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--summary" => {
-                        mode = Mode::Summary;
-                        i += 1;
-                    }
-                    "--round" => {
-                        let n = args
-                            .get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| usage());
-                        mode = Mode::Round(n);
-                        i += 2;
-                    }
-                    "--promotions" => {
-                        mode = Mode::Promotions;
-                        i += 1;
-                    }
-                    "--json" => {
-                        mode = Mode::Json;
-                        i += 1;
-                    }
-                    _ => usage(),
+            // Read, parse: only once the mode is known to be one, so a
+            // bad flag is a usage error whatever the file holds.
+            let events = || {
+                let text = std::fs::read_to_string(path)
+                    .unwrap_or_else(|e| fail(format!("cannot read `{path}`: {e}")));
+                let (events, cut) =
+                    read_stream(&text).unwrap_or_else(|e| fail(format!("{path}:{e}")));
+                if let Some(line) = cut {
+                    eprintln!(
+                        "anduril: {path}:{line}: final line is cut short (the search died \
+                         mid-write); dropped, {} events kept",
+                        events.len()
+                    );
                 }
-            }
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(format!("cannot read `{path}`: {e}")));
-            let mut events: Vec<(String, Json)> = Vec::new();
-            for (lineno, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
+                if events.is_empty() {
+                    fail(format!("`{path}` contains no trace events"));
                 }
-                let v = Json::parse(line)
-                    .unwrap_or_else(|| fail(format!("{path}:{}: malformed JSON", lineno + 1)));
-                if v.get("ev").and_then(Json::as_str).is_none() {
-                    fail(format!(
-                        "{path}:{}: not a trace event (no `ev` key)",
-                        lineno + 1
-                    ));
+                events
+            };
+            let mode: Vec<&str> = args[2..].iter().map(String::as_str).collect();
+            emit(&match mode[..] {
+                [] | ["--summary"] => report::summary(path, &events()),
+                ["--round", n] => {
+                    let n = n.parse().unwrap_or_else(|_| usage());
+                    report::round(&events(), n).unwrap_or_else(|e| fail(e))
                 }
-                events.push((line.to_string(), v));
-            }
-            if events.is_empty() {
-                fail(format!("`{path}` contains no trace events"));
-            }
-            match mode {
-                Mode::Summary => render_trace_summary(path, &events),
-                Mode::Round(n) => render_trace_round(&events, n),
-                Mode::Promotions => render_trace_promotions(&events),
-                Mode::Json => print!("{}", trace_report_json(&events)),
-            }
+                ["--promotions"] => report::promotions(&events()),
+                ["--json"] => report::json(&events()),
+                _ => usage(),
+            });
         }
         Some("explain") => {
             let case = resolve_case(args.get(1));

@@ -1,9 +1,53 @@
-//! Shared by the adaptive-layer suites: the stall-prone degraded inputs
-//! and the stable rendering of a trace stream.
+//! Shared by the trace and adaptive-layer suites: traced searches of the
+//! bundled tickets, the stall-prone degraded inputs and the stable
+//! rendering of a trace stream.
+
+// Each suite compiles its own copy of this module and uses part of it.
+#![allow(dead_code)]
 
 use anduril::failures::case_by_id;
-use anduril::trace::TraceEvent;
-use anduril::{Oracle, SearchContext};
+use anduril::trace::{TraceEvent, VecTracer};
+use anduril::{
+    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
+    FeedbackStrategy, Oracle, SearchContext,
+};
+
+/// Runs one traced full-feedback exploration of a ticket (sequential when
+/// `threads` is `None`, else batched, batch 8) and returns the raw event
+/// stream, including context-preparation events.
+pub fn traced_run(id: &str, threads: Option<usize>) -> Vec<TraceEvent> {
+    let case = case_by_id(id).expect("case");
+    let failure_log = case.failure_log().expect("failure log");
+    let gt = case.ground_truth().expect("ground truth");
+    let tracer = VecTracer::new();
+    let ctx = SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, &tracer)
+        .expect("context");
+    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
+    let cfg = ExplorerConfig::default();
+    match threads {
+        None => {
+            explore_traced(&ctx, &case.oracle, &mut s, &cfg, Some(gt.site), &tracer)
+                .expect("explore");
+        }
+        Some(threads) => {
+            let batch = BatchExplorerConfig {
+                batch_size: 8,
+                threads,
+            };
+            explore_batched_traced(
+                &ctx,
+                &case.oracle,
+                &mut s,
+                &cfg,
+                &batch,
+                Some(gt.site),
+                &tracer,
+            )
+            .expect("explore_batched");
+        }
+    }
+    tracer.take()
+}
 
 /// A case prepared from its degraded failure log: every entry (line plus
 /// continuation lines) of the fully prepared context's nearest observable

@@ -3,58 +3,10 @@
 //! once (a) volatile host-time fields are dropped (`stable_json`) and
 //! (b) the batch engine's epoch/slot tags are filtered (`is_batch_only`).
 
-use anduril::failures::case_by_id;
-use anduril::trace::{Json, TraceEvent, VecTracer};
-use anduril::{
-    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, SearchContext,
-};
+mod common;
 
-/// Runs one traced exploration (sequential when `threads` is `None`) and
-/// returns the raw event stream, including context-preparation events.
-fn traced_run(id: &str, threads: Option<usize>) -> Vec<TraceEvent> {
-    let case = case_by_id(id).expect("case");
-    let failure_log = case.failure_log().expect("failure log");
-    let gt = case.ground_truth().expect("ground truth");
-    let tracer = VecTracer::new();
-    let ctx = SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, &tracer)
-        .expect("context");
-    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-    let cfg = ExplorerConfig::default();
-    match threads {
-        None => {
-            explore_traced(&ctx, &case.oracle, &mut s, &cfg, Some(gt.site), &tracer)
-                .expect("explore");
-        }
-        Some(threads) => {
-            let batch = BatchExplorerConfig {
-                batch_size: 8,
-                threads,
-            };
-            explore_batched_traced(
-                &ctx,
-                &case.oracle,
-                &mut s,
-                &cfg,
-                &batch,
-                Some(gt.site),
-                &tracer,
-            )
-            .expect("explore_batched");
-        }
-    }
-    tracer.take()
-}
-
-/// The deterministic serialization of a stream: batch-only events dropped,
-/// volatile fields omitted.
-fn stable_lines(events: &[TraceEvent]) -> Vec<String> {
-    events
-        .iter()
-        .filter(|e| !e.is_batch_only())
-        .map(TraceEvent::stable_json)
-        .collect()
-}
+use anduril::trace::TraceEvent;
+use common::{stable_lines, traced_run};
 
 /// Three cases spanning short and long searches: the batched stream equals
 /// the sequential stream byte for byte, modulo epoch/slot tags.
@@ -94,18 +46,18 @@ fn sequential_stream_is_reproducible() {
 }
 
 /// Every line of the volatile serialization — what `FileTracer` writes —
-/// parses back through the bundled JSON reader with an `ev` kind.
+/// and of the stable one reads back through the typed parser as an event
+/// this build knows.
 #[test]
 fn every_emitted_line_is_valid_jsonl() {
     for (id, threads) in [("f3", None), ("f3", Some(4))] {
         for ev in traced_run(id, threads) {
             for line in [ev.to_json(), ev.stable_json()] {
-                let v =
-                    Json::parse(&line).unwrap_or_else(|| panic!("{id}: unparseable line: {line}"));
-                assert!(
-                    v.get("ev").and_then(Json::as_str).is_some(),
-                    "{id}: line without `ev`: {line}"
-                );
+                match TraceEvent::parse_line(&line) {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("{id}: line of an unknown kind: {line}"),
+                    Err(e) => panic!("{id}: {e}: {line}"),
+                }
             }
         }
     }

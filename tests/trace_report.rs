@@ -1,0 +1,146 @@
+//! The trace reader and the four `anduril trace` reports, on real
+//! streams: a one-round sequential search (f3), a batched one (f17, four
+//! threads) and a long adaptive one that promotes observables (f5 from its
+//! degraded log).
+//!
+//! The goldens under `tests/golden/trace_report/` are what the last binary
+//! that rendered traces by walking untyped JSON printed for these streams
+//! (`anduril trace <stream>.jsonl --summary | --round N | --promotions |
+//! --json`, run on the zero-`*_ns` lines `golden_input` builds): the typed
+//! reports must reproduce them byte for byte. On a mismatch the test
+//! prints the report in full.
+
+mod common;
+
+use anduril::trace::{read_stream, report, TraceEvent, VecTracer};
+use anduril::{explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy};
+use common::traced_run;
+
+/// f5 searched from its degraded failure log with adaptive promotion on:
+/// 82 rounds, retry passes and promotions.
+fn degraded_adaptive_stream() -> Vec<TraceEvent> {
+    let (ctx, oracle) = common::degraded_context("f5");
+    let mut cfg = ExplorerConfig {
+        max_rounds: 300,
+        verify_replay: false,
+        ..ExplorerConfig::default()
+    };
+    cfg.adaptive.enabled = true;
+    let tracer = VecTracer::new();
+    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
+    explore_traced(&ctx, &oracle, &mut s, &cfg, None, &tracer).expect("explore");
+    tracer.take()
+}
+
+/// `(name, round shown by --round, stream)`: f17's round 6 is a speculation
+/// miss, f5's round 68 the stall that promotes.
+fn streams() -> Vec<(&'static str, usize, Vec<TraceEvent>)> {
+    vec![
+        ("f3", 0, traced_run("f3", None)),
+        ("f17-batched", 6, traced_run("f17", Some(4))),
+        ("f5-degraded-adaptive", 68, degraded_adaptive_stream()),
+    ]
+}
+
+fn parse(line: &str) -> TraceEvent {
+    TraceEvent::parse_line(line)
+        .unwrap_or_else(|e| panic!("{e}: {line}"))
+        .unwrap_or_else(|| panic!("skipped as unknown: {line}"))
+}
+
+/// The stream as a file of its stable lines read back: every `*_ns` zero,
+/// so what the reports print is a pure function of the search.
+fn golden_input(events: &[TraceEvent]) -> String {
+    events
+        .iter()
+        .map(|ev| parse(&ev.stable_json()).to_json() + "\n")
+        .collect()
+}
+
+#[test]
+fn every_line_of_three_real_streams_round_trips() {
+    for (name, _, events) in streams() {
+        for ev in &events {
+            let line = ev.to_json();
+            assert_eq!(parse(&line).to_json(), line, "{name}");
+            let line = ev.stable_json();
+            assert_eq!(parse(&line).stable_json(), line, "{name}");
+        }
+    }
+}
+
+#[test]
+fn reports_match_what_the_untyped_renderers_printed() {
+    let golden = |name: &str, mode: &str| {
+        let path = format!(
+            "{}/tests/golden/trace_report/{name}.{mode}.txt",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    for (name, round, events) in streams() {
+        let (events, cut) = read_stream(&golden_input(&events)).expect("reads back");
+        assert_eq!(cut, None);
+        let reports = [
+            (
+                "summary",
+                report::summary(&format!("{name}.jsonl"), &events),
+            ),
+            ("round", report::round(&events, round).expect("round")),
+            ("promotions", report::promotions(&events)),
+            ("json", report::json(&events)),
+        ];
+        for (mode, text) in reports {
+            assert!(
+                text == golden(name, mode),
+                "{name} --{mode} differs from its golden; it now prints:\n{text}"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_unknown_kind_and_a_cut_final_line_change_no_report() {
+    let text = golden_input(&traced_run("f17", Some(4)));
+    let (events, _) = read_stream(&text).expect("reads back");
+    let all = |events: &[TraceEvent]| {
+        [
+            report::summary("t.jsonl", events),
+            report::round(events, 0).expect("round 0"),
+            report::promotions(events),
+            report::json(events),
+        ]
+    };
+    let expected = all(&events);
+
+    // What a stream recorded while there was a snapshot cache ends with.
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.insert(
+        lines.len() - 1,
+        r#"{"ev":"snapshot_stats","hits":5,"misses":16,"resumed":5,"stored":16}"#,
+    );
+    let (with_unknown, cut) = read_stream(&(lines.join("\n") + "\n")).expect("reads");
+    assert_eq!(cut, None);
+    assert!(all(&with_unknown) == expected);
+
+    // What a search that died leaves: a last line with no end.
+    let (with_cut, cut) =
+        read_stream(&format!("{text}{{\"ev\":\"round_start\",\"round\":12,\"se")).expect("reads");
+    assert_eq!(cut, Some(events.len() + 1));
+    assert!(all(&with_cut) == expected);
+}
+
+#[test]
+fn a_missing_round_and_a_garbage_line_are_errors_that_say_where() {
+    let events = traced_run("f3", None);
+    let err = report::round(&events, 99).expect_err("f3 has one round");
+    assert_eq!(err.to_string(), "no events for round 99 in the trace");
+
+    let mut lines: Vec<String> = events.iter().map(TraceEvent::to_json).collect();
+    lines.insert(4, "not json".into());
+    let err = read_stream(&(lines.join("\n") + "\n")).expect_err("line 5 is garbage");
+    assert_eq!(err.to_string(), "5: malformed JSON");
+    lines[4] = r#"{"ev":"round_start","round":0}"#.into();
+    let err = read_stream(&(lines.join("\n") + "\n")).expect_err("line 5 lacks its seed");
+    assert_eq!(err.to_string(), "5: missing or mistyped key `seed`");
+}
