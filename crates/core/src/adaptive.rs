@@ -168,14 +168,23 @@ impl PromotedSet {
         present: &mut Vec<usize>,
         records: &[R],
     ) {
-        for (j, o) in self.obs.iter().enumerate() {
-            if records
-                .iter()
-                .any(|r| self.table.lookup(r.level(), r.body()) == o.token)
-            {
-                present.push(base + j);
+        if self.obs.is_empty() {
+            return;
+        }
+        // One probe per record, not one per (promotion, record): witness
+        // tokens come from this set's own table, so they index `seen`.
+        let mut seen = vec![false; self.table.len()];
+        for r in records {
+            if let Some(s) = seen.get_mut(self.table.lookup(r.level(), r.body()) as usize) {
+                *s = true;
             }
         }
+        let witnessed = self
+            .obs
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| seen[o.token as usize]);
+        present.extend(witnessed.map(|(j, _)| base + j));
     }
 }
 

@@ -7,7 +7,7 @@
 //! distribution from the normal run's timeline onto the failure log's
 //! timeline (§5.2.3).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -15,7 +15,9 @@ use anduril_causal::{
     build_graph, BuildTimings, CausalGraph, Interval, Observable, OccurrenceBounds, Reachability,
 };
 use anduril_ir::{CompiledProgram, ExceptionType, SiteId, TemplateId};
-use anduril_logdiff::{compare_global, parse_log, Alignment, DiffRecord, InternedLog, ParsedEntry};
+use anduril_logdiff::{
+    compare_global, parse_log, Alignment, DiffMemo, DiffRecord, InternedLog, ParsedEntry,
+};
 use anduril_sim::InjectionPlan;
 use anduril_sim::{RunResult, SimError};
 
@@ -76,6 +78,10 @@ pub struct SearchContext {
     pub normal: RunResult,
     /// Relevant observables (failure-only messages).
     pub observables: Vec<ObservableInfo>,
+    /// The `(node, thread)` groups of `failure_interned` that hold an
+    /// observable position — the only thread logs a round's diff has to
+    /// look at (its `wanted` mask).
+    pub observable_groups: Vec<bool>,
     /// The static causal graph for those observables.
     pub graph: CausalGraph,
     /// Causal-graph build timings (Table 7).
@@ -181,6 +187,8 @@ impl SearchContext {
             })
             .collect();
         observables.sort_by_key(|o| o.template);
+        let observable_groups = failure_interned
+            .groups_holding(observables.iter().flat_map(|o| o.positions.iter().copied()));
         phase("observables", observables.len() as u64, t);
 
         let t = Instant::now();
@@ -273,6 +281,7 @@ impl SearchContext {
             failure_interned,
             normal,
             observables,
+            observable_groups,
             graph,
             timings,
             distances,
@@ -382,21 +391,40 @@ impl SearchContext {
     /// side is any [`DiffRecord`] — a round's structured log goes in
     /// directly, diffed over interned `u32` tokens.
     pub fn present_observables<R: DiffRecord>(&self, run: &[R]) -> Vec<usize> {
-        self.present_from_missing(&self.failure_interned.compare(run).missing)
+        self.present_observables_memo(run, &mut DiffMemo::default())
+    }
+
+    /// [`SearchContext::present_observables`] for a caller that diffs many
+    /// runs against this context, as a search does: `memo` skips every
+    /// thread log it has diffed before. The result does not depend on what
+    /// the memo holds.
+    pub fn present_observables_memo<R: DiffRecord>(
+        &self,
+        run: &[R],
+        memo: &mut DiffMemo,
+    ) -> Vec<usize> {
+        let missing = self
+            .failure_interned
+            .missing_in(run, &self.observable_groups, memo);
+        self.present_from_missing(missing)
     }
 
     /// [`SearchContext::present_observables`] under the naive whole-log
     /// diff — the §5.1.1 ablation (`FeedbackConfig::global_diff`).
     pub fn present_observables_global<R: DiffRecord>(&self, run: &[R]) -> Vec<usize> {
-        self.present_from_missing(&compare_global(run, &self.failure).missing)
+        let mut missing = vec![false; self.failure.len()];
+        for idx in compare_global(run, &self.failure).missing {
+            missing[idx] = true;
+        }
+        self.present_from_missing(&missing)
     }
 
-    fn present_from_missing(&self, still_missing: &[usize]) -> Vec<usize> {
-        let missing: HashSet<usize> = still_missing.iter().copied().collect();
+    /// `missing[p]` = the diff left failure-log position `p` unmatched.
+    fn present_from_missing(&self, missing: &[bool]) -> Vec<usize> {
         self.observables
             .iter()
             .enumerate()
-            .filter(|(_, o)| o.positions.iter().any(|p| !missing.contains(p)))
+            .filter(|(_, o)| o.positions.iter().any(|&p| !missing[p]))
             .map(|(k, _)| k)
             .collect()
     }
@@ -439,7 +467,12 @@ impl RoundOutcome {
     /// via the per-thread log diff. (The explorer appends the presence of
     /// observables promoted during its search; see `crate::adaptive`.)
     pub fn new(ctx: &SearchContext, result: RunResult) -> Self {
-        let present = ctx.present_observables(&result.log);
+        Self::with_memo(ctx, result, &mut DiffMemo::default())
+    }
+
+    /// [`RoundOutcome::new`] through the calling search's diff memo.
+    pub fn with_memo(ctx: &SearchContext, result: RunResult, memo: &mut DiffMemo) -> Self {
+        let present = ctx.present_observables_memo(&result.log, memo);
         RoundOutcome { result, present }
     }
 }

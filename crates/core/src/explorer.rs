@@ -4,6 +4,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use anduril_ir::{ExceptionType, SiteId};
+use anduril_logdiff::DiffMemo;
 use anduril_sim::{InjectionPlan, RunResult, SimError};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState};
@@ -206,10 +207,10 @@ fn extra_run_seed(base_seed: u64, round: usize, extra: usize) -> u64 {
 }
 
 /// Everything one search mutates besides its strategy: records, totals,
-/// and the adaptive layer's promoted observables. Executed rounds go
-/// through [`ExploreState::absorb`] in round order, so this state evolves
-/// identically whether a round was executed inline or speculatively on a
-/// worker thread.
+/// the adaptive layer's promoted observables and the diff memo. Executed
+/// rounds go through [`ExploreState::absorb`] in round order, so this
+/// state evolves identically whether a round was executed inline or
+/// speculatively on a worker thread.
 struct ExploreState<'a> {
     ctx: &'a SearchContext,
     oracle: &'a Oracle,
@@ -221,6 +222,9 @@ struct ExploreState<'a> {
     decision_ns: u64,
     sim_time_total: u64,
     adaptive: AdaptiveState,
+    /// Every round (and §6 extra run) diffs against `ctx`'s failure log,
+    /// and most thread logs repeat from round to round.
+    memo: DiffMemo,
 }
 
 /// Host time a round took before the search absorbs its result.
@@ -249,6 +253,7 @@ impl<'a> ExploreState<'a> {
             decision_ns: ctx.normal.decision_ns,
             sim_time_total: ctx.normal.end_time,
             adaptive: AdaptiveState::default(),
+            memo: DiffMemo::default(),
         }
     }
 
@@ -370,9 +375,7 @@ impl<'a> ExploreState<'a> {
                     };
                     // Replay through the context rather than the script's
                     // own (recompiling) entry point: the round loop's
-                    // cached compilation is reused, and in batch mode the
-                    // verification resumes from the successful round's
-                    // captured prefix — the seeds match by construction.
+                    // cached compilation is reused.
                     let verified = if self.cfg.verify_replay {
                         ctx.run_round(
                             script.seed,
@@ -416,7 +419,7 @@ impl<'a> ExploreState<'a> {
         }
 
         let since = clock.then(Instant::now);
-        let mut outcome = RoundOutcome::new(ctx, result);
+        let mut outcome = RoundOutcome::with_memo(ctx, result, &mut self.memo);
         let promoted = self.adaptive.promoted();
         let prepared = ctx.observables.len();
         promoted.extend_present(prepared, &mut outcome.present, &outcome.result.log);
@@ -432,7 +435,7 @@ impl<'a> ExploreState<'a> {
                 sim_ns += lap(since);
                 self.sim_time_total += extra_run.end_time;
                 let since = clock.then(Instant::now);
-                let mut present = ctx.present_observables(&extra_run.log);
+                let mut present = ctx.present_observables_memo(&extra_run.log, &mut self.memo);
                 promoted.extend_present(prepared, &mut present, &extra_run.log);
                 for k in present {
                     if seen.insert(k) {

@@ -24,15 +24,32 @@
 
 /// Reusable furthest-reaching arrays for the middle-snake search.
 ///
-/// One allocation serves the whole recursion: every subproblem is no wider
-/// than the root problem, and a `middle_snake` call writes each slot it
-/// reads before reading it, so stale values from sibling calls are inert.
-struct Scratch {
+/// One allocation serves the whole recursion, and every later diff run
+/// over the same scratch: every subproblem is no wider than the root
+/// problem, and a `middle_snake` call writes each slot it reads before
+/// reading it, so stale values from sibling calls and earlier diffs are
+/// inert.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
     /// `vf[k + offset]` = furthest forward `x` on diagonal `k`.
     vf: Vec<isize>,
     /// `vb[k + offset]` = smallest backward `x` on diagonal `k`.
     vb: Vec<isize>,
     offset: isize,
+}
+
+impl Scratch {
+    /// Makes room for a root problem with `max = n + m`. Diagonals of a
+    /// subproblem live in `[-(n+m), n+m]` shifted by the subproblem's
+    /// delta, which is itself bounded by `n+m`: double width covers every
+    /// index the backward search can touch.
+    fn fit(&mut self, max: usize) {
+        if self.vf.len() < 4 * max + 5 {
+            self.vf.resize(4 * max + 5, 0);
+            self.vb.resize(4 * max + 5, 0);
+        }
+        self.offset = 2 * max as isize + 2;
+    }
 }
 
 /// Computes the matched index pairs `(i, j)` of a longest common
@@ -47,20 +64,25 @@ struct Scratch {
 /// for fully disjoint inputs where `D = N+M`.
 pub fn myers_matches<T: PartialEq>(a: &[T], b: &[T]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    if a.is_empty() || b.is_empty() {
-        return out;
-    }
-    let max = a.len() + b.len();
-    // Diagonals of a subproblem live in [-(n+m), n+m] shifted by the
-    // subproblem's delta, which is itself bounded by n+m: double width
-    // covers every index the backward search can touch.
-    let mut scratch = Scratch {
-        vf: vec![0; 4 * max + 5],
-        vb: vec![0; 4 * max + 5],
-        offset: 2 * max as isize + 2,
-    };
-    lcs_rec(a, 0, b, 0, &mut scratch, &mut out);
+    myers_matches_into(a, b, &mut Scratch::default(), &mut out);
     out
+}
+
+/// [`myers_matches`] over caller-owned buffers: `out` is cleared and
+/// filled, `scratch` grows to the widest problem it has seen. The
+/// per-round diff runs every group of every round through one pair.
+pub(crate) fn myers_matches_into<T: PartialEq>(
+    a: &[T],
+    b: &[T],
+    scratch: &mut Scratch,
+    out: &mut Vec<(usize, usize)>,
+) {
+    out.clear();
+    if a.is_empty() || b.is_empty() {
+        return;
+    }
+    scratch.fit(a.len() + b.len());
+    lcs_rec(a, 0, b, 0, scratch, out);
 }
 
 /// Recursive layer: strip common prefix/suffix, split on the middle snake.
@@ -217,14 +239,6 @@ fn middle_snake<T: PartialEq>(
     unreachable!("an edit path always exists within (n+m)/2 half-steps")
 }
 
-/// Indices of `b` that are *not* matched by any LCS pair — the entries that
-/// appear only in `b` (for us: messages only in the failure log).
-pub fn unmatched_b<T: PartialEq>(a: &[T], b: &[T]) -> Vec<usize> {
-    let matches = myers_matches(a, b);
-    let matched: std::collections::HashSet<usize> = matches.iter().map(|&(_, j)| j).collect();
-    (0..b.len()).filter(|j| !matched.contains(j)).collect()
-}
-
 /// The superseded trace-saving formulation, kept as the differential-test
 /// oracle.
 ///
@@ -321,6 +335,7 @@ fn myers_matches_quadratic<T: PartialEq>(a: &[T], b: &[T]) -> Vec<(usize, usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
 
     fn check_common_subsequence<T: PartialEq + std::fmt::Debug>(
         a: &[T],
@@ -334,6 +349,15 @@ mod tests {
         for &(i, j) in matches {
             assert_eq!(a[i], b[j], "matched elements equal");
         }
+    }
+
+    /// Indices of `b` no LCS pair matches (for us: messages only in the
+    /// failure log).
+    fn unmatched_b<T: PartialEq>(a: &[T], b: &[T]) -> Vec<usize> {
+        let matches = myers_matches(a, b);
+        (0..b.len())
+            .filter(|j| matches.iter().all(|&(_, mj)| mj != *j))
+            .collect()
     }
 
     #[test]
@@ -438,24 +462,6 @@ mod tests {
     // Each implementation individually stays deterministic, so within one
     // build every diff of the same inputs agrees exactly. CI greps for the
     // `differential_` prefix to prove these ran.
-
-    /// Deterministic SplitMix64 (the build is offline; no `rand`, and no
-    /// wall-clock seeding — every run tests the same cases).
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-    }
 
     fn random_tokens(rng: &mut Rng, alphabet: u32, max_len: usize) -> Vec<u32> {
         let len = rng.below(max_len + 1);
