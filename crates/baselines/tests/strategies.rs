@@ -1,6 +1,8 @@
 //! Unit-level behaviour of the baseline strategies on a controlled
 //! scenario.
 
+use std::sync::Arc;
+
 use anduril_baselines::{table2_strategies, CrashTuner, Fate, StacktraceInjector};
 use anduril_core::{Oracle, RoundOutcome, Scenario, SearchContext, Strategy};
 use anduril_ir::builder::ProgramBuilder;
@@ -66,7 +68,7 @@ fn scenario() -> (Scenario, anduril_ir::SiteId, anduril_ir::SiteId) {
     (
         Scenario {
             name: "baseline-unit".into(),
-            program,
+            program: Arc::new(program),
             topology: topo,
             config: SimConfig::default(),
         },

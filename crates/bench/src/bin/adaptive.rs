@@ -186,7 +186,6 @@ fn main() {
 
         let mut cfg = ExplorerConfig {
             max_rounds,
-            verify_replay: false,
             ..ExplorerConfig::default()
         };
         // Both searches share the one prepared context: promotions live

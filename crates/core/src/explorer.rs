@@ -1,4 +1,10 @@
 //! The Explorer's round loop (§3, steps 1–5).
+//!
+//! Step 4.a — re-run the emitted script once — costs no run here: the
+//! paper's target is nondeterministic, this simulator is not, and the
+//! round that satisfied the oracle is already the run of its own script
+//! (see `ExploreState::absorb` and DESIGN.md §13). Debug builds still make
+//! the replay and assert [`RunResult::same_run`] on it.
 
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -24,9 +30,6 @@ pub struct ExplorerConfig {
     /// Seed of the normal run; round `r` uses `base_seed + 1 + r`, which
     /// restores the cross-run nondeterminism the flexible window handles.
     pub base_seed: u64,
-    /// Re-run the generated script once on success to confirm the
-    /// reproduction is deterministic (§3, step 4.a).
-    pub verify_replay: bool,
     /// Extra fault-free runs whose observables are unioned into each
     /// round's feedback — the paper's §6 mitigation for concurrency
     /// making crucial log messages disappear ("we can run ANDURIL multiple
@@ -42,7 +45,6 @@ impl Default for ExplorerConfig {
         ExplorerConfig {
             max_rounds: 2000,
             base_seed: 1000,
-            verify_replay: true,
             extra_feedback_runs: 0,
             adaptive: AdaptiveConfig::default(),
         }
@@ -160,7 +162,10 @@ pub struct Reproduction {
     pub rounds: usize,
     /// The deterministic reproduction script, on success.
     pub script: Option<ReproScript>,
-    /// Whether the script replayed successfully (when verification is on).
+    /// Whether the script's replay satisfies the oracle. With the in-repo
+    /// strategies a reproduction has it `false` only when it has no script
+    /// (a crash-only one): the reproducing round is the replay. A round
+    /// that fired twice or also crashed is replayed for real and may not.
     pub replay_verified: bool,
     /// Per-round records.
     pub per_round: Vec<RoundRecord>,
@@ -373,18 +378,24 @@ impl<'a> ExploreState<'a> {
                         exc,
                         desc: ctx.scenario.program.sites[site.index()].desc.clone(),
                     };
-                    // Replay through the context rather than the script's
-                    // own (recompiling) entry point: the round loop's
-                    // cached compilation is reused.
-                    let verified = if self.cfg.verify_replay {
-                        ctx.run_round(
-                            script.seed,
-                            InjectionPlan::exact(script.site, script.occurrence, script.exc),
-                        )
-                        .map(|r| self.oracle.check(&r))
-                        .unwrap_or(false)
+                    // §3 step 4.a re-runs the script. A run is a pure
+                    // function of `(seed, plan)`, and a one-shot round
+                    // that fired once and crashed nothing *is* the run of
+                    // `exact(fired)` (DESIGN.md §13), so the verdict in
+                    // hand is the replay's. Otherwise (a multi-shot plan
+                    // that fired again, a crash point besides the
+                    // injection) the script is a different run: replay it
+                    // over the context's cached compilation.
+                    let replay =
+                        || ctx.run_round(seed, InjectionPlan::exact(site, occurrence, exc));
+                    let verified = if result.injected_all.len() == 1 && !result.crashed {
+                        debug_assert!(
+                            replay().is_ok_and(|r| r.same_run(&result)),
+                            "round {round}: the reproducing round is not its exact replay"
+                        );
+                        satisfied
                     } else {
-                        false
+                        replay().is_ok_and(|r| self.oracle.check(&r))
                     };
                     (Some(script), verified)
                 }

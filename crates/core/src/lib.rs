@@ -13,8 +13,9 @@
 //!    oracle (§5.2.5);
 //! 4. on failure, re-diffs the round's log and deprioritizes faults whose
 //!    expected observables already appeared (Algorithm 2);
-//! 5. on success, emits a deterministic [`ReproScript`] and verifies it by
-//!    replay.
+//! 5. on success, emits a deterministic [`ReproScript`]. The paper re-runs
+//!    it once; here the reproducing round is already that run (a run is a
+//!    pure function of seed and plan), so its verdict is the replay's.
 //!
 //! # Examples
 //!

@@ -6,6 +6,8 @@
 //! setup where an existing test or a constructed workload exercises the
 //! affected feature (§2, input 3).
 
+use std::sync::Arc;
+
 use anduril_causal::RootCall;
 use anduril_ir::{CompiledProgram, FuncId, Program};
 use anduril_sim::{run, run_compiled, InjectionPlan, RunResult, SimConfig, SimError, Topology};
@@ -15,8 +17,10 @@ use anduril_sim::{run, run_compiled, InjectionPlan, RunResult, SimConfig, SimErr
 pub struct Scenario {
     /// Scenario name (e.g. the failure ticket id).
     pub name: String,
-    /// The target system's IR program.
-    pub program: Program,
+    /// The target system's IR program. Shared, not owned: nothing mutates
+    /// a scenario's program after construction, so cloning a scenario (one
+    /// per prepared context) copies a pointer, not the IR.
+    pub program: Arc<Program>,
     /// Cluster topology, including the workload driver node.
     pub topology: Topology,
     /// Base simulation configuration; the Explorer varies only the seed.

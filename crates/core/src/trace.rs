@@ -338,7 +338,8 @@ pub enum TraceEvent {
         success: bool,
         /// Rounds executed.
         rounds: usize,
-        /// Whether the script replayed successfully.
+        /// Whether the script's replay satisfies the oracle
+        /// ([`crate::Reproduction::replay_verified`]).
         replay_verified: bool,
         /// Wall-clock nanoseconds of the whole exploration (volatile).
         wall_ns: u64,

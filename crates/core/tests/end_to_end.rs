@@ -1,5 +1,7 @@
 //! End-to-end Explorer tests on a miniature WAL scenario.
 
+use std::sync::Arc;
+
 use anduril_core::{
     explore, reproduce, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle, Scenario,
     SearchContext,
@@ -89,7 +91,7 @@ fn mini_wal_scenario() -> (Scenario, anduril_ir::SiteId) {
     ]);
     let scenario = Scenario {
         name: "mini-wal".into(),
-        program,
+        program: Arc::new(program),
         topology,
         config: SimConfig {
             max_time: 60_000,

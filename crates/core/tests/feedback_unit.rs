@@ -1,5 +1,7 @@
 //! Unit-level behaviour of the feedback strategy on a controlled scenario.
 
+use std::sync::Arc;
+
 use anduril_core::{
     explore, Aggregate, Combine, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle,
     RoundOutcome, Scenario, SearchContext, Strategy,
@@ -57,7 +59,7 @@ fn two_site_scenario() -> (Scenario, anduril_ir::SiteId, anduril_ir::SiteId) {
     (
         Scenario {
             name: "unit".into(),
-            program,
+            program: Arc::new(program),
             topology: topo,
             config: SimConfig::default(),
         },

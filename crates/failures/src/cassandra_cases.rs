@@ -1,5 +1,7 @@
 //! The two Cassandra failures (f21–f22).
 
+use std::sync::Arc;
+
 use anduril_core::{Oracle, Scenario};
 use anduril_ir::{ExceptionType, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
@@ -22,7 +24,7 @@ fn scenario(name: &str, wl: &str, arg: i64, max_time: u64) -> Scenario {
     ];
     Scenario {
         name: name.to_string(),
-        program,
+        program: Arc::new(program),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time,

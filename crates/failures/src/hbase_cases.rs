@@ -1,5 +1,7 @@
 //! The six HBase failures (f12–f17).
 
+use std::sync::Arc;
+
 use anduril_core::{Oracle, Scenario};
 use anduril_ir::{ExceptionType, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
@@ -46,7 +48,7 @@ fn scenario(
     ));
     Scenario {
         name: name.to_string(),
-        program,
+        program: Arc::new(program),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time,

@@ -1,5 +1,7 @@
 //! The seven HDFS failures (f5–f11).
 
+use std::sync::Arc;
+
 use anduril_core::{Oracle, Scenario};
 use anduril_ir::{ExceptionType, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
@@ -69,7 +71,7 @@ fn scenario(name: &str, opts: TopoOpts) -> Scenario {
     }
     Scenario {
         name: name.to_string(),
-        program,
+        program: Arc::new(program),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time: opts.max_time,

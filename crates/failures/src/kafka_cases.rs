@@ -1,5 +1,7 @@
 //! The three Kafka failures (f18–f20).
 
+use std::sync::Arc;
+
 use anduril_core::{Oracle, Scenario};
 use anduril_ir::{ExceptionType, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
@@ -10,7 +12,7 @@ use crate::case::{DeeperCause, FailureCase};
 fn scenario(name: &str, nodes: Vec<NodeSpec>, max_time: u64) -> Scenario {
     Scenario {
         name: name.to_string(),
-        program: kafka::build(),
+        program: Arc::new(kafka::build()),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time,

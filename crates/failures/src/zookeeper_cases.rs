@@ -1,5 +1,7 @@
 //! The four ZooKeeper failures (f1–f4).
 
+use std::sync::Arc;
+
 use anduril_core::{Oracle, Scenario};
 use anduril_ir::{ExceptionType, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
@@ -36,7 +38,7 @@ fn scenario(name: &str, wl: Option<(&str, i64)>, max_time: u64) -> Scenario {
     }
     Scenario {
         name: name.to_string(),
-        program,
+        program: Arc::new(program),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time,

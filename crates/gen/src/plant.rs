@@ -9,6 +9,8 @@
 //! [`GeneratedCase`] is therefore reproducible by definition, not by
 //! hope.
 
+use std::sync::Arc;
+
 use anduril_core::{Oracle, Scenario, SearchContext};
 use anduril_failures::FailureCase;
 use anduril_ir::{ExceptionType, SiteId};
@@ -288,7 +290,7 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         .map_err(|e| GenError::Ir(format!("{e:?}")))?;
     let scenario = Scenario {
         name: name.clone(),
-        program: gp.program.clone(),
+        program: Arc::new(gp.program.clone()),
         topology: gp.topology.clone(),
         config: gp.config.clone(),
     };

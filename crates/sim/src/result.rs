@@ -123,6 +123,31 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Whether `other` is the same run: the same log, fault-site trace,
+    /// occurrence counts, final thread and node states, end time, step
+    /// and request counts, crash flag, and the same injections fired at
+    /// the same `(site, occurrence, time)` with the same exception.
+    ///
+    /// Ignores exactly what a run's plan and host can change without
+    /// changing the run: `wall` and `decision_ns` (host time), and the
+    /// guard of each fired candidate (`InjectedRecord::candidate`'s
+    /// `occurrence` and `stack` — a window candidate and the exact
+    /// candidate naming the instance it fired at differ only there).
+    pub fn same_run(&self, other: &RunResult) -> bool {
+        let fired = |i: &InjectedRecord| (i.candidate.site, i.occurrence, i.time, i.candidate.exc);
+        self.injected.as_ref().map(fired) == other.injected.as_ref().map(fired)
+            && (self.injected_all.iter().map(fired)).eq(other.injected_all.iter().map(fired))
+            && self.crashed == other.crashed
+            && self.end_time == other.end_time
+            && self.steps == other.steps
+            && self.injection_requests == other.injection_requests
+            && self.site_occurrences == other.site_occurrences
+            && self.trace == other.trace
+            && self.log == other.log
+            && self.threads == other.threads
+            && self.nodes == other.nodes
+    }
+
     /// Renders the full log as Log4j-style text.
     pub fn log_text(&self) -> String {
         render_log(&self.log)

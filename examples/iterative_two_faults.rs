@@ -6,6 +6,8 @@
 //!
 //! Run with `cargo run --example iterative_two_faults`.
 
+use std::sync::Arc;
+
 use anduril::ir::builder::ProgramBuilder;
 use anduril::ir::expr::build as e;
 use anduril::ir::{ExceptionType, Level, Program, Value};
@@ -90,7 +92,7 @@ fn scenario(stale_cache: bool) -> Scenario {
             program.func_named("main").unwrap(),
             vec![],
         )]),
-        program,
+        program: Arc::new(program),
         config: SimConfig::default(),
     }
 }

@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+use std::sync::Arc;
+
 use anduril::ir::builder::ProgramBuilder;
 use anduril::ir::expr::build as e;
 use anduril::ir::{ExceptionType, Level, Value};
@@ -67,7 +69,7 @@ fn main() {
             NodeSpec::new("srv", program.func_named("server_main").unwrap(), vec![]),
             NodeSpec::new("cli", program.func_named("client_main").unwrap(), vec![]),
         ]),
-        program,
+        program: Arc::new(program),
         config: SimConfig::default(),
     };
 

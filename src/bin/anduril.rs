@@ -32,6 +32,10 @@ fn usage() -> ! {
          strategies: full (default), exhaustive, site-distance, site-distance-limit3,\n\
          site-feedback, multiply, sum-aggregate, order-distance, global-diff,\n\
          fate, crashtuner, crashtuner-meta-exc, stacktrace\n\n\
+         reproduce reports `replay verified`: the oracle's verdict on the\n\
+         emitted script's run. That run is the reproducing round itself\n\
+         (one injection fired, and a run is a function of seed and plan),\n\
+         so it is not made twice; `anduril replay` runs a script for real\n\n\
          --threads > 1 explores in speculative parallel batches (identical\n\
          results, less wall time); feedback-strategy variants only\n\n\
          --trace FILE records the structured search-trace stream (context\n\

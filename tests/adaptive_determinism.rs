@@ -59,7 +59,6 @@ fn adaptive_streams_sequential_equals_batched() {
     let (ctx, oracle) = degraded_context("f18");
     let mut cfg = ExplorerConfig {
         max_rounds: 300,
-        verify_replay: false,
         ..ExplorerConfig::default()
     };
     cfg.adaptive.enabled = true;
@@ -90,7 +89,6 @@ fn adaptive_rescues_degraded_case() {
     let (ctx, oracle) = degraded_context("f18");
     let cfg = ExplorerConfig {
         max_rounds: 300,
-        verify_replay: false,
         ..ExplorerConfig::default()
     };
 
@@ -144,7 +142,6 @@ fn adaptive_off_is_byte_identical() {
     let (ctx, oracle) = degraded_context("f18");
     let base = ExplorerConfig {
         max_rounds: 100,
-        verify_replay: false,
         ..ExplorerConfig::default()
     };
     let mut tweaked = base.clone();

@@ -24,7 +24,6 @@ fn search(
 ) -> (Reproduction, Vec<String>, usize) {
     let mut cfg = ExplorerConfig {
         max_rounds: 300,
-        verify_replay: false,
         ..ExplorerConfig::default()
     };
     cfg.adaptive.enabled = adaptive;

@@ -22,7 +22,6 @@ fn degraded_adaptive_stream() -> Vec<TraceEvent> {
     let (ctx, oracle) = common::degraded_context("f5");
     let mut cfg = ExplorerConfig {
         max_rounds: 300,
-        verify_replay: false,
         ..ExplorerConfig::default()
     };
     cfg.adaptive.enabled = true;
