@@ -28,10 +28,11 @@
 //! fixpoint closes in one walk); counter-shaped loops (`i = c; while (i <
 //! bound) { ...; i = i + step }` with a constant-range `bound`) get exact
 //! trip counts, and every other loop *widens* straight to ⊤. The
-//! interprocedural half iterates invocation-count and parameter-value
-//! equations over the call graph to a fixpoint, with recursion widened to
-//! ⊤ up front (every function on a call-graph cycle gets unbounded
-//! multiplicity and unknown parameters).
+//! interprocedural half solves invocation-count and parameter-value
+//! equations over the call graph, with recursion widened to ⊤ up front
+//! (every function on a call-graph cycle gets unbounded multiplicity and
+//! unknown parameters) and every other function visited once, after its
+//! callers.
 //!
 //! # Soundness
 //!
@@ -46,6 +47,8 @@
 //! differentially against the simulator on all 22 cases.
 
 use anduril_ir::{BinOp, BlockId, Expr, FuncId, Program, SiteId, Stmt, Value, VarId};
+
+use crate::callgraph::CallGraph;
 
 /// A static interval `[lo, hi]` on an execution count; `hi = None` means
 /// the analysis could not prove any finite upper bound (⊤).
@@ -613,10 +616,116 @@ pub struct OccurrenceBounds {
 }
 
 impl OccurrenceBounds {
-    /// Runs the analysis: per-function structural interpretation plus the
-    /// interprocedural invocation-count/parameter fixpoint seeded from
-    /// `roots`.
+    /// Runs the analysis: per-function structural interpretation, each
+    /// reachable function once, in call-graph order seeded from `roots`.
+    ///
+    /// The interprocedural equations give a function's invocation count and
+    /// parameter ranges as a sum and a join over its callers' call
+    /// statements. Every function on a call-graph cycle is pinned at
+    /// unbounded multiplicity and unknown parameters up front (the widening
+    /// for recursion), so what is left to solve only ever reads a caller's
+    /// value: a DAG, whose one solution is reached by visiting callers
+    /// before callees, each with its own value already final.
     pub fn compute(program: &Program, roots: &[RootCall]) -> OccurrenceBounds {
+        let calls = CallGraph::build(program);
+        let reachable = calls.reachable_from(roots.iter().map(|r| r.func));
+        let sccs = calls.sccs();
+
+        // Root contributions (the unreachable remainder keeps `[0, 0]`).
+        let mut inv = vec![Interval::ZERO; program.funcs.len()];
+        let mut params: Vec<Vec<CRange>> = program
+            .funcs
+            .iter()
+            .map(|f| vec![CRange::Bot; f.params as usize])
+            .collect();
+        for r in roots {
+            let f = r.func.index();
+            inv[f] = inv[f].add(Interval::ONE);
+            for (p, a) in params[f].iter_mut().zip(&r.args) {
+                *p = p.join(CRange::of_value(a));
+            }
+        }
+        for f in (0..inv.len()).filter(|&f| reachable[f] && sccs.cyclic[f]) {
+            inv[f] = Interval::UNBOUNDED;
+            params[f].fill(CRange::Top);
+        }
+
+        let mut site = vec![Interval::ZERO; program.sites.len()];
+        for f in sccs.callers_first() {
+            // A function nothing live invokes leaves its sites at `[0, 0]`
+            // and contributes to no callee.
+            if !reachable[f] || inv[f].is_dead() {
+                continue;
+            }
+            let local = analyze_function(program, FuncId(f as u32), &params[f]);
+            for (s, local_mult) in &local.sites {
+                site[s.index()] = inv[f].mul(*local_mult);
+            }
+            for (callee, mult, args) in &local.calls {
+                let callee = callee.index();
+                if sccs.cyclic[callee] {
+                    continue;
+                }
+                let contribution = inv[f].mul(*mult);
+                inv[callee] = inv[callee].add(contribution);
+                if !contribution.is_dead() {
+                    for (p, a) in params[callee].iter_mut().zip(args) {
+                        *p = p.join(*a);
+                    }
+                }
+            }
+        }
+        OccurrenceBounds { site, func: inv }
+    }
+
+    /// The occurrence interval of one fault site.
+    pub fn site(&self, site: SiteId) -> Interval {
+        self.site[site.index()]
+    }
+
+    /// All per-site intervals, indexed by `SiteId`.
+    pub fn sites(&self) -> &[Interval] {
+        &self.site
+    }
+
+    /// How many times a function is invoked per run.
+    pub fn func_invocations(&self, func: FuncId) -> Interval {
+        self.func[func.index()]
+    }
+
+    /// Per-site `hi` bounds in the shape
+    /// [`Program::lints_with_bounds`](anduril_ir::Program::lints_with_bounds)
+    /// consumes.
+    pub fn site_his(&self) -> Vec<Option<u64>> {
+        self.site.iter().map(|b| b.hi).collect()
+    }
+
+    /// Whether an injection plan candidate is statically feasible: a
+    /// concrete occurrence index must lie below `hi` (indices are
+    /// 0-based, so occurrence `o` requires `o + 1` executions); an
+    /// any-occurrence candidate merely requires the site not to be dead.
+    pub fn feasible(&self, site: SiteId, occurrence: Option<u32>) -> bool {
+        let b = self.site[site.index()];
+        match (occurrence, b.hi) {
+            (_, None) => true,
+            (Some(o), Some(hi)) => u64::from(o) < hi,
+            (None, Some(hi)) => hi > 0,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anduril_ir::builder::ProgramBuilder;
+    use anduril_ir::{expr::build as e, ExceptionType, Program};
+
+    /// The interprocedural half as it was first written, kept as the
+    /// reference [`OccurrenceBounds::compute`] is compared against: a
+    /// per-function DFS for the cycle test, then a Jacobi iteration that
+    /// re-analyses every reachable function on every pass until the
+    /// invocation counts and parameter ranges stop moving.
+    fn compute_jacobi(program: &Program, roots: &[RootCall]) -> OccurrenceBounds {
         let nf = program.funcs.len();
 
         // Invocation adjacency (same edges as `Reachability`).
@@ -760,48 +869,6 @@ impl OccurrenceBounds {
         }
         OccurrenceBounds { site, func: inv }
     }
-
-    /// The occurrence interval of one fault site.
-    pub fn site(&self, site: SiteId) -> Interval {
-        self.site[site.index()]
-    }
-
-    /// All per-site intervals, indexed by `SiteId`.
-    pub fn sites(&self) -> &[Interval] {
-        &self.site
-    }
-
-    /// How many times a function is invoked per run.
-    pub fn func_invocations(&self, func: FuncId) -> Interval {
-        self.func[func.index()]
-    }
-
-    /// Per-site `hi` bounds in the shape
-    /// [`Program::lints_with_bounds`](anduril_ir::Program::lints_with_bounds)
-    /// consumes.
-    pub fn site_his(&self) -> Vec<Option<u64>> {
-        self.site.iter().map(|b| b.hi).collect()
-    }
-
-    /// Whether an injection plan candidate is statically feasible: a
-    /// concrete occurrence index must lie below `hi` (indices are
-    /// 0-based, so occurrence `o` requires `o + 1` executions); an
-    /// any-occurrence candidate merely requires the site not to be dead.
-    pub fn feasible(&self, site: SiteId, occurrence: Option<u32>) -> bool {
-        let b = self.site[site.index()];
-        match (occurrence, b.hi) {
-            (_, None) => true,
-            (Some(o), Some(hi)) => u64::from(o) < hi,
-            (None, Some(hi)) => hi > 0,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use anduril_ir::builder::ProgramBuilder;
-    use anduril_ir::{expr::build as e, ExceptionType, Program};
 
     fn site_named(p: &Program, desc: &str) -> SiteId {
         p.sites.iter().find(|s| s.desc == desc).unwrap().id
@@ -1036,5 +1103,31 @@ mod tests {
         let bounds = OccurrenceBounds::compute(&p, &roots(&[(main, vec![])]));
         // i = 0, 3, 6, 9 — then 12 > 10.
         assert_eq!(bounds.site(site_named(&p, "le.op")).hi, Some(4));
+    }
+
+    /// Call-graph order against the Jacobi iteration, on call graphs the
+    /// tickets do not have.
+    #[test]
+    fn bounds_equal_the_jacobi_reference() {
+        use crate::test_programs::{build, shapes, Rng};
+        // What the comparison saw: sites pinned at ⊤, sites proved dead,
+        // sites bounded above one execution.
+        let (mut unbounded, mut dead, mut counted) = (0, 0, 0);
+        for shape in shapes() {
+            for seed in 0..64 {
+                let (p, roots) = build(&shape, &mut Rng(seed));
+                let fast = OccurrenceBounds::compute(&p, &roots);
+                let slow = compute_jacobi(&p, &roots);
+                assert_eq!(fast.site, slow.site, "{} seed {seed}", shape.name);
+                assert_eq!(fast.func, slow.func, "{} seed {seed}", shape.name);
+                unbounded += fast.site.iter().filter(|b| b.is_unbounded()).count();
+                dead += fast.site.iter().filter(|b| b.is_dead()).count();
+                counted += fast.site.iter().filter(|b| b.hi > Some(1)).count();
+            }
+        }
+        assert!(
+            unbounded > 100 && dead > 100 && counted > 100,
+            "{unbounded} unbounded, {dead} dead, {counted} counted"
+        );
     }
 }

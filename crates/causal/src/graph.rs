@@ -17,12 +17,15 @@ use std::time::Instant;
 
 use anduril_ir::builder::{TMPL_ABORT, TMPL_UNCAUGHT};
 use anduril_ir::{
-    BlockId, BlockRole, ExceptionPattern, ExceptionType, FuncId, Level, Program, SiteId, SiteKind,
-    Stmt, StmtRef, TemplateId,
+    BlockId, BlockRole, ExceptionType, FuncId, Level, Program, SiteId, SiteKind, Stmt, StmtRef,
+    TemplateId,
 };
 
 use crate::exceptions::{ExcAnalysis, ThrowKind, ThrowPoint};
 use crate::slicing::Slicer;
+
+/// "No node" in an id-indexed intern table.
+const ABSENT: u32 = u32::MAX;
 
 /// A causal-graph node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -52,14 +55,17 @@ pub struct Observable {
     pub template: TemplateId,
 }
 
-/// Phase timings of one graph construction (regenerates Table 7).
+/// Phase timings of one graph construction (regenerates Table 7). The
+/// three phases are disjoint and `total_ns` covers them plus the use-def
+/// table scan and sink seeding, so `exception_ns + slicing_ns + chaining_ns
+/// <= total_ns`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BuildTimings {
     /// Exception-analysis time (nanoseconds).
     pub exception_ns: u64,
-    /// Slicing (condition writer search) time.
+    /// Slicing time: the condition nodes' writer searches.
     pub slicing_ns: u64,
-    /// Chain construction (worklist) time, excluding slicing.
+    /// Chain construction: the worklist as a whole, minus `slicing_ns`.
     pub chaining_ns: u64,
     /// End-to-end build time.
     pub total_ns: u64,
@@ -70,12 +76,12 @@ pub struct BuildTimings {
 pub struct CausalGraph {
     /// Interned nodes.
     pub nodes: Vec<NodeKey>,
-    index: HashMap<NodeKey, u32>,
     /// `priors[n]` = causally prior nodes of `n`.
     pub priors: Vec<Vec<u32>>,
     /// Sink node ids per observable (same order as the build input).
     pub sinks: Vec<Vec<u32>>,
-    site_nodes: HashMap<SiteId, u32>,
+    /// `(site, source node)` of every fault site in the graph, by site.
+    sources: Vec<(SiteId, u32)>,
 }
 
 impl CausalGraph {
@@ -92,9 +98,7 @@ impl CausalGraph {
     /// The fault sites present as source nodes — the paper's *inferred*
     /// fault sites (Table 1).
     pub fn sources(&self) -> Vec<SiteId> {
-        let mut v: Vec<SiteId> = self.site_nodes.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.sources.iter().map(|&(site, _)| site).collect()
     }
 
     /// Shortest causal distance from every fault-site source to observable
@@ -142,17 +146,18 @@ impl CausalGraph {
                 }
             }
         }
-        self.site_nodes
+        self.sources
             .iter()
-            .filter(|(_, &n)| dist[n as usize] != u32::MAX)
-            .map(|(&site, &n)| (site, dist[n as usize]))
+            .filter(|&&(_, n)| dist[n as usize] != u32::MAX)
+            .map(|&(site, n)| (site, dist[n as usize]))
             .collect()
     }
 
     /// The source node interned for a fault site, if the site is connected
     /// to any observable.
     pub fn site_node(&self, site: SiteId) -> Option<u32> {
-        self.site_nodes.get(&site).copied()
+        let at = self.sources.binary_search_by_key(&site, |&(s, _)| s).ok()?;
+        Some(self.sources[at].1)
     }
 
     /// Scores interior condition/invocation nodes by causal proximity to
@@ -345,89 +350,272 @@ pub fn build(
     timings: &mut BuildTimings,
 ) -> CausalGraph {
     let total_start = Instant::now();
-    let mut slicer = Slicer::new(program);
+    let mut b = Builder::new(program, analysis);
+    b.seed(observables, roots);
 
-    let mut g = CausalGraph {
-        nodes: Vec::new(),
-        index: HashMap::new(),
-        priors: Vec::new(),
-        sinks: Vec::new(),
-        site_nodes: HashMap::new(),
-    };
-    let mut queue: VecDeque<u32> = VecDeque::new();
-
-    // Thread entry functions: explicit roots plus every Spawn target.
-    let mut all_roots: Vec<FuncId> = roots.to_vec();
-    for (_, stmt) in program.all_stmts() {
-        if let Stmt::Spawn { func, .. } = stmt {
-            all_roots.push(*func);
-        }
-    }
-    all_roots.sort_unstable();
-    all_roots.dedup();
-
-    // Seed sinks.
-    for obs in observables {
-        let mut sinks = Vec::new();
-        if obs.template == TMPL_UNCAUGHT {
-            for &f in &all_roots {
-                if !analysis.escapes[f.index()].is_empty() {
-                    sinks.push(intern(&mut g, &mut queue, NodeKey::UncaughtRoot(f)));
-                }
-            }
-        } else if obs.template == TMPL_ABORT {
-            for (sref, stmt) in program.all_stmts() {
-                if matches!(stmt, Stmt::Abort { .. }) {
-                    sinks.push(intern(&mut g, &mut queue, NodeKey::Location(sref)));
-                }
-            }
-        } else {
-            for sref in program.log_stmts_of_template(obs.template) {
-                sinks.push(intern(&mut g, &mut queue, NodeKey::Location(sref)));
-            }
-        }
-        g.sinks.push(sinks);
-    }
-
-    // Worklist (Algorithm 1).
-    while let Some(n) = queue.pop_front() {
-        let key = g.nodes[n as usize];
-        // Source nodes terminate the recursion.
-        if matches!(key, NodeKey::NewExc(_) | NodeKey::ExternalExc(_)) {
-            continue;
-        }
-        let chain_start = Instant::now();
-        let mut priors = causally_prior(program, analysis, &mut slicer, key, timings);
-        timings.chaining_ns += chain_start.elapsed().as_nanos() as u64;
+    // Worklist (Algorithm 1). A node is queued when it is interned, so the
+    // queue is the node list itself.
+    let worklist_start = Instant::now();
+    let mut priors: Vec<NodeKey> = Vec::new();
+    let mut n = 0;
+    while let Some(&key) = b.g.nodes.get(n) {
+        priors.clear();
+        b.causally_prior(key, &mut priors);
         // Dedupe at the key level so repeated priors (e.g. a writer that is
         // both a structural and a sliced prior) are interned and inserted
         // once.
         priors.sort_unstable();
         priors.dedup();
-        for p in priors {
-            let pid = intern(&mut g, &mut queue, p);
-            g.priors[n as usize].push(pid);
-        }
-        g.priors[n as usize].sort_unstable();
+        let mut ids: Vec<u32> = priors.iter().map(|&p| b.intern(p)).collect();
+        ids.sort_unstable();
+        b.g.priors[n] = ids;
+        n += 1;
     }
+    let worklist_ns = worklist_start.elapsed().as_nanos() as u64;
+    timings.slicing_ns += b.slicing_ns;
+    timings.chaining_ns += worklist_ns.saturating_sub(b.slicing_ns);
 
+    b.g.sources = (0u32..)
+        .zip(&b.site)
+        .filter(|(_, &n)| n != ABSENT)
+        .map(|(site, &n)| (SiteId(site), n))
+        .collect();
     timings.total_ns += total_start.elapsed().as_nanos() as u64;
-    g
+    b.g
 }
 
-fn intern(g: &mut CausalGraph, queue: &mut VecDeque<u32>, key: NodeKey) -> u32 {
-    if let Some(&id) = g.index.get(&key) {
-        return id;
+/// One graph under construction: the graph, the slicer, and the intern
+/// tables — one per node kind, indexed by the dense id the kind is keyed
+/// by, holding the node id or [`ABSENT`].
+struct Builder<'p> {
+    program: &'p Program,
+    analysis: &'p ExcAnalysis,
+    slicer: Slicer,
+    g: CausalGraph,
+    /// By statement ([`crate::slicing::UseDefTables::flat`]).
+    location: Vec<u32>,
+    condition: Vec<u32>,
+    /// By statement: the row of `internal_rows` holding the statement's
+    /// `InternalExc` nodes, one per exception type. Rows exist only for the
+    /// calls and awaits that propagate something.
+    internal: Vec<u32>,
+    internal_rows: Vec<[u32; ExceptionType::ALL.len()]>,
+    /// By the handler's own block.
+    handler: Vec<u32>,
+    /// By function.
+    invocation: Vec<u32>,
+    uncaught: Vec<u32>,
+    /// By site, for both source kinds: a site is either an external call or
+    /// a `throw new`.
+    site: Vec<u32>,
+    slicing_ns: u64,
+}
+
+impl<'p> Builder<'p> {
+    fn new(program: &'p Program, analysis: &'p ExcAnalysis) -> Self {
+        let slicer = Slicer::new(program);
+        let stmts = slicer.tables.stmt_count();
+        let funcs = program.funcs.len();
+        Builder {
+            program,
+            analysis,
+            g: CausalGraph {
+                nodes: Vec::new(),
+                priors: Vec::new(),
+                sinks: Vec::new(),
+                sources: Vec::new(),
+            },
+            site: vec![ABSENT; program.sites.len()],
+            location: vec![ABSENT; stmts],
+            condition: vec![ABSENT; stmts],
+            internal: vec![ABSENT; stmts],
+            internal_rows: Vec::new(),
+            handler: vec![ABSENT; program.blocks.len()],
+            invocation: vec![ABSENT; funcs],
+            uncaught: vec![ABSENT; funcs],
+            slicer,
+            slicing_ns: 0,
+        }
     }
-    let id = g.nodes.len() as u32;
-    g.nodes.push(key);
-    g.priors.push(Vec::new());
-    g.index.insert(key, id);
-    if let NodeKey::NewExc(site) | NodeKey::ExternalExc(site) = key {
-        g.site_nodes.insert(site, id);
+
+    /// The node of `key`, appended to the node list (and so to the
+    /// worklist) on first sight.
+    fn intern(&mut self, key: NodeKey) -> u32 {
+        let tables = &self.slicer.tables;
+        let slot = match key {
+            NodeKey::Location(sref) => &mut self.location[tables.flat(sref)],
+            NodeKey::Condition(sref) => &mut self.condition[tables.flat(sref)],
+            NodeKey::Invocation(f) => &mut self.invocation[f.index()],
+            NodeKey::UncaughtRoot(f) => &mut self.uncaught[f.index()],
+            NodeKey::NewExc(site) | NodeKey::ExternalExc(site) => &mut self.site[site.index()],
+            NodeKey::Handler(try_ref, i) => {
+                let Stmt::Try { handlers, .. } = self.program.stmt(try_ref) else {
+                    unreachable!("handler nodes are made from `try` statements");
+                };
+                &mut self.handler[handlers[i as usize].block.index()]
+            }
+            NodeKey::InternalExc(sref, ty) => {
+                let row = &mut self.internal[tables.flat(sref)];
+                if *row == ABSENT {
+                    *row = self.internal_rows.len() as u32;
+                    self.internal_rows.push([ABSENT; ExceptionType::ALL.len()]);
+                }
+                &mut self.internal_rows[*row as usize][ty as usize]
+            }
+        };
+        if *slot == ABSENT {
+            *slot = self.g.nodes.len() as u32;
+            self.g.nodes.push(key);
+            self.g.priors.push(Vec::new());
+        }
+        *slot
     }
-    queue.push_back(id);
-    id
+
+    /// Interns every observable's sinks, from one scan of the program that
+    /// files the statements any of them can ask for: log statements by
+    /// template, aborts, and spawn targets (thread entry functions besides
+    /// `roots`).
+    fn seed(&mut self, observables: &[Observable], roots: &[FuncId]) {
+        let program = self.program;
+        // `Some` for the templates an observable asks for.
+        let mut logs: Vec<Option<Vec<StmtRef>>> = vec![None; program.templates.len()];
+        for obs in observables {
+            if let Some(wanted) = logs.get_mut(obs.template.index()) {
+                *wanted = Some(Vec::new());
+            }
+        }
+        let mut aborts: Vec<StmtRef> = Vec::new();
+        let mut all_roots: Vec<FuncId> = roots.to_vec();
+        for (sref, stmt) in program.all_stmts() {
+            match stmt {
+                Stmt::Log { template, .. } => {
+                    if let Some(of_template) = &mut logs[template.index()] {
+                        of_template.push(sref);
+                    }
+                }
+                Stmt::Abort { .. } => aborts.push(sref),
+                Stmt::Spawn { func, .. } => all_roots.push(*func),
+                _ => {}
+            }
+        }
+        all_roots.sort_unstable();
+        all_roots.dedup();
+
+        for obs in observables {
+            let sinks = if obs.template == TMPL_UNCAUGHT {
+                all_roots
+                    .iter()
+                    .filter(|f| !self.analysis.escapes[f.index()].is_empty())
+                    .map(|&f| self.intern(NodeKey::UncaughtRoot(f)))
+                    .collect()
+            } else {
+                let stmts: &[StmtRef] = if obs.template == TMPL_ABORT {
+                    &aborts
+                } else {
+                    match logs.get(obs.template.index()) {
+                        Some(Some(of_template)) => of_template,
+                        _ => &[],
+                    }
+                };
+                stmts
+                    .iter()
+                    .map(|&sref| self.intern(NodeKey::Location(sref)))
+                    .collect()
+            };
+            self.g.sinks.push(sinks);
+        }
+    }
+
+    /// Appends the nodes causally prior to `key`.
+    fn causally_prior(&mut self, key: NodeKey, out: &mut Vec<NodeKey>) {
+        let (program, analysis) = (self.program, self.analysis);
+        let tables = &self.slicer.tables;
+        match key {
+            NodeKey::Location(sref) => {
+                out.push(structural_prior(program, sref));
+                // The previous statement in the block dominates this one.
+                if sref.idx > 0 {
+                    out.push(NodeKey::Location(StmtRef::new(sref.block, sref.idx - 1)));
+                }
+                let located = |stmts: &[StmtRef], out: &mut Vec<NodeKey>| {
+                    out.extend(stmts.iter().map(|&s| NodeKey::Location(s)));
+                };
+                match program.stmt(sref) {
+                    // Reaching (or passing) a fault site is causally tied to
+                    // the site's outcome; this is the conservative inclusion
+                    // that makes the paper's graphs large and its feedback
+                    // loop necessary.
+                    Stmt::External { site } => out.push(NodeKey::ExternalExc(*site)),
+                    Stmt::ThrowNew { site } if !inside_handler(program, sref) => {
+                        out.push(NodeKey::NewExc(*site));
+                    }
+                    // Statement-specific cross-resource dependencies.
+                    Stmt::Recv { chan, .. } => located(tables.chan_senders(*chan), out),
+                    Stmt::WaitCond { cond, .. } => located(tables.cond_signalers(*cond), out),
+                    Stmt::Await { future, .. } => {
+                        let func = program.func_of_stmt(sref);
+                        let tasks = analysis.future_tasks(func, *future);
+                        out.extend(tasks.iter().map(|&f| NodeKey::Invocation(f)));
+                    }
+                    _ => {}
+                }
+            }
+            NodeKey::Condition(sref) => {
+                out.push(structural_prior(program, sref));
+                // The interprocedural slice: every program point that could
+                // have produced a value this condition reads, following the
+                // jumping strategy across call, message, queue, and future
+                // boundaries (see `crate::slicing`).
+                let slice_start = Instant::now();
+                let writers = self.slicer.condition_writers(program, analysis, sref);
+                out.extend(writers.iter().map(|&w| NodeKey::Location(w)));
+                self.slicing_ns += slice_start.elapsed().as_nanos() as u64;
+            }
+            NodeKey::Invocation(f) => {
+                out.extend(tables.callers(f).iter().map(|&c| NodeKey::Location(c)));
+            }
+            NodeKey::Handler(try_ref, i) => {
+                let Stmt::Try { body, handlers, .. } = program.stmt(try_ref) else {
+                    return;
+                };
+                let pattern = &handlers[i as usize].pattern;
+                let func = program.func_of_stmt(try_ref);
+                for point in analysis.points_reaching(program, *body, func, pattern) {
+                    throw_point_nodes(program, &point, out);
+                }
+            }
+            NodeKey::InternalExc(sref, ty) => {
+                // What leaves a function with type `ty` is its escape
+                // points of that type: the summary already holds them, no
+                // callee is walked again per `(call statement, type)`.
+                let mut escaping = |f: FuncId, only: Option<ExceptionType>| {
+                    for point in &analysis.escape_points[f.index()] {
+                        if only.is_none_or(|ty| point.ty == ty) {
+                            throw_point_nodes(program, point, out);
+                        }
+                    }
+                };
+                match program.stmt(sref) {
+                    Stmt::Call { func: callee, .. } => escaping(*callee, Some(ty)),
+                    Stmt::Await { future, .. } => {
+                        let func = program.func_of_stmt(sref);
+                        for &task in analysis.future_tasks(func, *future) {
+                            escaping(task, None);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            NodeKey::UncaughtRoot(f) => {
+                for point in &analysis.escape_points[f.index()] {
+                    throw_point_nodes(program, point, out);
+                }
+                out.push(NodeKey::Invocation(f));
+            }
+            // Source nodes terminate the recursion.
+            NodeKey::NewExc(_) | NodeKey::ExternalExc(_) => {}
+        }
+    }
 }
 
 /// The structural prior of a statement: the condition, handler, or
@@ -484,110 +672,4 @@ fn inside_handler(program: &Program, sref: StmtRef) -> bool {
             (None, _) => return false,
         }
     }
-}
-
-fn causally_prior(
-    program: &Program,
-    analysis: &ExcAnalysis,
-    slicer: &mut Slicer,
-    key: NodeKey,
-    timings: &mut BuildTimings,
-) -> Vec<NodeKey> {
-    let mut out = Vec::new();
-    match key {
-        NodeKey::Location(sref) => {
-            out.push(structural_prior(program, sref));
-            // The previous statement in the block dominates this one.
-            if sref.idx > 0 {
-                out.push(NodeKey::Location(StmtRef::new(sref.block, sref.idx - 1)));
-            }
-            // Statement-specific cross-resource dependencies.
-            match program.stmt(sref) {
-                // Reaching (or passing) a fault site is causally tied to
-                // the site's outcome; this is the conservative inclusion
-                // that makes the paper's graphs large and its feedback
-                // loop necessary.
-                Stmt::External { site } => {
-                    out.push(NodeKey::ExternalExc(*site));
-                }
-                Stmt::ThrowNew { site } if !inside_handler(program, sref) => {
-                    out.push(NodeKey::NewExc(*site));
-                }
-                _ => {}
-            }
-            match program.stmt(sref) {
-                Stmt::Recv { chan, .. } => {
-                    if let Some(senders) = slicer.tables.chan_senders.get(chan) {
-                        out.extend(senders.iter().map(|&s| NodeKey::Location(s)));
-                    }
-                }
-                Stmt::WaitCond { cond, .. } => {
-                    if let Some(signals) = slicer.tables.cond_signalers.get(cond) {
-                        out.extend(signals.iter().map(|&s| NodeKey::Location(s)));
-                    }
-                }
-                Stmt::Await { future, .. } => {
-                    let func = program.func_of_stmt(sref);
-                    if let Some(tasks) = analysis.future_tasks.get(&(func, *future)) {
-                        out.extend(tasks.iter().map(|&f| NodeKey::Invocation(f)));
-                    }
-                }
-                _ => {}
-            }
-        }
-        NodeKey::Condition(sref) => {
-            out.push(structural_prior(program, sref));
-            // The interprocedural slice: every program point that could
-            // have produced a value this condition reads, following the
-            // jumping strategy across call, message, queue, and future
-            // boundaries (see `crate::slicing`).
-            let slice_start = Instant::now();
-            let writers = slicer.condition_writers(program, analysis, sref);
-            out.extend(writers.into_iter().map(NodeKey::Location));
-            timings.slicing_ns += slice_start.elapsed().as_nanos() as u64;
-        }
-        NodeKey::Invocation(f) => {
-            if let Some(callers) = slicer.tables.callers.get(&f) {
-                out.extend(callers.iter().map(|&c| NodeKey::Location(c)));
-            }
-        }
-        NodeKey::Handler(try_ref, i) => {
-            let Stmt::Try { body, handlers, .. } = program.stmt(try_ref) else {
-                return out;
-            };
-            let pattern = &handlers[i as usize].pattern;
-            let func = program.func_of_stmt(try_ref);
-            for point in analysis.points_reaching(program, *body, func, pattern) {
-                throw_point_nodes(program, &point, &mut out);
-            }
-        }
-        NodeKey::InternalExc(sref, ty) => match program.stmt(sref) {
-            Stmt::Call { func: callee, .. } => {
-                let entry = program.funcs[callee.index()].entry;
-                let pattern = ExceptionPattern::Only(ty);
-                for point in analysis.points_reaching(program, entry, *callee, &pattern) {
-                    throw_point_nodes(program, &point, &mut out);
-                }
-            }
-            Stmt::Await { future, .. } => {
-                let func = program.func_of_stmt(sref);
-                if let Some(tasks) = analysis.future_tasks.get(&(func, *future)) {
-                    for &task in tasks {
-                        for point in &analysis.escape_points[task.index()] {
-                            throw_point_nodes(program, point, &mut out);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        },
-        NodeKey::UncaughtRoot(f) => {
-            for point in &analysis.escape_points[f.index()] {
-                throw_point_nodes(program, point, &mut out);
-            }
-            out.push(NodeKey::Invocation(f));
-        }
-        NodeKey::NewExc(_) | NodeKey::ExternalExc(_) => {}
-    }
-    out
 }

@@ -12,6 +12,8 @@
 
 use anduril_ir::{FuncId, Program, SiteId};
 
+use crate::callgraph::CallGraph;
+
 /// Which functions a set of workload roots can reach.
 #[derive(Debug, Clone)]
 pub struct Reachability {
@@ -19,33 +21,11 @@ pub struct Reachability {
 }
 
 impl Reachability {
-    /// Breadth-first closure over the invocation edges from `roots`.
+    /// Closure over the invocation edges from `roots`.
     pub fn compute(program: &Program, roots: &[FuncId]) -> Self {
-        let n = program.funcs.len();
-        // Invocation adjacency, built once: callee lists per function.
-        let mut adj: Vec<Vec<FuncId>> = vec![Vec::new(); n];
-        for (sref, stmt) in program.all_stmts() {
-            if let Some((callee, _)) = stmt.invocation() {
-                adj[program.func_of_stmt(sref).index()].push(callee);
-            }
+        Reachability {
+            reachable: CallGraph::build(program).reachable_from(roots.iter().copied()),
         }
-        let mut reachable = vec![false; n];
-        let mut stack: Vec<FuncId> = Vec::new();
-        for &r in roots {
-            if !reachable[r.index()] {
-                reachable[r.index()] = true;
-                stack.push(r);
-            }
-        }
-        while let Some(f) = stack.pop() {
-            for &callee in &adj[f.index()] {
-                if !reachable[callee.index()] {
-                    reachable[callee.index()] = true;
-                    stack.push(callee);
-                }
-            }
-        }
-        Reachability { reachable }
     }
 
     /// Whether `func` is reachable from the roots.

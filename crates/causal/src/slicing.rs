@@ -26,12 +26,15 @@
 //! memoized per condition statement; because the walk is a breadth-first
 //! closure from the condition's own reads, memoized results are independent
 //! of query order.
+//!
+//! Every table here is keyed by a dense id of the program — a function, a
+//! global, a channel, a local slot, a statement — and is a vector indexed by
+//! it ([`UseDefTables::flat`] numbers statements the way the bytecode
+//! lowering does); each list is in statement order.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use anduril_ir::{BlockId, ChanId, CondId, Expr, FuncId, GlobalId, Program, Stmt, StmtRef, VarId};
 
-use anduril_ir::{ChanId, CondId, Expr, FuncId, GlobalId, Program, Stmt, StmtRef, VarId};
-
-use crate::exceptions::{reverse_call_graph, ExcAnalysis};
+use crate::exceptions::ExcAnalysis;
 
 /// Default bound on interprocedural jumps per slice query. Deep enough for
 /// any realistic call/message chain in the mini targets while guaranteeing
@@ -42,74 +45,225 @@ pub const MAX_JUMPS: u32 = 24;
 /// the graph builder's non-condition arms.
 #[derive(Debug)]
 pub struct UseDefTables {
-    /// Writers of each local: `(func, var) -> stmts`.
-    pub(crate) local_writers: HashMap<(FuncId, VarId), Vec<StmtRef>>,
+    /// `StmtRef { block, idx }` is statement `stmt_base[block] + idx`; one
+    /// entry past the last block holds the statement count.
+    stmt_base: Vec<u32>,
+    /// Function `f`'s local `v` is slot `local_base[f] + v`; one entry past
+    /// the last function holds the slot count.
+    local_base: Vec<u32>,
+    /// Writers of each local, by slot.
+    local_writers: Vec<Vec<StmtRef>>,
     /// Writers of each global, program-wide.
-    pub(crate) global_writers: HashMap<GlobalId, Vec<StmtRef>>,
+    global_writers: Vec<Vec<StmtRef>>,
     /// `Send` statements per channel.
-    pub(crate) chan_senders: HashMap<ChanId, Vec<StmtRef>>,
+    chan_senders: Vec<Vec<StmtRef>>,
     /// `SignalCond` statements per condition variable.
-    pub(crate) cond_signalers: HashMap<CondId, Vec<StmtRef>>,
+    cond_signalers: Vec<Vec<StmtRef>>,
     /// Reverse call graph (`Call`/`Submit`/`Spawn` sites per callee).
-    pub(crate) callers: BTreeMap<FuncId, Vec<StmtRef>>,
+    callers: Vec<Vec<StmtRef>>,
     /// `Return` statements per function.
-    pub(crate) returns: HashMap<FuncId, Vec<StmtRef>>,
+    returns: Vec<Vec<StmtRef>>,
+}
+
+/// Running offsets of a list of sizes, with the total appended.
+fn offsets(sizes: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut next = 0u32;
+    let mut out: Vec<u32> = sizes
+        .map(|n| {
+            let base = next;
+            next += n as u32;
+            base
+        })
+        .collect();
+    out.push(next);
+    out
+}
+
+fn listed(table: &[Vec<StmtRef>], index: usize) -> &[StmtRef] {
+    table.get(index).map_or(&[], Vec::as_slice)
 }
 
 impl UseDefTables {
     /// Scans the program once and builds every lookup table.
     pub fn build(program: &Program) -> Self {
-        let mut local_writers: HashMap<(FuncId, VarId), Vec<StmtRef>> = HashMap::new();
-        let mut global_writers: HashMap<GlobalId, Vec<StmtRef>> = HashMap::new();
-        let mut chan_senders: HashMap<ChanId, Vec<StmtRef>> = HashMap::new();
-        let mut cond_signalers: HashMap<CondId, Vec<StmtRef>> = HashMap::new();
-        let mut returns: HashMap<FuncId, Vec<StmtRef>> = HashMap::new();
-        for (sref, stmt) in program.all_stmts() {
-            let func = program.func_of_stmt(sref);
-            let wrote_local = |v: VarId, map: &mut HashMap<(FuncId, VarId), Vec<StmtRef>>| {
-                map.entry((func, v)).or_default().push(sref);
-            };
-            match stmt {
-                Stmt::Assign { var, .. } => wrote_local(*var, &mut local_writers),
-                Stmt::PopFront { global, var } => {
-                    wrote_local(*var, &mut local_writers);
-                    global_writers.entry(*global).or_default().push(sref);
+        let local_base = offsets(program.funcs.iter().map(|f| f.locals as usize));
+        let mut t = UseDefTables {
+            stmt_base: offsets(program.blocks.iter().map(Vec::len)),
+            local_writers: vec![Vec::new(); local_base[program.funcs.len()] as usize],
+            local_base,
+            global_writers: vec![Vec::new(); program.globals.len()],
+            chan_senders: vec![Vec::new(); program.chans.len()],
+            cond_signalers: vec![Vec::new(); program.conds.len()],
+            callers: vec![Vec::new(); program.funcs.len()],
+            returns: vec![Vec::new(); program.funcs.len()],
+        };
+        for (b, stmts) in program.blocks.iter().enumerate() {
+            let block = BlockId(b as u32);
+            let func = program.func_of_block(block);
+            for (idx, stmt) in stmts.iter().enumerate() {
+                let sref = StmtRef::new(block, idx as u32);
+                let wrote = match stmt {
+                    Stmt::Assign { var, .. } | Stmt::Recv { var, .. } => Some(*var),
+                    Stmt::PopFront { global, var } => {
+                        t.global_writers[global.index()].push(sref);
+                        Some(*var)
+                    }
+                    Stmt::Call { ret: v, .. }
+                    | Stmt::Await { ret: v, .. }
+                    | Stmt::WaitCond { ok: v, .. }
+                    | Stmt::Submit { future: v, .. } => *v,
+                    Stmt::SetGlobal { global, .. } | Stmt::PushBack { global, .. } => {
+                        t.global_writers[global.index()].push(sref);
+                        None
+                    }
+                    Stmt::Send { chan, .. } => {
+                        t.chan_senders[chan.index()].push(sref);
+                        None
+                    }
+                    Stmt::SignalCond { cond } => {
+                        t.cond_signalers[cond.index()].push(sref);
+                        None
+                    }
+                    Stmt::Return { .. } => {
+                        t.returns[func.index()].push(sref);
+                        None
+                    }
+                    _ => None,
+                };
+                if let Some(slot) = wrote.and_then(|v| t.local_slot(func, v)) {
+                    t.local_writers[slot].push(sref);
                 }
-                Stmt::Call { ret: Some(v), .. } => wrote_local(*v, &mut local_writers),
-                Stmt::Recv { var, .. } => wrote_local(*var, &mut local_writers),
-                Stmt::Await { ret: Some(v), .. } => wrote_local(*v, &mut local_writers),
-                Stmt::WaitCond { ok: Some(v), .. } => wrote_local(*v, &mut local_writers),
-                Stmt::Submit {
-                    future: Some(v), ..
-                } => wrote_local(*v, &mut local_writers),
-                Stmt::SetGlobal { global, .. } | Stmt::PushBack { global, .. } => {
-                    global_writers.entry(*global).or_default().push(sref);
+                if let Some((callee, _)) = stmt.invocation() {
+                    t.callers[callee.index()].push(sref);
                 }
-                Stmt::Send { chan, .. } => chan_senders.entry(*chan).or_default().push(sref),
-                Stmt::SignalCond { cond } => cond_signalers.entry(*cond).or_default().push(sref),
-                Stmt::Return { .. } => returns.entry(func).or_default().push(sref),
-                _ => {}
             }
         }
-        UseDefTables {
-            local_writers,
-            global_writers,
-            chan_senders,
-            cond_signalers,
-            callers: reverse_call_graph(program),
-            returns,
-        }
+        t
+    }
+
+    /// The dense index of a statement, `0..stmt_count()` in block then
+    /// statement order.
+    pub fn flat(&self, sref: StmtRef) -> usize {
+        self.stmt_base[sref.block.index()] as usize + sref.idx as usize
+    }
+
+    /// Statements in the program.
+    pub fn stmt_count(&self) -> usize {
+        self.stmt_base[self.stmt_base.len() - 1] as usize
+    }
+
+    fn local_slot(&self, func: FuncId, var: VarId) -> Option<usize> {
+        let slot = self.local_base[func.index()].checked_add(var.0)?;
+        (slot < self.local_base[func.index() + 1]).then_some(slot as usize)
+    }
+
+    /// Statements writing local `var` of `func`.
+    pub fn local_writers(&self, func: FuncId, var: VarId) -> &[StmtRef] {
+        self.local_slot(func, var)
+            .map_or(&[], |slot| &self.local_writers[slot])
+    }
+
+    /// Statements writing a global, program-wide.
+    pub fn global_writers(&self, global: GlobalId) -> &[StmtRef] {
+        listed(&self.global_writers, global.index())
+    }
+
+    /// `Send` statements of a channel.
+    pub fn chan_senders(&self, chan: ChanId) -> &[StmtRef] {
+        listed(&self.chan_senders, chan.index())
+    }
+
+    /// `SignalCond` statements of a condition variable.
+    pub fn cond_signalers(&self, cond: CondId) -> &[StmtRef] {
+        listed(&self.cond_signalers, cond.index())
+    }
+
+    /// `Call` / `Submit` / `Spawn` statements invoking a function.
+    pub fn callers(&self, func: FuncId) -> &[StmtRef] {
+        listed(&self.callers, func.index())
+    }
+
+    /// `Return` statements of a function.
+    pub fn returns(&self, func: FuncId) -> &[StmtRef] {
+        listed(&self.returns, func.index())
     }
 }
 
 /// A slice frontier element: one variable whose defining statements are
 /// still to be found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 enum SliceKey {
     /// A function-local variable (including parameter slots).
     Local(FuncId, VarId),
     /// A per-node global.
     Global(GlobalId),
+}
+
+/// The frontier of one slice query, its buffers kept from query to query.
+#[derive(Debug)]
+struct Frontier {
+    /// `seen_local[slot]` / `seen_global[g]` = the key is in `queue`.
+    seen_local: Vec<bool>,
+    seen_global: Vec<bool>,
+    /// Every key of the query with its jump depth, in discovery order;
+    /// `head` is the next one to expand.
+    queue: Vec<(SliceKey, u32)>,
+    head: usize,
+    vars: Vec<VarId>,
+    globals: Vec<GlobalId>,
+}
+
+impl Frontier {
+    fn push(&mut self, tables: &UseDefTables, key: SliceKey, depth: u32) {
+        let seen = match key {
+            SliceKey::Local(f, v) => match tables.local_slot(f, v) {
+                Some(slot) => &mut self.seen_local[slot],
+                // Not a slot of the function: nothing writes it.
+                None => return,
+            },
+            SliceKey::Global(g) => match self.seen_global.get_mut(g.index()) {
+                Some(seen) => seen,
+                None => return,
+            },
+        };
+        if !std::mem::replace(seen, true) {
+            self.queue.push((key, depth));
+        }
+    }
+
+    /// Seeds the frontier with every variable an expression reads.
+    fn push_reads(&mut self, tables: &UseDefTables, expr: &Expr, func: FuncId, depth: u32) {
+        self.vars.clear();
+        self.globals.clear();
+        expr.reads(&mut self.vars, &mut self.globals);
+        for i in 0..self.vars.len() {
+            self.push(tables, SliceKey::Local(func, self.vars[i]), depth);
+        }
+        for i in 0..self.globals.len() {
+            self.push(tables, SliceKey::Global(self.globals[i]), depth);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(SliceKey, u32)> {
+        let next = self.queue.get(self.head).copied();
+        self.head += 1;
+        next
+    }
+
+    /// Forgets the query: unmarks exactly the keys it marked.
+    fn reset(&mut self, tables: &UseDefTables) {
+        for (key, _) in self.queue.drain(..) {
+            match key {
+                SliceKey::Local(f, v) => {
+                    if let Some(slot) = tables.local_slot(f, v) {
+                        self.seen_local[slot] = false;
+                    }
+                }
+                SliceKey::Global(g) => self.seen_global[g.index()] = false,
+            }
+        }
+        self.head = 0;
+    }
 }
 
 /// Memoized interprocedural use-def walker.
@@ -122,27 +276,34 @@ enum SliceKey {
 pub struct Slicer {
     /// Shared lookup tables (also used by the graph builder directly).
     pub(crate) tables: UseDefTables,
-    memo: HashMap<StmtRef, Vec<StmtRef>>,
+    /// Per statement ([`UseDefTables::flat`]).
+    memo: Vec<Option<Vec<StmtRef>>>,
     max_jumps: u32,
+    frontier: Frontier,
 }
 
 impl Slicer {
     /// Builds the lookup tables and an empty memo.
     pub fn new(program: &Program) -> Self {
-        Slicer {
-            tables: UseDefTables::build(program),
-            memo: HashMap::new(),
-            max_jumps: MAX_JUMPS,
-        }
+        Self::with_budget(program, MAX_JUMPS)
     }
 
     /// Same as [`Slicer::new`] but with an explicit jump budget (tests use
     /// small budgets to exercise the bound).
     pub fn with_budget(program: &Program, max_jumps: u32) -> Self {
+        let tables = UseDefTables::build(program);
         Slicer {
-            tables: UseDefTables::build(program),
-            memo: HashMap::new(),
+            memo: vec![None; tables.stmt_count()],
             max_jumps,
+            frontier: Frontier {
+                seen_local: vec![false; tables.local_writers.len()],
+                seen_global: vec![false; tables.global_writers.len()],
+                queue: Vec::new(),
+                head: 0,
+                vars: Vec::new(),
+                globals: Vec::new(),
+            },
+            tables,
         }
     }
 
@@ -154,224 +315,121 @@ impl Slicer {
         program: &Program,
         analysis: &ExcAnalysis,
         sref: StmtRef,
-    ) -> Vec<StmtRef> {
-        if let Some(cached) = self.memo.get(&sref) {
-            return cached.clone();
+    ) -> &[StmtRef] {
+        let flat = self.tables.flat(sref);
+        if self.memo[flat].is_none() {
+            let mut out = Vec::new();
+            if let Stmt::If { cond, .. } | Stmt::While { cond, .. } = program.stmt(sref) {
+                let func = program.func_of_stmt(sref);
+                self.frontier.push_reads(&self.tables, cond, func, 0);
+                self.slice(program, analysis, &mut out);
+            }
+            out.sort_unstable();
+            out.dedup();
+            self.memo[flat] = Some(out);
         }
-        let empty = Expr::default();
-        let cond = match program.stmt(sref) {
-            Stmt::If { cond, .. } | Stmt::While { cond, .. } => cond,
-            _ => &empty,
-        };
-        let func = program.func_of_stmt(sref);
-        let (vars, globals) = cond.reads_collected();
-        let mut out = self.slice(program, analysis, func, &vars, &globals);
-        out.sort_unstable();
-        out.dedup();
-        self.memo.insert(sref, out.clone());
-        out
+        self.memo[flat].as_deref().expect("just filled")
     }
 
-    /// Breadth-first closure over slice keys seeded from `vars`/`globals`
-    /// in `func`. Returns every defining statement reached; interprocedural
-    /// jumps beyond the budget still record the boundary statement (so the
-    /// graph stays conservative) but stop following the value.
-    fn slice(
-        &self,
-        program: &Program,
-        analysis: &ExcAnalysis,
-        func: FuncId,
-        vars: &[VarId],
-        globals: &[GlobalId],
-    ) -> Vec<StmtRef> {
-        let mut out: Vec<StmtRef> = Vec::new();
-        let mut seen: HashSet<SliceKey> = HashSet::new();
-        let mut queue: VecDeque<(SliceKey, u32)> = VecDeque::new();
-        for &v in vars {
-            let key = SliceKey::Local(func, v);
-            if seen.insert(key) {
-                queue.push_back((key, 0));
-            }
-        }
-        for &g in globals {
-            let key = SliceKey::Global(g);
-            if seen.insert(key) {
-                queue.push_back((key, 0));
-            }
-        }
-
-        while let Some((key, depth)) = queue.pop_front() {
-            match key {
+    /// Breadth-first closure over the slice keys already in the frontier.
+    /// Collects every defining statement reached; interprocedural jumps
+    /// beyond the budget still record the boundary statement (so the graph
+    /// stays conservative) but stop following the value.
+    fn slice(&mut self, program: &Program, analysis: &ExcAnalysis, out: &mut Vec<StmtRef>) {
+        let Slicer {
+            tables,
+            frontier,
+            max_jumps,
+            ..
+        } = self;
+        let max_jumps = *max_jumps;
+        // Records a function's `Return` statements and enqueues the
+        // variables their expressions read (at the jumped depth).
+        let jump_into_returns =
+            |frontier: &mut Frontier, out: &mut Vec<StmtRef>, callee: FuncId, depth: u32| {
+                for &r in tables.returns(callee) {
+                    out.push(r);
+                    if let Stmt::Return { expr: Some(e) } = program.stmt(r) {
+                        frontier.push_reads(tables, e, callee, depth);
+                    }
+                }
+            };
+        while let Some((key, depth)) = frontier.pop() {
+            let (f, v) = match key {
+                // Global writers are genuine defining locations; the graph
+                // continues from them structurally, so the slice stops here
+                // (matching the intraprocedural strategy).
                 SliceKey::Global(g) => {
-                    // Global writers are genuine defining locations; the
-                    // graph continues from them structurally, so the slice
-                    // stops here (matching the intraprocedural strategy).
-                    if let Some(ws) = self.tables.global_writers.get(&g) {
-                        out.extend_from_slice(ws);
-                    }
+                    out.extend_from_slice(tables.global_writers(g));
+                    continue;
                 }
-                SliceKey::Local(f, v) => {
-                    // Jump 2: a parameter slot is bound at every call site.
-                    if v.0 < program.funcs[f.index()].params {
-                        if let Some(callers) = self.tables.callers.get(&f) {
-                            for &c in callers {
-                                out.push(c);
-                                if depth >= self.max_jumps {
-                                    continue;
-                                }
-                                if let Some((_, args)) = program.stmt(c).invocation() {
-                                    if let Some(arg) = args.get(v.index()) {
-                                        self.enqueue_expr(
-                                            program,
-                                            arg,
-                                            program.func_of_stmt(c),
-                                            depth + 1,
-                                            &mut seen,
-                                            &mut queue,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let Some(ws) = self.tables.local_writers.get(&(f, v)) else {
+                SliceKey::Local(f, v) => (f, v),
+            };
+            // Jump 2: a parameter slot is bound at every call site.
+            if v.0 < program.funcs[f.index()].params {
+                for &c in tables.callers(f) {
+                    out.push(c);
+                    if depth >= max_jumps {
                         continue;
-                    };
-                    for &w in ws {
-                        out.push(w);
-                        if depth >= self.max_jumps {
-                            continue;
-                        }
-                        match program.stmt(w) {
-                            Stmt::Assign { expr, .. } => {
-                                // Intraprocedural def-use chain: follow the
-                                // right-hand side at the same depth (no
-                                // boundary crossed).
-                                self.enqueue_expr(program, expr, f, depth, &mut seen, &mut queue);
-                            }
-                            // Jump 1: into the callee's return expressions.
-                            Stmt::Call { func: callee, .. } => {
-                                self.jump_into_returns(
-                                    program,
-                                    *callee,
-                                    depth + 1,
-                                    &mut out,
-                                    &mut seen,
-                                    &mut queue,
-                                );
-                            }
-                            // Jump 3a: to every matching send's payload.
-                            Stmt::Recv { chan, .. } => {
-                                if let Some(sends) = self.tables.chan_senders.get(chan) {
-                                    for &s in sends {
-                                        out.push(s);
-                                        if let Stmt::Send { payload, .. } = program.stmt(s) {
-                                            self.enqueue_expr(
-                                                program,
-                                                payload,
-                                                program.func_of_stmt(s),
-                                                depth + 1,
-                                                &mut seen,
-                                                &mut queue,
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                            // Jump 3b: to every push onto the same queue.
-                            Stmt::PopFront { global, .. } => {
-                                if let Some(gws) = self.tables.global_writers.get(global) {
-                                    for &s in gws {
-                                        out.push(s);
-                                        if let Stmt::PushBack { expr, .. } = program.stmt(s) {
-                                            self.enqueue_expr(
-                                                program,
-                                                expr,
-                                                program.func_of_stmt(s),
-                                                depth + 1,
-                                                &mut seen,
-                                                &mut queue,
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                            // Jump 4: into the linked tasks' returns.
-                            Stmt::Await { future, .. } => {
-                                if let Some(tasks) = analysis.future_tasks.get(&(f, *future)) {
-                                    for &task in tasks {
-                                        self.jump_into_returns(
-                                            program,
-                                            task,
-                                            depth + 1,
-                                            &mut out,
-                                            &mut seen,
-                                            &mut queue,
-                                        );
-                                    }
-                                }
-                            }
-                            // The signalled-vs-timed-out flag is decided by
-                            // whoever signals the condition variable.
-                            Stmt::WaitCond { cond, .. } => {
-                                if let Some(sigs) = self.tables.cond_signalers.get(cond) {
-                                    out.extend_from_slice(sigs);
-                                }
-                            }
-                            _ => {}
-                        }
+                    }
+                    let arg = program
+                        .stmt(c)
+                        .invocation()
+                        .and_then(|(_, args)| args.get(v.index()));
+                    if let Some(arg) = arg {
+                        frontier.push_reads(tables, arg, program.func_of_stmt(c), depth + 1);
                     }
                 }
             }
-        }
-        out
-    }
-
-    /// Records a function's `Return` statements and enqueues the variables
-    /// their expressions read (at the jumped depth).
-    fn jump_into_returns(
-        &self,
-        program: &Program,
-        callee: FuncId,
-        depth: u32,
-        out: &mut Vec<StmtRef>,
-        seen: &mut HashSet<SliceKey>,
-        queue: &mut VecDeque<(SliceKey, u32)>,
-    ) {
-        let Some(rets) = self.tables.returns.get(&callee) else {
-            return;
-        };
-        for &r in rets {
-            out.push(r);
-            if let Stmt::Return { expr: Some(e) } = program.stmt(r) {
-                self.enqueue_expr(program, e, callee, depth, seen, queue);
+            for &w in tables.local_writers(f, v) {
+                out.push(w);
+                if depth >= max_jumps {
+                    continue;
+                }
+                match program.stmt(w) {
+                    // Intraprocedural def-use chain: follow the right-hand
+                    // side at the same depth (no boundary crossed).
+                    Stmt::Assign { expr, .. } => frontier.push_reads(tables, expr, f, depth),
+                    // Jump 1: into the callee's return expressions.
+                    Stmt::Call { func: callee, .. } => {
+                        jump_into_returns(frontier, out, *callee, depth + 1);
+                    }
+                    // Jump 3a: to every matching send's payload.
+                    Stmt::Recv { chan, .. } => {
+                        for &s in tables.chan_senders(*chan) {
+                            out.push(s);
+                            if let Stmt::Send { payload, .. } = program.stmt(s) {
+                                let sender = program.func_of_stmt(s);
+                                frontier.push_reads(tables, payload, sender, depth + 1);
+                            }
+                        }
+                    }
+                    // Jump 3b: to every push onto the same queue.
+                    Stmt::PopFront { global, .. } => {
+                        for &s in tables.global_writers(*global) {
+                            out.push(s);
+                            if let Stmt::PushBack { expr, .. } = program.stmt(s) {
+                                let pusher = program.func_of_stmt(s);
+                                frontier.push_reads(tables, expr, pusher, depth + 1);
+                            }
+                        }
+                    }
+                    // Jump 4: into the linked tasks' returns.
+                    Stmt::Await { future, .. } => {
+                        for &task in analysis.future_tasks(f, *future) {
+                            jump_into_returns(frontier, out, task, depth + 1);
+                        }
+                    }
+                    // The signalled-vs-timed-out flag is decided by
+                    // whoever signals the condition variable.
+                    Stmt::WaitCond { cond, .. } => {
+                        out.extend_from_slice(tables.cond_signalers(*cond));
+                    }
+                    _ => {}
+                }
             }
         }
-    }
-
-    /// Seeds the frontier with every variable an expression reads.
-    fn enqueue_expr(
-        &self,
-        _program: &Program,
-        expr: &Expr,
-        func: FuncId,
-        depth: u32,
-        seen: &mut HashSet<SliceKey>,
-        queue: &mut VecDeque<(SliceKey, u32)>,
-    ) {
-        let (vars, globals) = expr.reads_collected();
-        for v in vars {
-            let key = SliceKey::Local(func, v);
-            if seen.insert(key) {
-                queue.push_back((key, depth));
-            }
-        }
-        for g in globals {
-            let key = SliceKey::Global(g);
-            if seen.insert(key) {
-                queue.push_back((key, depth));
-            }
-        }
+        frontier.reset(tables);
     }
 }
 
@@ -391,7 +449,7 @@ mod tests {
 
     fn writers_of(p: &Program, sref: StmtRef) -> Vec<StmtRef> {
         let a = analyze(p);
-        Slicer::new(p).condition_writers(p, &a, sref)
+        Slicer::new(p).condition_writers(p, &a, sref).to_vec()
     }
 
     fn stmt_kinds(p: &Program, refs: &[StmtRef]) -> Vec<&'static str> {
@@ -551,7 +609,7 @@ mod tests {
         let p = pb.finish().unwrap();
         let a = analyze(&p);
         let mut tight = Slicer::with_budget(&p, 0);
-        let ws = tight.condition_writers(&p, &a, cond_stmt(&p));
+        let ws = tight.condition_writers(&p, &a, cond_stmt(&p)).to_vec();
         // Budget 0: the recursive call site is still recorded (a boundary
         // statement), but the walk does not follow its argument.
         let kinds = stmt_kinds(&p, &ws);
@@ -574,11 +632,32 @@ mod tests {
         let a = analyze(&p);
         let sref = cond_stmt(&p);
         let mut s1 = Slicer::new(&p);
-        let first = s1.condition_writers(&p, &a, sref);
-        let second = s1.condition_writers(&p, &a, sref);
+        let first = s1.condition_writers(&p, &a, sref).to_vec();
+        let second = s1.condition_writers(&p, &a, sref).to_vec();
         assert_eq!(first, second);
         let mut s2 = Slicer::new(&p);
         assert_eq!(first, s2.condition_writers(&p, &a, sref));
         assert!(!first.is_empty());
+    }
+
+    #[test]
+    fn callers_collect_all_invocation_kinds() {
+        let mut pb = ProgramBuilder::new("t");
+        let _g = pb.global("x", Value::Int(0));
+        let exec = pb.executor("pool");
+        let callee = pb.declare("callee", 0);
+        let main = pb.declare("main", 0);
+        pb.body(callee, |b| {
+            b.halt();
+        });
+        pb.body(main, |b| {
+            b.call(callee, vec![]);
+            b.spawn("t", callee, vec![]);
+            b.submit_forget(exec, callee, vec![]);
+        });
+        let p = pb.finish().unwrap();
+        let tables = UseDefTables::build(&p);
+        assert_eq!(tables.callers(callee).len(), 3);
+        assert!(tables.callers(main).is_empty());
     }
 }

@@ -170,23 +170,31 @@ impl SearchContext {
         phase("diff", diff.missing.len() as u64, t);
 
         // Map failure-only entries to templates; one observable per
-        // template, holding every position it is missing at.
+        // template, holding every position it is missing at. The template
+        // is a function of the entry's body, so it is matched once per
+        // distinct interned token, not once per entry.
         let t = Instant::now();
         let program = &scenario.program;
-        let mut by_template: HashMap<TemplateId, Vec<usize>> = HashMap::new();
+        let tokens = failure_interned.position_tokens();
+        let mut template_of_token: Vec<Option<Option<TemplateId>>> =
+            vec![None; failure_interned.table().len()];
+        let mut by_template: Vec<Vec<usize>> = vec![Vec::new(); program.templates.len()];
         for &idx in &diff.missing {
-            if let Some(t) = compiled.best_template(&failure[idx].body) {
-                by_template.entry(t).or_default().push(idx);
+            let template = *template_of_token[tokens[idx] as usize]
+                .get_or_insert_with(|| compiled.best_template(&failure[idx].body));
+            if let Some(t) = template {
+                by_template[t.index()].push(idx);
             }
         }
-        let mut observables: Vec<ObservableInfo> = by_template
+        let observables: Vec<ObservableInfo> = by_template
             .into_iter()
-            .map(|(template, positions)| ObservableInfo {
-                template,
+            .enumerate()
+            .filter(|(_, positions)| !positions.is_empty())
+            .map(|(t, positions)| ObservableInfo {
+                template: TemplateId(t as u32),
                 positions,
             })
             .collect();
-        observables.sort_by_key(|o| o.template);
         let observable_groups = failure_interned
             .groups_holding(observables.iter().flat_map(|o| o.positions.iter().copied()));
         phase("observables", observables.len() as u64, t);

@@ -307,6 +307,20 @@ impl InternedLog {
         &self.table
     }
 
+    /// The interned `(level, body)` token of every failure-log entry, by
+    /// position. Equal tokens mean equal level and body, so whatever is a
+    /// function of an entry's body need only be computed once per token
+    /// ([`InternTable::len`] of them).
+    pub fn position_tokens(&self) -> Vec<u32> {
+        let mut tokens = vec![NO_MATCH_TOKEN; self.len];
+        for (_, f_indices, f_tokens) in &self.groups {
+            for (&i, &t) in f_indices.iter().zip(f_tokens) {
+                tokens[i] = t;
+            }
+        }
+        tokens
+    }
+
     /// Marks the groups that hold at least one of the failure-log
     /// `positions` — the `wanted` mask of [`InternedLog::missing_in`] for a
     /// caller that will only ask about those positions.
@@ -594,6 +608,14 @@ mod tests {
         let interned = InternedLog::new(&failure);
         assert_eq!(interned.table().len(), 3);
         assert!(!interned.table().is_empty());
+        // By position, whatever group an entry was filed under: equal
+        // tokens exactly where level and body are equal.
+        let tokens = interned.position_tokens();
+        for (e, &t) in failure.iter().zip(&tokens) {
+            assert_eq!(t, interned.table().lookup(e.level(), e.body()));
+        }
+        assert_eq!(tokens[0], tokens[1]);
+        assert!(tokens[0] != tokens[2] && tokens[0] != tokens[3] && tokens[2] != tokens[3]);
     }
 
     // ---- Differential presence tests -----------------------------------

@@ -49,8 +49,8 @@ fn usage() -> ! {
          trace --promotions lists each promoted observable with its\n\
          provenance (source graph node, trigger pass, distance delta)\n\n\
          analyze prints the static-analysis report (site reduction, graph\n\
-         size, phase timings, per-observable distances) and writes the same\n\
-         data as JSON (default results/analyze.json; `--json -` for stdout)\n\n\
+         size, phase timings, per-observable distances); --json FILE also\n\
+         writes the same data as JSON (`--json -` for stdout)\n\n\
          generate synthesizes random well-formed scenarios with a planted\n\
          root-cause fault (ground truth correct by construction), verifies\n\
          each is sound, and with --reproduce runs the feedback explorer on\n\
@@ -409,26 +409,19 @@ fn main() {
                         .unwrap_or_else(|e| fail(format!("analyze: cannot format report: {e}")));
                 }
             }
-            let json = analyze_json(&rows);
             match json_path.as_deref() {
                 // The machine-readable document owns stdout, so the
                 // human-readable report moves to stderr and stays pipeable.
                 Some("-") => {
                     eprint!("{report}");
-                    emit(&json);
+                    emit(&analyze_json(&rows));
                 }
                 Some(path) => {
-                    std::fs::write(path, &json)
+                    std::fs::write(path, analyze_json(&rows))
                         .unwrap_or_else(|e| fail(format!("cannot write `{path}`: {e}")));
                     emit(&format!("{report}\nJSON written to {path}\n"));
                 }
-                None => {
-                    std::fs::create_dir_all("results")
-                        .unwrap_or_else(|e| fail(format!("cannot create results dir: {e}")));
-                    std::fs::write("results/analyze.json", &json)
-                        .unwrap_or_else(|e| fail(format!("cannot write analyze.json: {e}")));
-                    emit(&format!("{report}\nJSON written to results/analyze.json\n"));
-                }
+                None => emit(&report),
             }
         }
         Some("reproduce") => {
