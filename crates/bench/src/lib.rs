@@ -133,6 +133,21 @@ pub fn median(values: &mut [u64]) -> u64 {
     values[values.len() / 2]
 }
 
+/// The footnote under a decision-latency column: what an empty `now()` …
+/// `elapsed()` pair reads on this host (median of 1 001). A decision is
+/// timed between two such reads, so this much of every latency printed
+/// above is the timer, not the decision.
+pub fn timer_floor_note() -> String {
+    let mut pairs: Vec<u64> = (0..1_001)
+        .map(|_| std::time::Instant::now().elapsed().as_nanos() as u64)
+        .collect();
+    format!(
+        "Decision latency is per armed request (one in 64 timed, each run's first \
+         included) and includes the timer's own {} ns on this host.",
+        median(&mut pairs)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -171,7 +171,9 @@ pub struct Reproduction {
     pub per_round: Vec<RoundRecord>,
     /// Total injection requests served across all rounds.
     pub injection_requests: u64,
-    /// Total injection-decision nanoseconds across all rounds.
+    /// How many of them met an armed candidate and were decided.
+    pub armed_requests: u64,
+    /// Total nanoseconds those decisions took, across all rounds.
     pub decision_ns: u64,
     /// Total simulated time across all rounds.
     pub sim_time_total: u64,
@@ -224,6 +226,7 @@ struct ExploreState<'a> {
     started: Instant,
     per_round: Vec<RoundRecord>,
     injection_requests: u64,
+    armed_requests: u64,
     decision_ns: u64,
     sim_time_total: u64,
     adaptive: AdaptiveState,
@@ -255,6 +258,7 @@ impl<'a> ExploreState<'a> {
             started: Instant::now(),
             per_round: Vec::new(),
             injection_requests: ctx.normal.injection_requests,
+            armed_requests: ctx.normal.armed_requests,
             decision_ns: ctx.normal.decision_ns,
             sim_time_total: ctx.normal.end_time,
             adaptive: AdaptiveState::default(),
@@ -313,6 +317,7 @@ impl<'a> ExploreState<'a> {
         let ctx = self.ctx;
         let seed = round_seed(self.cfg, round);
         self.injection_requests += result.injection_requests;
+        self.armed_requests += result.armed_requests;
         self.decision_ns += result.decision_ns;
         self.sim_time_total += result.end_time;
 
@@ -519,6 +524,7 @@ impl<'a> ExploreState<'a> {
             replay_verified,
             per_round: std::mem::take(&mut self.per_round),
             injection_requests: self.injection_requests,
+            armed_requests: self.armed_requests,
             decision_ns: self.decision_ns,
             sim_time_total: self.sim_time_total,
             wall: self.started.elapsed(),

@@ -140,6 +140,7 @@ mod tests {
             end_time: 10,
             steps: 100,
             injection_requests: 0,
+            armed_requests: 0,
             decision_ns: 0,
             wall: Duration::ZERO,
         }

@@ -11,9 +11,10 @@
 //! - every statement becomes one [`Instr`] in a single flat array, addressed
 //!   by `stmt_base[block] + idx` (so a [`StmtRef`] maps to an index with two
 //!   adds, no nested `Vec` walks);
-//! - every expression tree becomes a run of register ops ([`EOp`]) with the
-//!   result in a fixed output register; the register file is allocated once
-//!   per run and reused across statements, so evaluation allocates nothing;
+//! - every expression gets one compiled form ([`CExpr`]): a flat scalar
+//!   tree ([`SNode`]) the executor evaluates by reference when it builds no
+//!   value, a run of register ops ([`EOp`]) when it does; the register file
+//!   is allocated once per run and reused across statements;
 //! - literals live in a constant pool; log templates are pre-split into
 //!   text/argument segments so bodies render into a single `String` with no
 //!   intermediate per-argument strings;
@@ -37,74 +38,100 @@ use crate::program::Program;
 use crate::stmt::{Handler, Stmt};
 use crate::value::Value;
 
-/// A compiled expression: a run of [`EOp`]s in [`CompiledProgram::eops`]
-/// leaving the result in register `out`.
+/// A compiled expression. Every expression has exactly one form, chosen by
+/// what evaluating it has to do.
 #[derive(Debug, Clone, Copy)]
-pub struct CExpr {
-    /// Start of the op run (index into [`CompiledProgram::eops`]).
-    pub start: u32,
-    /// End of the op run (exclusive).
-    pub end: u32,
-    /// Register holding the result after the run executes.
-    pub out: u16,
-    /// Compile-time shape summary; lets the executor answer the most
-    /// common trivial expressions without touching the register file.
-    pub fast: FastExpr,
+pub enum CExpr {
+    /// The expression builds no value: loads, `rand_range`, `!`, `len`,
+    /// `[idx]` and binaries over those. The executor evaluates it by
+    /// reference from locals / globals / pool to a `Copy` result and
+    /// materialises a [`Value`] only where a statement stores one.
+    Scalar(Operand),
+    /// The expression builds a value (`List`, `SelfNode`, or something
+    /// over one): a run of [`EOp`]s in [`CompiledProgram::eops`] leaving
+    /// the result in register `out`.
+    Build {
+        /// Start of the op run (index into [`CompiledProgram::eops`]).
+        start: u32,
+        /// End of the op run (exclusive).
+        end: u32,
+        /// Register holding the result after the run executes.
+        out: u16,
+    },
 }
 
-/// The shapes a [`CExpr`] can be collapsed to at compile time.
-///
-/// Most conditions, assignments, and sleep durations are a single load or
-/// a single comparison over loads; tagging them here lets the executor
-/// resolve the value directly from the frame/globals/pool instead of
-/// running the op loop. `Load` and `Bin` are side-effect-free (no RNG
-/// draws), so skipping the register run cannot perturb determinism.
-#[derive(Debug, Clone, Copy)]
-pub enum FastExpr {
-    /// No shortcut: run the op loop.
-    None,
-    /// The whole expression is one simple load.
-    Load(Operand),
-    /// The whole expression is one fused binary over simple loads.
-    Bin(BinOp, Operand, Operand),
-}
-
-/// A side-effect-free operand source for [`EOp::BinRef`], resolved at
-/// compile time so the executor reads the value by reference.
+/// Where a scalar tree reads an operand: a side-effect-free load resolved
+/// at compile time, or the result of another node.
 #[derive(Debug, Clone, Copy)]
 pub enum Operand {
-    /// The current frame's local slot (reads as `Unit` with no frame).
+    /// The current frame's local slot.
     Var(u32),
     /// The current node's global slot.
     Global(u32),
     /// A constant-pool entry.
     Const(u32),
+    /// The result of a node of [`CompiledProgram::snodes`].
+    Node(u32),
 }
 
-/// One register-VM expression op. Operands are registers in the per-run
+/// One inner node of a scalar tree; the trees of a program lie flat in
+/// [`CompiledProgram::snodes`], children before parents. Loads are not
+/// nodes: a parent names them in its [`Operand`]s, so `x < 5` is one node
+/// and `x` alone is none.
+#[derive(Debug, Clone, Copy)]
+pub enum SNode {
+    /// `rand_range(lo, hi)` drawn from the run's seeded generator (`lo`
+    /// when the range is empty, like the tree-walk).
+    Rand {
+        /// Inclusive lower bound.
+        lo: i64,
+        /// Exclusive upper bound.
+        hi: i64,
+    },
+    /// `!a` (type error on non-bool).
+    Not(Operand),
+    /// `len(a)` (type error on non-list/string).
+    Len(Operand),
+    /// `a[idx]`, borrowing the element from the list `a` borrows.
+    Index(Operand, u32),
+    /// `a <op> b`, left before right. For `&&` / `||` the right side is
+    /// evaluated — and draws random numbers — only when the left does not
+    /// decide, mirroring the tree-walk's short-circuit.
+    Bin(BinOp, Operand, Operand),
+}
+
+/// One op of a [`CExpr::Build`] run. Operands are registers in the per-run
 /// scratch frame; `dst` is always written.
 #[derive(Debug, Clone)]
 pub enum EOp {
-    /// `dst = pool[idx]` (clone from the constant pool).
-    Const {
+    /// `dst = <scalar tree>`: a maximal sub-expression that builds no
+    /// value, evaluated by reference and materialised into the register.
+    Scalar {
         /// Destination register.
         dst: u16,
-        /// Index into [`CompiledProgram::pool`].
+        /// The tree.
+        src: Operand,
+    },
+    /// `dst = <current node name>` as a string value (refcount bump only).
+    SelfNode {
+        /// Destination register.
+        dst: u16,
+    },
+    /// `dst = [srcs...]`; the item registers are moved, not cloned.
+    Gather {
+        /// Destination register.
+        dst: u16,
+        /// Item registers in order.
+        srcs: Box<[u16]>,
+    },
+    /// `dst = src[idx]` where `src` is a register holding a built list.
+    Index {
+        /// Destination register.
+        dst: u16,
+        /// Register holding the list.
+        src: u16,
+        /// Element index.
         idx: u32,
-    },
-    /// `dst = locals[var]` of the current frame (`Unit` with no frame).
-    Var {
-        /// Destination register.
-        dst: u16,
-        /// Local slot index.
-        var: u32,
-    },
-    /// `dst = globals[global]` of the current node.
-    Global {
-        /// Destination register.
-        dst: u16,
-        /// Global slot index.
-        global: u32,
     },
     /// `dst = !src` (type error on non-bool).
     Not {
@@ -120,57 +147,6 @@ pub enum EOp {
         /// Operand register.
         src: u16,
     },
-    /// `dst = [srcs...]`; the item registers are moved, not cloned.
-    Gather {
-        /// Destination register.
-        dst: u16,
-        /// Item registers in order.
-        srcs: Box<[u16]>,
-    },
-    /// `dst = src[idx]` where `src` is a register holding a list.
-    Index {
-        /// Destination register.
-        dst: u16,
-        /// Register holding the list.
-        src: u16,
-        /// Element index.
-        idx: u32,
-    },
-    /// `dst = locals[var][idx]` — fused borrow form of `Index(Var(_))` that
-    /// clones only the element, never the whole list.
-    IndexVar {
-        /// Destination register.
-        dst: u16,
-        /// Local slot index.
-        var: u32,
-        /// Element index.
-        idx: u32,
-    },
-    /// `dst = globals[global][idx]` — fused borrow form of
-    /// `Index(Global(_))`.
-    IndexGlobal {
-        /// Destination register.
-        dst: u16,
-        /// Global slot index.
-        global: u32,
-        /// Element index.
-        idx: u32,
-    },
-    /// `dst = rand_range(lo, hi)` drawn from the run's seeded generator
-    /// (returns `lo` when the range is empty, like the tree-walk).
-    Rand {
-        /// Destination register.
-        dst: u16,
-        /// Inclusive lower bound.
-        lo: i64,
-        /// Exclusive upper bound.
-        hi: i64,
-    },
-    /// `dst = <current node name>` as a string value (refcount bump only).
-    SelfNode {
-        /// Destination register.
-        dst: u16,
-    },
     /// Non-short-circuit binary op: `dst = a <op> b`.
     Bin {
         /// Destination register.
@@ -182,22 +158,6 @@ pub enum EOp {
         /// Right operand register.
         b: u16,
     },
-    /// Fused binary op over simple operands: both sides are read by
-    /// reference straight from locals/globals/pool — no clones, no
-    /// intermediate registers, one dispatch instead of three. Loading a
-    /// variable, global, or constant has no side effects (in particular no
-    /// RNG draws), so fusing preserves the tree-walk's evaluation order
-    /// exactly.
-    BinRef {
-        /// Destination register.
-        dst: u16,
-        /// The operator (never `And`/`Or`).
-        op: BinOp,
-        /// Left operand.
-        a: Operand,
-        /// Right operand.
-        b: Operand,
-    },
     /// `dst = src as bool` (type error with the tree-walk's
     /// `expected bool, got ...` message otherwise).
     AsBool {
@@ -207,8 +167,8 @@ pub enum EOp {
         src: u16,
     },
     /// Skip the next `skip` ops when `src` holds `Bool(if_val)` — the
-    /// lowering of `&&` / `||` short-circuiting. Skipped ops draw no random
-    /// numbers, preserving the oracle's RNG stream.
+    /// lowering of an `&&` / `||` with a side that builds a value. Skipped
+    /// ops draw no random numbers, preserving the oracle's RNG stream.
     SkipIf {
         /// Register tested (already coerced to bool by [`EOp::AsBool`]).
         src: u16,
@@ -477,9 +437,11 @@ pub struct CompiledProgram {
     pub stmt_base: Vec<u32>,
     /// Per-block statement count.
     pub block_len: Vec<u32>,
-    /// All expression ops, referenced by [`CExpr`] ranges.
+    /// The inner nodes of every scalar tree, children before parents.
+    pub snodes: Vec<SNode>,
+    /// All register ops, referenced by [`CExpr::Build`] ranges.
     pub eops: Vec<EOp>,
-    /// Constant pool for [`EOp::Const`].
+    /// Constant pool for [`Operand::Const`].
     pub pool: Vec<Value>,
     /// Size of the scratch register frame a run must allocate.
     pub max_regs: usize,
@@ -602,6 +564,7 @@ pub fn meta_access_points(program: &Program) -> Vec<StmtRef> {
 }
 
 struct ExprCompiler<'p> {
+    snodes: Vec<SNode>,
     eops: Vec<EOp>,
     pool: Vec<Value>,
     next_reg: u16,
@@ -622,99 +585,90 @@ impl ExprCompiler<'_> {
         r
     }
 
-    /// Compiles one expression tree; the emitted ops evaluate sub-expressions
-    /// in exactly the tree-walk's order (so RNG draws and error precedence
-    /// are preserved).
-    fn compile(&mut self, e: &Expr) -> u16 {
+    /// True when evaluating the expression builds no value: everything but
+    /// a `List`, a `SelfNode` and what contains one.
+    fn is_scalar(e: &Expr) -> bool {
         match e {
+            Expr::Const(_) | Expr::Var(_) | Expr::Global(_) | Expr::RandRange(..) => true,
+            Expr::Not(a) | Expr::Len(a) | Expr::Index(a, _) => Self::is_scalar(a),
+            Expr::Bin(_, a, b) => Self::is_scalar(a) && Self::is_scalar(b),
+            Expr::List(_) | Expr::SelfNode => false,
+        }
+    }
+
+    /// Compiles an expression that builds no value to a scalar tree,
+    /// children before parents and left before right — the order the
+    /// tree-walk evaluates them in.
+    fn scalar(&mut self, e: &Expr) -> Operand {
+        let node = match e {
             Expr::Const(v) => {
-                let dst = self.alloc();
-                let idx = self.pool.len() as u32;
                 self.pool.push(v.clone());
-                self.eops.push(EOp::Const { dst, idx });
-                dst
+                return Operand::Const((self.pool.len() - 1) as u32);
             }
-            Expr::Var(v) => {
-                let dst = self.alloc();
-                self.eops.push(EOp::Var {
-                    dst,
-                    var: v.index() as u32,
-                });
-                dst
+            Expr::Var(v) => return Operand::Var(v.index() as u32),
+            Expr::Global(g) => return Operand::Global(g.index() as u32),
+            Expr::RandRange(lo, hi) => SNode::Rand { lo: *lo, hi: *hi },
+            Expr::Not(a) => SNode::Not(self.scalar(a)),
+            Expr::Len(a) => SNode::Len(self.scalar(a)),
+            Expr::Index(a, i) => SNode::Index(self.scalar(a), *i),
+            Expr::Bin(op, a, b) => {
+                let a = self.scalar(a);
+                SNode::Bin(*op, a, self.scalar(b))
             }
-            Expr::Global(g) => {
-                let dst = self.alloc();
-                self.eops.push(EOp::Global {
-                    dst,
-                    global: g.index() as u32,
-                });
-                dst
+            Expr::List(_) | Expr::SelfNode => {
+                unreachable!("scalar() is only called on is_scalar exprs")
             }
-            Expr::Not(a) => {
-                let src = self.compile(a);
-                let dst = self.alloc();
-                self.eops.push(EOp::Not { dst, src });
-                dst
-            }
-            Expr::Len(a) => {
-                let src = self.compile(a);
-                let dst = self.alloc();
-                self.eops.push(EOp::Len { dst, src });
-                dst
-            }
-            Expr::List(items) => {
-                let srcs: Box<[u16]> = items.iter().map(|i| self.compile(i)).collect();
-                let dst = self.alloc();
-                self.eops.push(EOp::Gather { dst, srcs });
-                dst
-            }
-            Expr::Index(a, i) => match a.as_ref() {
-                // Borrow-fused forms: index the variable in place and clone
-                // only the element, instead of cloning the whole list first.
-                Expr::Var(v) => {
-                    let dst = self.alloc();
-                    self.eops.push(EOp::IndexVar {
-                        dst,
-                        var: v.index() as u32,
-                        idx: *i,
-                    });
-                    dst
-                }
-                Expr::Global(g) => {
-                    let dst = self.alloc();
-                    self.eops.push(EOp::IndexGlobal {
-                        dst,
-                        global: g.index() as u32,
-                        idx: *i,
-                    });
-                    dst
-                }
-                _ => {
-                    let src = self.compile(a);
-                    let dst = self.alloc();
-                    self.eops.push(EOp::Index { dst, src, idx: *i });
-                    dst
-                }
-            },
-            Expr::RandRange(lo, hi) => {
-                let dst = self.alloc();
-                self.eops.push(EOp::Rand {
-                    dst,
-                    lo: *lo,
-                    hi: *hi,
-                });
-                dst
-            }
+        };
+        self.snodes.push(node);
+        Operand::Node((self.snodes.len() - 1) as u32)
+    }
+
+    /// Emits the ops that leave the expression's value in a register,
+    /// evaluating sub-expressions in exactly the tree-walk's order (so RNG
+    /// draws and error precedence are preserved). A sub-expression that
+    /// builds no value is one [`EOp::Scalar`], however large.
+    fn build(&mut self, e: &Expr) -> u16 {
+        if Self::is_scalar(e) {
+            let src = self.scalar(e);
+            let dst = self.alloc();
+            self.eops.push(EOp::Scalar { dst, src });
+            return dst;
+        }
+        match e {
             Expr::SelfNode => {
                 let dst = self.alloc();
                 self.eops.push(EOp::SelfNode { dst });
                 dst
             }
+            Expr::List(items) => {
+                let srcs: Box<[u16]> = items.iter().map(|i| self.build(i)).collect();
+                let dst = self.alloc();
+                self.eops.push(EOp::Gather { dst, srcs });
+                dst
+            }
+            Expr::Index(a, i) => {
+                let src = self.build(a);
+                let dst = self.alloc();
+                self.eops.push(EOp::Index { dst, src, idx: *i });
+                dst
+            }
+            Expr::Not(a) => {
+                let src = self.build(a);
+                let dst = self.alloc();
+                self.eops.push(EOp::Not { dst, src });
+                dst
+            }
+            Expr::Len(a) => {
+                let src = self.build(a);
+                let dst = self.alloc();
+                self.eops.push(EOp::Len { dst, src });
+                dst
+            }
             Expr::Bin(op @ (BinOp::And | BinOp::Or), a, b) => {
-                // Lower `a && b` / `a || b` to a conditional skip over the
-                // right operand's ops, mirroring the tree-walk's
-                // short-circuit (skipped ops draw no random numbers).
-                let ra = self.compile(a);
+                // A conditional skip over the right operand's ops mirrors
+                // the tree-walk's short-circuit (skipped ops draw no random
+                // numbers).
+                let ra = self.build(a);
                 let dst = self.alloc();
                 self.eops.push(EOp::AsBool { dst, src: ra });
                 let skip_at = self.eops.len();
@@ -723,7 +677,7 @@ impl ExprCompiler<'_> {
                     if_val: matches!(op, BinOp::Or),
                     skip: 0,
                 });
-                let rb = self.compile(b);
+                let rb = self.build(b);
                 self.eops.push(EOp::AsBool { dst, src: rb });
                 let skip = (self.eops.len() - skip_at - 1) as u32;
                 if let EOp::SkipIf { skip: s, .. } = &mut self.eops[skip_at] {
@@ -731,19 +685,9 @@ impl ExprCompiler<'_> {
                 }
                 dst
             }
-            // Peephole fusion: when both operands are simple loads, emit one
-            // `BinRef` that reads them by reference (the dominant shape for
-            // branch conditions: `var <op> const`, `var <op> var`, ...).
-            Expr::Bin(op, a, b) if Self::is_simple(a) && Self::is_simple(b) => {
-                let a = self.operand(a);
-                let b = self.operand(b);
-                let dst = self.alloc();
-                self.eops.push(EOp::BinRef { dst, op: *op, a, b });
-                dst
-            }
             Expr::Bin(op, a, b) => {
-                let ra = self.compile(a);
-                let rb = self.compile(b);
+                let ra = self.build(a);
+                let rb = self.build(b);
                 let dst = self.alloc();
                 self.eops.push(EOp::Bin {
                     dst,
@@ -753,54 +697,45 @@ impl ExprCompiler<'_> {
                 });
                 dst
             }
+            Expr::Const(_) | Expr::Var(_) | Expr::Global(_) | Expr::RandRange(..) => {
+                unreachable!("a leaf other than SelfNode is scalar")
+            }
         }
     }
 
-    /// True when the expression is a fusable side-effect-free load.
-    fn is_simple(e: &Expr) -> bool {
-        matches!(e, Expr::Var(_) | Expr::Global(_) | Expr::Const(_))
-    }
-
-    /// Converts a simple load into a [`BinRef`](EOp::BinRef) operand,
-    /// interning constants into the pool.
-    fn operand(&mut self, e: &Expr) -> Operand {
-        match e {
-            Expr::Var(v) => Operand::Var(v.index() as u32),
-            Expr::Global(g) => Operand::Global(g.index() as u32),
-            Expr::Const(v) => {
-                let idx = self.pool.len() as u32;
-                self.pool.push(v.clone());
-                Operand::Const(idx)
-            }
-            _ => unreachable!("operand() is only called on is_simple exprs"),
+    /// The op run of an expression whose value must end up in a register.
+    fn run(&mut self, e: &Expr) -> CExpr {
+        let start = self.eops.len() as u32;
+        let out = self.build(e);
+        CExpr::Build {
+            start,
+            end: self.eops.len() as u32,
+            out,
         }
     }
 
     fn cexpr(&mut self, e: &Expr) -> CExpr {
-        let start = self.eops.len() as u32;
-        let out = self.compile(e);
-        let end = self.eops.len() as u32;
-        let fast = if end - start == 1 {
-            match &self.eops[start as usize] {
-                EOp::Const { idx, .. } => FastExpr::Load(Operand::Const(*idx)),
-                EOp::Var { var, .. } => FastExpr::Load(Operand::Var(*var)),
-                EOp::Global { global, .. } => FastExpr::Load(Operand::Global(*global)),
-                EOp::BinRef { op, a, b, .. } => FastExpr::Bin(*op, *a, *b),
-                _ => FastExpr::None,
-            }
+        if Self::is_scalar(e) {
+            CExpr::Scalar(self.scalar(e))
         } else {
-            FastExpr::None
-        };
-        CExpr {
-            start,
-            end,
-            out,
-            fast,
+            self.run(e)
         }
     }
 
     fn cexprs(&mut self, es: &[Expr]) -> Box<[CExpr]> {
         es.iter().map(|e| self.cexpr(e)).collect()
+    }
+
+    /// Log arguments are all evaluated before the body renders: a plain
+    /// load stays where it is and renders by reference, anything else
+    /// waits for the render in a register.
+    fn log_args(&mut self, es: &[Expr]) -> Box<[CExpr]> {
+        es.iter()
+            .map(|e| match e {
+                Expr::Const(_) | Expr::Var(_) | Expr::Global(_) => CExpr::Scalar(self.scalar(e)),
+                _ => self.run(e),
+            })
+            .collect()
     }
 }
 
@@ -817,6 +752,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
     }
 
     let mut c = ExprCompiler {
+        snodes: Vec::new(),
         eops: Vec::new(),
         pool: Vec::new(),
         next_reg: 0,
@@ -840,7 +776,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
                     args,
                     attach_stack,
                 } => {
-                    let cargs = c.cexprs(args);
+                    let cargs = c.log_args(args);
                     let pre = if cargs.is_empty() {
                         Some(Arc::from(c.program.templates[template.index()].render(&[])))
                     } else {
@@ -1034,6 +970,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
         code,
         stmt_base,
         block_len,
+        snodes: c.snodes,
         eops: c.eops,
         pool: c.pool,
         max_regs: c.max_regs,
@@ -1109,17 +1046,52 @@ mod tests {
         assert!(c.try_info(aref).is_none());
     }
 
+    /// One form per expression: what builds no value is a scalar tree and
+    /// emits no op; what builds one is an op run whose scalar sub-trees are
+    /// one op each, with `&&` lowered to a skip.
     #[test]
-    fn short_circuit_lowers_to_skip() {
+    fn an_expression_has_one_form_chosen_by_its_job() {
         let mut pb = ProgramBuilder::new("t");
         let main = pb.declare("main", 0);
         pb.body(main, |b| {
             let x = b.local();
-            b.assign(x, e::and(e::bool_(false), e::bool_(true)));
+            b.assign(x, e::var(x));
+            b.assign(x, e::and(e::lt(e::var(x), e::int(3)), e::bool_(true)));
+            b.assign(
+                x,
+                e::and(
+                    e::lt(e::var(x), e::int(3)),
+                    e::eq(e::list(vec![e::var(x)]), e::self_node()),
+                ),
+            );
         });
         let p = pb.finish().unwrap();
         let c = compile(&p);
-        assert!(c.eops.iter().any(|op| matches!(op, EOp::SkipIf { .. })));
+        let exprs: Vec<CExpr> = (c.code.iter())
+            .map(|i| match i {
+                Instr::Assign { e, .. } => *e,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert!(matches!(exprs[0], CExpr::Scalar(Operand::Var(0))));
+        // `x < 3 && true`: the comparison's node, then the `&&` over it.
+        let CExpr::Scalar(Operand::Node(root)) = exprs[1] else {
+            panic!("{:?} is not a tree", exprs[1]);
+        };
+        assert!(matches!(
+            c.snodes[root as usize],
+            SNode::Bin(BinOp::And, Operand::Node(lt), Operand::Const(_)) if lt + 1 == root
+        ));
+        // Only the third expression has ops; its scalar sides are one each.
+        let CExpr::Build { start, end, .. } = exprs[2] else {
+            panic!("{:?} builds a list", exprs[2]);
+        };
+        assert_eq!((start as usize, end as usize), (0, c.eops.len()));
+        let count = |f: fn(&EOp) -> bool| c.eops.iter().filter(|op| f(op)).count();
+        assert_eq!(count(|op| matches!(op, EOp::Scalar { .. })), 2);
+        assert_eq!(count(|op| matches!(op, EOp::SkipIf { .. })), 1);
+        assert_eq!(count(|op| matches!(op, EOp::Gather { .. })), 1);
+        assert_eq!(count(|op| matches!(op, EOp::SelfNode { .. })), 1);
     }
 
     #[test]

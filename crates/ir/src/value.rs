@@ -70,6 +70,22 @@ impl Value {
         }
     }
 
+    /// Overwrites `self` with `value`, releasing what `self` held.
+    ///
+    /// The simulator's slots (locals, globals, registers) hold an int, a
+    /// bool or unit most of the time; overwriting one of those has nothing
+    /// to release, so the store skips the drop glue a plain assignment
+    /// calls out of line.
+    #[inline]
+    pub fn store(&mut self, value: Value) {
+        match self {
+            Value::Unit | Value::Int(_) | Value::Bool(_) | Value::Future(_) => {
+                std::mem::forget(std::mem::replace(self, value))
+            }
+            Value::Str(_) | Value::List(_) | Value::Exc(_) => *self = value,
+        }
+    }
+
     /// Renders the value for inclusion in a log message.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -140,6 +156,13 @@ mod tests {
         assert_eq!(Value::Unit.render(), "()");
     }
 
+    /// Three words, the tag in a niche of the first: what the simulator's
+    /// stores and its register-to-slot rule (DESIGN.md §12) are sized for.
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
     #[test]
     fn coercions() {
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
@@ -147,6 +170,35 @@ mod tests {
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::List(vec![Value::Unit]).len(), Some(1));
         assert!(Value::Unit.is_unit());
+    }
+
+    /// The scalar-aware store forgets only what owns nothing: a string or
+    /// a list it overwrites is released, one it writes is kept.
+    #[test]
+    fn store_releases_what_it_overwrites() {
+        let s: Arc<str> = Arc::from("held");
+        let mut slot = Value::Str(s.clone());
+        assert_eq!(Arc::strong_count(&s), 2);
+        slot.store(Value::Int(1));
+        assert_eq!(slot, Value::Int(1));
+        assert_eq!(Arc::strong_count(&s), 1, "Int over Str releases the Str");
+
+        slot.store(Value::Str(s.clone()));
+        assert_eq!(slot, Value::Str(s.clone()));
+        assert_eq!(Arc::strong_count(&s), 2, "Str over Int keeps the Str");
+
+        slot.store(Value::List(vec![Value::Str(s.clone()), Value::Unit]));
+        assert_eq!(Arc::strong_count(&s), 2, "List over Str: one out, one in");
+        slot.store(Value::Unit);
+        assert_eq!(
+            Arc::strong_count(&s),
+            1,
+            "Unit over List releases the items"
+        );
+        for scalar in [Value::Bool(true), Value::Future(3), Value::Unit] {
+            slot.store(scalar.clone());
+            assert_eq!(slot, scalar);
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! before is not diffed again.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use anduril_ir::Level;
 
@@ -90,6 +91,59 @@ impl DiffRecord for anduril_ir::LogEntry {
     }
 }
 
+/// The hasher behind both maps of this module: a multiply and a rotate
+/// per eight bytes of key.
+///
+/// Log bodies and token sequences are hashed every round, and SipHash's
+/// per-key set-up and finish dominate keys this short. Neither map is ever
+/// iterated, and both compare a key in full once its bucket is found, so a
+/// failure log whose bodies collide costs probes, never a wrong token.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            // The length keeps `"a"` and `"a\0"` apart.
+            self.mix(u64::from_le_bytes(last) ^ (rest.len() as u64) << 56);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    /// The multiply leaves its best bits on top; the table indexes with
+    /// the low ones.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 /// Interner for sanitized `(level, body)` keys.
 ///
 /// One body string hashes once regardless of level: the per-body slot
@@ -97,26 +151,20 @@ impl DiffRecord for anduril_ir::LogEntry {
 /// same body get four distinct tokens from a single map entry.
 #[derive(Debug, Clone, Default)]
 pub struct InternTable {
-    tokens: HashMap<String, [Option<u32>; 4]>,
+    tokens: WordMap<String, [Option<u32>; 4]>,
     next: u32,
 }
 
 impl InternTable {
     /// Interns a key, assigning the next token on first sight.
     fn intern(&mut self, level: Level, body: &str) -> u32 {
-        if !self.tokens.contains_key(body) {
-            self.tokens.insert(body.to_string(), [None; 4]);
+        if let Some(Some(t)) = self.tokens.get(body).map(|slots| slots[level as usize]) {
+            return t;
         }
-        let slot = &mut self.tokens.get_mut(body).expect("just inserted")[level as usize];
-        match *slot {
-            Some(t) => t,
-            None => {
-                let t = self.next;
-                self.next += 1;
-                *slot = Some(t);
-                t
-            }
-        }
+        let t = self.next;
+        self.next += 1;
+        self.tokens.entry(body.to_string()).or_insert([None; 4])[level as usize] = Some(t);
+        t
     }
 
     /// Looks a key up without interning; unseen keys get
@@ -242,7 +290,7 @@ const MEMO_CAPACITY: usize = 1 << 20;
 
 /// One failure group's remembered diffs: run-token sequence → unmatched
 /// failure-log indices.
-type Remembered = HashMap<Box<[u32]>, Box<[usize]>>;
+type Remembered = WordMap<Box<[u32]>, Box<[usize]>>;
 
 /// What one search remembers of its per-round diffs against one
 /// [`InternedLog`]: for each failure group, the unmatched failure entries
@@ -427,7 +475,7 @@ impl InternedLog {
         } = memo;
         missing.clear();
         missing.resize(self.len, false);
-        by_group.resize_with(self.groups.len(), HashMap::new);
+        by_group.resize_with(self.groups.len(), WordMap::default);
         self.route(run, Some(wanted), &mut work.routed);
         for (g, (_, f_indices, f_tokens)) in self.groups.iter().enumerate() {
             if !wanted[g] {
@@ -445,7 +493,7 @@ impl InternedLog {
             unmatched.iter().for_each(|&fi| missing[fi] = true);
             let size = work.r_tokens.len() + unmatched.len();
             if *stored + size > MEMO_CAPACITY {
-                by_group.iter_mut().for_each(HashMap::clear);
+                by_group.iter_mut().for_each(WordMap::clear);
                 *stored = 0;
             }
             *stored += size;
@@ -595,6 +643,36 @@ mod tests {
         let after = interned.compare(&run);
         assert_eq!(before.missing, after.missing);
         assert_eq!(before.matches, after.matches);
+    }
+
+    /// The hasher tells apart what the maps must: keys that differ in
+    /// length only, in trailing zero bytes, or in which word a token is in.
+    /// (Were it to collide, lookups would still be right — keys are compared
+    /// in full — but every probe would walk.)
+    #[test]
+    fn word_hasher_separates_near_keys() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<WordHasher>::default();
+        let bodies = [
+            "",
+            "a",
+            "a\0",
+            "a\0\0",
+            "aaaaaaaa",
+            "aaaaaaaa\0",
+            "aaaaaaaaa",
+            "b",
+        ];
+        let mut hashes: Vec<u64> = bodies.iter().map(|b| build.hash_one(*b)).collect();
+        let tokens: [&[u32]; 6] = [&[], &[0], &[0, 0], &[1, 0], &[0, 1], &[0, 0, 0]];
+        hashes.extend(tokens.iter().map(|t| build.hash_one(*t)));
+        let distinct: std::collections::BTreeSet<u64> = hashes.iter().copied().collect();
+        assert_eq!(distinct.len(), hashes.len());
+        // What the table indexes with — the low bits — spreads too.
+        let low: std::collections::BTreeSet<u64> = (0..64u32)
+            .map(|i| build.hash_one(format!("message {i}").as_str()) & 63)
+            .collect();
+        assert!(low.len() > 32, "{} of 64 buckets", low.len());
     }
 
     #[test]

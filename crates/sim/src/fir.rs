@@ -158,12 +158,20 @@ pub struct Fir {
     pub injected_all: Vec<InjectedRecord>,
     /// Whether a crash injection fired.
     pub crashed: bool,
-    /// Total `throwIfEnabled` requests served.
+    /// Total `traceSite` requests served.
     pub requests: u64,
-    /// Total nanoseconds spent deciding injection requests (host time;
-    /// metrics only, never used in algorithmic paths).
-    pub decision_ns: u64,
+    /// How many of them found an armed candidate and went on to
+    /// `throwIfEnabled`: the requests that decide something.
+    pub armed_requests: u64,
+    /// How many armed requests were timed (one in [`TIMED_EVERY`]).
+    timed_requests: u64,
+    /// Host nanoseconds the timed requests took to decide.
+    timed_ns: u64,
 }
+
+/// One armed request in this many reads the clock, the first included: a
+/// `now()` + `elapsed()` pair costs more than the decision it brackets.
+const TIMED_EVERY: u64 = 64;
 
 impl Fir {
     /// Arms the runtime with a plan for one run over `n_sites` sites.
@@ -186,15 +194,15 @@ impl Fir {
             injected_all: Vec::new(),
             crashed: false,
             requests: 0,
-            decision_ns: 0,
+            armed_requests: 0,
+            timed_requests: 0,
+            timed_ns: 0,
         }
     }
 
     /// `FIR.traceSite()`: traces one execution of `site`. Returns `true`
     /// when the plan has a candidate armed at this site that could still
-    /// fire — only then must the caller build the call stack and ask
-    /// [`Fir::throw_if_enabled`]. For most requests it has none, and the
-    /// stack is never built.
+    /// fire — only then must the caller ask [`Fir::throw_if_enabled`].
     pub fn trace_site(&mut self, site: SiteId, time: u64, log_pos: u32) -> bool {
         let occurrence = self.occ[site.index()];
         self.occ[site.index()] += 1;
@@ -211,22 +219,50 @@ impl Fir {
     /// `FIR.throwIfEnabled()`: decides whether the execution of `site`
     /// just traced by [`Fir::trace_site`] throws. Returns the exception
     /// type to throw, or `None` to let the call proceed. `stack` is the
-    /// current call stack, innermost first.
+    /// current call stack, innermost first; only a site for which
+    /// [`Fir::guards_stack`] holds reads it.
     ///
-    /// `decision_ns` times only these calls: a request with no armed
-    /// candidate decides nothing, and reading the clock around that no-op
-    /// would just measure the clock.
+    /// Only these calls count as decisions, and one in 64 (the first
+    /// included) is timed: a request with no armed candidate decides
+    /// nothing, and reading the clock around every decision would mostly
+    /// measure the clock.
     pub fn throw_if_enabled(
         &mut self,
         site: SiteId,
         time: u64,
         stack: &[FuncId],
     ) -> Option<ExceptionType> {
-        let start = Instant::now();
+        let start = self
+            .armed_requests
+            .is_multiple_of(TIMED_EVERY)
+            .then(Instant::now);
+        self.armed_requests += 1;
         let occurrence = self.occ[site.index()].checked_sub(1)?;
         let decision = self.decide(site, occurrence, time, stack);
-        self.decision_ns += start.elapsed().as_nanos() as u64;
+        if let Some(start) = start {
+            self.timed_ns += start.elapsed().as_nanos() as u64;
+            self.timed_requests += 1;
+        }
         decision
+    }
+
+    /// `true` when a candidate armed at `site` guards on the call stack
+    /// (the stacktrace-injector baseline's do): [`Fir::throw_if_enabled`]
+    /// needs the stack to decide. Otherwise the caller builds one only
+    /// for the exception it throws.
+    pub fn guards_stack(&self, site: SiteId) -> bool {
+        self.plan_by_site[site.index()]
+            .iter()
+            .any(|c| c.stack.is_some())
+    }
+
+    /// Host nanoseconds spent deciding armed requests, estimated from the
+    /// timed ones (metrics only, never used in algorithmic paths).
+    pub fn decision_ns(&self) -> u64 {
+        match self.timed_requests {
+            0 => 0,
+            timed => (self.timed_ns as u128 * self.armed_requests as u128 / timed as u128) as u64,
+        }
     }
 
     fn decide(
@@ -267,9 +303,20 @@ impl Fir {
         Some(exc)
     }
 
+    /// `true` when the plan names a crash point: only then does anyone
+    /// need [`Fir::on_meta_access`] told about meta-info accesses.
+    pub fn crash_armed(&self) -> bool {
+        self.crash_at.is_some()
+    }
+
     /// Traces one execution of a meta-info access point; returns `true` if
     /// the CrashTuner plan wants the node crashed here.
     pub fn on_meta_access(&mut self, stmt: StmtRef) -> bool {
+        // Occurrences are counted for the crash point to compare against:
+        // without one nobody reads them.
+        if !self.crash_armed() {
+            return false;
+        }
         let slot = match self.meta_occ.binary_search_by_key(&stmt, |&(s, _)| s) {
             Ok(i) => i,
             Err(i) => {
@@ -438,7 +485,16 @@ mod tests {
     fn meta_access_counts_are_insertion_order_independent() {
         let a = StmtRef::new(anduril_ir::BlockId(9), 0);
         let b = StmtRef::new(anduril_ir::BlockId(2), 3);
-        let mut fir = Fir::new(0, InjectionPlan::none());
+        // A crash point the accesses never reach: counting is all that
+        // happens.
+        let plan = InjectionPlan {
+            crash_at: Some(CrashPoint {
+                stmt: a,
+                occurrence: u32::MAX,
+            }),
+            ..InjectionPlan::none()
+        };
+        let mut fir = Fir::new(0, plan);
         // First touch the higher-sorting statement, then the lower one:
         // the sorted-vec insert must keep lookups exact for both.
         fir.on_meta_access(a);
@@ -447,6 +503,50 @@ mod tests {
         fir.on_meta_access(a);
         // Sorted by statement, as the binary search requires.
         assert_eq!(fir.meta_occ, vec![(b, 1), (a, 3)]);
+    }
+
+    /// The feedback search arms no crash point: a meta access then looks
+    /// nothing up and counts nothing.
+    #[test]
+    fn meta_access_without_a_crash_point_does_nothing() {
+        let mut fir = Fir::new(0, InjectionPlan::none());
+        assert!(!fir.crash_armed());
+        assert!(!fir.on_meta_access(StmtRef::new(anduril_ir::BlockId(1), 0)));
+        assert!(fir.meta_occ.is_empty());
+        assert!(!fir.crashed);
+    }
+
+    /// Only a stack guard makes the caller build a stack, and one armed
+    /// request in `TIMED_EVERY` — the first included — reads the clock, the
+    /// total scaled up from those.
+    #[test]
+    fn stack_is_wanted_by_guards_only_and_decisions_are_sampled() {
+        let plan = InjectionPlan::window(vec![
+            Candidate::exact(SiteId(0), u32::MAX, ExceptionType::Io),
+            Candidate {
+                site: SiteId(1),
+                occurrence: None,
+                exc: ExceptionType::Io,
+                stack: Some(vec![FuncId(7)]),
+            },
+        ]);
+        let mut fir = Fir::new(3, plan);
+        assert!(!fir.guards_stack(SiteId(0)));
+        assert!(fir.guards_stack(SiteId(1)));
+        assert!(!fir.guards_stack(SiteId(2)));
+
+        assert_eq!((fir.armed_requests, fir.decision_ns()), (0, 0));
+        for t in 0..(2 * TIMED_EVERY + 1) {
+            assert_eq!(fir.on_site(SiteId(2), t, 0, &[]), None, "not armed");
+            assert_eq!(fir.on_site(SiteId(0), t, 0, &[]), None);
+        }
+        assert_eq!(fir.requests, 2 * (2 * TIMED_EVERY + 1));
+        assert_eq!(fir.armed_requests, 2 * TIMED_EVERY + 1);
+        assert_eq!(fir.timed_requests, 3);
+        // Scaled, not summed: the estimate covers the untimed requests.
+        assert!(fir.decision_ns() >= fir.timed_ns);
+        fir.timed_ns = 30;
+        assert_eq!(fir.decision_ns(), 10 * (2 * TIMED_EVERY + 1));
     }
 
     #[test]

@@ -114,9 +114,13 @@ pub struct RunResult {
     pub end_time: u64,
     /// Total statements executed.
     pub steps: u64,
-    /// `FIR.throwIfEnabled` requests served.
+    /// `FIR.traceSite` requests served: every execution of a fault site.
     pub injection_requests: u64,
-    /// Host nanoseconds spent on injection decisions (metrics only).
+    /// How many of them met an armed candidate and asked
+    /// `FIR.throwIfEnabled` for a decision; `decision_ns` is their time.
+    pub armed_requests: u64,
+    /// Host nanoseconds spent on those decisions, scaled up from the one
+    /// in 64 that is timed (metrics only).
     pub decision_ns: u64,
     /// Host wall-clock duration of the run.
     pub wall: Duration,
@@ -129,10 +133,12 @@ impl RunResult {
     /// the same `(site, occurrence, time)` with the same exception.
     ///
     /// Ignores exactly what a run's plan and host can change without
-    /// changing the run: `wall` and `decision_ns` (host time), and the
-    /// guard of each fired candidate (`InjectedRecord::candidate`'s
-    /// `occurrence` and `stack` — a window candidate and the exact
-    /// candidate naming the instance it fired at differ only there).
+    /// changing the run: `wall` and `decision_ns` (host time),
+    /// `armed_requests` (a window arms more sites than the exact candidate
+    /// that replays it), and the guard of each fired candidate
+    /// (`InjectedRecord::candidate`'s `occurrence` and `stack` — a window
+    /// candidate and the exact candidate naming the instance it fired at
+    /// differ only there).
     pub fn same_run(&self, other: &RunResult) -> bool {
         let fired = |i: &InjectedRecord| (i.candidate.site, i.occurrence, i.time, i.candidate.exc);
         self.injected.as_ref().map(fired) == other.injected.as_ref().map(fired)

@@ -297,7 +297,7 @@ impl Thread {
             return Some(value);
         };
         if let Some(var) = left.ret_to {
-            self.locals[caller.locals_base + var.index()] = value;
+            self.locals[caller.locals_base + var.index()].store(value);
         }
         None
     }

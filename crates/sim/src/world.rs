@@ -38,6 +38,9 @@ mod exec_vm;
 #[cfg(any(test, feature = "tree-walk-oracle"))]
 mod exec_ast;
 
+#[cfg(test)]
+mod expr_differential;
+
 use events::{Event, EventQueue};
 
 /// Errors surfaced by the interpreter.
@@ -880,7 +883,7 @@ impl<'p> World<'p> {
     fn write_local(&mut self, tid: ThreadId, var: VarId, value: Value) {
         let t = &mut self.threads[tid];
         if !t.frames.is_empty() {
-            t.frame_locals_mut()[var.index()] = value;
+            t.frame_locals_mut()[var.index()].store(value);
         }
     }
 
@@ -889,6 +892,7 @@ impl<'p> World<'p> {
     fn finish(self) -> RunResult {
         let site_occurrences = self.fir.occ_vec();
         let crashed = self.fir.crashed;
+        let decision_ns = self.fir.decision_ns();
         let func_names = &self.compiled.func_names;
         let threads = self
             .threads
@@ -942,7 +946,8 @@ impl<'p> World<'p> {
             end_time: self.clock,
             steps: self.steps,
             injection_requests: self.fir.requests,
-            decision_ns: self.fir.decision_ns,
+            armed_requests: self.fir.armed_requests,
+            decision_ns,
             wall: self.started.elapsed(),
         }
     }

@@ -15,6 +15,12 @@
 //! Message payloads wait in a side slab and are addressed by that index, so
 //! the wheel never moves a `Value`.
 //!
+//! Which slots hold events is also kept as a bitmap, one bit per slot, so
+//! finding the next event is a `trailing_zeros` from the cursor's bit, not
+//! a walk over empty slots. The bitmap says nothing a walk would not find
+//! — a bit is set exactly while its slot's list is non-empty — so the order
+//! below cannot depend on it.
+//!
 //! Ordering is byte-identical to a `BinaryHeap<Reverse<_>>` keyed by
 //! `(time, seq)`. Within a slot, FIFO order *is* `seq` order (pushes happen
 //! with monotonically increasing `seq`), and a slot never mixes two wheel
@@ -46,6 +52,9 @@ use crate::thread::ThreadId;
 /// Number of wheel slots. Delays shorter than this are the overwhelmingly
 /// common case; longer ones take the overflow heap.
 const WHEEL: usize = 256;
+
+/// Words of the slot-occupancy bitmap.
+const WORDS: usize = WHEEL / 64;
 
 /// Null link / empty slot marker in the node pool.
 const NIL: u32 = u32::MAX;
@@ -117,6 +126,8 @@ pub(super) struct EventQueue {
     /// Per-slot FIFO list heads/tails, indexing into `pool`; `NIL` = empty.
     head: [u32; WHEEL],
     tail: [u32; WHEEL],
+    /// Bit `slot` is set exactly while `head[slot] != NIL`.
+    occupied: [u64; WORDS],
     /// Backing store for queued events; freed nodes go on `free`.
     pool: Vec<Node>,
     /// Head of the free-node list.
@@ -138,6 +149,7 @@ impl EventQueue {
         EventQueue {
             head: [NIL; WHEEL],
             tail: [NIL; WHEEL],
+            occupied: [0; WORDS],
             pool: Vec::new(),
             free: NIL,
             cursor: 0,
@@ -204,6 +216,9 @@ impl EventQueue {
         });
     }
 
+    // Inlined into its two callers, which build the node: passed through
+    // memory, it is read in wider pieces than its fields were written in.
+    #[inline(always)]
     fn push(&mut self, node: Node) {
         debug_assert!(node.time >= self.cursor, "event scheduled in the past");
         self.len += 1;
@@ -224,16 +239,39 @@ impl EventQueue {
             }
         };
         match self.tail[slot] {
-            NIL => self.head[slot] = idx,
+            NIL => {
+                self.head[slot] = idx;
+                self.occupied[slot / 64] |= 1 << (slot % 64);
+            }
             t => self.pool[t as usize].next = idx,
         }
         self.tail[slot] = idx;
     }
 
-    /// The first occupied wheel slot's time, scanning `[cursor, end)`.
+    /// The first occupied wheel slot's time in `[cursor, end)`, where
+    /// `end <= cursor + WHEEL`.
+    ///
+    /// Every wheel event's time lies in `[cursor, cursor + WHEEL)`, so an
+    /// occupied slot `d` places after the cursor's, going round the ring,
+    /// holds the events of time `cursor + d`: the first set bit from the
+    /// cursor's bit on, wrapping once, is the earliest.
     #[inline]
     fn first_wheel_time(&self, end: u64) -> Option<u64> {
-        (self.cursor..end).find(|t| self.head[(t % WHEEL as u64) as usize] != NIL)
+        let start = (self.cursor % WHEEL as u64) as usize;
+        let (word, bit) = (start / 64, start % 64);
+        let ahead = self.occupied[word] >> bit;
+        let distance = if ahead != 0 {
+            ahead.trailing_zeros() as usize
+        } else {
+            // The other words in ring order, then the cursor's own again:
+            // what is set in it now lies before the cursor's bit.
+            (1..=WORDS).find_map(|k| {
+                let w = self.occupied[(word + k) % WORDS];
+                (w != 0).then(|| k * 64 - bit + w.trailing_zeros() as usize)
+            })?
+        };
+        let time = self.cursor + distance as u64;
+        (time < end).then_some(time)
     }
 
     /// `true` when no queued event is due at or before `time`.
@@ -259,6 +297,9 @@ impl EventQueue {
     }
 
     /// Pops the earliest event in `(time, seq)` order.
+    // Inlined into its one caller, the event loop: handed back through
+    // memory, a `Due` is read in wider pieces than it was written in.
+    #[inline]
     pub(super) fn pop(&mut self) -> Option<Due> {
         if self.len == 0 {
             return None;
@@ -280,6 +321,7 @@ impl EventQueue {
                 self.head[slot] = node.next;
                 if self.head[slot] == NIL {
                     self.tail[slot] = NIL;
+                    self.occupied[slot / 64] &= !(1 << (slot % 64));
                 }
                 node.next = self.free;
                 self.free = idx;
@@ -375,10 +417,13 @@ mod tests {
             let pushes = if (round / 50) % 2 == 0 { rand() % 3 } else { 0 };
             for _ in 0..pushes {
                 let r = rand();
-                let delay = match r % 10 {
+                let delay = match r % 12 {
                     0..=5 => r % 16,        // short: stays in the wheel
-                    6..=8 => r % 200,       // mid: still wheel
-                    _ => 250 + (r % 2_000), // far: overflow
+                    6..=7 => r % 200,       // mid: still wheel
+                    8 => 65 + r % 64,       // past the cursor's word
+                    9 => 129 + r % 126,     // two words on, up to the rim
+                    10 => WHEEL as u64 - 1, // the last slot the wheel takes
+                    _ => 250 + (r % 2_000), // far: overflow (from WHEEL on)
                 };
                 let payload = (r % 3 == 0).then_some(r as i64);
                 match payload {
@@ -387,6 +432,14 @@ mod tests {
                 }
                 heap.push(Reverse((clock + delay, seq, payload)));
                 seq += 1;
+            }
+            // What the bit scan finds must be what the heap holds, at every
+            // step and for every horizon: just ahead, a word on, at the rim
+            // of the wheel and past it.
+            for ahead in [0, 1, 63, 64, 65, 127, 128, 200, 255, 256, 257, 1_000] {
+                let by = clock + ahead;
+                let none = heap.peek().is_none_or(|Reverse(k)| k.0 > by);
+                assert_eq!(q.none_due_by(by), none, "round {round}, by {by}");
             }
             // Pop one event, then half of the time behave like a thread
             // ending its slice runnable: re-wake after `d` ticks, through
@@ -434,6 +487,58 @@ mod tests {
         assert!(bypassed > 100, "the bypass was exercised ({bypassed})");
         assert!(bypassed_past_horizon > 0, "including across the horizon");
         assert!(denied_by_tie > 0, "and denied by an event at the wake time");
+    }
+
+    /// The bit scan's corners, each against the order it must keep: times
+    /// pop ascending, ties in push order.
+    #[test]
+    fn the_bit_scan_wraps_once_and_stops_at_the_overflow() {
+        fn pops(q: &mut EventQueue) -> Vec<(u64, u64)> {
+            std::iter::from_fn(|| q.pop().map(|d| (d.time, d.seq))).collect()
+        }
+        // Gaps longer than one and than two bitmap words.
+        let mut q = EventQueue::new();
+        for (seq, time) in [3, 3 + 70, 3 + 70 + 140].into_iter().enumerate() {
+            q.push_wake(time, seq as u64, 0, 0, false);
+        }
+        assert!(q.none_due_by(2) && !q.none_due_by(3));
+        assert_eq!(pops(&mut q), [(3, 0), (73, 1), (213, 2)]);
+
+        // The cursor sits mid-word (slot 100 is bit 36 of word 1) and the
+        // only event lies in that word's low bits, a lap ahead: the scan
+        // goes through the three other words and comes back to them.
+        let mut q = EventQueue::new();
+        q.push_wake(100, 0, 0, 0, false);
+        assert_eq!(pops(&mut q), [(100, 0)]);
+        let wrapped = 100 + WHEEL as u64 - 30; // slot 70: bit 6 of word 1
+        q.push_wake(wrapped, 1, 0, 0, false);
+        assert_eq!(q.occupied, [0, 1 << 6, 0, 0]);
+        assert!(q.none_due_by(wrapped - 1) && !q.none_due_by(wrapped));
+        assert_eq!(pops(&mut q), [(wrapped, 1)]);
+        assert_eq!(q.occupied, [0; WORDS]);
+
+        // Exactly `WHEEL - 1` ahead is the slot just behind the cursor's;
+        // one more is the cursor's own slot, a lap on: overflow.
+        let mut q = EventQueue::new();
+        q.push_wake(40, 0, 0, 0, false);
+        assert_eq!(pops(&mut q), [(40, 0)]);
+        q.push_wake(40 + WHEEL as u64, 1, 0, 0, false);
+        q.push_wake(40 + WHEEL as u64 - 1, 2, 0, 0, false);
+        assert_eq!((q.overflow.len(), q.occupied), (1, [1 << 39, 0, 0, 0]));
+        assert!(q.none_due_by(40 + WHEEL as u64 - 2));
+        assert_eq!(pops(&mut q), [(295, 2), (296, 1)]);
+
+        // An overflow event caps the scan: wheel events at its time and
+        // later were pushed after it and pop after it.
+        let mut q = EventQueue::new();
+        q.push_wake(300, 0, 0, 0, false); // overflow: 300 >= WHEEL
+        q.push_wake(200, 1, 0, 0, false);
+        assert_eq!(q.pop().map(|d| d.time), Some(200));
+        q.push_wake(300, 2, 0, 0, false); // wheel now: 300 - 200 < WHEEL
+        q.push_wake(310, 3, 0, 0, false);
+        q.push_wake(299, 4, 0, 0, false);
+        assert!(q.none_due_by(298) && !q.none_due_by(299));
+        assert_eq!(pops(&mut q), [(299, 4), (300, 0), (300, 2), (310, 3)]);
     }
 
     /// An event due exactly at the runner's wake time was pushed earlier,

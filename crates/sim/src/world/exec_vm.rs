@@ -1,12 +1,15 @@
 //! The register-VM statement executor — the default engine, running the
 //! flat instruction stream produced by [`anduril_ir::lower`].
 //!
-//! One `Instr` per statement, addressed by `stmt_base[block] + idx`;
-//! expression trees are runs of register ops over a scratch frame allocated
-//! once per run. The common path allocates nothing per step: constants clone
-//! from the pool, names are interned `Arc<str>`s, log bodies render in one
-//! scratch buffer, call arguments are evaluated straight onto the callee's
-//! slots, and values move between registers with `mem::replace`. Every
+//! One `Instr` per statement, addressed by `stmt_base[block] + idx`. An
+//! expression that builds no value — nearly every condition, assignment and
+//! tick count — is a scalar tree evaluated by reference, straight from
+//! locals / globals / pool to a `Copy` [`Scalar`]; one that builds a list
+//! or names the node is a run of register ops over a scratch frame
+//! allocated once per run. The common path allocates nothing per step:
+//! names are interned `Arc<str>`s, log bodies render in one scratch buffer,
+//! call arguments are evaluated straight onto the callee's slots, and a
+//! store releases what it overwrites only if that owns something. Every
 //! statement mirrors the tree-walk oracle (`exec_ast`) — same evaluation
 //! order, same RNG draws, same error strings — so runs are byte-identical
 //! across engines.
@@ -17,7 +20,7 @@
 use super::*;
 use crate::thread::Frame;
 use anduril_ir::builder::TMPL_ABORT;
-use anduril_ir::lower::{CExpr, EOp, FastExpr, Instr, Operand, Seg};
+use anduril_ir::lower::{CExpr, EOp, Instr, Operand, SNode, Seg};
 use anduril_ir::{BinOp, ExceptionType, SiteId};
 
 /// Everything a statement that stays on its thread reads, writes or draws
@@ -49,7 +52,7 @@ enum Cold<'p> {
     /// A CrashTuner crash point fired at the statement.
     Crash,
     /// The traced fault site has an armed candidate: the fault runtime
-    /// wants the call stack.
+    /// decides whether it throws.
     Armed(SiteId),
     /// A transfer out of the block that `try` machinery may intercept.
     Flow(Flow),
@@ -57,21 +60,186 @@ enum Cold<'p> {
     Instr(StmtRef, &'p Instr),
 }
 
-impl Eval<'_> {
-    /// Resolves an operand to a borrowed value.
+/// What a scalar tree ([`CExpr::Scalar`]) evaluates to: an int or a bool
+/// it computed, or a value it found. `Copy`, so the evaluator carries no
+/// drop glue; a [`Value`] is made of it only where a statement stores one.
+#[derive(Clone, Copy)]
+enum Scalar<'a> {
+    Int(i64),
+    Bool(bool),
+    Ref(&'a Value),
+}
+
+impl Scalar<'_> {
     #[inline]
-    fn operand(&self, o: &Operand) -> &Value {
-        match o {
-            Operand::Var(v) => &self.thread.locals[self.base + *v as usize],
-            Operand::Global(g) => &self.globals[*g as usize],
-            Operand::Const(i) => &self.compiled.pool[*i as usize],
+    fn as_int(self) -> Option<i64> {
+        match self {
+            Scalar::Int(i) | Scalar::Ref(&Value::Int(i)) => Some(i),
+            _ => None,
         }
     }
 
+    #[inline]
+    fn as_bool(self) -> Option<bool> {
+        match self {
+            Scalar::Bool(b) | Scalar::Ref(&Value::Bool(b)) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The result as a value of its own (a clone of a borrowed one).
+    #[inline]
+    fn to_value(self) -> Value {
+        match self {
+            Scalar::Int(i) => Value::Int(i),
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Ref(v) => v.clone(),
+        }
+    }
+
+    /// `Value`'s structural equality.
+    fn same(self, other: Scalar<'_>) -> bool {
+        match (self, other) {
+            (Scalar::Ref(a), Scalar::Ref(b)) => a == b,
+            _ => match (self.as_int(), other.as_int()) {
+                (Some(x), Some(y)) => x == y,
+                (None, None) => matches!(
+                    (self.as_bool(), other.as_bool()),
+                    (Some(x), Some(y)) if x == y
+                ),
+                _ => false,
+            },
+        }
+    }
+}
+
+/// What a scalar tree reads, borrowed apart from the generator it draws
+/// from so that a result can outlive the draw of a sibling.
+#[derive(Clone, Copy)]
+struct Scalars<'a> {
+    nodes: &'a [SNode],
+    pool: &'a [Value],
+    /// The innermost frame's slots.
+    locals: &'a [Value],
+    globals: &'a [Value],
+}
+
+impl<'a> Scalars<'a> {
+    /// Evaluates an operand: a load in place, a node by recursion.
+    #[inline(always)]
+    fn eval(self, rng: &mut SmallRng, o: Operand) -> Sim<Scalar<'a>> {
+        Ok(Scalar::Ref(match o {
+            Operand::Var(v) => &self.locals[v as usize],
+            Operand::Global(g) => &self.globals[g as usize],
+            Operand::Const(i) => &self.pool[i as usize],
+            Operand::Node(n) => return self.node(rng, n),
+        }))
+    }
+
+    /// Evaluates one node: operands left to right, the tree-walk's order,
+    /// typing rules and error strings.
+    fn node(self, rng: &mut SmallRng, n: u32) -> Sim<Scalar<'a>> {
+        match self.nodes[n as usize] {
+            SNode::Bin(op @ (BinOp::And | BinOp::Or), a, b) => {
+                let left = self.truth(rng, a)?;
+                // The left side decides: the right draws nothing.
+                if left == matches!(op, BinOp::Or) {
+                    return Ok(Scalar::Bool(left));
+                }
+                Ok(Scalar::Bool(self.truth(rng, b)?))
+            }
+            SNode::Bin(op, a, b) => {
+                let x = self.eval(rng, a)?;
+                let y = self.eval(rng, b)?;
+                bin_scalars(op, x, y)
+            }
+            SNode::Rand { lo, hi } => Ok(Scalar::Int(if hi > lo {
+                rng.random_range(lo..hi)
+            } else {
+                lo
+            })),
+            SNode::Not(a) => {
+                let v = self.eval(rng, a)?;
+                match v.as_bool() {
+                    Some(b) => Ok(Scalar::Bool(!b)),
+                    None => Err(not_on_non_bool(&v.to_value())),
+                }
+            }
+            SNode::Len(a) => {
+                let v = self.eval(rng, a)?;
+                let len = match v {
+                    Scalar::Ref(v) => v.len(),
+                    _ => None,
+                };
+                match len {
+                    Some(n) => Ok(Scalar::Int(n)),
+                    None => Err(len_on(&v.to_value())),
+                }
+            }
+            SNode::Index(a, idx) => match self.eval(rng, a)? {
+                Scalar::Ref(Value::List(items)) => match items.get(idx as usize) {
+                    Some(item) => Ok(Scalar::Ref(item)),
+                    None => Err(index_out_of_bounds(idx, items.len())),
+                },
+                other => Err(index_on_non_list(&other.to_value())),
+            },
+        }
+    }
+
+    /// Evaluates an operand of `&&` / `||` (tree-walk `eval_bool`).
+    #[inline]
+    fn truth(self, rng: &mut SmallRng, o: Operand) -> Sim<bool> {
+        let v = self.eval(rng, o)?;
+        v.as_bool().ok_or_else(|| expected("bool", v))
+    }
+}
+
+/// A type error of an expression. Evaluation does not know which statement
+/// it serves: [`Eval`]'s entry points name it ([`located`]) on the way out.
+#[cold]
+fn expr_error(msg: String) -> Box<SimError> {
+    type_error(None, msg)
+}
+
+/// Names the statement an expression's type error happened at.
+#[cold]
+fn located(mut e: Box<SimError>, at: StmtRef) -> Box<SimError> {
+    if let SimError::Type { stmt, .. } = &mut *e {
+        *stmt = Some(at);
+    }
+    e
+}
+
+#[cold]
+fn expected(what: &str, got: Scalar<'_>) -> Box<SimError> {
+    expr_error(format!("expected {what}, got {:?}", got.to_value()))
+}
+
+#[cold]
+fn not_on_non_bool(got: &Value) -> Box<SimError> {
+    expr_error(format!("! on non-bool {got:?}"))
+}
+
+#[cold]
+fn len_on(got: &Value) -> Box<SimError> {
+    expr_error(format!("len on {got:?}"))
+}
+
+#[cold]
+fn index_out_of_bounds(idx: u32, len: usize) -> Box<SimError> {
+    expr_error(format!("index {idx} out of bounds ({len} items)"))
+}
+
+#[cold]
+fn index_on_non_list(got: &Value) -> Box<SimError> {
+    expr_error(format!("index on non-list {got:?}"))
+}
+
+impl Eval<'_> {
     /// Writes a slot of the innermost frame.
     #[inline]
     fn set_local(&mut self, var: VarId, value: Value) {
-        self.thread.locals[self.base + var.index()] = value;
+        self.thread.locals[self.base + var.index()].store(value);
     }
 
     /// Returns `value` to the calling frame, which becomes the innermost
@@ -90,69 +258,117 @@ impl Eval<'_> {
         std::mem::replace(&mut self.regs[r as usize], Value::Unit)
     }
 
-    /// Evaluates a compiled expression to an owned value, skipping the
-    /// register file when the compiler collapsed it to a load or a fused
-    /// comparison. Semantics, evaluation order, and error strings are
-    /// exactly `eval_c` + `take_reg`.
+    /// Evaluates a compiled expression where it lies: a scalar tree by
+    /// reference, a built value in its `out` register.
+    #[inline(always)]
+    fn eval(&mut self, e: &CExpr, at: StmtRef) -> Sim<Scalar<'_>> {
+        let result = match *e {
+            // A plain load is answered before a `Scalars` is assembled:
+            // folding these three arms into `Scalars::eval` reads the same
+            // but cost 3 % of a `scaled-seq` campaign (11 of 14 pairs).
+            CExpr::Scalar(Operand::Var(v)) => {
+                return Ok(Scalar::Ref(&self.thread.locals[self.base + v as usize]))
+            }
+            CExpr::Scalar(Operand::Global(g)) => return Ok(Scalar::Ref(&self.globals[g as usize])),
+            CExpr::Scalar(Operand::Const(i)) => {
+                return Ok(Scalar::Ref(&self.compiled.pool[i as usize]))
+            }
+            CExpr::Scalar(Operand::Node(n)) => {
+                let scalars = Scalars {
+                    nodes: &self.compiled.snodes,
+                    pool: &self.compiled.pool,
+                    locals: &self.thread.locals[self.base..],
+                    globals: self.globals,
+                };
+                scalars.node(self.rng, n)
+            }
+            CExpr::Build { start, end, out } => self
+                .build(start, end)
+                .map(|()| Scalar::Ref(&self.regs[out as usize])),
+        };
+        result.map_err(|e| located(e, at))
+    }
+
+    /// Evaluates a compiled expression to a value of its own.
     #[inline]
-    fn eval_owned(&mut self, e: &CExpr, at: Option<StmtRef>) -> Sim<Value> {
-        match &e.fast {
-            FastExpr::Load(o) => Ok(self.operand(o).clone()),
-            FastExpr::Bin(op, a, b) => bin_values(*op, self.operand(a), self.operand(b), at),
-            FastExpr::None => {
-                self.eval_c(e, at)?;
-                Ok(self.take_reg(e.out))
+    fn eval_owned(&mut self, e: &CExpr, at: StmtRef) -> Sim<Value> {
+        match *e {
+            CExpr::Scalar(_) => Ok(self.eval(e, at)?.to_value()),
+            CExpr::Build { out, .. } => {
+                self.eval(e, at)?;
+                Ok(self.take_reg(out))
             }
         }
     }
 
+    /// Evaluates a compiled expression and hands the value to `store`,
+    /// which puts it where the statement wants it.
+    ///
+    /// A value returned whole and then moved into place is read back in
+    /// wider pieces than it was just written in, and the move waits for
+    /// those writes to leave the store buffer. So each kind of value that
+    /// is a word or two — nearly all of them — is made in its own inlined
+    /// copy of `store`, from what the evaluation left in registers; the
+    /// rest, which allocate anyway, are moved.
+    #[inline(always)]
+    fn eval_into(
+        &mut self,
+        e: &CExpr,
+        at: StmtRef,
+        store: impl FnOnce(&mut Self, Value),
+    ) -> Sim<()> {
+        match *e {
+            CExpr::Scalar(_) => match self.eval(e, at)? {
+                Scalar::Int(i) | Scalar::Ref(&Value::Int(i)) => store(self, Value::Int(i)),
+                Scalar::Bool(b) | Scalar::Ref(&Value::Bool(b)) => store(self, Value::Bool(b)),
+                Scalar::Ref(Value::Unit) => store(self, Value::Unit),
+                Scalar::Ref(Value::Str(s)) => {
+                    let s = s.clone();
+                    store(self, Value::Str(s))
+                }
+                Scalar::Ref(other) => {
+                    let v = other.clone();
+                    store(self, v)
+                }
+            },
+            CExpr::Build { out, .. } => {
+                self.eval(e, at)?;
+                let v = self.take_reg(out);
+                store(self, v)
+            }
+        }
+        Ok(())
+    }
+
     /// Evaluates a compiled expression as a bool (tree-walk `eval_bool`
-    /// semantics), using the fast shape when available.
+    /// semantics).
     #[inline]
     fn eval_cond(&mut self, e: &CExpr, at: StmtRef) -> Sim<bool> {
-        let fused;
-        let got = match &e.fast {
-            FastExpr::Load(o) => self.operand(o),
-            FastExpr::Bin(op, a, b) => {
-                fused = bin_values(*op, self.operand(a), self.operand(b), Some(at))?;
-                &fused
-            }
-            FastExpr::None => {
-                self.eval_c(e, Some(at))?;
-                &self.regs[e.out as usize]
-            }
-        };
-        got.as_bool()
-            .ok_or_else(|| type_error(Some(at), format!("expected bool, got {got:?}")))
+        let v = self.eval(e, at)?;
+        match v.as_bool() {
+            Some(b) => Ok(b),
+            None => Err(located(expected("bool", v), at)),
+        }
     }
 
     /// Evaluates a compiled expression as an int (tree-walk `eval_int`
     /// semantics).
     #[inline]
     fn eval_ticks(&mut self, e: &CExpr, at: StmtRef) -> Sim<i64> {
-        let v = self.eval_owned(e, Some(at))?;
-        v.as_int()
-            .ok_or_else(|| type_error(Some(at), format!("expected int, got {v:?}")))
-    }
-
-    /// Evaluates a compiled expression into its `out` register, using the
-    /// fast shape to skip the op loop when possible.
-    #[inline]
-    fn eval_reg(&mut self, e: &CExpr, at: Option<StmtRef>) -> Sim<()> {
-        if matches!(e.fast, FastExpr::None) {
-            return self.eval_c(e, at);
+        let v = self.eval(e, at)?;
+        match v.as_int() {
+            Some(i) => Ok(i),
+            None => Err(located(expected("int", v), at)),
         }
-        let v = self.eval_owned(e, at)?;
-        self.regs[e.out as usize] = v;
-        Ok(())
     }
 
-    /// Executes a compiled expression, leaving the result in `e.out`.
+    /// Executes the op run `eops[start..end]` of an expression that builds
+    /// a value, leaving it in the run's `out` register.
     ///
-    /// The op run evaluates sub-expressions in exactly the tree-walk's
-    /// order; `SkipIf` jumps over the skipped operand's ops, so a
-    /// short-circuited right-hand side draws no random numbers.
-    fn eval_c(&mut self, e: &CExpr, at: Option<StmtRef>) -> Sim<()> {
+    /// The ops evaluate sub-expressions in exactly the tree-walk's order;
+    /// `SkipIf` jumps over the skipped operand's ops, so a short-circuited
+    /// right-hand side draws no random numbers.
+    fn build(&mut self, start: u32, end: u32) -> Sim<()> {
         let Eval {
             compiled,
             regs,
@@ -162,104 +378,67 @@ impl Eval<'_> {
             thread,
             base,
         } = self;
-        let locals = &thread.locals[*base..];
-        let pool: &[Value] = &compiled.pool;
-        let operand = |o: &Operand| -> &Value {
-            match o {
-                Operand::Var(v) => &locals[*v as usize],
-                Operand::Global(g) => &globals[*g as usize],
-                Operand::Const(i) => &pool[*i as usize],
-            }
+        let scalars = Scalars {
+            nodes: &compiled.snodes,
+            pool: &compiled.pool,
+            locals: &thread.locals[*base..],
+            globals,
         };
         // Slice the expression's op run once: the loop bound is the slice
         // length, so the per-op fetch needs no bounds check.
-        let ops = &compiled.eops[e.start as usize..e.end as usize];
+        let ops = &compiled.eops[start as usize..end as usize];
         let mut i = 0usize;
         while i < ops.len() {
             match &ops[i] {
-                EOp::Const { dst, idx } => {
-                    regs[*dst as usize] = pool[*idx as usize].clone();
+                EOp::Scalar { dst, src } => {
+                    let v = scalars.eval(rng, *src)?.to_value();
+                    regs[*dst as usize].store(v);
                 }
-                EOp::Var { dst, var } => {
-                    regs[*dst as usize] = locals[*var as usize].clone();
-                }
-                EOp::Global { dst, global } => {
-                    regs[*dst as usize] = globals[*global as usize].clone();
-                }
-                EOp::Not { dst, src } => {
-                    let s = *src as usize;
-                    match regs[s].as_bool() {
-                        Some(b) => regs[*dst as usize] = Value::Bool(!b),
-                        None => return Err(type_error(at, format!("! on non-bool {:?}", regs[s]))),
-                    }
-                }
-                EOp::Len { dst, src } => {
-                    let s = *src as usize;
-                    match regs[s].len() {
-                        Some(n) => regs[*dst as usize] = Value::Int(n),
-                        None => return Err(type_error(at, format!("len on {:?}", regs[s]))),
-                    }
+                EOp::SelfNode { dst } => {
+                    regs[*dst as usize].store(Value::Str((*node_name).clone()));
                 }
                 EOp::Gather { dst, srcs } => {
                     let items: Vec<Value> = srcs
                         .iter()
                         .map(|s| std::mem::replace(&mut regs[*s as usize], Value::Unit))
                         .collect();
-                    regs[*dst as usize] = Value::List(items);
+                    regs[*dst as usize].store(Value::List(items));
                 }
                 EOp::Index { dst, src, idx } => {
-                    let v = std::mem::replace(&mut regs[*src as usize], Value::Unit);
-                    match v {
+                    match std::mem::replace(&mut regs[*src as usize], Value::Unit) {
                         Value::List(mut items) => {
-                            let n = items.len();
-                            if (*idx as usize) < n {
-                                // The list is scratch: move the element out.
-                                regs[*dst as usize] = items.swap_remove(*idx as usize);
-                            } else {
-                                return Err(type_error(
-                                    at,
-                                    format!("index {idx} out of bounds ({n} items)"),
-                                ));
+                            if (*idx as usize) >= items.len() {
+                                return Err(index_out_of_bounds(*idx, items.len()));
                             }
+                            // The list is scratch: move the element out.
+                            regs[*dst as usize].store(items.swap_remove(*idx as usize));
                         }
-                        other => {
-                            return Err(type_error(at, format!("index on non-list {other:?}")))
-                        }
+                        other => return Err(index_on_non_list(&other)),
                     }
                 }
-                EOp::IndexVar { dst, var, idx } => {
-                    regs[*dst as usize] = index_list(&locals[*var as usize], *idx, at)?;
-                }
-                EOp::IndexGlobal { dst, global, idx } => {
-                    regs[*dst as usize] = index_list(&globals[*global as usize], *idx, at)?;
-                }
-                EOp::Rand { dst, lo, hi } => {
-                    let v = if hi > lo {
-                        rng.random_range(*lo..*hi)
-                    } else {
-                        *lo
-                    };
-                    regs[*dst as usize] = Value::Int(v);
-                }
-                EOp::SelfNode { dst } => {
-                    regs[*dst as usize] = Value::Str((*node_name).clone());
-                }
-                EOp::Bin { dst, op, a, b } => {
-                    let r = bin_values(*op, &regs[*a as usize], &regs[*b as usize], at)?;
-                    regs[*dst as usize] = r;
-                }
-                EOp::BinRef { dst, op, a, b } => {
-                    let r = bin_values(*op, operand(a), operand(b), at)?;
-                    regs[*dst as usize] = r;
-                }
-                EOp::AsBool { dst, src } => {
+                EOp::Not { dst, src } => {
                     let s = *src as usize;
                     match regs[s].as_bool() {
-                        Some(b) => regs[*dst as usize] = Value::Bool(b),
-                        None => {
-                            return Err(type_error(at, format!("expected bool, got {:?}", regs[s])))
-                        }
+                        Some(b) => regs[*dst as usize].store(Value::Bool(!b)),
+                        None => return Err(not_on_non_bool(&regs[s])),
                     }
+                }
+                EOp::Len { dst, src } => {
+                    let s = *src as usize;
+                    match regs[s].len() {
+                        Some(n) => regs[*dst as usize].store(Value::Int(n)),
+                        None => return Err(len_on(&regs[s])),
+                    }
+                }
+                EOp::Bin { dst, op, a, b } => {
+                    let (a, b) = (&regs[*a as usize], &regs[*b as usize]);
+                    let r = bin_scalars(*op, Scalar::Ref(a), Scalar::Ref(b))?.to_value();
+                    regs[*dst as usize].store(r);
+                }
+                EOp::AsBool { dst, src } => {
+                    let v = Scalar::Ref(&regs[*src as usize]);
+                    let b = v.as_bool().ok_or_else(|| expected("bool", v))?;
+                    regs[*dst as usize].store(Value::Bool(b));
                 }
                 EOp::SkipIf { src, if_val, skip } => {
                     if regs[*src as usize] == Value::Bool(*if_val) {
@@ -270,20 +449,6 @@ impl Eval<'_> {
             i += 1;
         }
         Ok(())
-    }
-}
-
-/// Clones element `idx` of a list value (the fused `var[idx]` /
-/// `global[idx]` forms), with the tree-walk's error strings.
-fn index_list(list: &Value, idx: u32, at: Option<StmtRef>) -> Sim<Value> {
-    match list {
-        Value::List(items) => items.get(idx as usize).cloned().ok_or_else(|| {
-            type_error(
-                at,
-                format!("index {idx} out of bounds ({} items)", items.len()),
-            )
-        }),
-        other => Err(type_error(at, format!("index on non-list {other:?}"))),
     }
 }
 
@@ -308,7 +473,7 @@ impl<'p> World<'p> {
     /// caller's frame.
     fn eval_args(&mut self, tid: ThreadId, args: &[CExpr], at: StmtRef) -> Sim<Vec<Value>> {
         let mut ev = self.eval_cx(tid);
-        args.iter().map(|a| ev.eval_owned(a, Some(at))).collect()
+        args.iter().map(|a| ev.eval_owned(a, at)).collect()
     }
 
     /// One scheduling slice of the register VM.
@@ -324,7 +489,9 @@ impl<'p> World<'p> {
     pub(super) fn run_slice_vm(&mut self, tid: ThreadId) -> Sim<Option<u64>> {
         let program = self.program;
         let compiled = self.compiled;
-        let has_meta = !compiled.meta_points.is_empty();
+        // Meta-info accesses matter to a crash point only: the feedback
+        // search arms none, and then no step looks its statement up.
+        let has_meta = !compiled.meta_points.is_empty() && self.fir.crash_armed();
         let max_steps = self.cfg.max_steps;
         let mut left = self.cfg.quantum as u64 + self.rng.random_range(0..3);
         let mut elapsed: u64 = 0;
@@ -417,13 +584,13 @@ impl<'p> World<'p> {
                                     }
                                 }
                                 Instr::Assign { var, e } => {
-                                    let v = ev.eval_owned(e, Some(sref))?;
-                                    ev.set_local(*var, v);
+                                    ev.eval_into(e, sref, |ev, v| ev.set_local(*var, v))?;
                                     ev.thread.cursors[top].idx += 1;
                                 }
                                 Instr::SetGlobal { global, e } => {
-                                    let v = ev.eval_owned(e, Some(sref))?;
-                                    ev.globals[global.index()] = v;
+                                    ev.eval_into(e, sref, |ev, v| {
+                                        ev.globals[global.index()].store(v)
+                                    })?;
                                     ev.thread.cursors[top].idx += 1;
                                 }
                                 Instr::Try { body } => {
@@ -436,8 +603,7 @@ impl<'p> World<'p> {
                                     // callee's slots begin.
                                     let args_at = ev.thread.locals.len();
                                     for a in args.iter() {
-                                        let v = ev.eval_owned(a, Some(sref))?;
-                                        ev.thread.locals.push(v);
+                                        ev.eval_into(a, sref, |ev, v| ev.thread.locals.push(v))?;
                                     }
                                     ev.thread.cursors[top].idx += 1;
                                     frame = ev.thread.enter(
@@ -450,7 +616,7 @@ impl<'p> World<'p> {
                                 }
                                 Instr::Return { e } => {
                                     let v = match e {
-                                        Some(e) => ev.eval_owned(e, Some(sref))?,
+                                        Some(e) => ev.eval_owned(e, sref)?,
                                         None => Value::Unit,
                                     };
                                     if ev.thread.frames.len() == 1 || ev.thread.frame_in_try() {
@@ -499,24 +665,35 @@ impl<'p> World<'p> {
     }
 
     /// The second half of an `External` whose site has an armed candidate:
-    /// builds the call stack the candidate's guard may read and throws if
-    /// the fault runtime says so.
+    /// throws if the fault runtime says so. The call stack is built when
+    /// someone will look at it — a candidate's guard, or the handler of
+    /// the exception thrown.
     fn throw_if_enabled(&mut self, tid: ThreadId, site: SiteId, elapsed: u64) -> Sim<()> {
-        let stack = self.threads[tid].stack_funcs();
+        let guarded = self.fir.guards_stack(site);
+        let mut stack = if guarded {
+            self.threads[tid].stack_funcs()
+        } else {
+            Vec::new()
+        };
         match self
             .fir
             .throw_if_enabled(site, self.clock + elapsed, &stack)
         {
-            Some(ty) => self.do_throw(
-                tid,
-                Arc::new(ExcValue {
-                    ty,
-                    inner: None,
-                    origin_site: Some(site),
-                    injected: true,
-                    stack,
-                }),
-            ),
+            Some(ty) => {
+                if !guarded {
+                    stack = self.threads[tid].stack_funcs();
+                }
+                self.do_throw(
+                    tid,
+                    Arc::new(ExcValue {
+                        ty,
+                        inner: None,
+                        origin_site: Some(site),
+                        injected: true,
+                        stack,
+                    }),
+                )
+            }
             None => {
                 self.threads[tid].advance();
                 Ok(())
@@ -564,12 +741,12 @@ impl<'p> World<'p> {
                 // shared body is the only allocation.
                 let mut out = std::mem::take(&mut self.body_buf);
                 let mut ev = self.eval_cx(tid);
-                // Simple loads are pure: leave them unevaluated and render
-                // them by reference below. Everything else runs in arg
-                // order, preserving RNG draws.
+                // Plain loads are pure and render by reference below.
+                // Everything else is an op run (`ExprCompiler::log_args`)
+                // and runs now, in arg order, preserving RNG draws.
                 for a in args.iter() {
-                    if !matches!(a.fast, FastExpr::Load(_)) {
-                        ev.eval_reg(a, Some(sref))?;
+                    if let CExpr::Build { .. } = a {
+                        ev.eval(a, sref)?;
                     }
                 }
                 let body = match pre {
@@ -580,9 +757,12 @@ impl<'p> World<'p> {
                             match seg {
                                 Seg::Text(t) => out.push_str(t),
                                 Seg::Arg(n) => match args.get(*n as usize) {
-                                    Some(a) => match &a.fast {
-                                        FastExpr::Load(o) => ev.operand(o).render_into(&mut out),
-                                        _ => ev.regs[a.out as usize].render_into(&mut out),
+                                    Some(CExpr::Build { out: r, .. }) => {
+                                        ev.regs[*r as usize].render_into(&mut out)
+                                    }
+                                    Some(load) => match ev.eval(load, sref)? {
+                                        Scalar::Ref(v) => v.render_into(&mut out),
+                                        computed => computed.to_value().render_into(&mut out),
                                     },
                                     None => out.push('?'),
                                 },
@@ -611,7 +791,7 @@ impl<'p> World<'p> {
             }
             Instr::PushBack { global, e } => {
                 let mut ev = self.eval_cx(tid);
-                let v = ev.eval_owned(e, Some(sref))?;
+                let v = ev.eval_owned(e, sref)?;
                 match &mut ev.globals[global.index()] {
                     Value::List(items) => items.push(v),
                     other => {
@@ -755,7 +935,7 @@ impl<'p> World<'p> {
                 chan,
                 payload,
             } => {
-                let dest_name = match self.eval_cx(tid).eval_owned(dest, Some(sref))? {
+                let dest_name = match self.eval_cx(tid).eval_owned(dest, sref)? {
                     Value::Str(s) => s,
                     other => {
                         return Err(type_error(
@@ -767,7 +947,7 @@ impl<'p> World<'p> {
                 let dest_idx = self
                     .node_named(&dest_name)
                     .ok_or_else(|| Box::new(SimError::NoSuchNode(dest_name.to_string())))?;
-                let value = self.eval_cx(tid).eval_owned(payload, Some(sref))?;
+                let value = self.eval_cx(tid).eval_owned(payload, sref)?;
                 let (lo, hi) = self.cfg.net_latency;
                 let latency = if hi > lo {
                     self.rng.random_range(lo..hi)
@@ -859,38 +1039,38 @@ impl<'p> World<'p> {
     }
 }
 
-/// Non-short-circuit binary op over two values, with the tree-walk's
-/// exact typing rules and error strings.
+/// Non-short-circuit binary op over two scalar results, with the
+/// tree-walk's exact typing rules and error strings.
 #[inline]
-fn bin_values(op: BinOp, a: &Value, b: &Value, at: Option<StmtRef>) -> Sim<Value> {
+fn bin_scalars<'a>(op: BinOp, a: Scalar<'_>, b: Scalar<'_>) -> Sim<Scalar<'a>> {
     let (Some(x), Some(y)) = (a.as_int(), b.as_int()) else {
-        return bin_values_slow(op, a, b, at);
+        return bin_scalars_slow(op, a, b);
     };
     Ok(match op {
-        BinOp::Add => Value::Int(x.wrapping_add(y)),
-        BinOp::Sub => Value::Int(x.wrapping_sub(y)),
-        BinOp::Mul => Value::Int(x.wrapping_mul(y)),
-        BinOp::Lt => Value::Bool(x < y),
-        BinOp::Le => Value::Bool(x <= y),
-        BinOp::Gt => Value::Bool(x > y),
-        BinOp::Ge => Value::Bool(x >= y),
-        BinOp::Eq => Value::Bool(x == y),
-        BinOp::Ne => Value::Bool(x != y),
-        BinOp::Rem if y != 0 => Value::Int(x.wrapping_rem(y)),
-        BinOp::Rem | BinOp::And | BinOp::Or => return bin_values_slow(op, a, b, at),
+        BinOp::Add => Scalar::Int(x.wrapping_add(y)),
+        BinOp::Sub => Scalar::Int(x.wrapping_sub(y)),
+        BinOp::Mul => Scalar::Int(x.wrapping_mul(y)),
+        BinOp::Lt => Scalar::Bool(x < y),
+        BinOp::Le => Scalar::Bool(x <= y),
+        BinOp::Gt => Scalar::Bool(x > y),
+        BinOp::Ge => Scalar::Bool(x >= y),
+        BinOp::Eq => Scalar::Bool(x == y),
+        BinOp::Ne => Scalar::Bool(x != y),
+        BinOp::Rem if y != 0 => Scalar::Int(x.wrapping_rem(y)),
+        BinOp::Rem | BinOp::And | BinOp::Or => return bin_scalars_slow(op, a, b),
     })
 }
 
 /// Everything but arithmetic and comparison over two ints: structural
 /// (in)equality, and the errors.
-fn bin_values_slow(op: BinOp, a: &Value, b: &Value, at: Option<StmtRef>) -> Sim<Value> {
+fn bin_scalars_slow<'a>(op: BinOp, a: Scalar<'_>, b: Scalar<'_>) -> Sim<Scalar<'a>> {
     match op {
-        BinOp::Eq => Ok(Value::Bool(a == b)),
-        BinOp::Ne => Ok(Value::Bool(a != b)),
-        BinOp::And | BinOp::Or => Err(internal("And/Or must lower to SkipIf, not Bin")),
+        BinOp::Eq => Ok(Scalar::Bool(a.same(b))),
+        BinOp::Ne => Ok(Scalar::Bool(!a.same(b))),
+        BinOp::And | BinOp::Or => Err(internal("And/Or short-circuit, they are no Bin op")),
         BinOp::Rem if a.as_int().is_some() && b.as_int().is_some() => {
-            Err(type_error(at, "remainder by zero".into()))
+            Err(expr_error("remainder by zero".into()))
         }
-        _ => Err(type_error(at, format!("{op:?} on non-ints"))),
+        _ => Err(expr_error(format!("{op:?} on non-ints"))),
     }
 }
