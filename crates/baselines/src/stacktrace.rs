@@ -6,6 +6,12 @@
 //! well when the failure log is clean and the root-cause fault is logged
 //! with its stack; fails when the root cause never reached a log, and
 //! wastes rounds when the logged site executes frequently.
+//!
+//! It does not search by the crate's `OccurrenceQueue`, and its shape is
+//! why: that queue is one occurrence-major list of plans taken a window at
+//! a time, each plan tried once. Here every target is armed in every
+//! round, each at its own `next_occ` cursor and under its own stack guard,
+//! and a cursor moves only when its target fired (or nothing did).
 
 use std::collections::HashSet;
 
@@ -27,7 +33,6 @@ struct Target {
 #[derive(Debug, Default)]
 pub struct StacktraceInjector {
     targets: Vec<Target>,
-    tried: HashSet<(SiteId, u32)>,
     pending_notes: Vec<StrategyNote>,
 }
 
@@ -50,7 +55,6 @@ impl Strategy for StacktraceInjector {
 
     fn init(&mut self, ctx: &SearchContext) {
         self.targets.clear();
-        self.tried.clear();
         self.pending_notes.clear();
         let mut bound_pruned = 0usize;
         let program = &ctx.scenario.program;

@@ -3,7 +3,10 @@
 
 use std::sync::Arc;
 
-use anduril_baselines::{table2_strategies, CrashTuner, Fate, StacktraceInjector};
+use anduril_baselines::{
+    by_name, feedback_by_name, table2_strategies, CrashTuner, Fate, Make, StacktraceInjector,
+    REGISTRY,
+};
 use anduril_core::{Oracle, RoundOutcome, Scenario, SearchContext, Strategy};
 use anduril_ir::builder::ProgramBuilder;
 use anduril_ir::expr::build as e;
@@ -165,18 +168,34 @@ fn crashtuner_queue_is_finite() {
     assert!(rounds > 0);
 }
 
+/// The one strategy table: every name resolves to the strategy whose own
+/// `name()` is its column, the feedback family is exactly what
+/// `feedback_by_name` answers, and Table 2 is the first ten rows.
 #[test]
-fn table2_strategy_registry_is_complete() {
-    let names: Vec<&str> = table2_strategies().iter().map(|(n, _)| *n).collect();
-    assert_eq!(names.len(), 9);
-    assert_eq!(names[0], "full-feedback");
-    assert!(names.contains(&"exhaustive"));
-    assert!(names.contains(&"fate"));
-    assert!(names.contains(&"crashtuner"));
-    // Names are unique and match the strategy's own name().
-    for (name, strategy) in table2_strategies() {
-        assert_eq!(name, strategy.name());
+fn strategy_registry_is_consistent() {
+    for (cli, column, make) in &REGISTRY {
+        for name in [cli, column] {
+            let strategy = by_name(name).unwrap_or_else(|| panic!("`{name}` resolves"));
+            assert_eq!(strategy.name(), *column);
+            assert_eq!(
+                feedback_by_name(name).map(|cfg| cfg.name),
+                matches!(make, Make::Feedback(_)).then_some(*column),
+                "{name}"
+            );
+        }
     }
+    let mut names: Vec<&str> = REGISTRY.iter().flat_map(|(c, n, _)| [*c, *n]).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), 13 + 3, "only three rows have two spellings");
+    assert!(by_name("no-such-strategy").is_none());
+    assert!(feedback_by_name("no-such-strategy").is_none());
+
+    let table2: Vec<&str> = table2_strategies().iter().map(|(_, n, _)| *n).collect();
+    assert_eq!(table2.len(), 10);
+    assert_eq!(table2[0], "full-feedback");
+    assert_eq!(table2[9], "stacktrace-injector");
+    assert!(!table2.contains(&"sum-aggregate"));
 }
 
 #[test]

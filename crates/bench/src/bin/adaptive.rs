@@ -17,10 +17,8 @@
 //! runs a reduced round budget for CI; `--out PATH` overrides the output
 //! path.
 
-use std::fmt::Write as _;
-
-use anduril_bench::{prepare, TextTable};
-use anduril_core::trace::{StrategyNote, TraceEvent, VecTracer};
+use anduril_bench::TextTable;
+use anduril_core::trace::{Json, NoopTracer, StrategyNote, TraceEvent, VecTracer};
 use anduril_core::{
     explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction, SearchContext,
 };
@@ -164,8 +162,9 @@ fn main() {
     let mut rows = Vec::new();
     for case in all_cases() {
         let id = case.id;
-        let oracle = case.oracle.clone();
-        let full = prepare(case);
+        let full = case
+            .prepare(1_000, &NoopTracer)
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
         let obs_full = full.ctx.observables.len();
 
         // Strip the nearest observable's lines when another observable
@@ -176,7 +175,9 @@ fn main() {
                 let program = &full.ctx.scenario.program;
                 let template = &program.templates[full.ctx.observables[k].template.index()];
                 let degraded_log = strip_template(&full.failure_log, template);
-                let ctx = SearchContext::prepare(full.case.scenario.clone(), &degraded_log, 1_000)
+                // Not `FailureCase::prepare`: the log is not the one the
+                // ground truth renders.
+                let ctx = SearchContext::prepare(case.scenario.clone(), &degraded_log, 1_000)
                     .unwrap_or_else(|e| panic!("{id}: degraded context: {e}"));
                 let n = ctx.observables.len();
                 (ctx, true, n)
@@ -190,9 +191,9 @@ fn main() {
         };
         // Both searches share the one prepared context: promotions live
         // in the search that made them.
-        let fixed = run_one(&ctx, &oracle, &cfg);
+        let fixed = run_one(&ctx, &case.oracle, &cfg);
         cfg.adaptive.enabled = true;
-        let adaptive = run_one(&ctx, &oracle, &cfg);
+        let adaptive = run_one(&ctx, &case.oracle, &cfg);
 
         rows.push(Row {
             id,
@@ -241,44 +242,37 @@ fn main() {
          regressed >1.05x on {regressions}"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"max_rounds\": {max_rounds},");
-    json.push_str("  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"id\": \"{}\", \"degraded\": {}, \"observables_full\": {}, \
-             \"observables_degraded\": {}, \"stalled\": {}, \"fixed_rounds\": {}, \
-             \"fixed_success\": {}, \"fixed_stalls\": {}, \"adaptive_rounds\": {}, \
-             \"adaptive_success\": {}, \"promotions\": {}, \"ratio\": {:.4}}}",
-            r.id,
-            r.degraded,
-            r.obs_full,
-            r.obs_degraded,
-            r.stalled(),
-            r.fixed.rounds,
-            r.fixed.success,
-            r.fixed.stalls,
-            r.adaptive.rounds,
-            r.adaptive.success,
-            r.adaptive.promotions,
-            r.ratio(),
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"summary\": {{\"stalled_cases\": {stalled}, \"improved_stall_cases\": {improved}, \
-         \"regressions_above_1_05x\": {regressions}, \"meets_improvement_bar\": {}}}",
-        improved >= 2
-    );
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    let cases = rows.iter().map(|r| {
+        Json::obj([
+            ("id", r.id.into()),
+            ("degraded", r.degraded.into()),
+            ("observables_full", r.obs_full.into()),
+            ("observables_degraded", r.obs_degraded.into()),
+            ("stalled", r.stalled().into()),
+            ("fixed_rounds", r.fixed.rounds.into()),
+            ("fixed_success", r.fixed.success.into()),
+            ("fixed_stalls", r.fixed.stalls.into()),
+            ("adaptive_rounds", r.adaptive.rounds.into()),
+            ("adaptive_success", r.adaptive.success.into()),
+            ("promotions", r.adaptive.promotions.into()),
+            ("ratio", Json::fixed(r.ratio(), 4)),
+        ])
+    });
+    let json = Json::obj([
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("max_rounds", max_rounds.into()),
+        ("cases", Json::arr(cases)),
+        (
+            "summary",
+            Json::obj([
+                ("stalled_cases", stalled.into()),
+                ("improved_stall_cases", improved.into()),
+                ("regressions_above_1_05x", regressions.into()),
+                ("meets_improvement_bar", (improved >= 2).into()),
+            ]),
+        ),
+    ]);
+    std::fs::write(&out_path, format!("{json}\n"))
+        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("JSON written to {out_path}");
 }

@@ -17,13 +17,11 @@
 //! runs the CI-sized batch (100 single-fault + 20 multi-fault small
 //! cases), `--out PATH` overrides the output path.
 
-use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use anduril_baselines::{Fate, StacktraceInjector};
 use anduril_bench::{median, TextTable};
 use anduril_core::{
-    explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext, Strategy,
+    explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Json, SearchContext, Strategy,
 };
 use anduril_gen::{generate_one, verify_sound, GenConfig, GeneratedCase, SizeClass};
 
@@ -46,6 +44,8 @@ fn explore_case(
     strategy: &mut dyn Strategy,
     max_rounds: usize,
 ) -> (bool, usize) {
+    // Not `FailureCase::prepare`: a generated case's ground truth is its
+    // plant, and it carries the failure log the plant renders.
     let ctx = SearchContext::prepare(gc.case.scenario.clone(), &gc.failure_log, 1_000)
         .unwrap_or_else(|e| panic!("{}: context: {e:?}", gc.case.id));
     let cfg = ExplorerConfig {
@@ -182,10 +182,7 @@ fn main() {
         for i in 0..baseline_n {
             let r = catch_unwind(AssertUnwindSafe(|| {
                 let gc = generate_one(&base_cfg, i).expect("smoke batch regenerates");
-                let mut strategy: Box<dyn Strategy> = match name {
-                    "fate" => Box::new(Fate::new()),
-                    _ => Box::new(StacktraceInjector::new()),
-                };
+                let mut strategy = anduril_baselines::by_name(name).expect("registered");
                 let (rediscovered, rounds) = explore_case(&gc, strategy.as_mut(), max_rounds);
                 Row {
                     id: gc.case.id.to_string(),
@@ -266,71 +263,50 @@ fn main() {
         );
     }
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"max_rounds\": {max_rounds},");
-    json.push_str("  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"id\": \"{}\", \"size\": \"{}\", \"multi_fault\": {}, \
-             \"nodes\": {}, \"sites\": {}, \"stmts\": {}, \"sound\": {}, \
-             \"rediscovered\": {}, \"rounds\": {}}}",
-            r.id,
-            r.size,
-            r.multi_fault,
-            r.nodes,
-            r.sites,
-            r.stmts,
-            r.sound,
-            r.rediscovered,
-            r.rounds
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"baselines\": {\n");
-    for (i, (name, agg)) in baseline_aggs.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    \"{name}\": {{\"cases\": {}, \"rediscovered\": {}, \"median_rounds\": {}}}",
-            agg.cases, agg.rediscovered, agg.median_rounds
-        );
-        json.push_str(if i + 1 < baseline_aggs.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"summary\": {\n");
-    let _ = writeln!(json, "    \"single_fault_cases\": {},", single_agg.cases);
-    let _ = writeln!(
-        json,
-        "    \"single_fault_rediscovered\": {},",
-        single_agg.rediscovered
-    );
-    let _ = writeln!(json, "    \"rediscovery_rate\": {rate:.4},");
-    let _ = writeln!(json, "    \"median_rounds\": {},", single_agg.median_rounds);
-    let _ = writeln!(json, "    \"multi_fault_cases\": {},", multi_agg.cases);
-    let _ = writeln!(
-        json,
-        "    \"multi_fault_rediscovered\": {},",
-        multi_agg.rediscovered
-    );
-    let _ = writeln!(
-        json,
-        "    \"multi_fault_rediscovery_rate\": {multi_rate:.4},"
-    );
-    let _ = writeln!(json, "    \"unsound_cases\": {unsound},");
-    let _ = writeln!(json, "    \"panics\": {panics},");
-    let _ = writeln!(json, "    \"meets_rediscovery_bar\": {meets_bar}");
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    let cases = rows.iter().map(|r| {
+        Json::obj([
+            ("id", r.id.as_str().into()),
+            ("size", r.size.to_string().into()),
+            ("multi_fault", r.multi_fault.into()),
+            ("nodes", r.nodes.into()),
+            ("sites", r.sites.into()),
+            ("stmts", r.stmts.into()),
+            ("sound", r.sound.into()),
+            ("rediscovered", r.rediscovered.into()),
+            ("rounds", r.rounds.into()),
+        ])
+    });
+    let baselines = baseline_aggs.iter().map(|(name, agg)| {
+        let agg = Json::obj([
+            ("cases", agg.cases.into()),
+            ("rediscovered", agg.rediscovered.into()),
+            ("median_rounds", agg.median_rounds.into()),
+        ]);
+        (*name, agg)
+    });
+    let json = Json::obj([
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("seed", seed.into()),
+        ("max_rounds", max_rounds.into()),
+        ("cases", Json::arr(cases)),
+        ("baselines", Json::obj(baselines)),
+        (
+            "summary",
+            Json::obj([
+                ("single_fault_cases", single_agg.cases.into()),
+                ("single_fault_rediscovered", single_agg.rediscovered.into()),
+                ("rediscovery_rate", Json::fixed(rate, 4)),
+                ("median_rounds", single_agg.median_rounds.into()),
+                ("multi_fault_cases", multi_agg.cases.into()),
+                ("multi_fault_rediscovered", multi_agg.rediscovered.into()),
+                ("multi_fault_rediscovery_rate", Json::fixed(multi_rate, 4)),
+                ("unsound_cases", unsound.into()),
+                ("panics", panics.into()),
+                ("meets_rediscovery_bar", meets_bar.into()),
+            ]),
+        ),
+    ]);
+    std::fs::write(&out_path, format!("{json}\n"))
+        .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     println!("wrote {out_path}");
 }

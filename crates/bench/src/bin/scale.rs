@@ -7,7 +7,7 @@
 use anduril_bench::TextTable;
 use anduril_core::{
     explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, SearchContext, Strategy,
+    FeedbackStrategy, NoopTracer,
 };
 use anduril_failures::{case_by_id, FailureCase};
 use anduril_ir::Value;
@@ -69,7 +69,10 @@ fn main() {
     ]);
     for id in ["f17", "f1", "f16"] {
         let case = scaled(id);
-        let gt = case.ground_truth().expect("scaled ground truth");
+        // The scaled workload is a case of its own: another ground truth,
+        // another failure log.
+        let prepared = case.prepare(1_000, &NoopTracer).expect("scaled case");
+        let (gt, ctx) = (&prepared.gt, &prepared.ctx);
         let normal = case
             .scenario
             .run(case.failure_seed, InjectionPlan::none())
@@ -90,21 +93,14 @@ fn main() {
                 satisfying += 1;
             }
         }
-        let failure_log = case.failure_log().expect("failure log");
-        let ctx =
-            SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
         let cfg = ExplorerConfig {
             max_rounds: 4_000,
             ..ExplorerConfig::default()
         };
         let mut cells = Vec::new();
-        let strategies: Vec<Box<dyn Strategy>> = vec![
-            Box::new(FeedbackStrategy::new(FeedbackConfig::full())),
-            Box::new(FeedbackStrategy::new(FeedbackConfig::exhaustive())),
-            Box::new(anduril_baselines::Fate::new()),
-        ];
-        for mut s in strategies {
-            let r = explore(&ctx, &case.oracle, s.as_mut(), &cfg, Some(gt.site)).expect("explore");
+        for name in ["full-feedback", "exhaustive", "fate"] {
+            let mut s = anduril_baselines::by_name(name).expect("registered");
+            let r = explore(ctx, &case.oracle, s.as_mut(), &cfg, Some(gt.site)).expect("explore");
             cells.push(if r.success {
                 format!("{} rnd / {}ms", r.rounds, r.wall.as_millis())
             } else {
@@ -125,7 +121,7 @@ fn main() {
         // baseline. Results are identical by construction; only the wall
         // time moves.
         let mut seq = FeedbackStrategy::new(FeedbackConfig::full());
-        let seq_r = explore(&ctx, &case.oracle, &mut seq, &cfg, Some(gt.site)).expect("explore");
+        let seq_r = explore(ctx, &case.oracle, &mut seq, &cfg, Some(gt.site)).expect("explore");
         let mut scale_cells = vec![
             id.to_string(),
             format!("{} rnd / {}ms", seq_r.rounds, seq_r.wall.as_millis()),
@@ -137,7 +133,7 @@ fn main() {
                 threads,
             };
             let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-            let r = explore_batched(&ctx, &case.oracle, &mut s, &cfg, &batch, Some(gt.site))
+            let r = explore_batched(ctx, &case.oracle, &mut s, &cfg, &batch, Some(gt.site))
                 .expect("explore_batched");
             assert_eq!(r.rounds, seq_r.rounds, "batched diverged from sequential");
             assert_eq!(

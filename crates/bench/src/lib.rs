@@ -1,81 +1,95 @@
 //! Shared harness for regenerating every table and figure of the paper's
 //! evaluation.
 //!
-//! Each `table*` / `figure6` binary in `src/bin` prints one artifact; the
-//! `all` binary runs the full evaluation and writes the outputs under
-//! `results/`. Absolute numbers differ from the paper (the substrate is a
-//! discrete-event simulator, not a 20-core testbed); the *shape* — who
-//! reproduces what, in how many rounds, and where the orderings cross — is
-//! the reproduction target.
+//! `--bin paper -- <artifact>` prints one artifact (`paper list` names
+//! them), `paper all` runs the full evaluation in one process and writes
+//! the outputs under `results/`; `scale`, `adaptive` and `generator` are
+//! bins of their own. Absolute numbers differ from the paper (the
+//! substrate is a discrete-event simulator, not a 20-core testbed); the
+//! *shape* — who reproduces what, in how many rounds, and where the
+//! orderings cross — is the reproduction target.
+
+use std::cell::{Cell, OnceCell};
 
 pub use anduril_core::trace::report::TextTable;
 use anduril_core::trace::{TraceEvent, VecTracer};
-use anduril_core::{explore, ExplorerConfig, Reproduction, SearchContext, Strategy};
-use anduril_failures::{FailureCase, GroundTruth};
+use anduril_core::{explore, ExplorerConfig, Reproduction, Strategy};
+use anduril_failures::{all_cases, FailureCase, PreparedCase};
 
-/// A failure case prepared for exploration: failure log generated, context
-/// (normal run + causal graph) built, ground truth resolved.
-pub struct PreparedCase {
-    /// The case definition.
-    pub case: FailureCase,
-    /// The rendered "production" failure log.
-    pub failure_log: String,
-    /// The prepared search context.
-    pub ctx: SearchContext,
-    /// The known root cause.
-    pub gt: GroundTruth,
+/// The 22 tickets, each prepared at seed 1000 the first time an artifact
+/// asks for it and never again in this process.
+pub struct Cases {
+    cases: Vec<FailureCase>,
+    prepared: Vec<OnceCell<(PreparedCase, Vec<TraceEvent>)>>,
+    preparations: Cell<usize>,
 }
 
-/// Prepares a case end to end.
-///
-/// # Panics
-///
-/// Panics if the case's ground truth cannot be resolved — that is a bug in
-/// the failure definition, not an expected runtime condition.
-pub fn prepare(case: FailureCase) -> PreparedCase {
-    let gt = case
-        .ground_truth()
-        .unwrap_or_else(|e| panic!("{}: ground truth: {e}", case.id));
-    let failure_log = case
-        .failure_log()
-        .unwrap_or_else(|e| panic!("{}: failure log: {e}", case.id));
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000)
-        .unwrap_or_else(|e| panic!("{}: context: {e}", case.id));
-    PreparedCase {
-        case,
-        failure_log,
-        ctx,
-        gt,
+/// One prepared ticket.
+#[derive(Clone, Copy)]
+pub struct Ticket<'a> {
+    /// The case definition.
+    pub case: &'a FailureCase,
+    /// Ground truth, failure log and search context.
+    pub prepared: &'a PreparedCase,
+    /// What the preparation traced: its `ContextPhase` spans.
+    pub prep_trace: &'a [TraceEvent],
+}
+
+impl Default for Cases {
+    /// The bundled tickets, none prepared yet.
+    fn default() -> Self {
+        let cases = all_cases();
+        Cases {
+            prepared: cases.iter().map(|_| OnceCell::new()).collect(),
+            cases,
+            preparations: Cell::new(0),
+        }
     }
 }
 
-/// [`prepare`] with the context-phase trace captured: returns the
-/// prepared case plus the [`TraceEvent`] stream of the preparation, so
-/// bench binaries can derive timing tables from trace spans instead of
-/// reaching into `ctx.timings`.
-///
-/// # Panics
-///
-/// Same contract as [`prepare`].
-pub fn prepare_with_trace(case: FailureCase) -> (PreparedCase, Vec<TraceEvent>) {
-    let gt = case
-        .ground_truth()
-        .unwrap_or_else(|e| panic!("{}: ground truth: {e}", case.id));
-    let failure_log = case
-        .failure_log()
-        .unwrap_or_else(|e| panic!("{}: failure log: {e}", case.id));
-    let tracer = VecTracer::new();
-    let ctx = SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, &tracer)
-        .unwrap_or_else(|e| panic!("{}: context: {e}", case.id));
-    (
-        PreparedCase {
+impl Cases {
+    /// The case definitions, in paper order.
+    pub fn definitions(&self) -> &[FailureCase] {
+        &self.cases
+    }
+
+    /// Every ticket in paper order, each prepared as the iterator
+    /// reaches it.
+    pub fn tickets(&self) -> impl Iterator<Item = Ticket<'_>> {
+        (0..self.cases.len()).map(|i| self.at(i))
+    }
+
+    /// The ticket with paper id `id`, prepared.
+    pub fn ticket(&self, id: &str) -> Ticket<'_> {
+        let i = self.cases.iter().position(|c| c.id == id);
+        self.at(i.unwrap_or_else(|| panic!("no ticket `{id}`")))
+    }
+
+    /// # Panics
+    ///
+    /// Panics if a bundled case does not prepare — that is a bug in the
+    /// failure definition, not an expected runtime condition.
+    fn at(&self, i: usize) -> Ticket<'_> {
+        let case = &self.cases[i];
+        let (prepared, prep_trace) = self.prepared[i].get_or_init(|| {
+            self.preparations.set(self.preparations.get() + 1);
+            let tracer = VecTracer::new();
+            let prepared = case
+                .prepare(1_000, &tracer)
+                .unwrap_or_else(|e| panic!("{}: {e}", case.id));
+            (prepared, tracer.take())
+        });
+        Ticket {
             case,
-            failure_log,
-            ctx,
-            gt,
-        },
-        tracer.take(),
-    )
+            prepared,
+            prep_trace,
+        }
+    }
+
+    /// How many preparations this process has made.
+    pub fn preparations(&self) -> usize {
+        self.preparations.get()
+    }
 }
 
 /// Sums the host-nanosecond spans of the named context phase in a trace
@@ -90,9 +104,9 @@ pub fn phase_ns(events: &[TraceEvent], name: &str) -> u64 {
         .sum()
 }
 
-/// Runs one strategy against a prepared case with a round cap.
+/// Runs one strategy against a prepared ticket with a round cap.
 pub fn run_strategy(
-    prepared: &PreparedCase,
+    ticket: Ticket<'_>,
     strategy: &mut dyn Strategy,
     max_rounds: usize,
 ) -> Reproduction {
@@ -101,11 +115,11 @@ pub fn run_strategy(
         ..ExplorerConfig::default()
     };
     explore(
-        &prepared.ctx,
-        &prepared.case.oracle,
+        &ticket.prepared.ctx,
+        &ticket.case.oracle,
         strategy,
         &cfg,
-        Some(prepared.gt.site),
+        Some(ticket.prepared.gt.site),
     )
     .expect("exploration runs do not hit simulator errors")
 }

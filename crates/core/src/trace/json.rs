@@ -1,5 +1,10 @@
-//! A minimal JSON reader: just rich enough to read a trace line, a bench
-//! document or `BENCHMARK.json` back, with no external dependency.
+//! A minimal JSON value: just rich enough to read a trace line, a bench
+//! document or `BENCHMARK.json` back and to write the documents `anduril
+//! analyze --json` and the bench bins emit, with no external dependency.
+
+use std::fmt;
+
+use super::{jf, json_escape};
 
 /// Containers deeper than this are refused: the reader recurses once per
 /// level, and a trace line nests two deep, a bench document six.
@@ -87,6 +92,95 @@ impl Json {
             Json::Arr(xs) => Some(xs),
             _ => None,
         }
+    }
+}
+
+impl Json {
+    /// An object of the given fields, in the order given.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array of the given items.
+    pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
+    /// `v` rounded to `places` decimals. The writer prints the shortest
+    /// form that reads back, so 0.29550 is `0.2955` and 1.0000 is `1`.
+    pub fn fixed(v: f64, places: i32) -> Json {
+        let scale = 10f64.powi(places);
+        Json::Num((v * scale).round() / scale)
+    }
+
+    /// Writes the value at `indent` spaces. A container goes on one line
+    /// when `inline` (it sits inside an array element) or when it holds
+    /// no container; otherwise one member per line, two spaces deeper, and
+    /// the members of an array inline: a list of records reads — and
+    /// greps — one record a line.
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize, inline: bool) -> fmt::Result {
+        let members: Vec<(Option<&str>, &Json)> = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            Json::Num(n) => return f.write_str(&jf(*n)),
+            Json::Str(s) => return write!(f, "\"{}\"", json_escape(s)),
+            Json::Arr(xs) => xs.iter().map(|v| (None, v)).collect(),
+            Json::Obj(fields) => fields.iter().map(|(k, v)| (Some(&**k), v)).collect(),
+        };
+        let is_arr = matches!(self, Json::Arr(_));
+        let inline = inline
+            || !members
+                .iter()
+                .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+        f.write_str(if is_arr { "[" } else { "{" })?;
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                f.write_str(if inline { ", " } else { "," })?;
+            }
+            if !inline {
+                write!(f, "\n{:1$}", "", indent + 2)?;
+            }
+            if let Some(key) = key {
+                write!(f, "\"{}\": ", json_escape(key))?;
+            }
+            value.write(f, indent + 2, inline || is_arr)?;
+        }
+        if !inline {
+            write!(f, "\n{:1$}", "", indent)?;
+        }
+        f.write_str(if is_arr { "]" } else { "}" })
+    }
+}
+
+/// The two-space pretty form, no trailing newline.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0, false)
+    }
+}
+
+macro_rules! json_from {
+    ($($t:ty: $x:ident => $json:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($x: $t) -> Json {
+                $json
+            }
+        }
+    )*};
+}
+json_from! {
+    bool: b => Json::Bool(b),
+    &str: s => Json::Str(s.to_string()),
+    String: s => Json::Str(s),
+    // Counts and nanoseconds: exact up to 2^53, which every document's are.
+    u64: n => Json::Num(n as f64),
+    usize: n => Json::Num(n as f64),
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
     }
 }
 
@@ -266,5 +360,42 @@ mod tests {
         assert_eq!(Json::parse("-1e400"), None);
         assert_eq!(Json::parse("1e300").and_then(|v| v.as_u64()), None);
         assert_eq!(Json::parse("1000").and_then(|v| v.as_u64()), Some(1000));
+    }
+
+    /// The written form: records of an array one a line, a container of
+    /// scalars on one line, everything else one member a line — and it
+    /// reads back to the value it was written from.
+    #[test]
+    fn json_writer_lays_out_records_one_a_line_and_round_trips() {
+        let doc = Json::obj([
+            ("mode", "full".into()),
+            (
+                "cases",
+                Json::arr([
+                    Json::obj([
+                        ("id", Json::from("a\"b")),
+                        ("hi", None::<u64>.into()),
+                        ("sub", Json::obj([("n", 3usize.into())])),
+                        ("xs", Json::arr([1u64, 2])),
+                    ]),
+                    Json::obj([("ratio", Json::fixed(0.08166, 4))]),
+                ]),
+            ),
+            (
+                "baselines",
+                Json::obj([("fate", Json::obj([("ok", true.into())]))]),
+            ),
+            ("summary", Json::obj([("rate", Json::fixed(1.0, 4))])),
+            ("none", Json::arr(Vec::<Json>::new())),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(
+            text,
+            "{\n  \"mode\": \"full\",\n  \"cases\": [\n    \
+             {\"id\": \"a\\\"b\", \"hi\": null, \"sub\": {\"n\": 3}, \"xs\": [1, 2]},\n    \
+             {\"ratio\": 0.0817}\n  ],\n  \"baselines\": {\n    \"fate\": {\"ok\": true}\n  },\n  \
+             \"summary\": {\"rate\": 1},\n  \"none\": []\n}"
+        );
+        assert_eq!(Json::parse(&text), Some(doc));
     }
 }

@@ -1,6 +1,6 @@
 //! The failure-case model: scenario + oracle + ground truth.
 
-use anduril_core::{Oracle, Scenario};
+use anduril_core::{Oracle, Scenario, SearchContext, Tracer};
 use anduril_ir::{ExceptionType, SiteId};
 use anduril_sim::InjectionPlan;
 
@@ -55,7 +55,17 @@ pub struct FailureCase {
     pub deeper_causes: Vec<DeeperCause>,
 }
 
-/// Errors from ground-truth resolution.
+/// A case ready to search, as [`FailureCase::prepare`] returns it.
+pub struct PreparedCase {
+    /// The known root cause.
+    pub gt: GroundTruth,
+    /// The rendered "production" failure log.
+    pub failure_log: String,
+    /// The search context (normal run + causal graph) over that log.
+    pub ctx: SearchContext,
+}
+
+/// Errors from ground-truth resolution and preparation.
 #[derive(Debug, Clone)]
 pub enum CaseError {
     /// The named root site does not exist in the program.
@@ -128,7 +138,10 @@ impl FailureCase {
 
     /// Renders the "production" failure log for this case.
     pub fn failure_log(&self) -> Result<String, CaseError> {
-        let gt = self.ground_truth()?;
+        self.render_log(&self.ground_truth()?)
+    }
+
+    fn render_log(&self, gt: &GroundTruth) -> Result<String, CaseError> {
         let r = self
             .scenario
             .run(
@@ -137,6 +150,22 @@ impl FailureCase {
             )
             .map_err(|e| CaseError::Sim(e.to_string()))?;
         Ok(r.log_text())
+    }
+
+    /// The one way from a case to a search: resolves the ground truth,
+    /// renders the failure log it produces and prepares a context over
+    /// that log at `base_seed`, preparation phases going to `tracer`.
+    pub fn prepare(&self, base_seed: u64, tracer: &dyn Tracer) -> Result<PreparedCase, CaseError> {
+        let gt = self.ground_truth()?;
+        let failure_log = self.render_log(&gt)?;
+        let ctx =
+            SearchContext::prepare_traced(self.scenario.clone(), &failure_log, base_seed, tracer)
+                .map_err(|e| CaseError::Sim(e.to_string()))?;
+        Ok(PreparedCase {
+            gt,
+            failure_log,
+            ctx,
+        })
     }
 
     /// Checks that the workload alone (no injection) does **not** satisfy

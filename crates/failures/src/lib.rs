@@ -4,7 +4,9 @@
 //! Each [`FailureCase`] carries a [`anduril_core::Scenario`] (system +
 //! workload), a failure [`anduril_core::Oracle`], and the known root cause.
 //! The "production" failure log is produced by replaying the ground truth
-//! — mirroring the paper's setup for tickets that ship without a log file.
+//! — mirroring the paper's setup for tickets that ship without a log file —
+//! and [`FailureCase::prepare`] is the one way from a case to a search:
+//! ground truth, that log, and the [`anduril_core::SearchContext`] over it.
 
 #![warn(missing_docs)]
 
@@ -15,7 +17,7 @@ pub mod hdfs_cases;
 pub mod kafka_cases;
 pub mod zookeeper_cases;
 
-pub use case::{CaseError, DeeperCause, FailureCase, GroundTruth};
+pub use case::{CaseError, DeeperCause, FailureCase, GroundTruth, PreparedCase};
 
 /// Sort key giving a total, panic-free order over case ids: the paper's
 /// `fN` ids sort numerically first, anything else (e.g. a generated

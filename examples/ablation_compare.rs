@@ -3,45 +3,34 @@
 //!
 //! Run with `cargo run --example ablation_compare [case-id]`.
 
-use anduril::baselines::{CrashTuner, Fate, StacktraceInjector};
-use anduril::failures::case_by_id;
-use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext, Strategy};
+use anduril::baselines::table2_strategies;
+use anduril::failures::{case_by_id, PreparedCase};
+use anduril::{explore, ExplorerConfig, NoopTracer};
 
 fn main() {
     let id = std::env::args().nth(1).unwrap_or_else(|| "f16".to_string());
     let case = case_by_id(&id).expect("known case id (f1..f22 or ticket)");
     println!("{} — {}\n", case.ticket, case.description);
 
-    let gt = case.ground_truth().expect("ground truth");
-    let failure_log = case.failure_log().expect("failure log");
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
+    let PreparedCase { gt, ctx, .. } = case.prepare(1_000, &NoopTracer).expect("case prepares");
     let cfg = ExplorerConfig {
         max_rounds: 400,
         ..ExplorerConfig::default()
     };
 
-    let mut strategies: Vec<Box<dyn Strategy>> = vec![
-        Box::new(FeedbackStrategy::new(FeedbackConfig::full())),
-        Box::new(FeedbackStrategy::new(FeedbackConfig::exhaustive())),
-        Box::new(FeedbackStrategy::new(FeedbackConfig::site_distance())),
-        Box::new(FeedbackStrategy::new(
-            FeedbackConfig::site_distance_limited(),
-        )),
-        Box::new(FeedbackStrategy::new(FeedbackConfig::site_feedback())),
-        Box::new(FeedbackStrategy::new(FeedbackConfig::multiply())),
-        Box::new(Fate::new()),
-        Box::new(CrashTuner::crashes()),
-        Box::new(CrashTuner::meta_exceptions()),
-        Box::new(StacktraceInjector::new()),
-    ];
-
     println!(
         "{:24} {:>8} {:>10} {:>10}",
         "strategy", "rounds", "sim-ticks", "wall-ms"
     );
-    for strategy in &mut strategies {
-        let r = explore(&ctx, &case.oracle, strategy.as_mut(), &cfg, Some(gt.site))
-            .expect("exploration runs");
+    for (_, _, make) in table2_strategies() {
+        let r = explore(
+            &ctx,
+            &case.oracle,
+            make.build().as_mut(),
+            &cfg,
+            Some(gt.site),
+        )
+        .expect("exploration runs");
         if r.success {
             println!(
                 "{:24} {:>8} {:>10} {:>10}",

@@ -4,15 +4,19 @@
 //!
 //! Run with `cargo run --example inspect_observables [case-id]`.
 
-use anduril::failures::case_by_id;
-use anduril::SearchContext;
+use anduril::failures::{case_by_id, PreparedCase};
+use anduril::NoopTracer;
 
 fn main() {
     let id = std::env::args().nth(1).unwrap_or_else(|| "f17".to_string());
     let case = case_by_id(&id).expect("known case id");
     println!("{} — {}\n", case.ticket, case.description);
 
-    let failure_log = case.failure_log().expect("failure log");
+    let PreparedCase {
+        gt,
+        failure_log,
+        ctx,
+    } = case.prepare(1_000, &NoopTracer).expect("case prepares");
     println!(
         "failure log: {} lines (first 5 shown)",
         failure_log.lines().count()
@@ -21,7 +25,6 @@ fn main() {
         println!("  | {line}");
     }
 
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
     let program = &ctx.scenario.program;
 
     println!("\nrelevant observables (failure-only messages):");
@@ -58,7 +61,6 @@ fn main() {
         println!(" {}", ctx.site_instances[site.index()].len());
     }
 
-    let gt = case.ground_truth().expect("ground truth");
     println!(
         "\nground truth: {} at occurrence {} — {}",
         case.root_site_desc,

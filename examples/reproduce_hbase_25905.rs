@@ -4,7 +4,8 @@
 //! Run with `cargo run --example reproduce_hbase_25905`.
 
 use anduril::failures::case_by_id;
-use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext};
+use anduril::failures::PreparedCase;
+use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer};
 
 fn main() {
     let case = case_by_id("HB-25905").expect("f17 is registered");
@@ -12,18 +13,19 @@ fn main() {
 
     // The ground truth is known (the ticket is resolved); the failure log
     // is produced by replaying it, as the paper does for tickets that ship
-    // without one.
-    let gt = case.ground_truth().expect("ground truth resolvable");
-    let failure_log = case.failure_log().expect("failure log renders");
+    // without one. ANDURIL sees only the scenario, the failure log text,
+    // and the oracle: the context is prepared from those.
+    let PreparedCase {
+        gt,
+        failure_log,
+        ctx,
+    } = case.prepare(1_000, &NoopTracer).expect("case prepares");
     println!(
         "ground truth: {} at occurrence {} (seed {})",
         case.root_site_desc, gt.occurrence, gt.seed
     );
     println!("failure log: {} lines\n", failure_log.lines().count());
 
-    // ANDURIL sees only the scenario, the failure log text, and the oracle.
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000)
-        .expect("context prepares");
     println!(
         "observables={} causal graph: {} nodes / {} edges, {} candidate units",
         ctx.observables.len(),

@@ -8,16 +8,34 @@
 //! $ anduril reproduce f17 [--strategy full|exhaustive|site-distance|...]
 //! ```
 
-use anduril::baselines::{CrashTuner, Fate, StacktraceInjector};
-use anduril::failures::{all_cases, case_by_id, FailureCase};
+use std::fmt::Write as _;
+use std::process::ExitCode;
+use std::str::FromStr;
+
+use anduril::baselines::{by_name, feedback_by_name};
+use anduril::failures::{all_cases, case_by_id, FailureCase, PreparedCase};
+use anduril::gen::{generate_one, verify_sound, GenConfig, SizeClass};
 use anduril::trace::report::{self, TextTable};
-use anduril::trace::{json_escape, read_stream, FileTracer, NoopTracer, Tracer};
+use anduril::trace::{read_stream, FileTracer, NoopTracer, TraceEvent, Tracer};
 use anduril::{
-    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, SearchContext, Strategy,
+    explore, explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig,
+    FeedbackConfig, FeedbackStrategy, Json, Reproduction, SearchContext, Strategy,
 };
 
-fn usage() -> ! {
+/// Why a command did not run to its end.
+enum CliError {
+    /// A malformed command line: the usage text, exit 2.
+    Usage,
+    /// A well-formed command line naming something that does not exist or
+    /// does not combine: this message, exit 2.
+    BadArg(String),
+    /// A runtime failure (unreadable file, simulator error): `anduril:
+    /// <message>`, exit 1.
+    Failed(String),
+}
+use CliError::{BadArg, Failed, Usage};
+
+fn print_usage() {
     eprintln!(
         "usage:\n  anduril list\n  anduril show <case>\n  anduril log <case>\n  \
          anduril analyze [<case>|<system>|all] [--json FILE]\n  \
@@ -57,31 +75,31 @@ fn usage() -> ! {
          single-fault cases; --multi-fault plants a two-fault cascade",
         ""
     );
-    std::process::exit(2);
-}
-
-/// Prints an error to stderr and exits nonzero. Every runtime failure path
-/// (missing case, unreadable file, simulator error) funnels through here so
-/// no subcommand can fail with exit 0.
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("anduril: {msg}");
-    std::process::exit(1);
 }
 
 /// Writes a whole document to stdout in one call. A reader that has seen
 /// enough (`anduril trace f.jsonl | head`) closes the pipe: that ends the
 /// command cleanly, with nothing on stderr.
-fn emit(text: &str) {
+fn emit(text: &str) -> Result<ExitCode, CliError> {
     use std::io::Write as _;
     let mut stdout = std::io::stdout().lock();
     match stdout
         .write_all(text.as_bytes())
         .and_then(|()| stdout.flush())
     {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
-        Err(e) => fail(format!("cannot write to stdout: {e}")),
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(Failed(format!("cannot write to stdout: {e}")))
+        }
+        _ => Ok(ExitCode::SUCCESS),
     }
+}
+
+/// The value of the flag at `args[*i]`, parsed, and `*i` moved past both;
+/// a missing or unparsable value is a usage error.
+fn flag<T: FromStr>(args: &[String], i: &mut usize) -> Result<T, CliError> {
+    let value = args.get(*i + 1).and_then(|s| s.parse().ok()).ok_or(Usage)?;
+    *i += 2;
+    Ok(value)
 }
 
 /// Sorts `explain` rows by ascending priority `F_i`.
@@ -94,693 +112,565 @@ fn sort_explanations(explanations: &mut [anduril::Explanation]) {
     explanations.sort_by(|a, b| a.f_i.total_cmp(&b.f_i));
 }
 
-/// Resolves a `<case>` argument or exits nonzero with a clear message.
-fn resolve_case(arg: Option<&String>) -> FailureCase {
-    let Some(id) = arg else { usage() };
-    case_by_id(id).unwrap_or_else(|| {
-        eprintln!("anduril: no case matches `{id}` (run `anduril list`)");
-        std::process::exit(2);
+/// Resolves a `<case>` argument.
+fn resolve_case(arg: Option<&String>) -> Result<FailureCase, CliError> {
+    let id = arg.ok_or(Usage)?;
+    case_by_id(id).ok_or_else(|| {
+        BadArg(format!(
+            "anduril: no case matches `{id}` (run `anduril list`)"
+        ))
     })
 }
 
-/// Per-case static-analysis report data for `anduril analyze`.
-struct AnalyzeRow {
-    id: &'static str,
-    ticket: &'static str,
-    system: &'static str,
-    sites_total: usize,
-    sites_reachable: usize,
-    sites_bounded: usize,
-    sites_inferred: usize,
-    units: usize,
-    nodes: usize,
-    edges: usize,
-    /// Fraction of the a-priori `(site, occurrence, exception)` plan space
-    /// the static occurrence bounds prove infeasible.
-    pruned_ratio: f64,
-    /// `(site id, desc, lo, hi)` static occurrence interval per candidate site.
-    site_bounds: Vec<(u32, String, u64, Option<u64>)>,
-    /// Whether the ground-truth root-cause site is statically dead (`hi == 0`)
-    /// — always `false` if the bounds are sound.
-    gt_dead: bool,
-    /// `(template text, min distance over inferred sites)` per observable.
-    observables: Vec<(String, Option<u32>)>,
-    timings: anduril::causal::BuildTimings,
-    lints: Vec<String>,
+/// Prepares a bundled case at the seed every subcommand uses.
+fn prepare(case: &FailureCase, tracer: &dyn Tracer) -> Result<PreparedCase, CliError> {
+    case.prepare(1_000, tracer)
+        .map_err(|e| Failed(format!("{}: {e}", case.id)))
 }
 
-fn analyze_case(case: &anduril::failures::FailureCase) -> AnalyzeRow {
-    let failure_log = case
+fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| Failed(format!("cannot read `{path}`: {e}")))
+}
+
+fn write_file(path: &str, text: String) -> Result<(), CliError> {
+    std::fs::write(path, text).map_err(|e| Failed(format!("cannot write `{path}`: {e}")))
+}
+
+fn list() -> Result<ExitCode, CliError> {
+    let mut out = format!("{:4} {:10} {:10} description\n", "id", "ticket", "system");
+    for c in all_cases() {
+        let _ = writeln!(
+            out,
+            "{:4} {:10} {:10} {}",
+            c.id, c.ticket, c.system, c.description
+        );
+    }
+    emit(&out)
+}
+
+fn show(args: &[String]) -> Result<ExitCode, CliError> {
+    let case = resolve_case(args.get(1))?;
+    let mut out = format!(
+        "{} ({}) on {}\n  {}\n  root cause : {} ({})\n",
+        case.ticket, case.id, case.system, case.description, case.root_site_desc, case.root_exc
+    );
+    let _ = match case.ground_truth() {
+        Ok(gt) => writeln!(
+            out,
+            "  ground truth: occurrence {} under seed {}",
+            gt.occurrence, gt.seed
+        ),
+        Err(e) => writeln!(out, "  ground truth: UNRESOLVABLE ({e})"),
+    };
+    for d in &case.deeper_causes {
+        let _ = writeln!(
+            out,
+            "  deeper cause: {} ({}) — {}",
+            d.site_desc, d.exc, d.note
+        );
+    }
+    emit(&out)
+}
+
+fn log(args: &[String]) -> Result<ExitCode, CliError> {
+    let case = resolve_case(args.get(1))?;
+    let log = case
         .failure_log()
-        .unwrap_or_else(|e| fail(format!("{}: failure log: {e}", case.id)));
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000)
-        .unwrap_or_else(|e| fail(format!("{}: context preparation: {e}", case.id)));
+        .map_err(|e| Failed(format!("{}: failure log: {e}", case.id)))?;
+    emit(&log)
+}
+
+/// One case of `anduril analyze`: its row of the report table, its record
+/// of the JSON document, its lint lines.
+fn analyze_case(case: &FailureCase) -> Result<(Vec<String>, Json, Vec<String>), CliError> {
+    let PreparedCase { gt, ctx, .. } = prepare(case, &NoopTracer)?;
     let program = &ctx.scenario.program;
-    let observables = ctx
-        .observables
+    // Per observable, its minimum distance over the inferred sites.
+    let min_distances: Vec<Option<u32>> = ctx
+        .distances
         .iter()
-        .enumerate()
-        .map(|(k, o)| {
-            let text = program.templates[o.template.index()].text.clone();
-            let min = ctx.distances[k].values().min().copied();
-            (text, min)
-        })
+        .map(|d| d.values().min().copied())
         .collect();
-    let site_bounds: Vec<(u32, String, u64, Option<u64>)> = ctx
+    // Per candidate site, its static occurrence interval.
+    let bounds = ctx
         .candidate_sites
         .iter()
-        .map(|&sid| {
-            let b = ctx.site_bound(sid);
-            (sid.0, program.sites[sid.index()].desc.clone(), b.lo, b.hi)
+        .map(|&sid| (sid, ctx.site_bound(sid)));
+    let counts = [
+        ("sites_total", program.sites.len()),
+        ("sites_reachable", ctx.candidate_sites.len()),
+        (
+            "sites_bounded",
+            bounds.clone().filter(|(_, b)| !b.is_dead()).count(),
+        ),
+        ("sites_inferred", ctx.graph.sources().len()),
+        ("units", ctx.units.len()),
+        ("nodes", ctx.graph.node_count()),
+        ("edges", ctx.graph.edge_count()),
+    ];
+    let timings = [
+        ("exception", ctx.timings.exception_ns),
+        ("slicing", ctx.timings.slicing_ns),
+        ("chaining", ctx.timings.chaining_ns),
+        ("total", ctx.timings.total_ns),
+    ];
+    // The fraction of the a-priori `(site, occurrence, exception)` plan
+    // space the static occurrence bounds prove infeasible.
+    let pruned = ctx.pruned_plan_ratio();
+    let lints: Vec<String> = program
+        .lints_with_bounds(&ctx.bounds.site_his())
+        .iter()
+        .map(|w| w.to_string())
+        .collect();
+
+    let mut row = vec![case.id.into(), case.ticket.into(), case.system.into()];
+    row.extend(counts.iter().map(|(_, n)| n.to_string()));
+    row.push(format!("{:.1}", 100.0 * pruned));
+    row.push(min_distances.len().to_string());
+    let dash = |m: &Option<u32>| m.map_or("-".into(), |d| d.to_string());
+    row.push(min_distances.iter().map(dash).collect::<Vec<_>>().join("/"));
+    row.extend(timings.iter().map(|(_, ns)| (ns / 1_000).to_string()));
+
+    let site_bounds = bounds.map(|(sid, b)| {
+        Json::obj([
+            ("site", u64::from(sid.0).into()),
+            ("desc", program.sites[sid.index()].desc.as_str().into()),
+            ("lo", b.lo.into()),
+            ("hi", b.hi.into()),
+        ])
+    });
+    let observables = ctx.observables.iter().zip(&min_distances).map(|(o, min)| {
+        Json::obj([
+            (
+                "template",
+                program.templates[o.template.index()].text.as_str().into(),
+            ),
+            ("min_distance", min.map(u64::from).into()),
+        ])
+    });
+    let mut record = vec![
+        ("id", case.id.into()),
+        ("ticket", case.ticket.into()),
+        ("system", case.system.into()),
+    ];
+    record.extend(counts.map(|(name, n)| (name, n.into())));
+    record.extend([
+        ("pruned_plan_ratio", Json::fixed(pruned, 4)),
+        // Whether the ground-truth site is statically dead (`hi == 0`):
+        // never, if the bounds are sound.
+        ("gt_dead", ctx.site_bound(gt.site).is_dead().into()),
+        (
+            "timings_ns",
+            Json::obj(timings.map(|(name, ns)| (name, ns.into()))),
+        ),
+        ("site_bounds", Json::arr(site_bounds)),
+        ("observables", Json::arr(observables)),
+        ("lints", Json::arr(lints.iter().map(String::as_str))),
+    ]);
+    Ok((row, Json::obj(record), lints))
+}
+
+fn analyze(args: &[String]) -> Result<ExitCode, CliError> {
+    let mut selector = "all".to_string();
+    let mut json_path: Option<String> = None;
+    let mut i = 1;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--json" => json_path = Some(flag(args, &mut i)?),
+            s if i == 1 => {
+                selector = s.to_string();
+                i += 1;
+            }
+            _ => return Err(Usage),
+        }
+    }
+    let cases: Vec<_> = all_cases()
+        .into_iter()
+        .filter(|c| {
+            selector.eq_ignore_ascii_case("all")
+                || c.id.eq_ignore_ascii_case(&selector)
+                || c.system.eq_ignore_ascii_case(&selector)
         })
         .collect();
-    let sites_bounded = site_bounds
-        .iter()
-        .filter(|(_, _, _, hi)| *hi != Some(0))
-        .count();
-    let gt_dead = case
-        .root_site()
-        .map(|sid| ctx.site_bound(sid).is_dead())
-        .unwrap_or(true);
-    AnalyzeRow {
-        id: case.id,
-        ticket: case.ticket,
-        system: case.system,
-        sites_total: program.sites.len(),
-        sites_reachable: ctx.candidate_sites.len(),
-        sites_bounded,
-        sites_inferred: ctx.graph.sources().len(),
-        units: ctx.units.len(),
-        nodes: ctx.graph.node_count(),
-        edges: ctx.graph.edge_count(),
-        pruned_ratio: ctx.pruned_plan_ratio(),
-        site_bounds,
-        gt_dead,
-        observables,
-        timings: ctx.timings,
-        lints: program
-            .lints_with_bounds(&ctx.bounds.site_his())
-            .iter()
-            .map(|w| w.to_string())
-            .collect(),
+    if cases.is_empty() {
+        return Err(BadArg(format!("no case or system matches `{selector}`")));
+    }
+
+    let mut t = TextTable::new(&[
+        "Case", "Ticket", "System", "Sites", "Reach", "Bound", "Inferred", "Units", "Nodes",
+        "Edges", "Pruned%", "Obs", "MinDist", "Exc us", "Slice us", "Chain us", "Total us",
+    ]);
+    let (mut records, mut lints) = (Vec::new(), String::new());
+    let mut last_system = "";
+    for case in &cases {
+        let (mut row, record, case_lints) = analyze_case(case)?;
+        // A system is named on its first row only.
+        if case.system == last_system {
+            row[2].clear();
+        }
+        last_system = case.system;
+        t.row(row);
+        records.push(record);
+        for l in case_lints {
+            let _ = writeln!(lints, "lint [{}]: {}", case.id, l);
+        }
+    }
+    let report = format!(
+        "Static analysis report (fault-site reduction and causal-graph shape)\n\n{}\n\
+         Sites = static fault sites; Reach = reachable from the workload \
+         roots; Bound = reachable sites the occurrence bounds leave alive \
+         (hi != 0); Inferred = causal-graph sources; Units = (site, exception) \
+         candidates after pruning; Pruned% = plan-space fraction the static \
+         occurrence bounds prove infeasible; MinDist = per-observable minimum \
+         source distance.\n{lints}",
+        t.render()
+    );
+    let json = || format!("{}\n", Json::obj([("cases", Json::arr(records))]));
+    match json_path.as_deref() {
+        // The machine-readable document owns stdout, so the
+        // human-readable report moves to stderr and stays pipeable.
+        Some("-") => {
+            eprint!("{report}");
+            emit(&json())
+        }
+        Some(path) => {
+            write_file(path, json())?;
+            emit(&format!("{report}\nJSON written to {path}\n"))
+        }
+        None => emit(&report),
     }
 }
 
-fn analyze_json(rows: &[AnalyzeRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
+/// The strategy a `reproduce` runs, resolved before anything is written:
+/// the batched explorer speculates on copies of its strategy, so it takes
+/// the (`Clone`) feedback-strategy family only.
+enum Search {
+    Sequential(Box<dyn Strategy>),
+    Batched(Box<FeedbackStrategy>, BatchExplorerConfig),
+}
+
+/// Prepares and searches, every event going to `tracer`.
+fn search(
+    case: &FailureCase,
+    search: &mut Search,
+    cfg: &ExplorerConfig,
+    tracer: &dyn Tracer,
+) -> Result<Reproduction, CliError> {
+    let PreparedCase { gt, ctx, .. } = prepare(case, tracer)?;
+    eprintln!(
+        "{}: {} observables, {} candidate units, causal graph {}v/{}e",
+        case.id,
+        ctx.observables.len(),
+        ctx.units.len(),
+        ctx.graph.node_count(),
+        ctx.graph.edge_count()
+    );
+    let gt_site = Some(gt.site);
+    match search {
+        Search::Sequential(strategy) => {
+            explore_traced(&ctx, &case.oracle, strategy.as_mut(), cfg, gt_site, tracer)
+        }
+        Search::Batched(strategy, batch) => explore_batched_traced(
+            &ctx,
+            &case.oracle,
+            strategy.as_mut(),
+            cfg,
+            batch,
+            gt_site,
+            tracer,
+        ),
+    }
+    .map_err(|e| Failed(format!("{}: exploration: {e}", case.id)))
+}
+
+fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
+    let case = resolve_case(args.get(1))?;
+    let mut strategy_name = "full".to_string();
+    let mut cfg = ExplorerConfig {
+        max_rounds: 2_000,
+        ..ExplorerConfig::default()
+    };
+    let mut emit_script: Option<String> = None;
+    let mut threads = 1usize;
+    let mut batch_size: Option<usize> = None;
+    let mut trace_path: Option<String> = None;
+    let mut i = 2;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--strategy" => strategy_name = flag(args, &mut i)?,
+            "--max-rounds" => cfg.max_rounds = flag(args, &mut i)?,
+            "--emit-script" => emit_script = Some(flag(args, &mut i)?),
+            "--threads" => threads = flag(args, &mut i)?,
+            "--batch" => batch_size = Some(flag(args, &mut i)?),
+            "--trace" => trace_path = Some(flag(args, &mut i)?),
+            "--adaptive" => {
+                cfg.adaptive.enabled = match flag::<String>(args, &mut i)?.as_str() {
+                    "on" => true,
+                    "off" => false,
+                    _ => return Err(Usage),
+                }
+            }
+            _ => return Err(Usage),
+        }
+    }
+    let mut chosen = if threads > 1 || batch_size.is_some() {
+        let fb_cfg = feedback_by_name(&strategy_name).ok_or_else(|| {
+            BadArg("--threads/--batch require a feedback-strategy variant".into())
+        })?;
+        let batch = BatchExplorerConfig {
+            batch_size: batch_size.unwrap_or_else(|| threads.max(2) * 2),
+            threads,
+        };
+        Search::Batched(Box::new(FeedbackStrategy::new(fb_cfg)), batch)
+    } else {
+        Search::Sequential(by_name(&strategy_name).ok_or(Usage)?)
+    };
+
+    let trace = match trace_path {
+        Some(path) => {
+            let file = FileTracer::create(&path)
+                .map_err(|e| Failed(format!("cannot create trace file `{path}`: {e}")))?;
+            Some((file, path))
+        }
+        None => None,
+    };
+    let tracer: &dyn Tracer = trace.as_ref().map_or(&NoopTracer, |(file, _)| file);
+    let searched = search(&case, &mut chosen, &cfg, tracer);
+    // The one way out of a traced search, dead or alive: the file ends on
+    // a whole line, and says so before the search's own verdict.
+    let mut complete = true;
+    if let Some((file, path)) = &trace {
+        match file.finish() {
+            Ok(()) => eprintln!("trace written to {path}"),
+            Err(e) => {
+                eprintln!("anduril: trace file `{path}` is incomplete: {e}");
+                complete = false;
+            }
+        }
+    }
+    let r = searched?;
+    if !complete {
+        return Ok(ExitCode::from(1));
+    }
+
+    if !r.success {
+        emit(&format!(
+            "NOT reproduced within {} rounds with {}\n",
+            r.rounds, r.strategy
+        ))?;
+        return Ok(ExitCode::from(1));
+    }
+    let mut out = format!(
+        "reproduced in {} rounds ({} sim ticks, {:?} wall) with {}\n",
+        r.rounds, r.sim_time_total, r.wall, r.strategy
+    );
+    if let Some(s) = r.script {
+        let _ = writeln!(
             out,
-            "    {{\"id\": \"{}\", \"ticket\": \"{}\", \"system\": \"{}\", \
-             \"sites_total\": {}, \"sites_reachable\": {}, \"sites_bounded\": {}, \
-             \"sites_inferred\": {}, \
-             \"units\": {}, \"nodes\": {}, \"edges\": {}, \
-             \"pruned_plan_ratio\": {:.4}, \"gt_dead\": {}, \
-             \"timings_ns\": {{\"exception\": {}, \"slicing\": {}, \"chaining\": {}, \"total\": {}}}, \
-             \"site_bounds\": [",
-            json_escape(r.id),
-            json_escape(r.ticket),
-            json_escape(r.system),
-            r.sites_total,
-            r.sites_reachable,
-            r.sites_bounded,
-            r.sites_inferred,
-            r.units,
-            r.nodes,
-            r.edges,
-            r.pruned_ratio,
-            r.gt_dead,
-            r.timings.exception_ns,
-            r.timings.slicing_ns,
-            r.timings.chaining_ns,
-            r.timings.total_ns,
+            "script: seed {} inject {} at `{}` occurrence {} (replay verified: {})",
+            s.seed, s.exc, s.desc, s.occurrence, r.replay_verified
         );
-        for (j, (site, desc, lo, hi)) in r.site_bounds.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"site\": {site}, \"desc\": \"{}\", \"lo\": {lo}, \"hi\": {}}}",
-                if j > 0 { ", " } else { "" },
-                json_escape(desc),
-                hi.map(|h| h.to_string()).unwrap_or_else(|| "null".into()),
-            );
+        if let Some(path) = emit_script {
+            write_file(&path, s.to_text())?;
+            let _ = writeln!(out, "script written to {path}");
         }
-        out.push_str("], \"observables\": [");
-        for (j, (text, min)) in r.observables.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"template\": \"{}\", \"min_distance\": {}}}",
-                if j > 0 { ", " } else { "" },
-                json_escape(text),
-                min.map(|d| d.to_string()).unwrap_or_else(|| "null".into()),
-            );
-        }
-        out.push_str("], \"lints\": [");
-        for (j, l) in r.lints.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\"",
-                if j > 0 { ", " } else { "" },
-                json_escape(l)
-            );
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
-    out.push_str("  ]\n}\n");
-    out
+    emit(&out)
 }
 
-fn feedback_config_by_name(name: &str) -> Option<FeedbackConfig> {
-    Some(match name {
-        "full" => FeedbackConfig::full(),
-        "exhaustive" => FeedbackConfig::exhaustive(),
-        "site-distance" => FeedbackConfig::site_distance(),
-        "site-distance-limit3" => FeedbackConfig::site_distance_limited(),
-        "site-feedback" => FeedbackConfig::site_feedback(),
-        "multiply" => FeedbackConfig::multiply(),
-        "sum-aggregate" => FeedbackConfig::sum_aggregate(),
-        "order-distance" => FeedbackConfig::order_distance(),
-        "global-diff" => FeedbackConfig::global_diff(),
-        _ => return None,
-    })
-}
-
-fn strategy_by_name(name: &str) -> Option<Box<dyn Strategy>> {
-    if let Some(cfg) = feedback_config_by_name(name) {
-        return Some(Box::new(FeedbackStrategy::new(cfg)));
-    }
-    Some(match name {
-        "fate" => Box::new(Fate::new()),
-        "crashtuner" => Box::new(CrashTuner::crashes()),
-        "crashtuner-meta-exc" => Box::new(CrashTuner::meta_exceptions()),
-        "stacktrace" => Box::new(StacktraceInjector::new()),
-        _ => return None,
-    })
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            println!("{:4} {:10} {:10} description", "id", "ticket", "system");
-            for c in all_cases() {
-                println!(
-                    "{:4} {:10} {:10} {}",
-                    c.id, c.ticket, c.system, c.description
-                );
-            }
-        }
-        Some("show") => {
-            let case = resolve_case(args.get(1));
-            println!("{} ({}) on {}", case.ticket, case.id, case.system);
-            println!("  {}", case.description);
-            println!("  root cause : {} ({})", case.root_site_desc, case.root_exc);
-            match case.ground_truth() {
-                Ok(gt) => println!(
-                    "  ground truth: occurrence {} under seed {}",
-                    gt.occurrence, gt.seed
-                ),
-                Err(e) => println!("  ground truth: UNRESOLVABLE ({e})"),
-            }
-            for d in &case.deeper_causes {
-                println!("  deeper cause: {} ({}) — {}", d.site_desc, d.exc, d.note);
-            }
-        }
-        Some("log") => {
-            let case = resolve_case(args.get(1));
-            match case.failure_log() {
-                Ok(log) => emit(&log),
-                Err(e) => fail(format!("{}: failure log: {e}", case.id)),
-            }
-        }
-        Some("analyze") => {
-            let mut selector = "all".to_string();
-            let mut json_path: Option<String> = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--json" => {
-                        json_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                        i += 2;
-                    }
-                    s if i == 1 => {
-                        selector = s.to_string();
-                        i += 1;
-                    }
-                    _ => usage(),
-                }
-            }
-            let cases: Vec<_> = all_cases()
-                .into_iter()
-                .filter(|c| {
-                    selector.eq_ignore_ascii_case("all")
-                        || c.id.eq_ignore_ascii_case(&selector)
-                        || c.system.eq_ignore_ascii_case(&selector)
-                })
-                .collect();
-            if cases.is_empty() {
-                eprintln!("no case or system matches `{selector}`");
-                std::process::exit(2);
-            }
-            let rows: Vec<AnalyzeRow> = cases.iter().map(analyze_case).collect();
-
-            let mut report = String::new();
-            use std::fmt::Write as _;
-
-            writeln!(
-                report,
-                "Static analysis report (fault-site reduction and causal-graph shape)\n"
-            )
-            .unwrap_or_else(|e| fail(format!("analyze: cannot format report: {e}")));
-            let mut t = TextTable::new(&[
-                "Case", "Ticket", "System", "Sites", "Reach", "Bound", "Inferred", "Units",
-                "Nodes", "Edges", "Pruned%", "Obs", "MinDist", "Exc us", "Slice us", "Chain us",
-                "Total us",
-            ]);
-            let mut last_system = "";
-            for r in &rows {
-                let mindist = r
-                    .observables
-                    .iter()
-                    .map(|(_, m)| m.map(|d| d.to_string()).unwrap_or_else(|| "-".into()))
-                    .collect::<Vec<_>>()
-                    .join("/");
-                t.row(vec![
-                    r.id.to_string(),
-                    r.ticket.to_string(),
-                    if r.system == last_system {
-                        String::new()
-                    } else {
-                        r.system.to_string()
-                    },
-                    r.sites_total.to_string(),
-                    r.sites_reachable.to_string(),
-                    r.sites_bounded.to_string(),
-                    r.sites_inferred.to_string(),
-                    r.units.to_string(),
-                    r.nodes.to_string(),
-                    r.edges.to_string(),
-                    format!("{:.1}", 100.0 * r.pruned_ratio),
-                    r.observables.len().to_string(),
-                    mindist,
-                    (r.timings.exception_ns / 1_000).to_string(),
-                    (r.timings.slicing_ns / 1_000).to_string(),
-                    (r.timings.chaining_ns / 1_000).to_string(),
-                    (r.timings.total_ns / 1_000).to_string(),
-                ]);
-                last_system = r.system;
-            }
-            write!(report, "{}", t.render())
-                .unwrap_or_else(|e| fail(format!("analyze: cannot format report: {e}")));
-            writeln!(
-                report,
-                "\nSites = static fault sites; Reach = reachable from the workload \
-                 roots; Bound = reachable sites the occurrence bounds leave alive \
-                 (hi != 0); Inferred = causal-graph sources; Units = (site, exception) \
-                 candidates after pruning; Pruned% = plan-space fraction the static \
-                 occurrence bounds prove infeasible; MinDist = per-observable minimum \
-                 source distance."
-            )
-            .unwrap_or_else(|e| fail(format!("analyze: cannot format report: {e}")));
-            for r in &rows {
-                for l in &r.lints {
-                    writeln!(report, "lint [{}]: {}", r.id, l)
-                        .unwrap_or_else(|e| fail(format!("analyze: cannot format report: {e}")));
-                }
-            }
-            match json_path.as_deref() {
-                // The machine-readable document owns stdout, so the
-                // human-readable report moves to stderr and stays pipeable.
-                Some("-") => {
-                    eprint!("{report}");
-                    emit(&analyze_json(&rows));
-                }
-                Some(path) => {
-                    std::fs::write(path, analyze_json(&rows))
-                        .unwrap_or_else(|e| fail(format!("cannot write `{path}`: {e}")));
-                    emit(&format!("{report}\nJSON written to {path}\n"));
-                }
-                None => emit(&report),
-            }
-        }
-        Some("reproduce") => {
-            let case = resolve_case(args.get(1));
-            let mut strategy_name = "full".to_string();
-            let mut max_rounds = 2_000usize;
-            let mut emit_script: Option<String> = None;
-            let mut threads = 1usize;
-            let mut batch_size: Option<usize> = None;
-            let mut trace_path: Option<String> = None;
-            let mut adaptive = false;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--strategy" => {
-                        strategy_name = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-                        i += 2;
-                    }
-                    "--max-rounds" => {
-                        max_rounds = args
-                            .get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| usage());
-                        i += 2;
-                    }
-                    "--emit-script" => {
-                        emit_script = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                        i += 2;
-                    }
-                    "--threads" => {
-                        threads = args
-                            .get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| usage());
-                        i += 2;
-                    }
-                    "--batch" => {
-                        batch_size = Some(
-                            args.get(i + 1)
-                                .and_then(|s| s.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        );
-                        i += 2;
-                    }
-                    "--trace" => {
-                        trace_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                        i += 2;
-                    }
-                    "--adaptive" => {
-                        adaptive = match args.get(i + 1).map(String::as_str) {
-                            Some("on") => true,
-                            Some("off") => false,
-                            _ => usage(),
-                        };
-                        i += 2;
-                    }
-                    _ => usage(),
-                }
-            }
-            let file_tracer = trace_path.as_deref().map(|path| {
-                FileTracer::create(path)
-                    .unwrap_or_else(|e| fail(format!("cannot create trace file `{path}`: {e}")))
-            });
-            let tracer: &dyn Tracer = match &file_tracer {
-                Some(t) => t,
-                None => &NoopTracer,
-            };
-            // `fail` leaves through `process::exit`, which runs no
-            // destructor: every way out of a traced search closes the
-            // trace first, so the file of a search that died ends on a
-            // whole line. `false` when the file is short of an event.
-            let close_trace = || {
-                let Some((t, path)) = file_tracer.as_ref().zip(trace_path.as_ref()) else {
-                    return true;
-                };
-                let written = t.finish();
-                match &written {
-                    Ok(()) => eprintln!("trace written to {path}"),
-                    Err(e) => eprintln!("anduril: trace file `{path}` is incomplete: {e}"),
-                }
-                written.is_ok()
-            };
-            let die = |msg: String| -> ! {
-                close_trace();
-                fail(msg)
-            };
-            let gt = case
-                .ground_truth()
-                .unwrap_or_else(|e| fail(format!("{}: ground truth: {e}", case.id)));
-            let failure_log = case
-                .failure_log()
-                .unwrap_or_else(|e| fail(format!("{}: failure log: {e}", case.id)));
-            let ctx =
-                SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, tracer)
-                    .unwrap_or_else(|e| die(format!("{}: context preparation: {e}", case.id)));
+fn trace(args: &[String]) -> Result<ExitCode, CliError> {
+    let path = args.get(1).ok_or(Usage)?;
+    // Read, parse: only once the mode is known to be one, so a bad flag is
+    // a usage error whatever the file holds.
+    let events = || -> Result<Vec<TraceEvent>, CliError> {
+        let text = read_file(path)?;
+        let (events, cut) = read_stream(&text).map_err(|e| Failed(format!("{path}:{e}")))?;
+        if let Some(line) = cut {
             eprintln!(
-                "{}: {} observables, {} candidate units, causal graph {}v/{}e",
-                case.id,
-                ctx.observables.len(),
-                ctx.units.len(),
-                ctx.graph.node_count(),
-                ctx.graph.edge_count()
-            );
-            let mut cfg = ExplorerConfig {
-                max_rounds,
-                ..ExplorerConfig::default()
-            };
-            cfg.adaptive.enabled = adaptive;
-            let batched = threads > 1 || batch_size.is_some();
-            let r = if batched {
-                // The batched path speculates on a cloned strategy, so it
-                // is limited to the (Clone) feedback-strategy family.
-                let Some(fb_cfg) = feedback_config_by_name(&strategy_name) else {
-                    eprintln!("--threads/--batch require a feedback-strategy variant");
-                    std::process::exit(2);
-                };
-                let batch = BatchExplorerConfig {
-                    batch_size: batch_size.unwrap_or_else(|| threads.max(2) * 2),
-                    threads,
-                };
-                let mut strategy = FeedbackStrategy::new(fb_cfg);
-                explore_batched_traced(
-                    &ctx,
-                    &case.oracle,
-                    &mut strategy,
-                    &cfg,
-                    &batch,
-                    Some(gt.site),
-                    tracer,
-                )
-                .unwrap_or_else(|e| die(format!("{}: exploration: {e}", case.id)))
-            } else {
-                let mut strategy = strategy_by_name(&strategy_name).unwrap_or_else(|| usage());
-                explore_traced(
-                    &ctx,
-                    &case.oracle,
-                    strategy.as_mut(),
-                    &cfg,
-                    Some(gt.site),
-                    tracer,
-                )
-                .unwrap_or_else(|e| die(format!("{}: exploration: {e}", case.id)))
-            };
-            if !close_trace() {
-                std::process::exit(1);
-            }
-            if r.success {
-                println!(
-                    "reproduced in {} rounds ({} sim ticks, {:?} wall) with {}",
-                    r.rounds, r.sim_time_total, r.wall, r.strategy
-                );
-                if let Some(s) = r.script {
-                    println!(
-                        "script: seed {} inject {} at `{}` occurrence {} (replay verified: {})",
-                        s.seed, s.exc, s.desc, s.occurrence, r.replay_verified
-                    );
-                    if let Some(path) = emit_script {
-                        std::fs::write(&path, s.to_text())
-                            .unwrap_or_else(|e| fail(format!("cannot write `{path}`: {e}")));
-                        println!("script written to {path}");
-                    }
-                }
-            } else {
-                println!(
-                    "NOT reproduced within {} rounds with {}",
-                    r.rounds, r.strategy
-                );
-                std::process::exit(1);
-            }
-        }
-        Some("trace") => {
-            let Some(path) = args.get(1) else { usage() };
-            // Read, parse: only once the mode is known to be one, so a
-            // bad flag is a usage error whatever the file holds.
-            let events = || {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| fail(format!("cannot read `{path}`: {e}")));
-                let (events, cut) =
-                    read_stream(&text).unwrap_or_else(|e| fail(format!("{path}:{e}")));
-                if let Some(line) = cut {
-                    eprintln!(
-                        "anduril: {path}:{line}: final line is cut short (the search died \
-                         mid-write); dropped, {} events kept",
-                        events.len()
-                    );
-                }
-                if events.is_empty() {
-                    fail(format!("`{path}` contains no trace events"));
-                }
-                events
-            };
-            let mode: Vec<&str> = args[2..].iter().map(String::as_str).collect();
-            emit(&match mode[..] {
-                [] | ["--summary"] => report::summary(path, &events()),
-                ["--round", n] => {
-                    let n = n.parse().unwrap_or_else(|_| usage());
-                    report::round(&events(), n).unwrap_or_else(|e| fail(e))
-                }
-                ["--promotions"] => report::promotions(&events()),
-                ["--json"] => report::json(&events()),
-                _ => usage(),
-            });
-        }
-        Some("explain") => {
-            let case = resolve_case(args.get(1));
-            let failure_log = case
-                .failure_log()
-                .unwrap_or_else(|e| fail(format!("{}: failure log: {e}", case.id)));
-            let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000)
-                .unwrap_or_else(|e| fail(format!("{}: context preparation: {e}", case.id)));
-            let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-            s.init(&ctx);
-            let _ = s.plan_round(&ctx, 0);
-            println!(
-                "{}: initial priority breakdown (F_i = L + I via argmin observable k*)",
-                case.id
-            );
-            println!(
-                "{:32} {:>5} {:>4} {:>5} {:>5} {:>10} {:>6}",
-                "site", "F_i", "k*", "L", "I_k", "best occ", "T"
-            );
-            let mut explanations: Vec<_> = ctx
-                .units
-                .iter()
-                .filter_map(|&u| s.explain(&ctx, u))
-                .collect();
-            sort_explanations(&mut explanations);
-            for ex in explanations {
-                let (occ, t) = ex
-                    .best_instance
-                    .map(|(o, t)| (format!("{o:?}"), format!("{t:.1}")))
-                    .unwrap_or(("-".into(), "-".into()));
-                println!(
-                    "{:32} {:>5} {:>4} {:>5} {:>5} {:>10} {:>6}",
-                    ctx.scenario.program.sites[ex.unit.site.index()].desc,
-                    ex.f_i,
-                    ex.k_star,
-                    ex.l,
-                    ex.i_k,
-                    occ,
-                    t
-                );
-            }
-        }
-        Some("generate") => {
-            let mut seed = 1u64;
-            let mut count = 10usize;
-            let mut size = anduril::gen::SizeClass::Small;
-            let mut multi_fault = false;
-            let mut reproduce = false;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--seed" => {
-                        seed = args
-                            .get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| usage());
-                        i += 2;
-                    }
-                    "--count" => {
-                        count = args
-                            .get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| usage());
-                        i += 2;
-                    }
-                    "--size" => {
-                        size = args
-                            .get(i + 1)
-                            .and_then(|s| anduril::gen::SizeClass::parse(s))
-                            .unwrap_or_else(|| usage());
-                        i += 2;
-                    }
-                    "--multi-fault" => {
-                        multi_fault = true;
-                        i += 1;
-                    }
-                    "--reproduce" => {
-                        reproduce = true;
-                        i += 1;
-                    }
-                    _ => usage(),
-                }
-            }
-            let cfg = anduril::gen::GenConfig {
-                seed,
-                size,
-                multi_fault,
-            };
-            println!(
-                "{:8} {:>5} {:>5} {:>5} {:>6} {:24} {:7} sound",
-                "id", "nodes", "funcs", "sites", "stmts", "planted", "seed"
-            );
-            for idx in 0..count {
-                let gc = anduril::gen::generate_one(&cfg, idx)
-                    .unwrap_or_else(|e| fail(format!("case {idx}: {e}")));
-                let planted = gc
-                    .plant
-                    .iter()
-                    .map(|f| {
-                        let desc = &gc.case.scenario.program.sites[f.site.index()].desc;
-                        format!("{desc}@{}", f.occurrence)
-                    })
-                    .collect::<Vec<_>>()
-                    .join(" + ");
-                let sound = match anduril::gen::verify_sound(&gc) {
-                    Ok(()) => "yes".to_string(),
-                    Err(e) => format!("NO ({e})"),
-                };
-                println!(
-                    "{:8} {:>5} {:>5} {:>5} {:>6} {:24} {:7} {}",
-                    gc.case.id,
-                    gc.nodes,
-                    gc.funcs,
-                    gc.sites,
-                    gc.stmts,
-                    planted,
-                    gc.case.failure_seed,
-                    sound
-                );
-                if reproduce && !gc.is_multi_fault() {
-                    let ctx =
-                        SearchContext::prepare(gc.case.scenario.clone(), &gc.failure_log, 1_000)
-                            .unwrap_or_else(|e| fail(format!("{}: context: {e}", gc.case.id)));
-                    let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-                    let repro = explore_traced(
-                        &ctx,
-                        &gc.case.oracle,
-                        &mut strategy,
-                        &ExplorerConfig::default(),
-                        None,
-                        &NoopTracer,
-                    )
-                    .unwrap_or_else(|e| fail(format!("{}: explore: {e}", gc.case.id)));
-                    println!(
-                        "         rediscovered = {} in {} rounds",
-                        repro.success, repro.rounds
-                    );
-                }
-            }
-        }
-        Some("replay") => {
-            let case = resolve_case(args.get(1));
-            let path = args.get(2).unwrap_or_else(|| usage());
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(format!("cannot read `{path}`: {e}")));
-            let script = anduril::ReproScript::parse(&text)
-                .unwrap_or_else(|| fail(format!("malformed script `{path}`")));
-            let r = script
-                .replay(&case.scenario)
-                .unwrap_or_else(|e| fail(format!("replay failed: {e}")));
-            println!(
-                "replayed {}: oracle satisfied = {}",
-                case.id,
-                case.oracle.check(&r)
+                "anduril: {path}:{line}: final line is cut short (the search died \
+                 mid-write); dropped, {} events kept",
+                events.len()
             );
         }
-        _ => usage(),
+        if events.is_empty() {
+            return Err(Failed(format!("`{path}` contains no trace events")));
+        }
+        Ok(events)
+    };
+    let mode: Vec<&str> = args[2..].iter().map(String::as_str).collect();
+    emit(&match mode[..] {
+        [] | ["--summary"] => report::summary(path, &events()?),
+        ["--round", n] => {
+            let n = n.parse().map_err(|_| Usage)?;
+            report::round(&events()?, n).map_err(|e| Failed(e.to_string()))?
+        }
+        ["--promotions"] => report::promotions(&events()?),
+        ["--json"] => report::json(&events()?),
+        _ => return Err(Usage),
+    })
+}
+
+fn explain(args: &[String]) -> Result<ExitCode, CliError> {
+    let case = resolve_case(args.get(1))?;
+    let ctx = prepare(&case, &NoopTracer)?.ctx;
+    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
+    s.init(&ctx);
+    let _ = s.plan_round(&ctx, 0);
+    let mut out = format!(
+        "{}: initial priority breakdown (F_i = L + I via argmin observable k*)\n\
+         {:32} {:>5} {:>4} {:>5} {:>5} {:>10} {:>6}\n",
+        case.id, "site", "F_i", "k*", "L", "I_k", "best occ", "T"
+    );
+    let mut explanations: Vec<_> = ctx
+        .units
+        .iter()
+        .filter_map(|&u| s.explain(&ctx, u))
+        .collect();
+    sort_explanations(&mut explanations);
+    for ex in explanations {
+        let (occ, t) = ex
+            .best_instance
+            .map(|(o, t)| (format!("{o:?}"), format!("{t:.1}")))
+            .unwrap_or(("-".into(), "-".into()));
+        let _ = writeln!(
+            out,
+            "{:32} {:>5} {:>4} {:>5} {:>5} {:>10} {:>6}",
+            ctx.scenario.program.sites[ex.unit.site.index()].desc,
+            ex.f_i,
+            ex.k_star,
+            ex.l,
+            ex.i_k,
+            occ,
+            t
+        );
+    }
+    emit(&out)
+}
+
+fn generate(args: &[String]) -> Result<ExitCode, CliError> {
+    let mut cfg = GenConfig {
+        seed: 1,
+        size: SizeClass::Small,
+        multi_fault: false,
+    };
+    let mut count = 10usize;
+    let mut reproduce = false;
+    let mut i = 1;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--seed" => cfg.seed = flag(args, &mut i)?,
+            "--count" => count = flag(args, &mut i)?,
+            "--size" => cfg.size = SizeClass::parse(&flag::<String>(args, &mut i)?).ok_or(Usage)?,
+            "--multi-fault" => {
+                cfg.multi_fault = true;
+                i += 1;
+            }
+            "--reproduce" => {
+                reproduce = true;
+                i += 1;
+            }
+            _ => return Err(Usage),
+        }
+    }
+    let mut out = format!(
+        "{:8} {:>5} {:>5} {:>5} {:>6} {:24} {:7} sound\n",
+        "id", "nodes", "funcs", "sites", "stmts", "planted", "seed"
+    );
+    for idx in 0..count {
+        let gc = generate_one(&cfg, idx).map_err(|e| Failed(format!("case {idx}: {e}")))?;
+        let planted = gc
+            .plant
+            .iter()
+            .map(|f| {
+                let desc = &gc.case.scenario.program.sites[f.site.index()].desc;
+                format!("{desc}@{}", f.occurrence)
+            })
+            .collect::<Vec<_>>()
+            .join(" + ");
+        let sound = match verify_sound(&gc) {
+            Ok(()) => "yes".to_string(),
+            Err(e) => format!("NO ({e})"),
+        };
+        let _ = writeln!(
+            out,
+            "{:8} {:>5} {:>5} {:>5} {:>6} {:24} {:7} {}",
+            gc.case.id,
+            gc.nodes,
+            gc.funcs,
+            gc.sites,
+            gc.stmts,
+            planted,
+            gc.case.failure_seed,
+            sound
+        );
+        if reproduce && !gc.is_multi_fault() {
+            let id = gc.case.id;
+            // Not `FailureCase::prepare`: a generated case's ground truth
+            // is its plant, and it carries the log the plant renders.
+            let ctx = SearchContext::prepare(gc.case.scenario.clone(), &gc.failure_log, 1_000)
+                .map_err(|e| Failed(format!("{id}: context: {e}")))?;
+            let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
+            let cfg = ExplorerConfig::default();
+            let repro = explore(&ctx, &gc.case.oracle, &mut strategy, &cfg, None)
+                .map_err(|e| Failed(format!("{id}: explore: {e}")))?;
+            let _ = writeln!(
+                out,
+                "         rediscovered = {} in {} rounds",
+                repro.success, repro.rounds
+            );
+        }
+    }
+    emit(&out)
+}
+
+fn replay(args: &[String]) -> Result<ExitCode, CliError> {
+    let case = resolve_case(args.get(1))?;
+    let path = args.get(2).ok_or(Usage)?;
+    let script = anduril::ReproScript::parse(&read_file(path)?)
+        .ok_or_else(|| Failed(format!("malformed script `{path}`")))?;
+    let r = script
+        .replay(&case.scenario)
+        .map_err(|e| Failed(format!("replay failed: {e}")))?;
+    emit(&format!(
+        "replayed {}: oracle satisfied = {}\n",
+        case.id,
+        case.oracle.check(&r)
+    ))
+}
+
+fn run(args: &[String]) -> Result<ExitCode, CliError> {
+    match args.first().map(String::as_str) {
+        Some("list") => list(),
+        Some("show") => show(args),
+        Some("log") => log(args),
+        Some("analyze") => analyze(args),
+        Some("reproduce") => reproduce(args),
+        Some("trace") => trace(args),
+        Some("explain") => explain(args),
+        Some("generate") => generate(args),
+        Some("replay") => replay(args),
+        _ => Err(Usage),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(code) => code,
+        Err(Usage) => {
+            print_usage();
+            ExitCode::from(2)
+        }
+        Err(BadArg(msg)) => {
+            eprintln!("{msg}");
+            ExitCode::from(2)
+        }
+        // Every runtime failure (missing file, simulator error) leaves
+        // here, so no subcommand can fail with exit 0.
+        Err(Failed(msg)) => {
+            eprintln!("anduril: {msg}");
+            ExitCode::from(1)
+        }
     }
 }
 

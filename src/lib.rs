@@ -24,16 +24,20 @@
 //! # Examples
 //!
 //! ```no_run
-//! use anduril::{reproduce, ExplorerConfig};
+//! use anduril::{baselines, explore, ExplorerConfig, NoopTracer};
 //! use anduril::failures::case_by_id;
 //!
+//! // The two calls every harness in the workspace makes: a case prepares
+//! // (ground truth, failure log, search context), a name picks a strategy.
 //! let case = case_by_id("f17").expect("motivating example");
-//! let failure_log = case.failure_log().expect("ground truth resolvable");
-//! let (repro, _ctx) = reproduce(
-//!     case.scenario.clone(),
-//!     &failure_log,
+//! let prepared = case.prepare(1_000, &NoopTracer).expect("ground truth resolvable");
+//! let mut strategy = baselines::by_name("full").expect("registered");
+//! let repro = explore(
+//!     &prepared.ctx,
 //!     &case.oracle,
+//!     strategy.as_mut(),
 //!     &ExplorerConfig::default(),
+//!     Some(prepared.gt.site),
 //! )
 //! .expect("exploration runs");
 //! assert!(repro.success);

@@ -2,7 +2,7 @@
 //! real-world failures, identifying the root-cause fault and timing.
 
 use anduril::failures::all_cases;
-use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext};
+use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer};
 
 #[test]
 fn every_case_is_fault_induced() {
@@ -32,17 +32,14 @@ fn full_feedback_reproduces_all_22_failures() {
     let mut reproduced = 0;
     let mut total_rounds = Vec::new();
     for case in all_cases() {
-        let failure_log = case.failure_log().expect("failure log");
-        let gt = case.ground_truth().expect("ground truth");
-        let ctx =
-            SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
+        let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
         let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
         let repro = explore(
-            &ctx,
+            &prepared.ctx,
             &case.oracle,
             &mut strategy,
             &ExplorerConfig::default(),
-            Some(gt.site),
+            Some(prepared.gt.site),
         )
         .expect("exploration runs");
         assert!(

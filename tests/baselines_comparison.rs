@@ -5,20 +5,18 @@
 use anduril::baselines::{CrashTuner, Fate, StacktraceInjector};
 use anduril::failures::{all_cases, case_by_id};
 use anduril::{
-    explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction, SearchContext,
-    Strategy,
+    explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer, Reproduction, Strategy,
 };
 
 fn run_case(id: &str, strategy: &mut dyn Strategy, max_rounds: usize) -> Reproduction {
     let case = case_by_id(id).expect("case exists");
-    let failure_log = case.failure_log().expect("failure log");
-    let gt = case.ground_truth().expect("ground truth");
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
+    let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
     let cfg = ExplorerConfig {
         max_rounds,
         ..ExplorerConfig::default()
     };
-    explore(&ctx, &case.oracle, strategy, &cfg, Some(gt.site)).expect("runs")
+    let gt_site = Some(prepared.gt.site);
+    explore(&prepared.ctx, &case.oracle, strategy, &cfg, gt_site).expect("runs")
 }
 
 #[test]

@@ -3,40 +3,37 @@
 //! same round count, same per-round decisions. Speculation may only change
 //! how fast the answer arrives, never the answer.
 
-use anduril::failures::case_by_id;
+use anduril::failures::{case_by_id, PreparedCase};
 use anduril::{
     explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, Reproduction, SearchContext,
+    FeedbackStrategy, NoopTracer, Reproduction,
 };
 
-fn sequential(id: &str) -> (Reproduction, SearchContext) {
+fn sequential(id: &str) -> (Reproduction, PreparedCase) {
     let case = case_by_id(id).expect("case");
-    let failure_log = case.failure_log().expect("failure log");
-    let gt = case.ground_truth().expect("ground truth");
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
+    let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     let r = explore(
-        &ctx,
+        &prepared.ctx,
         &case.oracle,
         &mut s,
         &ExplorerConfig::default(),
-        Some(gt.site),
+        Some(prepared.gt.site),
     )
     .expect("explore");
-    (r, ctx)
+    (r, prepared)
 }
 
-fn batched(id: &str, ctx: &SearchContext, batch: &BatchExplorerConfig) -> Reproduction {
+fn batched(id: &str, prepared: &PreparedCase, batch: &BatchExplorerConfig) -> Reproduction {
     let case = case_by_id(id).expect("case");
-    let gt = case.ground_truth().expect("ground truth");
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     explore_batched(
-        ctx,
+        &prepared.ctx,
         &case.oracle,
         &mut s,
         &ExplorerConfig::default(),
         batch,
-        Some(gt.site),
+        Some(prepared.gt.site),
     )
     .expect("explore_batched")
 }
@@ -82,14 +79,14 @@ fn assert_identical(id: &str, threads: usize, seq: &Reproduction, bat: &Reproduc
 #[test]
 fn batched_matches_sequential() {
     for id in ["f3", "f17"] {
-        let (seq, ctx) = sequential(id);
+        let (seq, prepared) = sequential(id);
         assert!(seq.success, "{id}: sequential baseline must reproduce");
         for threads in [1usize, 4] {
             let batch = BatchExplorerConfig {
                 batch_size: 8,
                 threads,
             };
-            let bat = batched(id, &ctx, &batch);
+            let bat = batched(id, &prepared, &batch);
             assert_identical(id, threads, &seq, &bat);
         }
     }
@@ -99,11 +96,11 @@ fn batched_matches_sequential() {
 /// cannot change the outcome either.
 #[test]
 fn batch_geometry_is_irrelevant() {
-    let (seq, ctx) = sequential("f3");
+    let (seq, prepared) = sequential("f3");
     for (batch_size, threads) in [(1usize, 4usize), (64, 2), (3, 8)] {
         let bat = batched(
             "f3",
-            &ctx,
+            &prepared,
             &BatchExplorerConfig {
                 batch_size,
                 threads,

@@ -1,0 +1,125 @@
+//! The `anduril` binary at its surface: exit codes (0 done, 1 failed, 2
+//! bad command line), what goes to which stream, and that a trace file is
+//! whole — or said to be short — on every way out of `reproduce`.
+
+use std::io::{BufRead, BufReader, Read};
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
+
+use anduril::trace::read_stream;
+
+fn anduril(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_anduril"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A path no other test (each has its own `name`) or test run writes.
+fn scratch(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("anduril-cli-{}-{name}", std::process::id()))
+}
+
+#[test]
+fn a_bad_command_line_exits_2() {
+    let out = anduril(&["show", "f99"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("no case matches `f99`"));
+
+    for args in [
+        &["reproduce", "f3", "--bogus", "1"][..],
+        &["reproduce", "f3", "--max-rounds"],
+        &["reproduce", "f3", "--threads", "abc"],
+        &["reproduce", "f3", "--strategy", "no-such"],
+        &["generate", "--size", "huge"],
+        &["trace", "whatever.jsonl", "--bogus"],
+        &["frobnicate"],
+        &[],
+    ] {
+        let out = anduril(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).starts_with("usage:"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+
+    // The batched explorer clones its strategy: feedback family only.
+    let out = anduril(&["reproduce", "f3", "--threads", "4", "--strategy", "fate"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("require a feedback-strategy variant"));
+}
+
+#[test]
+fn a_runtime_failure_exits_1_and_says_why() {
+    let missing = scratch("missing.jsonl");
+    let out = anduril(&["trace", missing.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).starts_with("anduril: cannot read `"));
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn a_traced_reproduction_leaves_a_whole_file() {
+    let path = scratch("f3.jsonl");
+    let out = anduril(&["reproduce", "f3", "--trace", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stderr(&out).contains("trace written to "));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("reproduced in 1 rounds"));
+    let text = std::fs::read_to_string(&path).expect("trace file");
+    std::fs::remove_file(&path).expect("remove trace file");
+    let (events, cut) = read_stream(&text).expect("every line parses");
+    assert!(!events.is_empty());
+    assert_eq!(cut, None, "no line is cut short");
+}
+
+#[test]
+fn a_trace_file_that_cannot_be_written_is_reported_short() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = anduril(&["reproduce", "f3", "--trace", "/dev/full"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("anduril: trace file `/dev/full` is incomplete: "));
+}
+
+/// `anduril trace FILE --summary | head -1`, and the same against a pipe
+/// nobody reads at all: the reader has seen enough, which is not a failure.
+#[test]
+fn a_closed_pipe_is_not_a_failure() {
+    let path = scratch("piped.jsonl");
+    let file = path.to_str().unwrap();
+    assert!(anduril(&["reproduce", "f3", "--trace", file])
+        .status
+        .success());
+    let summary = || {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_anduril"));
+        command
+            .args(["trace", file, "--summary"])
+            .stderr(Stdio::piped());
+        command
+    };
+    let finish = |mut child: std::process::Child| {
+        let mut said = String::new();
+        let mut err = child.stderr.take().expect("piped stderr");
+        err.read_to_string(&mut said).expect("stderr");
+        assert_eq!(child.wait().expect("exits").code(), Some(0));
+        assert_eq!(said, "");
+    };
+
+    let mut child = summary().stdout(Stdio::piped()).spawn().expect("spawns");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.starts_with("Search trace "), "{first}");
+    finish(child);
+
+    // Closed before the first byte: the write itself meets the closed pipe.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    finish(summary().stdout(writer).spawn().expect("spawns"));
+    std::fs::remove_file(&path).expect("remove trace file");
+}

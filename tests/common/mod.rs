@@ -6,7 +6,7 @@
 #![allow(dead_code)]
 
 use anduril::failures::case_by_id;
-use anduril::trace::{TraceEvent, VecTracer};
+use anduril::trace::{NoopTracer, TraceEvent, VecTracer};
 use anduril::{
     explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
     FeedbackStrategy, Oracle, SearchContext,
@@ -17,16 +17,14 @@ use anduril::{
 /// stream, including context-preparation events.
 pub fn traced_run(id: &str, threads: Option<usize>) -> Vec<TraceEvent> {
     let case = case_by_id(id).expect("case");
-    let failure_log = case.failure_log().expect("failure log");
-    let gt = case.ground_truth().expect("ground truth");
     let tracer = VecTracer::new();
-    let ctx = SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, &tracer)
-        .expect("context");
+    let prepared = case.prepare(1_000, &tracer).expect("prepare");
+    let (ctx, gt) = (&prepared.ctx, &prepared.gt);
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     let cfg = ExplorerConfig::default();
     match threads {
         None => {
-            explore_traced(&ctx, &case.oracle, &mut s, &cfg, Some(gt.site), &tracer)
+            explore_traced(ctx, &case.oracle, &mut s, &cfg, Some(gt.site), &tracer)
                 .expect("explore");
         }
         Some(threads) => {
@@ -35,7 +33,7 @@ pub fn traced_run(id: &str, threads: Option<usize>) -> Vec<TraceEvent> {
                 threads,
             };
             explore_batched_traced(
-                &ctx,
+                ctx,
                 &case.oracle,
                 &mut s,
                 &cfg,
@@ -54,8 +52,8 @@ pub fn traced_run(id: &str, threads: Option<usize>) -> Vec<TraceEvent> {
 /// stripped before preparation.
 pub fn degraded_context(id: &str) -> (SearchContext, Oracle) {
     let case = case_by_id(id).expect("case");
-    let failure_log = case.failure_log().expect("failure log");
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
+    let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
+    let (ctx, failure_log) = (&prepared.ctx, &prepared.failure_log);
     let nearest = (0..ctx.observables.len())
         .filter_map(|k| ctx.distances[k].values().min().map(|&d| (d, k)))
         .min()
@@ -79,6 +77,8 @@ pub fn degraded_context(id: &str) -> (SearchContext, Oracle) {
             degraded.push('\n');
         }
     }
+    // Not `FailureCase::prepare`: the log is not the one the ground truth
+    // renders.
     let ctx = SearchContext::prepare(case.scenario.clone(), &degraded, 1_000).expect("context");
     (ctx, case.oracle.clone())
 }

@@ -8,15 +8,14 @@
 
 use anduril::failures::case_by_id;
 use anduril::logdiff::parse_log;
-use anduril::SearchContext;
+use anduril::NoopTracer;
 
 /// Builds a round log containing one observable's body — verbatim at
 /// first, then re-homed onto a fabricated thread.
 #[test]
 fn global_and_per_thread_presence_differ_across_threads() {
     let case = case_by_id("f1").expect("case");
-    let failure_log = case.failure_log().expect("failure log");
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
+    let ctx = case.prepare(1_000, &NoopTracer).expect("prepare").ctx;
     assert!(!ctx.observables.is_empty(), "f1 has observables");
 
     // The first position of the first observable, as the failure log

@@ -26,7 +26,7 @@ use anduril::sim::rng::SmallRng;
 use anduril::sim::{
     Candidate, CrashPoint, InjectionPlan, NodeSpec, RunResult, SimConfig, Topology, TraceEntry,
 };
-use anduril::trace::{TraceEvent, VecTracer};
+use anduril::trace::{NoopTracer, TraceEvent, VecTracer};
 use anduril::{
     explore, explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle,
     RoundOutcome, Scenario, SearchContext, Strategy,
@@ -322,9 +322,10 @@ fn an_ineligible_round_is_replayed_for_real() {
     let seed = cfg.base_seed + 1;
     let (mut twice, mut crashed) = (0, 0);
     for case in all_cases() {
-        let failure_log = case.failure_log().expect("failure log");
-        let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, cfg.base_seed)
-            .expect("context");
+        let ctx = case
+            .prepare(cfg.base_seed, &NoopTracer)
+            .expect("prepare")
+            .ctx;
         let normal = ctx.run_round(seed, InjectionPlan::none()).expect("normal");
         let alone = |round: &RunResult| exact_replay(&ctx.scenario, &ctx.compiled, seed, round);
         let search = |plan: InjectionPlan, oracle: &Oracle| {

@@ -2,9 +2,9 @@
 //! workload — the paper's inputs are a *production* log (arbitrary run)
 //! and any workload that exercises the affected feature.
 
-use anduril::failures::case_by_id;
+use anduril::failures::{case_by_id, CaseError};
 use anduril::sim::InjectionPlan;
-use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext};
+use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer};
 
 /// Reproduce a case whose "production" failure happened under a different
 /// seed than the registered one.
@@ -14,18 +14,18 @@ fn reproduce_with_failure_seed(id: &str, failure_seed: u64) -> bool {
     // The ground truth scan may land on a different occurrence under the
     // new seed; some seeds may not reach the failure state at all (the
     // paper's probabilistic-reproduction caveat, §6). Skip those.
-    let Ok(gt) = case.ground_truth() else {
-        return true;
+    let prepared = match case.prepare(1_000, &NoopTracer) {
+        Ok(prepared) => prepared,
+        Err(CaseError::NotReproducible(_)) => return true,
+        Err(e) => panic!("{id}: {e}"),
     };
-    let failure_log = case.failure_log().expect("failure log");
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
     let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
     let r = explore(
-        &ctx,
+        &prepared.ctx,
         &case.oracle,
         &mut strategy,
         &ExplorerConfig::default(),
-        Some(gt.site),
+        Some(prepared.gt.site),
     )
     .expect("explore");
     r.success

@@ -7,7 +7,7 @@
 //! The sum is `e2e`'s `first_campaign` `rounds_total` on `tickets22`.
 
 use anduril::failures::all_cases;
-use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext};
+use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer};
 
 const GOLDEN: [(&str, usize); 22] = [
     ("f1", 3),
@@ -40,9 +40,10 @@ fn full_feedback_rounds_per_ticket_are_pinned() {
     let actual: Vec<(&str, usize)> = all_cases()
         .into_iter()
         .map(|case| {
-            let failure_log = case.failure_log().expect("failure log");
-            let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, cfg.base_seed)
-                .expect("context");
+            let ctx = case
+                .prepare(cfg.base_seed, &NoopTracer)
+                .expect("prepare")
+                .ctx;
             let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
             let r = explore(&ctx, &case.oracle, &mut strategy, &cfg, None).expect("explore");
             assert!(r.success && r.replay_verified, "{}: reproduced", case.id);

@@ -4,26 +4,21 @@
 
 use anduril::failures::case_by_id;
 use anduril::trace::{TraceEvent, VecTracer};
-use anduril::{
-    explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction, SearchContext,
-};
+use anduril::{explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction};
 
 /// Runs a full traced search and returns the stream, the outcome, and the
 /// strategy's final observable priorities.
 fn traced_search(id: &str) -> (Vec<TraceEvent>, Reproduction, Vec<f64>) {
     let case = case_by_id(id).expect("case");
-    let failure_log = case.failure_log().expect("failure log");
-    let gt = case.ground_truth().expect("ground truth");
     let tracer = VecTracer::new();
-    let ctx = SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, &tracer)
-        .expect("context");
+    let prepared = case.prepare(1_000, &tracer).expect("prepare");
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     let r = explore_traced(
-        &ctx,
+        &prepared.ctx,
         &case.oracle,
         &mut s,
         &ExplorerConfig::default(),
-        Some(gt.site),
+        Some(prepared.gt.site),
         &tracer,
     )
     .expect("explore");
