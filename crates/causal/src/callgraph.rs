@@ -10,11 +10,70 @@
 
 use anduril_ir::{BlockId, FuncId, Program};
 
-/// Callee lists per function over the invocation edges (`Call`, `Submit`,
-/// `Spawn`), one entry per invoking statement.
+/// Lists of `T` under dense keys, flat: one array of items, one of offsets,
+/// both sized before the first item is placed.
 #[derive(Debug)]
-pub(crate) struct CallGraph {
-    callees: Vec<Vec<u32>>,
+pub(crate) struct Lists<T> {
+    /// `items[starts[k]..starts[k + 1]]` is the list of key `k`.
+    starts: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Lists<T> {
+    /// Files every `(key, item)` pair under its key; each list keeps the
+    /// order its items have in `pairs`.
+    pub(crate) fn from_pairs(keys: usize, pairs: &[(u32, T)]) -> Lists<T> {
+        let mut starts = vec![0u32; keys + 1];
+        let Some(&(_, filler)) = pairs.first() else {
+            return Lists {
+                starts,
+                items: Vec::new(),
+            };
+        };
+        for &(key, _) in pairs {
+            starts[key as usize + 1] += 1;
+        }
+        for k in 0..keys {
+            starts[k + 1] += starts[k];
+        }
+        // `starts[k]` walks through list `k` while it fills, and ends where
+        // list `k + 1` begins: one shift puts every offset back.
+        let mut items = vec![filler; pairs.len()];
+        for &(key, item) in pairs {
+            let at = &mut starts[key as usize];
+            items[*at as usize] = item;
+            *at += 1;
+        }
+        starts.copy_within(0..keys, 1);
+        starts[0] = 0;
+        Lists { starts, items }
+    }
+
+    /// The list of `key` (empty for a key past the last).
+    pub(crate) fn of(&self, key: usize) -> &[T] {
+        match self.starts.get(key..key + 2) {
+            Some(&[start, end]) => &self.items[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    fn keys(&self) -> usize {
+        self.starts.len() - 1
+    }
+}
+
+/// The invocation edges of a program (`Call`, `Submit`, `Spawn`) and their
+/// strongly connected components: what every interprocedural pass of this
+/// crate starts from. A caller that runs several passes over one program —
+/// `SearchContext::prepare` runs the exception analysis, the reachability
+/// closure and the occurrence bounds — builds it once and lends it to each
+/// (`analyze_over`, `build_graph_over`, `Reachability::over`,
+/// `OccurrenceBounds::over`); the stand-alone entry points build their own.
+#[derive(Debug)]
+pub struct CallGraph {
+    /// Callees per function, one entry per invoking statement.
+    callees: Lists<u32>,
+    pub(crate) sccs: Sccs,
 }
 
 /// The strongly connected components of a [`CallGraph`].
@@ -30,47 +89,64 @@ pub(crate) struct Sccs {
     pub(crate) cyclic: Vec<bool>,
 }
 
-impl CallGraph {
-    /// One scan of the program's statements.
-    pub(crate) fn build(program: &Program) -> CallGraph {
-        let mut callees = vec![Vec::new(); program.funcs.len()];
-        for (b, stmts) in program.blocks.iter().enumerate() {
-            let caller = program.func_of_block(BlockId(b as u32)).index();
-            for stmt in stmts {
-                if let Some((callee, _)) = stmt.invocation() {
-                    callees[caller].push(callee.0);
-                }
+/// One scan of the program's statements.
+pub(crate) fn invocation_edges(program: &Program) -> Lists<u32> {
+    let mut pairs = Vec::new();
+    for (b, stmts) in program.blocks.iter().enumerate() {
+        let caller = program.func_of_block(BlockId(b as u32)).0;
+        for stmt in stmts {
+            if let Some((callee, _)) = stmt.invocation() {
+                pairs.push((caller, callee.0));
             }
         }
-        CallGraph { callees }
+    }
+    Lists::from_pairs(program.funcs.len(), &pairs)
+}
+
+/// The functions `roots` can reach over `callees` (themselves included).
+pub(crate) fn reachable_from(
+    callees: &Lists<u32>,
+    roots: impl IntoIterator<Item = FuncId>,
+) -> Vec<bool> {
+    let mut reachable = vec![false; callees.keys()];
+    let mut stack: Vec<u32> = Vec::new();
+    for r in roots {
+        if !reachable[r.index()] {
+            reachable[r.index()] = true;
+            stack.push(r.0);
+        }
+    }
+    while let Some(f) = stack.pop() {
+        for &c in callees.of(f as usize) {
+            if !reachable[c as usize] {
+                reachable[c as usize] = true;
+                stack.push(c);
+            }
+        }
+    }
+    reachable
+}
+
+impl CallGraph {
+    /// Scans the program for its invocation edges and orders them.
+    pub fn build(program: &Program) -> CallGraph {
+        let callees = invocation_edges(program);
+        let sccs = Sccs::of(&callees);
+        CallGraph { callees, sccs }
     }
 
     /// The functions `roots` can reach (themselves included).
     pub(crate) fn reachable_from(&self, roots: impl IntoIterator<Item = FuncId>) -> Vec<bool> {
-        let mut reachable = vec![false; self.callees.len()];
-        let mut stack: Vec<u32> = Vec::new();
-        for r in roots {
-            if !reachable[r.index()] {
-                reachable[r.index()] = true;
-                stack.push(r.0);
-            }
-        }
-        while let Some(f) = stack.pop() {
-            for &c in &self.callees[f as usize] {
-                if !reachable[c as usize] {
-                    reachable[c as usize] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        reachable
+        reachable_from(&self.callees, roots)
     }
+}
 
+impl Sccs {
     /// Tarjan's algorithm, with an explicit stack so a call chain as deep
     /// as the program is long cannot overflow ours.
-    pub(crate) fn sccs(&self) -> Sccs {
+    fn of(callees: &Lists<u32>) -> Sccs {
         const UNVISITED: u32 = u32::MAX;
-        let n = self.callees.len();
+        let n = callees.keys();
         let mut index = vec![UNVISITED; n];
         let mut low = vec![0u32; n];
         let mut on_stack = vec![false; n];
@@ -97,7 +173,7 @@ impl CallGraph {
                     stack.push(v);
                     on_stack[vi] = true;
                 }
-                if let Some(&w) = self.callees[vi].get(*next) {
+                if let Some(&w) = callees.of(vi).get(*next) {
                     *next += 1;
                     if index[w as usize] == UNVISITED {
                         work.push((w, 0));
@@ -122,7 +198,7 @@ impl CallGraph {
                     }
                     let several = sccs.order.len() - start > 1;
                     for &w in &sccs.order[start..] {
-                        sccs.cyclic[w as usize] = several || self.callees[w as usize].contains(&w);
+                        sccs.cyclic[w as usize] = several || callees.of(w as usize).contains(&w);
                     }
                     sccs.starts.push(sccs.order.len());
                 }
@@ -130,9 +206,7 @@ impl CallGraph {
         }
         sccs
     }
-}
 
-impl Sccs {
     /// The components, callees first.
     pub(crate) fn callees_first(&self) -> impl Iterator<Item = &[u32]> {
         self.starts.windows(2).map(|w| &self.order[w[0]..w[1]])
@@ -149,17 +223,29 @@ impl Sccs {
 mod tests {
     use super::*;
 
-    fn graph(edges: &[&[u32]]) -> CallGraph {
-        CallGraph {
-            callees: edges.iter().map(|e| e.to_vec()).collect(),
-        }
+    fn graph(edges: &[&[u32]]) -> Lists<u32> {
+        let pairs: Vec<(u32, u32)> = (0u32..)
+            .zip(edges)
+            .flat_map(|(f, callees)| callees.iter().map(move |&c| (f, c)))
+            .collect();
+        Lists::from_pairs(edges.len(), &pairs)
+    }
+
+    #[test]
+    fn lists_keep_pair_order_under_every_key() {
+        let lists = Lists::from_pairs(4, &[(2, 'a'), (0, 'b'), (2, 'c'), (3, 'd'), (2, 'e')]);
+        assert_eq!(lists.of(0), ['b']);
+        assert_eq!(lists.of(1), [] as [char; 0]);
+        assert_eq!(lists.of(2), ['a', 'c', 'e']);
+        assert_eq!(lists.of(3), ['d']);
+        assert_eq!(lists.of(4), [] as [char; 0]);
+        assert_eq!(Lists::<u32>::from_pairs(3, &[]).of(1), [] as [u32; 0]);
     }
 
     #[test]
     fn components_come_callees_first_and_cycles_are_flagged() {
         // 0 -> 1 -> 2 -> 1 (cycle 1,2), 2 -> 3, 4 -> 4 (self), 5 alone.
-        let g = graph(&[&[1], &[2], &[1, 3], &[], &[4], &[]]);
-        let s = g.sccs();
+        let s = Sccs::of(&graph(&[&[1], &[2], &[1, 3], &[], &[4], &[]]));
         assert_eq!(s.cyclic, [false, true, true, false, true, false]);
         let comps: Vec<Vec<u32>> = s
             .callees_first()
@@ -181,13 +267,11 @@ mod tests {
     #[test]
     fn a_long_call_chain_does_not_recurse() {
         let n = 200_000u32;
-        let edges: Vec<Vec<u32>> = (0..n)
-            .map(|f| if f + 1 < n { vec![f + 1] } else { vec![] })
-            .collect();
-        let g = CallGraph { callees: edges };
-        let s = g.sccs();
+        let pairs: Vec<(u32, u32)> = (0..n - 1).map(|f| (f, f + 1)).collect();
+        let g = Lists::from_pairs(n as usize, &pairs);
+        let s = Sccs::of(&g);
         assert_eq!(s.callees_first().count(), n as usize);
         assert_eq!(s.callers_first().next(), Some(0));
-        assert!(g.reachable_from([FuncId(0)]).iter().all(|&r| r));
+        assert!(reachable_from(&g, [FuncId(0)]).iter().all(|&r| r));
     }
 }

@@ -274,17 +274,6 @@ fn eval_bool(expr: &Expr, env: &FnEnv) -> Option<bool> {
     }
 }
 
-/// Per-function facts extracted by one structural walk, relative to a
-/// single invocation of the function.
-struct FuncLocal {
-    /// `(site, per-invocation execution interval)` for every fault site in
-    /// the function.
-    sites: Vec<(SiteId, Interval)>,
-    /// `(callee, per-invocation call multiplicity, argument ranges)` for
-    /// every `Call`/`Submit`/`Spawn`.
-    calls: Vec<(FuncId, Interval, Vec<CRange>)>,
-}
-
 /// Whether a statement can stop straight-line flow from reaching its
 /// successor: throw, return, break out, abort, or block forever. Used only
 /// for the `lo` bound (anything uncertain degrades `lo` to 0, which is
@@ -345,10 +334,7 @@ fn has_loop_continue(program: &Program, block: BlockId) -> bool {
     program.blocks[block.index()].iter().any(|s| match s {
         Stmt::Continue => true,
         Stmt::While { .. } => false,
-        _ => s
-            .child_blocks()
-            .iter()
-            .any(|(b, _)| has_loop_continue(program, *b)),
+        _ => s.child_blocks().any(|(b, _)| has_loop_continue(program, b)),
     })
 }
 
@@ -414,9 +400,12 @@ fn trip_count(
     };
     // The counter's writers must be exactly: one init in this block before
     // the loop, one constant-step increment at the body's top level.
-    let counter_writers: Vec<&(BlockId, u32, VarId)> =
-        writers.iter().filter(|(_, _, v)| *v == counter).collect();
-    let [w_a, w_b] = counter_writers.as_slice() else {
+    let mut counter_writers = writers.iter().filter(|(_, _, v)| *v == counter);
+    let (Some(w_a), Some(w_b), None) = (
+        counter_writers.next(),
+        counter_writers.next(),
+        counter_writers.next(),
+    ) else {
         return Interval::UNBOUNDED;
     };
     let (init_ref, step_ref) = if w_a.0 == block && w_a.1 < idx && w_b.0 == body {
@@ -470,22 +459,109 @@ fn trip_count(
     Interval { lo, hi: Some(hi) }
 }
 
-/// One structural walk of a function body, threading the current
-/// execution-count interval through the block tree.
+/// The structural walk of one function body at a time, threading the
+/// current execution-count interval through the block tree. One walker
+/// serves every function of an analysis: its tables are cleared, not
+/// rebuilt, from one function to the next.
 struct FuncWalker<'p> {
     program: &'p Program,
+    /// The function under analysis: its local slots' ranges.
     env: FnEnv,
+    /// The slots as the pass in progress leaves them (single-assignment
+    /// resolution reads `env`, the pass before).
+    next_slots: Vec<CRange>,
+    /// Its statement-level writers of locals.
     writers: Vec<(BlockId, u32, VarId)>,
-    out: FuncLocal,
+    /// By slot: the expression of a local's one `Assign`, if that is its
+    /// only writer.
+    sa_exprs: Vec<Option<&'p Expr>>,
+    /// What the walk found, relative to a single invocation of the
+    /// function: `(site, execution interval)` for every fault site in it.
+    sites: Vec<(SiteId, Interval)>,
+    /// `(callee, call multiplicity, argument ranges)` for every
+    /// `Call`/`Submit`/`Spawn`, the ranges a run of `call_args`.
+    calls: Vec<(FuncId, Interval, (u32, u32))>,
+    call_args: Vec<CRange>,
 }
 
-impl FuncWalker<'_> {
+impl<'p> FuncWalker<'p> {
+    fn new(program: &'p Program) -> Self {
+        FuncWalker {
+            program,
+            env: FnEnv { slots: Vec::new() },
+            next_slots: Vec::new(),
+            writers: Vec::new(),
+            sa_exprs: Vec::new(),
+            sites: Vec::new(),
+            calls: Vec::new(),
+            call_args: Vec::new(),
+        }
+    }
+
+    /// Analyzes one function under the given parameter ranges, leaving its
+    /// per-invocation site intervals and call contributions in `sites` and
+    /// `calls`.
+    fn analyze(&mut self, f: FuncId, params: &[CRange]) {
+        let program = self.program;
+        let func = &program.funcs[f.index()];
+        let (n_params, n_locals) = (func.params as usize, func.locals as usize);
+        self.writers.clear();
+        collect_writers(program, func.entry, &mut self.writers);
+
+        // Environment: parameters first, then single-assignment locals whose
+        // one writer is a constant-range `Assign` (resolved iteratively so an
+        // SA local may feed another).
+        let writers = &self.writers;
+        self.sa_exprs.clear();
+        self.sa_exprs.extend((0..n_locals).map(|slot| {
+            let var = VarId(slot as u32);
+            let mut ws = writers.iter().filter(|(_, _, v)| *v == var);
+            match (slot >= n_params, ws.next(), ws.next()) {
+                (true, Some(&(b, i, _)), None) => match &program.blocks[b.index()][i as usize] {
+                    Stmt::Assign { expr, .. } => Some(expr),
+                    _ => None,
+                },
+                _ => None,
+            }
+        }));
+        let slots = &mut self.env.slots;
+        slots.clear();
+        slots.extend(self.sa_exprs.iter().enumerate().map(|(slot, sa)| match sa {
+            Some(_) => CRange::Bot, // pending resolution
+            None if slot < n_params => params.get(slot).copied().unwrap_or(CRange::Top),
+            None => CRange::Top,
+        }));
+        for _ in 0..func.locals.max(1) {
+            self.next_slots.clone_from(&self.env.slots);
+            for (slot, sa) in self.sa_exprs.iter().enumerate() {
+                if let Some(expr) = sa {
+                    self.next_slots[slot] = eval_range(expr, &self.env);
+                }
+            }
+            if self.next_slots == self.env.slots {
+                break;
+            }
+            std::mem::swap(&mut self.next_slots, &mut self.env.slots);
+        }
+        // Unresolved ⊥ (an SA local defined in terms of itself) degrades to ⊤.
+        for s in &mut self.env.slots {
+            if *s == CRange::Bot {
+                *s = CRange::Top;
+            }
+        }
+
+        self.sites.clear();
+        self.calls.clear();
+        self.call_args.clear();
+        self.walk_block(func.entry, Interval::ONE);
+    }
+
     fn walk_block(&mut self, block: BlockId, mult: Interval) {
         let mut cur = mult;
         for (idx, stmt) in self.program.blocks[block.index()].iter().enumerate() {
             match stmt {
                 Stmt::External { site } | Stmt::ThrowNew { site } => {
-                    self.out.sites.push((*site, cur));
+                    self.sites.push((*site, cur));
                 }
                 Stmt::If {
                     cond,
@@ -534,77 +610,18 @@ impl FuncWalker<'_> {
                 _ => {}
             }
             if let Some((callee, args)) = stmt.invocation() {
-                let arg_ranges = args.iter().map(|a| eval_range(a, &self.env)).collect();
-                self.out.calls.push((callee, cur, arg_ranges));
+                let start = self.call_args.len() as u32;
+                let env = &self.env;
+                self.call_args
+                    .extend(args.iter().map(|a| eval_range(a, env)));
+                let arg_ranges = (start, self.call_args.len() as u32);
+                self.calls.push((callee, cur, arg_ranges));
             }
             if may_stop(self.program, stmt) {
                 cur.lo = 0;
             }
         }
     }
-}
-
-/// Analyzes one function under the given parameter ranges, producing its
-/// per-invocation site intervals and call contributions.
-fn analyze_function(program: &Program, f: FuncId, params: &[CRange]) -> FuncLocal {
-    let func = &program.funcs[f.index()];
-    let mut writers = Vec::new();
-    collect_writers(program, func.entry, &mut writers);
-
-    // Environment: parameters first, then single-assignment locals whose
-    // one writer is a constant-range `Assign` (resolved iteratively so an
-    // SA local may feed another).
-    let mut slots = vec![CRange::Top; func.locals as usize];
-    for (i, s) in slots.iter_mut().enumerate().take(func.params as usize) {
-        *s = params.get(i).copied().unwrap_or(CRange::Top);
-    }
-    let mut sa_exprs: Vec<Option<&Expr>> = vec![None; func.locals as usize];
-    for slot in (func.params as usize)..(func.locals as usize) {
-        let var = VarId(slot as u32);
-        let mut ws = writers.iter().filter(|(_, _, v)| *v == var);
-        if let (Some(&(b, i, _)), None) = (ws.next(), ws.next()) {
-            if let Stmt::Assign { expr, .. } = &program.blocks[b.index()][i as usize] {
-                sa_exprs[slot] = Some(expr);
-                slots[slot] = CRange::Bot; // pending resolution
-            }
-        }
-    }
-    for _ in 0..func.locals.max(1) {
-        let env = FnEnv {
-            slots: slots.clone(),
-        };
-        let mut changed = false;
-        for slot in (func.params as usize)..(func.locals as usize) {
-            if let Some(expr) = sa_exprs[slot] {
-                let v = eval_range(expr, &env);
-                if v != slots[slot] {
-                    slots[slot] = v;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Unresolved ⊥ (an SA local defined in terms of itself) degrades to ⊤.
-    for s in &mut slots {
-        if *s == CRange::Bot {
-            *s = CRange::Top;
-        }
-    }
-
-    let mut walker = FuncWalker {
-        program,
-        env: FnEnv { slots },
-        writers,
-        out: FuncLocal {
-            sites: Vec::new(),
-            calls: Vec::new(),
-        },
-    };
-    walker.walk_block(func.entry, Interval::ONE);
-    walker.out
 }
 
 /// Static per-site occurrence bounds for a program under a set of workload
@@ -627,49 +644,62 @@ impl OccurrenceBounds {
     /// value: a DAG, whose one solution is reached by visiting callers
     /// before callees, each with its own value already final.
     pub fn compute(program: &Program, roots: &[RootCall]) -> OccurrenceBounds {
-        let calls = CallGraph::build(program);
+        Self::over(program, &CallGraph::build(program), roots)
+    }
+
+    /// [`OccurrenceBounds::compute`] over a call graph the caller already
+    /// has.
+    pub fn over(program: &Program, calls: &CallGraph, roots: &[RootCall]) -> OccurrenceBounds {
         let reachable = calls.reachable_from(roots.iter().map(|r| r.func));
-        let sccs = calls.sccs();
+        let sccs = &calls.sccs;
 
         // Root contributions (the unreachable remainder keeps `[0, 0]`).
+        // Every function's parameter ranges lie in one array, function
+        // `f`'s from `param_base[f]`.
         let mut inv = vec![Interval::ZERO; program.funcs.len()];
-        let mut params: Vec<Vec<CRange>> = program
-            .funcs
-            .iter()
-            .map(|f| vec![CRange::Bot; f.params as usize])
-            .collect();
+        let mut param_base = Vec::with_capacity(program.funcs.len() + 1);
+        let mut n_params = 0;
+        for f in &program.funcs {
+            param_base.push(n_params);
+            n_params += f.params as usize;
+        }
+        param_base.push(n_params);
+        let of = |f: usize| param_base[f]..param_base[f + 1];
+        let mut params = vec![CRange::Bot; n_params];
         for r in roots {
             let f = r.func.index();
             inv[f] = inv[f].add(Interval::ONE);
-            for (p, a) in params[f].iter_mut().zip(&r.args) {
+            for (p, a) in params[of(f)].iter_mut().zip(&r.args) {
                 *p = p.join(CRange::of_value(a));
             }
         }
         for f in (0..inv.len()).filter(|&f| reachable[f] && sccs.cyclic[f]) {
             inv[f] = Interval::UNBOUNDED;
-            params[f].fill(CRange::Top);
+            params[of(f)].fill(CRange::Top);
         }
 
         let mut site = vec![Interval::ZERO; program.sites.len()];
+        let mut walker = FuncWalker::new(program);
         for f in sccs.callers_first() {
             // A function nothing live invokes leaves its sites at `[0, 0]`
             // and contributes to no callee.
             if !reachable[f] || inv[f].is_dead() {
                 continue;
             }
-            let local = analyze_function(program, FuncId(f as u32), &params[f]);
-            for (s, local_mult) in &local.sites {
+            walker.analyze(FuncId(f as u32), &params[of(f)]);
+            for (s, local_mult) in &walker.sites {
                 site[s.index()] = inv[f].mul(*local_mult);
             }
-            for (callee, mult, args) in &local.calls {
+            for &(callee, mult, (start, end)) in &walker.calls {
                 let callee = callee.index();
                 if sccs.cyclic[callee] {
                     continue;
                 }
-                let contribution = inv[f].mul(*mult);
+                let contribution = inv[f].mul(mult);
                 inv[callee] = inv[callee].add(contribution);
                 if !contribution.is_dead() {
-                    for (p, a) in params[callee].iter_mut().zip(args) {
+                    let args = &walker.call_args[start as usize..end as usize];
+                    for (p, a) in params[of(callee)].iter_mut().zip(args) {
                         *p = p.join(*a);
                     }
                 }
@@ -719,6 +749,26 @@ mod tests {
     use super::*;
     use anduril_ir::builder::ProgramBuilder;
     use anduril_ir::{expr::build as e, ExceptionType, Program};
+
+    /// One function's walk with results of its own, as the reference
+    /// below keeps one per function.
+    struct FuncLocal {
+        sites: Vec<(SiteId, Interval)>,
+        calls: Vec<(FuncId, Interval, Vec<CRange>)>,
+    }
+
+    fn analyze_function(program: &Program, f: FuncId, params: &[CRange]) -> FuncLocal {
+        let mut walker = FuncWalker::new(program);
+        walker.analyze(f, params);
+        let args =
+            |&(start, end): &(u32, u32)| walker.call_args[start as usize..end as usize].to_vec();
+        FuncLocal {
+            sites: walker.sites.clone(),
+            calls: (walker.calls.iter())
+                .map(|(callee, mult, run)| (*callee, *mult, args(run)))
+                .collect(),
+        }
+    }
 
     /// The interprocedural half as it was first written, kept as the
     /// reference [`OccurrenceBounds::compute`] is compared against: a

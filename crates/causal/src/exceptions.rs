@@ -121,6 +121,11 @@ pub struct ExcAnalysis {
 
 /// Computes exception summaries for a program.
 pub fn analyze(program: &Program) -> ExcAnalysis {
+    analyze_over(program, &CallGraph::build(program))
+}
+
+/// [`analyze`] over a call graph the caller already has.
+pub fn analyze_over(program: &Program, calls: &CallGraph) -> ExcAnalysis {
     let n = program.funcs.len();
     let mut a = ExcAnalysis {
         escapes: Vec::new(),
@@ -130,7 +135,7 @@ pub fn analyze(program: &Program) -> ExcAnalysis {
     };
     // The invocation edges cover every summary a function reads: a `Call`'s
     // callee, and an `Await`'s tasks through the `Submit`s that name them.
-    let sccs = CallGraph::build(program).sccs();
+    let sccs = &calls.sccs;
     for component in sccs.callees_first() {
         if sccs.cyclic[component[0] as usize] {
             loop {

@@ -76,8 +76,10 @@ pub struct BuildTimings {
 pub struct CausalGraph {
     /// Interned nodes.
     pub nodes: Vec<NodeKey>,
-    /// `priors[n]` = causally prior nodes of `n`.
-    pub priors: Vec<Vec<u32>>,
+    /// `prior_edges[prior_starts[n]..prior_starts[n + 1]]` = the causally
+    /// prior nodes of `n`, ascending: every edge of the graph in one array.
+    prior_starts: Vec<u32>,
+    prior_edges: Vec<u32>,
     /// Sink node ids per observable (same order as the build input).
     pub sinks: Vec<Vec<u32>>,
     /// `(site, source node)` of every fault site in the graph, by site.
@@ -92,7 +94,13 @@ impl CausalGraph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.priors.iter().map(Vec::len).sum()
+        self.prior_edges.len()
+    }
+
+    /// The causally prior nodes of `n`, ascending.
+    pub fn priors(&self, n: u32) -> &[u32] {
+        let n = n as usize;
+        &self.prior_edges[self.prior_starts[n] as usize..self.prior_starts[n + 1] as usize]
     }
 
     /// The fault sites present as source nodes — the paper's *inferred*
@@ -128,9 +136,27 @@ impl CausalGraph {
         seeds: &[u32],
         dist: &mut Vec<u32>,
     ) -> HashMap<SiteId, u32> {
+        self.distances_bfs(seeds, dist, &mut VecDeque::new())
+    }
+
+    /// The distance table of every observable, in order — what
+    /// [`CausalGraph::distances`] returns for each, over one set of
+    /// buffers.
+    pub fn distances_all(&self) -> Vec<HashMap<SiteId, u32>> {
+        let (mut dist, mut queue) = (Vec::new(), VecDeque::new());
+        (self.sinks.iter())
+            .map(|sinks| self.distances_bfs(sinks, &mut dist, &mut queue))
+            .collect()
+    }
+
+    fn distances_bfs(
+        &self,
+        seeds: &[u32],
+        dist: &mut Vec<u32>,
+        queue: &mut VecDeque<u32>,
+    ) -> HashMap<SiteId, u32> {
         dist.clear();
         dist.resize(self.nodes.len(), u32::MAX);
-        let mut queue = VecDeque::new();
         for &s in seeds {
             if dist[s as usize] == u32::MAX {
                 dist[s as usize] = 0;
@@ -139,18 +165,20 @@ impl CausalGraph {
         }
         while let Some(n) = queue.pop_front() {
             let d = dist[n as usize];
-            for &p in &self.priors[n as usize] {
+            for &p in self.priors(n) {
                 if dist[p as usize] == u32::MAX {
                     dist[p as usize] = d + 1;
                     queue.push_back(p);
                 }
             }
         }
-        self.sources
-            .iter()
-            .filter(|&&(_, n)| dist[n as usize] != u32::MAX)
-            .map(|&(site, n)| (site, dist[n as usize]))
-            .collect()
+        let connected = || {
+            let sources = self.sources.iter();
+            sources.filter(|&&(_, n)| dist[n as usize] != u32::MAX)
+        };
+        let mut table = HashMap::with_capacity(connected().count());
+        table.extend(connected().map(|&(site, n)| (site, dist[n as usize])));
+        table
     }
 
     /// The source node interned for a fault site, if the site is connected
@@ -189,10 +217,12 @@ impl CausalGraph {
         common: &std::collections::HashSet<TemplateId>,
     ) -> Vec<PromotionCandidate> {
         // Undirected adjacency: priors plus reversed edges.
-        let mut adj: Vec<Vec<u32>> = self.priors.clone();
-        for (n, ps) in self.priors.iter().enumerate() {
-            for &p in ps {
-                adj[p as usize].push(n as u32);
+        let mut adj: Vec<Vec<u32>> = (0..self.nodes.len() as u32)
+            .map(|n| self.priors(n).to_vec())
+            .collect();
+        for n in 0..self.nodes.len() as u32 {
+            for &p in self.priors(n) {
+                adj[p as usize].push(n);
             }
         }
         // Best (hops, site-rank) per interior node over all focus sites;
@@ -366,9 +396,13 @@ pub fn build(
         // once.
         priors.sort_unstable();
         priors.dedup();
-        let mut ids: Vec<u32> = priors.iter().map(|&p| b.intern(p)).collect();
-        ids.sort_unstable();
-        b.g.priors[n] = ids;
+        let start = b.g.prior_edges.len();
+        for &p in &priors {
+            let id = b.intern(p);
+            b.g.prior_edges.push(id);
+        }
+        b.g.prior_edges[start..].sort_unstable();
+        b.g.prior_starts.push(b.g.prior_edges.len() as u32);
         n += 1;
     }
     let worklist_ns = worklist_start.elapsed().as_nanos() as u64;
@@ -421,7 +455,8 @@ impl<'p> Builder<'p> {
             analysis,
             g: CausalGraph {
                 nodes: Vec::new(),
-                priors: Vec::new(),
+                prior_starts: vec![0],
+                prior_edges: Vec::new(),
                 sinks: Vec::new(),
                 sources: Vec::new(),
             },
@@ -466,7 +501,6 @@ impl<'p> Builder<'p> {
         if *slot == ABSENT {
             *slot = self.g.nodes.len() as u32;
             self.g.nodes.push(key);
-            self.g.priors.push(Vec::new());
         }
         *slot
     }

@@ -12,7 +12,7 @@
 
 use anduril_ir::{FuncId, Program, SiteId};
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{invocation_edges, reachable_from, CallGraph};
 
 /// Which functions a set of workload roots can reach.
 #[derive(Debug, Clone)]
@@ -24,7 +24,14 @@ impl Reachability {
     /// Closure over the invocation edges from `roots`.
     pub fn compute(program: &Program, roots: &[FuncId]) -> Self {
         Reachability {
-            reachable: CallGraph::build(program).reachable_from(roots.iter().copied()),
+            reachable: reachable_from(&invocation_edges(program), roots.iter().copied()),
+        }
+    }
+
+    /// [`Reachability::compute`] over a call graph the caller already has.
+    pub fn over(calls: &CallGraph, roots: &[FuncId]) -> Self {
+        Reachability {
+            reachable: calls.reachable_from(roots.iter().copied()),
         }
     }
 

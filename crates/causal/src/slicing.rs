@@ -34,6 +34,7 @@
 
 use anduril_ir::{BlockId, ChanId, CondId, Expr, FuncId, GlobalId, Program, Stmt, StmtRef, VarId};
 
+use crate::callgraph::Lists;
 use crate::exceptions::ExcAnalysis;
 
 /// Default bound on interprocedural jumps per slice query. Deep enough for
@@ -51,18 +52,39 @@ pub struct UseDefTables {
     /// Function `f`'s local `v` is slot `local_base[f] + v`; one entry past
     /// the last function holds the slot count.
     local_base: Vec<u32>,
+    /// Every list of the tables, in statement order, under one key space:
+    /// a [`Table`]'s keys begin at `bases[table]`.
+    lists: Lists<StmtRef>,
+    bases: [u32; Table::COUNT + 1],
+}
+
+/// The tables of [`UseDefTables`], each keyed by the dense id it is named
+/// after.
+#[derive(Debug, Clone, Copy)]
+enum Table {
     /// Writers of each local, by slot.
-    local_writers: Vec<Vec<StmtRef>>,
+    LocalWriters,
     /// Writers of each global, program-wide.
-    global_writers: Vec<Vec<StmtRef>>,
+    GlobalWriters,
     /// `Send` statements per channel.
-    chan_senders: Vec<Vec<StmtRef>>,
+    ChanSenders,
     /// `SignalCond` statements per condition variable.
-    cond_signalers: Vec<Vec<StmtRef>>,
+    CondSignalers,
     /// Reverse call graph (`Call`/`Submit`/`Spawn` sites per callee).
-    callers: Vec<Vec<StmtRef>>,
+    Callers,
     /// `Return` statements per function.
-    returns: Vec<Vec<StmtRef>>,
+    Returns,
+}
+
+impl Table {
+    const COUNT: usize = 6;
+}
+
+/// Function `func`'s local `var` as a slot of `local_base`'s numbering, if
+/// the function has that local.
+fn local_slot(local_base: &[u32], func: FuncId, var: VarId) -> Option<usize> {
+    let slot = local_base[func.index()].checked_add(var.0)?;
+    (slot < local_base[func.index() + 1]).then_some(slot as usize)
 }
 
 /// Running offsets of a list of sizes, with the total appended.
@@ -79,24 +101,25 @@ fn offsets(sizes: impl Iterator<Item = usize>) -> Vec<u32> {
     out
 }
 
-fn listed(table: &[Vec<StmtRef>], index: usize) -> &[StmtRef] {
-    table.get(index).map_or(&[], Vec::as_slice)
-}
-
 impl UseDefTables {
     /// Scans the program once and builds every lookup table.
     pub fn build(program: &Program) -> Self {
         let local_base = offsets(program.funcs.iter().map(|f| f.locals as usize));
-        let mut t = UseDefTables {
-            stmt_base: offsets(program.blocks.iter().map(Vec::len)),
-            local_writers: vec![Vec::new(); local_base[program.funcs.len()] as usize],
-            local_base,
-            global_writers: vec![Vec::new(); program.globals.len()],
-            chan_senders: vec![Vec::new(); program.chans.len()],
-            cond_signalers: vec![Vec::new(); program.conds.len()],
-            callers: vec![Vec::new(); program.funcs.len()],
-            returns: vec![Vec::new(); program.funcs.len()],
-        };
+        let funcs = program.funcs.len();
+        let sizes = [
+            local_base[funcs] as usize,
+            program.globals.len(),
+            program.chans.len(),
+            program.conds.len(),
+            funcs,
+            funcs,
+        ];
+        let mut bases = [0u32; Table::COUNT + 1];
+        for (t, size) in sizes.into_iter().enumerate() {
+            bases[t + 1] = bases[t] + size as u32;
+        }
+        let mut pairs: Vec<(u32, StmtRef)> = Vec::new();
+        let key = |table: Table, index: usize| bases[table as usize] + index as u32;
         for (b, stmts) in program.blocks.iter().enumerate() {
             let block = BlockId(b as u32);
             let func = program.func_of_block(block);
@@ -105,7 +128,7 @@ impl UseDefTables {
                 let wrote = match stmt {
                     Stmt::Assign { var, .. } | Stmt::Recv { var, .. } => Some(*var),
                     Stmt::PopFront { global, var } => {
-                        t.global_writers[global.index()].push(sref);
+                        pairs.push((key(Table::GlobalWriters, global.index()), sref));
                         Some(*var)
                     }
                     Stmt::Call { ret: v, .. }
@@ -113,32 +136,48 @@ impl UseDefTables {
                     | Stmt::WaitCond { ok: v, .. }
                     | Stmt::Submit { future: v, .. } => *v,
                     Stmt::SetGlobal { global, .. } | Stmt::PushBack { global, .. } => {
-                        t.global_writers[global.index()].push(sref);
+                        pairs.push((key(Table::GlobalWriters, global.index()), sref));
                         None
                     }
                     Stmt::Send { chan, .. } => {
-                        t.chan_senders[chan.index()].push(sref);
+                        pairs.push((key(Table::ChanSenders, chan.index()), sref));
                         None
                     }
                     Stmt::SignalCond { cond } => {
-                        t.cond_signalers[cond.index()].push(sref);
+                        pairs.push((key(Table::CondSignalers, cond.index()), sref));
                         None
                     }
                     Stmt::Return { .. } => {
-                        t.returns[func.index()].push(sref);
+                        pairs.push((key(Table::Returns, func.index()), sref));
                         None
                     }
                     _ => None,
                 };
-                if let Some(slot) = wrote.and_then(|v| t.local_slot(func, v)) {
-                    t.local_writers[slot].push(sref);
+                if let Some(slot) = wrote.and_then(|v| local_slot(&local_base, func, v)) {
+                    pairs.push((key(Table::LocalWriters, slot), sref));
                 }
                 if let Some((callee, _)) = stmt.invocation() {
-                    t.callers[callee.index()].push(sref);
+                    pairs.push((key(Table::Callers, callee.index()), sref));
                 }
             }
         }
-        t
+        UseDefTables {
+            stmt_base: offsets(program.blocks.iter().map(Vec::len)),
+            lists: Lists::from_pairs(bases[Table::COUNT] as usize, &pairs),
+            local_base,
+            bases,
+        }
+    }
+
+    /// The list under `index` of `table` (empty for an index the table
+    /// does not have).
+    fn listed(&self, table: Table, index: usize) -> &[StmtRef] {
+        let key = self.bases[table as usize] as usize + index;
+        if key < self.bases[table as usize + 1] as usize {
+            self.lists.of(key)
+        } else {
+            &[]
+        }
     }
 
     /// The dense index of a statement, `0..stmt_count()` in block then
@@ -153,39 +192,38 @@ impl UseDefTables {
     }
 
     fn local_slot(&self, func: FuncId, var: VarId) -> Option<usize> {
-        let slot = self.local_base[func.index()].checked_add(var.0)?;
-        (slot < self.local_base[func.index() + 1]).then_some(slot as usize)
+        local_slot(&self.local_base, func, var)
     }
 
     /// Statements writing local `var` of `func`.
     pub fn local_writers(&self, func: FuncId, var: VarId) -> &[StmtRef] {
         self.local_slot(func, var)
-            .map_or(&[], |slot| &self.local_writers[slot])
+            .map_or(&[], |slot| self.listed(Table::LocalWriters, slot))
     }
 
     /// Statements writing a global, program-wide.
     pub fn global_writers(&self, global: GlobalId) -> &[StmtRef] {
-        listed(&self.global_writers, global.index())
+        self.listed(Table::GlobalWriters, global.index())
     }
 
     /// `Send` statements of a channel.
     pub fn chan_senders(&self, chan: ChanId) -> &[StmtRef] {
-        listed(&self.chan_senders, chan.index())
+        self.listed(Table::ChanSenders, chan.index())
     }
 
     /// `SignalCond` statements of a condition variable.
     pub fn cond_signalers(&self, cond: CondId) -> &[StmtRef] {
-        listed(&self.cond_signalers, cond.index())
+        self.listed(Table::CondSignalers, cond.index())
     }
 
     /// `Call` / `Submit` / `Spawn` statements invoking a function.
     pub fn callers(&self, func: FuncId) -> &[StmtRef] {
-        listed(&self.callers, func.index())
+        self.listed(Table::Callers, func.index())
     }
 
     /// `Return` statements of a function.
     pub fn returns(&self, func: FuncId) -> &[StmtRef] {
-        listed(&self.returns, func.index())
+        self.listed(Table::Returns, func.index())
     }
 }
 
@@ -276,8 +314,13 @@ impl Frontier {
 pub struct Slicer {
     /// Shared lookup tables (also used by the graph builder directly).
     pub(crate) tables: UseDefTables,
-    /// Per statement ([`UseDefTables::flat`]).
-    memo: Vec<Option<Vec<StmtRef>>>,
+    /// Per statement ([`UseDefTables::flat`]): the run of `answers` that
+    /// holds its writers, once asked.
+    memo: Vec<Option<(u32, u32)>>,
+    /// The answers of every query so far, one run each.
+    answers: Vec<StmtRef>,
+    /// The query in progress.
+    found: Vec<StmtRef>,
     max_jumps: u32,
     frontier: Frontier,
 }
@@ -294,10 +337,12 @@ impl Slicer {
         let tables = UseDefTables::build(program);
         Slicer {
             memo: vec![None; tables.stmt_count()],
+            answers: Vec::new(),
+            found: Vec::new(),
             max_jumps,
             frontier: Frontier {
-                seen_local: vec![false; tables.local_writers.len()],
-                seen_global: vec![false; tables.global_writers.len()],
+                seen_local: vec![false; tables.local_base[program.funcs.len()] as usize],
+                seen_global: vec![false; program.globals.len()],
                 queue: Vec::new(),
                 head: 0,
                 vars: Vec::new(),
@@ -317,29 +362,36 @@ impl Slicer {
         sref: StmtRef,
     ) -> &[StmtRef] {
         let flat = self.tables.flat(sref);
-        if self.memo[flat].is_none() {
-            let mut out = Vec::new();
-            if let Stmt::If { cond, .. } | Stmt::While { cond, .. } = program.stmt(sref) {
-                let func = program.func_of_stmt(sref);
-                self.frontier.push_reads(&self.tables, cond, func, 0);
-                self.slice(program, analysis, &mut out);
+        let (start, end) = match self.memo[flat] {
+            Some(run) => run,
+            None => {
+                self.found.clear();
+                if let Stmt::If { cond, .. } | Stmt::While { cond, .. } = program.stmt(sref) {
+                    let func = program.func_of_stmt(sref);
+                    self.frontier.push_reads(&self.tables, cond, func, 0);
+                    self.slice(program, analysis);
+                }
+                self.found.sort_unstable();
+                self.found.dedup();
+                let start = self.answers.len() as u32;
+                self.answers.extend_from_slice(&self.found);
+                *self.memo[flat].insert((start, self.answers.len() as u32))
             }
-            out.sort_unstable();
-            out.dedup();
-            self.memo[flat] = Some(out);
-        }
-        self.memo[flat].as_deref().expect("just filled")
+        };
+        &self.answers[start as usize..end as usize]
     }
 
     /// Breadth-first closure over the slice keys already in the frontier.
-    /// Collects every defining statement reached; interprocedural jumps
-    /// beyond the budget still record the boundary statement (so the graph
-    /// stays conservative) but stop following the value.
-    fn slice(&mut self, program: &Program, analysis: &ExcAnalysis, out: &mut Vec<StmtRef>) {
+    /// Collects every defining statement reached in `found`;
+    /// interprocedural jumps beyond the budget still record the boundary
+    /// statement (so the graph stays conservative) but stop following the
+    /// value.
+    fn slice(&mut self, program: &Program, analysis: &ExcAnalysis) {
         let Slicer {
             tables,
             frontier,
             max_jumps,
+            found: out,
             ..
         } = self;
         let max_jumps = *max_jumps;

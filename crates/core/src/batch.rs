@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use anduril_ir::SiteId;
-use anduril_sim::{Candidate, InjectionPlan, RunResult, SimError};
+use anduril_sim::{Candidate, FailedRun, InjectionPlan, RunResult, SimError};
 
 use crate::context::SearchContext;
 use crate::explorer::{round_seed, search, ExplorerConfig, Reproduction};
@@ -98,16 +98,18 @@ impl Predictor {
 }
 
 /// Executes the speculative plans of rounds `first_round..`, returning one
-/// result per plan (in plan order). A worker that panics costs the whole
-/// batch: its message comes back as [`SimError::Internal`].
+/// result per plan (in plan order) — a round an error stopped comes back
+/// as that, for the round loop to judge. A worker that panics costs the
+/// whole batch: its message comes back as [`SimError::Internal`].
 fn run_batch(
     ctx: &SearchContext,
     cfg: &ExplorerConfig,
     first_round: usize,
     plans: &[InjectionPlan],
     threads: usize,
-) -> Result<Vec<Result<RunResult, SimError>>, SimError> {
-    let run = |i: usize| ctx.run_round(round_seed(cfg, first_round + i), plans[i].clone());
+) -> Result<Vec<Result<RunResult, Box<FailedRun>>>, SimError> {
+    let run =
+        |i: usize| ctx.run_round_or_partial(round_seed(cfg, first_round + i), plans[i].clone());
     let workers = threads.min(plans.len());
     if workers <= 1 {
         return Ok((0..plans.len()).map(run).collect());

@@ -12,14 +12,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use anduril_causal::{
-    build_graph, BuildTimings, CausalGraph, Interval, Observable, OccurrenceBounds, Reachability,
+    build_graph_over, BuildTimings, CallGraph, CausalGraph, Interval, Observable, OccurrenceBounds,
+    Reachability,
 };
 use anduril_ir::{CompiledProgram, ExceptionType, SiteId, TemplateId};
 use anduril_logdiff::{
     compare_global, parse_log, Alignment, DiffMemo, DiffRecord, InternedLog, ParsedEntry,
 };
-use anduril_sim::InjectionPlan;
-use anduril_sim::{RunResult, SimError};
+use anduril_sim::{run_compiled_or_partial, FailedRun, InjectionPlan, RunResult, SimError};
 
 use crate::scenario::Scenario;
 use crate::trace::{NoopTracer, TraceEvent, Tracer};
@@ -206,7 +206,12 @@ impl SearchContext {
                 template: o.template,
             })
             .collect();
-        let (graph, timings) = build_graph(program, &obs_inputs, &scenario.roots());
+        // The exception analysis (inside the graph build), the reachability
+        // closure and the occurrence bounds all walk the invocation edges:
+        // one call graph, built here and lent to each.
+        let calls = CallGraph::build(program);
+        let roots = scenario.roots();
+        let (graph, timings) = build_graph_over(program, &calls, &obs_inputs, &roots);
         phase("graph", (graph.node_count() + graph.edge_count()) as u64, t);
         if tracer.enabled() {
             // The builder's own §4.1 sub-phase timers (Table 7), re-emitted
@@ -225,18 +230,25 @@ impl SearchContext {
         }
 
         let t = Instant::now();
-        let mut scratch = Vec::new();
-        let distances: Vec<HashMap<SiteId, u32>> = (0..observables.len())
-            .map(|k| graph.distances_into(k, &mut scratch))
-            .collect();
+        let distances = graph.distances_all();
         phase("distances", observables.len() as u64, t);
 
         // Fault-instance distribution mapped onto the failure timeline.
         let t = Instant::now();
         let alignment = Alignment::build(&diff.matches, normal.log.len(), failure.len());
-        let mut site_instances: Vec<Vec<(u32, f64)>> = vec![Vec::new(); program.sites.len()];
+        let mut site_instances: Vec<Vec<(u32, f64)>> = (normal.site_occurrences.iter())
+            .map(|&n| Vec::with_capacity(n as usize))
+            .collect();
+        // The trace is in execution order, so its log positions never
+        // decrease and every instance between two log entries shares one:
+        // each distinct position is mapped once.
+        let mut last = None;
         for t in &normal.trace {
-            let mapped = alignment.map(t.log_pos as f64);
+            let mapped = match last {
+                Some((pos, mapped)) if pos == t.log_pos => mapped,
+                _ => alignment.map(t.log_pos as f64),
+            };
+            last = Some((t.log_pos, mapped));
             site_instances[t.site.index()].push((t.occurrence, mapped));
         }
         phase("alignment", normal.trace.len() as u64, t);
@@ -246,7 +258,7 @@ impl SearchContext {
         // workload can never execute it, so it is dropped from the
         // candidate space before any strategy sees it.
         let t = Instant::now();
-        let reach = Reachability::compute(program, &scenario.roots());
+        let reach = Reachability::over(&calls, &roots);
         let candidate_sites = reach.reachable_sites(program);
 
         let mut units = Vec::new();
@@ -264,7 +276,7 @@ impl SearchContext {
         // with the topology's literal node arguments as the root constant
         // environment. Strategies filter infeasible occurrence indices
         // against these when planning.
-        let bounds = OccurrenceBounds::compute(program, &scenario.root_calls());
+        let bounds = OccurrenceBounds::over(program, &calls, &scenario.root_calls());
         let sites_bounded = candidate_sites
             .iter()
             .filter(|&&s| !bounds.site(s).is_dead())
@@ -321,6 +333,25 @@ impl SearchContext {
     /// is a pure function of `(seed, plan)`.
     pub fn run_round(&self, seed: u64, plan: InjectionPlan) -> Result<RunResult, SimError> {
         self.scenario.run_compiled(&self.compiled, seed, plan)
+    }
+
+    /// [`SearchContext::run_round`] for the search itself, which keeps what
+    /// a round did before an error stopped it: a fault that makes the
+    /// system spin past the step limit is a failed round, not a failed
+    /// search, and the strategy has to learn which fault it was.
+    pub fn run_round_or_partial(
+        &self,
+        seed: u64,
+        plan: InjectionPlan,
+    ) -> Result<RunResult, Box<FailedRun>> {
+        let scenario = &self.scenario;
+        run_compiled_or_partial(
+            &scenario.program,
+            &self.compiled,
+            &scenario.topology,
+            &scenario.config.with_seed(seed),
+            plan,
+        )
     }
 
     /// Whether an injection candidate is statically feasible under the

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use anduril_ir::{ExceptionType, SiteId};
 use anduril_logdiff::DiffMemo;
-use anduril_sim::{InjectionPlan, RunResult, SimError};
+use anduril_sim::{FailedRun, InjectionPlan, RunResult, SimError};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState};
 use crate::context::{FaultUnit, RoundOutcome, SearchContext};
@@ -151,6 +151,10 @@ pub struct RoundRecord {
     pub sim_time: u64,
     /// Whether the oracle was satisfied.
     pub oracle_satisfied: bool,
+    /// The error that stopped the round's run, if one did (a step limit
+    /// exceeded, a type error): the round counts, unsuccessful, and the
+    /// other fields describe the run up to the error.
+    pub error: Option<SimError>,
 }
 
 /// The result of a reproduction attempt.
@@ -299,8 +303,14 @@ impl<'a> ExploreState<'a> {
     /// Absorbs one executed round: records it, checks the oracle, and on a
     /// miss feeds the outcome (plus §6 extra runs) back into the strategy.
     ///
+    /// A round whose run an `error` stopped is a miss whatever its partial
+    /// `result` shows: its script would replay into the same error. The
+    /// strategy digests it like any other — what fired, which observables
+    /// the log had by then.
+    ///
     /// Returns the finished [`Reproduction`] if this round satisfied the
     /// oracle.
+    #[allow(clippy::too_many_arguments)] // One round's facts, each read once.
     fn absorb<S: Strategy + ?Sized>(
         &mut self,
         strategy: &mut S,
@@ -309,6 +319,7 @@ impl<'a> ExploreState<'a> {
         armed: usize,
         spent: RoundNs,
         result: RunResult,
+        error: Option<SimError>,
     ) -> Result<Option<Reproduction>, SimError> {
         let RoundNs {
             init_ns,
@@ -325,7 +336,14 @@ impl<'a> ExploreState<'a> {
             .injected
             .as_ref()
             .map(|r| (r.candidate.site, r.occurrence, r.candidate.exc));
-        let satisfied = self.oracle.check(&result) && (injected.is_some() || result.crashed);
+        let satisfied =
+            error.is_none() && self.oracle.check(&result) && (injected.is_some() || result.crashed);
+        if let (true, Some(error)) = (self.tracer.enabled(), &error) {
+            self.tracer.record(TraceEvent::RoundError {
+                round,
+                error: error.to_string(),
+            });
+        }
         // Which observable attained the min in the injected unit's `F_i`,
         // asked of the strategy *before* this round's feedback mutates it
         // — so the record reflects the state that planned the injection.
@@ -343,6 +361,7 @@ impl<'a> ExploreState<'a> {
             workload_ns: result.wall.as_nanos() as u64,
             sim_time: result.end_time,
             oracle_satisfied: satisfied,
+            error,
         });
 
         // Where the round went, for a sink that records it: the host clock
@@ -534,7 +553,7 @@ impl<'a> ExploreState<'a> {
 }
 
 /// One speculative round the batch engine planned and already executed.
-pub(crate) type Speculated = (InjectionPlan, Result<RunResult, SimError>);
+pub(crate) type Speculated = (InjectionPlan, Result<RunResult, Box<FailedRun>>);
 
 /// The batch engine's speculation step (see [`crate::batch`]): given the
 /// trusted strategy and the next round number, the plans it predicts for
@@ -617,7 +636,7 @@ pub(crate) fn search<S: Strategy + ?Sized>(
             let result = match speculated.next() {
                 // Nothing was predicted for this round, so nothing hit or
                 // missed: no `spec` event.
-                None => ctx.run_round(seed, plan)?,
+                None => ctx.run_round_or_partial(seed, plan),
                 Some((predicted, result)) => {
                     let hit = predicted == plan;
                     if tracer.enabled() {
@@ -630,11 +649,21 @@ pub(crate) fn search<S: Strategy + ?Sized>(
                     }
                     reused = hit;
                     if hit {
-                        result?
+                        result
                     } else {
-                        ctx.run_round(seed, plan)?
+                        ctx.run_round_or_partial(seed, plan)
                     }
                 }
+            };
+            // A round is a round even when an error stopped its run; only
+            // the simulator's own failure ends the search.
+            let (result, error) = match result.map_err(|failed| *failed) {
+                Ok(result) => (result, None),
+                Err(FailedRun {
+                    error,
+                    partial: Some(partial),
+                }) if !matches!(error, SimError::Internal(_)) => (partial, Some(error)),
+                Err(failed) => return Err(failed.error),
             };
             // A reused speculative result was simulated on a worker: what
             // it cost is its own workload time, not the wait for it here.
@@ -644,7 +673,8 @@ pub(crate) fn search<S: Strategy + ?Sized>(
                 None => 0,
             };
             let spent = RoundNs { init_ns, sim_ns };
-            if let Some(done) = state.absorb(strategy, round, gt_rank, armed, spent, result)? {
+            let done = state.absorb(strategy, round, gt_rank, armed, spent, result, error)?;
+            if let Some(done) = done {
                 return Ok(done);
             }
             round += 1;

@@ -229,6 +229,16 @@ pub enum TraceEvent {
         /// Whether the speculative result was reused.
         hit: bool,
     },
+    /// An error stopped the round's run (`ev: "round_error"`): the step
+    /// limit exceeded, a type error under an injected fault. The round
+    /// counts as unsuccessful; its `round_end` describes the run up to the
+    /// error.
+    RoundError {
+        /// Round number.
+        round: usize,
+        /// The simulator's message.
+        error: String,
+    },
     /// A round finished executing (`ev: "round_end"`).
     RoundEnd {
         /// Round number.
@@ -532,6 +542,10 @@ impl TraceEvent {
                 "{{\"ev\":\"spec\",\"round\":{round},\"epoch\":{epoch},\"slot\":{slot},\
                  \"hit\":{hit}}}"
             ),
+            TraceEvent::RoundError { round, error } => format!(
+                "{{\"ev\":\"round_error\",\"round\":{round},\"error\":\"{}\"}}",
+                json_escape(error)
+            ),
             TraceEvent::RoundEnd {
                 round,
                 injected,
@@ -724,6 +738,10 @@ impl TraceEvent {
                 slot: o.int("slot")?,
                 hit: o.bool("hit")?,
             },
+            "round_error" => TraceEvent::RoundError {
+                round: o.int("round")?,
+                error: o.str("error")?.to_string(),
+            },
             "round_end" => TraceEvent::RoundEnd {
                 round: o.int("round")?,
                 injected: match o.nested("injected")? {
@@ -783,6 +801,7 @@ impl TraceEvent {
             | TraceEvent::Note { round, .. }
             | TraceEvent::EpochStart { round, .. }
             | TraceEvent::Speculation { round, .. }
+            | TraceEvent::RoundError { round, .. }
             | TraceEvent::RoundEnd { round, .. }
             | TraceEvent::Feedback { round, .. }
             | TraceEvent::ObservablePromoted { round, .. }
@@ -1023,6 +1042,10 @@ mod tests {
                 slot: 3,
                 hit: true,
             },
+            TraceEvent::RoundError {
+                round: 0,
+                error: "type error at b3[2]: expected \"int\"".into(),
+            },
             TraceEvent::RoundEnd {
                 round: 0,
                 injected: Some((SiteId(3), 5, ExceptionType::Io)),
@@ -1063,7 +1086,7 @@ mod tests {
                 wall_ns: 123,
             },
         ];
-        let mut seen = [false; 17];
+        let mut seen = [false; 18];
         for ev in &samples {
             let slot = match ev {
                 TraceEvent::ContextPhase { .. } => 0,
@@ -1085,6 +1108,7 @@ mod tests {
                 TraceEvent::ObservablePromoted { .. } => 14,
                 TraceEvent::ProvenanceChain { .. } => 15,
                 TraceEvent::ExploreEnd { .. } => 16,
+                TraceEvent::RoundError { .. } => 17,
             };
             seen[slot] = true;
         }

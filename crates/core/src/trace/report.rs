@@ -152,6 +152,8 @@ struct RoundRow<'a> {
     injected: Option<(SiteId, u32, ExceptionType)>,
     oracle: Option<bool>,
     log_entries: Option<usize>,
+    /// An error stopped the round's run.
+    errored: bool,
 }
 
 /// One pass over a stream: the events the reports quote and the totals
@@ -226,6 +228,9 @@ impl<'a> Digest<'a> {
                 TraceEvent::Speculation { hit, .. } => {
                     d.slots += 1;
                     d.hits += usize::from(*hit);
+                }
+                TraceEvent::RoundError { round, .. } => {
+                    d.rounds.entry(*round).or_default().errored = true;
                 }
                 TraceEvent::RoundEnd {
                     round,
@@ -357,13 +362,23 @@ pub fn summary(path: &str, events: &[TraceEvent]) -> String {
                 dash(row.top.map(|p| p.l)),
                 dash(row.top.map(|p| fmt_f(p.i_k))),
                 dash(injected),
-                dash(row.oracle.map(|b| if b { "YES" } else { "no" })),
+                dash(row.oracle.map(|b| match (b, row.errored) {
+                    (true, _) => "YES",
+                    (false, true) => "ERR",
+                    (false, false) => "no",
+                })),
                 dash(row.log_entries),
             ]
         });
         out += &t.render();
         if elided {
             out += &format!("(middle rounds elided; {} rounds total)\n", keys.len());
+        }
+        let errored = d.rounds.values().filter(|row| row.errored).count();
+        if errored > 0 {
+            out += &format!(
+                "({errored} rounds ended in a simulator error and count as unsuccessful: ERR)\n"
+            );
         }
     }
 
@@ -580,6 +595,9 @@ pub fn round(events: &[TraceEvent], n: usize) -> Result<String, NoSuchRound> {
                     "miss (re-run inline)"
                 }
             ),
+            TraceEvent::RoundError { error, .. } => {
+                format!("  error: {error} — the round counts as unsuccessful\n")
+            }
             TraceEvent::RoundEnd {
                 injected,
                 oracle,

@@ -2,7 +2,7 @@
 
 use anduril_core::{Oracle, Scenario, SearchContext, Tracer};
 use anduril_ir::{ExceptionType, SiteId};
-use anduril_sim::InjectionPlan;
+use anduril_sim::{InjectionPlan, RunResult};
 
 /// The known root cause of a failure, resolved to a concrete dynamic
 /// instance under the failure seed.
@@ -107,57 +107,60 @@ impl FailureCase {
     /// root-cause *site* is known, and the failure log is obtained "by
     /// manually reproducing the failure first based on the ground truth".
     pub fn ground_truth(&self) -> Result<GroundTruth, CaseError> {
-        let site = self.root_site()?;
-        let normal = self
-            .scenario
-            .run(self.failure_seed, InjectionPlan::none())
-            .map_err(|e| CaseError::Sim(e.to_string()))?;
-        let total = normal.site_occurrences[site.index()];
-        for occurrence in 0..total.max(1) {
-            let r = self
-                .scenario
-                .run(
-                    self.failure_seed,
-                    InjectionPlan::exact(site, occurrence, self.root_exc),
-                )
-                .map_err(|e| CaseError::Sim(e.to_string()))?;
-            if r.injected.is_some() && self.oracle.check(&r) {
-                return Ok(GroundTruth {
-                    site,
-                    occurrence,
-                    exc: self.root_exc,
-                    seed: self.failure_seed,
-                });
-            }
-        }
-        Err(CaseError::NotReproducible(format!(
-            "{}: no occurrence of {} (of {total}) satisfies the oracle",
-            self.id, self.root_site_desc
-        )))
+        Ok(self.resolve()?.0)
     }
 
     /// Renders the "production" failure log for this case.
     pub fn failure_log(&self) -> Result<String, CaseError> {
-        self.render_log(&self.ground_truth()?)
+        Ok(self.resolve()?.1.log_text())
     }
 
-    fn render_log(&self, gt: &GroundTruth) -> Result<String, CaseError> {
-        let r = self
-            .scenario
-            .run(
-                gt.seed,
-                InjectionPlan::exact(gt.site, gt.occurrence, gt.exc),
-            )
-            .map_err(|e| CaseError::Sim(e.to_string()))?;
-        Ok(r.log_text())
+    /// The ground truth and the run that established it — the "production"
+    /// run, whose log is the failure log.
+    ///
+    /// The program is compiled once for the whole scan. Occurrence `k` is
+    /// tried by arming exactly `(site, k)`: a run in which that never fires
+    /// executed the site fewer than `k + 1` times — it is the fault-free
+    /// run, its own count says how many occurrences there were, and the
+    /// scan is over.
+    fn resolve(&self) -> Result<(GroundTruth, RunResult), CaseError> {
+        let site = self.root_site()?;
+        let compiled = anduril_ir::lower::compile(&self.scenario.program);
+        let not_reproducible = |total: u32| {
+            CaseError::NotReproducible(format!(
+                "{}: no occurrence of {} (of {total}) satisfies the oracle",
+                self.id, self.root_site_desc
+            ))
+        };
+        for occurrence in 0..=u32::MAX {
+            let plan = InjectionPlan::exact(site, occurrence, self.root_exc);
+            let r = self
+                .scenario
+                .run_compiled(&compiled, self.failure_seed, plan)
+                .map_err(|e| CaseError::Sim(e.to_string()))?;
+            if r.injected.is_none() {
+                return Err(not_reproducible(r.site_occurrences[site.index()]));
+            }
+            if self.oracle.check(&r) {
+                let gt = GroundTruth {
+                    site,
+                    occurrence,
+                    exc: self.root_exc,
+                    seed: self.failure_seed,
+                };
+                return Ok((gt, r));
+            }
+        }
+        Err(not_reproducible(u32::MAX))
     }
 
     /// The one way from a case to a search: resolves the ground truth,
-    /// renders the failure log it produces and prepares a context over
-    /// that log at `base_seed`, preparation phases going to `tracer`.
+    /// takes the failure log of the run that established it and prepares a
+    /// context over that log at `base_seed`, preparation phases going to
+    /// `tracer`.
     pub fn prepare(&self, base_seed: u64, tracer: &dyn Tracer) -> Result<PreparedCase, CaseError> {
-        let gt = self.ground_truth()?;
-        let failure_log = self.render_log(&gt)?;
+        let (gt, production) = self.resolve()?;
+        let failure_log = production.log_text();
         let ctx =
             SearchContext::prepare_traced(self.scenario.clone(), &failure_log, base_seed, tracer)
                 .map_err(|e| CaseError::Sim(e.to_string()))?;

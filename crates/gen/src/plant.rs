@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use anduril_core::{Oracle, Scenario, SearchContext};
 use anduril_failures::FailureCase;
-use anduril_ir::{ExceptionType, SiteId};
+use anduril_ir::{CompiledProgram, ExceptionType, SiteId};
 use anduril_sim::rng::SmallRng;
 use anduril_sim::{InjectionPlan, RunResult};
 
@@ -141,10 +141,20 @@ fn site_by_desc(scenario: &Scenario, desc: &str) -> Result<SiteId, GenError> {
         .ok_or_else(|| GenError::Unsound(format!("planted site {desc} not in program")))
 }
 
-fn run(scenario: &Scenario, seed: u64, plan: InjectionPlan) -> Result<RunResult, GenError> {
-    scenario
-        .run(seed, plan)
-        .map_err(|e| GenError::Sim(format!("{e:?}")))
+/// One run of the scenario under planting: its program compiled once per
+/// generated case, however many occurrences the scan tries.
+struct Planting<'a> {
+    scenario: &'a Scenario,
+    compiled: CompiledProgram,
+    failure_seed: u64,
+}
+
+impl Planting<'_> {
+    fn run(&self, plan: InjectionPlan) -> Result<RunResult, GenError> {
+        self.scenario
+            .run_compiled(&self.compiled, self.failure_seed, plan)
+            .map_err(|e| GenError::Sim(format!("{e:?}")))
+    }
 }
 
 /// Builds the oracle for a generated program: the FATAL needle, the
@@ -169,13 +179,12 @@ fn oracle_for(gp: &GenProgram) -> Oracle {
 /// early occurrences recoverable), mirroring `FailureCase::ground_truth`
 /// resolution so the packaged case resolves to exactly this plant.
 fn plant_single(
-    scenario: &Scenario,
+    planting: &Planting,
     gp: &GenProgram,
     oracle: &Oracle,
-    failure_seed: u64,
     normal: &RunResult,
 ) -> Result<(Vec<PlantedFault>, RunResult), GenError> {
-    let site = site_by_desc(scenario, &gp.critical_site_desc)?;
+    let site = site_by_desc(planting.scenario, &gp.critical_site_desc)?;
     let total = normal
         .site_occurrences
         .get(site.index())
@@ -188,11 +197,7 @@ fn plant_single(
         )));
     }
     for occ in 0..total {
-        let r = run(
-            scenario,
-            failure_seed,
-            InjectionPlan::exact(site, occ, gp.critical_exc),
-        )?;
+        let r = planting.run(InjectionPlan::exact(site, occ, gp.critical_exc))?;
         if r.injected.is_some() && oracle.check(&r) {
             let plant = vec![PlantedFault {
                 site,
@@ -212,13 +217,13 @@ fn plant_single(
 /// (the WAL poisoner), then scans fault B occurrences until the pair
 /// fires completely and the oracle holds.
 fn plant_multi(
-    scenario: &Scenario,
+    planting: &Planting,
     gp: &GenProgram,
     oracle: &Oracle,
-    failure_seed: u64,
     normal: &RunResult,
     rng: &mut SmallRng,
 ) -> Result<(Vec<PlantedFault>, RunResult), GenError> {
+    let scenario = planting.scenario;
     let site_b = site_by_desc(scenario, &gp.critical_site_desc)?;
     let desc_a = gp
         .poison_site_desc
@@ -251,7 +256,7 @@ fn plant_multi(
             anduril_sim::Candidate::exact(site_a, occ_a, gp.poison_exc),
             anduril_sim::Candidate::exact(site_b, occ_b, gp.critical_exc),
         ]);
-        let r = run(scenario, failure_seed, plan)?;
+        let r = planting.run(plan)?;
         if r.injected_all.len() == 2 && oracle.check(&r) {
             let plant = vec![
                 PlantedFault {
@@ -296,7 +301,12 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
     };
     let failure_seed = 1 + rng.random_range(0..10_000u64);
 
-    let normal = run(&scenario, failure_seed, InjectionPlan::none())?;
+    let planting = Planting {
+        compiled: anduril_ir::lower::compile(&scenario.program),
+        scenario: &scenario,
+        failure_seed,
+    };
+    let normal = planting.run(InjectionPlan::none())?;
     let oracle = oracle_for(&gp);
     if oracle.check(&normal) {
         return Err(GenError::Unsound(
@@ -314,9 +324,9 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
     }
 
     let (plant, failure_run) = if cfg.multi_fault {
-        plant_multi(&scenario, &gp, &oracle, failure_seed, &normal, &mut rng)?
+        plant_multi(&planting, &gp, &oracle, &normal, &mut rng)?
     } else {
-        plant_single(&scenario, &gp, &oracle, failure_seed, &normal)?
+        plant_single(&planting, &gp, &oracle, &normal)?
     };
     let failure_log = failure_run.log_text();
 

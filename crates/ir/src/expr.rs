@@ -93,6 +93,19 @@ impl Expr {
         }
     }
 
+    /// `true` if the expression reads a global `wanted` accepts — the
+    /// question [`Expr::reads`] answers through two vectors, asked without
+    /// building them.
+    pub fn reads_global(&self, wanted: &impl Fn(GlobalId) -> bool) -> bool {
+        match self {
+            Expr::Const(_) | Expr::RandRange(..) | Expr::SelfNode | Expr::Var(_) => false,
+            Expr::Global(g) => wanted(*g),
+            Expr::Bin(_, a, b) => a.reads_global(wanted) || b.reads_global(wanted),
+            Expr::Not(a) | Expr::Len(a) | Expr::Index(a, _) => a.reads_global(wanted),
+            Expr::List(items) => items.iter().any(|item| item.reads_global(wanted)),
+        }
+    }
+
     /// Convenience form of [`Expr::reads`] returning fresh vectors.
     pub fn reads_collected(&self) -> (Vec<VarId>, Vec<GlobalId>) {
         let mut vars = Vec::new();
@@ -244,6 +257,22 @@ mod tests {
         expr.reads(&mut vars, &mut globals);
         assert_eq!(vars, vec![VarId(1)]);
         assert_eq!(globals, vec![GlobalId(2), GlobalId(5)]);
+    }
+
+    #[test]
+    fn reads_global_agrees_with_reads() {
+        let expr = e::and(
+            e::gt(e::var(VarId(1)), e::int(3)),
+            e::eq(
+                e::list(vec![e::glob(GlobalId(2))]),
+                e::len(e::index(e::glob(GlobalId(5)), 0)),
+            ),
+        );
+        let (_, globals) = expr.reads_collected();
+        for g in 0..8 {
+            let g = GlobalId(g);
+            assert_eq!(expr.reads_global(&|x| x == g), globals.contains(&g), "{g}");
+        }
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! - `try`/`catch`/`finally` metadata and the meta-info access-point set are
 //!   pre-resolved into flat lookup tables shared by both engines.
 //!
+//! Whatever a statement or a template holds a variable number of — call
+//! arguments, list items, catch clauses, template segments and their text —
+//! lies in one table per kind and is named by a range into it, so compiling
+//! allocates per table, not per statement.
+//!
 //! Lowering is purely structural: it never reorders or elides effects, so a
 //! VM run draws random numbers, counts steps, and emits log entries in
 //! exactly the same order as the tree-walking oracle.
@@ -58,6 +63,45 @@ pub enum CExpr {
         /// Register holding the result after the run executes.
         out: u16,
     },
+}
+
+/// A run of consecutive entries of one of [`CompiledProgram`]'s tables:
+/// how a statement names its argument expressions
+/// ([`CompiledProgram::args_of`]), a list its item registers
+/// ([`CompiledProgram::gathered_of`]), a template its segments.
+#[derive(Debug, Clone, Copy)]
+pub struct Run {
+    start: u32,
+    end: u32,
+}
+
+impl Run {
+    /// The run `table[start..]`, for a caller about to append it.
+    fn from<T>(table: &[T]) -> Run {
+        let start = table.len() as u32;
+        Run { start, end: start }
+    }
+
+    /// The run from where [`Run::from`] found `table` to its end now.
+    fn to<T>(self, table: &[T]) -> Run {
+        Run {
+            start: self.start,
+            end: table.len() as u32,
+        }
+    }
+
+    /// `true` for a run of nothing (a statement without arguments).
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    fn of<T>(self, table: &[T]) -> &[T] {
+        &table[self.start as usize..self.end as usize]
+    }
 }
 
 /// Where a scalar tree reads an operand: a side-effect-free load resolved
@@ -102,7 +146,7 @@ pub enum SNode {
 
 /// One op of a [`CExpr::Build`] run. Operands are registers in the per-run
 /// scratch frame; `dst` is always written.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum EOp {
     /// `dst = <scalar tree>`: a maximal sub-expression that builds no
     /// value, evaluated by reference and materialised into the register.
@@ -122,7 +166,7 @@ pub enum EOp {
         /// Destination register.
         dst: u16,
         /// Item registers in order.
-        srcs: Box<[u16]>,
+        srcs: Run,
     },
     /// `dst = src[idx]` where `src` is a register holding a built list.
     Index {
@@ -190,7 +234,7 @@ pub enum Instr {
         /// Source template (for the structured entry).
         template: TemplateId,
         /// Compiled argument expressions.
-        args: Box<[CExpr]>,
+        args: Run,
         /// Whether to attach the pending handler exception's stack.
         attach_stack: bool,
         /// Pre-rendered body for zero-argument templates, shared by every
@@ -230,7 +274,7 @@ pub enum Instr {
         /// Callee.
         func: FuncId,
         /// Compiled actual arguments.
-        args: Box<[CExpr]>,
+        args: Run,
         /// Local receiving the return value.
         ret: Option<VarId>,
     },
@@ -283,7 +327,7 @@ pub enum Instr {
         /// Entry function.
         func: FuncId,
         /// Compiled arguments.
-        args: Box<[CExpr]>,
+        args: Run,
     },
     /// Submit a task to an executor.
     Submit {
@@ -292,7 +336,7 @@ pub enum Instr {
         /// Task body.
         func: FuncId,
         /// Compiled arguments.
-        args: Box<[CExpr]>,
+        args: Run,
         /// Local receiving the future handle.
         future: Option<VarId>,
     },
@@ -352,79 +396,168 @@ pub enum Instr {
 }
 
 /// Pre-resolved `catch`/`finally` metadata of one `try` statement.
-#[derive(Debug, Clone)]
-pub struct TryInfo {
+#[derive(Debug, Clone, Copy)]
+pub struct TryInfo<'a> {
     /// Catch clauses, in order.
-    pub handlers: Box<[Handler]>,
+    pub handlers: &'a [Handler],
     /// Optional finally block.
     pub finally: Option<BlockId>,
 }
 
+/// [`TryInfo`] as stored: the clauses are a run of
+/// `CompiledProgram::handlers`.
+#[derive(Debug, Clone, Copy)]
+struct TryEntry {
+    handlers: Run,
+    finally: Option<BlockId>,
+}
+
 /// One segment of a pre-split log template.
-#[derive(Debug, Clone)]
-pub enum Seg {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Seg<'a> {
     /// Literal text between holes.
-    Text(Box<str>),
+    Text(&'a str),
     /// The n-th `{}` hole (missing arguments render as `?`).
+    Arg(u16),
+}
+
+/// [`Seg`] as stored: literal text is a run of the bytes of
+/// `CompiledProgram::template_text`.
+#[derive(Debug, Clone, Copy)]
+enum RawSeg {
+    Text(Run),
     Arg(u16),
 }
 
 /// A log template pre-split into text and argument segments, so the VM
 /// renders bodies into one `String` without per-argument intermediates.
-#[derive(Debug, Clone)]
-pub struct CompiledTemplate {
-    /// The segments in order.
-    pub segs: Box<[Seg]>,
-    /// Length of the literal text: the render capacity hint, and the
-    /// template's specificity when several match one body.
-    pub text_len: usize,
+#[derive(Debug, Clone, Copy)]
+struct CompiledTemplate {
+    /// The template's run of `CompiledProgram::segs`.
+    segs: Run,
+    /// Length of the literal text: the template's specificity when several
+    /// match one body.
+    text_len: usize,
 }
 
-impl CompiledTemplate {
-    /// Returns `true` if `body` could have been rendered from this
-    /// template — [`LogTemplate::matches`](crate::log::LogTemplate::matches)
-    /// over the pre-split literals instead of re-splitting the text.
-    ///
-    /// Matching is anchored: the literals must appear in order, the first
-    /// at the beginning of `body` and the last at its end.
-    pub fn matches(&self, body: &str) -> bool {
-        let (mut segs, mut rest) = (&self.segs[..], body);
-        if let Some((Seg::Text(t), after)) = segs.split_first() {
-            let Some(r) = rest.strip_prefix(&**t) else {
-                return false;
-            };
-            (segs, rest) = (after, r);
-            if segs.is_empty() {
-                // No hole at all: the body is the literal.
-                return rest.is_empty();
+/// Returns `true` if `body` could have been rendered from a template with
+/// these segments — [`LogTemplate::matches`](crate::log::LogTemplate::matches)
+/// over the pre-split literals instead of re-splitting the text.
+///
+/// Matching is anchored: the literals must appear in order, the first at
+/// the beginning of `body` and the last at its end.
+fn segs_match<'a>(mut segs: impl DoubleEndedIterator<Item = Seg<'a>>, body: &str) -> bool {
+    let mut rest = body;
+    let mut next = segs.next();
+    if let Some(Seg::Text(t)) = next {
+        let Some(r) = rest.strip_prefix(t) else {
+            return false;
+        };
+        rest = r;
+        next = segs.next();
+    }
+    if next.is_none() {
+        // No hole at all: the body is the literal.
+        return rest.is_empty();
+    }
+    // What is left starts with a hole; a trailing literal is anchored at
+    // the end, everything before it matches leftmost.
+    let last = match segs.next_back() {
+        Some(Seg::Text(t)) => Some(t),
+        _ => None,
+    };
+    for seg in segs {
+        if let Seg::Text(t) = seg {
+            match rest.find(t) {
+                Some(pos) => rest = &rest[pos + t.len()..],
+                None => return false,
             }
-        } else if segs.is_empty() {
-            return rest.is_empty();
         }
-        // `segs` now starts with a hole; a trailing literal is anchored at
-        // the end, everything before it matches leftmost.
-        let last = match segs.split_last() {
-            Some((Seg::Text(t), before)) => {
-                segs = before;
-                Some(t)
-            }
+    }
+    last.is_none_or(|t| rest.ends_with(t))
+}
+
+/// "No entry" in [`LeadingLiteral::parent`].
+const NO_PARENT: u32 = u32::MAX;
+
+/// One distinct leading literal of [`CompiledProgram::best_template`]'s
+/// index.
+#[derive(Debug, Clone, Copy)]
+struct LeadingLiteral {
+    /// The literal: a run of the bytes of `CompiledProgram::template_text`.
+    text: Run,
+    /// The entry of the longest other literal this one starts with, or
+    /// [`NO_PARENT`].
+    parent: u32,
+    /// The templates that open with it: a run of
+    /// [`TemplateIndex::by_literal`], most specific first, ties by id.
+    templates: Run,
+}
+
+/// The index behind [`CompiledProgram::best_template`]: the templates
+/// grouped by leading literal.
+#[derive(Debug, Clone)]
+struct TemplateIndex {
+    /// The distinct leading literals, in byte order.
+    literals: Vec<LeadingLiteral>,
+    /// Template ids grouped by leading literal; the last group (`open`)
+    /// holds the templates that open with a hole or are empty.
+    by_literal: Vec<TemplateId>,
+    open: Run,
+}
+
+impl TemplateIndex {
+    fn build(templates: &[CompiledTemplate], segs: &[RawSeg], text: &str) -> TemplateIndex {
+        let bytes = |run: Run| run.of(text.as_bytes());
+        let leading = |t: &TemplateId| match templates[t.index()].segs.of(segs).first() {
+            Some(&RawSeg::Text(literal)) => Some(literal),
             _ => None,
         };
-        for seg in segs {
-            if let Seg::Text(t) = seg {
-                match rest.find(&**t) {
-                    Some(pos) => rest = &rest[pos + t.len()..],
-                    None => return false,
+        // By leading literal, then most specific first, then id; the
+        // hole-first templates at the end.
+        let mut by_literal: Vec<TemplateId> = (0..templates.len() as u32).map(TemplateId).collect();
+        by_literal.sort_by_key(|t| {
+            let specificity = (std::cmp::Reverse(templates[t.index()].text_len), t.0);
+            (leading(t).is_none(), leading(t).map(bytes), specificity)
+        });
+        let mut literals: Vec<LeadingLiteral> = Vec::new();
+        // The entries the current literal may start with, outermost first.
+        let mut enclosing: Vec<u32> = Vec::new();
+        let mut open = Run::from(&by_literal);
+        for (i, t) in (0u32..).zip(&by_literal) {
+            let Some(literal) = leading(t) else {
+                open.start = i;
+                break;
+            };
+            if let Some(last) = literals.last_mut() {
+                if bytes(last.text) == bytes(literal) {
+                    last.templates.end = i + 1;
+                    continue;
                 }
             }
+            while enclosing
+                .last()
+                .is_some_and(|&e| !bytes(literal).starts_with(bytes(literals[e as usize].text)))
+            {
+                enclosing.pop();
+            }
+            literals.push(LeadingLiteral {
+                text: literal,
+                parent: enclosing.last().copied().unwrap_or(NO_PARENT),
+                templates: Run {
+                    start: i,
+                    end: i + 1,
+                },
+            });
+            enclosing.push(literals.len() as u32 - 1);
         }
-        last.is_none_or(|t| rest.ends_with(&**t))
+        TemplateIndex {
+            literals,
+            by_literal,
+            open,
+        }
     }
 }
-
-/// Bucket of [`CompiledProgram::template_buckets`] for templates with no
-/// leading literal.
-const OPEN_BUCKET: usize = 256;
 
 /// A [`Program`] lowered to the flat register-VM form. Compile once per
 /// search (the `SearchContext` caches it), run many times.
@@ -437,16 +570,24 @@ pub struct CompiledProgram {
     pub stmt_base: Vec<u32>,
     /// Per-block statement count.
     pub block_len: Vec<u32>,
+    /// The argument expressions of every statement that takes a list of
+    /// them, each statement's a [`Run`].
+    pub args: Vec<CExpr>,
     /// The inner nodes of every scalar tree, children before parents.
     pub snodes: Vec<SNode>,
     /// All register ops, referenced by [`CExpr::Build`] ranges.
     pub eops: Vec<EOp>,
+    /// The item registers of every [`EOp::Gather`], each list's a
+    /// [`Run`].
+    pub gathered: Vec<u16>,
     /// Constant pool for [`Operand::Const`].
     pub pool: Vec<Value>,
     /// Size of the scratch register frame a run must allocate.
     pub max_regs: usize,
-    /// Pre-split log templates, parallel to `Program::templates`.
-    pub templates: Vec<CompiledTemplate>,
+    /// How many threads a node is likely to run: its main, one per `Spawn`
+    /// statement and one worker per executor. A sizing hint — a `Spawn` in
+    /// a loop starts more, one in a branch never taken starts none.
+    pub threads_per_node: usize,
     /// Interned worker-thread names (`"{exec}-worker"`), parallel to
     /// `Program::execs`.
     pub worker_names: Vec<Arc<str>>,
@@ -459,11 +600,14 @@ pub struct CompiledProgram {
     /// Statements that touch a meta-info global, sorted (CrashTuner's
     /// candidate crash points).
     pub meta_points: Vec<StmtRef>,
-    /// Template ids bucketed by the first byte of their leading literal
-    /// ([`OPEN_BUCKET`]: templates that open with a hole, or are empty),
-    /// each bucket most specific first, ties by id.
-    template_buckets: Vec<Vec<TemplateId>>,
-    tries: Vec<TryInfo>,
+    /// Pre-split log templates, parallel to `Program::templates`.
+    templates: Vec<CompiledTemplate>,
+    segs: Vec<RawSeg>,
+    /// The literal text of every template, hole markers dropped.
+    template_text: String,
+    template_index: TemplateIndex,
+    tries: Vec<TryEntry>,
+    handlers: Vec<Handler>,
     /// Per-instruction index into `tries` (`u32::MAX` for non-`try`).
     try_of: Vec<u32>,
     /// Bitset over flat instruction indices marking meta access points.
@@ -479,16 +623,31 @@ impl CompiledProgram {
         self.stmt_base[r.block.index()] as usize + r.idx as usize
     }
 
+    /// The argument expressions of a statement.
+    #[inline]
+    pub fn args_of(&self, args: Run) -> &[CExpr] {
+        args.of(&self.args)
+    }
+
+    /// The item registers of a [`EOp::Gather`].
+    #[inline]
+    pub fn gathered_of(&self, srcs: Run) -> &[u16] {
+        srcs.of(&self.gathered)
+    }
+
     /// Returns the pre-resolved handler/finally table of a `try` statement,
     /// or `None` if `r` is not a `try`.
     #[inline]
-    pub fn try_info(&self, r: StmtRef) -> Option<&TryInfo> {
+    pub fn try_info(&self, r: StmtRef) -> Option<TryInfo<'_>> {
         let t = self.try_of[self.flat(r)];
         if t == NO_TRY {
-            None
-        } else {
-            Some(&self.tries[t as usize])
+            return None;
         }
+        let entry = self.tries[t as usize];
+        Some(TryInfo {
+            handlers: entry.handlers.of(&self.handlers),
+            finally: entry.finally,
+        })
     }
 
     /// Returns the finally block of a `try` statement, if any.
@@ -497,26 +656,73 @@ impl CompiledProgram {
         self.try_info(r).and_then(|t| t.finally)
     }
 
+    fn text(&self, run: Run) -> &str {
+        &self.template_text[run.start as usize..run.end as usize]
+    }
+
+    /// The segments of a template, in order.
+    #[inline]
+    pub fn segs(
+        &self,
+        template: TemplateId,
+    ) -> impl DoubleEndedIterator<Item = Seg<'_>> + Clone + '_ {
+        let segs = self.templates[template.index()].segs.of(&self.segs);
+        segs.iter().map(|seg| match *seg {
+            RawSeg::Text(literal) => Seg::Text(self.text(literal)),
+            RawSeg::Arg(n) => Seg::Arg(n),
+        })
+    }
+
+    /// Returns `true` if `body` could have been rendered from `template`;
+    /// agrees with [`LogTemplate::matches`](crate::log::LogTemplate::matches).
+    pub fn template_matches(&self, template: TemplateId, body: &str) -> bool {
+        segs_match(self.segs(template), body)
+    }
+
     /// Picks the most specific template whose rendered form matches `body`
     /// (longest literal text wins; ties broken by id for determinism).
     ///
     /// A body can only match a template whose leading literal it starts
-    /// with, so only the bucket of the body's first byte and the bucket of
-    /// hole-first templates are searched, and each search stops at its
-    /// first — most specific — match.
+    /// with (or one that opens with a hole). The distinct leading literals
+    /// are kept in byte order, each linked to the longest other literal it
+    /// starts with: every literal `body` starts with is on the chain that
+    /// begins at the greatest literal not above `body` — anything between
+    /// a prefix of `body` and `body` itself starts with that prefix — and
+    /// is exactly a chain member no longer than what the chain's first
+    /// literal shares with `body`. So one binary search finds the chain,
+    /// and only the groups on it and the hole-first group are searched,
+    /// each stopping at its first — most specific — match.
     pub fn best_template(&self, body: &str) -> Option<TemplateId> {
-        let first_match = |bucket: usize| {
-            self.template_buckets[bucket]
-                .iter()
-                .copied()
-                .find(|t| self.templates[t.index()].matches(body))
+        let index = &self.template_index;
+        let first_match = |group: Run| {
+            let mut group = group.of(&index.by_literal).iter().copied();
+            group.find(|&t| self.template_matches(t, body))
         };
         let rank = |t: &TemplateId| (self.templates[t.index()].text_len, std::cmp::Reverse(t.0));
-        let literal = body.bytes().next().and_then(|b| first_match(b as usize));
-        literal
-            .into_iter()
-            .chain(first_match(OPEN_BUCKET))
-            .max_by_key(rank)
+        let mut best = first_match(index.open);
+        let below = index
+            .literals
+            .partition_point(|l| self.text(l.text).as_bytes() <= body.as_bytes());
+        let Some(mut at) = below.checked_sub(1) else {
+            return best;
+        };
+        let greatest = self.text(index.literals[at].text).as_bytes();
+        let shared = (greatest.iter().zip(body.as_bytes()))
+            .take_while(|(a, b)| a == b)
+            .count();
+        loop {
+            let literal = &index.literals[at];
+            if literal.text.len() <= shared {
+                best = best
+                    .into_iter()
+                    .chain(first_match(literal.templates))
+                    .max_by_key(rank);
+            }
+            if literal.parent == NO_PARENT {
+                return best;
+            }
+            at = literal.parent as usize;
+        }
     }
 
     /// Returns `true` if the flat instruction index is a meta access point.
@@ -526,53 +732,47 @@ impl CompiledProgram {
     }
 }
 
-/// Statements whose execution touches a meta-info global — CrashTuner's
-/// candidate crash points, in deterministic (sorted) order.
-pub fn meta_access_points(program: &Program) -> Vec<StmtRef> {
-    let meta: Vec<bool> = program.globals.iter().map(|g| g.meta_info).collect();
-    if !meta.iter().any(|m| *m) {
-        return Vec::new();
-    }
-    let mut points = Vec::new();
-    for (sref, stmt) in program.all_stmts() {
-        let mut exprs: Vec<&Expr> = Vec::new();
-        let mut writes_meta = false;
-        match stmt {
-            Stmt::SetGlobal { global, expr } | Stmt::PushBack { global, expr } => {
-                writes_meta = meta[global.index()];
-                exprs.push(expr);
-            }
-            Stmt::PopFront { global, .. } => {
-                writes_meta = meta[global.index()];
-            }
-            Stmt::Assign { expr, .. } => exprs.push(expr),
-            Stmt::If { cond, .. } | Stmt::While { cond, .. } => exprs.push(cond),
-            _ => {}
+/// `true` if executing `stmt` touches a meta-info global: it writes one,
+/// or an expression it evaluates on the way reads one.
+fn touches_meta(program: &Program, stmt: &Stmt) -> bool {
+    let meta = |g: GlobalId| program.globals[g.index()].meta_info;
+    match stmt {
+        Stmt::SetGlobal { global, expr } | Stmt::PushBack { global, expr } => {
+            meta(*global) || expr.reads_global(&meta)
         }
-        let reads_meta = exprs.iter().any(|e| {
-            let mut vars = Vec::new();
-            let mut globals = Vec::new();
-            e.reads(&mut vars, &mut globals);
-            globals.iter().any(|g| meta[g.index()])
-        });
-        if writes_meta || reads_meta {
-            points.push(sref);
-        }
+        Stmt::PopFront { global, .. } => meta(*global),
+        Stmt::Assign { expr, .. } => expr.reads_global(&meta),
+        Stmt::If { cond, .. } | Stmt::While { cond, .. } => cond.reads_global(&meta),
+        _ => false,
     }
-    points.sort_unstable();
-    points
 }
 
-struct ExprCompiler<'p> {
+/// Statements whose execution touches a meta-info global — CrashTuner's
+/// candidate crash points, in deterministic (statement) order.
+pub fn meta_access_points(program: &Program) -> Vec<StmtRef> {
+    if !program.globals.iter().any(|g| g.meta_info) {
+        return Vec::new();
+    }
+    program
+        .all_stmts()
+        .filter(|(_, stmt)| touches_meta(program, stmt))
+        .map(|(sref, _)| sref)
+        .collect()
+}
+
+struct ExprCompiler {
+    args: Vec<CExpr>,
     snodes: Vec<SNode>,
     eops: Vec<EOp>,
+    gathered: Vec<u16>,
+    /// Item registers of the lists under construction, innermost last.
+    pending: Vec<u16>,
     pool: Vec<Value>,
     next_reg: u16,
     max_regs: usize,
-    program: &'p Program,
 }
 
-impl ExprCompiler<'_> {
+impl ExprCompiler {
     fn alloc(&mut self) -> u16 {
         let r = self.next_reg;
         self.next_reg = self
@@ -641,7 +841,17 @@ impl ExprCompiler<'_> {
                 dst
             }
             Expr::List(items) => {
-                let srcs: Box<[u16]> = items.iter().map(|i| self.build(i)).collect();
+                // An item may be a list itself, whose run must not split
+                // this one: the registers wait on a stack until all of
+                // this list's items are built.
+                let mark = self.pending.len();
+                for item in items {
+                    let r = self.build(item);
+                    self.pending.push(r);
+                }
+                let srcs = Run::from(&self.gathered);
+                self.gathered.extend(self.pending.drain(mark..));
+                let srcs = srcs.to(&self.gathered);
                 let dst = self.alloc();
                 self.eops.push(EOp::Gather { dst, srcs });
                 dst
@@ -722,20 +932,30 @@ impl ExprCompiler<'_> {
         }
     }
 
-    fn cexprs(&mut self, es: &[Expr]) -> Box<[CExpr]> {
-        es.iter().map(|e| self.cexpr(e)).collect()
+    /// Compiles a statement's argument list into a run of the argument
+    /// table. No argument expression holds an argument list, so the run is
+    /// contiguous.
+    fn arg_run(&mut self, es: &[Expr], mut one: impl FnMut(&mut Self, &Expr) -> CExpr) -> Run {
+        let run = Run::from(&self.args);
+        for e in es {
+            let c = one(self, e);
+            self.args.push(c);
+        }
+        run.to(&self.args)
+    }
+
+    fn cexprs(&mut self, es: &[Expr]) -> Run {
+        self.arg_run(es, Self::cexpr)
     }
 
     /// Log arguments are all evaluated before the body renders: a plain
     /// load stays where it is and renders by reference, anything else
     /// waits for the render in a register.
-    fn log_args(&mut self, es: &[Expr]) -> Box<[CExpr]> {
-        es.iter()
-            .map(|e| match e {
-                Expr::Const(_) | Expr::Var(_) | Expr::Global(_) => CExpr::Scalar(self.scalar(e)),
-                _ => self.run(e),
-            })
-            .collect()
+    fn log_args(&mut self, es: &[Expr]) -> Run {
+        self.arg_run(es, |c, e| match e {
+            Expr::Const(_) | Expr::Var(_) | Expr::Global(_) => CExpr::Scalar(c.scalar(e)),
+            _ => c.run(e),
+        })
     }
 }
 
@@ -752,23 +972,36 @@ pub fn compile(program: &Program) -> CompiledProgram {
     }
 
     let mut c = ExprCompiler {
+        args: Vec::new(),
         snodes: Vec::new(),
         eops: Vec::new(),
+        gathered: Vec::new(),
+        pending: Vec::new(),
         pool: Vec::new(),
         next_reg: 0,
         max_regs: 0,
-        program,
     };
     let mut code = Vec::with_capacity(n_stmts);
     let mut tries = Vec::new();
+    let mut all_handlers = Vec::new();
     let mut try_of = vec![NO_TRY; n_stmts];
+    // A statement that logs a template without arguments emits the same
+    // body every time: one shared string per template.
+    let mut fixed_body: Vec<Option<Arc<str>>> = vec![None; program.templates.len()];
+    let has_meta = program.globals.iter().any(|g| g.meta_info);
+    let mut meta_points = Vec::new();
+    let mut meta_bits = vec![0u64; n_stmts.div_ceil(64)];
 
-    for block in &program.blocks {
-        for stmt in block {
+    for (b, block) in program.blocks.iter().enumerate() {
+        for (idx, stmt) in block.iter().enumerate() {
             // Registers are scratch within one statement: every statement
             // starts from register 0 and the frame is sized to the widest.
             c.next_reg = 0;
             let flat = code.len();
+            if has_meta && touches_meta(program, stmt) {
+                meta_points.push(StmtRef::new(BlockId(b as u32), idx as u32));
+                meta_bits[flat >> 6] |= 1 << (flat & 63);
+            }
             let instr = match stmt {
                 Stmt::Log {
                     level,
@@ -777,11 +1010,17 @@ pub fn compile(program: &Program) -> CompiledProgram {
                     attach_stack,
                 } => {
                     let cargs = c.log_args(args);
-                    let pre = if cargs.is_empty() {
-                        Some(Arc::from(c.program.templates[template.index()].render(&[])))
-                    } else {
-                        None
-                    };
+                    let pre = cargs.is_empty().then(|| {
+                        fixed_body[template.index()]
+                            .get_or_insert_with(|| {
+                                let t = &program.templates[template.index()];
+                                match t.arity() {
+                                    0 => Arc::from(t.text.as_str()),
+                                    _ => Arc::from(t.render(&[])),
+                                }
+                            })
+                            .clone()
+                    });
                     Instr::Log {
                         level: *level,
                         template: *template,
@@ -833,8 +1072,10 @@ pub fn compile(program: &Program) -> CompiledProgram {
                     finally,
                 } => {
                     try_of[flat] = tries.len() as u32;
-                    tries.push(TryInfo {
-                        handlers: handlers.clone().into_boxed_slice(),
+                    let run = Run::from(&all_handlers);
+                    all_handlers.extend_from_slice(handlers);
+                    tries.push(TryEntry {
+                        handlers: run.to(&all_handlers),
                         finally: *finally,
                     });
                     Instr::Try { body: *body }
@@ -901,46 +1142,42 @@ pub fn compile(program: &Program) -> CompiledProgram {
         }
     }
 
-    let templates: Vec<CompiledTemplate> = program
-        .templates
-        .iter()
-        .map(|t| {
-            let mut segs = Vec::new();
-            let mut text_len = 0;
-            let mut rest = t.text.as_str();
-            let mut arg = 0u16;
-            while let Some(pos) = rest.find("{}") {
-                if pos > 0 {
-                    text_len += pos;
-                    segs.push(Seg::Text(rest[..pos].into()));
-                }
-                segs.push(Seg::Arg(arg));
-                arg += 1;
-                rest = &rest[pos + 2..];
+    // Templates: split at the holes, the literal text of all of them in
+    // one string.
+    let mut templates = Vec::with_capacity(program.templates.len());
+    let mut segs = Vec::new();
+    let mut template_text = String::new();
+    for t in &program.templates {
+        let run = Run::from(&segs);
+        let mut text_len = 0;
+        let mut literal = |text: &str, segs: &mut Vec<RawSeg>| {
+            if !text.is_empty() {
+                text_len += text.len();
+                let run = Run::from(template_text.as_bytes());
+                template_text.push_str(text);
+                segs.push(RawSeg::Text(run.to(template_text.as_bytes())));
             }
-            if !rest.is_empty() {
-                text_len += rest.len();
-                segs.push(Seg::Text(rest.into()));
-            }
-            CompiledTemplate {
-                segs: segs.into_boxed_slice(),
-                text_len,
-            }
-        })
-        .collect();
-
-    let mut template_buckets = vec![Vec::new(); OPEN_BUCKET + 1];
-    for (i, t) in templates.iter().enumerate() {
-        let bucket = match t.segs.first() {
-            Some(Seg::Text(lit)) => lit.as_bytes()[0] as usize,
-            _ => OPEN_BUCKET,
         };
-        template_buckets[bucket].push(TemplateId(i as u32));
-    }
-    for bucket in &mut template_buckets {
-        bucket.sort_by_key(|t| (std::cmp::Reverse(templates[t.index()].text_len), t.0));
+        let mut rest = t.text.as_str();
+        let mut arg = 0u16;
+        while let Some(pos) = rest.find("{}") {
+            literal(&rest[..pos], &mut segs);
+            segs.push(RawSeg::Arg(arg));
+            arg += 1;
+            rest = &rest[pos + 2..];
+        }
+        literal(rest, &mut segs);
+        templates.push(CompiledTemplate {
+            segs: run.to(&segs),
+            text_len,
+        });
     }
 
+    let template_index = TemplateIndex::build(&templates, &segs, &template_text);
+
+    let spawns = (code.iter())
+        .filter(|i| matches!(i, Instr::Spawn { .. }))
+        .count();
     let worker_names = program
         .execs
         .iter()
@@ -959,28 +1196,27 @@ pub fn compile(program: &Program) -> CompiledProgram {
         .map(|f| Arc::from(f.name.as_str()))
         .collect();
 
-    let meta_points = meta_access_points(program);
-    let mut meta_bits = vec![0u64; n_stmts.div_ceil(64)];
-    for p in &meta_points {
-        let flat = stmt_base[p.block.index()] as usize + p.idx as usize;
-        meta_bits[flat >> 6] |= 1 << (flat & 63);
-    }
-
     CompiledProgram {
         code,
         stmt_base,
         block_len,
+        args: c.args,
         snodes: c.snodes,
         eops: c.eops,
+        gathered: c.gathered,
         pool: c.pool,
         max_regs: c.max_regs,
-        templates,
+        threads_per_node: 1 + spawns + program.execs.len(),
         worker_names,
         global_names,
         func_names,
         meta_points,
-        template_buckets,
+        templates,
+        segs,
+        template_text,
+        template_index,
         tries,
+        handlers: all_handlers,
         try_of,
         meta_bits,
     }

@@ -272,35 +272,35 @@ impl Stmt {
         }
     }
 
-    /// Returns the child blocks this statement owns, with their roles.
-    pub fn child_blocks(&self) -> Vec<(BlockId, crate::program::BlockRole)> {
+    /// Returns the child blocks this statement owns, with their roles, in
+    /// structural order: `then` before `else`; a `try`'s body, its
+    /// handlers, its `finally`.
+    pub fn child_blocks(&self) -> impl Iterator<Item = (BlockId, crate::program::BlockRole)> + '_ {
         use crate::program::BlockRole;
-        match self {
+        let (first, handlers, last): (_, &[Handler], _) = match self {
             Stmt::If {
                 then_blk, else_blk, ..
-            } => {
-                let mut v = vec![(*then_blk, BlockRole::Then)];
-                if let Some(e) = else_blk {
-                    v.push((*e, BlockRole::Else));
-                }
-                v
-            }
-            Stmt::While { body, .. } => vec![(*body, BlockRole::LoopBody)],
+            } => (
+                Some((*then_blk, BlockRole::Then)),
+                &[],
+                else_blk.map(|e| (e, BlockRole::Else)),
+            ),
+            Stmt::While { body, .. } => (Some((*body, BlockRole::LoopBody)), &[], None),
             Stmt::Try {
                 body,
                 handlers,
                 finally,
-            } => {
-                let mut v = vec![(*body, BlockRole::TryBody)];
-                for (i, h) in handlers.iter().enumerate() {
-                    v.push((h.block, BlockRole::Handler(i as u32)));
-                }
-                if let Some(f) = finally {
-                    v.push((*f, BlockRole::Finally));
-                }
-                v
-            }
-            _ => Vec::new(),
-        }
+            } => (
+                Some((*body, BlockRole::TryBody)),
+                handlers,
+                finally.map(|f| (f, BlockRole::Finally)),
+            ),
+            _ => (None, &[], None),
+        };
+        let handlers = handlers
+            .iter()
+            .enumerate()
+            .map(|(i, h)| (h.block, BlockRole::Handler(i as u32)));
+        first.into_iter().chain(handlers).chain(last)
     }
 }

@@ -98,7 +98,7 @@ fn template_lookup_by_text_and_matching() {
 fn child_blocks_enumeration_matches_structure() {
     let p = nested_program();
     for (_, stmt) in p.all_stmts() {
-        let children = stmt.child_blocks();
+        let children: Vec<_> = stmt.child_blocks().collect();
         match stmt {
             Stmt::If { else_blk, .. } => {
                 assert_eq!(children.len(), 1 + usize::from(else_blk.is_some()));

@@ -31,10 +31,7 @@ pub struct DiffResult {
 fn group_by_thread(entries: &[ParsedEntry]) -> BTreeMap<(&str, &str), Vec<usize>> {
     let mut groups: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     for (i, e) in entries.iter().enumerate() {
-        groups
-            .entry((e.node.as_str(), e.thread.as_str()))
-            .or_default()
-            .push(i);
+        groups.entry((&*e.node, &*e.thread)).or_default().push(i);
     }
     groups
 }
@@ -66,11 +63,11 @@ pub fn compare(run: &[ParsedEntry], failure: &[ParsedEntry]) -> DiffResult {
                 // divergences.
                 let r_keys: Vec<(Level, &str)> = r_indices
                     .iter()
-                    .map(|&i| (run[i].level, run[i].body.as_str()))
+                    .map(|&i| (run[i].level, &*run[i].body))
                     .collect();
                 let f_keys: Vec<(Level, &str)> = f_indices
                     .iter()
-                    .map(|&i| (failure[i].level, failure[i].body.as_str()))
+                    .map(|&i| (failure[i].level, &*failure[i].body))
                     .collect();
                 let matches = myers_matches(&r_keys, &f_keys);
                 let matched_f: std::collections::HashSet<usize> =
@@ -99,7 +96,7 @@ pub fn compare(run: &[ParsedEntry], failure: &[ParsedEntry]) -> DiffResult {
 /// round trip.
 pub fn compare_global<R: DiffRecord>(run: &[R], failure: &[ParsedEntry]) -> DiffResult {
     let r_keys: Vec<(Level, &str)> = run.iter().map(|e| (e.level(), e.body())).collect();
-    let f_keys: Vec<(Level, &str)> = failure.iter().map(|e| (e.level, e.body.as_str())).collect();
+    let f_keys: Vec<(Level, &str)> = failure.iter().map(|e| (e.level, &*e.body)).collect();
     let matches = myers_matches(&r_keys, &f_keys);
     let matched: std::collections::HashSet<usize> = matches.iter().map(|&(_, j)| j).collect();
     DiffResult {
@@ -118,10 +115,10 @@ mod tests {
     fn entry(node: &str, thread: &str, time: u64, body: &str) -> ParsedEntry {
         ParsedEntry {
             time: Some(time),
-            node: node.to_string(),
-            thread: thread.to_string(),
+            node: node.into(),
+            thread: thread.into(),
             level: Level::Info,
-            body: body.to_string(),
+            body: body.into(),
             exc: None,
             stack: Vec::new(),
         }

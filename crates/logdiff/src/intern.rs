@@ -35,6 +35,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use anduril_ir::Level;
 
@@ -151,19 +152,21 @@ type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 /// same body get four distinct tokens from a single map entry.
 #[derive(Debug, Clone, Default)]
 pub struct InternTable {
-    tokens: WordMap<String, [Option<u32>; 4]>,
+    tokens: WordMap<Arc<str>, [Option<u32>; 4]>,
     next: u32,
 }
 
 impl InternTable {
-    /// Interns a key, assigning the next token on first sight.
-    fn intern(&mut self, level: Level, body: &str) -> u32 {
-        if let Some(Some(t)) = self.tokens.get(body).map(|slots| slots[level as usize]) {
+    /// Interns a key, assigning the next token on first sight. The table
+    /// keeps `body` itself (a reference count, no copy) when the body is
+    /// new to it.
+    fn intern(&mut self, level: Level, body: &Arc<str>) -> u32 {
+        if let Some(Some(t)) = self.tokens.get(&**body).map(|slots| slots[level as usize]) {
             return t;
         }
         let t = self.next;
         self.next += 1;
-        self.tokens.entry(body.to_string()).or_insert([None; 4])[level as usize] = Some(t);
+        self.tokens.entry(body.clone()).or_insert([None; 4])[level as usize] = Some(t);
         t
     }
 
@@ -198,7 +201,10 @@ impl InternTable {
     /// the one owned by an [`InternedLog`]; appended tokens never occur in
     /// any frozen failure group, so diffs are unaffected either way.
     pub fn append(&mut self, level: Level, body: &str) -> u32 {
-        self.intern(level, body)
+        match self.lookup(level, body) {
+            NO_MATCH_TOKEN => self.intern(level, &Arc::from(body)),
+            known => known,
+        }
     }
 }
 
@@ -223,7 +229,7 @@ pub struct InternedLog {
 
 /// One `(node, thread)` failure group: the key, the group's entry indices
 /// in log order, and their interned tokens, index-aligned.
-type Group = ((String, String), Vec<usize>, Vec<u32>);
+type Group = ((Arc<str>, Arc<str>), Vec<usize>, Vec<u32>);
 
 /// Slots of [`InternedLog::route`]'s direct-mapped name cache; a run has
 /// a few dozen `(node, thread)` pairs at most, and a collision only costs
@@ -334,13 +340,14 @@ impl InternedLog {
             groups.entry((e.node(), e.thread())).or_default().push(i);
         }
         let groups = groups
-            .into_iter()
-            .map(|((n, t), indices)| {
+            .into_values()
+            .map(|indices| {
                 let tokens = indices
                     .iter()
-                    .map(|&i| table.intern(failure[i].level(), failure[i].body()))
+                    .map(|&i| table.intern(failure[i].level, &failure[i].body))
                     .collect();
-                ((n.to_string(), t.to_string()), indices, tokens)
+                let first = &failure[indices[0]];
+                ((first.node.clone(), first.thread.clone()), indices, tokens)
             })
             .collect();
         InternedLog {
@@ -411,9 +418,7 @@ impl InternedLog {
                 _ => {
                     let group = self
                         .groups
-                        .binary_search_by(|((n, t), _, _)| {
-                            (n.as_str(), t.as_str()).cmp(&(node, thread))
-                        })
+                        .binary_search_by(|((n, t), _, _)| (&**n, &**t).cmp(&(node, thread)))
                         .ok();
                     cache[slot] = Some((names, group));
                     group
@@ -512,10 +517,10 @@ mod tests {
     fn entry(node: &str, thread: &str, time: u64, level: Level, body: &str) -> ParsedEntry {
         ParsedEntry {
             time: Some(time),
-            node: node.to_string(),
-            thread: thread.to_string(),
+            node: node.into(),
+            thread: thread.into(),
             level,
-            body: body.to_string(),
+            body: body.into(),
             exc: None,
             stack: Vec::new(),
         }

@@ -13,21 +13,28 @@
 //!
 //! where the exception line and `at` lines are optional continuations.
 
+use std::sync::Arc;
+
 use anduril_ir::Level;
 
 /// One parsed log record.
+///
+/// A log names a handful of nodes and threads thousands of times over, so
+/// [`parse_log`] shares one string per distinct name among the records it
+/// returns; the body is shared with whoever interns it next
+/// ([`InternedLog::new`](crate::InternedLog::new) keys its table on it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedEntry {
     /// Timestamp, if the line carried one (stripped by sanitization).
     pub time: Option<u64>,
     /// Emitting node name.
-    pub node: String,
+    pub node: Arc<str>,
     /// Emitting thread name.
-    pub thread: String,
+    pub thread: Arc<str>,
     /// Severity.
     pub level: Level,
     /// Message body with the timestamp removed.
-    pub body: String,
+    pub body: Arc<str>,
     /// Attached exception class name, if a throwable was logged.
     pub exc: Option<String>,
     /// Attached stack-trace function names, innermost first.
@@ -42,8 +49,25 @@ impl ParsedEntry {
     }
 }
 
+/// The shared string of `name`: the one in `seen`, or a new one added to
+/// it. Logs name few nodes and threads, and the latest is the likeliest.
+fn shared(seen: &mut Vec<Arc<str>>, name: &str) -> Arc<str> {
+    if let Some(known) = seen.iter().rev().find(|known| &***known == name) {
+        return known.clone();
+    }
+    seen.push(Arc::from(name));
+    seen[seen.len() - 1].clone()
+}
+
+/// The node and thread names a parse has met so far.
+#[derive(Default)]
+struct Names {
+    nodes: Vec<Arc<str>>,
+    threads: Vec<Arc<str>>,
+}
+
 /// Parses one header line; returns `None` if it is not a header.
-fn parse_header(line: &str) -> Option<ParsedEntry> {
+fn parse_header(line: &str, names: &mut Names) -> Option<ParsedEntry> {
     let (ts, rest) = line.split_once(' ')?;
     let time = ts.parse::<u64>().ok()?;
     let rest = rest.strip_prefix('[')?;
@@ -53,10 +77,10 @@ fn parse_header(line: &str) -> Option<ParsedEntry> {
     let level = Level::parse(level)?;
     Some(ParsedEntry {
         time: Some(time),
-        node: node.to_string(),
-        thread: thread.to_string(),
+        node: shared(&mut names.nodes, node),
+        thread: shared(&mut names.threads, thread),
         level,
-        body: body.to_string(),
+        body: Arc::from(body),
         exc: None,
         stack: Vec::new(),
     })
@@ -84,11 +108,12 @@ fn is_exception_header(line: &str) -> bool {
 /// garbage between records is dropped rather than misattributed.
 pub fn parse_log(text: &str) -> Vec<ParsedEntry> {
     let mut out: Vec<ParsedEntry> = Vec::new();
+    let mut names = Names::default();
     for line in text.lines() {
         if line.is_empty() {
             continue;
         }
-        if let Some(entry) = parse_header(line) {
+        if let Some(entry) = parse_header(line, &mut names) {
             out.push(entry);
             continue;
         }
@@ -122,13 +147,32 @@ mod tests {
 ";
         let entries = parse_log(text);
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].node, "nn1");
-        assert_eq!(entries[0].thread, "main");
+        assert_eq!(&*entries[0].node, "nn1");
+        assert_eq!(&*entries[0].thread, "main");
         assert_eq!(entries[0].level, Level::Info);
-        assert_eq!(entries[0].body, "started");
+        assert_eq!(&*entries[0].body, "started");
         assert_eq!(entries[0].time, Some(42));
-        assert_eq!(entries[1].thread, "IPC-handler");
-        assert_eq!(entries[1].body, "retry 3 of 10");
+        assert_eq!(&*entries[1].thread, "IPC-handler");
+        assert_eq!(&*entries[1].body, "retry 3 of 10");
+    }
+
+    #[test]
+    fn a_name_is_one_string_however_often_it_occurs() {
+        let text = "\
+00000001 [a:main] INFO - x
+00000002 [b:main] INFO - y
+00000003 [a:worker] INFO - x
+00000004 [a:main] INFO - z
+";
+        let entries = parse_log(text);
+        assert!(Arc::ptr_eq(&entries[0].node, &entries[3].node));
+        assert!(Arc::ptr_eq(&entries[0].node, &entries[2].node));
+        assert!(Arc::ptr_eq(&entries[0].thread, &entries[1].thread));
+        assert!(!Arc::ptr_eq(&entries[0].node, &entries[1].node));
+        // A node and a thread of one name are two strings: the diff's name
+        // cache tells entries apart by both addresses.
+        let same = parse_log("00000001 [main:main] INFO - x\n");
+        assert!(!Arc::ptr_eq(&same[0].node, &same[0].thread));
     }
 
     #[test]
@@ -155,7 +199,7 @@ IOException
         // trailing garbage does not look like an exception header, so it is
         // dropped too rather than misattributed as `real`'s throwable.
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].body, "real");
+        assert_eq!(&*entries[0].body, "real");
         assert_eq!(entries[0].exc, None);
     }
 
@@ -187,7 +231,7 @@ IOException: caused by SocketException
     fn body_containing_separator_is_preserved() {
         let text = "00000009 [n:t] WARN - a - b - c\n";
         let entries = parse_log(text);
-        assert_eq!(entries[0].body, "a - b - c");
+        assert_eq!(&*entries[0].body, "a - b - c");
     }
 
     #[test]

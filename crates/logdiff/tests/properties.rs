@@ -141,10 +141,10 @@ fn interned_compare_equals_string_compare() {
         (0..len)
             .map(|i| ParsedEntry {
                 time: Some(i as u64),
-                node: format!("n{}", rng.below(3)),
-                thread: format!("t{}", rng.below(3)),
+                node: format!("n{}", rng.below(3)).into(),
+                thread: format!("t{}", rng.below(3)).into(),
                 level: levels[rng.below(4)],
-                body: format!("msg {}", rng.below(body_pool)),
+                body: format!("msg {}", rng.below(body_pool)).into(),
                 exc: None,
                 stack: Vec::new(),
             })
@@ -206,8 +206,8 @@ fn header_round_trip() {
         let parsed = anduril_logdiff::parse_log(&line);
         assert_eq!(parsed.len(), 1, "line {line:?}");
         assert_eq!(parsed[0].time, Some(time));
-        assert_eq!(&parsed[0].node, &node);
-        assert_eq!(&parsed[0].thread, &thread);
-        assert_eq!(&parsed[0].body, &body);
+        assert_eq!(*parsed[0].node, *node);
+        assert_eq!(*parsed[0].thread, *thread);
+        assert_eq!(*parsed[0].body, *body);
     }
 }

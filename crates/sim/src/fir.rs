@@ -137,9 +137,12 @@ pub struct TraceEntry {
 /// The per-run fault-injection runtime state.
 #[derive(Debug)]
 pub struct Fir {
-    /// Plan candidates indexed densely by site — site ids are compact, so
-    /// the per-request lookup is an index, not a hash.
-    plan_by_site: Vec<Vec<Candidate>>,
+    /// The plan's candidates grouped by site — site ids are compact, so
+    /// the per-request lookup is an index, not a hash — and in the plan's
+    /// (priority) order within a site: one vector, the plan's own.
+    candidates: Vec<Candidate>,
+    /// `candidates[first_at[s]..first_at[s + 1]]` are armed at site `s`.
+    first_at: Vec<u32>,
     crash_at: Option<CrashPoint>,
     multi_shot: bool,
     /// Occurrence counter per site.
@@ -176,15 +179,20 @@ const TIMED_EVERY: u64 = 64;
 impl Fir {
     /// Arms the runtime with a plan for one run over `n_sites` sites.
     pub fn new(n_sites: usize, plan: InjectionPlan) -> Self {
-        let mut plan_by_site: Vec<Vec<Candidate>> = vec![Vec::new(); n_sites];
-        for c in plan.candidates {
-            if c.site.index() >= plan_by_site.len() {
-                plan_by_site.resize(c.site.index() + 1, Vec::new());
-            }
-            plan_by_site[c.site.index()].push(c);
+        // A candidate at a site the program does not have can never fire.
+        let mut candidates = plan.candidates;
+        candidates.retain(|c| c.site.index() < n_sites);
+        candidates.sort_by_key(|c| c.site);
+        let mut first_at = vec![0u32; n_sites + 1];
+        for c in &candidates {
+            first_at[c.site.index() + 1] += 1;
+        }
+        for s in 0..n_sites {
+            first_at[s + 1] += first_at[s];
         }
         Fir {
-            plan_by_site,
+            candidates,
+            first_at,
             crash_at: plan.crash_at,
             multi_shot: plan.multi_shot,
             occ: vec![0; n_sites],
@@ -200,6 +208,12 @@ impl Fir {
         }
     }
 
+    /// The candidates armed at `site`, in plan order.
+    fn armed_at(&self, site: SiteId) -> &[Candidate] {
+        let s = site.index();
+        &self.candidates[self.first_at[s] as usize..self.first_at[s + 1] as usize]
+    }
+
     /// `FIR.traceSite()`: traces one execution of `site`. Returns `true`
     /// when the plan has a candidate armed at this site that could still
     /// fire — only then must the caller ask [`Fir::throw_if_enabled`].
@@ -213,7 +227,7 @@ impl Fir {
             log_pos,
         });
         self.requests += 1;
-        (self.multi_shot || self.injected.is_none()) && !self.plan_by_site[site.index()].is_empty()
+        (self.multi_shot || self.injected.is_none()) && !self.armed_at(site).is_empty()
     }
 
     /// `FIR.throwIfEnabled()`: decides whether the execution of `site`
@@ -251,9 +265,7 @@ impl Fir {
     /// needs the stack to decide. Otherwise the caller builds one only
     /// for the exception it throws.
     pub fn guards_stack(&self, site: SiteId) -> bool {
-        self.plan_by_site[site.index()]
-            .iter()
-            .any(|c| c.stack.is_some())
+        self.armed_at(site).iter().any(|c| c.stack.is_some())
     }
 
     /// Host nanoseconds spent deciding armed requests, estimated from the
@@ -275,7 +287,7 @@ impl Fir {
         if !self.multi_shot && self.injected.is_some() {
             return None;
         }
-        let candidates = &self.plan_by_site[site.index()];
+        let candidates = self.armed_at(site);
         let hit_idx = candidates.iter().position(|c| {
             c.occurrence.map(|o| o == occurrence).unwrap_or(true)
                 && c.stack
@@ -286,7 +298,11 @@ impl Fir {
         let hit = if self.multi_shot {
             // Each candidate fires at most once: consume it so an
             // any-occurrence candidate cannot fire on every execution.
-            self.plan_by_site[site.index()].remove(hit_idx)
+            let at = self.first_at[site.index()] as usize + hit_idx;
+            self.first_at[site.index() + 1..]
+                .iter_mut()
+                .for_each(|first| *first -= 1);
+            self.candidates.remove(at)
         } else {
             candidates[hit_idx].clone()
         };
@@ -344,9 +360,9 @@ impl Fir {
         &self.occ
     }
 
-    /// Final occurrence counts per site, as an owned vector.
-    pub fn occ_vec(&self) -> Vec<u32> {
-        self.occ.clone()
+    /// Final occurrence counts per site, moved out: the run is over.
+    pub fn take_occurrences(&mut self) -> Vec<u32> {
+        std::mem::take(&mut self.occ)
     }
 }
 

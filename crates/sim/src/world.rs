@@ -15,7 +15,8 @@
 //! unwinding, fault-injection bookkeeping, log emission, RNG draws — is
 //! shared by both engines, which is what makes their runs byte-identical.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -29,7 +30,8 @@ use crate::thread::{
 use anduril_ir::builder::{STMT_RUNTIME, TMPL_NODE_CRASH, TMPL_UNCAUGHT};
 use anduril_ir::lower::CompiledProgram;
 use anduril_ir::{
-    BlockId, ChanId, ExcValue, FuncId, Level, LogEntry, Program, StmtRef, TemplateId, Value, VarId,
+    BlockId, ChanId, CondId, ExcValue, ExecId, FuncId, Level, LogEntry, Program, StmtRef,
+    TemplateId, Value, VarId,
 };
 
 mod events;
@@ -114,9 +116,37 @@ pub fn run_compiled(
     cfg: &SimConfig,
     plan: InjectionPlan,
 ) -> Result<RunResult, SimError> {
-    let mut world = World::new(program, compiled, topo, cfg, plan)?;
-    world.drive()?;
-    Ok(world.finish())
+    run_compiled_or_partial(program, compiled, topo, cfg, plan).map_err(|failed| failed.error)
+}
+
+/// A run an error stopped, with what it had done by then.
+#[derive(Debug)]
+pub struct FailedRun {
+    /// What stopped the run.
+    pub error: SimError,
+    /// The run's result as it stood when the error stopped it: the log so
+    /// far, the injection that fired, the threads where they were. An
+    /// injected fault that livelocks the system ends in
+    /// [`SimError::StepLimit`], and which fault that was is here. `None`
+    /// when the run could not be set up.
+    pub partial: Option<RunResult>,
+}
+
+/// [`run_compiled`], keeping what a run did before an error stopped it.
+pub fn run_compiled_or_partial(
+    program: &Program,
+    compiled: &CompiledProgram,
+    topo: &Topology,
+    cfg: &SimConfig,
+    plan: InjectionPlan,
+) -> Result<RunResult, Box<FailedRun>> {
+    let failed = |error, partial| Box::new(FailedRun { error, partial });
+    let mut world =
+        World::new(program, compiled, topo, cfg, plan).map_err(|error| failed(error, None))?;
+    match world.drive() {
+        Ok(()) => Ok(world.finish()),
+        Err(error) => Err(failed(error, Some(world.finish()))),
+    }
 }
 
 #[derive(Debug)]
@@ -144,11 +174,6 @@ struct Node {
     alive: bool,
     aborted: bool,
     globals: Vec<Value>,
-    chans: Vec<VecDeque<Value>>,
-    chan_waiters: Vec<VecDeque<ThreadId>>,
-    cond_waiters: Vec<Vec<ThreadId>>,
-    execs: Vec<ExecState>,
-    spawn_counts: HashMap<Arc<str>, u32>,
 }
 
 /// A control transfer that leaves the statement's block. Everything else
@@ -176,6 +201,16 @@ struct World<'p> {
     events: EventQueue,
     threads: Vec<Thread>,
     nodes: Vec<Node>,
+    /// Every node's channels, condition variables and executors: node `n`'s
+    /// `i`-th is entry `n * <how many the program declares> + i`, so a run
+    /// sets each table up once, not once per node.
+    chans: Vec<VecDeque<Value>>,
+    chan_waiters: Vec<VecDeque<ThreadId>>,
+    cond_waiters: Vec<Vec<ThreadId>>,
+    execs: Vec<ExecState>,
+    /// Threads created so far per `(node, base name)`; a run has a few
+    /// dozen pairs at most.
+    spawn_counts: Vec<(usize, Arc<str>, u32)>,
     futures: Vec<FutureState>,
     log: Vec<LogEntry>,
     fir: Fir,
@@ -202,6 +237,11 @@ impl<'p> World<'p> {
                 "tree-walk engine requires the `tree-walk-oracle` feature".into(),
             ));
         }
+        // What the compiled program knows of a run's size: each node runs
+        // its main, about one thread per `Spawn` statement and one worker
+        // per executor.
+        let n_nodes = topo.nodes.len();
+        let threads_hint = n_nodes * compiled.threads_per_node;
         let mut world = World {
             program,
             compiled,
@@ -210,9 +250,16 @@ impl<'p> World<'p> {
             rng: SmallRng::seed_from_u64(cfg.seed),
             clock: 0,
             seq: 0,
-            events: EventQueue::new(),
-            threads: Vec::new(),
-            nodes: Vec::new(),
+            events: EventQueue::new(threads_hint),
+            threads: Vec::with_capacity(threads_hint),
+            nodes: Vec::with_capacity(n_nodes),
+            chans: vec![VecDeque::new(); n_nodes * program.chans.len()],
+            chan_waiters: vec![VecDeque::new(); n_nodes * program.chans.len()],
+            cond_waiters: vec![Vec::new(); n_nodes * program.conds.len()],
+            execs: (0..n_nodes * program.execs.len())
+                .map(|_| ExecState::default())
+                .collect(),
+            spawn_counts: Vec::with_capacity(threads_hint),
             futures: Vec::new(),
             log: Vec::with_capacity(64),
             fir: Fir::new(program.sites.len(), plan),
@@ -233,20 +280,15 @@ impl<'p> World<'p> {
                 alive: true,
                 aborted: false,
                 globals: program.globals.iter().map(|g| g.init.clone()).collect(),
-                chans: vec![VecDeque::new(); program.chans.len()],
-                chan_waiters: vec![VecDeque::new(); program.chans.len()],
-                cond_waiters: vec![Vec::new(); program.conds.len()],
-                execs: (0..program.execs.len())
-                    .map(|_| ExecState::default())
-                    .collect(),
-                spawn_counts: HashMap::new(),
             });
         }
         let main_name: Arc<str> = Arc::from("main");
         for (i, spec) in topo.nodes.iter().enumerate() {
             let tid = world.create_thread(i, &main_name, Role::Normal);
+            let mut args = world.frame_slots(spec.main);
+            args.extend_from_slice(&spec.args);
             world
-                .push_entry_frame(tid, spec.main, spec.args.clone())
+                .push_entry_frame(tid, spec.main, args)
                 .map_err(|e| *e)?;
             world.schedule_wake(tid, i as u64, false);
         }
@@ -256,14 +298,24 @@ impl<'p> World<'p> {
     // ---- infrastructure -------------------------------------------------
 
     fn create_thread(&mut self, node: usize, name: &Arc<str>, role: Role) -> ThreadId {
-        let count = self.nodes[node]
-            .spawn_counts
-            .entry(name.clone())
-            .or_insert(0);
+        let counts = &mut self.spawn_counts;
+        let at = match counts
+            .iter()
+            .position(|(n, base, _)| *n == node && base == name)
+        {
+            Some(at) => at,
+            None => {
+                counts.push((node, name.clone(), 0));
+                counts.len() - 1
+            }
+        };
+        let count = &mut counts[at].2;
         let unique: Arc<str> = if *count == 0 {
             name.clone()
         } else {
-            Arc::from(format!("{name}-{count}").as_str())
+            self.body_buf.clear();
+            let _ = write!(self.body_buf, "{name}-{count}");
+            Arc::from(self.body_buf.as_str())
         };
         *count += 1;
         let tid = self.threads.len();
@@ -283,13 +335,39 @@ impl<'p> World<'p> {
         tid
     }
 
-    /// Starts a thread's (or an executor task's) outermost activation.
+    /// An empty argument vector with room for all of `func`'s local
+    /// slots: the thread that starts in `func` adopts it as its slot stack.
+    fn frame_slots(&self, func: FuncId) -> Vec<Value> {
+        Vec::with_capacity(self.program.funcs[func.index()].locals as usize)
+    }
+
+    /// Starts a thread's (or an executor task's) outermost activation. A
+    /// thread that has no slot stack yet takes the argument vector for it.
     fn push_entry_frame(&mut self, tid: ThreadId, func: FuncId, args: Vec<Value>) -> Sim<()> {
         let t = &mut self.threads[tid];
         let args_at = t.locals.len();
-        t.locals.extend(args);
+        if t.locals.capacity() == 0 {
+            t.locals = args;
+        } else {
+            t.locals.extend(args);
+        }
         t.enter(&self.program.funcs[func.index()], func, args_at, None)?;
         Ok(())
+    }
+
+    /// Where node `node`'s channel `chan` lies in `chans` / `chan_waiters`.
+    fn chan_at(&self, node: usize, chan: ChanId) -> usize {
+        node * self.program.chans.len() + chan.index()
+    }
+
+    /// Where node `node`'s condition variable lies in `cond_waiters`.
+    fn cond_at(&self, node: usize, cond: CondId) -> usize {
+        node * self.program.conds.len() + cond.index()
+    }
+
+    /// Where node `node`'s executor lies in `execs`.
+    fn exec_at(&self, node: usize, exec: ExecId) -> usize {
+        node * self.program.execs.len() + exec.index()
     }
 
     /// Index of the node called `name`. Clusters are a handful of nodes,
@@ -340,7 +418,8 @@ impl<'p> World<'p> {
         let node = self.threads[tid].node;
         match reason {
             BlockReason::Chan(c) => {
-                let w = &mut self.nodes[node].chan_waiters[c.index()];
+                let at = self.chan_at(node, c);
+                let w = &mut self.chan_waiters[at];
                 if w.front() == Some(&tid) {
                     w.pop_front();
                 } else {
@@ -348,7 +427,8 @@ impl<'p> World<'p> {
                 }
             }
             BlockReason::Cond(c) => {
-                let w = &mut self.nodes[node].cond_waiters[c.index()];
+                let at = self.cond_at(node, c);
+                let w = &mut self.cond_waiters[at];
                 if w.first() == Some(&tid) {
                     w.remove(0);
                 } else {
@@ -375,8 +455,14 @@ impl<'p> World<'p> {
         }
         let node = self.threads[tid].node;
         match reason {
-            BlockReason::Chan(c) => self.nodes[node].chan_waiters[c.index()].push_back(tid),
-            BlockReason::Cond(c) => self.nodes[node].cond_waiters[c.index()].push(tid),
+            BlockReason::Chan(c) => {
+                let at = self.chan_at(node, c);
+                self.chan_waiters[at].push_back(tid)
+            }
+            BlockReason::Cond(c) => {
+                let at = self.cond_at(node, c);
+                self.cond_waiters[at].push(tid)
+            }
             BlockReason::Future(f) => self.futures[f as usize].waiters.push(tid),
             BlockReason::Sleep | BlockReason::IdleWorker => {}
         }
@@ -475,7 +561,8 @@ impl<'p> World<'p> {
                 self.threads[tid].wait_token += 1;
             }
         }
-        for chan in &mut self.nodes[node].chans {
+        let n_chans = self.program.chans.len();
+        for chan in &mut self.chans[node * n_chans..(node + 1) * n_chans] {
             chan.clear();
         }
     }
@@ -522,9 +609,9 @@ impl<'p> World<'p> {
                     if !self.nodes[node].alive {
                         continue;
                     }
-                    self.nodes[node].chans[chan.index()].push_back(payload);
-                    if let Some(waiter) = self.nodes[node].chan_waiters[chan.index()].front() {
-                        let waiter = *waiter;
+                    let at = self.chan_at(node, chan);
+                    self.chans[at].push_back(payload);
+                    if let Some(&waiter) = self.chan_waiters[at].front() {
                         self.wake_thread(waiter, WakeNote::Signaled);
                     }
                 }
@@ -614,7 +701,8 @@ impl<'p> World<'p> {
             }
             Role::Worker(exec) => {
                 let node = self.threads[tid].node;
-                match self.nodes[node].execs[exec.index()].queue.pop_front() {
+                let at = self.exec_at(node, exec);
+                match self.execs[at].queue.pop_front() {
                     Some(task) => {
                         self.threads[tid].current_future = Some(task.future);
                         self.push_entry_frame(tid, task.func, task.args)
@@ -889,8 +977,8 @@ impl<'p> World<'p> {
 
     // ---- finalization ------------------------------------------------------
 
-    fn finish(self) -> RunResult {
-        let site_occurrences = self.fir.occ_vec();
+    fn finish(mut self) -> RunResult {
+        let site_occurrences = self.fir.take_occurrences();
         let crashed = self.fir.crashed;
         let decision_ns = self.fir.decision_ns();
         let func_names = &self.compiled.func_names;

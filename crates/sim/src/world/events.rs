@@ -145,15 +145,18 @@ pub(super) struct EventQueue {
 }
 
 impl EventQueue {
-    pub(super) fn new() -> Self {
+    /// An empty queue with room for `threads` queued events on the wheel
+    /// and as many beyond its horizon: a thread has one wake queued at
+    /// most.
+    pub(super) fn new(threads: usize) -> Self {
         EventQueue {
             head: [NIL; WHEEL],
             tail: [NIL; WHEEL],
             occupied: [0; WORDS],
-            pool: Vec::new(),
+            pool: Vec::with_capacity(threads),
             free: NIL,
             cursor: 0,
-            overflow: BinaryHeap::new(),
+            overflow: BinaryHeap::with_capacity(threads),
             len: 0,
             parcels: Vec::new(),
             free_parcels: Vec::new(),
@@ -394,7 +397,7 @@ mod tests {
     /// takes the lone-runner bypass whenever it is legal.
     #[test]
     fn pops_in_heap_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
         let mut popped = Vec::new();
         let mut expected = Vec::new();
@@ -497,7 +500,7 @@ mod tests {
             std::iter::from_fn(|| q.pop().map(|d| (d.time, d.seq))).collect()
         }
         // Gaps longer than one and than two bitmap words.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         for (seq, time) in [3, 3 + 70, 3 + 70 + 140].into_iter().enumerate() {
             q.push_wake(time, seq as u64, 0, 0, false);
         }
@@ -507,7 +510,7 @@ mod tests {
         // The cursor sits mid-word (slot 100 is bit 36 of word 1) and the
         // only event lies in that word's low bits, a lap ahead: the scan
         // goes through the three other words and comes back to them.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         q.push_wake(100, 0, 0, 0, false);
         assert_eq!(pops(&mut q), [(100, 0)]);
         let wrapped = 100 + WHEEL as u64 - 30; // slot 70: bit 6 of word 1
@@ -519,7 +522,7 @@ mod tests {
 
         // Exactly `WHEEL - 1` ahead is the slot just behind the cursor's;
         // one more is the cursor's own slot, a lap on: overflow.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         q.push_wake(40, 0, 0, 0, false);
         assert_eq!(pops(&mut q), [(40, 0)]);
         q.push_wake(40 + WHEEL as u64, 1, 0, 0, false);
@@ -530,7 +533,7 @@ mod tests {
 
         // An overflow event caps the scan: wheel events at its time and
         // later were pushed after it and pop after it.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         q.push_wake(300, 0, 0, 0, false); // overflow: 300 >= WHEEL
         q.push_wake(200, 1, 0, 0, false);
         assert_eq!(q.pop().map(|d| d.time), Some(200));
@@ -545,7 +548,7 @@ mod tests {
     /// carries the smaller `seq`, and must pop first: no bypass.
     #[test]
     fn a_delivery_at_the_wake_time_pops_first() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         q.push_deliver(9, 0, 1, ChanId(2), Value::Int(7));
         assert!(q.none_due_by(8));
         assert!(!q.none_due_by(9));

@@ -252,12 +252,13 @@ impl World<'_> {
                     done: None,
                     waiters: Vec::new(),
                 });
-                self.nodes[node].execs[exec.index()].queue.push_back(Task {
+                let exec_at = self.exec_at(node, *exec);
+                self.execs[exec_at].queue.push_back(Task {
                     func: *func,
                     args: vals,
                     future: fid,
                 });
-                match self.nodes[node].execs[exec.index()].worker {
+                match self.execs[exec_at].worker {
                     Some(worker) => {
                         if matches!(
                             self.threads[worker].status,
@@ -270,7 +271,7 @@ impl World<'_> {
                         let name: Arc<str> =
                             Arc::from(format!("{}-worker", program.execs[exec.index()]).as_str());
                         let worker = self.create_thread(node, &name, Role::Worker(*exec));
-                        self.nodes[node].execs[exec.index()].worker = Some(worker);
+                        self.execs[exec_at].worker = Some(worker);
                         self.schedule_wake(worker, 1, false);
                     }
                 }
@@ -353,7 +354,8 @@ impl World<'_> {
             }
             Stmt::Recv { chan, var, timeout } => {
                 let note = std::mem::replace(&mut self.threads[tid].note, WakeNote::None);
-                if let Some(v) = self.nodes[node].chans[chan.index()].pop_front() {
+                let chan_at = self.chan_at(node, *chan);
+                if let Some(v) = self.chans[chan_at].pop_front() {
                     self.write_local(tid, *var, v);
                     return Ok(self.advanced(tid));
                 }
@@ -393,7 +395,8 @@ impl World<'_> {
                 }
             }
             Stmt::SignalCond { cond } => {
-                let waiters = std::mem::take(&mut self.nodes[node].cond_waiters[cond.index()]);
+                let cond_at = self.cond_at(node, *cond);
+                let waiters = std::mem::take(&mut self.cond_waiters[cond_at]);
                 for w in waiters {
                     self.wake_thread(w, WakeNote::Signaled);
                 }

@@ -20,7 +20,7 @@
 use super::*;
 use crate::thread::Frame;
 use anduril_ir::builder::TMPL_ABORT;
-use anduril_ir::lower::{CExpr, EOp, Instr, Operand, SNode, Seg};
+use anduril_ir::lower::{CExpr, EOp, Instr, Operand, Run, SNode, Seg};
 use anduril_ir::{BinOp, ExceptionType, SiteId};
 
 /// Everything a statement that stays on its thread reads, writes or draws
@@ -398,7 +398,8 @@ impl Eval<'_> {
                     regs[*dst as usize].store(Value::Str((*node_name).clone()));
                 }
                 EOp::Gather { dst, srcs } => {
-                    let items: Vec<Value> = srcs
+                    let items: Vec<Value> = compiled
+                        .gathered_of(*srcs)
                         .iter()
                         .map(|s| std::mem::replace(&mut regs[*s as usize], Value::Unit))
                         .collect();
@@ -471,9 +472,19 @@ impl<'p> World<'p> {
 
     /// Evaluates the arguments of a `Spawn` / `Submit`, which outlive the
     /// caller's frame.
-    fn eval_args(&mut self, tid: ThreadId, args: &[CExpr], at: StmtRef) -> Sim<Vec<Value>> {
+    fn eval_args(
+        &mut self,
+        tid: ThreadId,
+        args: Run,
+        at: StmtRef,
+        mut vals: Vec<Value>,
+    ) -> Sim<Vec<Value>> {
+        let args = self.compiled.args_of(args);
         let mut ev = self.eval_cx(tid);
-        args.iter().map(|a| ev.eval_owned(a, at)).collect()
+        for a in args {
+            vals.push(ev.eval_owned(a, at)?);
+        }
+        Ok(vals)
     }
 
     /// One scheduling slice of the register VM.
@@ -602,7 +613,7 @@ impl<'p> World<'p> {
                                     // caller's frame, land where the
                                     // callee's slots begin.
                                     let args_at = ev.thread.locals.len();
-                                    for a in args.iter() {
+                                    for a in compiled.args_of(*args) {
                                         ev.eval_into(a, sref, |ev, v| ev.thread.locals.push(v))?;
                                     }
                                     ev.thread.cursors[top].idx += 1;
@@ -740,11 +751,12 @@ impl<'p> World<'p> {
                 // Bodies render in the run's scratch buffer: the entry's
                 // shared body is the only allocation.
                 let mut out = std::mem::take(&mut self.body_buf);
+                let args = compiled.args_of(*args);
                 let mut ev = self.eval_cx(tid);
                 // Plain loads are pure and render by reference below.
                 // Everything else is an op run (`ExprCompiler::log_args`)
                 // and runs now, in arg order, preserving RNG draws.
-                for a in args.iter() {
+                for a in args {
                     if let CExpr::Build { .. } = a {
                         ev.eval(a, sref)?;
                     }
@@ -753,10 +765,10 @@ impl<'p> World<'p> {
                     Some(p) => p.clone(),
                     None => {
                         out.clear();
-                        for seg in compiled.templates[template.index()].segs.iter() {
+                        for seg in compiled.segs(*template) {
                             match seg {
                                 Seg::Text(t) => out.push_str(t),
-                                Seg::Arg(n) => match args.get(*n as usize) {
+                                Seg::Arg(n) => match args.get(n as usize) {
                                     Some(CExpr::Build { out: r, .. }) => {
                                         ev.regs[*r as usize].render_into(&mut out)
                                     }
@@ -847,7 +859,7 @@ impl<'p> World<'p> {
             Instr::Break => return Ok(Some(Flow::Break)),
             Instr::Continue => return Ok(Some(Flow::Continue)),
             Instr::Spawn { name, func, args } => {
-                let vals = self.eval_args(tid, args, sref)?;
+                let vals = self.eval_args(tid, *args, sref, self.frame_slots(*func))?;
                 let child = self.create_thread(node, name, Role::Normal);
                 self.push_entry_frame(child, *func, vals)?;
                 self.schedule_wake(child, 1, false);
@@ -858,18 +870,21 @@ impl<'p> World<'p> {
                 args,
                 future,
             } => {
-                let vals = self.eval_args(tid, args, sref)?;
+                // A task's arguments wait in the queue and are copied onto
+                // the worker's slot stack: no room is made for its locals.
+                let vals = self.eval_args(tid, *args, sref, Vec::new())?;
                 let fid = self.futures.len() as u64;
                 self.futures.push(FutureState {
                     done: None,
                     waiters: Vec::new(),
                 });
-                self.nodes[node].execs[exec.index()].queue.push_back(Task {
+                let exec_at = self.exec_at(node, *exec);
+                self.execs[exec_at].queue.push_back(Task {
                     func: *func,
                     args: vals,
                     future: fid,
                 });
-                match self.nodes[node].execs[exec.index()].worker {
+                match self.execs[exec_at].worker {
                     Some(worker) => {
                         if matches!(
                             self.threads[worker].status,
@@ -881,7 +896,7 @@ impl<'p> World<'p> {
                     None => {
                         let name = compiled.worker_names[exec.index()].clone();
                         let worker = self.create_thread(node, &name, Role::Worker(*exec));
-                        self.nodes[node].execs[exec.index()].worker = Some(worker);
+                        self.execs[exec_at].worker = Some(worker);
                         self.schedule_wake(worker, 1, false);
                     }
                 }
@@ -958,7 +973,8 @@ impl<'p> World<'p> {
             }
             Instr::Recv { chan, var, timeout } => {
                 let note = std::mem::replace(&mut self.threads[tid].note, WakeNote::None);
-                match self.nodes[node].chans[chan.index()].pop_front() {
+                let chan_at = self.chan_at(node, *chan);
+                match self.chans[chan_at].pop_front() {
                     Some(v) => self.write_local(tid, *var, v),
                     None => {
                         if note == WakeNote::Expired {
@@ -982,7 +998,8 @@ impl<'p> World<'p> {
                 }
             }
             Instr::SignalCond { cond } => {
-                let waiters = std::mem::take(&mut self.nodes[node].cond_waiters[cond.index()]);
+                let cond_at = self.cond_at(node, *cond);
+                let waiters = std::mem::take(&mut self.cond_waiters[cond_at]);
                 for w in waiters {
                     self.wake_thread(w, WakeNote::Signaled);
                 }

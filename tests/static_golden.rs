@@ -74,7 +74,7 @@ fn row(name: &str, scenario: &Scenario, failure_log: &str) -> Row {
     // (a) Nodes in id order, each with its priors.
     let mut graph = String::new();
     for (id, key) in ctx.graph.nodes.iter().enumerate() {
-        writeln!(graph, "{id} {key:?} <- {:?}", ctx.graph.priors[id]).unwrap();
+        writeln!(graph, "{id} {key:?} <- {:?}", ctx.graph.priors(id as u32)).unwrap();
     }
     writeln!(graph, "sinks {:?}", ctx.graph.sinks).unwrap();
 

@@ -2,11 +2,14 @@
 //!
 //! `SearchContext::prepare` maps every failure-only log entry to its most
 //! specific template through `CompiledProgram::best_template`, which
-//! searches pre-split literals bucketed by first byte. The reference is the
-//! definition it replaced: every template filtered through
-//! `LogTemplate::matches`, the one with the most literal text winning, ties
-//! by id. They must agree on every body a search can meet — and on the
-//! shapes no corpus is sure to contain.
+//! searches pre-split literals indexed by the whole leading literal (the
+//! templates whose leading literal the body starts with sit on one chain
+//! of a sorted table). The reference is the definition it replaced: a
+//! linear scan of every template through `LogTemplate::matches`, the one
+//! with the most literal text winning, ties by id. They must agree on
+//! every body a search can meet — and on the shapes no corpus is sure to
+//! contain: literals nested in each other many deep, generated at random
+//! over two letters.
 
 use anduril::failures::all_cases;
 use anduril::gen::{generate_one, GenConfig, SizeClass};
@@ -116,15 +119,7 @@ fn hand_picked_shapes_map_to_the_reference_template() {
         "x {} z",
         "é{}",
     ];
-    let mut pb = ProgramBuilder::new("shapes");
-    let main = pb.declare("main", 0);
-    pb.body(main, |b| {
-        for text in templates {
-            let holes = text.matches("{}").count();
-            b.log(Level::Info, text, vec![anduril::ir::expr::int(0); holes]);
-        }
-    });
-    let program = pb.finish().expect("program");
+    let program = program_logging(&templates.map(String::from));
     let compiled = compile(&program);
     let bodies = [
         "",
@@ -172,11 +167,74 @@ fn hand_picked_shapes_map_to_the_reference_template() {
     for (t, template) in program.templates.iter().enumerate() {
         for body in bodies {
             assert_eq!(
-                compiled.templates[t].matches(body),
+                compiled.template_matches(TemplateId(t as u32), body),
                 template.matches(body),
                 "template {:?} body {body:?}",
                 template.text
             );
         }
     }
+}
+
+/// A program that logs each of `templates` once.
+fn program_logging(templates: &[String]) -> Program {
+    let mut pb = ProgramBuilder::new("shapes");
+    let main = pb.declare("main", 0);
+    pb.body(main, |b| {
+        for text in templates {
+            let holes = text.matches("{}").count();
+            b.log(Level::Info, text, vec![anduril::ir::expr::int(0); holes]);
+        }
+    });
+    pb.finish().expect("program")
+}
+
+/// Over a two-letter alphabet every literal is a prefix of many others, so
+/// a body's chain of leading literals is several entries deep and most
+/// groups hold more than one template: what the index has to get right and
+/// the corpora barely exercise.
+#[test]
+fn random_nested_literals_map_to_the_reference_template() {
+    let mut state = 0xA11D_u64;
+    let mut below = move |n: u64| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    };
+    let (mut bodies, mut matched, mut deepest) = (0, 0, 0);
+    for _ in 0..40 {
+        let mut templates: Vec<String> = (0..1 + below(40))
+            .map(|_| {
+                (0..below(7))
+                    .map(|_| ["a", "b", "ab", "{}"][below(4) as usize])
+                    .collect()
+            })
+            .collect();
+        templates.sort();
+        templates.dedup();
+        let program = program_logging(&templates);
+        let compiled = compile(&program);
+        for _ in 0..200 {
+            let body: String = (0..below(9))
+                .map(|_| ["a", "b"][below(2) as usize])
+                .collect();
+            let expected = reference(&program, &body);
+            assert_eq!(
+                compiled.best_template(&body),
+                expected,
+                "templates {templates:?} body {body:?}"
+            );
+            bodies += 1;
+            matched += expected.is_some() as usize;
+            let leading = |t: &String| t.split("{}").next().unwrap_or("").to_string();
+            let chain = (templates.iter().map(leading))
+                .filter(|l| !l.is_empty() && body.starts_with(l.as_str()))
+                .collect::<std::collections::BTreeSet<_>>();
+            deepest = deepest.max(chain.len());
+        }
+    }
+    assert!(matched > bodies / 2, "{matched} of {bodies}");
+    assert!(deepest >= 4, "chains only {deepest} literals deep");
 }
