@@ -17,7 +17,7 @@ use std::collections::HashSet;
 
 use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
 use anduril_ir::StmtRef;
-use anduril_sim::{world::meta_access_points, Candidate, CrashPoint, InjectionPlan};
+use anduril_sim::{world::meta_access_points, CrashPoint, InjectionPlan};
 
 use crate::queue::OccurrenceQueue;
 
@@ -107,10 +107,6 @@ impl Strategy for CrashTuner {
                     .fill(ctx, |site| meta_funcs.contains(&site.func));
             }
         }
-    }
-
-    fn plan_round(&mut self, ctx: &SearchContext, _round: usize) -> Vec<Candidate> {
-        self.exc_queue.plan_round(ctx)
     }
 
     fn plan_injection(&mut self, ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {

@@ -10,7 +10,7 @@
 //! that need a *late* occurrence of an already-seen fault.
 
 use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
-use anduril_sim::{Candidate, InjectionPlan};
+use anduril_sim::InjectionPlan;
 
 use crate::queue::OccurrenceQueue;
 
@@ -45,10 +45,6 @@ impl Strategy for Fate {
         // Breadth-first over occurrences: every distinct failure ID (site ×
         // exception) at occurrence o before any ID at occurrence o+1.
         self.queue.fill(ctx, |_| true);
-    }
-
-    fn plan_round(&mut self, ctx: &SearchContext, _round: usize) -> Vec<Candidate> {
-        self.queue.plan_round(ctx)
     }
 
     fn plan_injection(&mut self, ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {

@@ -25,25 +25,8 @@ pub use stacktrace::StacktraceInjector;
 
 use anduril_core::{FeedbackConfig, FeedbackStrategy, Strategy};
 
-/// How a registered strategy is built.
-pub enum Make {
-    /// A [`FeedbackStrategy`] configuration: `Clone`, so the batched
-    /// explorer can speculate on copies of it.
-    Feedback(fn() -> FeedbackConfig),
-    /// An external comparator.
-    Other(fn() -> Box<dyn Strategy>),
-}
-use Make::{Feedback, Other};
-
-impl Make {
-    /// A fresh strategy.
-    pub fn build(&self) -> Box<dyn Strategy> {
-        match self {
-            Feedback(cfg) => Box::new(FeedbackStrategy::new(cfg())),
-            Other(make) => make(),
-        }
-    }
-}
+/// How a registered strategy is built: a fresh one per call.
+pub type Make = fn() -> Box<dyn Strategy>;
 
 /// Every strategy there is a name for, one `(cli, column, constructor)` row
 /// each: `cli` is what `anduril reproduce --strategy` takes, `column` the
@@ -52,45 +35,34 @@ impl Make {
 /// then the extended ablations of DESIGN.md §6.
 #[rustfmt::skip] // a table: one row a line
 pub static REGISTRY: [(&str, &str, Make); 13] = [
-    ("full", "full-feedback", Feedback(FeedbackConfig::full)),
-    ("exhaustive", "exhaustive", Feedback(FeedbackConfig::exhaustive)),
-    ("site-distance", "site-distance", Feedback(FeedbackConfig::site_distance)),
-    ("site-distance-limit3", "site-distance-limit3", Feedback(FeedbackConfig::site_distance_limited)),
-    ("site-feedback", "site-feedback", Feedback(FeedbackConfig::site_feedback)),
-    ("multiply", "multiply-feedback", Feedback(FeedbackConfig::multiply)),
-    ("fate", "fate", Other(|| Box::new(Fate::new()))),
-    ("crashtuner", "crashtuner", Other(|| Box::new(CrashTuner::crashes()))),
-    ("crashtuner-meta-exc", "crashtuner-meta-exc", Other(|| Box::new(CrashTuner::meta_exceptions()))),
-    ("stacktrace", "stacktrace-injector", Other(|| Box::new(StacktraceInjector::new()))),
-    ("sum-aggregate", "sum-aggregate", Feedback(FeedbackConfig::sum_aggregate)),
-    ("order-distance", "order-distance", Feedback(FeedbackConfig::order_distance)),
-    ("global-diff", "global-diff", Feedback(FeedbackConfig::global_diff)),
+    ("full", "full-feedback", || feedback(FeedbackConfig::full())),
+    ("exhaustive", "exhaustive", || feedback(FeedbackConfig::exhaustive())),
+    ("site-distance", "site-distance", || feedback(FeedbackConfig::site_distance())),
+    ("site-distance-limit3", "site-distance-limit3", || feedback(FeedbackConfig::site_distance_limited())),
+    ("site-feedback", "site-feedback", || feedback(FeedbackConfig::site_feedback())),
+    ("multiply", "multiply-feedback", || feedback(FeedbackConfig::multiply())),
+    ("fate", "fate", || Box::new(Fate::new())),
+    ("crashtuner", "crashtuner", || Box::new(CrashTuner::crashes())),
+    ("crashtuner-meta-exc", "crashtuner-meta-exc", || Box::new(CrashTuner::meta_exceptions())),
+    ("stacktrace", "stacktrace-injector", || Box::new(StacktraceInjector::new())),
+    ("sum-aggregate", "sum-aggregate", || feedback(FeedbackConfig::sum_aggregate())),
+    ("order-distance", "order-distance", || feedback(FeedbackConfig::order_distance())),
+    ("global-diff", "global-diff", || feedback(FeedbackConfig::global_diff())),
 ];
+
+fn feedback(cfg: FeedbackConfig) -> Box<dyn Strategy> {
+    Box::new(FeedbackStrategy::new(cfg))
+}
 
 /// Every strategy evaluated in Table 2, in column order.
 pub fn table2_strategies() -> &'static [(&'static str, &'static str, Make)] {
     &REGISTRY[..10]
 }
 
-fn make_of(name: &str) -> Option<&'static Make> {
+/// The strategy registered under `name` (its CLI or its column name).
+pub fn by_name(name: &str) -> Option<Box<dyn Strategy>> {
     REGISTRY
         .iter()
         .find(|(cli, column, _)| *cli == name || *column == name)
-        .map(|(_, _, make)| make)
-}
-
-/// The strategy registered under `name` (its CLI or its column name).
-pub fn by_name(name: &str) -> Option<Box<dyn Strategy>> {
-    make_of(name).map(Make::build)
-}
-
-/// `FeedbackConfig::by_name`: the configuration registered under `name`,
-/// `None` for an external comparator too. A free function because the one
-/// table lives here, where `Fate` and `CrashTuner` are visible, and an
-/// inherent method would have to live in `anduril-core`.
-pub fn feedback_by_name(name: &str) -> Option<FeedbackConfig> {
-    match make_of(name)? {
-        Feedback(cfg) => Some(cfg()),
-        Other(_) => None,
-    }
+        .map(|(_, _, make)| make())
 }

@@ -58,14 +58,22 @@ impl OccurrenceQueue {
         }
     }
 
-    /// The next window of untried plans. Infeasible plans keep their slot
-    /// in it — the tool's pacing is part of what we compare against — but
-    /// are never armed: a plan past the static occurrence bound cannot
-    /// fire, so arming it would only pretend to spend the slot.
-    pub(crate) fn plan_round(&self, ctx: &SearchContext) -> Vec<Candidate> {
-        self.order
+    /// The next window of untried plans, `None` once every plan has been
+    /// tried. Infeasible plans keep their slot in the window — the tool's
+    /// pacing is part of what we compare against — but are never armed: a
+    /// plan past the static occurrence bound cannot fire, so arming it
+    /// would only pretend to spend the slot. Exhaustion is therefore a
+    /// property of the queue, not of the armed set: a window of
+    /// placeholder-only entries is a (wasted) round, exactly as the tool
+    /// would have spent it.
+    pub(crate) fn plan_injection(&self, ctx: &SearchContext) -> Option<InjectionPlan> {
+        let mut untried = self
+            .order
             .iter()
             .filter(|c| !self.tried.contains(c))
+            .peekable();
+        untried.peek()?;
+        let armed = untried
             .take(self.window)
             .filter(|&&(site, occ, _)| ctx.occurrence_feasible(site, Some(occ)))
             .map(|&(site, occ, exc)| Candidate {
@@ -74,17 +82,8 @@ impl OccurrenceQueue {
                 exc,
                 stack: None,
             })
-            .collect()
-    }
-
-    /// `None` once every plan has been tried. Exhaustion is a property of
-    /// the queue, not of the armed set: a window of placeholder-only
-    /// entries is a (wasted) round, exactly as the tool would have spent it.
-    pub(crate) fn plan_injection(&self, ctx: &SearchContext) -> Option<InjectionPlan> {
-        if self.order.iter().all(|c| self.tried.contains(c)) {
-            return None;
-        }
-        Some(InjectionPlan::window(self.plan_round(ctx)))
+            .collect();
+        Some(InjectionPlan::window(armed))
     }
 
     /// Retires the plan that fired; a round nothing fired in doubles the

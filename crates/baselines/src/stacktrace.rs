@@ -17,7 +17,7 @@ use std::collections::HashSet;
 
 use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
 use anduril_ir::{ExceptionType, FuncId, Level, SiteId};
-use anduril_sim::Candidate;
+use anduril_sim::{Candidate, InjectionPlan};
 
 /// One extracted `(site, stack)` injection target.
 #[derive(Debug, Clone)]
@@ -117,20 +117,20 @@ impl Strategy for StacktraceInjector {
         std::mem::take(&mut self.pending_notes)
     }
 
-    fn plan_round(&mut self, _ctx: &SearchContext, _round: usize) -> Vec<Candidate> {
+    fn plan_injection(&mut self, _ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {
         // Arm every target at its next untried occurrence, stack-guarded.
-        let mut out = Vec::new();
-        for t in &self.targets {
-            if t.next_occ < t.max_occ {
-                out.push(Candidate {
-                    site: t.site,
-                    occurrence: Some(t.next_occ),
-                    exc: t.exc,
-                    stack: Some(t.stack.clone()),
-                });
-            }
-        }
-        out
+        let armed: Vec<Candidate> = self
+            .targets
+            .iter()
+            .filter(|t| t.next_occ < t.max_occ)
+            .map(|t| Candidate {
+                site: t.site,
+                occurrence: Some(t.next_occ),
+                exc: t.exc,
+                stack: Some(t.stack.clone()),
+            })
+            .collect();
+        (!armed.is_empty()).then(|| InjectionPlan::window(armed))
     }
 
     fn feedback(&mut self, _ctx: &SearchContext, outcome: &RoundOutcome) {

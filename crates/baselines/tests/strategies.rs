@@ -4,10 +4,12 @@
 use std::sync::Arc;
 
 use anduril_baselines::{
-    by_name, feedback_by_name, table2_strategies, CrashTuner, Fate, Make, StacktraceInjector,
-    REGISTRY,
+    by_name, table2_strategies, CrashTuner, Fate, StacktraceInjector, REGISTRY,
 };
-use anduril_core::{Oracle, RoundOutcome, Scenario, SearchContext, Strategy};
+use anduril_core::{
+    explore, explore_batched_traced, BatchExplorerConfig, ExplorerConfig, Oracle, RoundOutcome,
+    Scenario, SearchContext, Strategy, TraceEvent, VecTracer,
+};
 use anduril_ir::builder::ProgramBuilder;
 use anduril_ir::expr::build as e;
 use anduril_ir::{ExceptionType, Level, Value};
@@ -95,7 +97,7 @@ fn stacktrace_injector_extracts_only_stacked_throwables() {
     let mut st = StacktraceInjector::new();
     st.init(&ctx);
     assert!(st.target_count() >= 1);
-    let plan = st.plan_round(&ctx, 0);
+    let plan = st.plan_injection(&ctx, 0).expect("a plan").candidates;
     assert!(plan.iter().all(|c| c.site == logged));
     assert!(plan.iter().all(|c| c.stack.is_some()));
 
@@ -103,7 +105,9 @@ fn stacktrace_injector_extracts_only_stacked_throwables() {
     let ctx = ctx_for(silent, &scenario);
     let mut st = StacktraceInjector::new();
     st.init(&ctx);
-    let plan = st.plan_round(&ctx, 0);
+    let plan = st
+        .plan_injection(&ctx, 0)
+        .map_or(Vec::new(), |p| p.candidates);
     assert!(
         plan.iter().all(|c| c.site != silent),
         "the silent site has no logged stack to target"
@@ -116,7 +120,7 @@ fn fate_explores_occurrences_breadth_first() {
     let ctx = ctx_for(logged, &scenario);
     let mut fate = Fate::new();
     fate.init(&ctx);
-    let plan = fate.plan_round(&ctx, 0);
+    let plan = fate.plan_injection(&ctx, 0).expect("a plan").candidates;
     assert!(!plan.is_empty());
     // Breadth-first: occurrences are non-decreasing through the window
     // (every site's occurrence 0 precedes any occurrence 1, and so on).
@@ -131,7 +135,7 @@ fn fate_explores_occurrences_breadth_first() {
     assert!(result.injected.is_some());
     let outcome = RoundOutcome::new(&ctx, result);
     fate.feedback(&ctx, &outcome);
-    let next = fate.plan_round(&ctx, 1);
+    let next = fate.plan_injection(&ctx, 1).expect("a plan").candidates;
     let injected = outcome.result.injected.as_ref().unwrap();
     assert!(!next.iter().any(|c| {
         c.site == injected.candidate.site && c.occurrence == Some(injected.occurrence)
@@ -168,28 +172,28 @@ fn crashtuner_queue_is_finite() {
     assert!(rounds > 0);
 }
 
+/// The Explorer holds its strategy as `&mut dyn Strategy`.
+const _: fn(&mut dyn Strategy) = |_| {};
+
 /// The one strategy table: every name resolves to the strategy whose own
-/// `name()` is its column, the feedback family is exactly what
-/// `feedback_by_name` answers, and Table 2 is the first ten rows.
+/// `name()` is its column, the feedback family — the nine rows that are
+/// not an external comparator — is exactly what has a priority model, and
+/// Table 2 is the first ten rows.
 #[test]
 fn strategy_registry_is_consistent() {
+    const EXTERNAL: [&str; 4] = ["fate", "crashtuner", "crashtuner-meta-exc", "stacktrace"];
     for (cli, column, make) in &REGISTRY {
         for name in [cli, column] {
             let strategy = by_name(name).unwrap_or_else(|| panic!("`{name}` resolves"));
             assert_eq!(strategy.name(), *column);
-            assert_eq!(
-                feedback_by_name(name).map(|cfg| cfg.name),
-                matches!(make, Make::Feedback(_)).then_some(*column),
-                "{name}"
-            );
         }
+        assert_eq!(make().model().is_some(), !EXTERNAL.contains(cli), "{cli}");
     }
     let mut names: Vec<&str> = REGISTRY.iter().flat_map(|(c, n, _)| [*c, *n]).collect();
     names.sort_unstable();
     names.dedup();
     assert_eq!(names.len(), 13 + 3, "only three rows have two spellings");
     assert!(by_name("no-such-strategy").is_none());
-    assert!(feedback_by_name("no-such-strategy").is_none());
 
     let table2: Vec<&str> = table2_strategies().iter().map(|(_, n, _)| *n).collect();
     assert_eq!(table2.len(), 10);
@@ -203,9 +207,9 @@ fn all_external_strategies_terminate_on_unsatisfiable_oracles() {
     let (scenario, logged, _) = scenario();
     let ctx = ctx_for(logged, &scenario);
     let oracle = Oracle::LogContains("never happens".into());
-    let cfg = anduril_core::ExplorerConfig {
+    let cfg = ExplorerConfig {
         max_rounds: 5_000,
-        ..anduril_core::ExplorerConfig::default()
+        ..ExplorerConfig::default()
     };
     for mut strategy in [
         Box::new(StacktraceInjector::new()) as Box<dyn Strategy>,
@@ -213,7 +217,7 @@ fn all_external_strategies_terminate_on_unsatisfiable_oracles() {
         Box::new(CrashTuner::crashes()),
         Box::new(CrashTuner::meta_exceptions()),
     ] {
-        let r = anduril_core::explore(&ctx, &oracle, strategy.as_mut(), &cfg, None).unwrap();
+        let r = explore(&ctx, &oracle, strategy.as_mut(), &cfg, None).unwrap();
         assert!(!r.success);
         assert!(
             r.rounds < 5_000,
@@ -221,4 +225,30 @@ fn all_external_strategies_terminate_on_unsatisfiable_oracles() {
             r.strategy
         );
     }
+}
+
+/// A strategy without a priority model goes through the batched explorer
+/// too: nothing is speculated, every round runs inline, and the search is
+/// the sequential one.
+#[test]
+fn batched_exploration_without_a_model_is_the_sequential_search() {
+    let (scenario, _, silent) = scenario();
+    let ctx = ctx_for(silent, &scenario);
+    let oracle = Oracle::LogContains("silent op failed".into());
+    let cfg = ExplorerConfig::default();
+    let sequential = explore(&ctx, &oracle, &mut Fate::new(), &cfg, None).unwrap();
+    assert!(sequential.success && sequential.rounds > 1);
+
+    let (batch, tracer) = (BatchExplorerConfig::default(), VecTracer::new());
+    let batched =
+        explore_batched_traced(&ctx, &oracle, &mut Fate::new(), &cfg, &batch, None, &tracer)
+            .unwrap();
+    assert_eq!(batched.rounds, sequential.rounds);
+    assert_eq!(batched.script, sequential.script);
+    let injected = |r: &anduril_core::Reproduction| -> Vec<_> {
+        r.per_round.iter().map(|round| round.injected).collect()
+    };
+    assert_eq!(injected(&batched), injected(&sequential));
+    let speculated = |e: &TraceEvent| matches!(e, TraceEvent::Speculation { .. });
+    assert!(!tracer.take().iter().any(speculated));
 }

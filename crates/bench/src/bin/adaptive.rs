@@ -6,8 +6,8 @@
 //! limiting, and buffered appenders drop exactly the bursty messages
 //! around a failure. This bench simulates that by stripping the
 //! *best-guidance* observable (the failure-only template nearest the
-//! fault sites) from each case's failure log before context preparation,
-//! then reproduces each case twice from the degraded context: once with
+//! fault sites) from each case's failure log before context preparation
+//! (`PreparedCase::degraded`), then reproduces each case twice from the degraded context: once with
 //! the observable set frozen at preparation (the paper's design) and once
 //! with `--adaptive`-style promotion folding causal-graph interior
 //! witnesses into the live search on stall.
@@ -23,63 +23,6 @@ use anduril_core::{
     explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction, SearchContext,
 };
 use anduril_failures::all_cases;
-
-/// One failure-log entry as raw text: the `NNNNNNNN [node:thread] LEVEL -
-/// body` line plus its continuation lines (exception name, `at` frames).
-struct RawEntry {
-    lines: Vec<String>,
-    body: Option<String>,
-}
-
-/// Groups a rendered log into raw entries, preserving text verbatim.
-fn group_entries(text: &str) -> Vec<RawEntry> {
-    let mut out: Vec<RawEntry> = Vec::new();
-    for line in text.lines() {
-        let is_entry = line.len() > 9
-            && line.as_bytes()[..8].iter().all(u8::is_ascii_digit)
-            && line.as_bytes()[8] == b' ';
-        if is_entry || out.is_empty() {
-            let body = line.split_once(" - ").map(|(_, b)| b.to_string());
-            out.push(RawEntry {
-                lines: vec![line.to_string()],
-                body,
-            });
-        } else {
-            out.last_mut().unwrap().lines.push(line.to_string());
-        }
-    }
-    out
-}
-
-/// Drops every entry of `text` whose body matches the template, returning
-/// the degraded log.
-fn strip_template(text: &str, template: &anduril_ir::LogTemplate) -> String {
-    let mut out = String::new();
-    for e in group_entries(text) {
-        let hit = e
-            .body
-            .as_deref()
-            .map(|b| template.matches(b))
-            .unwrap_or(false);
-        if !hit {
-            for l in &e.lines {
-                out.push_str(l);
-                out.push('\n');
-            }
-        }
-    }
-    out
-}
-
-/// The prepared observable whose minimum graph distance over candidate
-/// sites is smallest — the strongest guidance signal, and the one the
-/// degradation removes.
-fn nearest_observable(ctx: &SearchContext) -> Option<usize> {
-    (0..ctx.observables.len())
-        .filter_map(|k| ctx.distances[k].values().min().map(|&d| (d, k)))
-        .min()
-        .map(|(_, k)| k)
-}
 
 struct CaseRun {
     rounds: usize,
@@ -170,20 +113,14 @@ fn main() {
         // Strip the nearest observable's lines when another observable
         // remains to guide the search; single-observable cases keep their
         // log intact (the scenario needs *some* failure-only signal).
-        let (ctx, degraded, obs_degraded) = match nearest_observable(&full.ctx) {
-            Some(k) if obs_full > 1 => {
-                let program = &full.ctx.scenario.program;
-                let template = &program.templates[full.ctx.observables[k].template.index()];
-                let degraded_log = strip_template(&full.failure_log, template);
-                // Not `FailureCase::prepare`: the log is not the one the
-                // ground truth renders.
-                let ctx = SearchContext::prepare(case.scenario.clone(), &degraded_log, 1_000)
-                    .unwrap_or_else(|e| panic!("{id}: degraded context: {e}"));
-                let n = ctx.observables.len();
-                (ctx, true, n)
-            }
-            _ => (full.ctx, false, obs_full),
+        let degraded = obs_full > 1;
+        let ctx = if degraded {
+            full.degraded()
+                .unwrap_or_else(|e| panic!("{id}: degraded context: {e}"))
+        } else {
+            full.ctx
         };
+        let obs_degraded = ctx.observables.len();
 
         let mut cfg = ExplorerConfig {
             max_rounds,

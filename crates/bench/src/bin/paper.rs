@@ -16,7 +16,6 @@ use anduril_bench::{
 use anduril_core::trace::NoopTracer;
 use anduril_core::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction};
 use anduril_failures::CaseError;
-use anduril_ir::Value;
 use anduril_sim::InjectionPlan;
 
 /// An artifact: renders what `paper <name> [args]` prints.
@@ -121,7 +120,7 @@ fn table2(cases: &Cases, args: &[String]) -> String {
     for ticket in cases.tickets() {
         let mut row = vec![label(ticket)];
         for (_, _, make) in table2_strategies() {
-            row.push(cell(&run_strategy(ticket, make.build().as_mut(), cap)));
+            row.push(cell(&run_strategy(ticket, make().as_mut(), cap)));
         }
         t.row(row);
     }
@@ -469,12 +468,7 @@ fn workloads(cases: &Cases, _: &[String]) -> String {
         for arg in args {
             // A case of its own — another workload, so another ground
             // truth and failure log — prepared like any other.
-            let mut case = definition.expect("case").clone();
-            for node in &mut case.scenario.topology.nodes {
-                if node.name == node_name {
-                    node.args = vec![Value::Int(arg)];
-                }
-            }
+            let case = (definition.expect("case")).with_workload(&[(node_name, &[arg])], None);
             let cells = match case.prepare(1_000, &NoopTracer) {
                 Ok(p) => {
                     let mut s = FeedbackStrategy::new(FeedbackConfig::full());

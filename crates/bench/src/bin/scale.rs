@@ -9,44 +9,15 @@ use anduril_core::{
     explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
     FeedbackStrategy, NoopTracer,
 };
-use anduril_failures::{case_by_id, FailureCase};
-use anduril_ir::Value;
+use anduril_failures::{case_by_id, NodeArgs};
 use anduril_sim::InjectionPlan;
 
-/// Builds the scaled configuration of one case.
-fn scaled(id: &str) -> FailureCase {
-    let mut case = case_by_id(id).expect("case");
-    match id {
-        "f17" => {
-            for node in &mut case.scenario.topology.nodes {
-                match node.name.as_str() {
-                    "client" => node.args = vec![Value::Int(900)],
-                    "rs1" => node.args = vec![Value::Int(40), Value::Int(0), Value::Int(1_500)],
-                    _ => {}
-                }
-            }
-            case.scenario.config.max_time = 90_000;
-        }
-        "f1" => {
-            for node in &mut case.scenario.topology.nodes {
-                if node.name == "client" {
-                    node.args = vec![Value::Int(150)];
-                }
-            }
-            case.scenario.config.max_time = 90_000;
-        }
-        "f16" => {
-            for node in &mut case.scenario.topology.nodes {
-                if node.name == "client" {
-                    node.args = vec![Value::Int(60)];
-                }
-            }
-            case.scenario.config.max_time = 90_000;
-        }
-        _ => unreachable!("no scaled config for {id}"),
-    }
-    case
-}
+/// The scaled workloads: per case, the node arguments that grow.
+const SCALED: [(&str, &[NodeArgs<'static>]); 3] = [
+    ("f17", &[("client", &[900]), ("rs1", &[40, 0, 1_500])]),
+    ("f1", &[("client", &[150])]),
+    ("f16", &[("client", &[60])]),
+];
 
 fn main() {
     let mut t = TextTable::new(&[
@@ -67,8 +38,10 @@ fn main() {
         "batched x8",
         "speedup x4",
     ]);
-    for id in ["f17", "f1", "f16"] {
-        let case = scaled(id);
+    for (id, args) in SCALED {
+        let case = case_by_id(id)
+            .expect("case")
+            .with_workload(args, Some(90_000));
         // The scaled workload is a case of its own: another ground truth,
         // another failure log.
         let prepared = case.prepare(1_000, &NoopTracer).expect("scaled case");

@@ -38,10 +38,15 @@
 //! append for the witness `(level, body)` key, an optional fault-unit
 //! append (coverage only) — all into the search's own [`PromotedSet`] —
 //! and one neutral extension of the strategy's `I_k` vector
-//! ([`Strategy::observables_appended`]). No phase of
+//! ([`FeedbackStrategy::observables_appended`]). No phase of
 //! [`SearchContext::prepare`] reruns, and the context is never written:
 //! the set lives in [`AdaptiveState`], which the explorer owns by value,
 //! so it starts empty with every search and ends with it.
+//!
+//! Promotion acts on the §5.2 priority model — the site ranking it
+//! focuses on, the `I_k` vector it extends — so [`AdaptiveState::on_stall`]
+//! takes a [`FeedbackStrategy`]: the explorer hands it
+//! [`Strategy::model`](crate::Strategy::model), or skips the stall.
 //!
 //! Determinism: promotion runs only on the trusted strategy at the round
 //! loop's note-drain point — one loop, sequential or batched — and every
@@ -58,39 +63,31 @@ use anduril_ir::{BlockId, FuncId, Level, SiteId, Stmt, TemplateId};
 use anduril_logdiff::{DiffRecord, InternTable};
 
 use crate::context::{FaultUnit, SearchContext};
-use crate::strategy::Strategy;
+use crate::feedback::FeedbackStrategy;
 use crate::trace::TraceEvent;
 
 /// Configuration of the adaptive promotion layer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AdaptiveConfig {
     /// Master switch. Off by default: baselines and the paper-faithful
     /// pipeline keep the frozen observable set, bit for bit.
     pub enabled: bool,
-    /// Total promotions allowed over one exploration (caps the `I_k`
-    /// growth and keeps late passes comparable to early ones).
-    pub max_promotions: usize,
-    /// Refinement (tier 2) promotions attempted per stall signal.
-    /// Coverage (tier 1) promotions are deliberately *not* rationed per
-    /// stall: an uncovered site is invisible to planning, and stalls grow
-    /// rarer as promotions lengthen passes, so trickling coverage out one
-    /// stall at a time can starve the sites found last. Only
-    /// [`AdaptiveConfig::max_promotions`] bounds tier 1.
-    pub per_stall: usize,
-    /// How many worst-ranked sites tier 2 scores candidates around.
-    pub focus_sites: usize,
 }
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            enabled: false,
-            max_promotions: 8,
-            per_stall: 1,
-            focus_sites: 3,
-        }
-    }
-}
+/// Total promotions allowed over one exploration (caps the `I_k` growth
+/// and keeps late passes comparable to early ones).
+const MAX_PROMOTIONS: usize = 8;
+
+/// Refinement (tier 2) promotions attempted per stall signal. Coverage
+/// (tier 1) promotions are deliberately *not* rationed per stall: an
+/// uncovered site is invisible to planning, and stalls grow rarer as
+/// promotions lengthen passes, so trickling coverage out one stall at a
+/// time can starve the sites found last. Only [`MAX_PROMOTIONS`] bounds
+/// tier 1.
+const PER_STALL: usize = 1;
+
+/// How many worst-ranked sites tier 2 scores candidates around.
+const FOCUS_SITES: usize = 3;
 
 /// A synthetic observable promoted into the live search.
 ///
@@ -190,7 +187,7 @@ impl PromotedSet {
 
 /// Per-exploration promotion state, owned by the explorer state: what
 /// this search has promoted. The strategy is handed an `Arc` of the set
-/// after every append ([`Strategy::observables_appended`]).
+/// after every append ([`FeedbackStrategy::observables_appended`]).
 #[derive(Debug, Default)]
 pub struct AdaptiveState {
     promoted: Arc<PromotedSet>,
@@ -204,8 +201,8 @@ impl AdaptiveState {
 
     /// Reacts to a stall surfaced at `round` (the retry that starts pass
     /// `pass`): promotes synthetic observables — coverage promotions for
-    /// candidate sites no fault unit spans, then up to
-    /// [`AdaptiveConfig::per_stall`] refinement promotions near the
+    /// candidate sites no fault unit spans, then up to `PER_STALL`
+    /// refinement promotions near the
     /// worst-ranked covered sites — into this search's set and the
     /// strategy, and returns one [`TraceEvent::ObservablePromoted`] per
     /// promotion for the caller to record.
@@ -215,15 +212,15 @@ impl AdaptiveState {
     /// existing one (an uncovered site counts as `L = ∞`) — a promotion
     /// that cannot move any `F_i` is skipped, so adaptation never spends
     /// its budget on no-ops.
-    pub fn on_stall<S: Strategy + ?Sized>(
+    pub fn on_stall(
         &mut self,
         cfg: &AdaptiveConfig,
         ctx: &SearchContext,
-        strategy: &mut S,
+        strategy: &mut FeedbackStrategy,
         round: usize,
         pass: usize,
     ) -> Vec<TraceEvent> {
-        if !cfg.enabled || self.promoted.len() >= cfg.max_promotions {
+        if !cfg.enabled || self.promoted.len() >= MAX_PROMOTIONS {
             return Vec::new();
         }
 
@@ -237,7 +234,6 @@ impl AdaptiveState {
 
         let mut events = Vec::new();
         let mut stall = Stall {
-            cfg,
             ctx,
             strategy,
             round,
@@ -267,9 +263,9 @@ impl AdaptiveState {
     /// incremental re-preparation path: the distance table arrives from
     /// one BFS, the witness key is interned into the set's own table, and
     /// any `new_units` a scoped build connected join the unit list.
-    fn append<S: Strategy + ?Sized>(
+    fn append(
         &mut self,
-        stall: &mut Stall<'_, S>,
+        stall: &mut Stall<'_>,
         template: TemplateId,
         level: Level,
         text: String,
@@ -277,7 +273,7 @@ impl AdaptiveState {
         new_units: Vec<FaultUnit>,
     ) -> usize {
         // The strategy holds the previous `Arc`, so from the second
-        // promotion on this copies the (at most `max_promotions`-entry)
+        // promotion on this copies the (at most `MAX_PROMOTIONS`-entry)
         // set once per promotion.
         let set = Arc::make_mut(&mut self.promoted);
         let token = set.table.append(level, &text);
@@ -301,12 +297,8 @@ impl AdaptiveState {
     /// scoped causal build over a witness in the site's own function both
     /// yields the new distance table and discovers the fault units the
     /// sparse preparation missed.
-    fn promote_coverage<S: Strategy + ?Sized>(
-        &mut self,
-        stall: &mut Stall<'_, S>,
-        exclude: &mut HashSet<TemplateId>,
-    ) {
-        let (cfg, ctx) = (stall.cfg, stall.ctx);
+    fn promote_coverage(&mut self, stall: &mut Stall<'_>, exclude: &mut HashSet<TemplateId>) {
+        let ctx = stall.ctx;
         let program = &ctx.scenario.program;
         let mut unit_sites: HashSet<SiteId> = ctx.units.iter().map(|u| u.site).collect();
         unit_sites.extend(self.promoted.units.iter().map(|u| u.site));
@@ -320,7 +312,7 @@ impl AdaptiveState {
 
         let mut scratch = Vec::new();
         for site in uncovered {
-            if self.promoted.len() >= cfg.max_promotions {
+            if self.promoted.len() >= MAX_PROMOTIONS {
                 return;
             }
             // A later coverage promotion in this same loop may have
@@ -380,20 +372,16 @@ impl AdaptiveState {
     /// the prepared graph nearest the strategy's worst-ranked sites and
     /// promotes those whose directed distance table reaches the focus
     /// site strictly closer than any existing observable.
-    fn promote_refinement<S: Strategy + ?Sized>(
-        &mut self,
-        stall: &mut Stall<'_, S>,
-        exclude: &HashSet<TemplateId>,
-    ) {
-        let (cfg, ctx) = (stall.cfg, stall.ctx);
-        if stall.events.len() >= cfg.per_stall || self.promoted.len() >= cfg.max_promotions {
+    fn promote_refinement(&mut self, stall: &mut Stall<'_>, exclude: &HashSet<TemplateId>) {
+        let ctx = stall.ctx;
+        if stall.events.len() >= PER_STALL || self.promoted.len() >= MAX_PROMOTIONS {
             return;
         }
         // Worst coverage first: the tail of the strategy's own ranking is
         // the highest finite `F_i` — the sites the current observables
         // guide least.
         let ranked = stall.strategy.ranked_sites();
-        let sites: Vec<SiteId> = ranked.iter().rev().copied().take(cfg.focus_sites).collect();
+        let sites: Vec<SiteId> = ranked.iter().rev().copied().take(FOCUS_SITES).collect();
         if sites.is_empty() {
             return;
         }
@@ -405,7 +393,7 @@ impl AdaptiveState {
 
         let mut scratch = Vec::new();
         for cand in candidates {
-            if stall.events.len() >= cfg.per_stall || self.promoted.len() >= cfg.max_promotions {
+            if stall.events.len() >= PER_STALL || self.promoted.len() >= MAX_PROMOTIONS {
                 break;
             }
             let distances = ctx
@@ -447,10 +435,9 @@ impl AdaptiveState {
 }
 
 /// What both promotion tiers read of the stall they react to.
-struct Stall<'a, S: ?Sized> {
-    cfg: &'a AdaptiveConfig,
+struct Stall<'a> {
     ctx: &'a SearchContext,
-    strategy: &'a mut S,
+    strategy: &'a mut FeedbackStrategy,
     round: usize,
     pass: usize,
     /// Templates the fault-free run emits (weak witnesses).

@@ -4,10 +4,12 @@
 //! depends on round `r`'s outcome — so it cannot be parallelized naively.
 //! This module batches it with *speculative execution*:
 //!
-//! 1. **Speculate.** Clone the strategy and roll it forward up to
-//!    `batch_size` rounds, predicting each round's outcome from the normal
-//!    run's fault-instance timeline ([`Strategy::speculate`]). This yields
-//!    a batch of `(round, plan)` jobs.
+//! 1. **Speculate.** Clone the strategy's priority model
+//!    ([`Strategy::model`]) and roll it forward up to `batch_size` rounds,
+//!    predicting each round's outcome from the normal run's fault-instance
+//!    timeline ([`crate::FeedbackStrategy::speculate`]). This yields a
+//!    batch of `(round, plan)` jobs — none for a strategy without a
+//!    model, whose rounds then all run inline.
 //! 2. **Execute.** Run the jobs concurrently with scoped threads against
 //!    the shared immutable [`SearchContext`]. A run is a pure function of
 //!    `(seed, plan)` — the simulator's RNG and log buffers are run-local —
@@ -157,14 +159,14 @@ fn run_batch(
 /// because every round's plan is re-derived from the real strategy state
 /// and speculative results are only reused when the plans match exactly.
 ///
-/// The strategy must be `Clone` so a throwaway copy can be rolled forward
-/// during speculation; the real strategy only ever sees true outcomes.
+/// A throwaway copy of the strategy's model is rolled forward during
+/// speculation; the real strategy only ever sees true outcomes.
 ///
 /// [`explore`]: crate::explorer::explore
-pub fn explore_batched<S: Strategy + Clone>(
+pub fn explore_batched(
     ctx: &SearchContext,
     oracle: &Oracle,
-    strategy: &mut S,
+    strategy: &mut dyn Strategy,
     cfg: &ExplorerConfig,
     batch: &BatchExplorerConfig,
     ground_truth: Option<SiteId>,
@@ -178,10 +180,10 @@ pub fn explore_batched<S: Strategy + Clone>(
 /// [`crate::explorer::explore_traced`] — it is the same loop — plus
 /// batch-only `epoch` and `spec` (speculation hit/miss) events tagged with
 /// epoch and slot, which [`crate::TraceEvent::is_batch_only`] identifies.
-pub fn explore_batched_traced<S: Strategy + Clone>(
+pub fn explore_batched_traced(
     ctx: &SearchContext,
     oracle: &Oracle,
-    strategy: &mut S,
+    strategy: &mut dyn Strategy,
     cfg: &ExplorerConfig,
     batch: &BatchExplorerConfig,
     ground_truth: Option<SiteId>,
@@ -193,16 +195,17 @@ pub fn explore_batched_traced<S: Strategy + Clone>(
     // of the predicted `(seed, plan)` pairs. (The clone also inherits and
     // accumulates lifecycle notes; they vanish with it, so only the
     // trusted strategy's notes reach the tracer.)
-    let mut speculate = |trusted: &S, round: usize| {
+    let mut speculate = |trusted: &mut dyn Strategy, round: usize| {
         let horizon = batch_size.min(cfg.max_rounds - round);
-        let mut spec = trusted.clone();
         let mut plans = Vec::with_capacity(horizon);
-        for i in 0..horizon {
-            let Some(plan) = spec.plan_injection(ctx, round + i) else {
-                break;
-            };
-            spec.speculate(ctx, predictor.fired(&plan));
-            plans.push(plan);
+        if let Some(mut spec) = trusted.model().cloned() {
+            for i in 0..horizon {
+                let Some(plan) = spec.plan_injection(ctx, round + i) else {
+                    break;
+                };
+                spec.speculate(predictor.fired(&plan));
+                plans.push(plan);
+            }
         }
         let results = run_batch(ctx, cfg, round, &plans, batch.threads)?;
         Ok(plans.into_iter().zip(results).collect())

@@ -19,10 +19,18 @@ use anduril_ir::{CompiledProgram, ExceptionType, SiteId, TemplateId};
 use anduril_logdiff::{
     compare_global, parse_log, Alignment, DiffMemo, DiffRecord, InternedLog, ParsedEntry,
 };
-use anduril_sim::{run_compiled_or_partial, FailedRun, InjectionPlan, RunResult, SimError};
+use anduril_sim::{
+    run_compiled_or_partial, FailedRun, InjectionPlan, RunResult, SimConfig, SimError,
+};
 
 use crate::scenario::Scenario;
 use crate::trace::{NoopTracer, TraceEvent, Tracer};
+
+/// A round's step budget as a multiple of the normal run's steps (see
+/// [`SearchContext::round_step_budget`]). The longest round measured took
+/// 3.68× its normal run (f19: 1 444 steps against 392; EXPERIMENTS.md
+/// "Round step budget"), so this leaves 8.7× headroom.
+const ROUND_STEP_FACTOR: u64 = 32;
 
 /// One relevant observable with its failure-log positions.
 #[derive(Debug, Clone)]
@@ -330,14 +338,16 @@ impl SearchContext {
     /// Runs one round over the context's cached compilation — the
     /// Explorer's hot path (used by both the sequential and the batched
     /// engines). Every round replays the workload from step zero: a run
-    /// is a pure function of `(seed, plan)`.
+    /// is a pure function of `(seed, plan)`, stopped with
+    /// [`SimError::StepLimit`] past [`SearchContext::round_step_budget`].
     pub fn run_round(&self, seed: u64, plan: InjectionPlan) -> Result<RunResult, SimError> {
-        self.scenario.run_compiled(&self.compiled, seed, plan)
+        self.run_round_or_partial(seed, plan)
+            .map_err(|failed| failed.error)
     }
 
     /// [`SearchContext::run_round`] for the search itself, which keeps what
     /// a round did before an error stopped it: a fault that makes the
-    /// system spin past the step limit is a failed round, not a failed
+    /// system spin past the step budget is a failed round, not a failed
     /// search, and the strategy has to learn which fault it was.
     pub fn run_round_or_partial(
         &self,
@@ -345,13 +355,29 @@ impl SearchContext {
         plan: InjectionPlan,
     ) -> Result<RunResult, Box<FailedRun>> {
         let scenario = &self.scenario;
+        let config = SimConfig {
+            seed,
+            max_steps: self.round_step_budget(),
+            ..scenario.config.clone()
+        };
         run_compiled_or_partial(
             &scenario.program,
             &self.compiled,
             &scenario.topology,
-            &scenario.config.with_seed(seed),
+            &config,
             plan,
         )
+    }
+
+    /// The most statements one round may execute: `ROUND_STEP_FACTOR` (32)
+    /// times what the fault-free run took, and never more than the
+    /// scenario's own [`SimConfig::max_steps`]. An injected fault changes
+    /// how a run ends, not how much work the workload is, so a round far
+    /// past the normal run's length is a livelock — and is stopped here
+    /// instead of burning the global cap, which is seconds.
+    pub fn round_step_budget(&self) -> u64 {
+        let derived = ROUND_STEP_FACTOR.saturating_mul(self.normal.steps);
+        derived.min(self.scenario.config.max_steps)
     }
 
     /// Whether an injection candidate is statically feasible under the

@@ -276,8 +276,9 @@ impl<'a> ExploreState<'a> {
     /// This is also the adaptive layer's hook point: a `retry_pass` note
     /// signals a stall, and promotion runs here — on the trusted strategy,
     /// whether or not tracing is on, so traced and untraced explorations
-    /// take identical search paths.
-    fn drain_notes<S: Strategy + ?Sized>(&mut self, strategy: &mut S, round: usize) {
+    /// take identical search paths. Promotion re-shapes the priority
+    /// model, so a strategy without one is left alone.
+    fn drain_notes(&mut self, strategy: &mut dyn Strategy, round: usize) {
         let notes = strategy.drain_notes();
         for note in notes {
             let stalled_pass = match &note {
@@ -287,10 +288,10 @@ impl<'a> ExploreState<'a> {
             if self.tracer.enabled() {
                 self.tracer.record(TraceEvent::Note { round, note });
             }
-            if let Some(pass) = stalled_pass {
+            if let (Some(pass), Some(model)) = (stalled_pass, strategy.model()) {
                 let events =
                     self.adaptive
-                        .on_stall(&self.cfg.adaptive, self.ctx, strategy, round, pass);
+                        .on_stall(&self.cfg.adaptive, self.ctx, model, round, pass);
                 if self.tracer.enabled() {
                     for event in events {
                         self.tracer.record(event);
@@ -311,9 +312,9 @@ impl<'a> ExploreState<'a> {
     /// Returns the finished [`Reproduction`] if this round satisfied the
     /// oracle.
     #[allow(clippy::too_many_arguments)] // One round's facts, each read once.
-    fn absorb<S: Strategy + ?Sized>(
+    fn absorb(
         &mut self,
-        strategy: &mut S,
+        strategy: &mut dyn Strategy,
         round: usize,
         gt_rank: Option<usize>,
         armed: usize,
@@ -345,10 +346,11 @@ impl<'a> ExploreState<'a> {
             });
         }
         // Which observable attained the min in the injected unit's `F_i`,
-        // asked of the strategy *before* this round's feedback mutates it
-        // — so the record reflects the state that planned the injection.
-        let explained =
-            injected.and_then(|(site, _, exc)| strategy.explain_unit(ctx, FaultUnit { site, exc }));
+        // asked of the model *before* this round's feedback mutates it —
+        // so the record reflects the state that planned the injection.
+        let explained = injected.and_then(|(site, _, exc)| {
+            strategy.model()?.explain_unit(ctx, FaultUnit { site, exc })
+        });
         let k_star = explained.as_ref().map(|e| e.k_star);
         self.per_round.push(RoundRecord {
             round,
@@ -484,7 +486,7 @@ impl<'a> ExploreState<'a> {
         strategy.feedback(ctx, &outcome);
         if clock {
             self.tracer.record(round_end(sim_ns, diff_ns, lap(since)));
-            if let Some((adjust, i_k)) = strategy.feedback_view() {
+            if let Some((adjust, i_k)) = strategy.model().and_then(|m| m.feedback_view()) {
                 self.tracer.record(TraceEvent::Feedback {
                     round,
                     present: outcome.present.clone(),
@@ -559,8 +561,8 @@ pub(crate) type Speculated = (InjectionPlan, Result<RunResult, Box<FailedRun>>);
 /// trusted strategy and the next round number, the plans it predicts for
 /// that round onwards, each already executed. An error here is the
 /// engine's own (a worker died), not a round's, and ends the search.
-pub(crate) type Speculate<'a, S> =
-    &'a mut dyn FnMut(&S, usize) -> Result<Vec<Speculated>, SimError>;
+pub(crate) type Speculate<'a> =
+    &'a mut dyn FnMut(&mut dyn Strategy, usize) -> Result<Vec<Speculated>, SimError>;
 
 /// The Explorer's round loop (Algorithm 2) — the only one.
 ///
@@ -569,14 +571,14 @@ pub(crate) type Speculate<'a, S> =
 /// result only when the plans are equal, so what it returns does not
 /// depend on what `speculate` predicts. The sequential explorer passes
 /// `None`: every epoch is then one round, run inline.
-pub(crate) fn search<S: Strategy + ?Sized>(
+pub(crate) fn search(
     ctx: &SearchContext,
     oracle: &Oracle,
-    strategy: &mut S,
+    strategy: &mut dyn Strategy,
     cfg: &ExplorerConfig,
     ground_truth: Option<SiteId>,
     tracer: &dyn Tracer,
-    mut speculate: Option<Speculate<'_, S>>,
+    mut speculate: Option<Speculate<'_>>,
 ) -> Result<Reproduction, SimError> {
     let mut state = ExploreState::new(ctx, oracle, cfg, tracer);
     strategy.init(ctx);
@@ -613,7 +615,7 @@ pub(crate) fn search<S: Strategy + ?Sized>(
             let init_start = Instant::now();
             let plan = strategy.plan_injection(ctx, round);
             let init_ns = init_start.elapsed().as_nanos() as u64;
-            let gt_rank = ground_truth.and_then(|s| strategy.site_rank(s));
+            let gt_rank = ground_truth.and_then(|s| strategy.model()?.site_rank(s));
             let Some(plan) = plan else {
                 state.drain_notes(strategy, round);
                 return Ok(state.give_up(strategy.name()));
@@ -626,7 +628,7 @@ pub(crate) fn search<S: Strategy + ?Sized>(
                     round,
                     window: armed,
                     armed,
-                    provenance: strategy.provenance(),
+                    provenance: strategy.model().and_then(|m| m.provenance()),
                     init_ns,
                 });
             }

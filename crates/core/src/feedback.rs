@@ -18,7 +18,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use anduril_ir::{ExceptionType, SiteId};
-use anduril_sim::Candidate;
+use anduril_sim::{Candidate, InjectionPlan};
 
 use crate::adaptive::PromotedSet;
 use crate::context::{FaultUnit, RoundOutcome, SearchContext};
@@ -526,15 +526,15 @@ impl FeedbackStrategy {
             })
             .collect()
     }
-}
 
-impl FeedbackStrategy {
     /// Explains the current priority of a fault unit (§5.2's terms), or
-    /// `None` if the unit is not causally connected to any observable.
+    /// `None` if the unit is not causally connected to any observable
+    /// (used for `anduril explain`, the trace layer's final provenance
+    /// chain and the per-round `k*` record).
     ///
-    /// Call after at least one [`Strategy::plan_round`] for a meaningful
-    /// rank.
-    pub fn explain(&self, ctx: &SearchContext, unit: FaultUnit) -> Option<Explanation> {
+    /// Call after at least one [`Strategy::plan_injection`] for a
+    /// meaningful rank.
+    pub fn explain_unit(&self, ctx: &SearchContext, unit: FaultUnit) -> Option<Explanation> {
         let (f_i, k_star) = self.site_priority(ctx, unit)?;
         let l = self.distance(ctx, k_star, unit.site)?;
         let i_k = self.i_priority.get(k_star).copied().unwrap_or(0.0);
@@ -545,15 +545,78 @@ impl FeedbackStrategy {
             l,
             i_k,
             best_instance: self.best_instance(ctx, unit, k_star),
-            rank: self.site_rank_of(unit.site),
+            rank: self.site_rank(unit.site),
         })
     }
 
-    fn site_rank_of(&self, site: SiteId) -> Option<usize> {
+    /// Rank (1 = best) of a fault site in the most recent plan's ordering
+    /// (Figure 6).
+    pub fn site_rank(&self, site: SiteId) -> Option<usize> {
         self.last_ranking
             .iter()
             .position(|&s| s == site)
             .map(|p| p + 1)
+    }
+
+    /// The most recent plan's site ranking, best first.
+    ///
+    /// The adaptive layer reads this when a stall note surfaces, to focus
+    /// observable promotion near the sites the strategy currently believes
+    /// in (see [`crate::adaptive`]).
+    pub fn ranked_sites(&self) -> &[SiteId] {
+        &self.last_ranking
+    }
+
+    /// Priority provenance of the top-ranked candidate of the most recent
+    /// plan (`None` under exhaustive enumeration, which has no priorities
+    /// to explain). Feeds the trace layer's `decision` events.
+    pub fn provenance(&self) -> Option<PlanProvenance> {
+        self.last_provenance.clone()
+    }
+
+    /// The observable-feedback view, as `(adjust, I_k vector)`, if this
+    /// configuration maintains per-observable priorities. Read by the
+    /// explorer *after* [`Strategy::feedback`] to emit `feedback` trace
+    /// events.
+    pub fn feedback_view(&self) -> Option<(f64, Vec<f64>)> {
+        self.cfg
+            .feedback
+            .then(|| (self.cfg.adjust, self.i_priority.clone()))
+    }
+
+    /// Applies a *predicted* round outcome during speculative batch
+    /// planning (see `explore_batched`): `fired` is the candidate the
+    /// predictor assumes will inject, with its dynamic occurrence, and no
+    /// observables are assumed present — so `I_k` stays put and only the
+    /// tried set / window move, as they would in [`Strategy::feedback`].
+    ///
+    /// Only ever called on a throwaway clone — never on the strategy whose
+    /// state the exploration trusts: prediction quality only affects how
+    /// many speculative runs can be reused, never which results the
+    /// exploration produces.
+    pub fn speculate(&mut self, fired: Option<(Candidate, u32)>) {
+        match fired {
+            Some((c, occ)) => {
+                let key = c.occurrence.map(|_| occ).unwrap_or(u32::MAX);
+                self.note_injected(c.site, c.exc, key);
+            }
+            None => self.note_no_injection(),
+        }
+    }
+
+    /// Takes everything the search has promoted so far (see
+    /// [`crate::adaptive`]): observable `ctx.observables.len() + j` is
+    /// `promoted.observables()[j]`.
+    ///
+    /// Promoted observables start with neutral feedback; without the
+    /// resize, `feedback`'s `get_mut(k)` would silently drop their
+    /// presence adjustments forever. The set is kept to plan over its
+    /// distance tables and appended units. Only ever called on the trusted
+    /// strategy, between rounds.
+    pub fn observables_appended(&mut self, ctx: &SearchContext, promoted: Arc<PromotedSet>) {
+        self.i_priority
+            .resize(ctx.observables.len() + promoted.len(), 0.0);
+        self.promoted = promoted;
     }
 }
 
@@ -574,14 +637,14 @@ impl Strategy for FeedbackStrategy {
         self.pending_notes.clear();
     }
 
-    fn plan_round(&mut self, ctx: &SearchContext, _round: usize) -> Vec<Candidate> {
+    fn plan_injection(&mut self, ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {
         let plan = if self.cfg.exhaustive {
             self.plan_exhaustive(ctx)
         } else {
             self.plan_prioritized(ctx)
         };
         self.last_armed = plan.clone();
-        plan
+        (!plan.is_empty()).then(|| InjectionPlan::window(plan))
     }
 
     fn feedback(&mut self, ctx: &SearchContext, outcome: &RoundOutcome) {
@@ -618,56 +681,11 @@ impl Strategy for FeedbackStrategy {
         }
     }
 
-    fn speculate(&mut self, _ctx: &SearchContext, fired: Option<(Candidate, u32)>) {
-        // Mirrors `feedback` under the predictor's assumptions: the given
-        // candidate fires (or nothing does) and no observables are present,
-        // so `I_k` stays put and only the tried set / window move.
-        match fired {
-            Some((c, occ)) => {
-                let key = c.occurrence.map(|_| occ).unwrap_or(u32::MAX);
-                self.note_injected(c.site, c.exc, key);
-            }
-            None => self.note_no_injection(),
-        }
-    }
-
-    fn site_rank(&self, site: SiteId) -> Option<usize> {
-        self.last_ranking
-            .iter()
-            .position(|&s| s == site)
-            .map(|p| p + 1)
-    }
-
-    fn provenance(&self) -> Option<PlanProvenance> {
-        self.last_provenance.clone()
-    }
-
-    fn explain_unit(&self, ctx: &SearchContext, unit: FaultUnit) -> Option<Explanation> {
-        self.explain(ctx, unit)
-    }
-
-    fn feedback_view(&self) -> Option<(f64, Vec<f64>)> {
-        if self.cfg.feedback {
-            Some((self.cfg.adjust, self.i_priority.clone()))
-        } else {
-            None
-        }
-    }
-
     fn drain_notes(&mut self) -> Vec<StrategyNote> {
         std::mem::take(&mut self.pending_notes)
     }
 
-    fn ranked_sites(&self) -> Vec<SiteId> {
-        self.last_ranking.clone()
-    }
-
-    fn observables_appended(&mut self, ctx: &SearchContext, promoted: Arc<PromotedSet>) {
-        // Promoted observables start with neutral feedback; without the
-        // resize, `feedback`'s `get_mut(k)` would silently drop their
-        // presence adjustments forever.
-        self.i_priority
-            .resize(ctx.observables.len() + promoted.len(), 0.0);
-        self.promoted = promoted;
+    fn model(&mut self) -> Option<&mut FeedbackStrategy> {
+        Some(self)
     }
 }

@@ -6,6 +6,10 @@
 //! recorded unsuccessful with a `RoundError` event, the strategy learns
 //! from the partial run which fault fired, and the other candidates get
 //! their turn. Only the simulator's own `Internal` errors end a search.
+//!
+//! The scenario keeps the default `max_steps` (50 M, seconds of spinning):
+//! what stops the spinning round is the budget the context derives from
+//! its normal run.
 
 use std::sync::Arc;
 
@@ -81,10 +85,7 @@ fn scenario() -> (Scenario, SiteId) {
         name: "failed-round".into(),
         program: Arc::new(program),
         topology,
-        config: SimConfig {
-            max_steps: 2_000,
-            ..SimConfig::default()
-        },
+        config: SimConfig::default(),
     };
     (scenario, root.get())
 }
@@ -153,7 +154,28 @@ fn the_faults_that_break_the_run_are_what_the_test_says() {
         partial.injected.expect("a.op fired").candidate.site,
         site("a.op")
     );
-    assert!(partial.steps > 2_000 && !partial.log.is_empty());
+    // It spun until the budget derived from the normal run, a step past
+    // it, and nowhere near the scenario's own cap.
+    let budget = ctx.round_step_budget();
+    assert!(
+        budget >= 4 * ctx.normal.steps && budget < 10_000,
+        "{budget}"
+    );
+    assert_eq!(ctx.scenario.config.max_steps, 50_000_000);
+    assert_eq!(partial.steps, budget + 1);
+    assert!(!partial.log.is_empty());
+}
+
+/// A scenario that caps its runs below the derived budget keeps its cap.
+#[test]
+fn the_scenarios_own_step_cap_still_binds() {
+    let (mut scenario, root) = scenario();
+    let run = |scenario: &Scenario, plan| scenario.run(1_000, plan).expect("run");
+    let cap = 2 * run(&scenario, InjectionPlan::none()).steps;
+    scenario.config.max_steps = cap;
+    let production = run(&scenario, InjectionPlan::exact(root, 0, ExceptionType::Io));
+    let ctx = SearchContext::prepare(scenario, &production.log_text(), 1_000).expect("context");
+    assert_eq!(ctx.round_step_budget(), cap);
 }
 
 #[test]

@@ -103,7 +103,7 @@ fn plan_round_respects_window_size() {
     for k in [1usize, 2, 5] {
         let mut s = FeedbackStrategy::new(FeedbackConfig::full_with(k, 1.0));
         s.init(&ctx);
-        let plan = s.plan_round(&ctx, 0);
+        let plan = s.plan_injection(&ctx, 0).expect("a plan").candidates;
         assert!(plan.len() <= k, "window {k}, got {}", plan.len());
         assert!(!plan.is_empty());
     }
@@ -114,13 +114,13 @@ fn window_doubles_when_nothing_injected() {
     let (ctx, _, _) = context();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full_with(1, 1.0));
     s.init(&ctx);
-    let before = s.plan_round(&ctx, 0).len();
+    let before = s.plan_injection(&ctx, 0).expect("a plan").candidates.len();
     assert_eq!(before, 1);
     // Feed an outcome with no injection: window must grow.
     let result = ctx.scenario.run(1_234, InjectionPlan::none()).unwrap();
     let outcome = RoundOutcome::new(&ctx, result);
     s.feedback(&ctx, &outcome);
-    let after = s.plan_round(&ctx, 1).len();
+    let after = s.plan_injection(&ctx, 1).expect("a plan").candidates.len();
     assert!(after >= 2, "window did not grow: {after}");
 }
 
@@ -129,7 +129,7 @@ fn tried_instances_are_not_rearmed() {
     let (ctx, _, _) = context();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full_with(1, 1.0));
     s.init(&ctx);
-    let first = s.plan_round(&ctx, 0);
+    let first = s.plan_injection(&ctx, 0).expect("a plan").candidates;
     let candidate = first[0].clone();
     // Run with exactly that candidate so it gets marked tried.
     let plan = InjectionPlan::window(vec![candidate.clone()]);
@@ -137,7 +137,9 @@ fn tried_instances_are_not_rearmed() {
     assert!(result.injected.is_some(), "candidate should fire");
     let outcome = RoundOutcome::new(&ctx, result);
     s.feedback(&ctx, &outcome);
-    let second = s.plan_round(&ctx, 1);
+    let second = s
+        .plan_injection(&ctx, 1)
+        .map_or(Vec::new(), |p| p.candidates);
     assert!(
         !second.iter().any(|c| c.site == candidate.site
             && c.occurrence == candidate.occurrence
@@ -365,9 +367,9 @@ fn explanations_expose_the_priority_terms() {
     let (ctx, decoy, root) = context();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     s.init(&ctx);
-    let _ = s.plan_round(&ctx, 0);
+    let _ = s.plan_injection(&ctx, 0);
     for unit in &ctx.units {
-        let ex = s.explain(&ctx, *unit).expect("connected unit");
+        let ex = s.explain_unit(&ctx, *unit).expect("connected unit");
         // F_i is the spatial distance plus the feedback (zero initially).
         assert_eq!(ex.f_i, ex.l as f64 + ex.i_k);
         assert_eq!(ex.i_k, 0.0, "no feedback before any round");
@@ -376,10 +378,10 @@ fn explanations_expose_the_priority_terms() {
     }
     // The decoy and the root are both explained, with valid observables.
     let root_ex = s
-        .explain(&ctx, *ctx.units.iter().find(|u| u.site == root).unwrap())
+        .explain_unit(&ctx, *ctx.units.iter().find(|u| u.site == root).unwrap())
         .unwrap();
     let decoy_ex = s
-        .explain(&ctx, *ctx.units.iter().find(|u| u.site == decoy).unwrap())
+        .explain_unit(&ctx, *ctx.units.iter().find(|u| u.site == decoy).unwrap())
         .unwrap();
     assert!(root_ex.k_star < ctx.observables.len());
     assert!(decoy_ex.k_star < ctx.observables.len());

@@ -1,7 +1,7 @@
 //! The failure-case model: scenario + oracle + ground truth.
 
 use anduril_core::{Oracle, Scenario, SearchContext, Tracer};
-use anduril_ir::{ExceptionType, SiteId};
+use anduril_ir::{ExceptionType, SiteId, Value};
 use anduril_sim::{InjectionPlan, RunResult};
 
 /// The known root cause of a failure, resolved to a concrete dynamic
@@ -29,6 +29,10 @@ pub struct DeeperCause {
     /// The analog ticket from the paper's Table 6 and what it teaches.
     pub note: &'static str,
 }
+
+/// A node's name and the integer arguments its entry function gets (see
+/// [`FailureCase::with_workload`]).
+pub type NodeArgs<'a> = (&'a str, &'a [i64]);
 
 /// One of the 22 evaluated failures.
 #[derive(Debug, Clone)]
@@ -65,6 +69,47 @@ pub struct PreparedCase {
     pub ctx: SearchContext,
 }
 
+impl PreparedCase {
+    /// The context a production log that lost its best guidance prepares:
+    /// every entry (line plus continuation lines) of the nearest
+    /// observable — the failure-only template at the smallest graph
+    /// distance from a fault site — is stripped from the failure log, and
+    /// what is left is prepared at this context's seed.
+    ///
+    /// Production failure logs are routinely incomplete (rotation, rate
+    /// limiting and buffered appenders drop exactly the bursty messages
+    /// around a failure); this is the stall-prone input the adaptive
+    /// layer's bench and tests search.
+    pub fn degraded(&self) -> Result<SearchContext, CaseError> {
+        let ctx = &self.ctx;
+        let nearest = (0..ctx.observables.len())
+            .filter_map(|k| ctx.distances[k].values().min().map(|&d| (d, k)))
+            .min()
+            .map(|(_, k)| &ctx.scenario.program.templates[ctx.observables[k].template.index()]);
+        let mut log = String::new();
+        let mut drop = false;
+        for line in self.failure_log.lines() {
+            let is_entry = line.len() > 9
+                && line.as_bytes()[..8].iter().all(u8::is_ascii_digit)
+                && line.as_bytes()[8] == b' ';
+            if is_entry {
+                let body = line.split_once(" - ").map(|(_, body)| body);
+                drop = nearest
+                    .zip(body)
+                    .is_some_and(|(template, body)| template.matches(body));
+            }
+            if !drop {
+                log.push_str(line);
+                log.push('\n');
+            }
+        }
+        // Not `FailureCase::prepare`: the log is not the one the ground
+        // truth renders.
+        SearchContext::prepare(ctx.scenario.clone(), &log, ctx.base_seed)
+            .map_err(|e| CaseError::Sim(e.to_string()))
+    }
+}
+
 /// Errors from ground-truth resolution and preparation.
 #[derive(Debug, Clone)]
 pub enum CaseError {
@@ -98,6 +143,23 @@ impl FailureCase {
             .find(|s| s.desc == self.root_site_desc)
             .map(|s| s.id)
             .ok_or_else(|| CaseError::NoSuchSite(self.root_site_desc.to_string()))
+    }
+
+    /// This failure under another workload volume: each named node's
+    /// arguments replaced by `args`, and the simulated horizon by
+    /// `max_time` when one is given. A case of its own — another ground
+    /// truth, another failure log — to prepare like any other.
+    pub fn with_workload(&self, args: &[NodeArgs<'_>], max_time: Option<u64>) -> FailureCase {
+        let mut case = self.clone();
+        for node in &mut case.scenario.topology.nodes {
+            if let Some((_, args)) = args.iter().find(|(name, _)| node.name == *name) {
+                node.args = args.iter().map(|&a| Value::Int(a)).collect();
+            }
+        }
+        if let Some(max_time) = max_time {
+            case.scenario.config.max_time = max_time;
+        }
+        case
     }
 
     /// Resolves the ground truth: scans the root site's dynamic occurrences

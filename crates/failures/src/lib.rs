@@ -17,7 +17,7 @@ pub mod hdfs_cases;
 pub mod kafka_cases;
 pub mod zookeeper_cases;
 
-pub use case::{CaseError, DeeperCause, FailureCase, GroundTruth, PreparedCase};
+pub use case::{CaseError, DeeperCause, FailureCase, GroundTruth, NodeArgs, PreparedCase};
 
 /// Sort key giving a total, panic-free order over case ids: the paper's
 /// `fN` ids sort numerically first, anything else (e.g. a generated

@@ -23,14 +23,8 @@ fn main() {
         "strategy", "rounds", "sim-ticks", "wall-ms"
     );
     for (_, _, make) in table2_strategies() {
-        let r = explore(
-            &ctx,
-            &case.oracle,
-            make.build().as_mut(),
-            &cfg,
-            Some(gt.site),
-        )
-        .expect("exploration runs");
+        let r = explore(&ctx, &case.oracle, make().as_mut(), &cfg, Some(gt.site))
+            .expect("exploration runs");
         if r.success {
             println!(
                 "{:24} {:>8} {:>10} {:>10}",

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use anduril::baselines::{by_name, feedback_by_name};
+use anduril::baselines::by_name;
 use anduril::failures::{all_cases, case_by_id, FailureCase, PreparedCase};
 use anduril::gen::{generate_one, verify_sound, GenConfig, SizeClass};
 use anduril::trace::report::{self, TextTable};
@@ -341,18 +341,12 @@ fn analyze(args: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// The strategy a `reproduce` runs, resolved before anything is written:
-/// the batched explorer speculates on copies of its strategy, so it takes
-/// the (`Clone`) feedback-strategy family only.
-enum Search {
-    Sequential(Box<dyn Strategy>),
-    Batched(Box<FeedbackStrategy>, BatchExplorerConfig),
-}
-
-/// Prepares and searches, every event going to `tracer`.
+/// Prepares and searches (in speculative batches under `batch`), every
+/// event going to `tracer`.
 fn search(
     case: &FailureCase,
-    search: &mut Search,
+    strategy: &mut dyn Strategy,
+    batch: Option<&BatchExplorerConfig>,
     cfg: &ExplorerConfig,
     tracer: &dyn Tracer,
 ) -> Result<Reproduction, CliError> {
@@ -366,19 +360,10 @@ fn search(
         ctx.graph.edge_count()
     );
     let gt_site = Some(gt.site);
-    match search {
-        Search::Sequential(strategy) => {
-            explore_traced(&ctx, &case.oracle, strategy.as_mut(), cfg, gt_site, tracer)
-        }
-        Search::Batched(strategy, batch) => explore_batched_traced(
-            &ctx,
-            &case.oracle,
-            strategy.as_mut(),
-            cfg,
-            batch,
-            gt_site,
-            tracer,
-        ),
+    let oracle = &case.oracle;
+    match batch {
+        None => explore_traced(&ctx, oracle, strategy, cfg, gt_site, tracer),
+        Some(batch) => explore_batched_traced(&ctx, oracle, strategy, cfg, batch, gt_site, tracer),
     }
     .map_err(|e| Failed(format!("{}: exploration: {e}", case.id)))
 }
@@ -413,18 +398,19 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
             _ => return Err(Usage),
         }
     }
-    let mut chosen = if threads > 1 || batch_size.is_some() {
-        let fb_cfg = feedback_by_name(&strategy_name).ok_or_else(|| {
-            BadArg("--threads/--batch require a feedback-strategy variant".into())
-        })?;
-        let batch = BatchExplorerConfig {
-            batch_size: batch_size.unwrap_or_else(|| threads.max(2) * 2),
-            threads,
-        };
-        Search::Batched(Box::new(FeedbackStrategy::new(fb_cfg)), batch)
-    } else {
-        Search::Sequential(by_name(&strategy_name).ok_or(Usage)?)
-    };
+    // Resolved before anything is written. The batched explorer
+    // speculates on copies of the priority model: without one it would run
+    // every round inline and the flags would buy nothing.
+    let mut strategy = by_name(&strategy_name).ok_or(Usage)?;
+    let batch = (threads > 1 || batch_size.is_some()).then(|| BatchExplorerConfig {
+        batch_size: batch_size.unwrap_or_else(|| threads.max(2) * 2),
+        threads,
+    });
+    if batch.is_some() && strategy.model().is_none() {
+        return Err(BadArg(
+            "--threads/--batch require a feedback-strategy variant".into(),
+        ));
+    }
 
     let trace = match trace_path {
         Some(path) => {
@@ -435,7 +421,7 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
         None => None,
     };
     let tracer: &dyn Tracer = trace.as_ref().map_or(&NoopTracer, |(file, _)| file);
-    let searched = search(&case, &mut chosen, &cfg, tracer);
+    let searched = search(&case, strategy.as_mut(), batch.as_ref(), &cfg, tracer);
     // The one way out of a traced search, dead or alive: the file ends on
     // a whole line, and says so before the search's own verdict.
     let mut complete = true;
@@ -515,7 +501,7 @@ fn explain(args: &[String]) -> Result<ExitCode, CliError> {
     let ctx = prepare(&case, &NoopTracer)?.ctx;
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     s.init(&ctx);
-    let _ = s.plan_round(&ctx, 0);
+    let _ = s.plan_injection(&ctx, 0);
     let mut out = format!(
         "{}: initial priority breakdown (F_i = L + I via argmin observable k*)\n\
          {:32} {:>5} {:>4} {:>5} {:>5} {:>10} {:>6}\n",
@@ -524,7 +510,7 @@ fn explain(args: &[String]) -> Result<ExitCode, CliError> {
     let mut explanations: Vec<_> = ctx
         .units
         .iter()
-        .filter_map(|&u| s.explain(&ctx, u))
+        .filter_map(|&u| s.explain_unit(&ctx, u))
         .collect();
     sort_explanations(&mut explanations);
     for ex in explanations {

@@ -53,34 +53,7 @@ pub fn traced_run(id: &str, threads: Option<usize>) -> Vec<TraceEvent> {
 pub fn degraded_context(id: &str) -> (SearchContext, Oracle) {
     let case = case_by_id(id).expect("case");
     let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
-    let (ctx, failure_log) = (&prepared.ctx, &prepared.failure_log);
-    let nearest = (0..ctx.observables.len())
-        .filter_map(|k| ctx.distances[k].values().min().map(|&d| (d, k)))
-        .min()
-        .map(|(_, k)| k)
-        .expect("at least one observable");
-    let template = &ctx.scenario.program.templates[ctx.observables[nearest].template.index()];
-    let mut degraded = String::new();
-    let mut drop = false;
-    for line in failure_log.lines() {
-        let is_entry = line.len() > 9
-            && line.as_bytes()[..8].iter().all(u8::is_ascii_digit)
-            && line.as_bytes()[8] == b' ';
-        if is_entry {
-            drop = line
-                .split_once(" - ")
-                .map(|(_, body)| template.matches(body))
-                .unwrap_or(false);
-        }
-        if !drop {
-            degraded.push_str(line);
-            degraded.push('\n');
-        }
-    }
-    // Not `FailureCase::prepare`: the log is not the one the ground truth
-    // renders.
-    let ctx = SearchContext::prepare(case.scenario.clone(), &degraded, 1_000).expect("context");
-    (ctx, case.oracle.clone())
+    (prepared.degraded().expect("context"), case.oracle.clone())
 }
 
 /// The deterministic rendering of a stream, batch-only events dropped.

@@ -300,9 +300,6 @@ impl Strategy for Fixed {
         "fixed"
     }
     fn init(&mut self, _ctx: &SearchContext) {}
-    fn plan_round(&mut self, _ctx: &SearchContext, _round: usize) -> Vec<Candidate> {
-        self.0.candidates.clone()
-    }
     fn plan_injection(&mut self, _ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {
         Some(self.0.clone())
     }

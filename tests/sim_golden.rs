@@ -9,7 +9,6 @@
 //! unchanged; a PR that moves one changed what a run *is*, and says why.
 
 use anduril::failures::{all_cases, case_by_id, FailureCase};
-use anduril::ir::Value;
 use anduril::sim::{InjectionPlan, RunResult};
 
 const SEED: u64 = 1000;
@@ -121,19 +120,12 @@ const GOLDEN: [[Row; 2]; 25] = [
     ],
 ];
 
-/// `e2e`'s `scaled_case`: the client makes `client_ops` requests (f17's
-/// region server gets the matching arguments) within a horizon of 90 000.
-fn scaled(id: &str, client_ops: i64, rs1: Option<[i64; 3]>) -> FailureCase {
-    let mut case = case_by_id(id).expect("case");
-    for node in &mut case.scenario.topology.nodes {
-        match (node.name.as_str(), rs1) {
-            ("client", _) => node.args = vec![Value::Int(client_ops)],
-            ("rs1", Some(args)) => node.args = args.iter().map(|&a| Value::Int(a)).collect(),
-            _ => {}
-        }
-    }
-    case.scenario.config.max_time = 90_000;
-    case
+/// `e2e`'s `scaled_case`: the client makes more requests (f17's region
+/// server gets the matching arguments) within a horizon of 90 000.
+fn scaled(id: &str, args: &[(&str, &[i64])]) -> FailureCase {
+    case_by_id(id)
+        .expect("case")
+        .with_workload(args, Some(90_000))
 }
 
 fn fnv1a(text: &str) -> u64 {
@@ -158,9 +150,10 @@ fn row(name: &'static str, r: &RunResult) -> Row {
 fn runs_at_seed_1000_are_pinned() {
     let mut cases: Vec<(&'static str, FailureCase)> =
         all_cases().into_iter().map(|c| (c.id, c)).collect();
-    cases.push(("f17@300", scaled("f17", 300, Some([40, 0, 1_500]))));
-    cases.push(("f1@150", scaled("f1", 150, None)));
-    cases.push(("f16@60", scaled("f16", 60, None)));
+    let f17: &[(&str, &[i64])] = &[("client", &[300]), ("rs1", &[40, 0, 1_500])];
+    cases.push(("f17@300", scaled("f17", f17)));
+    cases.push(("f1@150", scaled("f1", &[("client", &[150])])));
+    cases.push(("f16@60", scaled("f16", &[("client", &[60])])));
 
     let actual: Vec<[Row; 2]> = cases
         .iter()
