@@ -38,61 +38,74 @@ struct Row {
     rounds: usize,
 }
 
-/// Runs one strategy on a generated case from a fresh context.
-fn explore_case(
+/// Runs one strategy on a generated case, on the context `verify_sound`
+/// prepared for it: `(rediscovered, rounds)`.
+fn search(
     gc: &GeneratedCase,
+    ctx: &SearchContext,
     strategy: &mut dyn Strategy,
     max_rounds: usize,
 ) -> (bool, usize) {
-    // Not `FailureCase::prepare`: a generated case's ground truth is its
-    // plant, and it carries the failure log the plant renders.
-    let ctx = SearchContext::prepare(gc.case.scenario.clone(), &gc.failure_log, 1_000)
-        .unwrap_or_else(|e| panic!("{}: context: {e:?}", gc.case.id));
     let cfg = ExplorerConfig {
         max_rounds,
         ..ExplorerConfig::default()
     };
     let gt_site = (!gc.is_multi_fault()).then(|| gc.plant[0].site);
-    let r = explore(&ctx, &gc.case.oracle, strategy, &cfg, gt_site)
+    let r = explore(ctx, &gc.case.oracle, strategy, &cfg, gt_site)
         .unwrap_or_else(|e| panic!("{}: explore: {e:?}", gc.case.id));
     (r.success, r.rounds)
 }
 
-/// Generates + verifies + explores one case, trapping panics.
-fn run_case(cfg: &GenConfig, index: usize, max_rounds: usize) -> Result<Row, String> {
+/// Generates + verifies + explores one case, trapping panics: its row
+/// under the feedback strategy and what each of `baselines` does on the
+/// same prepared context (searches sharing a context do not disturb each
+/// other — `tests/context_reuse.rs`).
+fn run_case(
+    cfg: &GenConfig,
+    index: usize,
+    max_rounds: usize,
+    baselines: &[&str],
+) -> Result<(Row, Vec<(bool, usize)>), String> {
     catch_unwind(AssertUnwindSafe(|| {
-        let gc = match generate_one(cfg, index) {
-            Ok(gc) => gc,
-            // A generation failure counts as an unsound case, not a panic.
-            Err(e) => {
-                eprintln!("gen-{index:04}: generation failed: {e}");
-                return Row {
-                    id: format!("gen-{index:04}"),
-                    size: cfg.size,
-                    multi_fault: cfg.multi_fault,
-                    nodes: 0,
-                    sites: 0,
-                    stmts: 0,
-                    sound: false,
-                    rediscovered: false,
-                    rounds: 0,
-                };
-            }
-        };
-        let sound = verify_sound(&gc).is_ok();
-        let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-        let (rediscovered, rounds) = explore_case(&gc, &mut strategy, max_rounds);
-        Row {
-            id: gc.case.id.to_string(),
+        let mut row = Row {
+            id: format!("gen-{index:04}"),
             size: cfg.size,
             multi_fault: cfg.multi_fault,
-            nodes: gc.nodes,
-            sites: gc.sites,
-            stmts: gc.stmts,
-            sound,
-            rediscovered,
-            rounds,
-        }
+            nodes: 0,
+            sites: 0,
+            stmts: 0,
+            sound: false,
+            rediscovered: false,
+            rounds: 0,
+        };
+        // A generation failure counts as an unsound case, not a panic, and
+        // an unsound case has no context to search.
+        let gc = match generate_one(cfg, index) {
+            Ok(gc) => gc,
+            Err(e) => {
+                eprintln!("{}: generation failed: {e}", row.id);
+                return (row, Vec::new());
+            }
+        };
+        (row.nodes, row.sites, row.stmts) = (gc.nodes, gc.sites, gc.stmts);
+        let ctx = match verify_sound(&gc) {
+            Ok(ctx) => ctx,
+            Err(e) => {
+                eprintln!("{}: unsound: {e}", row.id);
+                return (row, Vec::new());
+            }
+        };
+        row.sound = true;
+        let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
+        (row.rediscovered, row.rounds) = search(&gc, &ctx, &mut strategy, max_rounds);
+        let baselines = baselines
+            .iter()
+            .map(|name| {
+                let mut strategy = anduril_baselines::by_name(name).expect("registered");
+                search(&gc, &ctx, strategy.as_mut(), max_rounds)
+            })
+            .collect();
+        (row, baselines)
     }))
     .map_err(|_| format!("gen-{index:04} panicked"))
 }
@@ -104,14 +117,18 @@ struct Aggregate {
     median_rounds: u64,
 }
 
-fn aggregate(rows: &[&Row]) -> Aggregate {
-    let mut succeeded: Vec<u64> = rows
-        .iter()
-        .filter(|r| r.rediscovered)
-        .map(|r| r.rounds as u64)
-        .collect();
+/// Aggregates `(rediscovered, rounds)` outcomes.
+fn aggregate(outcomes: impl Iterator<Item = (bool, usize)>) -> Aggregate {
+    let mut cases = 0;
+    let mut succeeded: Vec<u64> = Vec::new();
+    for (rediscovered, rounds) in outcomes {
+        cases += 1;
+        if rediscovered {
+            succeeded.push(rounds as u64);
+        }
+    }
     Aggregate {
-        cases: rows.len(),
+        cases,
         rediscovered: succeeded.len(),
         median_rounds: median(&mut succeeded),
     }
@@ -149,6 +166,13 @@ fn main() {
         ]
     };
 
+    // Baselines — random search (FATE) and stacktrace injection — run on
+    // the head of the small single-fault batch, each case's three searches
+    // on its one context.
+    const BASELINES: [&str; 2] = ["fate", "stacktrace"];
+    let baseline_n = if smoke { 20 } else { 40 };
+    let mut baseline_outcomes: [Vec<(bool, usize)>; 2] = Default::default();
+
     let mut rows: Vec<Row> = Vec::new();
     let mut panics = 0usize;
     for &(size, multi_fault, count) in batches {
@@ -158,8 +182,15 @@ fn main() {
             multi_fault,
         };
         for i in 0..count {
-            match run_case(&cfg, i, max_rounds) {
-                Ok(row) => rows.push(row),
+            let with_baselines = size == SizeClass::Small && !multi_fault && i < baseline_n;
+            let baselines: &[&str] = if with_baselines { &BASELINES } else { &[] };
+            match run_case(&cfg, i, max_rounds, baselines) {
+                Ok((row, outcomes)) => {
+                    rows.push(row);
+                    for (all, one) in baseline_outcomes.iter_mut().zip(outcomes) {
+                        all.push(one);
+                    }
+                }
                 Err(msg) => {
                     eprintln!("PANIC: {msg}");
                     panics += 1;
@@ -167,49 +198,18 @@ fn main() {
             }
         }
     }
-
-    // Baselines on a subset of the single-fault smoke batch: random
-    // search (FATE) and stacktrace injection over fresh contexts.
-    let baseline_n = if smoke { 20 } else { 40 };
-    let base_cfg = GenConfig {
-        seed,
-        size: SizeClass::Small,
-        multi_fault: false,
-    };
-    let mut baseline_aggs: Vec<(&str, Aggregate)> = Vec::new();
-    for name in ["fate", "stacktrace"] {
-        let mut brows: Vec<Row> = Vec::new();
-        for i in 0..baseline_n {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                let gc = generate_one(&base_cfg, i).expect("smoke batch regenerates");
-                let mut strategy = anduril_baselines::by_name(name).expect("registered");
-                let (rediscovered, rounds) = explore_case(&gc, strategy.as_mut(), max_rounds);
-                Row {
-                    id: gc.case.id.to_string(),
-                    size: base_cfg.size,
-                    multi_fault: false,
-                    nodes: gc.nodes,
-                    sites: gc.sites,
-                    stmts: gc.stmts,
-                    sound: true,
-                    rediscovered,
-                    rounds,
-                }
-            }));
-            match r {
-                Ok(row) => brows.push(row),
-                Err(_) => panics += 1,
-            }
-        }
-        let refs: Vec<&Row> = brows.iter().collect();
-        baseline_aggs.push((name, aggregate(&refs)));
-    }
+    let baseline_aggs: Vec<(&str, Aggregate)> = BASELINES
+        .into_iter()
+        .zip(baseline_outcomes)
+        .map(|(name, outcomes)| (name, aggregate(outcomes.into_iter())))
+        .collect();
 
     let single: Vec<&Row> = rows.iter().filter(|r| !r.multi_fault).collect();
     let multi: Vec<&Row> = rows.iter().filter(|r| r.multi_fault).collect();
     let unsound = rows.iter().filter(|r| !r.sound).count();
-    let single_agg = aggregate(&single);
-    let multi_agg = aggregate(&multi);
+    let outcome = |r: &&Row| (r.rediscovered, r.rounds);
+    let single_agg = aggregate(single.iter().map(outcome));
+    let multi_agg = aggregate(multi.iter().map(outcome));
     let rate = if single_agg.cases > 0 {
         single_agg.rediscovered as f64 / single_agg.cases as f64
     } else {
@@ -229,7 +229,7 @@ fn main() {
         if bucket.is_empty() {
             continue;
         }
-        let agg = aggregate(&bucket);
+        let agg = aggregate(bucket.iter().map(outcome));
         let mut stmts: Vec<u64> = bucket.iter().map(|r| r.stmts as u64).collect();
         t.row(vec![
             size.to_string(),

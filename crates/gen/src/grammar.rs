@@ -139,6 +139,9 @@ struct Blueprint {
     phase_threshold: Option<i64>,
 }
 
+/// What a phase-gated critical handler logs while the gate is closed.
+const WARMUP_NEEDLE: &str = "journal commit retried in warmup";
+
 /// A synthesized scenario plus everything the planting pass needs: site
 /// descriptions of the planted faults, the log needles the oracle matches
 /// on, and size statistics.
@@ -167,6 +170,11 @@ pub struct GenProgram {
     pub error_needle: String,
     /// Fault A's handler Error-level log needle (multi-fault mode only).
     pub poison_needle: Option<String>,
+    /// `Some` if the single-fault trigger is phase-gated: what the critical
+    /// handler logs instead of marking the node degraded while the commit
+    /// counter is below the threshold. The counter only grows, so injecting
+    /// at occurrence `k` logs this up to some `k` and never from there on.
+    pub warmup_needle: Option<String>,
 }
 
 impl GenProgram {
@@ -341,7 +349,7 @@ fn build_critical_helper(
                             b.set_global(degraded, e::int(1));
                         },
                         |b| {
-                            b.log(Level::Warn, "journal commit retried in warmup", vec![]);
+                            b.log(Level::Warn, WARMUP_NEEDLE, vec![]);
                         },
                     );
                 }
@@ -688,5 +696,6 @@ pub fn synthesize(
         fatal_needle,
         error_needle,
         poison_needle: multi_fault.then(|| "journal segment poisoned on".to_string()),
+        warmup_needle: bp.phase_threshold.map(|_| WARMUP_NEEDLE.to_string()),
     })
 }

@@ -14,7 +14,10 @@
 //! misbehave when the injector fires, so the fault-free run is healthy,
 //! the planted run satisfies the oracle, and [`verify_sound`] checks the
 //! plant additionally survives the search context's reachability pruning
-//! and abstract occurrence bounds.
+//! and abstract occurrence bounds. The plant is *found* by construction
+//! too — the phase gate the grammar built is bisected, a cascade starts
+//! where the fault-free trace says — so a case costs a logarithm of its
+//! occurrence count in simulator runs ([`GeneratedCase::runs`]).
 //!
 //! [`FailureCase`]: anduril_failures::FailureCase
 

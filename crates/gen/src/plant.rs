@@ -8,7 +8,15 @@
 //! checking the oracle against the real result. What ships in a
 //! [`GeneratedCase`] is therefore reproducible by definition, not by
 //! hope.
+//!
+//! Nor does it *search* for the plant: a run armed with `exact(site, k)`
+//! is the fault-free run up to the `k`-th hit, so whether probe `k` meets
+//! the phase gate closed ([`GenProgram::warmup_needle`]) is monotone in
+//! `k` and the crossing is bisected, and a cascade's second fault starts
+//! where the fault-free trace puts the first. The planter's one probe loop
+//! starts at a computed index; [`GeneratedCase::runs`] counts the runs.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use anduril_core::{Oracle, Scenario, SearchContext};
@@ -74,6 +82,8 @@ pub struct GeneratedCase {
     pub stmts: usize,
     /// Advisory lint warnings the program carried (expected 0).
     pub warnings: usize,
+    /// Simulator runs generation made, the fault-free one included.
+    pub runs: usize,
 }
 
 impl GeneratedCase {
@@ -141,20 +151,45 @@ fn site_by_desc(scenario: &Scenario, desc: &str) -> Result<SiteId, GenError> {
         .ok_or_else(|| GenError::Unsound(format!("planted site {desc} not in program")))
 }
 
+/// How often `site` executed in `run`.
+fn occurrences(run: &RunResult, site: SiteId) -> u32 {
+    run.site_occurrences.get(site.index()).copied().unwrap_or(0)
+}
+
 /// One run of the scenario under planting: its program compiled once per
-/// generated case, however many occurrences the scan tries.
+/// generated case, however many occurrences are probed, and every run
+/// counted.
 struct Planting<'a> {
     scenario: &'a Scenario,
     compiled: CompiledProgram,
     failure_seed: u64,
+    runs: Cell<usize>,
 }
 
 impl Planting<'_> {
     fn run(&self, plan: InjectionPlan) -> Result<RunResult, GenError> {
+        self.runs.set(self.runs.get() + 1);
         self.scenario
             .run_compiled(&self.compiled, self.failure_seed, plan)
-            .map_err(|e| GenError::Sim(format!("{e:?}")))
+            .map_err(|e| GenError::Sim(e.to_string()))
     }
+}
+
+/// The smallest `k` in `0..total` with `pred(k)` false — `total` if there
+/// is none — for a `pred` that is true up to some point and false from
+/// there on, in at most ⌈log₂(total + 1)⌉ calls. The last call that
+/// answered false, if any did, was `pred(k)` at the returned `k`.
+fn first_false<E>(total: u32, mut pred: impl FnMut(u32) -> Result<bool, E>) -> Result<u32, E> {
+    let (mut lo, mut hi) = (0, total);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid)? {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(lo)
 }
 
 /// Builds the oracle for a generated program: the FATAL needle, the
@@ -174,30 +209,54 @@ fn oracle_for(gp: &GenProgram) -> Oracle {
     Oracle::And(parts)
 }
 
-/// Plants the single fault: scans occurrences of the critical site under
-/// the failure seed until one satisfies the oracle (the phase gate makes
-/// early occurrences recoverable), mirroring `FailureCase::ground_truth`
-/// resolution so the packaged case resolves to exactly this plant.
+/// Plants the single fault at the first occurrence of the critical site
+/// whose injection satisfies the oracle under the failure seed — what
+/// `FailureCase::ground_truth`'s scan from 0 resolves the packaged case
+/// to. A phase gate makes the occurrences before its crossing recoverable;
+/// they log the warmup needle, so the crossing is bisected, not walked to,
+/// and the loop below starts there with the crossing's run in hand.
 fn plant_single(
     planting: &Planting,
     gp: &GenProgram,
     oracle: &Oracle,
-    normal: &RunResult,
+    normal: RunResult,
 ) -> Result<(Vec<PlantedFault>, RunResult), GenError> {
     let site = site_by_desc(planting.scenario, &gp.critical_site_desc)?;
-    let total = normal
-        .site_occurrences
-        .get(site.index())
-        .copied()
-        .unwrap_or(0);
+    let total = occurrences(&normal, site);
+    // Only its count was needed, and the crossing's run takes its place:
+    // a case holds two runs at most while it is planted, as it always did
+    // (planting sets `e2e`'s `peak_rss_mb` on `gen-corpus`).
+    drop(normal);
     if total == 0 {
         return Err(GenError::Unsound(format!(
             "critical site {} never reached fault-free",
             gp.critical_site_desc
         )));
     }
-    for occ in 0..total {
-        let r = planting.run(InjectionPlan::exact(site, occ, gp.critical_exc))?;
+    let probe = |occ| planting.run(InjectionPlan::exact(site, occ, gp.critical_exc));
+    let mut crossing = None;
+    let start = match &gp.warmup_needle {
+        Some(needle) => first_false(total, |occ| {
+            let r = probe(occ)?;
+            let warmup = r.has_log(needle);
+            if !warmup {
+                crossing = Some(r);
+            }
+            Ok(warmup)
+        })?,
+        None => 0,
+    };
+    if start == total {
+        return Err(GenError::Unsound(format!(
+            "phase gate never reached: all {total} occurrences of {} retried in warmup",
+            gp.critical_site_desc
+        )));
+    }
+    for occ in start..total {
+        let r = match crossing.take() {
+            Some(r) => r,
+            None => probe(occ)?,
+        };
         if r.injected.is_some() && oracle.check(&r) {
             let plant = vec![PlantedFault {
                 site,
@@ -208,14 +267,17 @@ fn plant_single(
         }
     }
     Err(GenError::Unsound(format!(
-        "no occurrence of {} (0..{total}) satisfies the oracle",
+        "no occurrence of {} ({start}..{total}) satisfies the oracle",
         gp.critical_site_desc
     )))
 }
 
 /// Plants the two-fault cascade: picks an early occurrence for fault A
-/// (the WAL poisoner), then scans fault B occurrences until the pair
-/// fires completely and the oracle holds.
+/// (the WAL poisoner), then tries fault B occurrences until the pair fires
+/// completely and the oracle holds — from the first B hit after A's. The
+/// run is the fault-free one up to A's hit, so every B hit before it finds
+/// the WAL clean and recovers, and the fault-free trace (in execution
+/// order) says how many there are.
 fn plant_multi(
     planting: &Planting,
     gp: &GenProgram,
@@ -230,16 +292,7 @@ fn plant_multi(
         .as_deref()
         .ok_or_else(|| GenError::Unsound("multi-fault case lacks poison site".into()))?;
     let site_a = site_by_desc(scenario, desc_a)?;
-    let total_a = normal
-        .site_occurrences
-        .get(site_a.index())
-        .copied()
-        .unwrap_or(0);
-    let total_b = normal
-        .site_occurrences
-        .get(site_b.index())
-        .copied()
-        .unwrap_or(0);
+    let (total_a, total_b) = (occurrences(normal, site_a), occurrences(normal, site_b));
     if total_a == 0 || total_b == 0 {
         return Err(GenError::Unsound(
             "a planted multi-fault site is unreachable fault-free".into(),
@@ -249,9 +302,15 @@ fn plant_multi(
     // room to land after it. The fault-free timeline is undisturbed up
     // to A's firing, so any occ < total_a is guaranteed to fire.
     let occ_a = (rng.random_range(0..(total_a as u64 / 2).max(1))) as u32;
+    let first_b = normal
+        .trace
+        .iter()
+        .take_while(|t| (t.site, t.occurrence) != (site_a, occ_a))
+        .filter(|t| t.site == site_b)
+        .count() as u32;
     // B's occurrence count can shift once A fires, so allow some slack
     // past the fault-free count.
-    for occ_b in 0..(total_b + 16) {
+    for occ_b in first_b..(total_b + 16) {
         let plan = InjectionPlan::multi(vec![
             anduril_sim::Candidate::exact(site_a, occ_a, gp.poison_exc),
             anduril_sim::Candidate::exact(site_b, occ_b, gp.critical_exc),
@@ -274,7 +333,7 @@ fn plant_multi(
         }
     }
     Err(GenError::Unsound(format!(
-        "no B occurrence pairs with A@{occ_a} to satisfy the oracle"
+        "no B occurrence from {first_b} pairs with A@{occ_a} to satisfy the oracle"
     )))
 }
 
@@ -305,6 +364,7 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         compiled: anduril_ir::lower::compile(&scenario.program),
         scenario: &scenario,
         failure_seed,
+        runs: Cell::new(0),
     };
     let normal = planting.run(InjectionPlan::none())?;
     let oracle = oracle_for(&gp);
@@ -326,9 +386,10 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
     let (plant, failure_run) = if cfg.multi_fault {
         plant_multi(&planting, &gp, &oracle, &normal, &mut rng)?
     } else {
-        plant_single(&planting, &gp, &oracle, &normal)?
+        plant_single(&planting, &gp, &oracle, normal)?
     };
     let failure_log = failure_run.log_text();
+    let runs = planting.runs.get();
 
     let case = FailureCase {
         id: leak(name.clone()),
@@ -360,6 +421,7 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         sites: case.scenario.program.sites.len(),
         stmts: case.scenario.program.stmt_count(),
         warnings: gp.warnings.len(),
+        runs,
         case,
         plant,
         failure_log,
@@ -376,7 +438,11 @@ pub fn generate(cfg: &GenConfig, count: usize) -> Result<Vec<GeneratedCase>, Gen
 /// oracle, and — for single-fault cases — the planted ground truth
 /// survives the search context's reachability pruning and abstract
 /// occurrence bounds (it must be discoverable, not just replayable).
-pub fn verify_sound(gc: &GeneratedCase) -> Result<(), String> {
+///
+/// Hands back the context it prepared over the case's failure log (base
+/// seed 1 000), so a caller that goes on to search the case need not
+/// prepare it a second time.
+pub fn verify_sound(gc: &GeneratedCase) -> Result<SearchContext, String> {
     if !gc
         .case
         .fault_free_run_is_healthy()
@@ -388,7 +454,7 @@ pub fn verify_sound(gc: &GeneratedCase) -> Result<(), String> {
         .case
         .scenario
         .run(gc.case.failure_seed, gc.plan())
-        .map_err(|e| format!("planted replay: {e:?}"))?;
+        .map_err(|e| format!("planted replay: {e}"))?;
     if !gc.case.oracle.check(&replay) {
         return Err("planted plan no longer satisfies the oracle".into());
     }
@@ -400,7 +466,7 @@ pub fn verify_sound(gc: &GeneratedCase) -> Result<(), String> {
         ));
     }
     let ctx = SearchContext::prepare(gc.case.scenario.clone(), &gc.failure_log, 1_000)
-        .map_err(|e| format!("context prepare: {e:?}"))?;
+        .map_err(|e| format!("context prepare: {e}"))?;
     for f in &gc.plant {
         if !ctx.occurrence_feasible(f.site, Some(f.occurrence)) {
             return Err(format!(
@@ -418,5 +484,33 @@ pub fn verify_sound(gc: &GeneratedCase) -> Result<(), String> {
             ));
         }
     }
-    Ok(())
+    Ok(ctx)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::first_false;
+
+    /// Every predicate of length ≤ 16 that is true up to a crossing and
+    /// false from it — all-true and all-false included — bisects to the
+    /// answer a walk from 0 gives, in at most ⌈log₂(total + 1)⌉ calls,
+    /// the last false one of them at the crossing itself.
+    #[test]
+    fn first_false_is_the_linear_answer_on_every_monotone_predicate() {
+        for total in 0..=16u32 {
+            for crossing in 0..=total {
+                let linear = (0..total).find(|&k| k >= crossing).unwrap_or(total);
+                let mut calls = Vec::new();
+                let found = first_false(total, |k| {
+                    calls.push(k);
+                    Ok::<_, ()>(k < crossing)
+                });
+                assert_eq!(found, Ok(linear), "{crossing} of {total}");
+                let bound = (total + 1).next_power_of_two().trailing_zeros();
+                assert!(calls.len() as u32 <= bound, "{calls:?} of {total}");
+                let last_false = calls.iter().rfind(|&&k| k >= crossing);
+                assert_eq!(last_false.copied(), (linear < total).then_some(linear));
+            }
+        }
+    }
 }

@@ -19,7 +19,7 @@ use anduril::trace::report::{self, TextTable};
 use anduril::trace::{read_stream, FileTracer, NoopTracer, TraceEvent, Tracer};
 use anduril::{
     explore, explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig,
-    FeedbackConfig, FeedbackStrategy, Json, Reproduction, SearchContext, Strategy,
+    FeedbackConfig, FeedbackStrategy, Json, Reproduction, Strategy,
 };
 
 /// Why a command did not run to its end.
@@ -573,8 +573,11 @@ fn generate(args: &[String]) -> Result<ExitCode, CliError> {
             })
             .collect::<Vec<_>>()
             .join(" + ");
-        let sound = match verify_sound(&gc) {
-            Ok(()) => "yes".to_string(),
+        // The context soundness was checked on is the one searched below;
+        // an unsound case has its reason in the table and no search.
+        let ctx = verify_sound(&gc);
+        let sound = match &ctx {
+            Ok(_) => "yes".to_string(),
             Err(e) => format!("NO ({e})"),
         };
         let _ = writeln!(
@@ -589,12 +592,8 @@ fn generate(args: &[String]) -> Result<ExitCode, CliError> {
             gc.case.failure_seed,
             sound
         );
-        if reproduce && !gc.is_multi_fault() {
+        if let (true, Ok(ctx)) = (reproduce && !gc.is_multi_fault(), ctx) {
             let id = gc.case.id;
-            // Not `FailureCase::prepare`: a generated case's ground truth
-            // is its plant, and it carries the log the plant renders.
-            let ctx = SearchContext::prepare(gc.case.scenario.clone(), &gc.failure_log, 1_000)
-                .map_err(|e| Failed(format!("{id}: context: {e}")))?;
             let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
             let cfg = ExplorerConfig::default();
             let repro = explore(&ctx, &gc.case.oracle, &mut strategy, &cfg, None)

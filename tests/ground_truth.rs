@@ -7,11 +7,16 @@
 //! the reference — counted occurrences with a fault-free run of its own,
 //! recompiled for every candidate and ran the winner once more to render
 //! its log. Same ground truth, same log, byte for byte, on the 22 tickets
-//! and on `e2e --smoke`'s generated corpus.
+//! and on `e2e`'s generated corpus.
+//!
+//! The generator plants by construction — it bisects the phase gate it
+//! built and reads a cascade's start off the fault-free trace — and the
+//! same reference scan says it plants what walking from occurrence 0
+//! finds, in a pinned number of simulator runs.
 
 use anduril::failures::{all_cases, FailureCase};
-use anduril::gen::{generate_one, GenConfig, SizeClass};
-use anduril::sim::InjectionPlan;
+use anduril::gen::{generate_one, GenConfig, GeneratedCase, SizeClass};
+use anduril::sim::{Candidate, InjectionPlan};
 use anduril::NoopTracer;
 
 /// `(occurrence, failure log)` the way resolution used to find them.
@@ -28,7 +33,9 @@ fn reference(case: &FailureCase) -> Option<(u32, String)> {
     })
 }
 
-fn check(case: &FailureCase) {
+/// Checks the case's three resolution paths against the reference, and
+/// hands back what the reference found.
+fn check(case: &FailureCase) -> (u32, String) {
     let (occurrence, log) = reference(case).expect("reference resolves");
     let gt = case.ground_truth().expect("ground truth");
     assert_eq!(gt.site, case.root_site().expect("root site"), "{}", case.id);
@@ -38,6 +45,7 @@ fn check(case: &FailureCase) {
     let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
     assert_eq!(prepared.gt.occurrence, occurrence, "{}", case.id);
     assert_eq!(prepared.failure_log, log, "{}", case.id);
+    (occurrence, log)
 }
 
 #[test]
@@ -47,30 +55,136 @@ fn every_ticket_resolves_as_it_did() {
     }
 }
 
+/// The fault-free occurrence count of the case's root site.
+fn root_total(case: &FailureCase) -> u32 {
+    let site = case.root_site().expect("root site");
+    let normal = (case.scenario)
+        .run(case.failure_seed, InjectionPlan::none())
+        .expect("run");
+    normal.site_occurrences[site.index()]
+}
+
+/// A single-fault batch: every plant and log is what the linear scan from
+/// occurrence 0 finds, in no more runs than a bisection needs. Returns the
+/// runs the batch's generation made.
+fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> usize {
+    let cfg = GenConfig {
+        seed,
+        size,
+        multi_fault: false,
+    };
+    let mut runs = 0;
+    for index in 0..count {
+        let gc = generate_one(&cfg, index).expect("generated case");
+        let id = format!("{seed:#x} {size} {}", gc.case.id);
+        // The generator plants what the packaged case resolves to.
+        let (occurrence, log) = check(&gc.case);
+        let root = gc.case.root_site().expect("root site");
+        assert_eq!(gc.plant.len(), 1, "{id}");
+        assert_eq!(
+            (gc.plant[0].site, gc.plant[0].occurrence, gc.plant[0].exc),
+            (root, occurrence, gc.case.root_exc),
+            "{id}"
+        );
+        assert_eq!(gc.failure_log, log, "{id}");
+        // The fault-free run, then one probe — or, behind a phase gate
+        // (the handler can log the warmup line), a bisection's worth.
+        let gated = (gc.case.scenario.program)
+            .template_named("journal commit retried in warmup")
+            .is_some();
+        if gated {
+            let total = root_total(&gc.case);
+            let bisection = (total + 1).next_power_of_two().trailing_zeros() as usize;
+            assert!(
+                gc.runs <= 2 + bisection,
+                "{id}: {} runs for {total} occurrences",
+                gc.runs
+            );
+        } else {
+            assert_eq!(gc.runs, 2, "{id}");
+        }
+        runs += gc.runs;
+    }
+    runs
+}
+
+/// `(B occurrence, failure log)` of a cascade by trying B from 0 under the
+/// planted A, the way `plant_multi` used to.
+fn reference_cascade(gc: &GeneratedCase) -> Option<(u32, String)> {
+    let case = &gc.case;
+    let (a, b) = (gc.plant[0], gc.plant[1]);
+    let run = |plan| case.scenario.run(case.failure_seed, plan).expect("run");
+    let total_b = run(InjectionPlan::none()).site_occurrences[b.site.index()];
+    (0..total_b + 16).find_map(|occ_b| {
+        let r = run(InjectionPlan::multi(vec![
+            Candidate::exact(a.site, a.occurrence, a.exc),
+            Candidate::exact(b.site, occ_b, b.exc),
+        ]));
+        (r.injected_all.len() == 2 && case.oracle.check(&r)).then(|| (occ_b, r.log_text()))
+    })
+}
+
+fn check_cascade_batch(seed: u64, size: SizeClass, count: usize) {
+    let cfg = GenConfig {
+        seed,
+        size,
+        multi_fault: true,
+    };
+    for index in 0..count {
+        let gc = generate_one(&cfg, index).expect("generated cascade");
+        let id = format!("{seed:#x} {size} {}", gc.case.id);
+        assert_eq!(gc.plant.len(), 2, "{id}");
+        let (occ_b, log) = reference_cascade(&gc).expect("reference resolves");
+        assert_eq!(gc.plant[1].occurrence, occ_b, "{id}");
+        assert_eq!(gc.failure_log, log, "{id}");
+        let replay = (gc.case.scenario)
+            .run(gc.case.failure_seed, gc.plan())
+            .expect("replay");
+        assert_eq!(replay.log_text(), log, "{id}");
+        // The fault-free run and one probe.
+        assert_eq!(gc.runs, 2, "{id}");
+    }
+}
+
+/// `e2e`'s corpus at its master seed `0xA11D`, and the simulator runs its
+/// generation may make (180; 661 when the planter walked up from
+/// occurrence 0). What walks every occurrence here is the reference, so a
+/// debug build (tier 1) checks `e2e --smoke`'s corpus (44; 141) instead.
+const CORPUS: ([(SizeClass, usize); 3], usize) = if cfg!(debug_assertions) {
+    (sizes(6, 3, 1), 46)
+} else {
+    (sizes(24, 12, 6), 190)
+};
+
+const fn sizes(small: usize, medium: usize, large: usize) -> [(SizeClass, usize); 3] {
+    [
+        (SizeClass::Small, small),
+        (SizeClass::Medium, medium),
+        (SizeClass::Large, large),
+    ]
+}
+
+fn check_corpus(seed: u64) -> usize {
+    let (batches, _) = CORPUS;
+    batches
+        .into_iter()
+        .map(|(size, count)| check_single_batch(seed, size, count))
+        .sum()
+}
+
 #[test]
 fn every_generated_case_resolves_as_it_did() {
-    for (size, count) in [
-        (SizeClass::Small, 6),
-        (SizeClass::Medium, 3),
-        (SizeClass::Large, 1),
-    ] {
-        let cfg = GenConfig {
-            seed: 0xA11D,
-            size,
-            multi_fault: false,
-        };
-        for index in 0..count {
-            let gc = generate_one(&cfg, index).expect("generated case");
-            check(&gc.case);
-            // The generator plants what the packaged case resolves to.
-            let gt = gc.case.ground_truth().expect("ground truth");
-            assert_eq!(
-                (gt.site, gt.occurrence),
-                (gc.plant[0].site, gc.plant[0].occurrence)
-            );
-            assert_eq!(gc.case.failure_log().expect("failure log"), gc.failure_log);
-        }
-    }
+    let runs = check_corpus(0xA11D);
+    assert!(runs <= CORPUS.1, "generation made {runs} simulator runs");
+    // A master seed no planter change was developed on.
+    check_corpus(0x0DD5_EED5);
+}
+
+#[test]
+fn every_generated_cascade_starts_where_the_trace_says() {
+    let [(small, n_small), (medium, n_medium), _] = CORPUS.0;
+    check_cascade_batch(0xA11D, small, n_small);
+    check_cascade_batch(0xA11D, medium, n_medium / 2);
 }
 
 /// A root site no occurrence of which satisfies the oracle ends the scan at
