@@ -16,8 +16,8 @@
 use std::collections::HashSet;
 
 use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
-use anduril_ir::StmtRef;
-use anduril_sim::{world::meta_access_points, CrashPoint, InjectionPlan};
+use anduril_ir::{lower::meta_access_points, StmtRef};
+use anduril_sim::{CrashPoint, InjectionPlan};
 
 use crate::queue::OccurrenceQueue;
 

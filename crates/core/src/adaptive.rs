@@ -18,11 +18,11 @@
 //!
 //! Promotion is two-tier, worst blindness first:
 //!
-//! - **Coverage** ([`AdaptiveState::on_stall`] tier 1): a reachable
-//!   candidate site with *no* fault unit has effectively infinite `F_i` —
-//!   prioritized planning cannot arm it at all. The layer picks a
-//!   hole-free witness log statement in the site's own function, runs one
-//!   *scoped* causal build over just that witness
+//! - **Coverage** (tier 1): a reachable candidate site with *no* fault
+//!   unit has effectively infinite `F_i` — prioritized planning cannot
+//!   arm it at all. The layer picks a hole-free witness log statement in
+//!   the site's own function, runs one *scoped* causal build over just
+//!   that witness
 //!   ([`anduril_causal::build_graph`] with a single-observable set), and
 //!   promotes it together with every fault unit the scoped graph newly
 //!   connects.
@@ -34,18 +34,20 @@
 //!   strictly closer than any existing observable.
 //!
 //! Either way a promotion is a handful of incremental appends (see
-//! DESIGN.md §15): one BFS for the new distance table, one intern-table
-//! append for the witness `(level, body)` key, an optional fault-unit
-//! append (coverage only) — all into the search's own [`PromotedSet`] —
-//! and one neutral extension of the strategy's `I_k` vector
-//! ([`FeedbackStrategy::observables_appended`]). No phase of
-//! [`SearchContext::prepare`] reruns, and the context is never written:
-//! the set lives in [`AdaptiveState`], which the explorer owns by value,
-//! so it starts empty with every search and ends with it.
+//! DESIGN.md §15), all into the priority model: one BFS for the new
+//! distance table, one intern-table append for the witness `(level,
+//! body)` key, an optional fault-unit append (coverage only) — into the
+//! model's own `PromotedSet` — and one neutral `I_k` entry, in the same
+//! step. No phase of [`SearchContext::prepare`] reruns, and the context is
+//! never written: the set is a field of the [`FeedbackStrategy`] the
+//! search plans with, which `init` empties, so it starts empty with every
+//! search and ends with it. The model also owns what the set is for:
+//! [`Strategy::feedback`](crate::Strategy::feedback) adds the promoted
+//! witnesses a round's log shows to the presence it applies.
 //!
 //! Promotion acts on the §5.2 priority model — the site ranking it
-//! focuses on, the `I_k` vector it extends — so [`AdaptiveState::on_stall`]
-//! takes a [`FeedbackStrategy`]: the explorer hands it
+//! focuses on, the `I_k` vector it extends — so `on_stall` takes a
+//! [`FeedbackStrategy`]: the explorer hands it
 //! [`Strategy::model`](crate::Strategy::model), or skips the stall.
 //!
 //! Determinism: promotion runs only on the trusted strategy at the round
@@ -56,7 +58,6 @@
 //! batched streams stay byte-identical with adaptation on.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use anduril_causal::{build_graph, Observable};
 use anduril_ir::{BlockId, FuncId, Level, SiteId, Stmt, TemplateId};
@@ -98,32 +99,31 @@ const FOCUS_SITES: usize = 3;
 /// witness template is hole-free by construction, so presence in a round
 /// log is a single interned `(level, body)` key probe.
 #[derive(Debug, Clone)]
-pub struct PromotedObservable {
+pub(crate) struct PromotedObservable {
     /// The witness log template.
-    pub template: TemplateId,
-    /// Severity the witness logs at (the level half of its intern key).
-    pub level: Level,
+    template: TemplateId,
     /// The witness's rendered body (a hole-free template renders to its
     /// own text).
-    pub text: String,
+    pub(crate) text: String,
     /// `distances[site]` = spatial distance `L` from the site to the
     /// promoted sink node, computed by one incremental BFS
     /// ([`anduril_causal::CausalGraph::distances_from_nodes_into`]) at
     /// promotion time.
-    pub distances: HashMap<SiteId, u32>,
+    pub(crate) distances: HashMap<SiteId, u32>,
     /// The witness token in the promoted set's own intern table.
     token: u32,
 }
 
 /// The observables (and fault units) one search has promoted so far —
-/// the appendable half of its observable set.
+/// the appendable half of its observable set, a field of the priority
+/// model.
 ///
 /// Observable indices `k < ctx.observables.len()` are the prepared set;
 /// `ctx.observables.len() + j` is promotion `j`. The set owns a *fresh*
 /// [`InternTable`] for witness keys — the context's frozen failure table
 /// is never touched.
 #[derive(Debug, Clone, Default)]
-pub struct PromotedSet {
+pub(crate) struct PromotedSet {
     table: InternTable,
     obs: Vec<PromotedObservable>,
     /// Fault units a promotion's scoped causal build discovered — sites
@@ -136,30 +136,20 @@ pub struct PromotedSet {
 
 impl PromotedSet {
     /// Promoted observables in promotion order.
-    pub fn observables(&self) -> &[PromotedObservable] {
+    pub(crate) fn observables(&self) -> &[PromotedObservable] {
         &self.obs
     }
 
-    /// Fault units appended by promotions, in promotion order. Strategies
-    /// plan over [`SearchContext::units`] chained with these.
-    pub fn units(&self) -> &[FaultUnit] {
+    /// Fault units appended by promotions, in promotion order. The model
+    /// plans over [`SearchContext::units`] chained with these.
+    pub(crate) fn units(&self) -> &[FaultUnit] {
         &self.units
-    }
-
-    /// Number of promoted observables.
-    pub fn len(&self) -> usize {
-        self.obs.len()
-    }
-
-    /// `true` when nothing has been promoted.
-    pub fn is_empty(&self) -> bool {
-        self.obs.is_empty()
     }
 
     /// Appends to `present` the index (`base + j`, `base` being the
     /// prepared observable count) of every promoted observable whose
     /// witness key occurs in `records`.
-    pub fn extend_present<R: DiffRecord>(
+    pub(crate) fn extend_present<R: DiffRecord>(
         &self,
         base: usize,
         present: &mut Vec<usize>,
@@ -185,72 +175,75 @@ impl PromotedSet {
     }
 }
 
-/// Per-exploration promotion state, owned by the explorer state: what
-/// this search has promoted. The strategy is handed an `Arc` of the set
-/// after every append ([`FeedbackStrategy::observables_appended`]).
-#[derive(Debug, Default)]
-pub struct AdaptiveState {
-    promoted: Arc<PromotedSet>,
-}
-
-impl AdaptiveState {
-    /// What this search has promoted so far.
-    pub fn promoted(&self) -> &PromotedSet {
-        &self.promoted
+/// Reacts to a stall surfaced at `round` (the retry that starts pass
+/// `pass`): promotes synthetic observables — coverage promotions for
+/// candidate sites no fault unit spans, then up to `PER_STALL`
+/// refinement promotions near the worst-ranked covered sites — into the
+/// model's set and `I_k`, and returns one
+/// [`TraceEvent::ObservablePromoted`] per promotion for the caller to
+/// record.
+///
+/// A candidate is only promoted when its focus site actually appears in
+/// the new distance table with a smaller `L` than the site's best
+/// existing one (an uncovered site counts as `L = ∞`) — a promotion that
+/// cannot move any `F_i` is skipped, so adaptation never spends its
+/// budget on no-ops.
+pub(crate) fn on_stall(
+    cfg: &AdaptiveConfig,
+    ctx: &SearchContext,
+    model: &mut FeedbackStrategy,
+    round: usize,
+    pass: usize,
+) -> Vec<TraceEvent> {
+    if !cfg.enabled || model.promoted.obs.len() >= MAX_PROMOTIONS {
+        return Vec::new();
     }
 
-    /// Reacts to a stall surfaced at `round` (the retry that starts pass
-    /// `pass`): promotes synthetic observables — coverage promotions for
-    /// candidate sites no fault unit spans, then up to `PER_STALL`
-    /// refinement promotions near the
-    /// worst-ranked covered sites — into this search's set and the
-    /// strategy, and returns one [`TraceEvent::ObservablePromoted`] per
-    /// promotion for the caller to record.
-    ///
-    /// A candidate is only promoted when its focus site actually appears
-    /// in the new distance table with a smaller `L` than the site's best
-    /// existing one (an uncovered site counts as `L = ∞`) — a promotion
-    /// that cannot move any `F_i` is skipped, so adaptation never spends
-    /// its budget on no-ops.
-    pub fn on_stall(
-        &mut self,
-        cfg: &AdaptiveConfig,
-        ctx: &SearchContext,
-        strategy: &mut FeedbackStrategy,
-        round: usize,
-        pass: usize,
-    ) -> Vec<TraceEvent> {
-        if !cfg.enabled || self.promoted.len() >= MAX_PROMOTIONS {
-            return Vec::new();
-        }
+    // Existing observable templates (prepared and already promoted) are
+    // never promoted again.
+    let mut exclude: HashSet<TemplateId> = ctx.observables.iter().map(|o| o.template).collect();
+    exclude.extend(model.promoted.obs.iter().map(|o| o.template));
+    // Templates the fault-free run already emits make weak witnesses
+    // (they fire every round); they are last-resort fallbacks only.
+    let common: HashSet<TemplateId> = ctx.normal.log.iter().map(|e| e.template).collect();
 
-        // Existing observable templates (prepared and already promoted)
-        // are never promoted again.
-        let mut exclude: HashSet<TemplateId> = ctx.observables.iter().map(|o| o.template).collect();
-        exclude.extend(self.promoted.obs.iter().map(|o| o.template));
-        // Templates the fault-free run already emits make weak witnesses
-        // (they fire every round); they are last-resort fallbacks only.
-        let common: HashSet<TemplateId> = ctx.normal.log.iter().map(|e| e.template).collect();
+    let mut stall = Stall {
+        ctx,
+        model,
+        round,
+        pass,
+        common: &common,
+        events: Vec::new(),
+    };
+    stall.promote_coverage(&mut exclude);
+    stall.promote_refinement(&exclude);
+    stall.events
+}
 
-        let mut events = Vec::new();
-        let mut stall = Stall {
-            ctx,
-            strategy,
-            round,
-            pass,
-            common: &common,
-            events: &mut events,
-        };
-        self.promote_coverage(&mut stall, &mut exclude);
-        self.promote_refinement(&mut stall, &exclude);
-        events
+/// One stall being reacted to: what both promotion tiers read, the model
+/// they grow, and the events they emit.
+struct Stall<'a> {
+    ctx: &'a SearchContext,
+    model: &'a mut FeedbackStrategy,
+    round: usize,
+    pass: usize,
+    /// Templates the fault-free run emits (weak witnesses).
+    common: &'a HashSet<TemplateId>,
+    events: Vec<TraceEvent>,
+}
+
+impl Stall<'_> {
+    /// Whether the search has spent its promotion budget.
+    fn exhausted(&self) -> bool {
+        self.model.promoted.obs.len() >= MAX_PROMOTIONS
     }
 
     /// The focus site's best spatial distance over every existing
     /// observable, prepared or promoted (`u32::MAX` when none reaches it).
-    fn nearest_existing(&self, ctx: &SearchContext, site: SiteId) -> u32 {
-        let promoted = self.promoted.obs.iter().map(|o| &o.distances);
-        ctx.distances
+    fn nearest_existing(&self, site: SiteId) -> u32 {
+        let promoted = self.model.promoted.obs.iter().map(|o| &o.distances);
+        self.ctx
+            .distances
             .iter()
             .chain(promoted)
             .filter_map(|d| d.get(&site).copied())
@@ -258,37 +251,33 @@ impl AdaptiveState {
             .unwrap_or(u32::MAX)
     }
 
-    /// Appends one promotion to the set and hands the grown set to the
-    /// strategy; returns the new observable's index. This is the whole
-    /// incremental re-preparation path: the distance table arrives from
-    /// one BFS, the witness key is interned into the set's own table, and
-    /// any `new_units` a scoped build connected join the unit list.
+    /// Appends one promotion to the model — its set and, in the same
+    /// step, one neutral `I_k` entry (no accumulated feedback) — and
+    /// returns the new observable's index. This is the whole incremental
+    /// re-preparation path: the distance table arrives from one BFS, the
+    /// witness key is interned into the set's own table, and any
+    /// `new_units` a scoped build connected join the unit list.
     fn append(
         &mut self,
-        stall: &mut Stall<'_>,
         template: TemplateId,
         level: Level,
         text: String,
         distances: HashMap<SiteId, u32>,
         new_units: Vec<FaultUnit>,
     ) -> usize {
-        // The strategy holds the previous `Arc`, so from the second
-        // promotion on this copies the (at most `MAX_PROMOTIONS`-entry)
-        // set once per promotion.
-        let set = Arc::make_mut(&mut self.promoted);
+        let model = &mut *self.model;
+        let set = &mut model.promoted;
         let token = set.table.append(level, &text);
         set.obs.push(PromotedObservable {
             template,
-            level,
             text,
             distances,
             token,
         });
         set.units.extend(new_units);
-        stall
-            .strategy
-            .observables_appended(stall.ctx, Arc::clone(&self.promoted));
-        stall.ctx.observables.len() + self.promoted.len() - 1
+        let k = self.ctx.observables.len() + set.obs.len() - 1;
+        model.i_priority.push(0.0);
+        k
     }
 
     /// Tier 1: coverage expansion. A reachable candidate site without a
@@ -297,11 +286,11 @@ impl AdaptiveState {
     /// scoped causal build over a witness in the site's own function both
     /// yields the new distance table and discovers the fault units the
     /// sparse preparation missed.
-    fn promote_coverage(&mut self, stall: &mut Stall<'_>, exclude: &mut HashSet<TemplateId>) {
-        let ctx = stall.ctx;
+    fn promote_coverage(&mut self, exclude: &mut HashSet<TemplateId>) {
+        let ctx = self.ctx;
         let program = &ctx.scenario.program;
         let mut unit_sites: HashSet<SiteId> = ctx.units.iter().map(|u| u.site).collect();
-        unit_sites.extend(self.promoted.units.iter().map(|u| u.site));
+        unit_sites.extend(self.model.promoted.units.iter().map(|u| u.site));
 
         let uncovered: Vec<SiteId> = ctx
             .candidate_sites
@@ -312,7 +301,7 @@ impl AdaptiveState {
 
         let mut scratch = Vec::new();
         for site in uncovered {
-            if self.promoted.len() >= MAX_PROMOTIONS {
+            if self.exhausted() {
                 return;
             }
             // A later coverage promotion in this same loop may have
@@ -322,7 +311,7 @@ impl AdaptiveState {
             }
             let func = program.sites[site.index()].func;
             let Some((template, level, witness_desc)) =
-                coverage_witness(program, func, exclude, stall.common)
+                coverage_witness(program, func, exclude, self.common)
             else {
                 continue;
             };
@@ -332,7 +321,7 @@ impl AdaptiveState {
             let Some(&l_new) = distances.get(&site) else {
                 continue;
             };
-            let l_old = self.nearest_existing(ctx, site);
+            let l_old = self.nearest_existing(site);
             if l_new >= l_old {
                 continue;
             }
@@ -352,15 +341,15 @@ impl AdaptiveState {
             let node = g.sinks[0].first().copied().unwrap_or(0);
             let text = program.templates[template.index()].text.clone();
             exclude.insert(template);
-            let k = self.append(stall, template, level, text.clone(), distances, new_units);
-            stall.events.push(TraceEvent::ObservablePromoted {
-                round: stall.round,
+            let k = self.append(template, level, text.clone(), distances, new_units);
+            self.events.push(TraceEvent::ObservablePromoted {
+                round: self.round,
                 k,
                 template: text,
                 site,
                 node,
                 node_desc: witness_desc,
-                pass: stall.pass,
+                pass: self.pass,
                 l_new,
                 l_old,
                 units_added,
@@ -369,18 +358,18 @@ impl AdaptiveState {
     }
 
     /// Tier 2: refinement. Scores interior condition/invocation nodes of
-    /// the prepared graph nearest the strategy's worst-ranked sites and
+    /// the prepared graph nearest the model's worst-ranked sites and
     /// promotes those whose directed distance table reaches the focus
     /// site strictly closer than any existing observable.
-    fn promote_refinement(&mut self, stall: &mut Stall<'_>, exclude: &HashSet<TemplateId>) {
-        let ctx = stall.ctx;
-        if stall.events.len() >= PER_STALL || self.promoted.len() >= MAX_PROMOTIONS {
+    fn promote_refinement(&mut self, exclude: &HashSet<TemplateId>) {
+        let ctx = self.ctx;
+        if self.events.len() >= PER_STALL || self.exhausted() {
             return;
         }
-        // Worst coverage first: the tail of the strategy's own ranking is
-        // the highest finite `F_i` — the sites the current observables
-        // guide least.
-        let ranked = stall.strategy.ranked_sites();
+        // Worst coverage first: the tail of the model's own ranking is the
+        // highest finite `F_i` — the sites the current observables guide
+        // least.
+        let ranked = self.model.ranked_sites();
         let sites: Vec<SiteId> = ranked.iter().rev().copied().take(FOCUS_SITES).collect();
         if sites.is_empty() {
             return;
@@ -389,11 +378,11 @@ impl AdaptiveState {
         let program = &ctx.scenario.program;
         let candidates = ctx
             .graph
-            .promotion_candidates(program, &sites, exclude, stall.common);
+            .promotion_candidates(program, &sites, exclude, self.common);
 
         let mut scratch = Vec::new();
         for cand in candidates {
-            if stall.events.len() >= PER_STALL || self.promoted.len() >= MAX_PROMOTIONS {
+            if self.events.len() >= PER_STALL || self.exhausted() {
                 break;
             }
             let distances = ctx
@@ -405,44 +394,32 @@ impl AdaptiveState {
             let Some(&l_new) = distances.get(&cand.site) else {
                 continue;
             };
-            let l_old = self.nearest_existing(ctx, cand.site);
+            let l_old = self.nearest_existing(cand.site);
             if l_new >= l_old {
                 continue;
             }
             let text = program.templates[cand.template.index()].text.clone();
             let k = self.append(
-                stall,
                 cand.template,
                 cand.level,
                 text.clone(),
                 distances,
                 Vec::new(),
             );
-            stall.events.push(TraceEvent::ObservablePromoted {
-                round: stall.round,
+            self.events.push(TraceEvent::ObservablePromoted {
+                round: self.round,
                 k,
                 template: text,
                 site: cand.site,
                 node: cand.node,
                 node_desc: node_desc(program, cand.node_key),
-                pass: stall.pass,
+                pass: self.pass,
                 l_new,
                 l_old,
                 units_added: 0,
             });
         }
     }
-}
-
-/// What both promotion tiers read of the stall they react to.
-struct Stall<'a> {
-    ctx: &'a SearchContext,
-    strategy: &'a mut FeedbackStrategy,
-    round: usize,
-    pass: usize,
-    /// Templates the fault-free run emits (weak witnesses).
-    common: &'a HashSet<TemplateId>,
-    events: &'a mut Vec<TraceEvent>,
 }
 
 /// A hole-free witness log statement in `func` for a coverage promotion:

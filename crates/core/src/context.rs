@@ -529,8 +529,8 @@ pub struct RoundOutcome {
 
 impl RoundOutcome {
     /// Builds the outcome, computing the prepared observables' presence
-    /// via the per-thread log diff. (The explorer appends the presence of
-    /// observables promoted during its search; see `crate::adaptive`.)
+    /// via the per-thread log diff. (The priority model completes it —
+    /// global diff, promoted witnesses — in its own `feedback`.)
     pub fn new(ctx: &SearchContext, result: RunResult) -> Self {
         Self::with_memo(ctx, result, &mut DiffMemo::default())
     }

@@ -5,15 +5,22 @@
 //! round that satisfied the oracle is already the run of its own script
 //! (see `ExploreState::absorb` and DESIGN.md §13). Debug builds still make
 //! the replay and assert [`RunResult::same_run`] on it.
+//!
+//! The loop holds no part of the priority model. A round that missed
+//! reaches the strategy as a [`RoundOutcome`] — the run and its prepared
+//! observables' per-thread presence — and the model ([`FeedbackStrategy`],
+//! through [`Strategy::model`]) decides what it applies, promoted
+//! observables included; on a stall the loop hands the model to
+//! [`crate::adaptive`] to grow. What the loop keeps per search is its
+//! records, its totals and its diff memo.
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use anduril_ir::{ExceptionType, SiteId};
 use anduril_logdiff::DiffMemo;
 use anduril_sim::{FailedRun, InjectionPlan, RunResult, SimError};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState};
+use crate::adaptive::{self, AdaptiveConfig};
 use crate::context::{FaultUnit, RoundOutcome, SearchContext};
 use crate::feedback::{FeedbackConfig, FeedbackStrategy};
 use crate::oracle::Oracle;
@@ -21,7 +28,11 @@ use crate::scenario::Scenario;
 use crate::strategy::Strategy;
 use crate::trace::{NoopTracer, StrategyNote, TraceEvent, Tracer};
 
-/// Explorer configuration.
+/// Explorer configuration: how long a search may run, its seeds, and
+/// whether it may promote observables. How candidates are ranked is the
+/// strategy's ([`FeedbackConfig`]), not the loop's. One run per round:
+/// the paper's §6 option of combining several runs' logs waits for a
+/// caller (ROADMAP 3(b)'s lossy logs are the likely first).
 #[derive(Debug, Clone)]
 pub struct ExplorerConfig {
     /// Give up after this many injection rounds (the paper's user limit,
@@ -30,11 +41,6 @@ pub struct ExplorerConfig {
     /// Seed of the normal run; round `r` uses `base_seed + 1 + r`, which
     /// restores the cross-run nondeterminism the flexible window handles.
     pub base_seed: u64,
-    /// Extra fault-free runs whose observables are unioned into each
-    /// round's feedback — the paper's §6 mitigation for concurrency
-    /// making crucial log messages disappear ("we can run ANDURIL multiple
-    /// times per round and use the combined logs"). `0` disables it.
-    pub extra_feedback_runs: usize,
     /// Adaptive observable promotion (see [`crate::adaptive`]). Disabled
     /// by default.
     pub adaptive: AdaptiveConfig,
@@ -45,7 +51,6 @@ impl Default for ExplorerConfig {
         ExplorerConfig {
             max_rounds: 2000,
             base_seed: 1000,
-            extra_feedback_runs: 0,
             adaptive: AdaptiveConfig::default(),
         }
     }
@@ -130,17 +135,10 @@ impl ReproScript {
 pub struct RoundRecord {
     /// Round number (0-based).
     pub round: usize,
-    /// Window size used this round.
-    pub window: usize,
-    /// Candidates armed.
+    /// Candidates armed (the round's window).
     pub armed: usize,
     /// What was injected, if anything.
     pub injected: Option<(SiteId, u32, ExceptionType)>,
-    /// The observable `k*` attaining the min in the injected unit's
-    /// `F_i = min_k (L_{i,k} + I_k)` at this round's state, when the
-    /// strategy has a priority model (`None` for baselines or when nothing
-    /// injected). Identical between sequential and batched exploration.
-    pub k_star: Option<usize>,
     /// Rank of the ground-truth root-cause site at planning time (Figure 6).
     pub gt_rank: Option<usize>,
     /// Host nanoseconds spent planning (round initialization, Table 4).
@@ -187,41 +185,16 @@ pub struct Reproduction {
     pub strategy: String,
 }
 
-impl Reproduction {
-    /// Simulated "minutes" analog: total simulated ticks across rounds.
-    pub fn sim_cost(&self) -> u64 {
-        self.sim_time_total
-    }
-}
-
 /// Seed for round `round` of an exploration: `base_seed + 1 + round`,
 /// restoring the cross-run nondeterminism the flexible window handles.
 pub(crate) fn round_seed(cfg: &ExplorerConfig, round: usize) -> u64 {
     cfg.base_seed + 1 + round as u64
 }
 
-/// Seed for the §6 extra fault-free feedback runs of a round.
-///
-/// Drawn from a splitmix64-mixed stream over `(round, extra)` with the top
-/// bit forced set, so extra-run seeds are disjoint from the round seeds
-/// `base_seed + 1 + round` no matter how large `max_rounds` grows. (The
-/// previous `seed + 7_000 + extra` scheme collided with the seeds of
-/// rounds ~7000 onwards, silently correlating the extra runs' outcomes
-/// with future rounds.)
-fn extra_run_seed(base_seed: u64, round: usize, extra: usize) -> u64 {
-    let mut z = base_seed
-        .wrapping_add((round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add((extra as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) | (1 << 63)
-}
-
-/// Everything one search mutates besides its strategy: records, totals,
-/// the adaptive layer's promoted observables and the diff memo. Executed
-/// rounds go through [`ExploreState::absorb`] in round order, so this
-/// state evolves identically whether a round was executed inline or
-/// speculatively on a worker thread.
+/// Everything one search mutates besides its strategy: records, totals
+/// and the diff memo. Executed rounds go through [`ExploreState::absorb`]
+/// in round order, so this state evolves identically whether a round was
+/// executed inline or speculatively on a worker thread.
 struct ExploreState<'a> {
     ctx: &'a SearchContext,
     oracle: &'a Oracle,
@@ -233,9 +206,8 @@ struct ExploreState<'a> {
     armed_requests: u64,
     decision_ns: u64,
     sim_time_total: u64,
-    adaptive: AdaptiveState,
-    /// Every round (and §6 extra run) diffs against `ctx`'s failure log,
-    /// and most thread logs repeat from round to round.
+    /// Every round diffs against `ctx`'s failure log, and most thread logs
+    /// repeat from round to round.
     memo: DiffMemo,
 }
 
@@ -265,7 +237,6 @@ impl<'a> ExploreState<'a> {
             armed_requests: ctx.normal.armed_requests,
             decision_ns: ctx.normal.decision_ns,
             sim_time_total: ctx.normal.end_time,
-            adaptive: AdaptiveState::default(),
             memo: DiffMemo::default(),
         }
     }
@@ -289,9 +260,7 @@ impl<'a> ExploreState<'a> {
                 self.tracer.record(TraceEvent::Note { round, note });
             }
             if let (Some(pass), Some(model)) = (stalled_pass, strategy.model()) {
-                let events =
-                    self.adaptive
-                        .on_stall(&self.cfg.adaptive, self.ctx, model, round, pass);
+                let events = adaptive::on_stall(&self.cfg.adaptive, self.ctx, model, round, pass);
                 if self.tracer.enabled() {
                     for event in events {
                         self.tracer.record(event);
@@ -302,7 +271,7 @@ impl<'a> ExploreState<'a> {
     }
 
     /// Absorbs one executed round: records it, checks the oracle, and on a
-    /// miss feeds the outcome (plus §6 extra runs) back into the strategy.
+    /// miss feeds the outcome back into the strategy.
     ///
     /// A round whose run an `error` stopped is a miss whatever its partial
     /// `result` shows: its script would replay into the same error. The
@@ -321,11 +290,8 @@ impl<'a> ExploreState<'a> {
         spent: RoundNs,
         result: RunResult,
         error: Option<SimError>,
-    ) -> Result<Option<Reproduction>, SimError> {
-        let RoundNs {
-            init_ns,
-            mut sim_ns,
-        } = spent;
+    ) -> Option<Reproduction> {
+        let RoundNs { init_ns, sim_ns } = spent;
         let ctx = self.ctx;
         let seed = round_seed(self.cfg, round);
         self.injection_requests += result.injection_requests;
@@ -345,19 +311,10 @@ impl<'a> ExploreState<'a> {
                 error: error.to_string(),
             });
         }
-        // Which observable attained the min in the injected unit's `F_i`,
-        // asked of the model *before* this round's feedback mutates it —
-        // so the record reflects the state that planned the injection.
-        let explained = injected.and_then(|(site, _, exc)| {
-            strategy.model()?.explain_unit(ctx, FaultUnit { site, exc })
-        });
-        let k_star = explained.as_ref().map(|e| e.k_star);
         self.per_round.push(RoundRecord {
             round,
-            window: armed,
             armed,
             injected,
-            k_star,
             gt_rank,
             init_ns,
             workload_ns: result.wall.as_nanos() as u64,
@@ -426,11 +383,13 @@ impl<'a> ExploreState<'a> {
                     (Some(script), verified)
                 }
             };
-            if self.tracer.enabled() {
-                if let (Some((site, occurrence, exc)), Some(e)) = (injected, explained) {
-                    // The final provenance chain: from the reproducing
-                    // injection back through the observable and graph
-                    // distance that prioritized it.
+            // The final provenance chain: from the reproducing injection
+            // back through the observable and graph distance that
+            // prioritized it, asked of the model that planned it (a round
+            // that reproduces gets no feedback).
+            let model = strategy.model().filter(|_| self.tracer.enabled());
+            if let (Some((site, occurrence, exc)), Some(model)) = (injected, model) {
+                if let Some(e) = model.explain_unit(ctx, FaultUnit { site, exc }) {
                     self.tracer.record(TraceEvent::ProvenanceChain {
                         round,
                         seed,
@@ -438,7 +397,7 @@ impl<'a> ExploreState<'a> {
                         desc: ctx.scenario.program.sites[site.index()].desc.clone(),
                         occurrence,
                         exc,
-                        observable: self.observable_text(e.k_star),
+                        observable: model.observable_text(ctx, e.k_star),
                         k_star: e.k_star,
                         l: e.l,
                         i_k: e.i_k,
@@ -447,73 +406,27 @@ impl<'a> ExploreState<'a> {
                     });
                 }
             }
-            return Ok(Some(self.finish(
-                strategy.name(),
-                true,
-                script,
-                replay_verified,
-            )));
+            return Some(self.finish(strategy.name(), true, script, replay_verified));
         }
 
         let since = clock.then(Instant::now);
-        let mut outcome = RoundOutcome::with_memo(ctx, result, &mut self.memo);
-        let promoted = self.adaptive.promoted();
-        let prepared = ctx.observables.len();
-        promoted.extend_present(prepared, &mut outcome.present, &outcome.result.log);
-        let mut diff_ns = lap(since);
-        // §6: optionally combine the observables of extra runs so that
-        // messages dropped by unlucky interleavings still count as present.
-        if self.cfg.extra_feedback_runs > 0 {
-            let mut seen: HashSet<usize> = outcome.present.iter().copied().collect();
-            for extra in 0..self.cfg.extra_feedback_runs {
-                let extra_seed = extra_run_seed(self.cfg.base_seed, round, extra);
-                let since = clock.then(Instant::now);
-                let extra_run = ctx.run_round(extra_seed, InjectionPlan::none())?;
-                sim_ns += lap(since);
-                self.sim_time_total += extra_run.end_time;
-                let since = clock.then(Instant::now);
-                let mut present = ctx.present_observables_memo(&extra_run.log, &mut self.memo);
-                promoted.extend_present(prepared, &mut present, &extra_run.log);
-                for k in present {
-                    if seen.insert(k) {
-                        outcome.present.push(k);
-                    }
-                }
-                diff_ns += lap(since);
-            }
-        }
+        let outcome = RoundOutcome::with_memo(ctx, result, &mut self.memo);
+        let diff_ns = lap(since);
         let since = clock.then(Instant::now);
         strategy.feedback(ctx, &outcome);
         if clock {
             self.tracer.record(round_end(sim_ns, diff_ns, lap(since)));
-            if let Some((adjust, i_k)) = strategy.model().and_then(|m| m.feedback_view()) {
+            if let Some((present, adjust, i_k)) = strategy.model().and_then(|m| m.feedback_view()) {
                 self.tracer.record(TraceEvent::Feedback {
                     round,
-                    present: outcome.present.clone(),
+                    present: present.to_vec(),
                     adjust,
-                    i_k,
+                    i_k: i_k.to_vec(),
                 });
             }
         }
         self.drain_notes(strategy, round);
-        Ok(None)
-    }
-
-    /// The log-template text of observable `k`, prepared or promoted.
-    fn observable_text(&self, k: usize) -> String {
-        let prepared = &self.ctx.observables;
-        match prepared.get(k) {
-            Some(o) => self.ctx.scenario.program.templates[o.template.index()]
-                .text
-                .clone(),
-            None => self
-                .adaptive
-                .promoted()
-                .observables()
-                .get(k - prepared.len())
-                .map(|o| o.text.clone())
-                .unwrap_or_default(),
-        }
+        None
     }
 
     /// Finishes the exploration without a reproduction (space exhausted or
@@ -675,8 +588,8 @@ pub(crate) fn search(
                 None => 0,
             };
             let spent = RoundNs { init_ns, sim_ns };
-            let done = state.absorb(strategy, round, gt_rank, armed, spent, result, error)?;
-            if let Some(done) = done {
+            if let Some(done) = state.absorb(strategy, round, gt_rank, armed, spent, result, error)
+            {
                 return Ok(done);
             }
             round += 1;

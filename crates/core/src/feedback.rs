@@ -15,7 +15,6 @@
 //!   `F_i × (T+1)` instead of the two-level scheme.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use anduril_ir::{ExceptionType, SiteId};
 use anduril_sim::{Candidate, InjectionPlan};
@@ -205,8 +204,10 @@ pub struct Explanation {
 pub struct FeedbackStrategy {
     cfg: FeedbackConfig,
     window: usize,
-    /// `I_k` per observable; smaller is higher priority.
-    i_priority: Vec<f64>,
+    /// `I_k` per observable, prepared then promoted; smaller is higher
+    /// priority. The adaptive layer appends a neutral entry with every
+    /// promotion.
+    pub(crate) i_priority: Vec<f64>,
     /// Tried `(site, exc, occurrence)` triples (`u32::MAX` = any-occurrence
     /// candidates for sites unseen in the normal run).
     tried: HashSet<(SiteId, ExceptionType, u32)>,
@@ -225,8 +226,11 @@ pub struct FeedbackStrategy {
     pending_notes: Vec<StrategyNote>,
     /// What the search has promoted so far (empty unless the adaptive
     /// layer is on): observables past the prepared set, and units past
-    /// [`SearchContext::units`].
-    promoted: Arc<PromotedSet>,
+    /// [`SearchContext::units`]. `init` empties it.
+    pub(crate) promoted: PromotedSet,
+    /// The observables the most recent [`Strategy::feedback`] found
+    /// present and applied, prepared then promoted (reused every round).
+    present: Vec<usize>,
 }
 
 impl FeedbackStrategy {
@@ -243,7 +247,8 @@ impl FeedbackStrategy {
             passes: 0,
             last_provenance: None,
             pending_notes: Vec::new(),
-            promoted: Arc::default(),
+            promoted: PromotedSet::default(),
+            present: Vec::new(),
         }
     }
 
@@ -529,8 +534,8 @@ impl FeedbackStrategy {
 
     /// Explains the current priority of a fault unit (§5.2's terms), or
     /// `None` if the unit is not causally connected to any observable
-    /// (used for `anduril explain`, the trace layer's final provenance
-    /// chain and the per-round `k*` record).
+    /// (used for `anduril explain` and the trace layer's final provenance
+    /// chain).
     ///
     /// Call after at least one [`Strategy::plan_injection`] for a
     /// meaningful rank.
@@ -563,7 +568,7 @@ impl FeedbackStrategy {
     /// The adaptive layer reads this when a stall note surfaces, to focus
     /// observable promotion near the sites the strategy currently believes
     /// in (see [`crate::adaptive`]).
-    pub fn ranked_sites(&self) -> &[SiteId] {
+    pub(crate) fn ranked_sites(&self) -> &[SiteId] {
         &self.last_ranking
     }
 
@@ -574,14 +579,27 @@ impl FeedbackStrategy {
         self.last_provenance.clone()
     }
 
-    /// The observable-feedback view, as `(adjust, I_k vector)`, if this
-    /// configuration maintains per-observable priorities. Read by the
-    /// explorer *after* [`Strategy::feedback`] to emit `feedback` trace
+    /// The log-template text of observable `k`, prepared or promoted.
+    pub(crate) fn observable_text(&self, ctx: &SearchContext, k: usize) -> String {
+        match ctx.observables.get(k) {
+            Some(o) => ctx.scenario.program.templates[o.template.index()]
+                .text
+                .clone(),
+            None => self.promoted.observables()[k - ctx.observables.len()]
+                .text
+                .clone(),
+        }
+    }
+
+    /// The observable-feedback view, as `(present, adjust, I_k vector)`,
+    /// if this configuration maintains per-observable priorities:
+    /// `present` is what the last [`Strategy::feedback`] applied `adjust`
+    /// to. Read by the explorer *after* it to emit `feedback` trace
     /// events.
-    pub fn feedback_view(&self) -> Option<(f64, Vec<f64>)> {
+    pub fn feedback_view(&self) -> Option<(&[usize], f64, &[f64])> {
         self.cfg
             .feedback
-            .then(|| (self.cfg.adjust, self.i_priority.clone()))
+            .then_some((&self.present[..], self.cfg.adjust, &self.i_priority[..]))
     }
 
     /// Applies a *predicted* round outcome during speculative batch
@@ -603,21 +621,6 @@ impl FeedbackStrategy {
             None => self.note_no_injection(),
         }
     }
-
-    /// Takes everything the search has promoted so far (see
-    /// [`crate::adaptive`]): observable `ctx.observables.len() + j` is
-    /// `promoted.observables()[j]`.
-    ///
-    /// Promoted observables start with neutral feedback; without the
-    /// resize, `feedback`'s `get_mut(k)` would silently drop their
-    /// presence adjustments forever. The set is kept to plan over its
-    /// distance tables and appended units. Only ever called on the trusted
-    /// strategy, between rounds.
-    pub fn observables_appended(&mut self, ctx: &SearchContext, promoted: Arc<PromotedSet>) {
-        self.i_priority
-            .resize(ctx.observables.len() + promoted.len(), 0.0);
-        self.promoted = promoted;
-    }
 }
 
 impl Strategy for FeedbackStrategy {
@@ -628,7 +631,8 @@ impl Strategy for FeedbackStrategy {
     fn init(&mut self, ctx: &SearchContext) {
         self.window = self.cfg.initial_window;
         self.i_priority = vec![0.0; ctx.observables.len()];
-        self.promoted = Arc::default();
+        self.promoted = PromotedSet::default();
+        self.present.clear();
         self.tried.clear();
         self.last_ranking.clear();
         self.last_armed.clear();
@@ -648,19 +652,6 @@ impl Strategy for FeedbackStrategy {
     }
 
     fn feedback(&mut self, ctx: &SearchContext, outcome: &RoundOutcome) {
-        // The global-diff ablation recomputes observable presence with the
-        // naive whole-log diff (promoted witnesses are key probes either
-        // way).
-        let mut recomputed;
-        let present: &[usize] = if self.cfg.global_diff {
-            let log = &outcome.result.log;
-            recomputed = ctx.present_observables_global(log);
-            self.promoted
-                .extend_present(ctx.observables.len(), &mut recomputed, log);
-            &recomputed
-        } else {
-            &outcome.present
-        };
         match &outcome.result.injected {
             Some(rec) => {
                 let occ = rec
@@ -672,11 +663,26 @@ impl Strategy for FeedbackStrategy {
             }
             None => self.note_no_injection(),
         }
-        if self.cfg.feedback {
-            for &k in present {
-                if let Some(p) = self.i_priority.get_mut(k) {
-                    *p += self.cfg.adjust;
-                }
+        if !self.cfg.feedback {
+            return;
+        }
+        // The presence this round applies, completed here and nowhere
+        // else: the prepared observables per thread (`outcome.present`),
+        // or under the global-diff ablation by the naive whole-log diff,
+        // then the promoted witnesses the log shows (key probes either
+        // way).
+        let log = &outcome.result.log;
+        self.present.clear();
+        if self.cfg.global_diff {
+            self.present.extend(ctx.present_observables_global(log));
+        } else {
+            self.present.extend_from_slice(&outcome.present);
+        }
+        self.promoted
+            .extend_present(ctx.observables.len(), &mut self.present, log);
+        for &k in &self.present {
+            if let Some(p) = self.i_priority.get_mut(k) {
+                *p += self.cfg.adjust;
             }
         }
     }

@@ -286,20 +286,6 @@ fn emitted_script_replays_the_failure() {
 }
 
 #[test]
-fn extra_feedback_runs_still_reproduce() {
-    // The §6 combined-logs mitigation must not break the search.
-    let (ctx, _, root) = context();
-    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-    let cfg = ExplorerConfig {
-        extra_feedback_runs: 2,
-        ..ExplorerConfig::default()
-    };
-    let r = explore(&ctx, &oracle(), &mut s, &cfg, Some(root)).unwrap();
-    assert!(r.success);
-    assert_eq!(r.script.unwrap().site, root);
-}
-
-#[test]
 fn observable_presence_tracks_round_logs() {
     let (ctx, _, root) = context();
     // A fault-free run reproduces the normal log: the failure-only

@@ -60,6 +60,4 @@ pub mod world;
 pub use config::{Engine, NodeSpec, SimConfig, Topology};
 pub use fir::{Candidate, CrashPoint, Fir, InjectedRecord, InjectionPlan, TraceEntry};
 pub use result::{BlockReason, NodeSnapshot, RunResult, ThreadEndState, ThreadSnapshot};
-pub use world::{
-    meta_access_points, run, run_compiled, run_compiled_or_partial, FailedRun, SimError,
-};
+pub use world::{run, run_compiled, run_compiled_or_partial, FailedRun, SimError};

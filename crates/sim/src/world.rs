@@ -1040,10 +1040,3 @@ impl<'p> World<'p> {
         }
     }
 }
-
-/// Statements whose execution touches a meta-info global — CrashTuner's
-/// candidate crash points, in deterministic order. (Delegates to the
-/// lowering pass, which is the single source of this analysis.)
-pub fn meta_access_points(program: &Program) -> Vec<StmtRef> {
-    anduril_ir::lower::meta_access_points(program)
-}

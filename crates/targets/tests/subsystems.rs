@@ -194,7 +194,7 @@ fn every_target_has_meta_info_globals_for_crashtuner() {
     ] {
         let metas = program.globals.iter().filter(|g| g.meta_info).count();
         assert!(metas >= 1, "{name} has no meta-info globals");
-        let points = anduril_sim::world::meta_access_points(&program);
+        let points = anduril_ir::lower::meta_access_points(&program);
         assert!(!points.is_empty(), "{name} has no meta access points");
     }
 }

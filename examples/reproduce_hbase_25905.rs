@@ -47,9 +47,9 @@ fn main() {
     println!("\nper-round trace (rank of the true root-cause site — Figure 6):");
     for r in &repro.per_round {
         println!(
-            "  round {:3}: window={:2} rank={:?} injected={:?} oracle={}",
+            "  round {:3}: armed={:2} rank={:?} injected={:?} oracle={}",
             r.round + 1,
-            r.window,
+            r.armed,
             r.gt_rank,
             r.injected
                 .map(|(s, o, e)| format!("{}@{o} {}", s.0, e.name())),

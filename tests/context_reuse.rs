@@ -1,11 +1,13 @@
 //! A prepared `SearchContext` is immutable: `explore(&ctx, …)` leaves
 //! nothing behind that the next `explore(&ctx, …)` could see. What a
-//! search mutates — the promoted observables above all — it owns.
+//! search mutates — the promoted observables above all — its strategy
+//! owns, and `Strategy::init` resets.
 //!
 //! The degraded f5 and f18 contexts make this observable: their adaptive
 //! searches promote (f5 takes 82 rounds, f18 12), and a promotion that
-//! outlived its search would hand the next one a head start. Nor do two
-//! searches running at once on the one context disturb each other.
+//! outlived its search would hand the next one a head start, whether it
+//! stayed behind in the context or in a strategy searched with again. Nor
+//! do two searches running at once on the one context disturb each other.
 
 mod common;
 
@@ -16,7 +18,12 @@ use anduril::{
 };
 use common::{degraded_context, stable_lines};
 
+fn full() -> FeedbackStrategy {
+    FeedbackStrategy::new(FeedbackConfig::full())
+}
+
 fn search(
+    s: &mut FeedbackStrategy,
     ctx: &SearchContext,
     oracle: &Oracle,
     adaptive: bool,
@@ -28,10 +35,9 @@ fn search(
     };
     cfg.adaptive.enabled = adaptive;
     let tracer = VecTracer::new();
-    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     let r = match batch {
-        None => explore_traced(ctx, oracle, &mut s, &cfg, None, &tracer),
-        Some(batch) => explore_batched_traced(ctx, oracle, &mut s, &cfg, batch, None, &tracer),
+        None => explore_traced(ctx, oracle, s, &cfg, None, &tracer),
+        Some(batch) => explore_batched_traced(ctx, oracle, s, &cfg, batch, None, &tracer),
     }
     .expect("explore");
     let events = tracer.take();
@@ -59,15 +65,26 @@ fn searches_on_one_context_do_not_see_each_other() {
     for id in ["f5", "f18"] {
         let (ctx, oracle) = degraded_context(id);
 
-        let first = search(&ctx, &oracle, true, None);
+        let mut strategy = full();
+        let first = search(&mut strategy, &ctx, &oracle, true, None);
         assert!(first.0.success, "{id}: the adaptive search reproduces");
         assert!(first.2 > 0, "{id}: and promotes on the way");
-        let second = search(&ctx, &oracle, true, None);
+        let second = search(&mut full(), &ctx, &oracle, true, None);
         assert_same(
             id,
             "second adaptive search on the same context",
             &first,
             &second,
+        );
+        // The promotions live in the strategy value: searching with it
+        // again (`explore` calls `init` first, nothing else in between)
+        // starts from the prepared observable set once more.
+        let reused = search(&mut strategy, &ctx, &oracle, true, None);
+        assert_same(
+            id,
+            "second adaptive search with the first one's strategy",
+            &first,
+            &reused,
         );
 
         // A sequential and a batched search at the same time (the barrier
@@ -81,7 +98,7 @@ fn searches_on_one_context_do_not_see_each_other() {
         let start = std::sync::Barrier::new(2);
         let together = |batch| {
             start.wait();
-            search(&ctx, &oracle, true, batch)
+            search(&mut full(), &ctx, &oracle, true, batch)
         };
         let (seq, bat) = std::thread::scope(|scope| {
             let seq = scope.spawn(|| together(None));
@@ -97,11 +114,11 @@ fn searches_on_one_context_do_not_see_each_other() {
         // After the promoting searches, a search with the frozen set still
         // sees the context as `prepare` left it.
         let (fresh, _) = degraded_context(id);
-        let after = search(&ctx, &oracle, false, None);
+        let after = search(&mut full(), &ctx, &oracle, false, None);
         assert_same(
             id,
             "adaptive-off search after them",
-            &search(&fresh, &oracle, false, None),
+            &search(&mut full(), &fresh, &oracle, false, None),
             &after,
         );
         assert_eq!(after.2, 0, "{id}: adaptive off never promotes");

@@ -6,13 +6,13 @@ use anduril::failures::case_by_id;
 use anduril::trace::{TraceEvent, VecTracer};
 use anduril::{explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction};
 
-/// Runs a full traced search and returns the stream, the outcome, and the
-/// strategy's final observable priorities.
-fn traced_search(id: &str) -> (Vec<TraceEvent>, Reproduction, Vec<f64>) {
+/// Runs a full traced search under `cfg` and returns the stream, the
+/// outcome, and the strategy's final observable priorities.
+fn traced_search(id: &str, cfg: FeedbackConfig) -> (Vec<TraceEvent>, Reproduction, Vec<f64>) {
     let case = case_by_id(id).expect("case");
     let tracer = VecTracer::new();
     let prepared = case.prepare(1_000, &tracer).expect("prepare");
-    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
+    let mut s = FeedbackStrategy::new(cfg);
     let r = explore_traced(
         &prepared.ctx,
         &case.oracle,
@@ -30,7 +30,7 @@ fn traced_search(id: &str) -> (Vec<TraceEvent>, Reproduction, Vec<f64>) {
 #[test]
 fn context_events_precede_exploration_and_stream_terminates() {
     for id in ["f3", "f17"] {
-        let (events, _, _) = traced_search(id);
+        let (events, _, _) = traced_search(id, FeedbackConfig::full());
         let first_round = events
             .iter()
             .position(|e| matches!(e, TraceEvent::RoundStart { .. }))
@@ -76,7 +76,7 @@ fn context_events_precede_exploration_and_stream_terminates() {
 #[test]
 fn every_round_start_has_a_matching_end() {
     for id in ["f3", "f17"] {
-        let (events, repro, _) = traced_search(id);
+        let (events, repro, _) = traced_search(id, FeedbackConfig::full());
         let mut open: Option<usize> = None;
         let mut next_round = 0usize;
         let mut decided = false;
@@ -114,11 +114,19 @@ fn every_round_start_has_a_matching_end() {
 
 /// Feedback accounting: replaying each `Feedback` event's `adjust` over
 /// its `present` set reconstructs both the event's own `I_k` snapshot and
-/// the strategy's final priorities.
+/// the strategy's final priorities. Under `global-diff` the event names
+/// the whole-log presence the model applied, not the per-thread presence
+/// the round loop computed.
 #[test]
 fn feedback_deltas_sum_to_final_priorities() {
-    for id in ["f3", "f17"] {
-        let (events, repro, finals) = traced_search(id);
+    for (id, cfg) in [
+        ("f3", FeedbackConfig::full()),
+        ("f17", FeedbackConfig::full()),
+        ("f2", FeedbackConfig::global_diff()),
+        ("f17", FeedbackConfig::global_diff()),
+    ] {
+        let tag = format!("{id} {}", cfg.name);
+        let (events, repro, finals) = traced_search(id, cfg);
         let mut i_k = vec![0.0f64; finals.len()];
         let mut saw_feedback = false;
         for e in &events {
@@ -135,7 +143,7 @@ fn feedback_deltas_sum_to_final_priorities() {
                 }
                 assert_eq!(
                     &i_k, snapshot,
-                    "{id}: reconstructed I_k diverges from the event snapshot"
+                    "{tag}: reconstructed I_k diverges from the event snapshot"
                 );
             }
         }
@@ -144,11 +152,11 @@ fn feedback_deltas_sum_to_final_priorities() {
         assert_eq!(
             saw_feedback,
             repro.rounds > 1,
-            "{id}: Feedback events iff unsuccessful rounds existed"
+            "{tag}: Feedback events iff unsuccessful rounds existed"
         );
         assert_eq!(
             i_k, finals,
-            "{id}: summed deltas must equal the strategy's final I_k"
+            "{tag}: summed deltas must equal the strategy's final I_k"
         );
     }
 }
@@ -158,7 +166,7 @@ fn feedback_deltas_sum_to_final_priorities() {
 /// returned `Reproduction`.
 #[test]
 fn success_emits_a_provenance_chain() {
-    let (events, repro, _) = traced_search("f17");
+    let (events, repro, _) = traced_search("f17", FeedbackConfig::full());
     assert!(repro.success, "f17 must reproduce");
     let script = repro.script.as_ref().expect("script on success");
     let chain = events
