@@ -32,9 +32,10 @@ pub type Make = fn() -> Box<dyn Strategy>;
 /// each: `cli` is what `anduril reproduce --strategy` takes, `column` the
 /// strategy's own [`Strategy::name`], which heads its column in the tables.
 /// Table 2's columns come first, in column order (full ANDURIL leading),
-/// then the extended ablations of DESIGN.md §6.
+/// then the extended ablations of DESIGN.md §6, then full feedback with
+/// adaptive observable promotion (DESIGN.md §15).
 #[rustfmt::skip] // a table: one row a line
-pub static REGISTRY: [(&str, &str, Make); 13] = [
+pub static REGISTRY: [(&str, &str, Make); 14] = [
     ("full", "full-feedback", || feedback(FeedbackConfig::full())),
     ("exhaustive", "exhaustive", || feedback(FeedbackConfig::exhaustive())),
     ("site-distance", "site-distance", || feedback(FeedbackConfig::site_distance())),
@@ -48,6 +49,7 @@ pub static REGISTRY: [(&str, &str, Make); 13] = [
     ("sum-aggregate", "sum-aggregate", || feedback(FeedbackConfig::sum_aggregate())),
     ("order-distance", "order-distance", || feedback(FeedbackConfig::order_distance())),
     ("global-diff", "global-diff", || feedback(FeedbackConfig::global_diff())),
+    ("full-adaptive", "full-adaptive", || feedback(FeedbackConfig::full_adaptive())),
 ];
 
 fn feedback(cfg: FeedbackConfig) -> Box<dyn Strategy> {

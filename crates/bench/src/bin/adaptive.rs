@@ -1,15 +1,16 @@
 //! Adaptive-vs-fixed ablation: rounds-to-reproduce with the paper's
-//! frozen observable set against adaptive observable promotion
-//! (`anduril_core::adaptive`), under degraded failure logs.
+//! frozen observable set (registry row `full`) against adaptive
+//! observable promotion (row `full-adaptive`, `anduril_core::adaptive`),
+//! under degraded failure logs.
 //!
 //! Production failure logs are routinely incomplete — rotation, rate
 //! limiting, and buffered appenders drop exactly the bursty messages
 //! around a failure. This bench simulates that by stripping the
 //! *best-guidance* observable (the failure-only template nearest the
 //! fault sites) from each case's failure log before context preparation
-//! (`PreparedCase::degraded`), then reproduces each case twice from the degraded context: once with
-//! the observable set frozen at preparation (the paper's design) and once
-//! with `--adaptive`-style promotion folding causal-graph interior
+//! (`PreparedCase::degraded`), then reproduces each case twice from the
+//! degraded context: once with the observable set frozen at preparation
+//! (the paper's design) and once with promotion folding causal-graph
 //! witnesses into the live search on stall.
 //!
 //! Emits `BENCH_adaptive.json` (per-case rounds, stall/promotion counts,
@@ -17,11 +18,10 @@
 //! runs a reduced round budget for CI; `--out PATH` overrides the output
 //! path.
 
+use anduril_baselines::by_name;
 use anduril_bench::TextTable;
 use anduril_core::trace::{Json, NoopTracer, StrategyNote, TraceEvent, VecTracer};
-use anduril_core::{
-    explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction, SearchContext,
-};
+use anduril_core::{explore_traced, ExplorerConfig, Reproduction, SearchContext};
 use anduril_failures::all_cases;
 
 struct CaseRun {
@@ -31,27 +31,29 @@ struct CaseRun {
     promotions: usize,
 }
 
-fn run_one(ctx: &SearchContext, oracle: &anduril_core::Oracle, cfg: &ExplorerConfig) -> CaseRun {
+/// One search with the registry's strategy `name`.
+fn run_one(
+    ctx: &SearchContext,
+    oracle: &anduril_core::Oracle,
+    cfg: &ExplorerConfig,
+    name: &str,
+) -> CaseRun {
     let tracer = VecTracer::new();
-    let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-    let r: Reproduction = explore_traced(ctx, oracle, &mut strategy, cfg, None, &tracer)
+    let mut strategy = by_name(name).expect("registered");
+    let r: Reproduction = explore_traced(ctx, oracle, strategy.as_mut(), cfg, None, &tracer)
         .expect("exploration runs do not hit simulator errors");
     let events = tracer.take();
-    let stalls = events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                TraceEvent::Note {
-                    note: StrategyNote::RetryPass { .. },
-                    ..
-                }
-            )
+    let notes = || {
+        events.iter().filter_map(|e| match e {
+            TraceEvent::Note { note, .. } => Some(note),
+            _ => None,
         })
+    };
+    let stalls = notes()
+        .filter(|n| matches!(n, StrategyNote::RetryPass { .. }))
         .count();
-    let promotions = events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::ObservablePromoted { .. }))
+    let promotions = notes()
+        .filter(|n| matches!(n, StrategyNote::ObservablePromoted { .. }))
         .count();
     CaseRun {
         rounds: r.rounds,
@@ -122,15 +124,14 @@ fn main() {
         };
         let obs_degraded = ctx.observables.len();
 
-        let mut cfg = ExplorerConfig {
+        let cfg = ExplorerConfig {
             max_rounds,
             ..ExplorerConfig::default()
         };
         // Both searches share the one prepared context: promotions live
         // in the search that made them.
-        let fixed = run_one(&ctx, &case.oracle, &cfg);
-        cfg.adaptive.enabled = true;
-        let adaptive = run_one(&ctx, &case.oracle, &cfg);
+        let fixed = run_one(&ctx, &case.oracle, &cfg, "full");
+        let adaptive = run_one(&ctx, &case.oracle, &cfg, "full-adaptive");
 
         rows.push(Row {
             id,

@@ -525,7 +525,6 @@ fn seed_sweep(cases: &Cases, _: &[String]) -> String {
             };
             let cfg = ExplorerConfig {
                 base_seed: base,
-                max_rounds: 2_000,
                 ..ExplorerConfig::default()
             };
             let mut s = FeedbackStrategy::new(FeedbackConfig::full());

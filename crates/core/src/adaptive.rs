@@ -10,11 +10,11 @@
 //! sweeping. This module makes instrumentation itself a search variable
 //! (ROADMAP item 4), in the spirit of "Box of Pain" (tracing and fault
 //! injection co-evolve) and Lumos (provenance-guided selection of *which*
-//! program points to observe next): when the feedback strategy signals a
-//! stall — the [`StrategyNote::RetryPass`](crate::trace::StrategyNote)
-//! queued on the §6 window-exhaustion path — it promotes synthetic
-//! observables and folds them into the live search without re-preparing
-//! the context.
+//! program points to observe next): when a `full-adaptive` model
+//! ([`FeedbackConfig::full_adaptive`](crate::FeedbackConfig::full_adaptive))
+//! stalls — its prioritized space runs dry and it starts a §6 retry pass —
+//! it promotes synthetic observables and folds them into the live search
+//! without re-preparing the context.
 //!
 //! Promotion is two-tier, worst blindness first:
 //!
@@ -46,16 +46,18 @@
 //! witnesses a round's log shows to the presence it applies.
 //!
 //! Promotion acts on the §5.2 priority model — the site ranking it
-//! focuses on, the `I_k` vector it extends — so `on_stall` takes a
-//! [`FeedbackStrategy`]: the explorer hands it
-//! [`Strategy::model`](crate::Strategy::model), or skips the stall.
+//! focuses on, the `I_k` vector it extends — and the model is the one
+//! caller: at its own pass boundary, right after the retry pass has
+//! planned, so that round's plan is what it would be without adaptation.
+//! The promotions reach the trace as
+//! [`StrategyNote::ObservablePromoted`] notes queued behind the
+//! `RetryPass` note; the round loop knows nothing of them.
 //!
-//! Determinism: promotion runs only on the trusted strategy at the round
-//! loop's note-drain point — one loop, sequential or batched — and every
-//! input (unit list, ranking, graphs, normal-run template set) is itself
-//! deterministic. Speculative clones never promote; their plans simply
-//! miss validation after a promotion and re-run inline, so sequential and
-//! batched streams stay byte-identical with adaptation on.
+//! Determinism: every input (unit list, ranking, graphs, normal-run
+//! template set) is itself deterministic. The batch engine's speculative
+//! copies never promote; their plans simply miss validation after a
+//! promotion and re-run inline, so sequential and batched streams stay
+//! byte-identical with adaptation on.
 
 use std::collections::{HashMap, HashSet};
 
@@ -65,15 +67,7 @@ use anduril_logdiff::{DiffRecord, InternTable};
 
 use crate::context::{FaultUnit, SearchContext};
 use crate::feedback::FeedbackStrategy;
-use crate::trace::TraceEvent;
-
-/// Configuration of the adaptive promotion layer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdaptiveConfig {
-    /// Master switch. Off by default: baselines and the paper-faithful
-    /// pipeline keep the frozen observable set, bit for bit.
-    pub enabled: bool,
-}
+use crate::trace::StrategyNote;
 
 /// Total promotions allowed over one exploration (caps the `I_k` growth
 /// and keeps late passes comparable to early ones).
@@ -175,27 +169,20 @@ impl PromotedSet {
     }
 }
 
-/// Reacts to a stall surfaced at `round` (the retry that starts pass
-/// `pass`): promotes synthetic observables — coverage promotions for
-/// candidate sites no fault unit spans, then up to `PER_STALL`
-/// refinement promotions near the worst-ranked covered sites — into the
-/// model's set and `I_k`, and returns one
-/// [`TraceEvent::ObservablePromoted`] per promotion for the caller to
-/// record.
+/// Reacts to a stall (the retry pass the model just started): promotes
+/// synthetic observables — coverage promotions for candidate sites no
+/// fault unit spans, then up to `PER_STALL` refinement promotions near the
+/// worst-ranked covered sites — into the model's set and `I_k`, and
+/// returns one [`StrategyNote::ObservablePromoted`] per promotion for the
+/// model to queue.
 ///
 /// A candidate is only promoted when its focus site actually appears in
 /// the new distance table with a smaller `L` than the site's best
 /// existing one (an uncovered site counts as `L = ∞`) — a promotion that
 /// cannot move any `F_i` is skipped, so adaptation never spends its
 /// budget on no-ops.
-pub(crate) fn on_stall(
-    cfg: &AdaptiveConfig,
-    ctx: &SearchContext,
-    model: &mut FeedbackStrategy,
-    round: usize,
-    pass: usize,
-) -> Vec<TraceEvent> {
-    if !cfg.enabled || model.promoted.obs.len() >= MAX_PROMOTIONS {
+pub(crate) fn on_stall(ctx: &SearchContext, model: &mut FeedbackStrategy) -> Vec<StrategyNote> {
+    if model.promoted.obs.len() >= MAX_PROMOTIONS {
         return Vec::new();
     }
 
@@ -210,26 +197,22 @@ pub(crate) fn on_stall(
     let mut stall = Stall {
         ctx,
         model,
-        round,
-        pass,
         common: &common,
-        events: Vec::new(),
+        notes: Vec::new(),
     };
     stall.promote_coverage(&mut exclude);
     stall.promote_refinement(&exclude);
-    stall.events
+    stall.notes
 }
 
 /// One stall being reacted to: what both promotion tiers read, the model
-/// they grow, and the events they emit.
+/// they grow, and the notes they queue.
 struct Stall<'a> {
     ctx: &'a SearchContext,
     model: &'a mut FeedbackStrategy,
-    round: usize,
-    pass: usize,
     /// Templates the fault-free run emits (weak witnesses).
     common: &'a HashSet<TemplateId>,
-    events: Vec<TraceEvent>,
+    notes: Vec<StrategyNote>,
 }
 
 impl Stall<'_> {
@@ -342,14 +325,13 @@ impl Stall<'_> {
             let text = program.templates[template.index()].text.clone();
             exclude.insert(template);
             let k = self.append(template, level, text.clone(), distances, new_units);
-            self.events.push(TraceEvent::ObservablePromoted {
-                round: self.round,
+            self.notes.push(StrategyNote::ObservablePromoted {
                 k,
                 template: text,
                 site,
                 node,
                 node_desc: witness_desc,
-                pass: self.pass,
+                pass: self.model.passes(),
                 l_new,
                 l_old,
                 units_added,
@@ -363,7 +345,7 @@ impl Stall<'_> {
     /// site strictly closer than any existing observable.
     fn promote_refinement(&mut self, exclude: &HashSet<TemplateId>) {
         let ctx = self.ctx;
-        if self.events.len() >= PER_STALL || self.exhausted() {
+        if self.notes.len() >= PER_STALL || self.exhausted() {
             return;
         }
         // Worst coverage first: the tail of the model's own ranking is the
@@ -382,7 +364,7 @@ impl Stall<'_> {
 
         let mut scratch = Vec::new();
         for cand in candidates {
-            if self.events.len() >= PER_STALL || self.exhausted() {
+            if self.notes.len() >= PER_STALL || self.exhausted() {
                 break;
             }
             let distances = ctx
@@ -406,14 +388,13 @@ impl Stall<'_> {
                 distances,
                 Vec::new(),
             );
-            self.events.push(TraceEvent::ObservablePromoted {
-                round: self.round,
+            self.notes.push(StrategyNote::ObservablePromoted {
                 k,
                 template: text,
                 site: cand.site,
                 node: cand.node,
                 node_desc: node_desc(program, cand.node_key),
-                pass: self.pass,
+                pass: self.model.passes(),
                 l_new,
                 l_old,
                 units_added: 0,

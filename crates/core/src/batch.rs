@@ -4,10 +4,11 @@
 //! depends on round `r`'s outcome — so it cannot be parallelized naively.
 //! This module batches it with *speculative execution*:
 //!
-//! 1. **Speculate.** Clone the strategy's priority model
-//!    ([`Strategy::model`]) and roll it forward up to `batch_size` rounds,
-//!    predicting each round's outcome from the normal run's fault-instance
-//!    timeline ([`crate::FeedbackStrategy::speculate`]). This yields a
+//! 1. **Speculate.** Copy the strategy's priority model
+//!    ([`Strategy::model`]) — a copy that never promotes observables — and
+//!    roll it forward up to `batch_size` rounds, predicting each round's
+//!    outcome from the normal run's fault-instance timeline
+//!    ([`crate::FeedbackStrategy::speculate`]). This yields a
 //!    batch of `(round, plan)` jobs — none for a strategy without a
 //!    model, whose rounds then all run inline.
 //! 2. **Execute.** Run the jobs concurrently with scoped threads against
@@ -191,14 +192,14 @@ pub fn explore_batched_traced(
 ) -> Result<Reproduction, SimError> {
     let predictor = Predictor::new(ctx);
     let batch_size = batch.batch_size.max(1);
-    // Speculative planning on a throwaway clone, then concurrent execution
-    // of the predicted `(seed, plan)` pairs. (The clone also inherits and
+    // Speculative planning on a throwaway copy, then concurrent execution
+    // of the predicted `(seed, plan)` pairs. (The copy also inherits and
     // accumulates lifecycle notes; they vanish with it, so only the
-    // trusted strategy's notes reach the tracer.)
+    // trusted strategy's notes reach the tracer. It never promotes.)
     let mut speculate = |trusted: &mut dyn Strategy, round: usize| {
         let horizon = batch_size.min(cfg.max_rounds - round);
         let mut plans = Vec::with_capacity(horizon);
-        if let Some(mut spec) = trusted.model().cloned() {
+        if let Some(mut spec) = trusted.model().map(|m| m.speculative_copy()) {
             for i in 0..horizon {
                 let Some(plan) = spec.plan_injection(ctx, round + i) else {
                     break;

@@ -9,10 +9,9 @@
 //! The loop holds no part of the priority model. A round that missed
 //! reaches the strategy as a [`RoundOutcome`] — the run and its prepared
 //! observables' per-thread presence — and the model ([`FeedbackStrategy`],
-//! through [`Strategy::model`]) decides what it applies, promoted
-//! observables included; on a stall the loop hands the model to
-//! [`crate::adaptive`] to grow. What the loop keeps per search is its
-//! records, its totals and its diff memo.
+//! through [`Strategy::model`]) decides what it applies and whether its
+//! observable set grows. What the loop keeps per search is its records,
+//! its totals and its diff memo.
 
 use std::time::{Duration, Instant};
 
@@ -20,19 +19,18 @@ use anduril_ir::{ExceptionType, SiteId};
 use anduril_logdiff::DiffMemo;
 use anduril_sim::{FailedRun, InjectionPlan, RunResult, SimError};
 
-use crate::adaptive::{self, AdaptiveConfig};
 use crate::context::{FaultUnit, RoundOutcome, SearchContext};
 use crate::feedback::{FeedbackConfig, FeedbackStrategy};
 use crate::oracle::Oracle;
 use crate::scenario::Scenario;
 use crate::strategy::Strategy;
-use crate::trace::{NoopTracer, StrategyNote, TraceEvent, Tracer};
+use crate::trace::{NoopTracer, TraceEvent, Tracer};
 
-/// Explorer configuration: how long a search may run, its seeds, and
-/// whether it may promote observables. How candidates are ranked is the
-/// strategy's ([`FeedbackConfig`]), not the loop's. One run per round:
-/// the paper's §6 option of combining several runs' logs waits for a
-/// caller (ROADMAP 3(b)'s lossy logs are the likely first).
+/// Explorer configuration: how long a search may run, and its seeds. How
+/// candidates are ranked is the strategy's ([`FeedbackConfig`]), not the
+/// loop's. One run per round: the paper's §6 option of combining several
+/// runs' logs waits for a caller (ROADMAP 7(b)'s lossy logs are the
+/// likely first).
 #[derive(Debug, Clone)]
 pub struct ExplorerConfig {
     /// Give up after this many injection rounds (the paper's user limit,
@@ -41,9 +39,6 @@ pub struct ExplorerConfig {
     /// Seed of the normal run; round `r` uses `base_seed + 1 + r`, which
     /// restores the cross-run nondeterminism the flexible window handles.
     pub base_seed: u64,
-    /// Adaptive observable promotion (see [`crate::adaptive`]). Disabled
-    /// by default.
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for ExplorerConfig {
@@ -51,7 +46,6 @@ impl Default for ExplorerConfig {
         ExplorerConfig {
             max_rounds: 2000,
             base_seed: 1000,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -242,30 +236,12 @@ impl<'a> ExploreState<'a> {
     }
 
     /// Drains a strategy's queued lifecycle notes (always, so the queue
-    /// cannot grow unbounded) and emits them tagged with `round`.
-    ///
-    /// This is also the adaptive layer's hook point: a `retry_pass` note
-    /// signals a stall, and promotion runs here — on the trusted strategy,
-    /// whether or not tracing is on, so traced and untraced explorations
-    /// take identical search paths. Promotion re-shapes the priority
-    /// model, so a strategy without one is left alone.
-    fn drain_notes(&mut self, strategy: &mut dyn Strategy, round: usize) {
+    /// cannot grow unbounded) and records them tagged with `round`.
+    fn drain_notes(&self, strategy: &mut dyn Strategy, round: usize) {
         let notes = strategy.drain_notes();
-        for note in notes {
-            let stalled_pass = match &note {
-                StrategyNote::RetryPass { pass } => Some(*pass),
-                _ => None,
-            };
-            if self.tracer.enabled() {
+        if self.tracer.enabled() {
+            for note in notes {
                 self.tracer.record(TraceEvent::Note { round, note });
-            }
-            if let (Some(pass), Some(model)) = (stalled_pass, strategy.model()) {
-                let events = adaptive::on_stall(&self.cfg.adaptive, self.ctx, model, round, pass);
-                if self.tracer.enabled() {
-                    for event in events {
-                        self.tracer.record(event);
-                    }
-                }
             }
         }
     }

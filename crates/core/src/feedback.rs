@@ -13,13 +13,15 @@
 //! - **Fault-site feedback**: `L + I` but no temporal term, 3 instances.
 //! - **Multiply feedback**: ranks `(site, instance)` pairs by
 //!   `F_i × (T+1)` instead of the two-level scheme.
+//! - **Full adaptive**: full feedback whose observable set grows at each
+//!   retry pass ([`crate::adaptive`]); the others keep the paper's.
 
 use std::collections::HashSet;
 
 use anduril_ir::{ExceptionType, SiteId};
 use anduril_sim::{Candidate, InjectionPlan};
 
-use crate::adaptive::PromotedSet;
+use crate::adaptive::{self, PromotedSet};
 use crate::context::{FaultUnit, RoundOutcome, SearchContext};
 use crate::strategy::Strategy;
 use crate::trace::{PlanProvenance, StrategyNote};
@@ -71,6 +73,8 @@ pub struct FeedbackConfig {
     pub global_diff: bool,
     /// Ignore priorities entirely and enumerate instances in order.
     pub exhaustive: bool,
+    /// Promote observables at each retry pass ([`crate::adaptive`]).
+    pub adaptive: bool,
 }
 
 impl FeedbackConfig {
@@ -88,6 +92,7 @@ impl FeedbackConfig {
             aggregate: Aggregate::Min,
             global_diff: false,
             exhaustive: false,
+            adaptive: false,
         }
     }
 
@@ -177,6 +182,16 @@ impl FeedbackConfig {
             ..Self::full()
         }
     }
+
+    /// Full feedback that grows its observable set at each retry pass
+    /// (DESIGN.md §15); `full` keeps the paper's fixed set.
+    pub fn full_adaptive() -> Self {
+        FeedbackConfig {
+            name: "full-adaptive",
+            adaptive: true,
+            ..Self::full()
+        }
+    }
 }
 
 /// Why a fault unit is ranked where it is: the §5.2 priority breakdown.
@@ -205,8 +220,7 @@ pub struct FeedbackStrategy {
     cfg: FeedbackConfig,
     window: usize,
     /// `I_k` per observable, prepared then promoted; smaller is higher
-    /// priority. The adaptive layer appends a neutral entry with every
-    /// promotion.
+    /// priority. A promotion appends a neutral entry.
     pub(crate) i_priority: Vec<f64>,
     /// Tried `(site, exc, occurrence)` triples (`u32::MAX` = any-occurrence
     /// candidates for sites unseen in the normal run).
@@ -224,8 +238,8 @@ pub struct FeedbackStrategy {
     /// Lifecycle notes queued for the tracer (drained by the explorer).
     /// Notes queued on speculative clones vanish with the clone.
     pending_notes: Vec<StrategyNote>,
-    /// What the search has promoted so far (empty unless the adaptive
-    /// layer is on): observables past the prepared set, and units past
+    /// What the search has promoted so far (empty unless `cfg.adaptive`):
+    /// observables past the prepared set, and units past
     /// [`SearchContext::units`]. `init` empties it.
     pub(crate) promoted: PromotedSet,
     /// The observables the most recent [`Strategy::feedback`] found
@@ -406,8 +420,8 @@ impl FeedbackStrategy {
         // oracle under another — start a fresh pass so instances pair with
         // new seeds instead of giving up while the round budget remains.
         // Stall onset is announced before the reset, so trace consumers
-        // (and the adaptive promotion layer) see the exhausted window/pass
-        // pair independently of the retry that follows.
+        // see the exhausted window/pass pair independently of the retry
+        // that follows.
         self.pending_notes.push(StrategyNote::WindowExhausted {
             window: self.window,
             pass: self.passes,
@@ -417,7 +431,15 @@ impl FeedbackStrategy {
         self.passes += 1;
         self.pending_notes
             .push(StrategyNote::RetryPass { pass: self.passes });
-        self.plan_prioritized_pass(ctx)
+        let at = self.pending_notes.len();
+        let plan = self.plan_prioritized_pass(ctx);
+        // Promote once the retry pass has planned, so this round plans with
+        // the fixed set; the notes go right behind `RetryPass`.
+        if self.cfg.adaptive {
+            let promoted = adaptive::on_stall(ctx, self);
+            self.pending_notes.splice(at..at, promoted);
+        }
+        plan
     }
 
     /// State transition for "candidate `(site, exc)` fired at occurrence
@@ -454,7 +476,9 @@ impl FeedbackStrategy {
         // Score every unit that still has untried instances — prepared
         // plus promotion-appended, so a coverage promotion's newly
         // connected sites are armable on the very next pass.
-        let mut scored: Vec<(f64, f64, FaultUnit, Option<u32>)> = Vec::new();
+        // `(primary, T, unit, occurrence, (F_i, k*))`.
+        type Scored = (f64, f64, FaultUnit, Option<u32>, (f64, usize));
+        let mut scored: Vec<Scored> = Vec::new();
         let mut bound_pruned = 0usize;
         for unit in self.units(ctx) {
             let Some((f_i, k_star)) = self.site_priority(ctx, unit) else {
@@ -474,7 +498,7 @@ impl FeedbackStrategy {
                 Combine::TwoLevel => f_i,
                 Combine::Multiply => f_i * (t + 1.0),
             };
-            scored.push((primary, t, unit, occ));
+            scored.push((primary, t, unit, occ, (f_i, k_star)));
         }
         if bound_pruned > 0 {
             self.pending_notes.push(StrategyNote::BoundPruned {
@@ -495,35 +519,31 @@ impl FeedbackStrategy {
         });
         // Record the site ranking for Figure 6.
         self.last_ranking.clear();
-        for (_, _, unit, _) in &scored {
+        for (_, _, unit, _, _) in &scored {
             if !self.last_ranking.contains(&unit.site) {
                 self.last_ranking.push(unit.site);
             }
         }
         // Record the winner's priority provenance for the trace layer.
-        self.last_provenance = scored.first().map(|&(_, t, unit, occ)| {
-            let (f_i, k_star) = self
-                .site_priority(ctx, unit)
-                .expect("scored unit has a priority");
-            PlanProvenance {
-                site: unit.site,
-                exc: unit.exc,
-                occurrence: occ,
-                f_i,
-                k_star,
-                l: self.distance(ctx, k_star, unit.site).unwrap_or(u32::MAX),
-                i_k: if self.cfg.feedback {
-                    self.i_priority.get(k_star).copied().unwrap_or(0.0)
-                } else {
-                    0.0
-                },
-                temporal: t,
-            }
+        let top = scored.first().copied();
+        self.last_provenance = top.map(|(_, t, unit, occ, (f_i, k_star))| PlanProvenance {
+            site: unit.site,
+            exc: unit.exc,
+            occurrence: occ,
+            f_i,
+            k_star,
+            l: self.distance(ctx, k_star, unit.site).unwrap_or(u32::MAX),
+            i_k: if self.cfg.feedback {
+                self.i_priority.get(k_star).copied().unwrap_or(0.0)
+            } else {
+                0.0
+            },
+            temporal: t,
         });
         scored
             .into_iter()
             .take(self.window)
-            .map(|(_, _, unit, occ)| Candidate {
+            .map(|(_, _, unit, occ, _)| Candidate {
                 site: unit.site,
                 occurrence: occ,
                 exc: unit.exc,
@@ -565,9 +585,8 @@ impl FeedbackStrategy {
 
     /// The most recent plan's site ranking, best first.
     ///
-    /// The adaptive layer reads this when a stall note surfaces, to focus
-    /// observable promotion near the sites the strategy currently believes
-    /// in (see [`crate::adaptive`]).
+    /// Promotion reads this at a retry pass, to focus on the sites the
+    /// current observables guide least (see [`crate::adaptive`]).
     pub(crate) fn ranked_sites(&self) -> &[SiteId] {
         &self.last_ranking
     }
@@ -600,6 +619,15 @@ impl FeedbackStrategy {
         self.cfg
             .feedback
             .then_some((&self.present[..], self.cfg.adjust, &self.i_priority[..]))
+    }
+
+    /// A copy to [`speculate`](Self::speculate) on, as the batch engine
+    /// does: it plans as this model does but never promotes, so only the
+    /// trusted model grows its observable set (DESIGN.md §15).
+    pub fn speculative_copy(&self) -> FeedbackStrategy {
+        let mut copy = self.clone();
+        copy.cfg.adaptive = false;
+        copy
     }
 
     /// Applies a *predicted* round outcome during speculative batch

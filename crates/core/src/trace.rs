@@ -15,9 +15,10 @@
 //!   its priority provenance (the winning unit's `F_i`, the observable
 //!   `k*` and `L + I_k` that attained the min, the temporal-distance pick),
 //!   simulator counters, the oracle verdict, and the `I_k` feedback applied;
-//! - **lifecycle**: retry-pass starts, candidate retirements and window
-//!   growth (queued by the strategy as [`StrategyNote`]s), and the batch
-//!   engine's epoch/speculation hit-miss records;
+//! - **lifecycle**: retry-pass starts, candidate retirements, window
+//!   growth and observable promotions (queued by the strategy as
+//!   [`StrategyNote`]s), and the batch engine's epoch/speculation hit-miss
+//!   records;
 //! - **on success**: a final [`TraceEvent::ProvenanceChain`] linking the
 //!   reproducing injection back through the observable and graph distance
 //!   that prioritized it.
@@ -124,14 +125,43 @@ pub enum StrategyNote {
         count: usize,
     },
     /// The prioritized space ran dry — queued immediately before the
-    /// retry-pass reset, so stall onset is visible in traces independently
-    /// of whether the adaptive layer reacts to it.
+    /// retry-pass reset, so stall onset is visible in traces whether or
+    /// not the strategy promotes observables at it.
     WindowExhausted {
         /// The flexible-window size at exhaustion.
         window: usize,
         /// The pass that just ran dry (0-based; `RetryPass` then reports
         /// `pass + 1` completed passes).
         pass: usize,
+    },
+    /// A synthetic observable was promoted into the live search: the
+    /// `full-adaptive` model reacted to a retry pass by instrumenting a
+    /// causal-graph node near its worst-ranked fault sites (DESIGN.md §15),
+    /// and queued this directly behind the `RetryPass` note. Carries full
+    /// provenance — the source graph node, the retry pass that triggered
+    /// it, and the spatial-distance delta the focus site gained. Written
+    /// as an event kind of its own, `ev: "promoted"`.
+    ObservablePromoted {
+        /// Index the new observable occupies in the grown observable set.
+        k: usize,
+        /// The witness log template's text.
+        template: String,
+        /// The focus fault site the node was selected near.
+        site: SiteId,
+        /// Causal-graph node id of the promoted node.
+        node: u32,
+        /// Human-readable description of the node.
+        node_desc: String,
+        /// The retry pass whose stall triggered the promotion.
+        pass: usize,
+        /// Spatial distance `L` from the focus site to the new observable.
+        l_new: u32,
+        /// The focus site's best spatial distance over the pre-existing
+        /// observables.
+        l_old: u32,
+        /// Fault units the promotion's scoped causal build newly connected
+        /// (zero for refinement promotions over the prepared graph).
+        units_added: usize,
     },
 }
 
@@ -200,9 +230,11 @@ pub enum TraceEvent {
         /// Host nanoseconds spent planning (volatile).
         init_ns: u64,
     },
-    /// A strategy lifecycle note (`ev: "note"`).
+    /// A strategy lifecycle note (`ev: "note"`, or `ev: "promoted"` for a
+    /// [`StrategyNote::ObservablePromoted`]).
     Note {
-        /// Round the note surfaced at.
+        /// Round the note surfaced at (a promotion shapes planning from
+        /// the next round on).
         round: usize,
         /// The note.
         note: StrategyNote,
@@ -281,37 +313,6 @@ pub enum TraceEvent {
         adjust: f64,
         /// The full `I_k` vector *after* this round's adjustment.
         i_k: Vec<f64>,
-    },
-    /// A synthetic observable was promoted into the live search
-    /// (`ev: "promoted"`): the adaptive layer reacted to a stall by
-    /// instrumenting a causal-graph interior node near the current
-    /// top-ranked fault sites. Carries full provenance — the source graph
-    /// node, the retry pass that triggered it, and the spatial-distance
-    /// delta the focus site gained.
-    ObservablePromoted {
-        /// Round the promotion took effect at (it influences planning from
-        /// the next round on).
-        round: usize,
-        /// Index the new observable occupies in the grown observable set.
-        k: usize,
-        /// The witness log template's text.
-        template: String,
-        /// The focus fault site the interior node was selected near.
-        site: SiteId,
-        /// Causal-graph node id of the promoted interior node.
-        node: u32,
-        /// Human-readable description of the interior node.
-        node_desc: String,
-        /// The retry pass whose stall triggered the promotion.
-        pass: usize,
-        /// Spatial distance `L` from the focus site to the new observable.
-        l_new: u32,
-        /// The focus site's best spatial distance over the pre-existing
-        /// observables.
-        l_old: u32,
-        /// Fault units the promotion's scoped causal build newly connected
-        /// (zero for refinement promotions over the prepared graph).
-        units_added: usize,
     },
     /// The final provenance chain on success (`ev: "provenance"`): from
     /// the reproducing injection back through the observable and graph
@@ -508,28 +509,27 @@ impl TraceEvent {
                     "{{\"ev\":\"note\",\"round\":{round},\"note\":\"window_exhausted\",\
                      \"window\":{window},\"pass\":{pass}}}"
                 ),
+                StrategyNote::ObservablePromoted {
+                    k,
+                    template,
+                    site,
+                    node,
+                    node_desc,
+                    pass,
+                    l_new,
+                    l_old,
+                    units_added,
+                } => format!(
+                    "{{\"ev\":\"promoted\",\"round\":{round},\"k\":{k},\"template\":\"{}\",\
+                     \"site\":{},\"node\":{node},\"node_desc\":\"{}\",\"pass\":{pass},\
+                     \"l_new\":{l_new},\"l_old\":{l_old},\"delta\":{},\
+                     \"units_added\":{units_added}}}",
+                    json_escape(template),
+                    site.0,
+                    json_escape(node_desc),
+                    *l_old as i64 - *l_new as i64
+                ),
             },
-            TraceEvent::ObservablePromoted {
-                round,
-                k,
-                template,
-                site,
-                node,
-                node_desc,
-                pass,
-                l_new,
-                l_old,
-                units_added,
-            } => format!(
-                "{{\"ev\":\"promoted\",\"round\":{round},\"k\":{k},\"template\":\"{}\",\
-                 \"site\":{},\"node\":{node},\"node_desc\":\"{}\",\"pass\":{pass},\
-                 \"l_new\":{l_new},\"l_old\":{l_old},\"delta\":{},\
-                 \"units_added\":{units_added}}}",
-                json_escape(template),
-                site.0,
-                json_escape(node_desc),
-                *l_old as i64 - *l_new as i64
-            ),
             TraceEvent::EpochStart { epoch, round, jobs } => {
                 format!("{{\"ev\":\"epoch\",\"epoch\":{epoch},\"round\":{round},\"jobs\":{jobs}}}")
             }
@@ -715,17 +715,19 @@ impl TraceEvent {
             },
             // `delta` is derived from the two distances on the way out and
             // not read on the way in.
-            "promoted" => TraceEvent::ObservablePromoted {
+            "promoted" => TraceEvent::Note {
                 round: o.int("round")?,
-                k: o.int("k")?,
-                template: o.str("template")?.to_string(),
-                site: SiteId(o.int("site")?),
-                node: o.int("node")?,
-                node_desc: o.str("node_desc")?.to_string(),
-                pass: o.int("pass")?,
-                l_new: o.int("l_new")?,
-                l_old: o.int("l_old")?,
-                units_added: o.int("units_added")?,
+                note: StrategyNote::ObservablePromoted {
+                    k: o.int("k")?,
+                    template: o.str("template")?.to_string(),
+                    site: SiteId(o.int("site")?),
+                    node: o.int("node")?,
+                    node_desc: o.str("node_desc")?.to_string(),
+                    pass: o.int("pass")?,
+                    l_new: o.int("l_new")?,
+                    l_old: o.int("l_old")?,
+                    units_added: o.int("units_added")?,
+                },
             },
             "epoch" => TraceEvent::EpochStart {
                 epoch: o.int("epoch")?,
@@ -804,7 +806,6 @@ impl TraceEvent {
             | TraceEvent::RoundError { round, .. }
             | TraceEvent::RoundEnd { round, .. }
             | TraceEvent::Feedback { round, .. }
-            | TraceEvent::ObservablePromoted { round, .. }
             | TraceEvent::ProvenanceChain { round, .. } => Some(*round),
         }
     }
@@ -1019,17 +1020,19 @@ mod tests {
                     pass: 0,
                 },
             },
-            TraceEvent::ObservablePromoted {
+            TraceEvent::Note {
                 round: 14,
-                k: 3,
-                template: "wal rotated".into(),
-                site: SiteId(3),
-                node: 17,
-                node_desc: "condition @ b4:2".into(),
-                pass: 1,
-                l_new: 1,
-                l_old: 4,
-                units_added: 2,
+                note: StrategyNote::ObservablePromoted {
+                    k: 3,
+                    template: "wal rotated".into(),
+                    site: SiteId(3),
+                    node: 17,
+                    node_desc: "condition @ b4:2".into(),
+                    pass: 1,
+                    l_new: 1,
+                    l_old: 4,
+                    units_added: 2,
+                },
             },
             TraceEvent::EpochStart {
                 epoch: 0,
@@ -1100,12 +1103,12 @@ mod tests {
                     StrategyNote::Retired { .. } => 7,
                     StrategyNote::BoundPruned { .. } => 8,
                     StrategyNote::WindowExhausted { .. } => 9,
+                    StrategyNote::ObservablePromoted { .. } => 14,
                 },
                 TraceEvent::EpochStart { .. } => 10,
                 TraceEvent::Speculation { .. } => 11,
                 TraceEvent::RoundEnd { .. } => 12,
                 TraceEvent::Feedback { .. } => 13,
-                TraceEvent::ObservablePromoted { .. } => 14,
                 TraceEvent::ProvenanceChain { .. } => 15,
                 TraceEvent::ExploreEnd { .. } => 16,
                 TraceEvent::RoundError { .. } => 17,

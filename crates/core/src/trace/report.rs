@@ -222,6 +222,7 @@ impl<'a> Digest<'a> {
                         StrategyNote::Retired { .. } => d.retired += 1,
                         StrategyNote::BoundPruned { count } => d.bound_pruned += count,
                         StrategyNote::WindowExhausted { .. } => d.windows_exhausted += 1,
+                        StrategyNote::ObservablePromoted { .. } => d.promotions.push(ev),
                     }
                 }
                 TraceEvent::EpochStart { .. } => d.epochs += 1,
@@ -258,7 +259,6 @@ impl<'a> Digest<'a> {
                     adjust,
                     i_k,
                 } => d.feedback.push((*round, present, *adjust, i_k)),
-                TraceEvent::ObservablePromoted { .. } => d.promotions.push(ev),
                 TraceEvent::ProvenanceChain { .. } => d.provenance = Some(ev),
                 TraceEvent::ExploreEnd { .. } => d.end = Some(ev),
             }
@@ -461,16 +461,19 @@ pub fn summary(path: &str, events: &[TraceEvent]) -> String {
         );
     }
     for ev in &d.promotions {
-        if let TraceEvent::ObservablePromoted {
+        if let TraceEvent::Note {
             round,
-            k,
-            template,
-            site,
-            node_desc,
-            pass,
-            l_new,
-            l_old,
-            ..
+            note:
+                StrategyNote::ObservablePromoted {
+                    k,
+                    template,
+                    site,
+                    node_desc,
+                    pass,
+                    l_new,
+                    l_old,
+                    ..
+                },
         } = ev
         {
             out += &format!(
@@ -569,22 +572,22 @@ pub fn round(events: &[TraceEvent], n: usize) -> Result<String, NoSuchRound> {
                 StrategyNote::BoundPruned { count } => {
                     format!("  note: {count} plans pruned by static occurrence bounds\n")
                 }
+                StrategyNote::ObservablePromoted {
+                    k,
+                    template,
+                    site,
+                    node,
+                    node_desc,
+                    pass,
+                    l_new,
+                    l_old,
+                    ..
+                } => format!(
+                    "  promoted: k = {k} \"{template}\" from node #{node} ({node_desc}) — \
+                     L {l_old} -> {l_new} at site#{} [stall in pass {pass}]\n",
+                    site.0
+                ),
             },
-            TraceEvent::ObservablePromoted {
-                k,
-                template,
-                site,
-                node,
-                node_desc,
-                pass,
-                l_new,
-                l_old,
-                ..
-            } => format!(
-                "  promoted: k = {k} \"{template}\" from node #{node} ({node_desc}) — \
-                 L {l_old} -> {l_new} at site#{} [stall in pass {pass}]\n",
-                site.0
-            ),
             TraceEvent::Speculation {
                 epoch, slot, hit, ..
             } => format!(
@@ -659,7 +662,8 @@ pub fn round(events: &[TraceEvent], n: usize) -> Result<String, NoSuchRound> {
 pub fn promotions(events: &[TraceEvent]) -> String {
     let d = Digest::of(events);
     if d.promotions.is_empty() {
-        return "no observable promotions in the trace (run with --adaptive on)\n".into();
+        return "no observable promotions in the trace (run with --strategy full-adaptive)\n"
+            .into();
     }
     let mut t = TextTable::new(&[
         "Round",
@@ -674,17 +678,20 @@ pub fn promotions(events: &[TraceEvent]) -> String {
         "Units",
     ]);
     for ev in &d.promotions {
-        if let TraceEvent::ObservablePromoted {
+        if let TraceEvent::Note {
             round,
-            k,
-            template,
-            site,
-            node,
-            node_desc,
-            pass,
-            l_new,
-            l_old,
-            units_added,
+            note:
+                StrategyNote::ObservablePromoted {
+                    k,
+                    template,
+                    site,
+                    node,
+                    node_desc,
+                    pass,
+                    l_new,
+                    l_old,
+                    units_added,
+                },
         } = ev
         {
             t.row(vec![

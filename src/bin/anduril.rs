@@ -41,7 +41,6 @@ fn print_usage() {
          anduril analyze [<case>|<system>|all] [--json FILE]\n  \
          anduril reproduce <case> [--strategy NAME] [--max-rounds N] [--emit-script FILE]\n  \
          {0:21}[--threads N] [--batch N] [--trace FILE]\n  \
-         {0:21}[--adaptive on|off]\n  \
          anduril trace <file> [--summary | --round N | --promotions | --json]\n  \
          anduril replay <case> <script-file>\n  \
          anduril explain <case>\n  \
@@ -49,7 +48,10 @@ fn print_usage() {
          {0:21}[--multi-fault] [--reproduce]\n\n\
          strategies: full (default), exhaustive, site-distance, site-distance-limit3,\n\
          site-feedback, multiply, sum-aggregate, order-distance, global-diff,\n\
-         fate, crashtuner, crashtuner-meta-exc, stacktrace\n\n\
+         full-adaptive, fate, crashtuner, crashtuner-meta-exc, stacktrace\n\n\
+         full-adaptive is full feedback that promotes synthetic observables\n\
+         from causal-graph nodes when the search stalls (a retry pass\n\
+         begins); full keeps the paper's fixed observable set\n\n\
          reproduce reports `replay verified`: the oracle's verdict on the\n\
          emitted script's run. That run is the reproducing round itself\n\
          (one injection fired, and a run is a function of seed and plan),\n\
@@ -59,11 +61,6 @@ fn print_usage() {
          --trace FILE records the structured search-trace stream (context\n\
          phases, per-round decisions with priority provenance, feedback,\n\
          speculation) as JSONL; `anduril trace FILE` renders it\n\n\
-         --adaptive on promotes synthetic observables from causal-graph\n\
-         interior nodes when the search stalls (a retry pass begins),\n\
-         re-shaping priorities around the top-ranked sites; off (default)\n\
-         keeps the paper's frozen observable set. Feedback-strategy\n\
-         variants only; sequential and --threads runs stay byte-identical\n\n\
          trace --promotions lists each promoted observable with its\n\
          provenance (source graph node, trigger pass, distance delta)\n\n\
          analyze prints the static-analysis report (site reduction, graph\n\
@@ -388,13 +385,6 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
             "--threads" => threads = flag(args, &mut i)?,
             "--batch" => batch_size = Some(flag(args, &mut i)?),
             "--trace" => trace_path = Some(flag(args, &mut i)?),
-            "--adaptive" => {
-                cfg.adaptive.enabled = match flag::<String>(args, &mut i)?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => return Err(Usage),
-                }
-            }
             _ => return Err(Usage),
         }
     }

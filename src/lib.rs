@@ -48,7 +48,7 @@
 //! ```
 
 pub use anduril_core::{
-    explore, explore_batched, explore_batched_traced, explore_traced, reproduce, AdaptiveConfig,
+    explore, explore_batched, explore_batched_traced, explore_traced, reproduce,
     BatchExplorerConfig, Combine, Explanation, ExplorerConfig, FaultUnit, FeedbackConfig,
     FeedbackStrategy, FileTracer, Json, NoopTracer, ObservableInfo, Oracle, PlanProvenance,
     ReproScript, Reproduction, RoundOutcome, RoundRecord, Scenario, SearchContext, Strategy,

@@ -35,6 +35,8 @@ fn a_bad_command_line_exits_2() {
         &["reproduce", "f3", "--max-rounds"],
         &["reproduce", "f3", "--threads", "abc"],
         &["reproduce", "f3", "--strategy", "no-such"],
+        // Adaptation is a strategy, `--strategy full-adaptive`.
+        &["reproduce", "f3", "--adaptive", "on"],
         &["generate", "--size", "huge"],
         &["trace", "whatever.jsonl", "--bogus"],
         &["frobnicate"],
@@ -45,11 +47,40 @@ fn a_bad_command_line_exits_2() {
         assert!(stderr(&out).starts_with("usage:"), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");
     }
+    let usage = stderr(&anduril(&[]));
+    assert!(
+        usage.contains("global-diff,\nfull-adaptive, fate"),
+        "{usage}"
+    );
 
     // The batched explorer clones its strategy: feedback family only.
     let out = anduril(&["reproduce", "f3", "--threads", "4", "--strategy", "fate"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("require a feedback-strategy variant"));
+}
+
+/// What `full-adaptive` reproduces, `anduril replay` reproduces again.
+#[test]
+fn a_full_adaptive_script_replays() {
+    let path = scratch("f5.script");
+    let script = path.to_str().unwrap();
+    let out = anduril(&[
+        "reproduce",
+        "f5",
+        "--strategy",
+        "full-adaptive",
+        "--emit-script",
+        script,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("with full-adaptive\n"));
+    let out = anduril(&["replay", "f5", script]);
+    std::fs::remove_file(&path).expect("remove script");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "replayed f5: oracle satisfied = true\n"
+    );
 }
 
 #[test]

@@ -11,7 +11,7 @@
 
 mod common;
 
-use anduril::trace::{TraceEvent, VecTracer};
+use anduril::trace::{StrategyNote, TraceEvent, VecTracer};
 use anduril::{
     explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
     FeedbackStrategy, Oracle, Reproduction, SearchContext,
@@ -22,18 +22,20 @@ fn full() -> FeedbackStrategy {
     FeedbackStrategy::new(FeedbackConfig::full())
 }
 
+fn adaptive() -> FeedbackStrategy {
+    FeedbackStrategy::new(FeedbackConfig::full_adaptive())
+}
+
 fn search(
     s: &mut FeedbackStrategy,
     ctx: &SearchContext,
     oracle: &Oracle,
-    adaptive: bool,
     batch: Option<&BatchExplorerConfig>,
 ) -> (Reproduction, Vec<String>, usize) {
-    let mut cfg = ExplorerConfig {
+    let cfg = ExplorerConfig {
         max_rounds: 300,
         ..ExplorerConfig::default()
     };
-    cfg.adaptive.enabled = adaptive;
     let tracer = VecTracer::new();
     let r = match batch {
         None => explore_traced(ctx, oracle, s, &cfg, None, &tracer),
@@ -43,7 +45,15 @@ fn search(
     let events = tracer.take();
     let promotions = events
         .iter()
-        .filter(|e| matches!(e, TraceEvent::ObservablePromoted { .. }))
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::Note {
+                    note: StrategyNote::ObservablePromoted { .. },
+                    ..
+                }
+            )
+        })
         .count();
     (r, stable_lines(&events), promotions)
 }
@@ -65,11 +75,11 @@ fn searches_on_one_context_do_not_see_each_other() {
     for id in ["f5", "f18"] {
         let (ctx, oracle) = degraded_context(id);
 
-        let mut strategy = full();
-        let first = search(&mut strategy, &ctx, &oracle, true, None);
+        let mut strategy = adaptive();
+        let first = search(&mut strategy, &ctx, &oracle, None);
         assert!(first.0.success, "{id}: the adaptive search reproduces");
         assert!(first.2 > 0, "{id}: and promotes on the way");
-        let second = search(&mut full(), &ctx, &oracle, true, None);
+        let second = search(&mut adaptive(), &ctx, &oracle, None);
         assert_same(
             id,
             "second adaptive search on the same context",
@@ -79,7 +89,7 @@ fn searches_on_one_context_do_not_see_each_other() {
         // The promotions live in the strategy value: searching with it
         // again (`explore` calls `init` first, nothing else in between)
         // starts from the prepared observable set once more.
-        let reused = search(&mut strategy, &ctx, &oracle, true, None);
+        let reused = search(&mut strategy, &ctx, &oracle, None);
         assert_same(
             id,
             "second adaptive search with the first one's strategy",
@@ -98,7 +108,7 @@ fn searches_on_one_context_do_not_see_each_other() {
         let start = std::sync::Barrier::new(2);
         let together = |batch| {
             start.wait();
-            search(&mut full(), &ctx, &oracle, true, batch)
+            search(&mut adaptive(), &ctx, &oracle, batch)
         };
         let (seq, bat) = std::thread::scope(|scope| {
             let seq = scope.spawn(|| together(None));
@@ -114,13 +124,13 @@ fn searches_on_one_context_do_not_see_each_other() {
         // After the promoting searches, a search with the frozen set still
         // sees the context as `prepare` left it.
         let (fresh, _) = degraded_context(id);
-        let after = search(&mut full(), &ctx, &oracle, false, None);
+        let after = search(&mut full(), &ctx, &oracle, None);
         assert_same(
             id,
-            "adaptive-off search after them",
-            &search(&mut full(), &fresh, &oracle, false, None),
+            "fixed-set search after them",
+            &search(&mut full(), &fresh, &oracle, None),
             &after,
         );
-        assert_eq!(after.2, 0, "{id}: adaptive off never promotes");
+        assert_eq!(after.2, 0, "{id}: the fixed set never grows");
     }
 }

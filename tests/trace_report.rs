@@ -16,17 +16,16 @@ use anduril::trace::{read_stream, report, TraceEvent, VecTracer};
 use anduril::{explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy};
 use common::traced_run;
 
-/// f5 searched from its degraded failure log with adaptive promotion on:
-/// 82 rounds, retry passes and promotions.
+/// f5 searched from its degraded failure log by `full-adaptive`: 82
+/// rounds, retry passes and promotions.
 fn degraded_adaptive_stream() -> Vec<TraceEvent> {
     let (ctx, oracle) = common::degraded_context("f5");
-    let mut cfg = ExplorerConfig {
+    let cfg = ExplorerConfig {
         max_rounds: 300,
         ..ExplorerConfig::default()
     };
-    cfg.adaptive.enabled = true;
     let tracer = VecTracer::new();
-    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
+    let mut s = FeedbackStrategy::new(FeedbackConfig::full_adaptive());
     explore_traced(&ctx, &oracle, &mut s, &cfg, None, &tracer).expect("explore");
     tracer.take()
 }
