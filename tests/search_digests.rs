@@ -17,9 +17,14 @@
 //! observables when a retry pass begins. Where the fixed search never
 //! stalls the two are the same search, and their rows must say so.
 //!
+//! Every other registry strategy has a row per prepared context too: the
+//! ablations, the external baselines (whose decisions carry `provenance:
+//! null`), and the searches that give up at the cap. Together the rows pin
+//! the `stable_json` bytes of every event shape a search emits.
+//!
 //! [`PreparedCase::degraded`]: anduril::failures::PreparedCase::degraded
 
-use anduril::baselines::by_name;
+use anduril::baselines::{by_name, REGISTRY};
 use anduril::failures::{all_cases, case_by_id};
 use anduril::trace::{NoopTracer, StrategyNote, TraceEvent, VecTracer};
 use anduril::{
@@ -130,6 +135,274 @@ const DEGRADED: [Row; 44] = [
     ("f21/degraded/full-adaptive", 2, true, 0, 0xc6d2d9cc1cdc6c3c),
     ("f22/degraded/full", 600, false, 0, 0xcdf771079df97ed0),
     ("f22/degraded/full-adaptive", 49, true, 4, 0x70cda793a702a38c),
+];
+
+#[rustfmt::skip]
+const REGISTRY_ROWS: [Row; 264] = [
+    ("f1/prepared/exhaustive", 5, true, 0, 0x1ea1e16758120351),
+    ("f1/prepared/site-distance", 15, true, 0, 0x818044ad1051ad69),
+    ("f1/prepared/site-distance-limit3", 600, false, 0, 0xadde5639c92dd2d9),
+    ("f1/prepared/site-feedback", 600, false, 0, 0x5e094f89da8cd0ee),
+    ("f1/prepared/multiply", 3, true, 0, 0x59ef9164a249ec4c),
+    ("f1/prepared/fate", 20, true, 0, 0x1ab932a63799fd15),
+    ("f1/prepared/crashtuner", 6, false, 0, 0xe8a90a4c779f67b0),
+    ("f1/prepared/crashtuner-meta-exc", 86, false, 0, 0x4777528492d2ab9a),
+    ("f1/prepared/stacktrace", 4, true, 0, 0x71211e7fb880371f),
+    ("f1/prepared/sum-aggregate", 3, true, 0, 0xd48d30710bf46c2a),
+    ("f1/prepared/order-distance", 15, true, 0, 0x305475d28ea0788e),
+    ("f1/prepared/global-diff", 3, true, 0, 0x66f5e1ed14a6cb9a),
+    ("f2/prepared/exhaustive", 15, true, 0, 0x9a65a9be39da16e1),
+    ("f2/prepared/site-distance", 31, true, 0, 0x95ac93252976a080),
+    ("f2/prepared/site-distance-limit3", 600, false, 0, 0xfc8f1ca4adb55429),
+    ("f2/prepared/site-feedback", 600, false, 0, 0xb7956c77e2c37191),
+    ("f2/prepared/multiply", 13, true, 0, 0x43912ab053894c7d),
+    ("f2/prepared/fate", 35, true, 0, 0xb5aa6deb0337654c),
+    ("f2/prepared/crashtuner", 6, false, 0, 0x4af357a77d9c72b9),
+    ("f2/prepared/crashtuner-meta-exc", 30, true, 0, 0x6af092bfb8aea31f),
+    ("f2/prepared/stacktrace", 6, true, 0, 0x4f7be202d5ba9096),
+    ("f2/prepared/sum-aggregate", 13, true, 0, 0xf1442d0c5df7d176),
+    ("f2/prepared/order-distance", 31, true, 0, 0xb4dca19d74138cd1),
+    ("f2/prepared/global-diff", 13, true, 0, 0x99309e57a56cd1fe),
+    ("f3/prepared/exhaustive", 3, true, 0, 0x5884eb8eceb707c2),
+    ("f3/prepared/site-distance", 5, true, 0, 0x9202920dca8011f8),
+    ("f3/prepared/site-distance-limit3", 5, true, 0, 0x4115a01cf8b62cb8),
+    ("f3/prepared/site-feedback", 5, true, 0, 0xa4475e4e77b9b1e9),
+    ("f3/prepared/multiply", 1, true, 0, 0xb48a1b5f3dc3c5f5),
+    ("f3/prepared/fate", 6, true, 0, 0x380f67c80af2e54d),
+    ("f3/prepared/crashtuner", 6, false, 0, 0xfdba984469b42941),
+    ("f3/prepared/crashtuner-meta-exc", 10, true, 0, 0xd6857e99727dc9c1),
+    ("f3/prepared/stacktrace", 1, true, 0, 0x41a0e1fe2bc5ea76),
+    ("f3/prepared/sum-aggregate", 1, true, 0, 0x985d74f3e8dd02a7),
+    ("f3/prepared/order-distance", 5, true, 0, 0xd3b0e666eaa1fb91),
+    ("f3/prepared/global-diff", 1, true, 0, 0xb48a1b5f3dc3c5f5),
+    ("f4/prepared/exhaustive", 1, true, 0, 0x689c5d0e00237c85),
+    ("f4/prepared/site-distance", 1, true, 0, 0xcc05ef1ced82de1e),
+    ("f4/prepared/site-distance-limit3", 1, true, 0, 0xcc05ef1ced82de1e),
+    ("f4/prepared/site-feedback", 1, true, 0, 0xcc05ef1ced82de1e),
+    ("f4/prepared/multiply", 1, true, 0, 0xcc05ef1ced82de1e),
+    ("f4/prepared/fate", 1, true, 0, 0x6b9fa71e76ab1588),
+    ("f4/prepared/crashtuner", 6, false, 0, 0x2058903e47b7862b),
+    ("f4/prepared/crashtuner-meta-exc", 1, true, 0, 0x6b9fa71e76ab1588),
+    ("f4/prepared/stacktrace", 1, true, 0, 0xee59406bf4b49010),
+    ("f4/prepared/sum-aggregate", 1, true, 0, 0x17b4a4bbf26f625a),
+    ("f4/prepared/order-distance", 1, true, 0, 0xcc05ef1ced82de1e),
+    ("f4/prepared/global-diff", 1, true, 0, 0xcc05ef1ced82de1e),
+    ("f5/prepared/exhaustive", 3, true, 0, 0x9d75576ed403ef73),
+    ("f5/prepared/site-distance", 16, true, 0, 0x876ad6ba44fed6f6),
+    ("f5/prepared/site-distance-limit3", 12, true, 0, 0xc1d899bbdce6461f),
+    ("f5/prepared/site-feedback", 12, true, 0, 0x4a266e67c78d990d),
+    ("f5/prepared/multiply", 6, true, 0, 0x20341b1c734db0b7),
+    ("f5/prepared/fate", 11, true, 0, 0x8456162779e16a85),
+    ("f5/prepared/crashtuner", 6, false, 0, 0xff7aaef7397eed1b),
+    ("f5/prepared/crashtuner-meta-exc", 5, true, 0, 0x2b1ca00da253cdf8),
+    ("f5/prepared/stacktrace", 1, true, 0, 0xcc2f7efab0ed1a21),
+    ("f5/prepared/sum-aggregate", 6, true, 0, 0xd1cc98f922246ea1),
+    ("f5/prepared/order-distance", 16, true, 0, 0xd8dc67f8a31ffbac),
+    ("f5/prepared/global-diff", 4, true, 0, 0x6139c0796ba2fa62),
+    ("f6/prepared/exhaustive", 8, true, 0, 0xfe594c5af2a9354f),
+    ("f6/prepared/site-distance", 15, true, 0, 0xd183828cc68e6bf9),
+    ("f6/prepared/site-distance-limit3", 14, true, 0, 0x249e0688e5ddf24e),
+    ("f6/prepared/site-feedback", 14, true, 0, 0x8a254fdef9adab18),
+    ("f6/prepared/multiply", 14, true, 0, 0x59ffb831dc912d68),
+    ("f6/prepared/fate", 12, true, 0, 0xd4c0cedc569c29e9),
+    ("f6/prepared/crashtuner", 6, false, 0, 0xa2b69a128bf9df81),
+    ("f6/prepared/crashtuner-meta-exc", 600, false, 0, 0xaaec4a8749c62ce9),
+    ("f6/prepared/stacktrace", 1, true, 0, 0xb90b77a8d79d6202),
+    ("f6/prepared/sum-aggregate", 14, true, 0, 0x3e9d931fbfbb34ca),
+    ("f6/prepared/order-distance", 15, true, 0, 0xd7a99cd080457f1c),
+    ("f6/prepared/global-diff", 14, true, 0, 0xbd1f9750d3ab829d),
+    ("f7/prepared/exhaustive", 3, true, 0, 0x1567ef4e21102948),
+    ("f7/prepared/site-distance", 13, true, 0, 0x55b629d714f6eaec),
+    ("f7/prepared/site-distance-limit3", 13, true, 0, 0x07a29a6becd703d4),
+    ("f7/prepared/site-feedback", 13, true, 0, 0x56dbec0ec5254829),
+    ("f7/prepared/multiply", 7, true, 0, 0xde7dec82f1b531bb),
+    ("f7/prepared/fate", 13, true, 0, 0x3601f50880db0d9f),
+    ("f7/prepared/crashtuner", 6, false, 0, 0xe6284f3be892835f),
+    ("f7/prepared/crashtuner-meta-exc", 3, true, 0, 0x14e557561d664122),
+    ("f7/prepared/stacktrace", 1, true, 0, 0xdf2b406b0d8a3218),
+    ("f7/prepared/sum-aggregate", 7, true, 0, 0x770874c01af035ec),
+    ("f7/prepared/order-distance", 13, true, 0, 0xa130a7e01dcaee99),
+    ("f7/prepared/global-diff", 7, true, 0, 0x00a54dc4f911f628),
+    ("f8/prepared/exhaustive", 23, true, 0, 0x8bd3a1255a479dea),
+    ("f8/prepared/site-distance", 1, true, 0, 0x2e4682019f67b239),
+    ("f8/prepared/site-distance-limit3", 1, true, 0, 0x2e4682019f67b239),
+    ("f8/prepared/site-feedback", 1, true, 0, 0x2e4682019f67b239),
+    ("f8/prepared/multiply", 1, true, 0, 0x5d16ef7c8e5c375e),
+    ("f8/prepared/fate", 1, true, 0, 0x92e0c69d193c4e1b),
+    ("f8/prepared/crashtuner", 6, false, 0, 0xe7ad80c75a30aea2),
+    ("f8/prepared/crashtuner-meta-exc", 600, false, 0, 0xb2948257061fed3a),
+    ("f8/prepared/stacktrace", 3, true, 0, 0xf51747fb8bf10bc8),
+    ("f8/prepared/sum-aggregate", 1, true, 0, 0x414ad70a333268d1),
+    ("f8/prepared/order-distance", 1, true, 0, 0x2e4682019f67b239),
+    ("f8/prepared/global-diff", 1, true, 0, 0x5d16ef7c8e5c375e),
+    ("f9/prepared/exhaustive", 5, true, 0, 0x48faea6d94ab8611),
+    ("f9/prepared/site-distance", 1, true, 0, 0x4a9e234d9b4d9873),
+    ("f9/prepared/site-distance-limit3", 1, true, 0, 0x4a9e234d9b4d9873),
+    ("f9/prepared/site-feedback", 1, true, 0, 0x4a9e234d9b4d9873),
+    ("f9/prepared/multiply", 1, true, 0, 0xc183675d8c48c14e),
+    ("f9/prepared/fate", 7, true, 0, 0x0da13ae46e780b54),
+    ("f9/prepared/crashtuner", 6, false, 0, 0xe396a524d7f9b263),
+    ("f9/prepared/crashtuner-meta-exc", 600, false, 0, 0x03b55b564ff4d530),
+    ("f9/prepared/stacktrace", 3, true, 0, 0xed4876080c7a3191),
+    ("f9/prepared/sum-aggregate", 1, true, 0, 0x82baf6d48e204ddf),
+    ("f9/prepared/order-distance", 1, true, 0, 0x4a9e234d9b4d9873),
+    ("f9/prepared/global-diff", 1, true, 0, 0xc183675d8c48c14e),
+    ("f10/prepared/exhaustive", 30, true, 0, 0xcf268b2c2b53d6d5),
+    ("f10/prepared/site-distance", 1, true, 0, 0x3a763c1f9d109988),
+    ("f10/prepared/site-distance-limit3", 1, true, 0, 0x3a763c1f9d109988),
+    ("f10/prepared/site-feedback", 1, true, 0, 0x3a763c1f9d109988),
+    ("f10/prepared/multiply", 1, true, 0, 0x31fbbbbc5c9d2033),
+    ("f10/prepared/fate", 3, true, 0, 0x8ddba5d91a8c47bc),
+    ("f10/prepared/crashtuner", 6, false, 0, 0x3d79733b53934172),
+    ("f10/prepared/crashtuner-meta-exc", 600, false, 0, 0x4c50826e034a7db2),
+    ("f10/prepared/stacktrace", 1, true, 0, 0xf91a2e02c9e0cb16),
+    ("f10/prepared/sum-aggregate", 1, true, 0, 0x93da5876f41bf0de),
+    ("f10/prepared/order-distance", 1, true, 0, 0x3a763c1f9d109988),
+    ("f10/prepared/global-diff", 1, true, 0, 0x31fbbbbc5c9d2033),
+    ("f11/prepared/exhaustive", 27, true, 0, 0x1d82e6b8fd635897),
+    ("f11/prepared/site-distance", 6, true, 0, 0x0b2882b4ac01d70a),
+    ("f11/prepared/site-distance-limit3", 6, true, 0, 0x0b2882b4ac01d70a),
+    ("f11/prepared/site-feedback", 6, true, 0, 0xf74dfa66ac5487f4),
+    ("f11/prepared/multiply", 6, true, 0, 0x87a29d03fe97bd92),
+    ("f11/prepared/fate", 20, true, 0, 0xc3521ed4ab2534e9),
+    ("f11/prepared/crashtuner", 6, false, 0, 0xf4de19678a8e927a),
+    ("f11/prepared/crashtuner-meta-exc", 600, false, 0, 0xb9110e8ac65a6bb0),
+    ("f11/prepared/stacktrace", 2, true, 0, 0xf54f8d89a16bf45b),
+    ("f11/prepared/sum-aggregate", 6, true, 0, 0x87a29d03fe97bd92),
+    ("f11/prepared/order-distance", 6, true, 0, 0xf74dfa66ac5487f4),
+    ("f11/prepared/global-diff", 6, true, 0, 0x87a29d03fe97bd92),
+    ("f12/prepared/exhaustive", 40, true, 0, 0xb73ac4b67f8b3689),
+    ("f12/prepared/site-distance", 1, true, 0, 0x2278236feb9a9c08),
+    ("f12/prepared/site-distance-limit3", 1, true, 0, 0x2278236feb9a9c08),
+    ("f12/prepared/site-feedback", 1, true, 0, 0x2278236feb9a9c08),
+    ("f12/prepared/multiply", 1, true, 0, 0x79f75b78679d4290),
+    ("f12/prepared/fate", 1, true, 0, 0x0feb9cc6628c838b),
+    ("f12/prepared/crashtuner", 15, false, 0, 0x0aa81f0cd15524fd),
+    ("f12/prepared/crashtuner-meta-exc", 1, true, 0, 0x0feb9cc6628c838b),
+    ("f12/prepared/stacktrace", 1, true, 0, 0x61f8c2e8be641e8c),
+    ("f12/prepared/sum-aggregate", 1, true, 0, 0x11a3248862970044),
+    ("f12/prepared/order-distance", 1, true, 0, 0x2278236feb9a9c08),
+    ("f12/prepared/global-diff", 1, true, 0, 0x79f75b78679d4290),
+    ("f13/prepared/exhaustive", 4, true, 0, 0xe5e7eedec2427af0),
+    ("f13/prepared/site-distance", 4, true, 0, 0x00464ccc38d91b3f),
+    ("f13/prepared/site-distance-limit3", 600, false, 0, 0x9265a6b37fbfdfbd),
+    ("f13/prepared/site-feedback", 600, false, 0, 0x2a685a5e1f7ce76d),
+    ("f13/prepared/multiply", 1, true, 0, 0xc87127f9a092ffe6),
+    ("f13/prepared/fate", 18, true, 0, 0x355c835c6f2f2b42),
+    ("f13/prepared/crashtuner", 15, false, 0, 0x8a7d15a35855cd7a),
+    ("f13/prepared/crashtuner-meta-exc", 600, false, 0, 0xff73ef25932f5557),
+    ("f13/prepared/stacktrace", 0, false, 0, 0x6e706f876c66ffc1),
+    ("f13/prepared/sum-aggregate", 1, true, 0, 0x0c98943c23795163),
+    ("f13/prepared/order-distance", 4, true, 0, 0xe5501bb13ed45e08),
+    ("f13/prepared/global-diff", 1, true, 0, 0xc87127f9a092ffe6),
+    ("f14/prepared/exhaustive", 2, true, 0, 0xe78cb5ca93ecf293),
+    ("f14/prepared/site-distance", 2, true, 0, 0x680a472943fb8fb9),
+    ("f14/prepared/site-distance-limit3", 2, true, 0, 0x680a472943fb8fb9),
+    ("f14/prepared/site-feedback", 2, true, 0, 0xe25851909ceef7a6),
+    ("f14/prepared/multiply", 1, true, 0, 0x1afe7742d62aa059),
+    ("f14/prepared/fate", 1, true, 0, 0xe8aa98719a3645d3),
+    ("f14/prepared/crashtuner", 15, false, 0, 0x5ac37964b6fd681d),
+    ("f14/prepared/crashtuner-meta-exc", 1, true, 0, 0xe8aa98719a3645d3),
+    ("f14/prepared/stacktrace", 0, false, 0, 0x6e706f876c66ffc1),
+    ("f14/prepared/sum-aggregate", 1, true, 0, 0x505a103a54c471d5),
+    ("f14/prepared/order-distance", 2, true, 0, 0xe25851909ceef7a6),
+    ("f14/prepared/global-diff", 1, true, 0, 0x1afe7742d62aa059),
+    ("f15/prepared/exhaustive", 1, true, 0, 0x70d2fda9d182bfb9),
+    ("f15/prepared/site-distance", 1, true, 0, 0x06be24ba95ecf74b),
+    ("f15/prepared/site-distance-limit3", 1, true, 0, 0x06be24ba95ecf74b),
+    ("f15/prepared/site-feedback", 1, true, 0, 0x06be24ba95ecf74b),
+    ("f15/prepared/multiply", 1, true, 0, 0x37db0fcfd972bf07),
+    ("f15/prepared/fate", 1, true, 0, 0x0242d857ec63ed77),
+    ("f15/prepared/crashtuner", 15, false, 0, 0x6dbac5cafb951bbe),
+    ("f15/prepared/crashtuner-meta-exc", 600, false, 0, 0xcb83ef05152ecf67),
+    ("f15/prepared/stacktrace", 1, true, 0, 0xf82456e459a3d533),
+    ("f15/prepared/sum-aggregate", 1, true, 0, 0x02916cad16dbc6b1),
+    ("f15/prepared/order-distance", 1, true, 0, 0x06be24ba95ecf74b),
+    ("f15/prepared/global-diff", 1, true, 0, 0x37db0fcfd972bf07),
+    ("f16/prepared/exhaustive", 1, true, 0, 0x99a683d2bd013f3d),
+    ("f16/prepared/site-distance", 2, true, 0, 0xb2cfdc14c1831f28),
+    ("f16/prepared/site-distance-limit3", 2, true, 0, 0xb2cfdc14c1831f28),
+    ("f16/prepared/site-feedback", 2, true, 0, 0x71dc62dff887f322),
+    ("f16/prepared/multiply", 1, true, 0, 0x13b7d24468a6378e),
+    ("f16/prepared/fate", 6, true, 0, 0xe864364fcf3f820e),
+    ("f16/prepared/crashtuner", 15, false, 0, 0xdca7ce1d9c91c166),
+    ("f16/prepared/crashtuner-meta-exc", 4, true, 0, 0xa922f8e943d7c559),
+    ("f16/prepared/stacktrace", 1, true, 0, 0xd5d1922675683b3a),
+    ("f16/prepared/sum-aggregate", 1, true, 0, 0xae8251a68ba65fe5),
+    ("f16/prepared/order-distance", 2, true, 0, 0x71dc62dff887f322),
+    ("f16/prepared/global-diff", 1, true, 0, 0x13b7d24468a6378e),
+    ("f17/prepared/exhaustive", 63, true, 0, 0x9a73659078415902),
+    ("f17/prepared/site-distance", 26, true, 0, 0xb81f1ad1e1f46627),
+    ("f17/prepared/site-distance-limit3", 600, false, 0, 0x9cdeae91632a896e),
+    ("f17/prepared/site-feedback", 600, false, 0, 0x5a1271fa4a79eb88),
+    ("f17/prepared/multiply", 12, true, 0, 0xb9d6da0e0e3b09da),
+    ("f17/prepared/fate", 50, true, 0, 0xd3b141335cd8ffc1),
+    ("f17/prepared/crashtuner", 15, false, 0, 0x8b8a5bad4f4f826c),
+    ("f17/prepared/crashtuner-meta-exc", 600, false, 0, 0x4946c45ffb766e7e),
+    ("f17/prepared/stacktrace", 7, true, 0, 0xb35ad99a9b768679),
+    ("f17/prepared/sum-aggregate", 12, true, 0, 0x0fe13a3d0e0317ab),
+    ("f17/prepared/order-distance", 26, true, 0, 0xe3e56d3d20feda21),
+    ("f17/prepared/global-diff", 12, true, 0, 0x032ed8925468d771),
+    ("f18/prepared/exhaustive", 4, true, 0, 0x692d1048347d0454),
+    ("f18/prepared/site-distance", 4, true, 0, 0xbfaa699d864b203a),
+    ("f18/prepared/site-distance-limit3", 4, true, 0, 0xbfaa699d864b203a),
+    ("f18/prepared/site-feedback", 4, true, 0, 0xa9055bdd29f44d21),
+    ("f18/prepared/multiply", 3, true, 0, 0x65925b7626340786),
+    ("f18/prepared/fate", 6, true, 0, 0x810a1a519e1dc28b),
+    ("f18/prepared/crashtuner", 15, false, 0, 0x9290feb6361ea268),
+    ("f18/prepared/crashtuner-meta-exc", 0, false, 0, 0x6e706f876c66ffc1),
+    ("f18/prepared/stacktrace", 3, true, 0, 0xb88668ce12471ebf),
+    ("f18/prepared/sum-aggregate", 3, true, 0, 0x65925b7626340786),
+    ("f18/prepared/order-distance", 4, true, 0, 0xa9055bdd29f44d21),
+    ("f18/prepared/global-diff", 3, true, 0, 0x65925b7626340786),
+    ("f19/prepared/exhaustive", 1, true, 0, 0x3eef9654b4853d65),
+    ("f19/prepared/site-distance", 1, true, 0, 0x3baded61633949b2),
+    ("f19/prepared/site-distance-limit3", 1, true, 0, 0x3baded61633949b2),
+    ("f19/prepared/site-feedback", 1, true, 0, 0x3baded61633949b2),
+    ("f19/prepared/multiply", 2, true, 0, 0x03ad507b5bf29312),
+    ("f19/prepared/fate", 1, true, 0, 0xbced59b0b66f2e01),
+    ("f19/prepared/crashtuner", 15, false, 0, 0xb1a4ab0e0b6c3af4),
+    ("f19/prepared/crashtuner-meta-exc", 0, false, 0, 0x6e706f876c66ffc1),
+    ("f19/prepared/stacktrace", 1, true, 0, 0xcf58dca3292cead5),
+    ("f19/prepared/sum-aggregate", 2, true, 0, 0x4701384867ea6bd6),
+    ("f19/prepared/order-distance", 1, true, 0, 0x3baded61633949b2),
+    ("f19/prepared/global-diff", 2, true, 0, 0x03ad507b5bf29312),
+    ("f20/prepared/exhaustive", 16, true, 0, 0x43ceddf81e6c1df8),
+    ("f20/prepared/site-distance", 16, true, 0, 0x9cdba0cff64c2443),
+    ("f20/prepared/site-distance-limit3", 600, false, 0, 0x3227102190820010),
+    ("f20/prepared/site-feedback", 600, false, 0, 0x1bbeb8e7f015b0d2),
+    ("f20/prepared/multiply", 9, true, 0, 0x4b462a7e2ee28574),
+    ("f20/prepared/fate", 36, true, 0, 0xa61861ae623ef033),
+    ("f20/prepared/crashtuner", 15, false, 0, 0xae7dab34b69b928e),
+    ("f20/prepared/crashtuner-meta-exc", 0, false, 0, 0x6e706f876c66ffc1),
+    ("f20/prepared/stacktrace", 12, true, 0, 0x52a5a17bae42d218),
+    ("f20/prepared/sum-aggregate", 9, true, 0, 0x829dfc8b617cf97a),
+    ("f20/prepared/order-distance", 16, true, 0, 0xdaf5d49523a275ac),
+    ("f20/prepared/global-diff", 9, true, 0, 0x53598dcaf67e35bb),
+    ("f21/prepared/exhaustive", 2, true, 0, 0x4c7601f396072867),
+    ("f21/prepared/site-distance", 2, true, 0, 0x7eac6bc71514e8d8),
+    ("f21/prepared/site-distance-limit3", 2, true, 0, 0x7eac6bc71514e8d8),
+    ("f21/prepared/site-feedback", 2, true, 0, 0x0aff362ddd3c3108),
+    ("f21/prepared/multiply", 2, true, 0, 0x74f86fe42b739c16),
+    ("f21/prepared/fate", 4, true, 0, 0x3a1c89634032e40b),
+    ("f21/prepared/crashtuner", 3, false, 0, 0x7ad7f419d85d4cb7),
+    ("f21/prepared/crashtuner-meta-exc", 4, true, 0, 0x3a1c89634032e40b),
+    ("f21/prepared/stacktrace", 2, true, 0, 0x788c0f492073ccd6),
+    ("f21/prepared/sum-aggregate", 2, true, 0, 0x56857eefb7c87a51),
+    ("f21/prepared/order-distance", 2, true, 0, 0x0aff362ddd3c3108),
+    ("f21/prepared/global-diff", 2, true, 0, 0x74f86fe42b739c16),
+    ("f22/prepared/exhaustive", 5, true, 0, 0x84858d4f1adfd59a),
+    ("f22/prepared/site-distance", 2, true, 0, 0x5b14486b72f171ae),
+    ("f22/prepared/site-distance-limit3", 2, true, 0, 0x5b14486b72f171ae),
+    ("f22/prepared/site-feedback", 2, true, 0, 0x9cfba6a9ba7e42ea),
+    ("f22/prepared/multiply", 1, true, 0, 0xee900f1eda72338d),
+    ("f22/prepared/fate", 5, true, 0, 0x5441151a1fca5fea),
+    ("f22/prepared/crashtuner", 2, true, 0, 0x89f8ccc06f41863e),
+    ("f22/prepared/crashtuner-meta-exc", 5, true, 0, 0x5441151a1fca5fea),
+    ("f22/prepared/stacktrace", 1, true, 0, 0x564d7488daaacd02),
+    ("f22/prepared/sum-aggregate", 1, true, 0, 0xee900f1eda72338d),
+    ("f22/prepared/order-distance", 2, true, 0, 0x9cfba6a9ba7e42ea),
+    ("f22/prepared/global-diff", 1, true, 0, 0xee900f1eda72338d),
 ];
 
 #[rustfmt::skip]
@@ -270,6 +543,23 @@ fn searches_on_degraded_contexts_are_pinned() {
         &fixed_and_adaptive("degraded", degraded),
         &DEGRADED,
     );
+}
+
+/// The registry's other twelve strategies, each on every case's prepared
+/// context (one preparation per case, shared by its twelve searches).
+#[test]
+fn every_registry_strategy_on_prepared_contexts_is_pinned() {
+    let mut rows = Vec::new();
+    for case in all_cases() {
+        let (ctx, oracle) = prepared(case.id);
+        for (cli, _, _) in &REGISTRY {
+            if !matches!(*cli, "full" | "full-adaptive") {
+                let key = format!("{}/prepared/{cli}", case.id);
+                rows.push(search(key, &ctx, &oracle, cli, None).0);
+            }
+        }
+    }
+    check("REGISTRY_ROWS", &rows, &REGISTRY_ROWS);
 }
 
 #[test]
