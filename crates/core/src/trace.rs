@@ -41,13 +41,15 @@
 //!
 //! # Format
 //!
-//! [`FileTracer`] writes one hand-rolled JSON object per line (the style
-//! of `anduril analyze`). This file is the only one that knows the wire
-//! keys: [`TraceEvent::to_json`] writes a line, [`TraceEvent::parse_line`]
-//! reads it back into the same typed event (through the minimal [`Json`]
-//! reader), and [`read_stream`] does that for a whole file. The reader's
-//! compatibility rule, so that old and cut streams stay readable while a
-//! schema slip is loud:
+//! [`FileTracer`] writes one hand-rolled JSON object per line. This file
+//! is the only one that knows the wire format, and it spells each key
+//! once: a table with one row per `ev` kind and per note kind lists each
+//! variant's fields in key order, and a small per-type codec writes a
+//! field and reads it back. [`TraceEvent::to_json`],
+//! [`TraceEvent::stable_json`] and [`TraceEvent::parse_line`] (through the
+//! minimal [`Json`] reader) interpret that table; [`read_stream`] reads a
+//! whole file. The reader's compatibility rule, so that old and cut
+//! streams stay readable while a schema slip is loud:
 //!
 //! - an `ev` or `note` kind this build does not know is skipped;
 //! - a key it does not know is ignored;
@@ -65,7 +67,7 @@ pub mod report;
 mod sink;
 
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use anduril_ir::{ExceptionType, SiteId};
 
@@ -370,7 +372,7 @@ fn jf(v: f64) -> String {
 }
 
 /// Escapes a string for a hand-rolled JSON document (the `analyze` style).
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -385,26 +387,284 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// `item` of each element, `sep` between them (the writer's lists and the
-/// reports' share it).
+/// `item` of each element, `sep` between them (the reports' lists).
 fn join<T>(xs: &[T], sep: &str, item: impl Fn(&T) -> String) -> String {
     xs.iter().map(item).collect::<Vec<_>>().join(sep)
 }
 
-fn provenance_json(p: &PlanProvenance) -> String {
-    format!(
-        "{{\"site\":{},\"exc\":\"{}\",\"occ\":{},\"f\":{},\"k\":{},\"l\":{},\"ik\":{},\"t\":{}}}",
-        p.site.0,
-        p.exc.name(),
-        p.occurrence
-            .map(|o| o.to_string())
-            .unwrap_or_else(|| "null".into()),
-        jf(p.f_i),
-        p.k_star,
-        p.l,
-        jf(p.i_k),
-        jf(p.temporal),
-    )
+// What a line carries beside its row's fields: its kind under `ev`; for
+// a note, `round`, and (unless the row is tagged `ev`) `ev: "note"` with
+// the note's own kind under `note`.
+const EV: &str = "ev";
+const NOTE: &str = "note";
+const ROUND: &str = "round";
+
+/// The per-type half of the wire format: how a field's value is written
+/// into a line and read back from one (the per-kind half is the table
+/// below).
+trait Wire: Sized {
+    /// The value's JSON form.
+    fn put(&self) -> String;
+
+    /// The value `v` holds. One of the wrong type is an error naming
+    /// `key`, the member `v` was read from; a nested object names its own
+    /// keys.
+    fn get(v: &Json, key: &'static str) -> Result<Self, LineError>;
+}
+
+/// `Wire` for the types one JSON scalar holds: `|value|` how it is
+/// written, `|json|` what reads back (`None` is a mistyped key).
+macro_rules! wire_scalar {
+    ($($T:ty => |$x:ident| $put:expr, |$v:ident| $get:expr;)*) => {$(
+        impl Wire for $T {
+            fn put(&self) -> String {
+                let $x = self;
+                $put
+            }
+
+            fn get($v: &Json, key: &'static str) -> Result<Self, LineError> {
+                $get.ok_or(LineError::Key(key))
+            }
+        }
+    )*};
+}
+
+// An integer must fit its type. A float written `null` (not finite)
+// reads back as the one the search produces, infinity (no reachable
+// instance).
+wire_scalar! {
+    usize => |n| n.to_string(), |v| v.as_u64().and_then(|n| n.try_into().ok());
+    u32 => |n| n.to_string(), |v| v.as_u64().and_then(|n| n.try_into().ok());
+    u64 => |n| n.to_string(), |v| v.as_u64();
+    bool => |b| b.to_string(), |v| v.as_bool();
+    f64 => |x| jf(*x), |v| v.as_f64().or((*v == Json::Null).then_some(f64::INFINITY));
+    String => |s| quoted(s), |v| v.as_str().map(String::from);
+    Cow<'static, str> => |s| quoted(s), |v| v.as_str().map(|s| s.to_string().into());
+    SiteId => |s| s.0.to_string(), |v| v.as_u64().and_then(|n| n.try_into().ok()).map(SiteId);
+    ExceptionType => |e| quoted(e.name()), |v| v.as_str().and_then(ExceptionType::parse);
+}
+
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
+}
+
+/// `None` is `null`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self) -> String {
+        self.as_ref().map_or_else(|| "null".into(), T::put)
+    }
+
+    fn get(v: &Json, key: &'static str) -> Result<Self, LineError> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::get(v, key).map(Some),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self) -> String {
+        format!("[{}]", join(self, ",", T::put))
+    }
+
+    fn get(v: &Json, key: &'static str) -> Result<Self, LineError> {
+        let items = v.as_arr().ok_or(LineError::Key(key))?;
+        items.iter().map(|x| T::get(x, key)).collect()
+    }
+}
+
+/// The key a table field is written under: its own name, or the one the
+/// row gives with `as`.
+macro_rules! key {
+    ($f:ident) => {
+        stringify!($f)
+    };
+    ($f:ident as $key:literal) => {
+        $key
+    };
+}
+
+/// `Wire` for a nested object, from its fields in key order: a struct
+/// (`Name { field, … }`) or a tuple (`(field: Type, …)`).
+macro_rules! wire_object {
+    ($T:ident { $($f:ident $(as $k:literal)?),* $(,)? }) => {
+        wire_object!(@ $T, [$T { $($f),* }], $($f $(as $k)?),*);
+    };
+    (($($f:ident: $t:ty),* $(,)?)) => {
+        wire_object!(@ ($($t),*), [($($f),*)], $($f),*);
+    };
+    // `$shape` is both the pattern that takes the value apart and the
+    // expression that puts it back together.
+    (@ $T:ty, [$($shape:tt)*], $($f:ident $(as $k:literal)?),*) => {
+        impl Wire for $T {
+            fn put(&self) -> String {
+                let $($shape)* = self;
+                let mut obj = String::new();
+                $(member(&mut obj, key!($f $(as $k)?), &$f.put());)*
+                obj + "}"
+            }
+
+            fn get(v: &Json, key: &'static str) -> Result<Self, LineError> {
+                if !matches!(v, Json::Obj(_)) {
+                    return Err(LineError::Key(key));
+                }
+                $(let $f = field(v, key!($f $(as $k)?))?;)*
+                Ok($($shape)*)
+            }
+        }
+    };
+}
+
+wire_object! {
+    PlanProvenance {
+        site, exc, occurrence as "occ", f_i as "f", k_star as "k", l, i_k as "ik", temporal as "t"
+    }
+}
+
+// `RoundEnd::injected`.
+wire_object! { (site: SiteId, occ: u32, exc: ExceptionType) }
+
+/// Adds member `key`, holding `value`, to the object being written into
+/// `obj`: the first opens it, and the caller closes it with `}`.
+fn member(obj: &mut String, key: &str, value: &str) {
+    obj.push(if obj.is_empty() { '{' } else { ',' });
+    let _ = write!(obj, "\"{key}\":{value}");
+}
+
+/// Member `key` of object `o`; missing or mistyped is an error naming it.
+fn field<T: Wire>(o: &Json, key: &'static str) -> Result<T, LineError> {
+    T::get(o.get(key).ok_or(LineError::Key(key))?, key)
+}
+
+/// A volatile host-time member: `0` where the line carries none.
+fn host_ns(o: &Json, key: &'static str) -> Result<u64, LineError> {
+    o.get(key).map_or(Ok(0), |v| u64::get(v, key))
+}
+
+/// The kind a line or a note names under `key`.
+fn kind<'a>(o: &'a Json, key: &'static str) -> Result<&'a str, LineError> {
+    o.get(key).and_then(Json::as_str).ok_or(LineError::Key(key))
+}
+
+/// The `(ev, note)` kinds of a note row's lines: `ev: "note"` with the
+/// row's kind under `"note"`, or, for a row tagged `ev`, the row's kind as
+/// the line's `ev` and no `"note"`.
+macro_rules! note_kinds {
+    (note, $kind:literal) => {
+        (NOTE, Some($kind))
+    };
+    (ev, $kind:literal) => {
+        ($kind, None)
+    };
+}
+
+/// The per-kind half of the wire format, expanded into the writer
+/// (`TraceEvent::render`) and the reader (`TraceEvent::read`).
+///
+/// One row per `ev` kind and per note kind lists its variant's fields
+/// once, in key order; the pattern that takes a variant apart and the
+/// expression that builds it are both spelled from the row, so a field or
+/// a variant without a row does not compile. A field is written under its
+/// own name unless the row gives a key with `as`. A `volatile` group holds
+/// the host-time `*_ns` fields: left out of a `stable_json` line, and read
+/// as `0` where a line has none. `then "key" = expr` writes a key derived
+/// from the fields right after its field, and the reader ignores it.
+macro_rules! wire_format {
+    (
+        events { $(
+            $Ev:ident $kind:literal { $($f:ident $(as $fk:literal)?),* $(,)? }
+            $(volatile { $($v:ident),* $(,)? })?
+        ),* $(,)? }
+        notes { $(
+            $Note:ident $tag:ident $note_kind:literal {
+                $($g:ident $(as $gk:literal)? $(then $dk:literal = $de:expr)?),* $(,)?
+            }
+        ),* $(,)? }
+    ) => {
+        impl TraceEvent {
+            fn render(&self, volatile: bool) -> String {
+                let mut line = String::with_capacity(128);
+                match self {
+                    $(TraceEvent::$Ev { $($f,)* $($($v,)*)? } => {
+                        member(&mut line, EV, &quoted($kind));
+                        $(member(&mut line, key!($f $(as $fk)?), &$f.put());)*
+                        $(if volatile {
+                            $(member(&mut line, stringify!($v), &$v.put());)*
+                        })?
+                    })*
+                    TraceEvent::Note { round, note } => match note {
+                        $(StrategyNote::$Note { $($g),* } => {
+                            let (ev, kind) = note_kinds!($tag, $note_kind);
+                            member(&mut line, EV, &quoted(ev));
+                            member(&mut line, ROUND, &round.put());
+                            if let Some(kind) = kind {
+                                member(&mut line, NOTE, &quoted(kind));
+                            }
+                            $(
+                                member(&mut line, key!($g $(as $gk)?), &$g.put());
+                                $(member(&mut line, $dk, &($de).to_string());)?
+                            )*
+                        })*
+                    },
+                }
+                line + "}"
+            }
+
+            /// The event a line of kind `ev` holds; `None` for a kind without a row.
+            fn read(ev: &str, o: &Json) -> Result<Option<TraceEvent>, LineError> {
+                $(if ev == $kind {
+                    $(let $f = field(o, key!($f $(as $fk)?))?;)*
+                    $($(let $v = host_ns(o, stringify!($v))?;)*)?
+                    return Ok(Some(TraceEvent::$Ev { $($f,)* $($($v,)*)? }));
+                })*
+                let note_kind = if ev == NOTE { Some(kind(o, NOTE)?) } else { None };
+                $(if (ev, note_kind) == note_kinds!($tag, $note_kind) {
+                    let round = field(o, ROUND)?;
+                    $(let $g = field(o, key!($g $(as $gk)?))?;)*
+                    let note = StrategyNote::$Note { $($g),* };
+                    return Ok(Some(TraceEvent::Note { round, note }));
+                })*
+                Ok(None)
+            }
+        }
+    };
+}
+
+wire_format! {
+    events {
+        ContextPhase "phase" { phase, items } volatile { ns },
+        ContextReady "context" {
+            observables, units, sites_total, sites_reachable, sites_bounded, graph_nodes,
+            graph_edges,
+        },
+        ExploreStart "explore_start" { strategy, max_rounds, base_seed },
+        RoundStart "round_start" { round, seed },
+        Decision "decision" { round, window, armed, provenance } volatile { init_ns },
+        EpochStart "epoch" { epoch, round, jobs },
+        Speculation "spec" { round, epoch, slot, hit },
+        RoundError "round_error" { round, error },
+        RoundEnd "round_end" {
+            round, injected, oracle, ticks, steps, log_entries, injection_requests
+        } volatile { workload_ns, sim_ns, diff_ns, feedback_ns },
+        Feedback "feedback" { round, present, adjust, i_k as "ik" },
+        ProvenanceChain "provenance" {
+            round, seed, site, desc, occurrence as "occ", exc, observable,
+            k_star as "k", l, i_k as "ik", f_i as "f", temporal as "t",
+        },
+        ExploreEnd "explore_end" { success, rounds, replay_verified } volatile { wall_ns },
+    }
+    notes {
+        RetryPass note "retry_pass" { pass },
+        WindowGrew note "window_grew" { window },
+        Retired note "retired" { site, exc },
+        BoundPruned note "bound_pruned" { count },
+        WindowExhausted note "window_exhausted" { window, pass },
+        ObservablePromoted ev "promoted" {
+            k, template, site, node, node_desc, pass, l_new,
+            l_old then "delta" = *l_old as i64 - *l_new as i64,
+            units_added,
+        },
+    }
 }
 
 impl TraceEvent {
@@ -429,365 +689,13 @@ impl TraceEvent {
         self.render(false)
     }
 
-    fn render(&self, volatile: bool) -> String {
-        use std::fmt::Write as _;
-        match self {
-            TraceEvent::ContextPhase { phase, items, ns } => {
-                let mut s = format!("{{\"ev\":\"phase\",\"phase\":\"{phase}\",\"items\":{items}");
-                if volatile {
-                    let _ = write!(s, ",\"ns\":{ns}");
-                }
-                s.push('}');
-                s
-            }
-            TraceEvent::ContextReady {
-                observables,
-                units,
-                sites_total,
-                sites_reachable,
-                sites_bounded,
-                graph_nodes,
-                graph_edges,
-            } => format!(
-                "{{\"ev\":\"context\",\"observables\":{observables},\"units\":{units},\
-                 \"sites_total\":{sites_total},\"sites_reachable\":{sites_reachable},\
-                 \"sites_bounded\":{sites_bounded},\
-                 \"graph_nodes\":{graph_nodes},\"graph_edges\":{graph_edges}}}"
-            ),
-            TraceEvent::ExploreStart {
-                strategy,
-                max_rounds,
-                base_seed,
-            } => format!(
-                "{{\"ev\":\"explore_start\",\"strategy\":\"{}\",\"max_rounds\":{max_rounds},\
-                 \"base_seed\":{base_seed}}}",
-                json_escape(strategy)
-            ),
-            TraceEvent::RoundStart { round, seed } => {
-                format!("{{\"ev\":\"round_start\",\"round\":{round},\"seed\":{seed}}}")
-            }
-            TraceEvent::Decision {
-                round,
-                window,
-                armed,
-                provenance,
-                init_ns,
-            } => {
-                let mut s = format!(
-                    "{{\"ev\":\"decision\",\"round\":{round},\"window\":{window},\
-                     \"armed\":{armed},\"provenance\":{}",
-                    provenance
-                        .as_ref()
-                        .map(provenance_json)
-                        .unwrap_or_else(|| "null".into())
-                );
-                if volatile {
-                    let _ = write!(s, ",\"init_ns\":{init_ns}");
-                }
-                s.push('}');
-                s
-            }
-            TraceEvent::Note { round, note } => match note {
-                StrategyNote::RetryPass { pass } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"retry_pass\",\"pass\":{pass}}}"
-                ),
-                StrategyNote::WindowGrew { window } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"window_grew\",\
-                     \"window\":{window}}}"
-                ),
-                StrategyNote::Retired { site, exc } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"retired\",\"site\":{},\
-                     \"exc\":\"{}\"}}",
-                    site.0,
-                    exc.name()
-                ),
-                StrategyNote::BoundPruned { count } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"bound_pruned\",\
-                     \"count\":{count}}}"
-                ),
-                StrategyNote::WindowExhausted { window, pass } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"window_exhausted\",\
-                     \"window\":{window},\"pass\":{pass}}}"
-                ),
-                StrategyNote::ObservablePromoted {
-                    k,
-                    template,
-                    site,
-                    node,
-                    node_desc,
-                    pass,
-                    l_new,
-                    l_old,
-                    units_added,
-                } => format!(
-                    "{{\"ev\":\"promoted\",\"round\":{round},\"k\":{k},\"template\":\"{}\",\
-                     \"site\":{},\"node\":{node},\"node_desc\":\"{}\",\"pass\":{pass},\
-                     \"l_new\":{l_new},\"l_old\":{l_old},\"delta\":{},\
-                     \"units_added\":{units_added}}}",
-                    json_escape(template),
-                    site.0,
-                    json_escape(node_desc),
-                    *l_old as i64 - *l_new as i64
-                ),
-            },
-            TraceEvent::EpochStart { epoch, round, jobs } => {
-                format!("{{\"ev\":\"epoch\",\"epoch\":{epoch},\"round\":{round},\"jobs\":{jobs}}}")
-            }
-            TraceEvent::Speculation {
-                round,
-                epoch,
-                slot,
-                hit,
-            } => format!(
-                "{{\"ev\":\"spec\",\"round\":{round},\"epoch\":{epoch},\"slot\":{slot},\
-                 \"hit\":{hit}}}"
-            ),
-            TraceEvent::RoundError { round, error } => format!(
-                "{{\"ev\":\"round_error\",\"round\":{round},\"error\":\"{}\"}}",
-                json_escape(error)
-            ),
-            TraceEvent::RoundEnd {
-                round,
-                injected,
-                oracle,
-                ticks,
-                steps,
-                log_entries,
-                injection_requests,
-                workload_ns,
-                sim_ns,
-                diff_ns,
-                feedback_ns,
-            } => {
-                let inj = injected
-                    .as_ref()
-                    .map(|(site, occ, exc)| {
-                        format!(
-                            "{{\"site\":{},\"occ\":{occ},\"exc\":\"{}\"}}",
-                            site.0,
-                            exc.name()
-                        )
-                    })
-                    .unwrap_or_else(|| "null".into());
-                let mut s = format!(
-                    "{{\"ev\":\"round_end\",\"round\":{round},\"injected\":{inj},\
-                     \"oracle\":{oracle},\"ticks\":{ticks},\"steps\":{steps},\
-                     \"log_entries\":{log_entries},\"injection_requests\":{injection_requests}"
-                );
-                if volatile {
-                    let _ = write!(
-                        s,
-                        ",\"workload_ns\":{workload_ns},\"sim_ns\":{sim_ns},\
-                         \"diff_ns\":{diff_ns},\"feedback_ns\":{feedback_ns}"
-                    );
-                }
-                s.push('}');
-                s
-            }
-            TraceEvent::Feedback {
-                round,
-                present,
-                adjust,
-                i_k,
-            } => format!(
-                "{{\"ev\":\"feedback\",\"round\":{round},\"present\":[{}],\"adjust\":{},\
-                 \"ik\":[{}]}}",
-                join(present, ",", usize::to_string),
-                jf(*adjust),
-                join(i_k, ",", |&x| jf(x))
-            ),
-            TraceEvent::ProvenanceChain {
-                round,
-                seed,
-                site,
-                desc,
-                occurrence,
-                exc,
-                observable,
-                k_star,
-                l,
-                i_k,
-                f_i,
-                temporal,
-            } => format!(
-                "{{\"ev\":\"provenance\",\"round\":{round},\"seed\":{seed},\"site\":{},\
-                 \"desc\":\"{}\",\"occ\":{occurrence},\"exc\":\"{}\",\"observable\":\"{}\",\
-                 \"k\":{k_star},\"l\":{l},\"ik\":{},\"f\":{},\"t\":{}}}",
-                site.0,
-                json_escape(desc),
-                exc.name(),
-                json_escape(observable),
-                jf(*i_k),
-                jf(*f_i),
-                temporal.map(jf).unwrap_or_else(|| "null".into())
-            ),
-            TraceEvent::ExploreEnd {
-                success,
-                rounds,
-                replay_verified,
-                wall_ns,
-            } => {
-                let mut s = format!(
-                    "{{\"ev\":\"explore_end\",\"success\":{success},\"rounds\":{rounds},\
-                     \"replay_verified\":{replay_verified}"
-                );
-                if volatile {
-                    let _ = write!(s, ",\"wall_ns\":{wall_ns}");
-                }
-                s.push('}');
-                s
-            }
-        }
-    }
-
     /// The inverse of [`TraceEvent::to_json`] and
     /// [`TraceEvent::stable_json`]: reads one line back into the event that
     /// wrote it. `Ok(None)` is a well-formed line of a kind this build does
     /// not know (the module docs give the whole compatibility rule).
     pub fn parse_line(line: &str) -> Result<Option<TraceEvent>, LineError> {
         let json = Json::parse(line).ok_or(LineError::Malformed)?;
-        let o = Obj(&json);
-        Ok(Some(match o.str("ev")? {
-            "phase" => TraceEvent::ContextPhase {
-                phase: o.str("phase")?.to_string().into(),
-                items: o.int("items")?,
-                ns: o.ns("ns")?,
-            },
-            "context" => TraceEvent::ContextReady {
-                observables: o.int("observables")?,
-                units: o.int("units")?,
-                sites_total: o.int("sites_total")?,
-                sites_reachable: o.int("sites_reachable")?,
-                sites_bounded: o.int("sites_bounded")?,
-                graph_nodes: o.int("graph_nodes")?,
-                graph_edges: o.int("graph_edges")?,
-            },
-            "explore_start" => TraceEvent::ExploreStart {
-                strategy: o.str("strategy")?.to_string(),
-                max_rounds: o.int("max_rounds")?,
-                base_seed: o.int("base_seed")?,
-            },
-            "round_start" => TraceEvent::RoundStart {
-                round: o.int("round")?,
-                seed: o.int("seed")?,
-            },
-            "decision" => TraceEvent::Decision {
-                round: o.int("round")?,
-                window: o.int("window")?,
-                armed: o.int("armed")?,
-                provenance: match o.nested("provenance")? {
-                    None => None,
-                    Some(p) => Some(PlanProvenance {
-                        site: SiteId(p.int("site")?),
-                        exc: p.exc("exc")?,
-                        occurrence: p.nullable("occ", |v| v.as_u64()?.try_into().ok())?,
-                        f_i: p.float("f")?,
-                        k_star: p.int("k")?,
-                        l: p.int("l")?,
-                        i_k: p.float("ik")?,
-                        temporal: p.float("t")?,
-                    }),
-                },
-                init_ns: o.ns("init_ns")?,
-            },
-            "note" => TraceEvent::Note {
-                round: o.int("round")?,
-                note: match o.str("note")? {
-                    "retry_pass" => StrategyNote::RetryPass {
-                        pass: o.int("pass")?,
-                    },
-                    "window_grew" => StrategyNote::WindowGrew {
-                        window: o.int("window")?,
-                    },
-                    "retired" => StrategyNote::Retired {
-                        site: SiteId(o.int("site")?),
-                        exc: o.exc("exc")?,
-                    },
-                    "bound_pruned" => StrategyNote::BoundPruned {
-                        count: o.int("count")?,
-                    },
-                    "window_exhausted" => StrategyNote::WindowExhausted {
-                        window: o.int("window")?,
-                        pass: o.int("pass")?,
-                    },
-                    _ => return Ok(None),
-                },
-            },
-            // `delta` is derived from the two distances on the way out and
-            // not read on the way in.
-            "promoted" => TraceEvent::Note {
-                round: o.int("round")?,
-                note: StrategyNote::ObservablePromoted {
-                    k: o.int("k")?,
-                    template: o.str("template")?.to_string(),
-                    site: SiteId(o.int("site")?),
-                    node: o.int("node")?,
-                    node_desc: o.str("node_desc")?.to_string(),
-                    pass: o.int("pass")?,
-                    l_new: o.int("l_new")?,
-                    l_old: o.int("l_old")?,
-                    units_added: o.int("units_added")?,
-                },
-            },
-            "epoch" => TraceEvent::EpochStart {
-                epoch: o.int("epoch")?,
-                round: o.int("round")?,
-                jobs: o.int("jobs")?,
-            },
-            "spec" => TraceEvent::Speculation {
-                round: o.int("round")?,
-                epoch: o.int("epoch")?,
-                slot: o.int("slot")?,
-                hit: o.bool("hit")?,
-            },
-            "round_error" => TraceEvent::RoundError {
-                round: o.int("round")?,
-                error: o.str("error")?.to_string(),
-            },
-            "round_end" => TraceEvent::RoundEnd {
-                round: o.int("round")?,
-                injected: match o.nested("injected")? {
-                    None => None,
-                    Some(i) => Some((SiteId(i.int("site")?), i.int("occ")?, i.exc("exc")?)),
-                },
-                oracle: o.bool("oracle")?,
-                ticks: o.int("ticks")?,
-                steps: o.int("steps")?,
-                log_entries: o.int("log_entries")?,
-                injection_requests: o.int("injection_requests")?,
-                workload_ns: o.ns("workload_ns")?,
-                sim_ns: o.ns("sim_ns")?,
-                diff_ns: o.ns("diff_ns")?,
-                feedback_ns: o.ns("feedback_ns")?,
-            },
-            "feedback" => TraceEvent::Feedback {
-                round: o.int("round")?,
-                present: o.list("present", |v| v.as_u64().and_then(|n| n.try_into().ok()))?,
-                adjust: o.float("adjust")?,
-                i_k: o.list("ik", float_of)?,
-            },
-            "provenance" => TraceEvent::ProvenanceChain {
-                round: o.int("round")?,
-                seed: o.int("seed")?,
-                site: SiteId(o.int("site")?),
-                desc: o.str("desc")?.to_string(),
-                occurrence: o.int("occ")?,
-                exc: o.exc("exc")?,
-                observable: o.str("observable")?.to_string(),
-                k_star: o.int("k")?,
-                l: o.int("l")?,
-                i_k: o.float("ik")?,
-                f_i: o.float("f")?,
-                temporal: o.nullable("t", Json::as_f64)?,
-            },
-            "explore_end" => TraceEvent::ExploreEnd {
-                success: o.bool("success")?,
-                rounds: o.int("rounds")?,
-                replay_verified: o.bool("replay_verified")?,
-                wall_ns: o.ns("wall_ns")?,
-            },
-            _ => return Ok(None),
-        }))
+        TraceEvent::read(kind(&json, EV)?, &json)
     }
 
     /// The round the event belongs to (`None` for preparation and the
@@ -826,83 +734,6 @@ impl fmt::Display for LineError {
             LineError::Malformed => f.write_str("malformed JSON"),
             LineError::Key(key) => write!(f, "missing or mistyped key `{key}`"),
         }
-    }
-}
-
-/// One object of a parsed line, read by key; a failed read names the key.
-struct Obj<'a>(&'a Json);
-
-impl<'a> Obj<'a> {
-    fn read<T>(
-        &self,
-        key: &'static str,
-        f: impl FnOnce(&'a Json) -> Option<T>,
-    ) -> Result<T, LineError> {
-        self.0.get(key).and_then(f).ok_or(LineError::Key(key))
-    }
-
-    /// An integer that fits the field's type.
-    fn int<T: TryFrom<u64>>(&self, key: &'static str) -> Result<T, LineError> {
-        self.read(key, |v| T::try_from(v.as_u64()?).ok())
-    }
-
-    /// A volatile host-time field: `0` where the line carries none.
-    fn ns(&self, key: &'static str) -> Result<u64, LineError> {
-        match self.0.get(key) {
-            None => Ok(0),
-            Some(v) => v.as_u64().ok_or(LineError::Key(key)),
-        }
-    }
-
-    fn float(&self, key: &'static str) -> Result<f64, LineError> {
-        self.read(key, float_of)
-    }
-
-    fn bool(&self, key: &'static str) -> Result<bool, LineError> {
-        self.read(key, Json::as_bool)
-    }
-
-    fn str(&self, key: &'static str) -> Result<&'a str, LineError> {
-        self.read(key, Json::as_str)
-    }
-
-    fn exc(&self, key: &'static str) -> Result<ExceptionType, LineError> {
-        self.read(key, |v| v.as_str().and_then(ExceptionType::parse))
-    }
-
-    /// A value the writer prints as `null` when there is none.
-    fn nullable<T>(
-        &self,
-        key: &'static str,
-        f: impl FnOnce(&'a Json) -> Option<T>,
-    ) -> Result<Option<T>, LineError> {
-        self.read(key, |v| match v {
-            Json::Null => Some(None),
-            v => f(v).map(Some),
-        })
-    }
-
-    /// A nested object, or `null`.
-    fn nested(&self, key: &'static str) -> Result<Option<Obj<'a>>, LineError> {
-        self.nullable(key, |v| matches!(v, Json::Obj(_)).then_some(Obj(v)))
-    }
-
-    fn list<T>(
-        &self,
-        key: &'static str,
-        item: fn(&Json) -> Option<T>,
-    ) -> Result<Vec<T>, LineError> {
-        self.read(key, |v| v.as_arr()?.iter().map(item).collect())
-    }
-}
-
-/// A float as [`jf`] wrote it: `null` stands for every non-finite value,
-/// and reads back as the one the search produces, infinity (no reachable
-/// instance).
-fn float_of(v: &Json) -> Option<f64> {
-    match v {
-        Json::Null => Some(f64::INFINITY),
-        v => v.as_f64(),
     }
 }
 
@@ -1181,6 +1012,16 @@ mod tests {
         assert_eq!(
             parse(r#"{"ev":"note","round":0,"note":"retired","site":4,"exc":"Oops"}"#),
             Err(LineError::Key("exc"))
+        );
+        // An integer past 2^53 is refused, not read as its `f64` neighbour.
+        let start = |seed: u64| {
+            format!(r#"{{"ev":"explore_start","strategy":"s","max_rounds":1,"base_seed":{seed}}}"#)
+        };
+        let read_back = |line: &str| parse(line).map(|ev| ev.map(|ev| ev.to_json()));
+        assert_eq!(read_back(&start(1 << 53)), Ok(Some(start(1 << 53))));
+        assert_eq!(
+            parse(&start((1 << 53) + 1)),
+            Err(LineError::Key("base_seed"))
         );
     }
 

@@ -10,8 +10,9 @@ use super::{jf, json_escape};
 /// level, and a trace line nests two deep, a bench document six.
 const MAX_DEPTH: usize = 64;
 
-/// `u64::MAX + 1`: the first float `as u64` would saturate on.
-const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+/// 2^53: every integer up to it is exactly an `f64`; above it, not every
+/// one is.
+const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
 
 /// A minimal JSON value ([`super::TraceEvent::parse_line`] reads trace
 /// lines through it).
@@ -62,10 +63,11 @@ impl Json {
         }
     }
 
-    /// The value as an unsigned integer, if numeric and exact.
+    /// The value as an unsigned integer, if numeric, integral and at most
+    /// 2^53: past that an `f64` no longer tells one integer from the next.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if n.fract() == 0.0 && (0.0..TWO_POW_64).contains(n) => Some(*n as u64),
+            Json::Num(n) if n.fract() == 0.0 && (0.0..=TWO_POW_53).contains(n) => Some(*n as u64),
             _ => None,
         }
     }
@@ -222,12 +224,15 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Option<Json> {
     {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()?
-        .parse::<f64>()
-        .ok()
-        .filter(|n| n.is_finite())
-        .map(Json::Num)
+    let text = std::str::from_utf8(&b[start..*pos]).ok()?;
+    let n = text.parse::<f64>().ok().filter(|n| n.is_finite())?;
+    // The integer 2^53 + 1 ties between two floats and rounds to 2^53, the
+    // largest integer `as_u64` accepts: read it as the float above, so that
+    // it is refused instead of taken for its neighbour.
+    if n == TWO_POW_53 && text.parse::<u64>().is_ok_and(|exact| exact > 1 << 53) {
+        return Some(Json::Num(n.next_up()));
+    }
+    Some(Json::Num(n))
 }
 
 fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {

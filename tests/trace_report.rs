@@ -67,6 +67,60 @@ fn every_line_of_three_real_streams_round_trips() {
     }
 }
 
+/// Whatever `parse_line` accepts renders through `to_json` to a line that
+/// reads back to the same event.
+fn reads_back(line: &str) {
+    if let Ok(Some(ev)) = TraceEvent::parse_line(line) {
+        let again = ev.to_json();
+        assert_eq!(
+            TraceEvent::parse_line(&again),
+            Ok(Some(ev)),
+            "{line}\nrendered as\n{again}"
+        );
+    }
+}
+
+/// Hostile bytes, deterministically: every line of the three streams cut
+/// at every byte, and with one byte replaced and one inserted at every
+/// position, drawn in turn from the bytes JSON is made of. Each stream is
+/// also read whole with one line mangled, and cut inside that line, for
+/// every eighth line (a read costs the whole stream). Nothing may panic,
+/// and what the reader accepts must round-trip.
+#[test]
+fn the_reader_survives_hostile_bytes() {
+    let mut draw = br#"{}[]",:-.0123456789aeflnrstu\"#.iter().copied().cycle();
+    let mut byte = || draw.next().expect("cycles");
+    for (_, _, events) in streams() {
+        let lines: Vec<String> = events.iter().map(TraceEvent::to_json).collect();
+        let whole = lines.join("\n") + "\n";
+        let mut start = 0;
+        for (i, line) in lines.iter().enumerate() {
+            let bytes = line.as_bytes();
+            for at in 0..=bytes.len() {
+                let mut replaced = bytes.to_vec();
+                if let Some(b) = replaced.get_mut(at) {
+                    *b = byte();
+                }
+                let mut inserted = bytes.to_vec();
+                inserted.insert(at, byte());
+                for mutant in [&bytes[..at], &replaced[..], &inserted[..]] {
+                    reads_back(&String::from_utf8_lossy(mutant));
+                }
+            }
+
+            let (end, mid) = (start + bytes.len(), start + bytes.len() / 2);
+            if i % 8 == 0 {
+                let mut mangled = bytes.to_vec();
+                mangled[bytes.len() / 2] = byte();
+                let mangled = String::from_utf8_lossy(&mangled);
+                let _ = read_stream(&format!("{}{mangled}{}", &whole[..start], &whole[end..]));
+                let _ = read_stream(&String::from_utf8_lossy(&whole.as_bytes()[..mid]));
+            }
+            start = end + 1;
+        }
+    }
+}
+
 #[test]
 fn reports_match_what_the_untyped_renderers_printed() {
     let golden = |name: &str, mode: &str| {
