@@ -142,6 +142,9 @@ struct Blueprint {
 /// What a phase-gated critical handler logs while the gate is closed.
 const WARMUP_NEEDLE: &str = "journal commit retried in warmup";
 
+/// The critical node's flag a single-fault handler sets past the phase gate.
+pub(crate) const DEGRADED_GLOBAL: &str = "replicaDegraded";
+
 /// A synthesized scenario plus everything the planting pass needs: site
 /// descriptions of the planted faults, the log needles the oracle matches
 /// on, and size statistics.
@@ -447,7 +450,7 @@ pub fn synthesize(
 
     // Critical-node state flags (single instance; only the critical node
     // writes them, but globals are per-node so other nodes just keep 0).
-    let degraded = pb.global("replicaDegraded", Value::Int(0));
+    let degraded = pb.global(DEGRADED_GLOBAL, Value::Int(0));
     let poisoned = pb.global("walPoisoned", Value::Int(0));
 
     // Declare all per-node state and functions first so bodies can

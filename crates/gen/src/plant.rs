@@ -13,19 +13,22 @@
 //! is the fault-free run up to the `k`-th hit, so whether probe `k` meets
 //! the phase gate closed ([`GenProgram::warmup_needle`]) is monotone in
 //! `k` and the crossing is bisected, and a cascade's second fault starts
-//! where the fault-free trace puts the first. The planter's one probe loop
-//! starts at a computed index; [`GeneratedCase::runs`] counts the runs.
+//! where the fault-free trace puts the first. A bisection probe stops
+//! once the gate has answered, just past the time the fault-free trace
+//! puts the `k`-th hit at. The planter's one probe loop starts at a
+//! computed index; [`GeneratedCase::runs`] counts the runs and
+//! [`GeneratedCase::steps`] what they cost.
 
 use std::cell::Cell;
 use std::sync::Arc;
 
 use anduril_core::{Oracle, Scenario, SearchContext};
 use anduril_failures::FailureCase;
-use anduril_ir::{CompiledProgram, ExceptionType, SiteId};
+use anduril_ir::{CompiledProgram, ExceptionType, SiteId, Value};
 use anduril_sim::rng::SmallRng;
-use anduril_sim::{InjectionPlan, RunResult};
+use anduril_sim::{InjectionPlan, RunResult, SimConfig};
 
-use crate::grammar::{synthesize, GenProgram, SizeClass};
+use crate::grammar::{synthesize, GenProgram, SizeClass, DEGRADED_GLOBAL};
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -84,6 +87,12 @@ pub struct GeneratedCase {
     pub warnings: usize,
     /// Simulator runs generation made, the fault-free one included.
     pub runs: usize,
+    /// Simulator steps those runs took together: a phase-gate probe is
+    /// cut once the gate has answered, so runs differ in length.
+    pub steps: u64,
+    /// Phase-gate probes whose cut run saw neither of the gate's outcomes
+    /// and ran again to the end (expected 0).
+    pub probe_fallbacks: usize,
 }
 
 impl GeneratedCase {
@@ -158,20 +167,37 @@ fn occurrences(run: &RunResult, site: SiteId) -> u32 {
 
 /// One run of the scenario under planting: its program compiled once per
 /// generated case, however many occurrences are probed, and every run
-/// counted.
+/// counted with its steps.
 struct Planting<'a> {
     scenario: &'a Scenario,
     compiled: CompiledProgram,
     failure_seed: u64,
     runs: Cell<usize>,
+    steps: Cell<u64>,
+    fallbacks: Cell<usize>,
 }
 
 impl Planting<'_> {
     fn run(&self, plan: InjectionPlan) -> Result<RunResult, GenError> {
+        self.run_until(plan, u64::MAX)
+    }
+
+    /// `plan`'s run cut at simulated time `horizon` (or at the scenario's
+    /// own, if that is sooner): the slices of the whole run that start by
+    /// then, so its log is a prefix of the whole run's and its globals are
+    /// the whole run's state at that point.
+    fn run_until(&self, plan: InjectionPlan, horizon: u64) -> Result<RunResult, GenError> {
+        let s = self.scenario;
+        let cfg = SimConfig {
+            seed: self.failure_seed,
+            max_time: horizon.min(s.config.max_time),
+            ..s.config.clone()
+        };
+        let r = anduril_sim::run_compiled(&s.program, &self.compiled, &s.topology, &cfg, plan)
+            .map_err(|e| GenError::Sim(e.to_string()))?;
         self.runs.set(self.runs.get() + 1);
-        self.scenario
-            .run_compiled(&self.compiled, self.failure_seed, plan)
-            .map_err(|e| GenError::Sim(e.to_string()))
+        self.steps.set(self.steps.get() + r.steps);
+        Ok(r)
     }
 }
 
@@ -209,12 +235,25 @@ fn oracle_for(gp: &GenProgram) -> Oracle {
     Oracle::And(parts)
 }
 
+/// Simulated ticks a phase-gate probe runs past the fault-free time of the
+/// hit it arms. The critical handler answers right after the throw, but
+/// its thread's slice can end in between, and the next one starts at least
+/// a tick later: at 0, 18 probes of `e2e`'s corpus see neither answer; at
+/// 5, none.
+const PROBE_SLACK: u64 = 40;
+
 /// Plants the single fault at the first occurrence of the critical site
 /// whose injection satisfies the oracle under the failure seed — what
 /// `FailureCase::ground_truth`'s scan from 0 resolves the packaged case
 /// to. A phase gate makes the occurrences before its crossing recoverable;
 /// they log the warmup needle, so the crossing is bisected, not walked to,
-/// and the loop below starts there with the crossing's run in hand.
+/// and the loop below starts there.
+///
+/// A bisection probe at `k` is the fault-free run up to the `k`-th hit,
+/// so it runs to the fault-free time of that hit plus [`PROBE_SLACK`],
+/// and to the end only if the gate has not answered by then. The loop's
+/// runs go to the end: the one that satisfies the oracle is the failure
+/// run.
 fn plant_single(
     planting: &Planting,
     gp: &GenProgram,
@@ -222,27 +261,35 @@ fn plant_single(
     normal: RunResult,
 ) -> Result<(Vec<PlantedFault>, RunResult), GenError> {
     let site = site_by_desc(planting.scenario, &gp.critical_site_desc)?;
-    let total = occurrences(&normal, site);
-    // Only its count was needed, and the crossing's run takes its place:
-    // a case holds two runs at most while it is planted, as it always did
-    // (planting sets `e2e`'s `peak_rss_mb` on `gen-corpus`).
+    // Only the site's hit times were needed: a single-fault case holds one
+    // run at a time while it is planted (planting sets `e2e`'s
+    // `peak_rss_mb` on `gen-corpus`).
+    let times: Vec<u64> = (normal.trace.iter())
+        .filter(|t| t.site == site)
+        .map(|t| t.time)
+        .collect();
     drop(normal);
+    let total = times.len() as u32;
     if total == 0 {
         return Err(GenError::Unsound(format!(
             "critical site {} never reached fault-free",
             gp.critical_site_desc
         )));
     }
-    let probe = |occ| planting.run(InjectionPlan::exact(site, occ, gp.critical_exc));
-    let mut crossing = None;
+    let plan = |occ| InjectionPlan::exact(site, occ, gp.critical_exc);
     let start = match &gp.warmup_needle {
         Some(needle) => first_false(total, |occ| {
-            let r = probe(occ)?;
-            let warmup = r.has_log(needle);
-            if !warmup {
-                crossing = Some(r);
+            // Closed, the critical handler logs the needle; open, it sets
+            // the flag. Only it does either, and the plan runs it once, so
+            // what the cut run saw is what the whole run does.
+            let cut = planting.run_until(plan(occ), times[occ as usize] + PROBE_SLACK)?;
+            let closed = cut.has_log(needle);
+            if closed || cut.global(&gp.critical_node, DEGRADED_GLOBAL) == Some(&Value::Int(1)) {
+                return Ok(closed);
             }
-            Ok(warmup)
+            drop(cut);
+            planting.fallbacks.set(planting.fallbacks.get() + 1);
+            Ok(planting.run(plan(occ))?.has_log(needle))
         })?,
         None => 0,
     };
@@ -253,10 +300,7 @@ fn plant_single(
         )));
     }
     for occ in start..total {
-        let r = match crossing.take() {
-            Some(r) => r,
-            None => probe(occ)?,
-        };
+        let r = planting.run(plan(occ))?;
         if r.injected.is_some() && oracle.check(&r) {
             let plant = vec![PlantedFault {
                 site,
@@ -365,6 +409,8 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         scenario: &scenario,
         failure_seed,
         runs: Cell::new(0),
+        steps: Cell::new(0),
+        fallbacks: Cell::new(0),
     };
     let normal = planting.run(InjectionPlan::none())?;
     let oracle = oracle_for(&gp);
@@ -389,7 +435,8 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         plant_single(&planting, &gp, &oracle, normal)?
     };
     let failure_log = failure_run.log_text();
-    let runs = planting.runs.get();
+    let (runs, steps) = (planting.runs.get(), planting.steps.get());
+    let probe_fallbacks = planting.fallbacks.get();
 
     let case = FailureCase {
         id: leak(name.clone()),
@@ -422,6 +469,8 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         stmts: case.scenario.program.stmt_count(),
         warnings: gp.warnings.len(),
         runs,
+        steps,
+        probe_fallbacks,
         case,
         plant,
         failure_log,

@@ -10,9 +10,10 @@
 //! and on `e2e`'s generated corpus.
 //!
 //! The generator plants by construction — it bisects the phase gate it
-//! built and reads a cascade's start off the fault-free trace — and the
-//! same reference scan says it plants what walking from occurrence 0
-//! finds, in a pinned number of simulator runs.
+//! built, each probe cut once the gate has answered, and reads a cascade's
+//! start off the fault-free trace — and the same reference scan says it
+//! plants what walking from occurrence 0 finds, in a pinned number of
+//! simulator runs and steps.
 
 use anduril::failures::{all_cases, FailureCase};
 use anduril::gen::{generate_one, GenConfig, GeneratedCase, SizeClass};
@@ -65,15 +66,16 @@ fn root_total(case: &FailureCase) -> u32 {
 }
 
 /// A single-fault batch: every plant and log is what the linear scan from
-/// occurrence 0 finds, in no more runs than a bisection needs. Returns the
-/// runs the batch's generation made.
-fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> usize {
+/// occurrence 0 finds, in no more runs than a bisection needs, and no cut
+/// probe ran again to the end. Returns the runs and the steps the batch's
+/// generation made.
+fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> (usize, u64) {
     let cfg = GenConfig {
         seed,
         size,
         multi_fault: false,
     };
-    let mut runs = 0;
+    let (mut runs, mut steps) = (0, 0);
     for index in 0..count {
         let gc = generate_one(&cfg, index).expect("generated case");
         let id = format!("{seed:#x} {size} {}", gc.case.id);
@@ -88,7 +90,9 @@ fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> usize {
         );
         assert_eq!(gc.failure_log, log, "{id}");
         // The fault-free run, then one probe — or, behind a phase gate
-        // (the handler can log the warmup line), a bisection's worth.
+        // (the handler can log the warmup line), a bisection's worth of
+        // cut probes and the crossing's whole run.
+        assert_eq!(gc.probe_fallbacks, 0, "{id}");
         let gated = (gc.case.scenario.program)
             .template_named("journal commit retried in warmup")
             .is_some();
@@ -104,8 +108,9 @@ fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> usize {
             assert_eq!(gc.runs, 2, "{id}");
         }
         runs += gc.runs;
+        steps += gc.steps;
     }
-    runs
+    (runs, steps)
 }
 
 /// `(B occurrence, failure log)` of a cascade by trying B from 0 under the
@@ -146,14 +151,16 @@ fn check_cascade_batch(seed: u64, size: SizeClass, count: usize) {
     }
 }
 
-/// `e2e`'s corpus at its master seed `0xA11D`, and the simulator runs its
-/// generation may make (180; 661 when the planter walked up from
-/// occurrence 0). What walks every occurrence here is the reference, so a
-/// debug build (tier 1) checks `e2e --smoke`'s corpus (44; 141) instead.
-const CORPUS: ([(SizeClass, usize); 3], usize) = if cfg!(debug_assertions) {
-    (sizes(6, 3, 1), 46)
+/// `e2e`'s corpus at its master seed `0xA11D`, and the simulator runs and
+/// steps its generation may make: 208 runs and 3 564 580 steps (180 and
+/// 5 105 881 while every probe ran to the end; 661 runs when the planter
+/// walked up from occurrence 0). What walks every occurrence here is the
+/// reference, so a debug build (tier 1) checks `e2e --smoke`'s corpus
+/// instead: 51 runs and 687 084 steps (44 and 1 256 777; 141 runs).
+const CORPUS: ([(SizeClass, usize); 3], usize, u64) = if cfg!(debug_assertions) {
+    (sizes(6, 3, 1), 54, 720_000)
 } else {
-    (sizes(24, 12, 6), 190)
+    (sizes(24, 12, 6), 218, 3_700_000)
 };
 
 const fn sizes(small: usize, medium: usize, large: usize) -> [(SizeClass, usize); 3] {
@@ -164,18 +171,19 @@ const fn sizes(small: usize, medium: usize, large: usize) -> [(SizeClass, usize)
     ]
 }
 
-fn check_corpus(seed: u64) -> usize {
-    let (batches, _) = CORPUS;
+fn check_corpus(seed: u64) -> (usize, u64) {
+    let (batches, ..) = CORPUS;
     batches
         .into_iter()
         .map(|(size, count)| check_single_batch(seed, size, count))
-        .sum()
+        .fold((0, 0), |(runs, steps), (r, s)| (runs + r, steps + s))
 }
 
 #[test]
 fn every_generated_case_resolves_as_it_did() {
-    let runs = check_corpus(0xA11D);
+    let (runs, steps) = check_corpus(0xA11D);
     assert!(runs <= CORPUS.1, "generation made {runs} simulator runs");
+    assert!(steps <= CORPUS.2, "generation took {steps} simulator steps");
     // A master seed no planter change was developed on.
     check_corpus(0x0DD5_EED5);
 }
