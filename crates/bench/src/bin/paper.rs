@@ -468,7 +468,9 @@ fn workloads(cases: &Cases, _: &[String]) -> String {
         for arg in args {
             // A case of its own — another workload, so another ground
             // truth and failure log — prepared like any other.
-            let case = (definition.expect("case")).with_workload(&[(node_name, &[arg])], None);
+            let case = (definition.expect("case"))
+                .with_workload(&[(node_name, &[arg])], None)
+                .expect("workload node");
             let cells = match case.prepare(1_000, &NoopTracer) {
                 Ok(p) => {
                     let mut s = FeedbackStrategy::new(FeedbackConfig::full());

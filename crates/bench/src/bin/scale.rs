@@ -41,7 +41,8 @@ fn main() {
     for (id, args) in SCALED {
         let case = case_by_id(id)
             .expect("case")
-            .with_workload(args, Some(90_000));
+            .with_workload(args, Some(90_000))
+            .expect("workload nodes");
         // The scaled workload is a case of its own: another ground truth,
         // another failure log.
         let prepared = case.prepare(1_000, &NoopTracer).expect("scaled case");

@@ -115,6 +115,8 @@ impl PreparedCase {
 pub enum CaseError {
     /// The named root site does not exist in the program.
     NoSuchSite(String),
+    /// A node named in a workload is not in the topology.
+    NoSuchNode(String),
     /// No occurrence of the root site satisfies the oracle.
     NotReproducible(String),
     /// The simulator failed.
@@ -125,6 +127,7 @@ impl std::fmt::Display for CaseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CaseError::NoSuchSite(s) => write!(f, "no such site: {s}"),
+            CaseError::NoSuchNode(s) => write!(f, "no such node: {s}"),
             CaseError::NotReproducible(s) => write!(f, "not reproducible: {s}"),
             CaseError::Sim(s) => write!(f, "simulation error: {s}"),
         }
@@ -148,18 +151,28 @@ impl FailureCase {
     /// This failure under another workload volume: each named node's
     /// arguments replaced by `args`, and the simulated horizon by
     /// `max_time` when one is given. A case of its own — another ground
-    /// truth, another failure log — to prepare like any other.
-    pub fn with_workload(&self, args: &[NodeArgs<'_>], max_time: Option<u64>) -> FailureCase {
+    /// truth, another failure log — to prepare like any other. A name the
+    /// topology lacks is [`CaseError::NoSuchNode`].
+    pub fn with_workload(
+        &self,
+        args: &[NodeArgs<'_>],
+        max_time: Option<u64>,
+    ) -> Result<FailureCase, CaseError> {
         let mut case = self.clone();
-        for node in &mut case.scenario.topology.nodes {
-            if let Some((_, args)) = args.iter().find(|(name, _)| node.name == *name) {
-                node.args = args.iter().map(|&a| Value::Int(a)).collect();
-            }
+        for &(name, args) in args {
+            let node = case
+                .scenario
+                .topology
+                .nodes
+                .iter_mut()
+                .find(|node| node.name == name)
+                .ok_or_else(|| CaseError::NoSuchNode(format!("{}: {name}", self.id)))?;
+            node.args = args.iter().map(|&a| Value::Int(a)).collect();
         }
         if let Some(max_time) = max_time {
             case.scenario.config.max_time = max_time;
         }
-        case
+        Ok(case)
     }
 
     /// Resolves the ground truth: scans the root site's dynamic occurrences

@@ -3,14 +3,13 @@
 use std::sync::Arc;
 
 use anduril_core::{Oracle, Scenario};
-use anduril_ir::{ExceptionType, Value};
+use anduril_ir::{ExceptionType, Program, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
 use anduril_targets::cassandra::{self, names};
 
 use crate::case::{DeeperCause, FailureCase};
 
-fn scenario(name: &str, wl: &str, arg: i64, max_time: u64) -> Scenario {
-    let program = cassandra::build();
+fn scenario(program: &Arc<Program>, name: &str, wl: &str, arg: i64, max_time: u64) -> Scenario {
     let main = program.func_named(names::CASS_MAIN).expect("cass main");
     let nodes = vec![
         NodeSpec::new("c1", main, vec![Value::Bool(true), Value::Int(1_200)]),
@@ -24,7 +23,7 @@ fn scenario(name: &str, wl: &str, arg: i64, max_time: u64) -> Scenario {
     ];
     Scenario {
         name: name.to_string(),
-        program: Arc::new(program),
+        program: Arc::clone(program),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time,
@@ -35,13 +34,13 @@ fn scenario(name: &str, wl: &str, arg: i64, max_time: u64) -> Scenario {
 
 /// f21 — C*-17663: an interrupted FileStreamTask compromises the shared
 /// channel proxy.
-pub fn f21() -> FailureCase {
+pub fn f21(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f21",
         ticket: "C*-17663",
         system: "Cassandra",
         description: "Interrupted FileStreamTask compromise shared channel proxy",
-        scenario: scenario("C*-17663", names::WL_F21, 5, 18_000),
+        scenario: scenario(program, "C*-17663", names::WL_F21, 5, 18_000),
         oracle: Oracle::And(vec![
             Oracle::LogContains("FileStreamTask aborted".into()),
             Oracle::LogContains("Invalid frame received on shared channel proxy".into()),
@@ -60,13 +59,13 @@ pub fn f21() -> FailureCase {
 
 /// f22 — C*-6415: snapshot repair blocks forever when a makeSnapshot
 /// response never arrives.
-pub fn f22() -> FailureCase {
+pub fn f22(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f22",
         ticket: "C*-6415",
         system: "Cassandra",
         description: "Snapshot repair blocks forever if get no response of makeSnapshot",
-        scenario: scenario("C*-6415", names::WL_F22, 0, 18_000),
+        scenario: scenario(program, "C*-6415", names::WL_F22, 0, 18_000),
         oracle: Oracle::And(vec![
             Oracle::LogContains("Starting repair session".into()),
             Oracle::LogAbsent("Repair session completed".into()),
@@ -88,7 +87,8 @@ pub fn f22() -> FailureCase {
     }
 }
 
-/// All Cassandra cases.
+/// All Cassandra cases, sharing one build of the program.
 pub fn cases() -> Vec<FailureCase> {
-    vec![f21(), f22()]
+    let program = Arc::new(cassandra::build());
+    vec![f21(&program), f22(&program)]
 }

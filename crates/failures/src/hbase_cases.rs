@@ -3,13 +3,14 @@
 use std::sync::Arc;
 
 use anduril_core::{Oracle, Scenario};
-use anduril_ir::{ExceptionType, Value};
+use anduril_ir::{ExceptionType, Program, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
 use anduril_targets::hbase::{self, names};
 
 use crate::case::{DeeperCause, FailureCase};
 
 fn scenario(
+    program: &Arc<Program>,
     name: &str,
     wl: &str,
     wl_args: Vec<Value>,
@@ -17,7 +18,6 @@ fn scenario(
     with_rs2: bool,
     max_time: u64,
 ) -> Scenario {
-    let program = hbase::build();
     let mut nodes = vec![
         NodeSpec::new(
             "master",
@@ -48,7 +48,7 @@ fn scenario(
     ));
     Scenario {
         name: name.to_string(),
-        program: Arc::new(program),
+        program: Arc::clone(program),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time,
@@ -58,13 +58,14 @@ fn scenario(
 }
 
 /// f12 — HB-18137: an empty WAL file wedges replication.
-pub fn f12() -> FailureCase {
+pub fn f12(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f12",
         ticket: "HB-18137",
         system: "HBase",
         description: "Empty WAL file causes Replication to get stuck",
         scenario: scenario(
+            program,
             "HB-18137",
             names::WL_F12,
             vec![Value::Int(30)],
@@ -95,13 +96,14 @@ pub fn f12() -> FailureCase {
 
 /// f13 — HB-19608: a failed procedure store update wrongly poisons the
 /// whole executor.
-pub fn f13() -> FailureCase {
+pub fn f13(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f13",
         ticket: "HB-19608",
         system: "HBase",
         description: "Interrupted procedure mistakenly causes a failed state flag",
         scenario: scenario(
+            program,
             "HB-19608",
             names::WL_F13,
             vec![Value::Int(8)],
@@ -126,13 +128,14 @@ pub fn f13() -> FailureCase {
 }
 
 /// f14 — HB-19876: a conversion exception desynchronizes the CellScanner.
-pub fn f14() -> FailureCase {
+pub fn f14(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f14",
         ticket: "HB-19876",
         system: "HBase",
         description: "The exception happening in converting pb mutation messes up the CellScanner",
         scenario: scenario(
+            program,
             "HB-19876",
             names::WL_F14,
             vec![Value::Int(6)],
@@ -157,7 +160,7 @@ pub fn f14() -> FailureCase {
 
 /// f15 — HB-20583: a split failure resubmits a different (already
 /// completed) split task.
-pub fn f15() -> FailureCase {
+pub fn f15(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f15",
         ticket: "HB-20583",
@@ -165,6 +168,7 @@ pub fn f15() -> FailureCase {
         description:
             "The failure during splitting log causes resubmit of another failed splitting task",
         scenario: scenario(
+            program,
             "HB-20583",
             names::WL_F15,
             vec![Value::Int(6)],
@@ -189,13 +193,14 @@ pub fn f15() -> FailureCase {
 
 /// f16 — HB-16144: the replication-queue lock leaks when the region server
 /// holding it aborts.
-pub fn f16() -> FailureCase {
+pub fn f16(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f16",
         ticket: "HB-16144",
         system: "HBase",
         description: "Replication queue's lock will live forever if regionserver acquiring the lock has died prematurely",
         scenario: scenario(
+            program,
             "HB-16144",
             names::WL_F16,
             vec![Value::Int(6)],
@@ -221,13 +226,14 @@ pub fn f16() -> FailureCase {
 
 /// f17 — HB-25905: the motivating example; a transient HDFS fault wedges
 /// the WAL at `waitForSafePoint`.
-pub fn f17() -> FailureCase {
+pub fn f17(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f17",
         ticket: "HB-25905",
         system: "HBase",
         description: "Transient namenode failure in HDFS causes WAL services in HBase to stop making any progress",
         scenario: scenario(
+            program,
             "HB-25905",
             names::WL_F17,
             vec![Value::Int(64)],
@@ -251,7 +257,15 @@ pub fn f17() -> FailureCase {
     }
 }
 
-/// All HBase cases.
+/// All HBase cases, sharing one build of the program.
 pub fn cases() -> Vec<FailureCase> {
-    vec![f12(), f13(), f14(), f15(), f16(), f17()]
+    let program = Arc::new(hbase::build());
+    vec![
+        f12(&program),
+        f13(&program),
+        f14(&program),
+        f15(&program),
+        f16(&program),
+        f17(&program),
+    ]
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use anduril_core::{Oracle, Scenario};
-use anduril_ir::{ExceptionType, Value};
+use anduril_ir::{ExceptionType, Program, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
 use anduril_targets::hdfs::{self, names};
 
@@ -29,8 +29,7 @@ impl Default for TopoOpts {
     }
 }
 
-fn scenario(name: &str, opts: TopoOpts) -> Scenario {
-    let program = hdfs::build();
+fn scenario(program: &Arc<Program>, name: &str, opts: TopoOpts) -> Scenario {
     let mut nodes = vec![
         NodeSpec::new(
             "nn",
@@ -71,7 +70,7 @@ fn scenario(name: &str, opts: TopoOpts) -> Scenario {
     }
     Scenario {
         name: name.to_string(),
-        program: Arc::new(program),
+        program: Arc::clone(program),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time: opts.max_time,
@@ -81,13 +80,14 @@ fn scenario(name: &str, opts: TopoOpts) -> Scenario {
 }
 
 /// f5 — HD-4233: rolling backup fails but the namenode keeps serving.
-pub fn f5() -> FailureCase {
+pub fn f5(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f5",
         ticket: "HD-4233",
         system: "HDFS",
         description: "Rolling backup fails but the server keep serving",
         scenario: scenario(
+            program,
             "HD-4233",
             TopoOpts {
                 wl: Some((names::WL_F5, 8)),
@@ -116,13 +116,14 @@ pub fn f5() -> FailureCase {
 
 /// f6 — HD-12248: the interrupted image transfer makes checkpointing skip
 /// the image backup.
-pub fn f6() -> FailureCase {
+pub fn f6(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f6",
         ticket: "HD-12248",
         system: "HDFS",
         description: "Exception when transferring file system image to namenode causes the namenode checkpointing to ignore the image backup",
         scenario: scenario(
+            program,
             "HD-12248",
             TopoOpts {
                 wl: Some((names::WL_F6, 5)),
@@ -152,13 +153,14 @@ pub fn f6() -> FailureCase {
 }
 
 /// f7 — HD-12070: failed block recovery leaves files open indefinitely.
-pub fn f7() -> FailureCase {
+pub fn f7(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f7",
         ticket: "HD-12070",
         system: "HDFS",
         description: "Files will remain open indefinitely if block recovery fails which creates a high risk of data loss",
         scenario: scenario(
+            program,
             "HD-12070",
             TopoOpts {
                 wl: Some((names::WL_F7, 10)),
@@ -188,13 +190,14 @@ pub fn f7() -> FailureCase {
 }
 
 /// f8 — HD-13039: block creation leaks a socket on the exception path.
-pub fn f8() -> FailureCase {
+pub fn f8(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f8",
         ticket: "HD-13039",
         system: "HDFS",
         description: "Data block creation leaks socket on exception",
         scenario: scenario(
+            program,
             "HD-13039",
             TopoOpts {
                 wl: Some((names::WL_F8, 10)),
@@ -223,13 +226,14 @@ pub fn f8() -> FailureCase {
 }
 
 /// f9 — HD-16332: an expired block token makes reads slow.
-pub fn f9() -> FailureCase {
+pub fn f9(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f9",
         ticket: "HD-16332",
         system: "HDFS",
         description: "Missing handling of expired block token causes slow read",
         scenario: scenario(
+            program,
             "HD-16332",
             TopoOpts {
                 wl: Some((names::WL_F9, 6)),
@@ -255,13 +259,14 @@ pub fn f9() -> FailureCase {
 
 /// f10 — HD-14333: a disk error during storage init keeps the datanode
 /// from starting.
-pub fn f10() -> FailureCase {
+pub fn f10(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f10",
         ticket: "HD-14333",
         system: "HDFS",
         description: "Disk error during namenode registration causes datanodes fail to start",
         scenario: scenario(
+            program,
             "HD-14333",
             TopoOpts {
                 wl: Some((names::WL_F10, 6)),
@@ -291,13 +296,14 @@ pub fn f10() -> FailureCase {
 
 /// f11 — HD-15032: the balancer crashes contacting an unavailable
 /// namenode.
-pub fn f11() -> FailureCase {
+pub fn f11(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f11",
         ticket: "HD-15032",
         system: "HDFS",
         description: "Balancer crashes when it fails to contact an unavailable namenode",
         scenario: scenario(
+            program,
             "HD-15032",
             TopoOpts {
                 wl: Some((names::WL_F5, 4)),
@@ -322,7 +328,16 @@ pub fn f11() -> FailureCase {
     }
 }
 
-/// All HDFS cases.
+/// All HDFS cases, sharing one build of the program.
 pub fn cases() -> Vec<FailureCase> {
-    vec![f5(), f6(), f7(), f8(), f9(), f10(), f11()]
+    let program = Arc::new(hdfs::build());
+    vec![
+        f5(&program),
+        f6(&program),
+        f7(&program),
+        f8(&program),
+        f9(&program),
+        f10(&program),
+        f11(&program),
+    ]
 }

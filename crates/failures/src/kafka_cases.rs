@@ -3,16 +3,16 @@
 use std::sync::Arc;
 
 use anduril_core::{Oracle, Scenario};
-use anduril_ir::{ExceptionType, Value};
+use anduril_ir::{ExceptionType, Program, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
 use anduril_targets::kafka::{self, names};
 
 use crate::case::{DeeperCause, FailureCase};
 
-fn scenario(name: &str, nodes: Vec<NodeSpec>, max_time: u64) -> Scenario {
+fn scenario(program: &Arc<Program>, name: &str, nodes: Vec<NodeSpec>, max_time: u64) -> Scenario {
     Scenario {
         name: name.to_string(),
-        program: Arc::new(kafka::build()),
+        program: Arc::clone(program),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time,
@@ -23,8 +23,7 @@ fn scenario(name: &str, nodes: Vec<NodeSpec>, max_time: u64) -> Scenario {
 
 /// f18 — KA-12508: emit-on-change tables lose updates after an error and
 /// restart.
-pub fn f18() -> FailureCase {
-    let program = kafka::build();
+pub fn f18(program: &Arc<Program>) -> FailureCase {
     let streams = program.func_named(names::STREAMS_MAIN).expect("streams");
     let broker = program.func_named(names::BROKER_MAIN).expect("broker");
     let wl = program.func_named(names::WL_F18).expect("wl");
@@ -34,6 +33,7 @@ pub fn f18() -> FailureCase {
         system: "Kafka",
         description: "Emit-on-change tables lose updates after error and restart",
         scenario: scenario(
+            program,
             "KA-12508",
             vec![
                 NodeSpec::new("broker1", broker, vec![Value::Int(800)]),
@@ -63,8 +63,7 @@ pub fn f18() -> FailureCase {
 /// f19 — KA-9374: a blocked connector disables the whole worker. The
 /// deeper-cause entry (KA-15339 analog) notes the startup changelog append
 /// can block the same herder path.
-pub fn f19() -> FailureCase {
-    let program = kafka::build();
+pub fn f19(program: &Arc<Program>) -> FailureCase {
     let worker = program.func_named(names::WORKER_MAIN).expect("worker");
     let broker = program.func_named(names::BROKER_MAIN).expect("broker");
     let wl = program.func_named(names::WL_F19).expect("wl");
@@ -74,6 +73,7 @@ pub fn f19() -> FailureCase {
         system: "Kafka",
         description: "Blocked connectors disable the Workers",
         scenario: scenario(
+            program,
             "KA-9374",
             vec![
                 NodeSpec::new("broker1", broker, vec![Value::Int(800)]),
@@ -105,8 +105,7 @@ pub fn f19() -> FailureCase {
 
 /// f20 — KA-10048: consumer failover under MM2 leaves a data gap between
 /// clusters.
-pub fn f20() -> FailureCase {
-    let program = kafka::build();
+pub fn f20(program: &Arc<Program>) -> FailureCase {
     let broker = program.func_named(names::BROKER_MAIN).expect("broker");
     let mm2 = program.func_named(names::MM2_MAIN).expect("mm2");
     let wl = program.func_named(names::WL_F20).expect("wl");
@@ -116,6 +115,7 @@ pub fn f20() -> FailureCase {
         system: "Kafka",
         description: "Consumer's failover under MM2 replication configuration causes data gap between 2 clusters",
         scenario: scenario(
+            program,
             "KA-10048",
             vec![
                 NodeSpec::new("broker1", broker, vec![Value::Int(900)]),
@@ -139,7 +139,8 @@ pub fn f20() -> FailureCase {
     }
 }
 
-/// All Kafka cases.
+/// All Kafka cases, sharing one build of the program.
 pub fn cases() -> Vec<FailureCase> {
-    vec![f18(), f19(), f20()]
+    let program = Arc::new(kafka::build());
+    vec![f18(&program), f19(&program), f20(&program)]
 }

@@ -30,23 +30,32 @@ fn id_sort_key(id: &str) -> (u8, u32, String) {
     }
 }
 
+/// The five target systems' registries, in paper order. Each call builds
+/// its system's program once and hands the same `Arc` to every case.
+const SYSTEMS: [fn() -> Vec<FailureCase>; 5] = [
+    zookeeper_cases::cases,
+    hdfs_cases::cases,
+    hbase_cases::cases,
+    kafka_cases::cases,
+    cassandra_cases::cases,
+];
+
 /// Every implemented failure case, in paper order.
 pub fn all_cases() -> Vec<FailureCase> {
-    let mut v = Vec::new();
-    v.extend(zookeeper_cases::cases());
-    v.extend(hdfs_cases::cases());
-    v.extend(hbase_cases::cases());
-    v.extend(kafka_cases::cases());
-    v.extend(cassandra_cases::cases());
+    let mut v: Vec<FailureCase> = SYSTEMS.iter().flat_map(|cases| cases()).collect();
     v.sort_by_key(|c| id_sort_key(c.id));
     v
 }
 
-/// Looks up a case by its paper id (`"f17"`) or ticket (`"HB-25905"`).
+/// Looks up a case by its paper id (`"f17"`) or ticket (`"HB-25905"`),
+/// either without regard to case. Builds the systems in paper order up to
+/// the one that holds the case.
 pub fn case_by_id(id: &str) -> Option<FailureCase> {
-    all_cases()
-        .into_iter()
-        .find(|c| c.id == id || c.ticket.eq_ignore_ascii_case(id))
+    SYSTEMS.iter().find_map(|cases| {
+        cases()
+            .into_iter()
+            .find(|c| c.id.eq_ignore_ascii_case(id) || c.ticket.eq_ignore_ascii_case(id))
+    })
 }
 
 #[cfg(test)]

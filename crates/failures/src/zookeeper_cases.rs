@@ -3,14 +3,18 @@
 use std::sync::Arc;
 
 use anduril_core::{Oracle, Scenario};
-use anduril_ir::{ExceptionType, Value};
+use anduril_ir::{ExceptionType, Program, Value};
 use anduril_sim::{NodeSpec, SimConfig, Topology};
 use anduril_targets::zookeeper::{self, names};
 
 use crate::case::{DeeperCause, FailureCase};
 
-fn scenario(name: &str, wl: Option<(&str, i64)>, max_time: u64) -> Scenario {
-    let program = zookeeper::build();
+fn scenario(
+    program: &Arc<Program>,
+    name: &str,
+    wl: Option<(&str, i64)>,
+    max_time: u64,
+) -> Scenario {
     let server = program.func_named(names::SERVER_MAIN).expect("server main");
     let mut nodes = vec![
         NodeSpec::new(
@@ -38,7 +42,7 @@ fn scenario(name: &str, wl: Option<(&str, i64)>, max_time: u64) -> Scenario {
     }
     Scenario {
         name: name.to_string(),
-        program: Arc::new(program),
+        program: Arc::clone(program),
         topology: Topology::new(nodes),
         config: SimConfig {
             max_time,
@@ -49,13 +53,13 @@ fn scenario(name: &str, wl: Option<(&str, i64)>, max_time: u64) -> Scenario {
 
 /// f1 — ZK-2247: server unavailable when the leader fails to write its
 /// transaction log.
-pub fn f1() -> FailureCase {
+pub fn f1(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f1",
         ticket: "ZK-2247",
         system: "ZooKeeper",
         description: "Server unavailable when leader fails to write transaction log",
-        scenario: scenario("ZK-2247", Some((names::WL_F1, 12)), 18_000),
+        scenario: scenario(program, "ZK-2247", Some((names::WL_F1, 12)), 18_000),
         oracle: Oracle::And(vec![
             Oracle::NodeAborted("zk1".into()),
             Oracle::LogContains("unable to write transaction log".into()),
@@ -75,13 +79,13 @@ pub fn f1() -> FailureCase {
 }
 
 /// f2 — ZK-3157: a connection loss makes the client fail.
-pub fn f2() -> FailureCase {
+pub fn f2(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f2",
         ticket: "ZK-3157",
         system: "ZooKeeper",
         description: "Connection loss causes the client to fail",
-        scenario: scenario("ZK-3157", Some((names::WL_F2, 12)), 18_000),
+        scenario: scenario(program, "ZK-3157", Some((names::WL_F2, 12)), 18_000),
         oracle: Oracle::And(vec![
             Oracle::LogContains("Uncaught exception IllegalStateException".into()),
             Oracle::LogContains("closing session".into()),
@@ -96,13 +100,13 @@ pub fn f2() -> FailureCase {
 
 /// f3 — ZK-4203: the leader election listener exits forever on a socket
 /// error.
-pub fn f3() -> FailureCase {
+pub fn f3(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f3",
         ticket: "ZK-4203",
         system: "ZooKeeper",
         description: "The leader election is stuck forever due to connection error",
-        scenario: scenario("ZK-4203", None, 18_000),
+        scenario: scenario(program, "ZK-4203", None, 18_000),
         oracle: Oracle::And(vec![
             Oracle::LogContains("shutting down listener thread".into()),
             Oracle::LogContains("no response from leader".into()),
@@ -117,13 +121,13 @@ pub fn f3() -> FailureCase {
 /// f4 — ZK-3006: invalid disk content leads to an NPE; the deeper-cause
 /// variant (ZK-4737 analog) shows the snapshot-header read can produce the
 /// same symptom as the developer-blamed network sync.
-pub fn f4() -> FailureCase {
+pub fn f4(program: &Arc<Program>) -> FailureCase {
     FailureCase {
         id: "f4",
         ticket: "ZK-3006",
         system: "ZooKeeper",
         description: "Invalid disk file content causes null pointer exception",
-        scenario: scenario("ZK-3006", Some((names::WL_F4, 8)), 18_000),
+        scenario: scenario(program, "ZK-3006", Some((names::WL_F4, 8)), 18_000),
         oracle: Oracle::And(vec![
             Oracle::LogContains("Uncaught exception RuntimeException".into()),
             Oracle::LogContains("Giving up on server connection".into()),
@@ -141,7 +145,8 @@ pub fn f4() -> FailureCase {
     }
 }
 
-/// All ZooKeeper cases.
+/// All ZooKeeper cases, sharing one build of the program.
 pub fn cases() -> Vec<FailureCase> {
-    vec![f1(), f2(), f3(), f4()]
+    let program = Arc::new(zookeeper::build());
+    vec![f1(&program), f2(&program), f3(&program), f4(&program)]
 }

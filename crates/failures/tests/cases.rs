@@ -1,8 +1,12 @@
 //! Per-case invariants for the 22 failure definitions.
 
-use anduril_failures::{all_cases, case_by_id};
+use std::sync::Arc;
+
+use anduril_failures::{all_cases, case_by_id, CaseError};
+use anduril_ir::{Program, Value};
 use anduril_logdiff::parse_log;
 use anduril_sim::InjectionPlan;
+use anduril_targets::{cassandra, hbase, hdfs, kafka, zookeeper};
 
 #[test]
 fn lookup_by_id_and_ticket() {
@@ -12,8 +16,85 @@ fn lookup_by_id_and_ticket() {
         case_by_id("hb-25905").is_some(),
         "ticket lookup is case-insensitive"
     );
+    assert_eq!(
+        case_by_id("F17").map(|c| c.id),
+        Some("f17"),
+        "id lookup is case-insensitive"
+    );
     assert!(case_by_id("f23").is_none());
     assert!(case_by_id("NOPE-1").is_none());
+}
+
+/// A program's `Debug` rendering without its two name indexes, whose
+/// hash order differs from one build to the next; they are derived from
+/// the fields rendered here.
+fn rendering(p: &Program) -> String {
+    format!(
+        "{:?}",
+        (
+            &p.name,
+            &p.funcs,
+            &p.blocks,
+            &p.templates,
+            &p.sites,
+            &p.globals,
+            &p.conds,
+            &p.chans,
+            &p.execs
+        )
+    )
+}
+
+/// The registry builds one program per system and every case of that
+/// system holds the same `Arc`, which is what a fresh build makes.
+#[test]
+fn each_system_shares_one_program_across_its_cases() {
+    let builds = [
+        ("ZooKeeper", zookeeper::build as fn() -> Program),
+        ("HDFS", hdfs::build),
+        ("HBase", hbase::build),
+        ("Kafka", kafka::build),
+        ("Cassandra", cassandra::build),
+    ];
+    let cases = all_cases();
+    // Paper order keeps a system's cases together.
+    let mut programs: Vec<&Arc<Program>> = cases.iter().map(|c| &c.scenario.program).collect();
+    programs.dedup_by(|a, b| Arc::ptr_eq(a, b));
+    assert_eq!(programs.len(), 5, "one program per system");
+    for (system, build) in builds {
+        let mut of_system = cases.iter().filter(|c| c.system == system);
+        let shared = &of_system.next().expect(system).scenario.program;
+        for case in of_system {
+            assert!(
+                Arc::ptr_eq(shared, &case.scenario.program),
+                "{}: not {system}'s shared program",
+                case.id
+            );
+        }
+        assert_eq!(rendering(shared), rendering(&build()), "{system}");
+    }
+}
+
+/// `with_workload` rewrites the named nodes' arguments, and a name the
+/// topology lacks is an error rather than the unscaled case.
+#[test]
+fn with_workload_rejects_a_node_the_topology_lacks() {
+    let f17 = case_by_id("f17").expect("case");
+    let scaled = f17
+        .with_workload(&[("client", &[900])], Some(90_000))
+        .expect("client is a node");
+    let client = scaled
+        .scenario
+        .topology
+        .nodes
+        .iter()
+        .find(|n| n.name == "client");
+    assert_eq!(client.expect("client").args, vec![Value::Int(900)]);
+    assert_eq!(scaled.scenario.config.max_time, 90_000);
+    match f17.with_workload(&[("client", &[900]), ("clinet", &[1])], None) {
+        Err(CaseError::NoSuchNode(name)) => assert_eq!(name, "f17: clinet"),
+        other => panic!("expected NoSuchNode, got {other:?}"),
+    }
 }
 
 #[test]

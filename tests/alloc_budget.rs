@@ -6,12 +6,13 @@
 //! the thread and inside the section a test switches it on for — and pins
 //! the number of allocator calls (`alloc`, `alloc_zeroed`, `realloc`) that
 //! one campaign makes: the 22 tickets, `e2e --smoke`'s ten generated
-//! programs and `gen-corpus`'s forty-two, at base seed 1000. The count is a function of the program and
-//! the toolchain only — no clock, no machine — so each bound is an upper
-//! bound with about a tenth of headroom. There are two of each: a debug
-//! build replays every reproducing round to assert it is its own exact
-//! replay (`explorer.rs`), one more run an operation than a release build
-//! makes, and LLVM may elide an allocation in release.
+//! programs and `gen-corpus`'s forty-two, at base seed 1000 — and that the
+//! case registry makes to build the 22 cases. The count is a function of
+//! the program and the toolchain only — no clock, no machine — so each
+//! bound is an upper bound with about a tenth of headroom. There are two of
+//! each: a debug build replays every reproducing round to assert it is its
+//! own exact replay (`explorer.rs`), one more run an operation than a
+//! release build makes, and LLVM may elide an allocation in release.
 //!
 //! The printed table (`--nocapture`) splits a campaign by layer:
 //! `ContextPhase` events delimit the phases of `prepare`; the tracer that
@@ -20,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 
-use anduril::failures::all_cases;
+use anduril::failures::{all_cases, case_by_id};
 use anduril::gen::{generate_one, GenConfig, SizeClass};
 use anduril::{
     explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle, Scenario, SearchContext,
@@ -129,9 +130,14 @@ fn operation(table: &PhaseCounts, scenario: &Scenario, failure_log: &str, oracle
     prepare + search
 }
 
+/// The bound of this build's profile out of `[release, debug]`.
+fn bound(bounds: [u64; 2]) -> u64 {
+    bounds[usize::from(cfg!(debug_assertions))]
+}
+
 /// A campaign's bound: `[release, debug]`.
 fn report(name: &str, table: &PhaseCounts, total: u64, bounds: [u64; 2]) {
-    let bound = bounds[usize::from(cfg!(debug_assertions))];
+    let bound = bound(bounds);
     println!("{name}: {total} allocator calls a campaign (bound {bound})");
     for (phase, calls) in table.rows.borrow().iter() {
         println!("  {phase:<12} {calls:>8}");
@@ -151,6 +157,31 @@ fn a_tickets22_campaign_stays_inside_its_allocation_budget() {
         total += operation(&table, &case.scenario, &failure_log, &case.oracle);
     }
     report("tickets22", &table, total, [30_500, 33_700]);
+}
+
+/// The case registry builds each of the five target programs once a call
+/// and hands every case of a system that system's `Arc`; `case_by_id`
+/// builds the systems up to the one holding the case. While every case
+/// built its own program (mini-Kafka twice), `all_cases()` built 25 and
+/// made 24 038 allocator calls in either profile, and `case_by_id("f17")`
+/// as many: both fail these bounds. Shared, they make 4 697 and 3 382.
+#[test]
+fn the_case_registry_stays_inside_its_allocation_budget() {
+    let (cases, all) = counted(all_cases);
+    assert_eq!(cases.len(), 22);
+    let (f17, one) = counted(|| case_by_id("f17"));
+    assert!(f17.is_some());
+    for (name, calls, bounds) in [
+        ("all_cases()", all, [5_200, 5_200]),
+        ("case_by_id(\"f17\")", one, [3_750, 3_750]),
+    ] {
+        let bound = bound(bounds);
+        println!("{name}: {calls} allocator calls (bound {bound})");
+        assert!(
+            calls <= bound,
+            "{name}: {calls} allocator calls, bound {bound}"
+        );
+    }
 }
 
 /// One campaign over `e2e`'s generated corpus: `[small, medium, large]`

@@ -59,6 +59,19 @@ fn a_bad_command_line_exits_2() {
     assert!(stderr(&out).contains("require a feedback-strategy variant"));
 }
 
+/// A case is named by id or ticket in any letter case.
+#[test]
+fn a_case_id_is_case_insensitive() {
+    for id in ["F17", "hb-25905"] {
+        let out = anduril(&["show", id]);
+        assert_eq!(out.status.code(), Some(0), "{id}: {}", stderr(&out));
+        assert!(
+            String::from_utf8_lossy(&out.stdout).starts_with("HB-25905 (f17) on HBase\n"),
+            "{id}"
+        );
+    }
+}
+
 /// What `full-adaptive` reproduces, `anduril replay` reproduces again.
 #[test]
 fn a_full_adaptive_script_replays() {

@@ -126,6 +126,7 @@ fn scaled(id: &str, args: &[(&str, &[i64])]) -> FailureCase {
     case_by_id(id)
         .expect("case")
         .with_workload(args, Some(90_000))
+        .expect("workload nodes")
 }
 
 fn fnv1a(text: &str) -> u64 {
