@@ -3,8 +3,8 @@
 //!
 //! `--bin paper -- <artifact>` prints one artifact (`paper list` names
 //! them), `paper all` runs the full evaluation in one process and writes
-//! the outputs under `results/`; `scale`, `adaptive` and `generator` are
-//! bins of their own. Absolute numbers differ from the paper (the
+//! the outputs under `results/`; `scale` and `generator` are bins of
+//! their own. Absolute numbers differ from the paper (the
 //! substrate is a discrete-event simulator, not a 20-core testbed); the
 //! *shape* — who reproduces what, in how many rounds, and where the
 //! orderings cross — is the reproduction target.

@@ -78,8 +78,8 @@ impl PreparedCase {
     ///
     /// Production failure logs are routinely incomplete (rotation, rate
     /// limiting and buffered appenders drop exactly the bursty messages
-    /// around a failure); this is the stall-prone input the adaptive
-    /// layer's bench and tests search.
+    /// around a failure); this is the stall-prone input the
+    /// `full-adaptive` strategy's tests search.
     pub fn degraded(&self) -> Result<SearchContext, CaseError> {
         let ctx = &self.ctx;
         let nearest = (0..ctx.observables.len())

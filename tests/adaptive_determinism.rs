@@ -1,87 +1,35 @@
-//! Adaptive observable promotion's determinism contract: with adaptation
-//! on, the sequential and batched (`--threads 4`) explorers emit
-//! byte-identical stable trace streams — promotions included — because
-//! only the trusted model promotes, never the batch engine's copy. That
-//! adaptation leaves a search that never stalls alone is pinned by
+//! Adaptive observable promotion's determinism contract: only the trusted
+//! model promotes, never the batch engine's copy. What that buys — a
+//! batched search that is the sequential one, promotions included, and
+//! adaptation that leaves a search that never stalls alone — is pinned by
 //! `tests/search_digests.rs`, row by row.
 //!
-//! The stall-prone context is manufactured the same way the
-//! `anduril-bench` adaptive ablation does: strip the nearest (strongest
-//! guidance) observable's entries from the failure log before
-//! preparation, simulating log rotation/rate limiting around the failure.
+//! The stall-prone context is `PreparedCase::degraded`'s: the nearest
+//! (strongest guidance) observable's entries stripped from the failure log
+//! before preparation, simulating log rotation/rate limiting around the
+//! failure.
 
 mod common;
 
 use anduril::trace::{StrategyNote, TraceEvent, VecTracer};
 use anduril::{
-    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, Oracle, RoundOutcome, SearchContext, Strategy,
+    explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle, RoundOutcome,
+    SearchContext, Strategy,
 };
-use common::{degraded_context, stable_lines};
+use common::degraded_context;
 
 /// One traced exploration of 300 rounds at most. Every run of a test
 /// shares the test's one prepared context: a search leaves nothing behind
 /// in it.
-fn traced_run(
-    ctx: &SearchContext,
-    oracle: &Oracle,
-    feedback: FeedbackConfig,
-    threads: Option<usize>,
-) -> Vec<TraceEvent> {
+fn traced_run(ctx: &SearchContext, oracle: &Oracle, feedback: FeedbackConfig) -> Vec<TraceEvent> {
     let tracer = VecTracer::new();
     let mut s = FeedbackStrategy::new(feedback);
     let cfg = ExplorerConfig {
         max_rounds: 300,
         ..ExplorerConfig::default()
     };
-    match threads {
-        None => {
-            explore_traced(ctx, oracle, &mut s, &cfg, None, &tracer).expect("explore");
-        }
-        Some(threads) => {
-            let batch = BatchExplorerConfig {
-                batch_size: 8,
-                threads,
-            };
-            explore_batched_traced(ctx, oracle, &mut s, &cfg, &batch, None, &tracer)
-                .expect("explore_batched");
-        }
-    }
+    explore_traced(ctx, oracle, &mut s, &cfg, None, &tracer).expect("explore");
     tracer.take()
-}
-
-fn promotion_count(lines: &[String]) -> usize {
-    lines
-        .iter()
-        .filter(|l| l.contains("\"ev\":\"promoted\""))
-        .count()
-}
-
-/// With adaptation on, a stall-prone degraded case promotes — and the
-/// sequential and `threads = 4` batched streams stay byte-identical,
-/// promotion events and all post-promotion planning included.
-#[test]
-fn adaptive_streams_sequential_equals_batched() {
-    let (ctx, oracle) = degraded_context("f18");
-    let adaptive = FeedbackConfig::full_adaptive;
-
-    let seq = stable_lines(&traced_run(&ctx, &oracle, adaptive(), None));
-    assert!(
-        promotion_count(&seq) > 0,
-        "f18-degraded: the adaptive run must actually promote"
-    );
-    let bat = stable_lines(&traced_run(&ctx, &oracle, adaptive(), Some(4)));
-    assert_eq!(
-        seq.len(),
-        bat.len(),
-        "f18-degraded: stream lengths differ (threads=4)"
-    );
-    for (i, (a, b)) in seq.iter().zip(&bat).enumerate() {
-        assert_eq!(
-            a, b,
-            "f18-degraded: stream diverges at event {i} (threads=4)"
-        );
-    }
 }
 
 /// Adaptation rescues the degraded case the frozen observable set cannot
@@ -90,7 +38,7 @@ fn adaptive_streams_sequential_equals_batched() {
 fn adaptive_rescues_degraded_case() {
     let (ctx, oracle) = degraded_context("f18");
 
-    let fixed = traced_run(&ctx, &oracle, FeedbackConfig::full(), None);
+    let fixed = traced_run(&ctx, &oracle, FeedbackConfig::full());
     let fixed_success = fixed
         .iter()
         .any(|e| matches!(e, TraceEvent::RoundEnd { oracle: true, .. }));
@@ -99,7 +47,7 @@ fn adaptive_rescues_degraded_case() {
         "f18-degraded: the frozen set should not reproduce (else this test's premise is stale)"
     );
 
-    let adaptive = traced_run(&ctx, &oracle, FeedbackConfig::full_adaptive(), None);
+    let adaptive = traced_run(&ctx, &oracle, FeedbackConfig::full_adaptive());
     assert!(
         adaptive
             .iter()

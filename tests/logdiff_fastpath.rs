@@ -104,7 +104,10 @@ fn fast_path_matches_text_baseline() {
             );
         }
     }
-    assert_eq!(rounds, 88, "the searches `rounds_golden` pins");
+    assert_eq!(
+        rounds, 88,
+        "the searches the `*/prepared/full` rows of `search_digests` pin"
+    );
 }
 
 /// `e2e --smoke`'s corpus: 6 small, 3 medium and 1 large generated
