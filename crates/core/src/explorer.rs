@@ -19,6 +19,7 @@ use anduril_ir::{ExceptionType, SiteId};
 use anduril_logdiff::DiffMemo;
 use anduril_sim::{FailedRun, InjectionPlan, RunResult, SimError};
 
+use crate::batch::Speculator;
 use crate::context::{FaultUnit, RoundOutcome, SearchContext};
 use crate::feedback::{FeedbackConfig, FeedbackStrategy};
 use crate::oracle::Oracle;
@@ -443,23 +444,15 @@ impl<'a> ExploreState<'a> {
     }
 }
 
-/// One speculative round the batch engine planned and already executed.
-pub(crate) type Speculated = (InjectionPlan, Result<RunResult, Box<FailedRun>>);
-
-/// The batch engine's speculation step (see [`crate::batch`]): given the
-/// trusted strategy and the next round number, the plans it predicts for
-/// that round onwards, each already executed. An error here is the
-/// engine's own (a worker died), not a round's, and ends the search.
-pub(crate) type Speculate<'a> =
-    &'a mut dyn FnMut(&mut dyn Strategy, usize) -> Result<Vec<Speculated>, SimError>;
-
 /// The Explorer's round loop (Algorithm 2) — the only one.
 ///
-/// `speculate` is called at the start of every epoch. The loop re-derives
-/// every round's plan from the trusted strategy and reuses a speculative
-/// result only when the plans are equal, so what it returns does not
-/// depend on what `speculate` predicts. The sequential explorer passes
-/// `None`: every epoch is then one round, run inline.
+/// The batch engine's `speculator` looks ahead before each round is
+/// planned, and hands over each round's run. The loop re-derives every
+/// round's plan from the trusted strategy, and the speculator reuses a
+/// speculative run only when the plans are equal, so what the loop returns
+/// does not depend on what was predicted. The sequential explorer passes
+/// `None` and runs every round inline. An error from the speculator is the
+/// engine's own (a worker panicked), not a round's, and ends the search.
 pub(crate) fn search(
     ctx: &SearchContext,
     oracle: &Oracle,
@@ -467,7 +460,7 @@ pub(crate) fn search(
     cfg: &ExplorerConfig,
     ground_truth: Option<SiteId>,
     tracer: &dyn Tracer,
-    mut speculate: Option<Speculate<'_>>,
+    mut speculator: Option<&mut Speculator<'_>>,
 ) -> Result<Reproduction, SimError> {
     let mut state = ExploreState::new(ctx, oracle, cfg, tracer);
     strategy.init(ctx);
@@ -479,98 +472,57 @@ pub(crate) fn search(
         });
     }
 
-    let mut round = 0usize;
-    let mut epoch = 0usize;
-    while round < cfg.max_rounds {
-        let speculated = match speculate.as_mut() {
-            None => Vec::new(),
-            Some(speculate) => {
-                let speculated = speculate(strategy, round)?;
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::EpochStart {
-                        epoch,
-                        round,
-                        jobs: speculated.len(),
-                    });
-                }
-                speculated
-            }
-        };
-        // Always at least one round per epoch, so an empty speculation
-        // still makes progress.
-        let slots = speculated.len().max(1);
-        let mut speculated = speculated.into_iter();
-        for slot in 0..slots {
-            let init_start = Instant::now();
-            let plan = strategy.plan_injection(ctx, round);
-            let init_ns = init_start.elapsed().as_nanos() as u64;
-            let gt_rank = ground_truth.and_then(|s| strategy.model()?.site_rank(s));
-            let Some(plan) = plan else {
-                state.drain_notes(strategy, round);
-                return Ok(state.give_up(strategy.name()));
-            };
-            let seed = round_seed(cfg, round);
-            let armed = plan.candidates.len() + usize::from(plan.crash_at.is_some());
-            if tracer.enabled() {
-                tracer.record(TraceEvent::RoundStart { round, seed });
-                tracer.record(TraceEvent::Decision {
-                    round,
-                    window: armed,
-                    armed,
-                    provenance: strategy.model().and_then(|m| m.provenance()),
-                    init_ns,
-                });
-            }
-            state.drain_notes(strategy, round);
-            let since = tracer.enabled().then(Instant::now);
-            let mut reused = false;
-            let result = match speculated.next() {
-                // Nothing was predicted for this round, so nothing hit or
-                // missed: no `spec` event.
-                None => ctx.run_round_or_partial(seed, plan),
-                Some((predicted, result)) => {
-                    let hit = predicted == plan;
-                    if tracer.enabled() {
-                        tracer.record(TraceEvent::Speculation {
-                            round,
-                            epoch,
-                            slot,
-                            hit,
-                        });
-                    }
-                    reused = hit;
-                    if hit {
-                        result
-                    } else {
-                        ctx.run_round_or_partial(seed, plan)
-                    }
-                }
-            };
-            // A round is a round even when an error stopped its run; only
-            // the simulator's own failure ends the search.
-            let (result, error) = match result.map_err(|failed| *failed) {
-                Ok(result) => (result, None),
-                Err(FailedRun {
-                    error,
-                    partial: Some(partial),
-                }) if !matches!(error, SimError::Internal(_)) => (partial, Some(error)),
-                Err(failed) => return Err(failed.error),
-            };
-            // A reused speculative result was simulated on a worker: what
-            // it cost is its own workload time, not the wait for it here.
-            let sim_ns = match since {
-                Some(_) if reused => result.wall.as_nanos() as u64,
-                Some(t) => t.elapsed().as_nanos() as u64,
-                None => 0,
-            };
-            let spent = RoundNs { init_ns, sim_ns };
-            if let Some(done) = state.absorb(strategy, round, gt_rank, armed, spent, result, error)
-            {
-                return Ok(done);
-            }
-            round += 1;
+    for round in 0..cfg.max_rounds {
+        if let Some(speculator) = speculator.as_deref_mut() {
+            speculator.look_ahead(strategy, round);
         }
-        epoch += 1;
+        let init_start = Instant::now();
+        let plan = strategy.plan_injection(ctx, round);
+        let init_ns = init_start.elapsed().as_nanos() as u64;
+        let gt_rank = ground_truth.and_then(|s| strategy.model()?.site_rank(s));
+        let Some(plan) = plan else {
+            state.drain_notes(strategy, round);
+            return Ok(state.give_up(strategy.name()));
+        };
+        let seed = round_seed(cfg, round);
+        let armed = plan.candidates.len() + usize::from(plan.crash_at.is_some());
+        if tracer.enabled() {
+            tracer.record(TraceEvent::RoundStart { round, seed });
+            tracer.record(TraceEvent::Decision {
+                round,
+                window: armed,
+                armed,
+                provenance: strategy.model().and_then(|m| m.provenance()),
+                init_ns,
+            });
+        }
+        state.drain_notes(strategy, round);
+        let since = tracer.enabled().then(Instant::now);
+        let (result, reused) = match speculator.as_deref_mut() {
+            Some(speculator) => speculator.take(round, plan)?,
+            None => (ctx.run_round_or_partial(seed, plan), false),
+        };
+        // A round is a round even when an error stopped its run; only the
+        // simulator's own failure ends the search.
+        let (result, error) = match result.map_err(|failed| *failed) {
+            Ok(result) => (result, None),
+            Err(FailedRun {
+                error,
+                partial: Some(partial),
+            }) if !matches!(error, SimError::Internal(_)) => (partial, Some(error)),
+            Err(failed) => return Err(failed.error),
+        };
+        // A reused speculative result was simulated ahead of this round:
+        // what it cost is its own workload time, not the wait for it here.
+        let sim_ns = match since {
+            Some(_) if reused => result.wall.as_nanos() as u64,
+            Some(t) => t.elapsed().as_nanos() as u64,
+            None => 0,
+        };
+        let spent = RoundNs { init_ns, sim_ns };
+        if let Some(done) = state.absorb(strategy, round, gt_rank, armed, spent, result, error) {
+            return Ok(done);
+        }
     }
     Ok(state.give_up(strategy.name()))
 }

@@ -241,24 +241,25 @@ pub enum TraceEvent {
         /// The note.
         note: StrategyNote,
     },
-    /// The batch engine started a speculate-execute-validate epoch
-    /// (`ev: "epoch"`, batch-only).
+    /// The batch engine made a speculative copy of the model, at round 0
+    /// or after a miss: an epoch is one copy's lifetime (`ev: "epoch"`,
+    /// batch-only).
     EpochStart {
         /// Epoch number (0-based).
         epoch: usize,
         /// First round of the epoch.
         round: usize,
-        /// Speculative jobs planned.
+        /// Rounds the copy planned and queued at once (its lookahead).
         jobs: usize,
     },
-    /// Validation verdict for one speculative slot (`ev: "spec"`,
+    /// Validation verdict for one round the copy planned (`ev: "spec"`,
     /// batch-only): `hit` means the precomputed run was reused.
     Speculation {
         /// Round validated.
         round: usize,
         /// Epoch it was speculated in.
         epoch: usize,
-        /// Slot within the epoch.
+        /// Rounds since the epoch's first.
         slot: usize,
         /// Whether the speculative result was reused.
         hit: bool,

@@ -432,7 +432,7 @@ pub fn summary(path: &str, events: &[TraceEvent]) -> String {
 
     if d.epochs > 0 || d.slots > 0 {
         out += &format!(
-            "\nSpeculation: {} epochs, {} validated slots, {} hits ({:.0}% of parallel work reused)\n",
+            "\nSpeculation: {} epochs, {} validated slots, {} hits ({:.0}% of validated slots)\n",
             d.epochs,
             d.slots,
             d.hits,

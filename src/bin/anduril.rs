@@ -56,8 +56,9 @@ fn print_usage() {
          emitted script's run. That run is the reproducing round itself\n\
          (one injection fired, and a run is a function of seed and plan),\n\
          so it is not made twice; `anduril replay` runs a script for real\n\n\
-         --threads > 1 explores in speculative parallel batches (identical\n\
-         results, less wall time); feedback-strategy variants only\n\n\
+         --threads N runs rounds on N threads, the calling one included: N > 1\n\
+         speculates up to --batch M rounds ahead (default 8) on N - 1 workers\n\
+         (identical results, less wall time); feedback-strategy variants only\n\n\
          --trace FILE records the structured search-trace stream (context\n\
          phases, per-round decisions with priority provenance, feedback,\n\
          speculation) as JSONL; `anduril trace FILE` renders it\n\n\
@@ -393,7 +394,7 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
     // every round inline and the flags would buy nothing.
     let mut strategy = by_name(&strategy_name).ok_or(Usage)?;
     let batch = (threads > 1 || batch_size.is_some()).then(|| BatchExplorerConfig {
-        batch_size: batch_size.unwrap_or_else(|| threads.max(2) * 2),
+        batch_size: batch_size.unwrap_or(BatchExplorerConfig::default().batch_size),
         threads,
     });
     if batch.is_some() && strategy.model().is_none() {

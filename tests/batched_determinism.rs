@@ -4,15 +4,16 @@
 //! how fast the answer arrives, never the answer.
 
 use anduril::failures::{case_by_id, PreparedCase};
+use anduril::trace::{TraceEvent, VecTracer};
 use anduril::{
-    explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
+    explore, explore_batched_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
     FeedbackStrategy, NoopTracer, Reproduction,
 };
 
-fn sequential(id: &str) -> (Reproduction, PreparedCase) {
+fn sequential(id: &str, feedback: &FeedbackConfig) -> (Reproduction, PreparedCase) {
     let case = case_by_id(id).expect("case");
     let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
-    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
+    let mut s = FeedbackStrategy::new(feedback.clone());
     let r = explore(
         &prepared.ctx,
         &case.oracle,
@@ -24,18 +25,29 @@ fn sequential(id: &str) -> (Reproduction, PreparedCase) {
     (r, prepared)
 }
 
-fn batched(id: &str, prepared: &PreparedCase, batch: &BatchExplorerConfig) -> Reproduction {
+/// The batched search and its batch-only trace events.
+fn batched(
+    id: &str,
+    prepared: &PreparedCase,
+    feedback: &FeedbackConfig,
+    batch: &BatchExplorerConfig,
+) -> (Reproduction, Vec<TraceEvent>) {
     let case = case_by_id(id).expect("case");
-    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-    explore_batched(
+    let mut s = FeedbackStrategy::new(feedback.clone());
+    let tracer = VecTracer::new();
+    let r = explore_batched_traced(
         &prepared.ctx,
         &case.oracle,
         &mut s,
         &ExplorerConfig::default(),
         batch,
         Some(prepared.gt.site),
+        &tracer,
     )
-    .expect("explore_batched")
+    .expect("explore_batched");
+    let mut events = tracer.take();
+    events.retain(TraceEvent::is_batch_only);
+    (r, events)
 }
 
 fn assert_identical(id: &str, threads: usize, seq: &Reproduction, bat: &Reproduction) {
@@ -73,37 +85,66 @@ fn assert_identical(id: &str, threads: usize, seq: &Reproduction, bat: &Reproduc
 }
 
 /// Two failure cases: f3 (a short search) and f17 (the motivating example,
-/// a long search with a retry pass), each against threads 1 and 4.
+/// a long search with a retry pass), each against threads 1 (the
+/// sequential search), 2 (the caller and one worker, the reference box's
+/// geometry) and 4.
 #[test]
 fn batched_matches_sequential() {
+    let full = FeedbackConfig::full();
     for id in ["f3", "f17"] {
-        let (seq, prepared) = sequential(id);
+        let (seq, prepared) = sequential(id, &full);
         assert!(seq.success, "{id}: sequential baseline must reproduce");
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             let batch = BatchExplorerConfig {
                 batch_size: 8,
                 threads,
             };
-            let bat = batched(id, &prepared, &batch);
+            let (bat, _) = batched(id, &prepared, &full, &batch);
             assert_identical(id, threads, &seq, &bat);
         }
     }
 }
 
-/// Odd batch geometries (batch of 1, batch larger than the whole search)
-/// cannot change the outcome either.
+/// Odd batch geometries (a lookahead of one round, on one worker and on
+/// three; a lookahead longer than the whole search; more threads than
+/// rounds looked ahead) cannot change the outcome either.
 #[test]
 fn batch_geometry_is_irrelevant() {
-    let (seq, prepared) = sequential("f3");
-    for (batch_size, threads) in [(1usize, 4usize), (64, 2), (3, 8)] {
-        let bat = batched(
-            "f3",
-            &prepared,
-            &BatchExplorerConfig {
-                batch_size,
-                threads,
-            },
-        );
+    let full = FeedbackConfig::full();
+    let (seq, prepared) = sequential("f3", &full);
+    for (batch_size, threads) in [(1usize, 2usize), (1, 4), (64, 2), (3, 8)] {
+        let batch = BatchExplorerConfig {
+            batch_size,
+            threads,
+        };
+        let (bat, _) = batched("f3", &prepared, &full, &batch);
         assert_identical("f3", threads, &seq, &bat);
+    }
+}
+
+/// Exhaustive enumeration on f17 is the path where every prediction
+/// holds: 63 rounds, all of them speculated by one copy of the model that
+/// is never made again, and the search is still the sequential one.
+#[test]
+fn an_exhaustive_search_hits_every_round_in_one_epoch() {
+    let exhaustive = FeedbackConfig::exhaustive();
+    let (seq, prepared) = sequential("f17", &exhaustive);
+    assert!(seq.success && seq.rounds > 8, "{} rounds", seq.rounds);
+    for threads in [2usize, 4] {
+        let batch = BatchExplorerConfig {
+            batch_size: 8,
+            threads,
+        };
+        let (bat, events) = batched("f17", &prepared, &exhaustive, &batch);
+        assert_identical("f17 exhaustive", threads, &seq, &bat);
+        let epochs = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::EpochStart { .. }))
+            .count();
+        let hits = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Speculation { hit: true, .. }))
+            .count();
+        assert_eq!((epochs, hits), (1, seq.rounds), "threads={threads}");
     }
 }
