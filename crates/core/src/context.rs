@@ -8,14 +8,13 @@
 //! timeline (§5.2.3).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use anduril_causal::{
     build_graph_over, BuildTimings, CallGraph, CausalGraph, Interval, Observable, OccurrenceBounds,
     Reachability,
 };
-use anduril_ir::{CompiledProgram, ExceptionType, SiteId, TemplateId};
+use anduril_ir::{ExceptionType, SiteId, TemplateId};
 use anduril_logdiff::{
     compare_global, parse_log, Alignment, DiffMemo, DiffRecord, InternedLog, ParsedEntry,
 };
@@ -115,11 +114,6 @@ pub struct SearchContext {
     pub bounds: OccurrenceBounds,
     /// Seed used for the normal run (rounds use `base_seed + 1 + round`).
     pub base_seed: u64,
-    /// The scenario's program lowered to the register-VM instruction
-    /// stream, compiled once at preparation time and shared by every
-    /// round (including the batch engine's worker threads — `Arc`, and
-    /// compilation is independent of seed and plan).
-    pub compiled: Arc<CompiledProgram>,
 }
 
 impl SearchContext {
@@ -152,15 +146,15 @@ impl SearchContext {
             }
         };
 
-        // Lower the program to the register-VM form once; every run of
-        // this context (normal and all rounds) executes the compiled
-        // stream.
+        // Every run of this context (normal and all rounds) executes the
+        // program's own register-VM form: lowered here if nothing has run
+        // the program yet, read as it is otherwise.
         let t = Instant::now();
-        let compiled = Arc::new(anduril_ir::lower::compile(&scenario.program));
+        let compiled = scenario.program.compiled();
         phase("sim.compile", compiled.code.len() as u64, t);
 
         let t = Instant::now();
-        let normal = scenario.run_compiled(&compiled, base_seed, InjectionPlan::none())?;
+        let normal = scenario.run_compiled(compiled, base_seed, InjectionPlan::none())?;
         phase("normal_run", normal.steps, t);
 
         // The failure log arrives as text (the production system is not
@@ -318,7 +312,6 @@ impl SearchContext {
             units,
             bounds,
             base_seed,
-            compiled,
         })
     }
 
@@ -335,8 +328,8 @@ impl SearchContext {
         }
     }
 
-    /// Runs one round over the context's cached compilation — the
-    /// Explorer's hot path (used by both the sequential and the batched
+    /// Runs one round over the program's compiled form — the Explorer's
+    /// hot path (used by both the sequential and the batched
     /// engines). Every round replays the workload from step zero: a run
     /// is a pure function of `(seed, plan)`, stopped with
     /// [`SimError::StepLimit`] past [`SearchContext::round_step_budget`].
@@ -362,7 +355,7 @@ impl SearchContext {
         };
         run_compiled_or_partial(
             &scenario.program,
-            &self.compiled,
+            scenario.program.compiled(),
             &scenario.topology,
             &config,
             plan,

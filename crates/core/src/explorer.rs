@@ -182,8 +182,9 @@ pub struct Reproduction {
 
 /// Seed for round `round` of an exploration: `base_seed + 1 + round`,
 /// restoring the cross-run nondeterminism the flexible window handles.
+/// The sum wraps past `u64::MAX` in every build profile.
 pub(crate) fn round_seed(cfg: &ExplorerConfig, round: usize) -> u64 {
-    cfg.base_seed + 1 + round as u64
+    cfg.base_seed.wrapping_add(1).wrapping_add(round as u64)
 }
 
 /// Everything one search mutates besides its strategy: records, totals
@@ -345,7 +346,7 @@ impl<'a> ExploreState<'a> {
                     // hand is the replay's. Otherwise (a multi-shot plan
                     // that fired again, a crash point besides the
                     // injection) the script is a different run: replay it
-                    // over the context's cached compilation.
+                    // over the program's compiled form.
                     let replay =
                         || ctx.run_round(seed, InjectionPlan::exact(site, occurrence, exc));
                     let verified = if result.injected_all.len() == 1 && !result.crashed {

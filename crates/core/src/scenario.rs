@@ -51,10 +51,10 @@ impl Scenario {
             .collect()
     }
 
-    /// Runs the workload once with the given seed and injection plan,
-    /// compiling the program first. One-shot callers only; round loops go
-    /// through [`Scenario::run_compiled`] with the context's cached
-    /// compilation.
+    /// Runs the workload once with the given seed and injection plan, over
+    /// the program's own compiled form ([`Program::compiled`]): the first
+    /// run of a program lowers it, every later one — a search's rounds
+    /// included — reuses it.
     pub fn run(&self, seed: u64, plan: InjectionPlan) -> Result<RunResult, SimError> {
         run(
             &self.program,
@@ -64,8 +64,9 @@ impl Scenario {
         )
     }
 
-    /// Runs the workload over an already-compiled program — the per-round
-    /// hot path (compilation results are independent of seed and plan).
+    /// [`Scenario::run`] over a compiled form the caller holds, such as a
+    /// copy from [`anduril_ir::lower::compile`]; the same run as
+    /// [`Scenario::run`] (compilation is a function of the program only).
     pub fn run_compiled(
         &self,
         compiled: &CompiledProgram,

@@ -193,14 +193,14 @@ impl FailureCase {
     /// The ground truth and the run that established it — the "production"
     /// run, whose log is the failure log.
     ///
-    /// The program is compiled once for the whole scan. Occurrence `k` is
+    /// Every run reads the program's own compiled form, which a later
+    /// `prepare` of any case of the same program reuses. Occurrence `k` is
     /// tried by arming exactly `(site, k)`: a run in which that never fires
     /// executed the site fewer than `k + 1` times — it is the fault-free
     /// run, its own count says how many occurrences there were, and the
     /// scan is over.
     fn resolve(&self) -> Result<(GroundTruth, RunResult), CaseError> {
         let site = self.root_site()?;
-        let compiled = anduril_ir::lower::compile(&self.scenario.program);
         let not_reproducible = |total: u32| {
             CaseError::NotReproducible(format!(
                 "{}: no occurrence of {} (of {total}) satisfies the oracle",
@@ -211,7 +211,7 @@ impl FailureCase {
             let plan = InjectionPlan::exact(site, occurrence, self.root_exc);
             let r = self
                 .scenario
-                .run_compiled(&compiled, self.failure_seed, plan)
+                .run(self.failure_seed, plan)
                 .map_err(|e| CaseError::Sim(e.to_string()))?;
             if r.injected.is_none() {
                 return Err(not_reproducible(r.site_occurrences[site.index()]));

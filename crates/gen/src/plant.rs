@@ -167,7 +167,9 @@ fn occurrences(run: &RunResult, site: SiteId) -> u32 {
 
 /// One run of the scenario under planting: its program compiled once per
 /// generated case, however many occurrences are probed, and every run
-/// counted with its steps.
+/// counted with its steps. The compiled form is a copy of planting's own,
+/// dropped with it, so the case comes back with its program uncompiled: a
+/// corpus is generated in bulk and often never searched.
 struct Planting<'a> {
     scenario: &'a Scenario,
     compiled: CompiledProgram,

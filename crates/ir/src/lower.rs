@@ -552,15 +552,16 @@ impl TemplateIndex {
             enclosing.push(literals.len() as u32 - 1);
         }
         TemplateIndex {
-            literals,
+            literals: fit(literals),
             by_literal,
             open,
         }
     }
 }
 
-/// A [`Program`] lowered to the flat register-VM form. Compile once per
-/// search (the `SearchContext` caches it), run many times.
+/// A [`Program`] lowered to the flat register-VM form. Each program holds
+/// its own, lowered on first use ([`Program::compiled`]) and read by every
+/// run of it.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// One instruction per statement, flattened block-major: the statement
@@ -959,7 +960,17 @@ impl ExprCompiler {
     }
 }
 
-/// Compiles a program into its flat register-VM form.
+/// A table grown by `push`, without the spare capacity growing left: a
+/// program's compiled form lives as long as the program.
+fn fit<T>(mut table: Vec<T>) -> Vec<T> {
+    table.shrink_to_fit();
+    table
+}
+
+/// Compiles a program into its flat register-VM form: a fresh copy, owned
+/// by the caller. Runs read the program's own ([`Program::compiled`]);
+/// this is for a caller that wants a copy it can drop (the generator's
+/// planting, which runs programs a corpus may never search again).
 pub fn compile(program: &Program) -> CompiledProgram {
     let n_stmts: usize = program.blocks.iter().map(Vec::len).sum();
     let mut stmt_base = Vec::with_capacity(program.blocks.len());
@@ -1200,23 +1211,23 @@ pub fn compile(program: &Program) -> CompiledProgram {
         code,
         stmt_base,
         block_len,
-        args: c.args,
-        snodes: c.snodes,
-        eops: c.eops,
-        gathered: c.gathered,
-        pool: c.pool,
+        args: fit(c.args),
+        snodes: fit(c.snodes),
+        eops: fit(c.eops),
+        gathered: fit(c.gathered),
+        pool: fit(c.pool),
         max_regs: c.max_regs,
         threads_per_node: 1 + spawns + program.execs.len(),
         worker_names,
         global_names,
         func_names,
-        meta_points,
+        meta_points: fit(meta_points),
         templates,
-        segs,
-        template_text,
+        segs: fit(segs),
+        template_text: template_text.into_boxed_str().into_string(),
         template_index,
-        tries,
-        handlers: all_handlers,
+        tries: fit(tries),
+        handlers: fit(all_handlers),
         try_of,
         meta_bits,
     }

@@ -1,10 +1,12 @@
 //! The program container and structural queries used by the analyses.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::exception::ExceptionType;
 use crate::ids::{BlockId, FuncId, SiteId, StmtRef, TemplateId};
 use crate::log::LogTemplate;
+use crate::lower::CompiledProgram;
 use crate::stmt::Stmt;
 use crate::value::Value;
 
@@ -268,6 +270,7 @@ pub struct Program {
     block_parent: Vec<BlockParent>,
     func_by_name: HashMap<String, FuncId>,
     template_by_text: HashMap<String, TemplateId>,
+    compiled: OnceLock<CompiledProgram>,
 }
 
 impl Program {
@@ -300,6 +303,7 @@ impl Program {
             block_parent: Vec::new(),
             func_by_name: HashMap::new(),
             template_by_text: HashMap::new(),
+            compiled: OnceLock::new(),
         };
         program.compute_parents()?;
         program.build_indexes();
@@ -401,6 +405,25 @@ impl Program {
             }
         }
         Ok(())
+    }
+
+    /// The program lowered to the register-VM form, on first use.
+    ///
+    /// A derived table like the block parents, only computed late: the
+    /// program is immutable once assembled, so its lowering is too, and
+    /// every run of it — a search's rounds on every thread, the ground
+    /// truth scan, a one-shot run — reads this one copy. A program that is
+    /// built but never run (most of a generated corpus) never pays for it.
+    /// Like the block parents, it describes the tables as `assemble` saw
+    /// them: a program whose public tables are edited afterwards has to be
+    /// built again.
+    pub fn compiled(&self) -> &CompiledProgram {
+        self.compiled.get_or_init(|| crate::lower::compile(self))
+    }
+
+    /// Whether [`Program::compiled`] has lowered the program yet.
+    pub fn is_compiled(&self) -> bool {
+        self.compiled.get().is_some()
     }
 
     /// Looks up a function by name.

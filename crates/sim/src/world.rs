@@ -94,21 +94,20 @@ pub(crate) fn internal(msg: impl Into<String>) -> Box<SimError> {
     Box::new(SimError::Internal(msg.into()))
 }
 
-/// Runs one simulation to completion (quiescence, horizon, or step limit),
-/// compiling the program first. Hot callers that replay the same program
-/// many times should compile once and use [`run_compiled`].
+/// Runs one simulation to completion (quiescence, horizon, or step limit)
+/// over the program's own compiled form ([`Program::compiled`]), which the
+/// first run of a program lowers and every later one reuses.
 pub fn run(
     program: &Program,
     topo: &Topology,
     cfg: &SimConfig,
     plan: InjectionPlan,
 ) -> Result<RunResult, SimError> {
-    let compiled = anduril_ir::lower::compile(program);
-    run_compiled(program, &compiled, topo, cfg, plan)
+    run_compiled(program, program.compiled(), topo, cfg, plan)
 }
 
-/// Runs one simulation over an already-compiled program — the Explorer's
-/// per-round hot path (the `SearchContext` caches the compilation).
+/// Runs one simulation over a compiled form of `program` the caller
+/// holds: the program's own, or a copy from [`anduril_ir::lower::compile`].
 pub fn run_compiled(
     program: &Program,
     compiled: &CompiledProgram,

@@ -148,6 +148,13 @@ fn report(name: &str, table: &PhaseCounts, total: u64, bounds: [u64; 2]) {
     );
 }
 
+/// Each case's failure log is rendered outside the count, and the ground
+/// truth scan behind it runs the case's program, which lowers it once for
+/// every later run: `prepare`'s `sim.compile` phase reads that code and is
+/// left with the scenario clone (206 calls). While every `prepare` lowered
+/// a copy of its own, the campaign made 27 590 calls in release, 3 445 of
+/// them compiling, and 30 585 in debug: both fail these bounds. Now it
+/// makes 24 351 and 27 346.
 #[test]
 fn a_tickets22_campaign_stays_inside_its_allocation_budget() {
     let table = PhaseCounts::default();
@@ -156,7 +163,7 @@ fn a_tickets22_campaign_stays_inside_its_allocation_budget() {
         let failure_log = case.failure_log().expect("failure log");
         total += operation(&table, &case.scenario, &failure_log, &case.oracle);
     }
-    report("tickets22", &table, total, [30_500, 33_700]);
+    report("tickets22", &table, total, [26_800, 30_100]);
 }
 
 /// The case registry builds each of the five target programs once a call

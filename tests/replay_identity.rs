@@ -324,7 +324,9 @@ fn an_ineligible_round_is_replayed_for_real() {
             .expect("prepare")
             .ctx;
         let normal = ctx.run_round(seed, InjectionPlan::none()).expect("normal");
-        let alone = |round: &RunResult| exact_replay(&ctx.scenario, &ctx.compiled, seed, round);
+        let alone = |round: &RunResult| {
+            exact_replay(&ctx.scenario, ctx.scenario.program.compiled(), seed, round)
+        };
         let search = |plan: InjectionPlan, oracle: &Oracle| {
             let r = explore(&ctx, oracle, &mut Fixed(plan), &cfg, None).expect("explore");
             assert!(
@@ -351,16 +353,21 @@ fn an_ineligible_round_is_replayed_for_real() {
         let decoy_then_root = |r: &RunResult| {
             r.injected_all.len() == 2 && case.oracle.check(r) && !case.oracle.check(&alone(r))
         };
-        if let Some((plan, _)) =
-            first_run(&ctx.scenario, &ctx.compiled, seed, plans, decoy_then_root)
-        {
+        if let Some((plan, _)) = first_run(
+            &ctx.scenario,
+            ctx.scenario.program.compiled(),
+            seed,
+            plans,
+            decoy_then_root,
+        ) {
             search(plan, &case.oracle);
             twice += 1;
         }
 
         // The symptom is a dead node, the crash kills it, and the script
         // is the injection that fired beside the crash.
-        let plans = crash_beside_injection_plans(&ctx.scenario, &ctx.compiled, &normal);
+        let plans =
+            crash_beside_injection_plans(&ctx.scenario, ctx.scenario.program.compiled(), &normal);
         let dead = |r: &RunResult| {
             r.nodes
                 .iter()
@@ -370,9 +377,13 @@ fn an_ineligible_round_is_replayed_for_real() {
         let crash_only = |r: &RunResult| {
             r.crashed && r.injected.is_some() && dead(r).is_some() && dead(&alone(r)).is_none()
         };
-        if let Some((plan, round)) =
-            first_run(&ctx.scenario, &ctx.compiled, seed, plans, crash_only)
-        {
+        if let Some((plan, round)) = first_run(
+            &ctx.scenario,
+            ctx.scenario.program.compiled(),
+            seed,
+            plans,
+            crash_only,
+        ) {
             let node = dead(&round).expect("a node died");
             search(plan, &Oracle::Not(Box::new(Oracle::NodeAlive(node))));
             crashed += 1;

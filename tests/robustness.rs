@@ -4,7 +4,10 @@
 
 use anduril::failures::{case_by_id, CaseError};
 use anduril::sim::InjectionPlan;
-use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer};
+use anduril::{
+    explore, explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer, Oracle,
+    TraceEvent, VecTracer,
+};
 
 /// Reproduce a case whose "production" failure happened under a different
 /// seed than the registered one.
@@ -83,4 +86,35 @@ fn instance_counts_shift_across_seeds() {
         "instance counts should be in the same ballpark: {counts:?}"
     );
     assert!(counts.len() >= 2, "and not perfectly constant: {counts:?}");
+}
+
+/// Round seeds are `base_seed + 1 + round` and wrap past `u64::MAX`: a
+/// search whose base seed sits at the top of the range runs its rounds at
+/// `u64::MAX`, `0`, `1`, … instead of overflowing (a panic in a debug
+/// build). The oracle is one no run satisfies, so the search runs every
+/// round it is allowed.
+#[test]
+fn round_seeds_wrap_past_the_top_of_the_seed_range() {
+    let case = case_by_id("f3").expect("case");
+    let base_seed = u64::MAX - 1;
+    let prepared = case.prepare(base_seed, &NoopTracer).expect("prepare");
+    let never = Oracle::LogContains("no run ever logs this".into());
+    let cfg = ExplorerConfig {
+        max_rounds: 3,
+        base_seed,
+    };
+    let tracer = VecTracer::new();
+    let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
+    let r =
+        explore_traced(&prepared.ctx, &never, &mut strategy, &cfg, None, &tracer).expect("explore");
+    assert!(!r.success);
+    let seeds: Vec<u64> = tracer
+        .events()
+        .into_iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::RoundStart { seed, .. } => Some(seed),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(seeds, [u64::MAX, 0, 1]);
 }
