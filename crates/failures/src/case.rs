@@ -2,7 +2,7 @@
 
 use anduril_core::{Oracle, Scenario, SearchContext, Tracer};
 use anduril_ir::{ExceptionType, SiteId, Value};
-use anduril_sim::{InjectionPlan, RunResult};
+use anduril_sim::{InjectionPlan, PausedRun, Reached, RunResult};
 
 /// The known root cause of a failure, resolved to a concrete dynamic
 /// instance under the failure seed.
@@ -194,39 +194,53 @@ impl FailureCase {
     /// run, whose log is the failure log.
     ///
     /// Every run reads the program's own compiled form, which a later
-    /// `prepare` of any case of the same program reuses. Occurrence `k` is
-    /// tried by arming exactly `(site, k)`: a run in which that never fires
-    /// executed the site fewer than `k + 1` times — it is the fault-free
+    /// `prepare` of any case of the same program reuses. Occurrence `k`'s
+    /// run is the fault-free run up to the site's `k`-th execution, so one
+    /// world paused there ([`PausedRun`]) serves the whole scan: occurrence
+    /// `k` is a copy that injects and runs to the end, and on an oracle miss
+    /// the world passes `k` and stops at `k + 1`. A world that ends before
+    /// it gets there executed the site fewer times — it is the fault-free
     /// run, its own count says how many occurrences there were, and the
     /// scan is over.
     fn resolve(&self) -> Result<(GroundTruth, RunResult), CaseError> {
         let site = self.root_site()?;
-        let not_reproducible = |total: u32| {
-            CaseError::NotReproducible(format!(
-                "{}: no occurrence of {} (of {total}) satisfies the oracle",
-                self.id, self.root_site_desc
-            ))
-        };
-        for occurrence in 0..=u32::MAX {
-            let plan = InjectionPlan::exact(site, occurrence, self.root_exc);
-            let r = self
-                .scenario
-                .run(self.failure_seed, plan)
-                .map_err(|e| CaseError::Sim(e.to_string()))?;
-            if r.injected.is_none() {
-                return Err(not_reproducible(r.site_occurrences[site.index()]));
-            }
+        let sim = |e: anduril_sim::SimError| CaseError::Sim(e.to_string());
+        let program = &self.scenario.program;
+        let mut reached = PausedRun::start(
+            program,
+            program.compiled(),
+            &self.scenario.topology,
+            &self.scenario.config.with_seed(self.failure_seed),
+            site,
+            0,
+            self.root_exc,
+        )
+        .map_err(sim)?;
+        loop {
+            let at = match reached {
+                Reached::Paused(at) => at,
+                Reached::Ended(run) => {
+                    return Err(CaseError::NotReproducible(format!(
+                        "{}: no occurrence of {} (of {}) satisfies the oracle",
+                        self.id,
+                        self.root_site_desc,
+                        run.site_occurrences[site.index()]
+                    )))
+                }
+            };
+            let r = at.clone().inject(u64::MAX).map_err(sim)?;
             if self.oracle.check(&r) {
                 let gt = GroundTruth {
                     site,
-                    occurrence,
+                    occurrence: at.occurrence(),
                     exc: self.root_exc,
                     seed: self.failure_seed,
                 };
                 return Ok((gt, r));
             }
+            let next = at.occurrence() + 1;
+            reached = at.pass_to(next).map_err(sim)?;
         }
-        Err(not_reproducible(u32::MAX))
     }
 
     /// The one way from a case to a search: resolves the ground truth,

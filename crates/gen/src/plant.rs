@@ -16,8 +16,14 @@
 //! where the fault-free trace puts the first. A bisection probe stops
 //! once the gate has answered, just past the time the fault-free trace
 //! puts the `k`-th hit at. The planter's one probe loop starts at a
-//! computed index; [`GeneratedCase::runs`] counts the runs and
-//! [`GeneratedCase::steps`] what they cost.
+//! computed index.
+//!
+//! Nor does it simulate a prefix twice: every single-fault run after the
+//! fault-free one branches off one world paused at a hit of the site
+//! ([`PausedRun`]), which only moves forward — to the bisection's lower
+//! bound, then along the probe loop. [`GeneratedCase::runs`] counts the
+//! worlds started and the branches, and [`GeneratedCase::steps`] the steps
+//! they took, a shared prefix once.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -26,7 +32,7 @@ use anduril_core::{Oracle, Scenario, SearchContext};
 use anduril_failures::FailureCase;
 use anduril_ir::{CompiledProgram, ExceptionType, SiteId, Value};
 use anduril_sim::rng::SmallRng;
-use anduril_sim::{InjectionPlan, RunResult, SimConfig};
+use anduril_sim::{InjectionPlan, PausedRun, Reached, RunResult};
 
 use crate::grammar::{synthesize, GenProgram, SizeClass, DEGRADED_GLOBAL};
 
@@ -85,10 +91,15 @@ pub struct GeneratedCase {
     pub stmts: usize,
     /// Advisory lint warnings the program carried (expected 0).
     pub warnings: usize,
-    /// Simulator runs generation made, the fault-free one included.
+    /// Simulator runs generation made: the worlds it started (the
+    /// fault-free run, the paused one) and the branches it took off the
+    /// paused one (each copy that went on: to a probe's occurrence, into an
+    /// injection).
     pub runs: usize,
-    /// Simulator steps those runs took together: a phase-gate probe is
-    /// cut once the gate has answered, so runs differ in length.
+    /// Simulator steps those runs took together, a prefix that branches
+    /// share counted once: a branch counts only its steps past the point
+    /// it was copied at, and a phase-gate probe is cut once the gate has
+    /// answered.
     pub steps: u64,
     /// Phase-gate probes whose cut run saw neither of the gate's outcomes
     /// and ran again to the end (expected 0).
@@ -165,11 +176,15 @@ fn occurrences(run: &RunResult, site: SiteId) -> u32 {
     run.site_occurrences.get(site.index()).copied().unwrap_or(0)
 }
 
-/// One run of the scenario under planting: its program compiled once per
+/// The scenario's runs under planting: its program compiled once per
 /// generated case, however many occurrences are probed, and every run
-/// counted with its steps. The compiled form is a copy of planting's own,
-/// dropped with it, so the case comes back with its program uncompiled: a
-/// corpus is generated in bulk and often never searched.
+/// counted with the steps it took. The compiled form is a copy of
+/// planting's own, dropped with it, so the case comes back with its program
+/// uncompiled: a corpus is generated in bulk and often never searched.
+///
+/// A run is a world started or a branch: a copy of a paused run that goes
+/// on. A branch's steps are those past the point it was copied at, so a
+/// prefix the branches share is counted once.
 struct Planting<'a> {
     scenario: &'a Scenario,
     compiled: CompiledProgram,
@@ -179,28 +194,96 @@ struct Planting<'a> {
     fallbacks: Cell<usize>,
 }
 
+fn sim_error(e: anduril_sim::SimError) -> GenError {
+    GenError::Sim(e.to_string())
+}
+
+/// The steps a run that reached somewhere has taken.
+fn steps_of(reached: &Reached) -> u64 {
+    match reached {
+        Reached::Paused(at) => at.steps(),
+        Reached::Ended(run) => run.steps,
+    }
+}
+
 impl Planting<'_> {
-    fn run(&self, plan: InjectionPlan) -> Result<RunResult, GenError> {
-        self.run_until(plan, u64::MAX)
+    fn count(&self, runs: usize, steps: u64) {
+        self.runs.set(self.runs.get() + runs);
+        self.steps.set(self.steps.get() + steps);
     }
 
-    /// `plan`'s run cut at simulated time `horizon` (or at the scenario's
-    /// own, if that is sooner): the slices of the whole run that start by
-    /// then, so its log is a prefix of the whole run's and its globals are
-    /// the whole run's state at that point.
-    fn run_until(&self, plan: InjectionPlan, horizon: u64) -> Result<RunResult, GenError> {
+    /// `plan`'s whole run.
+    fn run(&self, plan: InjectionPlan) -> Result<RunResult, GenError> {
         let s = self.scenario;
-        let cfg = SimConfig {
-            seed: self.failure_seed,
-            max_time: horizon.min(s.config.max_time),
-            ..s.config.clone()
-        };
+        let cfg = s.config.with_seed(self.failure_seed);
         let r = anduril_sim::run_compiled(&s.program, &self.compiled, &s.topology, &cfg, plan)
-            .map_err(|e| GenError::Sim(e.to_string()))?;
-        self.runs.set(self.runs.get() + 1);
-        self.steps.set(self.steps.get() + r.steps);
+            .map_err(sim_error)?;
+        self.count(1, r.steps);
         Ok(r)
     }
+
+    /// A world started and paused at the `occurrence`-th execution of
+    /// `site`, `exc` armed there.
+    fn pause(
+        &self,
+        site: SiteId,
+        occurrence: u32,
+        exc: ExceptionType,
+    ) -> Result<Reached<'_>, GenError> {
+        let s = self.scenario;
+        let cfg = s.config.with_seed(self.failure_seed);
+        let reached = PausedRun::start(
+            &s.program,
+            &self.compiled,
+            &s.topology,
+            &cfg,
+            site,
+            occurrence,
+            exc,
+        )
+        .map_err(sim_error)?;
+        self.count(1, steps_of(&reached));
+        Ok(reached)
+    }
+
+    /// `at` moved on to `occurrence`.
+    fn pass<'p>(&self, at: PausedRun<'p>, occurrence: u32) -> Result<Reached<'p>, GenError> {
+        let from = at.steps();
+        let reached = at.pass_to(occurrence).map_err(sim_error)?;
+        self.count(0, steps_of(&reached) - from);
+        Ok(reached)
+    }
+
+    /// A branch off `at` moved on to `occurrence`, which lies below the
+    /// fault-free count.
+    fn branch<'p>(&self, at: &PausedRun<'p>, occurrence: u32) -> Result<PausedRun<'p>, GenError> {
+        self.count(1, 0);
+        if occurrence == at.occurrence() {
+            return Ok(at.clone());
+        }
+        match self.pass(at.clone(), occurrence)? {
+            Reached::Paused(moved) => Ok(moved),
+            Reached::Ended(_) => Err(ended_before(occurrence)),
+        }
+    }
+
+    /// A branch off `at` that injects there and runs to `horizon` (or the
+    /// scenario's own, if that is sooner): the slices of the whole run that
+    /// start by then, so its log is a prefix of the whole run's and its
+    /// globals are the whole run's state at that point.
+    fn inject(&self, at: &PausedRun, horizon: u64) -> Result<RunResult, GenError> {
+        let r = at.clone().inject(horizon).map_err(sim_error)?;
+        self.count(1, r.steps - at.steps());
+        Ok(r)
+    }
+}
+
+/// A run paused at an occurrence below the fault-free count ended before
+/// it: the prefix it shares with the fault-free run was not that run's.
+fn ended_before(occurrence: u32) -> GenError {
+    GenError::Unsound(format!(
+        "a run ended before occurrence {occurrence}, which the fault-free run reached"
+    ))
 }
 
 /// The smallest `k` in `0..total` with `pred(k)` false — `total` if there
@@ -251,11 +334,15 @@ const PROBE_SLACK: u64 = 40;
 /// they log the warmup needle, so the crossing is bisected, not walked to,
 /// and the loop below starts there.
 ///
-/// A bisection probe at `k` is the fault-free run up to the `k`-th hit,
-/// so it runs to the fault-free time of that hit plus [`PROBE_SLACK`],
-/// and to the end only if the gate has not answered by then. The loop's
-/// runs go to the end: the one that satisfies the oracle is the failure
-/// run.
+/// Every run here is the fault-free run up to a hit of the site, so all of
+/// them branch off one world paused at a hit ([`PausedRun`]), and none
+/// simulates that prefix again. The world stands at the bisection's lower
+/// bound: a probe at `k` is a copy moved on to `k` that injects and is cut
+/// at the fault-free time of the hit plus [`PROBE_SLACK`] (and runs again
+/// to the end only if the gate has not answered by then); a closed gate
+/// moves the bound, and the world with it, past `k`. The loop's runs are
+/// copies that inject and go to the end: the one that satisfies the oracle
+/// is the failure run.
 fn plant_single(
     planting: &Planting,
     gp: &GenProgram,
@@ -263,9 +350,9 @@ fn plant_single(
     normal: RunResult,
 ) -> Result<(Vec<PlantedFault>, RunResult), GenError> {
     let site = site_by_desc(planting.scenario, &gp.critical_site_desc)?;
-    // Only the site's hit times were needed: a single-fault case holds one
-    // run at a time while it is planted (planting sets `e2e`'s
-    // `peak_rss_mb` on `gen-corpus`).
+    // Only the site's hit times were needed: a single-fault case holds as
+    // few runs at a time as it can while it is planted (planting sets
+    // `e2e`'s `peak_rss_mb` on `gen-corpus`).
     let times: Vec<u64> = (normal.trace.iter())
         .filter(|t| t.site == site)
         .map(|t| t.time)
@@ -278,20 +365,28 @@ fn plant_single(
             gp.critical_site_desc
         )));
     }
-    let plan = |occ| InjectionPlan::exact(site, occ, gp.critical_exc);
+    let mut bound = planting.pause(site, 0, gp.critical_exc)?;
     let start = match &gp.warmup_needle {
         Some(needle) => first_false(total, |occ| {
+            let Reached::Paused(lo) = &bound else {
+                return Err(ended_before(occ));
+            };
+            let at = planting.branch(lo, occ)?;
             // Closed, the critical handler logs the needle; open, it sets
             // the flag. Only it does either, and the plan runs it once, so
             // what the cut run saw is what the whole run does.
-            let cut = planting.run_until(plan(occ), times[occ as usize] + PROBE_SLACK)?;
-            let closed = cut.has_log(needle);
-            if closed || cut.global(&gp.critical_node, DEGRADED_GLOBAL) == Some(&Value::Int(1)) {
-                return Ok(closed);
+            let cut = planting.inject(&at, times[occ as usize] + PROBE_SLACK)?;
+            let mut closed = cut.has_log(needle);
+            if !closed && cut.global(&gp.critical_node, DEGRADED_GLOBAL) != Some(&Value::Int(1)) {
+                drop(cut);
+                planting.fallbacks.set(planting.fallbacks.get() + 1);
+                closed = planting.inject(&at, u64::MAX)?.has_log(needle);
             }
-            drop(cut);
-            planting.fallbacks.set(planting.fallbacks.get() + 1);
-            Ok(planting.run(plan(occ))?.has_log(needle))
+            if closed {
+                // Every probe to come, and the failure run, lies past `occ`.
+                bound = planting.pass(at, occ + 1)?;
+            }
+            Ok(closed)
         })?,
         None => 0,
     };
@@ -301,16 +396,18 @@ fn plant_single(
             gp.critical_site_desc
         )));
     }
-    for occ in start..total {
-        let r = planting.run(plan(occ))?;
-        if r.injected.is_some() && oracle.check(&r) {
+    while let Reached::Paused(at) = bound {
+        let r = planting.inject(&at, u64::MAX)?;
+        if oracle.check(&r) {
             let plant = vec![PlantedFault {
                 site,
-                occurrence: occ,
+                occurrence: at.occurrence(),
                 exc: gp.critical_exc,
             }];
             return Ok((plant, r));
         }
+        let next = at.occurrence() + 1;
+        bound = planting.pass(at, next)?;
     }
     Err(GenError::Unsound(format!(
         "no occurrence of {} ({start}..{total}) satisfies the oracle",

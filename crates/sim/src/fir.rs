@@ -135,7 +135,7 @@ pub struct TraceEntry {
 }
 
 /// The per-run fault-injection runtime state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Fir {
     /// The plan's candidates grouped by site — site ids are compact, so
     /// the per-request lookup is an index, not a hash — and in the plan's
@@ -317,6 +317,14 @@ impl Fir {
         }
         self.injected_all.push(record);
         Some(exc)
+    }
+
+    /// Re-arms the plan's candidates at `occurrence`: a paused run that
+    /// passes the occurrence it stands at waits for a later one.
+    pub(crate) fn retarget(&mut self, occurrence: u32) {
+        for c in &mut self.candidates {
+            c.occurrence = Some(occurrence);
+        }
     }
 
     /// `true` when the plan names a crash point: only then does anyone

@@ -28,7 +28,7 @@ use crate::world::{internal, Sim};
 pub(crate) type ThreadId = usize;
 
 /// What a `finally` block will do when control leaves it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Pending {
     /// Normal completion.
     None,
@@ -44,7 +44,7 @@ pub(crate) enum Pending {
 
 /// The payload of a [`CursorTag::Handler`] or [`CursorTag::Finally`]
 /// cursor, kept off the cursor so that cursors stay `Copy`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Unwinding {
     /// The exception a handler caught (read by `Rethrow` and
     /// stack-attaching logs).
@@ -113,7 +113,7 @@ pub(crate) struct Frame {
 }
 
 /// A thread's lifecycle state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum ThreadStatus {
     /// Eligible to run.
     Runnable,
@@ -148,7 +148,7 @@ pub(crate) enum Role {
 }
 
 /// A simulated thread.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Thread {
     /// Index of the node the thread runs on.
     pub node: usize,

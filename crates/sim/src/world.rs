@@ -30,12 +30,13 @@ use crate::thread::{
 use anduril_ir::builder::{STMT_RUNTIME, TMPL_NODE_CRASH, TMPL_UNCAUGHT};
 use anduril_ir::lower::CompiledProgram;
 use anduril_ir::{
-    BlockId, ChanId, CondId, ExcValue, ExecId, FuncId, Level, LogEntry, Program, StmtRef,
+    BlockId, ChanId, CondId, ExcValue, ExecId, FuncId, Level, LogEntry, Program, SiteId, StmtRef,
     TemplateId, Value, VarId,
 };
 
 mod events;
 mod exec_vm;
+mod paused;
 
 #[cfg(any(test, feature = "tree-walk-oracle"))]
 mod exec_ast;
@@ -44,6 +45,7 @@ mod exec_ast;
 mod expr_differential;
 
 use events::{Event, EventQueue};
+pub use paused::{PausedRun, Reached};
 
 /// Errors surfaced by the interpreter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,26 +150,26 @@ pub fn run_compiled_or_partial(
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FutureState {
     done: Option<Result<Value, Arc<ExcValue>>>,
     waiters: Vec<ThreadId>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Task {
     func: FuncId,
     args: Vec<Value>,
     future: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ExecState {
     queue: VecDeque<Task>,
     worker: Option<ThreadId>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Node {
     name: Arc<str>,
     alive: bool,
@@ -189,6 +191,7 @@ enum Flow {
     Continue,
 }
 
+#[derive(Clone)]
 struct World<'p> {
     program: &'p Program,
     compiled: &'p CompiledProgram,
@@ -220,6 +223,21 @@ struct World<'p> {
     /// The VM's scratch buffer for rendering log bodies.
     body_buf: String,
     started: Instant,
+    /// The occurrence of the one armed site a [`PausedRun`] stops at,
+    /// between its `traceSite` and its decision; `None` on every other run.
+    pause_at: Option<u32>,
+    /// Where the slice loop stopped for `pause_at`, until the run goes on.
+    paused: Option<Interrupted>,
+}
+
+/// The step a run paused in: thread `tid` traced the armed `site` with
+/// `left` steps of its slice to go and `elapsed` ticks into it.
+#[derive(Clone, Copy)]
+struct Interrupted {
+    tid: ThreadId,
+    site: SiteId,
+    left: u64,
+    elapsed: u64,
 }
 
 impl<'p> World<'p> {
@@ -266,6 +284,8 @@ impl<'p> World<'p> {
             regs: vec![Value::Unit; compiled.max_regs],
             body_buf: String::new(),
             started: Instant::now(),
+            pause_at: None,
+            paused: None,
         };
         for spec in &topo.nodes {
             if world.node_named(&spec.name).is_some() {
@@ -631,15 +651,26 @@ impl<'p> World<'p> {
             let Some(delay) = self.run_slice(tid)? else {
                 return Ok(());
             };
-            let wake = self.clock + delay;
-            if wake > self.cfg.max_time || !self.events.none_due_by(wake) {
-                self.schedule_wake(tid, delay, false);
+            if !self.run_again(tid, delay) {
                 return Ok(());
             }
-            self.seq += 1;
-            self.events.skip_to(wake);
-            self.clock = wake;
         }
+    }
+
+    /// After a slice of `tid` that ended runnable, wanting to run again
+    /// `delay` ticks later: `true` with the clock at that wake when the
+    /// thread is the lone runner, `false` with the wake queued otherwise.
+    #[inline(always)]
+    fn run_again(&mut self, tid: ThreadId, delay: u64) -> bool {
+        let wake = self.clock + delay;
+        if wake > self.cfg.max_time || !self.events.none_due_by(wake) {
+            self.schedule_wake(tid, delay, false);
+            return false;
+        }
+        self.seq += 1;
+        self.events.skip_to(wake);
+        self.clock = wake;
+        true
     }
 
     /// Runs one scheduling slice of a runnable thread. Returns the delay

@@ -116,12 +116,14 @@ impl Ord for Node {
 }
 
 /// A message in flight.
+#[derive(Clone)]
 struct Parcel {
     node: usize,
     chan: ChanId,
     payload: Value,
 }
 
+#[derive(Clone)]
 pub(super) struct EventQueue {
     /// Per-slot FIFO list heads/tails, indexing into `pool`; `NIL` = empty.
     head: [u32; WHEEL],

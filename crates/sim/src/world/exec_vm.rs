@@ -498,14 +498,26 @@ impl<'p> World<'p> {
     /// the inner loop as a [`Cold`] step, runs out of line, and the loop
     /// resolves again.
     pub(super) fn run_slice_vm(&mut self, tid: ThreadId) -> Sim<Option<u64>> {
+        let left = self.cfg.quantum as u64 + self.rng.random_range(0..3);
+        self.slice_vm(tid, left, 0)
+    }
+
+    /// The slice loop of [`World::run_slice_vm`] with `left` steps of the
+    /// slice to go and `elapsed` ticks into it: a slice from its start, or
+    /// the rest of the one a [`PausedRun`] stopped in.
+    #[inline(always)]
+    pub(super) fn slice_vm(
+        &mut self,
+        tid: ThreadId,
+        mut left: u64,
+        mut elapsed: u64,
+    ) -> Sim<Option<u64>> {
         let program = self.program;
         let compiled = self.compiled;
         // Meta-info accesses matter to a crash point only: the feedback
         // search arms none, and then no step looks its statement up.
         let has_meta = !compiled.meta_points.is_empty() && self.fir.crash_armed();
         let max_steps = self.cfg.max_steps;
-        let mut left = self.cfg.quantum as u64 + self.rng.random_range(0..3);
-        let mut elapsed: u64 = 0;
         while left > 0 {
             let cold = 'hot: {
                 let thread = &mut self.threads[tid];
@@ -659,7 +671,21 @@ impl<'p> World<'p> {
                 Cold::Return => self.do_return(tid, Value::Unit)?,
                 Cold::BlockEnd => self.block_end(tid)?,
                 Cold::Crash => self.crash_node(tid, elapsed),
-                Cold::Armed(site) => self.throw_if_enabled(tid, site, elapsed)?,
+                Cold::Armed(site) => {
+                    // A paused run stops before its occurrence is decided
+                    // (`trace_site` has counted it: the count is at least 1).
+                    if (self.pause_at)
+                        .is_some_and(|k| self.fir.occurrences()[site.index()] - 1 == k)
+                    {
+                        return Err(self.pause(Interrupted {
+                            tid,
+                            site,
+                            left,
+                            elapsed,
+                        }));
+                    }
+                    self.throw_if_enabled(tid, site, elapsed)?
+                }
                 Cold::Flow(flow) => self.apply_flow(tid, flow)?,
                 Cold::Instr(sref, instr) => {
                     if let Some(flow) = self.exec_instr(tid, sref, instr, elapsed)? {
@@ -679,7 +705,12 @@ impl<'p> World<'p> {
     /// throws if the fault runtime says so. The call stack is built when
     /// someone will look at it — a candidate's guard, or the handler of
     /// the exception thrown.
-    fn throw_if_enabled(&mut self, tid: ThreadId, site: SiteId, elapsed: u64) -> Sim<()> {
+    pub(super) fn throw_if_enabled(
+        &mut self,
+        tid: ThreadId,
+        site: SiteId,
+        elapsed: u64,
+    ) -> Sim<()> {
         let guarded = self.fir.guards_stack(site);
         let mut stack = if guarded {
             self.threads[tid].stack_funcs()

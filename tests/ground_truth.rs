@@ -2,18 +2,19 @@
 //! when it did.
 //!
 //! `FailureCase::{ground_truth, failure_log, prepare}` compile the program
-//! once, try occurrence after occurrence until a run stops injecting, and
-//! keep the winning run's log. The path they replace — spelled out here as
+//! once, pause one run at the root site's first execution, try occurrence
+//! after occurrence on copies of it, moving it on after each miss, until
+//! it ends without pausing, and keep the winning copy's log. The path they replace — spelled out here as
 //! the reference — counted occurrences with a fault-free run of its own,
 //! recompiled for every candidate and ran the winner once more to render
 //! its log. Same ground truth, same log, byte for byte, on the 22 tickets
 //! and on `e2e`'s generated corpus.
 //!
 //! The generator plants by construction — it bisects the phase gate it
-//! built, each probe cut once the gate has answered, and reads a cascade's
-//! start off the fault-free trace — and the same reference scan says it
-//! plants what walking from occurrence 0 finds, in a pinned number of
-//! simulator runs and steps.
+//! built on copies of one paused run, each probe cut once the gate has
+//! answered, and reads a cascade's start off the fault-free trace — and the
+//! same reference scan says it plants what walking from occurrence 0 finds,
+//! in a pinned number of simulator runs and steps.
 
 use anduril::failures::{all_cases, FailureCase};
 use anduril::gen::{generate_one, GenConfig, GeneratedCase, SizeClass};
@@ -68,7 +69,8 @@ fn root_total(case: &FailureCase) -> u32 {
 /// A single-fault batch: every plant and log is what the linear scan from
 /// occurrence 0 finds, in no more runs than a bisection needs, and no cut
 /// probe ran again to the end. Returns the runs and the steps the batch's
-/// generation made.
+/// generation made: a run is a world started or a branch off a paused one,
+/// and a prefix the branches share counts its steps once.
 fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> (usize, u64) {
     let cfg = GenConfig {
         seed,
@@ -89,9 +91,11 @@ fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> (usize, u64) 
             "{id}"
         );
         assert_eq!(gc.failure_log, log, "{id}");
-        // The fault-free run, then one probe — or, behind a phase gate
-        // (the handler can log the warmup line), a bisection's worth of
-        // cut probes and the crossing's whole run.
+        // The fault-free run, the paused one and a branch that injects at
+        // occurrence 0 — or, behind a phase gate (the handler can log the
+        // warmup line), a bisection's worth of probes, each a branch moved
+        // on to its occurrence and a cut branch off that, then the
+        // crossing's whole run.
         assert_eq!(gc.probe_fallbacks, 0, "{id}");
         let gated = (gc.case.scenario.program)
             .template_named("journal commit retried in warmup")
@@ -100,12 +104,12 @@ fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> (usize, u64) 
             let total = root_total(&gc.case);
             let bisection = (total + 1).next_power_of_two().trailing_zeros() as usize;
             assert!(
-                gc.runs <= 2 + bisection,
+                gc.runs <= 3 + 2 * bisection,
                 "{id}: {} runs for {total} occurrences",
                 gc.runs
             );
         } else {
-            assert_eq!(gc.runs, 2, "{id}");
+            assert_eq!(gc.runs, 3, "{id}");
         }
         runs += gc.runs;
         steps += gc.steps;
@@ -152,15 +156,17 @@ fn check_cascade_batch(seed: u64, size: SizeClass, count: usize) {
 }
 
 /// `e2e`'s corpus at its master seed `0xA11D`, and the simulator runs and
-/// steps its generation may make: 208 runs and 3 564 580 steps (180 and
-/// 5 105 881 while every probe ran to the end; 661 runs when the planter
-/// walked up from occurrence 0). What walks every occurrence here is the
-/// reference, so a debug build (tier 1) checks `e2e --smoke`'s corpus
-/// instead: 51 runs and 687 084 steps (44 and 1 256 777; 141 runs).
+/// steps its generation may make: 374 runs and 2 032 817 steps since runs
+/// branch off a paused one (208 runs and 3 564 580 steps when each started
+/// at t = 0, a branch then being a run of its own; 5 105 881 steps while
+/// every probe ran to the end; 661 runs when the planter walked up from
+/// occurrence 0). What walks every occurrence here is the reference, so a
+/// debug build (tier 1) checks `e2e --smoke`'s corpus instead: 92 runs and
+/// 439 271 steps (51 and 687 084; 1 256 777 steps; 141 runs).
 const CORPUS: ([(SizeClass, usize); 3], usize, u64) = if cfg!(debug_assertions) {
-    (sizes(6, 3, 1), 54, 720_000)
+    (sizes(6, 3, 1), 97, 460_000)
 } else {
-    (sizes(24, 12, 6), 218, 3_700_000)
+    (sizes(24, 12, 6), 392, 2_120_000)
 };
 
 const fn sizes(small: usize, medium: usize, large: usize) -> [(SizeClass, usize); 3] {
