@@ -26,6 +26,8 @@
 //! fault B's failover check aborts only if the flag is already set — a
 //! failure no single injection can produce.
 
+use std::sync::Arc;
+
 use anduril_ir::builder::{BodyBuilder, ProgramBuilder};
 use anduril_ir::program::LintWarning;
 use anduril_ir::{
@@ -149,8 +151,8 @@ pub(crate) const DEGRADED_GLOBAL: &str = "replicaDegraded";
 /// descriptions of the planted faults, the log needles the oracle matches
 /// on, and size statistics.
 pub struct GenProgram {
-    /// The linted program.
-    pub program: Program,
+    /// The linted program, shared with the case's scenario.
+    pub program: Arc<Program>,
     /// One [`NodeSpec`] per generated node.
     pub topology: Topology,
     /// Simulation config (defaults; seed is set per run).
@@ -685,7 +687,10 @@ pub fn synthesize(
         "journal commit failed on".to_string()
     };
     Ok(GenProgram {
-        program,
+        // A clone is laid out compactly: the builder's statement blocks
+        // hold more spare capacity than statements (1.25 MiB over `e2e`'s
+        // 42 programs), and its copy is dropped here, before planting.
+        program: Arc::new(program.clone()),
         topology: Topology::new(node_specs),
         config: SimConfig::default(),
         warnings,

@@ -15,9 +15,10 @@
 //! the planted run satisfies the oracle, and [`verify_sound`] checks the
 //! plant additionally survives the search context's reachability pruning
 //! and abstract occurrence bounds. The plant is *found* by construction
-//! too — the phase gate the grammar built is bisected, a cascade starts
-//! where the fault-free trace says — so a case costs a logarithm of its
-//! occurrence count in simulator runs ([`GeneratedCase::runs`]).
+//! too — the crossing of the phase gate the grammar built is galloped to
+//! and bisected, a cascade starts where the fault-free trace says — so a
+//! case costs a logarithm of its occurrence count in simulator runs
+//! ([`GeneratedCase::runs`]).
 //!
 //! [`FailureCase`]: anduril_failures::FailureCase
 

@@ -12,18 +12,18 @@
 //! Nor does it *search* for the plant: a run armed with `exact(site, k)`
 //! is the fault-free run up to the `k`-th hit, so whether probe `k` meets
 //! the phase gate closed ([`GenProgram::warmup_needle`]) is monotone in
-//! `k` and the crossing is bisected, and a cascade's second fault starts
-//! where the fault-free trace puts the first. A bisection probe stops
-//! once the gate has answered, just past the time the fault-free trace
-//! puts the `k`-th hit at. The planter's one probe loop starts at a
-//! computed index.
+//! `k` and the crossing is galloped to, then bisected, and a cascade's
+//! second fault starts where the fault-free trace puts the first. A gate
+//! probe stops once the gate has answered, just past the time the
+//! fault-free trace puts the `k`-th hit at. The planter's one probe loop
+//! starts at a computed index.
 //!
-//! Nor does it simulate a prefix twice: every single-fault run after the
-//! fault-free one branches off one world paused at a hit of the site
-//! ([`PausedRun`]), which only moves forward — to the bisection's lower
-//! bound, then along the probe loop. [`GeneratedCase::runs`] counts the
-//! worlds started and the branches, and [`GeneratedCase::steps`] the steps
-//! they took, a shared prefix once.
+//! Nor does it simulate a prefix twice: a single-fault case's fault-free
+//! run is itself a run paused at the site's hits ([`PausedRun`]), which
+//! keeps copies at some of them on its way to the end, and every probe and
+//! the failure run branch off those copies. [`GeneratedCase::runs`] counts
+//! the worlds started and the branches, and [`GeneratedCase::steps`] the
+//! steps they took, a shared prefix once.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -92,14 +92,15 @@ pub struct GeneratedCase {
     /// Advisory lint warnings the program carried (expected 0).
     pub warnings: usize,
     /// Simulator runs generation made: the worlds it started (the
-    /// fault-free run, the paused one) and the branches it took off the
-    /// paused one (each copy that went on: to a probe's occurrence, into an
-    /// injection).
+    /// fault-free run; a cascade's probes) and the branches it took off
+    /// copies of a paused one (each copy that went on: to a probe's
+    /// occurrence, into an injection). A copy kept for later is not a run
+    /// until it goes on.
     pub runs: usize,
     /// Simulator steps those runs took together, a prefix that branches
-    /// share counted once: a branch counts only its steps past the point
-    /// it was copied at, and a phase-gate probe is cut once the gate has
-    /// answered.
+    /// share counted once: the fault-free run counts all of its steps, a
+    /// branch only its steps past the point it was copied at, and a
+    /// phase-gate probe is cut once the gate has answered.
     pub steps: u64,
     /// Phase-gate probes whose cut run saw neither of the gate's outcomes
     /// and ran again to the end (expected 0).
@@ -183,8 +184,8 @@ fn occurrences(run: &RunResult, site: SiteId) -> u32 {
 /// uncompiled: a corpus is generated in bulk and often never searched.
 ///
 /// A run is a world started or a branch: a copy of a paused run that goes
-/// on. A branch's steps are those past the point it was copied at, so a
-/// prefix the branches share is counted once.
+/// on (a copy kept is not one). A branch's steps are those past the point
+/// it was copied at, so a prefix the branches share is counted once.
 struct Planting<'a> {
     scenario: &'a Scenario,
     compiled: CompiledProgram,
@@ -246,6 +247,35 @@ impl Planting<'_> {
         Ok(reached)
     }
 
+    /// The fault-free run, driven as a run paused at `site`'s hits (`exc`
+    /// armed there) that keeps a copy at hits 0, 1, 3, 7, … — the points
+    /// [`first_false`] gallops over — or at hit 0 alone unless `gallop`,
+    /// then passes on to its end. Hands back that end and the copies, in
+    /// order.
+    fn walk(
+        &self,
+        site: SiteId,
+        exc: ExceptionType,
+        gallop: bool,
+    ) -> Result<(RunResult, Vec<PausedRun<'_>>), GenError> {
+        let mut kept = Vec::new();
+        let mut reached = self.pause(site, 0, exc)?;
+        loop {
+            match reached {
+                Reached::Paused(at) => {
+                    let next = if gallop {
+                        next_gallop(at.occurrence())
+                    } else {
+                        u32::MAX
+                    };
+                    kept.push(at.clone());
+                    reached = self.pass(at, next)?;
+                }
+                Reached::Ended(normal) => return Ok((*normal, kept)),
+            }
+        }
+    }
+
     /// `at` moved on to `occurrence`.
     fn pass<'p>(&self, at: PausedRun<'p>, occurrence: u32) -> Result<Reached<'p>, GenError> {
         let from = at.steps();
@@ -286,12 +316,36 @@ fn ended_before(occurrence: u32) -> GenError {
     ))
 }
 
+/// The gallop's point after `k`: 0, 1, 3, 7, …
+fn next_gallop(k: u32) -> u32 {
+    k.saturating_mul(2).saturating_add(1)
+}
+
 /// The smallest `k` in `0..total` with `pred(k)` false — `total` if there
 /// is none — for a `pred` that is true up to some point and false from
-/// there on, in at most ⌈log₂(total + 1)⌉ calls. The last call that
+/// there on. It gallops down the points 0, 1, 3, 7, … below `total`, from
+/// the furthest, until a call answers true or the points run out, then
+/// bisects between that point and the one above it (or `total`). The
+/// points cut `0..total` into gaps of at most 2^j − 1 between the `j`-th
+/// and the next, so a crossing in gap `j` costs `m − j + 1` gallop calls,
+/// `m` the last point's index, and at most `j` to bisect: at most
+/// ⌈log₂(total + 1)⌉ calls, a plain bisection's. The last call that
 /// answered false, if any did, was `pred(k)` at the returned `k`.
 fn first_false<E>(total: u32, mut pred: impl FnMut(u32) -> Result<bool, E>) -> Result<u32, E> {
     let (mut lo, mut hi) = (0, total);
+    let mut top = 0;
+    while next_gallop(top) < total {
+        top = next_gallop(top);
+    }
+    let mut point = (total > 0).then_some(top);
+    while let Some(k) = point {
+        if pred(k)? {
+            lo = k + 1;
+            break;
+        }
+        hi = k;
+        point = k.checked_sub(1).map(|k| k / 2);
+    }
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if pred(mid)? {
@@ -331,28 +385,31 @@ const PROBE_SLACK: u64 = 40;
 /// whose injection satisfies the oracle under the failure seed — what
 /// `FailureCase::ground_truth`'s scan from 0 resolves the packaged case
 /// to. A phase gate makes the occurrences before its crossing recoverable;
-/// they log the warmup needle, so the crossing is bisected, not walked to,
-/// and the loop below starts there.
+/// they log the warmup needle, so the crossing is searched for, not walked
+/// to, and the loop below starts there.
 ///
-/// Every run here is the fault-free run up to a hit of the site, so all of
-/// them branch off one world paused at a hit ([`PausedRun`]), and none
-/// simulates that prefix again. The world stands at the bisection's lower
-/// bound: a probe at `k` is a copy moved on to `k` that injects and is cut
-/// at the fault-free time of the hit plus [`PROBE_SLACK`] (and runs again
-/// to the end only if the gate has not answered by then); a closed gate
-/// moves the bound, and the world with it, past `k`. The loop's runs are
-/// copies that inject and go to the end: the one that satisfies the oracle
-/// is the failure run.
+/// Every run here is the fault-free run up to a hit of the site, so the
+/// fault-free run itself is walked over the site's hits
+/// ([`Planting::walk`]) and everything else branches off the copies it
+/// kept; none simulates that prefix again. A probe at `k` is a cut
+/// injection off the copy at `k` — a kept one, or a branch moved on to `k`
+/// from the nearest copy below — cut at the fault-free time of the hit
+/// plus [`PROBE_SLACK`] (and run again to the end only if the gate has not
+/// answered by then). A closed answer drops the copies below `k`, an open
+/// one those above it, so what is left brackets the crossing. The loop's
+/// runs are injections off the copy at the crossing that go to the end:
+/// the one that satisfies the oracle is the failure run.
 fn plant_single(
     planting: &Planting,
     gp: &GenProgram,
     oracle: &Oracle,
-    normal: RunResult,
 ) -> Result<(Vec<PlantedFault>, RunResult), GenError> {
     let site = site_by_desc(planting.scenario, &gp.critical_site_desc)?;
-    // Only the site's hit times were needed: a single-fault case holds as
-    // few runs at a time as it can while it is planted (planting sets
-    // `e2e`'s `peak_rss_mb` on `gen-corpus`).
+    let (normal, mut kept) = planting.walk(site, gp.critical_exc, gp.warmup_needle.is_some())?;
+    check_fault_free(oracle, &normal)?;
+    // Only the site's hit times are needed from here on: a single-fault
+    // case holds as few runs at a time as it can while it is planted
+    // (planting sets `e2e`'s `peak_rss_mb` on `gen-corpus`).
     let times: Vec<u64> = (normal.trace.iter())
         .filter(|t| t.site == site)
         .map(|t| t.time)
@@ -365,26 +422,35 @@ fn plant_single(
             gp.critical_site_desc
         )));
     }
-    let mut bound = planting.pause(site, 0, gp.critical_exc)?;
     let start = match &gp.warmup_needle {
         Some(needle) => first_false(total, |occ| {
-            let Reached::Paused(lo) = &bound else {
-                return Err(ended_before(occ));
-            };
-            let at = planting.branch(lo, occ)?;
+            // Every copy left lies at or above the last closed probe, and
+            // the copy at 0 is kept until one closes: some copy is at or
+            // below `occ`.
+            let mut i = kept.partition_point(|c| c.occurrence() <= occ) - 1;
+            if kept[i].occurrence() < occ {
+                let at = planting.branch(&kept[i], occ)?;
+                i += 1;
+                kept.insert(i, at);
+            }
+            let at = &kept[i];
             // Closed, the critical handler logs the needle; open, it sets
             // the flag. Only it does either, and the plan runs it once, so
             // what the cut run saw is what the whole run does.
-            let cut = planting.inject(&at, times[occ as usize] + PROBE_SLACK)?;
+            let cut = planting.inject(at, times[occ as usize] + PROBE_SLACK)?;
             let mut closed = cut.has_log(needle);
             if !closed && cut.global(&gp.critical_node, DEGRADED_GLOBAL) != Some(&Value::Int(1)) {
                 drop(cut);
                 planting.fallbacks.set(planting.fallbacks.get() + 1);
-                closed = planting.inject(&at, u64::MAX)?.has_log(needle);
+                closed = planting.inject(at, u64::MAX)?.has_log(needle);
             }
             if closed {
                 // Every probe to come, and the failure run, lies past `occ`.
-                bound = planting.pass(at, occ + 1)?;
+                kept.drain(..i);
+            } else {
+                // Every probe to come lies below `occ`; the failure run is
+                // at the lowest open one.
+                kept.truncate(i + 1);
             }
             Ok(closed)
         })?,
@@ -396,6 +462,12 @@ fn plant_single(
             gp.critical_site_desc
         )));
     }
+    // The last probe that answered open was at `start`, and no copy above
+    // it is left; without a gate the one copy is at 0.
+    let at = kept.pop().expect("a copy at the crossing");
+    debug_assert_eq!(at.occurrence(), start);
+    drop(kept);
+    let mut bound = Reached::Paused(at);
     while let Reached::Paused(at) = bound {
         let r = planting.inject(&at, u64::MAX)?;
         if oracle.check(&r) {
@@ -480,6 +552,26 @@ fn plant_multi(
     )))
 }
 
+/// Soundness invariant 2 of [`generate_one`]: the fault-free run satisfies
+/// neither the oracle nor kills any thread.
+fn check_fault_free(oracle: &Oracle, normal: &RunResult) -> Result<(), GenError> {
+    if oracle.check(normal) {
+        return Err(GenError::Unsound(
+            "oracle already satisfied fault-free".into(),
+        ));
+    }
+    if normal
+        .log
+        .iter()
+        .any(|l| l.body.contains("Uncaught exception"))
+    {
+        return Err(GenError::Unsound(
+            "fault-free run killed a thread with an uncaught exception".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Generates case `index` of a batch: synthesizes a program from the
 /// derived sub-seed, plants the fault(s), derives the failure log, and
 /// packages a [`FailureCase`]. Soundness invariants checked here:
@@ -497,7 +589,7 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         .map_err(|e| GenError::Ir(format!("{e:?}")))?;
     let scenario = Scenario {
         name: name.clone(),
-        program: Arc::new(gp.program.clone()),
+        program: Arc::clone(&gp.program),
         topology: gp.topology.clone(),
         config: gp.config.clone(),
     };
@@ -511,27 +603,13 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         steps: Cell::new(0),
         fallbacks: Cell::new(0),
     };
-    let normal = planting.run(InjectionPlan::none())?;
     let oracle = oracle_for(&gp);
-    if oracle.check(&normal) {
-        return Err(GenError::Unsound(
-            "oracle already satisfied fault-free".into(),
-        ));
-    }
-    if normal
-        .log
-        .iter()
-        .any(|l| l.body.contains("Uncaught exception"))
-    {
-        return Err(GenError::Unsound(
-            "fault-free run killed a thread with an uncaught exception".into(),
-        ));
-    }
-
     let (plant, failure_run) = if cfg.multi_fault {
+        let normal = planting.run(InjectionPlan::none())?;
+        check_fault_free(&oracle, &normal)?;
         plant_multi(&planting, &gp, &oracle, &normal, &mut rng)?
     } else {
-        plant_single(&planting, &gp, &oracle, normal)?
+        plant_single(&planting, &gp, &oracle)?
     };
     let failure_log = failure_run.log_text();
     let (runs, steps) = (planting.runs.get(), planting.steps.get());
@@ -640,11 +718,12 @@ mod tests {
     use super::first_false;
 
     /// Every predicate of length ≤ 16 that is true up to a crossing and
-    /// false from it — all-true and all-false included — bisects to the
-    /// answer a walk from 0 gives, in at most ⌈log₂(total + 1)⌉ calls,
-    /// the last false one of them at the crossing itself.
+    /// false from it — all-true and all-false included — gallops down then
+    /// bisects to the answer a walk from 0 gives, in at most
+    /// ⌈log₂(total + 1)⌉ calls, the first of them at the furthest gallop
+    /// point below `total` and the last false one at the crossing itself.
     #[test]
-    fn first_false_is_the_linear_answer_on_every_monotone_predicate() {
+    fn first_false_gallops_then_bisects_to_the_linear_answer_on_every_monotone_predicate() {
         for total in 0..=16u32 {
             for crossing in 0..=total {
                 let linear = (0..total).find(|&k| k >= crossing).unwrap_or(total);
@@ -654,8 +733,11 @@ mod tests {
                     Ok::<_, ()>(k < crossing)
                 });
                 assert_eq!(found, Ok(linear), "{crossing} of {total}");
-                let bound = (total + 1).next_power_of_two().trailing_zeros();
-                assert!(calls.len() as u32 <= bound, "{calls:?} of {total}");
+                let log = (total + 1).next_power_of_two().trailing_zeros();
+                assert!(calls.len() as u32 <= log, "{calls:?} of {total}");
+                // The walker keeps its copies at the gallop points.
+                let top = (total > 0).then(|| (1 << (log - 1)) - 1);
+                assert_eq!(calls.first().copied(), top, "{calls:?} of {total}");
                 let last_false = calls.iter().rfind(|&&k| k >= crossing);
                 assert_eq!(last_false.copied(), (linear < total).then_some(linear));
             }

@@ -10,9 +10,10 @@
 //! its log. Same ground truth, same log, byte for byte, on the 22 tickets
 //! and on `e2e`'s generated corpus.
 //!
-//! The generator plants by construction — it bisects the phase gate it
-//! built on copies of one paused run, each probe cut once the gate has
-//! answered, and reads a cascade's start off the fault-free trace — and the
+//! The generator plants by construction — it searches for the crossing of
+//! the phase gate it built on copies of the fault-free run taken at the
+//! site's hits, each probe cut once the gate has answered,
+//! and reads a cascade's start off the fault-free trace — and the
 //! same reference scan says it plants what walking from occurrence 0 finds,
 //! in a pinned number of simulator runs and steps.
 
@@ -67,10 +68,11 @@ fn root_total(case: &FailureCase) -> u32 {
 }
 
 /// A single-fault batch: every plant and log is what the linear scan from
-/// occurrence 0 finds, in no more runs than a bisection needs, and no cut
-/// probe ran again to the end. Returns the runs and the steps the batch's
-/// generation made: a run is a world started or a branch off a paused one,
-/// and a prefix the branches share counts its steps once.
+/// occurrence 0 finds, in a logarithm of the site's fault-free count of
+/// runs, and no cut probe ran again to the end. Returns the runs and the
+/// steps the batch's generation made: a run is a world started or a branch
+/// off a copy of a paused one (a copy kept is none), and a prefix the
+/// branches share counts its steps once.
 fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> (usize, u64) {
     let cfg = GenConfig {
         seed,
@@ -91,25 +93,28 @@ fn check_single_batch(seed: u64, size: SizeClass, count: usize) -> (usize, u64) 
             "{id}"
         );
         assert_eq!(gc.failure_log, log, "{id}");
-        // The fault-free run, the paused one and a branch that injects at
-        // occurrence 0 — or, behind a phase gate (the handler can log the
-        // warmup line), a bisection's worth of probes, each a branch moved
-        // on to its occurrence and a cut branch off that, then the
-        // crossing's whole run.
+        // The fault-free run, walked over the site's hits, and a branch off
+        // its copy at occurrence 0 that injects — or, behind a phase gate
+        // (the handler can log the warmup line), with L = ⌈log₂(total + 1)⌉,
+        // a gallop down the copies at 0, 1, 3, 7, … from the furthest, each
+        // probe a cut branch, to the gap between two of them that holds the
+        // crossing, the j-th (L − j probes), and a bisection of that gap
+        // (at most j < L probes, each a branch moved on to its occurrence
+        // and a cut branch off that), then the crossing's whole run.
         assert_eq!(gc.probe_fallbacks, 0, "{id}");
         let gated = (gc.case.scenario.program)
             .template_named("journal commit retried in warmup")
             .is_some();
         if gated {
             let total = root_total(&gc.case);
-            let bisection = (total + 1).next_power_of_two().trailing_zeros() as usize;
+            let log = (total + 1).next_power_of_two().trailing_zeros() as usize;
             assert!(
-                gc.runs <= 3 + 2 * bisection,
+                gc.runs <= 1 + 2 * log,
                 "{id}: {} runs for {total} occurrences",
                 gc.runs
             );
         } else {
-            assert_eq!(gc.runs, 3, "{id}");
+            assert_eq!(gc.runs, 2, "{id}");
         }
         runs += gc.runs;
         steps += gc.steps;
@@ -156,17 +161,20 @@ fn check_cascade_batch(seed: u64, size: SizeClass, count: usize) {
 }
 
 /// `e2e`'s corpus at its master seed `0xA11D`, and the simulator runs and
-/// steps its generation may make: 374 runs and 2 032 817 steps since runs
-/// branch off a paused one (208 runs and 3 564 580 steps when each started
-/// at t = 0, a branch then being a run of its own; 5 105 881 steps while
-/// every probe ran to the end; 661 runs when the planter walked up from
-/// occurrence 0). What walks every occurrence here is the reference, so a
-/// debug build (tier 1) checks `e2e --smoke`'s corpus instead: 92 runs and
-/// 439 271 steps (51 and 687 084; 1 256 777 steps; 141 runs).
+/// steps its generation may make: 316 runs and 1 666 201 steps since the
+/// fault-free run is the paused one and the gate's crossing is galloped to
+/// over its copies (374 runs and 2 032 817 steps while a second world,
+/// paused at hit 0, was moved along the bisection; 208 runs and 3 564 580
+/// steps when each run started at t = 0, a branch then being a run of its
+/// own; 5 105 881 steps while every probe ran to the end; 661 runs when the
+/// planter walked up from occurrence 0). What walks every occurrence here
+/// is the reference, so a debug build (tier 1) checks `e2e --smoke`'s
+/// corpus instead: 80 runs and 360 236 steps (92 and 439 271; 51 and
+/// 687 084; 1 256 777 steps; 141 runs).
 const CORPUS: ([(SizeClass, usize); 3], usize, u64) = if cfg!(debug_assertions) {
-    (sizes(6, 3, 1), 97, 460_000)
+    (sizes(6, 3, 1), 84, 378_000)
 } else {
-    (sizes(24, 12, 6), 392, 2_120_000)
+    (sizes(24, 12, 6), 332, 1_750_000)
 };
 
 const fn sizes(small: usize, medium: usize, large: usize) -> [(SizeClass, usize); 3] {

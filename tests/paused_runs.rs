@@ -10,6 +10,11 @@
 //! on to the end. Checked on the 22 tickets at their ground-truth site and
 //! on `e2e --smoke`'s generated corpus at the planted site, each at
 //! occurrence 0, the ground truth, the middle and the last.
+//!
+//! The planter's fault-free run is itself such a run, walked over the
+//! site's hits: it keeps copies at hits 0, 1, 3 and 7 on its way to the
+//! end, and that end must be the fault-free run, each copy the fresh run
+//! armed at its hit however far the walker went on after it was taken.
 
 use anduril::failures::all_cases;
 use anduril::gen::{generate_one, GenConfig, SizeClass};
@@ -59,11 +64,6 @@ fn ended(reached: Reached<'_>, id: &str) -> RunResult {
 /// Walks one paused run over the site's occurrences 0, `truth`, the middle
 /// and the last, checking every copy against the fresh run it stands for.
 fn check(id: &str, scenario: &Scenario, seed: u64, site: SiteId, exc: ExceptionType, truth: u32) {
-    let fresh = |plan, horizon: u64| {
-        let mut s = scenario.clone();
-        s.config.max_time = s.config.max_time.min(horizon);
-        s.run(seed, plan).expect("fresh run")
-    };
     let normal = scenario.run(seed, InjectionPlan::none()).expect("normal");
     let times: Vec<u64> = (normal.trace.iter())
         .filter(|t| t.site == site)
@@ -85,14 +85,14 @@ fn check(id: &str, scenario: &Scenario, seed: u64, site: SiteId, exc: ExceptionT
         let whole = at.clone().inject(u64::MAX).expect("whole copy");
         assert!(whole.injected.is_some(), "{tag}: nothing fired");
         assert!(
-            whole.same_run(&fresh(plan.clone(), u64::MAX)),
+            whole.same_run(&fresh(scenario, seed, plan.clone(), u64::MAX)),
             "{tag}: whole"
         );
 
         let horizon = times[k as usize] + SLACK;
         let cut = at.clone().inject(horizon).expect("cut copy");
         assert!(
-            cut.same_run(&fresh(plan, horizon)),
+            cut.same_run(&fresh(scenario, seed, plan, horizon)),
             "{tag}: cut at {horizon}"
         );
 
@@ -124,6 +124,63 @@ fn check(id: &str, scenario: &Scenario, seed: u64, site: SiteId, exc: ExceptionT
     let past = ended(start(scenario, seed, site, total, exc), id);
     assert_eq!(past.site_occurrences[site.index()], total, "{id}");
     assert!(past.same_run(&normal), "{id}: started past the last");
+
+    walk(id, scenario, seed, site, exc, &normal, &times);
+}
+
+/// Walks one run over the site's hits the way the planter walks its
+/// fault-free run, keeping copies at hits 0, 1, 3 and 7 (those the site
+/// reaches), and checks the walker's end against `normal` and each copy,
+/// injected whole and cut, against the fresh run it stands for.
+fn walk(
+    id: &str,
+    scenario: &Scenario,
+    seed: u64,
+    site: SiteId,
+    exc: ExceptionType,
+    normal: &RunResult,
+    times: &[u64],
+) {
+    let mut kept = Vec::new();
+    let mut reached = start(scenario, seed, site, 0, exc);
+    for next in [1, 3, 7, u32::MAX] {
+        let Reached::Paused(at) = reached else { break };
+        kept.push(at.clone());
+        reached = at.pass_to(next).expect("walk on");
+    }
+    let end = ended(reached, id);
+    assert!(end.same_run(normal), "{id}: the walker's end");
+    let total = times.len();
+    assert_eq!(
+        kept.len(),
+        [0, 1, 3, 7].iter().filter(|&&k| k < total).count(),
+        "{id}"
+    );
+
+    for at in kept {
+        let k = at.occurrence();
+        let tag = format!("{id} copy at {k} of {total}");
+        let plan = InjectionPlan::exact(site, k, exc);
+        let horizon = times[k as usize] + SLACK;
+        let cut = at.clone().inject(horizon).expect("cut copy");
+        assert!(
+            cut.same_run(&fresh(scenario, seed, plan.clone(), horizon)),
+            "{tag}: cut at {horizon}"
+        );
+        let whole = at.inject(u64::MAX).expect("whole copy");
+        assert!(
+            whole.same_run(&fresh(scenario, seed, plan, u64::MAX)),
+            "{tag}: whole"
+        );
+    }
+}
+
+/// The fresh run of `plan` under `horizon` (or the scenario's own, if that
+/// is sooner).
+fn fresh(scenario: &Scenario, seed: u64, plan: InjectionPlan, horizon: u64) -> RunResult {
+    let mut s = scenario.clone();
+    s.config.max_time = s.config.max_time.min(horizon);
+    s.run(seed, plan).expect("fresh run")
 }
 
 #[test]
