@@ -17,7 +17,7 @@ use std::collections::HashSet;
 
 use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
 use anduril_ir::{lower::meta_access_points, StmtRef};
-use anduril_sim::{CrashPoint, InjectionPlan};
+use anduril_sim::InjectionPlan;
 
 use crate::queue::OccurrenceQueue;
 
@@ -114,11 +114,7 @@ impl Strategy for CrashTuner {
             Mode::Crashes => {
                 let &(stmt, occurrence) = self.crash_queue.get(self.crash_next)?;
                 self.crash_next += 1;
-                Some(InjectionPlan {
-                    candidates: Vec::new(),
-                    crash_at: Some(CrashPoint { stmt, occurrence }),
-                    multi_shot: false,
-                })
+                Some(InjectionPlan::crash(stmt, occurrence))
             }
             Mode::MetaExceptions => self.exc_queue.plan_injection(ctx),
         }

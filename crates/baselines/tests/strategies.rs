@@ -13,7 +13,7 @@ use anduril_core::{
 use anduril_ir::builder::ProgramBuilder;
 use anduril_ir::expr::build as e;
 use anduril_ir::{ExceptionType, Level, Value};
-use anduril_sim::{InjectionPlan, NodeSpec, SimConfig, Topology};
+use anduril_sim::{Candidate, InjectionPlan, NodeSpec, SimConfig, Stage, Topology};
 
 /// A scenario with one logged-with-stack fault path, one silent fault
 /// path, and one meta-info-adjacent fault path.
@@ -89,6 +89,11 @@ fn ctx_for(root: anduril_ir::SiteId, scenario: &Scenario) -> SearchContext {
     SearchContext::prepare(scenario.clone(), &failure.log_text(), 1_000).unwrap()
 }
 
+/// Every candidate a plan arms.
+fn candidates(plan: InjectionPlan) -> Vec<Candidate> {
+    plan.candidates().cloned().collect()
+}
+
 #[test]
 fn stacktrace_injector_extracts_only_stacked_throwables() {
     let (scenario, logged, silent) = scenario();
@@ -97,7 +102,7 @@ fn stacktrace_injector_extracts_only_stacked_throwables() {
     let mut st = StacktraceInjector::new();
     st.init(&ctx);
     assert!(st.target_count() >= 1);
-    let plan = st.plan_injection(&ctx, 0).expect("a plan").candidates;
+    let plan = candidates(st.plan_injection(&ctx, 0).expect("a plan"));
     assert!(plan.iter().all(|c| c.site == logged));
     assert!(plan.iter().all(|c| c.stack.is_some()));
 
@@ -105,9 +110,7 @@ fn stacktrace_injector_extracts_only_stacked_throwables() {
     let ctx = ctx_for(silent, &scenario);
     let mut st = StacktraceInjector::new();
     st.init(&ctx);
-    let plan = st
-        .plan_injection(&ctx, 0)
-        .map_or(Vec::new(), |p| p.candidates);
+    let plan = st.plan_injection(&ctx, 0).map_or(Vec::new(), candidates);
     assert!(
         plan.iter().all(|c| c.site != silent),
         "the silent site has no logged stack to target"
@@ -120,7 +123,7 @@ fn fate_explores_occurrences_breadth_first() {
     let ctx = ctx_for(logged, &scenario);
     let mut fate = Fate::new();
     fate.init(&ctx);
-    let plan = fate.plan_injection(&ctx, 0).expect("a plan").candidates;
+    let plan = candidates(fate.plan_injection(&ctx, 0).expect("a plan"));
     assert!(!plan.is_empty());
     // Breadth-first: occurrences are non-decreasing through the window
     // (every site's occurrence 0 precedes any occurrence 1, and so on).
@@ -135,7 +138,7 @@ fn fate_explores_occurrences_breadth_first() {
     assert!(result.injected.is_some());
     let outcome = RoundOutcome::new(&ctx, result);
     fate.feedback(&ctx, &outcome);
-    let next = fate.plan_injection(&ctx, 1).expect("a plan").candidates;
+    let next = candidates(fate.plan_injection(&ctx, 1).expect("a plan"));
     let injected = outcome.result.injected.as_ref().unwrap();
     assert!(!next.iter().any(|c| {
         c.site == injected.candidate.site && c.occurrence == Some(injected.occurrence)
@@ -149,8 +152,8 @@ fn crashtuner_crash_mode_emits_crash_plans() {
     let mut ct = CrashTuner::crashes();
     ct.init(&ctx);
     let plan = ct.plan_injection(&ctx, 0).expect("a crash plan");
-    assert!(plan.candidates.is_empty());
-    assert!(plan.crash_at.is_some());
+    assert_eq!(plan.candidates().count(), 0);
+    assert!(matches!(plan.stages[..], [Stage::Crash(_)]));
     // The crash plan actually crashes the node when run.
     let r = ctx.scenario.run(1_001, plan).unwrap();
     assert!(r.crashed);

@@ -94,7 +94,7 @@ impl Predictor {
 
     fn fired(&self, plan: &InjectionPlan) -> Option<(Candidate, u32)> {
         let mut best: Option<(u64, &Candidate, u32)> = None;
-        for c in &plan.candidates {
+        for c in plan.candidates() {
             let Some(occ) = c.occurrence else { continue };
             let Some(&time) = self.first_firing.get(&(c.site, occ)) else {
                 continue;

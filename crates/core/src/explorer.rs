@@ -340,11 +340,11 @@ impl<'a> ExploreState<'a> {
                         desc: ctx.scenario.program.sites[site.index()].desc.clone(),
                     };
                     // §3 step 4.a re-runs the script. A run is a pure
-                    // function of `(seed, plan)`, and a one-shot round
-                    // that fired once and crashed nothing *is* the run of
+                    // function of `(seed, plan)`, and a round in which
+                    // one shot fired and nothing crashed *is* the run of
                     // `exact(fired)` (DESIGN.md §13), so the verdict in
-                    // hand is the replay's. Otherwise (a multi-shot plan
-                    // that fired again, a crash point besides the
+                    // hand is the replay's. Otherwise (a second stage
+                    // fired too, a crash stage fired beside the
                     // injection) the script is a different run: replay it
                     // over the program's compiled form.
                     let replay =
@@ -486,7 +486,7 @@ pub(crate) fn search(
             return Ok(state.give_up(strategy.name()));
         };
         let seed = round_seed(cfg, round);
-        let armed = plan.candidates.len() + usize::from(plan.crash_at.is_some());
+        let armed = plan.armed();
         if tracer.enabled() {
             tracer.record(TraceEvent::RoundStart { round, seed });
             tracer.record(TraceEvent::Decision {

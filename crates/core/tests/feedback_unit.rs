@@ -9,7 +9,7 @@ use anduril_core::{
 use anduril_ir::builder::ProgramBuilder;
 use anduril_ir::expr::build as e;
 use anduril_ir::{ExceptionType, Level, Value};
-use anduril_sim::{InjectionPlan, NodeSpec, SimConfig, Topology};
+use anduril_sim::{Candidate, InjectionPlan, NodeSpec, SimConfig, Topology};
 
 /// Two fault sites: a decoy close to a noisy observable and the real root
 /// cause behind a deeper chain, so feedback dynamics are observable.
@@ -89,6 +89,11 @@ fn context() -> (SearchContext, anduril_ir::SiteId, anduril_ir::SiteId) {
     (ctx, decoy, root)
 }
 
+/// Every candidate a plan arms.
+fn candidates(plan: InjectionPlan) -> Vec<Candidate> {
+    plan.candidates().cloned().collect()
+}
+
 #[test]
 fn both_sites_become_candidates() {
     let (ctx, decoy, root) = context();
@@ -103,7 +108,7 @@ fn plan_round_respects_window_size() {
     for k in [1usize, 2, 5] {
         let mut s = FeedbackStrategy::new(FeedbackConfig::full_with(k, 1.0));
         s.init(&ctx);
-        let plan = s.plan_injection(&ctx, 0).expect("a plan").candidates;
+        let plan = candidates(s.plan_injection(&ctx, 0).expect("a plan"));
         assert!(plan.len() <= k, "window {k}, got {}", plan.len());
         assert!(!plan.is_empty());
     }
@@ -114,13 +119,13 @@ fn window_doubles_when_nothing_injected() {
     let (ctx, _, _) = context();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full_with(1, 1.0));
     s.init(&ctx);
-    let before = s.plan_injection(&ctx, 0).expect("a plan").candidates.len();
+    let before = candidates(s.plan_injection(&ctx, 0).expect("a plan")).len();
     assert_eq!(before, 1);
     // Feed an outcome with no injection: window must grow.
     let result = ctx.scenario.run(1_234, InjectionPlan::none()).unwrap();
     let outcome = RoundOutcome::new(&ctx, result);
     s.feedback(&ctx, &outcome);
-    let after = s.plan_injection(&ctx, 1).expect("a plan").candidates.len();
+    let after = candidates(s.plan_injection(&ctx, 1).expect("a plan")).len();
     assert!(after >= 2, "window did not grow: {after}");
 }
 
@@ -129,7 +134,7 @@ fn tried_instances_are_not_rearmed() {
     let (ctx, _, _) = context();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full_with(1, 1.0));
     s.init(&ctx);
-    let first = s.plan_injection(&ctx, 0).expect("a plan").candidates;
+    let first = candidates(s.plan_injection(&ctx, 0).expect("a plan"));
     let candidate = first[0].clone();
     // Run with exactly that candidate so it gets marked tried.
     let plan = InjectionPlan::window(vec![candidate.clone()]);
@@ -137,9 +142,7 @@ fn tried_instances_are_not_rearmed() {
     assert!(result.injected.is_some(), "candidate should fire");
     let outcome = RoundOutcome::new(&ctx, result);
     s.feedback(&ctx, &outcome);
-    let second = s
-        .plan_injection(&ctx, 1)
-        .map_or(Vec::new(), |p| p.candidates);
+    let second = s.plan_injection(&ctx, 1).map_or(Vec::new(), candidates);
     assert!(
         !second.iter().any(|c| c.site == candidate.site
             && c.occurrence == candidate.occurrence

@@ -5,15 +5,18 @@
 //! runtime (tracing occurrence, logical time, and position in the log
 //! stream), then asks whether an exception should be thrown here.
 //!
-//! A run is armed with an [`InjectionPlan`] — a *window* of candidates in
-//! the Explorer's flexible-window scheme (§5.2.5). The first candidate whose
-//! guard matches during the run is injected; at most one injection happens
-//! per run, matching ANDURIL's single-fault-per-round design.
+//! A run is armed with an [`InjectionPlan`]: an ordered list of
+//! [`Stage`]s, each of which fires at most once per run. A
+//! [`Stage::Window`] is the Explorer's flexible window (§5.2.5): the first
+//! of its candidates whose guards match is injected, and the rest of the
+//! window is disarmed. A [`Stage::Crash`] crashes the node at one
+//! meta-info access (the CrashTuner baseline). Stages do not wait for each
+//! other: each fires when its own guards first match.
 //!
-//! Plans built with [`InjectionPlan::multi`] opt out of the one-shot rule:
-//! every candidate may fire (each at most once), which is how the scenario
-//! generator replays planted *multi-fault* root causes. Search strategies
-//! never arm multi-shot plans, so round semantics are unchanged.
+//! A search round arms one stage, so at most one fault fires per round —
+//! ANDURIL's single-fault-per-round design. The scenario generator replays
+//! a planted *multi-fault* root cause as one single-candidate stage per
+//! fault ([`InjectionPlan::multi`]).
 
 use std::time::Instant;
 
@@ -47,19 +50,21 @@ impl Candidate {
     }
 }
 
-/// A set of candidates armed for one run.
+/// One stage of a plan: shots of which at most one fires per run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Stage {
+    /// A window of candidates; the first whose guards match is injected.
+    Window(Vec<Candidate>),
+    /// A node crash at one meta-info access (CrashTuner baseline).
+    Crash(CrashPoint),
+}
+
+/// What one run is armed with: stages, each firing at most once, none
+/// waiting for another.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InjectionPlan {
-    /// Candidates; the first whose guards match is injected.
-    pub candidates: Vec<Candidate>,
-    /// Crash-injection point for the CrashTuner baseline: crash the current
-    /// node at the given occurrence of the given meta-info access statement.
-    pub crash_at: Option<CrashPoint>,
-    /// When `true`, the run does not stop injecting after the first hit:
-    /// every candidate may fire, each at most once. Used to replay planted
-    /// multi-fault root causes; `false` (the default) keeps the paper's
-    /// single-fault-per-round semantics.
-    pub multi_shot: bool,
+    /// The plan's stages, in order.
+    pub stages: Vec<Stage>,
 }
 
 /// A node-crash injection point (CrashTuner baseline).
@@ -80,31 +85,46 @@ impl InjectionPlan {
     /// A plan with a single exact candidate — the deterministic
     /// reproduction script ANDURIL emits on success.
     pub fn exact(site: SiteId, occurrence: u32, exc: ExceptionType) -> Self {
-        InjectionPlan {
-            candidates: vec![Candidate::exact(site, occurrence, exc)],
-            crash_at: None,
-            multi_shot: false,
-        }
+        InjectionPlan::window(vec![Candidate::exact(site, occurrence, exc)])
     }
 
-    /// A window plan over several candidates.
+    /// One window over several candidates.
     pub fn window(candidates: Vec<Candidate>) -> Self {
         InjectionPlan {
-            candidates,
-            crash_at: None,
-            multi_shot: false,
+            stages: vec![Stage::Window(candidates)],
         }
     }
 
-    /// A multi-shot plan: every candidate may fire, each at most once.
-    /// Replays planted multi-fault root causes (generated cascading
-    /// failures); never armed by search strategies.
+    /// One single-candidate stage per candidate: every candidate may fire,
+    /// each at most once. Replays planted multi-fault root causes
+    /// (generated cascading failures); never armed by search strategies.
     pub fn multi(candidates: Vec<Candidate>) -> Self {
+        let stages = candidates.into_iter().map(|c| Stage::Window(vec![c]));
         InjectionPlan {
-            candidates,
-            crash_at: None,
-            multi_shot: true,
+            stages: stages.collect(),
         }
+    }
+
+    /// A plan that crashes the current node at the `occurrence`-th
+    /// (0-based) execution of the meta-info access `stmt`.
+    pub fn crash(stmt: StmtRef, occurrence: u32) -> Self {
+        InjectionPlan {
+            stages: vec![Stage::Crash(CrashPoint { stmt, occurrence })],
+        }
+    }
+
+    /// Every window's candidates, stage by stage.
+    pub fn candidates(&self) -> impl Iterator<Item = &Candidate> {
+        self.stages.iter().flat_map(|stage| match stage {
+            Stage::Window(candidates) => candidates.as_slice(),
+            Stage::Crash(_) => &[],
+        })
+    }
+
+    /// The number of shots the plan arms: its candidates and crash points.
+    pub fn armed(&self) -> usize {
+        let crashes = self.stages.iter().filter(|s| matches!(s, Stage::Crash(_)));
+        self.candidates().count() + crashes.count()
     }
 }
 
@@ -137,14 +157,17 @@ pub struct TraceEntry {
 /// The per-run fault-injection runtime state.
 #[derive(Debug, Clone)]
 pub struct Fir {
-    /// The plan's candidates grouped by site — site ids are compact, so
-    /// the per-request lookup is an index, not a hash — and in the plan's
-    /// (priority) order within a site: one vector, the plan's own.
-    candidates: Vec<Candidate>,
+    /// Every window's candidates, each with its stage's index, grouped by
+    /// site — site ids are compact, so the per-request lookup is an index,
+    /// not a hash — and in the plan's (priority) order within a site.
+    candidates: Vec<(usize, Candidate)>,
     /// `candidates[first_at[s]..first_at[s + 1]]` are armed at site `s`.
     first_at: Vec<u32>,
-    crash_at: Option<CrashPoint>,
-    multi_shot: bool,
+    /// The plan's crash points.
+    crashes: Vec<CrashPoint>,
+    /// Per stage, whether its window has fired: a fired window is
+    /// disarmed. A crash stage needs no flag (see [`Fir::on_meta_access`]).
+    fired: Vec<bool>,
     /// Occurrence counter per site.
     occ: Vec<u32>,
     /// Occurrence counters per meta-access point, kept sorted by statement
@@ -154,10 +177,7 @@ pub struct Fir {
     meta_occ: Vec<(StmtRef, u32)>,
     /// All traced site executions, in order.
     pub trace: Vec<TraceEntry>,
-    /// The first injection that fired, if any.
-    pub injected: Option<InjectedRecord>,
-    /// Every injection that fired, in firing order. Holds at most one
-    /// record unless the plan was multi-shot.
+    /// Every injection that fired, in firing order: at most one per stage.
     pub injected_all: Vec<InjectedRecord>,
     /// Whether a crash injection fired.
     pub crashed: bool,
@@ -179,12 +199,19 @@ const TIMED_EVERY: u64 = 64;
 impl Fir {
     /// Arms the runtime with a plan for one run over `n_sites` sites.
     pub fn new(n_sites: usize, plan: InjectionPlan) -> Self {
+        let fired = vec![false; plan.stages.len()];
+        let (mut candidates, mut crashes) = (Vec::new(), Vec::new());
+        for (index, stage) in plan.stages.into_iter().enumerate() {
+            match stage {
+                Stage::Window(window) => candidates.extend(window.into_iter().map(|c| (index, c))),
+                Stage::Crash(point) => crashes.push(point),
+            }
+        }
         // A candidate at a site the program does not have can never fire.
-        let mut candidates = plan.candidates;
-        candidates.retain(|c| c.site.index() < n_sites);
-        candidates.sort_by_key(|c| c.site);
+        candidates.retain(|(_, c)| c.site.index() < n_sites);
+        candidates.sort_by_key(|(_, c)| c.site);
         let mut first_at = vec![0u32; n_sites + 1];
-        for c in &candidates {
+        for (_, c) in &candidates {
             first_at[c.site.index() + 1] += 1;
         }
         for s in 0..n_sites {
@@ -193,12 +220,11 @@ impl Fir {
         Fir {
             candidates,
             first_at,
-            crash_at: plan.crash_at,
-            multi_shot: plan.multi_shot,
+            crashes,
+            fired,
             occ: vec![0; n_sites],
             meta_occ: Vec::new(),
             trace: Vec::with_capacity(64),
-            injected: None,
             injected_all: Vec::new(),
             crashed: false,
             requests: 0,
@@ -208,15 +234,15 @@ impl Fir {
         }
     }
 
-    /// The candidates armed at `site`, in plan order.
-    fn armed_at(&self, site: SiteId) -> &[Candidate] {
+    /// The candidates armed at `site` with their stages, in plan order.
+    fn armed_at(&self, site: SiteId) -> &[(usize, Candidate)] {
         let s = site.index();
         &self.candidates[self.first_at[s] as usize..self.first_at[s + 1] as usize]
     }
 
     /// `FIR.traceSite()`: traces one execution of `site`. Returns `true`
-    /// when the plan has a candidate armed at this site that could still
-    /// fire — only then must the caller ask [`Fir::throw_if_enabled`].
+    /// when a stage that has not fired has a candidate at this site — only
+    /// then must the caller ask [`Fir::throw_if_enabled`].
     pub fn trace_site(&mut self, site: SiteId, time: u64, log_pos: u32) -> bool {
         let occurrence = self.occ[site.index()];
         self.occ[site.index()] += 1;
@@ -227,7 +253,9 @@ impl Fir {
             log_pos,
         });
         self.requests += 1;
-        (self.multi_shot || self.injected.is_none()) && !self.armed_at(site).is_empty()
+        self.armed_at(site)
+            .iter()
+            .any(|&(stage, _)| !self.fired[stage])
     }
 
     /// `FIR.throwIfEnabled()`: decides whether the execution of `site`
@@ -265,7 +293,7 @@ impl Fir {
     /// needs the stack to decide. Otherwise the caller builds one only
     /// for the exception it throws.
     pub fn guards_stack(&self, site: SiteId) -> bool {
-        self.armed_at(site).iter().any(|c| c.stack.is_some())
+        self.armed_at(site).iter().any(|(_, c)| c.stack.is_some())
     }
 
     /// Host nanoseconds spent deciding armed requests, estimated from the
@@ -284,59 +312,40 @@ impl Fir {
         time: u64,
         stack: &[FuncId],
     ) -> Option<ExceptionType> {
-        if !self.multi_shot && self.injected.is_some() {
-            return None;
-        }
-        let candidates = self.armed_at(site);
-        let hit_idx = candidates.iter().position(|c| {
-            c.occurrence.map(|o| o == occurrence).unwrap_or(true)
-                && c.stack
-                    .as_ref()
-                    .map(|s| stack.len() >= s.len() && &stack[..s.len()] == s.as_slice())
-                    .unwrap_or(true)
+        let fired = &self.fired;
+        let &(stage, ref hit) = self.armed_at(site).iter().find(|(stage, c)| {
+            !fired[*stage]
+                && c.occurrence.is_none_or(|o| o == occurrence)
+                && c.stack.as_ref().is_none_or(|s| stack.starts_with(s))
         })?;
-        let hit = if self.multi_shot {
-            // Each candidate fires at most once: consume it so an
-            // any-occurrence candidate cannot fire on every execution.
-            let at = self.first_at[site.index()] as usize + hit_idx;
-            self.first_at[site.index() + 1..]
-                .iter_mut()
-                .for_each(|first| *first -= 1);
-            self.candidates.remove(at)
-        } else {
-            candidates[hit_idx].clone()
-        };
-        let record = InjectedRecord {
-            candidate: hit.clone(),
+        let (exc, candidate) = (hit.exc, hit.clone());
+        self.fired[stage] = true;
+        self.injected_all.push(InjectedRecord {
+            candidate,
             occurrence,
             time,
-        };
-        let exc = hit.exc;
-        if self.injected.is_none() {
-            self.injected = Some(record.clone());
-        }
-        self.injected_all.push(record);
+        });
         Some(exc)
     }
 
     /// Re-arms the plan's candidates at `occurrence`: a paused run that
     /// passes the occurrence it stands at waits for a later one.
     pub(crate) fn retarget(&mut self, occurrence: u32) {
-        for c in &mut self.candidates {
+        for (_, c) in &mut self.candidates {
             c.occurrence = Some(occurrence);
         }
     }
 
-    /// `true` when the plan names a crash point: only then does anyone
+    /// `true` when the plan has a crash stage: only then does anyone
     /// need [`Fir::on_meta_access`] told about meta-info accesses.
     pub fn crash_armed(&self) -> bool {
-        self.crash_at.is_some()
+        !self.crashes.is_empty()
     }
 
     /// Traces one execution of a meta-info access point; returns `true` if
-    /// the CrashTuner plan wants the node crashed here.
+    /// a crash stage wants the node crashed here.
     pub fn on_meta_access(&mut self, stmt: StmtRef) -> bool {
-        // Occurrences are counted for the crash point to compare against:
+        // Occurrences are counted for the crash points to compare against:
         // without one nobody reads them.
         if !self.crash_armed() {
             return false;
@@ -351,16 +360,10 @@ impl Fir {
         let occ = &mut self.meta_occ[slot].1;
         let current = *occ;
         *occ += 1;
-        if self.crashed {
-            return false;
-        }
-        match &self.crash_at {
-            Some(p) if p.stmt == stmt && p.occurrence == current => {
-                self.crashed = true;
-                true
-            }
-            _ => false,
-        }
+        // Occurrence counts only grow, so each crash stage fires at most once.
+        let hit = (self.crashes.iter()).any(|p| p.stmt == stmt && p.occurrence == current);
+        self.crashed |= hit;
+        hit
     }
 
     /// Final occurrence counts per site.
@@ -421,7 +424,7 @@ mod tests {
         assert_eq!(fir.on_site(SiteId(1), 2, 1, &[]), Some(ExceptionType::Io));
         // A later occurrence does not fire again.
         assert_eq!(fir.on_site(SiteId(1), 3, 2, &[]), None);
-        assert_eq!(fir.injected.as_ref().unwrap().occurrence, 2);
+        assert_eq!(fir.injected_all[0].occurrence, 2);
         assert_eq!(fir.occurrences()[1], 4);
     }
 
@@ -474,7 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_shot_plan_fires_every_candidate_once() {
+    fn a_stage_per_candidate_fires_every_candidate_once() {
         let plan = InjectionPlan::multi(vec![
             Candidate::exact(SiteId(0), 1, ExceptionType::Io),
             Candidate::exact(SiteId(2), 0, ExceptionType::Socket),
@@ -492,8 +495,38 @@ mod tests {
         assert_eq!(fir.injected_all.len(), 2);
         assert_eq!(fir.injected_all[0].candidate.site, SiteId(2));
         assert_eq!(fir.injected_all[1].candidate.site, SiteId(0));
-        // `injected` keeps the first record for single-fault consumers.
-        assert_eq!(fir.injected.as_ref().unwrap().candidate.site, SiteId(2));
+    }
+
+    /// The shape a stitched second stage needs: a window fires one of its
+    /// candidates and disarms the rest, and a later stage still fires.
+    #[test]
+    fn each_window_stage_fires_once_and_disarms_only_itself() {
+        let a = Candidate::exact(SiteId(0), 5, ExceptionType::Io);
+        let b = Candidate::exact(SiteId(1), 0, ExceptionType::Socket);
+        let c = Candidate::exact(SiteId(2), 1, ExceptionType::Timeout);
+        let plan = InjectionPlan {
+            stages: vec![Stage::Window(vec![a, b]), Stage::Window(vec![c])],
+        };
+        assert_eq!(plan.armed(), 3);
+        let mut fir = Fir::new(3, plan);
+        assert_eq!(
+            fir.on_site(SiteId(1), 0, 0, &[]),
+            Some(ExceptionType::Socket)
+        );
+        // A shares B's window: it is disarmed, even at its occurrence 5.
+        for t in 1..7 {
+            assert!(!fir.trace_site(SiteId(0), t, 0));
+        }
+        assert_eq!(fir.on_site(SiteId(2), 7, 0, &[]), None);
+        assert_eq!(
+            fir.on_site(SiteId(2), 8, 0, &[]),
+            Some(ExceptionType::Timeout)
+        );
+        assert!(!fir.trace_site(SiteId(2), 9, 0));
+        let fired: Vec<_> = (fir.injected_all.iter())
+            .map(|r| (r.candidate.site, r.occurrence))
+            .collect();
+        assert_eq!(fired, [(SiteId(1), 0), (SiteId(2), 1)]);
     }
 
     #[test]
@@ -502,7 +535,7 @@ mod tests {
         assert_eq!(fir.on_site(SiteId(0), 0, 0, &[]), Some(ExceptionType::Io));
         assert_eq!(fir.on_site(SiteId(0), 1, 1, &[]), None);
         assert_eq!(fir.injected_all.len(), 1);
-        assert_eq!(fir.injected.as_ref().map(|r| r.occurrence), Some(0));
+        assert_eq!(fir.injected_all[0].occurrence, 0);
     }
 
     #[test]
@@ -511,14 +544,7 @@ mod tests {
         let b = StmtRef::new(anduril_ir::BlockId(2), 3);
         // A crash point the accesses never reach: counting is all that
         // happens.
-        let plan = InjectionPlan {
-            crash_at: Some(CrashPoint {
-                stmt: a,
-                occurrence: u32::MAX,
-            }),
-            ..InjectionPlan::none()
-        };
-        let mut fir = Fir::new(0, plan);
+        let mut fir = Fir::new(0, InjectionPlan::crash(a, u32::MAX));
         // First touch the higher-sorting statement, then the lower one:
         // the sorted-vec insert must keep lookups exact for both.
         fir.on_meta_access(a);
@@ -576,17 +602,7 @@ mod tests {
     #[test]
     fn meta_access_crash_point() {
         let stmt = StmtRef::new(anduril_ir::BlockId(3), 1);
-        let mut fir = Fir::new(
-            0,
-            InjectionPlan {
-                candidates: vec![],
-                crash_at: Some(CrashPoint {
-                    stmt,
-                    occurrence: 1,
-                }),
-                multi_shot: false,
-            },
-        );
+        let mut fir = Fir::new(0, InjectionPlan::crash(stmt, 1));
         assert!(!fir.on_meta_access(stmt));
         assert!(fir.on_meta_access(stmt));
         assert!(!fir.on_meta_access(stmt));

@@ -58,7 +58,7 @@ mod thread;
 pub mod world;
 
 pub use config::{Engine, NodeSpec, SimConfig, Topology};
-pub use fir::{Candidate, CrashPoint, Fir, InjectedRecord, InjectionPlan, TraceEntry};
+pub use fir::{Candidate, CrashPoint, Fir, InjectedRecord, InjectionPlan, Stage, TraceEntry};
 pub use result::{BlockReason, NodeSnapshot, RunResult, ThreadEndState, ThreadSnapshot};
 pub use world::{
     run, run_compiled, run_compiled_or_partial, FailedRun, PausedRun, Reached, SimError,

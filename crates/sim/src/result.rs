@@ -98,9 +98,9 @@ pub struct RunResult {
     pub trace: Vec<TraceEntry>,
     /// The first injection that fired, if any.
     pub injected: Option<InjectedRecord>,
-    /// Every injection that fired, in firing order. Equal to `injected`
-    /// as a zero-or-one-element list unless the plan was multi-shot
-    /// ([`crate::InjectionPlan::multi`]).
+    /// Every injection that fired, in firing order: at most one per stage
+    /// of the plan ([`crate::InjectionPlan::stages`]), so `injected` as a
+    /// zero-or-one-element list when the plan has one window.
     pub injected_all: Vec<InjectedRecord>,
     /// Whether a CrashTuner-style crash injection fired.
     pub crashed: bool,

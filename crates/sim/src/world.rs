@@ -1055,7 +1055,7 @@ impl<'p> World<'p> {
         RunResult {
             log: self.log,
             trace: self.fir.trace,
-            injected: self.fir.injected,
+            injected: self.fir.injected_all.first().cloned(),
             injected_all: self.fir.injected_all,
             crashed,
             site_occurrences,

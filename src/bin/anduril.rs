@@ -604,6 +604,15 @@ fn replay(args: &[String]) -> Result<ExitCode, CliError> {
     let path = args.get(2).ok_or(Usage)?;
     let script = anduril::ReproScript::parse(&read_file(path)?)
         .ok_or_else(|| Failed(format!("malformed script `{path}`")))?;
+    // Refuse what no search emits: a site the program lacks (the run would
+    // be fault-free) or an exception the site does not declare.
+    let sites = &case.scenario.program.sites;
+    if !(sites.get(script.site.index())).is_some_and(|s| s.exceptions.contains(&script.exc)) {
+        return Err(Failed(format!(
+            "script `{path}`: {} has no site {} that throws {}",
+            case.id, script.site.0, script.exc
+        )));
+    }
     let r = script
         .replay(&case.scenario)
         .map_err(|e| Failed(format!("replay failed: {e}")))?;

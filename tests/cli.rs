@@ -6,6 +6,7 @@ use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
+use anduril::ir::ExceptionType;
 use anduril::trace::read_stream;
 
 fn anduril(args: &[&str]) -> Output {
@@ -103,6 +104,31 @@ fn a_runtime_failure_exits_1_and_says_why() {
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).starts_with("anduril: cannot read `"));
     assert!(out.stdout.is_empty());
+}
+
+/// A script naming a site the case's program lacks, or an exception the
+/// site does not throw, is refused, not replayed as a fault-free run.
+#[test]
+fn a_script_the_program_cannot_inject_is_refused() {
+    let case = anduril::failures::case_by_id("f3").expect("f3");
+    let site = case.ground_truth().expect("ground truth").site;
+    let throws = &case.scenario.program.sites[site.index()].exceptions;
+    let other = ExceptionType::ALL.into_iter().find(|e| !throws.contains(e));
+    let path = scratch("foreign.script");
+    for (site, exc) in [(99_999, throws[0]), (site.0, other.expect("one left"))] {
+        let script =
+            format!("seed = 1001\nsite = {site}\noccurrence = 0\nexception = {exc}\ndesc = x\n");
+        std::fs::write(&path, script).expect("write script");
+        let out = anduril(&["replay", "f3", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "site {site}");
+        assert!(out.stdout.is_empty(), "site {site}");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("no site {site} that throws {exc}")),
+            "{err}"
+        );
+    }
+    std::fs::remove_file(&path).expect("remove script");
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! The reproducing round is its own verification replay (DESIGN.md §13).
 //!
 //! A search that satisfies the oracle emits `exact(fired)` as its script
-//! and, since this suite exists, does not run it: a one-shot round that
-//! fired once and crashed nothing is that run already. Debug builds
+//! and, since this suite exists, does not run it: a round in which one
+//! shot fired and nothing crashed is that run already. Debug builds
 //! assert it on every reproducing round; this suite holds in `--release`
 //! too, where CI's required suites run:
 //!
 //! - on the simulator alone, window plans of every candidate shape equal
 //!   their exact replay, and the two plan shapes the rule excludes — a
-//!   multi-shot plan that fired twice, a crash point beside an injection —
+//!   plan of two stages that both fired, a crash stage beside an injection —
 //!   do not;
 //! - through the explorer, those two shapes still get the real replay, and
 //!   every script the searches here emit replays, from a freshly built
@@ -24,7 +24,8 @@ use anduril::ir::lower::compile;
 use anduril::ir::{CompiledProgram, ExceptionType, Level, SiteId, SiteKind};
 use anduril::sim::rng::SmallRng;
 use anduril::sim::{
-    Candidate, CrashPoint, InjectionPlan, NodeSpec, RunResult, SimConfig, Topology, TraceEntry,
+    Candidate, CrashPoint, InjectionPlan, NodeSpec, RunResult, SimConfig, Stage, Topology,
+    TraceEntry,
 };
 use anduril::trace::{NoopTracer, TraceEvent, VecTracer};
 use anduril::{
@@ -224,7 +225,7 @@ fn sites_in_order(scenario: &Scenario, run: &RunResult) -> Vec<Candidate> {
         .collect()
 }
 
-/// Multi-shot plans `[first, later]` over the fault-free run's sites.
+/// Two-stage plans `[first], [later]` over the fault-free run's sites.
 fn two_shot_plans(scenario: &Scenario, normal: &RunResult) -> Vec<InjectionPlan> {
     let sites = sites_in_order(scenario, normal);
     let (first, later) = sites.split_first().expect("a site executed");
@@ -244,12 +245,13 @@ fn crash_beside_injection_plans(
     let points = compiled.meta_points.iter();
     points
         .map(|&stmt| InjectionPlan {
-            candidates: vec![first.clone()],
-            crash_at: Some(CrashPoint {
-                stmt,
-                occurrence: 0,
-            }),
-            multi_shot: false,
+            stages: vec![
+                Stage::Window(vec![first.clone()]),
+                Stage::Crash(CrashPoint {
+                    stmt,
+                    occurrence: 0,
+                }),
+            ],
         })
         .collect()
 }
@@ -306,10 +308,10 @@ impl Strategy for Fixed {
     fn feedback(&mut self, _ctx: &SearchContext, _outcome: &RoundOutcome) {}
 }
 
-/// No in-repo strategy arms a multi-shot plan or a crash point beside a
-/// candidate; one that does still gets the script replayed for real. Seen
-/// from outside as the one thing only a real replay can produce: a round
-/// that satisfies the oracle whose script, run alone, does not.
+/// No in-repo strategy arms two stages, or a crash stage beside a window;
+/// one that does still gets the script replayed for real. Seen from
+/// outside as the one thing only a real replay can produce: a round that
+/// satisfies the oracle whose script, run alone, does not.
 #[test]
 fn an_ineligible_round_is_replayed_for_real() {
     let cfg = ExplorerConfig {
