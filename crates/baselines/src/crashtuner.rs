@@ -15,7 +15,7 @@
 
 use std::collections::HashSet;
 
-use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
+use anduril_core::{RoundOutcome, SearchContext, Strategy};
 use anduril_ir::{lower::meta_access_points, StmtRef};
 use anduril_sim::InjectionPlan;
 
@@ -109,14 +109,14 @@ impl Strategy for CrashTuner {
         }
     }
 
-    fn plan_injection(&mut self, ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {
+    fn plan_injection(&mut self, _ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {
         match self.mode {
             Mode::Crashes => {
                 let &(stmt, occurrence) = self.crash_queue.get(self.crash_next)?;
                 self.crash_next += 1;
                 Some(InjectionPlan::crash(stmt, occurrence))
             }
-            Mode::MetaExceptions => self.exc_queue.plan_injection(ctx),
+            Mode::MetaExceptions => self.exc_queue.plan_injection(),
         }
     }
 
@@ -124,9 +124,5 @@ impl Strategy for CrashTuner {
         if self.mode == Mode::MetaExceptions {
             self.exc_queue.feedback(outcome);
         }
-    }
-
-    fn drain_notes(&mut self) -> Vec<StrategyNote> {
-        self.exc_queue.drain_notes()
     }
 }

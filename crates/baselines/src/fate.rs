@@ -9,7 +9,7 @@
 //! "cover new scenarios first" policy — and exactly wrong for failures
 //! that need a *late* occurrence of an already-seen fault.
 
-use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
+use anduril_core::{RoundOutcome, SearchContext, Strategy};
 use anduril_sim::InjectionPlan;
 
 use crate::queue::OccurrenceQueue;
@@ -47,15 +47,11 @@ impl Strategy for Fate {
         self.queue.fill(ctx, |_| true);
     }
 
-    fn plan_injection(&mut self, ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {
-        self.queue.plan_injection(ctx)
+    fn plan_injection(&mut self, _ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {
+        self.queue.plan_injection()
     }
 
     fn feedback(&mut self, _ctx: &SearchContext, outcome: &RoundOutcome) {
         self.queue.feedback(outcome);
-    }
-
-    fn drain_notes(&mut self) -> Vec<StrategyNote> {
-        self.queue.drain_notes()
     }
 }

@@ -15,7 +15,7 @@
 
 use std::collections::HashSet;
 
-use anduril_core::{RoundOutcome, SearchContext, Strategy, StrategyNote};
+use anduril_core::{RoundOutcome, SearchContext, Strategy};
 use anduril_ir::{ExceptionType, FuncId, Level, SiteId};
 use anduril_sim::{Candidate, InjectionPlan};
 
@@ -33,7 +33,6 @@ struct Target {
 #[derive(Debug, Default)]
 pub struct StacktraceInjector {
     targets: Vec<Target>,
-    pending_notes: Vec<StrategyNote>,
 }
 
 impl StacktraceInjector {
@@ -55,8 +54,6 @@ impl Strategy for StacktraceInjector {
 
     fn init(&mut self, ctx: &SearchContext) {
         self.targets.clear();
-        self.pending_notes.clear();
-        let mut bound_pruned = 0usize;
         let program = &ctx.scenario.program;
         let mut seen: HashSet<(SiteId, Vec<FuncId>)> = HashSet::new();
         for entry in &ctx.failure {
@@ -85,36 +82,20 @@ impl Strategy for StacktraceInjector {
                 if site.func == innermost && site.exceptions.contains(&exc) {
                     let key = (sid, stack.clone());
                     if seen.insert(key) {
-                        // Cap the occurrence sweep at the static bound: slots
-                        // past `hi` can never fire, so trying them only burns
-                        // rounds. A dead site (`hi == 0`) contributes nothing.
-                        let dyn_occ = ctx.site_instances[sid.index()].len().max(1) as u32;
-                        let max_occ = match ctx.site_bound(sid).hi {
-                            Some(h) => dyn_occ.min(h.min(u64::from(u32::MAX)) as u32),
-                            None => dyn_occ,
-                        };
-                        bound_pruned += (dyn_occ - max_occ) as usize;
+                        // The occurrence sweep's horizon: every instance
+                        // the fault-free run reached.
                         self.targets.push(Target {
                             site: sid,
                             exc,
                             stack: stack.clone(),
                             next_occ: 0,
-                            max_occ,
+                            max_occ: ctx.site_instances[sid.index()].len().max(1) as u32,
                         });
                     }
                 }
             }
         }
         self.targets.sort_by_key(|t| t.site);
-        if bound_pruned > 0 {
-            self.pending_notes.push(StrategyNote::BoundPruned {
-                count: bound_pruned,
-            });
-        }
-    }
-
-    fn drain_notes(&mut self) -> Vec<StrategyNote> {
-        std::mem::take(&mut self.pending_notes)
     }
 
     fn plan_injection(&mut self, _ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {

@@ -304,7 +304,13 @@ fn table6(cases: &Cases, _: &[String]) -> String {
 ///
 /// Timings are the `graph.*` context phases of each preparation's trace
 /// (see `anduril-core::trace`) rather than `ctx.timings`, so the table
-/// exercises the same spans `anduril trace --summary` reports.
+/// exercises the same spans `anduril trace --summary` reports. The
+/// exception analysis (with the call graph it walks) is a fact of the
+/// program, paid once per system when the program's facts are derived:
+/// its column is that one cost, repeated on each of the system's rows.
+/// Slicing, chaining and the total are what each failure's own graph
+/// build took, so after a system's first row the total no longer holds
+/// the exception analysis.
 fn table7(cases: &Cases, _: &[String]) -> String {
     let mut t = TextTable::new(&[
         "Failure",

@@ -12,7 +12,7 @@ use anduril_ir::{BlockId, FuncId, Program};
 
 /// Lists of `T` under dense keys, flat: one array of items, one of offsets,
 /// both sized before the first item is placed.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Lists<T> {
     /// `items[starts[k]..starts[k + 1]]` is the list of key `k`.
     starts: Vec<u32>,
@@ -64,12 +64,11 @@ impl<T: Copy> Lists<T> {
 
 /// The invocation edges of a program (`Call`, `Submit`, `Spawn`) and their
 /// strongly connected components: what every interprocedural pass of this
-/// crate starts from. A caller that runs several passes over one program —
-/// `SearchContext::prepare` runs the exception analysis, the reachability
-/// closure and the occurrence bounds — builds it once and lends it to each
-/// (`analyze_over`, `build_graph_over`, `Reachability::over`,
-/// `OccurrenceBounds::over`); the stand-alone entry points build their own.
-#[derive(Debug)]
+/// crate starts from. A program's own call graph is part of its
+/// [`crate::ProgramFacts`], lent to each pass that runs over it
+/// (`analyze_over`, `Reachability::over`, `OccurrenceBounds::over`); the
+/// stand-alone entry points build their own.
+#[derive(Debug, PartialEq)]
 pub struct CallGraph {
     /// Callees per function, one entry per invoking statement.
     callees: Lists<u32>,
@@ -77,7 +76,7 @@ pub struct CallGraph {
 }
 
 /// The strongly connected components of a [`CallGraph`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Sccs {
     /// Every function once, grouped by component; a component comes after
     /// every component it calls into (callees first).

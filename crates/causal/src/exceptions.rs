@@ -106,7 +106,7 @@ impl std::ops::BitAnd for TypeSet {
 }
 
 /// Per-program exception summaries.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ExcAnalysis {
     /// Types that can escape each function.
     pub escapes: Vec<BTreeSet<ExceptionType>>,

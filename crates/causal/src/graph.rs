@@ -22,7 +22,8 @@ use anduril_ir::{
 };
 
 use crate::exceptions::{ExcAnalysis, ThrowKind, ThrowPoint};
-use crate::slicing::Slicer;
+use crate::slicing::{Slicer, UseDefTables};
+use crate::ProgramFacts;
 
 /// "No node" in an id-indexed intern table.
 const ABSENT: u32 = u32::MAX;
@@ -61,13 +62,16 @@ pub struct Observable {
 /// <= total_ns`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BuildTimings {
-    /// Exception-analysis time (nanoseconds).
+    /// Exception-analysis time (nanoseconds): what the program's call
+    /// graph and exception summaries took when they were derived, once per
+    /// program ([`crate::ProgramFacts`]).
     pub exception_ns: u64,
     /// Slicing time: the condition nodes' writer searches.
     pub slicing_ns: u64,
     /// Chain construction: the worklist as a whole, minus `slicing_ns`.
     pub chaining_ns: u64,
-    /// End-to-end build time.
+    /// End-to-end build time, the program's facts counted at what they
+    /// took when they were derived.
     pub total_ns: u64,
 }
 
@@ -367,20 +371,21 @@ fn witness_template(
         .copied()
 }
 
-/// Builds the causal graph for a list of observables.
+/// Builds the causal graph for a list of observables over the program's
+/// facts.
 ///
 /// `roots` are thread entry functions (node mains and spawn targets are
 /// derived automatically; pass the topology's mains) used as sinks for the
 /// runtime "Uncaught exception" observable.
 pub fn build(
     program: &Program,
-    analysis: &ExcAnalysis,
+    facts: &ProgramFacts,
     observables: &[Observable],
     roots: &[FuncId],
     timings: &mut BuildTimings,
 ) -> CausalGraph {
     let total_start = Instant::now();
-    let mut b = Builder::new(program, analysis);
+    let mut b = Builder::new(program, facts);
     b.seed(observables, roots);
 
     // Worklist (Algorithm 1). A node is queued when it is interned, so the
@@ -424,7 +429,8 @@ pub fn build(
 struct Builder<'p> {
     program: &'p Program,
     analysis: &'p ExcAnalysis,
-    slicer: Slicer,
+    tables: &'p UseDefTables,
+    slicer: Slicer<'p>,
     g: CausalGraph,
     /// By statement ([`crate::slicing::UseDefTables::flat`]).
     location: Vec<u32>,
@@ -446,13 +452,14 @@ struct Builder<'p> {
 }
 
 impl<'p> Builder<'p> {
-    fn new(program: &'p Program, analysis: &'p ExcAnalysis) -> Self {
-        let slicer = Slicer::new(program);
-        let stmts = slicer.tables.stmt_count();
+    fn new(program: &'p Program, facts: &'p ProgramFacts) -> Self {
+        let tables = &facts.tables;
+        let stmts = tables.stmt_count();
         let funcs = program.funcs.len();
         Builder {
             program,
-            analysis,
+            analysis: &facts.exceptions,
+            tables,
             g: CausalGraph {
                 nodes: Vec::new(),
                 prior_starts: vec![0],
@@ -468,7 +475,7 @@ impl<'p> Builder<'p> {
             handler: vec![ABSENT; program.blocks.len()],
             invocation: vec![ABSENT; funcs],
             uncaught: vec![ABSENT; funcs],
-            slicer,
+            slicer: Slicer::new(program, tables),
             slicing_ns: 0,
         }
     }
@@ -476,7 +483,7 @@ impl<'p> Builder<'p> {
     /// The node of `key`, appended to the node list (and so to the
     /// worklist) on first sight.
     fn intern(&mut self, key: NodeKey) -> u32 {
-        let tables = &self.slicer.tables;
+        let tables = self.tables;
         let slot = match key {
             NodeKey::Location(sref) => &mut self.location[tables.flat(sref)],
             NodeKey::Condition(sref) => &mut self.condition[tables.flat(sref)],
@@ -562,8 +569,7 @@ impl<'p> Builder<'p> {
 
     /// Appends the nodes causally prior to `key`.
     fn causally_prior(&mut self, key: NodeKey, out: &mut Vec<NodeKey>) {
-        let (program, analysis) = (self.program, self.analysis);
-        let tables = &self.slicer.tables;
+        let (program, analysis, tables) = (self.program, self.analysis, self.tables);
         match key {
             NodeKey::Location(sref) => {
                 out.push(structural_prior(program, sref));

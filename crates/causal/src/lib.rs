@@ -55,36 +55,77 @@ pub use slicing::{Slicer, UseDefTables, MAX_JUMPS};
 use anduril_ir::{FuncId, Program};
 use std::time::Instant;
 
+/// What the analysis derives from a program alone (§4.1): the call graph,
+/// the exception summaries and the slicer's use-def tables. Only the
+/// causal graph depends on a failure's observables, so a target system
+/// pays for these once, however many of its failures are prepared.
+#[derive(Debug)]
+pub struct ProgramFacts {
+    /// The invocation edges and their components.
+    pub calls: CallGraph,
+    /// Per-function exception summaries, over `calls`.
+    pub exceptions: ExcAnalysis,
+    /// Program-wide use-def lookup tables.
+    pub tables: UseDefTables,
+    /// Host nanoseconds the call graph and the exception summaries took
+    /// when they were built: Table 7's exception column, whichever graph
+    /// reads them.
+    pub exception_ns: u64,
+    /// Host nanoseconds the use-def tables took when they were built.
+    pub tables_ns: u64,
+}
+
+impl ProgramFacts {
+    /// Derives every table from the program, timing each.
+    pub fn build(program: &Program) -> ProgramFacts {
+        let start = Instant::now();
+        let calls = CallGraph::build(program);
+        let exceptions = analyze_over(program, &calls);
+        let exception_ns = start.elapsed().as_nanos() as u64;
+        let start = Instant::now();
+        let tables = UseDefTables::build(program);
+        ProgramFacts {
+            calls,
+            exceptions,
+            tables,
+            exception_ns,
+            tables_ns: start.elapsed().as_nanos() as u64,
+        }
+    }
+
+    /// The program's own facts, derived on first use and kept with it
+    /// ([`Program::derived`]): every preparation of the program, and every
+    /// graph a search builds over it, reads this one copy.
+    pub fn of(program: &Program) -> &ProgramFacts {
+        program.derived(ProgramFacts::build)
+    }
+}
+
 /// Runs the exception analysis and builds the causal graph in one step,
-/// returning phase timings (Table 7's breakdown).
+/// returning phase timings (Table 7's breakdown). Derives the program's
+/// facts afresh; [`build_graph_over`] reads facts the caller has.
 pub fn build_graph(
     program: &Program,
     observables: &[Observable],
     roots: &[FuncId],
 ) -> (CausalGraph, BuildTimings) {
-    let calls_start = Instant::now();
-    let calls = CallGraph::build(program);
-    let calls_ns = calls_start.elapsed().as_nanos() as u64;
-    let (graph, mut timings) = build_graph_over(program, &calls, observables, roots);
-    // The exception analysis is the pass that needs the call graph ordered.
-    timings.exception_ns += calls_ns;
-    timings.total_ns += calls_ns;
-    (graph, timings)
+    build_graph_over(program, &ProgramFacts::build(program), observables, roots)
 }
 
-/// [`build_graph`] over a call graph the caller already has.
+/// [`build_graph`] over the program's facts. The timings charge the facts
+/// what they cost when they were built.
 pub fn build_graph_over(
     program: &Program,
-    calls: &CallGraph,
+    facts: &ProgramFacts,
     observables: &[Observable],
     roots: &[FuncId],
 ) -> (CausalGraph, BuildTimings) {
-    let mut timings = BuildTimings::default();
-    let exc_start = Instant::now();
-    let analysis = analyze_over(program, calls);
-    timings.exception_ns = exc_start.elapsed().as_nanos() as u64;
-    let graph = build(program, &analysis, observables, roots, &mut timings);
-    timings.total_ns += timings.exception_ns;
+    let mut timings = BuildTimings {
+        exception_ns: facts.exception_ns,
+        ..BuildTimings::default()
+    };
+    let graph = build(program, facts, observables, roots, &mut timings);
+    timings.total_ns += facts.exception_ns + facts.tables_ns;
     (graph, timings)
 }
 
@@ -479,7 +520,7 @@ mod tests {
 
         // The slicer crosses the boundary.
         let analysis = analyze(&p);
-        let mut slicer = Slicer::new(&p);
+        let mut slicer = Slicer::new(&p, &tables);
         let writers = slicer.condition_writers(&p, &analysis, cond);
         assert!(
             writers.iter().any(|&w| p.func_of_stmt(w) != cond_func),

@@ -44,7 +44,7 @@ pub const MAX_JUMPS: u32 = 24;
 
 /// Precomputed program-wide use-def lookup tables, shared by the slicer and
 /// the graph builder's non-condition arms.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct UseDefTables {
     /// `StmtRef { block, idx }` is statement `stmt_base[block] + idx`; one
     /// entry past the last block holds the statement count.
@@ -306,14 +306,15 @@ impl Frontier {
 
 /// Memoized interprocedural use-def walker.
 ///
-/// Construct once per graph build with [`Slicer::new`], then query
+/// Construct once per graph build with [`Slicer::new`] over the program's
+/// use-def tables, then query
 /// [`Slicer::condition_writers`] for each condition node. The walker is
 /// breadth-first over `(function, variable)`/global keys, so each is expanded at its
 /// minimal jump depth and results are deterministic.
 #[derive(Debug)]
-pub struct Slicer {
-    /// Shared lookup tables (also used by the graph builder directly).
-    pub(crate) tables: UseDefTables,
+pub struct Slicer<'t> {
+    /// The program's lookup tables (the graph builder reads them too).
+    tables: &'t UseDefTables,
     /// Per statement ([`UseDefTables::flat`]): the run of `answers` that
     /// holds its writers, once asked.
     memo: Vec<Option<(u32, u32)>>,
@@ -325,16 +326,15 @@ pub struct Slicer {
     frontier: Frontier,
 }
 
-impl Slicer {
-    /// Builds the lookup tables and an empty memo.
-    pub fn new(program: &Program) -> Self {
-        Self::with_budget(program, MAX_JUMPS)
+impl<'t> Slicer<'t> {
+    /// An empty memo over the program's lookup tables.
+    pub fn new(program: &Program, tables: &'t UseDefTables) -> Self {
+        Self::with_budget(program, tables, MAX_JUMPS)
     }
 
     /// Same as [`Slicer::new`] but with an explicit jump budget (tests use
     /// small budgets to exercise the bound).
-    pub fn with_budget(program: &Program, max_jumps: u32) -> Self {
-        let tables = UseDefTables::build(program);
+    pub fn with_budget(program: &Program, tables: &'t UseDefTables, max_jumps: u32) -> Self {
         Slicer {
             memo: vec![None; tables.stmt_count()],
             answers: Vec::new(),
@@ -368,7 +368,7 @@ impl Slicer {
                 self.found.clear();
                 if let Stmt::If { cond, .. } | Stmt::While { cond, .. } = program.stmt(sref) {
                     let func = program.func_of_stmt(sref);
-                    self.frontier.push_reads(&self.tables, cond, func, 0);
+                    self.frontier.push_reads(self.tables, cond, func, 0);
                     self.slice(program, analysis);
                 }
                 self.found.sort_unstable();
@@ -387,8 +387,8 @@ impl Slicer {
     /// statement (so the graph stays conservative) but stop following the
     /// value.
     fn slice(&mut self, program: &Program, analysis: &ExcAnalysis) {
+        let tables = self.tables;
         let Slicer {
-            tables,
             frontier,
             max_jumps,
             found: out,
@@ -488,7 +488,7 @@ impl Slicer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exceptions::analyze;
+    use crate::ProgramFacts;
     use anduril_ir::builder::ProgramBuilder;
     use anduril_ir::{expr::build as e, ExceptionType, Value};
 
@@ -500,8 +500,10 @@ mod tests {
     }
 
     fn writers_of(p: &Program, sref: StmtRef) -> Vec<StmtRef> {
-        let a = analyze(p);
-        Slicer::new(p).condition_writers(p, &a, sref).to_vec()
+        let facts = ProgramFacts::of(p);
+        Slicer::new(p, &facts.tables)
+            .condition_writers(p, &facts.exceptions, sref)
+            .to_vec()
     }
 
     fn stmt_kinds(p: &Program, refs: &[StmtRef]) -> Vec<&'static str> {
@@ -659,9 +661,9 @@ mod tests {
             });
         });
         let p = pb.finish().unwrap();
-        let a = analyze(&p);
-        let mut tight = Slicer::with_budget(&p, 0);
-        let ws = tight.condition_writers(&p, &a, cond_stmt(&p)).to_vec();
+        let facts = ProgramFacts::of(&p);
+        let mut tight = Slicer::with_budget(&p, &facts.tables, 0);
+        let ws = (tight.condition_writers(&p, &facts.exceptions, cond_stmt(&p))).to_vec();
         // Budget 0: the recursive call site is still recorded (a boundary
         // statement), but the walk does not follow its argument.
         let kinds = stmt_kinds(&p, &ws);
@@ -681,14 +683,15 @@ mod tests {
             b.external("io.op", &[ExceptionType::Io]);
         });
         let p = pb.finish().unwrap();
-        let a = analyze(&p);
+        let facts = ProgramFacts::of(&p);
+        let (a, tables) = (&facts.exceptions, &facts.tables);
         let sref = cond_stmt(&p);
-        let mut s1 = Slicer::new(&p);
-        let first = s1.condition_writers(&p, &a, sref).to_vec();
-        let second = s1.condition_writers(&p, &a, sref).to_vec();
+        let mut s1 = Slicer::new(&p, tables);
+        let first = s1.condition_writers(&p, a, sref).to_vec();
+        let second = s1.condition_writers(&p, a, sref).to_vec();
         assert_eq!(first, second);
-        let mut s2 = Slicer::new(&p);
-        assert_eq!(first, s2.condition_writers(&p, &a, sref));
+        let mut s2 = Slicer::new(&p, tables);
+        assert_eq!(first, s2.condition_writers(&p, a, sref));
         assert!(!first.is_empty());
     }
 

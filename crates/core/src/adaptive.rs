@@ -23,7 +23,8 @@
 //!   arm it at all. The layer picks a hole-free witness log statement in
 //!   the site's own function, runs one *scoped* causal build over just
 //!   that witness
-//!   ([`anduril_causal::build_graph`] with a single-observable set), and
+//!   ([`anduril_causal::build_graph_over`] the program's facts, with a
+//!   single-observable set), and
 //!   promotes it together with every fault unit the scoped graph newly
 //!   connects.
 //! - **Refinement** (tier 2): when every site is covered but the search
@@ -61,7 +62,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use anduril_causal::{build_graph, Observable};
+use anduril_causal::{build_graph_over, Observable, ProgramFacts};
 use anduril_ir::{BlockId, FuncId, Level, SiteId, Stmt, TemplateId};
 use anduril_logdiff::{DiffRecord, InternTable};
 
@@ -298,8 +299,12 @@ impl Stall<'_> {
             else {
                 continue;
             };
-            let (g, _timings) =
-                build_graph(program, &[Observable { template }], &ctx.scenario.roots());
+            let (g, _timings) = build_graph_over(
+                program,
+                ProgramFacts::of(program),
+                &[Observable { template }],
+                &ctx.scenario.roots(),
+            );
             let distances = g.distances_into(0, &mut scratch);
             let Some(&l_new) = distances.get(&site) else {
                 continue;

@@ -11,8 +11,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use anduril_causal::{
-    build_graph_over, BuildTimings, CallGraph, CausalGraph, Interval, Observable, OccurrenceBounds,
-    Reachability,
+    build_graph_over, BuildTimings, CausalGraph, Observable, ProgramFacts, Reachability,
 };
 use anduril_ir::{ExceptionType, SiteId, TemplateId};
 use anduril_logdiff::{
@@ -106,12 +105,6 @@ pub struct SearchContext {
     /// The static fault candidates (reachable graph sources × declared
     /// exceptions).
     pub units: Vec<FaultUnit>,
-    /// Static `[lo, hi]` occurrence bounds per fault site (abstract
-    /// interpretation over loop trip counts and call multiplicities,
-    /// seeded from the topology's literal node arguments). Strategies
-    /// consult [`SearchContext::occurrence_feasible`] to skip plans whose
-    /// occurrence index provably exceeds `hi`.
-    pub bounds: OccurrenceBounds,
     /// Seed used for the normal run (rounds use `base_seed + 1 + round`).
     pub base_seed: u64,
 }
@@ -208,16 +201,19 @@ impl SearchContext {
                 template: o.template,
             })
             .collect();
-        // The exception analysis (inside the graph build), the reachability
-        // closure and the occurrence bounds all walk the invocation edges:
-        // one call graph, built here and lent to each.
-        let calls = CallGraph::build(program);
+        // The call graph, the exception summaries and the use-def tables
+        // are the program's own: derived by the first preparation of it
+        // and read by every later one. Only the graph depends on the
+        // observables.
+        let facts = ProgramFacts::of(program);
         let roots = scenario.roots();
-        let (graph, timings) = build_graph_over(program, &calls, &obs_inputs, &roots);
+        let (graph, timings) = build_graph_over(program, facts, &obs_inputs, &roots);
         phase("graph", (graph.node_count() + graph.edge_count()) as u64, t);
         if tracer.enabled() {
             // The builder's own §4.1 sub-phase timers (Table 7), re-emitted
             // as trace spans so reports have one source of timing truth.
+            // The exception analysis is the program's, timed when its facts
+            // were derived.
             for (name, ns) in [
                 ("graph.exception", timings.exception_ns),
                 ("graph.slicing", timings.slicing_ns),
@@ -260,7 +256,7 @@ impl SearchContext {
         // workload can never execute it, so it is dropped from the
         // candidate space before any strategy sees it.
         let t = Instant::now();
-        let reach = Reachability::over(&calls, &roots);
+        let reach = Reachability::over(&facts.calls, &roots);
         let candidate_sites = reach.reachable_sites(program);
 
         let mut units = Vec::new();
@@ -272,17 +268,6 @@ impl SearchContext {
                 units.push(FaultUnit { site, exc });
             }
         }
-
-        // Static occurrence bounds (the second pruning layer on top of
-        // reachability): `[lo, hi]` execution-count intervals per site,
-        // with the topology's literal node arguments as the root constant
-        // environment. Strategies filter infeasible occurrence indices
-        // against these when planning.
-        let bounds = OccurrenceBounds::over(program, &calls, &scenario.root_calls());
-        let sites_bounded = candidate_sites
-            .iter()
-            .filter(|&&s| !bounds.site(s).is_dead())
-            .count();
         phase("pruning", candidate_sites.len() as u64, t);
 
         if tracer.enabled() {
@@ -291,7 +276,6 @@ impl SearchContext {
                 units: units.len(),
                 sites_total: program.sites.len(),
                 sites_reachable: candidate_sites.len(),
-                sites_bounded,
                 graph_nodes: graph.node_count(),
                 graph_edges: graph.edge_count(),
             });
@@ -310,7 +294,6 @@ impl SearchContext {
             site_instances,
             candidate_sites,
             units,
-            bounds,
             base_seed,
         })
     }
@@ -373,56 +356,13 @@ impl SearchContext {
         derived.min(self.scenario.config.max_steps)
     }
 
-    /// Whether an injection candidate is statically feasible under the
-    /// occurrence bounds: a concrete occurrence index must lie strictly
-    /// below the site's `hi`; an any-occurrence candidate (`None`) only
-    /// requires the site not to be provably dead. Soundness of the bounds
-    /// (`hi` over-approximates; see DESIGN.md §14) guarantees every plan
-    /// this rejects records zero injections at the claimed occurrence.
-    pub fn occurrence_feasible(&self, site: SiteId, occurrence: Option<u32>) -> bool {
-        self.bounds.feasible(site, occurrence)
-    }
-
-    /// The static `[lo, hi]` occurrence interval of one site.
-    pub fn site_bound(&self, site: SiteId) -> Interval {
-        self.bounds.site(site)
-    }
-
-    /// Fraction of the occurrence-oblivious plan space the bounds prove
-    /// infeasible, in `[0, 1]`.
-    ///
-    /// The baseline is the FATE-style a-priori space: every candidate
-    /// site × every declared exception × a uniform occurrence horizon `H`
-    /// (the largest dynamic instance count any candidate site showed in
-    /// the normal run). The bounded space caps each site's occurrence arm
-    /// at `min(H, hi)`. Sites the analysis proves execute fewer than `H`
-    /// times — straight-line code, small constant loops, dead branches —
-    /// shrink the numerator.
+    /// The search reads no occurrence bounds, so it prunes no plan: read
+    /// by `crates/bench/src/bin/e2e/traced.rs`; delete with
+    /// `causal.pruned_plan_share` in the next benchmark issue.
+    /// `anduril analyze` computes the ratio from bounds of its own.
+    #[doc(hidden)]
     pub fn pruned_plan_ratio(&self) -> f64 {
-        let horizon = self
-            .candidate_sites
-            .iter()
-            .map(|s| self.site_instances[s.index()].len().max(1) as u64)
-            .max()
-            .unwrap_or(1);
-        let mut baseline = 0u64;
-        let mut bounded = 0u64;
-        for &s in &self.candidate_sites {
-            let excs = self.scenario.program.sites[s.index()]
-                .exceptions
-                .len()
-                .max(1) as u64;
-            let hi = match self.bounds.site(s).hi {
-                Some(h) => h.min(horizon),
-                None => horizon,
-            };
-            baseline += horizon * excs;
-            bounded += hi * excs;
-        }
-        if baseline == 0 {
-            return 0.0;
-        }
-        1.0 - bounded as f64 / baseline as f64
+        0.0
     }
 
     /// The temporal distance `T_{i,j,k}`: messages between instance

@@ -378,16 +378,10 @@ impl FeedbackStrategy {
         // Exhaustive enumeration has no priority model to explain.
         self.last_provenance = None;
         let mut out = Vec::new();
-        let mut bound_pruned = 0usize;
         'outer: for unit in self.units(ctx) {
             let insts = self.instances(ctx, unit);
             for &(occ, _) in insts {
                 if self.tried.contains(&(unit.site, unit.exc, occ)) {
-                    continue;
-                }
-                if !ctx.occurrence_feasible(unit.site, Some(occ)) {
-                    // Statically provable dead plan — never worth a run.
-                    bound_pruned += 1;
                     continue;
                 }
                 out.push(Candidate {
@@ -400,11 +394,6 @@ impl FeedbackStrategy {
                     break 'outer;
                 }
             }
-        }
-        if bound_pruned > 0 {
-            self.pending_notes.push(StrategyNote::BoundPruned {
-                count: bound_pruned,
-            });
         }
         out
     }
@@ -479,7 +468,6 @@ impl FeedbackStrategy {
         // `(primary, T, unit, occurrence, (F_i, k*))`.
         type Scored = (f64, f64, FaultUnit, Option<u32>, (f64, usize));
         let mut scored: Vec<Scored> = Vec::new();
-        let mut bound_pruned = 0usize;
         for unit in self.units(ctx) {
             let Some((f_i, k_star)) = self.site_priority(ctx, unit) else {
                 continue;
@@ -487,23 +475,11 @@ impl FeedbackStrategy {
             let Some((occ, t)) = self.best_instance(ctx, unit, k_star) else {
                 continue;
             };
-            if !ctx.occurrence_feasible(unit.site, occ) {
-                // The static bounds prove this candidate can never fire
-                // (in practice: an any-occurrence fallback on a site with
-                // `hi == 0`); skip it without spending a round.
-                bound_pruned += 1;
-                continue;
-            }
             let primary = match self.cfg.combine {
                 Combine::TwoLevel => f_i,
                 Combine::Multiply => f_i * (t + 1.0),
             };
             scored.push((primary, t, unit, occ, (f_i, k_star)));
-        }
-        if bound_pruned > 0 {
-            self.pending_notes.push(StrategyNote::BoundPruned {
-                count: bound_pruned,
-            });
         }
         // `total_cmp`, not `partial_cmp().unwrap_or(Equal)`: collapsing an
         // incomparable (NaN) score to Equal makes the sort order depend on

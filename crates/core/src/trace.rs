@@ -120,12 +120,6 @@ pub enum StrategyNote {
         /// The retired candidate's exception type.
         exc: ExceptionType,
     },
-    /// Plans were skipped this round because their occurrence index
-    /// exceeds the site's static `hi` bound (the dataflow pruning pass).
-    BoundPruned {
-        /// How many candidate plans the bounds proved infeasible.
-        count: usize,
-    },
     /// The prioritized space ran dry — queued immediately before the
     /// retry-pass reset, so stall onset is visible in traces whether or
     /// not the strategy promotes observables at it.
@@ -194,9 +188,6 @@ pub enum TraceEvent {
         sites_total: usize,
         /// Sites statically reachable from the workload roots.
         sites_reachable: usize,
-        /// Reachable candidate sites the occurrence bounds leave alive
-        /// (`hi != 0`).
-        sites_bounded: usize,
         /// Causal-graph node count.
         graph_nodes: usize,
         /// Causal-graph edge count.
@@ -635,8 +626,7 @@ wire_format! {
     events {
         ContextPhase "phase" { phase, items } volatile { ns },
         ContextReady "context" {
-            observables, units, sites_total, sites_reachable, sites_bounded, graph_nodes,
-            graph_edges,
+            observables, units, sites_total, sites_reachable, graph_nodes, graph_edges,
         },
         ExploreStart "explore_start" { strategy, max_rounds, base_seed },
         RoundStart "round_start" { round, seed },
@@ -658,7 +648,6 @@ wire_format! {
         RetryPass note "retry_pass" { pass },
         WindowGrew note "window_grew" { window },
         Retired note "retired" { site, exc },
-        BoundPruned note "bound_pruned" { count },
         WindowExhausted note "window_exhausted" { window, pass },
         ObservablePromoted ev "promoted" {
             k, template, site, node, node_desc, pass, l_new,
@@ -797,7 +786,6 @@ mod tests {
                 units: 14,
                 sites_total: 40,
                 sites_reachable: 30,
-                sites_bounded: 28,
                 graph_nodes: 120,
                 graph_edges: 240,
             },
@@ -840,10 +828,6 @@ mod tests {
             TraceEvent::Note {
                 round: 12,
                 note: StrategyNote::RetryPass { pass: 1 },
-            },
-            TraceEvent::Note {
-                round: 13,
-                note: StrategyNote::BoundPruned { count: 6 },
             },
             TraceEvent::Note {
                 round: 14,
@@ -921,7 +905,7 @@ mod tests {
                 wall_ns: 123,
             },
         ];
-        let mut seen = [false; 18];
+        let mut seen = [false; 17];
         for ev in &samples {
             let slot = match ev {
                 TraceEvent::ContextPhase { .. } => 0,
@@ -933,17 +917,16 @@ mod tests {
                     StrategyNote::RetryPass { .. } => 5,
                     StrategyNote::WindowGrew { .. } => 6,
                     StrategyNote::Retired { .. } => 7,
-                    StrategyNote::BoundPruned { .. } => 8,
-                    StrategyNote::WindowExhausted { .. } => 9,
-                    StrategyNote::ObservablePromoted { .. } => 14,
+                    StrategyNote::WindowExhausted { .. } => 8,
+                    StrategyNote::ObservablePromoted { .. } => 13,
                 },
-                TraceEvent::EpochStart { .. } => 10,
-                TraceEvent::Speculation { .. } => 11,
-                TraceEvent::RoundEnd { .. } => 12,
-                TraceEvent::Feedback { .. } => 13,
-                TraceEvent::ProvenanceChain { .. } => 15,
-                TraceEvent::ExploreEnd { .. } => 16,
-                TraceEvent::RoundError { .. } => 17,
+                TraceEvent::EpochStart { .. } => 9,
+                TraceEvent::Speculation { .. } => 10,
+                TraceEvent::RoundEnd { .. } => 11,
+                TraceEvent::Feedback { .. } => 12,
+                TraceEvent::ProvenanceChain { .. } => 14,
+                TraceEvent::ExploreEnd { .. } => 15,
+                TraceEvent::RoundError { .. } => 16,
             };
             seen[slot] = true;
         }

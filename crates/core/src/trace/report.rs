@@ -181,7 +181,6 @@ struct Digest<'a> {
     window_growths: usize,
     max_window: Option<usize>,
     retired: usize,
-    bound_pruned: usize,
     promotions: Vec<&'a TraceEvent>,
     provenance: Option<&'a TraceEvent>,
     end: Option<&'a TraceEvent>,
@@ -220,7 +219,6 @@ impl<'a> Digest<'a> {
                             d.max_window = d.max_window.max(Some(*window));
                         }
                         StrategyNote::Retired { .. } => d.retired += 1,
-                        StrategyNote::BoundPruned { count } => d.bound_pruned += count,
                         StrategyNote::WindowExhausted { .. } => d.windows_exhausted += 1,
                         StrategyNote::ObservablePromoted { .. } => d.promotions.push(ev),
                     }
@@ -444,13 +442,12 @@ pub fn summary(path: &str, events: &[TraceEvent]) -> String {
         let max_window = d.max_window.map(|w| format!(" (max window {w})"));
         out += &format!(
             "\nLifecycle: {} windows exhausted, {} retry passes, {} window growths{}, \
-             {} candidates retired, {} plans bound-pruned\n",
+             {} candidates retired\n",
             d.windows_exhausted,
             d.retry_passes,
             d.window_growths,
             max_window.unwrap_or_default(),
             d.retired,
-            d.bound_pruned
         );
     }
 
@@ -568,9 +565,6 @@ pub fn round(events: &[TraceEvent], n: usize) -> Result<String, NoSuchRound> {
                 }
                 StrategyNote::Retired { site, exc } => {
                     format!("  note: retired site#{} {exc}\n", site.0)
-                }
-                StrategyNote::BoundPruned { count } => {
-                    format!("  note: {count} plans pruned by static occurrence bounds\n")
                 }
                 StrategyNote::ObservablePromoted {
                     k,
@@ -731,7 +725,7 @@ pub fn json(events: &[TraceEvent]) -> String {
          \"workload_ns_total\": {},\n  \
          \"speculation\": {{\"epochs\": {}, \"slots\": {}, \"hits\": {}}},\n  \
          \"notes\": {{\"retry_passes\": {}, \"windows_exhausted\": {}, \
-         \"window_growths\": {}, \"retired\": {}, \"bound_pruned_plans\": {}}},\n  \
+         \"window_growths\": {}, \"retired\": {}}},\n  \
          \"promotions\": [{}],\n  \"provenance\": {},\n  \"explore_end\": {}\n}}\n",
         events.len(),
         one(d.start),
@@ -747,7 +741,6 @@ pub fn json(events: &[TraceEvent]) -> String {
         d.windows_exhausted,
         d.window_growths,
         d.retired,
-        d.bound_pruned,
         many(&d.promotions),
         one(d.provenance),
         one(d.end),

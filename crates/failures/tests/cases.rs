@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use anduril_core::OccurrenceBounds;
 use anduril_failures::{all_cases, case_by_id, CaseError};
 use anduril_ir::{Program, Value};
 use anduril_logdiff::parse_log;
@@ -173,8 +174,9 @@ fn injecting_at_a_wrong_site_does_not_satisfy_timing_pinned_oracles() {
 fn ground_truth_sites_survive_static_pruning() {
     // The reachability pruner and the causal graph may only remove noise:
     // for every case the known root-cause site must remain (a) statically
-    // reachable, (b) a causal-graph source, and (c) present among the
-    // candidate units with its ground-truth exception type.
+    // reachable, (b) a causal-graph source, (c) present among the
+    // candidate units with its ground-truth exception type, and (d) alive
+    // under the static occurrence bounds.
     for case in all_cases() {
         let gt = case.ground_truth().expect("resolvable");
         let failure_log = case.failure_log().expect("failure log");
@@ -197,16 +199,19 @@ fn ground_truth_sites_survive_static_pruning() {
             "{}: ground-truth (site, exception) unit missing after pruning",
             case.id
         );
-        // (d) The static occurrence bounds must leave the ground truth
-        // alive: the site is not dead and the exact occurrence is feasible.
-        let bound = ctx.site_bound(gt.site);
+        // (d) The static occurrence bounds `anduril analyze` reports must
+        // leave the ground truth alive: the site is not dead and the exact
+        // occurrence is feasible.
+        let scenario = &case.scenario;
+        let bounds = OccurrenceBounds::compute(&scenario.program, &scenario.root_calls());
+        let bound = bounds.site(gt.site);
         assert!(
             !bound.is_dead(),
             "{}: root-cause site statically dead ({bound})",
             case.id
         );
         assert!(
-            ctx.occurrence_feasible(gt.site, Some(gt.occurrence)),
+            bounds.feasible(gt.site, Some(gt.occurrence)),
             "{}: ground-truth occurrence {} infeasible under bound {bound}",
             case.id,
             gt.occurrence

@@ -13,8 +13,8 @@
 //! Ground truth is correct *by construction*: generated externals only
 //! misbehave when the injector fires, so the fault-free run is healthy,
 //! the planted run satisfies the oracle, and [`verify_sound`] checks the
-//! plant additionally survives the search context's reachability pruning
-//! and abstract occurrence bounds. The plant is *found* by construction
+//! plant additionally survives the search context's reachability pruning.
+//! The plant is *found* by construction
 //! too — the crossing of the phase gate the grammar built is galloped to
 //! and bisected, a cascade starts where the fault-free trace says — so a
 //! case costs a logarithm of its occurrence count in simulator runs

@@ -662,8 +662,8 @@ pub fn generate(cfg: &GenConfig, count: usize) -> Result<Vec<GeneratedCase>, Gen
 /// Deep soundness verification, used by the fuzz suite and the bench:
 /// the fault-free run is healthy, the planted plan replays to the
 /// oracle, and — for single-fault cases — the planted ground truth
-/// survives the search context's reachability pruning and abstract
-/// occurrence bounds (it must be discoverable, not just replayable).
+/// survives the search context's reachability pruning (it must be
+/// discoverable, not just replayable).
 ///
 /// Hands back the context it prepared over the case's failure log (base
 /// seed 1 000), so a caller that goes on to search the case need not
@@ -693,14 +693,6 @@ pub fn verify_sound(gc: &GeneratedCase) -> Result<SearchContext, String> {
     }
     let ctx = SearchContext::prepare(gc.case.scenario.clone(), &gc.failure_log, 1_000)
         .map_err(|e| format!("context prepare: {e}"))?;
-    for f in &gc.plant {
-        if !ctx.occurrence_feasible(f.site, Some(f.occurrence)) {
-            return Err(format!(
-                "occurrence bounds prune planted ({:?}, {})",
-                f.site, f.occurrence
-            ));
-        }
-    }
     if !gc.is_multi_fault() {
         let f = gc.plant[0];
         if !ctx.candidate_sites.contains(&f.site) {

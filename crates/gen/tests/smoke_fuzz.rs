@@ -3,13 +3,15 @@
 //! For every seed the generated program must (1) pass `finish_linted`
 //! with no errors and no advisory warnings, (2) simulate to completion
 //! under both the register VM and the tree-walk oracle with
-//! byte-identical results — fault-free AND under the planted plan — and
-//! (3) keep its planted ground truth feasible under the search context's
-//! reachability pruning and abstract occurrence bounds.
+//! byte-identical results — fault-free AND under the planted plan — (3)
+//! keep its planted ground truth feasible under the search context's
+//! reachability pruning, and (4) under the abstract occurrence bounds
+//! `anduril analyze` reports.
 //!
 //! Named with a `smoke_fuzz_` prefix so CI can verify the suite was not
 //! silently filtered out.
 
+use anduril_core::OccurrenceBounds;
 use anduril_gen::{generate_one, verify_sound, GenConfig, SizeClass};
 use anduril_sim::{run, Engine, InjectionPlan, RunResult, SimConfig};
 
@@ -82,6 +84,18 @@ fn smoke_fuzz_500_seeds_lint_clean_engine_identical_and_sound() {
 
         // (3) Ground truth survives pruning and replays to the oracle.
         verify_sound(&gc).unwrap_or_else(|e| panic!("case {i}: unsound: {e}"));
+
+        // (4) The static bounds never prove a planted fault infeasible.
+        let scenario = &gc.case.scenario;
+        let bounds = OccurrenceBounds::compute(&scenario.program, &scenario.root_calls());
+        for f in &gc.plant {
+            assert!(
+                bounds.feasible(f.site, Some(f.occurrence)),
+                "case {i}: occurrence bounds prune planted ({:?}, {})",
+                f.site,
+                f.occurrence
+            );
+        }
 
         multi_cases += usize::from(gc.is_multi_fault());
         nonzero_occurrence_plants += usize::from(gc.plant.iter().any(|f| f.occurrence > 0));

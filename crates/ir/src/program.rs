@@ -1,7 +1,8 @@
 //! The program container and structural queries used by the analyses.
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::exception::ExceptionType;
 use crate::ids::{BlockId, FuncId, SiteId, StmtRef, TemplateId};
@@ -271,6 +272,7 @@ pub struct Program {
     func_by_name: HashMap<String, FuncId>,
     template_by_text: HashMap<String, TemplateId>,
     compiled: OnceLock<CompiledProgram>,
+    derived: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 impl Program {
@@ -304,6 +306,7 @@ impl Program {
             func_by_name: HashMap::new(),
             template_by_text: HashMap::new(),
             compiled: OnceLock::new(),
+            derived: OnceLock::new(),
         };
         program.compute_parents()?;
         program.build_indexes();
@@ -424,6 +427,23 @@ impl Program {
     /// Whether [`Program::compiled`] has lowered the program yet.
     pub fn is_compiled(&self) -> bool {
         self.compiled.get().is_some()
+    }
+
+    /// The table an analysis crate derives from the program alone, built
+    /// by `build` on first use and kept as long as the program: what
+    /// [`Program::compiled`] is for the VM code, for a type this crate does
+    /// not know (`anduril-causal` keeps its call graph, exception summaries
+    /// and use-def tables here). A program holds one such table, so every
+    /// caller asks for the same `T`; like the compiled form, a clone of the
+    /// program carries what was derived.
+    ///
+    /// # Panics
+    ///
+    /// If the program already holds a table of another type.
+    pub fn derived<T: Any + Send + Sync>(&self, build: impl FnOnce(&Program) -> T) -> &T {
+        (self.derived.get_or_init(|| Arc::new(build(self))))
+            .downcast_ref()
+            .expect("a program holds one derived analysis type")
     }
 
     /// Looks up a function by name.

@@ -13,13 +13,14 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use anduril::baselines::by_name;
+use anduril::causal::{OccurrenceBounds, ProgramFacts};
 use anduril::failures::{all_cases, case_by_id, FailureCase, PreparedCase};
 use anduril::gen::{generate_one, verify_sound, GenConfig, SizeClass};
 use anduril::trace::report::{self, TextTable};
 use anduril::trace::{read_stream, FileTracer, NoopTracer, TraceEvent, Tracer};
 use anduril::{
     explore, explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig,
-    FeedbackConfig, FeedbackStrategy, Json, Reproduction, Strategy,
+    FeedbackConfig, FeedbackStrategy, Json, Reproduction, SearchContext, Strategy,
 };
 
 /// Why a command did not run to its end.
@@ -189,11 +190,18 @@ fn analyze_case(case: &FailureCase) -> Result<(Vec<String>, Json, Vec<String>), 
         .iter()
         .map(|d| d.values().min().copied())
         .collect();
+    // The static occurrence bounds are the report's own: no search reads
+    // them.
+    let occurrence_bounds = OccurrenceBounds::over(
+        program,
+        &ProgramFacts::of(program).calls,
+        &ctx.scenario.root_calls(),
+    );
     // Per candidate site, its static occurrence interval.
     let bounds = ctx
         .candidate_sites
         .iter()
-        .map(|&sid| (sid, ctx.site_bound(sid)));
+        .map(|&sid| (sid, occurrence_bounds.site(sid)));
     let counts = [
         ("sites_total", program.sites.len()),
         ("sites_reachable", ctx.candidate_sites.len()),
@@ -212,11 +220,9 @@ fn analyze_case(case: &FailureCase) -> Result<(Vec<String>, Json, Vec<String>), 
         ("chaining", ctx.timings.chaining_ns),
         ("total", ctx.timings.total_ns),
     ];
-    // The fraction of the a-priori `(site, occurrence, exception)` plan
-    // space the static occurrence bounds prove infeasible.
-    let pruned = ctx.pruned_plan_ratio();
+    let pruned = pruned_plan_ratio(&ctx, &occurrence_bounds);
     let lints: Vec<String> = program
-        .lints_with_bounds(&ctx.bounds.site_his())
+        .lints_with_bounds(&occurrence_bounds.site_his())
         .iter()
         .map(|w| w.to_string())
         .collect();
@@ -256,7 +262,7 @@ fn analyze_case(case: &FailureCase) -> Result<(Vec<String>, Json, Vec<String>), 
         ("pruned_plan_ratio", Json::fixed(pruned, 4)),
         // Whether the ground-truth site is statically dead (`hi == 0`):
         // never, if the bounds are sound.
-        ("gt_dead", ctx.site_bound(gt.site).is_dead().into()),
+        ("gt_dead", occurrence_bounds.site(gt.site).is_dead().into()),
         (
             "timings_ns",
             Json::obj(timings.map(|(name, ns)| (name, ns.into()))),
@@ -266,6 +272,35 @@ fn analyze_case(case: &FailureCase) -> Result<(Vec<String>, Json, Vec<String>), 
         ("lints", Json::arr(lints.iter().map(String::as_str))),
     ]);
     Ok((row, Json::obj(record), lints))
+}
+
+/// Fraction of the occurrence-oblivious plan space the bounds prove
+/// infeasible, in `[0, 1]`.
+///
+/// The baseline is the FATE-style a-priori space: every candidate site ×
+/// every declared exception × a uniform occurrence horizon `H` (the
+/// largest dynamic instance count any candidate site showed in the normal
+/// run). The bounded space caps each site's occurrence arm at
+/// `min(H, hi)`. Sites the analysis proves execute fewer than `H` times —
+/// straight-line code, small constant loops, dead branches — shrink the
+/// numerator.
+fn pruned_plan_ratio(ctx: &SearchContext, bounds: &OccurrenceBounds) -> f64 {
+    let horizon = (ctx.candidate_sites.iter())
+        .map(|s| ctx.site_instances[s.index()].len().max(1) as u64)
+        .max()
+        .unwrap_or(1);
+    let (mut baseline, mut bounded) = (0u64, 0u64);
+    for &s in &ctx.candidate_sites {
+        let site = &ctx.scenario.program.sites[s.index()];
+        let excs = site.exceptions.len().max(1) as u64;
+        let hi = bounds.site(s).hi.map_or(horizon, |h| h.min(horizon));
+        baseline += horizon * excs;
+        bounded += hi * excs;
+    }
+    if baseline == 0 {
+        return 0.0;
+    }
+    1.0 - bounded as f64 / baseline as f64
 }
 
 fn analyze(args: &[String]) -> Result<ExitCode, CliError> {

@@ -1,6 +1,9 @@
 //! A program is lowered to register-VM code once, and every run of it reads
 //! that one copy: `Program::compiled` is a derived table of the immutable
-//! program, like its block parents, not a per-search cache.
+//! program, like its block parents, not a per-search cache. So are the
+//! facts the analysis derives from the program alone (`ProgramFacts`: the
+//! call graph, the exception summaries, the use-def tables), which every
+//! `prepare` of the program reads.
 //!
 //! The registry shares one program among a system's cases, so the cases of
 //! one system share its code too, whichever of them ran first. That no
@@ -9,16 +12,16 @@
 
 use std::sync::Arc;
 
-use anduril::failures::all_cases;
+use anduril::causal::{analyze, CallGraph, ProgramFacts, UseDefTables};
+use anduril::failures::{all_cases, FailureCase};
 use anduril::gen::{generate_one, GenConfig, SizeClass};
 use anduril::ir::lower::compile;
 use anduril::sim::InjectionPlan;
 use anduril::NoopTracer;
 
-#[test]
-fn two_tickets_of_one_system_run_over_one_compiled_program() {
-    let cases = all_cases();
-    let (a, b) = cases
+/// Two cases of one system, from the registry's shared programs.
+fn two_tickets_of_one_system(cases: &[FailureCase]) -> (&FailureCase, &FailureCase) {
+    cases
         .iter()
         .enumerate()
         .find_map(|(i, a)| {
@@ -27,7 +30,13 @@ fn two_tickets_of_one_system_run_over_one_compiled_program() {
                 .find(|b| Arc::ptr_eq(&a.scenario.program, &b.scenario.program))?;
             Some((a, b))
         })
-        .expect("a system with two tickets");
+        .expect("a system with two tickets")
+}
+
+#[test]
+fn two_tickets_of_one_system_run_over_one_compiled_program() {
+    let cases = all_cases();
+    let (a, b) = two_tickets_of_one_system(&cases);
     assert!(!a.scenario.program.is_compiled(), "a fresh registry");
     let first = a.prepare(1_000, &NoopTracer).expect("prepare");
     let second = b.prepare(1_000, &NoopTracer).expect("prepare");
@@ -40,6 +49,25 @@ fn two_tickets_of_one_system_run_over_one_compiled_program() {
         a.id,
         b.id
     );
+}
+
+#[test]
+fn two_tickets_of_one_system_share_one_set_of_program_facts() {
+    let cases = all_cases();
+    let (a, b) = two_tickets_of_one_system(&cases);
+    let first = a.prepare(1_000, &NoopTracer).expect("prepare");
+    let second = b.prepare(1_000, &NoopTracer).expect("prepare");
+    let facts = ProgramFacts::of(&first.ctx.scenario.program);
+    assert!(
+        std::ptr::eq(facts, ProgramFacts::of(&second.ctx.scenario.program)),
+        "{} and {} read one set of facts",
+        a.id,
+        b.id
+    );
+    let program = &a.scenario.program;
+    assert_eq!(facts.calls, CallGraph::build(program));
+    assert_eq!(facts.exceptions, analyze(program));
+    assert_eq!(facts.tables, UseDefTables::build(program));
 }
 
 #[test]

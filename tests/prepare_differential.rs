@@ -4,10 +4,11 @@
 //! - **One alignment lookup per distinct log position.** Every instance
 //!   of `site_instances` carries, bit for bit, what `Alignment::map`
 //!   returns for that trace entry on its own.
-//! - **One call graph, lent three times.** The graph, the reachable sites,
-//!   the occurrence bounds and the exception summaries built over the
-//!   context's shared `CallGraph` equal what the stand-alone entry points
-//!   build over call graphs of their own.
+//! - **One set of program facts.** The graph and the reachable sites
+//!   `prepare` builds over the program's own `ProgramFacts`, the facts
+//!   themselves, and the occurrence bounds and exception summaries over
+//!   their call graph, equal what the stand-alone entry points build from
+//!   scratch.
 //! - **One set of buffers for all distance tables.** `distances_all` equals
 //!   `distances(k)` table by table.
 //!
@@ -16,7 +17,8 @@
 //! directly, so a future corpus needs no regenerated table.)
 
 use anduril::causal::{
-    analyze, analyze_over, build_graph, CallGraph, Observable, OccurrenceBounds, Reachability,
+    analyze, analyze_over, build_graph, CallGraph, Observable, OccurrenceBounds, ProgramFacts,
+    Reachability, UseDefTables,
 };
 use anduril::failures::all_cases;
 use anduril::gen::{generate_one, GenConfig, SizeClass};
@@ -45,7 +47,7 @@ fn check(name: &str, scenario: &Scenario, failure_log: &str) -> usize {
         assert_eq!(instances.len(), next[site], "{name}: site {site}");
     }
 
-    // The three passes over call graphs of their own.
+    // The passes over facts of their own.
     let roots = scenario.roots();
     let observables: Vec<Observable> = (ctx.observables.iter())
         .map(|o| Observable {
@@ -69,25 +71,30 @@ fn check(name: &str, scenario: &Scenario, failure_log: &str) -> usize {
         ctx.candidate_sites,
         "{name}"
     );
-    let bounds = OccurrenceBounds::compute(program, &scenario.root_calls());
-    assert_eq!(bounds.sites(), ctx.bounds.sites(), "{name}: site bounds");
+    let facts = ProgramFacts::of(program);
+    assert_eq!(facts.calls, CallGraph::build(program), "{name}: call graph");
+    assert_eq!(facts.tables, UseDefTables::build(program), "{name}: tables");
+    let (own, lent) = (
+        OccurrenceBounds::compute(program, &scenario.root_calls()),
+        OccurrenceBounds::over(program, &facts.calls, &scenario.root_calls()),
+    );
+    assert_eq!(own.sites(), lent.sites(), "{name}: site bounds");
     for f in 0..program.funcs.len() as u32 {
         let f = anduril::ir::FuncId(f);
         assert_eq!(
-            bounds.func_invocations(f),
-            ctx.bounds.func_invocations(f),
+            own.func_invocations(f),
+            lent.func_invocations(f),
             "{name}: {f}"
         );
     }
-    let (own, lent) = (
-        analyze(program),
-        analyze_over(program, &CallGraph::build(program)),
-    );
-    assert_eq!(own.escapes, lent.escapes, "{name}: escape sets");
-    assert_eq!(
-        own.escape_points, lent.escape_points,
-        "{name}: escape points"
-    );
+    let own = analyze(program);
+    for lent in [&facts.exceptions, &analyze_over(program, &facts.calls)] {
+        assert_eq!(own.escapes, lent.escapes, "{name}: escape sets");
+        assert_eq!(
+            own.escape_points, lent.escape_points,
+            "{name}: escape points"
+        );
+    }
 
     // Distance tables.
     assert_eq!(ctx.distances, ctx.graph.distances_all(), "{name}");

@@ -121,7 +121,7 @@ const DEGRADED: [Row; 44] = [
     ("f10/degraded/full", 1, true, 0, 0x6535a4dd18937f88),
     ("f10/degraded/full-adaptive", 1, true, 0, 0x6535a4dd18937f88),
     ("f11/degraded/full", 600, false, 0, 0xc62bda61df163e98),
-    ("f11/degraded/full-adaptive", 42, true, 7, 0x5c0d4fce08ca3fc3),
+    ("f11/degraded/full-adaptive", 42, true, 7, 0xdcc320fae29ca001),
     ("f12/degraded/full", 1, true, 0, 0xe7955b348f6307f7),
     ("f12/degraded/full-adaptive", 1, true, 0, 0xe7955b348f6307f7),
     ("f13/degraded/full", 1, true, 0, 0x9d3d37c3670c5ac1),
@@ -213,9 +213,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f6/prepared/site-distance-limit3", 14, true, 0, 0x249e0688e5ddf24e),
     ("f6/prepared/site-feedback", 14, true, 0, 0x8a254fdef9adab18),
     ("f6/prepared/multiply", 14, true, 0, 0x59ffb831dc912d68),
-    ("f6/prepared/fate", 12, true, 0, 0xd4c0cedc569c29e9),
+    ("f6/prepared/fate", 12, true, 0, 0xbad5b21e8b3b4d64),
     ("f6/prepared/crashtuner", 6, false, 0, 0xa2b69a128bf9df81),
-    ("f6/prepared/crashtuner-meta-exc", 600, false, 0, 0xaaec4a8749c62ce9),
+    ("f6/prepared/crashtuner-meta-exc", 600, false, 0, 0x38641e09f90cf2f6),
     ("f6/prepared/stacktrace", 1, true, 0, 0xb90b77a8d79d6202),
     ("f6/prepared/sum-aggregate", 14, true, 0, 0x3e9d931fbfbb34ca),
     ("f6/prepared/order-distance", 15, true, 0, 0xd7a99cd080457f1c),
@@ -225,9 +225,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f7/prepared/site-distance-limit3", 13, true, 0, 0x07a29a6becd703d4),
     ("f7/prepared/site-feedback", 13, true, 0, 0x56dbec0ec5254829),
     ("f7/prepared/multiply", 7, true, 0, 0xde7dec82f1b531bb),
-    ("f7/prepared/fate", 13, true, 0, 0x3601f50880db0d9f),
+    ("f7/prepared/fate", 13, true, 0, 0xc49d47ff74f9e5ac),
     ("f7/prepared/crashtuner", 6, false, 0, 0xe6284f3be892835f),
-    ("f7/prepared/crashtuner-meta-exc", 3, true, 0, 0x14e557561d664122),
+    ("f7/prepared/crashtuner-meta-exc", 3, true, 0, 0x93d351d441f3c58f),
     ("f7/prepared/stacktrace", 1, true, 0, 0xdf2b406b0d8a3218),
     ("f7/prepared/sum-aggregate", 7, true, 0, 0x770874c01af035ec),
     ("f7/prepared/order-distance", 13, true, 0, 0xa130a7e01dcaee99),
@@ -237,9 +237,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f8/prepared/site-distance-limit3", 1, true, 0, 0x2e4682019f67b239),
     ("f8/prepared/site-feedback", 1, true, 0, 0x2e4682019f67b239),
     ("f8/prepared/multiply", 1, true, 0, 0x5d16ef7c8e5c375e),
-    ("f8/prepared/fate", 1, true, 0, 0x92e0c69d193c4e1b),
+    ("f8/prepared/fate", 1, true, 0, 0x7eac9e1bb9043508),
     ("f8/prepared/crashtuner", 6, false, 0, 0xe7ad80c75a30aea2),
-    ("f8/prepared/crashtuner-meta-exc", 600, false, 0, 0xb2948257061fed3a),
+    ("f8/prepared/crashtuner-meta-exc", 600, false, 0, 0x7b57c963267dcf89),
     ("f8/prepared/stacktrace", 3, true, 0, 0xf51747fb8bf10bc8),
     ("f8/prepared/sum-aggregate", 1, true, 0, 0x414ad70a333268d1),
     ("f8/prepared/order-distance", 1, true, 0, 0x2e4682019f67b239),
@@ -249,9 +249,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f9/prepared/site-distance-limit3", 1, true, 0, 0x4a9e234d9b4d9873),
     ("f9/prepared/site-feedback", 1, true, 0, 0x4a9e234d9b4d9873),
     ("f9/prepared/multiply", 1, true, 0, 0xc183675d8c48c14e),
-    ("f9/prepared/fate", 7, true, 0, 0x0da13ae46e780b54),
+    ("f9/prepared/fate", 7, true, 0, 0x44216909f8669061),
     ("f9/prepared/crashtuner", 6, false, 0, 0xe396a524d7f9b263),
-    ("f9/prepared/crashtuner-meta-exc", 600, false, 0, 0x03b55b564ff4d530),
+    ("f9/prepared/crashtuner-meta-exc", 600, false, 0, 0x2c1e9278bca156db),
     ("f9/prepared/stacktrace", 3, true, 0, 0xed4876080c7a3191),
     ("f9/prepared/sum-aggregate", 1, true, 0, 0x82baf6d48e204ddf),
     ("f9/prepared/order-distance", 1, true, 0, 0x4a9e234d9b4d9873),
@@ -261,9 +261,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f10/prepared/site-distance-limit3", 1, true, 0, 0x3a763c1f9d109988),
     ("f10/prepared/site-feedback", 1, true, 0, 0x3a763c1f9d109988),
     ("f10/prepared/multiply", 1, true, 0, 0x31fbbbbc5c9d2033),
-    ("f10/prepared/fate", 3, true, 0, 0x8ddba5d91a8c47bc),
+    ("f10/prepared/fate", 3, true, 0, 0xaad3c2bca0d848a7),
     ("f10/prepared/crashtuner", 6, false, 0, 0x3d79733b53934172),
-    ("f10/prepared/crashtuner-meta-exc", 600, false, 0, 0x4c50826e034a7db2),
+    ("f10/prepared/crashtuner-meta-exc", 600, false, 0, 0xc120f0bcac4eeb99),
     ("f10/prepared/stacktrace", 1, true, 0, 0xf91a2e02c9e0cb16),
     ("f10/prepared/sum-aggregate", 1, true, 0, 0x93da5876f41bf0de),
     ("f10/prepared/order-distance", 1, true, 0, 0x3a763c1f9d109988),
@@ -273,9 +273,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f11/prepared/site-distance-limit3", 6, true, 0, 0x0b2882b4ac01d70a),
     ("f11/prepared/site-feedback", 6, true, 0, 0xf74dfa66ac5487f4),
     ("f11/prepared/multiply", 6, true, 0, 0x87a29d03fe97bd92),
-    ("f11/prepared/fate", 20, true, 0, 0xc3521ed4ab2534e9),
+    ("f11/prepared/fate", 20, true, 0, 0x78a20e325ff371b8),
     ("f11/prepared/crashtuner", 6, false, 0, 0xf4de19678a8e927a),
-    ("f11/prepared/crashtuner-meta-exc", 600, false, 0, 0xb9110e8ac65a6bb0),
+    ("f11/prepared/crashtuner-meta-exc", 600, false, 0, 0x0cea4770d7f810e3),
     ("f11/prepared/stacktrace", 2, true, 0, 0xf54f8d89a16bf45b),
     ("f11/prepared/sum-aggregate", 6, true, 0, 0x87a29d03fe97bd92),
     ("f11/prepared/order-distance", 6, true, 0, 0xf74dfa66ac5487f4),
@@ -297,9 +297,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f13/prepared/site-distance-limit3", 600, false, 0, 0x9265a6b37fbfdfbd),
     ("f13/prepared/site-feedback", 600, false, 0, 0x2a685a5e1f7ce76d),
     ("f13/prepared/multiply", 1, true, 0, 0xc87127f9a092ffe6),
-    ("f13/prepared/fate", 18, true, 0, 0x355c835c6f2f2b42),
+    ("f13/prepared/fate", 18, true, 0, 0xed019cba2914bef6),
     ("f13/prepared/crashtuner", 15, false, 0, 0x8a7d15a35855cd7a),
-    ("f13/prepared/crashtuner-meta-exc", 600, false, 0, 0xff73ef25932f5557),
+    ("f13/prepared/crashtuner-meta-exc", 600, false, 0, 0x19233cbe8e3c478f),
     ("f13/prepared/stacktrace", 0, false, 0, 0x6e706f876c66ffc1),
     ("f13/prepared/sum-aggregate", 1, true, 0, 0x0c98943c23795163),
     ("f13/prepared/order-distance", 4, true, 0, 0xe5501bb13ed45e08),
@@ -309,9 +309,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f14/prepared/site-distance-limit3", 2, true, 0, 0x680a472943fb8fb9),
     ("f14/prepared/site-feedback", 2, true, 0, 0xe25851909ceef7a6),
     ("f14/prepared/multiply", 1, true, 0, 0x1afe7742d62aa059),
-    ("f14/prepared/fate", 1, true, 0, 0xe8aa98719a3645d3),
+    ("f14/prepared/fate", 1, true, 0, 0xad2ba4d291fd8407),
     ("f14/prepared/crashtuner", 15, false, 0, 0x5ac37964b6fd681d),
-    ("f14/prepared/crashtuner-meta-exc", 1, true, 0, 0xe8aa98719a3645d3),
+    ("f14/prepared/crashtuner-meta-exc", 1, true, 0, 0xad2ba4d291fd8407),
     ("f14/prepared/stacktrace", 0, false, 0, 0x6e706f876c66ffc1),
     ("f14/prepared/sum-aggregate", 1, true, 0, 0x505a103a54c471d5),
     ("f14/prepared/order-distance", 2, true, 0, 0xe25851909ceef7a6),
@@ -321,9 +321,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f15/prepared/site-distance-limit3", 1, true, 0, 0x06be24ba95ecf74b),
     ("f15/prepared/site-feedback", 1, true, 0, 0x06be24ba95ecf74b),
     ("f15/prepared/multiply", 1, true, 0, 0x37db0fcfd972bf07),
-    ("f15/prepared/fate", 1, true, 0, 0x0242d857ec63ed77),
+    ("f15/prepared/fate", 1, true, 0, 0x8d933b042ad67ad3),
     ("f15/prepared/crashtuner", 15, false, 0, 0x6dbac5cafb951bbe),
-    ("f15/prepared/crashtuner-meta-exc", 600, false, 0, 0xcb83ef05152ecf67),
+    ("f15/prepared/crashtuner-meta-exc", 600, false, 0, 0x5fb1eb7ac43eba87),
     ("f15/prepared/stacktrace", 1, true, 0, 0xf82456e459a3d533),
     ("f15/prepared/sum-aggregate", 1, true, 0, 0x02916cad16dbc6b1),
     ("f15/prepared/order-distance", 1, true, 0, 0x06be24ba95ecf74b),
@@ -333,9 +333,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f16/prepared/site-distance-limit3", 2, true, 0, 0xb2cfdc14c1831f28),
     ("f16/prepared/site-feedback", 2, true, 0, 0x71dc62dff887f322),
     ("f16/prepared/multiply", 1, true, 0, 0x13b7d24468a6378e),
-    ("f16/prepared/fate", 6, true, 0, 0xe864364fcf3f820e),
+    ("f16/prepared/fate", 6, true, 0, 0x421daf7e493a1486),
     ("f16/prepared/crashtuner", 15, false, 0, 0xdca7ce1d9c91c166),
-    ("f16/prepared/crashtuner-meta-exc", 4, true, 0, 0xa922f8e943d7c559),
+    ("f16/prepared/crashtuner-meta-exc", 4, true, 0, 0x22863988d94bbf1d),
     ("f16/prepared/stacktrace", 1, true, 0, 0xd5d1922675683b3a),
     ("f16/prepared/sum-aggregate", 1, true, 0, 0xae8251a68ba65fe5),
     ("f16/prepared/order-distance", 2, true, 0, 0x71dc62dff887f322),
@@ -345,9 +345,9 @@ const REGISTRY_ROWS: [Row; 264] = [
     ("f17/prepared/site-distance-limit3", 600, false, 0, 0x9cdeae91632a896e),
     ("f17/prepared/site-feedback", 600, false, 0, 0x5a1271fa4a79eb88),
     ("f17/prepared/multiply", 12, true, 0, 0xb9d6da0e0e3b09da),
-    ("f17/prepared/fate", 50, true, 0, 0xd3b141335cd8ffc1),
+    ("f17/prepared/fate", 50, true, 0, 0x7342ac26dca249b4),
     ("f17/prepared/crashtuner", 15, false, 0, 0x8b8a5bad4f4f826c),
-    ("f17/prepared/crashtuner-meta-exc", 600, false, 0, 0x4946c45ffb766e7e),
+    ("f17/prepared/crashtuner-meta-exc", 600, false, 0, 0x49c2a92af2af9f67),
     ("f17/prepared/stacktrace", 7, true, 0, 0xb35ad99a9b768679),
     ("f17/prepared/sum-aggregate", 12, true, 0, 0x0fe13a3d0e0317ab),
     ("f17/prepared/order-distance", 26, true, 0, 0xe3e56d3d20feda21),
@@ -417,7 +417,7 @@ const REGISTRY_ROWS: [Row; 264] = [
 #[rustfmt::skip]
 const BATCHED: [Row; 4] = [
     ("f5/degraded/full-adaptive/batched", 82, true, 5, 0x501283343d8260e8),
-    ("f11/degraded/full-adaptive/batched", 42, true, 7, 0x5c0d4fce08ca3fc3),
+    ("f11/degraded/full-adaptive/batched", 42, true, 7, 0xdcc320fae29ca001),
     ("f18/degraded/full-adaptive/batched", 12, true, 4, 0xdf5139ff42aa4927),
     ("f22/degraded/full-adaptive/batched", 49, true, 4, 0x70cda793a702a38c),
 ];

@@ -11,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-use anduril::causal::analyze;
+use anduril::causal::{analyze, OccurrenceBounds};
 use anduril::failures::all_cases;
 use anduril::gen::{generate_one, GenConfig, SizeClass};
 use anduril::ir::FuncId;
@@ -88,12 +88,13 @@ fn row(name: &str, scenario: &Scenario, failure_log: &str) -> Row {
     }
 
     // (c) Every site's `[lo, hi]` and every function's invocation interval.
+    let occurrence = OccurrenceBounds::compute(program, &scenario.root_calls());
     let mut bounds = String::new();
-    for (s, b) in ctx.bounds.sites().iter().enumerate() {
+    for (s, b) in occurrence.sites().iter().enumerate() {
         writeln!(bounds, "s{s} {b}").unwrap();
     }
     for f in 0..program.funcs.len() {
-        let inv = ctx.bounds.func_invocations(FuncId(f as u32));
+        let inv = occurrence.func_invocations(FuncId(f as u32));
         writeln!(bounds, "f{f} {inv}").unwrap();
     }
 
