@@ -237,10 +237,14 @@ impl<'a> ExploreState<'a> {
         }
     }
 
-    /// Drains a strategy's queued lifecycle notes (always, so the queue
-    /// cannot grow unbounded) and records them tagged with `round`.
+    /// Drains the lifecycle notes the strategy's priority model queued
+    /// (always, so the queue cannot grow unbounded) and records them
+    /// tagged with `round`. A strategy without the model queues none.
     fn drain_notes(&self, strategy: &mut dyn Strategy, round: usize) {
-        let notes = strategy.drain_notes();
+        let Some(model) = strategy.model() else {
+            return;
+        };
+        let notes = model.drain_notes();
         if self.tracer.enabled() {
             for note in notes {
                 self.tracer.record(TraceEvent::Note { round, note });

@@ -281,6 +281,14 @@ impl FeedbackStrategy {
         self.passes
     }
 
+    /// Drains the lifecycle notes (retry passes, window growth, candidate
+    /// retirements, promotions) queued since the last drain. The explorer
+    /// owns the tracer, so the model queues notes instead of emitting
+    /// events.
+    pub fn drain_notes(&mut self) -> Vec<StrategyNote> {
+        std::mem::take(&mut self.pending_notes)
+    }
+
     /// The planning unit list: the prepared units followed by any a
     /// promotion appended. With nothing promoted this is exactly
     /// [`SearchContext::units`].
@@ -689,10 +697,6 @@ impl Strategy for FeedbackStrategy {
                 *p += self.cfg.adjust;
             }
         }
-    }
-
-    fn drain_notes(&mut self) -> Vec<StrategyNote> {
-        std::mem::take(&mut self.pending_notes)
     }
 
     fn model(&mut self) -> Option<&mut FeedbackStrategy> {

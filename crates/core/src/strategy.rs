@@ -2,24 +2,25 @@
 //!
 //! The Explorer's round loop is strategy-agnostic: it asks a [`Strategy`]
 //! for a round's injection plan and hands it the outcome of a round that
-//! missed — five calls. ANDURIL's full feedback algorithm lives in
+//! missed — four calls (`name`, `init`, `plan_injection`, `feedback`) and
+//! [`Strategy::model`]. ANDURIL's full feedback algorithm lives in
 //! [`crate::feedback::FeedbackStrategy`]; the paper's ablation variants are
 //! alternative configurations of it, and the external comparators (FATE,
 //! CrashTuner, stacktrace-injector) implement this trait in
 //! `anduril-baselines`.
 //!
 //! Everything else the Explorer can do with a strategy — trace why a plan
-//! ranked first, record Figure 6's rank, promote observables on a stall,
-//! speculate on a copy — needs the priority model of §5.2, which only the
-//! feedback family has. Those are inherent methods of
-//! [`FeedbackStrategy`], reached through [`Strategy::model`]; a strategy
-//! without the model answers `None` and the Explorer skips them.
+//! ranked first and the lifecycle notes the search queued, record Figure
+//! 6's rank, promote observables on a stall, speculate on a copy — needs
+//! the priority model of §5.2, which only the feedback family has. Those
+//! are inherent methods of [`FeedbackStrategy`], reached through
+//! [`Strategy::model`]; a strategy without the model answers `None` and
+//! the Explorer skips them.
 
 use anduril_sim::InjectionPlan;
 
 use crate::context::{RoundOutcome, SearchContext};
 use crate::feedback::FeedbackStrategy;
-use crate::trace::StrategyNote;
 
 /// A pluggable candidate-selection policy.
 pub trait Strategy {
@@ -36,13 +37,6 @@ pub trait Strategy {
 
     /// Digests the outcome of an unsuccessful round.
     fn feedback(&mut self, ctx: &SearchContext, outcome: &RoundOutcome);
-
-    /// Drains lifecycle notes (retry passes, window growth, candidate
-    /// retirements) queued since the last drain. The explorer owns the
-    /// tracer, so strategies queue notes instead of emitting events.
-    fn drain_notes(&mut self) -> Vec<StrategyNote> {
-        Vec::new()
-    }
 
     /// The §5.2 priority model, if this strategy is one.
     fn model(&mut self) -> Option<&mut FeedbackStrategy> {

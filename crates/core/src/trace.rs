@@ -98,7 +98,7 @@ pub struct PlanProvenance {
 
 /// A lifecycle note queued by a strategy during planning or feedback and
 /// drained by the explorer (which owns the tracer) via
-/// [`crate::Strategy::drain_notes`].
+/// [`crate::FeedbackStrategy::drain_notes`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum StrategyNote {
     /// The prioritized space was exhausted and a fresh retry pass started

@@ -16,6 +16,13 @@ pub enum Engine {
     TreeWalk,
 }
 
+/// Base number of statements a thread executes per scheduling slice (a
+/// slice draws 0-2 more).
+pub(crate) const QUANTUM: u64 = 8;
+
+/// Inclusive-exclusive bounds on simulated message delivery latency.
+pub(crate) const NET_LATENCY: std::ops::Range<u64> = 3..9;
+
 /// Configuration for one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -28,10 +35,6 @@ pub struct SimConfig {
     pub max_time: u64,
     /// Safety cap on executed statements.
     pub max_steps: u64,
-    /// Base number of statements a thread executes per scheduling slice.
-    pub quantum: u32,
-    /// Inclusive-exclusive bounds on simulated message delivery latency.
-    pub net_latency: (u64, u64),
     /// Which executor interprets the program. Both engines are
     /// step-for-step deterministic and produce byte-identical results; the
     /// tree-walk is retained as a differential oracle.
@@ -44,8 +47,6 @@ impl Default for SimConfig {
             seed: 1,
             max_time: 1_000_000,
             max_steps: 50_000_000,
-            quantum: 8,
-            net_latency: (3, 9),
             engine: Engine::default(),
         }
     }

@@ -9,6 +9,7 @@
 //! files.
 
 use super::*;
+use crate::config::{NET_LATENCY, QUANTUM};
 use anduril_ir::builder::TMPL_ABORT;
 use anduril_ir::{BinOp, ExceptionType, Expr, Stmt};
 
@@ -16,7 +17,7 @@ impl World<'_> {
     /// One scheduling slice of the tree-walk: the VM's slice
     /// (`run_slice_vm`) with every step taken out of line.
     pub(super) fn run_slice_ast(&mut self, tid: ThreadId) -> Sim<Option<u64>> {
-        let quantum = self.cfg.quantum as u64 + self.rng.random_range(0..3);
+        let quantum = QUANTUM + self.rng.random_range(0..3);
         let mut elapsed: u64 = 0;
         for _ in 0..quantum {
             elapsed += 1;
@@ -343,12 +344,7 @@ impl World<'_> {
                     .node_named(&dest_name)
                     .ok_or_else(|| Box::new(SimError::NoSuchNode(dest_name.to_string())))?;
                 let value = self.eval(tid, payload, Some(sref))?;
-                let (lo, hi) = self.cfg.net_latency;
-                let latency = if hi > lo {
-                    self.rng.random_range(lo..hi)
-                } else {
-                    lo
-                };
+                let latency = self.rng.random_range(NET_LATENCY);
                 self.schedule_deliver(latency, dest_idx, *chan, value);
                 Ok(self.advanced(tid))
             }

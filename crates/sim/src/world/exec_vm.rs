@@ -18,6 +18,7 @@
 //! ([`World::run_slice_vm`]); the rest run out of line in `exec_instr`.
 
 use super::*;
+use crate::config::{NET_LATENCY, QUANTUM};
 use crate::thread::Frame;
 use anduril_ir::builder::TMPL_ABORT;
 use anduril_ir::lower::{CExpr, EOp, Instr, Operand, Run, SNode, Seg};
@@ -498,7 +499,7 @@ impl<'p> World<'p> {
     /// the inner loop as a [`Cold`] step, runs out of line, and the loop
     /// resolves again.
     pub(super) fn run_slice_vm(&mut self, tid: ThreadId) -> Sim<Option<u64>> {
-        let left = self.cfg.quantum as u64 + self.rng.random_range(0..3);
+        let left = QUANTUM + self.rng.random_range(0..3);
         self.slice_vm(tid, left, 0)
     }
 
@@ -994,12 +995,7 @@ impl<'p> World<'p> {
                     .node_named(&dest_name)
                     .ok_or_else(|| Box::new(SimError::NoSuchNode(dest_name.to_string())))?;
                 let value = self.eval_cx(tid).eval_owned(payload, sref)?;
-                let (lo, hi) = self.cfg.net_latency;
-                let latency = if hi > lo {
-                    self.rng.random_range(lo..hi)
-                } else {
-                    lo
-                };
+                let latency = self.rng.random_range(NET_LATENCY);
                 self.schedule_deliver(latency, dest_idx, *chan, value);
             }
             Instr::Recv { chan, var, timeout } => {

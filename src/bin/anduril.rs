@@ -41,7 +41,7 @@ fn print_usage() {
         "usage:\n  anduril list\n  anduril show <case>\n  anduril log <case>\n  \
          anduril analyze [<case>|<system>|all] [--json FILE]\n  \
          anduril reproduce <case> [--strategy NAME] [--max-rounds N] [--emit-script FILE]\n  \
-         {0:21}[--threads N] [--batch N] [--trace FILE]\n  \
+         {0:21}[--threads N] [--trace FILE]\n  \
          anduril trace <file> [--summary | --round N | --promotions | --json]\n  \
          anduril replay <case> <script-file>\n  \
          anduril explain <case>\n  \
@@ -58,8 +58,8 @@ fn print_usage() {
          (one injection fired, and a run is a function of seed and plan),\n\
          so it is not made twice; `anduril replay` runs a script for real\n\n\
          --threads N runs rounds on N threads, the calling one included: N > 1\n\
-         speculates up to --batch M rounds ahead (default 8) on N - 1 workers\n\
-         (identical results, less wall time); feedback-strategy variants only\n\n\
+         speculates up to 8 rounds ahead on N - 1 workers (identical results,\n\
+         less wall time); feedback-strategy variants only\n\n\
          --trace FILE records the structured search-trace stream (context\n\
          phases, per-round decisions with priority provenance, feedback,\n\
          speculation) as JSONL; `anduril trace FILE` renders it\n\n\
@@ -410,7 +410,6 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
     };
     let mut emit_script: Option<String> = None;
     let mut threads = 1usize;
-    let mut batch_size: Option<usize> = None;
     let mut trace_path: Option<String> = None;
     let mut i = 2;
     while i < args.len() {
@@ -419,22 +418,21 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
             "--max-rounds" => cfg.max_rounds = flag(args, &mut i)?,
             "--emit-script" => emit_script = Some(flag(args, &mut i)?),
             "--threads" => threads = flag(args, &mut i)?,
-            "--batch" => batch_size = Some(flag(args, &mut i)?),
             "--trace" => trace_path = Some(flag(args, &mut i)?),
             _ => return Err(Usage),
         }
     }
     // Resolved before anything is written. The batched explorer
     // speculates on copies of the priority model: without one it would run
-    // every round inline and the flags would buy nothing.
+    // every round inline and the threads would buy nothing.
     let mut strategy = by_name(&strategy_name).ok_or(Usage)?;
-    let batch = (threads > 1 || batch_size.is_some()).then(|| BatchExplorerConfig {
-        batch_size: batch_size.unwrap_or(BatchExplorerConfig::default().batch_size),
+    let batch = (threads > 1).then(|| BatchExplorerConfig {
         threads,
+        ..BatchExplorerConfig::default()
     });
     if batch.is_some() && strategy.model().is_none() {
         return Err(BadArg(
-            "--threads/--batch require a feedback-strategy variant".into(),
+            "--threads above 1 require a feedback-strategy variant".into(),
         ));
     }
 

@@ -29,9 +29,8 @@
 //!
 //! // The two calls every harness in the workspace makes: a case prepares
 //! // (ground truth, failure log, search context), a name picks a strategy
-//! // — a `Box<dyn Strategy>`: five calls (`name`, `init`, `plan_injection`,
-//! // `feedback`, `drain_notes`) and `model()`, the priority model if it
-//! // has one.
+//! // — a `Box<dyn Strategy>`: four calls (`name`, `init`, `plan_injection`,
+//! // `feedback`) and `model()`, the priority model if it has one.
 //! let case = case_by_id("f17").expect("motivating example");
 //! let prepared = case.prepare(1_000, &NoopTracer).expect("ground truth resolvable");
 //! let mut strategy = baselines::by_name("full").expect("registered");

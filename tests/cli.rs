@@ -38,6 +38,8 @@ fn a_bad_command_line_exits_2() {
         &["reproduce", "f3", "--strategy", "no-such"],
         // Adaptation is a strategy, `--strategy full-adaptive`.
         &["reproduce", "f3", "--adaptive", "on"],
+        // The speculation depth is `BatchExplorerConfig::default()`'s.
+        &["reproduce", "f3", "--batch", "8"],
         &["generate", "--size", "huge"],
         &["trace", "whatever.jsonl", "--bogus"],
         &["frobnicate"],
