@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use anduril_baselines::{by_name, table2_strategies};
 use anduril_core::trace::report::TextTable;
@@ -155,7 +156,7 @@ fn run_strategy(
 ) -> Reproduction {
     let cfg = ExplorerConfig {
         max_rounds,
-        ..ExplorerConfig::default()
+        base_seed: ticket.prepared.ctx.base_seed,
     };
     explore(
         &ticket.prepared.ctx,
@@ -300,6 +301,119 @@ fn table2(cases: &Cases) -> String {
         ),
         &t,
     )
+}
+
+/// `median [q1-q3]` of `values`, each the value at that rank of the
+/// sorted list (the median as [`median`] takes it).
+fn quartiles(values: &mut [u64]) -> String {
+    values.sort_unstable();
+    let at = |quarters: usize| values[values.len() * quarters / 4];
+    format!("{} [{}-{}]", at(2), at(1), at(3))
+}
+
+/// `f(0)`, …, `f(n - 1)`, computed on `jobs` threads, each taking the
+/// next index when it is free.
+fn par_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut all: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(n)).map(|_| scope.spawn(work)).collect();
+        let joined = workers
+            .into_iter()
+            .map(|w| w.join().expect("a job panicked"));
+        joined.flatten().collect()
+    });
+    all.sort_unstable_by_key(|&(i, _)| i);
+    all.into_iter().map(|(_, out)| out).collect()
+}
+
+/// Table 2 over a population of seeds (`paper table2 --seeds N`): each
+/// ticket is prepared and searched at base seeds `1000 + 7919·i`, `i < N`,
+/// and each cell is that strategy's rounds to reproduce as
+/// `median [q1-q3]`. A search that does not reproduce within
+/// [`TABLE2_CAP`] rounds counts as the cap; the `capped` row counts those
+/// searches, and the `total` row is the quartiles of the per-seed sums
+/// over the tickets. Host time is left out: it is not a property of the
+/// seed. The preparations and the `(ticket, seed, strategy)` searches run
+/// on `jobs` threads, each search sequential, and the table does not
+/// depend on `jobs`.
+fn table2_population(cases: &Cases, seeds: usize, jobs: usize) -> String {
+    let strategies = table2_strategies();
+    let base = |i: usize| 1_000 + 7_919 * i as u64;
+    let mut header = vec!["Failure"];
+    header.extend(strategies.iter().map(|(_, column, _)| *column));
+    let mut t = TextTable::new(&header);
+    // Per strategy, the rounds summed over the tickets at each seed.
+    let mut totals = vec![vec![0u64; seeds]; strategies.len()];
+    let mut capped = vec![0usize; strategies.len()];
+    for ticket in cases.tickets() {
+        // The ground truth and the failure log do not depend on the seed:
+        // the ticket, prepared at seed 0's 1000, lends them to the others.
+        let (case, at_1000) = (ticket.case, ticket.prepared);
+        let others = par_map(jobs, seeds - 1, |i| {
+            let ctx =
+                SearchContext::prepare(case.scenario.clone(), &at_1000.failure_log, base(i + 1))
+                    .unwrap_or_else(|e| panic!("{}: {e}", case.id));
+            PreparedCase {
+                gt: at_1000.gt.clone(),
+                failure_log: at_1000.failure_log.clone(),
+                ctx,
+            }
+        });
+        let prepared: Vec<&PreparedCase> = std::iter::once(at_1000).chain(&others).collect();
+        // Search `k` is strategy `k / seeds` at seed `k % seeds`.
+        let rounds = par_map(jobs, strategies.len() * seeds, |k| {
+            let at_seed = Ticket {
+                prepared: prepared[k % seeds],
+                ..ticket
+            };
+            let r = run_strategy(at_seed, strategies[k / seeds].2().as_mut(), TABLE2_CAP);
+            r.success.then_some(r.rounds as u64)
+        });
+        let mut row = vec![label(ticket)];
+        for (s, per_seed) in rounds.chunks(seeds).enumerate() {
+            let mut cells: Vec<u64> = (per_seed.iter())
+                .map(|r| r.unwrap_or(TABLE2_CAP as u64))
+                .collect();
+            capped[s] += per_seed.iter().filter(|r| r.is_none()).count();
+            for (total, rounds) in totals[s].iter_mut().zip(&cells) {
+                *total += rounds;
+            }
+            row.push(quartiles(&mut cells));
+        }
+        t.row(row);
+    }
+    let mut total_row = vec!["total".to_string()];
+    total_row.extend(totals.iter_mut().map(|per_seed| quartiles(per_seed)));
+    t.row(total_row);
+    let mut capped_row = vec!["capped".to_string()];
+    capped_row.extend(capped.iter().map(usize::to_string));
+    t.row(capped_row);
+    titled(
+        &format!(
+            "Table 2 over {seeds} seeds: rounds to reproduce, median [q1-q3] per failure and \
+             strategy (base seeds 1000 + 7919 i; cap {TABLE2_CAP} rounds, a search that does \
+             not reproduce within it counts as the cap)"
+        ),
+        &t,
+    )
+}
+
+/// `N` of `--seeds N` after `paper table2`, at least 1.
+fn population_seeds(args: &[String]) -> Option<usize> {
+    match args {
+        [flag, n] if flag == "--seeds" => n.parse().ok().filter(|&n| n > 0),
+        _ => None,
+    }
 }
 
 /// Table 3: sensitivity of the initial window size `k` and the observable
@@ -1092,10 +1206,23 @@ fn generator(_: &Cases) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let [name] = args.as_slice() else {
-        eprintln!("usage: paper <artifact> | paper all | paper list");
-        return ExitCode::from(2);
+    let usage = || {
+        eprintln!("usage: paper <artifact> | paper all | paper list | paper table2 --seeds N");
+        ExitCode::from(2)
     };
+    let Some((name, options)) = args.split_first() else {
+        return usage();
+    };
+    if !options.is_empty() {
+        return match population_seeds(options) {
+            Some(seeds) if name == "table2" => {
+                let jobs = std::thread::available_parallelism().map_or(1, usize::from);
+                print!("{}", table2_population(&Cases::default(), seeds, jobs));
+                ExitCode::SUCCESS
+            }
+            _ => usage(),
+        };
+    }
     match name.as_str() {
         "list" => {
             for (name, _, about, _) in ARTIFACTS {
@@ -1126,6 +1253,19 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The population table is the same table whatever the number of
+    /// threads its preparations and searches run on.
+    #[test]
+    fn table2_over_seeds_is_the_same_on_one_thread_and_two() {
+        let cases = Cases::default();
+        let one = table2_population(&cases, 2, 1);
+        assert!(one.starts_with("Table 2 over 2 seeds"), "{one}");
+        assert!(one.contains("\nHB-25905 (f17)  19 [12-19]  "), "{one}");
+        assert!(one.contains("\ntotal           92 [88-92]  "), "{one}");
+        assert_eq!(one, table2_population(&cases, 2, 2));
+        assert_eq!(cases.preparations(), 22, "seed 0 is the shared ticket");
+    }
 
     #[test]
     fn median_of_odd_and_even() {

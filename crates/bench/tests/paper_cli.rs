@@ -1,6 +1,6 @@
 //! The `paper` binary at its command line: one word, an artifact's name,
-//! `list` or `all`. Anything else is a usage error (exit 2) that runs no
-//! artifact and writes nothing.
+//! `list` or `all`, or `table2 --seeds N`. Anything else is a usage
+//! error (exit 2) that runs no artifact and writes nothing.
 
 use std::process::Command;
 
@@ -37,6 +37,14 @@ fn an_unknown_artifact_or_an_extra_argument_exits_2() {
         &["table2", "300"],
         &["all", "x"],
         &[],
+        // Only Table 2 has a population form, and it needs its seeds.
+        &["table1", "--seeds", "2"],
+        // The searches take the host's threads; there is no `--jobs`.
+        &["table2", "--seeds", "2", "--jobs", "2"],
+        &["table2", "--jobs", "2"],
+        &["table2", "--seeds", "0"],
+        &["table2", "--seeds", "2", "--seeds", "3"],
+        &["table2", "--seeds"],
     ] {
         assert!(refused(args).starts_with("usage: paper"), "{args:?}");
     }

@@ -75,6 +75,35 @@ impl ReproScript {
         )
     }
 
+    /// How many fresh seeds [`ReproScript::replay_seeds`] names.
+    pub const REPLAY_SEEDS: usize = 32;
+
+    /// The fresh seeds [`ReproScript::replay_rate`] is asked about after
+    /// a search from `base_seed`: `base_seed + 1_000_003·(i + 1)` for
+    /// `i <` [`ReproScript::REPLAY_SEEDS`]. None is a round seed of that
+    /// search (`base_seed + 1 + r`) unless it ran a million rounds.
+    pub fn replay_seeds(base_seed: u64) -> impl Iterator<Item = u64> {
+        let seeds = 1..=Self::REPLAY_SEEDS as u64;
+        seeds.map(move |i| base_seed.wrapping_add(1_000_003u64.wrapping_mul(i)))
+    }
+
+    /// How many of `seeds` the script travels to: the seeds at which its
+    /// exact injection satisfies `oracle`. The search that found it
+    /// checked one seed, its own; a real cluster's replay is a fresh
+    /// schedule, which here is a fresh seed. A replay an error stops
+    /// satisfies nothing.
+    pub fn replay_rate(
+        &self,
+        scenario: &Scenario,
+        oracle: &Oracle,
+        seeds: impl IntoIterator<Item = u64>,
+    ) -> usize {
+        let plan = InjectionPlan::exact(self.site, self.occurrence, self.exc);
+        (seeds.into_iter())
+            .filter(|&seed| (scenario.run(seed, plan.clone())).is_ok_and(|r| oracle.check(&r)))
+            .count()
+    }
+
     /// Serializes the script as a small self-describing text block.
     ///
     /// The format is stable, line-oriented `key = value` (so scripts can be

@@ -155,7 +155,7 @@ pub struct TraceEntry {
 }
 
 /// The per-run fault-injection runtime state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Fir {
     /// Every window's candidates, each with its stage's index, grouped by
     /// site — site ids are compact, so the per-request lookup is an index,
@@ -197,41 +197,49 @@ pub struct Fir {
 const TIMED_EVERY: u64 = 64;
 
 impl Fir {
-    /// Arms the runtime with a plan for one run over `n_sites` sites.
-    pub fn new(n_sites: usize, plan: InjectionPlan) -> Self {
-        let fired = vec![false; plan.stages.len()];
-        let (mut candidates, mut crashes) = (Vec::new(), Vec::new());
+    /// Arms the runtime with a plan for one run over `n_sites` sites, on
+    /// the tables of an earlier run.
+    pub(crate) fn rearm(&mut self, n_sites: usize, plan: InjectionPlan) {
+        self.clear();
+        self.fired.resize(plan.stages.len(), false);
         for (index, stage) in plan.stages.into_iter().enumerate() {
             match stage {
-                Stage::Window(window) => candidates.extend(window.into_iter().map(|c| (index, c))),
-                Stage::Crash(point) => crashes.push(point),
+                Stage::Window(window) => {
+                    (self.candidates).extend(window.into_iter().map(|c| (index, c)))
+                }
+                Stage::Crash(point) => self.crashes.push(point),
             }
         }
         // A candidate at a site the program does not have can never fire.
-        candidates.retain(|(_, c)| c.site.index() < n_sites);
-        candidates.sort_by_key(|(_, c)| c.site);
-        let mut first_at = vec![0u32; n_sites + 1];
-        for (_, c) in &candidates {
-            first_at[c.site.index() + 1] += 1;
+        self.candidates.retain(|(_, c)| c.site.index() < n_sites);
+        self.candidates.sort_by_key(|(_, c)| c.site);
+        self.first_at.resize(n_sites + 1, 0);
+        for (_, c) in &self.candidates {
+            self.first_at[c.site.index() + 1] += 1;
         }
         for s in 0..n_sites {
-            first_at[s + 1] += first_at[s];
+            self.first_at[s + 1] += self.first_at[s];
         }
-        Fir {
-            candidates,
-            first_at,
-            crashes,
-            fired,
-            occ: vec![0; n_sites],
-            meta_occ: Vec::new(),
-            trace: Vec::with_capacity(64),
-            injected_all: Vec::new(),
-            crashed: false,
-            requests: 0,
-            armed_requests: 0,
-            timed_requests: 0,
-            timed_ns: 0,
-        }
+        self.occ.resize(n_sites, 0);
+        self.trace.reserve(64);
+    }
+
+    /// Empties every table, keeping its capacity: what a finished run
+    /// handed back in its result has none left.
+    pub(crate) fn clear(&mut self) {
+        self.candidates.clear();
+        self.first_at.clear();
+        self.crashes.clear();
+        self.fired.clear();
+        self.occ.clear();
+        self.meta_occ.clear();
+        self.trace.clear();
+        self.injected_all.clear();
+        self.crashed = false;
+        self.requests = 0;
+        self.armed_requests = 0;
+        self.timed_requests = 0;
+        self.timed_ns = 0;
     }
 
     /// The candidates armed at `site` with their stages, in plan order.
@@ -381,6 +389,13 @@ impl Fir {
 mod tests {
     use super::*;
 
+    /// A runtime armed with `plan` over `n_sites` sites.
+    fn armed(n_sites: usize, plan: InjectionPlan) -> Fir {
+        let mut fir = Fir::default();
+        fir.rearm(n_sites, plan);
+        fir
+    }
+
     impl Fir {
         /// The instrumented pair as the simulator calls it.
         fn on_site(
@@ -402,7 +417,7 @@ mod tests {
     /// could answer: never for an unarmed site, never after the one shot.
     #[test]
     fn trace_site_reports_whether_a_candidate_could_fire() {
-        let mut fir = Fir::new(2, InjectionPlan::exact(SiteId(1), 1, ExceptionType::Io));
+        let mut fir = armed(2, InjectionPlan::exact(SiteId(1), 1, ExceptionType::Io));
         assert!(!fir.trace_site(SiteId(0), 0, 0));
         assert!(fir.trace_site(SiteId(1), 1, 0));
         assert_eq!(fir.throw_if_enabled(SiteId(1), 1, &[]), None);
@@ -418,7 +433,7 @@ mod tests {
 
     #[test]
     fn injects_at_exact_occurrence_once() {
-        let mut fir = Fir::new(3, InjectionPlan::exact(SiteId(1), 2, ExceptionType::Io));
+        let mut fir = armed(3, InjectionPlan::exact(SiteId(1), 2, ExceptionType::Io));
         assert_eq!(fir.on_site(SiteId(1), 0, 0, &[]), None);
         assert_eq!(fir.on_site(SiteId(1), 1, 0, &[]), None);
         assert_eq!(fir.on_site(SiteId(1), 2, 1, &[]), Some(ExceptionType::Io));
@@ -434,7 +449,7 @@ mod tests {
             Candidate::exact(SiteId(0), 5, ExceptionType::Io),
             Candidate::exact(SiteId(2), 0, ExceptionType::Socket),
         ]);
-        let mut fir = Fir::new(3, plan);
+        let mut fir = armed(3, plan);
         // Site 0 occurrence 0 does not match (candidate wants occurrence 5).
         assert_eq!(fir.on_site(SiteId(0), 0, 0, &[]), None);
         // Site 2 occurrence 0 matches the second candidate.
@@ -456,7 +471,7 @@ mod tests {
             exc: ExceptionType::Io,
             stack: Some(vec![FuncId(7), FuncId(8)]),
         }]);
-        let mut fir = Fir::new(1, plan);
+        let mut fir = armed(1, plan);
         assert_eq!(fir.on_site(SiteId(0), 0, 0, &[FuncId(7)]), None);
         assert_eq!(fir.on_site(SiteId(0), 1, 0, &[FuncId(8), FuncId(7)]), None);
         assert_eq!(
@@ -467,7 +482,7 @@ mod tests {
 
     #[test]
     fn trace_records_log_positions() {
-        let mut fir = Fir::new(1, InjectionPlan::none());
+        let mut fir = armed(1, InjectionPlan::none());
         fir.on_site(SiteId(0), 10, 3, &[]);
         fir.on_site(SiteId(0), 20, 7, &[]);
         assert_eq!(fir.trace.len(), 2);
@@ -482,7 +497,7 @@ mod tests {
             Candidate::exact(SiteId(0), 1, ExceptionType::Io),
             Candidate::exact(SiteId(2), 0, ExceptionType::Socket),
         ]);
-        let mut fir = Fir::new(3, plan);
+        let mut fir = armed(3, plan);
         assert_eq!(fir.on_site(SiteId(0), 0, 0, &[]), None);
         assert_eq!(
             fir.on_site(SiteId(2), 1, 0, &[]),
@@ -508,7 +523,7 @@ mod tests {
             stages: vec![Stage::Window(vec![a, b]), Stage::Window(vec![c])],
         };
         assert_eq!(plan.armed(), 3);
-        let mut fir = Fir::new(3, plan);
+        let mut fir = armed(3, plan);
         assert_eq!(
             fir.on_site(SiteId(1), 0, 0, &[]),
             Some(ExceptionType::Socket)
@@ -531,7 +546,7 @@ mod tests {
 
     #[test]
     fn single_shot_plan_records_one_injection() {
-        let mut fir = Fir::new(2, InjectionPlan::exact(SiteId(0), 0, ExceptionType::Io));
+        let mut fir = armed(2, InjectionPlan::exact(SiteId(0), 0, ExceptionType::Io));
         assert_eq!(fir.on_site(SiteId(0), 0, 0, &[]), Some(ExceptionType::Io));
         assert_eq!(fir.on_site(SiteId(0), 1, 1, &[]), None);
         assert_eq!(fir.injected_all.len(), 1);
@@ -544,7 +559,7 @@ mod tests {
         let b = StmtRef::new(anduril_ir::BlockId(2), 3);
         // A crash point the accesses never reach: counting is all that
         // happens.
-        let mut fir = Fir::new(0, InjectionPlan::crash(a, u32::MAX));
+        let mut fir = armed(0, InjectionPlan::crash(a, u32::MAX));
         // First touch the higher-sorting statement, then the lower one:
         // the sorted-vec insert must keep lookups exact for both.
         fir.on_meta_access(a);
@@ -559,7 +574,7 @@ mod tests {
     /// nothing up and counts nothing.
     #[test]
     fn meta_access_without_a_crash_point_does_nothing() {
-        let mut fir = Fir::new(0, InjectionPlan::none());
+        let mut fir = armed(0, InjectionPlan::none());
         assert!(!fir.crash_armed());
         assert!(!fir.on_meta_access(StmtRef::new(anduril_ir::BlockId(1), 0)));
         assert!(fir.meta_occ.is_empty());
@@ -580,7 +595,7 @@ mod tests {
                 stack: Some(vec![FuncId(7)]),
             },
         ]);
-        let mut fir = Fir::new(3, plan);
+        let mut fir = armed(3, plan);
         assert!(!fir.guards_stack(SiteId(0)));
         assert!(fir.guards_stack(SiteId(1)));
         assert!(!fir.guards_stack(SiteId(2)));
@@ -602,7 +617,7 @@ mod tests {
     #[test]
     fn meta_access_crash_point() {
         let stmt = StmtRef::new(anduril_ir::BlockId(3), 1);
-        let mut fir = Fir::new(0, InjectionPlan::crash(stmt, 1));
+        let mut fir = armed(0, InjectionPlan::crash(stmt, 1));
         assert!(!fir.on_meta_access(stmt));
         assert!(fir.on_meta_access(stmt));
         assert!(!fir.on_meta_access(stmt));

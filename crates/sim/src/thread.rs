@@ -178,7 +178,53 @@ pub(crate) struct Thread {
     pub note: WakeNote,
 }
 
+/// A thread's frame, slot, cursor and unwinding stacks, empty: what a
+/// thread starts on, and what is left of it when its world is emptied
+/// (`world::storage`). Only their capacity is kept.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Stacks {
+    pub frames: Vec<Frame>,
+    /// Empty but for the entry arguments of the thread about to start.
+    pub locals: Vec<Value>,
+    pub cursors: Vec<Cursor>,
+    pub unwinding: Vec<Unwinding>,
+}
+
 impl Thread {
+    /// A runnable thread with no frame yet, on `stacks`.
+    pub fn new(node: usize, name: Arc<str>, role: Role, stacks: Stacks) -> Self {
+        let Stacks {
+            frames,
+            locals,
+            cursors,
+            unwinding,
+        } = stacks;
+        Thread {
+            node,
+            name,
+            frames,
+            locals,
+            cursors,
+            unwinding,
+            status: ThreadStatus::Runnable,
+            role,
+            current_future: None,
+            wait_token: 0,
+            note: WakeNote::None,
+        }
+    }
+
+    /// The thread's stacks, emptied.
+    pub fn into_stacks(mut self) -> Stacks {
+        self.clear_frames();
+        Stacks {
+            frames: self.frames,
+            locals: self.locals,
+            cursors: self.cursors,
+            unwinding: self.unwinding,
+        }
+    }
+
     /// The current call stack as function ids, innermost first.
     pub fn stack_funcs(&self) -> Vec<FuncId> {
         self.frames.iter().rev().map(|f| f.func).collect()

@@ -25,7 +25,7 @@ use crate::fir::{Fir, InjectionPlan};
 use crate::result::{BlockReason, NodeSnapshot, RunResult, ThreadEndState, ThreadSnapshot};
 use crate::rng::SmallRng;
 use crate::thread::{
-    Cursor, CursorTag, Pending, Role, Thread, ThreadId, ThreadStatus, Unwinding, WakeNote,
+    Cursor, CursorTag, Pending, Role, Stacks, Thread, ThreadId, ThreadStatus, Unwinding, WakeNote,
 };
 use anduril_ir::builder::{STMT_RUNTIME, TMPL_NODE_CRASH, TMPL_UNCAUGHT};
 use anduril_ir::lower::CompiledProgram;
@@ -37,6 +37,7 @@ use anduril_ir::{
 mod events;
 mod exec_vm;
 mod paused;
+mod storage;
 
 #[cfg(any(test, feature = "tree-walk-oracle"))]
 mod exec_ast;
@@ -46,6 +47,7 @@ mod expr_differential;
 
 use events::{Event, EventQueue};
 pub use paused::{PausedRun, Reached};
+use storage::{IdleStacks, Storage};
 
 /// Errors surfaced by the interpreter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,13 +161,16 @@ struct FutureState {
 #[derive(Debug, Clone)]
 struct Task {
     func: FuncId,
-    args: Vec<Value>,
+    /// How many of the executor's queued arguments are this task's.
+    args: usize,
     future: u64,
 }
 
 #[derive(Debug, Clone, Default)]
 struct ExecState {
     queue: VecDeque<Task>,
+    /// The queued tasks' arguments, in queue order.
+    args: VecDeque<Value>,
     worker: Option<ThreadId>,
 }
 
@@ -202,6 +207,8 @@ struct World<'p> {
     seq: u64,
     events: EventQueue,
     threads: Vec<Thread>,
+    /// Stacks a new thread of the run starts on (see `storage`).
+    idle: IdleStacks,
     nodes: Vec<Node>,
     /// Every node's channels, condition variables and executors: node `n`'s
     /// `i`-th is entry `n * <how many the program declares> + i`, so a run
@@ -259,6 +266,31 @@ impl<'p> World<'p> {
         // per executor.
         let n_nodes = topo.nodes.len();
         let threads_hint = n_nodes * compiled.threads_per_node;
+        let Storage {
+            mut events,
+            mut threads,
+            stacks,
+            mut nodes,
+            mut chans,
+            mut chan_waiters,
+            mut cond_waiters,
+            mut execs,
+            mut spawn_counts,
+            futures,
+            mut fir,
+            mut regs,
+            body_buf,
+        } = Storage::take();
+        events.reserve(threads_hint);
+        threads.reserve(threads_hint);
+        spawn_counts.reserve(threads_hint);
+        nodes.truncate(n_nodes);
+        chans.resize_with(n_nodes * program.chans.len(), VecDeque::new);
+        chan_waiters.resize_with(n_nodes * program.chans.len(), VecDeque::new);
+        cond_waiters.resize_with(n_nodes * program.conds.len(), Vec::new);
+        execs.resize_with(n_nodes * program.execs.len(), ExecState::default);
+        fir.rearm(program.sites.len(), plan);
+        regs.resize(compiled.max_regs, Value::Unit);
         let mut world = World {
             program,
             compiled,
@@ -267,48 +299,57 @@ impl<'p> World<'p> {
             rng: SmallRng::seed_from_u64(cfg.seed),
             clock: 0,
             seq: 0,
-            events: EventQueue::new(threads_hint),
-            threads: Vec::with_capacity(threads_hint),
-            nodes: Vec::with_capacity(n_nodes),
-            chans: vec![VecDeque::new(); n_nodes * program.chans.len()],
-            chan_waiters: vec![VecDeque::new(); n_nodes * program.chans.len()],
-            cond_waiters: vec![Vec::new(); n_nodes * program.conds.len()],
-            execs: (0..n_nodes * program.execs.len())
-                .map(|_| ExecState::default())
-                .collect(),
-            spawn_counts: Vec::with_capacity(threads_hint),
-            futures: Vec::new(),
+            events,
+            threads,
+            idle: IdleStacks(stacks),
+            nodes,
+            chans,
+            chan_waiters,
+            cond_waiters,
+            execs,
+            spawn_counts,
+            futures,
             log: Vec::with_capacity(64),
-            fir: Fir::new(program.sites.len(), plan),
+            fir,
             steps: 0,
-            regs: vec![Value::Unit; compiled.max_regs],
-            body_buf: String::new(),
+            regs,
+            body_buf,
             started: Instant::now(),
             pause_at: None,
             paused: None,
         };
-        for spec in &topo.nodes {
-            if world.node_named(&spec.name).is_some() {
+        for (i, spec) in topo.nodes.iter().enumerate() {
+            if topo.nodes[..i].iter().any(|n| n.name == spec.name) {
                 return Err(SimError::Internal(format!(
                     "duplicate node name {}",
                     spec.name
                 )));
             }
-            world.nodes.push(Node {
-                name: Arc::from(spec.name.as_str()),
-                alive: true,
-                aborted: false,
-                globals: program.globals.iter().map(|g| g.init.clone()).collect(),
-            });
+            let inits = program.globals.iter().map(|g| g.init.clone());
+            match world.nodes.get_mut(i) {
+                Some(node) => {
+                    if *node.name != *spec.name {
+                        node.name = Arc::from(spec.name.as_str());
+                    }
+                    node.alive = true;
+                    node.aborted = false;
+                    node.globals.extend(inits);
+                }
+                None => world.nodes.push(Node {
+                    name: Arc::from(spec.name.as_str()),
+                    alive: true,
+                    aborted: false,
+                    globals: inits.collect(),
+                }),
+            }
         }
         let main_name: Arc<str> = Arc::from("main");
         for (i, spec) in topo.nodes.iter().enumerate() {
-            let tid = world.create_thread(i, &main_name, Role::Normal);
-            let mut args = world.frame_slots(spec.main);
-            args.extend_from_slice(&spec.args);
-            world
-                .push_entry_frame(tid, spec.main, args)
-                .map_err(|e| *e)?;
+            let locals = program.funcs[spec.main.index()].locals as usize;
+            let mut stacks = world.idle_stacks(locals);
+            stacks.locals.extend_from_slice(&spec.args);
+            let tid = world.create_thread(i, &main_name, Role::Normal, stacks);
+            world.push_entry_frame(tid, spec.main, 0).map_err(|e| *e)?;
             world.schedule_wake(tid, i as u64, false);
         }
         Ok(world)
@@ -316,7 +357,15 @@ impl<'p> World<'p> {
 
     // ---- infrastructure -------------------------------------------------
 
-    fn create_thread(&mut self, node: usize, name: &Arc<str>, role: Role) -> ThreadId {
+    /// Starts a thread of `node` on `stacks`, named after `name` (made
+    /// unique on the node).
+    fn create_thread(
+        &mut self,
+        node: usize,
+        name: &Arc<str>,
+        role: Role,
+        stacks: Stacks,
+    ) -> ThreadId {
         let counts = &mut self.spawn_counts;
         let at = match counts
             .iter()
@@ -338,38 +387,14 @@ impl<'p> World<'p> {
         };
         *count += 1;
         let tid = self.threads.len();
-        self.threads.push(Thread {
-            node,
-            name: unique,
-            frames: Vec::new(),
-            locals: Vec::new(),
-            cursors: Vec::new(),
-            unwinding: Vec::new(),
-            status: ThreadStatus::Runnable,
-            role,
-            current_future: None,
-            wait_token: 0,
-            note: WakeNote::None,
-        });
+        self.threads.push(Thread::new(node, unique, role, stacks));
         tid
     }
 
-    /// An empty argument vector with room for all of `func`'s local
-    /// slots: the thread that starts in `func` adopts it as its slot stack.
-    fn frame_slots(&self, func: FuncId) -> Vec<Value> {
-        Vec::with_capacity(self.program.funcs[func.index()].locals as usize)
-    }
-
-    /// Starts a thread's (or an executor task's) outermost activation. A
-    /// thread that has no slot stack yet takes the argument vector for it.
-    fn push_entry_frame(&mut self, tid: ThreadId, func: FuncId, args: Vec<Value>) -> Sim<()> {
+    /// Starts a thread's (or an executor task's) outermost activation over
+    /// the arguments on its slot stack from `args_at` up.
+    fn push_entry_frame(&mut self, tid: ThreadId, func: FuncId, args_at: usize) -> Sim<()> {
         let t = &mut self.threads[tid];
-        let args_at = t.locals.len();
-        if t.locals.capacity() == 0 {
-            t.locals = args;
-        } else {
-            t.locals.extend(args);
-        }
         t.enter(&self.program.funcs[func.index()], func, args_at, None)?;
         Ok(())
     }
@@ -734,8 +759,11 @@ impl<'p> World<'p> {
                 let at = self.exec_at(node, exec);
                 match self.execs[at].queue.pop_front() {
                     Some(task) => {
-                        self.threads[tid].current_future = Some(task.future);
-                        self.push_entry_frame(tid, task.func, task.args)
+                        let t = &mut self.threads[tid];
+                        t.current_future = Some(task.future);
+                        let args_at = t.locals.len();
+                        t.locals.extend(self.execs[at].args.drain(..task.args));
+                        self.push_entry_frame(tid, task.func, args_at)
                     }
                     None => {
                         self.park(tid, BlockReason::IdleWorker, None);
@@ -1007,6 +1035,8 @@ impl<'p> World<'p> {
 
     // ---- finalization ------------------------------------------------------
 
+    /// The run's result. Dropping the world then leaves its emptied
+    /// storage with the thread (see `storage`).
     fn finish(mut self) -> RunResult {
         let site_occurrences = self.fir.take_occurrences();
         let crashed = self.fir.crashed;
@@ -1052,11 +1082,12 @@ impl<'p> World<'p> {
                     .collect(),
             })
             .collect();
+        let injected_all = std::mem::take(&mut self.fir.injected_all);
         RunResult {
-            log: self.log,
-            trace: self.fir.trace,
-            injected: self.fir.injected_all.first().cloned(),
-            injected_all: self.fir.injected_all,
+            log: std::mem::take(&mut self.log),
+            trace: std::mem::take(&mut self.fir.trace),
+            injected: injected_all.first().cloned(),
+            injected_all,
             crashed,
             site_occurrences,
             threads,

@@ -146,23 +146,43 @@ pub(super) struct EventQueue {
     free_parcels: Vec<u32>,
 }
 
-impl EventQueue {
-    /// An empty queue with room for `threads` queued events on the wheel
-    /// and as many beyond its horizon: a thread has one wake queued at
-    /// most.
-    pub(super) fn new(threads: usize) -> Self {
+impl Default for EventQueue {
+    fn default() -> Self {
         EventQueue {
             head: [NIL; WHEEL],
             tail: [NIL; WHEEL],
             occupied: [0; WORDS],
-            pool: Vec::with_capacity(threads),
+            pool: Vec::new(),
             free: NIL,
             cursor: 0,
-            overflow: BinaryHeap::with_capacity(threads),
+            overflow: BinaryHeap::new(),
             len: 0,
             parcels: Vec::new(),
             free_parcels: Vec::new(),
         }
+    }
+}
+
+impl EventQueue {
+    /// Makes room for `threads` more queued events on the wheel and as
+    /// many beyond its horizon: a thread has one wake queued at most.
+    pub(super) fn reserve(&mut self, threads: usize) {
+        self.pool.reserve(threads);
+        self.overflow.reserve(threads);
+    }
+
+    /// Empties the queue, keeping the capacity of its pool, heap and slab.
+    pub(super) fn clear(&mut self) {
+        self.head = [NIL; WHEEL];
+        self.tail = [NIL; WHEEL];
+        self.occupied = [0; WORDS];
+        self.pool.clear();
+        self.free = NIL;
+        self.cursor = 0;
+        self.overflow.clear();
+        self.len = 0;
+        self.parcels.clear();
+        self.free_parcels.clear();
     }
 
     /// Queues a wake. `time` must be `>=` the time of the last popped event
@@ -399,7 +419,7 @@ mod tests {
     /// takes the lone-runner bypass whenever it is legal.
     #[test]
     fn pops_in_heap_order() {
-        let mut q = EventQueue::new(0);
+        let mut q = EventQueue::default();
         let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
         let mut popped = Vec::new();
         let mut expected = Vec::new();
@@ -502,7 +522,7 @@ mod tests {
             std::iter::from_fn(|| q.pop().map(|d| (d.time, d.seq))).collect()
         }
         // Gaps longer than one and than two bitmap words.
-        let mut q = EventQueue::new(0);
+        let mut q = EventQueue::default();
         for (seq, time) in [3, 3 + 70, 3 + 70 + 140].into_iter().enumerate() {
             q.push_wake(time, seq as u64, 0, 0, false);
         }
@@ -512,7 +532,7 @@ mod tests {
         // The cursor sits mid-word (slot 100 is bit 36 of word 1) and the
         // only event lies in that word's low bits, a lap ahead: the scan
         // goes through the three other words and comes back to them.
-        let mut q = EventQueue::new(0);
+        let mut q = EventQueue::default();
         q.push_wake(100, 0, 0, 0, false);
         assert_eq!(pops(&mut q), [(100, 0)]);
         let wrapped = 100 + WHEEL as u64 - 30; // slot 70: bit 6 of word 1
@@ -524,7 +544,7 @@ mod tests {
 
         // Exactly `WHEEL - 1` ahead is the slot just behind the cursor's;
         // one more is the cursor's own slot, a lap on: overflow.
-        let mut q = EventQueue::new(0);
+        let mut q = EventQueue::default();
         q.push_wake(40, 0, 0, 0, false);
         assert_eq!(pops(&mut q), [(40, 0)]);
         q.push_wake(40 + WHEEL as u64, 1, 0, 0, false);
@@ -535,7 +555,7 @@ mod tests {
 
         // An overflow event caps the scan: wheel events at its time and
         // later were pushed after it and pop after it.
-        let mut q = EventQueue::new(0);
+        let mut q = EventQueue::default();
         q.push_wake(300, 0, 0, 0, false); // overflow: 300 >= WHEEL
         q.push_wake(200, 1, 0, 0, false);
         assert_eq!(q.pop().map(|d| d.time), Some(200));
@@ -550,7 +570,7 @@ mod tests {
     /// carries the smaller `seq`, and must pop first: no bypass.
     #[test]
     fn a_delivery_at_the_wake_time_pops_first() {
-        let mut q = EventQueue::new(0);
+        let mut q = EventQueue::default();
         q.push_deliver(9, 0, 1, ChanId(2), Value::Int(7));
         assert!(q.none_due_by(8));
         assert!(!q.none_due_by(9));

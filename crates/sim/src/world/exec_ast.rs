@@ -234,10 +234,14 @@ impl World<'_> {
             Stmt::Break => Ok(Some(Flow::Break)),
             Stmt::Continue => Ok(Some(Flow::Continue)),
             Stmt::Spawn { name, func, args } => {
-                let vals = self.eval_vals(tid, args, sref)?;
+                let locals = program.funcs[func.index()].locals as usize;
+                let mut stacks = self.idle_stacks(locals);
+                for a in args {
+                    stacks.locals.push(self.eval(tid, a, Some(sref))?);
+                }
                 let name: Arc<str> = Arc::from(name.as_str());
-                let child = self.create_thread(node, &name, Role::Normal);
-                self.push_entry_frame(child, *func, vals)?;
+                let child = self.create_thread(node, &name, Role::Normal, stacks);
+                self.push_entry_frame(child, *func, 0)?;
                 self.schedule_wake(child, 1, false);
                 Ok(self.advanced(tid))
             }
@@ -247,16 +251,19 @@ impl World<'_> {
                 args,
                 future,
             } => {
-                let vals = self.eval_vals(tid, args, sref)?;
+                let exec_at = self.exec_at(node, *exec);
+                for a in args {
+                    let v = self.eval(tid, a, Some(sref))?;
+                    self.execs[exec_at].args.push_back(v);
+                }
                 let fid = self.futures.len() as u64;
                 self.futures.push(FutureState {
                     done: None,
                     waiters: Vec::new(),
                 });
-                let exec_at = self.exec_at(node, *exec);
                 self.execs[exec_at].queue.push_back(Task {
                     func: *func,
-                    args: vals,
+                    args: args.len(),
                     future: fid,
                 });
                 match self.execs[exec_at].worker {
@@ -271,7 +278,8 @@ impl World<'_> {
                     None => {
                         let name: Arc<str> =
                             Arc::from(format!("{}-worker", program.execs[exec.index()]).as_str());
-                        let worker = self.create_thread(node, &name, Role::Worker(*exec));
+                        let stacks = self.idle_stacks(0);
+                        let worker = self.create_thread(node, &name, Role::Worker(*exec), stacks);
                         self.execs[exec_at].worker = Some(worker);
                         self.schedule_wake(worker, 1, false);
                     }

@@ -5,8 +5,9 @@
 //! expression that builds no value — nearly every condition, assignment and
 //! tick count — is a scalar tree evaluated by reference, straight from
 //! locals / globals / pool to a `Copy` [`Scalar`]; one that builds a list
-//! or names the node is a run of register ops over a scratch frame
-//! allocated once per run. The common path allocates nothing per step:
+//! or names the node is a run of register ops over a scratch frame that
+//! is part of the world's storage (`storage`). The common path allocates
+//! nothing per step:
 //! names are interned `Arc<str>`s, log bodies render in one scratch buffer,
 //! call arguments are evaluated straight onto the callee's slots, and a
 //! store releases what it overwrites only if that owns something. Every
@@ -472,20 +473,20 @@ impl<'p> World<'p> {
     }
 
     /// Evaluates the arguments of a `Spawn` / `Submit`, which outlive the
-    /// caller's frame.
+    /// caller's frame, handing each to `push` in order.
     fn eval_args(
         &mut self,
         tid: ThreadId,
         args: Run,
         at: StmtRef,
-        mut vals: Vec<Value>,
-    ) -> Sim<Vec<Value>> {
+        mut push: impl FnMut(Value),
+    ) -> Sim<()> {
         let args = self.compiled.args_of(args);
         let mut ev = self.eval_cx(tid);
         for a in args {
-            vals.push(ev.eval_owned(a, at)?);
+            push(ev.eval_owned(a, at)?);
         }
-        Ok(vals)
+        Ok(())
     }
 
     /// One scheduling slice of the register VM.
@@ -891,9 +892,12 @@ impl<'p> World<'p> {
             Instr::Break => return Ok(Some(Flow::Break)),
             Instr::Continue => return Ok(Some(Flow::Continue)),
             Instr::Spawn { name, func, args } => {
-                let vals = self.eval_args(tid, *args, sref, self.frame_slots(*func))?;
-                let child = self.create_thread(node, name, Role::Normal);
-                self.push_entry_frame(child, *func, vals)?;
+                // The arguments go straight onto the child's slot stack.
+                let locals = program.funcs[func.index()].locals as usize;
+                let mut stacks = self.idle_stacks(locals);
+                self.eval_args(tid, *args, sref, |v| stacks.locals.push(v))?;
+                let child = self.create_thread(node, name, Role::Normal, stacks);
+                self.push_entry_frame(child, *func, 0)?;
                 self.schedule_wake(child, 1, false);
             }
             Instr::Submit {
@@ -902,18 +906,21 @@ impl<'p> World<'p> {
                 args,
                 future,
             } => {
-                // A task's arguments wait in the queue and are copied onto
-                // the worker's slot stack: no room is made for its locals.
-                let vals = self.eval_args(tid, *args, sref, Vec::new())?;
+                // A task's arguments wait in the executor's argument queue
+                // and move onto the worker's slot stack when it starts.
+                let exec_at = self.exec_at(node, *exec);
+                let mut queued = std::mem::take(&mut self.execs[exec_at].args);
+                let evaluated = self.eval_args(tid, *args, sref, |v| queued.push_back(v));
+                self.execs[exec_at].args = queued;
+                evaluated?;
                 let fid = self.futures.len() as u64;
                 self.futures.push(FutureState {
                     done: None,
                     waiters: Vec::new(),
                 });
-                let exec_at = self.exec_at(node, *exec);
                 self.execs[exec_at].queue.push_back(Task {
                     func: *func,
-                    args: vals,
+                    args: compiled.args_of(*args).len(),
                     future: fid,
                 });
                 match self.execs[exec_at].worker {
@@ -927,7 +934,8 @@ impl<'p> World<'p> {
                     }
                     None => {
                         let name = compiled.worker_names[exec.index()].clone();
-                        let worker = self.create_thread(node, &name, Role::Worker(*exec));
+                        let stacks = self.idle_stacks(0);
+                        let worker = self.create_thread(node, &name, Role::Worker(*exec), stacks);
                         self.execs[exec_at].worker = Some(worker);
                         self.schedule_wake(worker, 1, false);
                     }

@@ -20,7 +20,7 @@ use anduril::trace::report::{self, TextTable};
 use anduril::trace::{read_stream, FileTracer, NoopTracer, TraceEvent, Tracer};
 use anduril::{
     explore, explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig,
-    FeedbackConfig, FeedbackStrategy, Json, Reproduction, SearchContext, Strategy,
+    FeedbackConfig, FeedbackStrategy, Json, ReproScript, Reproduction, SearchContext, Strategy,
 };
 
 /// Why a command did not run to its end.
@@ -41,7 +41,7 @@ fn print_usage() {
         "usage:\n  anduril list\n  anduril show <case>\n  anduril log <case>\n  \
          anduril analyze [<case>|<system>|all] [--json FILE]\n  \
          anduril reproduce <case> [--strategy NAME] [--max-rounds N] [--emit-script FILE]\n  \
-         {0:21}[--threads N] [--trace FILE]\n  \
+         {0:21}[--threads N] [--trace FILE] [--replays]\n  \
          anduril trace <file> [--summary | --round N | --promotions | --json]\n  \
          anduril replay <case> <script-file>\n  \
          anduril explain <case>\n  \
@@ -57,6 +57,8 @@ fn print_usage() {
          emitted script's run. That run is the reproducing round itself\n\
          (one injection fired, and a run is a function of seed and plan),\n\
          so it is not made twice; `anduril replay` runs a script for real\n\n\
+         --replays also replays the script at 32 fresh seeds (base seed +\n\
+         1000003 x i, i = 1..32) and prints how many satisfy the oracle\n\n\
          --threads N runs rounds on N threads, the calling one included: N > 1\n\
          speculates up to 8 rounds ahead on N - 1 workers (identical results,\n\
          less wall time); feedback-strategy variants only\n\n\
@@ -411,6 +413,7 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
     let mut emit_script: Option<String> = None;
     let mut threads = 1usize;
     let mut trace_path: Option<String> = None;
+    let mut replays = false;
     let mut i = 2;
     while i < args.len() {
         match args[i].as_str() {
@@ -419,6 +422,10 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
             "--emit-script" => emit_script = Some(flag(args, &mut i)?),
             "--threads" => threads = flag(args, &mut i)?,
             "--trace" => trace_path = Some(flag(args, &mut i)?),
+            "--replays" => {
+                replays = true;
+                i += 1;
+            }
             _ => return Err(Usage),
         }
     }
@@ -475,10 +482,16 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
         r.rounds, r.sim_time_total, r.wall, r.strategy
     );
     if let Some(s) = r.script {
+        let mut verified = format!("replay verified: {}", r.replay_verified);
+        if replays {
+            let seeds = ReproScript::replay_seeds(cfg.base_seed);
+            let rate = s.replay_rate(&case.scenario, &case.oracle, seeds);
+            let _ = write!(verified, ", replays {rate}/{}", ReproScript::REPLAY_SEEDS);
+        }
         let _ = writeln!(
             out,
-            "script: seed {} inject {} at `{}` occurrence {} (replay verified: {})",
-            s.seed, s.exc, s.desc, s.occurrence, r.replay_verified
+            "script: seed {} inject {} at `{}` occurrence {} ({verified})",
+            s.seed, s.exc, s.desc, s.occurrence
         );
         if let Some(path) = emit_script {
             write_file(&path, s.to_text())?;
@@ -635,7 +648,7 @@ fn generate(args: &[String]) -> Result<ExitCode, CliError> {
 fn replay(args: &[String]) -> Result<ExitCode, CliError> {
     let case = resolve_case(args.get(1))?;
     let path = args.get(2).ok_or(Usage)?;
-    let script = anduril::ReproScript::parse(&read_file(path)?)
+    let script = ReproScript::parse(&read_file(path)?)
         .ok_or_else(|| Failed(format!("malformed script `{path}`")))?;
     // Refuse what no search emits: a site the program lacks (the run would
     // be fault-free) or an exception the site does not declare.

@@ -40,6 +40,8 @@ fn a_bad_command_line_exits_2() {
         &["reproduce", "f3", "--adaptive", "on"],
         // The speculation depth is `BatchExplorerConfig::default()`'s.
         &["reproduce", "f3", "--batch", "8"],
+        // `--replays` is a switch: the seed count is `ReproScript::REPLAY_SEEDS`.
+        &["reproduce", "f3", "--replays", "32"],
         &["generate", "--size", "huge"],
         &["trace", "whatever.jsonl", "--bogus"],
         &["frobnicate"],
@@ -60,6 +62,18 @@ fn a_bad_command_line_exits_2() {
     let out = anduril(&["reproduce", "f3", "--threads", "4", "--strategy", "fate"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("require a feedback-strategy variant"));
+}
+
+/// `--replays` replays the script at 32 fresh seeds beside its own.
+#[test]
+fn a_script_says_how_many_fresh_seeds_it_replays_at() {
+    let out = anduril(&["reproduce", "f17", "--replays"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("occurrence 11 (replay verified: true, replays 1/32)"),
+        "{stdout}"
+    );
 }
 
 /// A case is named by id or ticket in any letter case.

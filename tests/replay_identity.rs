@@ -29,7 +29,7 @@ use anduril::sim::{
 };
 use anduril::trace::{NoopTracer, TraceEvent, VecTracer};
 use anduril::{
-    explore, explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle,
+    explore, explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle, ReproScript,
     RoundOutcome, Scenario, SearchContext, Strategy,
 };
 
@@ -507,5 +507,52 @@ fn every_generated_script_replays_to_the_final_round() {
                 FeedbackConfig::full(),
             );
         }
+    }
+}
+
+/// A script replays at its own seed; how far it travels is
+/// `ReproScript::replay_rate` at fresh seeds. f17's seed-1000 search
+/// arms occurrence 11 of the ground truth's own site, where the ground
+/// truth is occurrence 4: that count holds under the reproducing round's
+/// schedule and almost no other, so at `anduril reproduce --replays`' 32
+/// seeds the script travels to 1 and the ground truth to 9.
+#[test]
+fn f17s_script_travels_to_fewer_seeds_than_its_ground_truth() {
+    let case = case_by_id("f17").expect("f17");
+    let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
+    let cfg = ExplorerConfig::default();
+    let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
+    let gt = prepared.gt;
+    let found = explore(
+        &prepared.ctx,
+        &case.oracle,
+        &mut strategy,
+        &cfg,
+        Some(gt.site),
+    )
+    .expect("explore")
+    .script
+    .expect("a script");
+    assert_eq!(
+        (found.seed, found.site, found.occurrence),
+        (1012, gt.site, 11)
+    );
+    let truth = ReproScript {
+        seed: gt.seed,
+        site: gt.site,
+        occurrence: gt.occurrence,
+        exc: gt.exc,
+        desc: found.desc.clone(),
+    };
+    assert_eq!((truth.site, truth.occurrence), (SiteId(2), 4));
+    let seeds: Vec<u64> = ReproScript::replay_seeds(cfg.base_seed).collect();
+    assert_eq!(seeds.len(), 32);
+    assert_eq!(seeds[..2], [1_001_003, 2_001_006]);
+    let rates =
+        [&found, &truth].map(|s| s.replay_rate(&case.scenario, &case.oracle, seeds.clone()));
+    assert_eq!(rates, [1, 9], "found script, ground truth");
+    // Each replays at its own seed.
+    for s in [&found, &truth] {
+        assert_eq!(s.replay_rate(&case.scenario, &case.oracle, [s.seed]), 1);
     }
 }
