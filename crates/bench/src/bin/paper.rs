@@ -20,7 +20,7 @@ use anduril_core::trace::report::TextTable;
 use anduril_core::trace::{NoopTracer, TraceEvent, VecTracer};
 use anduril_core::{
     explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, Json, Reproduction, SearchContext, Strategy,
+    FeedbackStrategy, Json, ReproScript, Reproduction, SearchContext, Strategy,
 };
 use anduril_failures::{all_cases, CaseError, FailureCase, NodeArgs, PreparedCase};
 use anduril_gen::{generate_one, verify_sound, GenConfig, GeneratedCase, SizeClass};
@@ -32,7 +32,7 @@ type Artifact = fn(&Cases) -> String;
 /// `(name, file under results/, what it shows, renderer)`, in the order
 /// `paper all` runs them.
 #[rustfmt::skip] // a table: one row a line
-const ARTIFACTS: [(&str, &str, &str, Artifact); 14] = [
+const ARTIFACTS: [(&str, &str, &str, Artifact); 15] = [
     ("table1", "table1.txt", "target-system sizes and fault-site counts", table1),
     ("table2", "table2.txt", "rounds per failure and strategy", table2),
     ("table3", "table3.txt", "sensitivity to window size k and adjustment s", table3),
@@ -46,6 +46,7 @@ const ARTIFACTS: [(&str, &str, &str, Artifact); 14] = [
     ("scale", "scale.txt", "10-15x workloads and batched-explorer thread scaling", scale),
     ("workloads", "workloads.txt", "the same failure under different workloads", workloads),
     ("seed_sweep", "seed_sweep.txt", "rounds under different Explorer base seeds", seed_sweep),
+    ("stability", "stability.txt", "how far found scripts and ground truths replay at fresh seeds", stability),
     ("generator", "generator.json", "planted root causes rediscovered on generated programs", generator),
 ];
 
@@ -835,6 +836,76 @@ fn seed_sweep(cases: &Cases) -> String {
     out
 }
 
+/// Replay stability: per ticket, the script Table 2's seed-1000
+/// full-feedback search found and the ground truth, each replayed at the
+/// fresh seeds of [`ReproScript::replay_seeds`]`(1000)`, and whether the
+/// found fault is the ground truth's. A search checks its script at one
+/// seed, its own; a replay on a real cluster is a fresh schedule, which
+/// here is a fresh seed.
+fn stability(cases: &Cases) -> String {
+    let seeds = ReproScript::REPLAY_SEEDS;
+    let (found_col, gt_col) = (format!("Replays /{seeds}"), format!("GT replays /{seeds}"));
+    let mut t = TextTable::new(&[
+        "Failure",
+        "Found (site, occ) exception",
+        &found_col,
+        "GT (site, occ) exception",
+        &gt_col,
+        "Found fault",
+    ]);
+    let fault = |s: &ReproScript| format!("({}, {}) {}", s.site.0, s.occurrence, s.exc);
+    let (mut found_total, mut gt_total) = (0, 0);
+    for ticket in cases.tickets() {
+        let PreparedCase { gt, ctx, .. } = ticket.prepared;
+        let rate = |s: &ReproScript| {
+            let fresh = ReproScript::replay_seeds(ctx.base_seed);
+            s.replay_rate(&ctx.scenario, &ticket.case.oracle, fresh)
+        };
+        let truth = ReproScript {
+            seed: gt.seed,
+            site: gt.site,
+            occurrence: gt.occurrence,
+            exc: gt.exc,
+            desc: String::new(),
+        };
+        let gt_rate = rate(&truth);
+        gt_total += gt_rate;
+        let (found, found_rate, verdict) = match full_feedback(ticket, TABLE2_CAP).script {
+            Some(s) => {
+                let found_rate = rate(&s);
+                found_total += found_rate;
+                let verdict = if s.site != gt.site {
+                    "other site"
+                } else if s.exc != gt.exc {
+                    "other exception"
+                } else if s.occurrence != gt.occurrence {
+                    "other occurrence"
+                } else {
+                    "GT"
+                };
+                (fault(&s), found_rate.to_string(), verdict)
+            }
+            None => ("-".into(), "-".into(), "not reproduced"),
+        };
+        t.row(vec![
+            label(ticket),
+            found,
+            found_rate,
+            fault(&truth),
+            gt_rate.to_string(),
+            verdict.to_string(),
+        ]);
+    }
+    let total = seeds * cases.definitions().len();
+    titled(
+        &format!(
+            "Replay stability: each ticket's seed-1000 full-feedback script and its \
+             ground truth, replayed at {seeds} fresh seeds"
+        ),
+        &t,
+    ) + &format!("total replays: found {found_total}/{total}, ground truth {gt_total}/{total}\n")
+}
+
 /// The scaled workloads: per case, the node arguments that grow.
 const SCALED: [(&str, &[NodeArgs<'static>]); 3] = [
     ("f17", &[("client", &[900]), ("rs1", &[40, 0, 1_500])]),
@@ -1286,6 +1357,21 @@ mod tests {
         for (name, _, _, render) in ARTIFACTS {
             let out = render(&cases);
             assert!(out.lines().count() > 5 && out.ends_with('\n'), "{name}");
+            if name == "stability" {
+                let f17 = out.lines().find(|l| l.starts_with("HB-25905 (f17)"));
+                let cells = f17.expect("an f17 row").split("  ").map(str::trim);
+                assert_eq!(
+                    cells.filter(|c| !c.is_empty()).collect::<Vec<_>>()[1..],
+                    [
+                        "(2, 11) IOException",
+                        "1",
+                        "(2, 4) IOException",
+                        "9",
+                        "other occurrence"
+                    ],
+                    "{out}"
+                );
+            }
             if name == "generator" {
                 let doc = Json::parse(&out).expect("generator writes one JSON document");
                 let panics = doc.get("summary").and_then(|s| s.get("panics"));
@@ -1299,6 +1385,7 @@ mod tests {
                 "table8",
                 "ablations",
                 "seed_sweep",
+                "stability",
             ];
             if per_ticket.contains(&name) {
                 let ids = cases.definitions().iter().map(|c| c.id);

@@ -17,8 +17,7 @@ use std::time::Instant;
 
 use anduril_ir::builder::{TMPL_ABORT, TMPL_UNCAUGHT};
 use anduril_ir::{
-    BlockId, BlockRole, ExceptionType, FuncId, Level, Program, SiteId, SiteKind, Stmt, StmtRef,
-    TemplateId,
+    BlockRole, ExceptionType, FuncId, Program, SiteId, SiteKind, Stmt, StmtRef, TemplateId,
 };
 
 use crate::exceptions::{ExcAnalysis, ThrowKind, ThrowPoint};
@@ -124,23 +123,7 @@ impl CausalGraph {
     /// buffer so computing the map for every observable allocates the
     /// `O(nodes)` working memory once instead of once per observable.
     pub fn distances_into(&self, k: usize, dist: &mut Vec<u32>) -> HashMap<SiteId, u32> {
-        self.distances_from_nodes_into(&self.sinks[k], dist)
-    }
-
-    /// Shortest causal distance from every fault-site source to an
-    /// arbitrary sink set of existing nodes.
-    ///
-    /// This is [`CausalGraph::distances_into`] generalised away from the
-    /// frozen per-observable sink lists, so a distance table for an
-    /// observable promoted mid-search (whose sink is an interior node that
-    /// was already interned during the original build) costs one BFS over
-    /// the existing graph instead of a full context re-preparation.
-    pub fn distances_from_nodes_into(
-        &self,
-        seeds: &[u32],
-        dist: &mut Vec<u32>,
-    ) -> HashMap<SiteId, u32> {
-        self.distances_bfs(seeds, dist, &mut VecDeque::new())
+        self.distances_bfs(&self.sinks[k], dist, &mut VecDeque::new())
     }
 
     /// The distance table of every observable, in order — what
@@ -184,191 +167,6 @@ impl CausalGraph {
         table.extend(connected().map(|&(site, n)| (site, dist[n as usize])));
         table
     }
-
-    /// The source node interned for a fault site, if the site is connected
-    /// to any observable.
-    pub fn site_node(&self, site: SiteId) -> Option<u32> {
-        let at = self.sources.binary_search_by_key(&site, |&(s, _)| s).ok()?;
-        Some(self.sources[at].1)
-    }
-
-    /// Scores interior condition/invocation nodes by causal proximity to
-    /// the given fault sites and pairs each with a *witness* log template —
-    /// the raw material for adaptive observable promotion.
-    ///
-    /// For each focus site (in the given priority order) the graph is
-    /// walked breadth-first from the site's source node, treating edges as
-    /// undirected: interior nodes both causally upstream and downstream of
-    /// the site are "near" it for instrumentation purposes. An interior
-    /// node is eligible when a parameter-free log statement sits in the
-    /// region it governs (the branch blocks of a condition, the body of an
-    /// invoked function), because a hole-free template renders to a single
-    /// fixed `(level, body)` key whose presence in a round log is an exact
-    /// intern-table probe. Templates in `exclude` (existing observables and
-    /// prior promotions) are skipped; templates in `common` (seen on the
-    /// fault-free run) are kept but deprioritised, since an always-firing
-    /// witness discriminates poorly.
-    ///
-    /// Candidates come back sorted by `(hops, common, site rank, node id)`
-    /// — nearest first, rare witnesses before common ones — and deduped by
-    /// template. Everything here is deterministic: BFS distances are
-    /// independent of edge order and all ties break on stable ids.
-    pub fn promotion_candidates(
-        &self,
-        program: &Program,
-        sites: &[SiteId],
-        exclude: &std::collections::HashSet<TemplateId>,
-        common: &std::collections::HashSet<TemplateId>,
-    ) -> Vec<PromotionCandidate> {
-        // Undirected adjacency: priors plus reversed edges.
-        let mut adj: Vec<Vec<u32>> = (0..self.nodes.len() as u32)
-            .map(|n| self.priors(n).to_vec())
-            .collect();
-        for n in 0..self.nodes.len() as u32 {
-            for &p in self.priors(n) {
-                adj[p as usize].push(n);
-            }
-        }
-        // Best (hops, site-rank) per interior node over all focus sites;
-        // earlier (higher-priority) sites win ties.
-        let mut best: HashMap<u32, (u32, usize, SiteId)> = HashMap::new();
-        let mut dist = vec![u32::MAX; self.nodes.len()];
-        for (rank, &site) in sites.iter().enumerate() {
-            let Some(src) = self.site_node(site) else {
-                continue;
-            };
-            for d in dist.iter_mut() {
-                *d = u32::MAX;
-            }
-            let mut queue = VecDeque::new();
-            dist[src as usize] = 0;
-            queue.push_back(src);
-            while let Some(n) = queue.pop_front() {
-                let d = dist[n as usize];
-                for &m in &adj[n as usize] {
-                    if dist[m as usize] == u32::MAX {
-                        dist[m as usize] = d + 1;
-                        queue.push_back(m);
-                    }
-                }
-            }
-            for (n, key) in self.nodes.iter().enumerate() {
-                if !matches!(key, NodeKey::Condition(_) | NodeKey::Invocation(_)) {
-                    continue;
-                }
-                let d = dist[n];
-                if d == u32::MAX {
-                    continue;
-                }
-                let entry = best.entry(n as u32).or_insert((d, rank, site));
-                if d < entry.0 {
-                    *entry = (d, rank, site);
-                }
-            }
-        }
-        let mut out: Vec<PromotionCandidate> = Vec::new();
-        let mut nodes: Vec<u32> = best.keys().copied().collect();
-        nodes.sort_unstable();
-        for n in nodes {
-            let (hops, rank, site) = best[&n];
-            let Some((template, level)) =
-                witness_template(program, self.nodes[n as usize], exclude, common)
-            else {
-                continue;
-            };
-            out.push(PromotionCandidate {
-                node: n,
-                node_key: self.nodes[n as usize],
-                site,
-                site_rank: rank,
-                hops,
-                template,
-                level,
-                common: common.contains(&template),
-            });
-        }
-        out.sort_by_key(|c| (c.hops, c.common, c.site_rank, c.node));
-        let mut seen = std::collections::HashSet::new();
-        out.retain(|c| seen.insert(c.template));
-        out
-    }
-}
-
-/// A scored interior-node candidate for adaptive observable promotion.
-#[derive(Debug, Clone, Copy)]
-pub struct PromotionCandidate {
-    /// Graph node id of the interior condition/invocation node.
-    pub node: u32,
-    /// The node's key (for provenance rendering).
-    pub node_key: NodeKey,
-    /// The focus fault site the node was found nearest to.
-    pub site: SiteId,
-    /// Rank of that site in the focus list the search supplied.
-    pub site_rank: usize,
-    /// Undirected BFS hops from the site's source node.
-    pub hops: u32,
-    /// The parameter-free witness log template governed by the node.
-    pub template: TemplateId,
-    /// Severity the witness statement logs at.
-    pub level: Level,
-    /// `true` when the witness also fires on the fault-free run.
-    pub common: bool,
-}
-
-/// Finds a parameter-free witness log template in the region an interior
-/// node governs: the branch/body blocks of a condition (searched
-/// recursively, without crossing function boundaries) or the whole body of
-/// an invoked function. Prefers templates absent from `common`; returns
-/// the first eligible one in block/statement order otherwise.
-fn witness_template(
-    program: &Program,
-    key: NodeKey,
-    exclude: &std::collections::HashSet<TemplateId>,
-    common: &std::collections::HashSet<TemplateId>,
-) -> Option<(TemplateId, Level)> {
-    let mut blocks: VecDeque<BlockId> = VecDeque::new();
-    match key {
-        NodeKey::Condition(sref) => {
-            for (b, _) in program.stmt(sref).child_blocks() {
-                blocks.push_back(b);
-            }
-        }
-        NodeKey::Invocation(f) => {
-            for b in 0..program.blocks.len() {
-                let id = BlockId(b as u32);
-                if program.block_parent(id).func == f {
-                    blocks.push_back(id);
-                }
-            }
-        }
-        _ => return None,
-    }
-    let nested = matches!(key, NodeKey::Condition(_));
-    let mut found: Vec<(TemplateId, Level)> = Vec::new();
-    while let Some(b) = blocks.pop_front() {
-        for stmt in &program.blocks[b.index()] {
-            if let Stmt::Log {
-                level, template, ..
-            } = stmt
-            {
-                let eligible =
-                    program.templates[template.index()].arity() == 0 && !exclude.contains(template);
-                if eligible {
-                    found.push((*template, *level));
-                }
-            }
-            if nested {
-                for (child, _) in stmt.child_blocks() {
-                    blocks.push_back(child);
-                }
-            }
-        }
-    }
-    found
-        .iter()
-        .find(|(t, _)| !common.contains(t))
-        .or_else(|| found.first())
-        .copied()
 }
 
 /// Builds the causal graph for a list of observables over the program's

@@ -48,7 +48,7 @@ mod test_programs;
 pub use callgraph::CallGraph;
 pub use dataflow::{Interval, OccurrenceBounds, RootCall};
 pub use exceptions::{analyze, analyze_over, ExcAnalysis, ThrowKind, ThrowPoint};
-pub use graph::{build, BuildTimings, CausalGraph, NodeKey, Observable, PromotionCandidate};
+pub use graph::{build, BuildTimings, CausalGraph, NodeKey, Observable};
 pub use reach::Reachability;
 pub use slicing::{Slicer, UseDefTables, MAX_JUMPS};
 

@@ -16,46 +16,36 @@
 //! it promotes synthetic observables and folds them into the live search
 //! without re-preparing the context.
 //!
-//! Promotion is two-tier, worst blindness first:
+//! Promotion is coverage: a reachable candidate site with *no* fault unit
+//! has effectively infinite `F_i` — prioritized planning cannot arm it at
+//! all. The layer picks a hole-free witness log statement in the site's
+//! own function, runs one *scoped* causal build over just that witness
+//! ([`anduril_causal::build_graph_over`] the program's facts, with a
+//! single-observable set), and promotes it together with every fault unit
+//! the scoped graph newly connects.
 //!
-//! - **Coverage** (tier 1): a reachable candidate site with *no* fault
-//!   unit has effectively infinite `F_i` — prioritized planning cannot
-//!   arm it at all. The layer picks a hole-free witness log statement in
-//!   the site's own function, runs one *scoped* causal build over just
-//!   that witness
-//!   ([`anduril_causal::build_graph_over`] the program's facts, with a
-//!   single-observable set), and
-//!   promotes it together with every fault unit the scoped graph newly
-//!   connects.
-//! - **Refinement** (tier 2): when every site is covered but the search
-//!   still stalls, interior condition/invocation nodes of the *prepared*
-//!   graph nearest the worst-ranked (highest finite `F_i`) sites are
-//!   scored ([`anduril_causal::CausalGraph::promotion_candidates`]) and
-//!   promoted when their directed distance table reaches the focus site
-//!   strictly closer than any existing observable.
-//!
-//! Either way a promotion is a handful of incremental appends (see
-//! DESIGN.md §15), all into the priority model: one BFS for the new
-//! distance table, one intern-table append for the witness `(level,
-//! body)` key, an optional fault-unit append (coverage only) — into the
-//! model's own `PromotedSet` — and one neutral `I_k` entry, in the same
-//! step. No phase of [`SearchContext::prepare`] reruns, and the context is
-//! never written: the set is a field of the [`FeedbackStrategy`] the
-//! search plans with, which `init` empties, so it starts empty with every
-//! search and ends with it. The model also owns what the set is for:
+//! A promotion is a handful of incremental appends (see DESIGN.md §15),
+//! all into the priority model: one scoped build for the new distance
+//! table, one intern-table append for the witness `(level, body)` key, the
+//! fault units it connected — into the model's own `PromotedSet` — and
+//! one neutral `I_k` entry, in the same step. No phase of
+//! [`SearchContext::prepare`] reruns, and the context is never written:
+//! the set is a field of the [`FeedbackStrategy`] the search plans with,
+//! which `init` empties, so it starts empty with every search and ends
+//! with it. The model also owns what the set is for:
 //! [`Strategy::feedback`](crate::Strategy::feedback) adds the promoted
 //! witnesses a round's log shows to the presence it applies.
 //!
-//! Promotion acts on the §5.2 priority model — the site ranking it
-//! focuses on, the `I_k` vector it extends — and the model is the one
-//! caller: at its own pass boundary, right after the retry pass has
+//! Promotion acts on the §5.2 priority model — the unit list it plans
+//! over, the `I_k` vector it extends — and the model is the one caller:
+//! at its own pass boundary, right after the retry pass has
 //! planned, so that round's plan is what it would be without adaptation.
 //! The promotions reach the trace as
 //! [`StrategyNote::ObservablePromoted`] notes queued behind the
 //! `RetryPass` note; the round loop knows nothing of them.
 //!
-//! Determinism: every input (unit list, ranking, graphs, normal-run
-//! template set) is itself deterministic. The batch engine's speculative
+//! Determinism: every input (unit list, graphs, normal-run template set)
+//! is itself deterministic. The batch engine's speculative
 //! copies never promote; their plans simply miss validation after a
 //! promotion and re-run inline, so sequential and batched streams stay
 //! byte-identical with adaptation on.
@@ -71,19 +61,11 @@ use crate::feedback::FeedbackStrategy;
 use crate::trace::StrategyNote;
 
 /// Total promotions allowed over one exploration (caps the `I_k` growth
-/// and keeps late passes comparable to early ones).
+/// and keeps late passes comparable to early ones). Promotions are not
+/// rationed per stall: an uncovered site is invisible to planning, and
+/// stalls grow rarer as promotions lengthen passes, so trickling coverage
+/// out one stall at a time can starve the sites found last.
 const MAX_PROMOTIONS: usize = 8;
-
-/// Refinement (tier 2) promotions attempted per stall signal. Coverage
-/// (tier 1) promotions are deliberately *not* rationed per stall: an
-/// uncovered site is invisible to planning, and stalls grow rarer as
-/// promotions lengthen passes, so trickling coverage out one stall at a
-/// time can starve the sites found last. Only [`MAX_PROMOTIONS`] bounds
-/// tier 1.
-const PER_STALL: usize = 1;
-
-/// How many worst-ranked sites tier 2 scores candidates around.
-const FOCUS_SITES: usize = 3;
 
 /// A synthetic observable promoted into the live search.
 ///
@@ -101,9 +83,7 @@ pub(crate) struct PromotedObservable {
     /// own text).
     pub(crate) text: String,
     /// `distances[site]` = spatial distance `L` from the site to the
-    /// promoted sink node, computed by one incremental BFS
-    /// ([`anduril_causal::CausalGraph::distances_from_nodes_into`]) at
-    /// promotion time.
+    /// witness, from the promotion's scoped causal build.
     pub(crate) distances: HashMap<SiteId, u32>,
     /// The witness token in the promoted set's own intern table.
     token: u32,
@@ -170,23 +150,23 @@ impl PromotedSet {
     }
 }
 
-/// Reacts to a stall (the retry pass the model just started): promotes
-/// synthetic observables — coverage promotions for candidate sites no
-/// fault unit spans, then up to `PER_STALL` refinement promotions near the
-/// worst-ranked covered sites — into the model's set and `I_k`, and
-/// returns one [`StrategyNote::ObservablePromoted`] per promotion for the
-/// model to queue.
+/// Reacts to a stall (the retry pass the model just started): promotes a
+/// synthetic observable for each candidate site no fault unit spans into
+/// the model's set and `I_k`, and returns one
+/// [`StrategyNote::ObservablePromoted`] per promotion for the model to
+/// queue.
 ///
-/// A candidate is only promoted when its focus site actually appears in
-/// the new distance table with a smaller `L` than the site's best
-/// existing one (an uncovered site counts as `L = ∞`) — a promotion that
-/// cannot move any `F_i` is skipped, so adaptation never spends its
-/// budget on no-ops.
+/// A reachable candidate site without a fault unit is invisible to
+/// planning — the prepared observables' causal graph never reached it, so
+/// it is not a graph source. One scoped causal build over a witness in the
+/// site's own function both yields the new distance table and discovers
+/// the fault units the sparse preparation missed. A witness whose graph
+/// does not reach the site cannot move its `F_i` and is skipped, so
+/// adaptation never spends its budget on no-ops. No existing observable
+/// reaches an uncovered site — every reachable source of a prepared or
+/// promoted graph is a unit — so the note's `l_old` is always `u32::MAX`.
 pub(crate) fn on_stall(ctx: &SearchContext, model: &mut FeedbackStrategy) -> Vec<StrategyNote> {
-    if model.promoted.obs.len() >= MAX_PROMOTIONS {
-        return Vec::new();
-    }
-
+    let program = &ctx.scenario.program;
     // Existing observable templates (prepared and already promoted) are
     // never promoted again.
     let mut exclude: HashSet<TemplateId> = ctx.observables.iter().map(|o| o.template).collect();
@@ -194,218 +174,86 @@ pub(crate) fn on_stall(ctx: &SearchContext, model: &mut FeedbackStrategy) -> Vec
     // Templates the fault-free run already emits make weak witnesses
     // (they fire every round); they are last-resort fallbacks only.
     let common: HashSet<TemplateId> = ctx.normal.log.iter().map(|e| e.template).collect();
+    let mut unit_sites: HashSet<SiteId> = ctx.units.iter().map(|u| u.site).collect();
+    unit_sites.extend(model.promoted.units.iter().map(|u| u.site));
 
-    let mut stall = Stall {
-        ctx,
-        model,
-        common: &common,
-        notes: Vec::new(),
-    };
-    stall.promote_coverage(&mut exclude);
-    stall.promote_refinement(&exclude);
-    stall.notes
-}
+    let uncovered: Vec<SiteId> = ctx
+        .candidate_sites
+        .iter()
+        .copied()
+        .filter(|s| !unit_sites.contains(s) && !program.sites[s.index()].exceptions.is_empty())
+        .collect();
 
-/// One stall being reacted to: what both promotion tiers read, the model
-/// they grow, and the notes they queue.
-struct Stall<'a> {
-    ctx: &'a SearchContext,
-    model: &'a mut FeedbackStrategy,
-    /// Templates the fault-free run emits (weak witnesses).
-    common: &'a HashSet<TemplateId>,
-    notes: Vec<StrategyNote>,
-}
+    let mut notes = Vec::new();
+    let mut scratch = Vec::new();
+    for site in uncovered {
+        if model.promoted.obs.len() >= MAX_PROMOTIONS {
+            break;
+        }
+        // An earlier promotion of this stall may have connected the site
+        // already.
+        if unit_sites.contains(&site) {
+            continue;
+        }
+        let func = program.sites[site.index()].func;
+        let Some((template, level, witness_desc)) =
+            coverage_witness(program, func, &exclude, &common)
+        else {
+            continue;
+        };
+        let (g, _timings) = build_graph_over(
+            program,
+            ProgramFacts::of(program),
+            &[Observable { template }],
+            &ctx.scenario.roots(),
+        );
+        let distances = g.distances_into(0, &mut scratch);
+        let Some(&l_new) = distances.get(&site) else {
+            continue;
+        };
+        // Every reachable site the scoped graph connects that planning
+        // could not arm before becomes a fault unit.
+        let mut new_units = Vec::new();
+        for s in g.sources() {
+            if unit_sites.contains(&s) || !ctx.candidate_sites.contains(&s) {
+                continue;
+            }
+            for &exc in &program.sites[s.index()].exceptions {
+                new_units.push(FaultUnit { site: s, exc });
+            }
+        }
+        let units_added = new_units.len();
+        unit_sites.extend(new_units.iter().map(|u| u.site));
+        let text = program.templates[template.index()].text.clone();
+        exclude.insert(template);
 
-impl Stall<'_> {
-    /// Whether the search has spent its promotion budget.
-    fn exhausted(&self) -> bool {
-        self.model.promoted.obs.len() >= MAX_PROMOTIONS
-    }
-
-    /// The focus site's best spatial distance over every existing
-    /// observable, prepared or promoted (`u32::MAX` when none reaches it).
-    fn nearest_existing(&self, site: SiteId) -> u32 {
-        let promoted = self.model.promoted.obs.iter().map(|o| &o.distances);
-        self.ctx
-            .distances
-            .iter()
-            .chain(promoted)
-            .filter_map(|d| d.get(&site).copied())
-            .min()
-            .unwrap_or(u32::MAX)
-    }
-
-    /// Appends one promotion to the model — its set and, in the same
-    /// step, one neutral `I_k` entry (no accumulated feedback) — and
-    /// returns the new observable's index. This is the whole incremental
-    /// re-preparation path: the distance table arrives from one BFS, the
-    /// witness key is interned into the set's own table, and any
-    /// `new_units` a scoped build connected join the unit list.
-    fn append(
-        &mut self,
-        template: TemplateId,
-        level: Level,
-        text: String,
-        distances: HashMap<SiteId, u32>,
-        new_units: Vec<FaultUnit>,
-    ) -> usize {
-        let model = &mut *self.model;
+        // The whole incremental re-preparation: the witness key is
+        // interned into the set's own table, the units join the unit
+        // list, and `I_k` gains one neutral entry (no accumulated
+        // feedback) in the same step.
         let set = &mut model.promoted;
         let token = set.table.append(level, &text);
         set.obs.push(PromotedObservable {
             template,
-            text,
+            text: text.clone(),
             distances,
             token,
         });
         set.units.extend(new_units);
-        let k = self.ctx.observables.len() + set.obs.len() - 1;
         model.i_priority.push(0.0);
-        k
+        notes.push(StrategyNote::ObservablePromoted {
+            k: ctx.observables.len() + set.obs.len() - 1,
+            template: text,
+            site,
+            node: g.sinks[0].first().copied().unwrap_or(0),
+            node_desc: witness_desc,
+            pass: model.passes(),
+            l_new,
+            l_old: u32::MAX,
+            units_added,
+        });
     }
-
-    /// Tier 1: coverage expansion. A reachable candidate site without a
-    /// fault unit is invisible to planning — the prepared observables'
-    /// causal graph never reached it, so it is not a graph source. One
-    /// scoped causal build over a witness in the site's own function both
-    /// yields the new distance table and discovers the fault units the
-    /// sparse preparation missed.
-    fn promote_coverage(&mut self, exclude: &mut HashSet<TemplateId>) {
-        let ctx = self.ctx;
-        let program = &ctx.scenario.program;
-        let mut unit_sites: HashSet<SiteId> = ctx.units.iter().map(|u| u.site).collect();
-        unit_sites.extend(self.model.promoted.units.iter().map(|u| u.site));
-
-        let uncovered: Vec<SiteId> = ctx
-            .candidate_sites
-            .iter()
-            .copied()
-            .filter(|s| !unit_sites.contains(s) && !program.sites[s.index()].exceptions.is_empty())
-            .collect();
-
-        let mut scratch = Vec::new();
-        for site in uncovered {
-            if self.exhausted() {
-                return;
-            }
-            // A later coverage promotion in this same loop may have
-            // connected the site already.
-            if unit_sites.contains(&site) {
-                continue;
-            }
-            let func = program.sites[site.index()].func;
-            let Some((template, level, witness_desc)) =
-                coverage_witness(program, func, exclude, self.common)
-            else {
-                continue;
-            };
-            let (g, _timings) = build_graph_over(
-                program,
-                ProgramFacts::of(program),
-                &[Observable { template }],
-                &ctx.scenario.roots(),
-            );
-            let distances = g.distances_into(0, &mut scratch);
-            let Some(&l_new) = distances.get(&site) else {
-                continue;
-            };
-            let l_old = self.nearest_existing(site);
-            if l_new >= l_old {
-                continue;
-            }
-            // Every reachable site the scoped graph connects that planning
-            // could not arm before becomes a fault unit.
-            let mut new_units = Vec::new();
-            for s in g.sources() {
-                if unit_sites.contains(&s) || !ctx.candidate_sites.contains(&s) {
-                    continue;
-                }
-                for &exc in &program.sites[s.index()].exceptions {
-                    new_units.push(FaultUnit { site: s, exc });
-                }
-            }
-            let units_added = new_units.len();
-            unit_sites.extend(new_units.iter().map(|u| u.site));
-            let node = g.sinks[0].first().copied().unwrap_or(0);
-            let text = program.templates[template.index()].text.clone();
-            exclude.insert(template);
-            let k = self.append(template, level, text.clone(), distances, new_units);
-            self.notes.push(StrategyNote::ObservablePromoted {
-                k,
-                template: text,
-                site,
-                node,
-                node_desc: witness_desc,
-                pass: self.model.passes(),
-                l_new,
-                l_old,
-                units_added,
-            });
-        }
-    }
-
-    /// Tier 2: refinement. Scores interior condition/invocation nodes of
-    /// the prepared graph nearest the model's worst-ranked sites and
-    /// promotes those whose directed distance table reaches the focus
-    /// site strictly closer than any existing observable.
-    fn promote_refinement(&mut self, exclude: &HashSet<TemplateId>) {
-        let ctx = self.ctx;
-        if self.notes.len() >= PER_STALL || self.exhausted() {
-            return;
-        }
-        // Worst coverage first: the tail of the model's own ranking is the
-        // highest finite `F_i` — the sites the current observables guide
-        // least.
-        let ranked = self.model.ranked_sites();
-        let sites: Vec<SiteId> = ranked.iter().rev().copied().take(FOCUS_SITES).collect();
-        if sites.is_empty() {
-            return;
-        }
-
-        let program = &ctx.scenario.program;
-        let candidates = ctx
-            .graph
-            .promotion_candidates(program, &sites, exclude, self.common);
-
-        let mut scratch = Vec::new();
-        for cand in candidates {
-            if self.notes.len() >= PER_STALL || self.exhausted() {
-                break;
-            }
-            let distances = ctx
-                .graph
-                .distances_from_nodes_into(&[cand.node], &mut scratch);
-            // The directed distance table must reach the focus site, and
-            // strictly closer than any existing observable does — that is
-            // what re-shapes `F_i` around the stalled neighbourhood.
-            let Some(&l_new) = distances.get(&cand.site) else {
-                continue;
-            };
-            let l_old = self.nearest_existing(cand.site);
-            if l_new >= l_old {
-                continue;
-            }
-            let text = program.templates[cand.template.index()].text.clone();
-            let k = self.append(
-                cand.template,
-                cand.level,
-                text.clone(),
-                distances,
-                Vec::new(),
-            );
-            self.notes.push(StrategyNote::ObservablePromoted {
-                k,
-                template: text,
-                site: cand.site,
-                node: cand.node,
-                node_desc: node_desc(program, cand.node_key),
-                pass: self.model.passes(),
-                l_new,
-                l_old,
-                units_added: 0,
-            });
-        }
-    }
+    notes
 }
 
 /// A hole-free witness log statement in `func` for a coverage promotion:
@@ -452,17 +300,4 @@ fn coverage_witness(
         }
     }
     fallback
-}
-
-/// Human-readable description of a causal-graph interior node.
-fn node_desc(program: &anduril_ir::Program, key: anduril_causal::NodeKey) -> String {
-    match key {
-        anduril_causal::NodeKey::Condition(sref) => {
-            format!("condition @ b{}:{}", sref.block.0, sref.idx)
-        }
-        anduril_causal::NodeKey::Invocation(f) => {
-            format!("invocation of {}", program.funcs[f.index()].name)
-        }
-        other => format!("{other:?}"),
-    }
 }

@@ -11,10 +11,10 @@
 //!    place of each round's outcome it is fed a prediction from the normal
 //!    run's fault-instance timeline ([`FeedbackStrategy::speculate`]).
 //! 2. **Execute.** Every `(round, plan)` the copy makes goes on one shared
-//!    queue. `threads − 1` workers run jobs from it against the shared
-//!    immutable [`SearchContext`]. A run is a pure function of `(seed,
-//!    plan)` — the simulator's RNG and log buffers are run-local — so
-//!    results are position-independent artifacts.
+//!    queue. `threads − 1` workers (at most `batch_size`) run jobs from
+//!    it against the shared immutable [`SearchContext`]. A run is a pure
+//!    function of `(seed, plan)` — the simulator's RNG and log buffers are
+//!    run-local — so results are position-independent artifacts.
 //! 3. **Validate.** The one round loop in [`crate::explorer`] re-plans
 //!    every round from the trusted strategy and asks the `Speculator`
 //!    for its result, which reuses a job's only when the plans are equal.
@@ -54,8 +54,9 @@ pub struct BatchExplorerConfig {
     /// checked, that round included.
     pub batch_size: usize,
     /// Threads running rounds, the calling thread included: `threads − 1`
-    /// workers are spawned, and `threads <= 1` is the sequential search.
-    /// Results are identical for any value.
+    /// workers are spawned, but no more than `batch_size` (there are never
+    /// more jobs), and `threads <= 1` is the sequential search. Results
+    /// are identical for any value.
     pub threads: usize,
 }
 
@@ -478,7 +479,7 @@ pub fn explore_batched_traced(
         // Made before any worker exists, so that it closes the pool
         // whatever stops the search, a failed spawn included.
         let mut speculator = Speculator::new(ctx, cfg, batch.batch_size.max(1), &pool, tracer);
-        for _ in 1..batch.threads {
+        for _ in 0..workers(batch) {
             scope.spawn(|| pool.work());
         }
         search(
@@ -496,10 +497,34 @@ pub fn explore_batched_traced(
     Ok(found)
 }
 
+/// The workers a batched search spawns: `threads − 1`, but no more than
+/// the jobs the speculative copy can queue at once (its lookahead is at
+/// most `batch_size` rounds), since a worker beyond those never has a job.
+fn workers(batch: &BatchExplorerConfig) -> usize {
+    let jobs = batch.batch_size.max(1);
+    batch.threads.saturating_sub(1).min(jobs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::mpsc;
+
+    /// `threads` asks for no more workers than there can be jobs, so a
+    /// huge value spawns `batch_size` threads, not that many. Starts none.
+    #[test]
+    fn a_batched_search_spawns_no_more_workers_than_it_queues_jobs() {
+        let spawned = |threads, batch_size| {
+            workers(&BatchExplorerConfig {
+                batch_size,
+                threads,
+            })
+        };
+        assert_eq!(spawned(usize::MAX, 8), 8);
+        assert_eq!(spawned(2, 8), 1);
+        assert_eq!(spawned(9, 8), 8);
+        assert_eq!(spawned(4, 0), 1, "a zero lookahead still plans one round");
+    }
 
     #[test]
     fn a_job_that_panics_on_a_worker_is_an_error_not_a_hang() {

@@ -567,14 +567,6 @@ impl FeedbackStrategy {
             .map(|p| p + 1)
     }
 
-    /// The most recent plan's site ranking, best first.
-    ///
-    /// Promotion reads this at a retry pass, to focus on the sites the
-    /// current observables guide least (see [`crate::adaptive`]).
-    pub(crate) fn ranked_sites(&self) -> &[SiteId] {
-        &self.last_ranking
-    }
-
     /// Priority provenance of the top-ranked candidate of the most recent
     /// plan (`None` under exhaustive enumeration, which has no priorities
     /// to explain). Feeds the trace layer's `decision` events.

@@ -34,7 +34,7 @@ pub mod scenario;
 pub mod strategy;
 pub mod trace;
 
-pub use anduril_causal::{Interval, OccurrenceBounds, PromotionCandidate, RootCall};
+pub use anduril_causal::{Interval, OccurrenceBounds, RootCall};
 pub use batch::{explore_batched, explore_batched_traced, BatchExplorerConfig};
 pub use context::{FaultUnit, ObservableInfo, RoundOutcome, SearchContext};
 pub use explorer::{

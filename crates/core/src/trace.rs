@@ -132,11 +132,12 @@ pub enum StrategyNote {
     },
     /// A synthetic observable was promoted into the live search: the
     /// `full-adaptive` model reacted to a retry pass by instrumenting a
-    /// causal-graph node near its worst-ranked fault sites (DESIGN.md §15),
-    /// and queued this directly behind the `RetryPass` note. Carries full
-    /// provenance — the source graph node, the retry pass that triggered
-    /// it, and the spatial-distance delta the focus site gained. Written
-    /// as an event kind of its own, `ev: "promoted"`.
+    /// witness log statement in the function of a fault site no unit
+    /// covered (DESIGN.md §15), and queued this directly behind the
+    /// `RetryPass` note. Carries full provenance — the witness's graph
+    /// node, the retry pass that triggered it, and the spatial distance
+    /// the focus site gained. Written as an event kind of its own, `ev:
+    /// "promoted"`.
     ObservablePromoted {
         /// Index the new observable occupies in the grown observable set.
         k: usize,
@@ -153,10 +154,11 @@ pub enum StrategyNote {
         /// Spatial distance `L` from the focus site to the new observable.
         l_new: u32,
         /// The focus site's best spatial distance over the pre-existing
-        /// observables.
+        /// observables: always `u32::MAX`, since a focus site is one no
+        /// existing observable's graph reaches.
         l_old: u32,
-        /// Fault units the promotion's scoped causal build newly connected
-        /// (zero for refinement promotions over the prepared graph).
+        /// Fault units the promotion's scoped causal build newly
+        /// connected, the focus site's among them.
         units_added: usize,
     },
 }

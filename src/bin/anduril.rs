@@ -50,9 +50,9 @@ fn print_usage() {
          strategies: full (default), exhaustive, site-distance, site-distance-limit3,\n\
          site-feedback, multiply, sum-aggregate, order-distance, global-diff,\n\
          full-adaptive, fate, crashtuner, crashtuner-meta-exc, stacktrace\n\n\
-         full-adaptive is full feedback that promotes synthetic observables\n\
-         from causal-graph nodes when the search stalls (a retry pass\n\
-         begins); full keeps the paper's fixed observable set\n\n\
+         full-adaptive is full feedback that, when the search stalls (a retry\n\
+         pass begins), promotes a log statement beside each fault site no\n\
+         observable reaches; full keeps the paper's fixed observable set\n\n\
          reproduce reports `replay verified`: the oracle's verdict on the\n\
          emitted script's run. That run is the reproducing round itself\n\
          (one injection fired, and a run is a function of seed and plan),\n\
@@ -60,8 +60,8 @@ fn print_usage() {
          --replays also replays the script at 32 fresh seeds (base seed +\n\
          1000003 x i, i = 1..32) and prints how many satisfy the oracle\n\n\
          --threads N runs rounds on N threads, the calling one included: N > 1\n\
-         speculates up to 8 rounds ahead on N - 1 workers (identical results,\n\
-         less wall time); feedback-strategy variants only\n\n\
+         speculates up to 8 rounds ahead on N - 1 workers, at most 8 (identical\n\
+         results, less wall time); feedback-strategy variants only\n\n\
          --trace FILE records the structured search-trace stream (context\n\
          phases, per-round decisions with priority provenance, feedback,\n\
          speculation) as JSONL; `anduril trace FILE` renders it\n\n\
@@ -114,8 +114,7 @@ fn sort_explanations(explanations: &mut [anduril::Explanation]) {
 }
 
 /// Resolves a `<case>` argument.
-fn resolve_case(arg: Option<&String>) -> Result<FailureCase, CliError> {
-    let id = arg.ok_or(Usage)?;
+fn resolve_case(id: &str) -> Result<FailureCase, CliError> {
     case_by_id(id).ok_or_else(|| {
         BadArg(format!(
             "anduril: no case matches `{id}` (run `anduril list`)"
@@ -137,7 +136,18 @@ fn write_file(path: &str, text: String) -> Result<(), CliError> {
     std::fs::write(path, text).map_err(|e| Failed(format!("cannot write `{path}`: {e}")))
 }
 
-fn list() -> Result<ExitCode, CliError> {
+/// The case a subcommand that takes nothing but `<case>` names.
+fn only_case(args: &[String]) -> Result<FailureCase, CliError> {
+    match args {
+        [_, id] => resolve_case(id),
+        _ => Err(Usage),
+    }
+}
+
+fn list(args: &[String]) -> Result<ExitCode, CliError> {
+    if args.len() > 1 {
+        return Err(Usage);
+    }
     let mut out = format!("{:4} {:10} {:10} description\n", "id", "ticket", "system");
     for c in all_cases() {
         let _ = writeln!(
@@ -150,7 +160,7 @@ fn list() -> Result<ExitCode, CliError> {
 }
 
 fn show(args: &[String]) -> Result<ExitCode, CliError> {
-    let case = resolve_case(args.get(1))?;
+    let case = only_case(args)?;
     let mut out = format!(
         "{} ({}) on {}\n  {}\n  root cause : {} ({})\n",
         case.ticket, case.id, case.system, case.description, case.root_site_desc, case.root_exc
@@ -174,7 +184,7 @@ fn show(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn log(args: &[String]) -> Result<ExitCode, CliError> {
-    let case = resolve_case(args.get(1))?;
+    let case = only_case(args)?;
     let log = case
         .failure_log()
         .map_err(|e| Failed(format!("{}: failure log: {e}", case.id)))?;
@@ -404,7 +414,7 @@ fn search(
 }
 
 fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
-    let case = resolve_case(args.get(1))?;
+    let case = resolve_case(args.get(1).ok_or(Usage)?)?;
     let mut strategy_name = "full".to_string();
     let mut cfg = ExplorerConfig {
         max_rounds: 2_000,
@@ -534,7 +544,7 @@ fn trace(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn explain(args: &[String]) -> Result<ExitCode, CliError> {
-    let case = resolve_case(args.get(1))?;
+    let case = only_case(args)?;
     let ctx = prepare(&case, &NoopTracer)?.ctx;
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     s.init(&ctx);
@@ -646,8 +656,10 @@ fn generate(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn replay(args: &[String]) -> Result<ExitCode, CliError> {
-    let case = resolve_case(args.get(1))?;
-    let path = args.get(2).ok_or(Usage)?;
+    let [_, id, path] = args else {
+        return Err(Usage);
+    };
+    let case = resolve_case(id)?;
     let script = ReproScript::parse(&read_file(path)?)
         .ok_or_else(|| Failed(format!("malformed script `{path}`")))?;
     // Refuse what no search emits: a site the program lacks (the run would
@@ -671,7 +683,7 @@ fn replay(args: &[String]) -> Result<ExitCode, CliError> {
 
 fn run(args: &[String]) -> Result<ExitCode, CliError> {
     match args.first().map(String::as_str) {
-        Some("list") => list(),
+        Some("list") => list(args),
         Some("show") => show(args),
         Some("log") => log(args),
         Some("analyze") => analyze(args),

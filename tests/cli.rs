@@ -44,6 +44,12 @@ fn a_bad_command_line_exits_2() {
         &["reproduce", "f3", "--replays", "32"],
         &["generate", "--size", "huge"],
         &["trace", "whatever.jsonl", "--bogus"],
+        // A subcommand takes the arguments it names and no more.
+        &["list", "extra"],
+        &["show", "f3", "extra"],
+        &["log", "f3", "extra"],
+        &["explain", "f3", "extra"],
+        &["replay", "f3", "f3.script", "extra"],
         &["frobnicate"],
         &[],
     ] {

@@ -475,6 +475,27 @@ fn search(
             }
         )
     });
+    // A promotion's focus site is one no existing observable reached
+    // (`l_old` = ∞), and its scoped build connects at least that site.
+    for e in &events {
+        if let TraceEvent::Note {
+            note:
+                StrategyNote::ObservablePromoted {
+                    site,
+                    l_old,
+                    units_added,
+                    ..
+                },
+            round,
+        } = e
+        {
+            assert!(
+                *l_old == u32::MAX && *units_added >= 1,
+                "{key}: round {round} promoted for {site:?} with l_old {l_old}, \
+                 {units_added} units added"
+            );
+        }
+    }
     let row = (key, r.rounds, r.success, promotions, fnv1a(&lines));
     (row, stalled)
 }
