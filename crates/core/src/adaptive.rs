@@ -42,7 +42,7 @@
 //! planned, so that round's plan is what it would be without adaptation.
 //! The promotions reach the trace as
 //! [`StrategyNote::ObservablePromoted`] notes queued behind the
-//! `RetryPass` note; the round loop knows nothing of them.
+//! `WindowExhausted` note; the round loop knows nothing of them.
 //!
 //! Determinism: every input (unit list, graphs, normal-run template set)
 //! is itself deterministic. The batch engine's speculative
@@ -163,8 +163,8 @@ impl PromotedSet {
 /// the fault units the sparse preparation missed. A witness whose graph
 /// does not reach the site cannot move its `F_i` and is skipped, so
 /// adaptation never spends its budget on no-ops. No existing observable
-/// reaches an uncovered site — every reachable source of a prepared or
-/// promoted graph is a unit — so the note's `l_old` is always `u32::MAX`.
+/// reaches an uncovered site: every reachable source of a prepared or
+/// promoted graph is a unit.
 pub(crate) fn on_stall(ctx: &SearchContext, model: &mut FeedbackStrategy) -> Vec<StrategyNote> {
     let program = &ctx.scenario.program;
     // Existing observable templates (prepared and already promoted) are
@@ -245,11 +245,9 @@ pub(crate) fn on_stall(ctx: &SearchContext, model: &mut FeedbackStrategy) -> Vec
             k: ctx.observables.len() + set.obs.len() - 1,
             template: text,
             site,
-            node: g.sinks[0].first().copied().unwrap_or(0),
             node_desc: witness_desc,
             pass: model.passes(),
             l_new,
-            l_old: u32::MAX,
             units_added,
         });
     }

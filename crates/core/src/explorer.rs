@@ -524,7 +524,6 @@ pub(crate) fn search(
             tracer.record(TraceEvent::RoundStart { round, seed });
             tracer.record(TraceEvent::Decision {
                 round,
-                window: armed,
                 armed,
                 provenance: strategy.model().and_then(|m| m.provenance()),
                 init_ns,

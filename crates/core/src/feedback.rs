@@ -281,8 +281,8 @@ impl FeedbackStrategy {
         self.passes
     }
 
-    /// Drains the lifecycle notes (retry passes, window growth, candidate
-    /// retirements, promotions) queued since the last drain. The explorer
+    /// Drains the lifecycle notes (exhausted windows, window growth,
+    /// candidate retirements, promotions) queued since the last drain. The explorer
     /// owns the tracer, so the model queues notes instead of emitting
     /// events.
     pub fn drain_notes(&mut self) -> Vec<StrategyNote> {
@@ -417,8 +417,7 @@ impl FeedbackStrategy {
         // oracle under another — start a fresh pass so instances pair with
         // new seeds instead of giving up while the round budget remains.
         // Stall onset is announced before the reset, so trace consumers
-        // see the exhausted window/pass pair independently of the retry
-        // that follows.
+        // see the exhausted window and pass; pass `pass + 1` follows.
         self.pending_notes.push(StrategyNote::WindowExhausted {
             window: self.window,
             pass: self.passes,
@@ -426,12 +425,10 @@ impl FeedbackStrategy {
         self.tried.clear();
         self.window = self.cfg.initial_window;
         self.passes += 1;
-        self.pending_notes
-            .push(StrategyNote::RetryPass { pass: self.passes });
         let at = self.pending_notes.len();
         let plan = self.plan_prioritized_pass(ctx);
         // Promote once the retry pass has planned, so this round plans with
-        // the fixed set; the notes go right behind `RetryPass`.
+        // the fixed set; the notes go right behind `WindowExhausted`.
         if self.cfg.adaptive {
             let promoted = adaptive::on_stall(ctx, self);
             self.pending_notes.splice(at..at, promoted);

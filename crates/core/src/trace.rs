@@ -15,7 +15,7 @@
 //!   its priority provenance (the winning unit's `F_i`, the observable
 //!   `k*` and `L + I_k` that attained the min, the temporal-distance pick),
 //!   simulator counters, the oracle verdict, and the `I_k` feedback applied;
-//! - **lifecycle**: retry-pass starts, candidate retirements, window
+//! - **lifecycle**: window exhaustion, candidate retirements, window
 //!   growth and observable promotions (queued by the strategy as
 //!   [`StrategyNote`]s), and the batch engine's epoch/speculation hit-miss
 //!   records;
@@ -101,12 +101,6 @@ pub struct PlanProvenance {
 /// [`crate::FeedbackStrategy::drain_notes`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum StrategyNote {
-    /// The prioritized space was exhausted and a fresh retry pass started
-    /// (the §6 per-seed retry; `pass` counts completed passes).
-    RetryPass {
-        /// Completed passes so far.
-        pass: usize,
-    },
     /// The flexible window doubled after a no-injection round (§5.2.5).
     WindowGrew {
         /// The new window size.
@@ -120,22 +114,21 @@ pub enum StrategyNote {
         /// The retired candidate's exception type.
         exc: ExceptionType,
     },
-    /// The prioritized space ran dry — queued immediately before the
-    /// retry-pass reset, so stall onset is visible in traces whether or
+    /// The prioritized space ran dry and pass `pass + 1` of the §6
+    /// per-seed retry begins: stall onset is visible in traces whether or
     /// not the strategy promotes observables at it.
     WindowExhausted {
         /// The flexible-window size at exhaustion.
         window: usize,
-        /// The pass that just ran dry (0-based; `RetryPass` then reports
-        /// `pass + 1` completed passes).
+        /// The pass that just ran dry (0-based).
         pass: usize,
     },
     /// A synthetic observable was promoted into the live search: the
-    /// `full-adaptive` model reacted to a retry pass by instrumenting a
-    /// witness log statement in the function of a fault site no unit
-    /// covered (DESIGN.md §15), and queued this directly behind the
-    /// `RetryPass` note. Carries full provenance — the witness's graph
-    /// node, the retry pass that triggered it, and the spatial distance
+    /// `full-adaptive` model reacted to an exhausted window by
+    /// instrumenting a witness log statement in the function of a fault
+    /// site no unit covered (DESIGN.md §15), and queued this directly
+    /// behind the `WindowExhausted` note. Carries its provenance — the
+    /// witness, the retry pass that triggered it, and the spatial distance
     /// the focus site gained. Written as an event kind of its own, `ev:
     /// "promoted"`.
     ObservablePromoted {
@@ -143,20 +136,14 @@ pub enum StrategyNote {
         k: usize,
         /// The witness log template's text.
         template: String,
-        /// The focus fault site the node was selected near.
+        /// The focus fault site the witness was selected near.
         site: SiteId,
-        /// Causal-graph node id of the promoted node.
-        node: u32,
-        /// Human-readable description of the node.
+        /// Human-readable description of the witness log statement.
         node_desc: String,
         /// The retry pass whose stall triggered the promotion.
         pass: usize,
         /// Spatial distance `L` from the focus site to the new observable.
         l_new: u32,
-        /// The focus site's best spatial distance over the pre-existing
-        /// observables: always `u32::MAX`, since a focus site is one no
-        /// existing observable's graph reaches.
-        l_old: u32,
         /// Fault units the promotion's scoped causal build newly
         /// connected, the focus site's among them.
         units_added: usize,
@@ -215,8 +202,6 @@ pub enum TraceEvent {
     Decision {
         /// Round number.
         round: usize,
-        /// Flexible-window size used.
-        window: usize,
         /// Candidates armed (incl. a crash point, if any).
         armed: usize,
         /// Priority provenance of the top-ranked candidate, when the
@@ -561,8 +546,7 @@ macro_rules! note_kinds {
 /// a variant without a row does not compile. A field is written under its
 /// own name unless the row gives a key with `as`. A `volatile` group holds
 /// the host-time `*_ns` fields: left out of a `stable_json` line, and read
-/// as `0` where a line has none. `then "key" = expr` writes a key derived
-/// from the fields right after its field, and the reader ignores it.
+/// as `0` where a line has none.
 macro_rules! wire_format {
     (
         events { $(
@@ -571,7 +555,7 @@ macro_rules! wire_format {
         ),* $(,)? }
         notes { $(
             $Note:ident $tag:ident $note_kind:literal {
-                $($g:ident $(as $gk:literal)? $(then $dk:literal = $de:expr)?),* $(,)?
+                $($g:ident $(as $gk:literal)?),* $(,)?
             }
         ),* $(,)? }
     ) => {
@@ -594,10 +578,7 @@ macro_rules! wire_format {
                             if let Some(kind) = kind {
                                 member(&mut line, NOTE, &quoted(kind));
                             }
-                            $(
-                                member(&mut line, key!($g $(as $gk)?), &$g.put());
-                                $(member(&mut line, $dk, &($de).to_string());)?
-                            )*
+                            $(member(&mut line, key!($g $(as $gk)?), &$g.put());)*
                         })*
                     },
                 }
@@ -632,7 +613,7 @@ wire_format! {
         },
         ExploreStart "explore_start" { strategy, max_rounds, base_seed },
         RoundStart "round_start" { round, seed },
-        Decision "decision" { round, window, armed, provenance } volatile { init_ns },
+        Decision "decision" { round, armed, provenance } volatile { init_ns },
         EpochStart "epoch" { epoch, round, jobs },
         Speculation "spec" { round, epoch, slot, hit },
         RoundError "round_error" { round, error },
@@ -647,14 +628,11 @@ wire_format! {
         ExploreEnd "explore_end" { success, rounds, replay_verified } volatile { wall_ns },
     }
     notes {
-        RetryPass note "retry_pass" { pass },
         WindowGrew note "window_grew" { window },
         Retired note "retired" { site, exc },
         WindowExhausted note "window_exhausted" { window, pass },
         ObservablePromoted ev "promoted" {
-            k, template, site, node, node_desc, pass, l_new,
-            l_old then "delta" = *l_old as i64 - *l_new as i64,
-            units_added,
+            k, template, site, node_desc, pass, l_new, units_added,
         },
     }
 }
@@ -802,7 +780,6 @@ mod tests {
             },
             TraceEvent::Decision {
                 round: 0,
-                window: 10,
                 armed: 10,
                 provenance: Some(PlanProvenance {
                     site: SiteId(3),
@@ -828,10 +805,6 @@ mod tests {
                 note: StrategyNote::WindowGrew { window: 20 },
             },
             TraceEvent::Note {
-                round: 12,
-                note: StrategyNote::RetryPass { pass: 1 },
-            },
-            TraceEvent::Note {
                 round: 14,
                 note: StrategyNote::WindowExhausted {
                     window: 40,
@@ -844,11 +817,9 @@ mod tests {
                     k: 3,
                     template: "wal rotated".into(),
                     site: SiteId(3),
-                    node: 17,
                     node_desc: "condition @ b4:2".into(),
                     pass: 1,
                     l_new: 1,
-                    l_old: 4,
                     units_added: 2,
                 },
             },
@@ -907,7 +878,7 @@ mod tests {
                 wall_ns: 123,
             },
         ];
-        let mut seen = [false; 17];
+        let mut seen = [false; 16];
         for ev in &samples {
             let slot = match ev {
                 TraceEvent::ContextPhase { .. } => 0,
@@ -916,19 +887,18 @@ mod tests {
                 TraceEvent::RoundStart { .. } => 3,
                 TraceEvent::Decision { .. } => 4,
                 TraceEvent::Note { note, .. } => match note {
-                    StrategyNote::RetryPass { .. } => 5,
-                    StrategyNote::WindowGrew { .. } => 6,
-                    StrategyNote::Retired { .. } => 7,
-                    StrategyNote::WindowExhausted { .. } => 8,
-                    StrategyNote::ObservablePromoted { .. } => 13,
+                    StrategyNote::WindowGrew { .. } => 5,
+                    StrategyNote::Retired { .. } => 6,
+                    StrategyNote::WindowExhausted { .. } => 7,
+                    StrategyNote::ObservablePromoted { .. } => 8,
                 },
                 TraceEvent::EpochStart { .. } => 9,
                 TraceEvent::Speculation { .. } => 10,
-                TraceEvent::RoundEnd { .. } => 11,
-                TraceEvent::Feedback { .. } => 12,
+                TraceEvent::RoundError { .. } => 11,
+                TraceEvent::RoundEnd { .. } => 12,
+                TraceEvent::Feedback { .. } => 13,
                 TraceEvent::ProvenanceChain { .. } => 14,
                 TraceEvent::ExploreEnd { .. } => 15,
-                TraceEvent::RoundError { .. } => 16,
             };
             seen[slot] = true;
         }

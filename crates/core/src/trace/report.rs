@@ -146,7 +146,6 @@ fn fmt_candidate(p: &PlanProvenance) -> String {
 #[derive(Default)]
 struct RoundRow<'a> {
     seed: Option<u64>,
-    window: Option<usize>,
     armed: Option<usize>,
     top: Option<&'a PlanProvenance>,
     injected: Option<(SiteId, u32, ExceptionType)>,
@@ -176,7 +175,6 @@ struct Digest<'a> {
     slots: usize,
     hits: usize,
     notes: usize,
-    retry_passes: usize,
     windows_exhausted: usize,
     window_growths: usize,
     max_window: Option<usize>,
@@ -199,13 +197,11 @@ impl<'a> Digest<'a> {
                 }
                 TraceEvent::Decision {
                     round,
-                    window,
                     armed,
                     provenance,
                     init_ns,
                 } => {
                     let row = d.rounds.entry(*round).or_default();
-                    row.window = Some(*window);
                     row.armed = Some(*armed);
                     row.top = provenance.as_ref();
                     d.planning_ns += init_ns;
@@ -213,7 +209,6 @@ impl<'a> Digest<'a> {
                 TraceEvent::Note { note, .. } => {
                     d.notes += 1;
                     match note {
-                        StrategyNote::RetryPass { .. } => d.retry_passes += 1,
                         StrategyNote::WindowGrew { window } => {
                             d.window_growths += 1;
                             d.max_window = d.max_window.max(Some(*window));
@@ -333,7 +328,6 @@ pub fn summary(path: &str, events: &[TraceEvent]) -> String {
         let mut t = TextTable::new(&[
             "Round",
             "Seed",
-            "Win",
             "Armed",
             "Top candidate",
             "F_i",
@@ -352,7 +346,6 @@ pub fn summary(path: &str, events: &[TraceEvent]) -> String {
             vec![
                 r.to_string(),
                 dash(row.seed),
-                dash(row.window),
                 dash(row.armed),
                 dash(row.top.map(fmt_candidate)),
                 dash(row.top.map(|p| fmt_f(p.f_i))),
@@ -441,10 +434,8 @@ pub fn summary(path: &str, events: &[TraceEvent]) -> String {
     if d.notes > 0 {
         let max_window = d.max_window.map(|w| format!(" (max window {w})"));
         out += &format!(
-            "\nLifecycle: {} windows exhausted, {} retry passes, {} window growths{}, \
-             {} candidates retired\n",
+            "\nLifecycle: {} windows exhausted, {} window growths{}, {} candidates retired\n",
             d.windows_exhausted,
-            d.retry_passes,
             d.window_growths,
             max_window.unwrap_or_default(),
             d.retired,
@@ -468,14 +459,13 @@ pub fn summary(path: &str, events: &[TraceEvent]) -> String {
                     node_desc,
                     pass,
                     l_new,
-                    l_old,
                     ..
                 },
         } = ev
         {
             out += &format!(
                 "  round {round} pass {pass}: k = {k} \"{template}\" from {node_desc} \
-                 (L {l_old} -> {l_new} at site#{})\n",
+                 (L {l_new} at site#{})\n",
                 site.0
             );
         }
@@ -532,7 +522,6 @@ pub fn round(events: &[TraceEvent], n: usize) -> Result<String, NoSuchRound> {
             TraceEvent::EpochStart { .. } => String::new(),
             TraceEvent::RoundStart { seed, .. } => format!("round {n} starts (seed {seed})\n"),
             TraceEvent::Decision {
-                window,
                 armed,
                 provenance,
                 init_ns,
@@ -550,16 +539,16 @@ pub fn round(events: &[TraceEvent], n: usize) -> Result<String, NoSuchRound> {
                     )
                 });
                 format!(
-                    "  decision: window {window}, {armed} armed{} [planned in {}]\n",
+                    "  decision: {armed} armed{} [planned in {}]\n",
                     top.unwrap_or_default(),
                     fmt_ns(*init_ns)
                 )
             }
             TraceEvent::Note { note, .. } => match note {
-                StrategyNote::RetryPass { pass } => format!("  note: retry pass {pass} begins\n"),
-                StrategyNote::WindowExhausted { window, pass } => {
-                    format!("  note: window of {window} exhausted in pass {pass}\n")
-                }
+                StrategyNote::WindowExhausted { window, pass } => format!(
+                    "  note: window of {window} exhausted in pass {pass}; pass {} begins\n",
+                    pass + 1
+                ),
                 StrategyNote::WindowGrew { window } => {
                     format!("  note: window grew to {window}\n")
                 }
@@ -570,15 +559,13 @@ pub fn round(events: &[TraceEvent], n: usize) -> Result<String, NoSuchRound> {
                     k,
                     template,
                     site,
-                    node,
                     node_desc,
                     pass,
                     l_new,
-                    l_old,
                     ..
                 } => format!(
-                    "  promoted: k = {k} \"{template}\" from node #{node} ({node_desc}) — \
-                     L {l_old} -> {l_new} at site#{} [stall in pass {pass}]\n",
+                    "  promoted: k = {k} \"{template}\" from {node_desc} — \
+                     L {l_new} at site#{} [stall in pass {pass}]\n",
                     site.0
                 ),
             },
@@ -660,16 +647,7 @@ pub fn promotions(events: &[TraceEvent]) -> String {
             .into();
     }
     let mut t = TextTable::new(&[
-        "Round",
-        "Pass",
-        "k",
-        "Template",
-        "Source node",
-        "Site",
-        "L_new",
-        "L_old",
-        "Delta",
-        "Units",
+        "Round", "Pass", "k", "Template", "Witness", "Site", "L", "Units",
     ]);
     for ev in &d.promotions {
         if let TraceEvent::Note {
@@ -679,11 +657,9 @@ pub fn promotions(events: &[TraceEvent]) -> String {
                     k,
                     template,
                     site,
-                    node,
                     node_desc,
                     pass,
                     l_new,
-                    l_old,
                     units_added,
                 },
         } = ev
@@ -693,11 +669,9 @@ pub fn promotions(events: &[TraceEvent]) -> String {
                 pass.to_string(),
                 k.to_string(),
                 format!("\"{template}\""),
-                format!("#{node} {node_desc}"),
+                node_desc.clone(),
                 format!("site#{}", site.0),
                 l_new.to_string(),
-                l_old.to_string(),
-                (i64::from(*l_old) - i64::from(*l_new)).to_string(),
                 format!("+{units_added}"),
             ]);
         }
@@ -705,8 +679,7 @@ pub fn promotions(events: &[TraceEvent]) -> String {
     format!(
         "Adaptive observable promotions ({})\n{}\
          (promotion at round R reshapes priorities from round R+1 on; \
-         Delta = L_old - L_new at the focus site; Units = fault units the \
-         promotion's scoped causal build newly connected)\n",
+         Units = fault units the promotion's scoped causal build newly connected)\n",
         d.promotions.len(),
         t.render()
     )
@@ -724,7 +697,7 @@ pub fn json(events: &[TraceEvent]) -> String {
          \"phases\": [{}],\n  \"rounds\": {},\n  \"planning_ns_total\": {},\n  \
          \"workload_ns_total\": {},\n  \
          \"speculation\": {{\"epochs\": {}, \"slots\": {}, \"hits\": {}}},\n  \
-         \"notes\": {{\"retry_passes\": {}, \"windows_exhausted\": {}, \
+         \"notes\": {{\"windows_exhausted\": {}, \
          \"window_growths\": {}, \"retired\": {}}},\n  \
          \"promotions\": [{}],\n  \"provenance\": {},\n  \"explore_end\": {}\n}}\n",
         events.len(),
@@ -737,7 +710,6 @@ pub fn json(events: &[TraceEvent]) -> String {
         d.epochs,
         d.slots,
         d.hits,
-        d.retry_passes,
         d.windows_exhausted,
         d.window_growths,
         d.retired,

@@ -66,7 +66,7 @@ fn print_usage() {
          phases, per-round decisions with priority provenance, feedback,\n\
          speculation) as JSONL; `anduril trace FILE` renders it\n\n\
          trace --promotions lists each promoted observable with its\n\
-         provenance (source graph node, trigger pass, distance delta)\n\n\
+         provenance (witness, trigger pass, distance, units connected)\n\n\
          analyze prints the static-analysis report (site reduction, graph\n\
          size, phase timings, per-observable distances); --json FILE also\n\
          writes the same data as JSON (`--json -` for stdout)\n\n\

@@ -89,7 +89,8 @@ fn promotions(notes: &[StrategyNote]) -> usize {
 /// batch engine would speculate on: both plan alike, and at the first
 /// pass boundary both start the retry pass, but only the model promotes —
 /// appending observables and queueing their notes right behind its
-/// `RetryPass` note — while the copy appends none and queues none.
+/// pass-0 `WindowExhausted` note — while the copy appends none and queues
+/// none.
 #[test]
 fn a_speculative_copy_never_promotes() {
     let (ctx, _) = degraded_context("f5");
@@ -108,19 +109,19 @@ fn a_speculative_copy_never_promotes() {
             continue;
         }
         assert_eq!(copy.passes(), 1, "round {round}: both retry");
+        let exhausted =
+            |n: &StrategyNote| matches!(n, StrategyNote::WindowExhausted { pass: 0, .. });
         let notes = model.drain_notes();
-        let retry = notes
-            .iter()
-            .position(|n| *n == StrategyNote::RetryPass { pass: 1 });
+        let stall = notes.iter().position(exhausted);
         let promoted = promotions(&notes);
         assert!(promoted > 0, "round {round}: the model promotes: {notes:?}");
         assert_eq!(model.observable_priorities().len(), prepared + promoted);
         assert!(matches!(
-            notes[retry.expect("a retry pass") + 1],
+            notes[stall.expect("an exhausted window") + 1],
             StrategyNote::ObservablePromoted { .. }
         ));
         let copy_notes = copy.drain_notes();
-        assert!(copy_notes.contains(&StrategyNote::RetryPass { pass: 1 }));
+        assert!(copy_notes.iter().any(exhausted));
         assert_eq!(promotions(&copy_notes), 0, "{copy_notes:?}");
         assert_eq!(copy.observable_priorities().len(), prepared);
         return;

@@ -23,7 +23,7 @@
 //! names strategy, seed and cap.
 //!
 //! `full` is the paper's fixed observable set; `full-adaptive` promotes
-//! observables when a retry pass begins. Where the fixed search never
+//! observables when its window is exhausted and a retry pass begins. Where the fixed search never
 //! stalls the two are the same search, and their rows must say so.
 //!
 //! Every other registry strategy has a row per prepared context too: the
@@ -31,13 +31,18 @@
 //! null`), and the searches that give up at the cap. Together the rows pin
 //! the `stable_json` bytes of every event shape a search emits.
 //!
+//! Seed 1000 is one draw. The `POPULATION` rows pin `full`, `exhaustive`,
+//! `site-distance`, FATE and the stacktrace injector over 16 base seeds
+//! per ticket: the median rounds, the searches that did not reproduce and
+//! a digest of every draw's rounds.
+//!
 //! [`PreparedCase::degraded`]: anduril::failures::PreparedCase::degraded
 
 use anduril::baselines::{by_name, REGISTRY};
 use anduril::failures::{all_cases, case_by_id};
 use anduril::trace::{NoopTracer, StrategyNote, TraceEvent, VecTracer};
 use anduril::{
-    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, Oracle,
+    explore, explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, Oracle,
     SearchContext,
 };
 
@@ -52,374 +57,374 @@ type Searched = (String, usize, bool, usize, u64);
 
 #[rustfmt::skip] // a table: one row a line
 const PREPARED: [Row; 44] = [
-    ("f1/prepared/full", 3, true, 0, 0x59ef9164a249ec4c),
-    ("f1/prepared/full-adaptive", 3, true, 0, 0x59ef9164a249ec4c),
-    ("f2/prepared/full", 13, true, 0, 0x6716db79ae96fa4b),
-    ("f2/prepared/full-adaptive", 13, true, 0, 0x6716db79ae96fa4b),
-    ("f3/prepared/full", 1, true, 0, 0xb48a1b5f3dc3c5f5),
-    ("f3/prepared/full-adaptive", 1, true, 0, 0xb48a1b5f3dc3c5f5),
-    ("f4/prepared/full", 1, true, 0, 0xcc05ef1ced82de1e),
-    ("f4/prepared/full-adaptive", 1, true, 0, 0xcc05ef1ced82de1e),
-    ("f5/prepared/full", 6, true, 0, 0xd1cc98f922246ea1),
-    ("f5/prepared/full-adaptive", 6, true, 0, 0xd1cc98f922246ea1),
-    ("f6/prepared/full", 14, true, 0, 0x59ffb831dc912d68),
-    ("f6/prepared/full-adaptive", 14, true, 0, 0x59ffb831dc912d68),
-    ("f7/prepared/full", 7, true, 0, 0x6c4fb4a902d51644),
-    ("f7/prepared/full-adaptive", 7, true, 0, 0x6c4fb4a902d51644),
-    ("f8/prepared/full", 1, true, 0, 0x5d16ef7c8e5c375e),
-    ("f8/prepared/full-adaptive", 1, true, 0, 0x5d16ef7c8e5c375e),
-    ("f9/prepared/full", 1, true, 0, 0xc183675d8c48c14e),
-    ("f9/prepared/full-adaptive", 1, true, 0, 0xc183675d8c48c14e),
-    ("f10/prepared/full", 1, true, 0, 0x31fbbbbc5c9d2033),
-    ("f10/prepared/full-adaptive", 1, true, 0, 0x31fbbbbc5c9d2033),
-    ("f11/prepared/full", 6, true, 0, 0x87a29d03fe97bd92),
-    ("f11/prepared/full-adaptive", 6, true, 0, 0x87a29d03fe97bd92),
-    ("f12/prepared/full", 1, true, 0, 0x79f75b78679d4290),
-    ("f12/prepared/full-adaptive", 1, true, 0, 0x79f75b78679d4290),
-    ("f13/prepared/full", 1, true, 0, 0xc87127f9a092ffe6),
-    ("f13/prepared/full-adaptive", 1, true, 0, 0xc87127f9a092ffe6),
-    ("f14/prepared/full", 1, true, 0, 0x1afe7742d62aa059),
-    ("f14/prepared/full-adaptive", 1, true, 0, 0x1afe7742d62aa059),
-    ("f15/prepared/full", 1, true, 0, 0x37db0fcfd972bf07),
-    ("f15/prepared/full-adaptive", 1, true, 0, 0x37db0fcfd972bf07),
-    ("f16/prepared/full", 1, true, 0, 0x13b7d24468a6378e),
-    ("f16/prepared/full-adaptive", 1, true, 0, 0x13b7d24468a6378e),
-    ("f17/prepared/full", 12, true, 0, 0x723e4b9e2c870c5f),
-    ("f17/prepared/full-adaptive", 12, true, 0, 0x723e4b9e2c870c5f),
-    ("f18/prepared/full", 3, true, 0, 0x65925b7626340786),
-    ("f18/prepared/full-adaptive", 3, true, 0, 0x65925b7626340786),
-    ("f19/prepared/full", 2, true, 0, 0x03ad507b5bf29312),
-    ("f19/prepared/full-adaptive", 2, true, 0, 0x03ad507b5bf29312),
-    ("f20/prepared/full", 9, true, 0, 0x4b462a7e2ee28574),
-    ("f20/prepared/full-adaptive", 9, true, 0, 0x4b462a7e2ee28574),
-    ("f21/prepared/full", 2, true, 0, 0x74f86fe42b739c16),
-    ("f21/prepared/full-adaptive", 2, true, 0, 0x74f86fe42b739c16),
-    ("f22/prepared/full", 1, true, 0, 0xee900f1eda72338d),
-    ("f22/prepared/full-adaptive", 1, true, 0, 0xee900f1eda72338d),
+    ("f1/prepared/full", 3, true, 0, 0xc456fd5c862d36fe),
+    ("f1/prepared/full-adaptive", 3, true, 0, 0xc456fd5c862d36fe),
+    ("f2/prepared/full", 13, true, 0, 0xf0e43325bf23dfd5),
+    ("f2/prepared/full-adaptive", 13, true, 0, 0xf0e43325bf23dfd5),
+    ("f3/prepared/full", 1, true, 0, 0x6551fb0b1c44cc72),
+    ("f3/prepared/full-adaptive", 1, true, 0, 0x6551fb0b1c44cc72),
+    ("f4/prepared/full", 1, true, 0, 0x3b2f179db88f6695),
+    ("f4/prepared/full-adaptive", 1, true, 0, 0x3b2f179db88f6695),
+    ("f5/prepared/full", 6, true, 0, 0xad9e6e35beeb5309),
+    ("f5/prepared/full-adaptive", 6, true, 0, 0xad9e6e35beeb5309),
+    ("f6/prepared/full", 14, true, 0, 0xc6d98ab3480b6616),
+    ("f6/prepared/full-adaptive", 14, true, 0, 0xc6d98ab3480b6616),
+    ("f7/prepared/full", 7, true, 0, 0x5aa35809ec58851d),
+    ("f7/prepared/full-adaptive", 7, true, 0, 0x5aa35809ec58851d),
+    ("f8/prepared/full", 1, true, 0, 0x2393f6175d25fecf),
+    ("f8/prepared/full-adaptive", 1, true, 0, 0x2393f6175d25fecf),
+    ("f9/prepared/full", 1, true, 0, 0x4bd3ef0c54f449b7),
+    ("f9/prepared/full-adaptive", 1, true, 0, 0x4bd3ef0c54f449b7),
+    ("f10/prepared/full", 1, true, 0, 0x6cb5ce1cf669816d),
+    ("f10/prepared/full-adaptive", 1, true, 0, 0x6cb5ce1cf669816d),
+    ("f11/prepared/full", 6, true, 0, 0xebea8626891b202c),
+    ("f11/prepared/full-adaptive", 6, true, 0, 0xebea8626891b202c),
+    ("f12/prepared/full", 1, true, 0, 0xe4b3660fedbc9a77),
+    ("f12/prepared/full-adaptive", 1, true, 0, 0xe4b3660fedbc9a77),
+    ("f13/prepared/full", 1, true, 0, 0xccad2190febefa82),
+    ("f13/prepared/full-adaptive", 1, true, 0, 0xccad2190febefa82),
+    ("f14/prepared/full", 1, true, 0, 0x29479f9201f13cb7),
+    ("f14/prepared/full-adaptive", 1, true, 0, 0x29479f9201f13cb7),
+    ("f15/prepared/full", 1, true, 0, 0x5700fa2ca42c819b),
+    ("f15/prepared/full-adaptive", 1, true, 0, 0x5700fa2ca42c819b),
+    ("f16/prepared/full", 1, true, 0, 0xcb92987cb6e4cb3c),
+    ("f16/prepared/full-adaptive", 1, true, 0, 0xcb92987cb6e4cb3c),
+    ("f17/prepared/full", 12, true, 0, 0x2948d53afe0375fd),
+    ("f17/prepared/full-adaptive", 12, true, 0, 0x2948d53afe0375fd),
+    ("f18/prepared/full", 3, true, 0, 0x8c4cbc12605f9dfa),
+    ("f18/prepared/full-adaptive", 3, true, 0, 0x8c4cbc12605f9dfa),
+    ("f19/prepared/full", 2, true, 0, 0x0a11610d7a82ce88),
+    ("f19/prepared/full-adaptive", 2, true, 0, 0x0a11610d7a82ce88),
+    ("f20/prepared/full", 9, true, 0, 0x365f3d8f72bafcd4),
+    ("f20/prepared/full-adaptive", 9, true, 0, 0x365f3d8f72bafcd4),
+    ("f21/prepared/full", 2, true, 0, 0xbbffa445b2acb918),
+    ("f21/prepared/full-adaptive", 2, true, 0, 0xbbffa445b2acb918),
+    ("f22/prepared/full", 1, true, 0, 0x6551d2d4d889a7fe),
+    ("f22/prepared/full-adaptive", 1, true, 0, 0x6551d2d4d889a7fe),
 ];
 
 #[rustfmt::skip]
 const DEGRADED: [Row; 44] = [
-    ("f1/degraded/full", 4, true, 0, 0x67b25ddc5b19561b),
-    ("f1/degraded/full-adaptive", 4, true, 0, 0x67b25ddc5b19561b),
-    ("f2/degraded/full", 40, true, 0, 0x4fbdd630938730fc),
-    ("f2/degraded/full-adaptive", 40, true, 0, 0x4fbdd630938730fc),
-    ("f3/degraded/full", 24, true, 0, 0xcd06e7e3a929e181),
-    ("f3/degraded/full-adaptive", 24, true, 0, 0xcd06e7e3a929e181),
-    ("f4/degraded/full", 3, true, 0, 0x29af3870a7043dff),
-    ("f4/degraded/full-adaptive", 3, true, 0, 0x29af3870a7043dff),
-    ("f5/degraded/full", 600, false, 0, 0xd36cd472ad7f58ef),
-    ("f5/degraded/full-adaptive", 82, true, 5, 0x501283343d8260e8),
-    ("f6/degraded/full", 14, true, 0, 0xe3791114f9a10b3c),
-    ("f6/degraded/full-adaptive", 14, true, 0, 0xe3791114f9a10b3c),
-    ("f7/degraded/full", 7, true, 0, 0x4fe5022d2f762f7a),
-    ("f7/degraded/full-adaptive", 7, true, 0, 0x4fe5022d2f762f7a),
-    ("f8/degraded/full", 1, true, 0, 0x0927cefc07be38f2),
-    ("f8/degraded/full-adaptive", 1, true, 0, 0x0927cefc07be38f2),
-    ("f9/degraded/full", 1, true, 0, 0x5785dd9054af07c8),
-    ("f9/degraded/full-adaptive", 1, true, 0, 0x5785dd9054af07c8),
-    ("f10/degraded/full", 1, true, 0, 0x6535a4dd18937f88),
-    ("f10/degraded/full-adaptive", 1, true, 0, 0x6535a4dd18937f88),
-    ("f11/degraded/full", 600, false, 0, 0xc62bda61df163e98),
-    ("f11/degraded/full-adaptive", 42, true, 7, 0xdcc320fae29ca001),
-    ("f12/degraded/full", 1, true, 0, 0xe7955b348f6307f7),
-    ("f12/degraded/full-adaptive", 1, true, 0, 0xe7955b348f6307f7),
-    ("f13/degraded/full", 1, true, 0, 0x9d3d37c3670c5ac1),
-    ("f13/degraded/full-adaptive", 1, true, 0, 0x9d3d37c3670c5ac1),
-    ("f14/degraded/full", 1, true, 0, 0x30da4c2b27ab3e1f),
-    ("f14/degraded/full-adaptive", 1, true, 0, 0x30da4c2b27ab3e1f),
-    ("f15/degraded/full", 1, true, 0, 0xb0beebb13e1728b5),
-    ("f15/degraded/full-adaptive", 1, true, 0, 0xb0beebb13e1728b5),
-    ("f16/degraded/full", 1, true, 0, 0x05f870c71ef621f4),
-    ("f16/degraded/full-adaptive", 1, true, 0, 0x05f870c71ef621f4),
-    ("f17/degraded/full", 12, true, 0, 0xbf9718917a33f32d),
-    ("f17/degraded/full-adaptive", 12, true, 0, 0xbf9718917a33f32d),
-    ("f18/degraded/full", 600, false, 0, 0xce8c81ded832dc79),
-    ("f18/degraded/full-adaptive", 12, true, 4, 0xdf5139ff42aa4927),
-    ("f19/degraded/full", 2, true, 0, 0xec1c8b94a81bf0e2),
-    ("f19/degraded/full-adaptive", 2, true, 0, 0xec1c8b94a81bf0e2),
-    ("f20/degraded/full", 9, true, 0, 0x304cfb9740ac536c),
-    ("f20/degraded/full-adaptive", 9, true, 0, 0x304cfb9740ac536c),
-    ("f21/degraded/full", 2, true, 0, 0xc6d2d9cc1cdc6c3c),
-    ("f21/degraded/full-adaptive", 2, true, 0, 0xc6d2d9cc1cdc6c3c),
-    ("f22/degraded/full", 600, false, 0, 0xcdf771079df97ed0),
-    ("f22/degraded/full-adaptive", 49, true, 4, 0x70cda793a702a38c),
+    ("f1/degraded/full", 4, true, 0, 0x56debba284151d71),
+    ("f1/degraded/full-adaptive", 4, true, 0, 0x56debba284151d71),
+    ("f2/degraded/full", 40, true, 0, 0xbee98c42b0b6e89b),
+    ("f2/degraded/full-adaptive", 40, true, 0, 0xbee98c42b0b6e89b),
+    ("f3/degraded/full", 24, true, 0, 0xb3dbe9cf404b6f7b),
+    ("f3/degraded/full-adaptive", 24, true, 0, 0xb3dbe9cf404b6f7b),
+    ("f4/degraded/full", 3, true, 0, 0xeeb4ae34651703be),
+    ("f4/degraded/full-adaptive", 3, true, 0, 0xeeb4ae34651703be),
+    ("f5/degraded/full", 600, false, 0, 0x13d2242d40faaa3f),
+    ("f5/degraded/full-adaptive", 82, true, 5, 0x22d78e1fd80a5e02),
+    ("f6/degraded/full", 14, true, 0, 0x4a5d8bfcf3e84fce),
+    ("f6/degraded/full-adaptive", 14, true, 0, 0x4a5d8bfcf3e84fce),
+    ("f7/degraded/full", 7, true, 0, 0x98d382f063fcc237),
+    ("f7/degraded/full-adaptive", 7, true, 0, 0x98d382f063fcc237),
+    ("f8/degraded/full", 1, true, 0, 0x912159f265862588),
+    ("f8/degraded/full-adaptive", 1, true, 0, 0x912159f265862588),
+    ("f9/degraded/full", 1, true, 0, 0x9addc1a285575be2),
+    ("f9/degraded/full-adaptive", 1, true, 0, 0x9addc1a285575be2),
+    ("f10/degraded/full", 1, true, 0, 0x86131514b60c80a7),
+    ("f10/degraded/full-adaptive", 1, true, 0, 0x86131514b60c80a7),
+    ("f11/degraded/full", 600, false, 0, 0x445ebd1022e58c73),
+    ("f11/degraded/full-adaptive", 42, true, 7, 0x7de05588c9b8a725),
+    ("f12/degraded/full", 1, true, 0, 0x91b67f11b9dc0efc),
+    ("f12/degraded/full-adaptive", 1, true, 0, 0x91b67f11b9dc0efc),
+    ("f13/degraded/full", 1, true, 0, 0xf1c949c95785b155),
+    ("f13/degraded/full-adaptive", 1, true, 0, 0xf1c949c95785b155),
+    ("f14/degraded/full", 1, true, 0, 0xe2277938aca1adea),
+    ("f14/degraded/full-adaptive", 1, true, 0, 0xe2277938aca1adea),
+    ("f15/degraded/full", 1, true, 0, 0xdec4ef301e06f0f1),
+    ("f15/degraded/full-adaptive", 1, true, 0, 0xdec4ef301e06f0f1),
+    ("f16/degraded/full", 1, true, 0, 0x2e860188bf232888),
+    ("f16/degraded/full-adaptive", 1, true, 0, 0x2e860188bf232888),
+    ("f17/degraded/full", 12, true, 0, 0x4d8f0ece420255e7),
+    ("f17/degraded/full-adaptive", 12, true, 0, 0x4d8f0ece420255e7),
+    ("f18/degraded/full", 600, false, 0, 0x33a26316b122ac69),
+    ("f18/degraded/full-adaptive", 12, true, 4, 0x84a3928c8e50a1fc),
+    ("f19/degraded/full", 2, true, 0, 0xd136904f54c417c4),
+    ("f19/degraded/full-adaptive", 2, true, 0, 0xd136904f54c417c4),
+    ("f20/degraded/full", 9, true, 0, 0x72733f12f2deb019),
+    ("f20/degraded/full-adaptive", 9, true, 0, 0x72733f12f2deb019),
+    ("f21/degraded/full", 2, true, 0, 0x7416fbe8f811d6dc),
+    ("f21/degraded/full-adaptive", 2, true, 0, 0x7416fbe8f811d6dc),
+    ("f22/degraded/full", 600, false, 0, 0x7b2e6e5afa1b2cf8),
+    ("f22/degraded/full-adaptive", 49, true, 4, 0x1f7015a9815b962f),
 ];
 
 #[rustfmt::skip]
 const REGISTRY_ROWS: [Row; 264] = [
-    ("f1/prepared/exhaustive", 5, true, 0, 0x1ea1e16758120351),
-    ("f1/prepared/site-distance", 15, true, 0, 0x818044ad1051ad69),
-    ("f1/prepared/site-distance-limit3", 600, false, 0, 0xadde5639c92dd2d9),
-    ("f1/prepared/site-feedback", 600, false, 0, 0x5e094f89da8cd0ee),
-    ("f1/prepared/multiply", 3, true, 0, 0x59ef9164a249ec4c),
-    ("f1/prepared/fate", 20, true, 0, 0x1ab932a63799fd15),
-    ("f1/prepared/crashtuner", 6, false, 0, 0xe8a90a4c779f67b0),
-    ("f1/prepared/crashtuner-meta-exc", 86, false, 0, 0x4777528492d2ab9a),
-    ("f1/prepared/stacktrace", 4, true, 0, 0x71211e7fb880371f),
-    ("f1/prepared/sum-aggregate", 3, true, 0, 0xd48d30710bf46c2a),
-    ("f1/prepared/order-distance", 15, true, 0, 0x305475d28ea0788e),
-    ("f1/prepared/global-diff", 3, true, 0, 0x66f5e1ed14a6cb9a),
-    ("f2/prepared/exhaustive", 15, true, 0, 0x9a65a9be39da16e1),
-    ("f2/prepared/site-distance", 31, true, 0, 0x95ac93252976a080),
-    ("f2/prepared/site-distance-limit3", 600, false, 0, 0xfc8f1ca4adb55429),
-    ("f2/prepared/site-feedback", 600, false, 0, 0xb7956c77e2c37191),
-    ("f2/prepared/multiply", 13, true, 0, 0x43912ab053894c7d),
-    ("f2/prepared/fate", 35, true, 0, 0xb5aa6deb0337654c),
-    ("f2/prepared/crashtuner", 6, false, 0, 0x4af357a77d9c72b9),
-    ("f2/prepared/crashtuner-meta-exc", 30, true, 0, 0x6af092bfb8aea31f),
-    ("f2/prepared/stacktrace", 6, true, 0, 0x4f7be202d5ba9096),
-    ("f2/prepared/sum-aggregate", 13, true, 0, 0xf1442d0c5df7d176),
-    ("f2/prepared/order-distance", 31, true, 0, 0xb4dca19d74138cd1),
-    ("f2/prepared/global-diff", 13, true, 0, 0x99309e57a56cd1fe),
-    ("f3/prepared/exhaustive", 3, true, 0, 0x5884eb8eceb707c2),
-    ("f3/prepared/site-distance", 5, true, 0, 0x9202920dca8011f8),
-    ("f3/prepared/site-distance-limit3", 5, true, 0, 0x4115a01cf8b62cb8),
-    ("f3/prepared/site-feedback", 5, true, 0, 0xa4475e4e77b9b1e9),
-    ("f3/prepared/multiply", 1, true, 0, 0xb48a1b5f3dc3c5f5),
-    ("f3/prepared/fate", 6, true, 0, 0x380f67c80af2e54d),
-    ("f3/prepared/crashtuner", 6, false, 0, 0xfdba984469b42941),
-    ("f3/prepared/crashtuner-meta-exc", 10, true, 0, 0xd6857e99727dc9c1),
-    ("f3/prepared/stacktrace", 1, true, 0, 0x41a0e1fe2bc5ea76),
-    ("f3/prepared/sum-aggregate", 1, true, 0, 0x985d74f3e8dd02a7),
-    ("f3/prepared/order-distance", 5, true, 0, 0xd3b0e666eaa1fb91),
-    ("f3/prepared/global-diff", 1, true, 0, 0xb48a1b5f3dc3c5f5),
-    ("f4/prepared/exhaustive", 1, true, 0, 0x689c5d0e00237c85),
-    ("f4/prepared/site-distance", 1, true, 0, 0xcc05ef1ced82de1e),
-    ("f4/prepared/site-distance-limit3", 1, true, 0, 0xcc05ef1ced82de1e),
-    ("f4/prepared/site-feedback", 1, true, 0, 0xcc05ef1ced82de1e),
-    ("f4/prepared/multiply", 1, true, 0, 0xcc05ef1ced82de1e),
-    ("f4/prepared/fate", 1, true, 0, 0x6b9fa71e76ab1588),
-    ("f4/prepared/crashtuner", 6, false, 0, 0x2058903e47b7862b),
-    ("f4/prepared/crashtuner-meta-exc", 1, true, 0, 0x6b9fa71e76ab1588),
-    ("f4/prepared/stacktrace", 1, true, 0, 0xee59406bf4b49010),
-    ("f4/prepared/sum-aggregate", 1, true, 0, 0x17b4a4bbf26f625a),
-    ("f4/prepared/order-distance", 1, true, 0, 0xcc05ef1ced82de1e),
-    ("f4/prepared/global-diff", 1, true, 0, 0xcc05ef1ced82de1e),
-    ("f5/prepared/exhaustive", 3, true, 0, 0x9d75576ed403ef73),
-    ("f5/prepared/site-distance", 16, true, 0, 0x876ad6ba44fed6f6),
-    ("f5/prepared/site-distance-limit3", 12, true, 0, 0xc1d899bbdce6461f),
-    ("f5/prepared/site-feedback", 12, true, 0, 0x4a266e67c78d990d),
-    ("f5/prepared/multiply", 6, true, 0, 0x20341b1c734db0b7),
-    ("f5/prepared/fate", 11, true, 0, 0x8456162779e16a85),
-    ("f5/prepared/crashtuner", 6, false, 0, 0xff7aaef7397eed1b),
-    ("f5/prepared/crashtuner-meta-exc", 5, true, 0, 0x2b1ca00da253cdf8),
-    ("f5/prepared/stacktrace", 1, true, 0, 0xcc2f7efab0ed1a21),
-    ("f5/prepared/sum-aggregate", 6, true, 0, 0xd1cc98f922246ea1),
-    ("f5/prepared/order-distance", 16, true, 0, 0xd8dc67f8a31ffbac),
-    ("f5/prepared/global-diff", 4, true, 0, 0x6139c0796ba2fa62),
-    ("f6/prepared/exhaustive", 8, true, 0, 0xfe594c5af2a9354f),
-    ("f6/prepared/site-distance", 15, true, 0, 0xd183828cc68e6bf9),
-    ("f6/prepared/site-distance-limit3", 14, true, 0, 0x249e0688e5ddf24e),
-    ("f6/prepared/site-feedback", 14, true, 0, 0x8a254fdef9adab18),
-    ("f6/prepared/multiply", 14, true, 0, 0x59ffb831dc912d68),
-    ("f6/prepared/fate", 12, true, 0, 0xbad5b21e8b3b4d64),
-    ("f6/prepared/crashtuner", 6, false, 0, 0xa2b69a128bf9df81),
-    ("f6/prepared/crashtuner-meta-exc", 600, false, 0, 0x38641e09f90cf2f6),
-    ("f6/prepared/stacktrace", 1, true, 0, 0xb90b77a8d79d6202),
-    ("f6/prepared/sum-aggregate", 14, true, 0, 0x3e9d931fbfbb34ca),
-    ("f6/prepared/order-distance", 15, true, 0, 0xd7a99cd080457f1c),
-    ("f6/prepared/global-diff", 14, true, 0, 0xbd1f9750d3ab829d),
-    ("f7/prepared/exhaustive", 3, true, 0, 0x1567ef4e21102948),
-    ("f7/prepared/site-distance", 13, true, 0, 0x55b629d714f6eaec),
-    ("f7/prepared/site-distance-limit3", 13, true, 0, 0x07a29a6becd703d4),
-    ("f7/prepared/site-feedback", 13, true, 0, 0x56dbec0ec5254829),
-    ("f7/prepared/multiply", 7, true, 0, 0xde7dec82f1b531bb),
-    ("f7/prepared/fate", 13, true, 0, 0xc49d47ff74f9e5ac),
-    ("f7/prepared/crashtuner", 6, false, 0, 0xe6284f3be892835f),
-    ("f7/prepared/crashtuner-meta-exc", 3, true, 0, 0x93d351d441f3c58f),
-    ("f7/prepared/stacktrace", 1, true, 0, 0xdf2b406b0d8a3218),
-    ("f7/prepared/sum-aggregate", 7, true, 0, 0x770874c01af035ec),
-    ("f7/prepared/order-distance", 13, true, 0, 0xa130a7e01dcaee99),
-    ("f7/prepared/global-diff", 7, true, 0, 0x00a54dc4f911f628),
-    ("f8/prepared/exhaustive", 23, true, 0, 0x8bd3a1255a479dea),
-    ("f8/prepared/site-distance", 1, true, 0, 0x2e4682019f67b239),
-    ("f8/prepared/site-distance-limit3", 1, true, 0, 0x2e4682019f67b239),
-    ("f8/prepared/site-feedback", 1, true, 0, 0x2e4682019f67b239),
-    ("f8/prepared/multiply", 1, true, 0, 0x5d16ef7c8e5c375e),
-    ("f8/prepared/fate", 1, true, 0, 0x7eac9e1bb9043508),
-    ("f8/prepared/crashtuner", 6, false, 0, 0xe7ad80c75a30aea2),
-    ("f8/prepared/crashtuner-meta-exc", 600, false, 0, 0x7b57c963267dcf89),
-    ("f8/prepared/stacktrace", 3, true, 0, 0xf51747fb8bf10bc8),
-    ("f8/prepared/sum-aggregate", 1, true, 0, 0x414ad70a333268d1),
-    ("f8/prepared/order-distance", 1, true, 0, 0x2e4682019f67b239),
-    ("f8/prepared/global-diff", 1, true, 0, 0x5d16ef7c8e5c375e),
-    ("f9/prepared/exhaustive", 5, true, 0, 0x48faea6d94ab8611),
-    ("f9/prepared/site-distance", 1, true, 0, 0x4a9e234d9b4d9873),
-    ("f9/prepared/site-distance-limit3", 1, true, 0, 0x4a9e234d9b4d9873),
-    ("f9/prepared/site-feedback", 1, true, 0, 0x4a9e234d9b4d9873),
-    ("f9/prepared/multiply", 1, true, 0, 0xc183675d8c48c14e),
-    ("f9/prepared/fate", 7, true, 0, 0x44216909f8669061),
-    ("f9/prepared/crashtuner", 6, false, 0, 0xe396a524d7f9b263),
-    ("f9/prepared/crashtuner-meta-exc", 600, false, 0, 0x2c1e9278bca156db),
-    ("f9/prepared/stacktrace", 3, true, 0, 0xed4876080c7a3191),
-    ("f9/prepared/sum-aggregate", 1, true, 0, 0x82baf6d48e204ddf),
-    ("f9/prepared/order-distance", 1, true, 0, 0x4a9e234d9b4d9873),
-    ("f9/prepared/global-diff", 1, true, 0, 0xc183675d8c48c14e),
-    ("f10/prepared/exhaustive", 30, true, 0, 0xcf268b2c2b53d6d5),
-    ("f10/prepared/site-distance", 1, true, 0, 0x3a763c1f9d109988),
-    ("f10/prepared/site-distance-limit3", 1, true, 0, 0x3a763c1f9d109988),
-    ("f10/prepared/site-feedback", 1, true, 0, 0x3a763c1f9d109988),
-    ("f10/prepared/multiply", 1, true, 0, 0x31fbbbbc5c9d2033),
-    ("f10/prepared/fate", 3, true, 0, 0xaad3c2bca0d848a7),
-    ("f10/prepared/crashtuner", 6, false, 0, 0x3d79733b53934172),
-    ("f10/prepared/crashtuner-meta-exc", 600, false, 0, 0xc120f0bcac4eeb99),
-    ("f10/prepared/stacktrace", 1, true, 0, 0xf91a2e02c9e0cb16),
-    ("f10/prepared/sum-aggregate", 1, true, 0, 0x93da5876f41bf0de),
-    ("f10/prepared/order-distance", 1, true, 0, 0x3a763c1f9d109988),
-    ("f10/prepared/global-diff", 1, true, 0, 0x31fbbbbc5c9d2033),
-    ("f11/prepared/exhaustive", 27, true, 0, 0x1d82e6b8fd635897),
-    ("f11/prepared/site-distance", 6, true, 0, 0x0b2882b4ac01d70a),
-    ("f11/prepared/site-distance-limit3", 6, true, 0, 0x0b2882b4ac01d70a),
-    ("f11/prepared/site-feedback", 6, true, 0, 0xf74dfa66ac5487f4),
-    ("f11/prepared/multiply", 6, true, 0, 0x87a29d03fe97bd92),
-    ("f11/prepared/fate", 20, true, 0, 0x78a20e325ff371b8),
-    ("f11/prepared/crashtuner", 6, false, 0, 0xf4de19678a8e927a),
-    ("f11/prepared/crashtuner-meta-exc", 600, false, 0, 0x0cea4770d7f810e3),
-    ("f11/prepared/stacktrace", 2, true, 0, 0xf54f8d89a16bf45b),
-    ("f11/prepared/sum-aggregate", 6, true, 0, 0x87a29d03fe97bd92),
-    ("f11/prepared/order-distance", 6, true, 0, 0xf74dfa66ac5487f4),
-    ("f11/prepared/global-diff", 6, true, 0, 0x87a29d03fe97bd92),
-    ("f12/prepared/exhaustive", 40, true, 0, 0xb73ac4b67f8b3689),
-    ("f12/prepared/site-distance", 1, true, 0, 0x2278236feb9a9c08),
-    ("f12/prepared/site-distance-limit3", 1, true, 0, 0x2278236feb9a9c08),
-    ("f12/prepared/site-feedback", 1, true, 0, 0x2278236feb9a9c08),
-    ("f12/prepared/multiply", 1, true, 0, 0x79f75b78679d4290),
-    ("f12/prepared/fate", 1, true, 0, 0x0feb9cc6628c838b),
-    ("f12/prepared/crashtuner", 15, false, 0, 0x0aa81f0cd15524fd),
-    ("f12/prepared/crashtuner-meta-exc", 1, true, 0, 0x0feb9cc6628c838b),
-    ("f12/prepared/stacktrace", 1, true, 0, 0x61f8c2e8be641e8c),
-    ("f12/prepared/sum-aggregate", 1, true, 0, 0x11a3248862970044),
-    ("f12/prepared/order-distance", 1, true, 0, 0x2278236feb9a9c08),
-    ("f12/prepared/global-diff", 1, true, 0, 0x79f75b78679d4290),
-    ("f13/prepared/exhaustive", 4, true, 0, 0xe5e7eedec2427af0),
-    ("f13/prepared/site-distance", 4, true, 0, 0x00464ccc38d91b3f),
-    ("f13/prepared/site-distance-limit3", 600, false, 0, 0x9265a6b37fbfdfbd),
-    ("f13/prepared/site-feedback", 600, false, 0, 0x2a685a5e1f7ce76d),
-    ("f13/prepared/multiply", 1, true, 0, 0xc87127f9a092ffe6),
-    ("f13/prepared/fate", 18, true, 0, 0xed019cba2914bef6),
-    ("f13/prepared/crashtuner", 15, false, 0, 0x8a7d15a35855cd7a),
-    ("f13/prepared/crashtuner-meta-exc", 600, false, 0, 0x19233cbe8e3c478f),
+    ("f1/prepared/exhaustive", 5, true, 0, 0xce298e2873590a1a),
+    ("f1/prepared/site-distance", 15, true, 0, 0x6f8f70a0110ba399),
+    ("f1/prepared/site-distance-limit3", 600, false, 0, 0x8a1e90b16b1faa06),
+    ("f1/prepared/site-feedback", 600, false, 0, 0x05791f50a5ec5fc3),
+    ("f1/prepared/multiply", 3, true, 0, 0xc456fd5c862d36fe),
+    ("f1/prepared/fate", 20, true, 0, 0xa91ff09b31aac7eb),
+    ("f1/prepared/crashtuner", 6, false, 0, 0x1b276746dec5fd26),
+    ("f1/prepared/crashtuner-meta-exc", 86, false, 0, 0xbb509982362ff8f2),
+    ("f1/prepared/stacktrace", 4, true, 0, 0xd4c28e0e81f02d79),
+    ("f1/prepared/sum-aggregate", 3, true, 0, 0x689877e2bc0c6a30),
+    ("f1/prepared/order-distance", 15, true, 0, 0xaed723ad0499eabe),
+    ("f1/prepared/global-diff", 3, true, 0, 0x0514aa8e28c67cb2),
+    ("f2/prepared/exhaustive", 15, true, 0, 0xc1cce4f64d91829c),
+    ("f2/prepared/site-distance", 31, true, 0, 0x3b725814f3f757ae),
+    ("f2/prepared/site-distance-limit3", 600, false, 0, 0x2f0967e3a87f89a9),
+    ("f2/prepared/site-feedback", 600, false, 0, 0x35c565667114c347),
+    ("f2/prepared/multiply", 13, true, 0, 0xa0a34bffe5832b53),
+    ("f2/prepared/fate", 35, true, 0, 0x69d611366eeb0ce3),
+    ("f2/prepared/crashtuner", 6, false, 0, 0x47f0f2b7ff91136b),
+    ("f2/prepared/crashtuner-meta-exc", 30, true, 0, 0xcdf2e5a4dd6c7491),
+    ("f2/prepared/stacktrace", 6, true, 0, 0xdb9f09829bf0d704),
+    ("f2/prepared/sum-aggregate", 13, true, 0, 0xfdea37a5249bbc7c),
+    ("f2/prepared/order-distance", 31, true, 0, 0xd58d12cc4f3c4cff),
+    ("f2/prepared/global-diff", 13, true, 0, 0xcce958a78e64536e),
+    ("f3/prepared/exhaustive", 3, true, 0, 0x3fe158076c52cc61),
+    ("f3/prepared/site-distance", 5, true, 0, 0x215dbf87951900c7),
+    ("f3/prepared/site-distance-limit3", 5, true, 0, 0x974e84d414654dd7),
+    ("f3/prepared/site-feedback", 5, true, 0, 0xe6886cc0de21b8c6),
+    ("f3/prepared/multiply", 1, true, 0, 0x6551fb0b1c44cc72),
+    ("f3/prepared/fate", 6, true, 0, 0xce544ae38f00b66d),
+    ("f3/prepared/crashtuner", 6, false, 0, 0x34f13b7fb362a8bb),
+    ("f3/prepared/crashtuner-meta-exc", 10, true, 0, 0x78206d6de24e8965),
+    ("f3/prepared/stacktrace", 1, true, 0, 0x4a0f16c3e9bd14a9),
+    ("f3/prepared/sum-aggregate", 1, true, 0, 0xaf788ecd4f0bfe0c),
+    ("f3/prepared/order-distance", 5, true, 0, 0xd9434859105b357e),
+    ("f3/prepared/global-diff", 1, true, 0, 0x6551fb0b1c44cc72),
+    ("f4/prepared/exhaustive", 1, true, 0, 0x9e804f3b57342d9c),
+    ("f4/prepared/site-distance", 1, true, 0, 0x3b2f179db88f6695),
+    ("f4/prepared/site-distance-limit3", 1, true, 0, 0x3b2f179db88f6695),
+    ("f4/prepared/site-feedback", 1, true, 0, 0x3b2f179db88f6695),
+    ("f4/prepared/multiply", 1, true, 0, 0x3b2f179db88f6695),
+    ("f4/prepared/fate", 1, true, 0, 0x1ba3edd3b0bf070f),
+    ("f4/prepared/crashtuner", 6, false, 0, 0x51fb2e75d6c56485),
+    ("f4/prepared/crashtuner-meta-exc", 1, true, 0, 0x1ba3edd3b0bf070f),
+    ("f4/prepared/stacktrace", 1, true, 0, 0xd7132dd7785de97d),
+    ("f4/prepared/sum-aggregate", 1, true, 0, 0x1dce0e67882a7b09),
+    ("f4/prepared/order-distance", 1, true, 0, 0x3b2f179db88f6695),
+    ("f4/prepared/global-diff", 1, true, 0, 0x3b2f179db88f6695),
+    ("f5/prepared/exhaustive", 3, true, 0, 0xbdded08f8ed6e558),
+    ("f5/prepared/site-distance", 16, true, 0, 0xa1f260a18bf4d7ec),
+    ("f5/prepared/site-distance-limit3", 12, true, 0, 0x4c96192b11c693be),
+    ("f5/prepared/site-feedback", 12, true, 0, 0x73eeda62ca056c62),
+    ("f5/prepared/multiply", 6, true, 0, 0x2ea691460c54b479),
+    ("f5/prepared/fate", 11, true, 0, 0xc1666d813ddf6688),
+    ("f5/prepared/crashtuner", 6, false, 0, 0x42a7dca0b621fb9b),
+    ("f5/prepared/crashtuner-meta-exc", 5, true, 0, 0xe84d1da15b567bfb),
+    ("f5/prepared/stacktrace", 1, true, 0, 0xac56fee33513dcb2),
+    ("f5/prepared/sum-aggregate", 6, true, 0, 0xad9e6e35beeb5309),
+    ("f5/prepared/order-distance", 16, true, 0, 0x2fbbc2221988d270),
+    ("f5/prepared/global-diff", 4, true, 0, 0x262a94ff21c08bc4),
+    ("f6/prepared/exhaustive", 8, true, 0, 0x72c29e8862758f9f),
+    ("f6/prepared/site-distance", 15, true, 0, 0x1afbba98737b3a4a),
+    ("f6/prepared/site-distance-limit3", 14, true, 0, 0xf1c29ad0eae3b3a5),
+    ("f6/prepared/site-feedback", 14, true, 0, 0xd896cb9c1cfe41fd),
+    ("f6/prepared/multiply", 14, true, 0, 0xc6d98ab3480b6616),
+    ("f6/prepared/fate", 12, true, 0, 0xdb55569a691fec9e),
+    ("f6/prepared/crashtuner", 6, false, 0, 0x9244b08c2b751527),
+    ("f6/prepared/crashtuner-meta-exc", 600, false, 0, 0x9c21ca96b6f031df),
+    ("f6/prepared/stacktrace", 1, true, 0, 0xe25ff6d6846428c1),
+    ("f6/prepared/sum-aggregate", 14, true, 0, 0x6ad8e54131f8ad16),
+    ("f6/prepared/order-distance", 15, true, 0, 0xc7d4766317c0944d),
+    ("f6/prepared/global-diff", 14, true, 0, 0x66ff1852544e8c15),
+    ("f7/prepared/exhaustive", 3, true, 0, 0x13f7ebc39da3bb8d),
+    ("f7/prepared/site-distance", 13, true, 0, 0x0a71626ceb764c29),
+    ("f7/prepared/site-distance-limit3", 13, true, 0, 0x2efbc8e0010036cf),
+    ("f7/prepared/site-feedback", 13, true, 0, 0x7b4e04a9ac4e2384),
+    ("f7/prepared/multiply", 7, true, 0, 0x5947f3e1dc2e1534),
+    ("f7/prepared/fate", 13, true, 0, 0x5cd21e3573492c3f),
+    ("f7/prepared/crashtuner", 6, false, 0, 0x1a1a1b2b367335bb),
+    ("f7/prepared/crashtuner-meta-exc", 3, true, 0, 0xba7bbb70cdbf7ee0),
+    ("f7/prepared/stacktrace", 1, true, 0, 0xe6141ba9459b8e63),
+    ("f7/prepared/sum-aggregate", 7, true, 0, 0xfc1b19bc59d51a85),
+    ("f7/prepared/order-distance", 13, true, 0, 0x425d9b574d39bdd6),
+    ("f7/prepared/global-diff", 7, true, 0, 0xd261059537dc71fd),
+    ("f8/prepared/exhaustive", 23, true, 0, 0x804b09ee316d06d5),
+    ("f8/prepared/site-distance", 1, true, 0, 0xd7f3e98fb0835742),
+    ("f8/prepared/site-distance-limit3", 1, true, 0, 0xd7f3e98fb0835742),
+    ("f8/prepared/site-feedback", 1, true, 0, 0xd7f3e98fb0835742),
+    ("f8/prepared/multiply", 1, true, 0, 0x2393f6175d25fecf),
+    ("f8/prepared/fate", 1, true, 0, 0x68f447b541ad6df5),
+    ("f8/prepared/crashtuner", 6, false, 0, 0xe7ebf5597c533c32),
+    ("f8/prepared/crashtuner-meta-exc", 600, false, 0, 0x7ca95f802a43f8c3),
+    ("f8/prepared/stacktrace", 3, true, 0, 0x3d2d77b6108caf58),
+    ("f8/prepared/sum-aggregate", 1, true, 0, 0x50df90f74775b992),
+    ("f8/prepared/order-distance", 1, true, 0, 0xd7f3e98fb0835742),
+    ("f8/prepared/global-diff", 1, true, 0, 0x2393f6175d25fecf),
+    ("f9/prepared/exhaustive", 5, true, 0, 0x64e3215a810dff30),
+    ("f9/prepared/site-distance", 1, true, 0, 0xbfdbe1b738730728),
+    ("f9/prepared/site-distance-limit3", 1, true, 0, 0xbfdbe1b738730728),
+    ("f9/prepared/site-feedback", 1, true, 0, 0xbfdbe1b738730728),
+    ("f9/prepared/multiply", 1, true, 0, 0x4bd3ef0c54f449b7),
+    ("f9/prepared/fate", 7, true, 0, 0x3d9da58fca269c92),
+    ("f9/prepared/crashtuner", 6, false, 0, 0x31225dd48512d75b),
+    ("f9/prepared/crashtuner-meta-exc", 600, false, 0, 0x5dac33a06121ee23),
+    ("f9/prepared/stacktrace", 3, true, 0, 0xa9e9b35ae8ca14ad),
+    ("f9/prepared/sum-aggregate", 1, true, 0, 0xe403a273372d98da),
+    ("f9/prepared/order-distance", 1, true, 0, 0xbfdbe1b738730728),
+    ("f9/prepared/global-diff", 1, true, 0, 0x4bd3ef0c54f449b7),
+    ("f10/prepared/exhaustive", 30, true, 0, 0x4b30b61f1f74c27d),
+    ("f10/prepared/site-distance", 1, true, 0, 0x108c0e24f10e54a2),
+    ("f10/prepared/site-distance-limit3", 1, true, 0, 0x108c0e24f10e54a2),
+    ("f10/prepared/site-feedback", 1, true, 0, 0x108c0e24f10e54a2),
+    ("f10/prepared/multiply", 1, true, 0, 0x6cb5ce1cf669816d),
+    ("f10/prepared/fate", 3, true, 0, 0x28440a0871f7b27e),
+    ("f10/prepared/crashtuner", 6, false, 0, 0x83e80354f667de16),
+    ("f10/prepared/crashtuner-meta-exc", 600, false, 0, 0x8531dbb2bcd6b655),
+    ("f10/prepared/stacktrace", 1, true, 0, 0x5251296d62b1fe43),
+    ("f10/prepared/sum-aggregate", 1, true, 0, 0x823a45c724cc0e44),
+    ("f10/prepared/order-distance", 1, true, 0, 0x108c0e24f10e54a2),
+    ("f10/prepared/global-diff", 1, true, 0, 0x6cb5ce1cf669816d),
+    ("f11/prepared/exhaustive", 27, true, 0, 0x11031718105953fc),
+    ("f11/prepared/site-distance", 6, true, 0, 0x99caf2a543e52cee),
+    ("f11/prepared/site-distance-limit3", 6, true, 0, 0x99caf2a543e52cee),
+    ("f11/prepared/site-feedback", 6, true, 0, 0xd0f1763b92f31c4a),
+    ("f11/prepared/multiply", 6, true, 0, 0xebea8626891b202c),
+    ("f11/prepared/fate", 20, true, 0, 0xbb882e6892f99e50),
+    ("f11/prepared/crashtuner", 6, false, 0, 0x60a9ca9bbc8070a6),
+    ("f11/prepared/crashtuner-meta-exc", 600, false, 0, 0x34a229e3a2654e12),
+    ("f11/prepared/stacktrace", 2, true, 0, 0x11a4b956626cdb63),
+    ("f11/prepared/sum-aggregate", 6, true, 0, 0xebea8626891b202c),
+    ("f11/prepared/order-distance", 6, true, 0, 0xd0f1763b92f31c4a),
+    ("f11/prepared/global-diff", 6, true, 0, 0xebea8626891b202c),
+    ("f12/prepared/exhaustive", 40, true, 0, 0xeef5c9e1c63fc19b),
+    ("f12/prepared/site-distance", 1, true, 0, 0x7d04412a808aca4b),
+    ("f12/prepared/site-distance-limit3", 1, true, 0, 0x7d04412a808aca4b),
+    ("f12/prepared/site-feedback", 1, true, 0, 0x7d04412a808aca4b),
+    ("f12/prepared/multiply", 1, true, 0, 0xe4b3660fedbc9a77),
+    ("f12/prepared/fate", 1, true, 0, 0x5116cd2a5e1dc28c),
+    ("f12/prepared/crashtuner", 15, false, 0, 0xfdd1e0584f9a258e),
+    ("f12/prepared/crashtuner-meta-exc", 1, true, 0, 0x5116cd2a5e1dc28c),
+    ("f12/prepared/stacktrace", 1, true, 0, 0x6cb2c78607070191),
+    ("f12/prepared/sum-aggregate", 1, true, 0, 0xc28f4a36ef84b367),
+    ("f12/prepared/order-distance", 1, true, 0, 0x7d04412a808aca4b),
+    ("f12/prepared/global-diff", 1, true, 0, 0xe4b3660fedbc9a77),
+    ("f13/prepared/exhaustive", 4, true, 0, 0xb47e263a5937c208),
+    ("f13/prepared/site-distance", 4, true, 0, 0x62f506972f7fdc1b),
+    ("f13/prepared/site-distance-limit3", 600, false, 0, 0x15969ba52bdf3d56),
+    ("f13/prepared/site-feedback", 600, false, 0, 0x0cc89cf5aa2883d0),
+    ("f13/prepared/multiply", 1, true, 0, 0xccad2190febefa82),
+    ("f13/prepared/fate", 18, true, 0, 0xa5592da476318a0e),
+    ("f13/prepared/crashtuner", 15, false, 0, 0x18a257bdb737479f),
+    ("f13/prepared/crashtuner-meta-exc", 600, false, 0, 0x1138a9a8f091f859),
     ("f13/prepared/stacktrace", 0, false, 0, 0x6e706f876c66ffc1),
-    ("f13/prepared/sum-aggregate", 1, true, 0, 0x0c98943c23795163),
-    ("f13/prepared/order-distance", 4, true, 0, 0xe5501bb13ed45e08),
-    ("f13/prepared/global-diff", 1, true, 0, 0xc87127f9a092ffe6),
-    ("f14/prepared/exhaustive", 2, true, 0, 0xe78cb5ca93ecf293),
-    ("f14/prepared/site-distance", 2, true, 0, 0x680a472943fb8fb9),
-    ("f14/prepared/site-distance-limit3", 2, true, 0, 0x680a472943fb8fb9),
-    ("f14/prepared/site-feedback", 2, true, 0, 0xe25851909ceef7a6),
-    ("f14/prepared/multiply", 1, true, 0, 0x1afe7742d62aa059),
-    ("f14/prepared/fate", 1, true, 0, 0xad2ba4d291fd8407),
-    ("f14/prepared/crashtuner", 15, false, 0, 0x5ac37964b6fd681d),
-    ("f14/prepared/crashtuner-meta-exc", 1, true, 0, 0xad2ba4d291fd8407),
+    ("f13/prepared/sum-aggregate", 1, true, 0, 0x03bb2dd4981b4b8f),
+    ("f13/prepared/order-distance", 4, true, 0, 0xac60db8a3d520f26),
+    ("f13/prepared/global-diff", 1, true, 0, 0xccad2190febefa82),
+    ("f14/prepared/exhaustive", 2, true, 0, 0xf278f58ddad7092d),
+    ("f14/prepared/site-distance", 2, true, 0, 0x0a891d1ecb812e83),
+    ("f14/prepared/site-distance-limit3", 2, true, 0, 0x0a891d1ecb812e83),
+    ("f14/prepared/site-feedback", 2, true, 0, 0x7cef840a60b625dc),
+    ("f14/prepared/multiply", 1, true, 0, 0x29479f9201f13cb7),
+    ("f14/prepared/fate", 1, true, 0, 0xa6a65a0c2191b72c),
+    ("f14/prepared/crashtuner", 15, false, 0, 0x461ccfee85adb48a),
+    ("f14/prepared/crashtuner-meta-exc", 1, true, 0, 0xa6a65a0c2191b72c),
     ("f14/prepared/stacktrace", 0, false, 0, 0x6e706f876c66ffc1),
-    ("f14/prepared/sum-aggregate", 1, true, 0, 0x505a103a54c471d5),
-    ("f14/prepared/order-distance", 2, true, 0, 0xe25851909ceef7a6),
-    ("f14/prepared/global-diff", 1, true, 0, 0x1afe7742d62aa059),
-    ("f15/prepared/exhaustive", 1, true, 0, 0x70d2fda9d182bfb9),
-    ("f15/prepared/site-distance", 1, true, 0, 0x06be24ba95ecf74b),
-    ("f15/prepared/site-distance-limit3", 1, true, 0, 0x06be24ba95ecf74b),
-    ("f15/prepared/site-feedback", 1, true, 0, 0x06be24ba95ecf74b),
-    ("f15/prepared/multiply", 1, true, 0, 0x37db0fcfd972bf07),
-    ("f15/prepared/fate", 1, true, 0, 0x8d933b042ad67ad3),
-    ("f15/prepared/crashtuner", 15, false, 0, 0x6dbac5cafb951bbe),
-    ("f15/prepared/crashtuner-meta-exc", 600, false, 0, 0x5fb1eb7ac43eba87),
-    ("f15/prepared/stacktrace", 1, true, 0, 0xf82456e459a3d533),
-    ("f15/prepared/sum-aggregate", 1, true, 0, 0x02916cad16dbc6b1),
-    ("f15/prepared/order-distance", 1, true, 0, 0x06be24ba95ecf74b),
-    ("f15/prepared/global-diff", 1, true, 0, 0x37db0fcfd972bf07),
-    ("f16/prepared/exhaustive", 1, true, 0, 0x99a683d2bd013f3d),
-    ("f16/prepared/site-distance", 2, true, 0, 0xb2cfdc14c1831f28),
-    ("f16/prepared/site-distance-limit3", 2, true, 0, 0xb2cfdc14c1831f28),
-    ("f16/prepared/site-feedback", 2, true, 0, 0x71dc62dff887f322),
-    ("f16/prepared/multiply", 1, true, 0, 0x13b7d24468a6378e),
-    ("f16/prepared/fate", 6, true, 0, 0x421daf7e493a1486),
-    ("f16/prepared/crashtuner", 15, false, 0, 0xdca7ce1d9c91c166),
-    ("f16/prepared/crashtuner-meta-exc", 4, true, 0, 0x22863988d94bbf1d),
-    ("f16/prepared/stacktrace", 1, true, 0, 0xd5d1922675683b3a),
-    ("f16/prepared/sum-aggregate", 1, true, 0, 0xae8251a68ba65fe5),
-    ("f16/prepared/order-distance", 2, true, 0, 0x71dc62dff887f322),
-    ("f16/prepared/global-diff", 1, true, 0, 0x13b7d24468a6378e),
-    ("f17/prepared/exhaustive", 63, true, 0, 0x9a73659078415902),
-    ("f17/prepared/site-distance", 26, true, 0, 0xb81f1ad1e1f46627),
-    ("f17/prepared/site-distance-limit3", 600, false, 0, 0x9cdeae91632a896e),
-    ("f17/prepared/site-feedback", 600, false, 0, 0x5a1271fa4a79eb88),
-    ("f17/prepared/multiply", 12, true, 0, 0xb9d6da0e0e3b09da),
-    ("f17/prepared/fate", 50, true, 0, 0x7342ac26dca249b4),
-    ("f17/prepared/crashtuner", 15, false, 0, 0x8b8a5bad4f4f826c),
-    ("f17/prepared/crashtuner-meta-exc", 600, false, 0, 0x49c2a92af2af9f67),
-    ("f17/prepared/stacktrace", 7, true, 0, 0xb35ad99a9b768679),
-    ("f17/prepared/sum-aggregate", 12, true, 0, 0x0fe13a3d0e0317ab),
-    ("f17/prepared/order-distance", 26, true, 0, 0xe3e56d3d20feda21),
-    ("f17/prepared/global-diff", 12, true, 0, 0x032ed8925468d771),
-    ("f18/prepared/exhaustive", 4, true, 0, 0x692d1048347d0454),
-    ("f18/prepared/site-distance", 4, true, 0, 0xbfaa699d864b203a),
-    ("f18/prepared/site-distance-limit3", 4, true, 0, 0xbfaa699d864b203a),
-    ("f18/prepared/site-feedback", 4, true, 0, 0xa9055bdd29f44d21),
-    ("f18/prepared/multiply", 3, true, 0, 0x65925b7626340786),
-    ("f18/prepared/fate", 6, true, 0, 0x810a1a519e1dc28b),
-    ("f18/prepared/crashtuner", 15, false, 0, 0x9290feb6361ea268),
+    ("f14/prepared/sum-aggregate", 1, true, 0, 0xe19150590822b903),
+    ("f14/prepared/order-distance", 2, true, 0, 0x7cef840a60b625dc),
+    ("f14/prepared/global-diff", 1, true, 0, 0x29479f9201f13cb7),
+    ("f15/prepared/exhaustive", 1, true, 0, 0x4b98726afbb494c0),
+    ("f15/prepared/site-distance", 1, true, 0, 0x881e03dc02b731cf),
+    ("f15/prepared/site-distance-limit3", 1, true, 0, 0x881e03dc02b731cf),
+    ("f15/prepared/site-feedback", 1, true, 0, 0x881e03dc02b731cf),
+    ("f15/prepared/multiply", 1, true, 0, 0x5700fa2ca42c819b),
+    ("f15/prepared/fate", 1, true, 0, 0x17f5c0681bbd96b8),
+    ("f15/prepared/crashtuner", 15, false, 0, 0x5d247396bb03e4ed),
+    ("f15/prepared/crashtuner-meta-exc", 600, false, 0, 0xd9dcb18e5152c8e7),
+    ("f15/prepared/stacktrace", 1, true, 0, 0x51669fed88ef0004),
+    ("f15/prepared/sum-aggregate", 1, true, 0, 0x9836fb10bc24b9b5),
+    ("f15/prepared/order-distance", 1, true, 0, 0x881e03dc02b731cf),
+    ("f15/prepared/global-diff", 1, true, 0, 0x5700fa2ca42c819b),
+    ("f16/prepared/exhaustive", 1, true, 0, 0x6ab3faeb96bf216c),
+    ("f16/prepared/site-distance", 2, true, 0, 0x033d76100521bdf8),
+    ("f16/prepared/site-distance-limit3", 2, true, 0, 0x033d76100521bdf8),
+    ("f16/prepared/site-feedback", 2, true, 0, 0x4a3b6d10995e3f86),
+    ("f16/prepared/multiply", 1, true, 0, 0xcb92987cb6e4cb3c),
+    ("f16/prepared/fate", 6, true, 0, 0xd5dfdd745ecf93a3),
+    ("f16/prepared/crashtuner", 15, false, 0, 0x60f25e921145636b),
+    ("f16/prepared/crashtuner-meta-exc", 4, true, 0, 0x43931caff91ac9b5),
+    ("f16/prepared/stacktrace", 1, true, 0, 0x3e11b90576bbc7fb),
+    ("f16/prepared/sum-aggregate", 1, true, 0, 0x4310edc5e28cb3bb),
+    ("f16/prepared/order-distance", 2, true, 0, 0x4a3b6d10995e3f86),
+    ("f16/prepared/global-diff", 1, true, 0, 0xcb92987cb6e4cb3c),
+    ("f17/prepared/exhaustive", 63, true, 0, 0xd8a766f2fa0faaf7),
+    ("f17/prepared/site-distance", 26, true, 0, 0xa137ad80f9eb2974),
+    ("f17/prepared/site-distance-limit3", 600, false, 0, 0xad029cfcd00f0669),
+    ("f17/prepared/site-feedback", 600, false, 0, 0x82388573557769a5),
+    ("f17/prepared/multiply", 12, true, 0, 0x117c2d48c00b8a76),
+    ("f17/prepared/fate", 50, true, 0, 0x454ec42803d83694),
+    ("f17/prepared/crashtuner", 15, false, 0, 0xc04032ebfb35f479),
+    ("f17/prepared/crashtuner-meta-exc", 600, false, 0, 0xc95ef28852d04048),
+    ("f17/prepared/stacktrace", 7, true, 0, 0x8fb954f0e51ac962),
+    ("f17/prepared/sum-aggregate", 12, true, 0, 0x957c02f7b0c14e65),
+    ("f17/prepared/order-distance", 26, true, 0, 0x48f6ae1b4320cff0),
+    ("f17/prepared/global-diff", 12, true, 0, 0xd6bb68059068c20b),
+    ("f18/prepared/exhaustive", 4, true, 0, 0x9cdf32e3150c82e3),
+    ("f18/prepared/site-distance", 4, true, 0, 0xd09867fa034a27c2),
+    ("f18/prepared/site-distance-limit3", 4, true, 0, 0xd09867fa034a27c2),
+    ("f18/prepared/site-feedback", 4, true, 0, 0x7ba80e23c5b64f1f),
+    ("f18/prepared/multiply", 3, true, 0, 0x8c4cbc12605f9dfa),
+    ("f18/prepared/fate", 6, true, 0, 0xae4f425e26026975),
+    ("f18/prepared/crashtuner", 15, false, 0, 0x4e6a8bf76cd44899),
     ("f18/prepared/crashtuner-meta-exc", 0, false, 0, 0x6e706f876c66ffc1),
-    ("f18/prepared/stacktrace", 3, true, 0, 0xb88668ce12471ebf),
-    ("f18/prepared/sum-aggregate", 3, true, 0, 0x65925b7626340786),
-    ("f18/prepared/order-distance", 4, true, 0, 0xa9055bdd29f44d21),
-    ("f18/prepared/global-diff", 3, true, 0, 0x65925b7626340786),
-    ("f19/prepared/exhaustive", 1, true, 0, 0x3eef9654b4853d65),
-    ("f19/prepared/site-distance", 1, true, 0, 0x3baded61633949b2),
-    ("f19/prepared/site-distance-limit3", 1, true, 0, 0x3baded61633949b2),
-    ("f19/prepared/site-feedback", 1, true, 0, 0x3baded61633949b2),
-    ("f19/prepared/multiply", 2, true, 0, 0x03ad507b5bf29312),
-    ("f19/prepared/fate", 1, true, 0, 0xbced59b0b66f2e01),
-    ("f19/prepared/crashtuner", 15, false, 0, 0xb1a4ab0e0b6c3af4),
+    ("f18/prepared/stacktrace", 3, true, 0, 0x431cc452ed450668),
+    ("f18/prepared/sum-aggregate", 3, true, 0, 0x8c4cbc12605f9dfa),
+    ("f18/prepared/order-distance", 4, true, 0, 0x7ba80e23c5b64f1f),
+    ("f18/prepared/global-diff", 3, true, 0, 0x8c4cbc12605f9dfa),
+    ("f19/prepared/exhaustive", 1, true, 0, 0x84c831945daff934),
+    ("f19/prepared/site-distance", 1, true, 0, 0x794f5f86e42f23d7),
+    ("f19/prepared/site-distance-limit3", 1, true, 0, 0x794f5f86e42f23d7),
+    ("f19/prepared/site-feedback", 1, true, 0, 0x794f5f86e42f23d7),
+    ("f19/prepared/multiply", 2, true, 0, 0x0a11610d7a82ce88),
+    ("f19/prepared/fate", 1, true, 0, 0xfb14bf4119049ad2),
+    ("f19/prepared/crashtuner", 15, false, 0, 0xa270c6b3dc6858cb),
     ("f19/prepared/crashtuner-meta-exc", 0, false, 0, 0x6e706f876c66ffc1),
-    ("f19/prepared/stacktrace", 1, true, 0, 0xcf58dca3292cead5),
-    ("f19/prepared/sum-aggregate", 2, true, 0, 0x4701384867ea6bd6),
-    ("f19/prepared/order-distance", 1, true, 0, 0x3baded61633949b2),
-    ("f19/prepared/global-diff", 2, true, 0, 0x03ad507b5bf29312),
-    ("f20/prepared/exhaustive", 16, true, 0, 0x43ceddf81e6c1df8),
-    ("f20/prepared/site-distance", 16, true, 0, 0x9cdba0cff64c2443),
-    ("f20/prepared/site-distance-limit3", 600, false, 0, 0x3227102190820010),
-    ("f20/prepared/site-feedback", 600, false, 0, 0x1bbeb8e7f015b0d2),
-    ("f20/prepared/multiply", 9, true, 0, 0x4b462a7e2ee28574),
-    ("f20/prepared/fate", 36, true, 0, 0xa61861ae623ef033),
-    ("f20/prepared/crashtuner", 15, false, 0, 0xae7dab34b69b928e),
+    ("f19/prepared/stacktrace", 1, true, 0, 0xcccaf266ae60f679),
+    ("f19/prepared/sum-aggregate", 2, true, 0, 0x6e34f3e45e9a6e8e),
+    ("f19/prepared/order-distance", 1, true, 0, 0x794f5f86e42f23d7),
+    ("f19/prepared/global-diff", 2, true, 0, 0x0a11610d7a82ce88),
+    ("f20/prepared/exhaustive", 16, true, 0, 0x9951eb5330f856e1),
+    ("f20/prepared/site-distance", 16, true, 0, 0x31e5bb79c4fad132),
+    ("f20/prepared/site-distance-limit3", 600, false, 0, 0x5c446319eba4fc1d),
+    ("f20/prepared/site-feedback", 600, false, 0, 0x536e1c859bbeb0c7),
+    ("f20/prepared/multiply", 9, true, 0, 0x365f3d8f72bafcd4),
+    ("f20/prepared/fate", 36, true, 0, 0xc33f51747f5e1243),
+    ("f20/prepared/crashtuner", 15, false, 0, 0xa7f157d4b5117139),
     ("f20/prepared/crashtuner-meta-exc", 0, false, 0, 0x6e706f876c66ffc1),
-    ("f20/prepared/stacktrace", 12, true, 0, 0x52a5a17bae42d218),
-    ("f20/prepared/sum-aggregate", 9, true, 0, 0x829dfc8b617cf97a),
-    ("f20/prepared/order-distance", 16, true, 0, 0xdaf5d49523a275ac),
-    ("f20/prepared/global-diff", 9, true, 0, 0x53598dcaf67e35bb),
-    ("f21/prepared/exhaustive", 2, true, 0, 0x4c7601f396072867),
-    ("f21/prepared/site-distance", 2, true, 0, 0x7eac6bc71514e8d8),
-    ("f21/prepared/site-distance-limit3", 2, true, 0, 0x7eac6bc71514e8d8),
-    ("f21/prepared/site-feedback", 2, true, 0, 0x0aff362ddd3c3108),
-    ("f21/prepared/multiply", 2, true, 0, 0x74f86fe42b739c16),
-    ("f21/prepared/fate", 4, true, 0, 0x3a1c89634032e40b),
-    ("f21/prepared/crashtuner", 3, false, 0, 0x7ad7f419d85d4cb7),
-    ("f21/prepared/crashtuner-meta-exc", 4, true, 0, 0x3a1c89634032e40b),
-    ("f21/prepared/stacktrace", 2, true, 0, 0x788c0f492073ccd6),
-    ("f21/prepared/sum-aggregate", 2, true, 0, 0x56857eefb7c87a51),
-    ("f21/prepared/order-distance", 2, true, 0, 0x0aff362ddd3c3108),
-    ("f21/prepared/global-diff", 2, true, 0, 0x74f86fe42b739c16),
-    ("f22/prepared/exhaustive", 5, true, 0, 0x84858d4f1adfd59a),
-    ("f22/prepared/site-distance", 2, true, 0, 0x5b14486b72f171ae),
-    ("f22/prepared/site-distance-limit3", 2, true, 0, 0x5b14486b72f171ae),
-    ("f22/prepared/site-feedback", 2, true, 0, 0x9cfba6a9ba7e42ea),
-    ("f22/prepared/multiply", 1, true, 0, 0xee900f1eda72338d),
-    ("f22/prepared/fate", 5, true, 0, 0x5441151a1fca5fea),
-    ("f22/prepared/crashtuner", 2, true, 0, 0x89f8ccc06f41863e),
-    ("f22/prepared/crashtuner-meta-exc", 5, true, 0, 0x5441151a1fca5fea),
-    ("f22/prepared/stacktrace", 1, true, 0, 0x564d7488daaacd02),
-    ("f22/prepared/sum-aggregate", 1, true, 0, 0xee900f1eda72338d),
-    ("f22/prepared/order-distance", 2, true, 0, 0x9cfba6a9ba7e42ea),
-    ("f22/prepared/global-diff", 1, true, 0, 0xee900f1eda72338d),
+    ("f20/prepared/stacktrace", 12, true, 0, 0xb2c4b85361979c9b),
+    ("f20/prepared/sum-aggregate", 9, true, 0, 0x3270c0d005bf9552),
+    ("f20/prepared/order-distance", 16, true, 0, 0x4e34b5a8181efe3b),
+    ("f20/prepared/global-diff", 9, true, 0, 0xa3e57570f841b13d),
+    ("f21/prepared/exhaustive", 2, true, 0, 0xa14abaf346fbc54f),
+    ("f21/prepared/site-distance", 2, true, 0, 0x65a5b06007b296c4),
+    ("f21/prepared/site-distance-limit3", 2, true, 0, 0x65a5b06007b296c4),
+    ("f21/prepared/site-feedback", 2, true, 0, 0x5e96c8e704ca7650),
+    ("f21/prepared/multiply", 2, true, 0, 0xbbffa445b2acb918),
+    ("f21/prepared/fate", 4, true, 0, 0xa41a12bb5cd20833),
+    ("f21/prepared/crashtuner", 3, false, 0, 0xad9530c4b1373cdc),
+    ("f21/prepared/crashtuner-meta-exc", 4, true, 0, 0xa41a12bb5cd20833),
+    ("f21/prepared/stacktrace", 2, true, 0, 0x315b1dd89ef5033c),
+    ("f21/prepared/sum-aggregate", 2, true, 0, 0xd035da33280b8b21),
+    ("f21/prepared/order-distance", 2, true, 0, 0x5e96c8e704ca7650),
+    ("f21/prepared/global-diff", 2, true, 0, 0xbbffa445b2acb918),
+    ("f22/prepared/exhaustive", 5, true, 0, 0x3ee7507a3d3c6513),
+    ("f22/prepared/site-distance", 2, true, 0, 0xd2c3978a9d735226),
+    ("f22/prepared/site-distance-limit3", 2, true, 0, 0xd2c3978a9d735226),
+    ("f22/prepared/site-feedback", 2, true, 0, 0x6fb8d1bf9dbc99ba),
+    ("f22/prepared/multiply", 1, true, 0, 0x6551d2d4d889a7fe),
+    ("f22/prepared/fate", 5, true, 0, 0x5fe65376285fb49d),
+    ("f22/prepared/crashtuner", 2, true, 0, 0x1341520e6ef185e2),
+    ("f22/prepared/crashtuner-meta-exc", 5, true, 0, 0x5fe65376285fb49d),
+    ("f22/prepared/stacktrace", 1, true, 0, 0xf2a9e6f6dcf72df9),
+    ("f22/prepared/sum-aggregate", 1, true, 0, 0x6551d2d4d889a7fe),
+    ("f22/prepared/order-distance", 2, true, 0, 0x6fb8d1bf9dbc99ba),
+    ("f22/prepared/global-diff", 1, true, 0, 0x6551d2d4d889a7fe),
 ];
 
 #[rustfmt::skip]
 const BATCHED: [Row; 4] = [
-    ("f5/degraded/full-adaptive/batched", 82, true, 5, 0x501283343d8260e8),
-    ("f11/degraded/full-adaptive/batched", 42, true, 7, 0xdcc320fae29ca001),
-    ("f18/degraded/full-adaptive/batched", 12, true, 4, 0xdf5139ff42aa4927),
-    ("f22/degraded/full-adaptive/batched", 49, true, 4, 0x70cda793a702a38c),
+    ("f5/degraded/full-adaptive/batched", 82, true, 5, 0x22d78e1fd80a5e02),
+    ("f11/degraded/full-adaptive/batched", 42, true, 7, 0x7de05588c9b8a725),
+    ("f18/degraded/full-adaptive/batched", 12, true, 4, 0x84a3928c8e50a1fc),
+    ("f22/degraded/full-adaptive/batched", 49, true, 4, 0x1f7015a9815b962f),
 ];
 
 /// The stall cases: degraded inputs the fixed search never reproduces.
@@ -433,7 +438,7 @@ fn fnv1a(lines: &[String]) -> u64 {
     })
 }
 
-/// One searched row, and whether the search ever began a retry pass.
+/// One searched row, and whether the search ever exhausted its window.
 fn search(
     key: String,
     ctx: &SearchContext,
@@ -470,28 +475,26 @@ fn search(
         matches!(
             e,
             TraceEvent::Note {
-                note: StrategyNote::RetryPass { .. },
+                note: StrategyNote::WindowExhausted { .. },
                 ..
             }
         )
     });
-    // A promotion's focus site is one no existing observable reached
-    // (`l_old` = ∞), and its scoped build connects at least that site.
+    // A promotion's focus site is one no prepared fault unit spans (no
+    // existing observable reached it), and its scoped build connects at
+    // least that site.
     for e in &events {
         if let TraceEvent::Note {
             note:
                 StrategyNote::ObservablePromoted {
-                    site,
-                    l_old,
-                    units_added,
-                    ..
+                    site, units_added, ..
                 },
             round,
         } = e
         {
             assert!(
-                *l_old == u32::MAX && *units_added >= 1,
-                "{key}: round {round} promoted for {site:?} with l_old {l_old}, \
+                ctx.units.iter().all(|u| u.site != *site) && *units_added >= 1,
+                "{key}: round {round} promoted for {site:?}, a unit site or with \
                  {units_added} units added"
             );
         }
@@ -617,6 +620,213 @@ fn batched_adaptive_searches_on_the_stall_cases_are_pinned() {
             "{key}: the batched search differs from the sequential one"
         );
     }
+}
+
+/// The strategies with population rows, by registry name.
+const POPULATION_STRATEGIES: [&str; 5] =
+    ["full", "exhaustive", "site-distance", "fate", "stacktrace"];
+
+/// Base seeds of a population: `1000 + 7919·i`, as `paper table2 --seeds`
+/// draws them. Seed 0 is [`SEED`].
+const POPULATION_SEEDS: usize = 16;
+
+/// `(key, median rounds, capped, digest)`: a strategy's searches of one
+/// ticket, prepared and searched at each population seed. A search that
+/// does not reproduce counts as [`CAP`] rounds in the median and once in
+/// `capped`; the digest is the FNV-1a of each search's `rounds reproduced`
+/// line in seed order.
+type PopulationRow = (&'static str, u64, usize, u64);
+
+#[rustfmt::skip]
+const POPULATION: [PopulationRow; 110] = [
+    ("f1/prepared/full", 1, 0, 0x9e5de6a310d418fc),
+    ("f1/prepared/exhaustive", 5, 0, 0xc4bccce86dd8bcf5),
+    ("f1/prepared/site-distance", 15, 0, 0x78d7ecd755020724),
+    ("f1/prepared/fate", 20, 0, 0x7cfb8868601800ab),
+    ("f1/prepared/stacktrace", 4, 0, 0x9af45dc89d61fa25),
+    ("f2/prepared/full", 17, 0, 0x62c990ed260f5e34),
+    ("f2/prepared/exhaustive", 15, 0, 0x28c599a083d31365),
+    ("f2/prepared/site-distance", 30, 0, 0xae66fcb8fa71fd5a),
+    ("f2/prepared/fate", 35, 0, 0x6c0b42904d8ed865),
+    ("f2/prepared/stacktrace", 6, 0, 0xe24720a66b45e605),
+    ("f3/prepared/full", 1, 0, 0x0292ca7768ff94de),
+    ("f3/prepared/exhaustive", 2, 0, 0xd14f0d95890e271a),
+    ("f3/prepared/site-distance", 2, 0, 0x240a3fc5e74c5044),
+    ("f3/prepared/fate", 7, 0, 0x249c831298a057e5),
+    ("f3/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+    ("f4/prepared/full", 1, 0, 0xf072f53e1476d5f5),
+    ("f4/prepared/exhaustive", 1, 0, 0xf072f53e1476d5f5),
+    ("f4/prepared/site-distance", 1, 0, 0xf072f53e1476d5f5),
+    ("f4/prepared/fate", 1, 0, 0xf072f53e1476d5f5),
+    ("f4/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+    ("f5/prepared/full", 6, 0, 0x0d77131b371db88e),
+    ("f5/prepared/exhaustive", 3, 0, 0x7033ab41e23ec572),
+    ("f5/prepared/site-distance", 14, 0, 0x5212a820389b7adb),
+    ("f5/prepared/fate", 11, 0, 0x3574625a06161193),
+    ("f5/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+    ("f6/prepared/full", 7, 0, 0x1f74349bcd4c3c55),
+    ("f6/prepared/exhaustive", 4, 0, 0x53e462a433892f99),
+    ("f6/prepared/site-distance", 15, 0, 0xc0a585706153d096),
+    ("f6/prepared/fate", 12, 0, 0x3c1cdd81794ea5c5),
+    ("f6/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+    ("f7/prepared/full", 3, 0, 0x98b8eac0a0a2fa3f),
+    ("f7/prepared/exhaustive", 3, 1, 0x9fe545ccb51a58ad),
+    ("f7/prepared/site-distance", 11, 0, 0xa1a9d0802b26cb89),
+    ("f7/prepared/fate", 10, 0, 0xd85c6c08a73018d4),
+    ("f7/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+    ("f8/prepared/full", 1, 0, 0xf072f53e1476d5f5),
+    ("f8/prepared/exhaustive", 23, 0, 0x05a42c0b9586f609),
+    ("f8/prepared/site-distance", 1, 0, 0xf072f53e1476d5f5),
+    ("f8/prepared/fate", 1, 0, 0x1d691be9e42f1053),
+    ("f8/prepared/stacktrace", 3, 0, 0x6c86e765789909f5),
+    ("f9/prepared/full", 1, 0, 0xf072f53e1476d5f5),
+    ("f9/prepared/exhaustive", 12, 0, 0x408b91751e6d7c66),
+    ("f9/prepared/site-distance", 1, 0, 0xf072f53e1476d5f5),
+    ("f9/prepared/fate", 7, 0, 0x39b0b3e54a07b578),
+    ("f9/prepared/stacktrace", 3, 0, 0x6c86e765789909f5),
+    ("f10/prepared/full", 1, 0, 0xf072f53e1476d5f5),
+    ("f10/prepared/exhaustive", 42, 0, 0x14bde0dc5ece981b),
+    ("f10/prepared/site-distance", 1, 0, 0xf072f53e1476d5f5),
+    ("f10/prepared/fate", 3, 0, 0x6c86e765789909f5),
+    ("f10/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+    ("f11/prepared/full", 7, 0, 0xd7e59c60e44f3bb4),
+    ("f11/prepared/exhaustive", 27, 0, 0xebefdf1cc427ce78),
+    ("f11/prepared/site-distance", 8, 0, 0xe6931dec4985ecbc),
+    ("f11/prepared/fate", 20, 0, 0x2404d0235bd19cc5),
+    ("f11/prepared/stacktrace", 2, 0, 0x4fbe2e58755b3885),
+    ("f12/prepared/full", 1, 0, 0xf072f53e1476d5f5),
+    ("f12/prepared/exhaustive", 41, 0, 0xf9e9400104f51d40),
+    ("f12/prepared/site-distance", 1, 0, 0xf072f53e1476d5f5),
+    ("f12/prepared/fate", 1, 0, 0xf072f53e1476d5f5),
+    ("f12/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+    ("f13/prepared/full", 1, 0, 0x9a6b9dd5cba0245b),
+    ("f13/prepared/exhaustive", 5, 0, 0xbb4448990e8f08d3),
+    ("f13/prepared/site-distance", 5, 0, 0x76c491945edd07d9),
+    ("f13/prepared/fate", 18, 0, 0x0815e4b8ef560d45),
+    ("f13/prepared/stacktrace", 600, 16, 0xea2dd291003cb5e5),
+    ("f14/prepared/full", 1, 0, 0xf072f53e1476d5f5),
+    ("f14/prepared/exhaustive", 2, 0, 0x4b08cb07694bb855),
+    ("f14/prepared/site-distance", 2, 0, 0x4b08cb07694bb855),
+    ("f14/prepared/fate", 1, 0, 0xf072f53e1476d5f5),
+    ("f14/prepared/stacktrace", 600, 16, 0xea2dd291003cb5e5),
+    ("f15/prepared/full", 2, 0, 0x1fec1eb176642629),
+    ("f15/prepared/exhaustive", 2, 0, 0x13571a34b5eb1c43),
+    ("f15/prepared/site-distance", 2, 0, 0x13571a34b5eb1c43),
+    ("f15/prepared/fate", 5, 0, 0x31d9c8ea5751c2e0),
+    ("f15/prepared/stacktrace", 2, 0, 0x713d8e58fe3f3ebd),
+    ("f16/prepared/full", 8, 0, 0xb1f72b2df37c4512),
+    ("f16/prepared/exhaustive", 1, 0, 0xf072f53e1476d5f5),
+    ("f16/prepared/site-distance", 8, 0, 0xf99dbf85c5164398),
+    ("f16/prepared/fate", 7, 0, 0xc9f946b4577d43bf),
+    ("f16/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+    ("f17/prepared/full", 8, 0, 0xf15db09d1dbaa37e),
+    ("f17/prepared/exhaustive", 64, 0, 0x17f138e8d74798b1),
+    ("f17/prepared/site-distance", 24, 0, 0xa3cbcbd9d373c221),
+    ("f17/prepared/fate", 41, 0, 0x39a4273968a235d6),
+    ("f17/prepared/stacktrace", 7, 2, 0xb8a3d96a12adb649),
+    ("f18/prepared/full", 2, 0, 0xac44a85fc3dac4d7),
+    ("f18/prepared/exhaustive", 4, 0, 0x72e51990dda194a4),
+    ("f18/prepared/site-distance", 4, 0, 0x304fa52ea93b974f),
+    ("f18/prepared/fate", 6, 0, 0x022d16f1d7f21c9a),
+    ("f18/prepared/stacktrace", 3, 0, 0x6c86e765789909f5),
+    ("f19/prepared/full", 1, 0, 0xd57f7ee266e77607),
+    ("f19/prepared/exhaustive", 1, 0, 0xf072f53e1476d5f5),
+    ("f19/prepared/site-distance", 1, 0, 0xf072f53e1476d5f5),
+    ("f19/prepared/fate", 1, 0, 0xf072f53e1476d5f5),
+    ("f19/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+    ("f20/prepared/full", 9, 0, 0x6b6c20a685704ec1),
+    ("f20/prepared/exhaustive", 16, 0, 0xc878c6abac09efc5),
+    ("f20/prepared/site-distance", 16, 0, 0xc878c6abac09efc5),
+    ("f20/prepared/fate", 35, 0, 0xf02405207e3c8cfa),
+    ("f20/prepared/stacktrace", 12, 0, 0x08df0360d5714545),
+    ("f21/prepared/full", 2, 0, 0xc592f1984cb6f872),
+    ("f21/prepared/exhaustive", 2, 0, 0x4fbe2e58755b3885),
+    ("f21/prepared/site-distance", 2, 0, 0x4fbe2e58755b3885),
+    ("f21/prepared/fate", 4, 0, 0x85a11830c38dde88),
+    ("f21/prepared/stacktrace", 2, 0, 0x4fbe2e58755b3885),
+    ("f22/prepared/full", 1, 0, 0xf072f53e1476d5f5),
+    ("f22/prepared/exhaustive", 5, 0, 0xf3d0190335c1893c),
+    ("f22/prepared/site-distance", 2, 0, 0x4fbe2e58755b3885),
+    ("f22/prepared/fate", 5, 0, 0xc4bccce86dd8bcf5),
+    ("f22/prepared/stacktrace", 1, 0, 0xf072f53e1476d5f5),
+];
+
+/// Rounds per strategy summed over tickets and seeds, a search that does
+/// not reproduce counted at the cap, and the searches that did not.
+const POPULATION_TOTALS: ([(&str, u64); 5], usize) = (
+    [
+        ("full", 1_406),
+        ("exhaustive", 5_037),
+        ("site-distance", 2_623),
+        ("fate", 4_074),
+        ("stacktrace", 21_267),
+    ],
+    35,
+);
+
+/// One search result is one draw: each ticket's failure log is prepared
+/// again at every population seed (the ground truth and the log do not
+/// depend on it) and searched there by each strategy. Seed 0's draw is
+/// the search its seed-1000 row pins.
+#[test]
+fn search_populations_over_sixteen_seeds_are_pinned() {
+    let mut rows = Vec::new();
+    let mut totals = POPULATION_STRATEGIES.map(|name| (name, 0u64));
+    let mut all_capped = 0;
+    for case in all_cases() {
+        let at_1000 = case.prepare(SEED, &NoopTracer).expect("prepare");
+        let contexts: Vec<SearchContext> = (1..POPULATION_SEEDS)
+            .map(|i| {
+                let seed = SEED + 7_919 * i as u64;
+                SearchContext::prepare(case.scenario.clone(), &at_1000.failure_log, seed)
+                    .expect("prepare")
+            })
+            .collect();
+        for (name, total) in &mut totals {
+            let draws: Vec<(usize, bool)> = std::iter::once(&at_1000.ctx)
+                .chain(&contexts)
+                .map(|ctx| {
+                    let cfg = ExplorerConfig {
+                        max_rounds: CAP,
+                        base_seed: ctx.base_seed,
+                    };
+                    let mut s = by_name(name).expect("registered");
+                    let r = explore(ctx, &case.oracle, s.as_mut(), &cfg, None).expect("explore");
+                    (r.rounds, r.success)
+                })
+                .collect();
+            let key = format!("{}/prepared/{name}", case.id);
+            let (_, rounds, ok, _, _) = row(&key);
+            assert_eq!(draws[0], (rounds, ok), "{key}: seed 0 is the seed-1000 row");
+            let mut counted: Vec<u64> = draws
+                .iter()
+                .map(|&(rounds, ok)| if ok { rounds as u64 } else { CAP as u64 })
+                .collect();
+            *total += counted.iter().sum::<u64>();
+            counted.sort_unstable();
+            let capped = draws.iter().filter(|(_, ok)| !ok).count();
+            all_capped += capped;
+            let lines: Vec<String> = draws.iter().map(|(r, ok)| format!("{r} {ok}")).collect();
+            rows.push((key, counted[counted.len() / 2], capped, fnv1a(&lines)));
+        }
+    }
+    let pinned: Vec<(String, u64, usize, u64)> = POPULATION
+        .iter()
+        .map(|&(key, median, capped, digest)| (key.to_string(), median, capped, digest))
+        .collect();
+    if rows != pinned {
+        println!("const POPULATION: [PopulationRow; {}] = [", rows.len());
+        for (key, median, capped, digest) in &rows {
+            println!("    ({key:?}, {median}, {capped}, {digest:#018x}),");
+        }
+        println!("];");
+        let moved: Vec<&str> = (rows.iter())
+            .filter(|row| !pinned.contains(row))
+            .map(|row| row.0.as_str())
+            .collect();
+        panic!("POPULATION: {} rows moved: {moved:?}", moved.len());
+    }
+    assert_eq!((totals, all_capped), POPULATION_TOTALS);
 }
 
 /// The pinned row under `key`, from whichever table holds it.

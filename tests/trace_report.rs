@@ -3,21 +3,20 @@
 //! threads) and a long adaptive one that promotes observables (f5 from its
 //! degraded log).
 //!
-//! The goldens under `tests/golden/trace_report/` are what the last binary
-//! that rendered traces by walking untyped JSON printed for these streams
-//! (`anduril trace <stream>.jsonl --summary | --round N | --promotions |
-//! --json`, run on the zero-`*_ns` lines `golden_input` builds): the typed
+//! The goldens under `tests/golden/trace_report/` are what `anduril trace
+//! <stream>.jsonl --summary | --round N | --promotions | --json` prints for
+//! these streams, run on the zero-`*_ns` lines `golden_input` builds: the
 //! reports must reproduce them byte for byte. On a mismatch the test
 //! prints the report in full.
 
 mod common;
 
-use anduril::trace::{read_stream, report, TraceEvent, VecTracer};
+use anduril::trace::{read_stream, report, StrategyNote, TraceEvent, VecTracer};
 use anduril::{explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy};
 use common::traced_run;
 
 /// f5 searched from its degraded failure log by `full-adaptive`: 82
-/// rounds, retry passes and promotions.
+/// rounds, an exhausted window and promotions.
 fn degraded_adaptive_stream() -> Vec<TraceEvent> {
     let (ctx, oracle) = common::degraded_context("f5");
     let cfg = ExplorerConfig {
@@ -180,6 +179,71 @@ fn an_unknown_kind_and_a_cut_final_line_change_no_report() {
         read_stream(&format!("{text}{{\"ev\":\"round_start\",\"round\":12,\"se")).expect("reads");
     assert_eq!(cut, Some(events.len() + 1));
     assert!(all(&with_cut) == expected);
+}
+
+/// `text` as a stream written before the trace said each thing once: a
+/// `decision` line carried `window` (always its `armed`), a `retry_pass`
+/// note followed each `window_exhausted` one, and a `promoted` line
+/// carried `node`, `l_old` (always `u32::MAX`) and `delta`.
+fn in_the_old_format(text: &str) -> String {
+    let mut old = String::new();
+    for line in text.lines() {
+        old += &match parse(line) {
+            TraceEvent::Decision { round, armed, .. } => line.replacen(
+                &format!("\"round\":{round},"),
+                &format!("\"round\":{round},\"window\":{armed},"),
+                1,
+            ),
+            TraceEvent::Note {
+                note: StrategyNote::ObservablePromoted { l_new, .. },
+                ..
+            } => line
+                .replacen(",\"node_desc\":", ",\"node\":0,\"node_desc\":", 1)
+                .replacen(
+                    ",\"units_added\":",
+                    &format!(
+                        ",\"l_old\":{},\"delta\":{},\"units_added\":",
+                        u32::MAX,
+                        u32::MAX - l_new
+                    ),
+                    1,
+                ),
+            TraceEvent::Note {
+                round,
+                note: StrategyNote::WindowExhausted { pass, .. },
+            } => format!(
+                "{line}\n{{\"ev\":\"note\",\"round\":{round},\"note\":\"retry_pass\",\"pass\":{}}}",
+                pass + 1
+            ),
+            _ => line.to_string(),
+        };
+        old.push('\n');
+    }
+    old
+}
+
+/// Trace files outlive the binary that wrote them (CI keeps them as
+/// artifacts): one in the format before `window`, `retry_pass`, `node`,
+/// `l_old` and `delta` went reads back to the same events and the same
+/// four reports.
+#[test]
+fn a_stream_in_the_old_format_reads_as_the_new_one() {
+    let text = golden_input(&degraded_adaptive_stream());
+    let (events, _) = read_stream(&text).expect("reads back");
+    let old = in_the_old_format(&text);
+    assert!(old.contains("\"note\":\"retry_pass\"") && old.contains("\"l_old\""));
+    let (old_events, cut) = read_stream(&old).expect("the old format reads");
+    assert_eq!(cut, None);
+    assert!(old_events == events);
+    let all = |events: &[TraceEvent]| {
+        [
+            report::summary("t.jsonl", events),
+            report::round(events, 68).expect("round 68"),
+            report::promotions(events),
+            report::json(events),
+        ]
+    };
+    assert!(all(&old_events) == all(&events));
 }
 
 #[test]
