@@ -169,15 +169,11 @@ fn run_strategy(
     .expect("exploration runs do not hit simulator errors")
 }
 
-/// Formats rounds + time for one table cell; `-` when not reproduced.
+/// Formats rounds + simulated time for one table cell; `-` when not
+/// reproduced. No host time: a table of these cells is byte-stable.
 fn cell(r: &Reproduction) -> String {
     if r.success {
-        format!(
-            "{} / {}kt / {}ms",
-            r.rounds,
-            r.sim_time_total / 1_000,
-            r.wall.as_millis()
-        )
+        format!("{} / {}kt", r.rounds, r.sim_time_total / 1_000)
     } else {
         "-".to_string()
     }
@@ -282,7 +278,7 @@ const TABLE2_CAP: usize = 300;
 /// Table 2: reproduction efficacy of ANDURIL, its ablation variants, and
 /// the external comparators on all 22 failures.
 ///
-/// Cells are `rounds / simulated kiloticks / host ms`, or `-` when the
+/// Cells are `rounds / simulated kiloticks`, or `-` when the
 /// failure was not reproduced within [`TABLE2_CAP`] rounds.
 fn table2(cases: &Cases) -> String {
     let mut header = vec!["Failure"];
@@ -297,7 +293,7 @@ fn table2(cases: &Cases) -> String {
     }
     titled(
         &format!(
-            "Table 2: rounds / sim-kiloticks / wall-ms per failure and strategy \
+            "Table 2: rounds / sim-kiloticks per failure and strategy \
              (cap {TABLE2_CAP} rounds)"
         ),
         &t,

@@ -456,8 +456,13 @@ const _: fn() = || {
 pub struct RoundOutcome {
     /// The run's result.
     pub result: RunResult,
-    /// Indices of observables present in the round's log.
-    pub present: Vec<usize>,
+    /// Indices of the prepared observables present in the round's log, by
+    /// the per-thread diff; `None` when the round loop did not run that
+    /// diff, because the searching strategy's model applies no per-thread
+    /// presence (it has none, its feedback is off, or it diffs the whole
+    /// log). A strategy that wants it anyway computes it from `result.log`
+    /// ([`SearchContext::present_observables`]).
+    pub present: Option<Vec<usize>>,
 }
 
 impl RoundOutcome {
@@ -470,7 +475,7 @@ impl RoundOutcome {
 
     /// [`RoundOutcome::new`] through the calling search's diff memo.
     pub fn with_memo(ctx: &SearchContext, result: RunResult, memo: &mut DiffMemo) -> Self {
-        let present = ctx.present_observables_memo(&result.log, memo);
+        let present = Some(ctx.present_observables_memo(&result.log, memo));
         RoundOutcome { result, present }
     }
 }

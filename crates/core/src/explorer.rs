@@ -7,11 +7,11 @@
 //! the replay and assert [`RunResult::same_run`] on it.
 //!
 //! The loop holds no part of the priority model. A round that missed
-//! reaches the strategy as a [`RoundOutcome`] — the run and its prepared
-//! observables' per-thread presence — and the model ([`FeedbackStrategy`],
-//! through [`Strategy::model`]) decides what it applies and whether its
-//! observable set grows. What the loop keeps per search is its records,
-//! its totals and its diff memo.
+//! reaches the strategy as a [`RoundOutcome`] — the run and, for a model
+//! that reads it, its prepared observables' per-thread presence — and the
+//! model ([`FeedbackStrategy`], through [`Strategy::model`]) decides what
+//! it applies and whether its observable set grows. What the loop keeps
+//! per search is its records, its totals and its diff memo.
 
 use std::time::{Duration, Instant};
 
@@ -314,8 +314,10 @@ impl<'a> ExploreState<'a> {
             .injected
             .as_ref()
             .map(|r| (r.candidate.site, r.occurrence, r.candidate.exc));
+        // A round in which nothing fired cannot reproduce: its oracle is
+        // not walked.
         let satisfied =
-            error.is_none() && self.oracle.check(&result) && (injected.is_some() || result.crashed);
+            error.is_none() && (injected.is_some() || result.crashed) && self.oracle.check(&result);
         if let (true, Some(error)) = (self.tracer.enabled(), &error) {
             self.tracer.record(TraceEvent::RoundError {
                 round,
@@ -420,8 +422,17 @@ impl<'a> ExploreState<'a> {
             return Some(self.finish(strategy.name(), true, script, replay_verified));
         }
 
+        // The per-thread diff feeds only a model that reads its presence;
+        // for any other strategy the round skips it.
         let since = clock.then(Instant::now);
-        let outcome = RoundOutcome::with_memo(ctx, result, &mut self.memo);
+        let outcome = if strategy.model().is_some_and(|m| m.reads_presence()) {
+            RoundOutcome::with_memo(ctx, result, &mut self.memo)
+        } else {
+            RoundOutcome {
+                result,
+                present: None,
+            }
+        };
         let diff_ns = lap(since);
         let since = clock.then(Instant::now);
         strategy.feedback(ctx, &outcome);

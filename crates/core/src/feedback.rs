@@ -594,6 +594,15 @@ impl FeedbackStrategy {
             .then_some((&self.present[..], self.cfg.adjust, &self.i_priority[..]))
     }
 
+    /// Whether [`Strategy::feedback`] applies the per-thread presence
+    /// [`RoundOutcome::present`] carries: only under observable feedback
+    /// without the global-diff ablation. The round loop runs that diff
+    /// for this model only then; every other round's outcome carries
+    /// `None`.
+    pub(crate) fn reads_presence(&self) -> bool {
+        self.cfg.feedback && !self.cfg.global_diff
+    }
+
     /// A copy to [`speculate`](Self::speculate) on, as the batch engine
     /// does: it plans as this model does but never promotes, so only the
     /// trusted model grows its observable set (DESIGN.md §15).
@@ -668,16 +677,18 @@ impl Strategy for FeedbackStrategy {
             return;
         }
         // The presence this round applies, completed here and nowhere
-        // else: the prepared observables per thread (`outcome.present`),
-        // or under the global-diff ablation by the naive whole-log diff,
-        // then the promoted witnesses the log shows (key probes either
-        // way).
+        // else: the prepared observables per thread (`outcome.present`, or
+        // the same diff run cold when the caller left it out), or under
+        // the global-diff ablation by the naive whole-log diff, then the
+        // promoted witnesses the log shows (key probes either way).
         let log = &outcome.result.log;
         self.present.clear();
         if self.cfg.global_diff {
             self.present.extend(ctx.present_observables_global(log));
+        } else if let Some(present) = &outcome.present {
+            self.present.extend_from_slice(present);
         } else {
-            self.present.extend_from_slice(&outcome.present);
+            self.present.extend(ctx.present_observables(log));
         }
         self.promoted
             .extend_present(ctx.observables.len(), &mut self.present, log);

@@ -142,13 +142,8 @@ impl<'a> Scalars<'a> {
     /// typing rules and error strings.
     fn node(self, rng: &mut SmallRng, n: u32) -> Sim<Scalar<'a>> {
         match self.nodes[n as usize] {
-            SNode::Bin(op @ (BinOp::And | BinOp::Or), a, b) => {
-                let left = self.truth(rng, a)?;
-                // The left side decides: the right draws nothing.
-                if left == matches!(op, BinOp::Or) {
-                    return Ok(Scalar::Bool(left));
-                }
-                Ok(Scalar::Bool(self.truth(rng, b)?))
+            SNode::Bin(BinOp::And | BinOp::Or, ..) | SNode::Not(_) => {
+                self.cond(rng, n).map(Scalar::Bool)
             }
             SNode::Bin(op, a, b) => {
                 let x = self.eval(rng, a)?;
@@ -160,13 +155,6 @@ impl<'a> Scalars<'a> {
             } else {
                 lo
             })),
-            SNode::Not(a) => {
-                let v = self.eval(rng, a)?;
-                match v.as_bool() {
-                    Some(b) => Ok(Scalar::Bool(!b)),
-                    None => Err(not_on_non_bool(&v.to_value())),
-                }
-            }
             SNode::Len(a) => {
                 let v = self.eval(rng, a)?;
                 let len = match v {
@@ -188,11 +176,64 @@ impl<'a> Scalars<'a> {
         }
     }
 
-    /// Evaluates an operand of `&&` / `||` (tree-walk `eval_bool`).
+    /// Evaluates an operand of `&&` / `||` (tree-walk `eval_bool`); a node
+    /// goes through [`Scalars::cond`].
     #[inline]
     fn truth(self, rng: &mut SmallRng, o: Operand) -> Sim<bool> {
+        if let Operand::Node(n) = o {
+            return self.cond(rng, n);
+        }
         let v = self.eval(rng, o)?;
         v.as_bool().ok_or_else(|| expected("bool", v))
+    }
+
+    /// [`Scalars::node`] fused with the bool check of a branch: `&&`,
+    /// `||`, a comparison of two ints and `!` answer a bool without
+    /// building a [`Scalar`]; any other node is evaluated and checked.
+    /// Same operand order, draws and error strings as `node`, which asks
+    /// this for `&&`, `||` and `!`.
+    fn cond(self, rng: &mut SmallRng, n: u32) -> Sim<bool> {
+        match self.nodes[n as usize] {
+            SNode::Bin(op @ (BinOp::And | BinOp::Or), a, b) => {
+                let left = self.truth(rng, a)?;
+                // The left side decides: the right draws nothing.
+                if left == matches!(op, BinOp::Or) {
+                    return Ok(left);
+                }
+                self.truth(rng, b)
+            }
+            SNode::Bin(
+                op @ (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne),
+                a,
+                b,
+            ) => {
+                let x = self.eval(rng, a)?;
+                let y = self.eval(rng, b)?;
+                let (Some(i), Some(j)) = (x.as_int(), y.as_int()) else {
+                    let v = bin_scalars_slow(op, x, y)?;
+                    return v.as_bool().ok_or_else(|| expected("bool", v));
+                };
+                Ok(match op {
+                    BinOp::Lt => i < j,
+                    BinOp::Le => i <= j,
+                    BinOp::Gt => i > j,
+                    BinOp::Ge => i >= j,
+                    BinOp::Eq => i == j,
+                    _ => i != j,
+                })
+            }
+            SNode::Not(a) => {
+                let v = self.eval(rng, a)?;
+                match v.as_bool() {
+                    Some(b) => Ok(!b),
+                    None => Err(not_on_non_bool(&v.to_value())),
+                }
+            }
+            _ => {
+                let v = self.node(rng, n)?;
+                v.as_bool().ok_or_else(|| expected("bool", v))
+            }
+        }
     }
 }
 
@@ -343,9 +384,19 @@ impl Eval<'_> {
     }
 
     /// Evaluates a compiled expression as a bool (tree-walk `eval_bool`
-    /// semantics).
+    /// semantics): a scalar tree straight to the bool
+    /// ([`Scalars::cond`]), anything else through [`Eval::eval`].
     #[inline]
     fn eval_cond(&mut self, e: &CExpr, at: StmtRef) -> Sim<bool> {
+        if let CExpr::Scalar(Operand::Node(n)) = *e {
+            let scalars = Scalars {
+                nodes: &self.compiled.snodes,
+                pool: &self.compiled.pool,
+                locals: &self.thread.locals[self.base..],
+                globals: self.globals,
+            };
+            return scalars.cond(self.rng, n).map_err(|e| located(e, at));
+        }
         let v = self.eval(e, at)?;
         match v.as_bool() {
             Some(b) => Ok(b),

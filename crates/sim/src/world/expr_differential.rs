@@ -173,6 +173,7 @@ struct Positions {
     program: Program,
     stored: FuncId,
     branched_on: FuncId,
+    looped_on: FuncId,
     passed_and_rendered: FuncId,
     slept_on: FuncId,
 }
@@ -219,12 +220,25 @@ fn positions(expr: &Expr) -> Positions {
                 b.log(Level::Info, "not taken", vec![]);
             },
         );
+        after(b);
+    });
+    // The whole condition of a `while`, then the right side of one.
+    let looped_on = pb.declare("looped_on", VARS);
+    pb.body(looped_on, |b| {
+        let m = b.local();
+        b.assign(m, e::int(0));
+        b.while_(expr.clone(), |b| {
+            b.assign(m, e::add(e::var(m), e::int(1)));
+            b.if_(e::ge(e::var(m), e::int(2)), |b| {
+                b.break_();
+            });
+        });
         let n = b.local();
         b.assign(n, e::int(0));
         b.while_(e::and(e::lt(e::var(n), e::int(2)), expr.clone()), |b| {
             b.assign(n, e::add(e::var(n), e::int(1)));
         });
-        b.log(Level::Info, "looped {}", vec![e::var(n)]);
+        b.log(Level::Info, "looped {} {}", vec![e::var(m), e::var(n)]);
         after(b);
     });
     let passed_and_rendered = pb.declare("passed_and_rendered", VARS);
@@ -250,6 +264,7 @@ fn positions(expr: &Expr) -> Positions {
         program: pb.finish().expect("a well-formed program"),
         stored,
         branched_on,
+        looped_on,
         passed_and_rendered,
         slept_on,
     }
@@ -275,6 +290,7 @@ fn assert_engines_agree(expr: &Expr, sleep: bool, errors: &mut Vec<String>) -> u
     for (position, main) in [
         ("stored", p.stored),
         ("branched on", p.branched_on),
+        ("looped on", p.looped_on),
         ("passed and rendered", p.passed_and_rendered),
         ("slept on", p.slept_on),
     ] {
@@ -333,12 +349,97 @@ fn expr_differential_random_trees_in_every_position() {
     }
 }
 
+/// Branch conditions that reach every arm of the VM's condition path
+/// (`Scalars::cond`) and its fall-back, each with what the branch does:
+/// run (`None`) or fail with an error that says the given text.
+#[rustfmt::skip] // a table: one row a line
+fn conditions() -> Vec<(&'static str, Expr, Option<&'static str>)> {
+    let draw = || e::lt(e::rand(0, 1 << 30), e::int(1 << 29));
+    let ill_typed = || e::add(e::str_("abc"), e::int(1));
+    let list = |items| Expr::Const(Value::List(items));
+    let (t, f, x, s) = (VarId(3), VarId(4), VarId(0), VarId(5));
+    vec![
+        // A right side that would draw or fail, skipped and reached.
+        ("&&", e::and(e::bool_(false), draw()), None),
+        ("&&", e::and(e::var(t), draw()), None),
+        ("&&", e::and(e::bool_(false), ill_typed()), None),
+        ("&&", e::and(e::bool_(true), ill_typed()), Some("Add on non-ints")),
+        ("&&", e::and(e::var(t), e::int(1)), Some("expected bool, got Int(1)")),
+        ("||", e::or(e::var(t), draw()), None),
+        ("||", e::or(e::bool_(false), draw()), None),
+        ("||", e::or(e::bool_(true), ill_typed()), None),
+        ("||", e::or(e::var(f), ill_typed()), Some("Add on non-ints")),
+        ("||", e::or(e::int(0), draw()), Some("expected bool, got Int(0)")),
+        // Two ints, negative ones among them.
+        ("int comparison", e::lt(e::var(VarId(2)), e::int(-1)), None),
+        ("int comparison", e::le(e::int(-3), e::var(VarId(2))), None),
+        ("int comparison", e::gt(e::rand(-9, -2), e::int(-5)), None),
+        ("int comparison", e::ge(e::int(-5), e::glob(GlobalId(0))), None),
+        ("int comparison", e::eq(e::var(VarId(2)), e::int(-3)), None),
+        ("int comparison", e::ne(e::var(VarId(1)), e::int(i64::MIN)), None),
+        ("int comparison", e::gt(e::len(e::var(VarId(6))), e::int(0)), None),
+        ("int comparison", e::gt(e::len(e::var(VarId(8))), e::int(0)), None),
+        // `==` / `!=` where an operand is no int.
+        ("structural ==", e::eq(e::str_("abc"), e::var(s)), None),
+        ("structural ==", e::ne(e::glob(GlobalId(2)), e::str_("n2")), None),
+        ("structural ==", e::eq(e::var(t), e::bool_(true)), None),
+        ("structural ==", e::ne(e::var(f), e::glob(GlobalId(3))), None),
+        ("structural ==", e::eq(e::glob(GlobalId(1)), list(vec![Value::Int(4), Value::Int(9)])), None),
+        ("structural ==", e::ne(e::var(VarId(8)), list(vec![])), None),
+        ("structural ==", e::eq(e::unit(), e::var(VarId(7))), None),
+        ("structural ==", e::eq(e::int(1), e::bool_(true)), None),
+        ("structural ==", e::ne(e::str_("7"), e::var(x)), None),
+        ("structural ==", e::eq(e::unit(), list(vec![])), None),
+        // An order on what is no int.
+        ("ordered non-ints", e::lt(e::str_("a"), e::int(1)), Some("Lt on non-ints")),
+        ("ordered non-ints", e::ge(e::var(t), e::var(f)), Some("Ge on non-ints")),
+        ("!", e::not(e::var(f)), None),
+        ("!", e::not(e::lt(e::rand(0, 9), e::int(4))), None),
+        ("!", e::not(e::int(3)), Some("! on non-bool Int(3)")),
+        // Any other node: evaluated, then checked for a bool.
+        ("fall-back", e::add(e::var(x), e::int(1)), Some("expected bool, got Int(8)")),
+        ("fall-back", e::rand(0, 2), Some("expected bool, got Int")),
+        ("fall-back", e::len(e::var(s)), Some("expected bool, got Int(3)")),
+        ("fall-back", e::index(e::index(e::var(VarId(6)), 2), 1), None),
+        ("fall-back", e::index(e::var(VarId(6)), 1), Some("expected bool, got Str")),
+        ("fall-back", e::index(e::var(VarId(8)), 0), Some("out of bounds")),
+    ]
+}
+
 /// The shapes the random trees are least likely to hit, spelled out: a draw
 /// on the skipped and on the taken side of `&&` / `||` (scalar and built),
-/// an empty and a negative range, a built list inside a comparison, and a
+/// an empty and a negative range, a built list inside a comparison, every
+/// arm of the condition path as an `if` and as a `while` condition, and a
 /// tick count of every type.
 #[test]
 fn expr_differential_short_circuit_draws_and_tick_counts() {
+    let mut arms = Vec::new();
+    for (arm, expr, expect) in conditions() {
+        let mut errors = Vec::new();
+        assert_engines_agree(&expr, false, &mut errors);
+        let p = positions(&expr);
+        for main in [p.branched_on, p.looped_on] {
+            let run = run_with(&p.program, main, Engine::Vm);
+            match (expect, &run) {
+                (None, Ok(_)) => {}
+                (Some(text), Err(e)) if e.to_string().contains(text) => {}
+                _ => panic!("{arm}: {expr:?} should give {expect:?}, gave {run:?}"),
+            }
+        }
+        arms.push(arm);
+    }
+    arms.dedup();
+    let every = [
+        "&&",
+        "||",
+        "int comparison",
+        "structural ==",
+        "ordered non-ints",
+        "!",
+        "fall-back",
+    ];
+    assert_eq!(arms, every);
+
     let draw = || e::lt(e::rand(0, 1 << 30), e::int(1 << 29));
     let built = |x: Expr| e::eq(e::list(vec![x]), e::list(vec![e::int(1)]));
     let mut errors = Vec::new();

@@ -61,7 +61,7 @@ fn check_every_round(id: &str, scenario: &Scenario, failure_log: &str, oracle: &
 
         let satisfied = oracle.check(&result) && result.injected.is_some();
         let cold = RoundOutcome::new(&ctx, result);
-        assert_eq!(cold.present, memoised, "{id}: cold present @{round}");
+        assert_eq!(cold.present, Some(memoised), "{id}: cold present @{round}");
 
         if satisfied {
             // The hand-walked loop is the search `explore` runs.
