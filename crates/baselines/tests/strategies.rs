@@ -7,8 +7,8 @@ use anduril_baselines::{
     by_name, table2_strategies, CrashTuner, Fate, StacktraceInjector, REGISTRY,
 };
 use anduril_core::{
-    explore, explore_batched_traced, BatchExplorerConfig, ExplorerConfig, Oracle, RoundOutcome,
-    Scenario, SearchContext, Strategy, TraceEvent, VecTracer,
+    explore, explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, Oracle,
+    RoundOutcome, Scenario, SearchContext, Strategy, TraceEvent, VecTracer,
 };
 use anduril_ir::builder::ProgramBuilder;
 use anduril_ir::expr::build as e;
@@ -225,7 +225,7 @@ fn all_external_strategies_terminate_on_unsatisfiable_oracles() {
         assert!(
             r.rounds < 5_000,
             "{} did not terminate on its own",
-            r.strategy
+            strategy.name()
         );
     }
 }
@@ -239,19 +239,28 @@ fn batched_exploration_without_a_model_is_the_sequential_search() {
     let ctx = ctx_for(silent, &scenario);
     let oracle = Oracle::LogContains("silent op failed".into());
     let cfg = ExplorerConfig::default();
-    let sequential = explore(&ctx, &oracle, &mut Fate::new(), &cfg, None).unwrap();
+    let tracer = VecTracer::new();
+    let sequential = explore_traced(&ctx, &oracle, &mut Fate::new(), &cfg, None, &tracer).unwrap();
     assert!(sequential.success && sequential.rounds > 1);
+    let sequential_events = tracer.take();
 
-    let (batch, tracer) = (BatchExplorerConfig::default(), VecTracer::new());
+    let batch = BatchExplorerConfig::default();
     let batched =
         explore_batched_traced(&ctx, &oracle, &mut Fate::new(), &cfg, &batch, None, &tracer)
             .unwrap();
     assert_eq!(batched.rounds, sequential.rounds);
     assert_eq!(batched.script, sequential.script);
-    let injected = |r: &anduril_core::Reproduction| -> Vec<_> {
-        r.per_round.iter().map(|round| round.injected).collect()
+    let batched_events = tracer.take();
+    let injected = |events: &[TraceEvent]| -> Vec<_> {
+        (events.iter())
+            .filter_map(|ev| match ev {
+                TraceEvent::RoundEnd { injected, .. } => Some(*injected),
+                _ => None,
+            })
+            .collect()
     };
-    assert_eq!(injected(&batched), injected(&sequential));
+    assert_eq!(injected(&sequential_events).len(), sequential.rounds);
+    assert_eq!(injected(&batched_events), injected(&sequential_events));
     // No epoch starts and no slot is validated: no `epoch` or `spec` event.
-    assert!(!tracer.take().iter().any(TraceEvent::is_batch_only));
+    assert!(!batched_events.iter().any(TraceEvent::is_batch_only));
 }

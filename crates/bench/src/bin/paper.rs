@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use anduril_baselines::{by_name, table2_strategies};
 use anduril_core::trace::report::TextTable;
-use anduril_core::trace::{NoopTracer, TraceEvent, VecTracer};
+use anduril_core::trace::{NoopTracer, TraceEvent, Tracer, VecTracer};
 use anduril_core::{
-    explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
+    explore, explore_batched, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
     FeedbackStrategy, Json, ReproScript, Reproduction, SearchContext, Strategy,
 };
 use anduril_failures::{all_cases, CaseError, FailureCase, NodeArgs, PreparedCase};
@@ -32,7 +32,7 @@ type Artifact = fn(&Cases) -> String;
 /// `(name, file under results/, what it shows, renderer)`, in the order
 /// `paper all` runs them.
 #[rustfmt::skip] // a table: one row a line
-const ARTIFACTS: [(&str, &str, &str, Artifact); 15] = [
+const ARTIFACTS: [(&str, &str, &str, Artifact); 14] = [
     ("table1", "table1.txt", "target-system sizes and fault-site counts", table1),
     ("table2", "table2.txt", "rounds per failure and strategy", table2),
     ("table3", "table3.txt", "sensitivity to window size k and adjustment s", table3),
@@ -45,7 +45,6 @@ const ARTIFACTS: [(&str, &str, &str, Artifact); 15] = [
     ("ablations", "ablations.txt", "extended ablations of DESIGN.md section 6", ablations),
     ("scale", "scale.txt", "10-15x workloads and batched-explorer thread scaling", scale),
     ("workloads", "workloads.txt", "the same failure under different workloads", workloads),
-    ("seed_sweep", "seed_sweep.txt", "rounds under different Explorer base seeds", seed_sweep),
     ("stability", "stability.txt", "how far found scripts and ground truths replay at fresh seeds", stability),
     ("generator", "generator.json", "planted root causes rediscovered on generated programs", generator),
 ];
@@ -149,22 +148,26 @@ fn phase_ns(events: &[TraceEvent], name: &str) -> u64 {
         .sum()
 }
 
-/// Runs one strategy against a prepared ticket with a round cap.
+/// Runs one strategy against a prepared ticket with a round cap, traced
+/// into `tracer` and given the ticket's ground truth: a recording tracer
+/// gets its rank every round (Figure 6).
 fn run_strategy(
     ticket: Ticket<'_>,
     strategy: &mut dyn Strategy,
     max_rounds: usize,
+    tracer: &dyn Tracer,
 ) -> Reproduction {
     let cfg = ExplorerConfig {
         max_rounds,
         base_seed: ticket.prepared.ctx.base_seed,
     };
-    explore(
+    explore_traced(
         &ticket.prepared.ctx,
         &ticket.case.oracle,
         strategy,
         &cfg,
         Some(ticket.prepared.gt.site),
+        tracer,
     )
     .expect("exploration runs do not hit simulator errors")
 }
@@ -213,12 +216,13 @@ fn label(t: Ticket<'_>) -> String {
     format!("{} ({})", t.case.ticket, t.case.id)
 }
 
-fn full_feedback(t: Ticket<'_>, max_rounds: usize) -> Reproduction {
-    run_strategy(
-        t,
-        &mut FeedbackStrategy::new(FeedbackConfig::full()),
-        max_rounds,
-    )
+/// A full-feedback search of a ticket and its trace: the per-round record
+/// Tables 4 and 8 and Figure 6 read.
+fn full_feedback(t: Ticket<'_>, max_rounds: usize) -> (Reproduction, Vec<TraceEvent>) {
+    let tracer = VecTracer::new();
+    let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
+    let r = run_strategy(t, &mut strategy, max_rounds, &tracer);
+    (r, tracer.take())
 }
 
 /// Rounds to reproduce, `-` when not reproduced.
@@ -287,7 +291,12 @@ fn table2(cases: &Cases) -> String {
     for ticket in cases.tickets() {
         let mut row = vec![label(ticket)];
         for (_, _, make) in table2_strategies() {
-            row.push(cell(&run_strategy(ticket, make().as_mut(), TABLE2_CAP)));
+            row.push(cell(&run_strategy(
+                ticket,
+                make().as_mut(),
+                TABLE2_CAP,
+                &NoopTracer,
+            )));
         }
         t.row(row);
     }
@@ -373,7 +382,12 @@ fn table2_population(cases: &Cases, seeds: usize, jobs: usize) -> String {
                 prepared: prepared[k % seeds],
                 ..ticket
             };
-            let r = run_strategy(at_seed, strategies[k / seeds].2().as_mut(), TABLE2_CAP);
+            let r = run_strategy(
+                at_seed,
+                strategies[k / seeds].2().as_mut(),
+                TABLE2_CAP,
+                &NoopTracer,
+            );
             r.success.then_some(r.rounds as u64)
         });
         let mut row = vec![label(ticket)];
@@ -427,7 +441,12 @@ fn table3(cases: &Cases) -> String {
         let mut row = vec![name];
         for ticket in cases.tickets() {
             let mut strategy = FeedbackStrategy::new(FeedbackConfig::full_with(k, s));
-            row.push(rounds(&run_strategy(ticket, &mut strategy, 400)));
+            row.push(rounds(&run_strategy(
+                ticket,
+                &mut strategy,
+                400,
+                &NoopTracer,
+            )));
         }
         t.row(row);
     }
@@ -440,10 +459,17 @@ fn table3(cases: &Cases) -> String {
 /// What Tables 4 and 8 show of one full-feedback search: decision latency
 /// per armed request (a request that meets no armed candidate decides
 /// nothing and is not timed), median round initialization time, median
-/// workload time, in host nanoseconds.
-fn explorer_costs(r: &Reproduction) -> [u64; 3] {
-    let mut inits: Vec<u64> = r.per_round.iter().map(|x| x.init_ns).collect();
-    let mut works: Vec<u64> = r.per_round.iter().map(|x| x.workload_ns).collect();
+/// workload time, in host nanoseconds; the medians from the search's
+/// trace.
+fn explorer_costs(r: &Reproduction, events: &[TraceEvent]) -> [u64; 3] {
+    let (mut inits, mut works) = (Vec::new(), Vec::new());
+    for ev in events {
+        match ev {
+            TraceEvent::Decision { init_ns, .. } => inits.push(*init_ns),
+            TraceEvent::RoundEnd { workload_ns, .. } => works.push(*workload_ns),
+            _ => {}
+        }
+    }
     [
         r.decision_ns.checked_div(r.armed_requests).unwrap_or(0),
         median(&mut inits),
@@ -466,12 +492,13 @@ fn cost_cells([latency, init, work]: [u64; 3]) -> [String; 3] {
 fn table4(cases: &Cases) -> String {
     let mut per_system: BTreeMap<&str, [Vec<u64>; 5]> = BTreeMap::new();
     for ticket in cases.tickets() {
-        let r = full_feedback(ticket, 400);
-        let per_run = r.per_round.len().max(1) as u64;
-        let [latency, init, work] = explorer_costs(&r);
+        let (r, events) = full_feedback(ticket, 400);
+        // The totals count the fault-free run beside the rounds.
+        let runs = r.rounds as u64 + 1;
+        let [latency, init, work] = explorer_costs(&r, &events);
         let stats = [
-            r.injection_requests / per_run,
-            r.armed_requests / per_run,
+            r.injection_requests / runs,
+            r.armed_requests / runs,
             latency,
             init,
             work,
@@ -510,23 +537,16 @@ fn table5(cases: &Cases) -> String {
         "Ticket",
         "Injected Fault",
         "ST-inj Rnd",
-        "ST-inj time",
         "Description",
     ]);
     for ticket in cases.tickets() {
         let mut st = by_name("stacktrace").expect("registered");
-        let r = run_strategy(ticket, st.as_mut(), 300);
-        let time = if r.success {
-            format!("{}ms", r.wall.as_millis())
-        } else {
-            "-".into()
-        };
+        let r = run_strategy(ticket, st.as_mut(), 300, &NoopTracer);
         t.row(vec![
             ticket.case.id.to_string(),
             ticket.case.ticket.to_string(),
             ticket.prepared.gt.exc.name().to_string(),
             rounds(&r),
-            time,
             ticket.case.description.chars().take(60).collect(),
         ]);
     }
@@ -633,13 +653,13 @@ fn table8(cases: &Cases) -> String {
         "Workload",
     ]);
     for ticket in cases.tickets() {
-        let r = full_feedback(ticket, 400);
+        let (r, events) = full_feedback(ticket, 400);
         let mut row = vec![
             label(ticket),
             r.injection_requests.to_string(),
             r.armed_requests.to_string(),
         ];
-        row.extend(cost_cells(explorer_costs(&r)));
+        row.extend(cost_cells(explorer_costs(&r, &events)));
         t.row(row);
     }
     titled(
@@ -668,20 +688,32 @@ fn figure6(cases: &Cases) -> String {
              observable drags in decoy sites (the paper's rank-movement case)",
         ),
     ] {
-        let r = full_feedback(cases.ticket(id), 400);
+        let (r, events) = full_feedback(cases.ticket(id), 400);
         let _ = writeln!(out, "{title}\n\ntrial  rank  injected");
-        for x in &r.per_round {
-            let _ = writeln!(
-                out,
-                "{:5}  {:>4}  {}",
-                x.round + 1,
-                x.gt_rank.map(|g| g.to_string()).unwrap_or("-".into()),
-                x.injected
-                    .map(|(s, o, e)| format!("site {} occ {} {}", s.0, o, e.name()))
-                    .unwrap_or_else(|| "(none)".into())
-            );
+        // A round's `gt_rank` comes before its `round_end`.
+        let (mut rank, mut ranks) = (None, Vec::new());
+        for ev in &events {
+            match ev {
+                TraceEvent::GroundTruthRank { rank: now, .. } => {
+                    rank = *now;
+                    ranks.extend(rank);
+                }
+                TraceEvent::RoundEnd {
+                    round, injected, ..
+                } => {
+                    let _ = writeln!(
+                        out,
+                        "{:5}  {:>4}  {}",
+                        round + 1,
+                        rank.map_or("-".into(), |g| g.to_string()),
+                        injected
+                            .map(|(s, o, e)| format!("site {} occ {} {}", s.0, o, e.name()))
+                            .unwrap_or_else(|| "(none)".into())
+                    );
+                }
+                _ => {}
+            }
         }
-        let ranks: Vec<usize> = r.per_round.iter().filter_map(|x| x.gt_rank).collect();
         if let Some(&max) = ranks.iter().max() {
             let _ = writeln!(out, "\nrank (1 = best), one column per trial:");
             for level in (1..=max).rev() {
@@ -722,7 +754,7 @@ fn ablations(cases: &Cases) -> String {
         let mut row = vec![label(ticket)];
         for (name, (total, misses)) in strategies.iter().zip(&mut totals) {
             let mut strategy = by_name(name).expect("registered");
-            let r = run_strategy(ticket, strategy.as_mut(), 400);
+            let r = run_strategy(ticket, strategy.as_mut(), 400, &NoopTracer);
             *total += if r.success { r.rounds } else { 400 };
             *misses += usize::from(!r.success);
             row.push(cell(&r));
@@ -787,51 +819,6 @@ fn workloads(cases: &Cases) -> String {
     )
 }
 
-/// Base-seed sweep: the Explorer's normal-run seed must not be special.
-/// Reproduces every case under several Explorer base seeds and reports
-/// rounds per seed (a flakiness audit, not a paper artifact).
-///
-/// # Panics
-///
-/// Panics if some case is not reproduced under some seed.
-fn seed_sweep(cases: &Cases) -> String {
-    let seeds = [1_000u64, 5_000, 12_345, 777_777];
-    let header: Vec<String> = std::iter::once("Case".to_string())
-        .chain(seeds.iter().map(|s| format!("base {s}")))
-        .collect();
-    let mut t = TextTable::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
-    let mut misses = 0;
-    for ticket in cases.tickets() {
-        let mut row = vec![ticket.case.id.to_string()];
-        for base in seeds {
-            let other_seed;
-            let prepared = if base == 1_000 {
-                ticket.prepared
-            } else {
-                other_seed = ticket.case.prepare(base, &NoopTracer).expect("prepare");
-                &other_seed
-            };
-            let cfg = ExplorerConfig {
-                base_seed: base,
-                ..ExplorerConfig::default()
-            };
-            let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-            let gt_site = Some(prepared.gt.site);
-            let r = explore(&prepared.ctx, &ticket.case.oracle, &mut s, &cfg, gt_site)
-                .expect("explore");
-            misses += usize::from(!r.success);
-            row.push(rounds(&r));
-        }
-        t.row(row);
-    }
-    let out = titled(
-        "Base-seed sweep: rounds to reproduce under different Explorer seeds",
-        &t,
-    ) + &format!("total misses: {misses}\n");
-    assert_eq!(misses, 0, "some case failed under some base seed:\n{out}");
-    out
-}
-
 /// Replay stability: per ticket, the script Table 2's seed-1000
 /// full-feedback search found and the ground truth, each replayed at the
 /// fresh seeds of [`ReproScript::replay_seeds`]`(1000)`, and whether the
@@ -866,7 +853,7 @@ fn stability(cases: &Cases) -> String {
         };
         let gt_rate = rate(&truth);
         gt_total += gt_rate;
-        let (found, found_rate, verdict) = match full_feedback(ticket, TABLE2_CAP).script {
+        let (found, found_rate, verdict) = match full_feedback(ticket, TABLE2_CAP).0.script {
             Some(s) => {
                 let found_rate = rate(&s);
                 found_total += found_rate;
@@ -1380,7 +1367,6 @@ mod tests {
                 "table7",
                 "table8",
                 "ablations",
-                "seed_sweep",
                 "stability",
             ];
             if per_ticket.contains(&name) {

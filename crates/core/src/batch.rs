@@ -25,10 +25,10 @@
 //!    from the trusted model before the next round. One copy's lifetime is
 //!    an *epoch*.
 //!
-//! So the emitted [`Reproduction`] — script, round count, per-round
-//! records (up to host-time fields) — is **byte-identical** to
-//! [`explore`]'s for any `batch_size`/`threads`, for any predictor
-//! quality. Prediction accuracy only decides how much parallel work is
+//! So the emitted [`Reproduction`] — script, round count, totals — and
+//! the trace stream (up to host-time fields and the batch-only events) are
+//! **byte-identical** to [`explore`]'s for any `batch_size`/`threads`, for
+//! any predictor quality. Prediction accuracy only decides how much parallel work is
 //! reusable, i.e. the speedup.
 //!
 //! [`explore`]: crate::explorer::explore
@@ -433,10 +433,11 @@ impl Drop for Speculator<'_> {
 /// Runs the exploration loop with speculative rounds on `batch.threads`
 /// threads.
 ///
-/// Equivalent to [`explore`] — same script, same round count, same
-/// per-round records (host-time fields aside) — for any `batch` settings,
-/// because every round's plan is re-derived from the real strategy state
-/// and speculative results are only reused when the plans match exactly.
+/// Equivalent to [`explore`] — same script, same round count, same trace
+/// stream (host-time fields and batch-only events aside) — for any
+/// `batch` settings, because every round's plan is re-derived from the real
+/// strategy state and speculative results are only reused when the plans
+/// match exactly.
 ///
 /// A throwaway copy of the strategy's model is rolled forward during
 /// speculation; the real strategy only ever sees true outcomes. A strategy

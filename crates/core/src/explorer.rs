@@ -11,7 +11,8 @@
 //! that reads it, its prepared observables' per-thread presence — and the
 //! model ([`FeedbackStrategy`], through [`Strategy::model`]) decides what
 //! it applies and whether its observable set grows. What the loop keeps
-//! per search is its records, its totals and its diff memo.
+//! per search is its round count, its totals and its diff memo; what
+//! each round did is the trace's to record.
 
 use std::time::{Duration, Instant};
 
@@ -154,31 +155,6 @@ impl ReproScript {
     }
 }
 
-/// Bookkeeping for one round.
-#[derive(Debug, Clone)]
-pub struct RoundRecord {
-    /// Round number (0-based).
-    pub round: usize,
-    /// Candidates armed (the round's window).
-    pub armed: usize,
-    /// What was injected, if anything.
-    pub injected: Option<(SiteId, u32, ExceptionType)>,
-    /// Rank of the ground-truth root-cause site at planning time (Figure 6).
-    pub gt_rank: Option<usize>,
-    /// Host nanoseconds spent planning (round initialization, Table 4).
-    pub init_ns: u64,
-    /// Host nanoseconds spent executing the workload.
-    pub workload_ns: u64,
-    /// Simulated ticks the run covered.
-    pub sim_time: u64,
-    /// Whether the oracle was satisfied.
-    pub oracle_satisfied: bool,
-    /// The error that stopped the round's run, if one did (a step limit
-    /// exceeded, a type error): the round counts, unsuccessful, and the
-    /// other fields describe the run up to the error.
-    pub error: Option<SimError>,
-}
-
 /// The result of a reproduction attempt.
 #[derive(Debug, Clone)]
 pub struct Reproduction {
@@ -193,20 +169,19 @@ pub struct Reproduction {
     /// (a crash-only one): the reproducing round is the replay. A round
     /// that fired twice or also crashed is replayed for real and may not.
     pub replay_verified: bool,
-    /// Per-round records.
-    pub per_round: Vec<RoundRecord>,
-    /// Total injection requests served across all rounds.
+    /// Injection requests served by the search's runs: the fault-free
+    /// run its context was prepared with, then every round (`rounds + 1`
+    /// runs).
     pub injection_requests: u64,
     /// How many of them met an armed candidate and were decided.
     pub armed_requests: u64,
-    /// Total nanoseconds those decisions took, across all rounds.
+    /// Nanoseconds those decisions took, over the same runs.
     pub decision_ns: u64,
-    /// Total simulated time across all rounds.
+    /// Simulated ticks the same runs covered, the fault-free run's
+    /// included.
     pub sim_time_total: u64,
     /// Wall-clock duration of the whole exploration.
     pub wall: Duration,
-    /// The strategy used.
-    pub strategy: String,
 }
 
 /// Seed for round `round` of an exploration: `base_seed + 1 + round`,
@@ -216,17 +191,18 @@ pub(crate) fn round_seed(cfg: &ExplorerConfig, round: usize) -> u64 {
     cfg.base_seed.wrapping_add(1).wrapping_add(round as u64)
 }
 
-/// Everything one search mutates besides its strategy: records, totals
-/// and the diff memo. Executed rounds go through [`ExploreState::absorb`]
-/// in round order, so this state evolves identically whether a round was
-/// executed inline or speculatively on a worker thread.
+/// Everything one search mutates besides its strategy: its round count,
+/// totals and the diff memo. Executed rounds go through
+/// [`ExploreState::absorb`] in round order, so this state evolves
+/// identically whether a round was executed inline or speculatively on a
+/// worker thread.
 struct ExploreState<'a> {
     ctx: &'a SearchContext,
     oracle: &'a Oracle,
     cfg: &'a ExplorerConfig,
     tracer: &'a dyn Tracer,
     started: Instant,
-    per_round: Vec<RoundRecord>,
+    rounds: usize,
     injection_requests: u64,
     armed_requests: u64,
     decision_ns: u64,
@@ -236,12 +212,9 @@ struct ExploreState<'a> {
     memo: DiffMemo,
 }
 
-/// Host time a round took before the search absorbs its result.
-struct RoundNs {
-    /// Planning the injection (`Strategy::plan_injection`).
-    init_ns: u64,
-    /// Getting the round's result; `0` unless a tracer records it.
-    sim_ns: u64,
+/// Host nanoseconds since `since`; `0` when the clock was not read.
+fn lap(since: Option<Instant>) -> u64 {
+    since.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
 impl<'a> ExploreState<'a> {
@@ -257,7 +230,7 @@ impl<'a> ExploreState<'a> {
             cfg,
             tracer,
             started: Instant::now(),
-            per_round: Vec::new(),
+            rounds: 0,
             injection_requests: ctx.normal.injection_requests,
             armed_requests: ctx.normal.armed_requests,
             decision_ns: ctx.normal.decision_ns,
@@ -281,8 +254,9 @@ impl<'a> ExploreState<'a> {
         }
     }
 
-    /// Absorbs one executed round: records it, checks the oracle, and on a
-    /// miss feeds the outcome back into the strategy.
+    /// Absorbs one executed round: counts it, checks the oracle, and on a
+    /// miss feeds the outcome back into the strategy. `sim_ns` is what
+    /// getting its result took; `0` unless a tracer records it.
     ///
     /// A round whose run an `error` stopped is a miss whatever its partial
     /// `result` shows: its script would replay into the same error. The
@@ -291,20 +265,17 @@ impl<'a> ExploreState<'a> {
     ///
     /// Returns the finished [`Reproduction`] if this round satisfied the
     /// oracle.
-    #[allow(clippy::too_many_arguments)] // One round's facts, each read once.
     fn absorb(
         &mut self,
         strategy: &mut dyn Strategy,
         round: usize,
-        gt_rank: Option<usize>,
-        armed: usize,
-        spent: RoundNs,
+        sim_ns: u64,
         result: RunResult,
         error: Option<SimError>,
     ) -> Option<Reproduction> {
-        let RoundNs { init_ns, sim_ns } = spent;
         let ctx = self.ctx;
         let seed = round_seed(self.cfg, round);
+        self.rounds += 1;
         self.injection_requests += result.injection_requests;
         self.armed_requests += result.armed_requests;
         self.decision_ns += result.decision_ns;
@@ -324,24 +295,12 @@ impl<'a> ExploreState<'a> {
                 error: error.to_string(),
             });
         }
-        self.per_round.push(RoundRecord {
-            round,
-            armed,
-            injected,
-            gt_rank,
-            init_ns,
-            workload_ns: result.wall.as_nanos() as u64,
-            sim_time: result.end_time,
-            oracle_satisfied: satisfied,
-            error,
-        });
 
         // Where the round went, for a sink that records it: the host clock
         // is read only then. The event leaves once feedback has run (right
         // away for the round that ends the search), always ahead of the
         // round's `Feedback` event.
         let clock = self.tracer.enabled();
-        let lap = |since: Option<Instant>| since.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let (ticks, steps, log_entries) = (result.end_time, result.steps, result.log.len());
         let (requests, workload_ns) = (result.injection_requests, result.wall.as_nanos() as u64);
         let round_end = |sim_ns, diff_ns, feedback_ns| TraceEvent::RoundEnd {
@@ -419,7 +378,7 @@ impl<'a> ExploreState<'a> {
                     });
                 }
             }
-            return Some(self.finish(strategy.name(), true, script, replay_verified));
+            return Some(self.finish(true, script, replay_verified));
         }
 
         // The per-thread diff feeds only a model that reads its presence;
@@ -453,13 +412,12 @@ impl<'a> ExploreState<'a> {
 
     /// Finishes the exploration without a reproduction (space exhausted or
     /// round budget spent).
-    fn give_up(mut self, strategy_name: &str) -> Reproduction {
-        self.finish(strategy_name, false, None, false)
+    fn give_up(self) -> Reproduction {
+        self.finish(false, None, false)
     }
 
     fn finish(
-        &mut self,
-        strategy_name: &str,
+        &self,
         success: bool,
         script: Option<ReproScript>,
         replay_verified: bool,
@@ -467,7 +425,7 @@ impl<'a> ExploreState<'a> {
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent::ExploreEnd {
                 success,
-                rounds: self.per_round.len(),
+                rounds: self.rounds,
                 replay_verified,
                 wall_ns: self.started.elapsed().as_nanos() as u64,
             });
@@ -475,16 +433,14 @@ impl<'a> ExploreState<'a> {
         }
         Reproduction {
             success,
-            rounds: self.per_round.len(),
+            rounds: self.rounds,
             script,
             replay_verified,
-            per_round: std::mem::take(&mut self.per_round),
             injection_requests: self.injection_requests,
             armed_requests: self.armed_requests,
             decision_ns: self.decision_ns,
             sim_time_total: self.sim_time_total,
             wall: self.started.elapsed(),
-            strategy: strategy_name.to_string(),
         }
     }
 }
@@ -521,24 +477,30 @@ pub(crate) fn search(
         if let Some(speculator) = speculator.as_deref_mut() {
             speculator.look_ahead(strategy, round);
         }
-        let init_start = Instant::now();
+        let since = tracer.enabled().then(Instant::now);
         let plan = strategy.plan_injection(ctx, round);
-        let init_ns = init_start.elapsed().as_nanos() as u64;
-        let gt_rank = ground_truth.and_then(|s| strategy.model()?.site_rank(s));
+        let init_ns = lap(since);
         let Some(plan) = plan else {
             state.drain_notes(strategy, round);
-            return Ok(state.give_up(strategy.name()));
+            return Ok(state.give_up());
         };
         let seed = round_seed(cfg, round);
-        let armed = plan.armed();
         if tracer.enabled() {
             tracer.record(TraceEvent::RoundStart { round, seed });
             tracer.record(TraceEvent::Decision {
                 round,
-                armed,
+                armed: plan.armed(),
                 provenance: strategy.model().and_then(|m| m.provenance()),
                 init_ns,
             });
+            // Figure 6: where the plan just made put the ground truth.
+            if let Some(site) = ground_truth {
+                tracer.record(TraceEvent::GroundTruthRank {
+                    round,
+                    site,
+                    rank: strategy.model().and_then(|m| m.site_rank(site)),
+                });
+            }
         }
         state.drain_notes(strategy, round);
         let since = tracer.enabled().then(Instant::now);
@@ -560,21 +522,20 @@ pub(crate) fn search(
         // what it cost is its own workload time, not the wait for it here.
         let sim_ns = match since {
             Some(_) if reused => result.wall.as_nanos() as u64,
-            Some(t) => t.elapsed().as_nanos() as u64,
-            None => 0,
+            since => lap(since),
         };
-        let spent = RoundNs { init_ns, sim_ns };
-        if let Some(done) = state.absorb(strategy, round, gt_rank, armed, spent, result, error) {
+        if let Some(done) = state.absorb(strategy, round, sim_ns, result, error) {
             return Ok(done);
         }
     }
-    Ok(state.give_up(strategy.name()))
+    Ok(state.give_up())
 }
 
 /// Runs the exploration loop with an arbitrary strategy.
 ///
-/// `ground_truth` (when known, as in our evaluation harness) enables the
-/// per-round rank trace of Figure 6; it does not influence the search.
+/// `ground_truth` (when known, as in our evaluation harness) has a traced
+/// search record its per-round rank, Figure 6's `gt_rank` events; it does
+/// not influence the search.
 pub fn explore(
     ctx: &SearchContext,
     oracle: &Oracle,
@@ -586,8 +547,9 @@ pub fn explore(
 }
 
 /// [`explore`] with a trace sink: emits the full per-round event stream
-/// (`round_start`, `decision` with priority provenance, `round_end`,
-/// `feedback`, lifecycle notes, and the final provenance chain).
+/// (`round_start`, `decision` with priority provenance, `gt_rank` when
+/// given a ground truth, `round_end`, `feedback`, lifecycle notes, and the
+/// final provenance chain).
 pub fn explore_traced(
     ctx: &SearchContext,
     oracle: &Oracle,

@@ -37,9 +37,7 @@ pub mod trace;
 pub use anduril_causal::{Interval, OccurrenceBounds, RootCall};
 pub use batch::{explore_batched, explore_batched_traced, BatchExplorerConfig};
 pub use context::{FaultUnit, ObservableInfo, RoundOutcome, SearchContext};
-pub use explorer::{
-    explore, explore_traced, reproduce, ExplorerConfig, ReproScript, Reproduction, RoundRecord,
-};
+pub use explorer::{explore, explore_traced, reproduce, ExplorerConfig, ReproScript, Reproduction};
 pub use feedback::{Aggregate, Combine, Explanation, FeedbackConfig, FeedbackStrategy};
 pub use oracle::Oracle;
 pub use scenario::Scenario;

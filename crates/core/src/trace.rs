@@ -15,6 +15,7 @@
 //!   its priority provenance (the winning unit's `F_i`, the observable
 //!   `k*` and `L + I_k` that attained the min, the temporal-distance pick),
 //!   simulator counters, the oracle verdict, and the `I_k` feedback applied;
+//!   given the ground truth, its rank in each round's plan (Figure 6);
 //! - **lifecycle**: window exhaustion, candidate retirements, window
 //!   growth and observable promotions (queued by the strategy as
 //!   [`StrategyNote`]s), and the batch engine's epoch/speculation hit-miss
@@ -209,6 +210,18 @@ pub enum TraceEvent {
         provenance: Option<PlanProvenance>,
         /// Host nanoseconds spent planning (volatile).
         init_ns: u64,
+    },
+    /// Where the plan just made ranks the ground-truth root-cause site
+    /// (`ev: "gt_rank"`, Figure 6): recorded right after the round's
+    /// `decision` when the search was given a ground truth.
+    GroundTruthRank {
+        /// Round number.
+        round: usize,
+        /// The ground-truth fault site.
+        site: SiteId,
+        /// Its rank (1 = best) in the plan's site ordering; `None` when the
+        /// strategy ranks no sites or did not rank this one.
+        rank: Option<usize>,
     },
     /// A strategy lifecycle note (`ev: "note"`, or `ev: "promoted"` for a
     /// [`StrategyNote::ObservablePromoted`]).
@@ -614,6 +627,7 @@ wire_format! {
         ExploreStart "explore_start" { strategy, max_rounds, base_seed },
         RoundStart "round_start" { round, seed },
         Decision "decision" { round, armed, provenance } volatile { init_ns },
+        GroundTruthRank "gt_rank" { round, site, rank },
         EpochStart "epoch" { epoch, round, jobs },
         Speculation "spec" { round, epoch, slot, hit },
         RoundError "round_error" { round, error },
@@ -678,6 +692,7 @@ impl TraceEvent {
             | TraceEvent::ExploreEnd { .. } => None,
             TraceEvent::RoundStart { round, .. }
             | TraceEvent::Decision { round, .. }
+            | TraceEvent::GroundTruthRank { round, .. }
             | TraceEvent::Note { round, .. }
             | TraceEvent::EpochStart { round, .. }
             | TraceEvent::Speculation { round, .. }
@@ -793,6 +808,16 @@ mod tests {
                 }),
                 init_ns: 77,
             },
+            TraceEvent::GroundTruthRank {
+                round: 0,
+                site: SiteId(3),
+                rank: Some(4),
+            },
+            TraceEvent::GroundTruthRank {
+                round: 1,
+                site: SiteId(3),
+                rank: None,
+            },
             TraceEvent::Note {
                 round: 3,
                 note: StrategyNote::Retired {
@@ -878,7 +903,7 @@ mod tests {
                 wall_ns: 123,
             },
         ];
-        let mut seen = [false; 16];
+        let mut seen = [false; 17];
         for ev in &samples {
             let slot = match ev {
                 TraceEvent::ContextPhase { .. } => 0,
@@ -886,19 +911,20 @@ mod tests {
                 TraceEvent::ExploreStart { .. } => 2,
                 TraceEvent::RoundStart { .. } => 3,
                 TraceEvent::Decision { .. } => 4,
+                TraceEvent::GroundTruthRank { .. } => 5,
                 TraceEvent::Note { note, .. } => match note {
-                    StrategyNote::WindowGrew { .. } => 5,
-                    StrategyNote::Retired { .. } => 6,
-                    StrategyNote::WindowExhausted { .. } => 7,
-                    StrategyNote::ObservablePromoted { .. } => 8,
+                    StrategyNote::WindowGrew { .. } => 6,
+                    StrategyNote::Retired { .. } => 7,
+                    StrategyNote::WindowExhausted { .. } => 8,
+                    StrategyNote::ObservablePromoted { .. } => 9,
                 },
-                TraceEvent::EpochStart { .. } => 9,
-                TraceEvent::Speculation { .. } => 10,
-                TraceEvent::RoundError { .. } => 11,
-                TraceEvent::RoundEnd { .. } => 12,
-                TraceEvent::Feedback { .. } => 13,
-                TraceEvent::ProvenanceChain { .. } => 14,
-                TraceEvent::ExploreEnd { .. } => 15,
+                TraceEvent::EpochStart { .. } => 10,
+                TraceEvent::Speculation { .. } => 11,
+                TraceEvent::RoundError { .. } => 12,
+                TraceEvent::RoundEnd { .. } => 13,
+                TraceEvent::Feedback { .. } => 14,
+                TraceEvent::ProvenanceChain { .. } => 15,
+                TraceEvent::ExploreEnd { .. } => 16,
             };
             seen[slot] = true;
         }

@@ -206,6 +206,8 @@ impl<'a> Digest<'a> {
                     row.top = provenance.as_ref();
                     d.planning_ns += init_ns;
                 }
+                // The ground truth's rank is `--round`'s to show.
+                TraceEvent::GroundTruthRank { .. } => {}
                 TraceEvent::Note { note, .. } => {
                     d.notes += 1;
                     match note {
@@ -544,6 +546,11 @@ pub fn round(events: &[TraceEvent], n: usize) -> Result<String, NoSuchRound> {
                     fmt_ns(*init_ns)
                 )
             }
+            TraceEvent::GroundTruthRank { site, rank, .. } => format!(
+                "  ground truth: site#{} {}\n",
+                site.0,
+                rank.map_or_else(|| "unranked".into(), |r| format!("at rank {r}"))
+            ),
             TraceEvent::Note { note, .. } => match note {
                 StrategyNote::WindowExhausted { window, pass } => format!(
                     "  note: window of {window} exhausted in pass {pass}; pass {} begins\n",

@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use anduril_core::{
-    explore, reproduce, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle, Scenario,
-    SearchContext,
+    explore, explore_traced, reproduce, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle,
+    Scenario, SearchContext, TraceEvent, VecTracer,
 };
 use anduril_ir::builder::ProgramBuilder;
 use anduril_ir::expr::build as e;
@@ -218,21 +218,41 @@ fn impossible_oracle_exhausts_and_reports_failure() {
     assert!(repro.rounds <= 15);
 }
 
+/// The ground truth's rank in each round's plan, from a traced search's
+/// `gt_rank` events.
+fn ranks(events: &[TraceEvent]) -> Vec<Option<usize>> {
+    (events.iter())
+        .filter_map(|ev| match ev {
+            TraceEvent::GroundTruthRank { rank, .. } => Some(*rank),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
-fn per_round_records_are_consistent() {
+fn round_events_are_consistent() {
     let (scenario, site) = mini_wal_scenario();
     let failure = failure_log(&scenario, site);
     let oracle = timing_oracle();
     let cfg = ExplorerConfig::default();
     let ctx = SearchContext::prepare(scenario, &failure, cfg.base_seed).unwrap();
     let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-    let repro = explore(&ctx, &oracle, &mut strategy, &cfg, Some(site)).unwrap();
-    assert_eq!(repro.per_round.len(), repro.rounds);
-    let last = repro.per_round.last().unwrap();
-    assert!(last.oracle_satisfied);
+    let tracer = VecTracer::new();
+    let repro = explore_traced(&ctx, &oracle, &mut strategy, &cfg, Some(site), &tracer).unwrap();
+    let events = tracer.take();
+    let verdicts: Vec<bool> = (events.iter())
+        .filter_map(|ev| match ev {
+            TraceEvent::RoundEnd { oracle, .. } => Some(*oracle),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(verdicts.len(), repro.rounds);
+    assert_eq!(verdicts.last(), Some(&true));
     assert!(repro.injection_requests > 0);
     // Ground-truth rank is tracked once planning has ranked sites.
-    assert!(repro.per_round.iter().any(|r| r.gt_rank.is_some()));
+    let ranks = ranks(&events);
+    assert_eq!(ranks.len(), repro.rounds);
+    assert!(ranks.iter().any(Option::is_some));
 }
 
 #[test]
@@ -257,12 +277,13 @@ fn search_dynamics_diagnostics() {
         ("multiply", FeedbackConfig::multiply()),
     ] {
         let mut s = FeedbackStrategy::new(cfg_s);
-        let r = explore(&ctx, &oracle, &mut s, &cfg, Some(site)).unwrap();
+        let tracer = VecTracer::new();
+        let r = explore_traced(&ctx, &oracle, &mut s, &cfg, Some(site), &tracer).unwrap();
         println!(
             "{name}: success={} rounds={} ranks={:?}",
             r.success,
             r.rounds,
-            r.per_round.iter().map(|p| p.gt_rank).collect::<Vec<_>>()
+            ranks(&tracer.take())
         );
     }
 }

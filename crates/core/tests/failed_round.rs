@@ -186,25 +186,45 @@ fn a_search_outlives_rounds_that_end_in_an_error() {
     assert_eq!(sequential.script.as_ref().expect("script").site, root);
 
     // Two rounds failed before the reproducing one, each on its own error,
-    // and each still told the strategy which fault had fired.
-    let errors: Vec<_> = (sequential.per_round.iter())
-        .filter_map(|r| {
-            r.error
-                .as_ref()
-                .map(|e| (r.round, e, r.injected, r.oracle_satisfied))
+    // and each still told the strategy which fault had fired: its
+    // `round_error` line comes ahead of its `round_end`, which names the
+    // injection and a miss.
+    let errors: Vec<(usize, &str)> = (events.iter())
+        .filter_map(|ev| match ev {
+            TraceEvent::RoundError { round, error } => Some((*round, error.as_str())),
+            _ => None,
         })
         .collect();
-    assert_eq!(errors.len(), 2, "{:?}", sequential.per_round);
-    assert!(matches!(errors[0].1, SimError::Type { .. }));
-    assert_eq!(errors[1].1, &SimError::StepLimit);
-    assert!(errors.iter().all(|e| e.2.is_some() && !e.3));
+    assert_eq!(errors.len(), 2, "{errors:?}");
+    assert!(errors[0].1.starts_with("type error"), "{}", errors[0].1);
+    assert_eq!(errors[1].1, SimError::StepLimit.to_string());
+    for &(round, _) in &errors {
+        let of_round: Vec<_> = (events.iter())
+            .filter(|ev| ev.round() == Some(round))
+            .collect();
+        let error = (of_round.iter()).position(|ev| matches!(ev, TraceEvent::RoundError { .. }));
+        let missed = (of_round.iter()).position(|ev| {
+            matches!(
+                ev,
+                TraceEvent::RoundEnd {
+                    injected: Some(_),
+                    oracle: false,
+                    ..
+                }
+            )
+        });
+        assert!(
+            error.is_some() && error < missed,
+            "round {round}: {of_round:?}"
+        );
+    }
     assert_eq!(
         sequential.rounds,
         errors[1].0 + 2,
         "the next round reproduces"
     );
 
-    // The stream says so, and the line reads back.
+    // The lines read back.
     let recorded: Vec<_> = (events.iter())
         .filter(|ev| matches!(ev, TraceEvent::RoundError { .. }))
         .collect();
@@ -218,17 +238,6 @@ fn a_search_outlives_rounds_that_end_in_an_error() {
         );
         assert_eq!(ev.stable_json(), line, "nothing in it is host time");
     }
-    let TraceEvent::RoundError { round, error } = events
-        .iter()
-        .find(|ev| matches!(ev, TraceEvent::RoundError { .. }))
-        .expect("a round_error event")
-    else {
-        unreachable!()
-    };
-    assert_eq!(
-        (*round, error.as_str()),
-        (errors[0].0, &*errors[0].1.to_string())
-    );
 
     // Batched: the same search, errors in speculative runs included.
     let (batched, batched_events) = search(&ctx, true);

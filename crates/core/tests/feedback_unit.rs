@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use anduril_core::{
-    explore, Aggregate, Combine, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle,
-    RoundOutcome, Scenario, SearchContext, Strategy,
+    explore, explore_traced, Aggregate, Combine, ExplorerConfig, FeedbackConfig, FeedbackStrategy,
+    Oracle, RoundOutcome, Scenario, SearchContext, Strategy, TraceEvent, VecTracer,
 };
 use anduril_ir::builder::ProgramBuilder;
 use anduril_ir::expr::build as e;
@@ -190,19 +190,27 @@ fn all_variant_configs_reproduce_the_unit_scenario() {
 fn site_rank_tracks_the_ground_truth() {
     let (ctx, _, root) = context();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-    let r = explore(
+    let tracer = VecTracer::new();
+    let r = explore_traced(
         &ctx,
         &oracle(),
         &mut s,
         &ExplorerConfig::default(),
         Some(root),
+        &tracer,
     )
     .unwrap();
     assert!(r.success);
-    for rec in &r.per_round {
-        let rank = rec.gt_rank.expect("ranked every round");
-        assert!(rank >= 1 && rank <= ctx.units.len());
+    let mut ranked = 0;
+    for ev in tracer.take() {
+        if let TraceEvent::GroundTruthRank { site, rank, .. } = ev {
+            assert_eq!(site, root);
+            let rank = rank.expect("ranked every round");
+            assert!(rank >= 1 && rank <= ctx.units.len());
+            ranked += 1;
+        }
     }
+    assert_eq!(ranked, r.rounds);
 }
 
 #[test]
@@ -235,11 +243,10 @@ fn window_growth_is_logarithmic_in_candidates() {
         max_rounds: 5_000,
         ..ExplorerConfig::default()
     };
-    let r = explore(&ctx, &impossible, &mut s, &cfg, None).unwrap();
-    let wasted = r
-        .per_round
-        .iter()
-        .filter(|rec| rec.injected.is_none())
+    let tracer = VecTracer::new();
+    explore_traced(&ctx, &impossible, &mut s, &cfg, None, &tracer).unwrap();
+    let wasted = (tracer.take().iter())
+        .filter(|ev| matches!(ev, TraceEvent::RoundEnd { injected: None, .. }))
         .count();
     let bound = (n_candidates as f64).log2().ceil() as usize + 2;
     assert!(

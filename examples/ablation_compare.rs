@@ -23,18 +23,20 @@ fn main() {
         "strategy", "rounds", "sim-ticks", "wall-ms"
     );
     for (_, _, make) in table2_strategies() {
-        let r = explore(&ctx, &case.oracle, make().as_mut(), &cfg, Some(gt.site))
+        let mut strategy = make();
+        let r = explore(&ctx, &case.oracle, strategy.as_mut(), &cfg, Some(gt.site))
             .expect("exploration runs");
+        let name = strategy.name();
         if r.success {
             println!(
                 "{:24} {:>8} {:>10} {:>10}",
-                r.strategy,
+                name,
                 r.rounds,
                 r.sim_time_total,
                 r.wall.as_millis()
             );
         } else {
-            println!("{:24} {:>8} {:>10} {:>10}", r.strategy, "-", "-", "-");
+            println!("{:24} {:>8} {:>10} {:>10}", name, "-", "-", "-");
         }
     }
 }

@@ -5,7 +5,10 @@
 
 use anduril::failures::case_by_id;
 use anduril::failures::PreparedCase;
-use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer};
+use anduril::{
+    explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer, TraceEvent,
+    VecTracer,
+};
 
 fn main() {
     let case = case_by_id("HB-25905").expect("f17 is registered");
@@ -34,27 +37,37 @@ fn main() {
         ctx.units.len()
     );
 
+    // Given the ground truth, the search traces its rank every round.
     let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-    let repro = explore(
+    let tracer = VecTracer::new();
+    let repro = explore_traced(
         &ctx,
         &case.oracle,
         &mut strategy,
         &ExplorerConfig::default(),
         Some(gt.site),
+        &tracer,
     )
     .expect("exploration runs");
 
     println!("\nper-round trace (rank of the true root-cause site — Figure 6):");
-    for r in &repro.per_round {
-        println!(
-            "  round {:3}: armed={:2} rank={:?} injected={:?} oracle={}",
-            r.round + 1,
-            r.armed,
-            r.gt_rank,
-            r.injected
-                .map(|(s, o, e)| format!("{}@{o} {}", s.0, e.name())),
-            r.oracle_satisfied
-        );
+    let (mut armed, mut rank) = (0, None);
+    for ev in tracer.take() {
+        match ev {
+            TraceEvent::Decision { armed: a, .. } => armed = a,
+            TraceEvent::GroundTruthRank { rank: r, .. } => rank = r,
+            TraceEvent::RoundEnd {
+                round,
+                injected,
+                oracle,
+                ..
+            } => println!(
+                "  round {:3}: armed={armed:2} rank={rank:?} injected={:?} oracle={oracle}",
+                round + 1,
+                injected.map(|(s, o, e)| format!("{}@{o} {}", s.0, e.name())),
+            ),
+            _ => {}
+        }
     }
     let script = repro.script.expect("reproduced");
     println!(

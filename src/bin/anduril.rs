@@ -480,16 +480,17 @@ fn reproduce(args: &[String]) -> Result<ExitCode, CliError> {
         return Ok(ExitCode::from(1));
     }
 
+    let name = strategy.name();
     if !r.success {
         emit(&format!(
-            "NOT reproduced within {} rounds with {}\n",
-            r.rounds, r.strategy
+            "NOT reproduced within {} rounds with {name}\n",
+            r.rounds
         ))?;
         return Ok(ExitCode::from(1));
     }
     let mut out = format!(
-        "reproduced in {} rounds ({} sim ticks, {:?} wall) with {}\n",
-        r.rounds, r.sim_time_total, r.wall, r.strategy
+        "reproduced in {} rounds ({} sim ticks, {:?} wall) with {name}\n",
+        r.rounds, r.sim_time_total, r.wall
     );
     if let Some(s) = r.script {
         let mut verified = format!("replay verified: {}", r.replay_verified);

@@ -3,35 +3,43 @@
 //! same round count, same per-round decisions. Speculation may only change
 //! how fast the answer arrives, never the answer.
 
+mod common;
+
 use anduril::failures::{case_by_id, PreparedCase};
 use anduril::trace::{TraceEvent, VecTracer};
 use anduril::{
-    explore, explore_batched_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
+    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
     FeedbackStrategy, NoopTracer, Reproduction,
 };
+use common::round_facts;
 
-fn sequential(id: &str, feedback: &FeedbackConfig) -> (Reproduction, PreparedCase) {
+/// A search and its trace.
+type Traced = (Reproduction, Vec<TraceEvent>);
+
+fn sequential(id: &str, feedback: &FeedbackConfig) -> (Traced, PreparedCase) {
     let case = case_by_id(id).expect("case");
     let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
     let mut s = FeedbackStrategy::new(feedback.clone());
-    let r = explore(
+    let tracer = VecTracer::new();
+    let r = explore_traced(
         &prepared.ctx,
         &case.oracle,
         &mut s,
         &ExplorerConfig::default(),
         Some(prepared.gt.site),
+        &tracer,
     )
     .expect("explore");
-    (r, prepared)
+    ((r, tracer.take()), prepared)
 }
 
-/// The batched search and its batch-only trace events.
+/// The batched search and its trace.
 fn batched(
     id: &str,
     prepared: &PreparedCase,
     feedback: &FeedbackConfig,
     batch: &BatchExplorerConfig,
-) -> (Reproduction, Vec<TraceEvent>) {
+) -> Traced {
     let case = case_by_id(id).expect("case");
     let mut s = FeedbackStrategy::new(feedback.clone());
     let tracer = VecTracer::new();
@@ -45,12 +53,15 @@ fn batched(
         &tracer,
     )
     .expect("explore_batched");
-    let mut events = tracer.take();
-    events.retain(TraceEvent::is_batch_only);
-    (r, events)
+    (r, tracer.take())
 }
 
-fn assert_identical(id: &str, threads: usize, seq: &Reproduction, bat: &Reproduction) {
+fn assert_identical(
+    id: &str,
+    threads: usize,
+    (seq, seq_events): &Traced,
+    (bat, bat_events): &Traced,
+) {
     let tag = format!("{id} (threads={threads})");
     assert_eq!(seq.success, bat.success, "{tag}: success");
     assert_eq!(seq.rounds, bat.rounds, "{tag}: rounds");
@@ -61,19 +72,13 @@ fn assert_identical(id: &str, threads: usize, seq: &Reproduction, bat: &Reproduc
         "{tag}: injection requests"
     );
     assert_eq!(seq.sim_time_total, bat.sim_time_total, "{tag}: sim time");
-    assert_eq!(seq.per_round.len(), bat.per_round.len(), "{tag}: records");
-    for (a, b) in seq.per_round.iter().zip(&bat.per_round) {
-        // Everything except host-time measurements must match exactly.
-        assert_eq!(a.round, b.round, "{tag}: round index");
-        assert_eq!(a.armed, b.armed, "{tag}: armed @{}", a.round);
-        assert_eq!(a.injected, b.injected, "{tag}: injected @{}", a.round);
-        assert_eq!(a.gt_rank, b.gt_rank, "{tag}: gt rank @{}", a.round);
-        assert_eq!(a.sim_time, b.sim_time, "{tag}: sim time @{}", a.round);
-        assert_eq!(
-            a.oracle_satisfied, b.oracle_satisfied,
-            "{tag}: oracle @{}",
-            a.round
-        );
+    // Round by round, everything except host-time measurements must match
+    // exactly: armed, ground-truth rank, injected, ticks, oracle.
+    let (a, b) = (round_facts(seq_events), round_facts(bat_events));
+    assert_eq!(a.len(), seq.rounds, "{tag}: a round_end per round");
+    assert_eq!(a.len(), b.len(), "{tag}: rounds traced");
+    for (a, b) in a.iter().zip(&b) {
+        assert_eq!(a, b, "{tag}: round {}", a.0);
     }
     // The emitted script text — the user-facing artifact — is the same
     // byte for byte.
@@ -93,13 +98,13 @@ fn batched_matches_sequential() {
     let full = FeedbackConfig::full();
     for id in ["f3", "f17"] {
         let (seq, prepared) = sequential(id, &full);
-        assert!(seq.success, "{id}: sequential baseline must reproduce");
+        assert!(seq.0.success, "{id}: sequential baseline must reproduce");
         for threads in [1usize, 2, 4] {
             let batch = BatchExplorerConfig {
                 batch_size: 8,
                 threads,
             };
-            let (bat, _) = batched(id, &prepared, &full, &batch);
+            let bat = batched(id, &prepared, &full, &batch);
             assert_identical(id, threads, &seq, &bat);
         }
     }
@@ -117,7 +122,7 @@ fn batch_geometry_is_irrelevant() {
             batch_size,
             threads,
         };
-        let (bat, _) = batched("f3", &prepared, &full, &batch);
+        let bat = batched("f3", &prepared, &full, &batch);
         assert_identical("f3", threads, &seq, &bat);
     }
 }
@@ -129,14 +134,16 @@ fn batch_geometry_is_irrelevant() {
 fn an_exhaustive_search_hits_every_round_in_one_epoch() {
     let exhaustive = FeedbackConfig::exhaustive();
     let (seq, prepared) = sequential("f17", &exhaustive);
-    assert!(seq.success && seq.rounds > 8, "{} rounds", seq.rounds);
+    let rounds = seq.0.rounds;
+    assert!(seq.0.success && rounds > 8, "{rounds} rounds");
     for threads in [2usize, 4] {
         let batch = BatchExplorerConfig {
             batch_size: 8,
             threads,
         };
-        let (bat, events) = batched("f17", &prepared, &exhaustive, &batch);
+        let bat = batched("f17", &prepared, &exhaustive, &batch);
         assert_identical("f17 exhaustive", threads, &seq, &bat);
+        let events = &bat.1;
         let epochs = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::EpochStart { .. }))
@@ -145,6 +152,6 @@ fn an_exhaustive_search_hits_every_round_in_one_epoch() {
             .iter()
             .filter(|e| matches!(e, TraceEvent::Speculation { hit: true, .. }))
             .count();
-        assert_eq!((epochs, hits), (1, seq.rounds), "threads={threads}");
+        assert_eq!((epochs, hits), (1, rounds), "threads={threads}");
     }
 }

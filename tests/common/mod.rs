@@ -6,6 +6,7 @@
 #![allow(dead_code)]
 
 use anduril::failures::case_by_id;
+use anduril::ir::{ExceptionType, SiteId};
 use anduril::trace::{NoopTracer, TraceEvent, VecTracer};
 use anduril::{
     explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
@@ -63,4 +64,36 @@ pub fn stable_lines(events: &[TraceEvent]) -> Vec<String> {
         .filter(|e| !e.is_batch_only())
         .map(TraceEvent::stable_json)
         .collect()
+}
+
+/// One round of a traced search as its events tell it, host time left
+/// out: `(round, armed, ground-truth rank, injected, ticks, oracle)`.
+pub type RoundFacts = (
+    usize,
+    usize,
+    Option<usize>,
+    Option<(SiteId, u32, ExceptionType)>,
+    u64,
+    bool,
+);
+
+/// Every round of a stream, from its `decision`, `gt_rank` (the rank is
+/// `None` without one) and `round_end` lines.
+pub fn round_facts(events: &[TraceEvent]) -> Vec<RoundFacts> {
+    let (mut armed, mut rank, mut facts) = (0, None, Vec::new());
+    for ev in events {
+        match ev {
+            TraceEvent::Decision { armed: a, .. } => (armed, rank) = (*a, None),
+            TraceEvent::GroundTruthRank { rank: r, .. } => rank = *r,
+            TraceEvent::RoundEnd {
+                round,
+                injected,
+                ticks,
+                oracle,
+                ..
+            } => facts.push((*round, armed, rank, *injected, *ticks, *oracle)),
+            _ => {}
+        }
+    }
+    facts
 }

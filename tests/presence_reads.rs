@@ -7,18 +7,21 @@
 //! per-thread diff get it on every missed round; the ablations without
 //! feedback, the global-diff ablation and the external comparators never
 //! do. Leaving the diff out changes no search: each wrapped search's
-//! rounds, script and per-round injections are the unwrapped search's,
+//! rounds, script and traced rounds are the unwrapped search's,
 //! sequential and batched. A model handed no presence diffs the round
 //! itself.
+
+mod common;
 
 use anduril::baselines::REGISTRY;
 use anduril::failures::case_by_id;
 use anduril::sim::InjectionPlan;
-use anduril::trace::NoopTracer;
+use anduril::trace::{NoopTracer, TraceEvent, VecTracer};
 use anduril::{
-    explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
+    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
     FeedbackStrategy, Reproduction, RoundOutcome, SearchContext, Strategy,
 };
+use common::round_facts;
 
 /// The registry rows whose model applies per-thread presence.
 const READS_PRESENCE: [&str; 6] = [
@@ -60,10 +63,10 @@ impl Strategy for Recording {
     }
 }
 
-/// What a search decided, round by round.
-fn decided(r: &Reproduction) -> impl PartialEq + std::fmt::Debug {
-    let injected: Vec<_> = r.per_round.iter().map(|round| round.injected).collect();
-    (r.success, r.rounds, r.script.clone(), injected)
+/// What a search decided, round by round, from it and its trace.
+fn decided((r, events): &(Reproduction, Vec<TraceEvent>)) -> impl PartialEq + std::fmt::Debug {
+    let rounds = round_facts(events);
+    (r.success, r.rounds, r.script.clone(), rounds)
 }
 
 #[test]
@@ -84,19 +87,26 @@ fn only_a_model_that_reads_presence_gets_it() {
         for (row, &(name, _, make)) in REGISTRY.iter().enumerate() {
             let reads = READS_PRESENCE.contains(&name);
             for batched in [false, true] {
-                let search = |strategy: &mut dyn Strategy| match batched {
-                    false => explore(ctx, oracle, strategy, &cfg, gt),
-                    true => explore_batched(ctx, oracle, strategy, &cfg, &batch, gt),
+                let search = |strategy: &mut dyn Strategy| {
+                    let tracer = VecTracer::new();
+                    let r = match batched {
+                        false => explore_traced(ctx, oracle, strategy, &cfg, gt, &tracer),
+                        true => {
+                            explore_batched_traced(ctx, oracle, strategy, &cfg, &batch, gt, &tracer)
+                        }
+                    };
+                    (r.expect("search"), tracer.take())
                 };
-                let plain = search(make().as_mut()).expect("search");
+                let plain = search(make().as_mut());
                 let mut wrapped = Recording {
                     inner: make(),
                     present: Vec::new(),
                 };
-                let recorded = search(&mut wrapped).expect("search");
+                let recorded = search(&mut wrapped);
                 let at = format!("{id} {name} (batched: {batched})");
                 assert_eq!(decided(&recorded), decided(&plain), "{at}");
                 // Every round but a reproducing last one is fed back.
+                let recorded = &recorded.0;
                 let fed = recorded.rounds - usize::from(recorded.success);
                 assert_eq!(wrapped.present.len(), fed, "{at}: feedback calls");
                 assert!(

@@ -3,7 +3,7 @@
 //! accounting, and terminal events.
 
 use anduril::failures::case_by_id;
-use anduril::trace::{TraceEvent, VecTracer};
+use anduril::trace::{NoopTracer, TraceEvent, VecTracer};
 use anduril::{explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction};
 
 /// Runs a full traced search under `cfg` and returns the stream, the
@@ -205,4 +205,55 @@ fn success_emits_a_provenance_chain() {
         }
         other => panic!("stream must end with ExploreEnd, got {other:?}"),
     }
+}
+
+/// Figure 6's record: a search given the ground truth traces its rank
+/// once a round, after the round's `decision` and before its
+/// `round_end`, naming the ground-truth site.
+#[test]
+fn a_ground_truth_rank_is_traced_once_a_round_between_decision_and_end() {
+    for id in ["f3", "f17"] {
+        let gt = case_by_id(id).expect("case").ground_truth().expect("gt");
+        let (events, repro, _) = traced_search(id, FeedbackConfig::full());
+        let (mut decided, mut ranked) = (None, Vec::new());
+        for e in &events {
+            match e {
+                TraceEvent::Decision { round, .. } => decided = Some(*round),
+                TraceEvent::GroundTruthRank { round, site, rank } => {
+                    assert_eq!(decided, Some(*round), "{id}: rank before its decision");
+                    assert_eq!(*site, gt.site, "{id}: round {round}");
+                    assert!(rank.is_some(), "{id}: round {round} left it unranked");
+                    ranked.push(*round);
+                }
+                TraceEvent::RoundEnd { round, .. } => {
+                    assert_eq!(
+                        ranked.last(),
+                        Some(round),
+                        "{id}: round {round} ends unranked"
+                    );
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(ranked, (0..repro.rounds).collect::<Vec<_>>(), "{id}");
+    }
+}
+
+/// A search given no ground truth traces no rank.
+#[test]
+fn a_search_without_a_ground_truth_traces_no_rank() {
+    let case = case_by_id("f17").expect("case");
+    let prepared = case.prepare(1_000, &NoopTracer).expect("prepare");
+    let tracer = VecTracer::new();
+    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
+    let cfg = ExplorerConfig::default();
+    let r = explore_traced(&prepared.ctx, &case.oracle, &mut s, &cfg, None, &tracer);
+    assert!(r.expect("explore").rounds > 1);
+    let events = tracer.take();
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, TraceEvent::Decision { .. })));
+    assert!(!events
+        .iter()
+        .any(|e| matches!(e, TraceEvent::GroundTruthRank { .. })));
 }

@@ -13,6 +13,8 @@
 
 use std::sync::Arc;
 
+mod common;
+
 use anduril::failures::{case_by_id, FailureCase};
 use anduril::gen::{generate_one, GenConfig, GeneratedCase, SizeClass};
 use anduril::ir::builder::ProgramBuilder;
@@ -22,8 +24,9 @@ use anduril::sim::{
     run_compiled_or_partial, InjectionPlan, NodeSpec, PausedRun, Reached, RunResult, SimConfig,
     SimError, Topology,
 };
+use anduril::trace::{TraceEvent, VecTracer};
 use anduril::{
-    explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
+    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
     FeedbackStrategy, Reproduction, Scenario,
 };
 
@@ -195,11 +198,9 @@ fn runs_of_every_shape_in_turn_are_the_runs_a_fresh_thread_makes() {
     assert_eq!(limits, 2, "the spinning round ends in a step limit");
 }
 
-/// What a search's outcome is, host time aside.
-fn outcome(r: &Reproduction) -> impl PartialEq + std::fmt::Debug {
-    let rounds: Vec<_> = (r.per_round.iter())
-        .map(|round| (round.injected, round.oracle_satisfied, round.sim_time))
-        .collect();
+/// What a search's outcome is, host time aside, from it and its trace.
+fn outcome((r, events): &(Reproduction, Vec<TraceEvent>)) -> impl PartialEq + std::fmt::Debug {
+    let rounds = common::round_facts(events);
     (r.success, r.rounds, r.script.clone(), rounds)
 }
 
@@ -213,7 +214,16 @@ fn a_batched_search_after_another_program_is_the_sequential_search() {
     let gt_site = Some(prepared.gt.site);
     let sequential = on_fresh_thread(|| {
         let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-        explore(&prepared.ctx, &ticket.oracle, &mut strategy, &cfg, gt_site).expect("explore")
+        let tracer = VecTracer::new();
+        let r = explore_traced(
+            &prepared.ctx,
+            &ticket.oracle,
+            &mut strategy,
+            &cfg,
+            gt_site,
+            &tracer,
+        );
+        (r.expect("explore"), tracer.take())
     });
     let batched = on_fresh_thread(|| {
         // The thread that searches, and runs the rounds no worker ran
@@ -228,16 +238,18 @@ fn a_batched_search_after_another_program_is_the_sequential_search() {
             ..BatchExplorerConfig::default()
         };
         let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-        explore_batched(
+        let tracer = VecTracer::new();
+        let r = explore_batched_traced(
             &prepared.ctx,
             &ticket.oracle,
             &mut strategy,
             &cfg,
             &batch,
             gt_site,
-        )
-        .expect("explore_batched")
+            &tracer,
+        );
+        (r.expect("explore_batched"), tracer.take())
     });
-    assert!(sequential.success, "f17 reproduces");
+    assert!(sequential.0.success, "f17 reproduces");
     assert_eq!(outcome(&batched), outcome(&sequential));
 }
