@@ -724,8 +724,7 @@ impl OccurrenceBounds {
     }
 
     /// Per-site `hi` bounds in the shape
-    /// [`Program::lints_with_bounds`](anduril_ir::Program::lints_with_bounds)
-    /// consumes.
+    /// [`Program::lints`](anduril_ir::Program::lints) consumes.
     pub fn site_his(&self) -> Vec<Option<u64>> {
         self.site.iter().map(|b| b.hi).collect()
     }

@@ -422,12 +422,13 @@ impl<'a> ExploreState<'a> {
         script: Option<ReproScript>,
         replay_verified: bool,
     ) -> Reproduction {
+        let wall = self.started.elapsed();
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent::ExploreEnd {
                 success,
                 rounds: self.rounds,
                 replay_verified,
-                wall_ns: self.started.elapsed().as_nanos() as u64,
+                wall_ns: wall.as_nanos() as u64,
             });
             self.tracer.flush();
         }
@@ -440,7 +441,7 @@ impl<'a> ExploreState<'a> {
             armed_requests: self.armed_requests,
             decision_ns: self.decision_ns,
             sim_time_total: self.sim_time_total,
-            wall: self.started.elapsed(),
+            wall,
         }
     }
 }

@@ -639,16 +639,8 @@ impl Strategy for FeedbackStrategy {
     }
 
     fn init(&mut self, ctx: &SearchContext) {
-        self.window = self.cfg.initial_window;
+        *self = FeedbackStrategy::new(self.cfg.clone());
         self.i_priority = vec![0.0; ctx.observables.len()];
-        self.promoted = PromotedSet::default();
-        self.present.clear();
-        self.tried.clear();
-        self.last_ranking.clear();
-        self.last_armed.clear();
-        self.passes = 0;
-        self.last_provenance = None;
-        self.pending_notes.clear();
     }
 
     fn plan_injection(&mut self, ctx: &SearchContext, _round: usize) -> Option<InjectionPlan> {

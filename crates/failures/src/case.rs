@@ -89,14 +89,8 @@ impl PreparedCase {
         let mut log = String::new();
         let mut drop = false;
         for line in self.failure_log.lines() {
-            let is_entry = line.len() > 9
-                && line.as_bytes()[..8].iter().all(u8::is_ascii_digit)
-                && line.as_bytes()[8] == b' ';
-            if is_entry {
-                let body = line.split_once(" - ").map(|(_, body)| body);
-                drop = nearest
-                    .zip(body)
-                    .is_some_and(|(template, body)| template.matches(body));
+            if let Some(entry) = anduril_core::log_header(line) {
+                drop = nearest.is_some_and(|template| template.matches(entry.body));
             }
             if !drop {
                 log.push_str(line);

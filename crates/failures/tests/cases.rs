@@ -265,3 +265,43 @@ fn injected_fault_types_match_paper_table5() {
         assert_eq!(case.root_exc, expected, "{}", case.id);
     }
 }
+
+/// The advisory lints of the five target programs, pinned line by line:
+/// building a program no longer lints it, so this is where a target change
+/// that adds or clears a smell shows. Every one is a global the program
+/// writes as a marker and never reads back.
+#[test]
+fn each_system_lints_as_pinned() {
+    let pinned: [(&str, &[&str]); 5] = [
+        (
+            "ZooKeeper",
+            &["global `electionStuck` (GlobalId#3) is written but never read"],
+        ),
+        (
+            "HDFS",
+            &["global `dnStarted` (GlobalId#6) is written but never read"],
+        ),
+        (
+            "HBase",
+            &[
+                "global `replStalled` (GlobalId#12) is written but never read",
+                "global `claimPermanentlyFailed` (GlobalId#24) is written but never read",
+            ],
+        ),
+        ("Kafka", &[]),
+        (
+            "Cassandra",
+            &[
+                "global `channelProxyCorrupt` (GlobalId#2) is written but never read",
+                "global `snapshotsAcked` (GlobalId#4) is written but never read",
+            ],
+        ),
+    ];
+    let cases = all_cases();
+    for (system, lines) in pinned {
+        let case = cases.iter().find(|c| c.system == system).expect(system);
+        let lints = case.scenario.program.lints(&[]);
+        let lints: Vec<String> = lints.iter().map(ToString::to_string).collect();
+        assert_eq!(lints, lines, "{system}");
+    }
+}

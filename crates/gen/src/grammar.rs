@@ -29,7 +29,6 @@
 use std::sync::Arc;
 
 use anduril_ir::builder::{BodyBuilder, ProgramBuilder};
-use anduril_ir::program::LintWarning;
 use anduril_ir::{
     expr as e, ChanId, CondId, ExceptionPattern, ExceptionType, Level, Program, Value,
 };
@@ -151,14 +150,12 @@ pub(crate) const DEGRADED_GLOBAL: &str = "replicaDegraded";
 /// descriptions of the planted faults, the log needles the oracle matches
 /// on, and size statistics.
 pub struct GenProgram {
-    /// The linted program, shared with the case's scenario.
+    /// The program, shared with the case's scenario.
     pub program: Arc<Program>,
     /// One [`NodeSpec`] per generated node.
     pub topology: Topology,
     /// Simulation config (defaults; seed is set per run).
     pub config: SimConfig,
-    /// Advisory lints from `finish_linted` (expected to be empty).
-    pub warnings: Vec<LintWarning>,
     /// Name of the critical node, e.g. `"node2"`.
     pub critical_node: String,
     /// Site description of the critical fault (fault B in multi mode).
@@ -437,7 +434,7 @@ fn build_failover_helper(
 
 /// Synthesizes one scenario from the blueprint drawn off `rng`.
 ///
-/// Returns the program (already through `finish_linted`), its topology
+/// Returns the program (already through `finish`), its topology
 /// and config, and the planted-fault metadata the caller needs to build
 /// an oracle and derive a failure log.
 pub fn synthesize(
@@ -669,7 +666,7 @@ pub fn synthesize(
         })
         .collect::<Vec<_>>();
 
-    let (program, warnings) = pb.finish_linted()?;
+    let program = pb.finish()?;
     let critical_node = format!("node{}", bp.critical);
     let crit_exc = bp.nodes[bp.critical].helpers[bp.crit_helper].exc;
     let poison_exc = bp
@@ -693,7 +690,6 @@ pub fn synthesize(
         program: Arc::new(program.clone()),
         topology: Topology::new(node_specs),
         config: SimConfig::default(),
-        warnings,
         critical_site_desc: format!("node{}.op{}", bp.critical, bp.crit_helper),
         critical_exc: crit_exc,
         poison_site_desc: bp

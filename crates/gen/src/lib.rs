@@ -28,9 +28,7 @@ pub mod grammar;
 pub mod plant;
 
 pub use grammar::{GenProgram, SizeClass};
-pub use plant::{
-    generate, generate_one, verify_sound, GenConfig, GenError, GeneratedCase, PlantedFault,
-};
+pub use plant::{generate_one, verify_sound, GenConfig, GenError, GeneratedCase, PlantedFault};
 
 #[cfg(test)]
 mod tests {

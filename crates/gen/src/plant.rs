@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use anduril_core::{Oracle, Scenario, SearchContext};
 use anduril_failures::FailureCase;
-use anduril_ir::{CompiledProgram, ExceptionType, SiteId, Value};
+use anduril_ir::{ExceptionType, SiteId, Value};
 use anduril_sim::rng::SmallRng;
 use anduril_sim::{InjectionPlan, PausedRun, Reached, RunResult};
 
@@ -89,8 +89,6 @@ pub struct GeneratedCase {
     pub sites: usize,
     /// Statement count.
     pub stmts: usize,
-    /// Advisory lint warnings the program carried (expected 0).
-    pub warnings: usize,
     /// Simulator runs generation made: the worlds it started (the
     /// fault-free run; a cascade's probes) and the branches it took off
     /// copies of a paused one (each copy that went on: to a probe's
@@ -177,18 +175,16 @@ fn occurrences(run: &RunResult, site: SiteId) -> u32 {
     run.site_occurrences.get(site.index()).copied().unwrap_or(0)
 }
 
-/// The scenario's runs under planting: its program compiled once per
-/// generated case, however many occurrences are probed, and every run
-/// counted with the steps it took. The compiled form is a copy of
-/// planting's own, dropped with it, so the case comes back with its program
-/// uncompiled: a corpus is generated in bulk and often never searched.
+/// The scenario's runs under planting, every one counted with the steps it
+/// took. They read the program's own compiled form, however many
+/// occurrences are probed, so the case comes back lowered: a generated
+/// case is there to be run, and its later runs read that one form.
 ///
 /// A run is a world started or a branch: a copy of a paused run that goes
 /// on (a copy kept is not one). A branch's steps are those past the point
 /// it was copied at, so a prefix the branches share is counted once.
 struct Planting<'a> {
     scenario: &'a Scenario,
-    compiled: CompiledProgram,
     failure_seed: u64,
     runs: Cell<usize>,
     steps: Cell<u64>,
@@ -215,9 +211,9 @@ impl Planting<'_> {
 
     /// `plan`'s whole run.
     fn run(&self, plan: InjectionPlan) -> Result<RunResult, GenError> {
-        let s = self.scenario;
-        let cfg = s.config.with_seed(self.failure_seed);
-        let r = anduril_sim::run_compiled(&s.program, &self.compiled, &s.topology, &cfg, plan)
+        let r = self
+            .scenario
+            .run(self.failure_seed, plan)
             .map_err(sim_error)?;
         self.count(1, r.steps);
         Ok(r)
@@ -235,7 +231,7 @@ impl Planting<'_> {
         let cfg = s.config.with_seed(self.failure_seed);
         let reached = PausedRun::start(
             &s.program,
-            &self.compiled,
+            s.program.compiled(),
             &s.topology,
             &cfg,
             site,
@@ -576,7 +572,7 @@ fn check_fault_free(oracle: &Oracle, normal: &RunResult) -> Result<(), GenError>
 /// derived sub-seed, plants the fault(s), derives the failure log, and
 /// packages a [`FailureCase`]. Soundness invariants checked here:
 ///
-/// 1. `finish_linted` reports no errors (enforced in [`synthesize`]).
+/// 1. `finish` reports no errors (enforced in [`synthesize`]).
 /// 2. The fault-free run completes, satisfies neither the oracle nor
 ///    kills any thread.
 /// 3. The planted plan actually fires and satisfies the oracle (its run
@@ -596,7 +592,6 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
     let failure_seed = 1 + rng.random_range(0..10_000u64);
 
     let planting = Planting {
-        compiled: anduril_ir::lower::compile(&scenario.program),
         scenario: &scenario,
         failure_seed,
         runs: Cell::new(0),
@@ -644,7 +639,6 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         funcs: case.scenario.program.funcs.len(),
         sites: case.scenario.program.sites.len(),
         stmts: case.scenario.program.stmt_count(),
-        warnings: gp.warnings.len(),
         runs,
         steps,
         probe_fallbacks,
@@ -652,11 +646,6 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         plant,
         failure_log,
     })
-}
-
-/// Generates a batch of `count` cases.
-pub fn generate(cfg: &GenConfig, count: usize) -> Result<Vec<GeneratedCase>, GenError> {
-    (0..count).map(|i| generate_one(cfg, i)).collect()
 }
 
 /// Deep soundness verification, used by the fuzz suite and the bench:

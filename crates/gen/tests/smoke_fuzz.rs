@@ -1,7 +1,7 @@
 //! 500-seed smoke fuzz over the scenario generator.
 //!
-//! For every seed the generated program must (1) pass `finish_linted`
-//! with no errors and no advisory warnings, (2) simulate to completion
+//! For every seed the generated program must (1) build with no errors
+//! and lint with no advisory warnings, (2) simulate to completion
 //! under both the register VM and the tree-walk oracle with
 //! byte-identical results — fault-free AND under the planted plan — (3)
 //! keep its planted ground truth feasible under the search context's
@@ -76,7 +76,8 @@ fn smoke_fuzz_500_seeds_lint_clean_engine_identical_and_sound() {
 
         // (1) Lint-clean: `generate_one` already rejects IR errors; the
         // grammar's pairing discipline must also leave zero advisories.
-        assert_eq!(gc.warnings, 0, "case {i}: advisory lint warnings");
+        let lints = gc.case.scenario.program.lints(&[]);
+        assert!(lints.is_empty(), "case {i}: advisory lints {lints:?}");
 
         // (2) Engine-differential, fault-free and planted.
         run_both(&format!("case {i} fault-free"), &gc, InjectionPlan::none());

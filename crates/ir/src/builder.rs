@@ -179,16 +179,9 @@ impl ProgramBuilder {
         f(&mut b);
     }
 
-    /// Finalizes the program, validating structural invariants.
+    /// Finalizes the program, validating structural invariants. The
+    /// non-fatal smells are [`Program::lints`]'s, computed when asked for.
     pub fn finish(self) -> Result<Program, IrError> {
-        self.finish_linted().map(|(p, _)| p)
-    }
-
-    /// Finalizes the program and additionally returns lint warnings:
-    /// non-fatal constructs (e.g. a condition variable that is waited on but
-    /// never signaled) that usually indicate an authoring mistake in a
-    /// target system.
-    pub fn finish_linted(self) -> Result<(Program, Vec<crate::program::LintWarning>), IrError> {
         let mut funcs = Vec::with_capacity(self.funcs.len());
         for d in &self.funcs {
             let entry = d
@@ -201,7 +194,7 @@ impl ProgramBuilder {
                 entry,
             });
         }
-        let program = Program::assemble(
+        Program::assemble(
             self.name,
             funcs,
             self.blocks,
@@ -211,9 +204,7 @@ impl ProgramBuilder {
             self.conds,
             self.chans,
             self.execs,
-        )?;
-        let warnings = program.lints();
-        Ok((program, warnings))
+        )
     }
 
     fn new_block(&mut self) -> BlockId {
@@ -669,7 +660,7 @@ mod tests {
         pb.body(f, |b| {
             b.wait_cond(ready, Some(e::int(10)), None);
         });
-        let (_, warnings) = pb.finish_linted().unwrap();
+        let warnings = pb.finish().unwrap().lints(&[]);
         assert_eq!(warnings.len(), 1);
         let crate::program::LintWarning::UnsignaledCond { name, .. } = &warnings[0] else {
             panic!("expected UnsignaledCond, got {:?}", warnings[0]);
@@ -689,8 +680,7 @@ mod tests {
         pb.body(g, |b| {
             b.signal(ready);
         });
-        let (_, warnings) = pb.finish_linted().unwrap();
-        assert!(warnings.is_empty());
+        assert!(pb.finish().unwrap().lints(&[]).is_empty());
     }
 
     #[test]

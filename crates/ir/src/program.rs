@@ -415,8 +415,8 @@ impl Program {
     /// A derived table like the block parents, only computed late: the
     /// program is immutable once assembled, so its lowering is too, and
     /// every run of it — a search's rounds on every thread, the ground
-    /// truth scan, a one-shot run — reads this one copy. A program that is
-    /// built but never run (most of a generated corpus) never pays for it.
+    /// truth scan, a generated case's planting, a one-shot run — reads this
+    /// one copy. A program that is built but never run never pays for it.
     /// Like the block parents, it describes the tables as `assemble` saw
     /// them: a program whose public tables are edited afterwards has to be
     /// built again.
@@ -496,53 +496,25 @@ impl Program {
         self.blocks.iter().map(Vec::len).sum()
     }
 
-    /// Returns all log statements that use the given template.
-    pub fn log_stmts_of_template(&self, template: TemplateId) -> Vec<StmtRef> {
-        self.all_stmts()
-            .filter(|(_, s)| matches!(s, Stmt::Log { template: t, .. } if *t == template))
-            .map(|(r, _)| r)
-            .collect()
-    }
-
-    /// Returns every `Return` statement of a function.
-    ///
-    /// Used by the interprocedural slicer to jump from a `Call { ret }`
-    /// writer into the callee's return expressions. A function with no
-    /// `Return` statements returns unit implicitly, so an empty result is
-    /// normal.
-    pub fn return_stmts_of(&self, func: FuncId) -> Vec<StmtRef> {
-        self.all_stmts()
-            .filter(|(r, s)| matches!(s, Stmt::Return { .. }) && self.func_of_stmt(*r) == func)
-            .map(|(r, _)| r)
-            .collect()
-    }
-
     /// Lints the program for advisory issues (see [`LintWarning`]).
     ///
     /// Fatal structural problems (duplicate templates, dangling
     /// references) are rejected at build time; this reports the non-fatal
     /// smells on top: unpaired concurrency primitives (condition
-    /// variables, channels, futures) and write-only globals.
-    ///
-    /// The result is deterministically ordered by the `(function, block,
-    /// statement)` position of each warning's anchor statement (the first
-    /// use of the unpaired primitive, in program order), so serialized
-    /// reports are byte-stable across runs.
-    pub fn lints(&self) -> Vec<LintWarning> {
-        let mut anchored = self.syntactic_lints();
-        anchored.sort_by_key(|(key, _)| *key);
-        anchored.into_iter().map(|(_, w)| w).collect()
-    }
-
-    /// [`Program::lints`] plus the bounds-aware lint: fault sites the
-    /// occurrence-bounds analysis proves dead (`hi == 0`).
+    /// variables, channels, futures), write-only globals, and fault sites
+    /// the occurrence bounds prove dead (`hi == 0`). Nothing computes them
+    /// unless asked: building a program does not.
     ///
     /// `site_hi` is the per-site static upper bound indexed by `SiteId`
     /// (`None` = unbounded), as produced by the dataflow analysis in
-    /// `anduril-causal` (`OccurrenceBounds::site_his`). Ordering follows
-    /// the same `(function, block, statement)` anchor rule, a dead site
-    /// anchoring at its own statement.
-    pub fn lints_with_bounds(&self, site_hi: &[Option<u64>]) -> Vec<LintWarning> {
+    /// `anduril-causal` (`OccurrenceBounds::site_his`); a site past its end
+    /// is unbounded, so `&[]` asks for the syntactic lints alone.
+    ///
+    /// The result is deterministically ordered by the `(function, block,
+    /// statement)` position of each warning's anchor statement (the first
+    /// use of the unpaired primitive, in program order; a dead site's own
+    /// statement), so serialized reports are byte-stable across runs.
+    pub fn lints(&self, site_hi: &[Option<u64>]) -> Vec<LintWarning> {
         let mut anchored = self.syntactic_lints();
         for site in &self.sites {
             if site_hi.get(site.id.index()).copied() == Some(Some(0)) {
@@ -788,7 +760,7 @@ mod tests {
             b.await_(arg_fut, Some(e::int(5)), None);
         });
         let p = pb.finish().unwrap();
-        let lints = p.lints();
+        let lints = p.lints(&[]);
         // One warning of each kind, in statement order.
         assert_eq!(lints.len(), 6);
         assert!(
@@ -823,13 +795,13 @@ mod tests {
             b.wait_cond(late, Some(e::int(1)), None);
         });
         let p = pb.finish().unwrap();
-        let lints = p.lints();
+        let lints = p.lints(&[]);
         assert_eq!(lints.len(), 2);
         assert!(matches!(&lints[0], LintWarning::UnsignaledCond { name, .. } if name == "early"));
         assert!(matches!(&lints[1], LintWarning::UnsignaledCond { name, .. } if name == "late"));
         // Byte-stable: repeated runs render identically.
         let render = |ws: &[LintWarning]| ws.iter().map(ToString::to_string).collect::<Vec<_>>();
-        assert_eq!(render(&p.lints()), render(&lints));
+        assert_eq!(render(&p.lints(&[])), render(&lints));
     }
 
     #[test]
@@ -847,32 +819,12 @@ mod tests {
         let p = pb.finish().unwrap();
         // a.op dead, b.op live: the DeadSite warning slots in before the
         // cond warning because its statement comes first.
-        let lints = p.lints_with_bounds(&[Some(0), Some(3)]);
+        let lints = p.lints(&[Some(0), Some(3)]);
         assert_eq!(lints.len(), 2);
         assert!(matches!(&lints[0], LintWarning::DeadSite { desc, .. } if desc == "a.op"));
         assert!(matches!(&lints[1], LintWarning::UnsignaledCond { .. }));
         // No bounds info at all degrades to the syntactic suite.
-        assert_eq!(p.lints_with_bounds(&[None, None]).len(), 1);
-    }
-
-    #[test]
-    fn return_stmts_of_finds_all_returns_per_function() {
-        use crate::builder::ProgramBuilder;
-        use crate::expr::build as e;
-        let mut pb = ProgramBuilder::new("t");
-        let two = pb.declare("two_returns", 0);
-        let none = pb.declare("no_return", 0);
-        pb.body(two, |b| {
-            b.if_(e::gt(e::rand(0, 10), e::int(5)), |b| {
-                b.ret(Some(e::int(1)));
-            });
-            b.ret(Some(e::int(0)));
-        });
-        pb.body(none, |b| {
-            b.halt();
-        });
-        let p = pb.finish().unwrap();
-        assert_eq!(p.return_stmts_of(two).len(), 2);
-        assert!(p.return_stmts_of(none).is_empty());
+        assert_eq!(p.lints(&[None, None]).len(), 1);
+        assert_eq!(p.lints(&[]).len(), 1);
     }
 }

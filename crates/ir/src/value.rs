@@ -50,11 +50,6 @@ impl Value {
         }
     }
 
-    /// Returns `true` if this value is the unit sentinel.
-    pub fn is_unit(&self) -> bool {
-        matches!(self, Value::Unit)
-    }
-
     /// Returns `true` if the value is an empty list or string (`false`
     /// for every other value).
     pub fn is_empty(&self) -> bool {
@@ -169,7 +164,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_bool(), None);
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::List(vec![Value::Unit]).len(), Some(1));
-        assert!(Value::Unit.is_unit());
     }
 
     /// The scalar-aware store forgets only what owns nothing: a string or

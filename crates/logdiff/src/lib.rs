@@ -31,7 +31,7 @@ pub use align::Alignment;
 pub use compare::{compare, compare_global, DiffResult};
 pub use intern::{DiffMemo, DiffRecord, InternTable, InternedLog, NO_MATCH_TOKEN};
 pub use myers::myers_matches;
-pub use parse::{parse_log, ParsedEntry};
+pub use parse::{header, parse_log, Header, ParsedEntry};
 
 /// Deterministic SplitMix64 for the `differential_` tests (the build is
 /// offline; no `rand`, and no wall-clock seeding — every run tests the

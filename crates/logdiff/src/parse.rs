@@ -59,15 +59,25 @@ fn shared(seen: &mut Vec<Arc<str>>, name: &str) -> Arc<str> {
     seen[seen.len() - 1].clone()
 }
 
-/// The node and thread names a parse has met so far.
-#[derive(Default)]
-struct Names {
-    nodes: Vec<Arc<str>>,
-    threads: Vec<Arc<str>>,
+/// The fields of one entry's header line, borrowed from the line.
+#[derive(Debug, Clone, Copy)]
+pub struct Header<'a> {
+    /// Timestamp.
+    pub time: u64,
+    /// Emitting node name.
+    pub node: &'a str,
+    /// Emitting thread name.
+    pub thread: &'a str,
+    /// Severity.
+    pub level: Level,
+    /// Message body.
+    pub body: &'a str,
 }
 
-/// Parses one header line; returns `None` if it is not a header.
-fn parse_header(line: &str, names: &mut Names) -> Option<ParsedEntry> {
+/// The header grammar, `TIME [node:thread] LEVEL - body`: the fields of
+/// `line`, or `None` if it is not an entry's first line. Every reader that
+/// tells an entry from its continuation lines asks this.
+pub fn header(line: &str) -> Option<Header<'_>> {
     let (ts, rest) = line.split_once(' ')?;
     let time = ts.parse::<u64>().ok()?;
     let rest = rest.strip_prefix('[')?;
@@ -75,14 +85,12 @@ fn parse_header(line: &str, names: &mut Names) -> Option<ParsedEntry> {
     let (node, thread) = addr.split_once(':')?;
     let (level, body) = rest.split_once(" - ")?;
     let level = Level::parse(level)?;
-    Some(ParsedEntry {
-        time: Some(time),
-        node: shared(&mut names.nodes, node),
-        thread: shared(&mut names.threads, thread),
+    Some(Header {
+        time,
+        node,
+        thread,
         level,
-        body: Arc::from(body),
-        exc: None,
-        stack: Vec::new(),
+        body,
     })
 }
 
@@ -108,13 +116,22 @@ fn is_exception_header(line: &str) -> bool {
 /// garbage between records is dropped rather than misattributed.
 pub fn parse_log(text: &str) -> Vec<ParsedEntry> {
     let mut out: Vec<ParsedEntry> = Vec::new();
-    let mut names = Names::default();
+    // The node and thread names the parse has met so far.
+    let (mut nodes, mut threads) = (Vec::new(), Vec::new());
     for line in text.lines() {
         if line.is_empty() {
             continue;
         }
-        if let Some(entry) = parse_header(line, &mut names) {
-            out.push(entry);
+        if let Some(h) = header(line) {
+            out.push(ParsedEntry {
+                time: Some(h.time),
+                node: shared(&mut nodes, h.node),
+                thread: shared(&mut threads, h.thread),
+                level: h.level,
+                body: Arc::from(h.body),
+                exc: None,
+                stack: Vec::new(),
+            });
             continue;
         }
         // Continuation of the previous record.

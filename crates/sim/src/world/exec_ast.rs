@@ -2,7 +2,8 @@
 //! as a differential oracle for the register VM (`exec_vm`).
 //!
 //! Compiled out of release builds unless the `tree-walk-oracle` feature is
-//! enabled (mirroring the log-diff crate's `quadratic-oracle`). It shares
+//! enabled (the log-diff crate's superseded quadratic Myers is kept the
+//! same way, for its own tests only: `cfg(test)`, no feature). It shares
 //! every scheduler/control-flow/FIR path with the VM through the parent
 //! module; only statement execution and expression evaluation live here, so
 //! any divergence between engines is a bug in exactly one of these two

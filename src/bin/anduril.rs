@@ -234,7 +234,7 @@ fn analyze_case(case: &FailureCase) -> Result<(Vec<String>, Json, Vec<String>), 
     ];
     let pruned = pruned_plan_ratio(&ctx, &occurrence_bounds);
     let lints: Vec<String> = program
-        .lints_with_bounds(&occurrence_bounds.site_his())
+        .lints(&occurrence_bounds.site_his())
         .iter()
         .map(|w| w.to_string())
         .collect();

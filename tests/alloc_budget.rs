@@ -162,7 +162,8 @@ fn report(name: &str, table: &PhaseCounts, total: u64, bounds: [u64; 2]) {
 /// every `prepare` derived its own and computed the bounds). Since a
 /// thread's runs share one world's storage instead of each building its
 /// own and freeing it, it makes 14 404 and 15 727: `explore` 7 639 calls
-/// in release (14 706 before) and the normal runs 1 140 (2 839).
+/// in release (14 706 before) and the normal runs 1 140 (2 839). Since a
+/// round keeps no per-round record, 14 349 and 15 672 (`explore` 7 584).
 #[test]
 fn a_tickets22_campaign_stays_inside_its_allocation_budget() {
     let table = PhaseCounts::default();
@@ -179,7 +180,8 @@ fn a_tickets22_campaign_stays_inside_its_allocation_budget() {
 /// builds the systems up to the one holding the case. While every case
 /// built its own program (mini-Kafka twice), `all_cases()` built 25 and
 /// made 24 038 allocator calls in either profile, and `case_by_id("f17")`
-/// as many: both fail these bounds. Shared, they make 4 697 and 3 382.
+/// as many: both fail these bounds. Shared, they made 4 697 and 3 382;
+/// since building a program no longer lints it, 3 529 and 2 522.
 #[test]
 fn the_case_registry_stays_inside_its_allocation_budget() {
     let (cases, all) = counted(all_cases);
@@ -220,16 +222,21 @@ fn corpus_campaign(name: &str, counts: [usize; 3], bounds: [u64; 2]) {
     report(name, &table, total, bounds);
 }
 
-/// 19 762 calls in release and 24 986 in debug (24 061 and 31 226 while
-/// every run built its world and freed it).
+/// 17 920 calls in release and 23 144 in debug: each program comes back
+/// from planting lowered, so `prepare`'s `sim.compile` reads it (84 calls;
+/// 19 742 and 24 966 while planting lowered a copy of its own and
+/// `prepare` lowered the program again, 1 906 of them compiling; 24 061
+/// and 31 226 while every run built its world and freed it).
 #[test]
 fn a_smoke_corpus_campaign_stays_inside_its_allocation_budget() {
     corpus_campaign("gen-corpus --smoke", [6, 3, 1], [21_750, 27_500]);
 }
 
 /// The whole `gen-corpus` workload: 42 programs, the large ones ten times
-/// a ticket. 96 909 calls in release and 121 691 in debug (117 544 and
-/// 151 216 while every run built its world and freed it).
+/// a ticket. 88 716 calls in release and 113 498 in debug, `sim.compile`
+/// 364 (96 825 and 121 607 while `prepare` lowered each program a second
+/// time, 8 473 of them compiling; 117 544 and 151 216 while every run
+/// built its world and freed it).
 #[test]
 fn a_gen_corpus_campaign_stays_inside_its_allocation_budget() {
     corpus_campaign("gen-corpus", [24, 12, 6], [106_600, 133_900]);

@@ -17,7 +17,7 @@ use anduril::failures::{all_cases, FailureCase};
 use anduril::gen::{generate_one, GenConfig, SizeClass};
 use anduril::ir::lower::compile;
 use anduril::sim::InjectionPlan;
-use anduril::NoopTracer;
+use anduril::{NoopTracer, SearchContext};
 
 /// Two cases of one system, from the registry's shared programs.
 fn two_tickets_of_one_system(cases: &[FailureCase]) -> (&FailureCase, &FailureCase) {
@@ -96,15 +96,22 @@ fn a_run_over_the_programs_own_code_is_a_run_over_a_fresh_compile() {
     }
 }
 
-/// A corpus is generated in bulk and often never searched: planting lowers
-/// a copy of its own and drops it, so the case comes back uncompiled.
+/// A generated case is there to be run, so planting runs over the
+/// program's own compiled form and the case comes back lowered:
+/// `prepare`'s `sim.compile` phase reads that form instead of lowering a
+/// second one.
 #[test]
-fn a_generated_case_comes_back_uncompiled() {
+fn a_generated_case_comes_back_lowered_and_prepare_reads_that_form() {
     let cfg = GenConfig {
         seed: 0xA11D,
         size: SizeClass::Small,
         multi_fault: false,
     };
     let gc = generate_one(&cfg, 0).expect("generated case");
-    assert!(!gc.case.scenario.program.is_compiled());
+    let program = &gc.case.scenario.program;
+    assert!(program.is_compiled(), "planting ran the program's own form");
+    let code = program.compiled();
+    let ctx =
+        SearchContext::prepare(gc.case.scenario.clone(), &gc.failure_log, 1_000).expect("prepare");
+    assert!(std::ptr::eq(ctx.scenario.program.compiled(), code));
 }

@@ -67,15 +67,24 @@ fn assert_same(
     assert_eq!(a.0.success, b.0.success, "{id}: {what}: success");
     assert_eq!(a.0.rounds, b.0.rounds, "{id}: {what}: rounds");
     assert_eq!(a.0.script, b.0.script, "{id}: {what}: script");
+    assert_eq!(a.0.replay_verified, b.0.replay_verified, "{id}: {what}");
+    assert_eq!(
+        a.0.injection_requests, b.0.injection_requests,
+        "{id}: {what}"
+    );
+    assert_eq!(a.0.armed_requests, b.0.armed_requests, "{id}: {what}");
+    assert_eq!(a.0.sim_time_total, b.0.sim_time_total, "{id}: {what}");
     assert_eq!(a.1, b.1, "{id}: {what}: stable trace");
 }
 
 #[test]
 fn searches_on_one_context_do_not_see_each_other() {
+    // One strategy value for both contexts: f18's first search comes after
+    // two on f5, and is still the fresh value's search.
+    let mut strategy = adaptive();
     for id in ["f5", "f18"] {
         let (ctx, oracle) = degraded_context(id);
 
-        let mut strategy = adaptive();
         let first = search(&mut strategy, &ctx, &oracle, None);
         assert!(first.0.success, "{id}: the adaptive search reproduces");
         assert!(first.2 > 0, "{id}: and promotes on the way");

@@ -163,7 +163,7 @@ fn feedback_deltas_sum_to_final_priorities() {
 
 /// A successful search ends with a `ProvenanceChain` naming the same
 /// injection as the emitted script, and `ExploreEnd` agrees with the
-/// returned `Reproduction`.
+/// returned `Reproduction`, its wall time included.
 #[test]
 fn success_emits_a_provenance_chain() {
     let (events, repro, _) = traced_search("f17", FeedbackConfig::full());
@@ -197,11 +197,16 @@ fn success_emits_a_provenance_chain() {
             success,
             rounds,
             replay_verified,
-            ..
+            wall_ns,
         }) => {
             assert!(*success);
             assert_eq!(*rounds, repro.rounds);
             assert_eq!(*replay_verified, repro.replay_verified);
+            assert_eq!(
+                u128::from(*wall_ns),
+                repro.wall.as_nanos(),
+                "one clock reading, taken before the flush"
+            );
         }
         other => panic!("stream must end with ExploreEnd, got {other:?}"),
     }
