@@ -97,22 +97,40 @@ fn candidates(plan: InjectionPlan) -> Vec<Candidate> {
 #[test]
 fn stacktrace_injector_extracts_only_stacked_throwables() {
     let (scenario, logged, silent) = scenario();
-    // Failure caused by the *logged* path: the injector finds a target.
+    // Failure caused by the *logged* path: `prepare` reads its one
+    // throwable, and the injector arms that throwable's site under its
+    // stack, from occurrence 0.
     let ctx = ctx_for(logged, &scenario);
+    let [throwable] = &ctx.throwables[..] else {
+        panic!("one logged throwable: {:?}", ctx.throwables);
+    };
+    assert_eq!(throwable.exc, ExceptionType::Io);
+    assert_eq!(
+        throwable.stack.first(),
+        scenario.program.func_named("loggedOp").as_ref()
+    );
+    assert_eq!(throwable.sites, [logged]);
     let mut st = StacktraceInjector::new();
     st.init(&ctx);
-    assert!(st.target_count() >= 1);
     let plan = candidates(st.plan_injection(&ctx, 0).expect("a plan"));
-    assert!(plan.iter().all(|c| c.site == logged));
-    assert!(plan.iter().all(|c| c.stack.is_some()));
+    assert_eq!(
+        plan,
+        [Candidate {
+            site: logged,
+            occurrence: Some(0),
+            exc: ExceptionType::Io,
+            stack: Some(throwable.stack.clone()),
+        }]
+    );
 
-    // Failure caused by the *silent* path: nothing to extract for it.
+    // Failure caused by the *silent* path: the log holds no throwable, so
+    // there is nothing to target.
     let ctx = ctx_for(silent, &scenario);
+    assert!(ctx.throwables.is_empty(), "{:?}", ctx.throwables);
     let mut st = StacktraceInjector::new();
     st.init(&ctx);
-    let plan = st.plan_injection(&ctx, 0).map_or(Vec::new(), candidates);
     assert!(
-        plan.iter().all(|c| c.site != silent),
+        st.plan_injection(&ctx, 0).is_none(),
         "the silent site has no logged stack to target"
     );
 }

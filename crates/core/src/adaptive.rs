@@ -8,9 +8,10 @@
 //! either invisible to planning entirely (not graph sources, hence not
 //! fault units) or share one coarse `F_i` and the search degenerates to
 //! sweeping. This module makes instrumentation itself a search variable
-//! (ROADMAP item 4), in the spirit of "Box of Pain" (tracing and fault
-//! injection co-evolve) and Lumos (provenance-guided selection of *which*
-//! program points to observe next): when a `full-adaptive` model
+//! (the ROADMAP's adaptive-promotion item), in the spirit of "Box of
+//! Pain" (tracing and fault injection co-evolve) and Lumos
+//! (provenance-guided selection of *which* program points to observe
+//! next): when a `full-adaptive` model
 //! ([`FeedbackConfig::full_adaptive`](crate::FeedbackConfig::full_adaptive))
 //! stalls — its prioritized space runs dry and it starts a §6 retry pass —
 //! it promotes synthetic observables and folds them into the live search

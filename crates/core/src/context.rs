@@ -3,9 +3,10 @@
 //! Preparing a context performs the Explorer's step 1 and the Instrumenter
 //! analysis (§3): run the workload fault-free, diff against the failure
 //! log to identify relevant observables (§5.1), build the causal graph for
-//! them, precompute per-observable distances, and map the fault-instance
+//! them, precompute per-observable distances, map the fault-instance
 //! distribution from the normal run's timeline onto the failure log's
-//! timeline (§5.2.3).
+//! timeline (§5.2.3), and resolve the throwables the failure log records
+//! against the program.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -13,7 +14,7 @@ use std::time::Instant;
 use anduril_causal::{
     build_graph_over, BuildTimings, CausalGraph, Observable, ProgramFacts, Reachability,
 };
-use anduril_ir::{ExceptionType, SiteId, TemplateId};
+use anduril_ir::{ExceptionType, FuncId, Level, Program, SiteId, TemplateId};
 use anduril_logdiff::{
     compare_global, parse_log, Alignment, DiffMemo, DiffRecord, InternedLog, ParsedEntry,
 };
@@ -50,6 +51,22 @@ pub struct FaultUnit {
     pub site: SiteId,
     /// The exception type to inject.
     pub exc: ExceptionType,
+}
+
+/// A throwable the failure log records, resolved against the program: a
+/// failure's exception and the stack it was logged with, and the sites
+/// that can have thrown it. Read once by `prepare`; the stacktrace
+/// injector (§8.4) targets these.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoggedThrowable {
+    /// The logged exception class.
+    pub exc: ExceptionType,
+    /// The logged frames the program names, innermost first; frames it
+    /// does not name are dropped. Never empty.
+    pub stack: Vec<FuncId>,
+    /// The candidate sites in the innermost frame (`stack[0]`) that
+    /// declare `exc`, in id order.
+    pub sites: Vec<SiteId>,
 }
 
 /// Counters of the snapshot cache that [`SearchContext`] no longer has;
@@ -105,6 +122,9 @@ pub struct SearchContext {
     /// The static fault candidates (reachable graph sources × declared
     /// exceptions).
     pub units: Vec<FaultUnit>,
+    /// The throwables `failure` records at `Warn` or above, in log order
+    /// (see [`LoggedThrowable`]).
+    pub throwables: Vec<LoggedThrowable>,
     /// Seed used for the normal run (rounds use `base_seed + 1 + round`).
     pub base_seed: u64,
 }
@@ -270,6 +290,10 @@ impl SearchContext {
         }
         phase("pruning", candidate_sites.len() as u64, t);
 
+        let t = Instant::now();
+        let throwables = logged_throwables(&failure, program, &candidate_sites);
+        phase("evidence", throwables.len() as u64, t);
+
         if tracer.enabled() {
             tracer.record(TraceEvent::ContextReady {
                 observables: observables.len(),
@@ -294,6 +318,7 @@ impl SearchContext {
             site_instances,
             candidate_sites,
             units,
+            throwables,
             base_seed,
         })
     }
@@ -426,6 +451,35 @@ impl SearchContext {
             .map(|(k, _)| k)
             .collect()
     }
+}
+
+/// The throwables of `failure`, in log order: one for each entry at `Warn`
+/// or above whose exception line's class (the text before `:`) is an
+/// [`ExceptionType`] and at least one of whose stack frames the program
+/// names.
+fn logged_throwables(
+    failure: &[ParsedEntry],
+    program: &Program,
+    candidate_sites: &[SiteId],
+) -> Vec<LoggedThrowable> {
+    (failure.iter())
+        .filter(|entry| entry.level >= Level::Warn)
+        .filter_map(|entry| {
+            let line = entry.exc.as_deref()?;
+            let exc = ExceptionType::parse(line.split(':').next()?)?;
+            let stack: Vec<FuncId> = (entry.stack.iter())
+                .filter_map(|f| program.func_named(f))
+                .collect();
+            let &innermost = stack.first()?;
+            let sites = (candidate_sites.iter().copied())
+                .filter(|sid| {
+                    let site = &program.sites[sid.index()];
+                    site.func == innermost && site.exceptions.contains(&exc)
+                })
+                .collect();
+            Some(LoggedThrowable { exc, stack, sites })
+        })
+        .collect()
 }
 
 /// Distance from `pos` to the nearest element of sorted `positions`

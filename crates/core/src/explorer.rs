@@ -31,8 +31,8 @@ use crate::trace::{NoopTracer, TraceEvent, Tracer};
 /// Explorer configuration: how long a search may run, and its seeds. How
 /// candidates are ranked is the strategy's ([`FeedbackConfig`]), not the
 /// loop's. One run per round: the paper's §6 option of combining several
-/// runs' logs waits for a caller (ROADMAP 7(b)'s lossy logs are the
-/// likely first).
+/// runs' logs waits for a caller (the lossy logs of the ROADMAP's
+/// "failure log is the input" item are the likely first).
 #[derive(Debug, Clone)]
 pub struct ExplorerConfig {
     /// Give up after this many injection rounds (the paper's user limit,

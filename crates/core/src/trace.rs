@@ -8,8 +8,9 @@
 //!
 //! - **context prep** ([`crate::SearchContext::prepare_traced`]): one
 //!   [`TraceEvent::ContextPhase`] per phase (normal run, log parse, diff,
-//!   graph build with its §4.1 sub-phases, distances, alignment, pruning)
-//!   with durations and sizes, then a [`TraceEvent::ContextReady`] summary;
+//!   graph build with its §4.1 sub-phases, distances, alignment, pruning,
+//!   the logged throwables) with durations and sizes, then a
+//!   [`TraceEvent::ContextReady`] summary;
 //! - **per round** ([`crate::explorer::explore_traced`] and
 //!   [`crate::batch::explore_batched_traced`]): the strategy decision with
 //!   its priority provenance (the winning unit's `F_i`, the observable
@@ -160,8 +161,9 @@ pub enum TraceEvent {
     ContextPhase {
         /// Phase name (`sim.compile`, `normal_run`, `parse_logs`, `diff`,
         /// `observables`, `graph`, `graph.exception`, `graph.slicing`,
-        /// `graph.chaining`, `distances`, `alignment`, `pruning`): static
-        /// where it is emitted, owned when read back from a file.
+        /// `graph.chaining`, `distances`, `alignment`, `pruning`,
+        /// `evidence`): static where it is emitted, owned when read back
+        /// from a file.
         phase: Cow<'static, str>,
         /// Phase-specific size (entries, nodes, sites, …).
         items: u64,

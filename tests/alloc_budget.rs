@@ -163,7 +163,9 @@ fn report(name: &str, table: &PhaseCounts, total: u64, bounds: [u64; 2]) {
 /// thread's runs share one world's storage instead of each building its
 /// own and freeing it, it makes 14 404 and 15 727: `explore` 7 639 calls
 /// in release (14 706 before) and the normal runs 1 140 (2 839). Since a
-/// round keeps no per-round record, 14 349 and 15 672 (`explore` 7 584).
+/// round keeps no per-round record, 14 349 and 15 672 (`explore` 7 584);
+/// reading the failure log's throwables (`evidence`, 70 calls) makes it
+/// 14 419 and 15 742.
 #[test]
 fn a_tickets22_campaign_stays_inside_its_allocation_budget() {
     let table = PhaseCounts::default();
@@ -222,19 +224,20 @@ fn corpus_campaign(name: &str, counts: [usize; 3], bounds: [u64; 2]) {
     report(name, &table, total, bounds);
 }
 
-/// 17 920 calls in release and 23 144 in debug: each program comes back
-/// from planting lowered, so `prepare`'s `sim.compile` reads it (84 calls;
-/// 19 742 and 24 966 while planting lowered a copy of its own and
-/// `prepare` lowered the program again, 1 906 of them compiling; 24 061
-/// and 31 226 while every run built its world and freed it).
+/// 17 950 calls in release and 23 174 in debug (`evidence` 30): each
+/// program comes back from planting lowered, so `prepare`'s `sim.compile`
+/// reads it (84 calls; 19 742 and 24 966 while planting lowered a copy of
+/// its own and `prepare` lowered the program again, 1 906 of them
+/// compiling; 24 061 and 31 226 while every run built its world and freed
+/// it).
 #[test]
 fn a_smoke_corpus_campaign_stays_inside_its_allocation_budget() {
     corpus_campaign("gen-corpus --smoke", [6, 3, 1], [21_750, 27_500]);
 }
 
 /// The whole `gen-corpus` workload: 42 programs, the large ones ten times
-/// a ticket. 88 716 calls in release and 113 498 in debug, `sim.compile`
-/// 364 (96 825 and 121 607 while `prepare` lowered each program a second
+/// a ticket. 88 842 calls in release and 113 624 in debug, `sim.compile`
+/// 364 and `evidence` 126 (96 825 and 121 607 while `prepare` lowered each program a second
 /// time, 8 473 of them compiling; 117 544 and 151 216 while every run
 /// built its world and freed it).
 #[test]
