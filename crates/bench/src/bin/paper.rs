@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use anduril_baselines::{by_name, table2_strategies};
-use anduril_core::trace::report::TextTable;
+use anduril_core::trace::report::{phase_ns, TextTable};
 use anduril_core::trace::{NoopTracer, TraceEvent, Tracer, VecTracer};
 use anduril_core::{
     explore, explore_batched, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
@@ -134,18 +134,6 @@ impl Cases {
     fn preparations(&self) -> usize {
         self.preparations.get()
     }
-}
-
-/// Sums the host-nanosecond spans of the named context phase in a trace
-/// (0 when the phase never ran).
-fn phase_ns(events: &[TraceEvent], name: &str) -> u64 {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::ContextPhase { phase, ns, .. } if *phase == name => Some(*ns),
-            _ => None,
-        })
-        .sum()
 }
 
 /// Runs one strategy against a prepared ticket with a round cap, traced
@@ -604,8 +592,8 @@ fn table6(cases: &Cases) -> String {
 /// Table 7: static-analysis time breakdown per failure.
 ///
 /// Timings are the `graph.*` context phases of each preparation's trace
-/// (see `anduril-core::trace`) rather than `ctx.timings`, so the table
-/// exercises the same spans `anduril trace --summary` reports. The
+/// (see `anduril-core::trace`, the one record of them), the spans
+/// `anduril trace --summary` and `anduril analyze` report too. The
 /// exception analysis (with the call graph it walks) is a fact of the
 /// program, paid once per system when the program's facts are derived:
 /// its column is that one cost, repeated on each of the system's rows.

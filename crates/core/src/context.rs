@@ -11,9 +11,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use anduril_causal::{
-    build_graph_over, BuildTimings, CausalGraph, Observable, ProgramFacts, Reachability,
-};
+use anduril_causal::{build_graph_over, CausalGraph, Observable, ProgramFacts, Reachability};
 use anduril_ir::{ExceptionType, FuncId, Level, Program, SiteId, TemplateId};
 use anduril_logdiff::{
     compare_global, parse_log, Alignment, DiffMemo, DiffRecord, InternedLog, ParsedEntry,
@@ -107,8 +105,6 @@ pub struct SearchContext {
     pub observable_groups: Vec<bool>,
     /// The static causal graph for those observables.
     pub graph: CausalGraph,
-    /// Causal-graph build timings (Table 7).
-    pub timings: BuildTimings,
     /// `distances[k][site]` = spatial distance `L_{i,k}`.
     pub distances: Vec<HashMap<SiteId, u32>>,
     /// Per-site dynamic instances from the normal run, as
@@ -313,7 +309,6 @@ impl SearchContext {
             observables,
             observable_groups,
             graph,
-            timings,
             distances,
             site_instances,
             candidate_sites,

@@ -361,7 +361,7 @@ impl<'a> ExploreState<'a> {
             // that reproduces gets no feedback).
             let model = strategy.model().filter(|_| self.tracer.enabled());
             if let (Some((site, occurrence, exc)), Some(model)) = (injected, model) {
-                if let Some(e) = model.explain_unit(ctx, FaultUnit { site, exc }) {
+                if let Some(p) = model.explain_unit(ctx, FaultUnit { site, exc }) {
                     self.tracer.record(TraceEvent::ProvenanceChain {
                         round,
                         seed,
@@ -369,12 +369,12 @@ impl<'a> ExploreState<'a> {
                         desc: ctx.scenario.program.sites[site.index()].desc.clone(),
                         occurrence,
                         exc,
-                        observable: model.observable_text(ctx, e.k_star),
-                        k_star: e.k_star,
-                        l: e.l,
-                        i_k: e.i_k,
-                        f_i: e.f_i,
-                        temporal: e.best_instance.map(|(_, t)| t),
+                        observable: model.observable_text(ctx, p.k_star),
+                        k_star: p.k_star,
+                        l: p.l,
+                        i_k: p.i_k,
+                        f_i: p.f_i,
+                        temporal: Some(p.temporal),
                     });
                 }
             }
@@ -491,7 +491,7 @@ pub(crate) fn search(
             tracer.record(TraceEvent::Decision {
                 round,
                 armed: plan.armed(),
-                provenance: strategy.model().and_then(|m| m.provenance()),
+                provenance: strategy.model().and_then(|m| m.provenance(ctx)),
                 init_ns,
             });
             // Figure 6: where the plan just made put the ground truth.

@@ -194,26 +194,6 @@ impl FeedbackConfig {
     }
 }
 
-/// Why a fault unit is ranked where it is: the §5.2 priority breakdown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Explanation {
-    /// The unit being explained.
-    pub unit: FaultUnit,
-    /// The site-level priority `F_i` (smaller = higher priority).
-    pub f_i: f64,
-    /// The argmin observable `k*` driving `F_i`.
-    pub k_star: usize,
-    /// Spatial distance `L_{i,k*}`.
-    pub l: u32,
-    /// Current observable feedback `I_{k*}`.
-    pub i_k: f64,
-    /// Best untried instance and its temporal distance `T`, if any
-    /// instances remain.
-    pub best_instance: Option<(Option<u32>, f64)>,
-    /// Current rank of the unit's site (1 = best), if ranked.
-    pub rank: Option<usize>,
-}
-
 /// The configurable feedback strategy.
 #[derive(Debug, Clone)]
 pub struct FeedbackStrategy {
@@ -225,16 +205,16 @@ pub struct FeedbackStrategy {
     /// Tried `(site, exc, occurrence)` triples (`u32::MAX` = any-occurrence
     /// candidates for sites unseen in the normal run).
     tried: HashSet<(SiteId, ExceptionType, u32)>,
-    /// Site ranking from the most recent planning pass (for Figure 6).
-    last_ranking: Vec<SiteId>,
+    /// The units the most recent prioritized plan scored, best first
+    /// (empty after an exhaustive plan). Everything that says why a unit
+    /// ranks where it does is derived from this on request.
+    ranked: Vec<FaultUnit>,
     /// Candidates armed in the most recent round, used to retire
     /// any-occurrence candidates that provably cannot fire.
     last_armed: Vec<Candidate>,
     /// Completed passes over the candidate space (see
     /// [`FeedbackStrategy::passes`]).
     passes: usize,
-    /// Priority provenance of the most recent plan's top candidate.
-    last_provenance: Option<PlanProvenance>,
     /// Lifecycle notes queued for the tracer (drained by the explorer).
     /// Notes queued on speculative clones vanish with the clone.
     pending_notes: Vec<StrategyNote>,
@@ -256,10 +236,9 @@ impl FeedbackStrategy {
             window,
             i_priority: Vec::new(),
             tried: HashSet::new(),
-            last_ranking: Vec::new(),
+            ranked: Vec::new(),
             last_armed: Vec::new(),
             passes: 0,
-            last_provenance: None,
             pending_notes: Vec::new(),
             promoted: PromotedSet::default(),
             present: Vec::new(),
@@ -318,6 +297,16 @@ impl FeedbackStrategy {
         }
     }
 
+    /// The feedback term `I_k` of observable `k`: 0 without observable
+    /// feedback.
+    fn feedback_of(&self, k: usize) -> f64 {
+        if self.cfg.feedback {
+            self.i_priority.get(k).copied().unwrap_or(0.0)
+        } else {
+            0.0
+        }
+    }
+
     /// Spatial(+feedback) priority of a unit with its best observable.
     ///
     /// Returns `(F_i, k*)` where `k*` is the argmin observable (used for
@@ -330,12 +319,7 @@ impl FeedbackStrategy {
         let promoted = self.promoted.observables().iter().map(|o| &o.distances);
         for (k, dists) in ctx.distances.iter().chain(promoted).enumerate() {
             if let Some(&l) = dists.get(&unit.site) {
-                let i_k = if self.cfg.feedback {
-                    self.i_priority.get(k).copied().unwrap_or(0.0)
-                } else {
-                    0.0
-                };
-                let p = l as f64 + i_k;
+                let p = l as f64 + self.feedback_of(k);
                 sum += p;
                 if best.map(|(b, _)| p < b).unwrap_or(true) {
                     best = Some((p, k));
@@ -383,8 +367,9 @@ impl FeedbackStrategy {
     }
 
     fn plan_exhaustive(&mut self, ctx: &SearchContext) -> Vec<Candidate> {
-        // Exhaustive enumeration has no priority model to explain.
-        self.last_provenance = None;
+        // Exhaustive enumeration ranks nothing, so there is nothing to
+        // explain.
+        self.ranked.clear();
         let mut out = Vec::new();
         'outer: for unit in self.units(ctx) {
             let insts = self.instances(ctx, unit);
@@ -470,8 +455,8 @@ impl FeedbackStrategy {
         // Score every unit that still has untried instances — prepared
         // plus promotion-appended, so a coverage promotion's newly
         // connected sites are armable on the very next pass.
-        // `(primary, T, unit, occurrence, (F_i, k*))`.
-        type Scored = (f64, f64, FaultUnit, Option<u32>, (f64, usize));
+        // `(primary, T, unit, occurrence)`.
+        type Scored = (f64, f64, FaultUnit, Option<u32>);
         let mut scored: Vec<Scored> = Vec::new();
         for unit in self.units(ctx) {
             let Some((f_i, k_star)) = self.site_priority(ctx, unit) else {
@@ -484,7 +469,7 @@ impl FeedbackStrategy {
                 Combine::TwoLevel => f_i,
                 Combine::Multiply => f_i * (t + 1.0),
             };
-            scored.push((primary, t, unit, occ, (f_i, k_star)));
+            scored.push((primary, t, unit, occ));
         }
         // `total_cmp`, not `partial_cmp().unwrap_or(Equal)`: collapsing an
         // incomparable (NaN) score to Equal makes the sort order depend on
@@ -498,33 +483,13 @@ impl FeedbackStrategy {
                 .then(a.2.site.cmp(&b.2.site))
                 .then(a.2.exc.cmp(&b.2.exc))
         });
-        // Record the site ranking for Figure 6.
-        self.last_ranking.clear();
-        for (_, _, unit, _, _) in &scored {
-            if !self.last_ranking.contains(&unit.site) {
-                self.last_ranking.push(unit.site);
-            }
-        }
-        // Record the winner's priority provenance for the trace layer.
-        let top = scored.first().copied();
-        self.last_provenance = top.map(|(_, t, unit, occ, (f_i, k_star))| PlanProvenance {
-            site: unit.site,
-            exc: unit.exc,
-            occurrence: occ,
-            f_i,
-            k_star,
-            l: self.distance(ctx, k_star, unit.site).unwrap_or(u32::MAX),
-            i_k: if self.cfg.feedback {
-                self.i_priority.get(k_star).copied().unwrap_or(0.0)
-            } else {
-                0.0
-            },
-            temporal: t,
-        });
+        self.ranked.clear();
+        self.ranked
+            .extend(scored.iter().map(|&(_, _, unit, _)| unit));
         scored
             .into_iter()
             .take(self.window)
-            .map(|(_, _, unit, occ, _)| Candidate {
+            .map(|(_, _, unit, occ)| Candidate {
                 site: unit.site,
                 occurrence: occ,
                 exc: unit.exc,
@@ -533,42 +498,47 @@ impl FeedbackStrategy {
             .collect()
     }
 
-    /// Explains the current priority of a fault unit (§5.2's terms), or
-    /// `None` if the unit is not causally connected to any observable
-    /// (used for `anduril explain` and the trace layer's final provenance
-    /// chain).
-    ///
-    /// Call after at least one [`Strategy::plan_injection`] for a
-    /// meaningful rank.
-    pub fn explain_unit(&self, ctx: &SearchContext, unit: FaultUnit) -> Option<Explanation> {
+    /// Why `unit` ranks where it does, in §5.2's terms: its `F_i`, the
+    /// argmin observable `k*` with `L_{i,k*}` and `I_{k*}`, and the
+    /// instance [`Strategy::plan_injection`] would arm next with its
+    /// temporal distance `T`. `None` if the unit reaches no observable or
+    /// has no instance left to try. The only place a [`PlanProvenance`]
+    /// is made: `decision` events, the final provenance chain and
+    /// `anduril explain` all read it.
+    pub fn explain_unit(&self, ctx: &SearchContext, unit: FaultUnit) -> Option<PlanProvenance> {
         let (f_i, k_star) = self.site_priority(ctx, unit)?;
-        let l = self.distance(ctx, k_star, unit.site)?;
-        let i_k = self.i_priority.get(k_star).copied().unwrap_or(0.0);
-        Some(Explanation {
-            unit,
+        let (occurrence, temporal) = self.best_instance(ctx, unit, k_star)?;
+        Some(PlanProvenance {
+            site: unit.site,
+            exc: unit.exc,
+            occurrence,
             f_i,
             k_star,
-            l,
-            i_k,
-            best_instance: self.best_instance(ctx, unit, k_star),
-            rank: self.site_rank(unit.site),
+            l: self.distance(ctx, k_star, unit.site)?,
+            i_k: self.feedback_of(k_star),
+            temporal,
         })
     }
 
-    /// Rank (1 = best) of a fault site in the most recent plan's ordering
-    /// (Figure 6).
-    pub fn site_rank(&self, site: SiteId) -> Option<usize> {
-        self.last_ranking
-            .iter()
-            .position(|&s| s == site)
-            .map(|p| p + 1)
+    /// The units the most recent prioritized plan scored, best first
+    /// (empty before any plan and after an exhaustive one).
+    pub fn ranked(&self) -> &[FaultUnit] {
+        &self.ranked
     }
 
-    /// Priority provenance of the top-ranked candidate of the most recent
-    /// plan (`None` under exhaustive enumeration, which has no priorities
-    /// to explain). Feeds the trace layer's `decision` events.
-    pub fn provenance(&self) -> Option<PlanProvenance> {
-        self.last_provenance.clone()
+    /// Rank (1 = best) of a fault site in the most recent plan's ordering
+    /// (Figure 6): one plus the distinct sites ranked ahead of it.
+    pub fn site_rank(&self, site: SiteId) -> Option<usize> {
+        let at = self.ranked.iter().position(|u| u.site == site)?;
+        let ahead: HashSet<SiteId> = self.ranked[..at].iter().map(|u| u.site).collect();
+        Some(ahead.len() + 1)
+    }
+
+    /// Priority provenance of the most recent plan's top-ranked unit
+    /// (`None` under exhaustive enumeration, which has no priorities to
+    /// explain). Feeds the trace layer's `decision` events.
+    pub fn provenance(&self, ctx: &SearchContext) -> Option<PlanProvenance> {
+        self.explain_unit(ctx, *self.ranked.first()?)
     }
 
     /// The log-template text of observable `k`, prepared or promoted.

@@ -39,7 +39,7 @@ pub use anduril_logdiff::header as log_header;
 pub use batch::{explore_batched, explore_batched_traced, BatchExplorerConfig};
 pub use context::{FaultUnit, LoggedThrowable, ObservableInfo, RoundOutcome, SearchContext};
 pub use explorer::{explore, explore_traced, reproduce, ExplorerConfig, ReproScript, Reproduction};
-pub use feedback::{Aggregate, Combine, Explanation, FeedbackConfig, FeedbackStrategy};
+pub use feedback::{Aggregate, Combine, FeedbackConfig, FeedbackStrategy};
 pub use oracle::Oracle;
 pub use scenario::Scenario;
 pub use strategy::Strategy;

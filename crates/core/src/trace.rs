@@ -76,25 +76,29 @@ use anduril_ir::{ExceptionType, SiteId};
 pub use json::Json;
 pub use sink::{FileTracer, NoopTracer, Tracer, VecTracer};
 
-/// Priority provenance of the top-ranked candidate of a planning pass —
-/// *why* the strategy put this unit first, in the paper's §5.2 terms.
+/// Why a fault unit ranks where it does, in the paper's §5.2 terms.
+///
+/// Built only by [`crate::FeedbackStrategy::explain_unit`]; read by each
+/// round's `decision` (the plan's top-ranked unit), by the final
+/// [`TraceEvent::ProvenanceChain`] and by `anduril explain`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanProvenance {
-    /// The winning fault site.
+    /// The fault site.
     pub site: SiteId,
-    /// The exception type of the winning unit.
+    /// The exception type of the unit.
     pub exc: ExceptionType,
-    /// The armed occurrence (`None` = any-occurrence candidate).
+    /// The occurrence the unit would arm next (`None` = any-occurrence
+    /// candidate).
     pub occurrence: Option<u32>,
-    /// The site-level priority `F_i` that won.
+    /// The site-level priority `F_i`.
     pub f_i: f64,
     /// The observable `k*` attaining the min in `F_i`.
     pub k_star: usize,
     /// Spatial distance `L_{i,k*}`.
     pub l: u32,
-    /// Observable feedback `I_{k*}` at planning time.
+    /// Observable feedback `I_{k*}` when asked.
     pub i_k: f64,
-    /// Temporal distance `T` of the armed instance.
+    /// Temporal distance `T` of that occurrence.
     pub temporal: f64,
 }
 
@@ -336,7 +340,7 @@ pub enum TraceEvent {
         i_k: f64,
         /// Site priority `F_i` at the end.
         f_i: f64,
-        /// Temporal distance of the best remaining instance, if any.
+        /// Temporal distance `T` of the unit's best untried instance.
         temporal: Option<f64>,
     },
     /// Exploration finished (`ev: "explore_end"`).

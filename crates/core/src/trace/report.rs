@@ -107,6 +107,19 @@ impl TextTable {
     }
 }
 
+/// Sums the host-nanosecond spans of the named context phase in a trace
+/// (0 when the phase never ran): how `anduril analyze` and Table 7 read a
+/// preparation's timings.
+pub fn phase_ns(events: &[TraceEvent], name: &str) -> u64 {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::ContextPhase { phase, ns, .. } if *phase == name => Some(*ns),
+            _ => None,
+        })
+        .sum()
+}
+
 /// `-` for a value the stream does not hold, else the value.
 fn dash<T: ToString>(v: Option<T>) -> String {
     v.map_or_else(|| "-".into(), |v| v.to_string())

@@ -365,12 +365,12 @@ fn explanations_expose_the_priority_terms() {
     s.init(&ctx);
     let _ = s.plan_injection(&ctx, 0);
     for unit in &ctx.units {
-        let ex = s.explain_unit(&ctx, *unit).expect("connected unit");
+        let p = s.explain_unit(&ctx, *unit).expect("connected unit");
+        assert_eq!((p.site, p.exc), (unit.site, unit.exc));
         // F_i is the spatial distance plus the feedback (zero initially).
-        assert_eq!(ex.f_i, ex.l as f64 + ex.i_k);
-        assert_eq!(ex.i_k, 0.0, "no feedback before any round");
-        assert!(ex.rank.is_some());
-        assert!(ex.best_instance.is_some());
+        assert_eq!(p.f_i, p.l as f64 + p.i_k);
+        assert_eq!(p.i_k, 0.0, "no feedback before any round");
+        assert!(s.site_rank(p.site).is_some());
     }
     // The decoy and the root are both explained, with valid observables.
     let root_ex = s
@@ -381,4 +381,38 @@ fn explanations_expose_the_priority_terms() {
         .unwrap();
     assert!(root_ex.k_star < ctx.observables.len());
     assert!(decoy_ex.k_star < ctx.observables.len());
+}
+
+#[test]
+fn provenance_is_the_plans_first_candidate() {
+    let (ctx, _, _) = context();
+    let mut s = FeedbackStrategy::new(FeedbackConfig::full());
+    s.init(&ctx);
+    let plan = candidates(s.plan_injection(&ctx, 0).expect("a plan"));
+    let p = s.provenance(&ctx).expect("a ranked plan");
+    let first = &plan[0];
+    assert_eq!(
+        (p.site, p.exc, p.occurrence),
+        (first.site, first.exc, first.occurrence)
+    );
+    // The armed window is a prefix of the ranking.
+    let ranked: Vec<_> = s.ranked().iter().map(|u| (u.site, u.exc)).collect();
+    let armed: Vec<_> = plan.iter().map(|c| (c.site, c.exc)).collect();
+    assert_eq!(ranked[..armed.len()], armed[..]);
+    // Distinct sites rank 1..=n in the plan's order.
+    let mut sites = Vec::new();
+    for u in s.ranked() {
+        if !sites.contains(&u.site) {
+            sites.push(u.site);
+        }
+    }
+    let ranks: Vec<_> = sites.iter().map(|&site| s.site_rank(site)).collect();
+    let expected: Vec<_> = (1..=sites.len()).map(Some).collect();
+    assert_eq!(ranks, expected);
+    // An exhaustive plan ranks nothing and so explains nothing.
+    let mut x = FeedbackStrategy::new(FeedbackConfig::exhaustive());
+    x.init(&ctx);
+    assert!(x.plan_injection(&ctx, 0).is_some());
+    assert!(x.ranked().is_empty());
+    assert_eq!(x.provenance(&ctx), None);
 }

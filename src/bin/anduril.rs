@@ -17,7 +17,7 @@ use anduril::causal::{OccurrenceBounds, ProgramFacts};
 use anduril::failures::{all_cases, case_by_id, FailureCase, PreparedCase};
 use anduril::gen::{generate_one, verify_sound, GenConfig, SizeClass};
 use anduril::trace::report::{self, TextTable};
-use anduril::trace::{read_stream, FileTracer, NoopTracer, TraceEvent, Tracer};
+use anduril::trace::{read_stream, FileTracer, NoopTracer, TraceEvent, Tracer, VecTracer};
 use anduril::{
     explore, explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig,
     FeedbackConfig, FeedbackStrategy, Json, ReproScript, Reproduction, SearchContext, Strategy,
@@ -103,16 +103,6 @@ fn flag<T: FromStr>(args: &[String], i: &mut usize) -> Result<T, CliError> {
     Ok(value)
 }
 
-/// Sorts `explain` rows by ascending priority `F_i`.
-///
-/// `total_cmp`, not `partial_cmp().unwrap()`: `F_i` is a sum of graph and
-/// temporal terms that can degenerate to NaN (e.g. `inf - inf` when an
-/// observable has no positions), and a diagnostic subcommand must render
-/// such a unit — ordered after every finite priority — rather than panic.
-fn sort_explanations(explanations: &mut [anduril::Explanation]) {
-    explanations.sort_by(|a, b| a.f_i.total_cmp(&b.f_i));
-}
-
 /// Resolves a `<case>` argument.
 fn resolve_case(id: &str) -> Result<FailureCase, CliError> {
     case_by_id(id).ok_or_else(|| {
@@ -194,7 +184,8 @@ fn log(args: &[String]) -> Result<ExitCode, CliError> {
 /// One case of `anduril analyze`: its row of the report table, its record
 /// of the JSON document, its lint lines.
 fn analyze_case(case: &FailureCase) -> Result<(Vec<String>, Json, Vec<String>), CliError> {
-    let PreparedCase { gt, ctx, .. } = prepare(case, &NoopTracer)?;
+    let tracer = VecTracer::new();
+    let PreparedCase { gt, ctx, .. } = prepare(case, &tracer)?;
     let program = &ctx.scenario.program;
     // Per observable, its minimum distance over the inferred sites.
     let min_distances: Vec<Option<u32>> = ctx
@@ -226,12 +217,16 @@ fn analyze_case(case: &FailureCase) -> Result<(Vec<String>, Json, Vec<String>), 
         ("nodes", ctx.graph.node_count()),
         ("edges", ctx.graph.edge_count()),
     ];
+    // Table 7's columns, read off the preparation's own trace: the total
+    // is the whole `graph` phase.
+    let events = tracer.take();
     let timings = [
-        ("exception", ctx.timings.exception_ns),
-        ("slicing", ctx.timings.slicing_ns),
-        ("chaining", ctx.timings.chaining_ns),
-        ("total", ctx.timings.total_ns),
-    ];
+        ("exception", "graph.exception"),
+        ("slicing", "graph.slicing"),
+        ("chaining", "graph.chaining"),
+        ("total", "graph"),
+    ]
+    .map(|(name, phase)| (name, report::phase_ns(&events, phase)));
     let pruned = pruned_plan_ratio(&ctx, &occurrence_bounds);
     let lints: Vec<String> = program
         .lints(&occurrence_bounds.site_his())
@@ -550,32 +545,26 @@ fn explain(args: &[String]) -> Result<ExitCode, CliError> {
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
     s.init(&ctx);
     let _ = s.plan_injection(&ctx, 0);
+    // The first plan's ranking, in its own order: `F_i`, then `T`, then
+    // site, then exception.
     let mut out = format!(
         "{}: initial priority breakdown (F_i = L + I via argmin observable k*)\n\
-         {:32} {:>5} {:>4} {:>5} {:>5} {:>10} {:>6}\n",
-        case.id, "site", "F_i", "k*", "L", "I_k", "best occ", "T"
+         {:32} {:22} {:>5} {:>4} {:>5} {:>5} {:>8} {:>6}\n",
+        case.id, "site", "exception", "F_i", "k*", "L", "I_k", "next occ", "T"
     );
-    let mut explanations: Vec<_> = ctx
-        .units
-        .iter()
-        .filter_map(|&u| s.explain_unit(&ctx, u))
-        .collect();
-    sort_explanations(&mut explanations);
-    for ex in explanations {
-        let (occ, t) = ex
-            .best_instance
-            .map(|(o, t)| (format!("{o:?}"), format!("{t:.1}")))
-            .unwrap_or(("-".into(), "-".into()));
+    for p in s.ranked().iter().filter_map(|&u| s.explain_unit(&ctx, u)) {
+        let occ = p.occurrence.map_or("any".into(), |o| o.to_string());
         let _ = writeln!(
             out,
-            "{:32} {:>5} {:>4} {:>5} {:>5} {:>10} {:>6}",
-            ctx.scenario.program.sites[ex.unit.site.index()].desc,
-            ex.f_i,
-            ex.k_star,
-            ex.l,
-            ex.i_k,
+            "{:32} {:22} {:>5} {:>4} {:>5} {:>5} {:>8} {:>6.1}",
+            ctx.scenario.program.sites[p.site.index()].desc,
+            p.exc.name(),
+            p.f_i,
+            p.k_star,
+            p.l,
+            p.i_k,
             occ,
-            t
+            p.temporal
         );
     }
     emit(&out)
@@ -715,45 +704,5 @@ fn main() -> ExitCode {
             eprintln!("anduril: {msg}");
             ExitCode::from(1)
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::sort_explanations;
-    use anduril::ir::{ExceptionType, SiteId};
-    use anduril::{Explanation, FaultUnit};
-
-    fn row(site: u32, f_i: f64) -> Explanation {
-        Explanation {
-            unit: FaultUnit {
-                site: SiteId(site),
-                exc: ExceptionType::Io,
-            },
-            f_i,
-            k_star: 0,
-            l: 0,
-            i_k: 0.0,
-            best_instance: None,
-            rank: None,
-        }
-    }
-
-    /// A NaN priority (possible when an observable's temporal term
-    /// degenerates) must sort after every finite row, not panic the
-    /// subcommand like the old `partial_cmp().unwrap()` did.
-    #[test]
-    fn explain_sort_survives_nan_priorities() {
-        let mut rows = vec![
-            row(0, 2.0),
-            row(1, f64::NAN),
-            row(2, 1.0),
-            row(3, f64::INFINITY),
-            row(4, -1.0),
-        ];
-        sort_explanations(&mut rows);
-        let order: Vec<u32> = rows.iter().map(|e| e.unit.site.0).collect();
-        assert_eq!(order, vec![4, 2, 0, 3, 1]);
-        assert!(rows.last().unwrap().f_i.is_nan());
     }
 }

@@ -48,10 +48,10 @@
 
 pub use anduril_core::{
     explore, explore_batched, explore_batched_traced, explore_traced, reproduce,
-    BatchExplorerConfig, Combine, Explanation, ExplorerConfig, FaultUnit, FeedbackConfig,
-    FeedbackStrategy, FileTracer, Json, NoopTracer, ObservableInfo, Oracle, PlanProvenance,
-    ReproScript, Reproduction, RoundOutcome, Scenario, SearchContext, Strategy, StrategyNote,
-    TraceEvent, Tracer, VecTracer,
+    BatchExplorerConfig, Combine, ExplorerConfig, FaultUnit, FeedbackConfig, FeedbackStrategy,
+    FileTracer, Json, NoopTracer, ObservableInfo, Oracle, PlanProvenance, ReproScript,
+    Reproduction, RoundOutcome, Scenario, SearchContext, Strategy, StrategyNote, TraceEvent,
+    Tracer, VecTracer,
 };
 
 /// The structured search-trace layer (re-export of `anduril-core::trace`).

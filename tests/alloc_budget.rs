@@ -165,7 +165,9 @@ fn report(name: &str, table: &PhaseCounts, total: u64, bounds: [u64; 2]) {
 /// in release (14 706 before) and the normal runs 1 140 (2 839). Since a
 /// round keeps no per-round record, 14 349 and 15 672 (`explore` 7 584);
 /// reading the failure log's throwables (`evidence`, 70 calls) makes it
-/// 14 419 and 15 742.
+/// 14 419 and 15 742. A plan that keeps its ranked units in place of a
+/// deduplicated site list and a provenance makes it 14 400 and 15 723
+/// (`explore` 7 565).
 #[test]
 fn a_tickets22_campaign_stays_inside_its_allocation_budget() {
     let table = PhaseCounts::default();

@@ -215,3 +215,25 @@ fn a_closed_pipe_is_not_a_failure() {
     finish(summary().stdout(writer).spawn().expect("spawns"));
     std::fs::remove_file(&path).expect("remove trace file");
 }
+
+/// `anduril explain` lists the first plan's ranking in the plan's own
+/// order (`F_i`, then `T`, then site, then exception), one row per fault
+/// unit with its exception named: f5's four `F_i = 2` units and f2's two
+/// `F_i = 3` units are ties only `T` and the exception break.
+#[test]
+fn explain_lists_units_in_the_plans_order() {
+    for case in ["f5", "f2"] {
+        let out = anduril(&["explain", case]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        let golden = format!(
+            "{}/tests/golden/explain/{case}.txt",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let want = std::fs::read_to_string(&golden).expect("golden file");
+        let got = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            got == want,
+            "{case} differs from {golden}; it now prints:\n{got}"
+        );
+    }
+}
